@@ -20,7 +20,9 @@
 # The obs_overhead section runs BenchmarkFig9Obs/on and /off (the identical
 # Figure 9 KubeShare workload with telemetry recording enabled vs disabled),
 # each arm in its own `go test` process so one arm's heap/GC state cannot
-# color the other. Budget: on/off - 1 <= 5%.
+# color the other. Budget: on/off - 1 <= 5%. Each arm runs 20 iterations:
+# one iteration is ~45 ms since the launch path stopped seeding a generator
+# per lease, and a handful of them cannot resolve a 5% budget.
 #
 # BENCH.json accumulates every run as a dated record (oldest first);
 # tools/benchmerge does the JSON appending.
@@ -42,10 +44,14 @@ GMP="${GOMAXPROCS:-$CPUS}"
 FIG16_GMP=4
 
 MICRO='BenchmarkTimerChurn|BenchmarkProcContextSwitch|BenchmarkQueueHandoff|BenchmarkManyProcs|BenchmarkSimKernel'
+LAUNCH='BenchmarkFrontendLaunchKernel'
 FIGS='BenchmarkFig8aJobFrequency|BenchmarkFig9Utilization'
 
 run_micro() { # $1 = dir
   (cd "$1" && go test ./internal/sim/ -run xxx -bench "$MICRO" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
+  # The kernel-launch path per sharing strategy (absent from baselines that
+  # predate it, which then simply record no entry).
+  (cd "$1" && go test ./internal/devlib/ -run xxx -bench "$LAUNCH" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
 }
 run_figs() { # $1 = dir
   (cd "$1" && go test . -run xxx -bench "$FIGS" -benchtime 1x 2>/dev/null | grep '^Benchmark' || true)
@@ -89,7 +95,7 @@ done
 for ((i = 1; i <= OBS_COUNT; i++)); do
   echo "obs round $i/$OBS_COUNT..." >&2
   for arm in on off; do
-    go test . -run xxx -bench "BenchmarkFig9Obs/$arm\$" -benchtime 3x 2>/dev/null |
+    go test . -run xxx -bench "BenchmarkFig9Obs/$arm\$" -benchtime 20x 2>/dev/null |
       grep '^BenchmarkFig9Obs' >>"$OBS_RAW"
   done
 done
@@ -150,7 +156,7 @@ allocs_of() {
   }' "$1"
 }
 
-BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
+BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFrontendLaunchKernel/token BenchmarkFrontendLaunchKernel/replica BenchmarkFrontendLaunchKernel/mps BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
 
 ON="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/on')"
 OFF="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/off')"

@@ -6,6 +6,8 @@
 set -ex
 go build ./...
 go vet ./...
+# Formatting: any file gofmt would rewrite fails the check.
+test -z "$(gofmt -l .)"
 # Determinism vet: simulation code must not read the wall clock, print to
 # stdout, or use the global RNG; metric names must be kubeshare_-prefixed
 # snake_case with label keys from the bounded vocabulary; every registered
@@ -15,7 +17,9 @@ go run ./tools/detvet -metricsdoc docs/METRICS.md ./internal
 # The metrics reference itself must be freshly generated, not hand-edited.
 go run ./tools/metricsdoc -check
 # Perf-regression gate over BENCH.json: newest vs previous record per
-# watched section, declared tolerances (see tools/benchgate).
+# watched section, declared tolerances — virtual-clock metrics, the figure
+# benchmarks' wall-clock ns/op and the micro-benchmarks' exact allocs/op
+# (see tools/benchgate).
 go run ./tools/benchgate
 go test ./...
 # Telemetry export surface: the SLO alert engine and fairness auditor must
@@ -60,6 +64,10 @@ GOMAXPROCS=4 go test -race -run 'TestLane|TestFanOut|TestSetLanes|TestShard|Test
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
+# Smoke the kernel-launch micro-benchmark (frontend → strategy → gpusim, per
+# sharing strategy); its zero allocs/op is pinned by TestLaunchKernelAllocs
+# and gated in BENCH.json by tools/benchgate.
+go test ./internal/devlib/ -run xxx -bench BenchmarkFrontendLaunchKernel -benchtime 1x
 # Smoke the scheduler-throughput bench (Figure 15) at quick scale; bench.sh
 # measures the full 10k point into BENCH.json.
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/quick' -benchtime 1x

@@ -8,6 +8,7 @@
 //	kubeshare-sim [-seed N] profile [-folded]
 //	kubeshare-sim [-scale quick|full] [-seed N] serve [-addr HOST:PORT] [-speed X]
 //	kubeshare-sim [-scale quick|full] [-seed N] [-csv] audit
+//	kubeshare-sim -cpuprofile FILE [-memprofile FILE] <any of the above>
 //
 // Experiments: table1 fig5 fig6 fig7 fig8a fig8b fig8c fig9 fig10 fig11
 // fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 latency, or "all" (the
@@ -35,6 +36,12 @@
 // launch) over every completed sharePod chain, plus the flat virtual-time
 // span profile per (component, op). With -folded it emits collapsed-stack
 // lines that flamegraph.pl or speedscope render directly.
+//
+// The -cpuprofile and -memprofile flags profile the simulator itself — host
+// CPU samples over the whole command and the heap as it returns, in pprof
+// format (`go tool pprof -top FILE`) — where the profile subcommand reports
+// virtual time only. They wrap every subcommand that returns; serve runs
+// until interrupted and so never writes them.
 //
 // The serve subcommand replays the seeded Fig 9 sharing workload paced
 // against the wall clock and exports its telemetry over HTTP: a Prometheus
@@ -209,7 +216,11 @@ func runTrace(key string, seed int64, mode sharing.Mode) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(realMain()) }
+
+// realMain is main returning its exit status, so the deferred profile
+// writers run on every path out.
+func realMain() int {
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	seed := flag.Int64("seed", 1, "workload random seed")
@@ -217,30 +228,38 @@ func main() {
 	replay := flag.String("replay", "", "replay a workload trace file instead of running named experiments")
 	system := flag.String("system", "kubeshare", "system for -replay: kubernetes, kubeshare or extender")
 	strategy := flag.String("strategy", "", "GPU-sharing strategy for trace/-replay runs: token, mps or replica (default: node default)")
+	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the whole command to this file")
+	memprofile := flag.String("memprofile", "", "write a host heap profile (taken as the command returns) to this file")
 	flag.Parse()
+
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer stop()
 
 	var mode sharing.Mode
 	if *strategy != "" {
-		var err error
 		if mode, err = sharing.ParseMode(*strategy); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	if *genTrace != "" {
 		if err := writeGeneratedTrace(*genTrace, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *replay != "" {
 		if err := replayTrace(*replay, *system, mode); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	full := false
@@ -250,7 +269,7 @@ func main() {
 		full = true
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
+		return 2
 	}
 
 	if args := flag.Args(); len(args) > 0 {
@@ -259,7 +278,7 @@ func main() {
 			fs := flag.NewFlagSet("trace", flag.ExitOnError)
 			key := fs.String("key", "SharePod/job-000", `trace key to follow ("all" for the complete span log)`)
 			if err := fs.Parse(args[1:]); err != nil {
-				os.Exit(2)
+				return 2
 			}
 			k := *key
 			if fs.NArg() > 0 {
@@ -267,27 +286,27 @@ func main() {
 			}
 			if err := runTrace(k, *seed, mode); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
-			return
+			return 0
 		case "profile":
 			if err := runProfile(args[1:], *seed, mode); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
-			return
+			return 0
 		case "serve":
 			if err := runServe(args[1:], *seed, full); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
-			return
+			return 0
 		case "audit":
 			if err := runAudit(*seed, full, *csv); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
-			return
+			return 0
 		}
 	}
 
@@ -301,19 +320,20 @@ func main() {
 		tb, err := run(name, full, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			return 1
 		}
 		if *csv {
 			fmt.Printf("# %s\n", tb.Title)
 			if err := tb.WriteCSV(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 		} else {
 			tb.Render(os.Stdout)
 		}
 		fmt.Println()
 	}
+	return 0
 }
 
 // run executes one named experiment at the requested scale.

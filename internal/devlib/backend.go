@@ -216,15 +216,21 @@ func (b *Backend) Managers() map[string]*TokenManager {
 	return out
 }
 
+// chainKeyPrefix turns a tenant (sharePod name) into its causal-trace chain
+// key, the form Frontend.SetTraceKey receives.
+const chainKeyPrefix = "SharePod/"
+
 // client is the backend's view of one container on the device.
 type client struct {
 	id       string
 	tenant   string  // owning sharePod name; defaults to id until SetTenant
+	chainKey string  // "SharePod/"+tenant, the token-wait exemplar's trace key
 	request  float64 // guaranteed minimum usage share (gpu_request)
 	limit    float64 // maximum usage share (gpu_limit)
 	window   *metrics.UsageWindow
 	queued   *sim.Event // pending acquire, nil when none
 	acquire  *sim.Event // cached acquire event, Reset and reused per Acquire
+	granted  Token      // the grant, parked here for the proc that acquire's firing wakes
 	enqueued time.Duration
 	grants   int64        // token grants to this client, for per-tenant stats
 	hold     *obs.Counter // cached kubeshare_devlib_token_hold_ns_total child
@@ -303,11 +309,12 @@ func (m *TokenManager) Register(id string, request, limit float64) error {
 		limit = request
 	}
 	m.clients[id] = &client{
-		id:      id,
-		tenant:  id,
-		request: request,
-		limit:   limit,
-		window:  metrics.NewUsageWindow(m.cfg.Window),
+		id:       id,
+		tenant:   id,
+		chainKey: chainKeyPrefix + id,
+		request:  request,
+		limit:    limit,
+		window:   metrics.NewUsageWindow(m.cfg.Window),
 	}
 	return nil
 }
@@ -323,6 +330,7 @@ func (m *TokenManager) SetTenant(id, tenant string) {
 		return
 	}
 	c.tenant = tenant
+	c.chainKey = chainKeyPrefix + tenant
 	c.hold = nil // re-fetched lazily under the new tenant label
 }
 
@@ -462,11 +470,10 @@ func (m *TokenManager) Acquire(p *sim.Proc, id string) (Token, error) {
 	c.enqueued = m.env.Now()
 	m.queue = append(m.queue, c)
 	m.trySchedule() // may grant synchronously, clearing c.queued
-	v := p.Wait(ev)
-	if err, ok := v.(error); ok {
+	if err, ok := p.Wait(ev).(error); ok {
 		return Token{}, err // the manager was suspended while we waited
 	}
-	return v.(Token), nil
+	return c.granted, nil
 }
 
 // Release voluntarily returns the token. Stale releases (a token that
@@ -552,12 +559,14 @@ func (m *TokenManager) trySchedule() {
 	m.admits.Inc()
 	// Token-wait exemplar: the chain key is the owning sharePod; no span
 	// anchors the grant itself (span 0), the chain's grant mark does.
-	m.waitHist.ObserveDurationExemplar(now-best.enqueued, "SharePod/"+best.tenant, 0)
+	m.waitHist.ObserveDurationExemplar(now-best.enqueued, best.chainKey, 0)
 	m.holder = best
 	m.grant = now
-	tok := Token{ExpiresAt: now + m.cfg.Quota, seq: m.tokSeq}
+	// The grant is parked on the client and the event fired with nil: a Token
+	// passed through Trigger's `any` would be boxed on the heap per grant.
+	best.granted = Token{ExpiresAt: now + m.cfg.Quota, seq: m.tokSeq}
 	m.expiry = m.env.After(m.cfg.Quota, m.expireFn)
 	ev := best.queued
 	best.queued = nil
-	ev.Trigger(tok)
+	ev.Trigger(nil)
 }

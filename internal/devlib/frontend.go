@@ -245,7 +245,7 @@ func isDownErr(err error) bool {
 // container's usage metrics.
 func (f *Frontend) SetTraceKey(key string) {
 	f.traceKey = key
-	f.tenant = strings.TrimPrefix(key, "SharePod/")
+	f.tenant = strings.TrimPrefix(key, chainKeyPrefix)
 	f.strat.SetTenant(f.clientID, f.tenant)
 	f.devtimeCtr = nil // re-fetched lazily under the new tenant label
 }
@@ -332,9 +332,10 @@ func (f *Frontend) MemcpyDtoH(p *sim.Proc, n int64) error {
 // the (replacement) strategy once it is serving again, and retries — up to
 // reconnectAttempts before surfacing the error to the application.
 func (f *Frontend) acquireLease(p *sim.Proc) error {
-	// Seeded per client, so a holder kill that strands many frontends at the
-	// same instant spreads their re-registration attempts apart.
-	retry := backoff.New("devlib/"+f.clientID, reconnectBase, reconnectCap)
+	// Built on the first down error: a lease is acquired once per quota on
+	// the kernel-launch path and almost never meets an outage, and seeding
+	// the generator costs far more than the admission it would guard.
+	var retry *backoff.Backoff
 	for attempt := 0; ; attempt++ {
 		lease, err := f.strat.Admit(p, f.clientID)
 		if err == nil {
@@ -359,6 +360,11 @@ func (f *Frontend) acquireLease(p *sim.Proc) error {
 		}
 		if !isDownErr(err) || attempt >= reconnectAttempts {
 			return err
+		}
+		if retry == nil {
+			// Seeded per client, so a holder kill that strands many frontends
+			// at the same instant spreads their re-registration attempts apart.
+			retry = backoff.New("devlib/"+f.clientID, reconnectBase, reconnectCap)
 		}
 		p.Sleep(retry.Next())
 		if f.closed {

@@ -35,6 +35,8 @@ type rclient struct {
 	tenant  string
 	slot    int
 	queued  *sim.Event // pending admit, nil when none
+	admit   *sim.Event // cached admit event, Reset and reused per Admit
+	granted Lease      // the grant, parked here for the proc that admit's firing wakes
 	admits  int64
 	holdNS  int64
 	holdCtr *obs.Counter // cached kubeshare_sharing_devtime_ns_total child
@@ -157,15 +159,22 @@ func (r *Replica) Admit(p *sim.Proc, id string) (Lease, error) {
 	if c.queued != nil {
 		return Lease{}, fmt.Errorf("sharing: client %q has a concurrent admit in flight", id)
 	}
-	ev := sim.NewEvent(r.env)
+	// Each client admits serially (enforced above), so the grant event can be
+	// reused across admits instead of allocated per call.
+	ev := c.admit
+	if ev == nil {
+		ev = sim.NewEvent(r.env)
+		c.admit = ev
+	} else {
+		ev.Reset()
+	}
 	c.queued = ev
 	s.queue = append(s.queue, c)
 	r.trySchedule(s)
-	v := p.Wait(ev)
-	if err, ok := v.(error); ok {
+	if err, ok := p.Wait(ev).(error); ok {
 		return Lease{}, err // suspended while waiting
 	}
-	return v.(Lease), nil
+	return c.granted, nil
 }
 
 // Release voluntarily ends the turn. Stale leases are ignored.
@@ -278,16 +287,20 @@ func (r *Replica) trySchedule(s *rslot) {
 		return
 	}
 	c := s.queue[0]
-	s.queue = s.queue[1:]
+	// Shift down rather than reslice: s.queue[1:] gives up the front's
+	// capacity, and a one-deep queue would then reallocate on every admit.
+	s.queue = append(s.queue[:0], s.queue[1:]...)
 	s.seq++
 	r.handoffs++
 	c.admits++
 	r.admits.Inc()
 	s.holder = c
 	s.grant = r.env.Now()
-	lease := Lease{ExpiresAt: s.grant + r.quota, Seq: s.seq, Gated: true}
+	// The grant is parked on the client and the event fired with nil: a Lease
+	// passed through Trigger's `any` would be boxed on the heap per grant.
+	c.granted = Lease{ExpiresAt: s.grant + r.quota, Seq: s.seq, Gated: true}
 	s.expiry = r.env.After(r.quota, s.expireFn)
 	ev := c.queued
 	c.queued = nil
-	ev.Trigger(lease)
+	ev.Trigger(nil)
 }

@@ -54,6 +54,9 @@ type Device struct {
 	lastUpdate time.Duration
 	busyAccum  time.Duration
 	completion sim.Timer
+	// completeFn is onCompletion bound once; scheduling the method value
+	// directly would allocate a closure per reschedule.
+	completeFn func()
 	// freeKernels pools retired kernel structs; launch/retire churn is the
 	// hottest allocation site in cluster-scale experiments.
 	freeKernels []*kernel
@@ -96,7 +99,7 @@ func NewDevice(env *sim.Env, cfg Config) *Device {
 	uuid := fmt.Sprintf("GPU-%016x", h.Sum64())
 	// Per-device children of the labeled families, fetched once so the
 	// kernel-launch hot path touches only a cached atomic.
-	return &Device{
+	d := &Device{
 		env:      env,
 		index:    cfg.Index,
 		uuid:     uuid,
@@ -108,6 +111,8 @@ func NewDevice(env *sim.Env, cfg Config) *Device {
 		launches: cfg.Obs.CounterVec("kubeshare_gpu_kernel_launches_total", "gpu_uuid", "node").With(uuid, cfg.NodeName),
 		faults:   cfg.Obs.CounterVec("kubeshare_gpu_faults_total", "gpu_uuid", "node").With(uuid, cfg.NodeName),
 	}
+	d.completeFn = d.onCompletion
+	return d
 }
 
 // UUID returns the device's stable unique identifier.
@@ -186,7 +191,7 @@ func (d *Device) reschedule() {
 		minEff = 0
 	}
 	wait := time.Duration(minEff * float64(time.Second))
-	d.completion = d.env.After(wait, d.onCompletion)
+	d.completion = d.env.After(wait, d.completeFn)
 }
 
 // onCompletion retires finished kernels and rearms the timer.

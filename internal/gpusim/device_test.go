@@ -298,3 +298,41 @@ func TestPropertySharingSlowdownBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSynchronousLaunchAllocs pins the steady-state cost of Context.Launch:
+// two contexts launching back-to-back kernels that overlap under processor
+// sharing (so every launch and every retirement re-arms the completion
+// timer) allocate nothing once the event slabs are warm — the completion
+// event, the kernel struct and the timer callback are all reused.
+func TestSynchronousLaunchAllocs(t *testing.T) {
+	env := sim.NewEnv()
+	dev := newDev(env)
+	launches := 0
+	var procs []*sim.Proc
+	for i, work := range []time.Duration{3 * time.Millisecond, 5 * time.Millisecond} {
+		ctx := dev.OpenContext(string(rune('a' + i)))
+		procs = append(procs, env.Go(ctx.Owner(), func(p *sim.Proc) {
+			for ctx.Launch(p, work) == nil {
+				launches++
+			}
+		}))
+	}
+	defer func() {
+		for _, p := range procs {
+			p.Kill(nil)
+		}
+		env.Run()
+	}()
+	run := func(n int) {
+		for target := launches + n; launches < target; {
+			if !env.Step() {
+				t.Fatalf("simulation drained after %d launches", launches)
+			}
+		}
+	}
+	run(100) // warm-up
+	const n = 4000
+	if allocs := testing.AllocsPerRun(1, func() { run(n) }); allocs != 0 {
+		t.Fatalf("%v allocations over %d synchronous launches, want 0", allocs, n)
+	}
+}

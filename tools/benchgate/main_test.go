@@ -53,6 +53,48 @@ func TestLowerIsBetterRegressionFails(t *testing.T) {
 	}
 }
 
+// TestFigureWallClockStepFails: the regression the wall-clock rules exist
+// for — Fig9's ns/op stepping 5x between two records (95 ms -> 475 ms, the
+// shape of the per-lease backoff seeding) — must trip the gate, while a
+// 10% wobble between runs must not.
+func TestFigureWallClockStepFails(t *testing.T) {
+	var out strings.Builder
+	bad, err := gate([]byte(`{"records": [
+		{"commit": "aaaaaaa", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 95000000}}},
+		{"commit": "bbbbbbb", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 475000000}}}
+	]}`), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "benchmarks.BenchmarkFig9Utilization.ns_op rose") {
+		t.Fatalf("a 5x Fig9 ns/op step passed the gate (%d violations):\n%s", bad, out.String())
+	}
+	out.Reset()
+	if _, err = gate([]byte(`{"records": [
+		{"commit": "aaaaaaa", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 95000000}}},
+		{"commit": "bbbbbbb", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 104500000}}}
+	]}`), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "BenchmarkFig9Utilization.ns_op rose") {
+		t.Fatalf("a 10%% Fig9 wobble is within the 25%% tolerance:\n%s", out.String())
+	}
+}
+
+// TestMicroBenchmarkAllocsHeldExactly: one allocation per launch appearing
+// on a zero-alloc micro-benchmark fails, with no tolerance.
+func TestMicroBenchmarkAllocsHeldExactly(t *testing.T) {
+	var out strings.Builder
+	if _, err := gate([]byte(`{"records": [
+		{"commit": "aaaaaaa", "benchmarks": {"BenchmarkFrontendLaunchKernel/token": {"allocs_op": 1}}}
+	]}`), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "benchmarks.BenchmarkFrontendLaunchKernel/token.allocs_op = 1") {
+		t.Fatalf("1 alloc/op on the token launch path passed the gate:\n%s", out.String())
+	}
+}
+
 // TestAbsoluteBudget: absMax rules bound the newest record regardless of
 // history depth.
 func TestAbsoluteBudget(t *testing.T) {
