@@ -108,7 +108,10 @@ go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/full$' -benchtime 1
 
 # Hot-path scale sweep (Figure 16): 1k → 10k → 100k sharePods at 1 and 4
 # event lanes under GOMAXPROCS=4. The run itself verifies placements are
-# byte-identical across lane counts; the recorded numbers are wall-clock.
+# byte-identical across lane counts; the recorded numbers are wall-clock,
+# plus decisions per sharePod — deterministic, and gated by tools/benchgate
+# at an absolute 2.0 (it read 5.4 and 61 at 10k and 100k while every pending
+# unit was re-decided every cycle).
 echo "fig16 (scale sweep to 100k sharePods, GOMAXPROCS=$FIG16_GMP)..." >&2
 GOMAXPROCS=$FIG16_GMP go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/full$' -benchtime 1x 2>/dev/null |
   grep '^BenchmarkFig16' >"$FIG16_RAW" || true
@@ -170,7 +173,11 @@ WITHIN="$(awk -v o="$OVERHEAD" 'BEGIN { print (o <= 0.05) ? "true" : "false" }')
 {
   echo '{'
   echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
+  # The measured tree: HEAD of the checkout that ran, and whether the
+  # working tree differed from it (a record made before committing carries
+  # the parent's hash and dirty=true).
   echo "  \"commit\": \"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)\","
+  echo "  \"dirty\": $([ -z "$(git status --porcelain 2>/dev/null)" ] && echo false || echo true),"
   echo "  \"go\": \"$(go version | awk '{print $3}')\","
   echo "  \"cpus\": $CPUS,"
   echo "  \"rounds\": $COUNT,"
@@ -227,9 +234,11 @@ WITHIN="$(awk -v o="$OVERHEAD" 'BEGIN { print (o <= 0.05) ? "true" : "false" }')
     BEST=""
     for n in 1000 10000 100000; do
       WALL="$(metric_of "$FIG16_RAW" "$n-wall-ms")"
+      WALL1="$(metric_of "$FIG16_RAW" "$n-wall-ms-1lane")"
       SPD="$(metric_of "$FIG16_RAW" "$n-lane-speedup")"
+      DPS="$(metric_of "$FIG16_RAW" "$n-decisions-per-sharepod")"
       [ -z "$WALL" ] && continue
-      echo "    \"sharepods_$n\": {\"wall_ms_4lane\": $WALL, \"lane_speedup\": $SPD},"
+      echo "    \"sharepods_$n\": {\"wall_ms\": $WALL1, \"wall_ms_4lane\": $WALL, \"lane_speedup\": $SPD, \"decisions_per_sharepod\": $DPS},"
       BEST="$(awk -v a="${BEST:-0}" -v b="$SPD" 'BEGIN { printf "%s", (b + 0 > a + 0) ? b : a }')"
     done
     echo "    \"best_lane_speedup\": ${BEST:-0},"

@@ -489,8 +489,11 @@ func BenchmarkFig15SchedulerThroughput(b *testing.B) {
 // BenchmarkFig16ScaleSweep regenerates Figure 16: wall-clock time of the
 // partitioned hot path (sharded store + event lanes + parallel phase
 // windows) as the sharePod count climbs 1k → 10k → 100k, at 1 and 4 lanes.
-// Per order of magnitude it reports the 4-lane wall time and the
-// lane-speedup ratio (lane-1 wall / lane-4 wall). The virtual-side metrics
+// Per order of magnitude it reports the 1- and 4-lane wall time, the
+// lane-speedup ratio (lane-1 wall / lane-4 wall) and the scheduler's
+// decisions per sharePod — the requeue-storm witness: ~1 when unschedulable
+// units are parked, growing with the backlog when every pending unit is
+// re-decided every cycle. The virtual-side metrics
 // are verified byte-identical across lane counts inside Fig16 itself, so a
 // passing run is also the determinism witness. Speedup above 1x requires
 // GOMAXPROCS > 1 *and* spare physical cores; bench.sh records both next to
@@ -512,12 +515,15 @@ func BenchmarkFig16ScaleSweep(b *testing.B) {
 				if i != 0 {
 					continue
 				}
-				// Rows come in (lane-1, lane-4) pairs per size; report the
-				// 4-lane wall and speedup for each order of magnitude.
+				// Rows come in (lane-1, lane-4) pairs per size; report both
+				// walls, the speedup and decisions per sharePod (identical
+				// across lanes — Fig16 verified it) per order of magnitude.
 				for r := 0; r+1 < len(t.Rows); r += 2 {
 					size := t.Rows[r][0]
+					b.ReportMetric(cellF(b, t.Rows[r][2]), size+"-wall-ms-1lane")
 					b.ReportMetric(cellF(b, t.Rows[r+1][2]), size+"-wall-ms")
 					b.ReportMetric(cellF(b, t.Rows[r+1][6]), size+"-lane-speedup")
+					b.ReportMetric(cellF(b, t.Rows[r][4])/cellF(b, size), size+"-decisions-per-sharepod")
 				}
 			}
 		})

@@ -73,9 +73,12 @@ go test ./internal/devlib/ -run xxx -bench BenchmarkFrontendLaunchKernel -bencht
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/quick' -benchtime 1x
 # Smoke the scale sweep (Figure 16) at quick scale under GOMAXPROCS=4: the
 # lane-partitioned churn workload must place identically at 1 and 4 lanes
-# (Fig16 errors out on any metrics divergence); bench.sh measures the full
-# 1k/10k/100k sweep into BENCH.json.
-GOMAXPROCS=4 go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/quick' -benchtime 1x
+# (Fig16 errors out on any metrics divergence), and the scheduler must make
+# at most 2 decisions per sharePod — the same budget tools/benchgate holds the
+# full sweep to; bench.sh measures the full 1k/10k/100k sweep into BENCH.json.
+GOMAXPROCS=4 go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/quick' -benchtime 1x |
+	awk '{ print } /-decisions-per-sharepod/ { for (i = 2; i <= NF; i++) if ($i ~ /-decisions-per-sharepod$/) { seen = 1; if ($(i-1) + 0 > 2.0) bad = 1 } }
+		END { if (!seen || bad) { print "fig16 smoke: decisions per sharePod missing or above 2.0" > "/dev/stderr"; exit 1 } }'
 # Smoke the control-plane recovery sweep (Figure 17) at quick scale: one
 # restart mean, checkpointed vs checkpoint-free recovery, quiescence
 # invariants enforced per cell; bench.sh measures the full sweep into

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Request is Algorithm 1's r: a container's requirements and constraints.
 type Request struct {
@@ -327,17 +324,13 @@ func findAffinity(pool *Pool, label string) *DeviceState {
 func FirstIdle(pool *Pool) *DeviceState { return firstIdle(pool) }
 
 func firstIdle(pool *Pool) *DeviceState {
-	var idle []*DeviceState
+	var first *DeviceState
 	for _, d := range pool.Devices {
-		if d.Idle {
-			idle = append(idle, d)
+		if d.Idle && (first == nil || d.ID < first.ID) {
+			first = d
 		}
 	}
-	if len(idle) == 0 {
-		return nil
-	}
-	sort.Slice(idle, func(i, j int) bool { return idle[i].ID < idle[j].ID })
-	return idle[0]
+	return first
 }
 
 // Residual is the fit metric: remaining compute capacity after placement
@@ -401,13 +394,10 @@ func firstFit(r Request, ds []*DeviceState) *DeviceState {
 // framework's reserve phase so it can be rolled back.
 func PickNewDeviceNode(pool *Pool) string {
 	bestNode, bestFree := "", 0
-	var nodes []string
-	for n := range pool.FreePhysical {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		if free := pool.FreePhysical[n]; free > bestFree {
+	for n, free := range pool.FreePhysical {
+		// Most free GPUs first, lowest name among equals: the map's iteration
+		// order never shows.
+		if free > bestFree || (free == bestFree && free > 0 && n < bestNode) {
 			bestNode, bestFree = n, free
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -315,5 +316,82 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedFirstIdle and sortedPickNode are the collect-and-sort forms
+// firstIdle and PickNewDeviceNode had before they became single passes,
+// kept as the reference for their tie-breaks (lowest ID; most free GPUs,
+// then lowest name).
+func sortedFirstIdle(pool *Pool) *DeviceState {
+	var idle []*DeviceState
+	for _, d := range pool.Devices {
+		if d.Idle {
+			idle = append(idle, d)
+		}
+	}
+	if len(idle) == 0 {
+		return nil
+	}
+	sort.Slice(idle, func(i, j int) bool { return idle[i].ID < idle[j].ID })
+	return idle[0]
+}
+
+func sortedPickNode(pool *Pool) string {
+	bestNode, bestFree := "", 0
+	var nodes []string
+	for n := range pool.FreePhysical {
+		nodes = append(nodes, n)
+	}
+	sort.Strings(nodes)
+	for _, n := range nodes {
+		if free := pool.FreePhysical[n]; free > bestFree {
+			bestNode, bestFree = n, free
+		}
+	}
+	return bestNode
+}
+
+func TestSinglePassPicksMatchSortedReference(t *testing.T) {
+	tables := []struct {
+		name string
+		free map[string]int
+		idle []string // device IDs in pool order; all idle
+	}{
+		{"empty", map[string]int{}, nil},
+		{"zero-free-only", map[string]int{"n0": 0, "n1": 0}, nil},
+		{"tie-lowest-name", map[string]int{"n2": 3, "n0": 3, "n1": 3}, []string{"g2", "g0", "g1"}},
+		{"max-beats-name", map[string]int{"n0": 1, "n9": 4, "n5": 4}, []string{"b", "a"}},
+	}
+	for _, tc := range tables {
+		pool := testPool(tc.free)
+		for _, id := range tc.idle {
+			pool.Devices = append(pool.Devices, NewDeviceState(id, "n0"))
+		}
+		if got, want := PickNewDeviceNode(pool), sortedPickNode(pool); got != want {
+			t.Errorf("%s: PickNewDeviceNode = %q, want %q", tc.name, got, want)
+		}
+		if got, want := firstIdle(pool), sortedFirstIdle(pool); got != want {
+			t.Errorf("%s: firstIdle = %v, want %v", tc.name, got, want)
+		}
+	}
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pool := testPool(map[string]int{})
+		for n := rng.Intn(12); n > 0; n-- {
+			pool.FreePhysical[fmt.Sprintf("node-%02d", rng.Intn(20))] = rng.Intn(4)
+		}
+		for n := rng.Intn(16); n > 0; n-- {
+			d := NewDeviceState(fmt.Sprintf("vgpu-%03d", rng.Intn(1000)), "node-00")
+			d.Idle = rng.Intn(3) == 0
+			pool.Devices = append(pool.Devices, d)
+		}
+		if got, want := PickNewDeviceNode(pool), sortedPickNode(pool); got != want {
+			t.Fatalf("seed %d: PickNewDeviceNode = %q, want %q (free %v)", seed, got, want, pool.FreePhysical)
+		}
+		got, want := firstIdle(pool), sortedFirstIdle(pool)
+		if (got == nil) != (want == nil) || (got != nil && got.ID != want.ID) {
+			t.Fatalf("seed %d: firstIdle = %v, want %v", seed, got, want)
+		}
 	}
 }

@@ -72,7 +72,7 @@ func (e *Engine) observe(phase string) {
 // reserve against the transaction and returns the decision. Assigned and
 // NewDevice decisions are already reserved onto the transaction when it
 // returns; the caller commits or rolls back.
-func (e *Engine) Schedule(u Unit, t *Txn) core.Decision {
+func (e *Engine) Schedule(u *Unit, t *Txn) core.Decision {
 	pool := t.Pool()
 
 	e.observe(PhasePreFilter)
@@ -143,14 +143,14 @@ func (e *Engine) Schedule(u Unit, t *Txn) core.Decision {
 // Unreserve notifies every reserve plugin, newest-registered first, that a
 // previously reserved decision is being rolled back (gang all-or-nothing).
 // The caller rolls the transaction journal back separately.
-func (e *Engine) Unreserve(u Unit, t *Txn, dec core.Decision) {
+func (e *Engine) Unreserve(u *Unit, t *Txn, dec core.Decision) {
 	for i := len(e.reserves) - 1; i >= 0; i-- {
 		e.reserves[i].Unreserve(u, t, dec)
 	}
 }
 
 // filterAll runs every filter plugin for one (unit, device) pair.
-func (e *Engine) filterAll(u Unit, d *core.DeviceState) bool {
+func (e *Engine) filterAll(u *Unit, d *core.DeviceState) bool {
 	for _, f := range e.filters {
 		if !f.Filter(u, d) {
 			return false
@@ -162,7 +162,7 @@ func (e *Engine) filterAll(u Unit, d *core.DeviceState) bool {
 // FilterOne re-runs the filter plugins for one (unit, device) pair against
 // current state — the validation step that turns a speculative ranking into
 // a reservation.
-func (e *Engine) FilterOne(u Unit, d *core.DeviceState) bool { return e.filterAll(u, d) }
+func (e *Engine) FilterOne(u *Unit, d *core.DeviceState) bool { return e.filterAll(u, d) }
 
 // Rank runs the read-only front half of the pipeline — pre-filter, filter,
 // score — for one unit and returns up to k candidate devices, best first
@@ -177,7 +177,7 @@ func (e *Engine) FilterOne(u Unit, d *core.DeviceState) bool { return e.filterAl
 // Rank never mutates the pool, the transaction, or the engine beyond its
 // scratch vectors, so distinct Engine instances may rank concurrently
 // against a shared read-only pool — the parallel phase of a batched cycle.
-func (e *Engine) Rank(u Unit, pool *core.Pool, k int) (cands []*core.DeviceState, sequentialOnly bool) {
+func (e *Engine) Rank(u *Unit, pool *core.Pool, k int) (cands []*core.DeviceState, sequentialOnly bool) {
 	e.observe(PhasePreFilter)
 	for _, pf := range e.pre {
 		res := pf.PreFilter(u, pool)
@@ -222,7 +222,7 @@ func (e *Engine) Rank(u Unit, pool *core.Pool, k int) (cands []*core.DeviceState
 // ReserveOn reserves the unit onto a validated candidate device through the
 // reserve plugins and returns the Assigned decision — the commit half of a
 // ranking that survived FilterOne revalidation.
-func (e *Engine) ReserveOn(u Unit, t *Txn, d *core.DeviceState) core.Decision {
+func (e *Engine) ReserveOn(u *Unit, t *Txn, d *core.DeviceState) core.Decision {
 	e.observe(PhaseReserve)
 	dec := core.Decision{Outcome: core.Assigned, GPUID: d.ID, NodeName: d.NodeName}
 	for _, r := range e.reserves {

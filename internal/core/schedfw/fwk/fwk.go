@@ -9,6 +9,32 @@
 // talk to the API server — commits happen in bulk through the framework
 // driver after intra-batch conflicts are resolved, a rule tools/detvet
 // enforces on plugin packages (no apiserver/store imports).
+//
+// # The plugin contract
+//
+// The driver does not re-run the pipeline for a unit it already knows
+// cannot be placed (it parks the unit until capacity is released, and
+// within a cycle skips later units carrying an identical request). That
+// is sound only for plugins that keep two promises:
+//
+//   - Pure: a plugin's verdict is a function of (u.Req, pool) alone — not
+//     of the unit's Name or Created, of the clock, or of state the plugin
+//     keeps outside the pool. Two units with equal Req get equal verdicts
+//     against equal pools.
+//   - Capacity-monotone: reserving more onto a pool — the Txn.Place and
+//     Txn.AddDevice calls the reserve phase makes for units this same
+//     pipeline admitted — never turns a NoCapacity verdict into a
+//     placement. Only a release may: a tenant leaving, a device or node
+//     appearing. (A tenant bound past the pipeline, by a user-chosen
+//     GPUID, is no such reservation; the driver counts it as a release.)
+//
+// The contract speaks of identical requests, not of ordered ones: a
+// plugin may well admit a larger request where a smaller one fails (a
+// headroom filter that waves big jobs through does exactly that), so the
+// driver never reasons "a smaller one failed, this one will too".
+//
+// Plugins receive the unit by pointer to keep a 120-byte struct out of
+// every per-device call; they must neither retain nor mutate it.
 package fwk
 
 import (
@@ -56,13 +82,13 @@ type PreFilterResult struct {
 // SkipDevices is sticky.
 type PreFilterPlugin interface {
 	Plugin
-	PreFilter(u Unit, pool *core.Pool) PreFilterResult
+	PreFilter(u *Unit, pool *core.Pool) PreFilterResult
 }
 
 // FilterPlugin votes a single device in or out for a unit.
 type FilterPlugin interface {
 	Plugin
-	Filter(u Unit, d *core.DeviceState) bool
+	Filter(u *Unit, d *core.DeviceState) bool
 }
 
 // ScorePlugin ranks devices that survived filtering. Scores from multiple
@@ -74,7 +100,7 @@ type FilterPlugin interface {
 // bands into one float and losing resolution.
 type ScorePlugin interface {
 	Plugin
-	Score(u Unit, d *core.DeviceState) float64
+	Score(u *Unit, d *core.DeviceState) float64
 }
 
 // AllocPlugin proposes a placement when no existing device was chosen —
@@ -84,7 +110,7 @@ type ScorePlugin interface {
 // creation transactionally.
 type AllocPlugin interface {
 	Plugin
-	Allocate(u Unit, pool *core.Pool) core.Decision
+	Allocate(u *Unit, pool *core.Pool) core.Decision
 }
 
 // ReservePlugin commits a decision onto the transactional pool view
@@ -94,6 +120,6 @@ type AllocPlugin interface {
 // outside the pool.
 type ReservePlugin interface {
 	Plugin
-	Reserve(u Unit, t *Txn, d *core.DeviceState, dec core.Decision)
-	Unreserve(u Unit, t *Txn, dec core.Decision)
+	Reserve(u *Unit, t *Txn, d *core.DeviceState, dec core.Decision)
+	Unreserve(u *Unit, t *Txn, dec core.Decision)
 }

@@ -39,22 +39,25 @@ type gangState struct {
 //     Past the window the reservations roll back immediately.
 //
 // It returns the number of staged units (the gang's contribution to the
-// batch budget).
-func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
+// batch budget) and whether it left reservations on the transaction that
+// will not commit — a hold, during which a younger unit's NoCapacity says
+// nothing about the cluster.
+func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk.Txn, out *[]staged) (n int, holds bool) {
 	// Gather the gang's live members from the whole pending set (not just
 	// the batch window), oldest first — pending is already age-sorted.
+	// Parked units are solo by construction and stay so until an event of
+	// their own unparks them, so they are passed over unread.
 	var members []*core.SharePod
 	for _, cand := range pending {
-		sp, err := core.SharePods(s.srv).Get(cand.Name)
-		if err != nil || sp.Placed() || sp.Terminated() {
+		if _, ok := s.parked[cand.Name]; ok {
 			continue
 		}
-		if gangOf(sp) == gang {
+		if sp := s.live(cand.Name); sp != nil && gangOf(sp) == gang {
 			members = append(members, sp)
 		}
 	}
 	if len(members) == 0 {
-		return 0
+		return 0, false
 	}
 	size := members[0].Spec.GangSize
 	complete := len(members) >= size
@@ -70,7 +73,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	short := false
 	for _, sp := range members {
 		u := unitOf(sp)
-		dec := s.decideOne(u, txn)
+		dec := s.decideOne(&u, txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Rejected:
@@ -87,24 +90,28 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 		break
 	}
 
-	unwind := func() {
+	// unwind releases the gang's reservations and reports whether any
+	// outlive it: a Decide override writes the pool directly, past the
+	// journal, so its placements stay for the rest of the cycle.
+	unwind := func() (leftover bool) {
 		for i := len(decided) - 1; i >= 0; i-- {
-			s.engine.Unreserve(decided[i].u, txn, decided[i].dec)
+			s.engine.Unreserve(&decided[i].u, txn, decided[i].dec)
 		}
 		txn.Rollback(mark)
+		return s.cfg.Decide != nil && len(decided) > 0
 	}
 
 	switch {
 	case rejectReason != "":
 		// A member's constraints are unsatisfiable — the gang can never be
 		// admitted whole, so every member is rejected with the shared reason.
-		unwind()
+		holds = unwind()
 		for _, sp := range members {
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime,
 				dec: core.Decision{Outcome: core.Rejected, Reason: rejectReason}})
 		}
 		delete(s.gangs, gang)
-		return len(members)
+		return len(members), holds
 
 	case complete && !short:
 		// All-or-nothing satisfied: stage every member.
@@ -113,7 +120,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 		}
 		delete(s.gangs, gang)
 		s.gangAdmitted.Inc()
-		return len(members)
+		return len(members), false
 
 	default:
 		// Incomplete membership or not enough capacity: hold or release.
@@ -130,14 +137,15 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 			s.gangTimeouts.Inc()
 		}
 		if st.expired {
-			unwind()
+			holds = unwind()
 		} else {
 			// Keep the partial reservations on the transaction so younger
 			// units this cycle cannot take the gang's capacity; arm a wake
 			// for the hold's expiry in case no cluster event arrives first.
 			s.armGangTimer(st.firstHold + s.gangTimeout)
+			holds = len(decided) > 0
 		}
-		return 0
+		return 0, holds
 	}
 }
 

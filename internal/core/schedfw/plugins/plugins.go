@@ -56,7 +56,7 @@ type GPUAffinity struct{}
 func (GPUAffinity) Name() string { return "gpu-affinity" }
 
 // PreFilter implements fwk.PreFilterPlugin.
-func (GPUAffinity) PreFilter(u fwk.Unit, pool *core.Pool) fwk.PreFilterResult {
+func (GPUAffinity) PreFilter(u *fwk.Unit, pool *core.Pool) fwk.PreFilterResult {
 	r := u.Req
 	if r.Aff == "" {
 		return fwk.PreFilterResult{}
@@ -93,7 +93,7 @@ type Exclusion struct{}
 func (Exclusion) Name() string { return "exclusion" }
 
 // Filter implements fwk.FilterPlugin.
-func (Exclusion) Filter(u fwk.Unit, d *core.DeviceState) bool {
+func (Exclusion) Filter(u *fwk.Unit, d *core.DeviceState) bool {
 	if d.Idle {
 		return true
 	}
@@ -108,7 +108,7 @@ type AntiAffinity struct{}
 func (AntiAffinity) Name() string { return "anti-affinity" }
 
 // Filter implements fwk.FilterPlugin.
-func (AntiAffinity) Filter(u fwk.Unit, d *core.DeviceState) bool {
+func (AntiAffinity) Filter(u *fwk.Unit, d *core.DeviceState) bool {
 	if d.Idle {
 		return true
 	}
@@ -123,7 +123,7 @@ type ResourceFit struct{}
 func (ResourceFit) Name() string { return "resource-fit" }
 
 // Filter implements fwk.FilterPlugin.
-func (ResourceFit) Filter(u fwk.Unit, d *core.DeviceState) bool {
+func (ResourceFit) Filter(u *fwk.Unit, d *core.DeviceState) bool {
 	if d.Idle {
 		return true
 	}
@@ -144,7 +144,7 @@ type MemoryFit struct{}
 func (MemoryFit) Name() string { return "memory-fit" }
 
 // Filter implements fwk.FilterPlugin.
-func (MemoryFit) Filter(u fwk.Unit, d *core.DeviceState) bool {
+func (MemoryFit) Filter(u *fwk.Unit, d *core.DeviceState) bool {
 	return d.FitsMemBytes(u.Req)
 }
 
@@ -157,7 +157,7 @@ type LocalityBand struct{}
 func (LocalityBand) Name() string { return "locality-band" }
 
 // Score implements fwk.ScorePlugin.
-func (LocalityBand) Score(u fwk.Unit, d *core.DeviceState) float64 {
+func (LocalityBand) Score(u *fwk.Unit, d *core.DeviceState) float64 {
 	if len(d.Aff) == 0 || d.Idle {
 		return 1
 	}
@@ -179,7 +179,7 @@ type LocalityFit struct {
 func (p LocalityFit) Name() string { return "locality-fit" }
 
 // Score implements fwk.ScorePlugin.
-func (p LocalityFit) Score(u fwk.Unit, d *core.DeviceState) float64 {
+func (p LocalityFit) Score(u *fwk.Unit, d *core.DeviceState) float64 {
 	plain := len(d.Aff) == 0 || d.Idle
 	best := -core.Residual(d) // maximize -residual == best fit
 	worst := core.Residual(d) // maximize residual == worst fit
@@ -208,7 +208,7 @@ type NodeSpread struct{}
 func (NodeSpread) Name() string { return "node-spread" }
 
 // Allocate implements fwk.AllocPlugin.
-func (NodeSpread) Allocate(u fwk.Unit, pool *core.Pool) core.Decision {
+func (NodeSpread) Allocate(u *fwk.Unit, pool *core.Pool) core.Decision {
 	node := core.PickNewDeviceNode(pool)
 	if node == "" {
 		return core.Decision{Outcome: core.NoCapacity, Reason: core.NoFreeGPUReason}
@@ -225,7 +225,7 @@ type DeviceCommit struct{}
 func (DeviceCommit) Name() string { return "device-commit" }
 
 // Reserve implements fwk.ReservePlugin.
-func (DeviceCommit) Reserve(u fwk.Unit, t *fwk.Txn, d *core.DeviceState, dec core.Decision) {
+func (DeviceCommit) Reserve(u *fwk.Unit, t *fwk.Txn, d *core.DeviceState, dec core.Decision) {
 	switch dec.Outcome {
 	case core.Assigned:
 		t.Place(d, u.Req)
@@ -236,4 +236,4 @@ func (DeviceCommit) Reserve(u fwk.Unit, t *fwk.Txn, d *core.DeviceState, dec cor
 
 // Unreserve implements fwk.ReservePlugin; pool restoration is the
 // transaction journal's job, and DeviceCommit keeps no other state.
-func (DeviceCommit) Unreserve(u fwk.Unit, t *fwk.Txn, dec core.Decision) {}
+func (DeviceCommit) Unreserve(u *fwk.Unit, t *fwk.Txn, dec core.Decision) {}

@@ -89,7 +89,7 @@ func TestEngineMatchesAlgorithm1(t *testing.T) {
 				for step := 0; step < 30; step++ {
 					r := randomRequest(rng)
 					want := core.ScheduleWithPolicy(r, legacy, policy)
-					got := eng.Schedule(fwk.Unit{Name: fmt.Sprintf("sp-%d", step), Req: r}, txn)
+					got := eng.Schedule(&fwk.Unit{Name: fmt.Sprintf("sp-%d", step), Req: r}, txn)
 					if got != want {
 						t.Fatalf("seed %d step %d req %+v: engine %+v, legacy %+v", seed, step, r, got, want)
 					}
@@ -112,7 +112,7 @@ func TestTxnRollback(t *testing.T) {
 		txn := fwk.NewTxn(pool)
 		mark := txn.Checkpoint()
 		for step := 0; step < 20; step++ {
-			eng.Schedule(fwk.Unit{Req: randomRequest(rng)}, txn)
+			eng.Schedule(&fwk.Unit{Req: randomRequest(rng)}, txn)
 		}
 		txn.Rollback(mark)
 		if txn.Len() != 0 {
@@ -137,11 +137,11 @@ func TestTxnPartialRollback(t *testing.T) {
 	eng := fwk.NewEngine(plugins.Default())
 	txn := fwk.NewTxn(pool)
 	for _, r := range reqs[:6] {
-		eng.Schedule(fwk.Unit{Req: r}, txn)
+		eng.Schedule(&fwk.Unit{Req: r}, txn)
 	}
 	mark := txn.Checkpoint()
 	for _, r := range reqs[6:] {
-		eng.Schedule(fwk.Unit{Req: r}, txn)
+		eng.Schedule(&fwk.Unit{Req: r}, txn)
 	}
 	txn.Rollback(mark)
 

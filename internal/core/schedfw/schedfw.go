@@ -30,15 +30,25 @@ import (
 // package core).
 const (
 	// MetricSchedConflicts counts intra-batch reservation conflicts: a unit
-	// that found no capacity in a cycle where an earlier unit of the same
-	// batch had already reserved some.
+	// whose pipeline run found no capacity in a cycle where an earlier unit
+	// of the same batch had already reserved some. Units passed over without
+	// a pipeline run (MetricSchedSkipped) are not counted.
 	MetricSchedConflicts = "kubeshare_sched_batch_conflicts_total"
+	// MetricSchedUnschedulable is the number of sharePods parked right now:
+	// pending, known to find no capacity, and not re-decided until a release
+	// moves the snapshot's generation.
+	MetricSchedUnschedulable = "kubeshare_sched_unschedulable_sharepods"
+	// MetricSchedSkipped counts units a cycle passed over without running
+	// the pipeline — parked since an earlier cycle, or carrying a request
+	// identical to one that already found no capacity in this cycle.
+	MetricSchedSkipped = "kubeshare_sched_skipped_total"
 	// MetricSchedGangAdmissions counts gangs admitted all-or-nothing.
 	MetricSchedGangAdmissions = "kubeshare_sched_gang_admissions_total"
 	// MetricSchedGangTimeouts counts gangs whose capacity hold expired.
 	MetricSchedGangTimeouts = "kubeshare_sched_gang_timeouts_total"
 	// metricPhasePrefix prefixes the per-phase run counters
-	// (kubeshare_sched_phase_<phase>_runs_total).
+	// (kubeshare_sched_phase_<phase>_runs_total). They count pipeline runs
+	// only: a skipped unit runs no phase.
 	metricPhasePrefix = "kubeshare_sched_phase_"
 )
 
@@ -154,8 +164,23 @@ type Scheduler struct {
 	// timerDeadline is the earliest armed gang-timeout wake ( 0 = none).
 	timerDeadline time.Duration
 	// epoch is the apiserver restart epoch the cross-cycle state was built
-	// in; a mismatch before a cycle invalidates gang holds (see checkEpoch).
+	// in; a mismatch before a cycle invalidates gang holds and the parked
+	// set (see checkEpoch).
 	epoch int64
+
+	// parked holds the solo units that found NoCapacity at parkedGen, the
+	// snapshot's release generation: cycles pass them over until the
+	// generation moves (runCycle clears the set), the sharePod sees any
+	// event of its own (apply), or the apiserver restarts (checkEpoch).
+	parked    map[string]struct{}
+	parkedGen uint64
+	// failed is the cycle's memo of request values that found NoCapacity
+	// against the cycle transaction: a later unit with an identical request
+	// is parked without a pipeline run. Reset every cycle and after every
+	// gang attempt (a rollback may hand capacity back to the transaction).
+	failed map[core.Request]struct{}
+	// scratch is the sequential cycle's one candidate, reused unit to unit.
+	scratch candidate
 
 	tracer       *obs.Tracer
 	recorder     *obs.Recorder
@@ -165,6 +190,8 @@ type Scheduler struct {
 	depth        *obs.Gauge
 	schedHist    *obs.Histogram
 	conflicts    *obs.Counter
+	parkedNow    *obs.Gauge
+	skipped      *obs.Counter
 	gangAdmitted *obs.Counter
 	gangTimeouts *obs.Counter
 	phaseRuns    map[string]*obs.Counter
@@ -200,6 +227,8 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		snap:         core.NewSnapshot(o.cfg.MemOvercommitFactor),
 		wake:         sim.NewQueue[struct{}](env),
 		gangs:        make(map[string]*gangState),
+		parked:       make(map[string]struct{}),
+		failed:       make(map[core.Request]struct{}),
 		tracer:       rt.Tracer(),
 		recorder:     rt.EventSource("kubeshare-sched"),
 		decisions:    rt.Counter(core.MetricSchedDecisions),
@@ -208,6 +237,8 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		depth:        rt.Gauge(core.MetricSchedPending),
 		schedHist:    rt.Histogram(core.MetricSchedLatency),
 		conflicts:    rt.Counter(MetricSchedConflicts),
+		parkedNow:    rt.Gauge(MetricSchedUnschedulable),
+		skipped:      rt.Counter(MetricSchedSkipped),
 		gangAdmitted: rt.Counter(MetricSchedGangAdmissions),
 		gangTimeouts: rt.Counter(MetricSchedGangTimeouts),
 		phaseRuns:    make(map[string]*obs.Counter, len(fwk.Phases)),
@@ -223,14 +254,27 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 func (s *Scheduler) Stats() core.SchedStats { return core.ReadSchedStats(s.srv.Obs()) }
 
 // VerifySnapshot implements core.Sched: the incremental snapshot must
-// materialize exactly the pool a full relist would build.
+// materialize exactly the pool a full relist would build, and every parked
+// unit must still be pending (a sharePod that left while parked leaves no
+// entry behind).
 func (s *Scheduler) VerifySnapshot() error {
+	for name := range s.parked {
+		if !s.snap.IsPending(name) {
+			return fmt.Errorf("parked sharePod %s is not pending", name)
+		}
+	}
 	return core.DiffPools(s.snap.NewPool(nil), core.BuildPoolWithFactor(s.srv, nil, s.cfg.MemOvercommitFactor))
 }
 
-// Start launches the watch and scheduling loops — the same four replayed
-// reflector streams the legacy scheduler ran, feeding the same snapshot.
+// Start launches the watch and scheduling loops.
 func (s *Scheduler) Start() {
+	s.startWatches()
+	s.proc = s.env.Go("kubeshare-sched", s.loop)
+}
+
+// startWatches prepares the per-lane engines and launches the four replayed
+// reflector streams that feed the snapshot.
+func (s *Scheduler) startWatches() {
 	s.epoch = s.srv.Epoch()
 	if s.parallel && s.laneEngines == nil {
 		// One private engine per lane (the engine's scratch score vectors are
@@ -257,7 +301,7 @@ func (s *Scheduler) Start() {
 				if !ok {
 					return
 				}
-				s.snap.Apply(ev)
+				s.apply(ev)
 				if isPod && ev.Type == store.Deleted {
 					s.onPodDeleted(ev.Object.(*api.Pod))
 				}
@@ -265,7 +309,6 @@ func (s *Scheduler) Start() {
 			}
 		}))
 	}
-	s.proc = s.env.Go("kubeshare-sched", s.loop)
 }
 
 // Stop terminates the scheduler.
@@ -306,7 +349,18 @@ func (s *Scheduler) onPodDeleted(pod *api.Pod) {
 	s.tracer.Mark("kubeshare-sched", "requeue", api.Key(updated), "lost pod "+pod.Name)
 	s.recorder.Eventf(core.KindSharePod, spName, obs.EventWarning, "Requeued",
 		"bound pod %s lost; rescheduling", pod.Name)
-	s.snap.Apply(store.Event{Type: store.Modified, Object: updated})
+	s.apply(store.Event{Type: store.Modified, Object: updated})
+}
+
+// apply folds an event into the snapshot. Any event of a sharePod's own
+// unparks it: it may have left the pending set (deleted, placed elsewhere,
+// terminated) or changed what it asks for, and either way the NoCapacity
+// verdict it was parked on no longer describes it.
+func (s *Scheduler) apply(ev store.Event) {
+	s.snap.Apply(ev)
+	if sp, ok := ev.Object.(*core.SharePod); ok {
+		delete(s.parked, sp.Name)
+	}
 }
 
 func (s *Scheduler) kick() {
@@ -337,16 +391,17 @@ func (s *Scheduler) loop(p *sim.Proc) {
 // holds persist in s.gangs — and their hold windows were armed against
 // watch state that no longer exists. Dropping them requeues the gangs
 // cleanly: members are still pending in the (relist-rebuilt) snapshot, so
-// the next cycle re-attempts admission and re-arms fresh holds.
+// the next cycle re-attempts admission and re-arms fresh holds. The parked
+// set goes with them: a torn-tail restore may have reverted writes the
+// verdicts were reached against.
 func (s *Scheduler) checkEpoch() {
 	e := s.srv.Epoch()
 	if e == s.epoch {
 		return
 	}
 	s.epoch = e
-	for g := range s.gangs {
-		delete(s.gangs, g)
-	}
+	clear(s.gangs)
+	clear(s.parked)
 }
 
 func (s *Scheduler) drainWake() {
@@ -369,10 +424,18 @@ type staged struct {
 // decide units against the cycle transaction until the batch is full, then
 // commit the staged decisions in bulk. It reports whether any unit
 // progressed (was staged); all-NoCapacity means wait for a cluster change.
+//
+// A pending unit is in one of three states. Active units run the pipeline.
+// Parked units — solo units that found NoCapacity and have seen no release
+// since — are passed over, so a cycle costs what its placeable units cost
+// rather than what the backlog weighs. Held gangs are re-attempted every
+// cycle (see scheduleGang). Parking changes no cycle, sleep or placement: a
+// parked unit is one whose pipeline run is known to end in NoCapacity.
 func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	pending := s.snap.Pending()
 	s.depth.Set(int64(len(pending)))
 	if len(pending) == 0 {
+		s.parkedNow.Set(int64(len(s.parked)))
 		return false
 	}
 	core.SortByAge(pending)
@@ -381,14 +444,21 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	// The watch procs drained any deltas during the sleep; the snapshot is
 	// current as of now. One pool materialization serves the whole batch.
 	txn := fwk.NewTxn(s.snap.NewPool(s.newGPUID))
+	if gen := s.snap.ReleaseGen(); gen != s.parkedGen {
+		// Capacity was released since the parked verdicts: everyone is active.
+		clear(s.parked)
+		s.parkedGen = gen
+	}
+	clear(s.failed)
 
 	var out []staged
 	var progressed int
 	if s.parallel && s.cfg.Decide == nil {
 		progressed = s.stageParallel(pending, txn, &out)
 	} else {
-		progressed = s.stageSequential(pending, txn, &out)
+		progressed = s.stage(pending, nil, txn, &out)
 	}
+	s.parkedNow.Set(int64(len(s.parked)))
 
 	if s.batchSize > 1 {
 		s.tracer.Record("kubeshare-sched", "batch",
@@ -405,36 +475,99 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	return true
 }
 
-// stageSequential is the compat staging loop: decide units one at a time
-// against the live transaction, exactly the legacy pace and placements.
-func (s *Scheduler) stageSequential(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
+// candidate carries one pending unit through a cycle's staging loop.
+type candidate struct {
+	sp   *core.SharePod // the API server's copy, read this cycle
+	unit fwk.Unit
+	// ranked and cands are the parallel cycle's Phase A result: a candidate
+	// device list, best first, against the cycle-start pool.
+	ranked bool
+	cands  []*core.DeviceState
+}
+
+// resolve reads a pending unit's current copy from the API server. It
+// returns nil for a parked unit — before paying for the read — and for one
+// the server no longer has pending (the snapshot may trail the server by the
+// deliveries of this instant).
+func (s *Scheduler) resolve(name string) *core.SharePod {
+	if _, ok := s.parked[name]; ok {
+		s.skipped.Inc()
+		return nil
+	}
+	return s.live(name)
+}
+
+// live reads a sharePod from the API server, or nil when it is gone, placed
+// or terminated there.
+func (s *Scheduler) live(name string) *core.SharePod {
+	sp, err := core.SharePods(s.srv).Get(name)
+	if err != nil || sp.Placed() || sp.Terminated() {
+		return nil
+	}
+	return sp
+}
+
+// stage is the staging loop both cycle flavours share: walk the pending
+// units in age order until the batch is full, admitting gangs whole and
+// deciding solo units one at a time against the live transaction. The
+// sequential flavour (prefetched == nil) reads each unit from the API server
+// as the loop reaches it, exactly the legacy pace; the parallel flavour hands
+// in the candidates it resolved and ranked up front, nil where pending[i] is
+// to be passed over.
+//
+// A solo unit whose pipeline run ends in NoCapacity is parked and its
+// request recorded in the cycle memo; a later unit with an identical request
+// is parked on that evidence alone. Neither happens while the transaction
+// carries an uncommitted gang hold: the hold vanishes with the transaction
+// (or at gangTimeout) without any release delta, so a verdict reached
+// against it would strand the unit.
+func (s *Scheduler) stage(pending []*core.SharePod, prefetched []*candidate, txn *fwk.Txn, out *[]staged) int {
 	progressed := 0
+	held := false
 	seenGang := map[string]bool{}
-	for _, cand := range pending {
+	for i := range pending {
 		if progressed >= s.batchSize {
 			break
 		}
-		sp, err := core.SharePods(s.srv).Get(cand.Name)
-		if err != nil || sp.Placed() || sp.Terminated() {
+		var c *candidate
+		if prefetched != nil {
+			c = prefetched[i]
+		} else if sp := s.resolve(pending[i].Name); sp != nil {
+			s.scratch = candidate{sp: sp, unit: unitOf(sp)}
+			c = &s.scratch
+		}
+		if c == nil {
 			continue
 		}
-		if g := gangOf(sp); g != "" {
+		if g := gangOf(c.sp); g != "" {
 			if seenGang[g] {
 				continue
 			}
 			seenGang[g] = true
-			progressed += s.scheduleGang(g, pending, txn, out)
+			n, holds := s.scheduleGang(g, pending, txn, out)
+			progressed += n
+			held = held || holds
+			clear(s.failed)
 			continue
 		}
-		dec := s.decideOne(unitOf(sp), txn)
+		if _, ok := s.failed[c.unit.Req]; ok {
+			s.parked[c.unit.Name] = struct{}{}
+			s.skipped.Inc()
+			continue
+		}
+		dec := s.decide(c, txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
-			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
+			*out = append(*out, staged{name: c.sp.Name, key: api.Key(c.sp), created: c.sp.CreationTime, dec: dec})
 			progressed++
-		default: // NoCapacity: the unit stays pending for the next cycle.
+		default: // NoCapacity: the unit stays pending.
 			if txn.Len() > 0 {
 				s.conflicts.Inc()
+			}
+			if !held {
+				s.parked[c.unit.Name] = struct{}{}
+				s.failed[c.unit.Req] = struct{}{}
 			}
 		}
 	}
@@ -446,21 +579,13 @@ func (s *Scheduler) stageSequential(pending []*core.SharePod, txn *fwk.Txn, out 
 // ranking stays cheap.
 const rankTopK = 8
 
-// rankEntry carries one pending unit through the two-phase parallel cycle.
-type rankEntry struct {
-	sp     *core.SharePod
-	unit   fwk.Unit
-	ranked bool                // Phase A produced a candidate list
-	cands  []*core.DeviceState // best-first, against the cycle-start pool
-}
-
 // rankMsg crosses the lane mailbox: one unit's Phase A result.
 type rankMsg struct {
 	idx   int
 	cands []*core.DeviceState
 }
 
-// stageParallel is the speculative two-phase staging loop.
+// stageParallel is the speculative two-phase staging flavour.
 //
 // Phase A (parallel): the batch window's solo units are ranked across the
 // event lanes inside a FanOut window — each lane's private engine runs
@@ -469,11 +594,11 @@ type rankMsg struct {
 // the window's read-only rule (enqueue panics) and tools/detvet enforces
 // the mailbox rule statically.
 //
-// Phase B (sequential, age order): each unit walks its candidate list,
-// revalidates candidates against the live transaction with FilterOne, and
-// reserves the first survivor. An exhausted list counts one batch conflict
-// and falls back to the full sequential pipeline, as do units whose
-// pre-filter steered them (pins, rejects) and all gangs.
+// Phase B (the shared staging loop, age order): each unit walks its
+// candidate list, revalidates candidates against the live transaction with
+// FilterOne, and reserves the first survivor. An exhausted list counts one
+// batch conflict and falls back to the full sequential pipeline, as do units
+// whose pre-filter steered them (pins, rejects) and all gangs.
 //
 // Both phases are pure functions of (pending set, cycle-start pool), so the
 // staged placements are identical at any lane count and any GOMAXPROCS.
@@ -482,25 +607,35 @@ func (s *Scheduler) stageParallel(pending []*core.SharePod, txn *fwk.Txn, out *[
 	// the staging loop is read-only with respect to the server (commits
 	// happen after staging), so prefetching preserves compat semantics and
 	// keeps the parallel window below free of server traffic.
-	entries := make([]*rankEntry, 0, len(pending))
-	for _, cand := range pending {
-		sp, err := core.SharePods(s.srv).Get(cand.Name)
-		if err != nil || sp.Placed() || sp.Terminated() {
+	//
+	// The ranking window is the first batchSize solo units in age order. A
+	// parked unit keeps its slot there without being ranked, so parking
+	// shifts no one into or out of the window; inside the window it is still
+	// read, because a unit the server no longer has holds no slot.
+	entries := make([]*candidate, len(pending))
+	var toRank []*candidate
+	window := 0
+	for i, cand := range pending {
+		if _, ok := s.parked[cand.Name]; ok {
+			s.skipped.Inc()
+			if window < s.batchSize && s.live(cand.Name) != nil {
+				window++
+			}
 			continue
 		}
-		entries = append(entries, &rankEntry{sp: sp, unit: unitOf(sp)})
-	}
-
-	// Phase A: rank the batch window's solo units across lanes.
-	var toRank []*rankEntry
-	for _, e := range entries {
-		if len(toRank) >= s.batchSize {
-			break
+		sp := s.live(cand.Name)
+		if sp == nil {
+			continue
 		}
-		if gangOf(e.sp) == "" {
+		e := &candidate{sp: sp, unit: unitOf(sp)}
+		entries[i] = e
+		if window < s.batchSize && gangOf(sp) == "" {
+			window++
 			toRank = append(toRank, e)
 		}
 	}
+
+	// Phase A: rank the batch window's solo units across lanes.
 	if len(toRank) > 0 {
 		pool := txn.Pool()
 		s.env.FanOut(func(lane int) {
@@ -509,7 +644,7 @@ func (s *Scheduler) stageParallel(pending []*core.SharePod, txn *fwk.Txn, out *[
 				if s.env.LaneOf(e.unit.Name) != lane {
 					continue
 				}
-				if cands, seqOnly := eng.Rank(e.unit, pool, rankTopK); !seqOnly {
+				if cands, seqOnly := eng.Rank(&e.unit, pool, rankTopK); !seqOnly {
 					s.env.LaneSend(lane, 0, rankMsg{idx: i, cands: cands})
 				}
 			}
@@ -523,51 +658,26 @@ func (s *Scheduler) stageParallel(pending []*core.SharePod, txn *fwk.Txn, out *[
 	}
 
 	// Phase B: sequential validate-and-reserve in age order.
-	progressed := 0
-	seenGang := map[string]bool{}
-	for _, e := range entries {
-		if progressed >= s.batchSize {
-			break
-		}
-		if g := gangOf(e.sp); g != "" {
-			if seenGang[g] {
-				continue
-			}
-			seenGang[g] = true
-			progressed += s.scheduleGang(g, pending, txn, out)
-			continue
-		}
-		dec := s.decideRanked(e, txn)
-		s.decisions.Inc()
-		switch dec.Outcome {
-		case core.Assigned, core.NewDevice, core.Rejected:
-			*out = append(*out, staged{name: e.sp.Name, key: api.Key(e.sp), created: e.sp.CreationTime, dec: dec})
-			progressed++
-		default:
-			if txn.Len() > 0 {
-				s.conflicts.Inc()
-			}
-		}
-	}
-	return progressed
+	return s.stage(pending, entries, txn, out)
 }
 
-// decideRanked commits a unit's speculative ranking, falling back to the
-// full sequential pipeline when the unit was not ranked or every candidate
-// was invalidated by earlier reservations in this batch.
-func (s *Scheduler) decideRanked(e *rankEntry, txn *fwk.Txn) core.Decision {
-	if e.ranked {
-		for _, d := range e.cands {
-			if s.engine.FilterOne(e.unit, d) {
-				return s.engine.ReserveOn(e.unit, txn, d)
+// decide runs one solo unit's pipeline. A unit the parallel cycle ranked
+// first tries its speculative candidates; an unranked one, or one whose
+// whole list was invalidated by earlier reservations in this batch, takes
+// the full sequential pipeline.
+func (s *Scheduler) decide(c *candidate, txn *fwk.Txn) core.Decision {
+	if c.ranked {
+		for _, d := range c.cands {
+			if s.engine.FilterOne(&c.unit, d) {
+				return s.engine.ReserveOn(&c.unit, txn, d)
 			}
 		}
-		if len(e.cands) > 0 {
+		if len(c.cands) > 0 {
 			// The whole speculative list went stale: intra-batch contention.
 			s.conflicts.Inc()
 		}
 	}
-	return s.engine.Schedule(e.unit, txn)
+	return s.decideOne(&c.unit, txn)
 }
 
 // flushLanePhases merges the lanes' phase-run tallies (accumulated inside
@@ -584,7 +694,7 @@ func (s *Scheduler) flushLanePhases() {
 // decideOne routes a unit through the engine, or through the legacy Decide
 // override when one is configured (which commits onto the pool directly,
 // outside the reservation journal).
-func (s *Scheduler) decideOne(u fwk.Unit, txn *fwk.Txn) core.Decision {
+func (s *Scheduler) decideOne(u *fwk.Unit, txn *fwk.Txn) core.Decision {
 	if s.cfg.Decide != nil {
 		return s.cfg.Decide(u.Req, txn.Pool())
 	}
@@ -634,7 +744,7 @@ func (s *Scheduler) applyPlacement(name string, dec core.Decision) {
 		}
 		panic(fmt.Sprintf("kubeshare-sched: update status %s: %v", name, err))
 	}
-	s.snap.Apply(store.Event{Type: store.Modified, Object: updated})
+	s.snap.Placed(updated)
 }
 
 // applyRejection marks a sharePod's locality constraints unsatisfiable.
@@ -651,7 +761,7 @@ func (s *Scheduler) applyRejection(name, reason string) {
 		}
 		panic(fmt.Sprintf("kubeshare-sched: update status %s: %v", name, err))
 	}
-	s.snap.Apply(store.Event{Type: store.Modified, Object: updated})
+	s.apply(store.Event{Type: store.Modified, Object: updated})
 }
 
 // unitOf converts a sharePod into its framework scheduling view.

@@ -45,6 +45,21 @@ type Snapshot struct {
 	podGPU map[string]podGPURef
 	// nativeGPU sums podGPU per node.
 	nativeGPU map[string]int
+
+	// releaseGen counts the deltas after which a unit that found no capacity
+	// might find some: a tenant cleared, a VGPU object appearing or
+	// vanishing, a native GPU pod's contribution dropping, a node's
+	// allocatable rising or the node turning Ready — and a tenant the
+	// scheduler did not place itself (a user-assigned GPUID may open an
+	// affinity group on a device the pipeline would never have picked). A new
+	// pending sharePod and the scheduler's own placements (Placed) leave it
+	// alone: the first touches no capacity, the second came through the
+	// pipeline, whose plugins promise that reserving more never turns
+	// NoCapacity into a placement (fwk's contract). The scheduler parks
+	// unschedulable units against the generation. Bumping without a real
+	// release merely costs a re-decision; missing a real one would strand
+	// pending work, so every doubtful delta bumps.
+	releaseGen uint64
 }
 
 // deviceEntry is one vGPU's incremental state.
@@ -87,6 +102,9 @@ func NewSnapshot(memFactor float64) *Snapshot {
 	}
 }
 
+// ReleaseGen returns the release generation (see the field).
+func (s *Snapshot) ReleaseGen() uint64 { return s.releaseGen }
+
 // Apply folds one watch event into the snapshot. It is idempotent — the
 // scheduler writes its own placements through immediately and later sees the
 // same mutation again from the watch stream.
@@ -94,7 +112,7 @@ func (s *Snapshot) Apply(ev store.Event) {
 	deleted := ev.Type == store.Deleted
 	switch obj := ev.Object.(type) {
 	case *SharePod:
-		s.applySharePod(obj, deleted)
+		s.applySharePod(obj, deleted, true)
 	case *VGPU:
 		s.applyVGPU(obj, deleted)
 	case *api.Pod:
@@ -104,7 +122,13 @@ func (s *Snapshot) Apply(ev store.Event) {
 	}
 }
 
-func (s *Snapshot) applySharePod(sp *SharePod, deleted bool) {
+// Placed writes through a placement the scheduler has just committed, so
+// back-to-back cycles cannot double-book residuals. It is Apply for a
+// sharePod, minus the release-generation bump a foreign tenant earns; the
+// watch stream's later echo of the same write is then a no-op.
+func (s *Snapshot) Placed(sp *SharePod) { s.applySharePod(sp, false, false) }
+
+func (s *Snapshot) applySharePod(sp *SharePod, deleted, foreign bool) {
 	name := sp.Name
 	live := !deleted && !sp.Terminated()
 	if live && !sp.Placed() {
@@ -113,18 +137,21 @@ func (s *Snapshot) applySharePod(sp *SharePod, deleted bool) {
 		delete(s.pending, name)
 	}
 	if live && sp.Placed() {
-		s.setTenant(name, sp.Spec.GPUID, sp.Spec.NodeName, RequestOf(sp))
+		s.setTenant(name, sp.Spec.GPUID, sp.Spec.NodeName, RequestOf(sp), foreign)
 	} else {
 		s.clearTenant(name)
 	}
 }
 
-func (s *Snapshot) setTenant(name, gpuID, node string, req Request) {
+func (s *Snapshot) setTenant(name, gpuID, node string, req Request, foreign bool) {
 	if prev, ok := s.tenants[name]; ok {
 		if prev.gpuID == gpuID && prev.node == node && prev.req == req {
 			return
 		}
 		s.clearTenant(name)
+	}
+	if foreign {
+		s.releaseGen++
 	}
 	d := s.deviceOf(gpuID, node)
 	d.tenants[name] = req
@@ -138,6 +165,7 @@ func (s *Snapshot) clearTenant(name string) {
 		return
 	}
 	delete(s.tenants, name)
+	s.releaseGen++
 	if d, ok := s.devices[prev.gpuID]; ok {
 		delete(d.tenants, name)
 		d.cached = nil
@@ -150,9 +178,14 @@ func (s *Snapshot) applyVGPU(v *VGPU, deleted bool) {
 	if deleted {
 		delete(s.vgpuObj, id)
 		s.dropDeviceIfDangling(id)
+		s.releaseGen++
 		return
 	}
-	s.vgpuObj[id] = true
+	if !s.vgpuObj[id] {
+		// A fresh object may surface an idle device no tenant referenced.
+		s.vgpuObj[id] = true
+		s.releaseGen++
+	}
 	s.deviceOf(id, v.Spec.NodeName)
 }
 
@@ -198,6 +231,9 @@ func (s *Snapshot) applyPod(pod *api.Pod, deleted bool) {
 			delete(s.nativeGPU, prev.node)
 		}
 		delete(s.podGPU, pod.Name)
+		if count < prev.count || pod.Spec.NodeName != prev.node {
+			s.releaseGen++
+		}
 	}
 	if count > 0 {
 		s.podGPU[pod.Name] = podGPURef{node: pod.Spec.NodeName, count: count}
@@ -211,7 +247,11 @@ func (s *Snapshot) applyNode(node *api.Node, deleted bool) {
 		delete(s.nodeReady, node.Name)
 		return
 	}
-	s.nodeAlloc[node.Name] = int(node.Status.Allocatable[api.ResourceGPU])
+	alloc := int(node.Status.Allocatable[api.ResourceGPU])
+	if alloc > s.nodeAlloc[node.Name] || (node.Status.Ready && !s.nodeReady[node.Name]) {
+		s.releaseGen++
+	}
+	s.nodeAlloc[node.Name] = alloc
 	s.nodeReady[node.Name] = node.Status.Ready
 }
 
@@ -227,6 +267,9 @@ func (s *Snapshot) Pending() []*SharePod {
 
 // PendingCount returns the size of the pending set.
 func (s *Snapshot) PendingCount() int { return len(s.pending) }
+
+// IsPending reports whether the named sharePod is in the pending set.
+func (s *Snapshot) IsPending(name string) bool { return s.pending[name] != nil }
 
 // deviceState returns the device's DeviceState, recomputing from the tenant
 // set only when stale. Tenants are placed in name order — the same order

@@ -7,6 +7,10 @@ import "kubeshare/internal/obs"
 // rules and ReadSchedStats see one vocabulary regardless of which driver is
 // installed.
 const (
+	// MetricSchedDecisions counts pipeline runs, one per unit decided. A unit
+	// the driver passes over without running the pipeline (parked, or a
+	// request class already failed this cycle) is counted by schedfw's
+	// kubeshare_sched_skipped_total instead.
 	MetricSchedDecisions  = "kubeshare_sched_decisions_total"
 	MetricSchedRequeues   = "kubeshare_sched_requeues_total"
 	MetricSchedNoCapacity = "kubeshare_sched_nocapacity_cycles_total"
@@ -24,7 +28,8 @@ const (
 // and all zeros when the cluster runs with observability off — the registry
 // is the source of truth, not per-object fields.
 type SchedStats struct {
-	// Decisions counts Algorithm 1 invocations (one per candidate tried).
+	// Decisions counts Algorithm 1 invocations (one per pipeline run; units
+	// the driver skips as known-unschedulable are not counted).
 	Decisions int64
 	// Requeues counts bound-pod-loss recoveries (placement cleared, sharePod
 	// back to Pending).

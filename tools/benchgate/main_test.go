@@ -110,6 +110,37 @@ func TestAbsoluteBudget(t *testing.T) {
 	}
 }
 
+// TestRequeueStormFails: decisions per sharePod on the fig16 sweep carry an
+// absolute budget of 2.0. The value the 10k point read while every pending
+// unit was re-decided every cycle (5.4) must trip it; the parked driver's
+// (1.0035) must not.
+func TestRequeueStormFails(t *testing.T) {
+	var out strings.Builder
+	bad, err := gate([]byte(`{"records": [
+		{"commit": "aaaaaaa", "fig16_scale_sweep": {"best_lane_speedup": 1.1,
+			"sharepods_10000": {"decisions_per_sharepod": 5.4},
+			"sharepods_100000": {"decisions_per_sharepod": 1.0042}}}
+	]}`), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 1 || !strings.Contains(out.String(), "fig16_scale_sweep.sharepods_10000.decisions_per_sharepod") {
+		t.Fatalf("5.4 decisions per sharePod at 10k must be the one violation, got %d:\n%s", bad, out.String())
+	}
+	out.Reset()
+	bad, err = gate([]byte(`{"records": [
+		{"commit": "aaaaaaa", "fig16_scale_sweep": {"best_lane_speedup": 1.1,
+			"sharepods_10000": {"decisions_per_sharepod": 1.0035},
+			"sharepods_100000": {"decisions_per_sharepod": 1.0042}}}
+	]}`), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 0 {
+		t.Fatalf("~1 decision per sharePod is within the budget, got %d violations:\n%s", bad, out.String())
+	}
+}
+
 // TestSingleRecordSkipped: a section seen once has no baseline — skipped,
 // not failed.
 func TestSingleRecordSkipped(t *testing.T) {

@@ -53,14 +53,16 @@ var descriptions = map[string]string{
 	"kubeshare_obs_open_chains":                   "SharePod causal chains that never reached a kernel launch — excluded from latency percentiles, counted here instead. Set on attribution-enabled runs.",
 	"kubeshare_obs_spans_dropped_total":           "Spans dropped at the tracer's retention cap. Registered lazily on the first drop.",
 	"kubeshare_reflector_relist_total":            "Full relists per consumer after apiserver restarts invalidate a watch.",
-	"kubeshare_sched_batch_conflicts_total":       "Placements discarded by batched-cycle conflict resolution.",
-	"kubeshare_sched_decisions_total":             "Scheduling decisions committed by the KubeShare scheduler.",
+	"kubeshare_sched_batch_conflicts_total":       "Pipeline runs that found no capacity after an earlier unit of the same batch had reserved some. Skipped units are not counted.",
+	"kubeshare_sched_decisions_total":             "Pipeline runs of the KubeShare scheduler, one per unit decided; units passed over (kubeshare_sched_skipped_total) are not counted.",
 	"kubeshare_sched_gang_admissions_total":       "Gangs admitted atomically (all members placed in one cycle).",
 	"kubeshare_sched_gang_timeouts_total":         "Gangs rejected after the co-scheduling timeout expired.",
 	"kubeshare_sched_latency_seconds":             "Submit-to-scheduled latency per sharePod. Records exemplars when attribution is on.",
 	"kubeshare_sched_nocapacity_cycles_total":     "Scheduler cycles that found no feasible capacity.",
 	"kubeshare_sched_pending_sharepods":           "SharePods currently waiting in the scheduling queue.",
 	"kubeshare_sched_requeues_total":              "SharePods requeued after losing their bound pod or device.",
+	"kubeshare_sched_skipped_total":               "Units a scheduling cycle passed over without a pipeline run: parked since an earlier cycle, or carrying a request identical to one that found no capacity in this cycle. High next to a low decisions count is why a saturated run was cheap.",
+	"kubeshare_sched_unschedulable_sharepods":     "Pending sharePods parked right now: known to find no capacity, not re-decided until capacity is released. A sharePod that stays pending while this is non-zero is waiting for a release, not for the scheduler.",
 	"kubeshare_scheduler_bind_latency_seconds":    "Native kube-scheduler submit-to-bind latency. Records exemplars when attribution is on.",
 	"kubeshare_scheduler_binds_total":             "Pods bound by the native kube-scheduler.",
 	"kubeshare_scheduler_pending_pods":            "Pods currently pending in the native scheduler's queue.",
@@ -79,7 +81,7 @@ var descriptions = map[string]string{
 // own section with a <placeholder> segment the sync rule skips.
 var dynamic = []struct{ name, typ, desc string }{
 	{"kubeshare_sched_phase_<phase>_runs_total", "Counter",
-		"Per-phase plugin executions in the scheduling framework (prefilter, filter, score, reserve, permit...); one counter per phase name."},
+		"Per-phase plugin executions in the scheduling framework (prefilter, filter, score, alloc, reserve); one counter per phase name. Pipeline runs only: a skipped unit runs no phase."},
 }
 
 func main() {
