@@ -35,13 +35,10 @@ BASELINE_REF="${BASELINE_REF:-}"
 OUT="${OUT:-BENCH.json}"
 
 # Every benchmark section records the cpus/gomaxprocs it ran under: wall-clock
-# numbers are meaningless without them (a 4-lane sweep on 1 CPU timeslices
-# instead of parallelizing), and tools/benchmerge rejects records that omit
-# them. Most sections run at the Go default; the fig16 lane sweep pins
-# GOMAXPROCS=4 so the lane-speedup column is comparable across machines.
+# numbers are meaningless without them, and tools/benchmerge rejects records
+# that omit them. Every section runs at the Go default.
 CPUS="$(nproc)"
 GMP="${GOMAXPROCS:-$CPUS}"
-FIG16_GMP=4
 
 MICRO='BenchmarkTimerChurn|BenchmarkProcContextSwitch|BenchmarkQueueHandoff|BenchmarkManyProcs|BenchmarkSimKernel'
 LAUNCH='BenchmarkFrontendLaunchKernel'
@@ -79,8 +76,23 @@ FIG16_RAW="$(mktemp)"
 FIG17_RAW="$(mktemp)"
 FIG18_RAW="$(mktemp)"
 FIG19_RAW="$(mktemp)"
+FIG_OUT="$(mktemp)"
 RECORD="$(mktemp)"
-trap 'rm -f "$NEW_RAW" "$BASE_RAW" "$OBS_RAW" "$FIG15_RAW" "$FIG16_RAW" "$FIG17_RAW" "$FIG18_RAW" "$FIG19_RAW" "$RECORD"; cleanup' EXIT
+trap 'rm -f "$NEW_RAW" "$BASE_RAW" "$OBS_RAW" "$FIG15_RAW" "$FIG16_RAW" "$FIG17_RAW" "$FIG18_RAW" "$FIG19_RAW" "$FIG_OUT" "$RECORD"; cleanup' EXIT
+
+# run_fig <benchmark> <raw-file>: one run of a figure benchmark's full
+# variant, its result lines into <raw-file>. A benchmark that prints no
+# result line failed: stop and show its output, or its section would
+# silently vanish from the new record and tools/benchgate would go on gating
+# the previous record's numbers.
+run_fig() {
+  go test . -run xxx -bench "$1/full\$" -benchtime 1x >"$FIG_OUT" 2>&1 || true
+  if ! grep "^$1" "$FIG_OUT" >"$2"; then
+    echo "bench.sh: $1/full produced no result line:" >&2
+    cat "$FIG_OUT" >&2
+    exit 1
+  fi
+}
 
 for ((i = 1; i <= COUNT; i++)); do
   echo "round $i/$COUNT..." >&2
@@ -103,42 +115,36 @@ done
 # Scheduler-throughput point (Figure 15): one run of the full-scale sweep;
 # the reported metrics are virtual-clock ratios, so rounds add nothing.
 echo "fig15 (scheduler throughput, 10k sharePods)..." >&2
-go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/full$' -benchtime 1x 2>/dev/null |
-  grep '^BenchmarkFig15' >"$FIG15_RAW" || true
+run_fig BenchmarkFig15SchedulerThroughput "$FIG15_RAW"
 
-# Hot-path scale sweep (Figure 16): 1k → 10k → 100k sharePods at 1 and 4
-# event lanes under GOMAXPROCS=4. The run itself verifies placements are
-# byte-identical across lane counts; the recorded numbers are wall-clock,
-# plus decisions per sharePod — deterministic, and gated by tools/benchgate
-# at an absolute 2.0 (it read 5.4 and 61 at 10k and 100k while every pending
-# unit was re-decided every cycle).
-echo "fig16 (scale sweep to 100k sharePods, GOMAXPROCS=$FIG16_GMP)..." >&2
-GOMAXPROCS=$FIG16_GMP go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/full$' -benchtime 1x 2>/dev/null |
-  grep '^BenchmarkFig16' >"$FIG16_RAW" || true
+# Hot-path scale sweep (Figure 16): 1k → 10k → 100k sharePods. The recorded
+# numbers are wall-clock (gated by tools/benchgate at 25% from 10k up), plus
+# decisions per sharePod — deterministic, and gated at an absolute 2.0 (it
+# read 5.4 and 61 at 10k and 100k while every pending unit was re-decided
+# every cycle).
+echo "fig16 (scale sweep to 100k sharePods)..." >&2
+run_fig BenchmarkFig16ScaleSweep "$FIG16_RAW"
 
 # Control-plane recovery sweep (Figure 17): restart intensity × checkpoint
 # cadence under apiserver crash/restart chaos. The metrics are virtual-side
 # (replayed records, modeled unavailability), so one run suffices; the run
 # itself enforces the quiescence invariants per cell.
 echo "fig17 (control-plane recovery sweep)..." >&2
-go test . -run xxx -bench 'BenchmarkFig17RecoverySweep/full$' -benchtime 1x 2>/dev/null |
-  grep '^BenchmarkFig17' >"$FIG17_RAW" || true
+run_fig BenchmarkFig17RecoverySweep "$FIG17_RAW"
 
 # Sharing-strategy comparison (Figure 18): token vs MPS-overlap vs replica
 # time-slicing on small/large-kernel mixes, plus the memory-quantity mode's
 # typed-rejection and byte-placement witness. The metrics are virtual-clock
 # throughputs from identical seeded workloads, so one run suffices.
 echo "fig18 (sharing-strategy comparison)..." >&2
-go test . -run xxx -bench 'BenchmarkFig18StrategyComparison/full$' -benchtime 1x 2>/dev/null |
-  grep '^BenchmarkFig18' >"$FIG18_RAW" || true
+run_fig BenchmarkFig18StrategyComparison "$FIG18_RAW"
 
 # Latency attribution (Figure 19): the fig18 grid replayed with
 # critical-path attribution on; per-arm phase budgets (token-wait, e2e) in
 # virtual milliseconds. Virtual-clock, so one run suffices; the run itself
 # enforces the exact phase-sum invariant per chain.
 echo "fig19 (latency attribution)..." >&2
-go test . -run xxx -bench 'BenchmarkFig19Attribution/full$' -benchtime 1x 2>/dev/null |
-  grep '^BenchmarkFig19' >"$FIG19_RAW" || true
+run_fig BenchmarkFig19Attribution "$FIG19_RAW"
 
 # min_ns <raw-file> <bench-name>: minimum ns/op over rounds, or empty.
 min_ns() {
@@ -228,22 +234,18 @@ WITHIN="$(awk -v o="$OVERHEAD" 'BEGIN { print (o <= 0.05) ? "true" : "false" }')
   fi
   if [ -s "$FIG16_RAW" ]; then
     echo '  "fig16_scale_sweep": {'
-    echo "    \"benchmark\": \"BenchmarkFig16ScaleSweep/full (churn workload, 1 vs 4 event lanes, GOMAXPROCS=$FIG16_GMP)\","
+    echo '    "benchmark": "BenchmarkFig16ScaleSweep/full (churn workload, batch 256, 128x8 GPUs)",'
     echo "    \"cpus\": $CPUS,"
-    echo "    \"gomaxprocs\": $FIG16_GMP,"
-    BEST=""
+    echo "    \"gomaxprocs\": $GMP,"
+    SEP=""
     for n in 1000 10000 100000; do
       WALL="$(metric_of "$FIG16_RAW" "$n-wall-ms")"
-      WALL1="$(metric_of "$FIG16_RAW" "$n-wall-ms-1lane")"
-      SPD="$(metric_of "$FIG16_RAW" "$n-lane-speedup")"
       DPS="$(metric_of "$FIG16_RAW" "$n-decisions-per-sharepod")"
       [ -z "$WALL" ] && continue
-      echo "    \"sharepods_$n\": {\"wall_ms\": $WALL1, \"wall_ms_4lane\": $WALL, \"lane_speedup\": $SPD, \"decisions_per_sharepod\": $DPS},"
-      BEST="$(awk -v a="${BEST:-0}" -v b="$SPD" 'BEGIN { printf "%s", (b + 0 > a + 0) ? b : a }')"
+      printf '%s    "sharepods_%s": {"wall_ms": %s, "decisions_per_sharepod": %s}' "$SEP" "$n" "$WALL" "$DPS"
+      SEP=$',\n'
     done
-    echo "    \"best_lane_speedup\": ${BEST:-0},"
-    echo "    \"meets_2_5x\": $(awk -v s="${BEST:-0}" 'BEGIN { print (s + 0 >= 2.5) ? "true" : "false" }'),"
-    echo "    \"cpu_bound\": $(awk -v c="$CPUS" -v g="$FIG16_GMP" 'BEGIN { print (c + 0 < g + 0) ? "true" : "false" }')"
+    echo ''
     echo '  },'
   fi
   if [ -s "$FIG17_RAW" ]; then

@@ -487,24 +487,19 @@ func BenchmarkFig15SchedulerThroughput(b *testing.B) {
 }
 
 // BenchmarkFig16ScaleSweep regenerates Figure 16: wall-clock time of the
-// partitioned hot path (sharded store + event lanes + parallel phase
-// windows) as the sharePod count climbs 1k → 10k → 100k, at 1 and 4 lanes.
-// Per order of magnitude it reports the 1- and 4-lane wall time, the
-// lane-speedup ratio (lane-1 wall / lane-4 wall) and the scheduler's
-// decisions per sharePod — the requeue-storm witness: ~1 when unschedulable
-// units are parked, growing with the backlog when every pending unit is
-// re-decided every cycle. The virtual-side metrics
-// are verified byte-identical across lane counts inside Fig16 itself, so a
-// passing run is also the determinism witness. Speedup above 1x requires
-// GOMAXPROCS > 1 *and* spare physical cores; bench.sh records both next to
-// the numbers. The quick variant is the check.sh smoke.
+// scheduler hot path (batched cycle over the sharded store) as the sharePod
+// count climbs 1k → 10k → 100k. Per order of magnitude it reports the wall
+// time and the scheduler's decisions per sharePod — the requeue-storm
+// witness: ~1 when unschedulable units are parked, growing with the backlog
+// when every pending unit is re-decided every cycle. The quick variant is
+// the check.sh smoke.
 func BenchmarkFig16ScaleSweep(b *testing.B) {
 	for _, scale := range []struct {
 		name string
 		cfg  experiments.Fig16Config
 	}{
-		{"quick", experiments.Fig16Config{Sizes: []int{500}, Lanes: []int{1, 4}, Nodes: 16}},
-		{"full", experiments.Fig16Config{Lanes: []int{1, 4}}},
+		{"quick", experiments.Fig16Config{Sizes: []int{500}, Nodes: 16}},
+		{"full", experiments.Fig16Config{}},
 	} {
 		b.Run(scale.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -515,15 +510,11 @@ func BenchmarkFig16ScaleSweep(b *testing.B) {
 				if i != 0 {
 					continue
 				}
-				// Rows come in (lane-1, lane-4) pairs per size; report both
-				// walls, the speedup and decisions per sharePod (identical
-				// across lanes — Fig16 verified it) per order of magnitude.
-				for r := 0; r+1 < len(t.Rows); r += 2 {
-					size := t.Rows[r][0]
-					b.ReportMetric(cellF(b, t.Rows[r][2]), size+"-wall-ms-1lane")
-					b.ReportMetric(cellF(b, t.Rows[r+1][2]), size+"-wall-ms")
-					b.ReportMetric(cellF(b, t.Rows[r+1][6]), size+"-lane-speedup")
-					b.ReportMetric(cellF(b, t.Rows[r][4])/cellF(b, size), size+"-decisions-per-sharepod")
+				// Columns: sharepods, wall_ms, virtual_makespan_s, decisions,
+				// decisions_per_sharepod, conflicts, placements_hash.
+				for _, row := range t.Rows {
+					b.ReportMetric(cellF(b, row[1]), row[0]+"-wall-ms")
+					b.ReportMetric(cellF(b, row[4]), row[0]+"-decisions-per-sharepod")
 				}
 			}
 		})
@@ -637,11 +628,11 @@ func BenchmarkFig18StrategyComparison(b *testing.B) {
 func BenchmarkFig19Attribution(b *testing.B) {
 	for _, scale := range []struct {
 		name string
-		cfg  experiments.Fig19Config
+		cfg  experiments.Fig18Config
 	}{
-		{"quick", experiments.Fig19Config{Fig18Config: experiments.Fig18Config{
-			Nodes: 1, GPUsPerNode: 4, Jobs: 16, JobDuration: 10 * time.Second}}},
-		{"full", experiments.Fig19Config{}},
+		{"quick", experiments.Fig18Config{
+			Nodes: 1, GPUsPerNode: 4, Jobs: 16, JobDuration: 10 * time.Second}},
+		{"full", experiments.Fig18Config{}},
 	} {
 		b.Run(scale.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -54,13 +54,11 @@ GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestWat
 # Scheduling-framework suite under the race detector on the multi-worker
 # path: engine/Algorithm-1 equivalence properties, transaction rollback,
 # batched-vs-sequential, conflict retry, gang all-or-nothing, and the
-# parallel-phase lane windows (FanOut ranking must be lane-count- and
-# GOMAXPROCS-invariant).
+# parking reference model.
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
-# Multi-core hot path under the race detector with lanes actually running
-# concurrently: event-lane routing/merge/mailbox in the kernel, and the
-# sharded store's churn-vs-filtered-watch equivalence property.
-GOMAXPROCS=4 go test -race -run 'TestLane|TestFanOut|TestSetLanes|TestShard|TestIndex' ./internal/sim/ ./internal/kube/store/
+# The sharded store under the race detector with goroutines actually running
+# concurrently: the churn-vs-filtered-watch equivalence property.
+GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
@@ -71,12 +69,11 @@ go test ./internal/devlib/ -run xxx -bench BenchmarkFrontendLaunchKernel -bencht
 # Smoke the scheduler-throughput bench (Figure 15) at quick scale; bench.sh
 # measures the full 10k point into BENCH.json.
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/quick' -benchtime 1x
-# Smoke the scale sweep (Figure 16) at quick scale under GOMAXPROCS=4: the
-# lane-partitioned churn workload must place identically at 1 and 4 lanes
-# (Fig16 errors out on any metrics divergence), and the scheduler must make
-# at most 2 decisions per sharePod — the same budget tools/benchgate holds the
-# full sweep to; bench.sh measures the full 1k/10k/100k sweep into BENCH.json.
-GOMAXPROCS=4 go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/quick' -benchtime 1x |
+# Smoke the scale sweep (Figure 16) at quick scale: the scheduler must make at
+# most 2 decisions per sharePod on the churn workload — the same budget
+# tools/benchgate holds the full sweep to; bench.sh measures the full
+# 1k/10k/100k sweep into BENCH.json.
+go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/quick' -benchtime 1x |
 	awk '{ print } /-decisions-per-sharepod/ { for (i = 2; i <= NF; i++) if ($i ~ /-decisions-per-sharepod$/) { seen = 1; if ($(i-1) + 0 > 2.0) bad = 1 } }
 		END { if (!seen || bad) { print "fig16 smoke: decisions per sharePod missing or above 2.0" > "/dev/stderr"; exit 1 } }'
 # Smoke the control-plane recovery sweep (Figure 17) at quick scale: one

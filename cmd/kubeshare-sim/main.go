@@ -453,7 +453,6 @@ func run(name string, full bool, seed int64) (*metrics.Table, error) {
 		cfg := experiments.Fig16Config{}
 		if !full {
 			cfg.Sizes = []int{500, 2000}
-			cfg.Lanes = []int{1, 2, 4}
 			cfg.Nodes = 16
 		}
 		return experiments.Fig16(cfg)
@@ -479,7 +478,7 @@ func run(name string, full bool, seed int64) (*metrics.Table, error) {
 		mem.Render(os.Stdout)
 		return experiments.Fig18(cfg)
 	case "fig19":
-		cfg := experiments.Fig19Config{Fig18Config: experiments.Fig18Config{Seed: seed}}
+		cfg := experiments.Fig18Config{Seed: seed}
 		if !full {
 			cfg.Nodes, cfg.GPUsPerNode, cfg.Jobs = 1, 4, 16
 			cfg.JobDuration = 10 * time.Second

@@ -159,78 +159,6 @@ func (e *Engine) filterAll(u *Unit, d *core.DeviceState) bool {
 	return true
 }
 
-// FilterOne re-runs the filter plugins for one (unit, device) pair against
-// current state — the validation step that turns a speculative ranking into
-// a reservation.
-func (e *Engine) FilterOne(u *Unit, d *core.DeviceState) bool { return e.filterAll(u, d) }
-
-// Rank runs the read-only front half of the pipeline — pre-filter, filter,
-// score — for one unit and returns up to k candidate devices, best first
-// (the same lexicographic order Schedule uses to pick its winner; the head
-// of the list is exactly Schedule's choice against the same pool).
-//
-// sequentialOnly reports that a pre-filter steered the pipeline (reject,
-// pin, or skip-devices): those paths depend on mutable pool state in ways a
-// speculative ranking cannot capture, so the unit must take the full
-// sequential Schedule path instead.
-//
-// Rank never mutates the pool, the transaction, or the engine beyond its
-// scratch vectors, so distinct Engine instances may rank concurrently
-// against a shared read-only pool — the parallel phase of a batched cycle.
-func (e *Engine) Rank(u *Unit, pool *core.Pool, k int) (cands []*core.DeviceState, sequentialOnly bool) {
-	e.observe(PhasePreFilter)
-	for _, pf := range e.pre {
-		res := pf.PreFilter(u, pool)
-		if res.Reject != "" || res.Pin != nil || res.SkipDevices {
-			return nil, true
-		}
-	}
-	e.observe(PhaseFilter)
-	e.observe(PhaseScore)
-	type scored struct {
-		d   *core.DeviceState
-		vec []float64
-	}
-	top := make([]scored, 0, k)
-	for _, d := range pool.Devices {
-		if !e.filterAll(u, d) {
-			continue
-		}
-		for i, s := range e.scores {
-			e.candVec[i] = s.Score(u, d)
-		}
-		pos := len(top)
-		for pos > 0 && lexBetter(e.candVec, top[pos-1].vec, d.ID, top[pos-1].d.ID) {
-			pos--
-		}
-		if pos >= k {
-			continue
-		}
-		if len(top) < k {
-			top = append(top, scored{})
-		}
-		copy(top[pos+1:], top[pos:len(top)-1])
-		top[pos] = scored{d, append([]float64(nil), e.candVec...)}
-	}
-	out := make([]*core.DeviceState, len(top))
-	for i, s := range top {
-		out[i] = s.d
-	}
-	return out, false
-}
-
-// ReserveOn reserves the unit onto a validated candidate device through the
-// reserve plugins and returns the Assigned decision — the commit half of a
-// ranking that survived FilterOne revalidation.
-func (e *Engine) ReserveOn(u *Unit, t *Txn, d *core.DeviceState) core.Decision {
-	e.observe(PhaseReserve)
-	dec := core.Decision{Outcome: core.Assigned, GPUID: d.ID, NodeName: d.NodeName}
-	for _, r := range e.reserves {
-		r.Reserve(u, t, d, dec)
-	}
-	return dec
-}
-
 // lexBetter reports whether score vector a beats b lexicographically,
 // falling back to the lower device ID on a full tie.
 func lexBetter(a, b []float64, aID, bID string) bool {

@@ -46,12 +46,7 @@ func (s *Scheduler) runCycleExhaustive(p *sim.Proc) bool {
 	txn := fwk.NewTxn(s.snap.NewPool(s.newGPUID))
 
 	var out []staged
-	var progressed int
-	if s.parallel && s.cfg.Decide == nil {
-		progressed = s.stageParallelExhaustive(pending, txn, &out)
-	} else {
-		progressed = s.stageSequentialExhaustive(pending, txn, &out)
-	}
+	progressed := s.stageExhaustive(pending, txn, &out)
 	if len(s.parked) != 0 || len(s.failed) != 0 {
 		panic("exhaustive driver parked a unit")
 	}
@@ -71,7 +66,7 @@ func (s *Scheduler) runCycleExhaustive(p *sim.Proc) bool {
 	return true
 }
 
-func (s *Scheduler) stageSequentialExhaustive(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
+func (s *Scheduler) stageExhaustive(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
 	progressed := 0
 	seenGang := map[string]bool{}
 	for _, cand := range pending {
@@ -97,76 +92,6 @@ func (s *Scheduler) stageSequentialExhaustive(pending []*core.SharePod, txn *fwk
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
-			progressed++
-		default:
-			if txn.Len() > 0 {
-				s.conflicts.Inc()
-			}
-		}
-	}
-	return progressed
-}
-
-func (s *Scheduler) stageParallelExhaustive(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
-	entries := make([]*candidate, 0, len(pending))
-	for _, cand := range pending {
-		sp, err := core.SharePods(s.srv).Get(cand.Name)
-		if err != nil || sp.Placed() || sp.Terminated() {
-			continue
-		}
-		entries = append(entries, &candidate{sp: sp, unit: unitOf(sp)})
-	}
-
-	var toRank []*candidate
-	for _, e := range entries {
-		if len(toRank) >= s.batchSize {
-			break
-		}
-		if gangOf(e.sp) == "" {
-			toRank = append(toRank, e)
-		}
-	}
-	if len(toRank) > 0 {
-		pool := txn.Pool()
-		s.env.FanOut(func(lane int) {
-			eng := s.laneEngines[lane]
-			for i, e := range toRank {
-				if s.env.LaneOf(e.unit.Name) != lane {
-					continue
-				}
-				if cands, seqOnly := eng.Rank(&e.unit, pool, rankTopK); !seqOnly {
-					s.env.LaneSend(lane, 0, rankMsg{idx: i, cands: cands})
-				}
-			}
-		})
-		for _, m := range s.env.LaneDrain(0) {
-			msg := m.(rankMsg)
-			toRank[msg.idx].ranked = true
-			toRank[msg.idx].cands = msg.cands
-		}
-		s.flushLanePhases()
-	}
-
-	progressed := 0
-	seenGang := map[string]bool{}
-	for _, e := range entries {
-		if progressed >= s.batchSize {
-			break
-		}
-		if g := gangOf(e.sp); g != "" {
-			if seenGang[g] {
-				continue
-			}
-			seenGang[g] = true
-			n, _ := s.scheduleGang(g, pending, txn, out)
-			progressed += n
-			continue
-		}
-		dec := s.decide(e, txn)
-		s.decisions.Inc()
-		switch dec.Outcome {
-		case core.Assigned, core.NewDevice, core.Rejected:
-			*out = append(*out, staged{name: e.sp.Name, key: api.Key(e.sp), created: e.sp.CreationTime, dec: dec})
 			progressed++
 		default:
 			if txn.Len() > 0 {

@@ -24,10 +24,9 @@ type refWorld struct {
 	sched *Scheduler
 }
 
-func newRefWorld(t *testing.T, nodes, gpus, lanes int, exhaustive bool, opts ...Option) *refWorld {
+func newRefWorld(t *testing.T, nodes, gpus int, exhaustive bool, opts ...Option) *refWorld {
 	t.Helper()
 	env := sim.NewEnv()
-	env.SetLanes(lanes)
 	w := &refWorld{env: env, srv: apiserver.New(env)}
 	for i := 0; i < nodes; i++ {
 		res := api.ResourceList{api.ResourceGPU: int64(gpus)}
@@ -319,9 +318,9 @@ type churnResult struct {
 	created    int
 }
 
-func runChurn(t *testing.T, seed int64, lanes, steps int, exhaustive bool, opts ...Option) churnResult {
+func runChurn(t *testing.T, seed int64, steps int, exhaustive bool, opts ...Option) churnResult {
 	t.Helper()
-	w := newRefWorld(t, 2, 2, lanes, exhaustive, append([]Option{WithGangTimeout(300 * time.Millisecond)}, opts...)...)
+	w := newRefWorld(t, 2, 2, exhaustive, append([]Option{WithGangTimeout(300 * time.Millisecond)}, opts...)...)
 	c := &churnScript{t: t, w: w, rng: rand.New(rand.NewSource(seed)), steps: steps}
 	w.env.Go("churn", c.run)
 	w.env.Run()
@@ -350,35 +349,17 @@ func runChurn(t *testing.T, seed int64, lanes, steps int, exhaustive bool, opts 
 // exhaustive driver — which re-decides every pending unit every cycle — make
 // the same placements at the same instants, in the same number of cycles.
 func TestParkingMatchesExhaustiveDriver(t *testing.T) {
-	type mode struct {
-		name     string
-		batch    int
-		parallel bool
-		lanes    int
-	}
-	modes := []mode{
-		{"seq-1", 1, false, 1},
-		{"seq-8", 8, false, 1},
-		{"seq-64", 64, false, 1},
-		{"par-1", 1, true, 1},
-		{"par-8", 8, true, 2},
-		{"par-64", 64, true, 4},
-	}
 	seeds := 6
 	if testing.Short() {
 		seeds = 3
 	}
-	for _, m := range modes {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			opts := []Option{WithBatchSize(m.batch)}
-			if m.parallel {
-				opts = append(opts, WithParallelPhases())
-			}
+	for _, batch := range []int{1, 8, 64} {
+		batch := batch
+		t.Run(fmt.Sprintf("seq-%d", batch), func(t *testing.T) {
 			var skipped int64
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				want := runChurn(t, seed, m.lanes, 200, true, opts...)
-				got := runChurn(t, seed, m.lanes, 200, false, opts...)
+				want := runChurn(t, seed, 200, true, WithBatchSize(batch))
+				got := runChurn(t, seed, 200, false, WithBatchSize(batch))
 				for i := range want.log {
 					if i >= len(got.log) || got.log[i] != want.log[i] {
 						t.Fatalf("seed %d: scripts diverge at action %d:\n  exhaustive: %s\n  parking:    %s",
@@ -425,7 +406,7 @@ func at(log []string, i int) string {
 func TestParkingBoundsDecisions(t *testing.T) {
 	const pods = 400
 	run := func(exhaustive bool) (decisions int64, out map[string]outcome) {
-		w := newRefWorld(t, 2, 2, 1, exhaustive, WithBatchSize(16))
+		w := newRefWorld(t, 2, 2, exhaustive, WithBatchSize(16))
 		rng := rand.New(rand.NewSource(7))
 		w.env.Go("churn", func(p *sim.Proc) {
 			for i := 0; i < pods; i++ {
@@ -481,7 +462,7 @@ func TestParkingBoundsDecisions(t *testing.T) {
 func TestExpiredGangHoldDoesNotStrandYoungerUnits(t *testing.T) {
 	const hold = 2 * time.Second
 	run := func(exhaustive bool) map[string]outcome {
-		w := newRefWorld(t, 1, 2, 1, exhaustive, WithBatchSize(8), WithGangTimeout(hold))
+		w := newRefWorld(t, 1, 2, exhaustive, WithBatchSize(8), WithGangTimeout(hold))
 		w.env.Go("submit", func(p *sim.Proc) {
 			for i := 0; i < 2; i++ { // two of three: the gang never completes
 				sp := soloPod(fmt.Sprintf("gm-%d", i), 0.9, 0.5)
@@ -528,7 +509,7 @@ func TestExpiredGangHoldDoesNotStrandYoungerUnits(t *testing.T) {
 // not stay in the parked set — it would keep a successor of the same name
 // from ever being decided.
 func TestDeletedWhileParkedLeavesNoEntry(t *testing.T) {
-	w := newRefWorld(t, 1, 1, 1, false, WithBatchSize(8))
+	w := newRefWorld(t, 1, 1, false, WithBatchSize(8))
 	mk := func(name string) *core.SharePod { return soloPod(name, 0.8, 0.8) }
 	sps := core.SharePods(w.srv)
 	var parkedMidRun int
@@ -579,73 +560,5 @@ func TestDeletedWhileParkedLeavesNoEntry(t *testing.T) {
 	}
 	if err := w.sched.VerifySnapshot(); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestParkedUnitKeepsItsRankingWindowSlot pins how parking meets the parallel
-// cycle's ranking window (the first batchSize solo units in age order): a
-// parked unit keeps its slot, as the NoCapacity unit it stands for would, and
-// a parked unit the server no longer has holds none, as a dead unit never
-// did. Who is ranked decides who places speculatively against the cycle-start
-// pool and who sequentially against the live one, so a shifted window shows
-// up as a different placement.
-//
-// Two devices have 0.6 and 0.7 left; "big" (0.9) is parked at the head of the
-// queue. job-1 (0.65) and job-2 (0.05) arrive together with a window of two.
-// job-1 fits only the 0.7 device and leaves it 0.05. With "big" alive the
-// window is {big, job-1}: job-2 is decided sequentially and best-fits the 0.05
-// left behind job-1. With "big" deleted in the very instant the cycle stages —
-// before the scheduler's watch has seen the deletion — the window is {job-1,
-// job-2}: job-2 was ranked against the cycle-start pool, where the 0.6 device
-// is the tighter fit.
-func TestParkedUnitKeepsItsRankingWindowSlot(t *testing.T) {
-	run := func(exhaustive, deleteBig bool) map[string]outcome {
-		w := newRefWorld(t, 1, 2, 1, exhaustive, WithBatchSize(2), WithParallelPhases())
-		sps := core.SharePods(w.srv)
-		create := func(sp *core.SharePod) {
-			if _, err := sps.Create(sp); err != nil {
-				t.Errorf("create %s: %v", sp.Name, err)
-			}
-		}
-		w.env.Go("script", func(p *sim.Proc) {
-			create(soloPod("tenant-1", 0.4, 0.6)) // memory keeps the two tenants apart
-			create(soloPod("tenant-2", 0.3, 0.6))
-			p.Sleep(100 * time.Millisecond)
-			create(soloPod("big", 0.9, 0.1))
-			p.Sleep(100 * time.Millisecond)
-			if !exhaustive && len(w.sched.parked) != 1 {
-				t.Errorf("%d units parked, want big alone", len(w.sched.parked))
-			}
-			create(soloPod("job-1", 0.65, 0.1))
-			create(soloPod("job-2", 0.05, 0.05))
-			// This sleep was armed before the cycle's own, so at its end the
-			// script runs first: the deletion is on the server, not yet in
-			// the scheduler's snapshot, when the cycle stages.
-			p.Sleep(core.DefaultCycleLatency)
-			if deleteBig {
-				if err := sps.Delete("big"); err != nil {
-					t.Errorf("delete big: %v", err)
-				}
-			}
-		})
-		w.env.Run()
-		return w.outcomes()
-	}
-	jobDevice := map[bool]string{}
-	for _, deleteBig := range []bool{false, true} {
-		want, got := run(true, deleteBig), run(false, deleteBig)
-		for name, w := range want {
-			if got[name] != w {
-				t.Errorf("deleteBig=%v: %s = %+v, exhaustive driver %+v", deleteBig, name, got[name], w)
-			}
-		}
-		if want["job-1"].gpuID != want["tenant-2"].gpuID {
-			t.Fatalf("deleteBig=%v: job-1 on %s, want tenant-2's device %s", deleteBig, want["job-1"].gpuID, want["tenant-2"].gpuID)
-		}
-		jobDevice[deleteBig] = want["job-2"].gpuID
-	}
-	if jobDevice[false] == "" || jobDevice[false] == jobDevice[true] {
-		t.Errorf("job-2 on %q with big alive and %q with big deleted: the scenario does not tell the windows apart",
-			jobDevice[false], jobDevice[true])
 	}
 }

@@ -70,7 +70,6 @@ type options struct {
 	batchSize   int
 	gangTimeout time.Duration
 	plugins     []fwk.Plugin
-	parallel    bool
 }
 
 // Option configures the framework driver.
@@ -117,21 +116,6 @@ func WithPlugins(ps ...fwk.Plugin) Option {
 	return func(o *options) { o.plugins = ps }
 }
 
-// WithParallelPhases enables the speculative two-phase batched cycle: the
-// read-only pre-filter/filter/score work for the batch's front window is
-// fanned out across the environment's event lanes (sim.Env.SetLanes), each
-// lane ranking its hash-assigned units with a private engine against the
-// cycle-start pool; reservations then commit sequentially in age order,
-// revalidating each speculative candidate against the live transaction.
-// The outcome is a pure function of (pending set, pool) — identical at any
-// lane count and any GOMAXPROCS — but may differ from compat mode's
-// placements, because ranking scores the cycle-start pool rather than the
-// partially reserved one. Incompatible with WithDecide (the override is
-// taken sequentially).
-func WithParallelPhases() Option {
-	return func(o *options) { o.parallel = true }
-}
-
 // Scheduler is the framework driver. It owns everything the plugins must
 // not: the watch streams and incremental snapshot, the cycle clock, the
 // batch transaction, gang holds, and the bulk commit path to the API server.
@@ -143,13 +127,6 @@ type Scheduler struct {
 
 	batchSize   int
 	gangTimeout time.Duration
-
-	// Parallel-phase state: a private ranking engine per event lane plus its
-	// phase-run tally, merged into the shared counters after each window.
-	parallel    bool
-	pluginSet   []fwk.Plugin
-	laneEngines []*fwk.Engine
-	lanePhase   []map[string]int
 
 	snap   *core.Snapshot
 	wake   *sim.Queue[struct{}]
@@ -179,8 +156,8 @@ type Scheduler struct {
 	// is parked without a pipeline run. Reset every cycle and after every
 	// gang attempt (a rollback may hand capacity back to the transaction).
 	failed map[core.Request]struct{}
-	// scratch is the sequential cycle's one candidate, reused unit to unit.
-	scratch candidate
+	// scratch is the staging loop's one unit, reused sharePod to sharePod.
+	scratch fwk.Unit
 
 	tracer       *obs.Tracer
 	recorder     *obs.Recorder
@@ -222,8 +199,6 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		engine:       fwk.NewEngine(o.plugins),
 		batchSize:    o.batchSize,
 		gangTimeout:  o.gangTimeout,
-		parallel:     o.parallel,
-		pluginSet:    o.plugins,
 		snap:         core.NewSnapshot(o.cfg.MemOvercommitFactor),
 		wake:         sim.NewQueue[struct{}](env),
 		gangs:        make(map[string]*gangState),
@@ -272,25 +247,10 @@ func (s *Scheduler) Start() {
 	s.proc = s.env.Go("kubeshare-sched", s.loop)
 }
 
-// startWatches prepares the per-lane engines and launches the four replayed
-// reflector streams that feed the snapshot.
+// startWatches launches the four replayed reflector streams that feed the
+// snapshot.
 func (s *Scheduler) startWatches() {
 	s.epoch = s.srv.Epoch()
-	if s.parallel && s.laneEngines == nil {
-		// One private engine per lane (the engine's scratch score vectors are
-		// not goroutine-safe; the plugins themselves are stateless and
-		// shared). Phase-run counts accumulate lane-locally inside the window
-		// and merge after the barrier, so windows stay mutation-free.
-		lanes := s.env.Lanes()
-		s.laneEngines = make([]*fwk.Engine, lanes)
-		s.lanePhase = make([]map[string]int, lanes)
-		for i := range s.laneEngines {
-			tally := make(map[string]int, len(fwk.Phases))
-			s.lanePhase[i] = tally
-			s.laneEngines[i] = fwk.NewEngine(s.pluginSet)
-			s.laneEngines[i].SetPhaseHook(func(ph string) { tally[ph]++ })
-		}
-	}
 	for _, kind := range []string{core.KindSharePod, "Pod", core.KindVGPU, "Node"} {
 		r := s.srv.NewNamedReflector("kubeshare-sched", kind, apiserver.WatchOptions{Replay: true})
 		s.reflectors = append(s.reflectors, r)
@@ -452,12 +412,7 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	clear(s.failed)
 
 	var out []staged
-	var progressed int
-	if s.parallel && s.cfg.Decide == nil {
-		progressed = s.stageParallel(pending, txn, &out)
-	} else {
-		progressed = s.stage(pending, nil, txn, &out)
-	}
+	progressed := s.stage(pending, txn, &out)
 	s.parkedNow.Set(int64(len(s.parked)))
 
 	if s.batchSize > 1 {
@@ -473,16 +428,6 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 		return false
 	}
 	return true
-}
-
-// candidate carries one pending unit through a cycle's staging loop.
-type candidate struct {
-	sp   *core.SharePod // the API server's copy, read this cycle
-	unit fwk.Unit
-	// ranked and cands are the parallel cycle's Phase A result: a candidate
-	// device list, best first, against the cycle-start pool.
-	ranked bool
-	cands  []*core.DeviceState
 }
 
 // resolve reads a pending unit's current copy from the API server. It
@@ -507,13 +452,10 @@ func (s *Scheduler) live(name string) *core.SharePod {
 	return sp
 }
 
-// stage is the staging loop both cycle flavours share: walk the pending
-// units in age order until the batch is full, admitting gangs whole and
-// deciding solo units one at a time against the live transaction. The
-// sequential flavour (prefetched == nil) reads each unit from the API server
-// as the loop reaches it, exactly the legacy pace; the parallel flavour hands
-// in the candidates it resolved and ranked up front, nil where pending[i] is
-// to be passed over.
+// stage is the cycle's staging loop: walk the pending units in age order
+// until the batch is full, admitting gangs whole and deciding solo units one
+// at a time against the live transaction. Each unit is read from the API
+// server as the loop reaches it, exactly the legacy pace.
 //
 // A solo unit whose pipeline run ends in NoCapacity is parked and its
 // request recorded in the cycle memo; a later unit with an identical request
@@ -521,7 +463,7 @@ func (s *Scheduler) live(name string) *core.SharePod {
 // carries an uncommitted gang hold: the hold vanishes with the transaction
 // (or at gangTimeout) without any release delta, so a verdict reached
 // against it would strand the unit.
-func (s *Scheduler) stage(pending []*core.SharePod, prefetched []*candidate, txn *fwk.Txn, out *[]staged) int {
+func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
 	progressed := 0
 	held := false
 	seenGang := map[string]bool{}
@@ -529,17 +471,11 @@ func (s *Scheduler) stage(pending []*core.SharePod, prefetched []*candidate, txn
 		if progressed >= s.batchSize {
 			break
 		}
-		var c *candidate
-		if prefetched != nil {
-			c = prefetched[i]
-		} else if sp := s.resolve(pending[i].Name); sp != nil {
-			s.scratch = candidate{sp: sp, unit: unitOf(sp)}
-			c = &s.scratch
-		}
-		if c == nil {
+		sp := s.resolve(pending[i].Name)
+		if sp == nil {
 			continue
 		}
-		if g := gangOf(c.sp); g != "" {
+		if g := gangOf(sp); g != "" {
 			if seenGang[g] {
 				continue
 			}
@@ -550,145 +486,30 @@ func (s *Scheduler) stage(pending []*core.SharePod, prefetched []*candidate, txn
 			clear(s.failed)
 			continue
 		}
-		if _, ok := s.failed[c.unit.Req]; ok {
-			s.parked[c.unit.Name] = struct{}{}
+		s.scratch = unitOf(sp)
+		u := &s.scratch
+		if _, ok := s.failed[u.Req]; ok {
+			s.parked[u.Name] = struct{}{}
 			s.skipped.Inc()
 			continue
 		}
-		dec := s.decide(c, txn)
+		dec := s.decideOne(u, txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
-			*out = append(*out, staged{name: c.sp.Name, key: api.Key(c.sp), created: c.sp.CreationTime, dec: dec})
+			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
 			progressed++
 		default: // NoCapacity: the unit stays pending.
 			if txn.Len() > 0 {
 				s.conflicts.Inc()
 			}
 			if !held {
-				s.parked[c.unit.Name] = struct{}{}
-				s.failed[c.unit.Req] = struct{}{}
+				s.parked[u.Name] = struct{}{}
+				s.failed[u.Req] = struct{}{}
 			}
 		}
 	}
 	return progressed
-}
-
-// rankTopK is the speculative candidate list depth per unit: deep enough
-// that intra-batch contention rarely exhausts it, shallow enough that
-// ranking stays cheap.
-const rankTopK = 8
-
-// rankMsg crosses the lane mailbox: one unit's Phase A result.
-type rankMsg struct {
-	idx   int
-	cands []*core.DeviceState
-}
-
-// stageParallel is the speculative two-phase staging flavour.
-//
-// Phase A (parallel): the batch window's solo units are ranked across the
-// event lanes inside a FanOut window — each lane's private engine runs
-// pre-filter/filter/score against the shared, read-only cycle-start pool
-// and mails its top-K candidate lists back to lane 0. The kernel enforces
-// the window's read-only rule (enqueue panics) and tools/detvet enforces
-// the mailbox rule statically.
-//
-// Phase B (the shared staging loop, age order): each unit walks its
-// candidate list, revalidates candidates against the live transaction with
-// FilterOne, and reserves the first survivor. An exhausted list counts one
-// batch conflict and falls back to the full sequential pipeline, as do units
-// whose pre-filter steered them (pins, rejects) and all gangs.
-//
-// Both phases are pure functions of (pending set, cycle-start pool), so the
-// staged placements are identical at any lane count and any GOMAXPROCS.
-func (s *Scheduler) stageParallel(pending []*core.SharePod, txn *fwk.Txn, out *[]staged) int {
-	// Resolve every pending name against the API server once, up front —
-	// the staging loop is read-only with respect to the server (commits
-	// happen after staging), so prefetching preserves compat semantics and
-	// keeps the parallel window below free of server traffic.
-	//
-	// The ranking window is the first batchSize solo units in age order. A
-	// parked unit keeps its slot there without being ranked, so parking
-	// shifts no one into or out of the window; inside the window it is still
-	// read, because a unit the server no longer has holds no slot.
-	entries := make([]*candidate, len(pending))
-	var toRank []*candidate
-	window := 0
-	for i, cand := range pending {
-		if _, ok := s.parked[cand.Name]; ok {
-			s.skipped.Inc()
-			if window < s.batchSize && s.live(cand.Name) != nil {
-				window++
-			}
-			continue
-		}
-		sp := s.live(cand.Name)
-		if sp == nil {
-			continue
-		}
-		e := &candidate{sp: sp, unit: unitOf(sp)}
-		entries[i] = e
-		if window < s.batchSize && gangOf(sp) == "" {
-			window++
-			toRank = append(toRank, e)
-		}
-	}
-
-	// Phase A: rank the batch window's solo units across lanes.
-	if len(toRank) > 0 {
-		pool := txn.Pool()
-		s.env.FanOut(func(lane int) {
-			eng := s.laneEngines[lane]
-			for i, e := range toRank {
-				if s.env.LaneOf(e.unit.Name) != lane {
-					continue
-				}
-				if cands, seqOnly := eng.Rank(&e.unit, pool, rankTopK); !seqOnly {
-					s.env.LaneSend(lane, 0, rankMsg{idx: i, cands: cands})
-				}
-			}
-		})
-		for _, m := range s.env.LaneDrain(0) {
-			msg := m.(rankMsg)
-			toRank[msg.idx].ranked = true
-			toRank[msg.idx].cands = msg.cands
-		}
-		s.flushLanePhases()
-	}
-
-	// Phase B: sequential validate-and-reserve in age order.
-	return s.stage(pending, entries, txn, out)
-}
-
-// decide runs one solo unit's pipeline. A unit the parallel cycle ranked
-// first tries its speculative candidates; an unranked one, or one whose
-// whole list was invalidated by earlier reservations in this batch, takes
-// the full sequential pipeline.
-func (s *Scheduler) decide(c *candidate, txn *fwk.Txn) core.Decision {
-	if c.ranked {
-		for _, d := range c.cands {
-			if s.engine.FilterOne(&c.unit, d) {
-				return s.engine.ReserveOn(&c.unit, txn, d)
-			}
-		}
-		if len(c.cands) > 0 {
-			// The whole speculative list went stale: intra-batch contention.
-			s.conflicts.Inc()
-		}
-	}
-	return s.decideOne(&c.unit, txn)
-}
-
-// flushLanePhases merges the lanes' phase-run tallies (accumulated inside
-// the window, lane-locally) into the shared counters.
-func (s *Scheduler) flushLanePhases() {
-	for _, tally := range s.lanePhase {
-		for ph, n := range tally {
-			s.phaseRuns[ph].Add(int64(n))
-			delete(tally, ph)
-		}
-	}
 }
 
 // decideOne routes a unit through the engine, or through the legacy Decide

@@ -13,30 +13,24 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig16Config drives the scale sweep of the partitioned hot path (a
-// framework extension with no paper counterpart): the batched parallel-phase
-// scheduler working through 1k → 10k → 100k sharePods on a bounded device
-// pool, swept over the event-lane count.
+// Fig16Config drives the scheduler scale sweep (a framework extension with
+// no paper counterpart): the batched cycle working through 1k → 10k → 100k
+// sharePods on a bounded device pool.
 //
 // Unlike Figure 15's one-shot backlog, the workload here churns: arrivals
 // are paced in waves matched to the pool's drain rate, and a completion
 // sweeper retires placed sharePods after a fixed service time, so the
 // device pool stays at cluster scale while the sharePod count grows by two
-// orders of magnitude — the sweep measures the hot path (ranking over the
-// live pool, store traffic, watch fan-out), not an ever-growing pool.
+// orders of magnitude — the sweep measures the hot path (the device scan
+// over the live pool, store traffic, watch fan-out), not an ever-growing
+// pool.
 //
-// Each (size, lanes) point reports wall-clock time and the lane-1 speedup
-// ratio. The virtual-side quantities — placements, decisions, makespan, and
-// a hash over every placement tuple — are byte-identical across lane counts
-// by construction, and the sweep errors out if any lane count disagrees:
-// the lane partition may only distribute the computation, never change it.
-// Wall-clock speedup requires real cores; with fewer CPUs than lanes the
-// extra lanes just timeslice.
+// Each size reports wall-clock time beside the virtual-side quantities —
+// decisions, makespan, and a hash over every placement tuple — which are a
+// pure function of the configuration and pinned by TestFig16PlacementsPinned.
 type Fig16Config struct {
 	// Sizes are the sharePod counts swept (defaults 1k, 10k, 100k).
 	Sizes []int
-	// Lanes are the event-lane counts swept at each size.
-	Lanes []int
 	// Batch is the cycle budget of the batched driver.
 	Batch int
 	// Nodes and GPUsPerNode bound the device pool.
@@ -52,9 +46,6 @@ type Fig16Config struct {
 func (c Fig16Config) withDefaults() Fig16Config {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{1000, 10000, 100000}
-	}
-	if len(c.Lanes) == 0 {
-		c.Lanes = []int{1, 2, 4, 8}
 	}
 	if c.Batch == 0 {
 		c.Batch = 256
@@ -75,26 +66,18 @@ func (c Fig16Config) withDefaults() Fig16Config {
 }
 
 // fig16Result is one run's outcome: the wall-side measurement plus the
-// virtual-side quantities that must agree across lane counts.
+// virtual-side quantities.
 type fig16Result struct {
 	wall      time.Duration
 	virtual   time.Duration
-	placed    int
 	decisions int64
 	conflicts int64
 	hash      uint64
 }
 
-// metricsKey is the virtual-side identity compared across lane counts.
-func (r fig16Result) metricsKey() string {
-	return fmt.Sprintf("virtual=%v placed=%d decisions=%d hash=%016x",
-		r.virtual, r.placed, r.decisions, r.hash)
-}
-
-// fig16Run schedules n sharePods to completion with the given lane count.
-func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
+// fig16Run schedules n sharePods to completion.
+func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	env := sim.NewEnv()
-	env.SetLanes(lanes)
 	srv := apiserver.New(env)
 	for i := 0; i < cfg.Nodes; i++ {
 		node := &api.Node{
@@ -106,7 +89,7 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 			},
 		}
 		if _, err := apiserver.Nodes(srv).Create(node); err != nil {
-			panic(err)
+			return fig16Result{}, fmt.Errorf("fig16: create %s: %w", node.Name, err)
 		}
 	}
 
@@ -122,8 +105,11 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 		wave = 1
 	}
 
+	// The first error inside either proc stops both; the run then drains and
+	// reports it.
+	var runErr error
 	env.Go("submitter", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && runErr == nil; i++ {
 			sp := &core.SharePod{
 				ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("sp-%06d", i)},
 				Spec: core.SharePodSpec{
@@ -132,7 +118,8 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 				},
 			}
 			if _, err := core.SharePods(srv).Create(sp); err != nil {
-				panic(err)
+				runErr = fmt.Errorf("fig16: create %s: %w", sp.Name, err)
+				return
 			}
 			if (i+1)%wave == 0 {
 				p.Sleep(waveGap)
@@ -146,7 +133,7 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 	// pool bounded.
 	done := 0
 	env.Go("completer", func(p *sim.Proc) {
-		for done < n {
+		for done < n && runErr == nil {
 			p.Sleep(cfg.Service / 4)
 			cutoff := env.Now() - cfg.Service
 			var expired []string
@@ -162,26 +149,29 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 					sp.Status.FinishTime = env.Now()
 					return nil
 				}); err != nil {
-					panic(fmt.Sprintf("fig16: complete %s: %v", name, err))
+					runErr = fmt.Errorf("fig16: complete %s: %w", name, err)
+					return
 				}
 				done++
 			}
 		}
 	})
 
-	sched := schedfw.New(env, srv,
-		schedfw.WithBatchSize(cfg.Batch), schedfw.WithParallelPhases())
+	sched := schedfw.New(env, srv, schedfw.WithBatchSize(cfg.Batch))
 	start := cfg.Now()
 	sched.Start()
 	env.Run()
 	wall := cfg.Now().Sub(start)
 	virtual := env.Now()
 	sched.Stop()
+	if runErr != nil {
+		return fig16Result{}, runErr
+	}
 
 	res := fig16Result{wall: wall, virtual: virtual, decisions: sched.Stats().Decisions}
 	res.conflicts = srv.Obs().Counter(schedfw.MetricSchedConflicts).Value()
 	// Placement hash: FNV-1a over every (name, gpuid, node, scheduled)
-	// tuple in name order — the byte-identical metrics-table witness.
+	// tuple in name order.
 	h := uint64(14695981039346656037)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -189,42 +179,36 @@ func fig16Run(n, lanes int, cfg Fig16Config) fig16Result {
 			h *= 1099511628211
 		}
 	}
+	placed := 0
 	core.SharePods(srv).Scan(func(sp *core.SharePod) bool {
 		if sp.Placed() {
-			res.placed++
+			placed++
 			mix(fmt.Sprintf("%s|%s|%s|%d", sp.Name, sp.Spec.GPUID, sp.Spec.NodeName, sp.Status.ScheduledTime))
 		}
 		return true
 	})
 	res.hash = h
-	if res.placed != n {
-		panic(fmt.Sprintf("fig16: %d/%d sharePods placed (lanes=%d)", res.placed, n, lanes))
+	if placed != n {
+		return fig16Result{}, fmt.Errorf("fig16: %d/%d sharePods placed", placed, n)
 	}
-	return res
+	return res, nil
 }
 
-// Fig16 sweeps sharePod count × lane count and reports wall-clock scaling.
-// It fails if any lane count's virtual-side metrics diverge from lane 1 —
-// the determinism contract of the lane partition.
+// Fig16 sweeps the sharePod count and reports the scheduler's wall-clock
+// cost, decisions per sharePod and placement hash at each size.
 func Fig16(cfg Fig16Config) (*metrics.Table, error) {
 	cfg = cfg.withDefaults()
-	tb := metrics.NewTable("Figure 16: hot-path scaling vs sharePod count and lane count",
-		"sharepods", "lanes", "wall_ms", "virtual_makespan_s", "decisions", "conflicts", "speedup_vs_1lane", "placements_hash")
+	tb := metrics.NewTable("Figure 16: scheduler hot-path scaling vs sharePod count",
+		"sharepods", "wall_ms", "virtual_makespan_s", "decisions", "decisions_per_sharepod", "conflicts", "placements_hash")
 	for _, n := range cfg.Sizes {
-		var base fig16Result
-		for i, lanes := range cfg.Lanes {
-			r := fig16Run(n, lanes, cfg)
-			if i == 0 {
-				base = r
-			} else if r.metricsKey() != base.metricsKey() {
-				return nil, fmt.Errorf("fig16: lanes=%d diverged at n=%d: %s != %s",
-					lanes, n, r.metricsKey(), base.metricsKey())
-			}
-			speedup := float64(base.wall) / float64(r.wall)
-			tb.AddRow(n, lanes, r.wall.Milliseconds(),
-				fmt.Sprintf("%.1f", r.virtual.Seconds()), r.decisions, r.conflicts,
-				fmt.Sprintf("%.2f", speedup), fmt.Sprintf("%016x", r.hash))
+		r, err := fig16Run(n, cfg)
+		if err != nil {
+			return nil, err
 		}
+		tb.AddRow(n, r.wall.Milliseconds(),
+			fmt.Sprintf("%.1f", r.virtual.Seconds()), r.decisions,
+			fmt.Sprintf("%.3f", float64(r.decisions)/float64(n)), r.conflicts,
+			fmt.Sprintf("%016x", r.hash))
 	}
 	return tb, nil
 }

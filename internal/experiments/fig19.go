@@ -11,27 +11,18 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig19Config sizes the latency-attribution experiment: the Fig 18
-// strategy × kernel-mix grid replayed with critical-path attribution on,
-// reporting where each strategy spends the submit-to-first-kernel-launch
-// interval instead of only how much it throughputs.
-type Fig19Config struct {
-	Fig18Config
-	// Lanes partitions each arm's simulation into event lanes; the
-	// attribution — like every other observable — is byte-identical at
-	// any lane count.
-	Lanes int
-}
-
-// Fig19 replays the Fig 18 arms with attribution enabled and tabulates
-// each arm's phase-level latency budget: the mean per-sharePod duration
-// of every attribution phase, over completed chains only (open chains
-// are counted, not zero-filled). The token arms pay their grant handoff
-// in token_wait, where the overlap strategies show it amortized away —
-// the same contrast Fig 18 shows in throughput, here attributed to the
-// exact layer that causes it.
-func Fig19(cfg Fig19Config) (*metrics.Table, error) {
-	cfg.Fig18Config = cfg.Fig18Config.withDefaults()
+// Fig19 is the latency-attribution experiment: the Fig 18 strategy ×
+// kernel-mix grid replayed with critical-path attribution on, reporting
+// where each strategy spends the submit-to-first-kernel-launch interval
+// instead of only how much it throughputs. It tabulates each arm's
+// phase-level latency budget: the mean per-sharePod duration of every
+// attribution phase, over completed chains only (open chains are counted,
+// not zero-filled). The token arms pay their grant handoff in token_wait,
+// where the overlap strategies show it amortized away — the same contrast
+// Fig 18 shows in throughput, here attributed to the exact layer that
+// causes it.
+func Fig19(cfg Fig18Config) (*metrics.Table, error) {
+	cfg = cfg.withDefaults()
 	arms := fig18Arms()
 	type armOut struct {
 		chains int
@@ -56,7 +47,6 @@ func Fig19(cfg Fig19Config) (*metrics.Table, error) {
 			Jobs:        jobs,
 			Devlib:      core.Config{Devlib: devlib.Config{Mode: arm.mode}},
 			Attribution: true,
-			Lanes:       cfg.Lanes,
 		})
 		if err != nil {
 			return armOut{}, err

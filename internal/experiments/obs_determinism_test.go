@@ -9,14 +9,13 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// telemetryDump runs a small seeded KubeShare workload with the given
-// event-lane count and renders its complete telemetry — every span, every
-// event, every metric — as one text blob. The whole pipeline is
-// virtual-clock native and the lane merge is deterministic, so the blob
-// must be byte-identical run-to-run for a fixed seed at every lane count,
-// including under -race with GOMAXPROCS>1 (the runs of the test execute
-// concurrently through runIndexed).
-func telemetryDump(lanes int, parallel bool) (string, error) {
+// telemetryDump runs a small seeded KubeShare workload and renders its
+// complete telemetry — every span, every event, every metric — as one text
+// blob. The whole pipeline is virtual-clock native, so the blob must be
+// byte-identical run-to-run for a fixed seed, including under -race with
+// GOMAXPROCS>1 (the runs of the test execute concurrently through
+// runIndexed).
+func telemetryDump() (string, error) {
 	jobs := workload.Generate(workload.GeneratorConfig{
 		Jobs: 8, MeanInterArrival: 2 * time.Second,
 		DemandMean: 0.35, DemandVar: 1,
@@ -25,11 +24,10 @@ func telemetryDump(lanes int, parallel bool) (string, error) {
 	res, err := RunSharing(SharingConfig{
 		System: KubeShare, Nodes: 1, GPUsPerNode: 2,
 		Jobs: jobs, ExportTelemetry: true,
-		Lanes: lanes, ParallelPhases: parallel,
 		// Crash/warm-recover the apiserver mid-workload: the restart markers
 		// (APIServerRestarted), the WAL/checkpoint counters and the
 		// per-consumer relist counters must all land byte-identically in the
-		// golden at every lane count.
+		// golden.
 		RestartAPIServerAt: 9 * time.Second,
 	})
 	if err != nil {
@@ -45,40 +43,16 @@ func telemetryDump(lanes int, parallel bool) (string, error) {
 	return b.String(), nil
 }
 
-// TestTraceDeterminismGolden runs the telemetry dump concurrently across
-// lane counts (1 twice, then 2, 4 and 8) and asserts byte-identical output,
-// then matches the recorded golden — the guarantee that a seeded run yields
-// one reproducible causal trace, and that the event-lane partition never
-// alters it.
+// TestTraceDeterminismGolden runs the telemetry dump twice, concurrently,
+// and asserts byte-identical output, then matches the recorded golden — the
+// guarantee that a seeded run yields one reproducible causal trace.
 func TestTraceDeterminismGolden(t *testing.T) {
-	lanes := []int{1, 1, 2, 4, 8}
-	dumps, err := runIndexed(len(lanes), func(i int) (string, error) { return telemetryDump(lanes[i], false) })
+	dumps, err := runIndexed(2, func(int) (string, error) { return telemetryDump() })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range dumps[1:] {
-		if d != dumps[0] {
-			t.Fatalf("telemetry at lanes=%d diverged from single-lane run", lanes[i+1])
-		}
+	if dumps[1] != dumps[0] {
+		t.Fatal("telemetry diverged between two runs of the same seed")
 	}
 	checkGolden(t, "obs_trace.golden", dumps[0])
-}
-
-// TestTraceParallelPhasesLaneInvariant repeats the sweep with the
-// scheduler's parallel phase windows on. That mode accounts phases by the
-// parallel cycle's rules, so its telemetry is not compared to the
-// sequential golden — the contract is lane invariance within the mode:
-// identical blobs (placements, spans, events, counters) at 1, 2, 4 and 8
-// lanes.
-func TestTraceParallelPhasesLaneInvariant(t *testing.T) {
-	lanes := []int{1, 2, 4, 8}
-	dumps, err := runIndexed(len(lanes), func(i int) (string, error) { return telemetryDump(lanes[i], true) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dumps[1:] {
-		if d != dumps[0] {
-			t.Fatalf("parallel-phase telemetry at lanes=%d diverged from single-lane run", lanes[i+1])
-		}
-	}
 }

@@ -13,9 +13,8 @@
 //
 // Buckets are striped across NumShards shards by kind hash, each guarded by
 // its own RWMutex, so list/watch/scan traffic on disjoint kinds never
-// contends and readers (samplers, parallel scheduling phases, the serve
-// endpoints) run concurrently with each other and with a writer in another
-// shard. Revisions come from one global atomic counter — mutations in the
+// contends and readers (samplers, the serve endpoints) run concurrently
+// with each other and with a writer in another shard. Revisions come from one global atomic counter — mutations in the
 // same shard serialize on the shard lock, so per-kind revision order is
 // monotonic — and each shard additionally tracks the last revision it
 // committed. Watch fan-out is per-shard: a mutation only visits its own

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -117,9 +118,9 @@ func TestAbsoluteBudget(t *testing.T) {
 func TestRequeueStormFails(t *testing.T) {
 	var out strings.Builder
 	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig16_scale_sweep": {"best_lane_speedup": 1.1,
-			"sharepods_10000": {"decisions_per_sharepod": 5.4},
-			"sharepods_100000": {"decisions_per_sharepod": 1.0042}}}
+		{"commit": "aaaaaaa", "fig16_scale_sweep": {
+			"sharepods_10000": {"wall_ms": 440, "decisions_per_sharepod": 5.4},
+			"sharepods_100000": {"wall_ms": 12500, "decisions_per_sharepod": 1.0042}}}
 	]}`), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -129,15 +130,48 @@ func TestRequeueStormFails(t *testing.T) {
 	}
 	out.Reset()
 	bad, err = gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig16_scale_sweep": {"best_lane_speedup": 1.1,
-			"sharepods_10000": {"decisions_per_sharepod": 1.0035},
-			"sharepods_100000": {"decisions_per_sharepod": 1.0042}}}
+		{"commit": "aaaaaaa", "fig16_scale_sweep": {
+			"sharepods_10000": {"wall_ms": 440, "decisions_per_sharepod": 1.0035},
+			"sharepods_100000": {"wall_ms": 12500, "decisions_per_sharepod": 1.0042}}}
 	]}`), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad != 0 {
 		t.Fatalf("~1 decision per sharePod is within the budget, got %d violations:\n%s", bad, out.String())
+	}
+}
+
+// TestFig16WallClockStepFails: the churn sweep's wall time at 10k and 100k
+// sharePods is held within 25% of the previous record. The previous record
+// here has the shape bench.sh wrote while the sweep still had event lanes
+// (wall_ms beside lane keys the gate no longer reads); the newest has only
+// the keys it writes now.
+func TestFig16WallClockStepFails(t *testing.T) {
+	const prev = `{"commit": "aaaaaaa", "fig16_scale_sweep": {
+		"sharepods_10000": {"wall_ms": 796, "wall_ms_4lane": 737, "lane_speedup": 1.08, "decisions_per_sharepod": 1.0035},
+		"sharepods_100000": {"wall_ms": 24185, "wall_ms_4lane": 27070, "lane_speedup": 0.89, "decisions_per_sharepod": 1.0042},
+		"best_lane_speedup": 1.08, "meets_2_5x": false, "cpu_bound": true}}`
+	newest := func(wall10k, wall100k int) string {
+		return fmt.Sprintf(`{"commit": "bbbbbbb", "fig16_scale_sweep": {
+			"sharepods_10000": {"wall_ms": %d, "decisions_per_sharepod": 1.0035},
+			"sharepods_100000": {"wall_ms": %d, "decisions_per_sharepod": 1.0042}}}`, wall10k, wall100k)
+	}
+	var out strings.Builder
+	bad, err := gate([]byte(`{"records": [`+prev+`,`+newest(796, 36278)+`]}`), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 1 || !strings.Contains(out.String(), "fig16_scale_sweep.sharepods_100000.wall_ms rose") {
+		t.Fatalf("a 1.5x wall step at 100k must be the one violation, got %d:\n%s", bad, out.String())
+	}
+	out.Reset()
+	bad, err = gate([]byte(`{"records": [`+prev+`,`+newest(440, 12500)+`]}`), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 0 {
+		t.Fatalf("a record without the lane keys must pass, got %d violations:\n%s", bad, out.String())
 	}
 }
 

@@ -12,9 +12,8 @@
 //
 // Records are opaque to this tool beyond being valid JSON objects with one
 // exception: every benchmark section must say what cpu budget it ran under.
-// Wall-clock numbers without cpus/gomaxprocs are uninterpretable (a lane
-// sweep on one core timeslices instead of parallelizing), so an incoming
-// record is rejected unless each object-valued section — each entry of
+// Wall-clock numbers without cpus/gomaxprocs are uninterpretable, so an
+// incoming record is rejected unless each object-valued section — each entry of
 // "benchmarks", and every other top-level object section — carries numeric
 // "cpus" and "gomaxprocs" fields. Records already in the log are not
 // revalidated.

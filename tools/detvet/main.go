@@ -13,14 +13,7 @@
 // free-form strings, and a bounded key set is what keeps cardinality
 // reviewable.
 //
-// A fourth rule guards the event-lane barrier windows (laneguard): a
-// function literal passed to FanOut runs concurrently on every lane and
-// must stay read-only with respect to simulation state — it may not call
-// scheduling or mutating selectors (After, At, Go, GoDaemon, Put, Trigger,
-// Create, Update, Delete, Mutate*). Cross-lane results travel only through
-// the LaneSend mailbox, which the barrier drains deterministically.
-//
-// A fifth rule keeps the metrics reference honest (-metricsdoc): every
+// A third rule keeps the metrics reference honest (-metricsdoc): every
 // kubeshare_ family registered in the scanned roots must have a row in
 // the generated docs/METRICS.md, and every static doc row must have a
 // registration site. Dynamic rows (a <placeholder> in the name) are
@@ -121,19 +114,6 @@ var bannedSelectors = map[string]map[string]string{
 		"Printf":  "simulation code must not write to stdout; return data or use obs",
 		"Println": "simulation code must not write to stdout; return data or use obs",
 	},
-}
-
-// laneBannedSelectors are method names a FanOut window closure must not
-// call: schedulers (they enqueue events — the kernel panics at runtime,
-// this rule catches it at review time) and store mutators (they would race
-// with the other lanes and bypass the deterministic mailbox drain). The
-// check is syntactic — any selector with one of these names, or a Mutate*
-// prefix, is flagged regardless of receiver type; a deliberate non-sim
-// call can carry //det:allow.
-var laneBannedSelectors = map[string]bool{
-	"After": true, "At": true, "Go": true, "GoDaemon": true,
-	"Put": true, "Trigger": true, "Create": true, "Update": true,
-	"Delete": true,
 }
 
 func main() {
@@ -280,7 +260,6 @@ func checkFile(path string) int {
 	ast.Inspect(f, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			checkMetricCall(call, report)
-			checkFanOutWindow(call, report)
 		}
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -300,37 +279,6 @@ func checkFile(path string) int {
 		return true
 	})
 	return bad
-}
-
-// checkFanOutWindow applies the laneguard rule: if this call is
-// <recv>.FanOut(func(...){...}), walk the window closure (nested function
-// literals included) and flag every banned scheduling/mutating selector.
-// LaneSend is the one sanctioned side effect.
-func checkFanOutWindow(call *ast.CallExpr, report func(token.Pos, string)) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "FanOut" || len(call.Args) == 0 {
-		return
-	}
-	fn, ok := call.Args[0].(*ast.FuncLit)
-	if !ok {
-		return
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		inner, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		is, ok := inner.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		name := is.Sel.Name
-		if laneBannedSelectors[name] || strings.HasPrefix(name, "Mutate") {
-			report(is.Sel.Pos(), fmt.Sprintf(
-				"%s inside a FanOut window: lane closures must be read-only; exchange results via LaneSend", name))
-		}
-		return true
-	})
 }
 
 // checkMetricCall enforces the metric-name hygiene rules on one call
