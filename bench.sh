@@ -42,6 +42,7 @@ GMP="${GOMAXPROCS:-$CPUS}"
 
 MICRO='BenchmarkTimerChurn|BenchmarkProcContextSwitch|BenchmarkQueueHandoff|BenchmarkManyProcs|BenchmarkSimKernel'
 LAUNCH='BenchmarkFrontendLaunchKernel'
+FANOUT='BenchmarkStoreUpdateFanout'
 FIGS='BenchmarkFig8aJobFrequency|BenchmarkFig9Utilization'
 
 run_micro() { # $1 = dir
@@ -49,6 +50,9 @@ run_micro() { # $1 = dir
   # The kernel-launch path per sharing strategy (absent from baselines that
   # predate it, which then simply record no entry).
   (cd "$1" && go test ./internal/devlib/ -run xxx -bench "$LAUNCH" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
+  # One store status write under 1/8/32 watchers: allocs/op must not depend
+  # on the width (tools/benchgate holds 8 and 32 equal to 1).
+  (cd "$1" && go test . -run xxx -bench "$FANOUT" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
 }
 run_figs() { # $1 = dir
   (cd "$1" && go test . -run xxx -bench "$FIGS" -benchtime 1x 2>/dev/null | grep '^Benchmark' || true)
@@ -165,7 +169,7 @@ allocs_of() {
   }' "$1"
 }
 
-BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFrontendLaunchKernel/token BenchmarkFrontendLaunchKernel/replica BenchmarkFrontendLaunchKernel/mps BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
+BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFrontendLaunchKernel/token BenchmarkFrontendLaunchKernel/replica BenchmarkFrontendLaunchKernel/mps BenchmarkStoreUpdateFanout/watchers=1 BenchmarkStoreUpdateFanout/watchers=8 BenchmarkStoreUpdateFanout/watchers=32 BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
 
 ON="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/on')"
 OFF="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/off')"

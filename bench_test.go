@@ -18,6 +18,8 @@ import (
 	"kubeshare/internal/devlib"
 	"kubeshare/internal/experiments"
 	"kubeshare/internal/gpusim"
+	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
 
@@ -658,6 +660,54 @@ func BenchmarkFig19Attribution(b *testing.B) {
 				}
 				b.ReportMetric(open, "open-chains")
 			}
+		})
+	}
+}
+
+// BenchmarkStoreUpdateFanout measures what one Pod status write costs the
+// store with 1, 8 and 32 live watchers on the kind (a full-stack cluster has
+// twelve). The store publishes one immutable snapshot per revision and
+// every watcher queue carries that pointer, so allocs/op must be the same
+// at every width — tools/benchgate holds 8 and 32 equal to 1. Queues are
+// drained outside the timer, and rings and history reach their steady
+// capacity before it starts, so the count is exact.
+func BenchmarkStoreUpdateFanout(b *testing.B) {
+	const drainEvery = 256
+	for _, watchers := range []int{1, 8, 32} {
+		b.Run("watchers="+strconv.Itoa(watchers), func(b *testing.B) {
+			st := store.New(sim.NewEnv())
+			st.SetHistoryCap(drainEvery)
+			var queues []*sim.Queue[store.Event]
+			for i := 0; i < watchers; i++ {
+				queues = append(queues, st.Watch("Pod/", false))
+			}
+			cur, err := st.Create(&api.Pod{
+				ObjectMeta: api.ObjectMeta{Name: "p", Labels: map[string]string{"app": "bench"}},
+				Spec:       api.PodSpec{NodeName: "node-0", Containers: []api.Container{{Name: "main", Image: "train"}}},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					if cur, err = st.UpdateStatus(cur); err != nil {
+						b.Fatal(err)
+					}
+					if (i+1)%drainEvery == 0 || i == n-1 {
+						b.StopTimer()
+						for _, q := range queues {
+							for q.Len() > 0 {
+								q.TryGet()
+							}
+						}
+						b.StartTimer()
+					}
+				}
+			}
+			run(8 * drainEvery) // warm-up
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
 		})
 	}
 }

@@ -43,7 +43,9 @@ GOMAXPROCS=4 go test -race ./internal/obs/...
 # crashes, holder kills, device faults, watch drops, apiserver
 # crash/restarts with WAL-tail corruption) must satisfy every quiescence
 # invariant — including the final warm-recovery audit after one more
-# restart at quiescence; failures print the seed to reproduce. The plain
+# restart at quiescence — and every seed carries the store's mutation canary
+# (no component may write through a shared snapshot); failures print the
+# seed to reproduce. The plain
 # `go test ./...` pass above already ran it race-free.
 GOMAXPROCS=4 go test -race ./internal/chaos/
 # Durable-store and restart-recovery suites under the race detector: WAL
@@ -57,8 +59,10 @@ GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestWat
 # parking reference model.
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
 # The sharded store under the race detector with goroutines actually running
-# concurrently: the churn-vs-filtered-watch equivalence property.
-GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex' ./internal/kube/store/
+# concurrently: the churn-vs-filtered-watch equivalence property, and
+# goroutine readers (Scan/Get/List, what serve's handlers do) holding shared
+# snapshots while a writer publishes new ones to live watchers.
+GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex|TestSharedSnapshot' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x

@@ -124,7 +124,11 @@ type SoakResult struct {
 
 // Soak runs the chaos soak and checks the recovery invariants. The run is
 // deterministic in cfg.Seed.
-func Soak(cfg SoakConfig) (SoakResult, error) {
+func Soak(cfg SoakConfig) (SoakResult, error) { return soak(cfg, nil) }
+
+// soak is Soak with a seam for the package's tests: instrument, when
+// non-nil, sees the cluster before any workload or fault proc exists.
+func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 	cfg = cfg.WithDefaults()
 	env := sim.NewEnv()
 	kcfg := kube.Config{}
@@ -139,6 +143,9 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		return SoakResult{}, err
 	}
 	workload.RegisterImages(c)
+	if instrument != nil {
+		instrument(c)
+	}
 	// Durability goes on before any consumer starts, so the enable-time
 	// checkpoint covers the empty store and every later mutation is logged.
 	if cfg.Faults.APIRestartMean > 0 {

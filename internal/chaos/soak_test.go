@@ -3,16 +3,23 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"kubeshare/internal/kube"
+	"kubeshare/internal/kube/store/storetest"
 )
 
 // requireClean runs one soak and fails with the seed printed so a breakage
-// reproduces from the log line alone.
+// reproduces from the log line alone. Every run carries the store's mutation
+// canary: through crashes, relists and requeues no component may write
+// through a shared snapshot.
 func requireClean(t *testing.T, cfg SoakConfig) SoakResult {
 	t.Helper()
-	res, err := Soak(cfg)
+	var canary *storetest.Canary
+	res, err := soak(cfg, func(c *kube.Cluster) { canary = storetest.Install(t, c.API.Store()) })
 	if err != nil {
 		t.Fatalf("seed %d: soak: %v", cfg.Seed, err)
 	}
+	canary.Check() // now, so a report lands beside its seed below
 	for _, v := range res.Violations {
 		t.Errorf("seed %d: invariant violated: %v", cfg.Seed, v)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kubeshare/internal/kube"
+	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
 
@@ -20,6 +21,7 @@ func extStack(t *testing.T, gpus int) (*sim.Env, *kube.Cluster, *schedfw.Extende
 	if err != nil {
 		t.Fatal(err)
 	}
+	storetest.Install(t, c.API.Store())
 	_, ext, err := schedfw.InstallExtender(c, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/runtime"
+	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
 
@@ -29,6 +30,9 @@ func newStack(t *testing.T, nodes int, cfg Config) *testStack {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every test on this stack ends with the store's mutation canary: no
+	// component may have written through a shared snapshot.
+	storetest.Install(t, c.API.Store())
 	ks, err := schedfw.Install(c, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"kubeshare/internal/core/schedfw"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
 )
@@ -31,6 +32,9 @@ func newStack(t *testing.T, nodes int, gpus int, install func(*kube.Cluster) (*c
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The store's mutation canary rides every full-stack test: scheduler,
+	// DevMgr, kubelets and controllers all read shared snapshots.
+	storetest.Install(t, c.API.Store())
 	ks, err := install(c)
 	if err != nil {
 		t.Fatal(err)

@@ -125,12 +125,22 @@ type SharingResult struct {
 
 // RunSharing executes a full workload run under the chosen system and
 // returns its throughput and utilization profile.
-func RunSharing(cfg SharingConfig) (SharingResult, error) {
+func RunSharing(cfg SharingConfig) (SharingResult, error) { return runSharing(cfg, nil) }
+
+// runSharing is RunSharing with a seam for the package's tests: instrument,
+// when non-nil, sees the cluster before anything is installed on it.
+func runSharing(cfg SharingConfig, instrument func(*kube.Cluster)) (SharingResult, error) {
 	env := sim.NewEnv()
 	c, err := newClusterObs(env, cfg.Nodes, cfg.GPUsPerNode, cfg.DisableObs)
 	if err != nil {
 		return SharingResult{}, err
 	}
+	if instrument != nil {
+		instrument(c)
+	}
+	// The first error inside a proc stops the submitter and the samplers;
+	// what is already running drains and the run reports the error.
+	var runErr error
 	if cfg.Attribution {
 		// Exemplars go on before any observation, so the max-latency trace
 		// keys cover the whole run.
@@ -142,8 +152,8 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 		c.API.EnableDurability(apiserver.DurabilityConfig{})
 		env.Go("apiserver-restarter", func(p *sim.Proc) {
 			p.Sleep(cfg.RestartAPIServerAt)
-			if _, err := c.API.Restart(); err != nil {
-				panic(fmt.Sprintf("experiments: apiserver restart: %v", err))
+			if _, err := c.API.Restart(); err != nil && runErr == nil {
+				runErr = fmt.Errorf("experiments: apiserver restart: %w", err)
 			}
 		})
 	}
@@ -164,6 +174,9 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 			if wait := j.Arrival - env.Now(); wait > 0 {
 				p.Sleep(wait)
 			}
+			if runErr != nil {
+				return
+			}
 			var err error
 			if cfg.System == Kubernetes {
 				_, err = c.Pods().Create(workload.NativePodFor(j))
@@ -171,24 +184,23 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 				_, err = core.SharePods(c.API).Create(workload.SharePodFor(j))
 			}
 			if err != nil {
-				panic(fmt.Sprintf("experiments: submit %s: %v", j.Name, err))
+				runErr = fmt.Errorf("experiments: submit %s: %w", j.Name, err)
+				return
 			}
 		}
 	})
 
 	res := SharingResult{}
+	total := len(cfg.Jobs)
+	finished := func() bool { return runErr != nil || terminatedCount(c, cfg.System) >= total }
 	if cfg.Telemetry > 0 {
-		total := len(cfg.Jobs)
-		res.Telemetry = attachTelemetry(env, c, cfg.Telemetry, func() bool {
-			return terminatedCount(c, cfg.System) >= total
-		})
+		res.Telemetry = attachTelemetry(env, c, cfg.Telemetry, finished)
 	}
 	if cfg.Sample > 0 {
 		res.Util = &metrics.Series{Name: "util"}
 		res.ActiveGPUs = &metrics.Series{Name: "active"}
 		gpus := c.AllGPUs()
 		prev := make([]time.Duration, len(gpus))
-		total := len(cfg.Jobs)
 		env.Go("cluster-sampler", func(p *sim.Proc) {
 			for {
 				p.Sleep(cfg.Sample)
@@ -202,13 +214,16 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 				res.ActiveGPUs.Add(env.Now(), float64(allocatedGPUs(c, cfg.System)))
 				// Self-terminate once the whole workload has finished, so
 				// the periodic wakeups do not keep the simulation alive.
-				if terminatedCount(c, cfg.System) >= total {
+				if finished() {
 					return
 				}
 			}
 		})
 	}
 	env.Run()
+	if runErr != nil {
+		return SharingResult{}, runErr
+	}
 
 	// Collect outcomes.
 	var last time.Duration

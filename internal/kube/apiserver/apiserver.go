@@ -9,6 +9,12 @@
 // spec write and vice versa. Lists and watches can be narrowed server-side
 // by label selector (ListSelector, WatchFiltered), answered from the
 // store's indexes.
+//
+// Ownership follows the store's one rule (see package store): what a write
+// returns and what Get, List and ListSelector return are private copies the
+// caller may change — Mutate hands one to its closure; watch events,
+// reflector events and Scan/ScanSelector callbacks carry the shared
+// read-only snapshot of a revision — DeepCopyObject before mutating.
 package apiserver
 
 import (
@@ -84,6 +90,10 @@ func NewWithObs(env *sim.Env, rt *obs.Runtime) *Server {
 
 // Env returns the simulation environment.
 func (s *Server) Env() *sim.Env { return s.env }
+
+// Store returns the backing store, for instrumentation that must not count
+// as API traffic (storetest's canary); components go through the server.
+func (s *Server) Store() *store.Store { return s.store }
 
 // Obs returns the telemetry runtime the server was built with (nil when
 // observability is off). Components constructed around the server pull
@@ -178,11 +188,18 @@ func (s *Server) Count(kind string) int {
 	return s.store.Count(kind)
 }
 
-// Scan iterates a kind's objects in name order without copying; see
-// store.Scan for the read-only contract fn must honor.
+// Scan iterates a kind's objects in name order without copying: fn sees the
+// shared read-only snapshots (see store.Scan) and must DeepCopyObject
+// before mutating one.
 func (s *Server) Scan(kind string, fn func(api.Object) bool) {
+	s.ScanSelector(kind, nil, fn)
+}
+
+// ScanSelector is Scan narrowed by label selector, answered from the
+// store's label index. One read request, like ListSelector.
+func (s *Server) ScanSelector(kind string, sel labels.Selector, fn func(api.Object) bool) {
 	s.reqReads.Inc()
-	s.store.Scan(kind, fn)
+	s.store.ScanSelector(kind, sel, fn)
 }
 
 // Watch subscribes to a kind (list+watch when replay is true).
@@ -306,11 +323,10 @@ func (c Client[T]) ListSelector(sel labels.Selector) []T {
 func (c Client[T]) Count() int { return c.s.Count(c.kind) }
 
 // Scan calls fn on each stored object in name order without deep-copying,
-// stopping early when fn returns false. The objects are the store's live
-// instances: fn must treat them as strictly read-only and must not retain
-// them. Use for aggregate reads (counters, samplers) where List's per-object
-// clone would dominate; anything that mutates or keeps the object must use
-// List/Get.
+// stopping early when fn returns false. fn sees the shared read-only
+// snapshot of each object — DeepCopyObject before mutating. Use for
+// aggregate reads (counters, samplers) where List's per-object clone would
+// dominate; anything that changes the object must use List/Get.
 func (c Client[T]) Scan(fn func(T) bool) {
 	c.s.Scan(c.kind, func(o api.Object) bool { return fn(o.(T)) })
 }

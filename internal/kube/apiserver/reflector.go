@@ -19,6 +19,10 @@ import (
 // survivors, Deleted for vanished ones — so consumer caches built purely
 // from events stay correct across arbitrarily long disconnects.
 //
+// Every event — live, resumed or synthesized — carries the store's shared
+// read-only snapshot of that revision, and the reflector's own cache holds
+// the same pointers: DeepCopyObject before mutating.
+//
 // Consumers call Get in a loop exactly as with sim.Queue: it returns
 // (event, true), parking the proc while the stream is idle, and
 // (zero, false) only after Stop.
@@ -31,7 +35,7 @@ type Reflector struct {
 	q       *sim.Queue[store.Event]
 	lastRV  int64
 	epoch   int64                 // server restart epoch at last (re)subscribe
-	known   map[string]api.Object // last state delivered per name
+	known   map[string]api.Object // last snapshot delivered per name (shared)
 	backlog []store.Event         // synthesized relist events awaiting delivery
 	stopped bool
 
@@ -141,17 +145,14 @@ func (r *Reflector) relist() {
 	r.q = r.srv.WatchFiltered(r.kind, WatchOptions{Name: r.opts.Name, Selector: r.opts.Selector})
 	r.lastRV = r.srv.Revision()
 	cur := make(map[string]api.Object)
-	for _, obj := range r.srv.ListSelector(r.kind, r.opts.Selector) {
-		if r.opts.Name != "" && obj.GetMeta().Name != r.opts.Name {
-			continue
+	var upserts []string // name order, as the scan yields them
+	r.srv.ScanSelector(r.kind, r.opts.Selector, func(obj api.Object) bool {
+		if name := obj.GetMeta().Name; r.opts.Name == "" || name == r.opts.Name {
+			cur[name] = obj
+			upserts = append(upserts, name)
 		}
-		cur[obj.GetMeta().Name] = obj
-	}
-	upserts := make([]string, 0, len(cur))
-	for name := range cur {
-		upserts = append(upserts, name)
-	}
-	sort.Strings(upserts)
+		return true
+	})
 	var gone []string
 	for name := range r.known {
 		if _, ok := cur[name]; !ok {
@@ -167,8 +168,8 @@ func (r *Reflector) relist() {
 		r.backlog = append(r.backlog, store.Event{Type: typ, Object: cur[name], Rev: cur[name].GetMeta().ResourceVersion})
 	}
 	for _, name := range gone {
-		// The consumer owns the copy it was delivered; hand it a fresh one.
-		r.backlog = append(r.backlog, store.Event{Type: store.Deleted, Object: r.known[name].DeepCopyObject(), Rev: r.lastRV})
+		// The last snapshot the consumer saw, shared like any other.
+		r.backlog = append(r.backlog, store.Event{Type: store.Deleted, Object: r.known[name], Rev: r.lastRV})
 	}
 }
 

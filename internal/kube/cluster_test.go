@@ -7,6 +7,7 @@ import (
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/runtime"
+	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
 
@@ -16,6 +17,19 @@ func sleepImage(c *Cluster, name string, d time.Duration) {
 		ctx.Proc.Sleep(d)
 		return nil
 	})
+}
+
+// newTestCluster builds a cluster with the store's mutation canary on: at
+// the end of the test every snapshot the store published must still equal
+// the copy taken at publication, whichever component received it.
+func newTestCluster(t *testing.T, env *sim.Env, cfg Config) *Cluster {
+	t.Helper()
+	c, err := NewCluster(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storetest.Install(t, c.API.Store())
+	return c
 }
 
 func simplePod(name, image string, req api.ResourceList) *api.Pod {
@@ -29,10 +43,7 @@ func simplePod(name, image string, req api.ResourceList) *api.Pod {
 
 func TestPodLifecycleEndToEnd(t *testing.T) {
 	env := sim.NewEnv()
-	c, err := NewCluster(env, DefaultConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, env, DefaultConfig(1))
 	sleepImage(c, "work", 2*time.Second)
 	var final *api.Pod
 	env.Go("test", func(p *sim.Proc) {
@@ -68,7 +79,7 @@ func TestPodLifecycleEndToEnd(t *testing.T) {
 
 func TestGPUPodGetsVisibleDevices(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1))
 	var visible string
 	var hadCUDA bool
 	c.Images.Register("gpu-app", func(ctx *runtime.Ctx) error {
@@ -101,7 +112,7 @@ func TestGPUPodGetsVisibleDevices(t *testing.T) {
 
 func TestSchedulerRespectsGPUCounts(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(1)) // 4 GPUs
+	c := newTestCluster(t, env, DefaultConfig(1)) // 4 GPUs
 	sleepImage(c, "hog", time.Hour)
 	env.Go("test", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -125,7 +136,7 @@ func TestSchedulerRespectsGPUCounts(t *testing.T) {
 
 func TestPendingPodScheduledAfterRelease(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1))
 	sleepImage(c, "short", 5*time.Second)
 	env.Go("test", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -147,7 +158,7 @@ func TestNodeSelectorRespected(t *testing.T) {
 		{Name: "cpu-node", GPUs: 0},
 		{Name: "gpu-node", GPUs: 2, Labels: map[string]string{"accel": "v100"}},
 	}}
-	c, _ := NewCluster(env, cfg)
+	c := newTestCluster(t, env, cfg)
 	sleepImage(c, "w", time.Second)
 	pod := simplePod("sel", "w", api.ResourceList{api.ResourceCPU: 100})
 	pod.Spec.NodeSelector = map[string]string{"accel": "v100"}
@@ -167,7 +178,7 @@ func TestNodeSelectorRespected(t *testing.T) {
 
 func TestPodSpreadAcrossNodesLeastAllocated(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(2))
+	c := newTestCluster(t, env, DefaultConfig(2))
 	sleepImage(c, "w", time.Hour)
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("a", "w", api.ResourceList{api.ResourceCPU: 18000}))
@@ -184,7 +195,7 @@ func TestPodSpreadAcrossNodesLeastAllocated(t *testing.T) {
 
 func TestFailedContainerMarksPodFailed(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1))
 	c.Images.Register("crash", func(ctx *runtime.Ctx) error {
 		ctx.Proc.Sleep(time.Second)
 		return errors.New("segfault")
@@ -205,7 +216,7 @@ func TestFailedContainerMarksPodFailed(t *testing.T) {
 
 func TestUnknownImageFailsPod(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1))
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("noimg", "ghost-image", nil))
 		pod, _ := c.WaitPodPhase(p, "noimg", api.PodFailed)
@@ -218,7 +229,7 @@ func TestUnknownImageFailsPod(t *testing.T) {
 
 func TestDeletePodStopsContainersAndFreesGPU(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1))
 	started := false
 	c.Images.Register("forever", func(ctx *runtime.Ctx) error {
 		started = true
@@ -256,7 +267,7 @@ func TestDeletePodStopsContainersAndFreesGPU(t *testing.T) {
 
 func TestReplicationControllerMaintainsReplicas(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(2))
+	c := newTestCluster(t, env, DefaultConfig(2))
 	sleepImage(c, "svc", time.Hour)
 	rc := &api.ReplicationController{
 		ObjectMeta:     api.ObjectMeta{Name: "web"},
@@ -304,7 +315,7 @@ func TestReplicationControllerMaintainsReplicas(t *testing.T) {
 
 func TestConcurrentPodCreationAllScheduled(t *testing.T) {
 	env := sim.NewEnv()
-	c, _ := NewCluster(env, DefaultConfig(4))
+	c := newTestCluster(t, env, DefaultConfig(4))
 	sleepImage(c, "w", 10*time.Second)
 	const n = 16
 	env.Go("test", func(p *sim.Proc) {

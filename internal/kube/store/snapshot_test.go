@@ -1,0 +1,173 @@
+package store_test
+
+import (
+	"reflect"
+	"testing"
+
+	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/kube/store"
+	"kubeshare/internal/sim"
+)
+
+// next pops the one event a queue must hold.
+func next(t *testing.T, what string, q *sim.Queue[store.Event]) store.Event {
+	t.Helper()
+	ev, ok := q.TryGet()
+	if !ok {
+		t.Fatalf("%s: no event", what)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("%s: %d extra events", what, q.Len())
+	}
+	return ev
+}
+
+// TestWatchSharesOneSnapshot pins the ownership rule: every path that
+// delivers a revision delivers the same pointer, a later write publishes a
+// different object and leaves the earlier one alone, and the calls that
+// hand out owned copies hand out copies.
+func TestWatchSharesOneSnapshot(t *testing.T) {
+	env := sim.NewEnv()
+	srv := apiserver.New(env)
+	st := srv.Store()
+	kindA := st.Watch("Pod/", false)
+	kindB := st.WatchFiltered("Pod/", store.WatchOptions{Name: "a"}, false)
+	generic := st.Watch("", false)
+	refl := srv.NewReflector("Pod", apiserver.WatchOptions{})
+	rev0 := st.Revision()
+
+	created, err := st.Create(&api.Pod{
+		ObjectMeta: api.ObjectMeta{Name: "a", Labels: map[string]string{"app": "x"}},
+		Spec:       api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := next(t, "kind watcher", kindA)
+	snap1 := first.Object
+	if first.Type != store.Added || first.Rev != snap1.GetMeta().ResourceVersion {
+		t.Fatalf("first event = %+v", first)
+	}
+	same := func(what string, snap api.Object, got api.Object) {
+		t.Helper()
+		if got != snap {
+			t.Errorf("%s delivered a different object than the first watcher", what)
+		}
+	}
+	same("name-filtered kind watcher", snap1, next(t, "name-filtered", kindB).Object)
+	same("generic-prefix watcher", snap1, next(t, "generic", generic).Object)
+	resumed, err := st.WatchFilteredFrom("Pod/", store.WatchOptions{}, rev0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("history resume", snap1, next(t, "resume", resumed).Object)
+	same("kind replay", snap1, next(t, "replay", st.Watch("Pod/", true)).Object)
+	same("generic replay", snap1, next(t, "generic replay", st.Watch("", true)).Object)
+	st.Scan("Pod", func(o api.Object) bool { same("Scan", snap1, o); return true })
+
+	// Owned copies: distinct objects, and writing through them reaches
+	// nobody.
+	want1 := snap1.DeepCopyObject()
+	got, err := st.Get("Pod", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, own := range map[string]api.Object{
+		"Create's return value": created,
+		"Get":                   got,
+		"List":                  st.List("Pod/")[0],
+		"ListSelector":          st.ListSelector("Pod", nil)[0],
+	} {
+		if own == snap1 {
+			t.Errorf("%s returned the shared snapshot", what)
+		}
+		p := own.(*api.Pod)
+		p.Status.Phase = api.PodFailed
+		p.Labels["app"] = "mutated"
+		p.Spec.Containers[0].Image = "mutated"
+	}
+	if !reflect.DeepEqual(snap1, want1) {
+		t.Fatalf("mutating owned copies changed the shared snapshot: %+v", snap1)
+	}
+
+	// A later write publishes a different object; the earlier snapshot keeps
+	// its revision and its status.
+	upd := want1.DeepCopyObject().(*api.Pod)
+	upd.Status.Phase = api.PodRunning
+	returned, err := st.UpdateStatus(upd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap2 := next(t, "kind watcher, rev 2", kindA).Object
+	if snap2 == snap1 || snap2 == api.Object(upd) || snap2 == returned {
+		t.Fatal("UpdateStatus did not publish a fresh object")
+	}
+	if snap2.(*api.Pod).Status.Phase != api.PodRunning || snap2.GetMeta().ResourceVersion <= snap1.GetMeta().ResourceVersion {
+		t.Fatalf("second snapshot = %+v", snap2)
+	}
+	same("name-filtered kind watcher, rev 2", snap2, next(t, "name-filtered", kindB).Object)
+	same("generic-prefix watcher, rev 2", snap2, next(t, "generic", generic).Object)
+	same("history resume, rev 2", snap2, next(t, "resume", resumed).Object)
+	if !reflect.DeepEqual(snap1, want1) {
+		t.Fatalf("a later write touched the earlier snapshot: %+v", snap1)
+	}
+	upd.Status.Phase = api.PodFailed // the caller's argument is not aliased either
+	returned.(*api.Pod).Status.Phase = api.PodFailed
+	if snap2.(*api.Pod).Status.Phase != api.PodRunning {
+		t.Fatal("the published snapshot aliases the caller's argument or the returned copy")
+	}
+
+	// The reflector: live events, a relist after a compacted gap, and the
+	// Deleted it synthesizes for a vanished object all carry the shared
+	// snapshots.
+	var viaReflector []store.Event
+	env.Go("consumer", func(p *sim.Proc) {
+		for len(viaReflector) < 4 {
+			ev, ok := refl.Get(p)
+			if !ok {
+				return
+			}
+			viaReflector = append(viaReflector, ev)
+			switch len(viaReflector) {
+			case 2:
+				// Sever the stream, write into the gap with history off:
+				// the next Get cannot resume and relists.
+				refl.Drop()
+				srv.SetWatchHistoryCap(0)
+				again := snap2.DeepCopyObject().(*api.Pod)
+				again.Status.Phase = api.PodSucceeded
+				if _, err := st.UpdateStatus(again); err != nil {
+					t.Error(err)
+				}
+			case 3:
+				refl.Drop()
+				if err := st.Delete("Pod", "a"); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		refl.Stop()
+	})
+	env.Run()
+	if len(viaReflector) != 4 {
+		t.Fatalf("reflector delivered %d events, want 4", len(viaReflector))
+	}
+	if _, relists := refl.Stats(); relists != 2 {
+		t.Fatalf("relists = %d, want 2", relists)
+	}
+	third, _ := kindA.TryGet()
+	snap3 := third.Object
+	if third.Type != store.Modified || snap3 == snap2 {
+		t.Fatalf("third event = %+v", third)
+	}
+	// Delete publishes no new object: it delivers the last snapshot.
+	same("the store's Deleted event", snap3, next(t, "kind watcher, delete", kindA).Object)
+	same("reflector, live rev 1", snap1, viaReflector[0].Object)
+	same("reflector, live rev 2", snap2, viaReflector[1].Object)
+	same("reflector relist", snap3, viaReflector[2].Object)
+	if viaReflector[3].Type != store.Deleted {
+		t.Fatalf("last reflector event = %+v", viaReflector[3])
+	}
+	same("reflector's synthesized Deleted", snap3, viaReflector[3].Object)
+}

@@ -28,6 +28,25 @@
 // virtual clock must not advance while mutators run off the simulation
 // goroutine (Create reads env.Now), and generic-prefix watch registration
 // is simulation-goroutine-only.
+//
+// # Ownership
+//
+// The object committed at a revision is immutable from the moment it is
+// published, and there is exactly one of it. That one snapshot is what the
+// bucket holds, what the history keeps, what every watcher queue (live,
+// replayed or resumed) delivers as Event.Object, and what Scan and
+// ScanSelector hand to their callbacks; a later write to the same key
+// publishes a new object and never touches the old one. A write therefore
+// costs the same however many subscribers watch, readers may keep a
+// snapshot for as long as they like (it stays a faithful record of its
+// revision), and goroutine readers need no lock once they hold one.
+//
+// Copies are made only where a caller takes ownership in order to mutate:
+// Create, Update and UpdateStatus copy their argument on the way in (the
+// store never aliases a caller's object) and return a private copy of what
+// they stored, and Get, List and ListSelector return private copies — the
+// read half of a read-modify-write. Everything else is shared and
+// read-only: DeepCopyObject before changing a field.
 package store
 
 import (
@@ -77,11 +96,13 @@ const (
 	Deleted  EventType = "DELETED"
 )
 
-// Event is one watch notification. Object is a deep copy owned by the
-// receiver; for Deleted events it is the last stored state. Rev is the
-// store-wide revision the mutation committed at — for Added/Modified it
-// equals the object's ResourceVersion; for Deleted it is the revision the
-// deletion consumed (the object copy keeps its pre-delete version).
+// Event is one watch notification. Object is the shared read-only snapshot
+// committed at that revision — the same pointer reaches every subscriber,
+// the history and the bucket, so DeepCopyObject before mutating; for Deleted
+// events it is the last published state. Rev is the store-wide revision the
+// mutation committed at — for Added/Modified it equals the object's
+// ResourceVersion; for Deleted it is the revision the deletion consumed (the
+// snapshot keeps its pre-delete version).
 type Event struct {
 	Type   EventType
 	Object api.Object
@@ -121,7 +142,7 @@ type watcher struct {
 
 // bucket holds one kind's objects plus its indexes.
 type bucket struct {
-	objs map[string]api.Object // name → stored object
+	objs map[string]api.Object // name → published snapshot (immutable)
 	// sorted caches the names in order; rebuilt lazily after create/delete.
 	// dirty is atomic and the rebuild is guarded by sortMu so concurrent
 	// readers (shard RLock holders) can race to rebuild safely: writers only
@@ -217,7 +238,7 @@ type Store struct {
 	// histMu guards the bounded mutation log backing resumable watches.
 	// Live entries are history[histHead:]; the head advances instead of
 	// shifting, with an amortized compaction once the dead prefix
-	// dominates. Entries own their Object copies.
+	// dominates. Entries carry the published snapshots themselves.
 	histMu     sync.Mutex
 	history    []Event
 	histHead   int
@@ -233,6 +254,10 @@ type Store struct {
 	epoch        atomic.Int64
 	onWALAppend  func(records int)
 	onCheckpoint func(bytes int)
+
+	// onPublish observes every published event (see OnPublish); nil outside
+	// instrumented tests.
+	onPublish func(Event)
 }
 
 // New returns an empty store.
@@ -243,6 +268,16 @@ func New(env *sim.Env) *Store {
 	}
 	return s
 }
+
+// OnPublish registers fn to observe every event the store publishes. fn runs
+// synchronously inside the write, under the kind's shard lock, before any
+// watcher queue receives the event — so it sees each snapshot before any
+// consumer can, which no queue subscriber does — and it adds no proc and no
+// wake-up to the simulation. It exists for storetest's mutation canary; fn
+// gets the shared snapshot like everyone else and must not read or write
+// the store (the lock-free Epoch and Revision are fine). Register before
+// mutators run.
+func (s *Store) OnPublish(fn func(Event)) { s.onPublish = fn }
 
 // shardIndex stripes a kind across shards by FNV-1a hash.
 func shardIndex(kind string) int {
@@ -280,9 +315,9 @@ func (s *Store) SetHistoryCap(n int) {
 	s.trimHistory()
 }
 
-// record appends a mutation to the history, taking ownership of ev.Object.
-// Callers hold the mutating shard's lock, so per-kind history order is
-// commit order even when shards append concurrently.
+// record appends a mutation to the history. Callers hold the mutating
+// shard's lock, so per-kind history order is commit order even when shards
+// append concurrently.
 func (s *Store) record(ev Event) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
@@ -341,8 +376,8 @@ func (s *Store) kindNames() []string {
 	return out
 }
 
-// Create inserts obj, assigning UID, CreationTime and ResourceVersion. The
-// stored copy is returned.
+// Create inserts a copy of obj, assigning UID, CreationTime and
+// ResourceVersion, and returns a private copy of what was stored.
 func (s *Store) Create(obj api.Object) (api.Object, error) {
 	kind := obj.Kind()
 	name := obj.GetMeta().Name
@@ -363,21 +398,22 @@ func (s *Store) Create(obj api.Object) (api.Object, error) {
 	b.objs[name] = stored
 	b.dirty.Store(true)
 	b.indexLabels(name, meta.Labels)
-	s.notify(b, Event{Added, stored.DeepCopyObject(), rv})
+	s.notify(b, Event{Added, stored, rv})
 	return stored.DeepCopyObject(), nil
 }
 
-// Update replaces the stored object. The caller's copy must carry the
-// ResourceVersion it read; a stale version yields ErrConflict. UID and
-// CreationTime are preserved from the stored object. For kinds with a
-// status subresource (api.StatusCarrier) the stored status is preserved
-// too — status writes go through UpdateStatus.
+// Update publishes a new revision built from a copy of obj and returns a
+// private copy of it. The caller's copy must carry the ResourceVersion it
+// read; a stale version yields ErrConflict. UID and CreationTime are
+// preserved from the stored object. For kinds with a status subresource
+// (api.StatusCarrier) the stored status is preserved too — status writes go
+// through UpdateStatus.
 func (s *Store) Update(obj api.Object) (api.Object, error) {
 	return s.update(obj, false)
 }
 
-// UpdateStatus replaces only the stored object's status, preserving spec
-// and metadata (labels, annotations, owner) from the stored copy — the
+// UpdateStatus publishes a new revision carrying obj's status over the
+// stored spec and metadata (labels, annotations, owner) — the
 // status-subresource write. Objects that do not implement
 // api.StatusCarrier fall back to a whole-object Update.
 func (s *Store) UpdateStatus(obj api.Object) (api.Object, error) {
@@ -423,7 +459,7 @@ func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 	b.unindexLabels(name, curMeta.Labels)
 	b.objs[name] = stored
 	b.indexLabels(name, meta.Labels)
-	s.notify(b, Event{Modified, stored.DeepCopyObject(), rv})
+	s.notify(b, Event{Modified, stored, rv})
 	return stored.DeepCopyObject(), nil
 }
 
@@ -442,7 +478,7 @@ func (s *Store) Delete(kind, name string) error {
 	b.unindexLabels(name, cur.GetMeta().Labels)
 	rv := s.rev.Add(1)
 	sh.rev = rv
-	s.notify(b, Event{Deleted, cur.DeepCopyObject(), rv})
+	s.notify(b, Event{Deleted, cur, rv})
 	return nil
 }
 
@@ -477,20 +513,26 @@ func (s *Store) Count(kind string) int {
 	return 0
 }
 
-// List returns deep copies of all objects whose key has the given prefix
-// (typically "<Kind>/"), sorted by key for determinism. A "<Kind>/..."
-// prefix is answered from the kind's index in O(matching), holding only
-// that kind's shard lock. Generic prefixes visit shards one at a time, so
-// under concurrent mutation the result is per-kind consistent, not a global
-// snapshot.
+// List returns private deep copies of all objects whose key has the given
+// prefix (typically "<Kind>/"), sorted by key for determinism. A
+// "<Kind>/..." prefix is answered from the kind's index in O(matching),
+// holding only that kind's shard lock. Generic prefixes visit shards one at a
+// time, so under concurrent mutation the result is per-kind consistent, not a
+// global snapshot.
 func (s *Store) List(prefix string) []api.Object {
+	return cloneAll(s.snapshots(prefix))
+}
+
+// snapshots is List without the copies: the shared snapshots under prefix,
+// in key order.
+func (s *Store) snapshots(prefix string) []api.Object {
 	if kind, namePrefix, ok := splitPrefix(prefix); ok {
 		b, rel := s.lookup(kind)
 		defer rel()
 		if b == nil {
 			return nil
 		}
-		return b.list(namePrefix)
+		return b.snapshots(namePrefix)
 	}
 	// Generic prefix ("" or a partial kind name): walk matching kinds in
 	// key order.
@@ -501,16 +543,26 @@ func (s *Store) List(prefix string) []api.Object {
 		}
 		b, rel := s.lookup(kind)
 		if b != nil {
-			out = append(out, b.list("")...)
+			out = append(out, b.snapshots("")...)
 		}
 		rel()
 	}
 	return out
 }
 
-// list returns deep copies of the bucket's objects whose name starts with
+// cloneAll replaces each snapshot in objs with a private deep copy, in
+// place, and returns objs — the one step between a shared read and an owned
+// one.
+func cloneAll(objs []api.Object) []api.Object {
+	for i, o := range objs {
+		objs[i] = o.DeepCopyObject()
+	}
+	return objs
+}
+
+// snapshots returns the bucket's shared snapshots whose name starts with
 // namePrefix, in name order.
-func (b *bucket) list(namePrefix string) []api.Object {
+func (b *bucket) snapshots(namePrefix string) []api.Object {
 	names := b.names()
 	lo := sort.SearchStrings(names, namePrefix)
 	var out []api.Object
@@ -518,47 +570,66 @@ func (b *bucket) list(namePrefix string) []api.Object {
 		if !strings.HasPrefix(n, namePrefix) {
 			break
 		}
-		out = append(out, b.objs[n].DeepCopyObject())
+		out = append(out, b.objs[n])
 	}
 	return out
 }
 
 // Scan calls fn on each of kind's objects in name order without copying,
-// stopping early when fn returns false. The objects are the store's live
-// instances: fn must treat them as read-only and must not retain them after
-// returning — mutations or retained references would corrupt the store's
-// copy-on-write discipline. Intended for samplers and aggregate metrics that
-// would otherwise deep-copy the world once per tick. Scan holds only the
-// kind's shard read lock, so scans of disjoint kinds run concurrently.
+// stopping early when fn returns false. The objects are the shared
+// read-only snapshots (see the package comment's Ownership section): fn may
+// keep them — each stays a faithful record of its revision — but must never
+// mutate one; DeepCopyObject first, or use Get/List, to change a field.
+// Intended for samplers, aggregate metrics and relists that would otherwise
+// deep-copy the world once per pass. Scan holds only the kind's shard read
+// lock, so scans of disjoint kinds run concurrently.
 func (s *Store) Scan(kind string, fn func(api.Object) bool) {
+	s.ScanSelector(kind, nil, fn)
+}
+
+// ScanSelector is Scan narrowed to the objects whose labels match sel (nil
+// or empty matches all), answered from the label posting index like
+// ListSelector. Same contract: shared read-only snapshots, name order.
+func (s *Store) ScanSelector(kind string, sel labels.Selector, fn func(api.Object) bool) {
 	b, rel := s.lookup(kind)
 	defer rel()
 	if b == nil {
 		return
 	}
-	for _, n := range b.names() {
-		if !fn(b.objs[n]) {
+	if sel == nil || sel.Empty() {
+		// Samplers scan every tick: walk the index, build no slice.
+		for _, n := range b.names() {
+			if !fn(b.objs[n]) {
+				return
+			}
+		}
+		return
+	}
+	for _, obj := range b.selectSnapshots(sel) {
+		if !fn(obj) {
 			return
 		}
 	}
 }
 
-// ListSelector returns deep copies of the kind's objects whose labels match
-// sel, sorted by name. Equality and existence requirements are answered
-// from the label posting index; the smallest posting set drives the scan.
+// ListSelector returns private deep copies of the kind's objects whose
+// labels match sel, sorted by name. Equality and existence requirements are
+// answered from the label posting index; the smallest posting set drives the
+// scan.
 func (s *Store) ListSelector(kind string, sel labels.Selector) []api.Object {
 	b, rel := s.lookup(kind)
 	defer rel()
 	if b == nil {
 		return nil
 	}
-	return b.listSelector(sel)
+	return cloneAll(b.selectSnapshots(sel))
 }
 
-// listSelector is ListSelector on a held bucket.
-func (b *bucket) listSelector(sel labels.Selector) []api.Object {
+// selectSnapshots returns the held bucket's shared snapshots matching sel,
+// in name order.
+func (b *bucket) selectSnapshots(sel labels.Selector) []api.Object {
 	if sel == nil || sel.Empty() {
-		return b.list("")
+		return b.snapshots("")
 	}
 	candidates := b.candidateNames(sel)
 	if candidates == nil {
@@ -566,7 +637,7 @@ func (b *bucket) listSelector(sel labels.Selector) []api.Object {
 		var out []api.Object
 		for _, n := range b.names() {
 			if sel.Matches(b.objs[n].GetMeta().Labels) {
-				out = append(out, b.objs[n].DeepCopyObject())
+				out = append(out, b.objs[n])
 			}
 		}
 		return out
@@ -576,7 +647,7 @@ func (b *bucket) listSelector(sel labels.Selector) []api.Object {
 	for _, n := range candidates {
 		obj, ok := b.objs[n]
 		if ok && sel.Matches(obj.GetMeta().Labels) {
-			out = append(out, obj.DeepCopyObject())
+			out = append(out, obj)
 		}
 	}
 	return out
@@ -710,7 +781,7 @@ func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int6
 		if !strings.HasPrefix(api.Key(ev.Object), prefix) || !opts.matches(meta.Name, meta.Labels) {
 			continue
 		}
-		w.queue.Put(Event{ev.Type, ev.Object.DeepCopyObject(), ev.Rev})
+		w.queue.Put(ev)
 	}
 	s.histMu.Unlock()
 	if kindScoped {
@@ -724,29 +795,25 @@ func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int6
 	return w.queue, nil
 }
 
-// replayBucket lists the objects a kind-scoped filtered watch replays from
+// replayBucket lists the snapshots a kind-scoped filtered watch replays from
 // a held bucket, using the indexes where possible.
 func replayBucket(b *bucket, opts WatchOptions) []api.Object {
 	if opts.Name != "" {
 		// Exact-name watch: at most one object.
 		if obj, ok := b.objs[opts.Name]; ok {
-			meta := obj.GetMeta()
-			if opts.Selector == nil || opts.Selector.Matches(meta.Labels) {
-				return []api.Object{obj.DeepCopyObject()}
+			if opts.Selector == nil || opts.Selector.Matches(obj.GetMeta().Labels) {
+				return []api.Object{obj}
 			}
 		}
 		return nil
 	}
-	if opts.Selector != nil {
-		return b.listSelector(opts.Selector)
-	}
-	return b.list("")
+	return b.selectSnapshots(opts.Selector)
 }
 
-// replaySet lists the objects a generic-prefix filtered watch replays.
+// replaySet lists the snapshots a generic-prefix filtered watch replays.
 func (s *Store) replaySet(prefix string, opts WatchOptions) []api.Object {
 	var out []api.Object
-	for _, obj := range s.List(prefix) {
+	for _, obj := range s.snapshots(prefix) {
 		if opts.matches(obj.GetMeta().Name, obj.GetMeta().Labels) {
 			out = append(out, obj)
 		}
@@ -783,17 +850,22 @@ func (s *Store) StopWatch(q *sim.Queue[Event]) {
 	}
 }
 
-// notify fans an event out to the kind's watchers and any generic-prefix
-// watchers, then records it into the resumable history (which takes
-// ownership of ev.Object). Each subscriber gets its own copy so mutation
-// never leaks between consumers. Callers hold the kind's shard write lock,
-// which orders deliveries per kind; lock order is shard → global → history.
+// notify publishes one committed mutation: it logs it, puts the same Event —
+// the same snapshot pointer — on every matching watcher queue (the kind's
+// own watchers, then any generic-prefix watchers) and records it in the
+// resumable history. Nothing is copied, so the cost of a write does not
+// depend on how many subscribers watch. Callers hold the kind's shard write
+// lock, which orders deliveries per kind; lock order is shard → global →
+// history.
 func (s *Store) notify(b *bucket, ev Event) {
 	s.logMutation(ev)
+	if s.onPublish != nil {
+		s.onPublish(ev)
+	}
 	meta := ev.Object.GetMeta()
 	for _, w := range b.watchers {
 		if w.opts.matches(meta.Name, meta.Labels) {
-			w.queue.Put(Event{ev.Type, ev.Object.DeepCopyObject(), ev.Rev})
+			w.queue.Put(ev)
 		}
 	}
 	s.globalMu.Lock()
@@ -801,7 +873,7 @@ func (s *Store) notify(b *bucket, ev Event) {
 		key := api.Key(ev.Object)
 		for _, w := range s.global {
 			if strings.HasPrefix(key, w.prefix) && w.opts.matches(meta.Name, meta.Labels) {
-				w.queue.Put(Event{ev.Type, ev.Object.DeepCopyObject(), ev.Rev})
+				w.queue.Put(ev)
 			}
 		}
 	}

@@ -174,24 +174,6 @@ func TestWatchPrefixFiltering(t *testing.T) {
 	}
 }
 
-func TestWatchDeliversCopies(t *testing.T) {
-	env := sim.NewEnv()
-	s := New(env)
-	q := s.Watch("Pod/", false)
-	env.Go("m", func(p *sim.Proc) {
-		s.Create(pod("a"))
-	})
-	env.Go("w", func(p *sim.Proc) {
-		ev, _ := q.Get(p)
-		ev.Object.(*api.Pod).Status.Phase = api.PodFailed
-		stored, _ := s.Get("Pod", "a")
-		if stored.(*api.Pod).Status.Phase == api.PodFailed {
-			t.Error("watch event aliases stored object")
-		}
-	})
-	env.Run()
-}
-
 func TestStopWatchClosesQueue(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)

@@ -61,7 +61,10 @@ type (
 	Share = devlib.Share
 	// Proc is a simulation process handle (the argument of Go callbacks).
 	Proc = sim.Proc
-	// Event is one watch notification delivered by Sim.Watch.
+	// Event is one watch notification delivered by Sim.Watch. Its Object is
+	// the store's shared read-only snapshot of that revision — every
+	// watcher receives the same pointer — so DeepCopyObject before
+	// mutating.
 	Event = store.Event
 	// WatchOptions narrows a Sim.Watch subscription: exact name, label
 	// selector, and replay of the current state.
@@ -311,7 +314,9 @@ type ContainerCtx = runtime.Ctx
 // Watch subscribes to a kind ("SharePod", "VGPU", "Pod", "Node", ...) with
 // optional server-side filtering by exact name and label selector. Events
 // the filter rejects are never delivered — the subscription costs
-// O(matching events), not O(cluster churn). Cancel with StopWatch.
+// O(matching events), not O(cluster churn). Each event carries a shared
+// read-only snapshot: read it freely, keep it as long as you like,
+// DeepCopyObject before mutating. Cancel with StopWatch.
 func (s *Sim) Watch(kind string, opts WatchOptions) *sim.Queue[Event] {
 	return s.Cluster.API.WatchFiltered(kind, opts)
 }

@@ -45,6 +45,10 @@ type rule struct {
 	// budget metrics like the obs overhead, where "worse than last time
 	// but still within budget" is fine.
 	absMax *float64
+	// sameAs, when set, is another path in the same record that the newest
+	// value must equal exactly — for counts that may change over time but
+	// must not depend on a parameter (allocs/op across watcher counts).
+	sameAs string
 }
 
 func f(v float64) *float64 { return &v }
@@ -101,6 +105,12 @@ var rules = []rule{
 	{path: "benchmarks.BenchmarkFrontendLaunchKernel/token.allocs_op", absMax: f(0)},
 	{path: "benchmarks.BenchmarkFrontendLaunchKernel/replica.allocs_op", absMax: f(0)},
 	{path: "benchmarks.BenchmarkFrontendLaunchKernel/mps.allocs_op", absMax: f(0)},
+	// A store write costs the same however many controllers watch: the
+	// published snapshot is shared, not cloned per subscriber, so allocs/op
+	// of one status update is flat in the watcher count (it read 20 / 48 /
+	// 144 at 1 / 8 / 32 watchers while notify deep-copied per delivery).
+	{path: "benchmarks.BenchmarkStoreUpdateFanout/watchers=8.allocs_op", sameAs: "benchmarks.BenchmarkStoreUpdateFanout/watchers=1.allocs_op"},
+	{path: "benchmarks.BenchmarkStoreUpdateFanout/watchers=32.allocs_op", sameAs: "benchmarks.BenchmarkStoreUpdateFanout/watchers=1.allocs_op"},
 }
 
 // lookup resolves a dotted path inside a decoded record.
@@ -154,6 +164,14 @@ func gate(doc []byte, w io.Writer) (int, error) {
 		if !ok {
 			fmt.Fprintf(w, "benchgate: %s: section present in %s but path missing\n", r.path, commit(newest))
 			bad++
+			continue
+		}
+		if r.sameAs != "" {
+			if ov, ok := lookup(newest, r.sameAs); !ok || nv != ov {
+				fmt.Fprintf(w, "benchgate: %s = %g in %s must equal %s (%g)\n",
+					r.path, nv, commit(newest), r.sameAs, ov)
+				bad++
+			}
 			continue
 		}
 		if r.absMax != nil {

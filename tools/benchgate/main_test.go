@@ -96,6 +96,37 @@ func TestMicroBenchmarkAllocsHeldExactly(t *testing.T) {
 	}
 }
 
+// TestFanoutAllocsMustNotDependOnWatchers: one store write allocates the same
+// at 1, 8 and 32 watchers. The shape the per-subscriber deep copy had (20 /
+// 48 / 144) fails on both wider points; a flat row passes at whatever count
+// it is flat at.
+func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
+	record := func(a1, a8, a32 int) []byte {
+		return []byte(fmt.Sprintf(`{"records": [{"commit": "aaaaaaa", "benchmarks": {
+			"BenchmarkStoreUpdateFanout/watchers=1": {"allocs_op": %d},
+			"BenchmarkStoreUpdateFanout/watchers=8": {"allocs_op": %d},
+			"BenchmarkStoreUpdateFanout/watchers=32": {"allocs_op": %d}}}]}`, a1, a8, a32))
+	}
+	const rule8 = "benchmarks.BenchmarkStoreUpdateFanout/watchers=8.allocs_op = 48"
+	const rule32 = "benchmarks.BenchmarkStoreUpdateFanout/watchers=32.allocs_op = 144"
+	var out strings.Builder
+	if _, err := gate(record(20, 48, 144), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), rule8) || !strings.Contains(out.String(), rule32) {
+		t.Fatalf("allocs/op growing with the watcher count passed the gate:\n%s", out.String())
+	}
+	for _, flat := range []int{12, 9} {
+		out.Reset()
+		if _, err := gate(record(flat, flat, flat), &out); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out.String(), "BenchmarkStoreUpdateFanout") {
+			t.Fatalf("a flat %d allocs/op failed the gate:\n%s", flat, out.String())
+		}
+	}
+}
+
 // TestAbsoluteBudget: absMax rules bound the newest record regardless of
 // history depth.
 func TestAbsoluteBudget(t *testing.T) {
