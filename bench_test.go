@@ -16,6 +16,7 @@ import (
 	"kubeshare/internal/core"
 	"kubeshare/internal/cuda"
 	"kubeshare/internal/devlib"
+	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/experiments"
 	"kubeshare/internal/gpusim"
 	"kubeshare/internal/kube/api"
@@ -414,13 +415,17 @@ func BenchmarkAblationMemOvercommit(b *testing.B) {
 // small-kernel ones, reporting the big tenant's share (≈0.33 fair vs ≈0.67
 // under FIFO turn rotation).
 func BenchmarkAblationResidualPolicy(b *testing.B) {
-	run := func(policy devlib.ResidualPolicy) float64 {
+	run := func(policy sharing.ResidualPolicy) float64 {
 		env := sim.NewEnv()
 		dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-		mgr := devlib.NewBackend(env, devlib.Config{Residual: policy}).Manager(dev.UUID())
+		backend := devlib.NewBackend(env, devlib.Config{Residual: policy})
+		strat, err := backend.StrategyFor(dev.UUID(), sharing.ModeToken)
+		if err != nil {
+			b.Fatal(err)
+		}
 		launch := func(id string, kernel time.Duration) {
-			f, err := devlib.NewFrontend(cuda.Open(dev, id), mgr, id,
-				devlib.Share{Request: 0.05, Limit: 1, Memory: 0.2})
+			f, err := devlib.NewFrontendWith(cuda.Open(dev, id), strat, id,
+				devlib.Share{Request: 0.05, Limit: 1, Memory: 0.2}, backend.Config())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -436,14 +441,14 @@ func BenchmarkAblationResidualPolicy(b *testing.B) {
 		launch("small1", 5*time.Millisecond)
 		launch("small2", 5*time.Millisecond)
 		env.RunUntil(20 * time.Second)
-		return mgr.UsageRate("big")
+		return strat.UsageRate("big")
 	}
 	for i := 0; i < b.N; i++ {
 		if i == 0 {
-			b.ReportMetric(run(devlib.LowestUsageFirst), "big-share-lowest-usage")
-			b.ReportMetric(run(devlib.FIFOResidual), "big-share-fifo")
+			b.ReportMetric(run(sharing.LowestUsageFirst), "big-share-lowest-usage")
+			b.ReportMetric(run(sharing.FIFOResidual), "big-share-fifo")
 		} else {
-			run(devlib.LowestUsageFirst)
+			run(sharing.LowestUsageFirst)
 		}
 	}
 }

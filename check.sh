@@ -98,3 +98,7 @@ go test . -run xxx -bench 'BenchmarkFig19Attribution/quick' -benchtime 1x
 # Smoke the instrumentation-overhead benchmark (obs on vs off on the Fig 9
 # workload); ./bench.sh measures it properly into BENCH.json.
 go test . -run xxx -bench BenchmarkFig9Obs -benchtime 1x
+# The two size numbers ROADMAP budgets, outside benchmark/ (print only, no
+# gate): non-test Go lines, and non-test panic( sites.
+echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l)"
+echo "non-test panic( sites: $(grep -rn 'panic(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . | wc -l)"

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"kubeshare/internal/core"
@@ -227,9 +229,9 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 //  3. No vGPU objects remain (on-demand policy releases every device), and
 //     DevMgr's tenant cache is empty — no leaked device shares or orphaned
 //     tenant entries.
-//  4. Every device-library token manager is resumed and empty: no
-//     registered clients, no waiters — a leaked client would pin quota on a
-//     device forever.
+//  4. Every instantiated sharing strategy (token, mps or replica) is
+//     resumed and empty: no registered clients, no waiters — a leaked
+//     client would pin quota on a device forever.
 //  5. No device is left faulted, and every node is back to Ready.
 //  6. KubeShare-Sched's incremental snapshot still matches a full relist
 //     (pool equivalence survived every watch drop, resume and relist).
@@ -253,16 +255,18 @@ func VerifyQuiescence(c *kube.Cluster, ks *core.KubeShare) []error {
 	for gpuID, tenants := range ks.DevMgr.TenantView() {
 		bad = append(bad, fmt.Errorf("orphaned tenant entries on %s: %v", gpuID, tenants))
 	}
-	for nodeName, backend := range ks.Backends {
-		for uuid, mgr := range backend.Managers() {
-			if mgr.Down() {
-				bad = append(bad, fmt.Errorf("token manager %s@%s left suspended", uuid, nodeName))
+	for _, nodeName := range slices.Sorted(maps.Keys(ks.Backends)) {
+		backend := ks.Backends[nodeName]
+		for _, uuid := range backend.Devices() {
+			strat := backend.StrategyOf(uuid)
+			if strat.Down() {
+				bad = append(bad, fmt.Errorf("%s strategy %s@%s left suspended", strat.Mode(), uuid, nodeName))
 			}
-			if n := mgr.Clients(); n != 0 {
-				bad = append(bad, fmt.Errorf("token manager %s@%s leaked %d clients", uuid, nodeName, n))
+			if n := strat.Clients(); n != 0 {
+				bad = append(bad, fmt.Errorf("%s strategy %s@%s leaked %d clients", strat.Mode(), uuid, nodeName, n))
 			}
-			if n := mgr.Waiting(); n != 0 {
-				bad = append(bad, fmt.Errorf("token manager %s@%s has %d stuck waiters", uuid, nodeName, n))
+			if n := strat.Stats().QueueDepth; n != 0 {
+				bad = append(bad, fmt.Errorf("%s strategy %s@%s has %d stuck waiters", strat.Mode(), uuid, nodeName, n))
 			}
 		}
 	}

@@ -1,11 +1,16 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"kubeshare/internal/core"
+	"kubeshare/internal/core/schedfw"
+	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/store/storetest"
+	"kubeshare/internal/sim"
 )
 
 // requireClean runs one soak and fails with the seed printed so a breakage
@@ -120,5 +125,51 @@ func TestSoakDeterministic(t *testing.T) {
 		a.Recoveries != b.Recoveries || a.RecoveryFails != b.RecoveryFails ||
 		a.Elapsed != b.Elapsed {
 		t.Fatalf("outcomes diverged:\n  %+v\n  %+v", a, b)
+	}
+}
+
+// TestQuiescenceCoversEveryStrategy leaks one client on an mps device and
+// one on a replica device (registered, never unregistered). Invariant 4 must
+// report each — a check that only walked token devices would pass this
+// cluster — and report them in sorted-UUID order.
+func TestQuiescenceCoversEveryStrategy(t *testing.T) {
+	env := sim.NewEnv()
+	c, err := kube.NewCluster(env, kube.Config{Nodes: []kube.NodeConfig{{Name: "node-0", GPUs: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := schedfw.Install(c, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.RunUntil(time.Second) // kubelets register, nodes turn Ready
+	if bad := VerifyQuiescence(c, ks); len(bad) != 0 {
+		t.Fatalf("idle cluster not quiescent: %v", bad)
+	}
+
+	backend := ks.Backends["node-0"]
+	modes := map[string]sharing.Mode{"GPU-a": sharing.ModeReplica, "GPU-b": sharing.ModeToken, "GPU-c": sharing.ModeMPS}
+	for uuid, mode := range modes {
+		strat, err := backend.StrategyFor(uuid, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == sharing.ModeToken {
+			continue // instantiated and empty: must stay silent
+		}
+		if err := strat.Register("leak", sharing.Resources{Request: 0.5, Limit: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, v := range VerifyQuiescence(c, ks) {
+		got = append(got, v.Error())
+	}
+	want := []string{
+		"replica strategy GPU-a@node-0 leaked 1 clients",
+		"mps strategy GPU-c@node-0 leaked 1 clients",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("violations %q, want %q", got, want)
 	}
 }

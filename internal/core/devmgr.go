@@ -373,9 +373,9 @@ func (m *DevMgr) onHolderDown(pod *api.Pod) {
 	}))
 }
 
-// recoverVGPU replaces a dead vGPU pod: the device's token manager is
-// suspended (queued acquires fail over to the frontends' reconnect loops),
-// a fresh holder incarnation is launched, and on success the manager
+// recoverVGPU replaces a dead vGPU pod: the device's sharing strategy is
+// suspended (queued admits fail over to the frontends' reconnect loops),
+// a fresh holder incarnation is launched, and on success the strategy
 // resumes — surviving tenants re-register and continue. If the replacement
 // reports a different physical device, or never comes up, the vGPU is
 // written off and its tenants requeued.
@@ -391,15 +391,19 @@ func (m *DevMgr) recoverVGPU(p *sim.Proc, gpuID, deadHolder string, done *sim.Ev
 	oldUUID := v.Status.UUID
 	var strat sharing.Strategy
 	if b := m.backends[v.Spec.NodeName]; b != nil && oldUUID != "" {
-		// Suspend whatever strategy serves the device (in the default mode
-		// this is the same TokenManager the pre-strategy code suspended).
+		// Suspend whatever strategy serves the device. When no client has
+		// reached it yet, the node default is instantiated suspended, so a
+		// tenant whose container starts mid-recovery waits for the
+		// replacement instead of running against the dead holder.
 		strat = b.StrategyOf(oldUUID)
 		if strat == nil {
-			strat = b.Strategy(oldUUID)
+			strat, _ = b.StrategyFor(oldUUID, "") // nil only on a misconfigured node default
 		}
-		strat.Suspend()
-		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerSuspended",
-			"token manager %s suspended for recovery", oldUUID)
+		if strat != nil {
+			strat.Suspend()
+			m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerSuspended",
+				"token manager %s suspended for recovery", oldUUID)
+		}
 	}
 	m.failUUIDWaiters(deadHolder)
 	m.holderGen[gpuID]++

@@ -56,11 +56,9 @@ func TestTenantCrashReleasesShare(t *testing.T) {
 	if n := len(VGPUs(s.c.API).List()); n != 0 {
 		t.Fatalf("vGPUs not reclaimed: %d", n)
 	}
-	// The crashed tenant's token-manager registration must be gone.
-	for _, mgr := range []string{crash.Status.UUID} {
-		if s.ks.Backends["node-0"].Manager(mgr).Clients() != 0 {
-			t.Fatal("crashed client still registered with the token manager")
-		}
+	// The crashed tenant's registration with the device's strategy must be gone.
+	if s.ks.Backends["node-0"].StrategyOf(crash.Status.UUID).Clients() != 0 {
+		t.Fatal("crashed client still registered with the device's strategy")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	. "kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
+	"kubeshare/internal/core/schedfw/fwk"
+	"kubeshare/internal/core/schedfw/plugins"
 	"math"
 	"testing"
 	"time"
@@ -23,7 +25,7 @@ type testStack struct {
 	ks  *KubeShare
 }
 
-func newStack(t *testing.T, nodes int, cfg Config) *testStack {
+func newStack(t *testing.T, nodes int, cfg Config, opts ...schedfw.Option) *testStack {
 	t.Helper()
 	env := sim.NewEnv()
 	c, err := kube.NewCluster(env, kube.DefaultConfig(nodes))
@@ -33,7 +35,7 @@ func newStack(t *testing.T, nodes int, cfg Config) *testStack {
 	// Every test on this stack ends with the store's mutation canary: no
 	// component may have written through a shared snapshot.
 	storetest.Install(t, c.API.Store())
-	ks, err := schedfw.Install(c, cfg)
+	ks, err := schedfw.Install(c, cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,23 +412,20 @@ func SharePodsGetWall(t *testing.T, c *kube.Cluster, name string) time.Duration 
 	return sp.Status.FinishTime - sp.Status.RunningTime
 }
 
+// freshDevice is a user-written placement policy — never share: it votes
+// every existing device out, so each unit falls through to the allocation
+// phase, where the embedded NodeSpread opens a new vGPU.
+type freshDevice struct{ plugins.NodeSpread }
+
+func (freshDevice) Name() string                        { return "fresh-device" }
+func (freshDevice) Filter(*fwk.Unit, *DeviceState) bool { return false }
+
 // TestCustomSchedulingPolicy swaps Algorithm 1 for a spread-everything
-// policy (every request on a fresh device) and verifies the DevMgr
-// machinery serves it unchanged — the §4.6 decoupling claim.
+// plugin profile (every request on a fresh device) and verifies the DevMgr
+// machinery serves it unchanged — the §4.6 decoupling claim, through the
+// mechanism that honours the reservation journal.
 func TestCustomSchedulingPolicy(t *testing.T) {
-	spread := func(r Request, pool *Pool) Decision {
-		// Always ask for a new device; fall back to Algorithm 1 only when
-		// the cluster is out of GPUs.
-		if len(pool.FreePhysical) == 0 {
-			return Schedule(r, pool)
-		}
-		saveDevices := pool.Devices
-		pool.Devices = nil // hide existing devices to force new_dev
-		dec := Schedule(r, pool)
-		pool.Devices = append(saveDevices, pool.Devices...)
-		return dec
-	}
-	s := newStack(t, 1, Config{Scheduler: SchedulerConfig{Decide: spread}})
+	s := newStack(t, 1, Config{}, schedfw.WithPlugins(freshDevice{}, plugins.DeviceCommit{}))
 	s.env.Go("submit", func(p *sim.Proc) {
 		s.create(t, sharePod("a", 0.2, 0.4, 0.1, 1))
 		s.create(t, sharePod("b", 0.2, 0.4, 0.1, 1))

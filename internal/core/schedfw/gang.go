@@ -73,7 +73,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	short := false
 	for _, sp := range members {
 		u := unitOf(sp)
-		dec := s.decideOne(&u, txn)
+		dec := s.engine.Schedule(&u, txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Rejected:
@@ -90,28 +90,25 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 		break
 	}
 
-	// unwind releases the gang's reservations and reports whether any
-	// outlive it: a Decide override writes the pool directly, past the
-	// journal, so its placements stay for the rest of the cycle.
-	unwind := func() (leftover bool) {
+	// unwind releases the gang's reservations.
+	unwind := func() {
 		for i := len(decided) - 1; i >= 0; i-- {
 			s.engine.Unreserve(&decided[i].u, txn, decided[i].dec)
 		}
 		txn.Rollback(mark)
-		return s.cfg.Decide != nil && len(decided) > 0
 	}
 
 	switch {
 	case rejectReason != "":
 		// A member's constraints are unsatisfiable — the gang can never be
 		// admitted whole, so every member is rejected with the shared reason.
-		holds = unwind()
+		unwind()
 		for _, sp := range members {
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime,
 				dec: core.Decision{Outcome: core.Rejected, Reason: rejectReason}})
 		}
 		delete(s.gangs, gang)
-		return len(members), holds
+		return len(members), false
 
 	case complete && !short:
 		// All-or-nothing satisfied: stage every member.
@@ -137,15 +134,14 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 			s.gangTimeouts.Inc()
 		}
 		if st.expired {
-			holds = unwind()
-		} else {
-			// Keep the partial reservations on the transaction so younger
-			// units this cycle cannot take the gang's capacity; arm a wake
-			// for the hold's expiry in case no cluster event arrives first.
-			s.armGangTimer(st.firstHold + s.gangTimeout)
-			holds = len(decided) > 0
+			unwind()
+			return 0, false
 		}
-		return 0, holds
+		// Keep the partial reservations on the transaction so younger
+		// units this cycle cannot take the gang's capacity; arm a wake
+		// for the hold's expiry in case no cluster event arrives first.
+		s.armGangTimer(st.firstHold + s.gangTimeout)
+		return 0, len(decided) > 0
 	}
 }
 

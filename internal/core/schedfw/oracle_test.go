@@ -87,7 +87,7 @@ func (s *Scheduler) stageExhaustive(pending []*core.SharePod, txn *fwk.Txn, out 
 			continue
 		}
 		u := unitOf(sp)
-		dec := s.decideOne(&u, txn)
+		dec := s.engine.Schedule(&u, txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:

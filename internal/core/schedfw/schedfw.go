@@ -76,27 +76,9 @@ type options struct {
 type Option func(*options)
 
 // WithConfig seeds every knob a core.SchedulerConfig carries (cycle
-// latency, overcommit factor, Decide override) in one option.
+// latency, overcommit factor) in one option.
 func WithConfig(cfg core.SchedulerConfig) Option {
 	return func(o *options) { o.cfg = cfg }
-}
-
-// WithCycleLatency sets the modelled per-cycle decision latency.
-func WithCycleLatency(d time.Duration) Option {
-	return func(o *options) { o.cfg.CycleLatency = d }
-}
-
-// WithMemOvercommit scales each device's schedulable gpu_mem capacity.
-func WithMemOvercommit(f float64) Option {
-	return func(o *options) { o.cfg.MemOvercommitFactor = f }
-}
-
-// WithDecide overrides the placement algorithm with a bare decide function
-// (§4.6's pluggable-policy claim, legacy form). The function commits onto
-// the pool directly, bypassing the reservation journal — gang rollback is
-// unavailable under it. New policies should be expressed as plugins instead.
-func WithDecide(fn func(core.Request, *core.Pool) core.Decision) Option {
-	return func(o *options) { o.cfg.Decide = fn }
 }
 
 // WithBatchSize sets how many placements one cycle may stage. n <= 1 is
@@ -493,7 +475,7 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 			s.skipped.Inc()
 			continue
 		}
-		dec := s.decideOne(u, txn)
+		dec := s.engine.Schedule(u, txn)
 		s.decisions.Inc()
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
@@ -510,16 +492,6 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 		}
 	}
 	return progressed
-}
-
-// decideOne routes a unit through the engine, or through the legacy Decide
-// override when one is configured (which commits onto the pool directly,
-// outside the reservation journal).
-func (s *Scheduler) decideOne(u *fwk.Unit, txn *fwk.Txn) core.Decision {
-	if s.cfg.Decide != nil {
-		return s.cfg.Decide(u.Req, txn.Pool())
-	}
-	return s.engine.Schedule(u, txn)
 }
 
 // commit applies one staged decision through the API server, emitting the

@@ -7,28 +7,38 @@ import (
 	"time"
 
 	"kubeshare/internal/cuda"
+	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/gpusim"
 	"kubeshare/internal/sim"
 )
 
-// rig is a single-device test bench.
+// rig is a single-device test bench: one backend, the device's strategy
+// from its registry, and frontends opened against it.
 type rig struct {
-	env *sim.Env
-	dev *gpusim.Device
-	mgr *TokenManager
+	env   *sim.Env
+	dev   *gpusim.Device
+	b     *Backend
+	strat sharing.Strategy
 }
 
-func newRig(cfg Config) *rig {
+// newRig builds a token-mode rig (the paper's policy).
+func newRig(cfg Config) *rig { return newRigOn(gpusim.Config{NodeName: "n"}, cfg, sharing.ModeToken) }
+
+func newRigOn(dev gpusim.Config, cfg Config, mode sharing.Mode) *rig {
 	env := sim.NewEnv()
-	dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-	b := NewBackend(env, cfg)
-	return &rig{env: env, dev: dev, mgr: b.Manager(dev.UUID())}
+	r := &rig{env: env, dev: gpusim.NewDevice(env, dev), b: NewBackend(env, cfg)}
+	strat, err := r.b.StrategyFor(r.dev.UUID(), mode)
+	if err != nil {
+		panic(err)
+	}
+	r.strat = strat
+	return r
 }
 
 // addClient opens a frontend for a new container on the rig device.
 func (r *rig) addClient(t *testing.T, id string, share Share) *Frontend {
 	t.Helper()
-	f, err := NewFrontend(cuda.Open(r.dev, id), r.mgr, id, share)
+	f, err := NewFrontendWith(cuda.Open(r.dev, id), r.strat, id, share, r.b.Config())
 	if err != nil {
 		t.Fatalf("frontend %s: %v", id, err)
 	}
@@ -91,7 +101,7 @@ func TestTwoClientsElasticFairSplit(t *testing.T) {
 	pa := r.env.Go("a", trainLoop(fa, 10*time.Millisecond, 0, &na))
 	pb := r.env.Go("b", trainLoop(fb, 10*time.Millisecond, 0, &nb))
 	r.env.RunUntil(60 * time.Second)
-	ua, ub := r.mgr.UsageRate("a"), r.mgr.UsageRate("b")
+	ua, ub := r.strat.UsageRate("a"), r.strat.UsageRate("b")
 	pa.Kill(nil)
 	pb.Kill(nil)
 	r.env.Run()
@@ -117,7 +127,7 @@ func TestThreeClientsGuaranteedRequests(t *testing.T) {
 	}
 	r.env.RunUntil(60 * time.Second)
 	for id, s := range shares {
-		u := r.mgr.UsageRate(id)
+		u := r.strat.UsageRate(id)
 		if u < s.Request-0.06 {
 			t.Errorf("client %s usage %.3f below gpu_request %.2f", id, u, s.Request)
 		}
@@ -146,7 +156,7 @@ func TestResidualRedistributedAfterDeparture(t *testing.T) {
 	fcClose := r.env.Go("close-c", func(p *sim.Proc) { fc.Close(p) })
 	_ = fcClose
 	r.env.RunUntil(80 * time.Second)
-	ua := r.mgr.UsageRate("a")
+	ua := r.strat.UsageRate("a")
 	pa.Kill(nil)
 	r.env.Run()
 	if math.Abs(ua-0.6) > 0.05 {
@@ -222,8 +232,12 @@ func TestQuotaOverheadSmall(t *testing.T) {
 		dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
 		var api cuda.API = cuda.Open(dev, "a")
 		if useLib {
-			mgr := NewBackend(env, Config{Quota: quota}).Manager(dev.UUID())
-			f, err := NewFrontend(api, mgr, "a", Share{Request: 1, Limit: 1, Memory: 1})
+			b := NewBackend(env, Config{Quota: quota})
+			strat, err := b.StrategyFor(dev.UUID(), sharing.ModeToken)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := NewFrontendWith(api, strat, "a", Share{Request: 1, Limit: 1, Memory: 1}, b.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +280,7 @@ func TestSmallerQuotaMoreHandoffs(t *testing.T) {
 		na := 0
 		r.env.Go("a", trainLoop(fa, 5*time.Millisecond, 0, &na))
 		r.env.RunUntil(10 * time.Second)
-		return r.mgr.Handoffs()
+		return r.strat.Stats().Handoffs
 	}
 	small, large := run(30*time.Millisecond), run(160*time.Millisecond)
 	if small <= 2*large {
@@ -284,7 +298,7 @@ func TestContendedHandoffsPerKernel(t *testing.T) {
 	r.env.Go("a", trainLoop(fa, 5*time.Millisecond, 0, &na))
 	r.env.Go("b", trainLoop(fb, 5*time.Millisecond, 0, &nb))
 	r.env.RunUntil(10 * time.Second)
-	if got := r.mgr.Handoffs(); got < int64(na+nb)/2 {
+	if got := r.strat.Stats().Handoffs; got < int64(na+nb)/2 {
 		t.Fatalf("handoffs %d far below kernel count %d; contended token not interleaving", got, na+nb)
 	}
 }
@@ -295,7 +309,7 @@ func TestResidualPolicyAblation(t *testing.T) {
 	// arbitrate between: lowest-usage-first equalizes *time shares*
 	// (≈1/3 each), while FIFO rotates *turns*, handing the big-kernel
 	// client most of the device (20/(20+5+5) ≈ 0.67).
-	run := func(policy ResidualPolicy) (big, small float64) {
+	run := func(policy sharing.ResidualPolicy) (big, small float64) {
 		r := newRig(Config{Residual: policy})
 		fb := r.addClient(t, "big", Share{Request: 0.05, Limit: 1, Memory: 0.2})
 		fs1 := r.addClient(t, "small1", Share{Request: 0.05, Limit: 1, Memory: 0.2})
@@ -305,13 +319,13 @@ func TestResidualPolicyAblation(t *testing.T) {
 		r.env.Go("small1", trainLoop(fs1, 5*time.Millisecond, 0, &n1))
 		r.env.Go("small2", trainLoop(fs2, 5*time.Millisecond, 0, &n2))
 		r.env.RunUntil(30 * time.Second)
-		return r.mgr.UsageRate("big"), r.mgr.UsageRate("small1")
+		return r.strat.UsageRate("big"), r.strat.UsageRate("small1")
 	}
-	bigLU, smallLU := run(LowestUsageFirst)
+	bigLU, smallLU := run(sharing.LowestUsageFirst)
 	if math.Abs(bigLU-smallLU) > 0.12 {
 		t.Fatalf("lowest-usage policy unbalanced: big %.3f vs small %.3f", bigLU, smallLU)
 	}
-	bigFIFO, smallFIFO := run(FIFOResidual)
+	bigFIFO, smallFIFO := run(sharing.FIFOResidual)
 	if bigFIFO < smallFIFO+0.25 {
 		t.Fatalf("FIFO policy should favour the big-kernel client: %.3f vs %.3f", bigFIFO, smallFIFO)
 	}
@@ -334,11 +348,11 @@ func TestGraceReleasesIdleToken(t *testing.T) {
 	})
 	r.env.Go("greedy", trainLoop(fb, 10*time.Millisecond, 0, &nb))
 	r.env.RunUntil(20 * time.Second)
-	ug := r.mgr.UsageRate("greedy")
+	ug := r.strat.UsageRate("greedy")
 	if ug < 0.8 {
 		t.Fatalf("greedy usage %.3f; bursty client is hogging the token", ug)
 	}
-	ub := r.mgr.UsageRate("bursty")
+	ub := r.strat.UsageRate("bursty")
 	if ub < 0.02 {
 		t.Fatalf("bursty usage %.3f; starved", ub)
 	}
@@ -358,8 +372,8 @@ func TestUnregisterWhileHoldingReleases(t *testing.T) {
 	if nb == 0 {
 		t.Fatal("b starved after a closed")
 	}
-	if r.mgr.Clients() != 1 {
-		t.Fatalf("clients = %d, want 1", r.mgr.Clients())
+	if r.strat.Clients() != 1 {
+		t.Fatalf("clients = %d, want 1", r.strat.Clients())
 	}
 }
 
@@ -373,14 +387,15 @@ func TestRegisterValidation(t *testing.T) {
 		{Request: 0.5, Limit: 0.5, Memory: 1.5},
 	}
 	for i, s := range bad {
-		if _, err := NewFrontend(cuda.Open(r.dev, "x"), r.mgr, "x", s); err == nil {
+		if _, err := NewFrontendWith(cuda.Open(r.dev, "x"), r.strat, "x", s, r.b.Config()); err == nil {
 			t.Errorf("case %d: invalid share %+v accepted", i, s)
 		}
 	}
-	if err := r.mgr.Register("dup", 0.1, 0.2); err != nil {
+	dup := sharing.Resources{Request: 0.1, Limit: 0.2}
+	if err := r.strat.Register("dup", dup); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mgr.Register("dup", 0.1, 0.2); err == nil {
+	if err := r.strat.Register("dup", dup); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 }
@@ -388,8 +403,8 @@ func TestRegisterValidation(t *testing.T) {
 func TestAcquireUnregisteredErrors(t *testing.T) {
 	r := newRig(Config{})
 	r.env.Go("t", func(p *sim.Proc) {
-		if _, err := r.mgr.Acquire(p, "ghost"); err == nil {
-			t.Error("acquire by ghost succeeded")
+		if _, err := r.strat.Admit(p, "ghost"); err == nil {
+			t.Error("admit by ghost succeeded")
 		}
 	})
 	r.env.Run()
@@ -397,7 +412,7 @@ func TestAcquireUnregisteredErrors(t *testing.T) {
 
 func TestUsageRateUnknownClient(t *testing.T) {
 	r := newRig(Config{})
-	if r.mgr.UsageRate("ghost") != 0 {
+	if r.strat.UsageRate("ghost") != 0 {
 		t.Fatal("unknown client has nonzero usage")
 	}
 }
@@ -410,7 +425,7 @@ func TestStatsSnapshot(t *testing.T) {
 	r.env.Go("a", trainLoop(fa, 50*time.Millisecond, 0, &na))
 	r.env.Go("b", trainLoop(fb, 50*time.Millisecond, 0, &nb))
 	r.env.RunUntil(125 * time.Millisecond)
-	st := r.mgr.Stats()
+	st := r.strat.Stats()
 	if st.Clients != 2 {
 		t.Fatalf("clients = %d", st.Clients)
 	}
@@ -452,7 +467,7 @@ func TestAsyncStreamBatchesUnderOneToken(t *testing.T) {
 		}
 	})
 	r.env.RunUntil(5 * time.Second)
-	if h := r.mgr.Handoffs(); h != 1 {
+	if h := r.strat.Stats().Handoffs; h != 1 {
 		t.Fatalf("handoffs = %d, want 1 (stream batched under one hold)", h)
 	}
 }
@@ -478,7 +493,7 @@ func TestAsyncContendedStreamsShareFairly(t *testing.T) {
 	r.env.Go("a", loop(fa))
 	r.env.Go("b", loop(fb))
 	r.env.RunUntil(20 * time.Second)
-	ua, ub := r.mgr.UsageRate("a"), r.mgr.UsageRate("b")
+	ua, ub := r.strat.UsageRate("a"), r.strat.UsageRate("b")
 	if math.Abs(ua-ub) > 0.15 {
 		t.Fatalf("streamed tenants unbalanced: %.3f vs %.3f", ua, ub)
 	}

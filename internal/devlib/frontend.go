@@ -143,7 +143,7 @@ type Frontend struct {
 	// Virtual-memory mode (Config.MemOvercommit, token strategy only):
 	// allocations are tracked here instead of on the physical device, and
 	// residency is managed by the strategy's swap broker.
-	swapper  Swapper
+	swapper  sharing.Swapper
 	virtual  bool
 	virtMem  int64
 	virtPtrs map[cuda.Ptr]int64
@@ -159,17 +159,10 @@ type deviceContexter interface {
 	Context() *gpusim.Context
 }
 
-// NewFrontend wraps base for a container under the default token strategy
-// — the pre-sharing-layer constructor, kept so token-mode callers (and the
-// paper's original wiring) are untouched. It registers the container with
-// the device's token manager; the caller must ensure the sum of Request
-// over a device's containers stays ≤ 1 (KubeShare-Sched's job).
-func NewFrontend(base cuda.API, mgr *TokenManager, clientID string, share Share) (*Frontend, error) {
-	return NewFrontendWith(base, TokenStrategy{mgr}, clientID, share, mgr.cfg)
-}
-
-// NewFrontendWith wraps base for a container under an explicit sharing
-// strategy. cfg supplies the frontend-side knobs (handoff, grace, memory
+// NewFrontendWith wraps base for a container under the device's sharing
+// strategy and registers the container with it; the caller must ensure the
+// sum of Request over a device's containers stays ≤ 1 (KubeShare-Sched's
+// job). cfg supplies the frontend-side knobs (handoff, grace, memory
 // over-commitment, telemetry) — pass the owning Backend's Config.
 func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, share Share, cfg Config) (*Frontend, error) {
 	if err := share.Validate(); err != nil {
@@ -178,7 +171,7 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 	// A container may start while the device's daemon is down (vGPU pod
 	// being replaced mid-recovery): tolerate it — the first compute call's
 	// reconnect loop registers once the daemon is back.
-	if err := strat.Register(clientID, share.resources()); err != nil && !isDownErr(err) {
+	if err := strat.Register(clientID, share.resources()); err != nil && !errors.Is(err, sharing.ErrDown) {
 		return nil, err
 	}
 	total := base.Device().MemoryBytes
@@ -221,7 +214,7 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 		}
 	}
 	if cfg.MemOvercommit {
-		if sw, ok := strat.(Swapper); ok {
+		if sw, ok := strat.(sharing.Swapper); ok {
 			sw.EnableSwap(total, cfg.SwapBandwidth)
 			f.swapper = sw
 			f.virtual = true
@@ -232,12 +225,6 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 	return f, nil
 }
 
-// isDownErr reports whether err marks a suspended strategy (either the
-// token manager's legacy sentinel or the sharing layer's).
-func isDownErr(err error) bool {
-	return errors.Is(err, ErrManagerDown) || errors.Is(err, sharing.ErrDown)
-}
-
 // SetTraceKey names the causal-trace chain the frontend's milestones (first
 // admission grant, first kernel launch) attach to — typically the owning
 // sharePod's "SharePod/<name>" key. Without a key the frontend records no
@@ -245,7 +232,7 @@ func isDownErr(err error) bool {
 // container's usage metrics.
 func (f *Frontend) SetTraceKey(key string) {
 	f.traceKey = key
-	f.tenant = strings.TrimPrefix(key, chainKeyPrefix)
+	f.tenant = strings.TrimPrefix(key, sharing.ChainKeyPrefix)
 	f.strat.SetTenant(f.clientID, f.tenant)
 	f.devtimeCtr = nil // re-fetched lazily under the new tenant label
 }
@@ -358,7 +345,7 @@ func (f *Frontend) acquireLease(p *sim.Proc) error {
 			}
 			return nil
 		}
-		if !isDownErr(err) || attempt >= reconnectAttempts {
+		if !errors.Is(err, sharing.ErrDown) || attempt >= reconnectAttempts {
 			return err
 		}
 		if retry == nil {

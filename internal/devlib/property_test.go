@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"kubeshare/internal/cuda"
-	"kubeshare/internal/gpusim"
 	"kubeshare/internal/sim"
 )
 
@@ -38,17 +37,13 @@ func TestPropertyGuaranteesUnderRandomShares(t *testing.T) {
 			lim := math.Min(1, req*2)
 			shares = append(shares, Share{Request: req, Limit: lim, Memory: 0.2})
 		}
-		env := sim.NewEnv()
-		dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-		mgr := NewBackend(env, Config{}).Manager(dev.UUID())
-		var fronts []*Frontend
+		r := newRig(Config{})
 		for i, s := range shares {
-			fr, err := NewFrontend(cuda.Open(dev, fmt.Sprint(i)), mgr, fmt.Sprint(i), s)
+			fr, err := NewFrontendWith(cuda.Open(r.dev, fmt.Sprint(i)), r.strat, fmt.Sprint(i), s, r.b.Config())
 			if err != nil {
 				return false
 			}
-			fronts = append(fronts, fr)
-			env.Go(fmt.Sprint(i), func(p *sim.Proc) {
+			r.env.Go(fmt.Sprint(i), func(p *sim.Proc) {
 				for !p.Killed() {
 					if err := fr.LaunchKernel(p, 8*time.Millisecond); err != nil {
 						return
@@ -56,11 +51,11 @@ func TestPropertyGuaranteesUnderRandomShares(t *testing.T) {
 				}
 			})
 		}
-		env.RunUntil(40 * time.Second)
+		r.env.RunUntil(40 * time.Second)
 		quotaShare := float64(DefaultQuota) / float64(DefaultWindow)
 		ok := true
 		for i, s := range shares {
-			u := mgr.UsageRate(fmt.Sprint(i))
+			u := r.strat.UsageRate(fmt.Sprint(i))
 			if u < s.Request-0.08 {
 				ok = false // guarantee violated
 			}
@@ -80,15 +75,13 @@ func TestPropertyGuaranteesUnderRandomShares(t *testing.T) {
 func TestPropertyHoldSpansDisjoint(t *testing.T) {
 	f := func(seed uint8) bool {
 		n := int(seed%3) + 2
-		env := sim.NewEnv()
-		dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-		mgr := NewBackend(env, Config{}).Manager(dev.UUID())
+		r := newRig(Config{})
 		for i := 0; i < n; i++ {
-			fr, err := NewFrontend(cuda.Open(dev, fmt.Sprint(i)), mgr, fmt.Sprint(i), Share{Request: 1.0 / float64(n), Limit: 1, Memory: 0.1})
+			fr, err := NewFrontendWith(cuda.Open(r.dev, fmt.Sprint(i)), r.strat, fmt.Sprint(i), Share{Request: 1.0 / float64(n), Limit: 1, Memory: 0.1}, r.b.Config())
 			if err != nil {
 				return false
 			}
-			env.Go(fmt.Sprint(i), func(p *sim.Proc) {
+			r.env.Go(fmt.Sprint(i), func(p *sim.Proc) {
 				for !p.Killed() {
 					if err := fr.LaunchKernel(p, time.Duration(3+i)*time.Millisecond); err != nil {
 						return
@@ -97,10 +90,10 @@ func TestPropertyHoldSpansDisjoint(t *testing.T) {
 			})
 		}
 		horizon := 20 * time.Second
-		env.RunUntil(horizon)
+		r.env.RunUntil(horizon)
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			sum += mgr.UsageRate(fmt.Sprint(i))
+			sum += r.strat.UsageRate(fmt.Sprint(i))
 		}
 		// Window share can at most be 1 (plus small kernel-overrun slack).
 		return sum <= 1.05

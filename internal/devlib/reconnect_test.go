@@ -1,6 +1,7 @@
 package devlib
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ type admitRecorder struct {
 func (a *admitRecorder) Admit(p *sim.Proc, id string) (sharing.Lease, error) {
 	lease, err := a.Strategy.Admit(p, id)
 	switch {
-	case isDownErr(err):
+	case errors.Is(err, sharing.ErrDown):
 		a.cur = append(a.cur, a.env.Now())
 	case a.cur != nil:
 		a.outages = append(a.outages, append(a.cur, a.env.Now()))
@@ -48,16 +49,16 @@ func (a *admitRecorder) Admit(p *sim.Proc, id string) (sharing.Lease, error) {
 func TestReconnectDelaysUnchangedByLazyBackoff(t *testing.T) {
 	const id = "tenant-a"
 	r := newRig(Config{})
-	rec := &admitRecorder{Strategy: TokenStrategy{r.mgr}, env: r.env}
-	f, err := NewFrontendWith(cuda.Open(r.dev, id), rec, id, Share{Request: 0.5, Limit: 1, Memory: 0.5}, r.mgr.cfg)
+	rec := &admitRecorder{Strategy: r.strat, env: r.env}
+	f, err := NewFrontendWith(cuda.Open(r.dev, id), rec, id, Share{Request: 0.5, Limit: 1, Memory: 0.5}, r.b.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	kernels := 0
 	app := r.env.Go(id, trainLoop(f, 10*time.Millisecond, 0, &kernels))
 	for _, at := range []time.Duration{5 * time.Second, 15 * time.Second} {
-		r.env.At(at, r.mgr.Suspend)
-		r.env.At(at+4*time.Second, r.mgr.Resume)
+		r.env.At(at, r.strat.Suspend)
+		r.env.At(at+4*time.Second, r.strat.Resume)
 	}
 	r.env.RunUntil(25 * time.Second)
 	app.Kill(nil)
@@ -79,7 +80,7 @@ func TestReconnectDelaysUnchangedByLazyBackoff(t *testing.T) {
 			}
 		}
 	}
-	if kernels == 0 || !r.mgr.Registered(id) {
-		t.Fatalf("frontend did not recover: %d kernels, registered=%v", kernels, r.mgr.Registered(id))
+	if kernels == 0 || !r.strat.Registered(id) {
+		t.Fatalf("frontend did not recover: %d kernels, registered=%v", kernels, r.strat.Registered(id))
 	}
 }

@@ -2,7 +2,6 @@ package sharing
 
 import (
 	"fmt"
-	"sort"
 
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
@@ -145,19 +144,9 @@ func (m *MPS) Stats() Stats {
 
 // TenantStats aggregates admissions per tenant, sorted by tenant name.
 func (m *MPS) TenantStats() []TenantUsage {
-	byTenant := map[string]*TenantUsage{}
+	tally := tenantTally{}
 	for _, c := range m.clients {
-		t, ok := byTenant[c.tenant]
-		if !ok {
-			t = &TenantUsage{Tenant: c.tenant}
-			byTenant[c.tenant] = t
-		}
-		t.Admits += c.admits
+		tally.of(c.tenant).Admits += c.admits
 	}
-	out := make([]TenantUsage, 0, len(byTenant))
-	for _, t := range byTenant {
-		out = append(out, *t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
+	return tally.sorted()
 }

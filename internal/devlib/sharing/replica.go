@@ -2,7 +2,6 @@ package sharing
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"kubeshare/internal/obs"
@@ -246,22 +245,13 @@ func (r *Replica) Stats() Stats {
 
 // TenantStats aggregates turns and hold time per tenant, sorted by name.
 func (r *Replica) TenantStats() []TenantUsage {
-	byTenant := map[string]*TenantUsage{}
+	tally := tenantTally{}
 	for _, c := range r.clients {
-		t, ok := byTenant[c.tenant]
-		if !ok {
-			t = &TenantUsage{Tenant: c.tenant}
-			byTenant[c.tenant] = t
-		}
-		t.Admits += c.admits
-		t.HoldNS += c.holdNS
+		u := tally.of(c.tenant)
+		u.Admits += c.admits
+		u.HoldNS += c.holdNS
 	}
-	out := make([]TenantUsage, 0, len(byTenant))
-	for _, t := range byTenant {
-		out = append(out, *t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
+	return tally.sorted()
 }
 
 // reclaim records the holder's turn, clears the slot and reschedules it.

@@ -6,9 +6,10 @@
 //
 // Three families of policies are provided:
 //
-//   - token (the default, implemented by devlib.TokenStrategy): Gemini-style
-//     token-gated time-slicing — exclusive holds, sliding-window usage
-//     accounting, gpu_request guarantees and gpu_limit caps.
+//   - token (NewToken, the default and the paper's own policy, implemented
+//     here): Gemini-style token-gated time-slicing — exclusive holds,
+//     sliding-window usage accounting, gpu_request guarantees and gpu_limit
+//     caps, optional swap-based memory over-commitment (Swapper).
 //   - mps (NewMPS): MPS-style concurrent overlap — kernels from different
 //     tenants run simultaneously; gpusim's weighted processor sharing models
 //     the SM/compute-fraction split, and isolation is limited (a faulting
@@ -26,6 +27,7 @@ package sharing
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"kubeshare/internal/sim"
@@ -59,8 +61,8 @@ func ParseMode(s string) (Mode, error) {
 
 // ErrDown is returned by strategy operations while the strategy is
 // suspended — the vGPU pod hosting the device daemon died and its
-// replacement has not come up yet. Frontends treat it (like
-// devlib.ErrManagerDown) as transient and reconnect with bounded backoff.
+// replacement has not come up yet. Frontends treat it as transient and
+// reconnect with bounded backoff.
 var ErrDown = errors.New("sharing: strategy suspended")
 
 // Resources is one client's demand, the values from the SharePodSpec.
@@ -124,6 +126,30 @@ type TenantUsage struct {
 	// (replica slots; token holds are metered in the
 	// kubeshare_devlib_token_hold_ns_total family instead).
 	HoldNS int64
+}
+
+// tenantTally folds per-client figures into per-tenant entries for the
+// strategies' TenantStats.
+type tenantTally map[string]*TenantUsage
+
+// of returns tenant's entry, creating it on first use.
+func (t tenantTally) of(tenant string) *TenantUsage {
+	u, ok := t[tenant]
+	if !ok {
+		u = &TenantUsage{Tenant: tenant}
+		t[tenant] = u
+	}
+	return u
+}
+
+// sorted returns the entries ordered by tenant name.
+func (t tenantTally) sorted() []TenantUsage {
+	out := make([]TenantUsage, 0, len(t))
+	for _, u := range t {
+		out = append(out, *u)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	return out
 }
 
 // Strategy is one device's sharing policy. All methods run on the

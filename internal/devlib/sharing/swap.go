@@ -1,4 +1,4 @@
-package devlib
+package sharing
 
 import (
 	"fmt"
@@ -9,15 +9,33 @@ import (
 )
 
 // Memory over-commitment support (the paper's §6 discussion of
-// GPUswap-style virtual memory): when Config.MemOvercommit is enabled, the
-// sum of the containers' gpu_mem shares on a device may exceed 1. Container
-// memory becomes virtual; the token manager's memory broker keeps track of
-// which containers' working sets are resident, and swaps cold sets out to
-// host memory (paying PCIe transfer time) when the next token holder's set
-// must be brought in. This trades GPU memory capacity for handoff latency —
-// exactly the risk the paper calls out.
+// GPUswap-style virtual memory): when devlib.Config.MemOvercommit is
+// enabled, the sum of the containers' gpu_mem shares on a device may exceed
+// 1. Container memory becomes virtual; the token strategy's memory broker
+// keeps track of which containers' working sets are resident, and swaps cold
+// sets out to host memory (paying PCIe transfer time) when the next token
+// holder's set must be brought in. This trades GPU memory capacity for
+// handoff latency — exactly the risk the paper calls out.
 
-// swapState is the per-device residency bookkeeping inside a TokenManager.
+// Swapper is the optional memory-over-commitment surface a strategy may
+// provide (today only Token does — swapping happens at token handoff, which
+// needs a gate). Frontends type-assert for it when devlib.Config.MemOvercommit
+// is set and fall back to plain fractional enforcement when the strategy
+// cannot swap.
+type Swapper interface {
+	// EnableSwap turns on the swap broker with the device capacity and
+	// host↔device bandwidth (idempotent).
+	EnableSwap(capacity, bw int64)
+	// SetVirtualUsage declares id's total virtual allocation.
+	SetVirtualUsage(id string, bytes int64) error
+	// EnsureResident blocks p until id's working set is on the device,
+	// paying transfer time for swap-ins (and evictions of others).
+	EnsureResident(p *sim.Proc, id string) error
+}
+
+var _ Swapper = (*Token)(nil)
+
+// swapState is the per-device residency bookkeeping inside a Token.
 type swapState struct {
 	capacity int64
 	// virtual is each client's allocated (virtual) bytes; resident is the
@@ -42,25 +60,14 @@ func newSwapState(capacity, bw int64) *swapState {
 
 // EnableSwap turns on the memory broker for this device. capacity is the
 // physical device memory; bw the host↔device transfer bandwidth.
-func (m *TokenManager) EnableSwap(capacity, bw int64) {
+func (m *Token) EnableSwap(capacity, bw int64) {
 	if m.swap == nil {
 		m.swap = newSwapState(capacity, bw)
 	}
 }
 
-// SwapEnabled reports whether the broker is active.
-func (m *TokenManager) SwapEnabled() bool { return m.swap != nil }
-
-// SwappedBytes returns the total bytes transferred by swapping so far.
-func (m *TokenManager) SwappedBytes() int64 {
-	if m.swap == nil {
-		return 0
-	}
-	return m.swap.swapped
-}
-
 // ResidentBytes returns a client's currently resident bytes.
-func (m *TokenManager) ResidentBytes(id string) int64 {
+func (m *Token) ResidentBytes(id string) int64 {
 	if m.swap == nil {
 		return 0
 	}
@@ -70,12 +77,12 @@ func (m *TokenManager) ResidentBytes(id string) int64 {
 // SetVirtualUsage records a client's allocated virtual bytes. Growth beyond
 // current residency becomes resident lazily at the next EnsureResident;
 // shrinking frees residency immediately.
-func (m *TokenManager) SetVirtualUsage(id string, bytes int64) error {
+func (m *Token) SetVirtualUsage(id string, bytes int64) error {
 	if m.swap == nil {
-		return fmt.Errorf("devlib: swap not enabled on %s", m.uuid)
+		return fmt.Errorf("sharing: swap not enabled on %s", m.uuid)
 	}
 	if bytes > m.swap.capacity {
-		return fmt.Errorf("devlib: client %s working set %d exceeds device capacity %d",
+		return fmt.Errorf("sharing: client %s working set %d exceeds device capacity %d",
 			id, bytes, m.swap.capacity)
 	}
 	m.swap.virtual[id] = bytes
@@ -89,9 +96,9 @@ func (m *TokenManager) SetVirtualUsage(id string, bytes int64) error {
 	return nil
 }
 
-// DropResidency releases a departing client's memory without transfer cost
+// dropResidency releases a departing client's memory without transfer cost
 // (its contents are discarded, not swapped).
-func (m *TokenManager) DropResidency(id string) {
+func (m *Token) dropResidency(id string) {
 	if m.swap == nil {
 		return
 	}
@@ -104,7 +111,7 @@ func (m *TokenManager) DropResidency(id string) {
 // the least-recently-used other clients as needed and sleeping for the PCIe
 // transfer time of everything moved. It must be called while id holds the
 // token (the device is quiescent for everyone else).
-func (m *TokenManager) EnsureResident(p *sim.Proc, id string) error {
+func (m *Token) EnsureResident(p *sim.Proc, id string) error {
 	s := m.swap
 	if s == nil {
 		return nil
@@ -149,7 +156,7 @@ func (m *TokenManager) EnsureResident(p *sim.Proc, id string) error {
 			s.resident[v.id] = 0
 		}
 		if free < need {
-			return fmt.Errorf("devlib: cannot make %d bytes resident for %s (capacity %d)",
+			return fmt.Errorf("sharing: cannot make %d bytes resident for %s (capacity %d)",
 				s.virtual[id], id, s.capacity)
 		}
 	}

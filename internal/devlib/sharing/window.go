@@ -1,8 +1,8 @@
-package metrics
+package sharing
 
 import "time"
 
-// UsageWindow tracks how much "busy time" an entity accumulated within a
+// usageWindow tracks how much "busy time" an entity accumulated within a
 // trailing window of virtual time — the accounting structure behind the
 // paper's sliding-window GPU usage rate (§4.5). Intervals are recorded as
 // [start, end) busy spans; Rate(now) returns busy/window over
@@ -13,7 +13,7 @@ import "time"
 // real callers record (each query pays only eviction, already charged to the
 // span that is dropped, plus a pro-rata correction for the prefix of spans
 // straddling the window start — at most one when spans are disjoint).
-type UsageWindow struct {
+type usageWindow struct {
 	window time.Duration
 	spans  []span // ring buffer, capacity a power of two
 	head   int
@@ -24,23 +24,18 @@ type UsageWindow struct {
 
 type span struct{ start, end time.Duration }
 
-// NewUsageWindow returns a tracker over the given trailing window width.
-func NewUsageWindow(window time.Duration) *UsageWindow {
-	if window <= 0 {
-		panic("metrics: non-positive usage window")
-	}
-	return &UsageWindow{window: window}
+// newUsageWindow returns a tracker over the given trailing window width,
+// which must be positive (NewToken defaults it).
+func newUsageWindow(window time.Duration) *usageWindow {
+	return &usageWindow{window: window}
 }
 
-// Window returns the configured window width.
-func (u *UsageWindow) Window() time.Duration { return u.window }
-
-func (u *UsageWindow) at(i int) *span { return &u.spans[(u.head+i)&(len(u.spans)-1)] }
+func (u *usageWindow) at(i int) *span { return &u.spans[(u.head+i)&(len(u.spans)-1)] }
 
 // AddSpan records a busy interval [start, end). Spans must be appended in
 // nondecreasing start order; overlapping or zero-length spans are tolerated
 // (overlaps are counted twice — callers record disjoint token-hold spans).
-func (u *UsageWindow) AddSpan(start, end time.Duration) {
+func (u *usageWindow) AddSpan(start, end time.Duration) {
 	if end <= start {
 		return
 	}
@@ -66,7 +61,7 @@ func (u *UsageWindow) AddSpan(start, end time.Duration) {
 
 // evict drops spans that ended before the window start, deducting their full
 // length from the running busy sum.
-func (u *UsageWindow) evict(now time.Duration) {
+func (u *usageWindow) evict(now time.Duration) {
 	cut := now - u.window
 	for u.n > 0 {
 		sp := u.at(0)
@@ -82,7 +77,7 @@ func (u *UsageWindow) evict(now time.Duration) {
 
 // Busy returns the busy time accumulated within [now-window, now]. Spans
 // straddling the window start are counted pro rata.
-func (u *UsageWindow) Busy(now time.Duration) time.Duration {
+func (u *usageWindow) Busy(now time.Duration) time.Duration {
 	u.evict(now)
 	if u.maxEnd > now {
 		// A span reaches past the query point (only possible when querying
@@ -112,7 +107,7 @@ func (u *UsageWindow) Busy(now time.Duration) time.Duration {
 
 // rescan is the reference computation: clip every retained span to
 // [now-window, now] and sum.
-func (u *UsageWindow) rescan(now time.Duration) time.Duration {
+func (u *usageWindow) rescan(now time.Duration) time.Duration {
 	cut := now - u.window
 	var busy time.Duration
 	for i := 0; i < u.n; i++ {
@@ -133,6 +128,6 @@ func (u *UsageWindow) rescan(now time.Duration) time.Duration {
 
 // Rate returns the busy fraction of the window at time now, in [0, 1] for
 // disjoint spans.
-func (u *UsageWindow) Rate(now time.Duration) float64 {
+func (u *usageWindow) Rate(now time.Duration) float64 {
 	return float64(u.Busy(now)) / float64(u.window)
 }

@@ -1,4 +1,4 @@
-package metrics
+package sharing
 
 import (
 	"math/rand"
@@ -35,7 +35,7 @@ func TestUsageWindowMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		window := time.Duration(1+rng.Intn(50)) * time.Millisecond
-		u := NewUsageWindow(window)
+		u := newUsageWindow(window)
 		var history []span
 
 		// start advances monotonically (AddSpan's contract); queries are
@@ -79,7 +79,7 @@ func TestUsageWindowMatchesBruteForce(t *testing.T) {
 // implementation rescanned every retained span per query.
 func BenchmarkUsageWindowRate(b *testing.B) {
 	const window = 100 * time.Millisecond
-	u := NewUsageWindow(window)
+	u := newUsageWindow(window)
 	now := time.Duration(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,124 +4,17 @@ import (
 	"testing"
 	"time"
 
-	"kubeshare/internal/cuda"
 	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/gpusim"
 	"kubeshare/internal/sim"
-	"kubeshare/internal/simrand"
 )
-
-// strategyRig is a single-device bench whose frontends go through an
-// explicit sharing.Strategy from the backend registry rather than the
-// NewFrontend compatibility wrapper.
-type strategyRig struct {
-	env   *sim.Env
-	dev   *gpusim.Device
-	b     *Backend
-	strat sharing.Strategy
-}
-
-func newStrategyRig(t *testing.T, cfg Config, mode sharing.Mode) *strategyRig {
-	t.Helper()
-	env := sim.NewEnv()
-	dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-	b := NewBackend(env, cfg)
-	strat, err := b.StrategyFor(dev.UUID(), mode)
-	if err != nil {
-		t.Fatalf("strategy %q: %v", mode, err)
-	}
-	return &strategyRig{env: env, dev: dev, b: b, strat: strat}
-}
-
-func (r *strategyRig) addClient(t *testing.T, id string, share Share) *Frontend {
-	t.Helper()
-	f, err := NewFrontendWith(cuda.Open(r.dev, id), r.strat, id, share, r.b.Config())
-	if err != nil {
-		t.Fatalf("frontend %s: %v", id, err)
-	}
-	return f
-}
-
-// TestPropertyTokenStatsInvariantUnderStrategyIndirection runs the identical
-// randomized two-client workload twice — once through the NewFrontend
-// compatibility wrapper (which wraps the TokenManager itself) and once
-// through the backend's strategy registry (StrategyFor → TokenStrategy) —
-// and demands bit-identical outcomes: same kernel counts, same device busy
-// time, field-identical Stats and TenantStats. The strategy indirection must
-// be pure plumbing for the token policy.
-func TestPropertyTokenStatsInvariantUnderStrategyIndirection(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := simrand.New(seed)
-		shares := [2]Share{}
-		kernels := [2]time.Duration{}
-		for i := range shares {
-			req := 0.2 + 0.3*rng.Float64()
-			shares[i] = Share{Request: req, Limit: req * 1.5, Memory: 0.3}
-			kernels[i] = time.Duration(2+rng.Intn(10)) * time.Millisecond
-		}
-
-		type outcome struct {
-			counts [2]int
-			busy   time.Duration
-			stats  Stats
-			tenant []sharing.TenantUsage
-		}
-		run := func(viaRegistry bool) outcome {
-			var o outcome
-			var mgr *TokenManager
-			ids := [2]string{"a", "b"}
-			if viaRegistry {
-				r := newStrategyRig(t, Config{}, sharing.ModeToken)
-				mgr = r.b.Manager(r.dev.UUID())
-				for i, id := range ids {
-					f := r.addClient(t, id, shares[i])
-					r.env.Go(id, trainLoop(f, kernels[i], time.Millisecond, &o.counts[i]))
-				}
-				r.env.RunUntil(5 * time.Second)
-				o.busy = r.dev.BusyTime()
-			} else {
-				r := newRig(Config{})
-				mgr = r.mgr
-				for i, id := range ids {
-					f := r.addClient(t, id, shares[i])
-					r.env.Go(id, trainLoop(f, kernels[i], time.Millisecond, &o.counts[i]))
-				}
-				r.env.RunUntil(5 * time.Second)
-				o.busy = r.dev.BusyTime()
-			}
-			o.stats = mgr.Stats()
-			o.tenant = TokenStrategy{mgr}.TenantStats()
-			return o
-		}
-
-		direct, registry := run(false), run(true)
-		if direct.counts != registry.counts {
-			t.Fatalf("seed %d: kernel counts %v vs %v", seed, direct.counts, registry.counts)
-		}
-		if direct.busy != registry.busy {
-			t.Fatalf("seed %d: busy %v vs %v", seed, direct.busy, registry.busy)
-		}
-		if direct.stats != registry.stats {
-			t.Fatalf("seed %d: stats %+v vs %+v", seed, direct.stats, registry.stats)
-		}
-		if len(direct.tenant) != len(registry.tenant) {
-			t.Fatalf("seed %d: tenant stats %v vs %v", seed, direct.tenant, registry.tenant)
-		}
-		for i := range direct.tenant {
-			if direct.tenant[i] != registry.tenant[i] {
-				t.Fatalf("seed %d: tenant[%d] %+v vs %+v", seed,
-					i, direct.tenant[i], registry.tenant[i])
-			}
-		}
-	}
-}
 
 // TestMPSFrontendsOverlap drives two full-duty clients through frontends on
 // the MPS strategy: with ungated leases and no token turns, both must stay
 // on the device simultaneously and the device must be busy essentially the
 // whole run.
 func TestMPSFrontendsOverlap(t *testing.T) {
-	r := newStrategyRig(t, Config{Mode: sharing.ModeMPS}, sharing.ModeMPS)
+	r := newRigOn(gpusim.Config{NodeName: "n"}, Config{Mode: sharing.ModeMPS}, sharing.ModeMPS)
 	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 0.5, Memory: 0.3})
 	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 0.5, Memory: 0.3})
 	na, nb := 0, 0
@@ -146,7 +39,7 @@ func TestMPSFrontendsOverlap(t *testing.T) {
 // strategy: the pair sharing a slot time-slice it while the lone client on
 // the other slot runs unimpeded alongside them.
 func TestReplicaFrontendsRotate(t *testing.T) {
-	r := newStrategyRig(t, Config{Mode: sharing.ModeReplica, Replicas: 2}, sharing.ModeReplica)
+	r := newRigOn(gpusim.Config{NodeName: "n"}, Config{Mode: sharing.ModeReplica, Replicas: 2}, sharing.ModeReplica)
 	counts := [3]int{}
 	for i, id := range []string{"a", "b", "c"} {
 		f := r.addClient(t, id, Share{Request: 0.3, Limit: 1, Memory: 0.2})
@@ -166,51 +59,45 @@ func TestReplicaFrontendsRotate(t *testing.T) {
 	}
 }
 
-// TestSwapInterleavedWithSuspendResume crashes the token manager mid-run
+// TestSwapInterleavedWithSuspendResume crashes the token daemon mid-run
 // under memory over-commitment: queued acquires fail over to the reconnect
 // path, the broker's residency bookkeeping survives the outage (it lives
 // with the device, not the daemon's client table), and both tenants keep
 // making progress — and keep swapping — after the resume.
 func TestSwapInterleavedWithSuspendResume(t *testing.T) {
-	env, dev, mgr := swapRig(1000, 1<<40)
-	fa, err := NewFrontend(cuda.Open(dev, "a"), mgr, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := NewFrontend(cuda.Open(dev, "b"), mgr, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := swapRig(1000, 1<<40)
+	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
+	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	na, nb := 0, 0
-	env.Go("a", func(p *sim.Proc) {
+	r.env.Go("a", func(p *sim.Proc) {
 		fa.MemAlloc(p, 700)
 		trainLoop(fa, 5*time.Millisecond, time.Millisecond, &na)(p)
 	})
-	env.Go("b", func(p *sim.Proc) {
+	r.env.Go("b", func(p *sim.Proc) {
 		fb.MemAlloc(p, 700)
 		trainLoop(fb, 5*time.Millisecond, time.Millisecond, &nb)(p)
 	})
 	var atCrash, swappedAtCrash = [2]int{}, int64(0)
-	env.Go("chaos", func(p *sim.Proc) {
+	r.env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		mgr.Suspend()
+		r.strat.Suspend()
 		atCrash = [2]int{na, nb}
-		swappedAtCrash = mgr.SwappedBytes()
+		swappedAtCrash = r.strat.Stats().SwappedBytes
 		p.Sleep(50 * time.Millisecond)
-		mgr.Resume()
+		r.strat.Resume()
 	})
-	env.RunUntil(3 * time.Second)
+	r.env.RunUntil(3 * time.Second)
 	if na <= atCrash[0] || nb <= atCrash[1] {
 		t.Fatalf("progress stalled after resume: %v then %d/%d", atCrash, na, nb)
 	}
-	if mgr.SwappedBytes() <= swappedAtCrash {
+	if r.strat.Stats().SwappedBytes <= swappedAtCrash {
 		t.Fatalf("swap traffic stalled after resume: %d then %d",
-			swappedAtCrash, mgr.SwappedBytes())
+			swappedAtCrash, r.strat.Stats().SwappedBytes)
 	}
 	// Both working sets stayed intact across the crash: each EnsureResident
 	// still moves the full 700-byte set, never a partial one.
-	if mgr.SwappedBytes()%700 != 0 {
-		t.Fatalf("swapped %d bytes, want a multiple of the 700-byte sets", mgr.SwappedBytes())
+	if r.strat.Stats().SwappedBytes%700 != 0 {
+		t.Fatalf("swapped %d bytes, want a multiple of the 700-byte sets", r.strat.Stats().SwappedBytes)
 	}
 }
 
@@ -218,11 +105,11 @@ func TestSwapInterleavedWithSuspendResume(t *testing.T) {
 // its residency is dropped without transfer cost and the survivor stops
 // paying swap traffic entirely — its set now fits alone.
 func TestSwapInterleavedWithUnregister(t *testing.T) {
-	env, dev, mgr := swapRig(1000, 1<<40)
-	fa, _ := NewFrontend(cuda.Open(dev, "a"), mgr, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
-	fb, _ := NewFrontend(cuda.Open(dev, "b"), mgr, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
+	r := swapRig(1000, 1<<40)
+	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
+	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	nb := 0
-	env.Go("a", func(p *sim.Proc) {
+	r.env.Go("a", func(p *sim.Proc) {
 		fa.MemAlloc(p, 700)
 		for i := 0; i < 50; i++ {
 			if err := fa.LaunchKernel(p, 5*time.Millisecond); err != nil {
@@ -232,24 +119,24 @@ func TestSwapInterleavedWithUnregister(t *testing.T) {
 		}
 		fa.Close(p)
 	})
-	env.Go("b", func(p *sim.Proc) {
+	r.env.Go("b", func(p *sim.Proc) {
 		fb.MemAlloc(p, 700)
 		trainLoop(fb, 5*time.Millisecond, time.Millisecond, &nb)(p)
 	})
 	var swappedAfterClose int64
-	env.Go("probe", func(p *sim.Proc) {
+	r.env.Go("probe", func(p *sim.Proc) {
 		p.Sleep(2 * time.Second) // well past a's 50 kernels
-		if mgr.ResidentBytes("a") != 0 {
-			t.Errorf("a still resident after Close: %d bytes", mgr.ResidentBytes("a"))
+		if r.token().ResidentBytes("a") != 0 {
+			t.Errorf("a still resident after Close: %d bytes", r.token().ResidentBytes("a"))
 		}
-		swappedAfterClose = mgr.SwappedBytes()
+		swappedAfterClose = r.strat.Stats().SwappedBytes
 		p.Sleep(time.Second)
-		if got := mgr.SwappedBytes(); got != swappedAfterClose {
+		if got := r.strat.Stats().SwappedBytes; got != swappedAfterClose {
 			t.Errorf("swap traffic continued after sole tenant fits: %d then %d",
 				swappedAfterClose, got)
 		}
 	})
-	env.RunUntil(4 * time.Second)
+	r.env.RunUntil(4 * time.Second)
 	if nb == 0 {
 		t.Fatal("survivor made no progress")
 	}

@@ -1,16 +1,9 @@
-// Package metrics provides the measurement layer shared by the simulated
-// cluster and the experiment harness: time series, sliding-window
-// accumulators, counters, summary statistics and table/CSV rendering for the
-// figures reproduced from the paper.
+// Package metrics renders the experiment harness's results: the time-series
+// type the figures sample into (an alias of the tsdb series), and table/CSV
+// and ASCII-chart rendering for the figures reproduced from the paper.
 package metrics
 
-import (
-	"math"
-	"sort"
-	"time"
-
-	"kubeshare/internal/obs/tsdb"
-)
+import "kubeshare/internal/obs/tsdb"
 
 // Point is one sample of a time series, at virtual time T. It is the tsdb
 // point type: the repository keeps exactly one time-series representation
@@ -21,139 +14,3 @@ type Point = tsdb.Point
 // the experiment harness, charts and the telemetry database all share one
 // type. The zero value is unbounded; tsdb.NewSeries builds bounded ones.
 type Series = tsdb.Series
-
-// Recorder is a set of named series.
-type Recorder struct {
-	series map[string]*Series
-	order  []string
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{series: make(map[string]*Series)}
-}
-
-// Series returns the named series, creating it on first use.
-func (r *Recorder) Series(name string) *Series {
-	s, ok := r.series[name]
-	if !ok {
-		s = &Series{Name: name}
-		r.series[name] = s
-		r.order = append(r.order, name)
-	}
-	return s
-}
-
-// Observe appends a sample to the named series.
-func (r *Recorder) Observe(name string, t time.Duration, v float64) {
-	r.Series(name).Add(t, v)
-}
-
-// Names returns the series names in creation order.
-func (r *Recorder) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
-// Counter is a monotonically increasing event count.
-type Counter struct{ n int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds d; negative deltas panic.
-func (c *Counter) Add(d int64) {
-	if d < 0 {
-		panic("metrics: negative Counter.Add")
-	}
-	c.n += d
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Summary computes order statistics over a value set.
-type Summary struct{ vals []float64 }
-
-// Observe adds a value.
-func (s *Summary) Observe(v float64) { s.vals = append(s.vals, v) }
-
-// N returns the number of observations.
-func (s *Summary) N() int { return len(s.vals) }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	if len(s.vals) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	acc := 0.0
-	for _, v := range s.vals {
-		acc += (v - m) * (v - m)
-	}
-	return math.Sqrt(acc / float64(len(s.vals)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank interpolation; 0 when empty.
-func (s *Summary) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.vals...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Min returns the minimum observation (0 when empty).
-func (s *Summary) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum observation (0 when empty).
-func (s *Summary) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -66,135 +65,6 @@ func TestDownsample(t *testing.T) {
 	}
 	if d.Points[0].V != 2 || d.Points[1].V != 7 {
 		t.Fatalf("points = %v", d.Points)
-	}
-}
-
-func TestRecorderSeriesIdentityAndOrder(t *testing.T) {
-	r := NewRecorder()
-	r.Observe("b", 0, 1)
-	r.Observe("a", 0, 2)
-	r.Observe("b", time.Second, 3)
-	if r.Series("b").Len() != 2 {
-		t.Fatal("series identity broken")
-	}
-	names := r.Names()
-	if names[0] != "b" || names[1] != "a" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d", c.Value())
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
-func TestSummaryStats(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Observe(v)
-	}
-	if s.N() != 5 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("n=%d mean=%v min=%v max=%v", s.N(), s.Mean(), s.Min(), s.Max())
-	}
-	if math.Abs(s.Stddev()-math.Sqrt(2)) > 1e-9 {
-		t.Fatalf("stddev = %v", s.Stddev())
-	}
-	if s.Percentile(50) != 3 {
-		t.Fatalf("p50 = %v", s.Percentile(50))
-	}
-	if s.Percentile(0) != 1 || s.Percentile(100) != 5 {
-		t.Fatal("p0/p100 wrong")
-	}
-}
-
-func TestSummaryPercentileInterpolates(t *testing.T) {
-	var s Summary
-	s.Observe(0)
-	s.Observe(10)
-	if got := s.Percentile(50); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-}
-
-func TestUsageWindowBasic(t *testing.T) {
-	u := NewUsageWindow(10 * time.Second)
-	u.AddSpan(0, 2*time.Second)
-	u.AddSpan(4*time.Second, 6*time.Second)
-	if got := u.Rate(10 * time.Second); math.Abs(got-0.4) > 1e-9 {
-		t.Fatalf("rate = %v, want 0.4", got)
-	}
-}
-
-func TestUsageWindowEviction(t *testing.T) {
-	u := NewUsageWindow(10 * time.Second)
-	u.AddSpan(0, 10*time.Second)
-	// At t=25s the span is entirely outside [15s,25s].
-	if got := u.Rate(25 * time.Second); got != 0 {
-		t.Fatalf("rate = %v, want 0", got)
-	}
-	if u.n != 0 {
-		t.Fatal("evicted spans not freed")
-	}
-}
-
-func TestUsageWindowStraddlingSpan(t *testing.T) {
-	u := NewUsageWindow(10 * time.Second)
-	u.AddSpan(0, 8*time.Second)
-	// Window [5s,15s] overlaps [0,8s] by 3s.
-	if got := u.Rate(15 * time.Second); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("rate = %v, want 0.3", got)
-	}
-}
-
-func TestUsageWindowFutureClamp(t *testing.T) {
-	u := NewUsageWindow(10 * time.Second)
-	u.AddSpan(0, 20*time.Second) // span extends past "now"
-	if got := u.Rate(10 * time.Second); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("rate = %v, want 1.0", got)
-	}
-}
-
-func TestUsageWindowZeroLengthSpanIgnored(t *testing.T) {
-	u := NewUsageWindow(time.Second)
-	u.AddSpan(time.Second, time.Second)
-	if u.Rate(2*time.Second) != 0 {
-		t.Fatal("zero-length span counted")
-	}
-}
-
-// Property: rate is always within [0,1] for disjoint in-order spans.
-func TestPropertyUsageWindowRateBounded(t *testing.T) {
-	f := func(gaps []uint8) bool {
-		u := NewUsageWindow(5 * time.Second)
-		var cursor time.Duration
-		for _, g := range gaps {
-			busy := time.Duration(g%50) * 100 * time.Millisecond
-			idle := time.Duration(g/50) * 100 * time.Millisecond
-			u.AddSpan(cursor, cursor+busy)
-			cursor += busy + idle
-			r := u.Rate(cursor)
-			if r < 0 || r > 1+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -392,10 +392,15 @@ func (s *Sim) usageRate(sp *SharePod) float64 {
 	if !ok {
 		return 0
 	}
-	mgr := backend.Manager(sp.Status.UUID)
+	// StrategyOf, never StrategyFor: reading usage must not instantiate a
+	// strategy and thereby pin the device's sharing mode.
+	strat := backend.StrategyOf(sp.Status.UUID)
+	if strat == nil {
+		return 0
+	}
 	total := 0.0
 	for _, c := range sp.Spec.Pod.Containers {
-		total += mgr.UsageRate(sp.Status.BoundPod + "/" + c.Name)
+		total += strat.UsageRate(sp.Status.BoundPod + "/" + c.Name)
 	}
 	return total
 }

@@ -179,6 +179,63 @@ func TestFacadeUsageRate(t *testing.T) {
 	}
 }
 
+// TestStatsIsReadOnly: sampling usage must never instantiate a device's
+// sharing strategy. A backend keeps one strategy per device and the first
+// one pins the device's mode, so a read that created the node default
+// (token) would make a later sharing_mode: mps pod fail at library-hook
+// time.
+func TestStatsIsReadOnly(t *testing.T) {
+	s, err := New(WithNodes(1), WithGPUsPerNode(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RegisterImage("burst", func(ctx *ContainerCtx) error {
+		return ctx.CUDA.LaunchKernel(ctx.Proc, 100*time.Millisecond)
+	})
+	node := s.Cluster.Nodes[0]
+	uuid, backend := node.GPUs[0].UUID(), s.KS.Backends[node.Name]
+
+	// A Running sharePod as a reader may see it before any container on the
+	// device has loaded the library.
+	probe := &SharePod{ObjectMeta: ObjectMeta{Name: "probe"}}
+	probe.Spec.NodeName = node.Name
+	probe.Spec.Pod.Containers = []Container{{Name: "c"}}
+	probe.Status.UUID, probe.Status.BoundPod = uuid, "probe-pod"
+	if rate := s.usageRate(probe); rate != 0 {
+		t.Fatalf("usage %v on a device no client has reached", rate)
+	}
+	s.Stats()
+	if strat := backend.StrategyOf(uuid); strat != nil {
+		t.Fatalf("reading usage instantiated a %s strategy", strat.Mode())
+	}
+
+	s.Go("main", func(p *sim.Proc) {
+		if _, err := s.CreateSharePod(&SharePod{
+			ObjectMeta: ObjectMeta{Name: "overlap"},
+			Spec: SharePodSpec{
+				GPURequest: 0.5, GPULimit: 1, GPUMem: 0.25, SharingMode: "mps",
+				Pod: PodSpec{Containers: []Container{{Name: "c", Image: "burst"}}},
+			},
+		}); err != nil {
+			t.Errorf("create: %v", err)
+		}
+	})
+	s.Go("sampler", func(p *sim.Proc) {
+		for i := 0; i < 200; i++ {
+			s.Stats()
+			p.Sleep(10 * time.Millisecond)
+		}
+	})
+	s.Run()
+	sp, err := s.SharePods().Get("overlap")
+	if err != nil || sp.Status.Phase != SharePodSucceeded {
+		t.Fatalf("mps sharePod = %+v, %v", sp, err)
+	}
+	if strat := backend.StrategyOf(uuid); strat == nil || strat.Mode() != "mps" {
+		t.Fatalf("device strategy = %v, want mps", strat)
+	}
+}
+
 func TestFacadeTokenQuotaOption(t *testing.T) {
 	s, err := New(WithTokenQuota(30 * time.Millisecond))
 	if err != nil {
