@@ -494,7 +494,7 @@ func BenchmarkFig15SchedulerThroughput(b *testing.B) {
 }
 
 // BenchmarkFig16ScaleSweep regenerates Figure 16: wall-clock time of the
-// scheduler hot path (batched cycle over the sharded store) as the sharePod
+// scheduler hot path (batched cycle over the store) as the sharePod
 // count climbs 1k → 10k → 100k. Per order of magnitude it reports the wall
 // time and the scheduler's decisions per sharePod — the requeue-storm
 // witness: ~1 when unschedulable units are parked, growing with the backlog

@@ -58,11 +58,12 @@ GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestWat
 # batched-vs-sequential, conflict retry, gang all-or-nothing, and the
 # parking reference model.
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
-# The sharded store under the race detector with goroutines actually running
-# concurrently: the churn-vs-filtered-watch equivalence property, and
-# goroutine readers (Scan/Get/List, what serve's handlers do) holding shared
-# snapshots while a writer publishes new ones to live watchers.
-GOMAXPROCS=4 go test -race -run 'TestShard|TestIndex|TestSharedSnapshot' ./internal/kube/store/
+# The store's one lock under the race detector with goroutines actually
+# running concurrently: the churn-vs-watch equivalence property (live,
+# filtered and late-registered watches), goroutine readers (Scan/Get/List)
+# holding shared snapshots while a writer publishes new ones to live
+# watchers, and the restart wake order (kind-name order, every run).
+GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestIndex|TestSharedSnapshot|TestCrashWakeOrder' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x

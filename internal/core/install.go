@@ -22,9 +22,8 @@ type Config struct {
 }
 
 // Sched is the scheduler surface KubeShare needs from whichever driver is
-// installed — the legacy single-sharePod loop, the schedfw batched driver,
-// or the extender baseline. Counters live on the obs registry, so Stats is
-// uniform across drivers.
+// installed — the schedfw batched driver or the extender baseline. Counters
+// live on the obs registry, so Stats is uniform across drivers.
 type Sched interface {
 	Start()
 	Stop()

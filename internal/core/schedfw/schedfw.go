@@ -1,15 +1,14 @@
-// Package schedfw is the scheduling framework driver: the batched,
-// plugin-phased successor to the legacy single-sharePod KubeShare-Sched
-// loop. Each cycle drains the pending queue into a batch, runs every unit
+// Package schedfw is the scheduling framework: the batched, plugin-phased
+// KubeShare-Sched driver, plus the extender baseline (extender.go) on the
+// same wake loop. Each cycle drains the pending queue into a batch, runs every unit
 // through the fwk engine (pre-filter → filter → score → allocate → reserve)
 // against a transactional view of the incremental snapshot, resolves
 // intra-batch conflicts through the reservation journal, and commits the
 // staged placements in bulk through the API server.
 //
 // The default configuration — the Algorithm 1 plugin set, batch size 1 —
-// reproduces the legacy scheduler's placements, spans, events and counters
-// exactly; batching and gang scheduling are opt-in extensions on the same
-// pipeline.
+// decides one sharePod per cycle exactly as the paper's scheduler does;
+// batching and gang scheduling are opt-in extensions on the same pipeline.
 package schedfw
 
 import (

@@ -2,10 +2,9 @@ package core
 
 import "kubeshare/internal/obs"
 
-// Scheduling metric names. Both the legacy in-package scheduler and the
-// schedfw driver register these exact families, so dashboards, the SLO alert
-// rules and ReadSchedStats see one vocabulary regardless of which driver is
-// installed.
+// Scheduling metric names. Both drivers — schedfw and the extender baseline —
+// register these exact families, so dashboards, the SLO alert rules and
+// ReadSchedStats see one vocabulary regardless of which driver is installed.
 const (
 	// MetricSchedDecisions counts pipeline runs, one per unit decided. A unit
 	// the driver passes over without running the pipeline (parked, or a
@@ -24,7 +23,7 @@ const (
 // SchedStats is a point-in-time snapshot of the control plane's scheduling
 // and recovery counters, read from the obs registry. It replaces the
 // Decisions() / Requeues() / Recoveries() accessor trio: one read, one
-// struct, meaningful with any scheduler driver (legacy, schedfw, extender),
+// struct, meaningful with either scheduler driver (schedfw, extender),
 // and all zeros when the cluster runs with observability off — the registry
 // is the source of truth, not per-object fields.
 type SchedStats struct {

@@ -2,12 +2,10 @@ package gpusim
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"kubeshare/internal/metrics"
 	"kubeshare/internal/sim"
 )
 
@@ -207,32 +205,6 @@ func TestCopyDuration(t *testing.T) {
 	}
 	if dev.CopyDuration(0) != 0 || dev.CopyDuration(-5) != 0 {
 		t.Fatal("non-positive copy must be 0")
-	}
-}
-
-func TestSamplerUtilization(t *testing.T) {
-	env := sim.NewEnv()
-	dev := newDev(env)
-	ctx := dev.OpenContext("c1")
-	var series metrics.Series
-	s := NewSampler(env, dev, 100*time.Millisecond, &series)
-	env.Go("app", func(p *sim.Proc) {
-		// 50% duty cycle: 50ms kernel, 50ms host work, 4 iterations.
-		for i := 0; i < 4; i++ {
-			ctx.Launch(p, 50*time.Millisecond)
-			p.Sleep(50 * time.Millisecond)
-		}
-	})
-	env.RunUntil(400 * time.Millisecond)
-	s.Stop()
-	env.Run()
-	if series.Len() < 4 {
-		t.Fatalf("samples = %d", series.Len())
-	}
-	for i := 0; i < 4; i++ {
-		if math.Abs(series.Points[i].V-0.5) > 1e-9 {
-			t.Fatalf("sample %d = %v, want 0.5", i, series.Points[i].V)
-		}
 	}
 }
 

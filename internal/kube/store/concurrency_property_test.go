@@ -21,15 +21,17 @@ type expectedEv struct {
 	selMatch bool // labels matched app=a at delivery time
 }
 
-// TestShardChurnWatchEquivalence is the concurrency property test for the
-// sharded store: several goroutines churn disjoint key ranges across two
-// kinds (two shards) while filtered watches are live, under -race. Because
-// each key has exactly one writer, the per-key event sequence a single-lock
-// store would deliver is fully determined by that writer's op log — so every
-// watcher (per-kind, selector-filtered, and generic-prefix) must observe
-// exactly that sequence per key, with store-wide revisions strictly
-// increasing along it, regardless of how shards interleave.
-func TestShardChurnWatchEquivalence(t *testing.T) {
+// TestConcurrentChurnWatchEquivalence is the store's concurrency property
+// test: several goroutines churn disjoint key ranges across two kinds while
+// filtered watches are live, under -race. Because each key has exactly one
+// writer, the per-key event sequence a single-lock store would deliver is
+// fully determined by that writer's op log — so every watcher (per-kind,
+// selector-filtered, and generic-prefix) must observe exactly that sequence
+// per key, with store-wide revisions strictly increasing along it, however
+// the writers interleave. A generic-prefix list+watch registered from a
+// goroutine while the churn runs must join every key's sequence at one
+// consistent cut: no gap, no duplicate.
+func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
 
@@ -41,13 +43,24 @@ func TestShardChurnWatchEquivalence(t *testing.T) {
 	)
 
 	// Live watches registered before the churn: per-kind, selector-filtered
-	// (Pod app=a), and a generic-prefix watch crossing both shards.
+	// (Pod app=a), and a generic-prefix watch crossing both kinds.
 	podQ := s.Watch("Pod/", false)
 	nodeQ := s.Watch("Node/", false)
 	selQ := s.WatchFiltered("Pod/", WatchOptions{
 		Selector: labels.SelectorFromMap(map[string]string{"app": watchedSel}),
 	}, false)
 	allQ := s.Watch("", false)
+
+	// The late watcher registers with replay while workers 1..7 are writing:
+	// worker 0 signals mid a quarter of the way through its ops and resumes
+	// once the registration is in, so there are writes on both sides of it.
+	var lateQ *sim.Queue[Event]
+	mid, registered := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-mid
+		lateQ = s.Watch("", true)
+		close(registered)
+	}()
 
 	logs := make([]map[string][]expectedEv, workers) // worker → key → op log
 	var wg sync.WaitGroup
@@ -81,6 +94,10 @@ func TestShardChurnWatchEquivalence(t *testing.T) {
 			}
 			curLabels := map[string]map[string]string{} // key → last stored labels
 			for i := 0; i < opsPer; i++ {
+				if w == 0 && i == opsPer/4 {
+					close(mid)
+					<-registered
+				}
 				name := fmt.Sprintf("w%d-%02d", w, rng.Intn(keysPer))
 				key := kind + "/" + name
 				_, exists := curLabels[name]
@@ -206,6 +223,61 @@ func TestShardChurnWatchEquivalence(t *testing.T) {
 		t.Fatalf("kind watches saw %d keys, want %d", got, wantN)
 	}
 
+	// Late generic-prefix list+watch. Per key it must hold a suffix of the
+	// eager generic watcher's sequence — same Events, same snapshot pointers —
+	// entered either live, right after a delete (the key was absent at
+	// registration), or at a replayed Added carrying the snapshot current at
+	// registration. And the registration is one cut: a single revision R must
+	// fit every key, with everything after R delivered live and nothing at or
+	// before R delivered twice.
+	lateEvs := drain(lateQ)
+	lo, hi := int64(0), s.Revision()+1 // lo <= R < hi
+	lateTotal := 0
+	for key, full := range allEvs {
+		got := lateEvs[key]
+		lateTotal += len(got)
+		j := len(full) - len(got)
+		if j < 0 {
+			t.Fatalf("late watch, key %s: %d events, eager watcher saw only %d", key, len(got), len(full))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] != full[j+i] {
+				t.Fatalf("late watch, key %s, event %d: got (%s, rev=%d), eager watcher (%s, rev=%d)",
+					key, i, got[i].Type, got[i].Rev, full[j+i].Type, full[j+i].Rev)
+			}
+		}
+		// R >= full[first-1].Rev and R < full[next].Rev.
+		first, next := j, j
+		switch {
+		case len(got) > 0 && got[0] == full[j] && full[j].Type == Added:
+			// A replayed create and a live one are the same Event, so R may
+			// sit on either side of it.
+			next = j + 1
+		case len(got) == 0 || got[0] == full[j]:
+			if full[j-1].Type != Deleted {
+				t.Fatalf("late watch, key %s: joined at event %d though the object existed and was not replayed", key, j)
+			}
+		case got[0] == Event{Added, full[j].Object, full[j].Rev} && full[j].Type == Modified:
+			first, next = j+1, j+1
+		default:
+			t.Fatalf("late watch, key %s: first event (%s, rev=%d) is neither eager event %d (%s, rev=%d) nor its replay",
+				key, got[0].Type, got[0].Rev, j, full[j].Type, full[j].Rev)
+		}
+		if first > 0 {
+			lo = max(lo, full[first-1].Rev)
+		}
+		if next < len(full) {
+			hi = min(hi, full[next].Rev)
+		}
+	}
+	if lo >= hi {
+		t.Fatalf("late watch: no single registration revision fits every key (need %d <= R < %d)", lo, hi)
+	}
+	if lateTotal == 0 || lateTotal >= totalOps || len(lateEvs) > len(allEvs) {
+		t.Fatalf("late watch saw %d events over %d keys (eager: %d over %d): not a mid-churn suffix",
+			lateTotal, len(lateEvs), totalOps, len(allEvs))
+	}
+
 	// Selector watch: exactly the matching subsequence of each Pod key.
 	selEvs := drain(selQ)
 	for key, seq := range want {
@@ -253,10 +325,10 @@ func TestShardChurnWatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentReaders checks readers on one kind run against writers
-// on another without torn results: list/scan/selector answers on the read
+// TestConcurrentReaders checks readers on one kind run against writers on
+// another without torn results: list/scan/selector answers on the read
 // side always reflect a committed prefix of the writer's op sequence.
-func TestShardConcurrentReaders(t *testing.T) {
+func TestConcurrentReaders(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
 	for i := 0; i < 64; i++ {
@@ -269,7 +341,7 @@ func TestShardConcurrentReaders(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer churns Nodes (another shard)
+	go func() { // writer churns Nodes (another kind)
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {

@@ -12,11 +12,11 @@ import (
 	"kubeshare/internal/sim"
 )
 
-// TestSharedSnapshotConcurrentReaders runs what serve's HTTP handlers do —
-// Scan, Get, List, ListSelector from goroutines — against a writer that is
-// publishing shared snapshots to live watchers, under -race (check.sh runs
-// it at GOMAXPROCS=4). Readers keep the snapshots Scan showed them past the
-// shard lock and read every field again later: a published object must never
+// TestSharedSnapshotConcurrentReaders runs goroutine readers — Scan, Get,
+// List, ListSelector — against a writer that is publishing shared snapshots
+// to live watchers, under -race (check.sh runs it at GOMAXPROCS=4). Readers
+// keep the snapshots Scan showed them past the store's lock and read every
+// field again later: a published object must never
 // change, so each must still equal the private copy taken at first sight,
 // and the race detector must see no write to memory a reader holds.
 func TestSharedSnapshotConcurrentReaders(t *testing.T) {

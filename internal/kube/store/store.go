@@ -9,25 +9,17 @@
 // Watches can be filtered server-side by kind, exact name and label
 // selector — subscribers never receive events they would discard.
 //
-// # Sharding and concurrency
+// # Concurrency
 //
-// Buckets are striped across NumShards shards by kind hash, each guarded by
-// its own RWMutex, so list/watch/scan traffic on disjoint kinds never
-// contends and readers (samplers, the serve endpoints) run concurrently
-// with each other and with a writer in another shard. Revisions come from one global atomic counter — mutations in the
-// same shard serialize on the shard lock, so per-kind revision order is
-// monotonic — and each shard additionally tracks the last revision it
-// committed. Watch fan-out is per-shard: a mutation only visits its own
-// kind's watcher list (plus the rare generic-prefix watchers, under their
-// own lock). The resumable-watch history is global, under its own mutex;
-// entries from different shards may interleave slightly out of global
-// revision order, but per-kind order — the order a resuming subscriber
-// replays — is always commit order.
-//
-// Mutations and watch registration are goroutine-safe, with one rule: the
-// virtual clock must not advance while mutators run off the simulation
-// goroutine (Create reads env.Now), and generic-prefix watch registration
-// is simulation-goroutine-only.
+// One RWMutex guards everything: reads share it, and a write holds it
+// across commit, WAL append, watch fan-out and the history append, so
+// revision order, log order, delivery order and history order are all the
+// same order. Every exported method may be called from any goroutine; in
+// the simulator the only caller is the simulation goroutine. Two rules:
+// the virtual clock must not advance while mutators run off the simulation
+// goroutine (Create reads env.Now), and hooks (OnPublish, the durability
+// hooks) must not call back into the store — Revision and Epoch are
+// lock-free and exempt.
 //
 // # Ownership
 //
@@ -80,11 +72,6 @@ var (
 
 // DefaultHistoryCap bounds the event history kept for resumable watches.
 const DefaultHistoryCap = 4096
-
-// NumShards is the stripe count: buckets live in shard fnv(kind)%NumShards.
-// A small power of two keeps the fixed cost negligible while separating the
-// hot kinds (SharePod, Pod, Node, VGPU, Event) onto distinct locks.
-const NumShards = 16
 
 // EventType classifies watch events.
 type EventType string
@@ -145,8 +132,8 @@ type bucket struct {
 	objs map[string]api.Object // name → published snapshot (immutable)
 	// sorted caches the names in order; rebuilt lazily after create/delete.
 	// dirty is atomic and the rebuild is guarded by sortMu so concurrent
-	// readers (shard RLock holders) can race to rebuild safely: writers only
-	// set dirty under the shard's write lock, which excludes all readers.
+	// readers (RLock holders) can race to rebuild safely: writers only set
+	// dirty under the store's write lock, which excludes all readers.
 	sorted []string
 	sortMu sync.Mutex
 	dirty  atomic.Bool
@@ -164,7 +151,7 @@ func newBucket() *bucket {
 }
 
 // names returns the bucket's object names sorted, rebuilding the cache if
-// stale. Safe under the shard's read lock: the double-checked sortMu makes
+// stale. Safe under the store's read lock: the double-checked sortMu makes
 // concurrent rebuilds exclusive, and a false dirty load happens-after the
 // completed rebuild that cleared it.
 func (b *bucket) names() []string {
@@ -215,31 +202,26 @@ func (b *bucket) unindexLabels(name string, lbls map[string]string) {
 	}
 }
 
-// shard is one stripe of the store: a slice of the kind space under its own
-// reader/writer lock, plus the stripe's last committed revision.
-type shard struct {
-	mu    sync.RWMutex
-	kinds map[string]*bucket
-	rev   int64 // last global revision committed in this shard (under mu)
-}
-
 // Store is the versioned object store.
 type Store struct {
-	env     *sim.Env
+	env *sim.Env
+
+	// mu guards every field below. rev, nextUID and epoch are only written
+	// under it but are atomic, so Revision and Epoch stay lock-free for the
+	// hooks that run inside a write.
+	mu      sync.RWMutex
 	rev     atomic.Int64
 	nextUID atomic.Int64
-	shards  [NumShards]shard
+	kinds   map[string]*bucket
 
-	// globalMu guards watchers whose prefix is not a plain "<Kind>/" — they
+	// global holds the watchers whose prefix is not a plain "<Kind>/" — they
 	// are matched by string prefix against every mutation.
-	globalMu sync.Mutex
-	global   []*watcher
+	global []*watcher
 
-	// histMu guards the bounded mutation log backing resumable watches.
-	// Live entries are history[histHead:]; the head advances instead of
-	// shifting, with an amortized compaction once the dead prefix
-	// dominates. Entries carry the published snapshots themselves.
-	histMu     sync.Mutex
+	// The bounded mutation log backing resumable watches. Live entries are
+	// history[histHead:]; the head advances instead of shifting, with an
+	// amortized compaction once the dead prefix dominates. Entries carry the
+	// published snapshots themselves.
 	history    []Event
 	histHead   int
 	histCap    int
@@ -262,15 +244,11 @@ type Store struct {
 
 // New returns an empty store.
 func New(env *sim.Env) *Store {
-	s := &Store{env: env, histCap: DefaultHistoryCap}
-	for i := range s.shards {
-		s.shards[i].kinds = make(map[string]*bucket)
-	}
-	return s
+	return &Store{env: env, histCap: DefaultHistoryCap, kinds: make(map[string]*bucket)}
 }
 
 // OnPublish registers fn to observe every event the store publishes. fn runs
-// synchronously inside the write, under the kind's shard lock, before any
+// synchronously inside the write, under the store's lock, before any
 // watcher queue receives the event — so it sees each snapshot before any
 // consumer can, which no queue subscriber does — and it adds no proc and no
 // wake-up to the simulation. It exists for storetest's mutation canary; fn
@@ -279,48 +257,23 @@ func New(env *sim.Env) *Store {
 // mutators run.
 func (s *Store) OnPublish(fn func(Event)) { s.onPublish = fn }
 
-// shardIndex stripes a kind across shards by FNV-1a hash.
-func shardIndex(kind string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(kind); i++ {
-		h ^= uint32(kind[i])
-		h *= 16777619
-	}
-	return int(h % NumShards)
-}
-
-func (s *Store) shardFor(kind string) *shard { return &s.shards[shardIndex(kind)] }
-
 // Revision returns the store-wide revision of the last mutation.
 func (s *Store) Revision() int64 { return s.rev.Load() }
-
-// ShardRev returns the last revision committed in the kind's shard — the
-// per-shard counter the global revision folds over. A shard whose ShardRev
-// is unchanged has seen no mutation, which lets scans skip it.
-func (s *Store) ShardRev(kind string) int64 {
-	sh := s.shardFor(kind)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.rev
-}
 
 // SetHistoryCap bounds the resumable-watch event history to n entries
 // (default DefaultHistoryCap). Shrinking compacts immediately; resumes from
 // before the compaction point return ErrGone. n <= 0 disables history, so
 // every resume relists.
 func (s *Store) SetHistoryCap(n int) {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.histCap = n
 	s.trimHistory()
 }
 
-// record appends a mutation to the history. Callers hold the mutating
-// shard's lock, so per-kind history order is commit order even when shards
-// append concurrently.
+// record appends a mutation to the history. Callers hold the write lock, so
+// history order is commit order.
 func (s *Store) record(ev Event) {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
 	if s.histCap <= 0 {
 		if ev.Rev > s.compactRev {
 			s.compactRev = ev.Rev
@@ -350,27 +303,23 @@ func (s *Store) trimHistory() {
 }
 
 // bucketOf returns the kind's bucket, creating it if needed. Caller holds
-// the shard's write lock.
-func (sh *shard) bucketOf(kind string) *bucket {
-	b, ok := sh.kinds[kind]
+// the write lock.
+func (s *Store) bucketOf(kind string) *bucket {
+	b, ok := s.kinds[kind]
 	if !ok {
 		b = newBucket()
-		sh.kinds[kind] = b
+		s.kinds[kind] = b
 	}
 	return b
 }
 
-// kindNames returns all kind names sorted (for generic-prefix scans),
-// visiting each shard under its read lock.
+// kindNames returns all kind names sorted — the one order anything that
+// walks every kind (generic-prefix reads, Checkpoint, Crash) uses. Caller
+// holds the lock.
 func (s *Store) kindNames() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.kinds {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
+	out := make([]string, 0, len(s.kinds))
+	for k := range s.kinds {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
@@ -381,17 +330,15 @@ func (s *Store) kindNames() []string {
 func (s *Store) Create(obj api.Object) (api.Object, error) {
 	kind := obj.Kind()
 	name := obj.GetMeta().Name
-	sh := s.shardFor(kind)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.bucketOf(kind)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bucketOf(kind)
 	if _, ok := b.objs[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExists, api.Key(obj))
 	}
 	stored := obj.DeepCopyObject()
 	meta := stored.GetMeta()
 	rv := s.rev.Add(1)
-	sh.rev = rv
 	meta.ResourceVersion = rv
 	meta.UID = fmt.Sprintf("uid-%d", s.nextUID.Add(1))
 	meta.CreationTime = s.env.Now()
@@ -423,10 +370,9 @@ func (s *Store) UpdateStatus(obj api.Object) (api.Object, error) {
 func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 	kind := obj.Kind()
 	name := obj.GetMeta().Name
-	sh := s.shardFor(kind)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.bucketOf(kind)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bucketOf(kind)
 	cur, ok := b.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, api.Key(obj))
@@ -452,7 +398,6 @@ func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 	}
 	meta := stored.GetMeta()
 	rv := s.rev.Add(1)
-	sh.rev = rv
 	meta.ResourceVersion = rv
 	meta.UID = curMeta.UID
 	meta.CreationTime = curMeta.CreationTime
@@ -465,10 +410,9 @@ func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 
 // Delete removes the object by key.
 func (s *Store) Delete(kind, name string) error {
-	sh := s.shardFor(kind)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b := sh.bucketOf(kind)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.bucketOf(kind)
 	cur, ok := b.objs[name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, api.KeyOf(kind, name))
@@ -477,25 +421,15 @@ func (s *Store) Delete(kind, name string) error {
 	b.dirty.Store(true)
 	b.unindexLabels(name, cur.GetMeta().Labels)
 	rv := s.rev.Add(1)
-	sh.rev = rv
 	s.notify(b, Event{Deleted, cur, rv})
 	return nil
 }
 
-// lookup returns the kind's bucket under the shard's read lock; the caller
-// must invoke rel() when done with the bucket.
-func (s *Store) lookup(kind string) (b *bucket, rel func()) {
-	sh := s.shardFor(kind)
-	sh.mu.RLock()
-	b = sh.kinds[kind]
-	return b, sh.mu.RUnlock
-}
-
 // Get returns a deep copy of the object by key.
 func (s *Store) Get(kind, name string) (api.Object, error) {
-	b, rel := s.lookup(kind)
-	defer rel()
-	if b != nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if b := s.kinds[kind]; b != nil {
 		if obj, ok := b.objs[name]; ok {
 			return obj.DeepCopyObject(), nil
 		}
@@ -505,9 +439,9 @@ func (s *Store) Get(kind, name string) (api.Object, error) {
 
 // Count returns the number of objects of a kind without copying them.
 func (s *Store) Count(kind string) int {
-	b, rel := s.lookup(kind)
-	defer rel()
-	if b != nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if b := s.kinds[kind]; b != nil {
 		return len(b.objs)
 	}
 	return 0
@@ -515,37 +449,32 @@ func (s *Store) Count(kind string) int {
 
 // List returns private deep copies of all objects whose key has the given
 // prefix (typically "<Kind>/"), sorted by key for determinism. A
-// "<Kind>/..." prefix is answered from the kind's index in O(matching),
-// holding only that kind's shard lock. Generic prefixes visit shards one at a
-// time, so under concurrent mutation the result is per-kind consistent, not a
-// global snapshot.
+// "<Kind>/..." prefix is answered from the kind's index in O(matching); a
+// generic prefix walks the matching kinds. Either way the result is one
+// consistent cut of the store.
 func (s *Store) List(prefix string) []api.Object {
-	return cloneAll(s.snapshots(prefix))
+	s.mu.RLock()
+	objs := s.snapshots(prefix)
+	s.mu.RUnlock()
+	return cloneAll(objs)
 }
 
 // snapshots is List without the copies: the shared snapshots under prefix,
-// in key order.
+// in key order. Caller holds the lock.
 func (s *Store) snapshots(prefix string) []api.Object {
 	if kind, namePrefix, ok := splitPrefix(prefix); ok {
-		b, rel := s.lookup(kind)
-		defer rel()
-		if b == nil {
-			return nil
+		if b := s.kinds[kind]; b != nil {
+			return b.snapshots(namePrefix)
 		}
-		return b.snapshots(namePrefix)
+		return nil
 	}
 	// Generic prefix ("" or a partial kind name): walk matching kinds in
 	// key order.
 	var out []api.Object
 	for _, kind := range s.kindNames() {
-		if !strings.HasPrefix(kind+"/", prefix) {
-			continue
+		if strings.HasPrefix(kind+"/", prefix) {
+			out = append(out, s.kinds[kind].snapshots("")...)
 		}
-		b, rel := s.lookup(kind)
-		if b != nil {
-			out = append(out, b.snapshots("")...)
-		}
-		rel()
 	}
 	return out
 }
@@ -581,8 +510,8 @@ func (b *bucket) snapshots(namePrefix string) []api.Object {
 // keep them — each stays a faithful record of its revision — but must never
 // mutate one; DeepCopyObject first, or use Get/List, to change a field.
 // Intended for samplers, aggregate metrics and relists that would otherwise
-// deep-copy the world once per pass. Scan holds only the kind's shard read
-// lock, so scans of disjoint kinds run concurrently.
+// deep-copy the world once per pass. Scan holds the read lock while fn runs,
+// so fn must not write the store.
 func (s *Store) Scan(kind string, fn func(api.Object) bool) {
 	s.ScanSelector(kind, nil, fn)
 }
@@ -591,8 +520,9 @@ func (s *Store) Scan(kind string, fn func(api.Object) bool) {
 // or empty matches all), answered from the label posting index like
 // ListSelector. Same contract: shared read-only snapshots, name order.
 func (s *Store) ScanSelector(kind string, sel labels.Selector, fn func(api.Object) bool) {
-	b, rel := s.lookup(kind)
-	defer rel()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	b := s.kinds[kind]
 	if b == nil {
 		return
 	}
@@ -617,8 +547,9 @@ func (s *Store) ScanSelector(kind string, sel labels.Selector, fn func(api.Objec
 // answered from the label posting index; the smallest posting set drives the
 // scan.
 func (s *Store) ListSelector(kind string, sel labels.Selector) []api.Object {
-	b, rel := s.lookup(kind)
-	defer rel()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	b := s.kinds[kind]
 	if b == nil {
 		return nil
 	}
@@ -716,15 +647,15 @@ func (s *Store) Watch(prefix string, replay bool) *sim.Queue[Event] {
 // Replay delivers the currently matching objects as Added events. The
 // filters run in the store, so subscribers never pay for events they would
 // discard — the kube way of keeping watch fan-out O(interested parties).
-// Kind-scoped registration (replay + subscribe) is atomic under the kind's
-// shard lock, so no mutation is missed or duplicated across the boundary.
+// Registration (replay + subscribe) is atomic under the write lock, for
+// kind-scoped and generic prefixes alike, so no mutation is missed or
+// duplicated across the boundary.
 func (s *Store) WatchFiltered(prefix string, opts WatchOptions, replay bool) *sim.Queue[Event] {
 	w := &watcher{prefix: prefix, opts: opts, queue: sim.NewQueue[Event](s.env)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if kind, namePrefix, ok := splitPrefix(prefix); ok && namePrefix == "" {
-		sh := s.shardFor(kind)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		b := sh.bucketOf(kind)
+		b := s.bucketOf(kind)
 		if replay {
 			for _, obj := range replayBucket(b, opts) {
 				w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
@@ -734,13 +665,13 @@ func (s *Store) WatchFiltered(prefix string, opts WatchOptions, replay bool) *si
 		return w.queue
 	}
 	if replay {
-		for _, obj := range s.replaySet(prefix, opts) {
-			w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
+		for _, obj := range s.snapshots(prefix) {
+			if meta := obj.GetMeta(); opts.matches(meta.Name, meta.Labels) {
+				w.queue.Put(Event{Added, obj, meta.ResourceVersion})
+			}
 		}
 	}
-	s.globalMu.Lock()
 	s.global = append(s.global, w)
-	s.globalMu.Unlock()
 	return w.queue
 }
 
@@ -752,25 +683,17 @@ func (s *Store) WatchFiltered(prefix string, opts WatchOptions, replay bool) *si
 // returned; the subscriber must relist and start fresh.
 func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int64) (*sim.Queue[Event], error) {
 	w := &watcher{prefix: prefix, opts: opts, queue: sim.NewQueue[Event](s.env)}
-	kind, namePrefix, kindScoped := splitPrefix(prefix)
-	kindScoped = kindScoped && namePrefix == ""
-	var sh *shard
-	if kindScoped {
-		// Hold the shard lock across replay + subscribe so a concurrent
-		// mutation is either in the replayed history or delivered live.
-		sh = s.shardFor(kind)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+	// The write lock spans replay + subscribe, so a concurrent mutation is
+	// either in the replayed history or delivered live.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if rev := s.rev.Load(); fromRev > rev {
 		// The subscriber observed a revision the store no longer has — a
 		// torn-tail restore reverted mutations it saw. Its cache may hold
 		// phantom state; only a relist can reconcile it.
 		return nil, fmt.Errorf("%w: from %d, store at %d (reverted by restore)", ErrGone, fromRev, rev)
 	}
-	s.histMu.Lock()
 	if fromRev < s.compactRev {
-		s.histMu.Unlock()
 		return nil, fmt.Errorf("%w: from %d, compacted through %d", ErrGone, fromRev, s.compactRev)
 	}
 	for _, ev := range s.history[s.histHead:] {
@@ -783,14 +706,11 @@ func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int6
 		}
 		w.queue.Put(ev)
 	}
-	s.histMu.Unlock()
-	if kindScoped {
-		b := sh.bucketOf(kind)
+	if kind, namePrefix, ok := splitPrefix(prefix); ok && namePrefix == "" {
+		b := s.bucketOf(kind)
 		b.watchers = append(b.watchers, w)
 	} else {
-		s.globalMu.Lock()
 		s.global = append(s.global, w)
-		s.globalMu.Unlock()
 	}
 	return w.queue, nil
 }
@@ -810,53 +730,36 @@ func replayBucket(b *bucket, opts WatchOptions) []api.Object {
 	return b.selectSnapshots(opts.Selector)
 }
 
-// replaySet lists the snapshots a generic-prefix filtered watch replays.
-func (s *Store) replaySet(prefix string, opts WatchOptions) []api.Object {
-	var out []api.Object
-	for _, obj := range s.snapshots(prefix) {
-		if opts.matches(obj.GetMeta().Name, obj.GetMeta().Labels) {
-			out = append(out, obj)
-		}
-	}
-	return out
-}
-
 // StopWatch cancels a subscription created by Watch and closes its queue.
 func (s *Store) StopWatch(q *sim.Queue[Event]) {
-	s.globalMu.Lock()
-	for i, w := range s.global {
+	s.mu.Lock()
+	found := removeWatcher(&s.global, q)
+	for _, b := range s.kinds {
+		found = found || removeWatcher(&b.watchers, q)
+	}
+	s.mu.Unlock()
+	if found {
+		q.Close()
+	}
+}
+
+// removeWatcher drops q's watcher from ws, reporting whether it was there.
+func removeWatcher(ws *[]*watcher, q *sim.Queue[Event]) bool {
+	for i, w := range *ws {
 		if w.queue == q {
-			s.global = append(s.global[:i], s.global[i+1:]...)
-			s.globalMu.Unlock()
-			q.Close()
-			return
+			*ws = append((*ws)[:i], (*ws)[i+1:]...)
+			return true
 		}
 	}
-	s.globalMu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, b := range sh.kinds {
-			for i, w := range b.watchers {
-				if w.queue == q {
-					b.watchers = append(b.watchers[:i], b.watchers[i+1:]...)
-					sh.mu.Unlock()
-					q.Close()
-					return
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
+	return false
 }
 
 // notify publishes one committed mutation: it logs it, puts the same Event —
 // the same snapshot pointer — on every matching watcher queue (the kind's
 // own watchers, then any generic-prefix watchers) and records it in the
 // resumable history. Nothing is copied, so the cost of a write does not
-// depend on how many subscribers watch. Callers hold the kind's shard write
-// lock, which orders deliveries per kind; lock order is shard → global →
-// history.
+// depend on how many subscribers watch. Callers hold the write lock, which
+// makes delivery order revision order on every queue.
 func (s *Store) notify(b *bucket, ev Event) {
 	s.logMutation(ev)
 	if s.onPublish != nil {
@@ -868,7 +771,6 @@ func (s *Store) notify(b *bucket, ev Event) {
 			w.queue.Put(ev)
 		}
 	}
-	s.globalMu.Lock()
 	if len(s.global) > 0 {
 		key := api.Key(ev.Object)
 		for _, w := range s.global {
@@ -877,6 +779,5 @@ func (s *Store) notify(b *bucket, ev Event) {
 			}
 		}
 	}
-	s.globalMu.Unlock()
 	s.record(ev)
 }

@@ -5,9 +5,9 @@
 // checkpoint file a real control plane fsyncs — it survives a Store crash
 // because Crash only discards the in-memory object state and rebuilds it
 // from the medium. Every mutation appends one framed record
-// ([len][crc32][JSON payload]) under its shard lock, so per-kind record
-// order is commit order; a checkpoint serializes the whole store under all
-// shard locks and truncates the log.
+// ([len][crc32][JSON payload]) under the store's write lock, so record
+// order is commit order; a checkpoint serializes the whole store under the
+// same lock and truncates the log.
 //
 // Restore loads the checkpoint, then replays the log in frame order. A torn
 // tail — a truncated or corrupt final region, the crash-mid-write case — is
@@ -27,8 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"sort"
-	"sync"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/sim"
@@ -67,28 +65,22 @@ type walRecord struct {
 // Durable is the simulated durable medium: the checkpoint area plus the
 // append-only log. It is owned by the Store that writes it but survives
 // Crash, exactly as the files under an etcd data dir survive the process.
+// Guarded by the owning Store's lock.
 type Durable struct {
-	mu         sync.Mutex
 	checkpoint []byte // last serialized checkpoint; nil before the first
 	wal        []byte // framed records appended since that checkpoint
 	records    int64  // frames currently in wal
 }
 
-// Sizes reports the medium's current footprint: checkpoint bytes, WAL bytes
-// and WAL record count.
-func (d *Durable) Sizes() (checkpointBytes, walBytes int, walRecords int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.checkpoint), len(d.wal), d.records
-}
-
-// DurableSizes is Durable.Sizes through the store (zeroes with durability
-// off).
+// DurableSizes reports the medium's current footprint: checkpoint bytes, WAL
+// bytes and WAL record count (zeroes with durability off).
 func (s *Store) DurableSizes() (checkpointBytes, walBytes int, walRecords int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.dur == nil {
 		return 0, 0, 0
 	}
-	return s.dur.Sizes()
+	return len(s.dur.checkpoint), len(s.dur.wal), s.dur.records
 }
 
 // checkpointKind is one kind's objects in a checkpoint, in name order.
@@ -97,14 +89,13 @@ type checkpointKind struct {
 	Objects []json.RawMessage
 }
 
-// checkpointState is the full serialized store: the revision counters and
-// every object, grouped by kind (kinds sorted, objects name-sorted), so the
+// checkpointState is the full serialized store: the counters and every
+// object, grouped by kind (kinds sorted, objects name-sorted), so the
 // encoding is byte-deterministic for a given store state.
 type checkpointState struct {
-	Rev       int64
-	NextUID   int64
-	ShardRevs [NumShards]int64
-	Kinds     []checkpointKind
+	Rev     int64
+	NextUID int64
+	Kinds   []checkpointKind
 }
 
 // RestoreStats describes one crash/restore cycle.
@@ -139,17 +130,24 @@ type RestoreStats struct {
 // the bytes written; either may be nil. Idempotent: re-enabling keeps the
 // existing medium.
 func (s *Store) EnableDurability(onAppend func(records int), onCheckpoint func(bytes int)) {
+	s.mu.Lock()
 	if s.dur != nil {
+		s.mu.Unlock()
 		return
 	}
 	s.onWALAppend = onAppend
 	s.onCheckpoint = onCheckpoint
 	s.dur = &Durable{}
+	s.mu.Unlock()
 	s.Checkpoint()
 }
 
 // DurabilityEnabled reports whether the store has a durable medium.
-func (s *Store) DurabilityEnabled() bool { return s.dur != nil }
+func (s *Store) DurabilityEnabled() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.dur != nil
+}
 
 // Epoch counts crash/restore cycles. Consumers (reflectors, schedulers)
 // compare epochs across reconnects: a changed epoch means in-memory server
@@ -157,10 +155,8 @@ func (s *Store) DurabilityEnabled() bool { return s.dur != nil }
 // mutations — did not survive, and they must relist rather than resume.
 func (s *Store) Epoch() int64 { return s.epoch.Load() }
 
-// logMutation appends one framed record for ev. Callers hold the mutating
-// shard's lock, so per-kind frame order is commit order (frames from other
-// shards may interleave, which replay tolerates: records only ever touch
-// their own kind, and revision restoration folds with max).
+// logMutation appends one framed record for ev. Callers hold the write
+// lock, so frame order is commit order.
 func (s *Store) logMutation(ev Event) {
 	if s.dur == nil {
 		return
@@ -184,41 +180,27 @@ func (s *Store) logMutation(ev Event) {
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	d := s.dur
-	d.mu.Lock()
 	d.wal = append(d.wal, hdr[:]...)
 	d.wal = append(d.wal, payload...)
 	d.records++
-	d.mu.Unlock()
 	if s.onWALAppend != nil {
 		s.onWALAppend(1)
 	}
 }
 
 // Checkpoint serializes the whole store to the durable medium and truncates
-// the WAL. It runs under every shard's write lock (taken in index order),
-// so the image is a consistent cut: the global revision equals the max
-// committed revision across shards and no mutation straddles the boundary.
-// Returns the checkpoint size in bytes (0 when durability is off).
+// the WAL. It runs under the write lock, so the image is a consistent cut:
+// no mutation straddles the boundary. Returns the checkpoint size in bytes
+// (0 when durability is off).
 func (s *Store) Checkpoint() int {
+	s.mu.Lock()
 	if s.dur == nil {
+		s.mu.Unlock()
 		return 0
 	}
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
 	ck := checkpointState{Rev: s.rev.Load(), NextUID: s.nextUID.Load()}
-	for i := range s.shards {
-		ck.ShardRevs[i] = s.shards[i].rev
-	}
-	var kinds []string
-	for i := range s.shards {
-		for k := range s.shards[i].kinds {
-			kinds = append(kinds, k)
-		}
-	}
-	sort.Strings(kinds)
-	for _, kind := range kinds {
-		b := s.shards[shardIndex(kind)].kinds[kind]
+	for _, kind := range s.kindNames() {
+		b := s.kinds[kind]
 		ks := checkpointKind{Kind: kind}
 		for _, name := range b.names() {
 			obj, err := json.Marshal(b.objs[name])
@@ -233,17 +215,14 @@ func (s *Store) Checkpoint() int {
 	if err != nil {
 		panic(fmt.Sprintf("store: checkpoint encode: %v", err))
 	}
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
 	d := s.dur
-	d.mu.Lock()
 	d.checkpoint = image
 	d.wal = d.wal[:0]
 	d.records = 0
-	d.mu.Unlock()
-	if s.onCheckpoint != nil {
-		s.onCheckpoint(len(image))
+	onCheckpoint := s.onCheckpoint
+	s.mu.Unlock()
+	if onCheckpoint != nil {
+		onCheckpoint(len(image))
 	}
 	return len(image)
 }
@@ -253,13 +232,10 @@ func (s *Store) Checkpoint() int {
 // the final byte in place (a CRC failure). Reports whether there was any
 // log to damage.
 func (s *Store) TearWALTail(n int) bool {
-	if s.dur == nil {
-		return false
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	d := s.dur
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.wal) == 0 {
+	if d == nil || len(d.wal) == 0 {
 		return false
 	}
 	if n <= 0 {
@@ -276,51 +252,42 @@ func (s *Store) TearWALTail(n int) bool {
 // Crash discards every piece of in-memory state — objects, indexes, watch
 // registrations, resumable history — as an apiserver process death would,
 // then restores from the durable medium: checkpoint load plus WAL replay
-// with torn-tail truncation. All watch queues close (subscribers see EOF
-// and must reconnect), the restart epoch increments, and the compaction
-// horizon moves to the restored revision so every resume-from-before-the-
-// crash gets ErrGone and relists. Returns an error only when durability was
-// never enabled.
+// with torn-tail truncation. All watch queues close — kind-scoped watchers
+// in kind-name order, then generic-prefix ones, each group in registration
+// order, so subscribers see EOF (and reconnect) in the same order every
+// run — the restart epoch increments, and the compaction horizon moves to
+// the restored revision so every resume-from-before-the-crash gets ErrGone
+// and relists. Returns an error only when durability was never enabled.
 func (s *Store) Crash() (RestoreStats, error) {
+	s.mu.Lock()
 	if s.dur == nil {
+		s.mu.Unlock()
 		return RestoreStats{}, fmt.Errorf("store: Crash without durability enabled")
 	}
 	// 1. Tear down: collect every watch queue, clear all object state.
 	var doomed []*sim.Queue[Event]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, b := range sh.kinds {
-			for _, w := range b.watchers {
-				doomed = append(doomed, w.queue)
-			}
+	for _, kind := range s.kindNames() {
+		for _, w := range s.kinds[kind].watchers {
+			doomed = append(doomed, w.queue)
 		}
-		sh.kinds = make(map[string]*bucket)
-		sh.rev = 0
-		sh.mu.Unlock()
 	}
-	s.globalMu.Lock()
 	for _, w := range s.global {
 		doomed = append(doomed, w.queue)
 	}
+	s.kinds = make(map[string]*bucket)
 	s.global = nil
-	s.globalMu.Unlock()
-	s.histMu.Lock()
 	s.history = nil
 	s.histHead = 0
-	s.histMu.Unlock()
 
 	// 2. Read the medium back, validating the WAL and truncating a torn
 	// tail in place.
 	d := s.dur
-	d.mu.Lock()
 	image := d.checkpoint
 	wal, torn, replayable := validateWAL(d.wal)
 	if torn {
 		d.wal = d.wal[:len(wal)]
 		d.records = int64(replayable)
 	}
-	d.mu.Unlock()
 
 	st := RestoreStats{TornTail: torn, CheckpointBytes: len(image), WALBytes: len(wal)}
 
@@ -338,9 +305,7 @@ func (s *Store) Crash() (RestoreStats, error) {
 	maxRev := ck.Rev
 	nextUID := ck.NextUID
 	for _, ks := range ck.Kinds {
-		sh := s.shardFor(ks.Kind)
-		sh.mu.Lock()
-		b := sh.bucketOf(ks.Kind)
+		b := s.bucketOf(ks.Kind)
 		for _, raw := range ks.Objects {
 			obj, err := decodeObject(ks.Kind, raw)
 			if err != nil {
@@ -351,12 +316,6 @@ func (s *Store) Crash() (RestoreStats, error) {
 			b.indexLabels(meta.Name, meta.Labels)
 		}
 		b.dirty.Store(true)
-		sh.mu.Unlock()
-	}
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		s.shards[i].rev = ck.ShardRevs[i]
-		s.shards[i].mu.Unlock()
 	}
 
 	// 4. WAL replay over the valid prefix.
@@ -369,9 +328,7 @@ func (s *Store) Crash() (RestoreStats, error) {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			panic("store: validated wal record failed to decode") // validateWAL checked this
 		}
-		sh := s.shardFor(rec.Kind)
-		sh.mu.Lock()
-		b := sh.bucketOf(rec.Kind)
+		b := s.bucketOf(rec.Kind)
 		switch rec.Op {
 		case walPut:
 			obj, err := decodeObject(rec.Kind, rec.Obj)
@@ -394,28 +351,23 @@ func (s *Store) Crash() (RestoreStats, error) {
 			}
 		}
 		b.dirty.Store(true)
-		if rec.Rev > sh.rev {
-			sh.rev = rec.Rev
-		}
-		sh.mu.Unlock()
 		if rec.Rev > maxRev {
 			maxRev = rec.Rev
 		}
 		st.Replayed++
 	}
 
-	// 5. Counters resume strictly above everything restored: the global
-	// revision is the max over the checkpoint cut and every replayed
-	// record, so the next mutation's revision exceeds every shard's.
+	// 5. Counters resume strictly above everything restored: the revision
+	// is the max over the checkpoint cut and every replayed record, so the
+	// next mutation commits above every restored object.
 	s.rev.Store(maxRev)
 	s.nextUID.Store(nextUID)
-	s.histMu.Lock()
 	s.compactRev = maxRev
-	s.histMu.Unlock()
 	s.epoch.Add(1)
+	s.mu.Unlock()
 
-	// 6. Close the dead queues last (closing wakes parked consumers, whose
-	// reconnects must observe the fully restored state).
+	// 6. Close the dead queues last, outside the lock (closing wakes parked
+	// consumers, whose reconnects must observe the fully restored state).
 	for _, q := range doomed {
 		q.Close()
 	}

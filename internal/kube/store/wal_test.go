@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"kubeshare/internal/kube/api"
@@ -11,9 +12,7 @@ import (
 	"kubeshare/internal/simrand"
 )
 
-// testKinds are the registered kinds the durability tests churn over; they
-// hash to distinct shards often enough to exercise the per-shard revision
-// restoration.
+// testKinds are the registered kinds the durability tests churn over.
 var testKinds = []string{"Pod", "Node", api.KindEvent, "ReplicationController"}
 
 func newTestObj(kind, name string, labels map[string]string) api.Object {
@@ -58,16 +57,10 @@ func churn(t *testing.T, s *Store, rng *simrand.Source, n int) {
 	}
 }
 
-// fingerprint captures everything the monotonicity property compares:
-// global revision, per-shard revisions, and every object's key, UID,
-// version and labels.
+// fingerprint captures everything the monotonicity property compares: the
+// revision and every object's key, UID, version and labels.
 func fingerprint(s *Store) string {
 	out := fmt.Sprintf("rev=%d", s.Revision())
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		out += fmt.Sprintf(" sh%d=%d", i, s.shards[i].rev)
-		s.shards[i].mu.RUnlock()
-	}
 	for _, kind := range testKinds {
 		for _, obj := range s.List(kind + "/") {
 			m := obj.GetMeta()
@@ -80,9 +73,9 @@ func fingerprint(s *Store) string {
 // TestRestoreComposesWithChurn is the revision-monotonicity property test:
 // (churn → checkpoint/crash/restore interleaved) must be indistinguishable
 // from uninterrupted live churn — same objects, same UIDs, same
-// ResourceVersions, same per-shard and global revisions — and the global
-// revision must resume strictly above the checkpoint's max across all
-// shards, so post-restore mutations never reuse a revision.
+// ResourceVersions, same revision — and the first mutation after each
+// restore must commit above every restored object's ResourceVersion, so
+// post-restore mutations never reuse a revision.
 func TestRestoreComposesWithChurn(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		env := sim.NewEnv()
@@ -109,14 +102,25 @@ func TestRestoreComposesWithChurn(t *testing.T) {
 				t.Fatalf("seed %d round %d: restored rev %d != pre-crash rev %d (clean log must lose nothing)",
 					seed, round, st.RestoredRev, before)
 			}
-			for i := range durable.shards {
-				durable.shards[i].mu.RLock()
-				shRev := durable.shards[i].rev
-				durable.shards[i].mu.RUnlock()
-				if shRev > st.RestoredRev {
-					t.Fatalf("seed %d round %d: shard %d rev %d above restored global %d",
-						seed, round, i, shRev, st.RestoredRev)
-				}
+			var maxRV int64
+			for _, kind := range testKinds {
+				durable.Scan(kind, func(o api.Object) bool {
+					maxRV = max(maxRV, o.GetMeta().ResourceVersion)
+					return true
+				})
+			}
+			// The probe goes to both stores so they stay in lockstep.
+			probe := newTestObj("Pod", fmt.Sprintf("probe-%d", round), nil)
+			if _, err := live.Create(probe); err != nil {
+				t.Fatalf("seed %d round %d: live probe: %v", seed, round, err)
+			}
+			got, err := durable.Create(probe)
+			if err != nil {
+				t.Fatalf("seed %d round %d: probe: %v", seed, round, err)
+			}
+			if rv := got.GetMeta().ResourceVersion; rv <= maxRV {
+				t.Fatalf("seed %d round %d: first post-restore mutation at rev %d, restored objects reach %d",
+					seed, round, rv, maxRV)
 			}
 		}
 		if got, want := fingerprint(durable), fingerprint(live); got != want {
@@ -281,5 +285,36 @@ func TestCrashClosesWatchQueues(t *testing.T) {
 	}
 	if !genericQ.Closed() {
 		t.Fatal("generic watch queue survived the crash")
+	}
+}
+
+// TestCrashWakeOrderDeterministic: the order Crash closes watch queues is the
+// order parked reflectors wake and reconnect after an apiserver restart, so
+// it must be the same on every run — kind-name order, whatever order the
+// watches were registered in.
+func TestCrashWakeOrderDeterministic(t *testing.T) {
+	kinds := []string{"VGPU", "Node", "SharePodSet", "ReplicationController"}
+	const want = "Node,ReplicationController,SharePodSet,VGPU"
+	for run := 0; run < 64; run++ {
+		env := sim.NewEnv()
+		s := New(env)
+		var woke []string
+		for _, kind := range kinds {
+			q := s.Watch(kind+"/", false)
+			env.Go(kind, func(p *sim.Proc) {
+				if _, ok := q.Get(p); !ok {
+					woke = append(woke, kind)
+				}
+			})
+		}
+		env.Run() // park all four
+		s.EnableDurability(nil, nil)
+		if _, err := s.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		env.Run()
+		if got := strings.Join(woke, ","); got != want {
+			t.Fatalf("run %d: watchers woke in order %s, want %s", run, got, want)
+		}
 	}
 }
