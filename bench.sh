@@ -6,7 +6,7 @@
 #   ./bench.sh                 # measure the current tree only
 #   BASELINE_REF=<git-ref> ./bench.sh
 #                              # also measure <git-ref> from a temporary
-#                              # worktree, interleaved run-by-run with the
+#                              # export, interleaved run-by-run with the
 #                              # current tree, and report speedups
 #
 # Interleaving matters: on a shared machine the run-to-run variance of the
@@ -42,7 +42,7 @@ GMP="${GOMAXPROCS:-$CPUS}"
 
 MICRO='BenchmarkTimerChurn|BenchmarkProcContextSwitch|BenchmarkQueueHandoff|BenchmarkManyProcs|BenchmarkSimKernel'
 LAUNCH='BenchmarkFrontendLaunchKernel'
-FANOUT='BenchmarkStoreUpdateFanout'
+FANOUT='BenchmarkStoreUpdateFanout|BenchmarkClientMutateStatus'
 FIGS='BenchmarkFig8aJobFrequency|BenchmarkFig9Utilization'
 
 run_micro() { # $1 = dir
@@ -50,8 +50,9 @@ run_micro() { # $1 = dir
   # The kernel-launch path per sharing strategy (absent from baselines that
   # predate it, which then simply record no entry).
   (cd "$1" && go test ./internal/devlib/ -run xxx -bench "$LAUNCH" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
-  # One store status write under 1/8/32 watchers: allocs/op must not depend
-  # on the width (tools/benchgate holds 8 and 32 equal to 1).
+  # One store status write under 1/8/32 watchers, and one Client.MutateStatus
+  # on a pod with 0/64 env vars: allocs/op must depend on neither the width
+  # nor the spec (tools/benchgate holds each row equal to its first).
   (cd "$1" && go test . -run xxx -bench "$FANOUT" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
 }
 run_figs() { # $1 = dir
@@ -61,15 +62,14 @@ run_figs() { # $1 = dir
 BASEDIR=""
 cleanup() {
   if [ -n "$BASEDIR" ] && [ -d "$BASEDIR" ]; then
-    git worktree remove --force "$BASEDIR" >/dev/null 2>&1 || rm -rf "$BASEDIR"
+    rm -rf "$BASEDIR"
   fi
 }
 trap cleanup EXIT
 
 if [ -n "$BASELINE_REF" ]; then
-  BASEDIR="$(mktemp -d /tmp/bench-baseline.XXXXXX)"
-  rmdir "$BASEDIR"
-  git worktree add --detach "$BASEDIR" "$BASELINE_REF" >/dev/null
+  BASEDIR="$(mktemp -d -t bench-baseline.XXXXXX)"
+  git archive "$BASELINE_REF" | tar -x -C "$BASEDIR"
 fi
 
 NEW_RAW="$(mktemp)"
@@ -169,7 +169,7 @@ allocs_of() {
   }' "$1"
 }
 
-BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFrontendLaunchKernel/token BenchmarkFrontendLaunchKernel/replica BenchmarkFrontendLaunchKernel/mps BenchmarkStoreUpdateFanout/watchers=1 BenchmarkStoreUpdateFanout/watchers=8 BenchmarkStoreUpdateFanout/watchers=32 BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
+BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFrontendLaunchKernel/token BenchmarkFrontendLaunchKernel/replica BenchmarkFrontendLaunchKernel/mps BenchmarkStoreUpdateFanout/watchers=1 BenchmarkStoreUpdateFanout/watchers=8 BenchmarkStoreUpdateFanout/watchers=32 BenchmarkClientMutateStatus/env=0 BenchmarkClientMutateStatus/env=64 BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
 
 ON="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/on')"
 OFF="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/off')"

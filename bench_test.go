@@ -9,6 +9,7 @@
 package kubeshare
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"kubeshare/internal/experiments"
 	"kubeshare/internal/gpusim"
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
@@ -669,15 +671,43 @@ func BenchmarkFig19Attribution(b *testing.B) {
 	}
 }
 
+// drainEvery is timeWrites' drain period and the history cap its callers set.
+const drainEvery = 256
+
+// timeWrites times b.N calls of write after a warm-up, draining the watch
+// queues outside the timer every drainEvery writes, so rings and history sit
+// at their steady capacity while it runs and allocs/op is exact.
+func timeWrites(b *testing.B, queues []*sim.Queue[store.Event], write func() error) {
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := write(); err != nil {
+				b.Fatal(err)
+			}
+			if (i+1)%drainEvery == 0 || i == n-1 {
+				b.StopTimer()
+				for _, q := range queues {
+					for q.Len() > 0 {
+						q.TryGet()
+					}
+				}
+				b.StartTimer()
+			}
+		}
+	}
+	run(8 * drainEvery) // warm-up
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
 // BenchmarkStoreUpdateFanout measures what one Pod status write costs the
 // store with 1, 8 and 32 live watchers on the kind (a full-stack cluster has
 // twelve). The store publishes one immutable snapshot per revision and
 // every watcher queue carries that pointer, so allocs/op must be the same
-// at every width — tools/benchgate holds 8 and 32 equal to 1. Queues are
-// drained outside the timer, and rings and history reach their steady
-// capacity before it starts, so the count is exact.
+// at every width — tools/benchgate holds 8 and 32 equal to 1, and 1 at one
+// allocation: the new revision's struct, which shares the stored spec and
+// metadata and leaves the label index alone.
 func BenchmarkStoreUpdateFanout(b *testing.B) {
-	const drainEvery = 256
 	for _, watchers := range []int{1, 8, 32} {
 		b.Run("watchers="+strconv.Itoa(watchers), func(b *testing.B) {
 			st := store.New(sim.NewEnv())
@@ -693,26 +723,49 @@ func BenchmarkStoreUpdateFanout(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			run := func(n int) {
-				for i := 0; i < n; i++ {
-					if cur, err = st.UpdateStatus(cur); err != nil {
-						b.Fatal(err)
-					}
-					if (i+1)%drainEvery == 0 || i == n-1 {
-						b.StopTimer()
-						for _, q := range queues {
-							for q.Len() > 0 {
-								q.TryGet()
-							}
-						}
-						b.StartTimer()
-					}
-				}
+			timeWrites(b, queues, func() error {
+				cur, err = st.UpdateStatus(cur)
+				return err
+			})
+		})
+	}
+}
+
+// BenchmarkClientMutateStatus measures one Client.MutateStatus — the
+// read-modify-write every kubelet phase report and DevMgr status write goes
+// through — on a Pod whose container carries 0 or 64 env vars, with three
+// live watchers. The closure's object and the published revision both share
+// the stored spec, so the cost of a status write must not depend on the
+// spec: tools/benchgate holds env=64's allocs/op equal to env=0's.
+func BenchmarkClientMutateStatus(b *testing.B) {
+	for _, envVars := range []int{0, 64} {
+		b.Run("env="+strconv.Itoa(envVars), func(b *testing.B) {
+			srv := apiserver.New(sim.NewEnv())
+			srv.SetWatchHistoryCap(drainEvery)
+			pods := apiserver.Pods(srv)
+			var queues []*sim.Queue[store.Event]
+			for i := 0; i < 3; i++ {
+				queues = append(queues, pods.Watch(false))
 			}
-			run(8 * drainEvery) // warm-up
-			b.ReportAllocs()
-			b.ResetTimer()
-			run(b.N)
+			env := make(map[string]string, envVars)
+			for i := 0; i < envVars; i++ {
+				env[fmt.Sprintf("VAR_%02d", i)] = "value"
+			}
+			if _, err := pods.Create(&api.Pod{
+				ObjectMeta: api.ObjectMeta{Name: "p", Labels: map[string]string{"app": "bench"}},
+				Spec:       api.PodSpec{NodeName: "node-0", Containers: []api.Container{{Name: "main", Image: "train", Env: env}}},
+			}); err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			timeWrites(b, queues, func() error {
+				n++
+				_, err := pods.MutateStatus("p", func(p *api.Pod) error {
+					p.Status.StartTime = time.Duration(n)
+					return nil
+				})
+				return err
+			})
 		})
 	}
 }

@@ -62,8 +62,10 @@ GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
 # running concurrently: the churn-vs-watch equivalence property (live,
 # filtered and late-registered watches), goroutine readers (Scan/Get/List)
 # holding shared snapshots while a writer publishes new ones to live
-# watchers, and the restart wake order (kind-name order, every run).
-GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestIndex|TestSharedSnapshot|TestCrashWakeOrder' ./internal/kube/store/
+# watchers, the restart wake order (kind-name order, every run), and the
+# ownership rule's own tests (reads and write results are the published
+# snapshot; a status write shares the stored spec and leaves the index be).
+GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestIndex|TestSharedSnapshot|TestCrashWakeOrder|TestGetReturnsSnapshot|TestWatchSharesOneSnapshot|TestStatusUpdatePreservesLabelIndex' ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x

@@ -151,10 +151,14 @@ func (s *SharePod) DeepCopyObject() api.Object {
 	return &out
 }
 
-// SetStatusFrom implements api.StatusCarrier: KubeShare-Sched owns the
+// WithStatusFrom implements api.StatusCarrier: KubeShare-Sched owns the
 // spec's placement fields while DevMgr reports status, so the two write
 // through separate subresources and never race.
-func (s *SharePod) SetStatusFrom(src api.Object) { s.Status = src.(*SharePod).Status }
+func (s *SharePod) WithStatusFrom(src api.Object) api.Object {
+	out := *s
+	out.Status = src.(*SharePod).Status
+	return &out
+}
 
 // Terminated reports whether the sharePod reached a terminal phase.
 func (s *SharePod) Terminated() bool {
@@ -375,5 +379,9 @@ func (v *VGPU) DeepCopyObject() api.Object {
 	return &out
 }
 
-// SetStatusFrom implements api.StatusCarrier.
-func (v *VGPU) SetStatusFrom(src api.Object) { v.Status = src.(*VGPU).Status }
+// WithStatusFrom implements api.StatusCarrier.
+func (v *VGPU) WithStatusFrom(src api.Object) api.Object {
+	out := *v
+	out.Status = src.(*VGPU).Status
+	return &out
+}

@@ -12,6 +12,7 @@ import (
 // transition event plus the engine's final state table — is byte-identical
 // to the recorded golden.
 func TestAlertDeterminismGolden(t *testing.T) {
+	withCanary(t)
 	cfg := Fig9Config{}.withDefaults()
 	res, err := RunSharing(SharingConfig{
 		System:          KubeShare,

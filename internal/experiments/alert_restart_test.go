@@ -15,6 +15,7 @@ import (
 // resolve-then-refire flap in the restart instant, and the whole
 // trajectory — transitions plus final states — is pinned by a golden.
 func TestAlertEngineAcrossAPIServerRestart(t *testing.T) {
+	withCanary(t)
 	cfg := Fig9Config{}.withDefaults()
 	res, err := RunSharing(SharingConfig{
 		System:          KubeShare,

@@ -20,6 +20,7 @@ import (
 // submitted sharePod is accounted for as either a breakdown or an open
 // chain.
 func TestAttributionSumExact(t *testing.T) {
+	withCanary(t)
 	type arm struct {
 		seed    int64
 		restart time.Duration
@@ -80,6 +81,7 @@ func TestAttributionSumExact(t *testing.T) {
 // lost first attempt to the retry phase — not inflate schedule — and
 // still sum exactly.
 func TestAttributionRetry(t *testing.T) {
+	withCanary(t)
 	env := sim.NewEnv()
 	c, err := newCluster(env, 1, 2)
 	if err != nil {
@@ -146,6 +148,7 @@ func TestAttributionRetry(t *testing.T) {
 // TestFig19Determinism renders the attribution table twice, concurrently:
 // the renderings must be byte-identical and match the recorded golden.
 func TestFig19Determinism(t *testing.T) {
+	withCanary(t)
 	dumps, err := runIndexed(2, func(int) (string, error) {
 		tb, err := Fig19(Fig18Config{
 			Nodes: 1, GPUsPerNode: 4, Jobs: 16,

@@ -21,6 +21,7 @@ func renderAudit(res *AuditResult) string {
 // and asserts the report is byte-identical both across runs and against the
 // recorded golden — the `audit` acceptance criterion.
 func TestAuditDeterminismGolden(t *testing.T) {
+	withCanary(t)
 	first, err := Audit(AuditConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,7 @@ func checkGolden(t *testing.T, name, got string) {
 // TestFig6DeterminismGolden runs Fig 6 twice with the same seed and asserts
 // byte-identical metrics.Table output, then matches the recorded golden.
 func TestFig6DeterminismGolden(t *testing.T) {
+	withCanary(t)
 	first := fig6Golden(t)
 	second := fig6Golden(t)
 	if first != second {
@@ -68,6 +69,7 @@ func TestFig6DeterminismGolden(t *testing.T) {
 
 // TestFig8DeterminismGolden does the same for the full-stack Fig 8a sweep.
 func TestFig8DeterminismGolden(t *testing.T) {
+	withCanary(t)
 	first := fig8Golden(t)
 	second := fig8Golden(t)
 	if first != second {

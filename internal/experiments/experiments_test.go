@@ -18,6 +18,7 @@ func cell(t *testing.T, s string) float64 {
 }
 
 func TestFig5UsageProportionalToRate(t *testing.T) {
+	withCanary(t)
 	tb, err := Fig5(Fig5Config{Rates: []float64{4, 12, 24, 40}, Duration: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +42,7 @@ func TestFig5UsageProportionalToRate(t *testing.T) {
 }
 
 func TestFig6IsolationPhases(t *testing.T) {
+	withCanary(t)
 	res, err := Fig6(Fig6Config{Stagger: 100 * time.Second, SampleEvery: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +67,7 @@ func TestFig6IsolationPhases(t *testing.T) {
 }
 
 func TestFig7OverheadUnderFivePercent(t *testing.T) {
+	withCanary(t)
 	tb, err := Fig7(Fig7Config{Quotas: []time.Duration{30 * time.Millisecond, 100 * time.Millisecond, 160 * time.Millisecond}, Steps: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +86,7 @@ func TestFig7OverheadUnderFivePercent(t *testing.T) {
 }
 
 func TestFig8aSharingDoublesSaturatedThroughput(t *testing.T) {
+	withCanary(t)
 	cfg := Fig8Config{Jobs: 60, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second}
 	tb, err := Fig8a(cfg, []float64{1, 6})
 	if err != nil {
@@ -100,6 +104,7 @@ func TestFig8aSharingDoublesSaturatedThroughput(t *testing.T) {
 }
 
 func TestFig8bGainShrinksWithDemand(t *testing.T) {
+	withCanary(t)
 	cfg := Fig8Config{Jobs: 50, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second}
 	tb, err := Fig8b(cfg, []float64{0.2, 0.6})
 	if err != nil {
@@ -121,6 +126,7 @@ func TestFig8bGainShrinksWithDemand(t *testing.T) {
 }
 
 func TestFig8cVarianceFlat(t *testing.T) {
+	withCanary(t)
 	cfg := Fig8Config{Jobs: 50, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second}
 	tb, err := Fig8c(cfg, []float64{0.5, 4})
 	if err != nil {
@@ -133,6 +139,7 @@ func TestFig8cVarianceFlat(t *testing.T) {
 }
 
 func TestFig9KubeShareFinishesSoonerWithFewerGPUs(t *testing.T) {
+	withCanary(t)
 	// Factor 2.5 puts the 8-GPU cluster past Kubernetes' saturation point
 	// (6×2.5=15 concurrent whole-GPU jobs) but below KubeShare's
 	// (15×≈0.36 ≈ 5.4 GPUs of fractional demand) — the Figure 9 regime
@@ -168,6 +175,7 @@ func TestFig9KubeShareFinishesSoonerWithFewerGPUs(t *testing.T) {
 }
 
 func TestFig10OverheadShape(t *testing.T) {
+	withCanary(t)
 	tb, err := Fig10(Fig10Config{Concurrency: []int{1, 8}, Nodes: 2, GPUsPerNode: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +193,7 @@ func TestFig10OverheadShape(t *testing.T) {
 }
 
 func TestFig11LinearAndFast(t *testing.T) {
+	withCanary(t)
 	tb, err := Fig11(Fig11Config{Counts: []int{10, 100}, Iterations: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +211,7 @@ func TestFig11LinearAndFast(t *testing.T) {
 }
 
 func TestFig12InterferenceShape(t *testing.T) {
+	withCanary(t)
 	tb, err := Fig12(Fig12Config{Steps: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +242,7 @@ func TestFig12InterferenceShape(t *testing.T) {
 }
 
 func TestFig13Crossover(t *testing.T) {
+	withCanary(t)
 	tb, err := Fig13(Fig13Config{Jobs: 24, Steps: 800, Nodes: 1, GPUsPerNode: 4, Ratios: []float64{0, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +306,7 @@ func TestFig14AvailabilitySurvivesFaults(t *testing.T) {
 }
 
 func TestFig17RecoverySweep(t *testing.T) {
+	withCanary(t)
 	cfg := Fig17Config{Nodes: 2, Jobs: 12, JobDuration: 10 * time.Second,
 		RestartMeans:        []time.Duration{10 * time.Second},
 		CheckpointIntervals: []time.Duration{5 * time.Second, -1}}
@@ -335,6 +347,7 @@ func TestFig17RecoverySweep(t *testing.T) {
 }
 
 func TestTable1FragmentationContrast(t *testing.T) {
+	withCanary(t)
 	tb, err := Table1(Table1Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func (c Fig11Config) withDefaults() Fig11Config {
 // benchmark harness).
 func PopulateSchedulingState(n int) *apiserver.Server {
 	env := sim.NewEnv()
-	srv := apiserver.New(env)
+	srv := instrumented(apiserver.New(env))
 	nodes := n/8 + 1
 	for i := 0; i < nodes; i++ {
 		node := &api.Node{

@@ -77,6 +77,7 @@ func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (flo
 	if err != nil {
 		return 0, err
 	}
+	instrumented(c.API)
 	workload.RegisterImages(c)
 	if setting != fig13Kubernetes {
 		if _, err := schedfw.Install(c, core.Config{}); err != nil {

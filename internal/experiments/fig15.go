@@ -64,7 +64,7 @@ func (c Fig15Config) withDefaults() Fig15Config {
 // mode and returns (virtual elapsed, real elapsed, decision count).
 func fig15Run(n, batch, gangSize int, now func() time.Time) (time.Duration, time.Duration, int64) {
 	env := sim.NewEnv()
-	srv := apiserver.New(env)
+	srv := instrumented(apiserver.New(env))
 	// Each sharePod asks for half a GPU, so two share a vGPU: n pods fill
 	// n/8 4-GPU nodes exactly, and every decision exercises the full
 	// filter→score path over a growing pool.

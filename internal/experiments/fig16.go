@@ -78,7 +78,7 @@ type fig16Result struct {
 // fig16Run schedules n sharePods to completion.
 func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	env := sim.NewEnv()
-	srv := apiserver.New(env)
+	srv := instrumented(apiserver.New(env))
 	for i := 0; i < cfg.Nodes; i++ {
 		node := &api.Node{
 			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("node-%04d", i)},

@@ -9,6 +9,7 @@ import "testing"
 // lanes were deleted. The sequential batched cycle that remains must
 // reproduce them exactly; the full-scale counterparts are in EXPERIMENTS.md.
 func TestFig16PlacementsPinned(t *testing.T) {
+	withCanary(t)
 	tb, err := Fig16(Fig16Config{Sizes: []int{500, 2000}, Nodes: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -104,6 +104,7 @@ func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Re
 	if err != nil {
 		return fig17Result{}, err
 	}
+	instrumented(c.API)
 	workload.RegisterImages(c)
 	c.API.EnableDurability(apiserver.DurabilityConfig{CheckpointInterval: ckptInterval})
 	ks, err := schedfw.Install(c, core.Config{})

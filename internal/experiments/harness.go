@@ -34,6 +34,18 @@ const (
 	Extender System = "extender"
 )
 
+// onServer, when the package's tests set it, sees every API server an
+// experiment builds before anything runs against it (they install the
+// store's mutation canary). Nil in production.
+var onServer func(*apiserver.Server)
+
+func instrumented(srv *apiserver.Server) *apiserver.Server {
+	if onServer != nil {
+		onServer(srv)
+	}
+	return srv
+}
+
 // newCluster builds a cluster with workload images registered.
 func newCluster(env *sim.Env, nodes, gpusPerNode int) (*kube.Cluster, error) {
 	return newClusterObs(env, nodes, gpusPerNode, false)
@@ -53,6 +65,7 @@ func newClusterObs(env *sim.Env, nodes, gpusPerNode int, disableObs bool) (*kube
 	if err != nil {
 		return nil, err
 	}
+	instrumented(c.API)
 	workload.RegisterImages(c)
 	return c, nil
 }
@@ -125,18 +138,11 @@ type SharingResult struct {
 
 // RunSharing executes a full workload run under the chosen system and
 // returns its throughput and utilization profile.
-func RunSharing(cfg SharingConfig) (SharingResult, error) { return runSharing(cfg, nil) }
-
-// runSharing is RunSharing with a seam for the package's tests: instrument,
-// when non-nil, sees the cluster before anything is installed on it.
-func runSharing(cfg SharingConfig, instrument func(*kube.Cluster)) (SharingResult, error) {
+func RunSharing(cfg SharingConfig) (SharingResult, error) {
 	env := sim.NewEnv()
 	c, err := newClusterObs(env, cfg.Nodes, cfg.GPUsPerNode, cfg.DisableObs)
 	if err != nil {
 		return SharingResult{}, err
-	}
-	if instrument != nil {
-		instrument(c)
 	}
 	// The first error inside a proc stops the submitter and the samplers;
 	// what is already running drains and the run reports the error.
@@ -276,8 +282,8 @@ func runSharing(cfg SharingConfig, instrument func(*kube.Cluster)) (SharingResul
 }
 
 // terminatedCount counts workload jobs in a terminal phase. It runs once per
-// sample tick, so it scans the store in place instead of deep-copying every
-// object the way List would.
+// sample tick, so it scans the store in place instead of building the slice
+// List would.
 func terminatedCount(c *kube.Cluster, sys System) int {
 	n := 0
 	if sys == Kubernetes {

@@ -6,13 +6,24 @@ import (
 	"time"
 
 	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/workload"
 )
+
+// withCanary installs the store's mutation canary on every API server the
+// experiments this test runs build (through the onServer seam, so from
+// runIndexed's workers too); each is checked when the test ends. The canary
+// adds no proc, watch or API request, so goldens hold with it installed.
+func withCanary(t *testing.T) {
+	onServer = func(srv *apiserver.Server) { storetest.Install(t, srv.Store()) }
+	t.Cleanup(func() { onServer = nil })
+}
 
 // A submission the apiserver refuses comes back from RunSharing as an error
 // — with the sampler running, so the run also has to stop rather than tick
 // forever waiting for jobs that were never submitted.
 func TestRunSharingReturnsSubmitError(t *testing.T) {
+	withCanary(t)
 	jobs := workload.Generate(workload.GeneratorConfig{
 		Jobs: 3, MeanInterArrival: time.Second,
 		DemandMean: 0.3, DemandVar: 1,

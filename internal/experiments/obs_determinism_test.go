@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"kubeshare/internal/kube"
-	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/workload"
 )
@@ -17,13 +15,13 @@ import (
 // byte-identical run-to-run for a fixed seed, including under -race with
 // GOMAXPROCS>1 (the runs of the test execute concurrently through
 // runIndexed).
-func telemetryDump(instrument func(*kube.Cluster)) (string, error) {
+func telemetryDump() (string, error) {
 	jobs := workload.Generate(workload.GeneratorConfig{
 		Jobs: 8, MeanInterArrival: 2 * time.Second,
 		DemandMean: 0.35, DemandVar: 1,
 		JobDuration: 10 * time.Second, Seed: 11,
 	})
-	res, err := runSharing(SharingConfig{
+	res, err := RunSharing(SharingConfig{
 		System: KubeShare, Nodes: 1, GPUsPerNode: 2,
 		Jobs: jobs, ExportTelemetry: true,
 		// Crash/warm-recover the apiserver mid-workload: the restart markers
@@ -31,7 +29,7 @@ func telemetryDump(instrument func(*kube.Cluster)) (string, error) {
 		// per-consumer relist counters must all land byte-identically in the
 		// golden.
 		RestartAPIServerAt: 9 * time.Second,
-	}, instrument)
+	})
 	if err != nil {
 		return "", err
 	}
@@ -52,9 +50,8 @@ func telemetryDump(instrument func(*kube.Cluster)) (string, error) {
 // golden (it adds no proc, no watch and no API request) and must find every
 // published snapshot — across the mid-run restart too — as it was published.
 func TestTraceDeterminismGolden(t *testing.T) {
-	dumps, err := runIndexed(2, func(int) (string, error) {
-		return telemetryDump(func(c *kube.Cluster) { storetest.Install(t, c.API.Store()) })
-	})
+	withCanary(t)
+	dumps, err := runIndexed(2, func(int) (string, error) { return telemetryDump() })
 	if err != nil {
 		t.Fatal(err)
 	}

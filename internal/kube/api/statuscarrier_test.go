@@ -52,7 +52,7 @@ func fill(v reflect.Value) error {
 		v.Set(reflect.New(v.Type().Elem()))
 		return fill(v.Elem())
 	default:
-		return fmt.Errorf("(%s): this test cannot populate a %s; teach it, and make SetStatusFrom clone the field", v.Type(), v.Kind())
+		return fmt.Errorf("(%s): this test cannot populate a %s; teach it, and make WithStatusFrom clone the field", v.Type(), v.Kind())
 	}
 	return nil
 }
@@ -91,28 +91,64 @@ func aliased(path string, dst, src reflect.Value) []string {
 	return out
 }
 
-// statusAliases populates a src of obj's type completely, runs
-// SetStatusFrom into a zero value and reports what the two then share.
-func statusAliases(newObj func() api.StatusCarrier) ([]string, error) {
-	src, dst := newObj(), newObj()
-	if err := fill(reflect.ValueOf(src).Elem()); err != nil {
-		return nil, err
-	}
-	dst.SetStatusFrom(src)
-	if reflect.DeepEqual(dst, newObj()) {
-		return nil, fmt.Errorf("SetStatusFrom copied nothing")
-	}
-	return aliased(src.Kind(), reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()), nil
+// statusOf returns the addressable Status field every carrier has.
+func statusOf(o api.Object) reflect.Value {
+	return reflect.ValueOf(o).Elem().FieldByName("Status")
 }
 
-// TestSetStatusFromSharesNoMemory guards the store's inbound-copy rule at
-// the one place it is a field away from breaking: UpdateStatus builds the
-// published snapshot with SetStatusFrom(caller's object), and Pod, SharePod
-// and VGPU implement that as a struct assignment — safe only while their
-// status holds no map, slice or pointer. A status type that gains one (say
-// Conditions []Condition) without cloning it here would make an immutable
-// shared snapshot alias the caller's argument; this fails first.
-func TestSetStatusFromSharesNoMemory(t *testing.T) {
+// statusAliases builds a fully populated receiver with a zero status and a
+// fully populated argument, runs WithStatusFrom, and checks the contract:
+// a new object, the receiver untouched, the argument's status on the
+// receiver's spec and metadata, every map, slice and pointer outside Status
+// shared with the receiver. It returns the paths the result shares with the
+// argument — there must be none, self-application included.
+func statusAliases(newObj func() api.StatusCarrier) ([]string, error) {
+	recv, src := newObj(), newObj()
+	for _, o := range []api.StatusCarrier{recv, src} {
+		if err := fill(reflect.ValueOf(o).Elem()); err != nil {
+			return nil, err
+		}
+	}
+	statusOf(recv).SetZero()
+	before := newObj()
+	if err := fill(reflect.ValueOf(before).Elem()); err != nil {
+		return nil, err
+	}
+	statusOf(before).SetZero()
+
+	out := recv.WithStatusFrom(src)
+	if out == api.Object(recv) || out == api.Object(src) {
+		return nil, fmt.Errorf("WithStatusFrom returned its receiver or argument, not a new object")
+	}
+	if !reflect.DeepEqual(recv, before) {
+		return nil, fmt.Errorf("WithStatusFrom modified its receiver")
+	}
+	if !reflect.DeepEqual(statusOf(out).Interface(), statusOf(src).Interface()) {
+		return nil, fmt.Errorf("WithStatusFrom did not carry the argument's status")
+	}
+	kind := src.Kind()
+	outV, recvV := reflect.ValueOf(out).Elem(), reflect.ValueOf(recv).Elem()
+	if got, want := aliased(kind, outV, recvV), aliased(kind, recvV, recvV); !reflect.DeepEqual(got, want) {
+		return nil, fmt.Errorf("WithStatusFrom shares %v with its receiver, want its whole spec and metadata: %v", got, want)
+	}
+	leaks := aliased(kind, outV, reflect.ValueOf(src).Elem())
+	// x.WithStatusFrom(x) is how MutateStatus builds its closure's object:
+	// the status must be a copy there too.
+	self := src.WithStatusFrom(src)
+	leaks = append(leaks, aliased(kind+"(self)", statusOf(self), statusOf(src))...)
+	return leaks, nil
+}
+
+// TestWithStatusFromSharesNoMemory guards the store's ownership rule at the
+// one place it is a field away from breaking: a status write publishes
+// stored.WithStatusFrom(caller's object), and Pod, SharePod and VGPU
+// implement that as a struct assignment — safe only while their status holds
+// no map, slice or pointer. A status type that gains one (say Conditions
+// []Condition) without cloning it there would make an immutable shared
+// snapshot alias the caller's argument, or MutateStatus's closure alias the
+// snapshot; this fails first. The other half of the contract is the saving:
+// the result shares the receiver's spec and metadata instead of copying them.
+func TestWithStatusFromSharesNoMemory(t *testing.T) {
 	carriers := 0
 	for _, kind := range api.RegisteredKinds() {
 		obj, err := api.NewObject(kind)
@@ -131,7 +167,7 @@ func TestSetStatusFromSharesNoMemory(t *testing.T) {
 			t.Errorf("%s: %v", kind, err)
 		}
 		for _, path := range shared {
-			t.Errorf("%s.SetStatusFrom leaves %s sharing memory with its argument: clone it", kind, path)
+			t.Errorf("%s.WithStatusFrom leaves %s sharing memory with its argument: clone it", kind, path)
 		}
 	}
 	if carriers < 4 {
@@ -140,7 +176,7 @@ func TestSetStatusFromSharesNoMemory(t *testing.T) {
 }
 
 // leaky is the future this test exists for: a status that grew a slice and a
-// map, and a SetStatusFrom nobody revisited.
+// map, and a WithStatusFrom nobody revisited.
 type leaky struct {
 	api.ObjectMeta
 	Status struct {
@@ -150,17 +186,24 @@ type leaky struct {
 	}
 }
 
-func (l *leaky) GetMeta() *api.ObjectMeta     { return &l.ObjectMeta }
-func (l *leaky) Kind() string                 { return "Leaky" }
-func (l *leaky) DeepCopyObject() api.Object   { panic("unused") }
-func (l *leaky) SetStatusFrom(src api.Object) { l.Status = src.(*leaky).Status }
+func (l *leaky) GetMeta() *api.ObjectMeta   { return &l.ObjectMeta }
+func (l *leaky) Kind() string               { return "Leaky" }
+func (l *leaky) DeepCopyObject() api.Object { panic("unused") }
+func (l *leaky) WithStatusFrom(src api.Object) api.Object {
+	out := *l
+	out.Status = src.(*leaky).Status
+	return &out
+}
 
-func TestSetStatusFromGuardBites(t *testing.T) {
+func TestWithStatusFromGuardBites(t *testing.T) {
 	shared, err := statusAliases(func() api.StatusCarrier { return &leaky{} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"Leaky.Status.Conditions", "Leaky.Status.Seen"}
+	want := []string{
+		"Leaky.Status.Conditions", "Leaky.Status.Seen",
+		"Leaky(self).Conditions", "Leaky(self).Seen",
+	}
 	if !reflect.DeepEqual(shared, want) {
 		t.Fatalf("aliased paths = %v, want %v", shared, want)
 	}

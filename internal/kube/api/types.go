@@ -1,7 +1,8 @@
 // Package api defines the Kubernetes object model used by the simulated
 // control plane: pods, nodes, resource lists, bindings and events. Objects
-// are plain data with value semantics (DeepCopy before sharing); behaviour
-// lives in the components that watch them, exactly as in Kubernetes.
+// are plain data; behaviour lives in the components that watch them, exactly
+// as in Kubernetes. An object read back from the API server is the shared
+// read-only snapshot of its revision (see package store).
 package api
 
 import (
@@ -114,9 +115,11 @@ type Object interface {
 // not implement it keep whole-object write semantics.
 type StatusCarrier interface {
 	Object
-	// SetStatusFrom overwrites the receiver's status with src's status.
-	// src is guaranteed to be the same concrete type.
-	SetStatusFrom(src Object)
+	// WithStatusFrom returns a new object sharing the receiver's spec and
+	// metadata (maps and slices included: neither may write them afterwards)
+	// and carrying a copy of src's status that shares no memory with src.
+	// src is of the same concrete type and may be the receiver itself.
+	WithStatusFrom(src Object) Object
 }
 
 // Key returns the store key of an object.
@@ -230,8 +233,12 @@ func (p *Pod) DeepCopyObject() Object {
 	return &out
 }
 
-// SetStatusFrom implements StatusCarrier.
-func (p *Pod) SetStatusFrom(src Object) { p.Status = src.(*Pod).Status }
+// WithStatusFrom implements StatusCarrier.
+func (p *Pod) WithStatusFrom(src Object) Object {
+	out := *p
+	out.Status = src.(*Pod).Status
+	return &out
+}
 
 // Terminated reports whether the pod reached a terminal phase.
 func (p *Pod) Terminated() bool {
@@ -275,12 +282,13 @@ func (n *Node) DeepCopyObject() Object {
 	return &out
 }
 
-// SetStatusFrom implements StatusCarrier.
-func (n *Node) SetStatusFrom(src Object) {
-	st := src.(*Node).Status
-	st.Capacity = st.Capacity.Clone()
-	st.Allocatable = st.Allocatable.Clone()
-	n.Status = st
+// WithStatusFrom implements StatusCarrier.
+func (n *Node) WithStatusFrom(src Object) Object {
+	out := *n
+	out.Status = src.(*Node).Status
+	out.Status.Capacity = out.Status.Capacity.Clone()
+	out.Status.Allocatable = out.Status.Allocatable.Clone()
+	return &out
 }
 
 // MatchesSelector reports whether the node's labels satisfy sel.

@@ -10,11 +10,12 @@
 // by label selector (ListSelector, WatchFiltered), answered from the
 // store's indexes.
 //
-// Ownership follows the store's one rule (see package store): what a write
-// returns and what Get, List and ListSelector return are private copies the
-// caller may change — Mutate hands one to its closure; watch events,
-// reflector events and Scan/ScanSelector callbacks carry the shared
-// read-only snapshot of a revision — DeepCopyObject before mutating.
+// Ownership follows the store's one rule (see package store): every result —
+// what Get, List, ListSelector and a write return, what watch and reflector
+// events and Scan/ScanSelector callbacks carry — is the shared read-only
+// snapshot of a revision. The only objects a caller may write to are ones it
+// built itself and the one Mutate/MutateStatus passes its closure — and in
+// MutateStatus only its Status.
 package apiserver
 
 import (
@@ -119,8 +120,8 @@ func (s *Server) validate(obj api.Object) error {
 	return nil
 }
 
-// Create validates and stores obj. Every admitted create (other than
-// Events themselves) roots or extends the object's causal trace chain,
+// Create validates and stores a copy of obj. Every admitted create (other
+// than Events themselves) roots or extends the object's causal trace chain,
 // so a sharePod's life is traceable from the submit instant.
 func (s *Server) Create(obj api.Object) (api.Object, error) {
 	if err := s.validate(obj); err != nil {
@@ -157,7 +158,7 @@ func (s *Server) UpdateStatus(obj api.Object) (api.Object, error) {
 	return s.store.UpdateStatus(obj)
 }
 
-// Get fetches one object.
+// Get fetches one object's current snapshot.
 func (s *Server) Get(kind, name string) (api.Object, error) {
 	s.reqReads.Inc()
 	return s.store.Get(kind, name)
@@ -169,7 +170,7 @@ func (s *Server) Delete(kind, name string) error {
 	return s.store.Delete(kind, name)
 }
 
-// List returns all objects of a kind.
+// List returns the snapshots of all objects of a kind.
 func (s *Server) List(kind string) []api.Object {
 	s.reqReads.Inc()
 	return s.store.List(kind + "/")
@@ -188,9 +189,7 @@ func (s *Server) Count(kind string) int {
 	return s.store.Count(kind)
 }
 
-// Scan iterates a kind's objects in name order without copying: fn sees the
-// shared read-only snapshots (see store.Scan) and must DeepCopyObject
-// before mutating one.
+// Scan iterates a kind's snapshots in name order (see store.Scan).
 func (s *Server) Scan(kind string, fn func(api.Object) bool) {
 	s.ScanSelector(kind, nil, fn)
 }
@@ -250,7 +249,8 @@ func IsExists(err error) bool { return errors.Is(err, store.ErrExists) }
 // IsGone reports whether err marks a compacted (unresumable) watch revision.
 func IsGone(err error) bool { return errors.Is(err, store.ErrGone) }
 
-// Client is a typed view of the server for one object kind.
+// Client is a typed view of the server for one object kind. Everything it
+// returns is a read-only snapshot (see the package comment).
 type Client[T api.Object] struct {
 	s    *Server
 	kind string
@@ -261,7 +261,7 @@ func NewClient[T api.Object](s *Server, kind string) Client[T] {
 	return Client[T]{s: s, kind: kind}
 }
 
-// Create stores obj and returns the stored copy.
+// Create stores a copy of obj and returns the published snapshot.
 func (c Client[T]) Create(obj T) (T, error) {
 	var zero T
 	out, err := c.s.Create(obj)
@@ -271,7 +271,7 @@ func (c Client[T]) Create(obj T) (T, error) {
 	return out.(T), nil
 }
 
-// Get fetches by name.
+// Get fetches the current snapshot by name.
 func (c Client[T]) Get(name string) (T, error) {
 	var zero T
 	out, err := c.s.Get(c.kind, name)
@@ -294,8 +294,8 @@ func (c Client[T]) Update(obj T) (T, error) {
 }
 
 // UpdateStatus replaces only the stored object's status (the status
-// subresource write): the stored spec and metadata are preserved, so a
-// controller reporting status can never clobber a concurrent spec write.
+// subresource write): the stored spec and metadata are kept whatever obj
+// carries, so a controller reporting status can never clobber a spec write.
 func (c Client[T]) UpdateStatus(obj T) (T, error) {
 	var zero T
 	out, err := c.s.UpdateStatus(obj)
@@ -308,13 +308,13 @@ func (c Client[T]) UpdateStatus(obj T) (T, error) {
 // Delete removes by name.
 func (c Client[T]) Delete(name string) error { return c.s.Delete(c.kind, name) }
 
-// List returns all objects of the kind, sorted by name.
+// List returns the kind's snapshots, sorted by name.
 func (c Client[T]) List() []T {
 	return toTyped[T](c.s.List(c.kind))
 }
 
-// ListSelector returns the kind's objects whose labels match sel, sorted by
-// name. The query is answered from the store's label index in O(matching).
+// ListSelector returns the snapshots whose labels match sel, sorted by name.
+// The query is answered from the store's label index in O(matching).
 func (c Client[T]) ListSelector(sel labels.Selector) []T {
 	return toTyped[T](c.s.ListSelector(c.kind, sel))
 }
@@ -322,11 +322,8 @@ func (c Client[T]) ListSelector(sel labels.Selector) []T {
 // Count returns the number of stored objects of the kind.
 func (c Client[T]) Count() int { return c.s.Count(c.kind) }
 
-// Scan calls fn on each stored object in name order without deep-copying,
-// stopping early when fn returns false. fn sees the shared read-only
-// snapshot of each object — DeepCopyObject before mutating. Use for
-// aggregate reads (counters, samplers) where List's per-object clone would
-// dominate; anything that changes the object must use List/Get.
+// Scan calls fn on each snapshot in name order, stopping early when fn
+// returns false: List without the result slice, for counters and samplers.
 func (c Client[T]) Scan(fn func(T) bool) {
 	c.s.Scan(c.kind, func(o api.Object) bool { return fn(o.(T)) })
 }
@@ -351,30 +348,43 @@ func (c Client[T]) WatchFiltered(opts WatchOptions) *sim.Queue[store.Event] {
 }
 
 // Mutate runs a read-modify-write loop against the spec: it fetches name,
-// applies mutate and updates, retrying on version conflicts. mutate must be
-// idempotent. Status changes made by mutate are discarded for kinds with a
-// status subresource — use MutateStatus for those.
+// hands mutate a private deep copy to change and updates, retrying on
+// version conflicts. mutate must be idempotent. Status changes made by mutate
+// are discarded for kinds with a status subresource — use MutateStatus.
 func (c Client[T]) Mutate(name string, mutate func(T) error) (T, error) {
-	return c.mutate(name, mutate, c.Update)
+	return c.mutate(name, mutate, false)
 }
 
 // MutateStatus is Mutate against the status subresource: only status
-// changes made by mutate are persisted.
+// changes made by mutate are persisted, and the object mutate receives owns
+// only its Status — its spec and metadata (maps and slices included) are the
+// stored snapshot's: read them, write only Status.
 func (c Client[T]) MutateStatus(name string, mutate func(T) error) (T, error) {
-	return c.mutate(name, mutate, c.UpdateStatus)
+	return c.mutate(name, mutate, true)
 }
 
-func (c Client[T]) mutate(name string, mutate func(T) error, write func(T) (T, error)) (T, error) {
+func (c Client[T]) mutate(name string, mutate func(T) error, statusOnly bool) (T, error) {
 	var zero T
+	write := c.Update
+	if statusOnly {
+		write = c.UpdateStatus
+	}
 	for {
 		cur, err := c.Get(name)
 		if err != nil {
 			return zero, err
 		}
-		if err := mutate(cur); err != nil {
+		// cur is the shared snapshot; the closure gets a working object.
+		var work T
+		if sc, carries := api.Object(cur).(api.StatusCarrier); carries && statusOnly {
+			work = sc.WithStatusFrom(sc).(T)
+		} else {
+			work = cur.DeepCopyObject().(T)
+		}
+		if err := mutate(work); err != nil {
 			return zero, err
 		}
-		out, err := write(cur)
+		out, err := write(work)
 		if err == nil {
 			return out, nil
 		}

@@ -67,10 +67,11 @@ func TestValidatorRunsOnCreateAndUpdate(t *testing.T) {
 	if _, err := pods.Create(bad); !errors.Is(err, boom) {
 		t.Fatalf("create err = %v", err)
 	}
-	good, err := pods.Create(mkPod("a"))
+	stored, err := pods.Create(mkPod("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := stored.DeepCopyObject().(*api.Pod)
 	good.Status.Message = "bad"
 	if _, err := pods.Update(good); !errors.Is(err, boom) {
 		t.Fatalf("update err = %v", err)

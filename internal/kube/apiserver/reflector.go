@@ -21,7 +21,7 @@ import (
 //
 // Every event — live, resumed or synthesized — carries the store's shared
 // read-only snapshot of that revision, and the reflector's own cache holds
-// the same pointers: DeepCopyObject before mutating.
+// the same pointers: never write to one.
 //
 // Consumers call Get in a loop exactly as with sim.Queue: it returns
 // (event, true), parking the proc while the stream is idle, and

@@ -29,7 +29,8 @@ type Entrypoint func(ctx *Ctx) error
 type Ctx struct {
 	// Proc is the container's simulation process.
 	Proc *sim.Proc
-	// Pod and Container are deep copies of the API objects.
+	// Pod and Container are read-only: the API server's shared snapshot of
+	// the pod as admitted, and one of its containers.
 	Pod       *api.Pod
 	Container api.Container
 	// Env is the merged environment (spec env + device allocations).

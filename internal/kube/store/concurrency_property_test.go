@@ -113,7 +113,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 					logs[w][key] = append(logs[w][key], expectedEv{
 						Added, stored.GetMeta().ResourceVersion, lbls["app"] == watchedSel})
 				case (op == 1 || op == 2) && exists: // label update
-					cur, err := s.Get(kind, name)
+					cur, err := edit(s, kind, name)
 					if err != nil {
 						t.Errorf("get %s: %v", key, err)
 						return
@@ -129,7 +129,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 					logs[w][key] = append(logs[w][key], expectedEv{
 						Modified, stored.GetMeta().ResourceVersion, lbls["app"] == watchedSel})
 				case op == 3 && exists: // status update (labels preserved)
-					cur, err := s.Get(kind, name)
+					cur, err := edit(s, kind, name)
 					if err != nil {
 						t.Errorf("get %s: %v", key, err)
 						return

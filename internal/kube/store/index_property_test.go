@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kubeshare/internal/kube/api"
@@ -47,7 +48,7 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 				model[name] = p.Labels
 			}
 		case 1, 2: // spec/label update
-			if cur, err := s.Get("Pod", name); err == nil {
+			if cur, err := edit(s, "Pod", name); err == nil {
 				cp := cur.(*api.Pod)
 				cp.Labels = randLabels()
 				cp.Spec.NodeName = fmt.Sprintf("n-%d", rng.Intn(4))
@@ -57,7 +58,7 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 				model[name] = cp.Labels
 			}
 		case 3: // status update (must not disturb labels or the index)
-			if cur, err := s.Get("Pod", name); err == nil {
+			if cur, err := edit(s, "Pod", name); err == nil {
 				cp := cur.(*api.Pod)
 				cp.Status.Phase = api.PodRunning
 				if _, err := s.UpdateStatus(cp); err != nil {
@@ -195,10 +196,13 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 	}
 }
 
-// TestStatusUpdatePreservesLabelIndex pins the subtle interaction between
-// the status subresource and the label index: UpdateStatus keeps the stored
-// labels, so a caller passing a copy with mutated labels must not corrupt
-// the posting lists.
+// TestStatusUpdatePreservesLabelIndex pins the interaction between the
+// status subresource and the label index: UpdateStatus publishes the stored
+// spec and metadata whatever its argument carries, so a caller passing
+// different labels and scribbled spec fields changes neither the object nor
+// the index — a status write does not touch the index at all (the posting
+// set is the same map afterwards, not a rebuilt one) — and the previous
+// snapshot is left exactly as it was.
 func TestStatusUpdatePreservesLabelIndex(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
@@ -207,17 +211,35 @@ func TestStatusUpdatePreservesLabelIndex(t *testing.T) {
 	if _, err := s.Create(p); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := s.Get("Pod", "a")
-	cp := cur.(*api.Pod)
+	prev, _ := s.Get("Pod", "a")
+	want := prev.DeepCopyObject()
+	posting := reflect.ValueOf(s.kinds["Pod"].byLabel["app"]["web"]).Pointer()
+
+	cp := prev.DeepCopyObject().(*api.Pod)
 	cp.Labels = map[string]string{"app": "db"} // ignored by UpdateStatus
+	cp.Spec.NodeName = "scribbled"             // so is every spec field
+	cp.Spec.Containers[0].Image = "scribbled"
+	cp.OwnerName = "scribbled"
 	cp.Status.Phase = api.PodRunning
-	if _, err := s.UpdateStatus(cp); err != nil {
+	updated, err := s.UpdateStatus(cp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ListSelector("Pod", labels.SelectorFromMap(map[string]string{"app": "web"})); len(got) != 1 {
-		t.Fatalf("app=web matched %d, want 1", len(got))
+	got := updated.(*api.Pod)
+	if got.Status.Phase != api.PodRunning || got.Labels["app"] != "web" || got.OwnerName != "" ||
+		got.Spec.NodeName != "" || got.Spec.Containers[0].Image != "i" {
+		t.Fatalf("status write published %+v", got)
+	}
+	if !reflect.DeepEqual(prev, want) {
+		t.Fatalf("status write touched the previous snapshot: %+v", prev)
+	}
+	if got := s.ListSelector("Pod", labels.SelectorFromMap(map[string]string{"app": "web"})); len(got) != 1 || got[0] != updated {
+		t.Fatalf("app=web matched %v, want the new snapshot", got)
 	}
 	if got := s.ListSelector("Pod", labels.SelectorFromMap(map[string]string{"app": "db"})); len(got) != 0 {
 		t.Fatalf("app=db matched %d, want 0", len(got))
+	}
+	if reflect.ValueOf(s.kinds["Pod"].byLabel["app"]["web"]).Pointer() != posting {
+		t.Fatal("a status write rebuilt the label's posting set")
 	}
 }

@@ -15,10 +15,11 @@ import (
 // TestSharedSnapshotConcurrentReaders runs goroutine readers — Scan, Get,
 // List, ListSelector — against a writer that is publishing shared snapshots
 // to live watchers, under -race (check.sh runs it at GOMAXPROCS=4). Readers
-// keep the snapshots Scan showed them past the store's lock and read every
-// field again later: a published object must never
-// change, so each must still equal the private copy taken at first sight,
-// and the race detector must see no write to memory a reader holds.
+// keep the snapshots every read showed them past the store's lock and read
+// every field again later: a published object must never change — not even
+// when a status write shares its spec and metadata with the next revision —
+// so each must still equal the private copy taken at first sight, and the
+// race detector must see no write to memory a reader holds.
 func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
@@ -40,21 +41,22 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			type kept struct{ shared, private api.Object }
 			held := map[api.Object]kept{}
+			keep := func(o api.Object) bool {
+				if _, ok := held[o]; !ok && len(held) < 256 {
+					held[o] = kept{o, o.DeepCopyObject()}
+				}
+				return true
+			}
 			for !done.Load() {
-				s.ScanSelector("Pod", []labels.Selector{nil, sel}[r%2], func(o api.Object) bool {
-					if _, ok := held[o]; !ok && len(held) < 256 {
-						held[o] = kept{o, o.DeepCopyObject()}
-					}
-					return true
-				})
+				s.ScanSelector("Pod", []labels.Selector{nil, sel}[r%2], keep)
 				if got, err := s.Get("Pod", fmt.Sprintf("p%02d", r)); err == nil {
-					got.(*api.Pod).Status.Message = "reader-owned" // owned copies may change
+					keep(got)
 				}
 				for _, o := range s.List("Pod/") {
-					o.GetMeta().Labels["reader"] = "owned"
+					keep(o)
 				}
 				for _, o := range s.ListSelector("Pod", sel) {
-					o.(*api.Pod).Spec.Containers[0].Image = "reader-owned"
+					keep(o)
 				}
 				for _, k := range held {
 					if !reflect.DeepEqual(k.shared, k.private) {
@@ -70,7 +72,7 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 	writes := 0
 	for i := 0; i < ops; i++ {
 		name := fmt.Sprintf("p%02d", i%names)
-		cur, err := s.Get("Pod", name)
+		cur, err := edit(s, "Pod", name)
 		switch {
 		case err != nil:
 			p := pod(name)

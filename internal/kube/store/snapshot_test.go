@@ -23,10 +23,11 @@ func next(t *testing.T, what string, q *sim.Queue[store.Event]) store.Event {
 	return ev
 }
 
-// TestWatchSharesOneSnapshot pins the ownership rule: every path that
-// delivers a revision delivers the same pointer, a later write publishes a
-// different object and leaves the earlier one alone, and the calls that
-// hand out owned copies hand out copies.
+// TestWatchSharesOneSnapshot pins the ownership rule: every path that hands
+// out a revision — watches, replays, resumes, Scan, Get, List, ListSelector,
+// the write's own return value, the reflector — hands out the same pointer;
+// a later write publishes a different object and leaves the earlier one
+// alone; and the store aliases nothing that came in.
 func TestWatchSharesOneSnapshot(t *testing.T) {
 	env := sim.NewEnv()
 	srv := apiserver.New(env)
@@ -37,10 +38,11 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	refl := srv.NewReflector("Pod", apiserver.WatchOptions{})
 	rev0 := st.Revision()
 
-	created, err := st.Create(&api.Pod{
+	arg := &api.Pod{
 		ObjectMeta: api.ObjectMeta{Name: "a", Labels: map[string]string{"app": "x"}},
 		Spec:       api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
-	})
+	}
+	created, err := st.Create(arg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,45 +68,52 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	same("generic replay", snap1, next(t, "generic replay", st.Watch("", true)).Object)
 	st.Scan("Pod", func(o api.Object) bool { same("Scan", snap1, o); return true })
 
-	// Owned copies: distinct objects, and writing through them reaches
-	// nobody.
-	want1 := snap1.DeepCopyObject()
+	// Reads and the write's own result are that same snapshot; only the
+	// caller's argument stays the caller's.
+	same("Create's return value", snap1, created)
 	got, err := st.Get("Pod", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for what, own := range map[string]api.Object{
-		"Create's return value": created,
-		"Get":                   got,
-		"List":                  st.List("Pod/")[0],
-		"ListSelector":          st.ListSelector("Pod", nil)[0],
-	} {
-		if own == snap1 {
-			t.Errorf("%s returned the shared snapshot", what)
-		}
-		p := own.(*api.Pod)
-		p.Status.Phase = api.PodFailed
-		p.Labels["app"] = "mutated"
-		p.Spec.Containers[0].Image = "mutated"
+	same("Get", snap1, got)
+	same("List", snap1, st.List("Pod/")[0])
+	same("generic List", snap1, st.List("")[0])
+	same("ListSelector", snap1, st.ListSelector("Pod", nil)[0])
+	if snap1 == api.Object(arg) {
+		t.Fatal("Create published the caller's argument")
 	}
+	want1 := snap1.DeepCopyObject()
+	arg.Labels["app"] = "mutated" // the store copied on the way in
+	arg.Spec.Containers[0].Image = "mutated"
 	if !reflect.DeepEqual(snap1, want1) {
-		t.Fatalf("mutating owned copies changed the shared snapshot: %+v", snap1)
+		t.Fatalf("the published snapshot aliases Create's argument: %+v", snap1)
 	}
 
-	// A later write publishes a different object; the earlier snapshot keeps
-	// its revision and its status.
+	// A status write publishes a different object that shares the stored
+	// spec and metadata — whatever the caller's argument says about them —
+	// and leaves the earlier snapshot at its revision and its status.
 	upd := want1.DeepCopyObject().(*api.Pod)
 	upd.Status.Phase = api.PodRunning
+	upd.Labels = map[string]string{"app": "scribbled"}
+	upd.Spec.NodeName = "scribbled"
 	returned, err := st.UpdateStatus(upd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap2 := next(t, "kind watcher, rev 2", kindA).Object
-	if snap2 == snap1 || snap2 == api.Object(upd) || snap2 == returned {
+	if snap2 == snap1 || snap2 == api.Object(upd) {
 		t.Fatal("UpdateStatus did not publish a fresh object")
 	}
-	if snap2.(*api.Pod).Status.Phase != api.PodRunning || snap2.GetMeta().ResourceVersion <= snap1.GetMeta().ResourceVersion {
+	same("UpdateStatus's return value", snap2, returned)
+	got, _ = st.Get("Pod", "a")
+	same("Get, rev 2", snap2, got)
+	p1, p2 := snap1.(*api.Pod), snap2.(*api.Pod)
+	if p2.Status.Phase != api.PodRunning || p2.ResourceVersion <= p1.ResourceVersion {
 		t.Fatalf("second snapshot = %+v", snap2)
+	}
+	if p2.Spec.NodeName != "" || reflect.ValueOf(p2.Labels).Pointer() != reflect.ValueOf(p1.Labels).Pointer() ||
+		&p2.Spec.Containers[0] != &p1.Spec.Containers[0] {
+		t.Fatalf("a status write must share the stored spec and metadata, got %+v", snap2)
 	}
 	same("name-filtered kind watcher, rev 2", snap2, next(t, "name-filtered", kindB).Object)
 	same("generic-prefix watcher, rev 2", snap2, next(t, "generic", generic).Object)
@@ -112,10 +121,9 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(snap1, want1) {
 		t.Fatalf("a later write touched the earlier snapshot: %+v", snap1)
 	}
-	upd.Status.Phase = api.PodFailed // the caller's argument is not aliased either
-	returned.(*api.Pod).Status.Phase = api.PodFailed
-	if snap2.(*api.Pod).Status.Phase != api.PodRunning {
-		t.Fatal("the published snapshot aliases the caller's argument or the returned copy")
+	upd.Status.Phase = api.PodFailed // the caller's argument is not aliased
+	if p2.Status.Phase != api.PodRunning {
+		t.Fatal("the published snapshot aliases the caller's argument")
 	}
 
 	// The reflector: live events, a relist after a compacted gap, and the

@@ -24,21 +24,21 @@
 // # Ownership
 //
 // The object committed at a revision is immutable from the moment it is
-// published, and there is exactly one of it. That one snapshot is what the
-// bucket holds, what the history keeps, what every watcher queue (live,
-// replayed or resumed) delivers as Event.Object, and what Scan and
-// ScanSelector hand to their callbacks; a later write to the same key
-// publishes a new object and never touches the old one. A write therefore
-// costs the same however many subscribers watch, readers may keep a
-// snapshot for as long as they like (it stays a faithful record of its
-// revision), and goroutine readers need no lock once they hold one.
+// published, and there is exactly one of it: what the bucket holds, what the
+// history keeps, and what everything the store hands out carries — every
+// watcher queue (live, replayed or resumed), Scan and ScanSelector
+// callbacks, Get, List, ListSelector, and the return value of Create, Update
+// and UpdateStatus. A later write to the same key publishes a new object and
+// never touches the old one, so a write costs the same however many
+// subscribers watch, a snapshot stays a faithful record of its revision for
+// as long as anyone keeps it, and goroutine readers holding one need no lock.
 //
-// Copies are made only where a caller takes ownership in order to mutate:
-// Create, Update and UpdateStatus copy their argument on the way in (the
-// store never aliases a caller's object) and return a private copy of what
-// they stored, and Get, List and ListSelector return private copies — the
-// read half of a read-modify-write. Everything else is shared and
-// read-only: DeepCopyObject before changing a field.
+// The store copies on the way in, never on the way out: Create and Update
+// deep-copy their argument, and a status write copies only the status — the
+// new revision shares its spec and metadata with the one before
+// (api.StatusCarrier.WithStatusFrom). Results are therefore read-only: to
+// change an object, write back a changed DeepCopyObject of it
+// (apiserver.Client.Mutate does).
 package store
 
 import (
@@ -85,7 +85,7 @@ const (
 
 // Event is one watch notification. Object is the shared read-only snapshot
 // committed at that revision — the same pointer reaches every subscriber,
-// the history and the bucket, so DeepCopyObject before mutating; for Deleted
+// every reader, the history and the bucket, so never write to it; for Deleted
 // events it is the last published state. Rev is the store-wide revision the
 // mutation committed at — for Added/Modified it equals the object's
 // ResourceVersion; for Deleted it is the revision the deletion consumed (the
@@ -326,7 +326,7 @@ func (s *Store) kindNames() []string {
 }
 
 // Create inserts a copy of obj, assigning UID, CreationTime and
-// ResourceVersion, and returns a private copy of what was stored.
+// ResourceVersion, and returns the published snapshot (read-only).
 func (s *Store) Create(obj api.Object) (api.Object, error) {
 	kind := obj.Kind()
 	name := obj.GetMeta().Name
@@ -346,11 +346,11 @@ func (s *Store) Create(obj api.Object) (api.Object, error) {
 	b.dirty.Store(true)
 	b.indexLabels(name, meta.Labels)
 	s.notify(b, Event{Added, stored, rv})
-	return stored.DeepCopyObject(), nil
+	return stored, nil
 }
 
-// Update publishes a new revision built from a copy of obj and returns a
-// private copy of it. The caller's copy must carry the ResourceVersion it
+// Update publishes a new revision built from a copy of obj and returns it
+// (the read-only snapshot). obj must carry the ResourceVersion the caller
 // read; a stale version yields ErrConflict. UID and CreationTime are
 // preserved from the stored object. For kinds with a status subresource
 // (api.StatusCarrier) the stored status is preserved too — status writes go
@@ -359,10 +359,10 @@ func (s *Store) Update(obj api.Object) (api.Object, error) {
 	return s.update(obj, false)
 }
 
-// UpdateStatus publishes a new revision carrying obj's status over the
-// stored spec and metadata (labels, annotations, owner) — the
-// status-subresource write. Objects that do not implement
-// api.StatusCarrier fall back to a whole-object Update.
+// UpdateStatus publishes a new revision carrying a copy of obj's status over
+// the stored spec and metadata (labels, annotations, owner), shared with the
+// previous revision — the status-subresource write; the rest of obj is
+// ignored. Objects that are no api.StatusCarrier get a whole-object Update.
 func (s *Store) UpdateStatus(obj api.Object) (api.Object, error) {
 	return s.update(obj, true)
 }
@@ -383,29 +383,30 @@ func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 			api.Key(obj), obj.GetMeta().ResourceVersion, curMeta.ResourceVersion)
 	}
 	var stored api.Object
-	if sc, carries := cur.(api.StatusCarrier); carries {
-		if statusOnly {
-			// Stored spec + metadata, caller's status.
-			stored = cur.DeepCopyObject()
-			stored.(api.StatusCarrier).SetStatusFrom(obj)
-		} else {
-			// Caller's spec + metadata, stored status.
-			stored = obj.DeepCopyObject()
-			stored.(api.StatusCarrier).SetStatusFrom(sc)
-		}
+	sc, carries := cur.(api.StatusCarrier)
+	statusOnly = statusOnly && carries
+	if statusOnly {
+		// Stored spec + metadata (shared, labels included), caller's status.
+		stored = sc.WithStatusFrom(obj)
 	} else {
 		stored = obj.DeepCopyObject()
+		if carries {
+			// Caller's spec + metadata, stored status.
+			stored = stored.(api.StatusCarrier).WithStatusFrom(cur)
+		}
 	}
 	meta := stored.GetMeta()
 	rv := s.rev.Add(1)
 	meta.ResourceVersion = rv
 	meta.UID = curMeta.UID
 	meta.CreationTime = curMeta.CreationTime
-	b.unindexLabels(name, curMeta.Labels)
 	b.objs[name] = stored
-	b.indexLabels(name, meta.Labels)
+	if !statusOnly {
+		b.unindexLabels(name, curMeta.Labels)
+		b.indexLabels(name, meta.Labels)
+	}
 	s.notify(b, Event{Modified, stored, rv})
-	return stored.DeepCopyObject(), nil
+	return stored, nil
 }
 
 // Delete removes the object by key.
@@ -425,19 +426,19 @@ func (s *Store) Delete(kind, name string) error {
 	return nil
 }
 
-// Get returns a deep copy of the object by key.
+// Get returns the object's current snapshot (read-only) by key.
 func (s *Store) Get(kind, name string) (api.Object, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if b := s.kinds[kind]; b != nil {
 		if obj, ok := b.objs[name]; ok {
-			return obj.DeepCopyObject(), nil
+			return obj, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, api.KeyOf(kind, name))
 }
 
-// Count returns the number of objects of a kind without copying them.
+// Count returns the number of objects of a kind.
 func (s *Store) Count(kind string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -447,20 +448,18 @@ func (s *Store) Count(kind string) int {
 	return 0
 }
 
-// List returns private deep copies of all objects whose key has the given
-// prefix (typically "<Kind>/"), sorted by key for determinism. A
-// "<Kind>/..." prefix is answered from the kind's index in O(matching); a
-// generic prefix walks the matching kinds. Either way the result is one
-// consistent cut of the store.
+// List returns the snapshots (read-only, in a fresh slice) of all objects
+// whose key has the given prefix (typically "<Kind>/"), sorted by key for
+// determinism. A "<Kind>/..." prefix is answered from the kind's index in
+// O(matching); a generic prefix walks the matching kinds. Either way the
+// result is one consistent cut of the store.
 func (s *Store) List(prefix string) []api.Object {
 	s.mu.RLock()
-	objs := s.snapshots(prefix)
-	s.mu.RUnlock()
-	return cloneAll(objs)
+	defer s.mu.RUnlock()
+	return s.snapshots(prefix)
 }
 
-// snapshots is List without the copies: the shared snapshots under prefix,
-// in key order. Caller holds the lock.
+// snapshots is List with the lock held (watch registration replays under it).
 func (s *Store) snapshots(prefix string) []api.Object {
 	if kind, namePrefix, ok := splitPrefix(prefix); ok {
 		if b := s.kinds[kind]; b != nil {
@@ -479,16 +478,6 @@ func (s *Store) snapshots(prefix string) []api.Object {
 	return out
 }
 
-// cloneAll replaces each snapshot in objs with a private deep copy, in
-// place, and returns objs — the one step between a shared read and an owned
-// one.
-func cloneAll(objs []api.Object) []api.Object {
-	for i, o := range objs {
-		objs[i] = o.DeepCopyObject()
-	}
-	return objs
-}
-
 // snapshots returns the bucket's shared snapshots whose name starts with
 // namePrefix, in name order.
 func (b *bucket) snapshots(namePrefix string) []api.Object {
@@ -504,14 +493,11 @@ func (b *bucket) snapshots(namePrefix string) []api.Object {
 	return out
 }
 
-// Scan calls fn on each of kind's objects in name order without copying,
-// stopping early when fn returns false. The objects are the shared
-// read-only snapshots (see the package comment's Ownership section): fn may
-// keep them — each stays a faithful record of its revision — but must never
-// mutate one; DeepCopyObject first, or use Get/List, to change a field.
-// Intended for samplers, aggregate metrics and relists that would otherwise
-// deep-copy the world once per pass. Scan holds the read lock while fn runs,
-// so fn must not write the store.
+// Scan calls fn on each of kind's snapshots in name order, stopping early
+// when fn returns false: List without the result slice, for samplers,
+// aggregate metrics and relists. Same read-only contract (see the package
+// comment's Ownership section); fn may keep what it is shown. Scan holds the
+// read lock while fn runs, so fn must not write the store.
 func (s *Store) Scan(kind string, fn func(api.Object) bool) {
 	s.ScanSelector(kind, nil, fn)
 }
@@ -542,7 +528,7 @@ func (s *Store) ScanSelector(kind string, sel labels.Selector, fn func(api.Objec
 	}
 }
 
-// ListSelector returns private deep copies of the kind's objects whose
+// ListSelector returns the snapshots (read-only) of the kind's objects whose
 // labels match sel, sorted by name. Equality and existence requirements are
 // answered from the label posting index; the smallest posting set drives the
 // scan.
@@ -553,7 +539,7 @@ func (s *Store) ListSelector(kind string, sel labels.Selector) []api.Object {
 	if b == nil {
 		return nil
 	}
-	return cloneAll(b.selectSnapshots(sel))
+	return b.selectSnapshots(sel)
 }
 
 // selectSnapshots returns the held bucket's shared snapshots matching sel,

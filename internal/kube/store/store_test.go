@@ -40,15 +40,57 @@ func TestCreateDuplicateFails(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+// edit is the read half of a read-modify-write under the ownership rule:
+// Get's result is the shared snapshot, so the caller changes a private copy.
+func edit(s *Store, kind, name string) (api.Object, error) {
+	cur, err := s.Get(kind, name)
+	if err != nil {
+		return nil, err
+	}
+	return cur.DeepCopyObject(), nil
+}
+
+// Reads and write results are the published snapshot of their revision: the
+// one object the watch event carries, not a copy of it.
+func TestGetReturnsSnapshot(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
-	s.Create(pod("a"))
+	q := s.Watch("Pod/", false)
+	created, err := s.Create(pod("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, _ := q.TryGet()
 	g1, _ := s.Get("Pod", "a")
-	g1.(*api.Pod).Status.Phase = api.PodRunning
 	g2, _ := s.Get("Pod", "a")
-	if g2.(*api.Pod).Status.Phase == api.PodRunning {
-		t.Fatal("Get returns aliased object")
+	if g1 != ev.Object || g2 != ev.Object || created != ev.Object {
+		t.Fatal("Get and Create must return the snapshot the watch event carries")
+	}
+	next := g1.DeepCopyObject().(*api.Pod)
+	next.Status.Phase = api.PodRunning
+	updated, err := s.UpdateStatus(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, _ = q.TryGet()
+	g3, _ := s.Get("Pod", "a")
+	if g3 != ev.Object || updated != ev.Object || g3 == g1 || g3 == api.Object(next) {
+		t.Fatal("after a write, Get and the write's result must be the new revision's snapshot")
+	}
+	if g1.(*api.Pod).Status.Phase == api.PodRunning {
+		t.Fatal("a later write touched the earlier snapshot")
+	}
+	// A spec write copies its argument on the way in and keeps the status.
+	spec := g3.DeepCopyObject().(*api.Pod)
+	spec.Labels = map[string]string{"app": "x"}
+	spec.Status.Phase = api.PodFailed // ignored by Update
+	stored, err := s.Update(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Labels["app"] = "mutated"
+	if p := stored.(*api.Pod); p.Labels["app"] != "x" || p.Status.Phase != api.PodRunning {
+		t.Fatalf("spec write published %+v", p)
 	}
 }
 
@@ -129,7 +171,7 @@ func TestWatchReplayAndLiveEvents(t *testing.T) {
 	env.Go("mutator", func(p *sim.Proc) {
 		p.Sleep(1)
 		s.Create(pod("live"))
-		stored, _ := s.Get("Pod", "live")
+		stored, _ := edit(s, "Pod", "live")
 		stored.(*api.Pod).Status.Phase = api.PodRunning
 		s.Update(stored)
 		s.Delete("Pod", "live")

@@ -1,6 +1,6 @@
 // Package storetest is test support for the store's ownership rule: the
-// object published at a revision is shared by every watcher, the history and
-// the bucket, and nobody may mutate it. Import it from _test.go files only.
+// object published at a revision is shared by every watcher, every reader,
+// the history and the bucket, and nobody may mutate it. Import it from _test.go files only.
 //
 // The Canary is how the suites that run the whole stack keep every consumer
 // honest. It takes a private deep copy of each snapshot at the instant the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
@@ -52,8 +53,9 @@ func world(t *testing.T, consume func(store.Event)) []string {
 			return
 		}
 		p.Sleep(1)
-		a.(*api.Pod).Status.Phase = api.PodRunning
-		if _, err := st.UpdateStatus(a); err != nil {
+		next := a.DeepCopyObject().(*api.Pod) // a is the published snapshot
+		next.Status.Phase = api.PodRunning
+		if _, err := st.UpdateStatus(next); err != nil {
 			t.Error(err)
 		}
 		if _, err := st.Create(pod("b")); err != nil {
@@ -104,7 +106,9 @@ func TestCanaryCatchesConsumerMutation(t *testing.T) {
 }
 
 // A superseded snapshot is still shared (history, reflector caches, anyone
-// who kept it), and reference-typed fields are the easy ones to get wrong.
+// who kept it), and reference-typed fields are the easy ones to get wrong —
+// doubly so since a status write shares its metadata maps with the revision
+// before: the late write corrupts both snapshots and both are named.
 func TestCanaryCatchesLateMapWrite(t *testing.T) {
 	var first api.Object
 	errs := world(t, func(ev store.Event) {
@@ -116,9 +120,59 @@ func TestCanaryCatchesLateMapWrite(t *testing.T) {
 			first.GetMeta().Labels["extra"] = "z"
 		}
 	})
-	if len(errs) != 1 || !strings.Contains(errs[0], "Labels[app]: have y, published x") ||
-		!strings.Contains(errs[0], "Labels[extra]: have z, published <absent>") {
-		t.Fatalf("canary errors = %q", errs)
+	if len(errs) != 2 {
+		t.Fatalf("canary errors = %q, want one per snapshot sharing the map", errs)
+	}
+	for i, rev := range []string{"rev 1 (ADDED)", "rev 2 (MODIFIED)"} {
+		for _, want := range []string{"Pod/a", rev, "Labels[app]: have y, published x", "Labels[extra]: have z, published <absent>"} {
+			if !strings.Contains(errs[i], want) {
+				t.Errorf("report %q lacks %q", errs[i], want)
+			}
+		}
+	}
+}
+
+// The one mistake the ownership rule makes possible: the object MutateStatus
+// hands its closure owns its Status and nothing else, so a closure that
+// writes a spec or metadata map entry writes into the stored snapshot. The
+// canary names that snapshot and the fields; scalar spec writes stay in the
+// closure's own struct and are simply discarded.
+func TestCanaryCatchesMutateStatusSpecMapWrite(t *testing.T) {
+	env := sim.NewEnv()
+	srv := apiserver.New(env)
+	rec := &recorder{TB: t}
+	c := Install(rec, srv.Store())
+	pods := apiserver.Pods(srv)
+	p := pod("a")
+	p.Spec.Containers[0].Env = map[string]string{"K": "v"}
+	if _, err := pods.Create(p); err != nil {
+		t.Fatal(err)
+	}
+	updated, err := pods.MutateStatus("a", func(cur *api.Pod) error {
+		cur.Status.Phase = api.PodRunning // its own
+		cur.Spec.NodeName = "discarded"   // a scalar in the closure's own struct
+		cur.Spec.Containers[0].Env["K"] = "scribbled"
+		cur.Labels["app"] = "scribbled"
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if updated.Status.Phase != api.PodRunning || updated.Spec.NodeName != "" {
+		t.Fatalf("status write published %+v", updated)
+	}
+	c.Check()
+	if len(rec.errs) != 1 {
+		t.Fatalf("canary errors = %q, want exactly one", rec.errs)
+	}
+	for _, want := range []string{"Pod/a", "rev 1 (ADDED)", "Labels[app]: have scribbled, published x",
+		"Spec.Containers[0].Env[K]: have scribbled, published v"} {
+		if !strings.Contains(rec.errs[0], want) {
+			t.Errorf("report %q lacks %q", rec.errs[0], want)
+		}
+	}
+	if strings.Contains(rec.errs[0], "NodeName") {
+		t.Errorf("report %q blames a scalar the closure owned", rec.errs[0])
 	}
 }
 

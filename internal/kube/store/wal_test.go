@@ -41,7 +41,7 @@ func churn(t *testing.T, s *Store, rng *simrand.Source, n int) {
 				t.Fatalf("create %s/%s: %v", kind, name, err)
 			}
 		case 1:
-			cur, err := s.Get(kind, name)
+			cur, err := edit(s, kind, name)
 			if err != nil {
 				continue
 			}
@@ -142,7 +142,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if _, err := s.Create(newTestObj("Node", "n1", nil)); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := s.Get("Pod", "a")
+	cur, _ := edit(s, "Pod", "a")
 	cur.GetMeta().Labels = map[string]string{"app": "y"}
 	if _, err := s.Update(cur); err != nil {
 		t.Fatal(err)

@@ -63,8 +63,8 @@ type (
 	Proc = sim.Proc
 	// Event is one watch notification delivered by Sim.Watch. Its Object is
 	// the store's shared read-only snapshot of that revision — every
-	// watcher receives the same pointer — so DeepCopyObject before
-	// mutating.
+	// watcher and every Get/List receives the same pointer — so never
+	// write to it.
 	Event = store.Event
 	// WatchOptions narrows a Sim.Watch subscription: exact name, label
 	// selector, and replay of the current state.
@@ -274,7 +274,8 @@ func (s *Sim) RunFor(d time.Duration) { s.Env.RunUntil(s.Env.Now() + d) }
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.Env.Now() }
 
-// SharePods returns the typed SharePod client.
+// SharePods returns the typed SharePod client. What a client returns is the
+// API server's read-only snapshot: change objects only in a Mutate closure.
 func (s *Sim) SharePods() apiserver.Client[*core.SharePod] {
 	return core.SharePods(s.Cluster.API)
 }
@@ -292,7 +293,7 @@ func (s *Sim) SharePodSets() apiserver.Client[*core.SharePodSet] {
 	return core.SharePodSets(s.Cluster.API)
 }
 
-// CreateSharePod submits a sharePod.
+// CreateSharePod submits a copy of sp and returns the stored snapshot.
 func (s *Sim) CreateSharePod(sp *SharePod) (*SharePod, error) {
 	return s.SharePods().Create(sp)
 }
@@ -315,8 +316,8 @@ type ContainerCtx = runtime.Ctx
 // optional server-side filtering by exact name and label selector. Events
 // the filter rejects are never delivered — the subscription costs
 // O(matching events), not O(cluster churn). Each event carries a shared
-// read-only snapshot: read it freely, keep it as long as you like,
-// DeepCopyObject before mutating. Cancel with StopWatch.
+// read-only snapshot: read it freely, keep it as long as you like, never
+// write to it. Cancel with StopWatch.
 func (s *Sim) Watch(kind string, opts WatchOptions) *sim.Queue[Event] {
 	return s.Cluster.API.WatchFiltered(kind, opts)
 }

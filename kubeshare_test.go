@@ -4,14 +4,25 @@ import (
 	"testing"
 	"time"
 
+	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
 
-func TestFacadeQuickstart(t *testing.T) {
-	s, err := New(WithNodes(1))
+// newSim is New with the store's mutation canary installed: the facade's
+// clients hand callers the same read-only snapshots every component reads,
+// and no test here — nor anything it drives — may write through one.
+func newSim(t *testing.T, opts ...Option) *Sim {
+	t.Helper()
+	s, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	storetest.Install(t, s.Cluster.API.Store())
+	return s
+}
+
+func TestFacadeQuickstart(t *testing.T) {
+	s := newSim(t, WithNodes(1))
 	s.RegisterImage("hello-gpu", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, 100*time.Millisecond)
 	})
@@ -49,10 +60,7 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeRunForAdvancesTime(t *testing.T) {
-	s, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t)
 	if s.Now() != 0 {
 		t.Fatal("clock not at zero")
 	}
@@ -63,10 +71,7 @@ func TestFacadeRunForAdvancesTime(t *testing.T) {
 }
 
 func TestFacadeWithoutKubeShare(t *testing.T) {
-	s, err := New(WithoutKubeShare())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithoutKubeShare())
 	if s.KS != nil {
 		t.Fatal("KubeShare installed despite WithoutKubeShare")
 	}
@@ -89,10 +94,7 @@ func TestFacadeWithoutKubeShare(t *testing.T) {
 }
 
 func TestFacadeExtenderOption(t *testing.T) {
-	s, err := New(WithExtenderScheduler(), WithGPUsPerNode(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithExtenderScheduler(), WithGPUsPerNode(2))
 	s.RegisterImage("burn", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, time.Second)
 	})
@@ -123,10 +125,7 @@ func TestFacadeExtenderOption(t *testing.T) {
 }
 
 func TestFacadePoolPolicyOption(t *testing.T) {
-	s, err := New(WithPoolPolicy(Reservation))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithPoolPolicy(Reservation))
 	s.RegisterImage("quick", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, 10*time.Millisecond)
 	})
@@ -147,10 +146,7 @@ func TestFacadePoolPolicyOption(t *testing.T) {
 }
 
 func TestFacadeUsageRate(t *testing.T) {
-	s, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t)
 	s.RegisterImage("spin", func(ctx *ContainerCtx) error {
 		for i := 0; i < 10000; i++ {
 			if err := ctx.CUDA.LaunchKernel(ctx.Proc, 10*time.Millisecond); err != nil {
@@ -185,10 +181,7 @@ func TestFacadeUsageRate(t *testing.T) {
 // (token) would make a later sharing_mode: mps pod fail at library-hook
 // time.
 func TestStatsIsReadOnly(t *testing.T) {
-	s, err := New(WithNodes(1), WithGPUsPerNode(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithNodes(1), WithGPUsPerNode(1))
 	s.RegisterImage("burst", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, 100*time.Millisecond)
 	})
@@ -237,20 +230,14 @@ func TestStatsIsReadOnly(t *testing.T) {
 }
 
 func TestFacadeTokenQuotaOption(t *testing.T) {
-	s, err := New(WithTokenQuota(30 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithTokenQuota(30*time.Millisecond))
 	if s.KS.Backends["node-0"].Config().Quota != 30*time.Millisecond {
 		t.Fatalf("quota = %v", s.KS.Backends["node-0"].Config().Quota)
 	}
 }
 
 func TestFacadeWatchNameFilteredNoWake(t *testing.T) {
-	s, err := New(WithNodes(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithNodes(1))
 	s.RegisterImage("noop-gpu", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, 50*time.Millisecond)
 	})
@@ -285,10 +272,7 @@ func TestFacadeWatchNameFilteredNoWake(t *testing.T) {
 }
 
 func TestFacadeStats(t *testing.T) {
-	s, err := New(WithNodes(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithNodes(2))
 	s.RegisterImage("work", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, 200*time.Millisecond)
 	})
@@ -327,10 +311,7 @@ func TestFacadeStats(t *testing.T) {
 // that its life is reconstructable from Sim.Trace() as a single causally
 // linked chain crossing all six instrumented layers.
 func TestFacadeTraceCausalChain(t *testing.T) {
-	s, err := New(WithNodes(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithNodes(1))
 	s.RegisterImage("traced", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, 100*time.Millisecond)
 	})
@@ -410,10 +391,7 @@ func TestFacadeTraceCausalChain(t *testing.T) {
 }
 
 func TestFacadeWithoutObservability(t *testing.T) {
-	s, err := New(WithoutObservability())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, WithoutObservability())
 	s.RegisterImage("dark", func(ctx *ContainerCtx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, 50*time.Millisecond)
 	})

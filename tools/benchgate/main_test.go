@@ -116,7 +116,16 @@ func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
 	if !strings.Contains(out.String(), rule8) || !strings.Contains(out.String(), rule32) {
 		t.Fatalf("allocs/op growing with the watcher count passed the gate:\n%s", out.String())
 	}
-	for _, flat := range []int{12, 9} {
+	// Flat is not enough: one allocation per status write is the budget.
+	out.Reset()
+	if _, err := gate(record(12, 12, 12), &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); !strings.Contains(got, "watchers=1.allocs_op = 12 in aaaaaaa exceeds the absolute budget 1") ||
+		strings.Contains(got, "must equal") {
+		t.Fatalf("a flat 12 allocs/op must fail the budget and only the budget:\n%s", got)
+	}
+	for _, flat := range []int{1, 0} {
 		out.Reset()
 		if _, err := gate(record(flat, flat, flat), &out); err != nil {
 			t.Fatal(err)
@@ -124,6 +133,31 @@ func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
 		if strings.Contains(out.String(), "BenchmarkStoreUpdateFanout") {
 			t.Fatalf("a flat %d allocs/op failed the gate:\n%s", flat, out.String())
 		}
+	}
+}
+
+// TestStatusWriteCostMustNotDependOnSpec: Client.MutateStatus allocates the
+// same on a pod with 64 env vars as on one with none. The shape three deep
+// copies of the spec had fails; equal counts pass.
+func TestStatusWriteCostMustNotDependOnSpec(t *testing.T) {
+	record := func(env0, env64 int) []byte {
+		return []byte(fmt.Sprintf(`{"records": [{"commit": "aaaaaaa", "benchmarks": {
+			"BenchmarkClientMutateStatus/env=0": {"allocs_op": %d},
+			"BenchmarkClientMutateStatus/env=64": {"allocs_op": %d}}}]}`, env0, env64))
+	}
+	var out strings.Builder
+	if _, err := gate(record(24, 33), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "benchmarks.BenchmarkClientMutateStatus/env=64.allocs_op = 33") {
+		t.Fatalf("allocs/op growing with the spec passed the gate:\n%s", out.String())
+	}
+	out.Reset()
+	if _, err := gate(record(2, 2), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "BenchmarkClientMutateStatus") {
+		t.Fatalf("equal allocs/op failed the gate:\n%s", out.String())
 	}
 }
 
