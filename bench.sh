@@ -43,6 +43,7 @@ GMP="${GOMAXPROCS:-$CPUS}"
 MICRO='BenchmarkTimerChurn|BenchmarkProcContextSwitch|BenchmarkQueueHandoff|BenchmarkManyProcs|BenchmarkSimKernel'
 LAUNCH='BenchmarkFrontendLaunchKernel'
 FANOUT='BenchmarkStoreUpdateFanout|BenchmarkClientMutateStatus'
+DURABLE='BenchmarkDurableWrite|BenchmarkCheckpoint|BenchmarkRestore'
 FIGS='BenchmarkFig8aJobFrequency|BenchmarkFig9Utilization'
 
 run_micro() { # $1 = dir
@@ -54,6 +55,10 @@ run_micro() { # $1 = dir
   # on a pod with 0/64 env vars: allocs/op must depend on neither the width
   # nor the spec (tools/benchgate holds each row equal to its first).
   (cd "$1" && go test . -run xxx -bench "$FANOUT" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
+  # The durable medium: one logged status write (allocs/op pinned by
+  # tools/benchgate at the volatile write's own), one checkpoint of 1000
+  # pods, one restore of a 1000-pod image plus a 1000-record log.
+  (cd "$1" && go test ./internal/kube/store/ -run xxx -bench "$DURABLE" -benchtime 1s -benchmem 2>/dev/null | grep '^Benchmark' || true)
 }
 run_figs() { # $1 = dir
   (cd "$1" && go test . -run xxx -bench "$FIGS" -benchtime 1x 2>/dev/null | grep '^Benchmark' || true)
@@ -169,7 +174,7 @@ allocs_of() {
   }' "$1"
 }
 
-BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFrontendLaunchKernel/token BenchmarkFrontendLaunchKernel/replica BenchmarkFrontendLaunchKernel/mps BenchmarkStoreUpdateFanout/watchers=1 BenchmarkStoreUpdateFanout/watchers=8 BenchmarkStoreUpdateFanout/watchers=32 BenchmarkClientMutateStatus/env=0 BenchmarkClientMutateStatus/env=64 BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
+BENCHES='BenchmarkTimerChurn BenchmarkProcContextSwitch BenchmarkQueueHandoff BenchmarkManyProcs BenchmarkSimKernelSameInstant BenchmarkSimKernelTimerStop BenchmarkSimKernelDeepHeap BenchmarkFrontendLaunchKernel/token BenchmarkFrontendLaunchKernel/replica BenchmarkFrontendLaunchKernel/mps BenchmarkStoreUpdateFanout/watchers=1 BenchmarkStoreUpdateFanout/watchers=8 BenchmarkStoreUpdateFanout/watchers=32 BenchmarkClientMutateStatus/env=0 BenchmarkClientMutateStatus/env=64 BenchmarkDurableWrite BenchmarkCheckpoint BenchmarkRestore BenchmarkFig8aJobFrequency BenchmarkFig9Utilization'
 
 ON="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/on')"
 OFF="$(min_ns "$OBS_RAW" 'BenchmarkFig9Obs/off')"

@@ -50,9 +50,19 @@ GOMAXPROCS=4 go test -race ./internal/obs/...
 GOMAXPROCS=4 go test -race ./internal/chaos/
 # Durable-store and restart-recovery suites under the race detector: WAL
 # replay composition (restore∘churn == live churn), torn-tail
-# truncate-and-recover, epoch-fenced relists, and the no-double-delivery
+# truncate-and-recover, the durability oracle (300 random histories against
+# a plain-map model), epoch-fenced relists, and the no-double-delivery
 # goldens across restart + drop.
-GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestWatchFencing|TestCrash|TestReflector|TestResume|TestEventSinkRestart' ./internal/kube/store/ ./internal/kube/apiserver/
+GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash|TestReflector|TestResume|TestEventSinkRestart' ./internal/kube/store/ ./internal/kube/apiserver/
+# Native fuzz smokes over the durable medium's decoders, 5 s each from the
+# checked-in seed corpora (testdata/fuzz; TestFuzzSeedCorpusCurrent keeps
+# them in step with the format): arbitrary bytes as the log, as the
+# checkpoint image, and as each registered kind's object — an error or a
+# consistent state, never a panic, never an allocation the input's own
+# length does not pay for.
+go test ./internal/kube/store/ -run xxx -fuzz 'FuzzWALRestore$' -fuzztime 5s
+go test ./internal/kube/store/ -run xxx -fuzz 'FuzzCheckpointImage$' -fuzztime 5s
+go test ./internal/kube/api/ -run xxx -fuzz 'FuzzObjectCodec$' -fuzztime 5s
 # Scheduling-framework suite under the race detector on the multi-worker
 # path: engine/Algorithm-1 equivalence properties, transaction rollback,
 # batched-vs-sequential, conflict retry, gang all-or-nothing, and the
@@ -73,6 +83,10 @@ go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
 # sharing strategy); its zero allocs/op is pinned by TestLaunchKernelAllocs
 # and gated in BENCH.json by tools/benchgate.
 go test ./internal/devlib/ -run xxx -bench BenchmarkFrontendLaunchKernel -benchtime 1x
+# Smoke the durable-medium micro-benchmarks (logged write, checkpoint,
+# restore); bench.sh measures them into BENCH.json and tools/benchgate pins
+# the logged write's allocs/op.
+go test ./internal/kube/store/ -run xxx -bench 'BenchmarkDurableWrite|BenchmarkCheckpoint|BenchmarkRestore' -benchtime 1x
 # Smoke the scheduler-throughput bench (Figure 15) at quick scale; bench.sh
 # measures the full 10k point into BENCH.json.
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/quick' -benchtime 1x

@@ -109,6 +109,28 @@ func (s SharePodSpec) Clone() SharePodSpec {
 	return out
 }
 
+// AppendBinary appends the spec's binary form (see api/binary.go).
+func (s *SharePodSpec) AppendBinary(dst []byte) []byte {
+	dst = s.Pod.AppendBinary(dst)
+	dst = api.AppendFloat64(api.AppendFloat64(api.AppendFloat64(dst, s.GPURequest), s.GPULimit), s.GPUMem)
+	dst = api.AppendVarint(dst, s.GPUMemBytes)
+	for _, f := range [...]string{s.SharingMode, s.GPUID, s.NodeName, s.Affinity, s.AntiAffinity, s.Exclusion, s.Gang} {
+		dst = api.AppendString(dst, f)
+	}
+	return api.AppendVarint(dst, int64(s.GangSize))
+}
+
+// DecodeBinary reads what AppendBinary wrote.
+func (s *SharePodSpec) DecodeBinary(d *api.Dec) {
+	s.Pod.DecodeBinary(d)
+	s.GPURequest, s.GPULimit, s.GPUMem = d.Float64(), d.Float64(), d.Float64()
+	s.GPUMemBytes = d.Varint()
+	for _, f := range [...]*string{&s.SharingMode, &s.GPUID, &s.NodeName, &s.Affinity, &s.AntiAffinity, &s.Exclusion, &s.Gang} {
+		*f = d.String()
+	}
+	s.GangSize = d.Int()
+}
+
 // SharePodStatus is the observed state of a sharePod.
 type SharePodStatus struct {
 	Phase   SharePodPhase
@@ -149,6 +171,30 @@ func (s *SharePod) DeepCopyObject() api.Object {
 	out.ObjectMeta = s.CloneMeta()
 	out.Spec = s.Spec.Clone()
 	return &out
+}
+
+// AppendBinary implements api.Object.
+func (s *SharePod) AppendBinary(dst []byte) []byte {
+	dst = s.Spec.AppendBinary(s.AppendMeta(dst))
+	st := &s.Status
+	for _, f := range [...]string{string(st.Phase), st.Message, st.BoundPod, st.UUID} {
+		dst = api.AppendString(dst, f)
+	}
+	dst = api.AppendVarint(dst, int64(st.Restarts))
+	dst = api.AppendVarint(dst, int64(st.ScheduledTime))
+	dst = api.AppendVarint(dst, int64(st.RunningTime))
+	return api.AppendVarint(dst, int64(st.FinishTime))
+}
+
+// DecodeBinary implements api.Object.
+func (s *SharePod) DecodeBinary(d *api.Dec) {
+	s.DecodeMeta(d)
+	s.Spec.DecodeBinary(d)
+	st := &s.Status
+	st.Phase = SharePodPhase(d.String())
+	st.Message, st.BoundPod, st.UUID = d.String(), d.String(), d.String()
+	st.Restarts = d.Int()
+	st.ScheduledTime, st.RunningTime, st.FinishTime = d.Duration(), d.Duration(), d.Duration()
 }
 
 // WithStatusFrom implements api.StatusCarrier: KubeShare-Sched owns the
@@ -377,6 +423,23 @@ func (v *VGPU) DeepCopyObject() api.Object {
 	out := *v
 	out.ObjectMeta = v.CloneMeta()
 	return &out
+}
+
+// AppendBinary implements api.Object.
+func (v *VGPU) AppendBinary(dst []byte) []byte {
+	dst = v.AppendMeta(dst)
+	for _, f := range [...]string{v.Spec.GPUID, v.Spec.NodeName, string(v.Status.Phase), v.Status.UUID, v.Status.HolderPod} {
+		dst = api.AppendString(dst, f)
+	}
+	return dst
+}
+
+// DecodeBinary implements api.Object.
+func (v *VGPU) DecodeBinary(d *api.Dec) {
+	v.DecodeMeta(d)
+	v.Spec.GPUID, v.Spec.NodeName = d.String(), d.String()
+	v.Status.Phase = VGPUPhase(d.String())
+	v.Status.UUID, v.Status.HolderPod = d.String(), d.String()
 }
 
 // WithStatusFrom implements api.StatusCarrier.

@@ -57,6 +57,22 @@ func (s *SharePodSet) DeepCopyObject() api.Object {
 	return &out
 }
 
+// AppendBinary implements api.Object.
+func (s *SharePodSet) AppendBinary(dst []byte) []byte {
+	dst = api.AppendVarint(s.AppendMeta(dst), int64(s.Replicas))
+	dst = api.AppendBool(s.Template.AppendBinary(dst), s.Gang)
+	return api.AppendVarint(dst, int64(s.ReadyReplicas))
+}
+
+// DecodeBinary implements api.Object.
+func (s *SharePodSet) DecodeBinary(d *api.Dec) {
+	s.DecodeMeta(d)
+	s.Replicas = d.Int()
+	s.Template.DecodeBinary(d)
+	s.Gang = d.Bool()
+	s.ReadyReplicas = d.Int()
+}
+
 // SharePodSets returns the typed client.
 func SharePodSets(srv *apiserver.Server) apiserver.Client[*SharePodSet] {
 	return apiserver.NewClient[*SharePodSet](srv, KindSharePodSet)

@@ -1,12 +1,15 @@
 package api
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // The kind registry maps kind names to factories producing zero values of
 // the concrete object type. The store's durability layer (WAL records and
-// checkpoints) serializes objects as (kind, JSON) pairs; decoding them back
-// into typed objects needs a way to construct the right concrete type from
-// the kind string alone. Built-in kinds register here; custom resources
+// checkpoints) serializes objects as (kind, binary form) pairs (binary.go);
+// decoding them back into typed objects needs a way to construct the right
+// concrete type from the kind string alone. Built-in kinds register here; custom resources
 // (SharePod, SharePodSet, VGPU) register from their defining package's
 // init, exactly like scheme registration in Kubernetes.
 var kindRegistry = map[string]func() Object{}
@@ -24,13 +27,17 @@ func RegisterKind(kind string, factory func() Object) {
 	kindRegistry[kind] = factory
 }
 
-// NewObject returns a zero value of the kind's concrete type, or an error
-// for unregistered kinds (a WAL or checkpoint holding such a kind cannot be
-// restored and the caller must treat the record as corrupt).
+// ErrUnregisteredKind is NewObject's error.
+var ErrUnregisteredKind = errors.New("api: kind not registered")
+
+// NewObject returns a zero value of the kind's concrete type, or
+// ErrUnregisteredKind (a WAL or checkpoint holding such a kind cannot be
+// restored: the package defining it was not linked in, and the store's Crash
+// reports that instead of discarding the data).
 func NewObject(kind string) (Object, error) {
 	factory, ok := kindRegistry[kind]
 	if !ok {
-		return nil, fmt.Errorf("api: kind %q not registered", kind)
+		return nil, fmt.Errorf("%w: %q", ErrUnregisteredKind, kind)
 	}
 	return factory(), nil
 }

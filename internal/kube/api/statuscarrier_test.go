@@ -189,6 +189,8 @@ type leaky struct {
 func (l *leaky) GetMeta() *api.ObjectMeta   { return &l.ObjectMeta }
 func (l *leaky) Kind() string               { return "Leaky" }
 func (l *leaky) DeepCopyObject() api.Object { panic("unused") }
+func (l *leaky) AppendBinary([]byte) []byte { panic("unused") }
+func (l *leaky) DecodeBinary(*api.Dec)      { panic("unused") }
 func (l *leaky) WithStatusFrom(src api.Object) api.Object {
 	out := *l
 	out.Status = src.(*leaky).Status

@@ -85,6 +85,28 @@ func (m ObjectMeta) CloneMeta() ObjectMeta {
 	return out
 }
 
+// AppendMeta appends the metadata's binary form (see binary.go).
+func (m *ObjectMeta) AppendMeta(dst []byte) []byte {
+	dst = AppendString(dst, m.Name)
+	dst = AppendString(dst, m.UID)
+	dst = AppendVarint(dst, m.ResourceVersion)
+	dst = AppendStringMap(dst, m.Labels)
+	dst = AppendStringMap(dst, m.Annotations)
+	dst = AppendVarint(dst, int64(m.CreationTime))
+	return AppendString(dst, m.OwnerName)
+}
+
+// DecodeMeta reads what AppendMeta wrote.
+func (m *ObjectMeta) DecodeMeta(d *Dec) {
+	m.Name = d.String()
+	m.UID = d.String()
+	m.ResourceVersion = d.Varint()
+	m.Labels = d.StringMap()
+	m.Annotations = d.StringMap()
+	m.CreationTime = d.Duration()
+	m.OwnerName = d.String()
+}
+
 func cloneMap(m map[string]string) map[string]string {
 	if m == nil {
 		return nil
@@ -106,6 +128,11 @@ type Object interface {
 	Kind() string
 	// DeepCopyObject returns a deep copy.
 	DeepCopyObject() Object
+	// AppendBinary appends the object's binary form to dst (see binary.go);
+	// DecodeBinary fills the receiver, a zero value, from it. Errors stick
+	// to the cursor.
+	AppendBinary(dst []byte) []byte
+	DecodeBinary(d *Dec)
 }
 
 // StatusCarrier is implemented by objects with a status subresource. The
@@ -191,6 +218,37 @@ func (s PodSpec) Clone() PodSpec {
 	return out
 }
 
+// AppendBinary appends the spec's binary form.
+func (s *PodSpec) AppendBinary(dst []byte) []byte {
+	dst = AppendString(dst, s.NodeName)
+	dst = AppendBool(dst, s.Containers != nil)
+	if s.Containers != nil {
+		dst = AppendUvarint(dst, uint64(len(s.Containers)))
+		for i := range s.Containers {
+			c := &s.Containers[i]
+			dst = AppendString(AppendString(dst, c.Name), c.Image)
+			dst = AppendStringMap(dst, c.Env)
+			dst = AppendResourceList(AppendResourceList(dst, c.Requests), c.Limits)
+		}
+	}
+	return AppendStringMap(dst, s.NodeSelector)
+}
+
+// DecodeBinary reads what AppendBinary wrote.
+func (s *PodSpec) DecodeBinary(d *Dec) {
+	s.NodeName = d.String()
+	if d.Bool() {
+		s.Containers = make([]Container, d.Count(5)) // two lengths, three presence bytes
+		for i := range s.Containers {
+			c := &s.Containers[i]
+			c.Name, c.Image = d.String(), d.String()
+			c.Env = d.StringMap()
+			c.Requests, c.Limits = d.ResourceList(), d.ResourceList()
+		}
+	}
+	s.NodeSelector = d.StringMap()
+}
+
 // Requests returns the pod-level resource requests (sum over containers).
 func (s PodSpec) Requests() ResourceList {
 	total := ResourceList{}
@@ -231,6 +289,25 @@ func (p *Pod) DeepCopyObject() Object {
 	out.ObjectMeta = p.CloneMeta()
 	out.Spec = p.Spec.Clone()
 	return &out
+}
+
+// AppendBinary implements Object.
+func (p *Pod) AppendBinary(dst []byte) []byte {
+	dst = p.Spec.AppendBinary(p.AppendMeta(dst))
+	dst = AppendString(AppendString(dst, string(p.Status.Phase)), p.Status.Message)
+	dst = AppendVarint(dst, int64(p.Status.ScheduledTime))
+	dst = AppendVarint(dst, int64(p.Status.StartTime))
+	return AppendVarint(dst, int64(p.Status.FinishTime))
+}
+
+// DecodeBinary implements Object.
+func (p *Pod) DecodeBinary(d *Dec) {
+	p.DecodeMeta(d)
+	p.Spec.DecodeBinary(d)
+	p.Status.Phase, p.Status.Message = PodPhase(d.String()), d.String()
+	p.Status.ScheduledTime = d.Duration()
+	p.Status.StartTime = d.Duration()
+	p.Status.FinishTime = d.Duration()
 }
 
 // WithStatusFrom implements StatusCarrier.
@@ -280,6 +357,23 @@ func (n *Node) DeepCopyObject() Object {
 	out.Status.Capacity = n.Status.Capacity.Clone()
 	out.Status.Allocatable = n.Status.Allocatable.Clone()
 	return &out
+}
+
+// AppendBinary implements Object.
+func (n *Node) AppendBinary(dst []byte) []byte {
+	dst = AppendResourceList(n.AppendMeta(dst), n.Status.Capacity)
+	dst = AppendResourceList(dst, n.Status.Allocatable)
+	dst = AppendBool(dst, n.Status.Ready)
+	return AppendVarint(dst, int64(n.Status.HeartbeatTime))
+}
+
+// DecodeBinary implements Object.
+func (n *Node) DecodeBinary(d *Dec) {
+	n.DecodeMeta(d)
+	n.Status.Capacity = d.ResourceList()
+	n.Status.Allocatable = d.ResourceList()
+	n.Status.Ready = d.Bool()
+	n.Status.HeartbeatTime = d.Duration()
 }
 
 // WithStatusFrom implements StatusCarrier.
@@ -343,6 +437,28 @@ func (e *Event) DeepCopyObject() Object {
 	return &out
 }
 
+// AppendBinary implements Object.
+func (e *Event) AppendBinary(dst []byte) []byte {
+	dst = e.AppendMeta(dst)
+	for _, s := range [...]string{e.InvolvedKind, e.InvolvedName, e.Type, e.Reason, e.Source, e.Message} {
+		dst = AppendString(dst, s)
+	}
+	dst = AppendVarint(dst, int64(e.Count))
+	dst = AppendVarint(dst, int64(e.FirstTime))
+	return AppendVarint(dst, int64(e.LastTime))
+}
+
+// DecodeBinary implements Object.
+func (e *Event) DecodeBinary(d *Dec) {
+	e.DecodeMeta(d)
+	for _, s := range [...]*string{&e.InvolvedKind, &e.InvolvedName, &e.Type, &e.Reason, &e.Source, &e.Message} {
+		*s = d.String()
+	}
+	e.Count = d.Int()
+	e.FirstTime = d.Duration()
+	e.LastTime = d.Duration()
+}
+
 // --- ReplicationController ---
 
 // ReplicationController ensures Replicas copies of Template exist. It is the
@@ -373,6 +489,23 @@ func (rc *ReplicationController) DeepCopyObject() Object {
 	out.TemplateLabels = cloneMap(rc.TemplateLabels)
 	out.Template = rc.Template.Clone()
 	return &out
+}
+
+// AppendBinary implements Object.
+func (rc *ReplicationController) AppendBinary(dst []byte) []byte {
+	dst = AppendVarint(rc.AppendMeta(dst), int64(rc.Replicas))
+	dst = rc.Template.AppendBinary(AppendStringMap(dst, rc.Selector))
+	return AppendVarint(AppendStringMap(dst, rc.TemplateLabels), int64(rc.ReadyReplicas))
+}
+
+// DecodeBinary implements Object.
+func (rc *ReplicationController) DecodeBinary(d *Dec) {
+	rc.DecodeMeta(d)
+	rc.Replicas = d.Int()
+	rc.Selector = d.StringMap()
+	rc.Template.DecodeBinary(d)
+	rc.TemplateLabels = d.StringMap()
+	rc.ReadyReplicas = d.Int()
 }
 
 // MatchesLabels reports whether labels satisfy the controller's selector.

@@ -78,7 +78,8 @@ func (s *Server) Durable() (checkpointBytes, walBytes int, walRecords int64) {
 // over the restored Events so deduplication and naming continue seamlessly.
 // The restart is marked with first-class api.Events ("APIServerRestarted",
 // plus "WALTornTail" when damage was cut), giving the restart a place in
-// the deterministic event log. Requires EnableDurability.
+// the deterministic event log. Requires EnableDurability; a medium that
+// cannot be read back (see store.Crash) is returned as its error.
 func (s *Server) Restart() (store.RestoreStats, error) {
 	st, err := s.store.Crash()
 	if err != nil {

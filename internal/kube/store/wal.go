@@ -4,17 +4,32 @@
 // The durable medium is a byte buffer standing in for the WAL file and
 // checkpoint file a real control plane fsyncs — it survives a Store crash
 // because Crash only discards the in-memory object state and rebuilds it
-// from the medium. Every mutation appends one framed record
-// ([len][crc32][JSON payload]) under the store's write lock, so record
-// order is commit order; a checkpoint serializes the whole store under the
-// same lock and truncates the log.
+// from the medium. Objects are held in their binary form (api/binary.go);
+// there is one format and no reader for any other.
+//
+// Every mutation appends one frame under the store's write lock, so record
+// order is commit order:
+//
+//	[len u32][crc32 u32][payload]      little-endian; CRC-32 (IEEE) of payload
+//	payload = op byte · rev varint · kind · name · object bytes (puts only)
+//
+// A checkpoint serializes the whole store under the same lock and truncates
+// the log. The image:
+//
+//	"KSCK" · version byte · rev varint · nextUID varint · kind count
+//	per kind (name order):  kind · object count
+//	per object (name order): [len u32][object bytes]
+//	[crc32 u32] of everything before it
 //
 // Restore loads the checkpoint, then replays the log in frame order. A torn
 // tail — a truncated or corrupt final region, the crash-mid-write case — is
-// detected by the frame length/CRC/decode checks, truncated off the medium,
-// and replay stops there: the store recovers to the longest valid prefix
-// and never wedges. Consumers that observed a reverted mutation are fenced
-// by the revision rules (see WatchFilteredFrom) and by the restart epoch.
+// detected by the frame length/CRC/decode checks (a frame counts only once
+// its whole payload, object included, decoded with no byte left over),
+// truncated off the medium, and replay stops there: the store recovers to
+// the longest valid prefix and never wedges. The checkpoint is written whole,
+// never appended, so damage there is no crash artifact: Crash returns it as
+// an error. Consumers that observed a reverted mutation are fenced by the
+// revision rules (see WatchFilteredFrom) and by the restart epoch.
 //
 // All timestamps in this layer are virtual-clock values carried as int64
 // nanoseconds; the file deliberately imports neither os nor time (enforced
@@ -24,9 +39,11 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/sim"
@@ -48,19 +65,16 @@ const (
 // stored object (spec-vs-status subresource merging already happened), so
 // replay is a blind upsert; a delete carries only the key.
 const (
-	walPut    = "PUT"
-	walDelete = "DEL"
+	walPut    byte = 1
+	walDelete byte = 2
 )
 
-// walRecord is one logged mutation.
-type walRecord struct {
-	Op   string
-	Rev  int64
-	Kind string
-	Name string
-	// Obj is the stored object after the mutation (nil for deletes).
-	Obj json.RawMessage `json:",omitempty"`
-}
+// frameHeader is the [len u32][crc32 u32] in front of every WAL payload.
+const frameHeader = 8
+
+// checkpointMagic opens every checkpoint image; its last byte is the format
+// version of the whole medium.
+const checkpointMagic = "KSCK\x02"
 
 // Durable is the simulated durable medium: the checkpoint area plus the
 // append-only log. It is owned by the Store that writes it but survives
@@ -81,21 +95,6 @@ func (s *Store) DurableSizes() (checkpointBytes, walBytes int, walRecords int64)
 		return 0, 0, 0
 	}
 	return len(s.dur.checkpoint), len(s.dur.wal), s.dur.records
-}
-
-// checkpointKind is one kind's objects in a checkpoint, in name order.
-type checkpointKind struct {
-	Kind    string
-	Objects []json.RawMessage
-}
-
-// checkpointState is the full serialized store: the counters and every
-// object, grouped by kind (kinds sorted, objects name-sorted), so the
-// encoding is byte-deterministic for a given store state.
-type checkpointState struct {
-	Rev     int64
-	NextUID int64
-	Kinds   []checkpointKind
 }
 
 // RestoreStats describes one crash/restore cycle.
@@ -155,33 +154,29 @@ func (s *Store) DurabilityEnabled() bool {
 // mutations — did not survive, and they must relist rather than resume.
 func (s *Store) Epoch() int64 { return s.epoch.Load() }
 
-// logMutation appends one framed record for ev. Callers hold the write
-// lock, so frame order is commit order.
+// logMutation appends one frame for ev, encoding in place at the log's end:
+// reserve the header, append the payload, back-patch length and CRC. Callers
+// hold the write lock, so frame order is commit order.
 func (s *Store) logMutation(ev Event) {
-	if s.dur == nil {
+	d := s.dur
+	if d == nil {
 		return
 	}
-	rec := walRecord{Rev: ev.Rev, Kind: ev.Object.Kind(), Name: ev.Object.GetMeta().Name}
+	start := len(d.wal)
+	w := append(d.wal, make([]byte, frameHeader)...)
+	op := walPut
 	if ev.Type == Deleted {
-		rec.Op = walDelete
-	} else {
-		rec.Op = walPut
-		obj, err := json.Marshal(ev.Object)
-		if err != nil {
-			panic(fmt.Sprintf("store: wal encode %s: %v", api.Key(ev.Object), err))
-		}
-		rec.Obj = obj
+		op = walDelete
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("store: wal frame %s/%s: %v", rec.Kind, rec.Name, err))
+	w = api.AppendVarint(append(w, op), ev.Rev)
+	w = api.AppendString(api.AppendString(w, ev.Object.Kind()), ev.Object.GetMeta().Name)
+	if op == walPut {
+		w = ev.Object.AppendBinary(w)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	d := s.dur
-	d.wal = append(d.wal, hdr[:]...)
-	d.wal = append(d.wal, payload...)
+	payload := w[start+frameHeader:]
+	binary.LittleEndian.PutUint32(w[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w[start+4:], crc32.ChecksumIEEE(payload))
+	d.wal = w
 	d.records++
 	if s.onWALAppend != nil {
 		s.onWALAppend(1)
@@ -190,41 +185,40 @@ func (s *Store) logMutation(ev Event) {
 
 // Checkpoint serializes the whole store to the durable medium and truncates
 // the WAL. It runs under the write lock, so the image is a consistent cut:
-// no mutation straddles the boundary. Returns the checkpoint size in bytes
+// no mutation straddles the boundary; kinds and objects go out in name order,
+// so the image is byte-deterministic for a given store state. The previous
+// image's buffer is rewritten in place. Returns the checkpoint size in bytes
 // (0 when durability is off).
 func (s *Store) Checkpoint() int {
 	s.mu.Lock()
-	if s.dur == nil {
+	d := s.dur
+	if d == nil {
 		s.mu.Unlock()
 		return 0
 	}
-	ck := checkpointState{Rev: s.rev.Load(), NextUID: s.nextUID.Load()}
-	for _, kind := range s.kindNames() {
+	img := append(d.checkpoint[:0], checkpointMagic...)
+	img = api.AppendVarint(api.AppendVarint(img, s.rev.Load()), s.nextUID.Load())
+	kinds := s.kindNames()
+	img = api.AppendUvarint(img, uint64(len(kinds)))
+	for _, kind := range kinds {
 		b := s.kinds[kind]
-		ks := checkpointKind{Kind: kind}
+		img = api.AppendUvarint(api.AppendString(img, kind), uint64(len(b.objs)))
 		for _, name := range b.names() {
-			obj, err := json.Marshal(b.objs[name])
-			if err != nil {
-				panic(fmt.Sprintf("store: checkpoint encode %s/%s: %v", kind, name, err))
-			}
-			ks.Objects = append(ks.Objects, obj)
+			at := len(img)
+			img = b.objs[name].AppendBinary(append(img, 0, 0, 0, 0))
+			binary.LittleEndian.PutUint32(img[at:], uint32(len(img)-at-4))
 		}
-		ck.Kinds = append(ck.Kinds, ks)
 	}
-	image, err := json.Marshal(ck)
-	if err != nil {
-		panic(fmt.Sprintf("store: checkpoint encode: %v", err))
-	}
-	d := s.dur
-	d.checkpoint = image
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
+	d.checkpoint = img
 	d.wal = d.wal[:0]
 	d.records = 0
 	onCheckpoint := s.onCheckpoint
 	s.mu.Unlock()
 	if onCheckpoint != nil {
-		onCheckpoint(len(image))
+		onCheckpoint(len(img))
 	}
-	return len(image)
+	return len(img)
 }
 
 // TearWALTail damages the durable log's tail — the chaos hook simulating a
@@ -257,14 +251,17 @@ func (s *Store) TearWALTail(n int) bool {
 // order, so subscribers see EOF (and reconnect) in the same order every
 // run — the restart epoch increments, and the compaction horizon moves to
 // the restored revision so every resume-from-before-the-crash gets ErrGone
-// and relists. Returns an error only when durability was never enabled.
+// and relists. It returns an error when durability was never enabled, and
+// when the medium cannot be read back — a damaged checkpoint image, or a
+// kind no package registered — which leaves the store empty: a control plane
+// that cannot read its data dir does not come up.
 func (s *Store) Crash() (RestoreStats, error) {
 	s.mu.Lock()
 	if s.dur == nil {
 		s.mu.Unlock()
 		return RestoreStats{}, fmt.Errorf("store: Crash without durability enabled")
 	}
-	// 1. Tear down: collect every watch queue, clear all object state.
+	// Tear down: collect every watch queue, clear all object state.
 	var doomed []*sim.Queue[Event]
 	for _, kind := range s.kindNames() {
 		for _, w := range s.kinds[kind].watchers {
@@ -274,147 +271,191 @@ func (s *Store) Crash() (RestoreStats, error) {
 	for _, w := range s.global {
 		doomed = append(doomed, w.queue)
 	}
-	s.kinds = make(map[string]*bucket)
 	s.global = nil
 	s.history = nil
 	s.histHead = 0
 
-	// 2. Read the medium back, validating the WAL and truncating a torn
-	// tail in place.
+	st, err := s.restore()
+	if err != nil {
+		s.kinds = make(map[string]*bucket)
+	}
+	s.epoch.Add(1)
+	s.mu.Unlock()
+
+	// Close the dead queues last, outside the lock (closing wakes parked
+	// consumers, whose reconnects must observe the fully restored state).
+	for _, q := range doomed {
+		q.Close()
+	}
+	return st, err
+}
+
+// restore rebuilds the object state from the medium. Caller holds the write
+// lock.
+func (s *Store) restore() (RestoreStats, error) {
+	s.kinds = make(map[string]*bucket)
 	d := s.dur
-	image := d.checkpoint
-	wal, torn, replayable := validateWAL(d.wal)
-	if torn {
-		d.wal = d.wal[:len(wal)]
-		d.records = int64(replayable)
-	}
+	st := RestoreStats{CheckpointBytes: len(d.checkpoint)}
 
-	st := RestoreStats{TornTail: torn, CheckpointBytes: len(image), WALBytes: len(wal)}
-
-	// 3. Checkpoint load.
-	var ck checkpointState
-	if len(image) > 0 {
-		if err := json.Unmarshal(image, &ck); err != nil {
-			// A corrupt checkpoint is unrecoverable by design: it is written
-			// atomically (never appended), so this is a programming error,
-			// not a crash artifact.
-			panic(fmt.Sprintf("store: checkpoint corrupt: %v", err))
-		}
+	// 1. Checkpoint load.
+	maxRev, nextUID, err := s.loadCheckpoint(d.checkpoint)
+	if err != nil {
+		return st, err
 	}
-	st.CheckpointRev = ck.Rev
-	maxRev := ck.Rev
-	nextUID := ck.NextUID
-	for _, ks := range ck.Kinds {
-		b := s.bucketOf(ks.Kind)
-		for _, raw := range ks.Objects {
-			obj, err := decodeObject(ks.Kind, raw)
-			if err != nil {
-				panic(fmt.Sprintf("store: checkpoint decode %s: %v", ks.Kind, err))
-			}
-			meta := obj.GetMeta()
-			b.objs[meta.Name] = obj
-			b.indexLabels(meta.Name, meta.Labels)
-		}
-		b.dirty.Store(true)
-	}
+	st.CheckpointRev = maxRev
 
-	// 4. WAL replay over the valid prefix.
+	// 2. WAL replay. Each frame is checked and decoded once and applied as
+	// soon as it proves whole; the first one that does not ends the log.
+	var dec api.Dec
 	off := 0
-	for off < len(wal) {
-		n := int(binary.LittleEndian.Uint32(wal[off:]))
-		payload := wal[off+8 : off+8+n]
-		off += 8 + n
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			panic("store: validated wal record failed to decode") // validateWAL checked this
+	for off < len(d.wal) {
+		n, ok := frameAt(d.wal[off:])
+		if !ok {
+			break
 		}
-		b := s.bucketOf(rec.Kind)
-		switch rec.Op {
-		case walPut:
-			obj, err := decodeObject(rec.Kind, rec.Obj)
-			if err != nil {
-				panic(fmt.Sprintf("store: wal decode %s/%s: %v", rec.Kind, rec.Name, err))
-			}
-			meta := obj.GetMeta()
-			if prev, ok := b.objs[meta.Name]; ok {
-				b.unindexLabels(meta.Name, prev.GetMeta().Labels)
-			}
-			b.objs[meta.Name] = obj
-			b.indexLabels(meta.Name, meta.Labels)
-			if uid := parseUID(meta.UID); uid > nextUID {
-				nextUID = uid
-			}
-		case walDelete:
-			if prev, ok := b.objs[rec.Name]; ok {
-				b.unindexLabels(rec.Name, prev.GetMeta().Labels)
-				delete(b.objs, rec.Name)
-			}
+		rec, err := decodeRecord(&dec, d.wal[off+frameHeader:off+n])
+		if errors.Is(err, api.ErrUnregisteredKind) {
+			return st, fmt.Errorf("store: wal record %d: %w", st.Replayed, err)
+		}
+		if err != nil {
+			break
+		}
+		b := s.bucketOf(rec.kind)
+		if rec.obj != nil {
+			b.put(rec.obj)
+			nextUID = max(nextUID, parseUID(rec.obj.GetMeta().UID))
+		} else if prev, ok := b.objs[rec.name]; ok {
+			b.unindexLabels(rec.name, prev.GetMeta().Labels)
+			delete(b.objs, rec.name)
 		}
 		b.dirty.Store(true)
-		if rec.Rev > maxRev {
-			maxRev = rec.Rev
-		}
+		maxRev = max(maxRev, rec.rev)
 		st.Replayed++
+		off += n
 	}
+	// A torn tail is cut off the medium: the next restore reads a clean log.
+	st.TornTail = off < len(d.wal)
+	st.WALBytes = off
+	d.wal = d.wal[:off]
+	d.records = int64(st.Replayed)
 
-	// 5. Counters resume strictly above everything restored: the revision
+	// 3. Counters resume strictly above everything restored: the revision
 	// is the max over the checkpoint cut and every replayed record, so the
 	// next mutation commits above every restored object.
 	s.rev.Store(maxRev)
 	s.nextUID.Store(nextUID)
 	s.compactRev = maxRev
-	s.epoch.Add(1)
-	s.mu.Unlock()
-
-	// 6. Close the dead queues last, outside the lock (closing wakes parked
-	// consumers, whose reconnects must observe the fully restored state).
-	for _, q := range doomed {
-		q.Close()
-	}
-
 	st.RestoredRev = maxRev
 	st.ModeledOutageNS = int64(st.CheckpointBytes+st.WALBytes)*DurableIONSPerByte +
 		int64(st.Replayed)*ReplayNSPerRecord
 	return st, nil
 }
 
-// validateWAL scans the framed log and returns the longest valid prefix,
-// whether a torn tail was cut, and the record count of the prefix. A frame
-// is valid when its header fits, its declared length fits, its CRC matches
-// and its payload decodes as a walRecord.
-func validateWAL(wal []byte) (valid []byte, torn bool, records int) {
-	off := 0
-	for off < len(wal) {
-		if len(wal)-off < 8 {
-			return wal[:off], true, records
-		}
-		n := int(binary.LittleEndian.Uint32(wal[off:]))
-		if n <= 0 || n > len(wal)-off-8 {
-			return wal[:off], true, records
-		}
-		payload := wal[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(wal[off+4:]) {
-			return wal[:off], true, records
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return wal[:off], true, records
-		}
-		off += 8 + n
-		records++
+// put installs a decoded object in the bucket and its label index, replacing
+// any earlier revision of the same name.
+func (b *bucket) put(obj api.Object) {
+	meta := obj.GetMeta()
+	if prev, ok := b.objs[meta.Name]; ok {
+		b.unindexLabels(meta.Name, prev.GetMeta().Labels)
 	}
-	return wal, false, records
+	b.objs[meta.Name] = obj
+	b.indexLabels(meta.Name, meta.Labels)
 }
 
-// decodeObject rebuilds a typed object from its kind and JSON form via the
-// kind registry.
-func decodeObject(kind string, raw json.RawMessage) (api.Object, error) {
+// loadCheckpoint decodes a checkpoint image into the (empty) store and
+// returns the revision it was taken at and its UID counter. A nil image is
+// an empty medium; anything else must check out whole: magic and version,
+// CRC, every object to its last byte, nothing left over.
+func (s *Store) loadCheckpoint(image []byte) (rev, nextUID int64, err error) {
+	if image == nil {
+		return 0, 0, nil
+	}
+	body := len(image) - 4
+	if body < len(checkpointMagic) || string(image[:len(checkpointMagic)]) != checkpointMagic {
+		return 0, 0, errors.New("store: checkpoint corrupt: bad magic or version")
+	}
+	if crc32.ChecksumIEEE(image[:body]) != binary.LittleEndian.Uint32(image[body:]) {
+		return 0, 0, errors.New("store: checkpoint corrupt: CRC mismatch")
+	}
+	var dec, one api.Dec // the image, and one object inside it
+	dec.Reset(image[len(checkpointMagic):body])
+	rev, nextUID = dec.Varint(), dec.Varint()
+	for kinds := dec.Count(2); kinds > 0 && dec.Err() == nil; kinds-- {
+		kind := dec.String()
+		b := s.bucketOf(kind)
+		for objs := dec.Count(4); objs > 0 && dec.Err() == nil; objs-- {
+			one.Reset(dec.Next(int(dec.Uint32())))
+			obj, err := decodeObject(&one, kind)
+			if err != nil {
+				return 0, 0, fmt.Errorf("store: checkpoint corrupt: %w", err)
+			}
+			b.put(obj)
+		}
+		b.dirty.Store(true)
+	}
+	if dec.Err() != nil || dec.Len() != 0 {
+		return 0, 0, fmt.Errorf("store: checkpoint corrupt: %d trailing bytes, %v", dec.Len(), dec.Err())
+	}
+	return rev, nextUID, nil
+}
+
+// frameAt checks the frame at the head of wal — header fits, declared length
+// is positive and fits, CRC matches — and returns its total size.
+func frameAt(wal []byte) (size int, ok bool) {
+	if len(wal) < frameHeader {
+		return 0, false
+	}
+	n := binary.LittleEndian.Uint32(wal)
+	if n == 0 || uint64(n) > uint64(len(wal)-frameHeader) {
+		return 0, false
+	}
+	size = frameHeader + int(n)
+	return size, crc32.ChecksumIEEE(wal[frameHeader:size]) == binary.LittleEndian.Uint32(wal[4:])
+}
+
+// walRecord is one decoded frame; obj is nil for deletes.
+type walRecord struct {
+	rev        int64
+	kind, name string
+	obj        api.Object
+}
+
+var errRecord = errors.New("store: malformed wal record")
+
+// decodeRecord decodes one frame's payload completely — the put's object
+// included, with no byte left over — so a record that decodes is a record
+// replay can apply.
+func decodeRecord(d *api.Dec, payload []byte) (rec walRecord, err error) {
+	d.Reset(payload)
+	op := d.Byte()
+	rec.rev, rec.kind, rec.name = d.Varint(), d.String(), d.String()
+	switch {
+	case d.Err() != nil:
+		err = d.Err()
+	case op == walPut:
+		rec.obj, err = decodeObject(d, rec.kind)
+		if err == nil && rec.obj.GetMeta().Name != rec.name {
+			err = errRecord
+		}
+	case op != walDelete || d.Len() != 0:
+		err = errRecord
+	}
+	return rec, err
+}
+
+// decodeObject rebuilds a typed object of the given kind (via the kind
+// registry) from the rest of d, which it must consume exactly.
+func decodeObject(d *api.Dec, kind string) (api.Object, error) {
 	obj, err := api.NewObject(kind)
 	if err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(raw, obj); err != nil {
-		return nil, err
+	obj.DecodeBinary(d)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("%s object: %w", kind, d.Err())
+	}
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%s object: %d trailing bytes", kind, d.Len())
 	}
 	return obj, nil
 }
@@ -423,8 +464,12 @@ func decodeObject(kind string, raw json.RawMessage) (api.Object, error) {
 // forms), letting restore advance the UID counter past every restored
 // object.
 func parseUID(uid string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(uid, "uid-%d", &n); err != nil {
+	num, ok := strings.CutPrefix(uid, "uid-")
+	if !ok {
+		return 0
+	}
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil {
 		return 0
 	}
 	return n

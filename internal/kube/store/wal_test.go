@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -316,5 +317,52 @@ func TestCrashWakeOrderDeterministic(t *testing.T) {
 		if got := strings.Join(woke, ","); got != want {
 			t.Fatalf("run %d: watchers woke in order %s, want %s", run, got, want)
 		}
+	}
+}
+
+// TestCrashReportsUnreadableMedium: a checkpoint image is written whole, so
+// damage to it is no crash artifact to cut around — Crash returns it, with
+// the store left empty, its watchers closed and the epoch advanced. So is a
+// log record of a kind nobody registered: truncating there would throw away
+// data a correctly linked binary could read.
+func TestCrashReportsUnreadableMedium(t *testing.T) {
+	checkpoint, wal := fixtureMedium(t)
+	edit := func(b []byte, f func(b []byte) []byte) []byte { return f(bytes.Clone(b)) }
+	renamePod := func(b []byte) []byte { return bytes.Replace(b, []byte("\x03Pod"), []byte("\x03Pox"), 1) }
+	cases := []struct {
+		name            string
+		checkpoint, wal []byte
+		want            string
+	}{
+		{"bad magic", edit(checkpoint, func(b []byte) []byte { b[0] = 'X'; return b }), nil, "bad magic or version"},
+		{"other version", edit(checkpoint, func(b []byte) []byte { b[4] = 1; return b }), nil, "bad magic or version"},
+		{"shorter than a header", checkpoint[:6], nil, "bad magic or version"},
+		{"flipped byte", edit(checkpoint, func(b []byte) []byte { b[40] ^= 1; return b }), nil, "CRC mismatch"},
+		{"cut short", checkpoint[:len(checkpoint)-9], nil, "CRC mismatch"},
+		{"trailing byte", edit(checkpoint, func(b []byte) []byte { return reseal(append(b, 0)) }), nil, "trailing bytes"},
+		{"last object cut short", edit(checkpoint, func(b []byte) []byte { return reseal(b[:len(b)-8]) }), nil, "checkpoint corrupt"},
+		{"unregistered kind in the image", reseal(renamePod(checkpoint)), nil, "kind not registered"},
+		{"unregistered kind in the log", checkpoint, resealWAL(renamePod(wal)), "kind not registered"},
+	}
+	for _, tc := range cases {
+		s := New(sim.NewEnv())
+		s.EnableDurability(nil, nil)
+		q := s.Watch("Pod/", false)
+		s.dur.checkpoint, s.dur.wal = tc.checkpoint, tc.wal
+		_, err := s.Crash()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Crash returned %v, want an error mentioning %q", tc.name, err, tc.want)
+			continue
+		}
+		if strings.Contains(tc.want, "not registered") != errors.Is(err, api.ErrUnregisteredKind) {
+			t.Errorf("%s: errors.Is(err, ErrUnregisteredKind) is wrong for %v", tc.name, err)
+		}
+		if n := len(s.List("")); n != 0 || !q.Closed() || s.Epoch() != 1 {
+			t.Errorf("%s: after the failed restore: %d objects, watch closed %v, epoch %d", tc.name, n, q.Closed(), s.Epoch())
+		}
+	}
+	// Control: the untampered medium restores.
+	if _, st, err := restoreFrom(checkpoint, wal); err != nil || st.Replayed != 3 || st.TornTail {
+		t.Fatalf("the fixture itself: %v, %+v", err, st)
 	}
 }

@@ -161,6 +161,30 @@ func TestStatusWriteCostMustNotDependOnSpec(t *testing.T) {
 	}
 }
 
+// TestLoggingAWriteAllocatesNothing: a durable status write allocates what a
+// volatile one does. The JSON codec's 25 fails; equal counts pass.
+func TestLoggingAWriteAllocatesNothing(t *testing.T) {
+	record := func(volatile, durable int) []byte {
+		return []byte(fmt.Sprintf(`{"records": [{"commit": "aaaaaaa", "benchmarks": {
+			"BenchmarkStoreUpdateFanout/watchers=1": {"allocs_op": %d},
+			"BenchmarkDurableWrite": {"allocs_op": %d}}}]}`, volatile, durable))
+	}
+	var out strings.Builder
+	if _, err := gate(record(1, 25), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "benchmarks.BenchmarkDurableWrite.allocs_op = 25") {
+		t.Fatalf("a logged write allocating 24 times more than a volatile one passed the gate:\n%s", out.String())
+	}
+	out.Reset()
+	if _, err := gate(record(1, 1), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "BenchmarkDurableWrite") {
+		t.Fatalf("equal allocs/op failed the gate:\n%s", out.String())
+	}
+}
+
 // TestAbsoluteBudget: absMax rules bound the newest record regardless of
 // history depth.
 func TestAbsoluteBudget(t *testing.T) {
