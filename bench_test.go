@@ -714,7 +714,7 @@ func BenchmarkStoreUpdateFanout(b *testing.B) {
 			st.SetHistoryCap(drainEvery)
 			var queues []*sim.Queue[store.Event]
 			for i := 0; i < watchers; i++ {
-				queues = append(queues, st.Watch("Pod/", false))
+				queues = append(queues, st.Watch("Pod", false))
 			}
 			cur, err := st.Create(&api.Pod{
 				ObjectMeta: api.ObjectMeta{Name: "p", Labels: map[string]string{"app": "bench"}},

@@ -4,6 +4,24 @@
 # coroutine-based simulation kernel, the device library, and the parallel
 # experiment harness (forced onto the multi-worker path via GOMAXPROCS).
 set -ex
+# named: a `go test -run LIST` pass that cannot turn into a no-op. Every
+# |-separated name in LIST must be the start of at least one test in the
+# packages, and the run itself must not report "no tests to run" for any of
+# them. Usage: named LIST [env VAR=...] go test ... PKG... (LIST is passed to
+# -run; the packages are the trailing ./ arguments).
+named() {
+	list=$1
+	shift
+	pkgs=
+	for a in "$@"; do case "$a" in ./*) pkgs="$pkgs $a" ;; esac; done
+	for name in $(echo "$list" | tr '|' ' '); do
+		go test -list "$name" $pkgs | grep -q "^$name" ||
+			{ echo "check.sh: no test named $name* in$pkgs" >&2; exit 1; }
+	done
+	out=$("$@" -run "$list" 2>&1) || { echo "$out"; exit 1; }
+	echo "$out"
+	case "$out" in *"no tests to run"*) echo "check.sh: -run '$list' matched nothing in a package" >&2; exit 1 ;; esac
+}
 go build ./...
 go vet ./...
 # Formatting: any file gofmt would rewrite fails the check.
@@ -25,15 +43,15 @@ go test ./...
 # Telemetry export surface: the SLO alert engine and fairness auditor must
 # replay byte-identically at a fixed seed, and every `kubeshare-sim serve`
 # endpoint must answer over HTTP (httptest smoke in cmd/kubeshare-sim).
-go test -run 'TestAlertDeterminismGolden|TestAuditDeterminismGolden' ./internal/experiments/
-go test -run TestServeEndpoints ./cmd/kubeshare-sim/
+named 'TestAlertDeterminismGolden|TestAuditDeterminismGolden' go test ./internal/experiments/
+named TestServeEndpoints go test ./cmd/kubeshare-sim/
 go test -race ./internal/kube/... ./internal/core/...
 go test -race ./internal/sim/... ./internal/devlib/...
 # Sharing-strategy suites on the multi-worker path: the strategy interface
 # (token/mps/replica) and the frontend refactor behind it must hold under
 # the race detector with parallel test workers.
 GOMAXPROCS=4 go test -race ./internal/devlib/... ./internal/gpusim/...
-GOMAXPROCS=4 go test -race -run 'TestRunIndexed|TestFig8DeterminismGolden|TestTraceDeterminismGolden' ./internal/experiments/
+named 'TestRunIndexed|TestFig8DeterminismGolden|TestTraceDeterminismGolden' env GOMAXPROCS=4 go test -race ./internal/experiments/
 # Labeled-family interning and the TSDB under the race detector: family
 # lookup is the one obs path exercised off the simulation goroutine. This
 # pass also covers internal/obs/attr — the critical-path attribution
@@ -51,9 +69,12 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # Durable-store and restart-recovery suites under the race detector: WAL
 # replay composition (restore∘churn == live churn), torn-tail
 # truncate-and-recover, the durability oracle (300 random histories against
-# a plain-map model), epoch-fenced relists, and the no-double-delivery
-# goldens across restart + drop.
-GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash|TestReflector|TestResume|TestEventSinkRestart' ./internal/kube/store/ ./internal/kube/apiserver/
+# a plain-map model, with watchers opened, dropped and resumed along the
+# way), epoch-fenced relists, and the no-double-delivery goldens across
+# restart + drop. Each name lives in one of the two packages, so the pass
+# runs them one package at a time.
+named 'TestRestore|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
+named 'TestReflector|TestResume|TestEventSinkRestart' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
 # Native fuzz smokes over the durable medium's decoders, 5 s each from the
 # checked-in seed corpora (testdata/fuzz; TestFuzzSeedCorpusCurrent keeps
 # them in step with the format): arbitrary bytes as the log, as the
@@ -63,6 +84,11 @@ GOMAXPROCS=4 go test -race -run 'TestRestore|TestCheckpoint|TestTornTail|TestDur
 go test ./internal/kube/store/ -run xxx -fuzz 'FuzzWALRestore$' -fuzztime 5s
 go test ./internal/kube/store/ -run xxx -fuzz 'FuzzCheckpointImage$' -fuzztime 5s
 go test ./internal/kube/api/ -run xxx -fuzz 'FuzzObjectCodec$' -fuzztime 5s
+# And over the one parser of user-supplied files, the CSV workload trace:
+# arbitrary bytes are an error, or jobs that each satisfy what ReadTrace
+# promises (a unique non-empty name, demand in (0,1], non-negative times) and
+# that WriteTrace and ReadTrace carry round unchanged.
+go test ./internal/workload/ -run xxx -fuzz 'FuzzReadTrace$' -fuzztime 5s
 # Scheduling-framework suite under the race detector on the multi-worker
 # path: engine/Algorithm-1 equivalence properties, transaction rollback,
 # batched-vs-sequential, conflict retry, gang all-or-nothing, and the
@@ -72,10 +98,11 @@ GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
 # running concurrently: the churn-vs-watch equivalence property (live,
 # filtered and late-registered watches), goroutine readers (Scan/Get/List)
 # holding shared snapshots while a writer publishes new ones to live
-# watchers, the restart wake order (kind-name order, every run), and the
+# watchers, the restart wake order (kind-name order, every run), the
 # ownership rule's own tests (reads and write results are the published
-# snapshot; a status write shares the stored spec and leaves the index be).
-GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestIndex|TestSharedSnapshot|TestCrashWakeOrder|TestGetReturnsSnapshot|TestWatchSharesOneSnapshot|TestStatusUpdatePreservesLabelIndex' ./internal/kube/store/
+# snapshot; a status write shares the stored spec and leaves the index be),
+# and the keying rule's (a kind is not a key prefix).
+named 'TestConcurrent|TestIndex|TestSharedSnapshot|TestCrashWakeOrder|TestGetReturnsSnapshot|TestWatchSharesOneSnapshot|TestStatusUpdatePreservesLabelIndex|TestKindIsNotAKeyPrefix' env GOMAXPROCS=4 go test -race ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x
@@ -115,7 +142,9 @@ go test . -run xxx -bench 'BenchmarkFig19Attribution/quick' -benchtime 1x
 # Smoke the instrumentation-overhead benchmark (obs on vs off on the Fig 9
 # workload); ./bench.sh measures it properly into BENCH.json.
 go test . -run xxx -bench BenchmarkFig9Obs -benchtime 1x
-# The two size numbers ROADMAP budgets, outside benchmark/ (print only, no
-# gate): non-test Go lines, and non-test panic( sites.
+# The size numbers ROADMAP budgets, outside benchmark/ (print only, no
+# gate): non-test Go lines, non-test panic( sites, and settable config fields
+# (exported fields of the *Config structs).
 echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l)"
 echo "non-test panic( sites: $(grep -rn 'panic(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . | wc -l)"
+echo "settable config fields: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec awk '/^type [A-Za-z0-9]*Config struct \{/ { on = 1; next } on && /^\}/ { on = 0 } on && /^\t[A-Z][A-Za-z0-9_]* / { n++ } END { print n + 0 }' {} +)"

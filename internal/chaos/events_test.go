@@ -35,7 +35,7 @@ func TestEventsSurviveWatchDrop(t *testing.T) {
 
 	// The consumer mirrors the Event store from the reflector stream.
 	seen := map[string]int{} // event name -> last Count delivered
-	r := c.API.NewReflector(api.KindEvent, apiserver.WatchOptions{Replay: true})
+	r := c.API.NewNamedReflector("event-consumer", api.KindEvent, apiserver.WatchOptions{Replay: true})
 	env.Go("event-consumer", func(p *sim.Proc) {
 		for {
 			ev, ok := r.Get(p)

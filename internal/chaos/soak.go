@@ -40,10 +40,6 @@ type SoakConfig struct {
 	// NoFaults disables every fault class — the control run for
 	// availability comparisons.
 	NoFaults bool
-	// CheckpointInterval is handed to the apiserver's durability layer when
-	// API restarts are in the fault mix (zero = the apiserver default,
-	// negative = checkpoint only once at enable time, maximizing WAL replay).
-	CheckpointInterval time.Duration
 }
 
 // WithDefaults returns the config with every unset field filled in — the
@@ -151,7 +147,7 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 	// Durability goes on before any consumer starts, so the enable-time
 	// checkpoint covers the empty store and every later mutation is logged.
 	if cfg.Faults.APIRestartMean > 0 {
-		c.API.EnableDurability(apiserver.DurabilityConfig{CheckpointInterval: cfg.CheckpointInterval})
+		c.API.EnableDurability(apiserver.DurabilityConfig{})
 	}
 	ks, err := schedfw.Install(c, core.Config{})
 	if err != nil {

@@ -43,21 +43,17 @@ type DevMgrConfig struct {
 	Policy PoolPolicy
 	// IdleReserve is the idle-vGPU target kept under the Hybrid policy.
 	IdleReserve int
-	// OpLatency models one DevMgr operation (vGPU info query plus bound-pod
-	// construction).
-	OpLatency time.Duration
-	// RecoveryTimeout bounds how long a dead vGPU pod's replacement may take
-	// to come up before the vGPU is written off and its tenants requeued
-	// (default 30s).
-	RecoveryTimeout time.Duration
 }
 
-// DefaultOpLatency is used when OpLatency is zero. It covers the vGPU info
-// query and bound-pod construction; together with the scheduling cycle it
-// produces the paper's ≈15% creation overhead when no vGPU must be created
-// (Fig 10). Binds run concurrently, so the overhead stays constant under
-// concurrent requests.
-const DefaultOpLatency = 150 * time.Millisecond
+// opLatency models one DevMgr operation: the vGPU info query and bound-pod
+// construction. Together with the scheduling cycle it produces the paper's
+// ≈15% creation overhead when no vGPU must be created (Fig 10). Binds run
+// concurrently, so the overhead stays constant under concurrent requests.
+const opLatency = 150 * time.Millisecond
+
+// recoveryTimeout bounds how long a dead vGPU pod's replacement may take to
+// come up before the vGPU is written off and its tenants requeued.
+const recoveryTimeout = 30 * time.Second
 
 // HolderImage is the image of the native pods DevMgr launches to acquire
 // physical GPUs from Kubernetes. Its sole purpose is to hold the GPU and
@@ -117,12 +113,6 @@ type DevMgr struct {
 
 // NewDevMgr creates KubeShare-DevMgr; Start launches it.
 func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
-	if cfg.OpLatency == 0 {
-		cfg.OpLatency = DefaultOpLatency
-	}
-	if cfg.RecoveryTimeout == 0 {
-		cfg.RecoveryTimeout = 30 * time.Second
-	}
 	rt := srv.Obs()
 	return &DevMgr{
 		env:           env,
@@ -436,7 +426,7 @@ func (m *DevMgr) recoverVGPU(p *sim.Proc, gpuID, deadHolder string, done *sim.Ev
 	}
 	uuid := ""
 	if _, err := apiserver.Pods(m.srv).Create(replacement); err == nil || apiserver.IsExists(err) {
-		if val, ok := p.WaitTimeout(m.uuidReport(holder), m.cfg.RecoveryTimeout); ok {
+		if val, ok := p.WaitTimeout(m.uuidReport(holder), recoveryTimeout); ok {
 			uuid, _ = val.(string)
 		}
 	}
@@ -537,7 +527,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) {
 	}
 	m.tracer.Mark("devmgr", "holder-ready", KindSharePod+"/"+sp.Name,
 		"gpuid="+sp.Spec.GPUID+" uuid="+uuid)
-	p.Sleep(m.cfg.OpLatency)
+	p.Sleep(opLatency)
 	// The sharePod may have been deleted, requeued elsewhere, or already
 	// bound while the vGPU was created.
 	cur, err := SharePods(m.srv).Get(sp.Name)
@@ -776,26 +766,6 @@ func (m *DevMgr) reconcileVGPU(gpuID string) {
 	}
 	delete(m.idle, gpuID)
 	delete(m.uuidReports, v.Status.HolderPod)
-}
-
-// ReleaseIdle deletes every idle vGPU (manual pool shrink under the
-// reservation policy).
-func (m *DevMgr) ReleaseIdle() int {
-	released := 0
-	for _, v := range VGPUs(m.srv).List() {
-		if v.Status.Phase != VGPUIdle {
-			continue
-		}
-		if err := apiserver.Pods(m.srv).Delete(v.Status.HolderPod); err != nil && !apiserver.IsNotFound(err) {
-			continue
-		}
-		if err := VGPUs(m.srv).Delete(v.Spec.GPUID); err == nil {
-			delete(m.idle, v.Spec.GPUID)
-			delete(m.uuidReports, v.Status.HolderPod)
-			released++
-		}
-	}
-	return released
 }
 
 func (m *DevMgr) markVGPU(gpuID string, phase VGPUPhase) {

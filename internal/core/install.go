@@ -10,7 +10,6 @@ import (
 	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/runtime"
 )
 
@@ -134,16 +133,6 @@ func (ks *KubeShare) Stop() {
 	}
 	ks.SetManager.Stop()
 	ks.DevMgr.Stop()
-}
-
-// SharePods returns the typed SharePod client for the installed cluster.
-func (ks *KubeShare) SharePods() apiserver.Client[*SharePod] {
-	return SharePods(ks.Cluster.API)
-}
-
-// VGPUs returns the typed VGPU client for the installed cluster.
-func (ks *KubeShare) VGPUs() apiserver.Client[*VGPU] {
-	return VGPUs(ks.Cluster.API)
 }
 
 // shareFromAnnotations parses the fractional shares DevMgr stamped onto a

@@ -331,11 +331,6 @@ func TestReservationKeepsIdleVGPU(t *testing.T) {
 	if second.Status.UUID != firstUUID {
 		t.Fatal("idle vGPU not reused under reservation policy")
 	}
-	// Manual shrink releases it.
-	if n := s.ks.DevMgr.ReleaseIdle(); n != 1 {
-		t.Fatalf("ReleaseIdle = %d", n)
-	}
-	s.env.Run()
 }
 
 func TestDeleteRunningSharePodFreesEverything(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
@@ -107,27 +106,6 @@ func BuildPoolWithFactor(srv *apiserver.Server, newID func() string, memFactor f
 	// scheduler's incremental snapshot are directly comparable.
 	sort.Slice(pool.Devices, func(i, j int) bool { return pool.Devices[i].ID < pool.Devices[j].ID })
 	return pool
-}
-
-// PlacementOf extracts the typed placement from a bound pod's stamped
-// metadata (the AnnGPUID annotation plus the pod's node), reporting false
-// for pods KubeShare did not bind. It replaces ad-hoc annotation parsing at
-// consumer sites.
-func PlacementOf(pod *api.Pod) (Placement, bool) {
-	if pod.Labels[LabelSharePod] == "" {
-		return Placement{}, false
-	}
-	gpuID, ok := pod.Annotations[AnnGPUID]
-	if !ok {
-		return Placement{}, false
-	}
-	partial := false
-	for _, key := range []string{AnnGPURequest, AnnGPUMem} {
-		if v, err := strconv.ParseFloat(pod.Annotations[key], 64); err == nil && v < 1 {
-			partial = true
-		}
-	}
-	return Placement{NodeName: pod.Spec.NodeName, GPUID: gpuID, Partial: partial}, true
 }
 
 // RequestOf converts a sharePod spec into an Algorithm 1 request.

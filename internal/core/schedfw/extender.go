@@ -38,6 +38,7 @@ type Extender struct {
 	wake       *sim.Queue[struct{}]
 	proc       *sim.Proc
 	watchProcs []*sim.Proc
+	reflectors []*apiserver.Reflector
 
 	decisions  *obs.Counter
 	noCapacity *obs.Counter
@@ -83,13 +84,16 @@ func (s *Extender) VerifySnapshot() error { return nil }
 // Stats implements core.Sched.
 func (s *Extender) Stats() core.SchedStats { return core.ReadSchedStats(s.srv.Obs()) }
 
-// Start launches the watch and scheduling loops.
+// Start launches the watch and scheduling loops. The watches ride
+// reflectors, like every other control loop, so an apiserver restart or a
+// dropped stream re-subscribes instead of leaving the cycle unkicked forever.
 func (s *Extender) Start() {
 	for _, kind := range []string{core.KindSharePod, "Pod"} {
-		q := s.srv.Watch(kind, kind == core.KindSharePod)
+		r := s.srv.NewNamedReflector("extender", kind, apiserver.WatchOptions{Replay: kind == core.KindSharePod})
+		s.reflectors = append(s.reflectors, r)
 		s.watchProcs = append(s.watchProcs, s.env.Go("extender-watch-"+kind, func(p *sim.Proc) {
 			for {
-				if _, ok := q.Get(p); !ok {
+				if _, ok := r.Get(p); !ok {
 					return
 				}
 				s.kick()
@@ -116,6 +120,9 @@ func (s *Extender) Stop() {
 	}
 	for _, p := range s.watchProcs {
 		p.Kill(nil)
+	}
+	for _, r := range s.reflectors {
+		r.Stop()
 	}
 }
 

@@ -265,9 +265,6 @@ func (s *Snapshot) Pending() []*SharePod {
 	return out
 }
 
-// PendingCount returns the size of the pending set.
-func (s *Snapshot) PendingCount() int { return len(s.pending) }
-
 // IsPending reports whether the named sharePod is in the pending set.
 func (s *Snapshot) IsPending(name string) bool { return s.pending[name] != nil }
 

@@ -64,7 +64,7 @@ func TestSoakMixedEverything(t *testing.T) {
 				}
 			}
 			// Random mid-flight deletion.
-			if len(created) > 0 && rng.Bernoulli(0.5) {
+			if len(created) > 0 && rng.Float64() < 0.5 {
 				victim := created[rng.Intn(len(created))]
 				_ = SharePods(s.c.API).Delete(victim) // may already be gone
 			}

@@ -27,11 +27,6 @@ var ErrClosed = errors.New("cuda: API handle closed")
 // condition so errors.Is works across layers.
 var ErrOutOfMemory = gpusim.ErrOutOfMemory
 
-// ErrDeviceFault mirrors CUDA_ERROR_ECC_UNCORRECTABLE-class Xid failures: the
-// device faulted under this context, and every further operation fails until
-// the handle is torn down and reopened on a healthy device.
-var ErrDeviceFault = gpusim.ErrDeviceFault
-
 // DeviceInfo describes the device visible through an API handle.
 type DeviceInfo struct {
 	UUID        string

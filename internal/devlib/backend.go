@@ -29,9 +29,6 @@ type Config struct {
 	Quota time.Duration
 	// Window is the sliding window over which usage rates are measured.
 	Window time.Duration
-	// Handoff is the cost of a token exchange (queue pop, IPC, pipeline
-	// warm-up). It is what makes small quotas expensive.
-	Handoff time.Duration
 	// Grace is the frontend's inactivity grace: after a kernel completes,
 	// the token is voluntarily released if no further kernel is launched
 	// within Grace, so bursty (inference) workloads do not hog the device
@@ -67,15 +64,18 @@ type Config struct {
 const (
 	DefaultQuota  = 100 * time.Millisecond
 	DefaultWindow = 10 * time.Second
-	// DefaultHandoff is sub-millisecond: the real backend hands the token
-	// over a local socket. Fine-grained kernel interleaving between bursty
-	// tenants (Fig 12's 1.5× B+B slowdown) depends on this being cheap.
-	DefaultHandoff = 500 * time.Microsecond
-	DefaultGrace   = 2 * time.Millisecond
+	DefaultGrace  = 2 * time.Millisecond
 	// DefaultReplicas is the replica strategy's logical-GPU count per
 	// physical device (the NVIDIA time-slicing plugin's common default).
 	DefaultReplicas = 2
 )
+
+// handoff is the cost of a token exchange (queue pop, IPC, pipeline warm-up);
+// it is what makes small quotas expensive. Sub-millisecond: the real backend
+// hands the token over a local socket, and fine-grained kernel interleaving
+// between bursty tenants (Fig 12's 1.5× B+B slowdown) depends on this being
+// cheap.
+const handoff = 500 * time.Microsecond
 
 func (c Config) withDefaults() Config {
 	if c.Quota <= 0 {
@@ -83,11 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
-	}
-	if c.Handoff < 0 {
-		c.Handoff = 0
-	} else if c.Handoff == 0 {
-		c.Handoff = DefaultHandoff
 	}
 	if c.Grace <= 0 {
 		c.Grace = DefaultGrace

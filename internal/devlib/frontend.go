@@ -237,12 +237,6 @@ func (f *Frontend) SetTraceKey(key string) {
 	f.devtimeCtr = nil // re-fetched lazily under the new tenant label
 }
 
-// Share returns the container's resource specification.
-func (f *Frontend) Share() Share { return f.share }
-
-// Strategy returns the sharing strategy admitting this container.
-func (f *Frontend) Strategy() sharing.Strategy { return f.strat }
-
 // Device reports the visible device with capacity clipped to the gpu_mem
 // share, which is what applications should size against.
 func (f *Frontend) Device() cuda.DeviceInfo {
@@ -335,7 +329,7 @@ func (f *Frontend) acquireLease(p *sim.Proc) error {
 				// Handoff cost: IPC plus pipeline warm-up before the first
 				// kernel of this hold can start. Ungated (overlap) admission
 				// has no exchange to pay for.
-				p.Sleep(f.cfg.Handoff)
+				p.Sleep(handoff)
 			}
 			if f.virtual {
 				// Over-commit mode: bring the working set back onto the

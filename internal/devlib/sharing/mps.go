@@ -59,11 +59,7 @@ func (m *MPS) Register(id string, res Resources) error {
 	if res.Request < 0 || res.Request > 1 {
 		return fmt.Errorf("sharing: client %q request %v out of range", id, res.Request)
 	}
-	tenant := res.Tenant
-	if tenant == "" {
-		tenant = id
-	}
-	m.clients[id] = &mpsClient{id: id, tenant: tenant}
+	m.clients[id] = &mpsClient{id: id, tenant: id}
 	return nil
 }
 

@@ -93,11 +93,7 @@ func (r *Replica) Register(id string, res Resources) error {
 	if _, ok := r.clients[id]; ok {
 		return fmt.Errorf("sharing: client %q already registered on %s", id, r.uuid)
 	}
-	tenant := res.Tenant
-	if tenant == "" {
-		tenant = id
-	}
-	r.clients[id] = &rclient{id: id, tenant: tenant, slot: r.nextSlot % len(r.slots)}
+	r.clients[id] = &rclient{id: id, tenant: id, slot: r.nextSlot % len(r.slots)}
 	r.nextSlot++
 	return nil
 }

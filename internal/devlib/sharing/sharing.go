@@ -77,8 +77,6 @@ type Resources struct {
 	// MemBytes is the absolute device-memory request (gpu_mem_bytes,
 	// KAI-style); 0 means the fractional form is in use.
 	MemBytes int64
-	// Tenant is the owning sharePod name, when known at registration.
-	Tenant string
 }
 
 // Lease is an admission grant. Gated leases expire (time-slicing turns);

@@ -133,14 +133,10 @@ func (m *Token) Register(id string, res Resources) error {
 	if res.Limit <= 0 || res.Limit > 1 {
 		return fmt.Errorf("sharing: client %q limit %v out of range", id, res.Limit)
 	}
-	tenant := res.Tenant
-	if tenant == "" {
-		tenant = id
-	}
 	m.clients[id] = &tclient{
 		id:       id,
-		tenant:   tenant,
-		chainKey: ChainKeyPrefix + tenant,
+		tenant:   id,
+		chainKey: ChainKeyPrefix + id,
 		request:  res.Request,
 		limit:    max(res.Limit, res.Request),
 		window:   newUsageWindow(m.window),

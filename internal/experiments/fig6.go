@@ -8,6 +8,7 @@ import (
 	"kubeshare/internal/core/schedfw"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/metrics"
+	"kubeshare/internal/obs/tsdb"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
 )
@@ -19,8 +20,6 @@ type Fig6Config struct {
 	Stagger time.Duration
 	// SampleEvery is the usage sampling interval.
 	SampleEvery time.Duration
-	// Quota overrides the token quota (paper default 100 ms).
-	Quota time.Duration
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
@@ -47,7 +46,7 @@ type Fig6Result struct {
 	Table *metrics.Table
 	// Usage holds one series per job (token-hold share over time), the
 	// exact signal Figure 6 plots.
-	Usage map[string]*metrics.Series
+	Usage map[string]*tsdb.Series
 }
 
 // Fig6 reproduces the isolation timeline: Job A (req .3, lim .6) at 0,
@@ -62,11 +61,7 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ksCfg := core.Config{}
-	if cfg.Quota > 0 {
-		ksCfg.Devlib.Quota = cfg.Quota
-	}
-	ks, err := schedfw.Install(c, ksCfg)
+	ks, err := schedfw.Install(c, core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +96,9 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 		})
 	}
 
-	usage := map[string]*metrics.Series{}
+	usage := map[string]*tsdb.Series{}
 	for _, j := range jobs {
-		usage[j.name] = &metrics.Series{Name: j.name}
+		usage[j.name] = &tsdb.Series{Name: j.name}
 	}
 	// Sample each job's usage rate from the node backend.
 	env.Go("usage-sampler", func(p *sim.Proc) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"kubeshare/internal/metrics"
+	"kubeshare/internal/obs/tsdb"
 	"kubeshare/internal/workload"
 )
 
@@ -64,8 +65,8 @@ func Fig9Sharing(cfg Fig9Config, disableObs bool) (SharingResult, error) {
 type Fig9Result struct {
 	Table *metrics.Table
 	// Per-system sampled series.
-	Util   map[System]*metrics.Series
-	Active map[System]*metrics.Series
+	Util   map[System]*tsdb.Series
+	Active map[System]*tsdb.Series
 	// Makespans per system.
 	Makespan map[System]time.Duration
 }
@@ -78,8 +79,8 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 	cfg = cfg.withDefaults()
 	jobs := fig9Jobs(cfg)
 	out := &Fig9Result{
-		Util:     map[System]*metrics.Series{},
-		Active:   map[System]*metrics.Series{},
+		Util:     map[System]*tsdb.Series{},
+		Active:   map[System]*tsdb.Series{},
 		Makespan: map[System]time.Duration{},
 	}
 	systems := []System{Kubernetes, KubeShare}

@@ -14,9 +14,9 @@ import (
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
-	"kubeshare/internal/metrics"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/obs/attr"
+	"kubeshare/internal/obs/tsdb"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
 )
@@ -117,9 +117,9 @@ type SharingResult struct {
 	// ThroughputPerMin is Completed divided by the makespan in minutes.
 	ThroughputPerMin float64
 	// Util is the cluster-average GPU utilization over time (sampled).
-	Util *metrics.Series
+	Util *tsdb.Series
 	// ActiveGPUs is the number of allocated GPUs over time (sampled).
-	ActiveGPUs *metrics.Series
+	ActiveGPUs *tsdb.Series
 	// Obs, Spans and Events carry the run's telemetry when
 	// SharingConfig.ExportTelemetry was set.
 	Obs    obs.MetricsSnapshot
@@ -203,8 +203,8 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 		res.Telemetry = attachTelemetry(env, c, cfg.Telemetry, finished)
 	}
 	if cfg.Sample > 0 {
-		res.Util = &metrics.Series{Name: "util"}
-		res.ActiveGPUs = &metrics.Series{Name: "active"}
+		res.Util = &tsdb.Series{Name: "util"}
+		res.ActiveGPUs = &tsdb.Series{Name: "active"}
 		gpus := c.AllGPUs()
 		prev := make([]time.Duration, len(gpus))
 		env.Go("cluster-sampler", func(p *sim.Proc) {
@@ -262,6 +262,12 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 				}
 			}
 		}
+	}
+	// Nothing is left to run: a job that is not terminal now never will be
+	// (a control loop died or deadlocked), and a short result with a nil
+	// error would hide it.
+	if stuck := total - res.Completed - res.Failed; stuck > 0 {
+		return SharingResult{}, fmt.Errorf("experiments: the simulation drained with %d of %d jobs not terminal", stuck, total)
 	}
 	res.Makespan = last
 	if last > 0 {

@@ -41,7 +41,6 @@ const DefaultCopyBandwidth = 12 << 30 // bytes per second
 // Device is one simulated GPU.
 type Device struct {
 	env      *sim.Env
-	index    int
 	uuid     string
 	node     string
 	memCap   int64
@@ -101,7 +100,6 @@ func NewDevice(env *sim.Env, cfg Config) *Device {
 	// kernel-launch hot path touches only a cached atomic.
 	d := &Device{
 		env:      env,
-		index:    cfg.Index,
 		uuid:     uuid,
 		node:     cfg.NodeName,
 		memCap:   cfg.MemoryBytes,
@@ -117,9 +115,6 @@ func NewDevice(env *sim.Env, cfg Config) *Device {
 
 // UUID returns the device's stable unique identifier.
 func (d *Device) UUID() string { return d.uuid }
-
-// Index returns the device's index on its node.
-func (d *Device) Index() int { return d.index }
 
 // Node returns the name of the node hosting the device.
 func (d *Device) Node() string { return d.node }

@@ -6,9 +6,10 @@
 // The client API distinguishes spec writes (Update/Mutate) from status
 // writes (UpdateStatus/MutateStatus), mirroring the status subresource:
 // a controller updating an object's status can never clobber a concurrent
-// spec write and vice versa. Lists and watches can be narrowed server-side
-// by label selector (ListSelector, WatchFiltered), answered from the
-// store's indexes.
+// spec write and vice versa. Lists and watches are per kind, as the store
+// is keyed, and can be narrowed server-side by exact name and label selector
+// (ListSelector, WatchFiltered), answered from the store's indexes; what a
+// watch wants is said one way, in the store's WatchOptions.
 //
 // Ownership follows the store's one rule (see package store): every result —
 // what Get, List, ListSelector and a write return, what watch and reflector
@@ -29,17 +30,9 @@ import (
 	"kubeshare/internal/sim"
 )
 
-// WatchOptions narrows a watch subscription server-side: by exact object
-// name, by label selector, and with or without replay of the current state.
-type WatchOptions struct {
-	// Name restricts delivery to the object with this exact name.
-	Name string
-	// Selector restricts delivery to objects whose labels match.
-	Selector labels.Selector
-	// Replay delivers the currently matching objects first as Added events
-	// (list+watch semantics).
-	Replay bool
-}
+// WatchOptions is the store's: exact object name, label selector, and
+// whether to replay the current state first.
+type WatchOptions = store.WatchOptions
 
 // Server is the cluster's API frontend.
 type Server struct {
@@ -88,9 +81,6 @@ func NewWithObs(env *sim.Env, rt *obs.Runtime) *Server {
 	}
 	return s
 }
-
-// Env returns the simulation environment.
-func (s *Server) Env() *sim.Env { return s.env }
 
 // Store returns the backing store, for instrumentation that must not count
 // as API traffic (storetest's canary); components go through the server.
@@ -173,7 +163,7 @@ func (s *Server) Delete(kind, name string) error {
 // List returns the snapshots of all objects of a kind.
 func (s *Server) List(kind string) []api.Object {
 	s.reqReads.Inc()
-	return s.store.List(kind + "/")
+	return s.store.List(kind)
 }
 
 // ListSelector returns the kind's objects whose labels match sel, answered
@@ -204,7 +194,7 @@ func (s *Server) ScanSelector(kind string, sel labels.Selector, fn func(api.Obje
 // Watch subscribes to a kind (list+watch when replay is true).
 func (s *Server) Watch(kind string, replay bool) *sim.Queue[store.Event] {
 	s.reqWatches.Inc()
-	return s.store.Watch(kind+"/", replay)
+	return s.store.Watch(kind, replay)
 }
 
 // WatchFiltered subscribes to a kind with server-side filtering by exact
@@ -212,8 +202,7 @@ func (s *Server) Watch(kind string, replay bool) *sim.Queue[store.Event] {
 // delivered to the subscriber.
 func (s *Server) WatchFiltered(kind string, opts WatchOptions) *sim.Queue[store.Event] {
 	s.reqWatches.Inc()
-	return s.store.WatchFiltered(kind+"/",
-		store.WatchOptions{Name: opts.Name, Selector: opts.Selector}, opts.Replay)
+	return s.store.WatchFiltered(kind, opts)
 }
 
 // WatchResume re-subscribes to a kind after a watch drop, replaying every
@@ -222,8 +211,7 @@ func (s *Server) WatchFiltered(kind string, opts WatchOptions) *sim.Queue[store.
 // compacted — the caller must relist and watch fresh.
 func (s *Server) WatchResume(kind string, opts WatchOptions, fromRev int64) (*sim.Queue[store.Event], error) {
 	s.reqWatches.Inc()
-	return s.store.WatchFilteredFrom(kind+"/",
-		store.WatchOptions{Name: opts.Name, Selector: opts.Selector}, fromRev)
+	return s.store.WatchFilteredFrom(kind, opts, fromRev)
 }
 
 // Revision returns the store-wide revision of the last mutation — the
@@ -339,12 +327,6 @@ func toTyped[T api.Object](objs []api.Object) []T {
 // Watch subscribes to the kind.
 func (c Client[T]) Watch(replay bool) *sim.Queue[store.Event] {
 	return c.s.Watch(c.kind, replay)
-}
-
-// WatchFiltered subscribes to the kind with server-side name/selector
-// filtering.
-func (c Client[T]) WatchFiltered(opts WatchOptions) *sim.Queue[store.Event] {
-	return c.s.WatchFiltered(c.kind, opts)
 }
 
 // Mutate runs a read-modify-write loop against the spec: it fetches name,

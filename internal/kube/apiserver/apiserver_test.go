@@ -167,7 +167,7 @@ func TestWatchFilteredByNameDoesNotWakeOnOthers(t *testing.T) {
 	env, s := newServer()
 	pods := Pods(s)
 	pods.Create(mkPod("target"))
-	q := pods.WatchFiltered(WatchOptions{Name: "target", Replay: true})
+	q := s.WatchFiltered("Pod", WatchOptions{Name: "target", Replay: true})
 	env.Go("churn", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			pods.Create(mkPod(fmt.Sprintf("noise-%d", i)))
@@ -200,7 +200,7 @@ func TestWatchFilteredByNameDoesNotWakeOnOthers(t *testing.T) {
 func TestWatchFilteredBySelector(t *testing.T) {
 	env, s := newServer()
 	pods := Pods(s)
-	q := pods.WatchFiltered(WatchOptions{Selector: labels.HasKey("managed"), Replay: false})
+	q := s.WatchFiltered("Pod", WatchOptions{Selector: labels.HasKey("managed"), Replay: false})
 	env.Go("churn", func(p *sim.Proc) {
 		plain := mkPod("plain")
 		pods.Create(plain)

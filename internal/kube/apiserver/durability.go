@@ -49,10 +49,6 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) {
 	}
 }
 
-// Checkpoint forces a checkpoint now (tests and the restart chaos use it to
-// pin the sweep's checkpoint freshness); returns the image size in bytes.
-func (s *Server) Checkpoint() int { return s.store.Checkpoint() }
-
 // Epoch counts the server's crash/restore cycles. Reflectors compare it
 // across reconnects: a changed epoch forces a relist instead of a resume,
 // because in-memory watch state (and possibly torn-tail-reverted
@@ -62,12 +58,6 @@ func (s *Server) Epoch() int64 { return s.store.Epoch() }
 // TearWALTail damages the durable log's tail — the chaos hook simulating a
 // crash mid-write. The next Restart must truncate the damage and recover.
 func (s *Server) TearWALTail(n int) bool { return s.store.TearWALTail(n) }
-
-// Durable exposes the medium's footprint (checkpoint bytes, WAL bytes,
-// WAL records) for experiments sizing the recovery cost.
-func (s *Server) Durable() (checkpointBytes, walBytes int, walRecords int64) {
-	return s.store.DurableSizes()
-}
 
 // Restart simulates the apiserver process dying and recovering from its
 // durable medium: every in-memory structure — objects, indexes, watch

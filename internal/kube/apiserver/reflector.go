@@ -44,17 +44,12 @@ type Reflector struct {
 	relistCtr *obs.Counter // per-consumer child of kubeshare_reflector_relist_total
 }
 
-// NewReflector subscribes to a kind with server-side filtering and drop
+// NewNamedReflector subscribes to a kind with server-side filtering and drop
 // resilience. With opts.Replay the current matching objects are delivered
-// first as Added events, exactly like WatchFiltered.
-func (s *Server) NewReflector(kind string, opts WatchOptions) *Reflector {
-	return s.NewNamedReflector("anonymous", kind, opts)
-}
-
-// NewNamedReflector is NewReflector with the consuming component named, so
-// relists attribute to it in the kubeshare_reflector_relist_total{consumer}
-// family — after an apiserver restart, that family shows exactly which
-// control loops re-synced.
+// first as Added events, exactly like WatchFiltered. consumer names the
+// consuming component, so relists attribute to it in the
+// kubeshare_reflector_relist_total{consumer} family — after an apiserver
+// restart, that family shows exactly which control loops re-synced.
 func (s *Server) NewNamedReflector(consumer, kind string, opts WatchOptions) *Reflector {
 	r := &Reflector{
 		srv: s, kind: kind, consumer: consumer, opts: opts,
@@ -142,7 +137,9 @@ func (r *Reflector) relist() {
 	r.srv.refRelists.Inc()
 	r.relistCtr.Inc()
 	r.epoch = r.srv.Epoch()
-	r.q = r.srv.WatchFiltered(r.kind, WatchOptions{Name: r.opts.Name, Selector: r.opts.Selector})
+	fresh := r.opts
+	fresh.Replay = false // the diff below stands in for the replay
+	r.q = r.srv.WatchFiltered(r.kind, fresh)
 	r.lastRV = r.srv.Revision()
 	cur := make(map[string]api.Object)
 	var upserts []string // name order, as the scan yields them

@@ -42,7 +42,7 @@ func collectTrace(env *sim.Env, r *Reflector) *[]string {
 func TestReflectorResumeGoldenSequence(t *testing.T) {
 	env, s := newServer()
 	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r := s.NewReflector("Pod", WatchOptions{Selector: sel, Replay: true})
+	r := s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
 	trace := collectTrace(env, r)
 
 	pods := Pods(s)
@@ -96,7 +96,7 @@ func TestReflectorRelistOnCompactedGap(t *testing.T) {
 	env, s := newServer()
 	s.SetWatchHistoryCap(4)
 	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r := s.NewReflector("Pod", WatchOptions{Selector: sel, Replay: true})
+	r := s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
 	trace := collectTrace(env, r)
 
 	pods := Pods(s)
@@ -155,7 +155,7 @@ func TestReflectorRandomizedConvergence(t *testing.T) {
 		env, s := newServer()
 		s.SetWatchHistoryCap(8)
 		sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-		r := s.NewReflector("Pod", WatchOptions{Selector: sel, Replay: true})
+		r := s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
 		state := map[string]int64{} // name → last seen RV
 		env.Go("consumer", func(p *sim.Proc) {
 			for {

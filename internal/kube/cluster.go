@@ -6,7 +6,6 @@ package kube
 
 import (
 	"fmt"
-	"time"
 
 	"kubeshare/internal/gpusim"
 	"kubeshare/internal/kube/api"
@@ -23,24 +22,15 @@ import (
 
 // NodeConfig describes one worker node.
 type NodeConfig struct {
-	Name     string
-	GPUs     int
-	GPUMem   int64 // defaults to gpusim.DefaultMemoryBytes
-	Capacity api.ResourceList
-	Labels   map[string]string
+	Name   string
+	GPUs   int
+	GPUMem int64 // defaults to gpusim.DefaultMemoryBytes
+	Labels map[string]string
 }
 
 // Config describes a cluster.
 type Config struct {
 	Nodes []NodeConfig
-	// Latency knobs; zero values take the component defaults.
-	BindLatency      time.Duration
-	StartLatency     time.Duration
-	ImagePullLatency time.Duration
-	SyncLatency      time.Duration
-	// Failure-detection knobs; zero values take the component defaults.
-	HeartbeatInterval time.Duration
-	NodeLifecycle     controller.NodeLifecycleConfig
 	// DisableObs turns the telemetry runtime off: no metrics, spans or
 	// events are recorded anywhere in the cluster (the obs-off arm of
 	// the instrumentation-overhead benchmark).
@@ -96,11 +86,11 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 	c.API.RegisterValidator("Pod", func(o api.Object) error {
 		return api.ValidatePodSpec(o.(*api.Pod).Spec)
 	})
-	c.Scheduler = scheduler.New(env, c.API, scheduler.Config{BindLatency: cfg.BindLatency})
+	c.Scheduler = scheduler.New(env, c.API, scheduler.Config{})
 	c.Scheduler.Start()
 	c.RCManager = controller.NewReplicationManager(env, c.API)
 	c.RCManager.Start()
-	c.NodeLifecycle = controller.NewNodeLifecycle(env, c.API, cfg.NodeLifecycle)
+	c.NodeLifecycle = controller.NewNodeLifecycle(env, c.API)
 	c.NodeLifecycle.Start()
 	for _, nc := range cfg.Nodes {
 		var gpus []*gpusim.Device
@@ -112,7 +102,7 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 				Obs:         rt,
 			}))
 		}
-		rt := runtime.New(env, c.Images, gpus, runtime.Config{StartLatency: cfg.StartLatency})
+		rt := runtime.New(env, c.Images, gpus, runtime.Config{})
 		devmgr := deviceplugin.NewManager()
 		if len(gpus) > 0 {
 			if err := devmgr.Register(deviceplugin.NewNvidiaPlugin(gpus)); err != nil {
@@ -120,12 +110,8 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 			}
 		}
 		kl := kubelet.New(env, c.API, devmgr, rt, kubelet.Config{
-			NodeName:          nc.Name,
-			Capacity:          nc.Capacity,
-			Labels:            nc.Labels,
-			ImagePullLatency:  cfg.ImagePullLatency,
-			SyncLatency:       cfg.SyncLatency,
-			HeartbeatInterval: cfg.HeartbeatInterval,
+			NodeName: nc.Name,
+			Labels:   nc.Labels,
 		})
 		if err := kl.Start(); err != nil {
 			return nil, err

@@ -78,15 +78,6 @@ func (r *Runner) EnqueueAfter(key string, d time.Duration) {
 	r.env.After(d, func() { r.Enqueue(key) })
 }
 
-// Failures returns the key's consecutive-failure count (for tests and
-// introspection).
-func (r *Runner) Failures(key string) int {
-	if b := r.failures[key]; b != nil {
-		return b.Attempts()
-	}
-	return 0
-}
-
 // retryDelay advances the key's backoff sequence, creating it on the first
 // failure. Seeding by runner name + key keeps failure bursts across keys
 // decorrelated while identical runs replay identically.

@@ -8,30 +8,17 @@ import (
 	"kubeshare/internal/sim"
 )
 
-// NodeLifecycleConfig tunes failure detection.
-type NodeLifecycleConfig struct {
-	// CheckInterval is the sweep period (default 1s).
-	CheckInterval time.Duration
-	// Grace is how stale a heartbeat may be before the node is declared
-	// NotReady (default 3s — a few missed renewals, not one hiccup).
-	Grace time.Duration
-	// EvictionTimeout is how long a node stays NotReady before its pods are
-	// evicted (default 10s).
-	EvictionTimeout time.Duration
-}
-
-func (c NodeLifecycleConfig) withDefaults() NodeLifecycleConfig {
-	if c.CheckInterval == 0 {
-		c.CheckInterval = time.Second
-	}
-	if c.Grace == 0 {
-		c.Grace = 3 * time.Second
-	}
-	if c.EvictionTimeout == 0 {
-		c.EvictionTimeout = 10 * time.Second
-	}
-	return c
-}
+// Failure detection timing.
+const (
+	// checkInterval is the sweep period.
+	checkInterval = time.Second
+	// heartbeatGrace is how stale a heartbeat may be before the node is
+	// declared NotReady — a few missed renewals, not one hiccup.
+	heartbeatGrace = 3 * time.Second
+	// evictionTimeout is how long a node stays NotReady before its pods are
+	// evicted.
+	evictionTimeout = 10 * time.Second
+)
 
 // NodeLifecycle is the node-lifecycle controller: it watches kubelet
 // heartbeats, marks silent nodes NotReady (unschedulable), and after an
@@ -42,18 +29,15 @@ func (c NodeLifecycleConfig) withDefaults() NodeLifecycleConfig {
 type NodeLifecycle struct {
 	env *sim.Env
 	srv *apiserver.Server
-	cfg NodeLifecycleConfig
 
 	notReadySince map[string]time.Duration
-	proc          *sim.Proc
 }
 
 // NewNodeLifecycle creates the controller; Start launches its sweep loop.
-func NewNodeLifecycle(env *sim.Env, srv *apiserver.Server, cfg NodeLifecycleConfig) *NodeLifecycle {
+func NewNodeLifecycle(env *sim.Env, srv *apiserver.Server) *NodeLifecycle {
 	return &NodeLifecycle{
 		env:           env,
 		srv:           srv,
-		cfg:           cfg.withDefaults(),
 		notReadySince: make(map[string]time.Duration),
 	}
 }
@@ -61,19 +45,12 @@ func NewNodeLifecycle(env *sim.Env, srv *apiserver.Server, cfg NodeLifecycleConf
 // Start launches the periodic sweep as a daemon proc (it must not keep
 // run-to-quiescence simulations alive).
 func (nl *NodeLifecycle) Start() {
-	nl.proc = nl.env.GoDaemon("node-lifecycle", func(p *sim.Proc) {
+	nl.env.GoDaemon("node-lifecycle", func(p *sim.Proc) {
 		for {
-			p.Sleep(nl.cfg.CheckInterval)
+			p.Sleep(checkInterval)
 			nl.sweep()
 		}
 	})
-}
-
-// Stop terminates the sweep loop.
-func (nl *NodeLifecycle) Stop() {
-	if nl.proc != nil {
-		nl.proc.Kill(nil)
-	}
 }
 
 func (nl *NodeLifecycle) sweep() {
@@ -81,7 +58,7 @@ func (nl *NodeLifecycle) sweep() {
 	nodes := apiserver.Nodes(nl.srv)
 	for _, node := range nodes.List() {
 		name := node.Name
-		stale := now-node.Status.HeartbeatTime > nl.cfg.Grace
+		stale := now-node.Status.HeartbeatTime > heartbeatGrace
 		if !stale {
 			if !node.Status.Ready {
 				_, _ = nodes.MutateStatus(name, func(n *api.Node) error {
@@ -103,7 +80,7 @@ func (nl *NodeLifecycle) sweep() {
 		}
 		// Level-triggered past the timeout: pods that land on the dead node
 		// after a first eviction pass (in-flight binds) are swept too.
-		if now-nl.notReadySince[name] >= nl.cfg.EvictionTimeout {
+		if now-nl.notReadySince[name] >= evictionTimeout {
 			nl.evict(name)
 		}
 	}

@@ -21,9 +21,6 @@ import (
 // Config parameterizes a kubelet.
 type Config struct {
 	NodeName string
-	// Capacity is the node's CPU/memory capacity; extended resources are
-	// contributed by registered device plugins.
-	Capacity api.ResourceList
 	// Labels are stamped onto the Node object.
 	Labels map[string]string
 	// ImagePullLatency models image pull time per pod (cached layers make
@@ -31,18 +28,18 @@ type Config struct {
 	ImagePullLatency time.Duration
 	// SyncLatency models the kubelet's reaction time to a newly bound pod.
 	SyncLatency time.Duration
-	// HeartbeatInterval is the node-lease renewal period; the lifecycle
-	// controller declares the node NotReady when renewals stop.
-	HeartbeatInterval time.Duration
 }
 
 // Default latencies, tuned so that whole-pod creation lands in the paper's
 // "less than a few seconds" regime (Figure 10 dashed line).
 const (
-	DefaultImagePullLatency  = 250 * time.Millisecond
-	DefaultSyncLatency       = 50 * time.Millisecond
-	DefaultHeartbeatInterval = time.Second
+	DefaultImagePullLatency = 250 * time.Millisecond
+	DefaultSyncLatency      = 50 * time.Millisecond
 )
+
+// heartbeatInterval is the node-lease renewal period; the lifecycle
+// controller declares the node NotReady when renewals stop.
+const heartbeatInterval = time.Second
 
 // Kubelet is one node's agent.
 type Kubelet struct {
@@ -82,12 +79,6 @@ func New(env *sim.Env, srv *apiserver.Server, devmgr *deviceplugin.Manager, rt *
 	if cfg.SyncLatency == 0 {
 		cfg.SyncLatency = DefaultSyncLatency
 	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if cfg.Capacity == nil {
-		cfg.Capacity = api.ResourceList{api.ResourceCPU: 36000, api.ResourceMemory: 244 << 30}
-	}
 	o := srv.Obs()
 	return &Kubelet{
 		env:        env,
@@ -104,19 +95,15 @@ func New(env *sim.Env, srv *apiserver.Server, devmgr *deviceplugin.Manager, rt *
 	}
 }
 
-// NodeName returns the node this kubelet manages.
-func (k *Kubelet) NodeName() string { return k.cfg.NodeName }
-
 // DeviceManager returns the kubelet's device plugin manager.
 func (k *Kubelet) DeviceManager() *deviceplugin.Manager { return k.devmgr }
-
-// Runtime returns the node's container runtime.
-func (k *Kubelet) Runtime() *runtime.Runtime { return k.runtime }
 
 // Start registers the Node object (capacity merged with plugin devices) and
 // launches the sync loop.
 func (k *Kubelet) Start() error {
-	capacity := k.cfg.Capacity.Clone()
+	// The node's CPU/memory capacity; registered device plugins contribute
+	// the extended resources.
+	capacity := api.ResourceList{api.ResourceCPU: 36000, api.ResourceMemory: 244 << 30}
 	capacity.Add(k.devmgr.Capacity())
 	node := &api.Node{
 		ObjectMeta: api.ObjectMeta{Name: k.cfg.NodeName, Labels: k.cfg.Labels},
@@ -146,7 +133,7 @@ func (k *Kubelet) startLoops() {
 // kubelet resumes renewing.
 func (k *Kubelet) heartbeatLoop(p *sim.Proc) {
 	for {
-		p.Sleep(k.cfg.HeartbeatInterval)
+		p.Sleep(heartbeatInterval)
 		_, err := apiserver.Nodes(k.srv).MutateStatus(k.cfg.NodeName, func(n *api.Node) error {
 			n.Status.HeartbeatTime = k.env.Now()
 			n.Status.Ready = true

@@ -115,12 +115,6 @@ func New(env *sim.Env, images *ImageRegistry, devices []*gpusim.Device, cfg Conf
 // consulted last-registered-first; the first non-nil result wins.
 func (r *Runtime) AddLibraryHook(h LibraryHook) { r.hooks = append(r.hooks, h) }
 
-// Device returns the node GPU with the given UUID.
-func (r *Runtime) Device(uuid string) (*gpusim.Device, bool) {
-	d, ok := r.devices[uuid]
-	return d, ok
-}
-
 // Handle tracks one running container.
 type Handle struct {
 	ID      string

@@ -32,12 +32,9 @@ const DefaultBindLatency = 10 * time.Millisecond
 
 // Scheduler is the cluster's pod scheduler.
 type Scheduler struct {
-	env        *sim.Env
-	srv        *apiserver.Server
-	cfg        Config
-	proc       *sim.Proc
-	reflectors []*apiserver.Reflector
-	watchProcs []*sim.Proc
+	env *sim.Env
+	srv *apiserver.Server
+	cfg Config
 
 	nodes map[string]*api.Node
 	pods  map[string]*api.Pod
@@ -121,8 +118,7 @@ func (s *Scheduler) nodeCommitted(node string) api.ResourceList {
 func (s *Scheduler) Start() {
 	podR := s.srv.NewNamedReflector("kube-scheduler", "Pod", apiserver.WatchOptions{Replay: true})
 	nodeR := s.srv.NewNamedReflector("kube-scheduler", "Node", apiserver.WatchOptions{Replay: true})
-	s.reflectors = append(s.reflectors, podR, nodeR)
-	s.watchProcs = append(s.watchProcs, s.env.Go("kube-scheduler-watch-pods", func(p *sim.Proc) {
+	s.env.Go("kube-scheduler-watch-pods", func(p *sim.Proc) {
 		for {
 			ev, ok := podR.Get(p)
 			if !ok {
@@ -136,8 +132,8 @@ func (s *Scheduler) Start() {
 			}
 			s.kick()
 		}
-	}))
-	s.watchProcs = append(s.watchProcs, s.env.Go("kube-scheduler-watch-nodes", func(p *sim.Proc) {
+	})
+	s.env.Go("kube-scheduler-watch-nodes", func(p *sim.Proc) {
 		for {
 			ev, ok := nodeR.Get(p)
 			if !ok {
@@ -151,21 +147,8 @@ func (s *Scheduler) Start() {
 			}
 			s.kick()
 		}
-	}))
-	s.proc = s.env.Go("kube-scheduler", s.loop)
-}
-
-// Stop terminates the scheduler's loops and reflectors.
-func (s *Scheduler) Stop() {
-	if s.proc != nil {
-		s.proc.Kill(nil)
-	}
-	for _, p := range s.watchProcs {
-		p.Kill(nil)
-	}
-	for _, r := range s.reflectors {
-		r.Stop()
-	}
+	})
+	s.env.Go("kube-scheduler", s.loop)
 }
 
 // kick nudges the scheduling loop (coalesced: at most one pending wakeup).

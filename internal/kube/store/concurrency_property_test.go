@@ -25,12 +25,12 @@ type expectedEv struct {
 // test: several goroutines churn disjoint key ranges across two kinds while
 // filtered watches are live, under -race. Because each key has exactly one
 // writer, the per-key event sequence a single-lock store would deliver is
-// fully determined by that writer's op log — so every watcher (per-kind,
-// selector-filtered, and generic-prefix) must observe exactly that sequence
-// per key, with store-wide revisions strictly increasing along it, however
-// the writers interleave. A generic-prefix list+watch registered from a
-// goroutine while the churn runs must join every key's sequence at one
-// consistent cut: no gap, no duplicate.
+// fully determined by that writer's op log — so every watcher (per-kind and
+// selector-filtered) and the OnPublish observer must see exactly that
+// sequence per key, with store-wide revisions strictly increasing along it,
+// however the writers interleave. A list+watch registered from a goroutine
+// while the churn runs must join every key's sequence at one consistent cut:
+// no gap, no duplicate.
 func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
@@ -42,14 +42,19 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 		watchedSel = "a"
 	)
 
-	// Live watches registered before the churn: per-kind, selector-filtered
-	// (Pod app=a), and a generic-prefix watch crossing both kinds.
-	podQ := s.Watch("Pod/", false)
-	nodeQ := s.Watch("Node/", false)
-	selQ := s.WatchFiltered("Pod/", WatchOptions{
+	// Live watches registered before the churn: per-kind and
+	// selector-filtered (Pod app=a), plus the publish hook, which sees both
+	// kinds (it runs inside the write, so it needs no lock of its own).
+	podQ := s.Watch("Pod", false)
+	nodeQ := s.Watch("Node", false)
+	selQ := s.WatchFiltered("Pod", WatchOptions{
 		Selector: labels.SelectorFromMap(map[string]string{"app": watchedSel}),
-	}, false)
-	allQ := s.Watch("", false)
+	})
+	allEvs := map[string][]Event{}
+	s.OnPublish(func(ev Event) {
+		key := api.Key(ev.Object)
+		allEvs[key] = append(allEvs[key], ev)
+	})
 
 	// The late watcher registers with replay while workers 1..7 are writing:
 	// worker 0 signals mid a quarter of the way through its ops and resumes
@@ -58,7 +63,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 	mid, registered := make(chan struct{}), make(chan struct{})
 	go func() {
 		<-mid
-		lateQ = s.Watch("", true)
+		lateQ = s.Watch("Pod", true)
 		close(registered)
 	}()
 
@@ -207,7 +212,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 	}
 
 	// Per-kind watches: every key's sequence equals the single-writer log.
-	podEvs, nodeEvs, allEvs := drain(podQ), drain(nodeQ), drain(allQ)
+	podEvs, nodeEvs := drain(podQ), drain(nodeQ)
 	for key, seq := range want {
 		var got []Event
 		if key[:3] == "Pod" {
@@ -216,15 +221,15 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 			got = nodeEvs[key]
 		}
 		checkSeq("kind", key, got, seq)
-		checkSeq("generic-prefix", key, allEvs[key], seq)
+		checkSeq("published", key, allEvs[key], seq)
 	}
 	// And nothing beyond the expected keys was delivered.
 	if got, wantN := len(podEvs)+len(nodeEvs), len(want); got != wantN {
 		t.Fatalf("kind watches saw %d keys, want %d", got, wantN)
 	}
 
-	// Late generic-prefix list+watch. Per key it must hold a suffix of the
-	// eager generic watcher's sequence — same Events, same snapshot pointers —
+	// Late Pod list+watch. Per key it must hold a suffix of the eager Pod
+	// watcher's sequence — same Events, same snapshot pointers —
 	// entered either live, right after a delete (the key was absent at
 	// registration), or at a replayed Added carrying the snapshot current at
 	// registration. And the registration is one cut: a single revision R must
@@ -232,10 +237,11 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 	// before R delivered twice.
 	lateEvs := drain(lateQ)
 	lo, hi := int64(0), s.Revision()+1 // lo <= R < hi
-	lateTotal := 0
-	for key, full := range allEvs {
+	lateTotal, podTotal := 0, 0
+	for key, full := range podEvs {
 		got := lateEvs[key]
 		lateTotal += len(got)
+		podTotal += len(full)
 		j := len(full) - len(got)
 		if j < 0 {
 			t.Fatalf("late watch, key %s: %d events, eager watcher saw only %d", key, len(got), len(full))
@@ -273,9 +279,9 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 	if lo >= hi {
 		t.Fatalf("late watch: no single registration revision fits every key (need %d <= R < %d)", lo, hi)
 	}
-	if lateTotal == 0 || lateTotal >= totalOps || len(lateEvs) > len(allEvs) {
+	if lateTotal == 0 || lateTotal >= podTotal || len(lateEvs) > len(podEvs) {
 		t.Fatalf("late watch saw %d events over %d keys (eager: %d over %d): not a mid-churn suffix",
-			lateTotal, len(lateEvs), totalOps, len(allEvs))
+			lateTotal, len(lateEvs), podTotal, len(podEvs))
 	}
 
 	// Selector watch: exactly the matching subsequence of each Pod key.
@@ -306,7 +312,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 				view[key] = last.Object.GetMeta().ResourceVersion
 			}
 		}
-		final := s.List(kind + "/")
+		final := s.List(kind)
 		if len(final) != len(view) {
 			t.Fatalf("%s: folded view has %d objects, list %d", kind, len(view), len(final))
 		}

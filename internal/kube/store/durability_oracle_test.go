@@ -26,6 +26,16 @@ import (
 // model says the longest valid prefix of that list rebuilds. The one thing
 // the model takes from the implementation is each frame's byte length (from
 // DurableSizes), which it needs to know what a truncation by n bytes cuts.
+//
+// The same histories open watchers at random points — kind-wide, exact-name
+// and selector-filtered, with and without replay — drop some and resume them
+// from the last revision they saw. The model keeps, per watcher, the list of
+// events a filter written out by hand lets through; after every step each
+// live queue must hold exactly that list (so a stream has no gap, no
+// duplicate and no event out of revision order), every event must carry the
+// one object published at its revision (the same pointer on every queue and
+// as the write returned), and after a crash every queue is closed, in kind
+// name then registration order.
 
 type opKind int
 
@@ -37,10 +47,24 @@ const (
 	opCheckpoint
 	opTear
 	opCrash
+	opWatch
+	opDrop
+	opResume
 	numOpKinds
 )
 
-var opNames = [...]string{"create", "update", "updateStatus", "delete", "checkpoint", "tear", "crash"}
+var opNames = [...]string{"create", "update", "updateStatus", "delete", "checkpoint", "tear", "crash", "watch", "drop", "resume"}
+
+// opWeights is how often each kind of step is drawn, out of opWeightSum:
+// writes outnumber control steps.
+var opWeights = [numOpKinds]int{opCreate: 5, opUpdate: 5, opUpdateStatus: 5, opDelete: 3,
+	opCheckpoint: 2, opTear: 2, opCrash: 2, opWatch: 4, opDrop: 2, opResume: 2}
+
+const opWeightSum = 32
+
+// oracleHistoryCap is the resumable history the oracle's stores keep: small,
+// so a resume after a few writes meets the compaction horizon.
+const oracleHistoryCap = 8
 
 // op is one step of a history. It is plain data — nothing in it depends on
 // the state it will meet — so a history can lose any of its steps and still
@@ -49,9 +73,10 @@ type op struct {
 	kind  opKind
 	obj   string // object kind
 	name  string
-	val   int  // label and payload variation
-	stale bool // update with a stale ResourceVersion
+	val   int  // label and payload variation; watch: the filter's shape
+	stale bool // update with a stale ResourceVersion; watch: replay
 	n     int  // tear: bytes to cut; <= 0 flips the last byte
+	w     int  // drop, resume: which watcher
 }
 
 func (o op) String() string {
@@ -60,6 +85,10 @@ func (o op) String() string {
 		return opNames[o.kind]
 	case opTear:
 		return fmt.Sprintf("tear(%d)", o.n)
+	case opDrop, opResume:
+		return fmt.Sprintf("%s #%d", opNames[o.kind], o.w)
+	case opWatch:
+		return fmt.Sprintf("watch %s shape %d (name %s) replay=%v", o.obj, o.val, o.name, o.stale)
 	}
 	s := fmt.Sprintf("%s %s/%s v%d", opNames[o.kind], o.obj, o.name, o.val)
 	if o.stale {
@@ -70,18 +99,30 @@ func (o op) String() string {
 
 var oracleKinds = []string{"Pod", "Node", api.KindEvent, "ReplicationController", core.KindSharePod, core.KindVGPU, core.KindSharePodSet}
 
+// sortedKinds is oracleKinds in name order, which is also the order of their
+// keys.
+var sortedKinds = func() []string {
+	out := append([]string(nil), oracleKinds...)
+	sort.Strings(out)
+	return out
+}()
+
 func randomHistory(rng *simrand.Source, n int) []op {
 	h := make([]op, n)
+	// A history writes to between one and all of the kinds: the fewer, the
+	// more of its writes any one watcher is shown.
+	kinds := rng.Perm(len(oracleKinds))[:1+rng.Intn(len(oracleKinds))]
 	for i := range h {
-		o := op{kind: opKind(rng.Intn(int(numOpKinds) + 6))}
-		if o.kind >= numOpKinds { // writes outnumber control steps
-			o.kind = opKind(rng.Intn(int(opDelete) + 1))
+		var o op
+		for r := rng.Intn(opWeightSum); r >= opWeights[o.kind]; o.kind++ {
+			r -= opWeights[o.kind]
 		}
-		o.obj = oracleKinds[rng.Intn(len(oracleKinds))]
+		o.obj = oracleKinds[kinds[rng.Intn(len(kinds))]]
 		o.name = fmt.Sprintf("o%d", rng.Intn(5))
 		o.val = rng.Intn(4)
 		o.stale = rng.Intn(6) == 0
 		o.n = rng.Intn(120) - 20
+		o.w = rng.Intn(8)
 		h[i] = o
 	}
 	return h
@@ -171,6 +212,75 @@ type model struct {
 	epoch      int64
 	checkpoint state
 	log        []record
+
+	// The watch side: the events still resumable (the last oracleHistoryCap
+	// published since the last crash), the revision of the newest one that is
+	// not, and the watchers in registration order — live ones, and dropped
+	// ones that may yet resume.
+	events        []store.Event
+	compact       int64
+	live, dropped []*watch
+}
+
+// watch is one subscriber as the model sees it.
+type watch struct {
+	id    int
+	kind  string
+	shape int    // which filter; see sees
+	name  string // the exact name shapes 1 and 3 ask for
+	q     *sim.Queue[store.Event]
+	want  []store.Event // what the model says q holds and nobody has compared yet
+	last  int64         // the resume point: the newest revision seen, at least the one registered at
+}
+
+// options is the filter as the store is told it.
+func (w *watch) options() store.WatchOptions {
+	switch w.shape {
+	case 1:
+		return store.WatchOptions{Name: w.name}
+	case 2:
+		return store.WatchOptions{Selector: labels.SelectorFromMap(map[string]string{"tier": "t2"})}
+	case 3:
+		return store.WatchOptions{Name: w.name, Selector: labels.NewSelector(
+			labels.Requirement{Key: "tier", Op: labels.Exists},
+			labels.Requirement{Key: "app", Op: labels.NotEquals, Value: "o1"})}
+	}
+	return store.WatchOptions{}
+}
+
+// sees is the same filter written out by hand: the model's own statement of
+// which objects a watcher is shown. A delete is judged by the labels the
+// object last had.
+func (w *watch) sees(obj api.Object) bool {
+	meta := obj.GetMeta()
+	tier, tiered := meta.Labels["tier"]
+	switch {
+	case obj.Kind() != w.kind:
+		return false
+	case w.shape == 1:
+		return meta.Name == w.name
+	case w.shape == 2:
+		return tier == "t2"
+	case w.shape == 3:
+		return meta.Name == w.name && tiered && meta.Labels["app"] != "o1"
+	}
+	return true
+}
+
+// publish is what a committed write means to watchers: every live one whose
+// filter passes is owed the event, and it joins the resumable history.
+func (m *model) publish(typ store.EventType, obj api.Object) {
+	ev := store.Event{Type: typ, Object: obj, Rev: m.rev}
+	for _, w := range m.live {
+		if w.sees(obj) {
+			w.want = append(w.want, ev)
+		}
+	}
+	m.events = append(m.events, ev)
+	if over := len(m.events) - oracleHistoryCap; over > 0 {
+		m.compact = m.events[over-1].Rev
+		m.events = m.events[over:]
+	}
 }
 
 func (m *model) write(statusOnly bool, obj api.Object) error {
@@ -195,6 +305,7 @@ func (m *model) write(statusOnly bool, obj api.Object) error {
 	meta.ResourceVersion, meta.UID, meta.CreationTime = m.rev, cur.GetMeta().UID, cur.GetMeta().CreationTime
 	m.objs[key] = next
 	m.log = append(m.log, record{rev: m.rev, key: key, obj: next})
+	m.publish(store.Modified, next)
 	return nil
 }
 
@@ -210,16 +321,19 @@ func (m *model) create(obj api.Object, now time.Duration) error {
 	meta.ResourceVersion, meta.UID, meta.CreationTime = m.rev, fmt.Sprintf("uid-%d", m.nextUID), now
 	m.objs[key] = next
 	m.log = append(m.log, record{rev: m.rev, key: key, obj: next})
+	m.publish(store.Added, next)
 	return nil
 }
 
 func (m *model) delete(key string) error {
-	if _, ok := m.objs[key]; !ok {
+	cur, ok := m.objs[key]
+	if !ok {
 		return store.ErrNotFound
 	}
 	delete(m.objs, key)
 	m.rev++
 	m.log = append(m.log, record{rev: m.rev, key: key})
+	m.publish(store.Deleted, cur)
 	return nil
 }
 
@@ -269,6 +383,9 @@ func (m *model) crash() store.RestoreStats {
 	m.log = m.log[:st.Replayed]
 	m.epoch++
 	st.RestoredRev = m.rev
+	// No registration and no history survives: whoever resumes from anywhere
+	// but the restored revision relists.
+	m.events, m.compact, m.live, m.dropped = nil, m.rev, nil, nil
 	return st
 }
 
@@ -295,15 +412,78 @@ func runHistory(h []op) (failure error) {
 func drive(p *sim.Proc, h []op) error {
 	env := p.Env()
 	s := store.New(env)
+	s.SetHistoryCap(oracleHistoryCap)
 	s.EnableDurability(nil, nil)
 	m := &model{state: state{objs: map[string]api.Object{}}, checkpoint: state{objs: map[string]api.Object{}}}
 
+	// published holds, by ResourceVersion, the one object the store has
+	// shown for it since the last crash — as a write's result or on a queue.
+	published := map[int64]api.Object{}
+	publishedOnce := func(step string, obj api.Object) error {
+		rv := obj.GetMeta().ResourceVersion
+		if prev, ok := published[rv]; ok && prev != obj {
+			return fmt.Errorf("%s: a second object for %s at revision %d", step, api.Key(obj), rv)
+		}
+		published[rv] = obj
+		return nil
+	}
+	// streams empties every live queue and holds it against the model.
+	streams := func(step string) error {
+		for _, w := range m.live {
+			who := fmt.Sprintf("%s: watcher #%d (%s, shape %d, name %s)", step, w.id, w.kind, w.shape, w.name)
+			if w.q.Closed() {
+				return fmt.Errorf("%s: queue closed under a live watcher", who)
+			}
+			for i, want := range w.want {
+				got, ok := w.q.TryGet()
+				if !ok {
+					return fmt.Errorf("%s: stream ends before event %d of %d: %s %s at revision %d", who, i, len(w.want), want.Type, api.Key(want.Object), want.Rev)
+				}
+				if got.Type != want.Type || got.Rev != want.Rev || !reflect.DeepEqual(got.Object, want.Object) {
+					return fmt.Errorf("%s: event %d is %s %+v at revision %d, model says %s %+v at %d", who, i, got.Type, got.Object, got.Rev, want.Type, want.Object, want.Rev)
+				}
+				if err := publishedOnce(who, got.Object); err != nil {
+					return err
+				}
+				w.last = max(w.last, got.Rev)
+			}
+			if extra, ok := w.q.TryGet(); ok {
+				return fmt.Errorf("%s: %s %s at revision %d, which the model does not send", who, extra.Type, api.Key(extra.Object), extra.Rev)
+			}
+			w.want = nil
+		}
+		return nil
+	}
+
 	crash := func(step string) error {
+		// A consumer is parked on every live (and drained) queue when the
+		// store dies. Each must wake to a closed queue, and they wake in kind
+		// name then registration order.
+		doomed := append([]*watch(nil), m.live...)
+		sort.SliceStable(doomed, func(i, j int) bool { return doomed[i].kind < doomed[j].kind })
+		var wantClosed, closed []int
+		for _, w := range doomed {
+			wantClosed = append(wantClosed, w.id)
+		}
+		for _, w := range m.live {
+			env.Go("consumer", func(c *sim.Proc) {
+				if _, ok := w.q.Get(c); !ok {
+					closed = append(closed, w.id)
+				}
+			})
+		}
+		p.Sleep(time.Microsecond) // they park
+
 		preRev := s.Revision()
 		want := m.crash()
+		clear(published)
 		got, err := s.Crash()
 		if err != nil {
 			return fmt.Errorf("%s: Crash: %v", step, err)
+		}
+		p.Sleep(time.Microsecond) // they wake
+		if !reflect.DeepEqual(closed, wantClosed) {
+			return fmt.Errorf("%s: watchers woke to a closed queue in order %v, model says %v", step, closed, wantClosed)
 		}
 		ckBytes, walBytes, walRecords := s.DurableSizes()
 		want.CheckpointBytes = ckBytes // the one size the model cannot know
@@ -320,12 +500,11 @@ func drive(p *sim.Proc, h []op) error {
 		if s.Revision() != m.rev || s.Epoch() != m.epoch {
 			return fmt.Errorf("%s: revision %d epoch %d, model says %d and %d", step, s.Revision(), s.Epoch(), m.rev, m.epoch)
 		}
-		keys := make([]string, 0, len(m.objs))
-		for k := range m.objs {
-			keys = append(keys, k)
+		keys := sortedKeys(m.objs)
+		var all []api.Object // every kind, in key order
+		for _, kind := range sortedKinds {
+			all = append(all, s.List(kind)...)
 		}
-		sort.Strings(keys)
-		all := s.List("")
 		if len(all) != len(keys) {
 			return fmt.Errorf("%s: store holds %d objects, model %d (%v)", step, len(all), len(keys), keys)
 		}
@@ -359,7 +538,7 @@ func drive(p *sim.Proc, h []op) error {
 			if from < 0 {
 				continue
 			}
-			q, err := s.WatchFilteredFrom("", store.WatchOptions{}, from)
+			q, err := s.WatchFilteredFrom("Pod", store.WatchOptions{}, from)
 			if gone := errors.Is(err, store.ErrGone); gone != (from != m.rev) {
 				return fmt.Errorf("%s: resume from pre-crash revision %d (restored %d): err %v", step, from, m.rev, err)
 			}
@@ -377,10 +556,11 @@ func drive(p *sim.Proc, h []op) error {
 		_, before, _ := s.DurableSizes()
 		logged := len(m.log)
 		var got, want error
+		var result api.Object // what a write returned
 		switch o.kind {
 		case opCreate:
 			obj := build(o.obj, o.name, o.val)
-			_, got = s.Create(obj)
+			result, got = s.Create(obj)
 			want = m.create(obj, env.Now())
 		case opUpdate, opUpdateStatus:
 			obj := build(o.obj, o.name, o.val)
@@ -391,9 +571,9 @@ func drive(p *sim.Proc, h []op) error {
 				obj.GetMeta().ResourceVersion--
 			}
 			if o.kind == opUpdate {
-				_, got = s.Update(obj)
+				result, got = s.Update(obj)
 			} else {
-				_, got = s.UpdateStatus(obj)
+				result, got = s.UpdateStatus(obj)
 			}
 			want = m.write(o.kind == opUpdateStatus, obj)
 		case opDelete:
@@ -408,9 +588,65 @@ func drive(p *sim.Proc, h []op) error {
 			if err := crash(step); err != nil {
 				return err
 			}
+		case opWatch:
+			w := &watch{id: i, kind: o.obj, shape: o.val, name: o.name, last: m.rev}
+			opts := w.options()
+			opts.Replay = o.stale
+			w.q = s.WatchFiltered(o.obj, opts)
+			if o.stale { // replay: what passes the filter now, in name order
+				for _, k := range sortedKeys(m.objs) {
+					if obj := m.objs[k]; w.sees(obj) {
+						w.want = append(w.want, store.Event{Type: store.Added, Object: obj, Rev: obj.GetMeta().ResourceVersion})
+					}
+				}
+			}
+			m.live = append(m.live, w)
+		case opDrop:
+			if len(m.live) == 0 {
+				break
+			}
+			at := o.w % len(m.live)
+			w := m.live[at]
+			m.live = append(m.live[:at:at], m.live[at+1:]...)
+			m.dropped = append(m.dropped, w)
+			s.StopWatch(w.q)
+			if !w.q.Closed() || w.q.Len() != 0 {
+				return fmt.Errorf("%s: watcher #%d's queue is closed=%v holding %d events after StopWatch", step, w.id, w.q.Closed(), w.q.Len())
+			}
+		case opResume:
+			if len(m.dropped) == 0 {
+				break
+			}
+			at := o.w % len(m.dropped)
+			w := m.dropped[at]
+			m.dropped = append(m.dropped[:at:at], m.dropped[at+1:]...)
+			// Its revision cannot be ahead of the store's (a crash forgets
+			// every watcher), so it is gone exactly when compacted.
+			q, err := s.WatchFilteredFrom(w.kind, w.options(), w.last)
+			if gone := w.last < m.compact; errors.Is(err, store.ErrGone) != gone || (err != nil && !gone) {
+				return fmt.Errorf("%s: watcher #%d resumes from %d, compacted through %d: err %v", step, w.id, w.last, m.compact, err)
+			}
+			if err != nil {
+				break // a consumer would relist; the oracle lets it go
+			}
+			w.q = q
+			for _, ev := range m.events {
+				if ev.Rev > w.last && w.sees(ev.Object) {
+					w.want = append(w.want, ev)
+				}
+			}
+			m.live = append(m.live, w)
 		}
 		if errClass(got) != want {
 			return fmt.Errorf("%s: store returned %v, model %v", step, got, want)
+		}
+		if result != nil {
+			if err := publishedOnce(step, result); err != nil {
+				return err
+			}
+		}
+		if err := streams(step); err != nil {
+			return err
 		}
 		if len(m.log) > logged {
 			_, after, _ := s.DurableSizes()
@@ -437,6 +673,15 @@ func drive(p *sim.Proc, h []op) error {
 	return nil
 }
 
+func sortedKeys(objs map[string]api.Object) []string {
+	keys := make([]string, 0, len(objs))
+	for k := range objs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // shrink drops steps from a failing history while it keeps failing: whole
 // chunks first, then single steps.
 func shrink(h []op, fails func([]op) bool) []op {
@@ -461,10 +706,10 @@ func describe(h []op) string {
 	return b.String()
 }
 
-// TestDurabilityOracle: 300 seeded histories, 80 steps each.
+// TestDurabilityOracle: 300 seeded histories, 120 steps each.
 func TestDurabilityOracle(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		h := randomHistory(simrand.New(seed).Fork("durability-oracle"), 80)
+		h := randomHistory(simrand.New(seed).Fork("durability-oracle"), 120)
 		if err := runHistory(h); err != nil {
 			small := shrink(h, func(h []op) bool { return runHistory(h) != nil })
 			t.Fatalf("seed %d: %v\nshrunk to %d steps: %v%s", seed, err, len(small), runHistory(small), describe(small))

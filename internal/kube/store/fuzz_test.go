@@ -147,7 +147,7 @@ func FuzzWALRestore(f *testing.F) {
 				if !errors.Is(err, api.ErrUnregisteredKind) {
 					t.Fatalf("restore failed on something other than an unregistered kind: %v", err)
 				}
-				if len(s.List("")) != 0 {
+				if stored(s) != 0 {
 					t.Fatal("a failed restore left objects in the store")
 				}
 				continue
@@ -186,8 +186,8 @@ func FuzzCheckpointImage(f *testing.F) {
 				t.Fatalf("restore of a %d-byte image allocated %d bytes", len(image), allocated)
 			}
 			if err != nil {
-				if len(s.List("")) != 0 || s.Revision() != 0 {
-					t.Fatalf("a failed restore left state behind: %d objects at revision %d", len(s.List("")), s.Revision())
+				if stored(s) != 0 || s.Revision() != 0 {
+					t.Fatalf("a failed restore left state behind: %d objects at revision %d", stored(s), s.Revision())
 				}
 				continue
 			}

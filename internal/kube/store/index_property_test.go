@@ -78,13 +78,13 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 		if i == 1000 {
 			// Mid-churn subscriptions: replay must equal the state right now,
 			// and folding subsequent deltas must track the live state.
-			kindQ = s.Watch("Pod/", true)
-			nameQ = s.WatchFiltered("Pod/", WatchOptions{Name: watchedName}, true)
+			kindQ = s.Watch("Pod", true)
+			nameQ = s.WatchFiltered("Pod", WatchOptions{Name: watchedName, Replay: true})
 		}
 	}
 
 	// Indexed list equals the model.
-	final := s.List("Pod/")
+	final := s.List("Pod")
 	if len(final) != len(model) {
 		t.Fatalf("list has %d objects, model %d", len(final), len(model))
 	}

@@ -29,9 +29,10 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 		readers = 4
 	)
 	sel := labels.SelectorFromMap(map[string]string{"app": "a"})
-	kindQ := s.Watch("Pod/", false)
-	selQ := s.WatchFiltered("Pod/", WatchOptions{Selector: sel}, false)
-	allQ := s.Watch("", false)
+	kindQ := s.Watch("Pod", false)
+	selQ := s.WatchFiltered("Pod", WatchOptions{Selector: sel})
+	var published []Event
+	s.OnPublish(func(ev Event) { published = append(published, ev) })
 
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -52,7 +53,7 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 				if got, err := s.Get("Pod", fmt.Sprintf("p%02d", r)); err == nil {
 					keep(got)
 				}
-				for _, o := range s.List("Pod/") {
+				for _, o := range s.List("Pod") {
 					keep(o)
 				}
 				for _, o := range s.ListSelector("Pod", sel) {
@@ -97,19 +98,18 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 	wg.Wait()
 
 	// Every watcher saw every write as the same object.
-	if kindQ.Len() != writes || allQ.Len() != writes {
-		t.Fatalf("kind watcher got %d, generic %d, want %d", kindQ.Len(), allQ.Len(), writes)
+	if kindQ.Len() != writes || len(published) != writes {
+		t.Fatalf("kind watcher got %d, the publish hook %d, want %d", kindQ.Len(), len(published), writes)
 	}
 	bySel := map[int64]api.Object{}
 	for selQ.Len() > 0 {
 		ev, _ := selQ.TryGet()
 		bySel[ev.Rev] = ev.Object
 	}
-	for kindQ.Len() > 0 {
+	for _, b := range published {
 		a, _ := kindQ.TryGet()
-		b, _ := allQ.TryGet()
-		if a.Object != b.Object || a.Rev != b.Rev {
-			t.Fatalf("rev %d: kind and generic watchers got different objects", a.Rev)
+		if a != b {
+			t.Fatalf("rev %d: the kind watcher got a different object than was published", a.Rev)
 		}
 		if o, ok := bySel[a.Rev]; ok && o != a.Object {
 			t.Fatalf("rev %d: selector watcher got a different object", a.Rev)

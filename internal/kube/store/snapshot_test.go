@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
@@ -24,18 +25,20 @@ func next(t *testing.T, what string, q *sim.Queue[store.Event]) store.Event {
 }
 
 // TestWatchSharesOneSnapshot pins the ownership rule: every path that hands
-// out a revision — watches, replays, resumes, Scan, Get, List, ListSelector,
-// the write's own return value, the reflector — hands out the same pointer;
+// out a revision — watches, replays, resumes, the publish hook, Scan, Get,
+// List, ListSelector, the write's own return value, the reflector — hands out
+// the same pointer;
 // a later write publishes a different object and leaves the earlier one
 // alone; and the store aliases nothing that came in.
 func TestWatchSharesOneSnapshot(t *testing.T) {
 	env := sim.NewEnv()
 	srv := apiserver.New(env)
 	st := srv.Store()
-	kindA := st.Watch("Pod/", false)
-	kindB := st.WatchFiltered("Pod/", store.WatchOptions{Name: "a"}, false)
-	generic := st.Watch("", false)
-	refl := srv.NewReflector("Pod", apiserver.WatchOptions{})
+	kindA := st.Watch("Pod", false)
+	kindB := st.WatchFiltered("Pod", store.WatchOptions{Name: "a"})
+	var hooked api.Object // what OnPublish was last shown
+	st.OnPublish(func(ev store.Event) { hooked = ev.Object })
+	refl := srv.NewNamedReflector("test", "Pod", store.WatchOptions{})
 	rev0 := st.Revision()
 
 	arg := &api.Pod{
@@ -58,14 +61,13 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 		}
 	}
 	same("name-filtered kind watcher", snap1, next(t, "name-filtered", kindB).Object)
-	same("generic-prefix watcher", snap1, next(t, "generic", generic).Object)
-	resumed, err := st.WatchFilteredFrom("Pod/", store.WatchOptions{}, rev0)
+	same("the publish hook", snap1, hooked)
+	resumed, err := st.WatchFilteredFrom("Pod", store.WatchOptions{}, rev0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	same("history resume", snap1, next(t, "resume", resumed).Object)
-	same("kind replay", snap1, next(t, "replay", st.Watch("Pod/", true)).Object)
-	same("generic replay", snap1, next(t, "generic replay", st.Watch("", true)).Object)
+	same("kind replay", snap1, next(t, "replay", st.Watch("Pod", true)).Object)
 	st.Scan("Pod", func(o api.Object) bool { same("Scan", snap1, o); return true })
 
 	// Reads and the write's own result are that same snapshot; only the
@@ -76,8 +78,7 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("Get", snap1, got)
-	same("List", snap1, st.List("Pod/")[0])
-	same("generic List", snap1, st.List("")[0])
+	same("List", snap1, st.List("Pod")[0])
 	same("ListSelector", snap1, st.ListSelector("Pod", nil)[0])
 	if snap1 == api.Object(arg) {
 		t.Fatal("Create published the caller's argument")
@@ -116,7 +117,7 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 		t.Fatalf("a status write must share the stored spec and metadata, got %+v", snap2)
 	}
 	same("name-filtered kind watcher, rev 2", snap2, next(t, "name-filtered", kindB).Object)
-	same("generic-prefix watcher, rev 2", snap2, next(t, "generic", generic).Object)
+	same("the publish hook, rev 2", snap2, hooked)
 	same("history resume, rev 2", snap2, next(t, "resume", resumed).Object)
 	if !reflect.DeepEqual(snap1, want1) {
 		t.Fatalf("a later write touched the earlier snapshot: %+v", snap1)
@@ -178,4 +179,26 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 		t.Fatalf("last reflector event = %+v", viaReflector[3])
 	}
 	same("reflector's synthesized Deleted", snap3, viaReflector[3].Object)
+}
+
+// TestKindIsNotAKeyPrefix: lists and watches take a kind, and one kind's name
+// opening another's (SharePod, SharePodSet) shows neither the other's objects.
+func TestKindIsNotAKeyPrefix(t *testing.T) {
+	st := store.New(sim.NewEnv())
+	q := st.Watch(core.KindSharePod, true)
+	if _, err := st.Create(&core.SharePod{ObjectMeta: api.ObjectMeta{Name: "sp"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Create(&core.SharePodSet{ObjectMeta: api.ObjectMeta{Name: "set"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.List(core.KindSharePod); len(got) != 1 || got[0].Kind() != core.KindSharePod {
+		t.Fatalf("List(SharePod) = %v, want the one sharePod", got)
+	}
+	if ev := next(t, "SharePod watcher", q); ev.Object.Kind() != core.KindSharePod {
+		t.Fatalf("SharePod watcher was shown %s", api.Key(ev.Object))
+	}
+	if got := st.Watch(core.KindSharePod, true); got.Len() != 1 {
+		t.Fatalf("SharePod replay holds %d events, want 1", got.Len())
+	}
 }

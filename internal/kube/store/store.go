@@ -1,7 +1,8 @@
 // Package store implements the etcd analogue backing the API server: a
-// versioned object store with optimistic concurrency and prefix watches.
-// Each mutation bumps a store-wide revision; every object carries the
-// revision of its last write as its ResourceVersion.
+// versioned object store with optimistic concurrency, keyed by kind and
+// name, with lists and watches per kind. Each mutation bumps a store-wide
+// revision; every object carries the revision of its last write as its
+// ResourceVersion.
 //
 // Objects are kept in per-kind buckets with a lazily sorted name index and
 // a label posting index (key → value → names), so lists, selector queries
@@ -44,8 +45,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -96,14 +97,18 @@ type Event struct {
 	Rev    int64
 }
 
-// WatchOptions narrows a watch subscription server-side. The zero value
-// subscribes to everything under the watch's prefix.
+// WatchOptions says what a watch of a kind wants, filtered server-side. The
+// zero value subscribes to every later mutation of the kind.
 type WatchOptions struct {
 	// Name restricts delivery to the object with this exact name.
 	Name string
 	// Selector restricts delivery to objects whose labels match. For
 	// Deleted events the last stored labels are consulted. Nil matches all.
 	Selector labels.Selector
+	// Replay delivers the currently matching objects first as Added events
+	// (list+watch semantics). A resume (WatchFilteredFrom) replays history
+	// instead and ignores it.
+	Replay bool
 }
 
 // matches reports whether an object with the given name and labels passes
@@ -118,13 +123,11 @@ func (o WatchOptions) matches(name string, lbls map[string]string) bool {
 	return true
 }
 
-// watcher fans events out to one subscriber. Watchers registered with a
-// plain "<Kind>/" prefix live in the per-kind bucket and are only visited
-// for mutations of that kind; others are matched by generic prefix.
+// watcher fans events out to one subscriber. It lives in its kind's bucket
+// and is only visited for mutations of that kind.
 type watcher struct {
-	prefix string
-	opts   WatchOptions
-	queue  *sim.Queue[Event]
+	opts  WatchOptions
+	queue *sim.Queue[Event]
 }
 
 // bucket holds one kind's objects plus its indexes.
@@ -139,7 +142,7 @@ type bucket struct {
 	dirty  atomic.Bool
 	// byLabel is the posting index: label key → value → set of names.
 	byLabel map[string]map[string]map[string]struct{}
-	// watchers subscribed to exactly this kind.
+	// watchers subscribed to this kind, in registration order.
 	watchers []*watcher
 }
 
@@ -214,13 +217,9 @@ type Store struct {
 	nextUID atomic.Int64
 	kinds   map[string]*bucket
 
-	// global holds the watchers whose prefix is not a plain "<Kind>/" — they
-	// are matched by string prefix against every mutation.
-	global []*watcher
-
 	// The bounded mutation log backing resumable watches. Live entries are
 	// history[histHead:]; the head advances instead of shifting, with an
-	// amortized compaction once the dead prefix dominates. Entries carry the
+	// amortized compaction once the dead head dominates. Entries carry the
 	// published snapshots themselves.
 	history    []Event
 	histHead   int
@@ -314,8 +313,7 @@ func (s *Store) bucketOf(kind string) *bucket {
 }
 
 // kindNames returns all kind names sorted — the one order anything that
-// walks every kind (generic-prefix reads, Checkpoint, Crash) uses. Caller
-// holds the lock.
+// walks every kind (Checkpoint, Crash) uses. Caller holds the lock.
 func (s *Store) kindNames() []string {
 	out := make([]string, 0, len(s.kinds))
 	for k := range s.kinds {
@@ -448,47 +446,23 @@ func (s *Store) Count(kind string) int {
 	return 0
 }
 
-// List returns the snapshots (read-only, in a fresh slice) of all objects
-// whose key has the given prefix (typically "<Kind>/"), sorted by key for
-// determinism. A "<Kind>/..." prefix is answered from the kind's index in
-// O(matching); a generic prefix walks the matching kinds. Either way the
-// result is one consistent cut of the store.
-func (s *Store) List(prefix string) []api.Object {
+// List returns the snapshots (read-only, in a fresh slice) of all objects of
+// a kind, sorted by name: one consistent cut of the kind.
+func (s *Store) List(kind string) []api.Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.snapshots(prefix)
+	if b := s.kinds[kind]; b != nil {
+		return b.snapshots()
+	}
+	return nil
 }
 
-// snapshots is List with the lock held (watch registration replays under it).
-func (s *Store) snapshots(prefix string) []api.Object {
-	if kind, namePrefix, ok := splitPrefix(prefix); ok {
-		if b := s.kinds[kind]; b != nil {
-			return b.snapshots(namePrefix)
-		}
-		return nil
-	}
-	// Generic prefix ("" or a partial kind name): walk matching kinds in
-	// key order.
-	var out []api.Object
-	for _, kind := range s.kindNames() {
-		if strings.HasPrefix(kind+"/", prefix) {
-			out = append(out, s.kinds[kind].snapshots("")...)
-		}
-	}
-	return out
-}
-
-// snapshots returns the bucket's shared snapshots whose name starts with
-// namePrefix, in name order.
-func (b *bucket) snapshots(namePrefix string) []api.Object {
+// snapshots returns the bucket's shared snapshots in name order.
+func (b *bucket) snapshots() []api.Object {
 	names := b.names()
-	lo := sort.SearchStrings(names, namePrefix)
-	var out []api.Object
-	for _, n := range names[lo:] {
-		if !strings.HasPrefix(n, namePrefix) {
-			break
-		}
-		out = append(out, b.objs[n])
+	out := make([]api.Object, len(names))
+	for i, n := range names {
+		out[i] = b.objs[n]
 	}
 	return out
 }
@@ -546,7 +520,7 @@ func (s *Store) ListSelector(kind string, sel labels.Selector) []api.Object {
 // in name order.
 func (b *bucket) selectSnapshots(sel labels.Selector) []api.Object {
 	if sel == nil || sel.Empty() {
-		return b.snapshots("")
+		return b.snapshots()
 	}
 	candidates := b.candidateNames(sel)
 	if candidates == nil {
@@ -611,53 +585,31 @@ func (b *bucket) candidateNames(sel labels.Selector) []string {
 	return best
 }
 
-// splitPrefix decomposes "<Kind>/<name-prefix>" into its parts; ok is false
-// for prefixes without a slash (generic scans).
-func splitPrefix(prefix string) (kind, namePrefix string, ok bool) {
-	i := strings.IndexByte(prefix, '/')
-	if i < 0 {
-		return "", "", false
-	}
-	return prefix[:i], prefix[i+1:], true
-}
-
-// Watch subscribes to mutations of keys with the given prefix. When replay
-// is true, the current matching objects are delivered first as Added events
-// (list+watch semantics). Cancel the watch with StopWatch.
-func (s *Store) Watch(prefix string, replay bool) *sim.Queue[Event] {
-	return s.WatchFiltered(prefix, WatchOptions{}, replay)
+// Watch subscribes to mutations of a kind. When replay is true, the kind's
+// current objects are delivered first as Added events (list+watch
+// semantics). Cancel the watch with StopWatch.
+func (s *Store) Watch(kind string, replay bool) *sim.Queue[Event] {
+	return s.WatchFiltered(kind, WatchOptions{Replay: replay})
 }
 
 // WatchFiltered is Watch narrowed by server-side filters: events are only
-// delivered for objects passing opts (exact name and/or label selector).
-// Replay delivers the currently matching objects as Added events. The
+// delivered for objects passing opts (exact name and/or label selector), and
+// opts.Replay delivers the currently matching objects as Added events. The
 // filters run in the store, so subscribers never pay for events they would
 // discard — the kube way of keeping watch fan-out O(interested parties).
-// Registration (replay + subscribe) is atomic under the write lock, for
-// kind-scoped and generic prefixes alike, so no mutation is missed or
-// duplicated across the boundary.
-func (s *Store) WatchFiltered(prefix string, opts WatchOptions, replay bool) *sim.Queue[Event] {
-	w := &watcher{prefix: prefix, opts: opts, queue: sim.NewQueue[Event](s.env)}
+// Registration (replay + subscribe) is atomic under the write lock, so no
+// mutation is missed or duplicated across the boundary.
+func (s *Store) WatchFiltered(kind string, opts WatchOptions) *sim.Queue[Event] {
+	w := &watcher{opts: opts, queue: sim.NewQueue[Event](s.env)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if kind, namePrefix, ok := splitPrefix(prefix); ok && namePrefix == "" {
-		b := s.bucketOf(kind)
-		if replay {
-			for _, obj := range replayBucket(b, opts) {
-				w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
-			}
-		}
-		b.watchers = append(b.watchers, w)
-		return w.queue
-	}
-	if replay {
-		for _, obj := range s.snapshots(prefix) {
-			if meta := obj.GetMeta(); opts.matches(meta.Name, meta.Labels) {
-				w.queue.Put(Event{Added, obj, meta.ResourceVersion})
-			}
+	b := s.bucketOf(kind)
+	if opts.Replay {
+		for _, obj := range replayBucket(b, opts) {
+			w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
 		}
 	}
-	s.global = append(s.global, w)
+	b.watchers = append(b.watchers, w)
 	return w.queue
 }
 
@@ -667,8 +619,8 @@ func (s *Store) WatchFiltered(prefix string, opts WatchOptions, replay bool) *si
 // last revision it saw misses nothing across a disconnect. When fromRev
 // predates the compaction horizon the gap is unrecoverable and ErrGone is
 // returned; the subscriber must relist and start fresh.
-func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int64) (*sim.Queue[Event], error) {
-	w := &watcher{prefix: prefix, opts: opts, queue: sim.NewQueue[Event](s.env)}
+func (s *Store) WatchFilteredFrom(kind string, opts WatchOptions, fromRev int64) (*sim.Queue[Event], error) {
+	w := &watcher{opts: opts, queue: sim.NewQueue[Event](s.env)}
 	// The write lock spans replay + subscribe, so a concurrent mutation is
 	// either in the replayed history or delivered live.
 	s.mu.Lock()
@@ -687,22 +639,18 @@ func (s *Store) WatchFilteredFrom(prefix string, opts WatchOptions, fromRev int6
 			continue
 		}
 		meta := ev.Object.GetMeta()
-		if !strings.HasPrefix(api.Key(ev.Object), prefix) || !opts.matches(meta.Name, meta.Labels) {
+		if ev.Object.Kind() != kind || !opts.matches(meta.Name, meta.Labels) {
 			continue
 		}
 		w.queue.Put(ev)
 	}
-	if kind, namePrefix, ok := splitPrefix(prefix); ok && namePrefix == "" {
-		b := s.bucketOf(kind)
-		b.watchers = append(b.watchers, w)
-	} else {
-		s.global = append(s.global, w)
-	}
+	b := s.bucketOf(kind)
+	b.watchers = append(b.watchers, w)
 	return w.queue, nil
 }
 
-// replayBucket lists the snapshots a kind-scoped filtered watch replays from
-// a held bucket, using the indexes where possible.
+// replayBucket lists the snapshots a filtered watch replays from a held
+// bucket, using the indexes where possible.
 func replayBucket(b *bucket, opts WatchOptions) []api.Object {
 	if opts.Name != "" {
 		// Exact-name watch: at most one object.
@@ -719,9 +667,13 @@ func replayBucket(b *bucket, opts WatchOptions) []api.Object {
 // StopWatch cancels a subscription created by Watch and closes its queue.
 func (s *Store) StopWatch(q *sim.Queue[Event]) {
 	s.mu.Lock()
-	found := removeWatcher(&s.global, q)
+	found := false
 	for _, b := range s.kinds {
-		found = found || removeWatcher(&b.watchers, q)
+		if i := slices.IndexFunc(b.watchers, func(w *watcher) bool { return w.queue == q }); i >= 0 {
+			b.watchers = slices.Delete(b.watchers, i, i+1)
+			found = true
+			break
+		}
 	}
 	s.mu.Unlock()
 	if found {
@@ -729,23 +681,11 @@ func (s *Store) StopWatch(q *sim.Queue[Event]) {
 	}
 }
 
-// removeWatcher drops q's watcher from ws, reporting whether it was there.
-func removeWatcher(ws *[]*watcher, q *sim.Queue[Event]) bool {
-	for i, w := range *ws {
-		if w.queue == q {
-			*ws = append((*ws)[:i], (*ws)[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // notify publishes one committed mutation: it logs it, puts the same Event —
-// the same snapshot pointer — on every matching watcher queue (the kind's
-// own watchers, then any generic-prefix watchers) and records it in the
-// resumable history. Nothing is copied, so the cost of a write does not
-// depend on how many subscribers watch. Callers hold the write lock, which
-// makes delivery order revision order on every queue.
+// the same snapshot pointer — on every matching queue of the kind's watchers
+// and records it in the resumable history. Nothing is copied, so the cost of
+// a write does not depend on how many subscribers watch. Callers hold the
+// write lock, which makes delivery order revision order on every queue.
 func (s *Store) notify(b *bucket, ev Event) {
 	s.logMutation(ev)
 	if s.onPublish != nil {
@@ -755,14 +695,6 @@ func (s *Store) notify(b *bucket, ev Event) {
 	for _, w := range b.watchers {
 		if w.opts.matches(meta.Name, meta.Labels) {
 			w.queue.Put(ev)
-		}
-	}
-	if len(s.global) > 0 {
-		key := api.Key(ev.Object)
-		for _, w := range s.global {
-			if strings.HasPrefix(key, w.prefix) && w.opts.matches(meta.Name, meta.Labels) {
-				w.queue.Put(ev)
-			}
 		}
 	}
 	s.record(ev)

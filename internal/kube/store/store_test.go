@@ -55,7 +55,7 @@ func edit(s *Store, kind, name string) (api.Object, error) {
 func TestGetReturnsSnapshot(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
-	q := s.Watch("Pod/", false)
+	q := s.Watch("Pod", false)
 	created, err := s.Create(pod("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestListSortedAndPrefixed(t *testing.T) {
 	s.Create(pod("b"))
 	s.Create(pod("a"))
 	s.Create(&api.Node{ObjectMeta: api.ObjectMeta{Name: "n1"}})
-	pods := s.List("Pod/")
+	pods := s.List("Pod")
 	if len(pods) != 2 || pods[0].GetMeta().Name != "a" || pods[1].GetMeta().Name != "b" {
 		t.Fatalf("list = %v", pods)
 	}
@@ -157,7 +157,7 @@ func TestWatchReplayAndLiveEvents(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
 	s.Create(pod("pre"))
-	q := s.Watch("Pod/", true)
+	q := s.Watch("Pod", true)
 	var events []Event
 	env.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
@@ -194,7 +194,7 @@ func TestWatchReplayAndLiveEvents(t *testing.T) {
 func TestWatchPrefixFiltering(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
-	q := s.Watch("Node/", false)
+	q := s.Watch("Node", false)
 	var got []Event
 	env.Go("w", func(p *sim.Proc) {
 		for {
@@ -219,7 +219,7 @@ func TestWatchPrefixFiltering(t *testing.T) {
 func TestStopWatchClosesQueue(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
-	q := s.Watch("Pod/", false)
+	q := s.Watch("Pod", false)
 	var closed bool
 	env.Go("w", func(p *sim.Proc) {
 		_, ok := q.Get(p)

@@ -36,7 +36,7 @@ func world(t *testing.T, consume func(store.Event)) []string {
 	st := store.New(env)
 	rec := &recorder{TB: t}
 	c := Install(rec, st)
-	q := st.Watch("Pod/", false)
+	q := st.Watch("Pod", false)
 	env.Go("consumer", func(p *sim.Proc) {
 		for {
 			ev, ok := q.Get(p)

@@ -246,12 +246,11 @@ func (s *Store) TearWALTail(n int) bool {
 // Crash discards every piece of in-memory state — objects, indexes, watch
 // registrations, resumable history — as an apiserver process death would,
 // then restores from the durable medium: checkpoint load plus WAL replay
-// with torn-tail truncation. All watch queues close — kind-scoped watchers
-// in kind-name order, then generic-prefix ones, each group in registration
-// order, so subscribers see EOF (and reconnect) in the same order every
-// run — the restart epoch increments, and the compaction horizon moves to
-// the restored revision so every resume-from-before-the-crash gets ErrGone
-// and relists. It returns an error when durability was never enabled, and
+// with torn-tail truncation. All watch queues close — in kind-name order,
+// and within a kind in registration order, so subscribers see EOF (and
+// reconnect) in the same order every run — the restart epoch increments, and
+// the compaction horizon moves to the restored revision so every
+// resume-from-before-the-crash gets ErrGone and relists. It returns an error when durability was never enabled, and
 // when the medium cannot be read back — a damaged checkpoint image, or a
 // kind no package registered — which leaves the store empty: a control plane
 // that cannot read its data dir does not come up.
@@ -268,10 +267,6 @@ func (s *Store) Crash() (RestoreStats, error) {
 			doomed = append(doomed, w.queue)
 		}
 	}
-	for _, w := range s.global {
-		doomed = append(doomed, w.queue)
-	}
-	s.global = nil
 	s.history = nil
 	s.histHead = 0
 

@@ -58,12 +58,21 @@ func churn(t *testing.T, s *Store, rng *simrand.Source, n int) {
 	}
 }
 
+// stored counts the objects of every kind.
+func stored(s *Store) int {
+	n := 0
+	for kind := range s.kinds {
+		n += s.Count(kind)
+	}
+	return n
+}
+
 // fingerprint captures everything the monotonicity property compares: the
 // revision and every object's key, UID, version and labels.
 func fingerprint(s *Store) string {
 	out := fmt.Sprintf("rev=%d", s.Revision())
 	for _, kind := range testKinds {
-		for _, obj := range s.List(kind + "/") {
+		for _, obj := range s.List(kind) {
 			m := obj.GetMeta()
 			out += fmt.Sprintf("\n%s/%s uid=%s rv=%d tier=%s", kind, m.Name, m.UID, m.ResourceVersion, m.Labels["tier"])
 		}
@@ -255,37 +264,37 @@ func TestWatchFencingAcrossRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WatchFilteredFrom("Pod/", WatchOptions{}, midRev); !errors.Is(err, ErrGone) {
+	if _, err := s.WatchFilteredFrom("Pod", WatchOptions{}, midRev); !errors.Is(err, ErrGone) {
 		t.Fatalf("resume from pre-restart rev %d: got %v, want ErrGone", midRev, err)
 	}
-	if _, err := s.WatchFilteredFrom("Pod/", WatchOptions{}, st.RestoredRev+1); !errors.Is(err, ErrGone) {
+	if _, err := s.WatchFilteredFrom("Pod", WatchOptions{}, st.RestoredRev+1); !errors.Is(err, ErrGone) {
 		t.Fatalf("resume from reverted rev %d: got %v, want ErrGone", st.RestoredRev+1, err)
 	}
-	if _, err := s.WatchFilteredFrom("Pod/", WatchOptions{}, st.RestoredRev); err != nil {
+	if _, err := s.WatchFilteredFrom("Pod", WatchOptions{}, st.RestoredRev); err != nil {
 		t.Fatalf("resume from restored rev: %v", err)
 	}
 }
 
-// TestCrashClosesWatchQueues: both kind-scoped and generic watchers see
-// their queues close at the crash instant.
+// TestCrashClosesWatchQueues: kind-wide and filtered watchers alike see their
+// queues close at the crash instant.
 func TestCrashClosesWatchQueues(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
 	s.EnableDurability(nil, nil)
-	kindQ := s.Watch("Pod/", false)
-	var genericQ *sim.Queue[Event]
+	kindQ := s.Watch("Pod", false)
+	var namedQ *sim.Queue[Event]
 	env.Go("setup", func(p *sim.Proc) {
-		genericQ = s.Watch("", false)
+		namedQ = s.WatchFiltered("Node", WatchOptions{Name: "n1"})
 	})
 	env.Run()
 	if _, err := s.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	if !kindQ.Closed() {
-		t.Fatal("kind-scoped watch queue survived the crash")
+		t.Fatal("kind-wide watch queue survived the crash")
 	}
-	if !genericQ.Closed() {
-		t.Fatal("generic watch queue survived the crash")
+	if !namedQ.Closed() {
+		t.Fatal("name-filtered watch queue survived the crash")
 	}
 }
 
@@ -301,7 +310,7 @@ func TestCrashWakeOrderDeterministic(t *testing.T) {
 		s := New(env)
 		var woke []string
 		for _, kind := range kinds {
-			q := s.Watch(kind+"/", false)
+			q := s.Watch(kind, false)
 			env.Go(kind, func(p *sim.Proc) {
 				if _, ok := q.Get(p); !ok {
 					woke = append(woke, kind)
@@ -347,7 +356,7 @@ func TestCrashReportsUnreadableMedium(t *testing.T) {
 	for _, tc := range cases {
 		s := New(sim.NewEnv())
 		s.EnableDurability(nil, nil)
-		q := s.Watch("Pod/", false)
+		q := s.Watch("Pod", false)
 		s.dur.checkpoint, s.dur.wal = tc.checkpoint, tc.wal
 		_, err := s.Crash()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -357,7 +366,7 @@ func TestCrashReportsUnreadableMedium(t *testing.T) {
 		if strings.Contains(tc.want, "not registered") != errors.Is(err, api.ErrUnregisteredKind) {
 			t.Errorf("%s: errors.Is(err, ErrUnregisteredKind) is wrong for %v", tc.name, err)
 		}
-		if n := len(s.List("")); n != 0 || !q.Closed() || s.Epoch() != 1 {
+		if n := stored(s); n != 0 || !q.Closed() || s.Epoch() != 1 {
 			t.Errorf("%s: after the failed restore: %d objects, watch closed %v, epoch %d", tc.name, n, q.Closed(), s.Epoch())
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"time"
+
+	"kubeshare/internal/obs/tsdb"
 )
 
 // Chart renders time series as a column-per-bucket ASCII chart, so the
@@ -19,7 +21,7 @@ type Chart struct {
 	Width int
 	// YMax fixes the axis top; 0 auto-scales to the series maximum.
 	YMax   float64
-	series []*Series
+	series []*tsdb.Series
 	marks  []rune
 }
 
@@ -32,7 +34,7 @@ func NewChart(title string) *Chart {
 }
 
 // Add registers a series with the next free mark rune.
-func (c *Chart) Add(s *Series) *Chart {
+func (c *Chart) Add(s *tsdb.Series) *Chart {
 	c.series = append(c.series, s)
 	c.marks = append(c.marks, chartMarks[(len(c.series)-1)%len(chartMarks)])
 	return c

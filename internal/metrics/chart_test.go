@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"kubeshare/internal/obs/tsdb"
 )
 
-func rampSeries(name string, n int, scale float64) *Series {
-	s := &Series{Name: name}
+func rampSeries(name string, n int, scale float64) *tsdb.Series {
+	s := &tsdb.Series{Name: name}
 	for i := 0; i < n; i++ {
 		s.Add(time.Duration(i)*time.Second, float64(i)*scale)
 	}
@@ -48,7 +50,7 @@ func TestChartAutoScaleLabels(t *testing.T) {
 func TestChartFixedYMax(t *testing.T) {
 	c := NewChart("fixed")
 	c.YMax = 1.0
-	s := &Series{Name: "u"}
+	s := &tsdb.Series{Name: "u"}
 	s.Add(0, 0.5)
 	s.Add(time.Minute, 0.5)
 	c.Add(s)
@@ -64,7 +66,7 @@ func TestChartEmpty(t *testing.T) {
 	if out := NewChart("e").String(); !strings.Contains(out, "no series") {
 		t.Fatalf("out = %q", out)
 	}
-	empty := &Series{Name: "none"}
+	empty := &tsdb.Series{Name: "none"}
 	if out := NewChart("e").Add(empty).String(); !strings.Contains(out, "empty") {
 		t.Fatalf("out = %q", out)
 	}

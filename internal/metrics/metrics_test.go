@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"kubeshare/internal/obs/tsdb"
 )
 
 func TestSeriesAddAndStats(t *testing.T) {
-	var s Series
+	var s tsdb.Series
 	s.Add(0, 1)
 	s.Add(time.Second, 3)
 	s.Add(2*time.Second, 5)
@@ -23,20 +25,20 @@ func TestSeriesOutOfOrderPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	var s Series
+	var s tsdb.Series
 	s.Add(time.Second, 1)
 	s.Add(0, 2)
 }
 
 func TestEmptySeriesStats(t *testing.T) {
-	var s Series
+	var s tsdb.Series
 	if s.Last() != 0 || s.Mean() != 0 || s.Max() != 0 {
 		t.Fatal("empty series stats must be zero")
 	}
 }
 
 func TestTimeWeightedMeanStepFunction(t *testing.T) {
-	var s Series
+	var s tsdb.Series
 	s.Add(0, 0)
 	s.Add(time.Second, 1) // value 1 for [1s,3s): 2 of 3 seconds
 	got := s.TimeWeightedMean(0, 3*time.Second)
@@ -46,7 +48,7 @@ func TestTimeWeightedMeanStepFunction(t *testing.T) {
 }
 
 func TestTimeWeightedMeanValueBeforeWindow(t *testing.T) {
-	var s Series
+	var s tsdb.Series
 	s.Add(0, 4) // holds through the whole queried window
 	got := s.TimeWeightedMean(10*time.Second, 20*time.Second)
 	if got != 4 {
@@ -55,7 +57,7 @@ func TestTimeWeightedMeanValueBeforeWindow(t *testing.T) {
 }
 
 func TestDownsample(t *testing.T) {
-	var s Series
+	var s tsdb.Series
 	for i := 0; i < 10; i++ {
 		s.Add(time.Duration(i)*time.Second, float64(i))
 	}

@@ -1,3 +1,5 @@
+// Package metrics renders the experiment harness's results: table/CSV and
+// ASCII-chart rendering for the figures reproduced from the paper.
 package metrics
 
 import (

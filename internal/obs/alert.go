@@ -149,7 +149,7 @@ func (e *AlertEngine) signals(r AlertRule, snap MetricsSnapshot, interval time.D
 	}
 	for _, g := range snap.Gauges {
 		if g.Name == r.Metric {
-			out = append(out, signal{g.Labels, float64(g.Value), true})
+			out = append(out, signal{nil, float64(g.Value), true})
 		}
 	}
 	if out != nil {
@@ -253,20 +253,6 @@ func (e *AlertEngine) States() []AlertStatus {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Firing returns the number of currently firing (rule, child) pairs.
-func (e *AlertEngine) Firing() int {
-	if e == nil {
-		return 0
-	}
-	n := 0
-	for _, st := range e.states {
-		if st.firing {
-			n++
-		}
-	}
-	return n
 }
 
 // FormatAlerts writes the alert states as stable text, one line each.

@@ -28,7 +28,7 @@ func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
 	}
 	for _, g := range snap.Gauges {
 		header(g.Name, "gauge")
-		fmt.Fprintf(w, "%s%s %d\n", g.Name, FormatLabels(g.Labels), g.Value)
+		fmt.Fprintf(w, "%s %d\n", g.Name, g.Value)
 	}
 	for _, f := range snap.Floats {
 		header(f.Name, "gauge")

@@ -136,17 +136,6 @@ func (v *CounterVec) Each(fn func(labels []Label, value int64)) {
 	}
 }
 
-// GaugeVec is a family of integer gauges.
-type GaugeVec struct{ f *family }
-
-// With fetches or creates the child gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.lookup(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // FloatGaugeVec is a family of float gauges (ratios: utilization, shares,
 // fairness indices).
 type FloatGaugeVec struct{ f *family }
@@ -208,14 +197,6 @@ func (g *Registry) CounterVec(name string, labelKeys ...string) *CounterVec {
 	return g.ctrVecs.get(name, labelKeys, func(f *family) any { return &CounterVec{f: f} }).(*CounterVec)
 }
 
-// GaugeVec fetches or registers a labeled gauge family.
-func (g *Registry) GaugeVec(name string, labelKeys ...string) *GaugeVec {
-	if g == nil {
-		return nil
-	}
-	return g.gaugeVecs.get(name, labelKeys, func(f *family) any { return &GaugeVec{f: f} }).(*GaugeVec)
-}
-
 // FloatGaugeVec fetches or registers a labeled float-gauge family.
 func (g *Registry) FloatGaugeVec(name string, labelKeys ...string) *FloatGaugeVec {
 	if g == nil {
@@ -235,11 +216,6 @@ func (g *Registry) HistogramVec(name string, labelKeys ...string) *HistogramVec 
 // CounterVec fetches or registers a labeled counter family on the runtime.
 func (r *Runtime) CounterVec(name string, labelKeys ...string) *CounterVec {
 	return r.Registry().CounterVec(name, labelKeys...)
-}
-
-// GaugeVec fetches or registers a labeled gauge family on the runtime.
-func (r *Runtime) GaugeVec(name string, labelKeys ...string) *GaugeVec {
-	return r.Registry().GaugeVec(name, labelKeys...)
 }
 
 // FloatGaugeVec fetches or registers a labeled float-gauge family on the

@@ -64,14 +64,6 @@ func (r *Runtime) EnableExemplars() {
 	}
 }
 
-// Env returns the clock the runtime stamps telemetry with.
-func (r *Runtime) Env() *sim.Env {
-	if r == nil {
-		return nil
-	}
-	return r.env
-}
-
 // Registry returns the metric registry, or nil on a disabled runtime.
 func (r *Runtime) Registry() *Registry {
 	if r == nil {
@@ -117,7 +109,6 @@ type Registry struct {
 	hists  map[string]*Histogram
 
 	ctrVecs   vecRegistry
-	gaugeVecs vecRegistry
 	floatVecs vecRegistry
 	histVecs  vecRegistry
 
@@ -134,11 +125,6 @@ func (g *Registry) EnableExemplars() {
 	if g != nil {
 		g.exemplars.Store(true)
 	}
-}
-
-// ExemplarsEnabled reports whether exemplar recording is on.
-func (g *Registry) ExemplarsEnabled() bool {
-	return g != nil && g.exemplars.Load()
 }
 
 func newRegistry() *Registry {
@@ -386,11 +372,10 @@ type CounterValue struct {
 	Value  int64
 }
 
-// GaugeValue is one gauge in a snapshot.
+// GaugeValue is one gauge in a snapshot (integer gauges are flat: no labels).
 type GaugeValue struct {
-	Name   string
-	Labels []Label
-	Value  int64
+	Name  string
+	Value int64
 }
 
 // FloatGaugeValue is one float gauge in a snapshot.
@@ -489,17 +474,6 @@ func (g *Registry) Snapshot() MetricsSnapshot {
 		}
 		f.mu.Unlock()
 	})
-	g.gaugeVecs.visit(func(v any) {
-		f := v.(*GaugeVec).f
-		f.mu.Lock()
-		for _, key := range f.sortedKeys() {
-			s.Gauges = append(s.Gauges, GaugeValue{
-				Name: f.name, Labels: f.labelsFor(key),
-				Value: f.children[key].(*Gauge).Value(),
-			})
-		}
-		f.mu.Unlock()
-	})
 	g.floatVecs.visit(func(v any) {
 		f := v.(*FloatGaugeVec).f
 		f.mu.Lock()
@@ -530,9 +504,7 @@ func (g *Registry) Snapshot() MetricsSnapshot {
 	sort.Slice(s.Counters, func(i, j int) bool {
 		return byID(s.Counters[i].Name, s.Counters[i].Labels, s.Counters[j].Name, s.Counters[j].Labels)
 	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		return byID(s.Gauges[i].Name, s.Gauges[i].Labels, s.Gauges[j].Name, s.Gauges[j].Labels)
-	})
+	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Floats, func(i, j int) bool {
 		return byID(s.Floats[i].Name, s.Floats[i].Labels, s.Floats[j].Name, s.Floats[j].Labels)
 	})
@@ -572,35 +544,11 @@ func (s MetricsSnapshot) Counter(name string) int64 {
 	return sum
 }
 
-// CounterWith looks up one labeled child's value; 0 if absent.
-func (s MetricsSnapshot) CounterWith(name string, labels ...Label) int64 {
-	want := FormatLabels(labels)
-	for _, c := range s.Counters {
-		if c.Name == name && FormatLabels(c.Labels) == want {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// Gauge sums a gauge family by name (flat gauges contribute their single
-// value); 0 if absent.
+// Gauge returns a gauge's value by name; 0 if absent.
 func (s MetricsSnapshot) Gauge(name string) int64 {
-	var sum int64
 	for _, g := range s.Gauges {
 		if g.Name == name {
-			sum += g.Value
-		}
-	}
-	return sum
-}
-
-// FloatWith looks up one labeled float-gauge child's value; 0 if absent.
-func (s MetricsSnapshot) FloatWith(name string, labels ...Label) float64 {
-	want := FormatLabels(labels)
-	for _, f := range s.Floats {
-		if f.Name == name && FormatLabels(f.Labels) == want {
-			return f.Value
+			return g.Value
 		}
 	}
 	return 0
@@ -638,7 +586,7 @@ func (s MetricsSnapshot) Format(w io.Writer) {
 		fmt.Fprintf(w, "counter %s%s %d\n", c.Name, FormatLabels(c.Labels), c.Value)
 	}
 	for _, g := range s.Gauges {
-		fmt.Fprintf(w, "gauge %s%s %d\n", g.Name, FormatLabels(g.Labels), g.Value)
+		fmt.Fprintf(w, "gauge %s %d\n", g.Name, g.Value)
 	}
 	for _, f := range s.Floats {
 		fmt.Fprintf(w, "floatgauge %s%s %.6f\n", f.Name, FormatLabels(f.Labels), f.Value)

@@ -39,7 +39,7 @@ func (c *Collector) Scrape(now time.Duration) {
 		c.DB.Series(ctr.Name, ctr.Labels...).Add(now, float64(ctr.Value))
 	}
 	for _, g := range snap.Gauges {
-		c.DB.Series(g.Name, g.Labels...).Add(now, float64(g.Value))
+		c.DB.Series(g.Name).Add(now, float64(g.Value))
 	}
 	for _, f := range snap.Floats {
 		c.DB.Series(f.Name, f.Labels...).Add(now, f.Value)

@@ -305,7 +305,6 @@ func (env *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		id:     env.nextPID,
 		name:   name,
 		daemon: daemon,
-		doneEv: NewEvent(env),
 	}
 	env.live++
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
@@ -318,7 +317,6 @@ func (env *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			}
 			p.finished = true
 			env.live--
-			p.doneEv.Trigger(p.killErr)
 			env.tracef("proc %s finished", p.name)
 		}()
 		if p.killed { // killed before first execution

@@ -68,17 +68,14 @@ type Event struct {
 // NewEvent returns an untriggered event bound to env.
 func NewEvent(env *Env) *Event { return &Event{env: env} }
 
-// Fired reports whether the event has been triggered.
-func (e *Event) Fired() bool { return e.fired }
-
 // Value returns the value the event was triggered with (nil before firing).
 func (e *Event) Value() any { return e.val }
 
 // Reset returns a fired event to the untriggered state so its owner can
 // reuse it as a fresh one-shot instead of allocating a new Event. The caller
 // must own the event's full lifecycle: every Wait on the previous firing
-// must have returned, and no one may hold the old Event expecting Fired to
-// stay true. Stale waiter references (procs killed while parked here) are
+// must have returned, and no one may hold the old Event expecting it to stay
+// fired. Stale waiter references (procs killed while parked here) are
 // swept; resetting an event with live parked waiters would strand them, so
 // that panics.
 func (e *Event) Reset() {
@@ -177,35 +174,4 @@ func (p *Proc) WaitTimeout(e *Event, d time.Duration) (any, bool) {
 	v, ok := w.val, w.ok
 	p.env.recycleWaiter(w)
 	return v, ok
-}
-
-// WaitAny parks p until any of the given events fires and returns the index
-// of the first event that fired together with its value. Events already
-// fired are served in argument order without parking.
-func (p *Proc) WaitAny(events ...*Event) (int, any) {
-	p.checkRunning()
-	if len(events) == 0 {
-		panic("sim: WaitAny with no events would park forever")
-	}
-	for i, e := range events {
-		if e.fired {
-			return i, e.val
-		}
-	}
-	// Register a shared waiter entry on every event; whichever Trigger runs
-	// first flips woken and the rest become stale no-ops. The index is
-	// recovered post-park by scanning fired flags in argument order.
-	w := p.env.newWaiter(p)
-	for _, e := range events {
-		e.register(w)
-	}
-	p.park()
-	v := w.val
-	p.env.recycleWaiter(w)
-	for i, e := range events {
-		if e.fired {
-			return i, v
-		}
-	}
-	return -1, v
 }

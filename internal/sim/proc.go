@@ -36,7 +36,6 @@ type Proc struct {
 	killed   bool
 	daemon   bool
 	killErr  error
-	doneEv   *Event
 	// pending tracks scheduled items that would wake this proc from its
 	// current park (sleep wakes, timeout timers); Kill cancels them so a
 	// dead proc cannot drag the virtual clock forward. The list is cleared
@@ -47,17 +46,10 @@ type Proc struct {
 // Env returns the environment the proc runs in.
 func (p *Proc) Env() *Env { return p.env }
 
-// Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
 // ID returns the proc's unique id within its Env.
 func (p *Proc) ID() int { return p.id }
 
 func (p *Proc) String() string { return fmt.Sprintf("proc#%d(%s)", p.id, p.name) }
-
-// Done returns an event that fires when the proc finishes; its value is nil
-// for normal completion or the kill reason for killed procs.
-func (p *Proc) Done() *Event { return p.doneEv }
 
 // Finished reports whether the proc body has returned or been unwound.
 func (p *Proc) Finished() bool { return p.finished }
@@ -151,17 +143,4 @@ func (p *Proc) Kill(reason error) {
 	// Wake it so the unwind happens promptly even if it was parked on a
 	// queue or event; stale waiter entries are skipped via their woken flag.
 	p.env.enqueue(p.env.now, p, nil)
-}
-
-// WaitProc blocks until other finishes and returns its completion error
-// (nil, or the kill reason).
-func (p *Proc) WaitProc(other *Proc) error {
-	if other.finished {
-		return other.killErr
-	}
-	v := p.Wait(other.doneEv)
-	if v == nil {
-		return nil
-	}
-	return v.(error)
 }

@@ -34,9 +34,6 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 // InUse returns the currently acquired amount.
 func (r *Resource) InUse() int64 { return r.used }
 
-// Available returns capacity minus the acquired amount.
-func (r *Resource) Available() int64 { return r.capacity - r.used }
-
 // TryAcquire acquires n units if available without blocking. It reports
 // whether the acquisition succeeded. Requests are still subject to FIFO
 // fairness: TryAcquire fails while earlier waiters are parked.

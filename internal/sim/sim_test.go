@@ -205,44 +205,6 @@ func TestWaitTimeoutBeatenByTrigger(t *testing.T) {
 	}
 }
 
-func TestWaitAny(t *testing.T) {
-	env := NewEnv()
-	a, b := NewEvent(env), NewEvent(env)
-	var idx int
-	var val any
-	env.Go("w", func(p *Proc) { idx, val = p.WaitAny(a, b) })
-	env.Go("t", func(p *Proc) { p.Sleep(time.Second); b.Trigger("b!") })
-	env.Run()
-	if idx != 1 || val != "b!" {
-		t.Fatalf("idx=%d val=%v, want 1 b!", idx, val)
-	}
-}
-
-func TestWaitAnyAlreadyFired(t *testing.T) {
-	env := NewEnv()
-	a, b := NewEvent(env), NewEvent(env)
-	b.Trigger(7)
-	var idx int
-	env.Go("w", func(p *Proc) { idx, _ = p.WaitAny(a, b) })
-	env.Run()
-	if idx != 1 {
-		t.Fatalf("idx = %d, want 1", idx)
-	}
-}
-
-func TestWaitAnyEmptyPanics(t *testing.T) {
-	env := NewEnv()
-	var recovered bool
-	env.Go("w", func(p *Proc) {
-		defer func() { recovered = recover() != nil }()
-		p.WaitAny()
-	})
-	env.Run()
-	if !recovered {
-		t.Fatal("WaitAny() with no events did not panic")
-	}
-}
-
 func TestSnapshotAndPending(t *testing.T) {
 	env := NewEnv()
 	tm := env.After(time.Second, func() {})
@@ -499,24 +461,20 @@ func TestKillReasonDelivered(t *testing.T) {
 	env := NewEnv()
 	boom := errors.New("boom")
 	victim := env.Go("victim", func(p *Proc) { p.Sleep(time.Hour) })
-	var got error
-	env.Go("w", func(p *Proc) { got = p.WaitProc(victim) })
 	env.Go("k", func(p *Proc) { p.Sleep(time.Second); victim.Kill(boom) })
 	env.Run()
-	if !errors.Is(got, boom) {
-		t.Fatalf("got %v, want boom", got)
+	if !victim.Finished() || !errors.Is(victim.killErr, boom) {
+		t.Fatalf("finished=%v reason %v, want boom", victim.Finished(), victim.killErr)
 	}
 }
 
 func TestKillDefaultReason(t *testing.T) {
 	env := NewEnv()
 	victim := env.Go("victim", func(p *Proc) { p.Sleep(time.Hour) })
-	var got error
-	env.Go("w", func(p *Proc) { got = p.WaitProc(victim) })
 	env.Go("k", func(p *Proc) { victim.Kill(nil) })
 	env.Run()
-	if !errors.Is(got, ErrKilled) {
-		t.Fatalf("got %v, want ErrKilled", got)
+	if !victim.Finished() || !errors.Is(victim.killErr, ErrKilled) {
+		t.Fatalf("finished=%v reason %v, want ErrKilled", victim.Finished(), victim.killErr)
 	}
 }
 
@@ -549,32 +507,18 @@ func TestKillWaiterOnQueue(t *testing.T) {
 	}
 }
 
-func TestWaitProcOnFinished(t *testing.T) {
-	env := NewEnv()
-	p1 := env.Go("a", func(p *Proc) {})
-	var err error
-	env.Go("b", func(p *Proc) {
-		p.Sleep(time.Second)
-		err = p.WaitProc(p1)
-	})
-	env.Run()
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestSpawnDuringRun(t *testing.T) {
 	env := NewEnv()
 	var childRan bool
 	env.Go("parent", func(p *Proc) {
 		p.Sleep(time.Second)
-		child := env.Go("child", func(c *Proc) {
+		done := NewEvent(env)
+		env.Go("child", func(c *Proc) {
 			c.Sleep(time.Second)
 			childRan = true
+			done.Trigger(nil)
 		})
-		if err := p.WaitProc(child); err != nil {
-			t.Errorf("child err: %v", err)
-		}
+		p.Wait(done)
 		if env.Now() != 2*time.Second {
 			t.Errorf("parent resumed at %v, want 2s", env.Now())
 		}

@@ -40,14 +40,6 @@ func (s *Source) Float64() float64 { return s.rng.Float64() }
 // Intn returns a uniform draw in [0,n).
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Uniform returns a uniform draw in [lo,hi).
-func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
-}
-
-// Bernoulli returns true with probability p.
-func (s *Source) Bernoulli(p float64) bool { return s.rng.Float64() < p }
-
 // Exp returns an exponential draw with the given mean (the inter-arrival
 // distribution of a Poisson process with rate 1/mean).
 func (s *Source) Exp(mean float64) float64 {
@@ -80,57 +72,5 @@ func (s *Source) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	return math.Min(hi, math.Max(lo, mean))
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and a normal approximation above 30.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := s.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= s.rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Choice returns a uniformly chosen index into weights scaled by weight;
-// all-zero weights fall back to uniform choice.
-func (s *Source) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("simrand: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		return s.rng.Intn(len(weights))
-	}
-	x := s.rng.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

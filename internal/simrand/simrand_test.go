@@ -128,69 +128,6 @@ func TestTruncNormalDegenerate(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	for _, mean := range []float64{0.5, 4, 25, 100} {
-		s := New(11)
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean)/mean > 0.03 {
-			t.Fatalf("Poisson(%v) sample mean %.3f", mean, got)
-		}
-	}
-}
-
-func TestPoissonZeroAndNegative(t *testing.T) {
-	s := New(1)
-	if s.Poisson(0) != 0 || s.Poisson(-3) != 0 {
-		t.Fatal("Poisson of non-positive mean must be 0")
-	}
-}
-
-func TestChoiceWeights(t *testing.T) {
-	s := New(5)
-	counts := [3]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[s.Choice([]float64{1, 2, 1})]++
-	}
-	if math.Abs(float64(counts[1])/n-0.5) > 0.02 {
-		t.Fatalf("weight-2 choice frequency %.3f", float64(counts[1])/n)
-	}
-}
-
-func TestChoiceAllZeroUniform(t *testing.T) {
-	s := New(5)
-	counts := [4]int{}
-	for i := 0; i < 40000; i++ {
-		counts[s.Choice([]float64{0, 0, 0, 0})]++
-	}
-	for i, c := range counts {
-		if math.Abs(float64(c)/40000-0.25) > 0.02 {
-			t.Fatalf("index %d frequency %.3f", i, float64(c)/40000)
-		}
-	}
-}
-
-func TestUniformRange(t *testing.T) {
-	f := func(seed int64) bool {
-		s := New(seed)
-		for i := 0; i < 100; i++ {
-			v := s.Uniform(2, 5)
-			if v < 2 || v >= 5 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(9)
 	p := s.Perm(10)

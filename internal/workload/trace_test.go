@@ -61,3 +61,27 @@ func TestTraceRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// Rows that parse but describe no job are refused with their line number: a
+// NaN demand, a negative or overflowing time, an empty or repeated name.
+func TestTraceRejectsInvalidJobs(t *testing.T) {
+	const header = "name,arrival_ms,demand,duration_ms,affinity,anti_affinity,exclusion,seed\n"
+	const good = "ok,100,0.5,100,,,,1\n"
+	for _, row := range []string{
+		"j,100,NaN,100,,,,1\n",
+		"j,-1,0.5,100,,,,1\n",
+		"j,100,0.5,-1,,,,1\n",
+		"j,9223372036855,0.5,100,,,,1\n",
+		"j,100,0.5,9223372036855,,,,1\n",
+		",100,0.5,100,,,,1\n",
+		"ok,200,0.5,100,,,,2\n",
+	} {
+		_, err := ReadTrace(strings.NewReader(header + good + row))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Fatalf("row %q: err = %v, want it refused at line 3", row, err)
+		}
+	}
+	if jobs, err := ReadTrace(strings.NewReader(header + "j,9223372036854,1,0,,,,1\n")); err != nil || len(jobs) != 1 {
+		t.Fatalf("the largest arrival a Duration holds: %v, err %v", jobs, err)
+	}
+}

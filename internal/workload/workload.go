@@ -27,11 +27,10 @@ const (
 // Environment variables understood by the images.
 const (
 	// Training: number of steps, per-step kernel time (ms), per-step host
-	// time (ms), images per step.
+	// time (ms).
 	EnvSteps        = "TRAIN_STEPS"
 	EnvStepKernelMS = "TRAIN_STEP_KERNEL_MS"
 	EnvStepHostMS   = "TRAIN_STEP_HOST_MS"
-	EnvBatch        = "TRAIN_BATCH"
 	// Serving: client request rate (req/s), per-request kernel time (ms),
 	// serving duration (s) after which arrivals stop, model size (bytes),
 	// RNG seed for the arrival process.

@@ -68,7 +68,7 @@ type (
 	Event = store.Event
 	// WatchOptions narrows a Sim.Watch subscription: exact name, label
 	// selector, and replay of the current state.
-	WatchOptions = apiserver.WatchOptions
+	WatchOptions = store.WatchOptions
 	// Selector filters objects by labels (see SelectorFromMap / HasLabel).
 	Selector = labels.Selector
 	// Span is one operation in the causal trace (see Sim.Trace).

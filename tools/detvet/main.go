@@ -90,7 +90,7 @@ var dirBannedImports = map[string]map[string]string{
 // arguments are label keys.
 var metricMethods = map[string]bool{
 	"Counter": false, "Gauge": false, "FloatGauge": false, "Histogram": false,
-	"CounterVec": true, "GaugeVec": true, "FloatGaugeVec": true, "HistogramVec": true,
+	"CounterVec": true, "FloatGaugeVec": true, "HistogramVec": true,
 }
 
 // allowedLabelKeys is the bounded label vocabulary. Values for these keys

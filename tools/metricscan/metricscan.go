@@ -29,7 +29,7 @@ import (
 type Metric struct {
 	Name string
 	// Type is the registry method that created the family (Counter,
-	// GaugeVec, ...).
+	// CounterVec, ...).
 	Type string
 	// Labels are the label keys of a *Vec family (nil otherwise).
 	Labels []string
@@ -39,7 +39,7 @@ type Metric struct {
 // form. Mirrors detvet's metric-hygiene table.
 var methods = map[string]bool{
 	"Counter": false, "Gauge": false, "FloatGauge": false, "Histogram": false,
-	"CounterVec": true, "GaugeVec": true, "FloatGaugeVec": true, "HistogramVec": true,
+	"CounterVec": true, "FloatGaugeVec": true, "HistogramVec": true,
 }
 
 // namePattern matches the names worth collecting — the registry's
