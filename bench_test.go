@@ -215,10 +215,15 @@ func BenchmarkFig10PodCreation(b *testing.B) {
 
 // BenchmarkFig11SchedulingTime measures one full KubeShare-Sched decision
 // against real state with N existing SharePods — the real-CPU-time figure.
-// The paper's claim: linear in N, ≪400ms at 100. Two variants: the seed's
-// full rebuild (list everything, re-place every tenant) and the incremental
-// snapshot the scheduler now maintains from watch deltas, which only pays
-// for pool materialization.
+// The paper's claim: linear in N, ≪400ms at 100. Both columns time the
+// paper's linear Algorithm 1 as written (core.Schedule); they differ in where
+// its pool comes from. "full-rebuild" relists: core.BuildPool lists everything
+// and re-places every tenant, the paper's per-decision cost. "incremental"
+// copies the pool out of the watch-fed snapshot (Snapshot.NewPool), so it
+// pays for the copy and the scan but not the relist. Neither is the
+// production path, by design: schedfw decides on the snapshot's own pool
+// without copying it and searches its residual order instead of scanning
+// (Figures 15 and 16 and the repo benchmark's sched_churn time that).
 func BenchmarkFig11SchedulingTime(b *testing.B) {
 	counts := []int{10, 25, 50, 100, 200, 400, 1000, 10000}
 	b.Run("full-rebuild", func(b *testing.B) {

@@ -89,11 +89,24 @@ go test ./internal/kube/api/ -run xxx -fuzz 'FuzzObjectCodec$' -fuzztime 5s
 # promises (a unique non-empty name, demand in (0,1], non-negative times) and
 # that WriteTrace and ReadTrace carry round unchanged.
 go test ./internal/workload/ -run xxx -fuzz 'FuzzReadTrace$' -fuzztime 5s
+# And over SharePod admission: arbitrary share quantities (NaN and ±Inf
+# among the seeds) are an error, or a spec whose Algorithm 1 request is
+# finite, in range and fits an empty device — nothing admitted can leave a
+# device's residuals NaN, which would also break the pool's residual order.
+go test ./internal/core/ -run xxx -fuzz 'FuzzValidateSharePodSpec$' -fuzztime 5s
 # Scheduling-framework suite under the race detector on the multi-worker
 # path: engine/Algorithm-1 equivalence properties, transaction rollback,
 # batched-vs-sequential, conflict retry, gang all-or-nothing, and the
 # parking reference model.
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
+# The persistent pool's own properties, by name so they cannot silently
+# vanish: narrowing a decision to Pool.Fitting's candidates never changes it
+# (against the same plugin set walking every device, and against Algorithm 1),
+# the residual order survives every transaction step and rollback, and the
+# pool the cycles borrow equals a relist after every delta — with
+# borrowed-and-rolled-back transactions, and deltas landing inside them, in
+# between. Each name lives in one of the two packages.
+named 'TestEngineNarrowing|TestTxnRollback|TestSnapshotMatchesRebuildRandomized' env GOMAXPROCS=4 go test -race ./internal/core/ ./internal/core/schedfw/plugins/
 # The store's one lock under the race detector with goroutines actually
 # running concurrently: the churn-vs-watch equivalence property (live,
 # filtered and late-registered watches), goroutine readers (Scan/Get/List)

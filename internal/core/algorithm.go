@@ -1,6 +1,13 @@
 package core
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+	"strings"
+)
 
 // Request is Algorithm 1's r: a container's requirements and constraints.
 type Request struct {
@@ -160,6 +167,123 @@ type Pool struct {
 	// MemFactor scales each device's schedulable memory (1.0 default;
 	// >1.0 permits over-commitment backed by the device library's swap).
 	MemFactor float64
+	// order is Devices by residual (see residualCmp), the index Fitting
+	// searches. Fitting builds it for a pool assembled as a literal; from
+	// then on the pool's devices change only through Place, Restore, Insert
+	// and Remove, which keep it.
+	order []*DeviceState
+}
+
+// residualCmp is the residual order: occupied devices by Util, idle ones
+// after them all (+Inf), equal keys by ID. A NaN Util sorts first, where
+// nothing fits it.
+func residualCmp(a, b *DeviceState) int {
+	ka, kb := a.Util, b.Util
+	if a.Idle {
+		ka = math.Inf(1)
+	}
+	if b.Idle {
+		kb = math.Inf(1)
+	}
+	return cmp.Or(cmp.Compare(ka, kb), strings.Compare(a.ID, b.ID))
+}
+
+// Fitting returns the devices with compute room for r — every idle device
+// and every occupied one whose Util passes fits' own test — as the tail of
+// the residual order, found by binary search. Memory and labels are not
+// looked at: the result is a superset of the devices r fits, in no order a
+// caller may rely on. nil means every device.
+func (p *Pool) Fitting(r Request) []*DeviceState {
+	if len(p.order) != len(p.Devices) {
+		p.order = append(p.order[:0], p.Devices...)
+		slices.SortFunc(p.order, residualCmp)
+	}
+	if r.Util != r.Util {
+		return nil // NaN compares false with every key, an idle device's too
+	}
+	return p.order[sort.Search(len(p.order), func(i int) bool {
+		d := p.order[i]
+		return d.Idle || r.Util <= d.Util+1e-9
+	}):]
+}
+
+// position returns d's place in the order, or -1 when the pool has no index:
+// none built yet, or a stale one, dropped here — d is not where its key
+// says, so someone wrote its residuals directly.
+func (p *Pool) position(d *DeviceState) int {
+	if len(p.order) != len(p.Devices) {
+		return -1
+	}
+	if i, ok := slices.BinarySearchFunc(p.order, d, residualCmp); ok && p.order[i] == d {
+		return i
+	}
+	p.order = nil
+	return -1
+}
+
+// moved re-sorts order[i] after its key changed, shifting only the devices
+// between its old place and its new one.
+func (p *Pool) moved(i int) {
+	if i < 0 {
+		return
+	}
+	o, d := p.order, p.order[i]
+	j, _ := slices.BinarySearchFunc(o[:i], d, residualCmp)
+	if j < i {
+		copy(o[j+1:i+1], o[j:i])
+	} else {
+		k, _ := slices.BinarySearchFunc(o[i+1:], d, residualCmp)
+		j = i + k
+		copy(o[i:j], o[i+1:j+1])
+	}
+	o[j] = d
+}
+
+// Place commits r onto d, a device of the pool.
+func (p *Pool) Place(d *DeviceState, r Request) {
+	i := p.position(d)
+	d.Place(r)
+	p.moved(i)
+}
+
+// Restore overwrites d, a device of the pool, with an earlier or recomputed
+// value of itself (a transaction's undo, the snapshot's refresh).
+func (p *Pool) Restore(d, to *DeviceState) {
+	i := p.position(d)
+	*d = *to
+	p.moved(i)
+}
+
+// Insert adds d to the pool as Devices[i].
+func (p *Pool) Insert(i int, d *DeviceState) {
+	if len(p.order) == len(p.Devices) {
+		j, _ := slices.BinarySearchFunc(p.order, d, residualCmp)
+		p.order = slices.Insert(p.order, j, d)
+	}
+	p.Devices = slices.Insert(p.Devices, i, d)
+}
+
+// Remove takes Devices[i] out of the pool.
+func (p *Pool) Remove(i int) {
+	if j := p.position(p.Devices[i]); j >= 0 {
+		p.order = slices.Delete(p.order, j, j+1)
+	}
+	p.Devices = slices.Delete(p.Devices, i, i+1)
+}
+
+// VerifyIndex checks the residual order's invariant: exactly the pool's
+// devices, sorted.
+func (p *Pool) VerifyIndex() error {
+	n := len(p.order)
+	if !slices.IsSortedFunc(p.order, residualCmp) {
+		return fmt.Errorf("residual order of %d devices is not sorted", n)
+	}
+	for _, d := range p.Devices {
+		if p.position(d) < 0 {
+			return fmt.Errorf("residual order (%d of %d devices) does not hold %s where its key says", n, len(p.Devices), d.ID)
+		}
+	}
+	return nil
 }
 
 // Outcome classifies a scheduling decision.

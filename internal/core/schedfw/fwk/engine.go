@@ -78,6 +78,7 @@ func (e *Engine) Schedule(u *Unit, t *Txn) core.Decision {
 	e.observe(PhasePreFilter)
 	var pinned *core.DeviceState
 	skipDevices := false
+	candidates := pool.Devices
 	for _, pf := range e.pre {
 		res := pf.PreFilter(u, pool)
 		if res.Reject != "" {
@@ -88,6 +89,9 @@ func (e *Engine) Schedule(u *Unit, t *Txn) core.Decision {
 		}
 		if res.SkipDevices {
 			skipDevices = true
+		}
+		if res.Candidates != nil && len(res.Candidates) < len(candidates) {
+			candidates = res.Candidates
 		}
 	}
 
@@ -101,7 +105,7 @@ func (e *Engine) Schedule(u *Unit, t *Txn) core.Decision {
 	} else if !skipDevices {
 		e.observe(PhaseFilter)
 		e.observe(PhaseScore)
-		for _, d := range pool.Devices {
+		for _, d := range candidates {
 			if !e.filterAll(u, d) {
 				continue
 			}

@@ -33,6 +33,18 @@
 // headroom filter that waves big jobs through does exactly that), so the
 // driver never reasons "a smaller one failed, this one will too".
 //
+// # Candidates
+//
+// A pre-filter may name the devices worth looking at instead of letting the
+// engine walk the pool. The set must be a superset of what the same plugin's
+// own Filter passes: it may leave out only devices that Filter rejects for
+// this unit. Any one plugin's set is therefore sound alone — every filter and
+// scorer still runs on every candidate, so a left-out device is one the
+// pipeline would have dropped anyway — and the engine takes the shortest set
+// offered without intersecting them; with none offered it walks every device.
+// A set's order means nothing: scores compare lexicographically and a full
+// tie falls to the lowest device ID, in whatever order candidates arrive.
+//
 // Plugins receive the unit by pointer to keep a 120-byte struct out of
 // every per-device call; they must neither retain nor mutate it.
 package fwk
@@ -75,11 +87,15 @@ type PreFilterResult struct {
 	// SkipDevices bypasses filter/score entirely and goes straight to the
 	// allocate phase (no existing device may host the unit).
 	SkipDevices bool
+	// Candidates narrows filter/score to these pool devices; nil means every
+	// device (after kube-scheduler's PreFilterResult.NodeNames). See the
+	// package comment for what a plugin may leave out.
+	Candidates []*core.DeviceState
 }
 
 // PreFilterPlugin runs once per unit before device enumeration. Multiple
-// pre-filters compose: the first Reject wins, the last Pin wins, and
-// SkipDevices is sticky.
+// pre-filters compose: the first Reject wins, the last Pin wins,
+// SkipDevices is sticky, and the shortest Candidates is the one walked.
 type PreFilterPlugin interface {
 	Plugin
 	PreFilter(u *Unit, pool *core.Pool) PreFilterResult

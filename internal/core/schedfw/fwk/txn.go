@@ -35,8 +35,8 @@ type txnOp struct {
 	node string
 }
 
-// NewTxn wraps a cycle's pool. The pool is private to the cycle (the
-// snapshot materializes a fresh one per cycle), so the transaction owns it.
+// NewTxn wraps a cycle's pool. The driver's is on loan from the snapshot:
+// Rollback(0) hands it back exactly as it was borrowed.
 func NewTxn(pool *core.Pool) *Txn { return &Txn{pool: pool} }
 
 // Pool exposes the pool for reading (filters, scorers, allocators).
@@ -50,7 +50,7 @@ func (t *Txn) Checkpoint() Mark { return Mark(len(t.journal)) }
 // prior value.
 func (t *Txn) Place(d *core.DeviceState, r core.Request) {
 	t.journal = append(t.journal, txnOp{kind: opPlace, dev: d, saved: d.Clone()})
-	d.Place(r)
+	t.pool.Place(d, r)
 }
 
 // AddDevice creates a fresh vGPU on node (consuming one free physical GPU),
@@ -64,7 +64,7 @@ func (t *Txn) AddDevice(node, id string, r core.Request) *core.DeviceState {
 		d.Mem = t.pool.MemFactor
 	}
 	d.Place(r)
-	t.pool.Devices = append(t.pool.Devices, d)
+	t.pool.Insert(len(t.pool.Devices), d)
 	t.journal = append(t.journal, txnOp{kind: opAddDevice, dev: d, node: node})
 	return d
 }
@@ -78,9 +78,9 @@ func (t *Txn) Rollback(m Mark) {
 		op := t.journal[i]
 		switch op.kind {
 		case opPlace:
-			*op.dev = *op.saved
+			t.pool.Restore(op.dev, op.saved)
 		case opAddDevice:
-			t.pool.Devices = t.pool.Devices[:len(t.pool.Devices)-1]
+			t.pool.Remove(len(t.pool.Devices) - 1)
 			t.pool.FreePhysical[op.node]++
 		}
 	}

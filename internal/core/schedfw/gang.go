@@ -35,7 +35,8 @@ type gangState struct {
 //   - Incomplete gang, or insufficient capacity → nothing commits. Within
 //     the hold window the partial reservations stay on the transaction for
 //     the remainder of the cycle, shielding the gang's capacity from
-//     younger units; the transaction dies with the cycle, so nothing leaks.
+//     younger units; the cycle rolls its whole transaction back before it
+//     commits, so nothing leaks.
 //     Past the window the reservations roll back immediately.
 //
 // It returns the number of staged units (the gang's contribution to the

@@ -7,6 +7,9 @@
 //     for a group's first member, or skip straight to allocation.
 //   - Exclusion, AntiAffinity, ResourceFit (filters): step 2's candidate
 //     filter; idle devices always qualify (their previous tenants are gone).
+//     ResourceFit is a pre-filter too: it narrows the walk to the devices
+//     with compute room (core.Pool.Fitting), which its own Filter then
+//     judges like any other.
 //   - LocalityBand, LocalityFit (scores): step 3's placement policy as a
 //     lexicographic score — plain devices before affinity-labelled ones,
 //     best fit within plain (maximize -residual), worst fit within labelled
@@ -121,6 +124,12 @@ type ResourceFit struct{}
 
 // Name implements fwk.Plugin.
 func (ResourceFit) Name() string { return "resource-fit" }
+
+// PreFilter implements fwk.PreFilterPlugin: only the devices with compute
+// room for the unit — each of which Filter still judges — are worth a look.
+func (ResourceFit) PreFilter(u *fwk.Unit, pool *core.Pool) fwk.PreFilterResult {
+	return fwk.PreFilterResult{Candidates: pool.Fitting(u.Req)}
+}
 
 // Filter implements fwk.FilterPlugin.
 func (ResourceFit) Filter(u *fwk.Unit, d *core.DeviceState) bool {

@@ -81,8 +81,8 @@ func WithConfig(cfg core.SchedulerConfig) Option {
 }
 
 // WithBatchSize sets how many placements one cycle may stage. n <= 1 is
-// compat mode; larger batches amortize the cycle latency and the pool
-// materialization across n decisions.
+// compat mode; larger batches amortize the cycle latency across n
+// decisions.
 func WithBatchSize(n int) Option {
 	return func(o *options) { o.batchSize = n }
 }
@@ -209,17 +209,21 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 // Stats implements core.Sched.
 func (s *Scheduler) Stats() core.SchedStats { return core.ReadSchedStats(s.srv.Obs()) }
 
-// VerifySnapshot implements core.Sched: the incremental snapshot must
-// materialize exactly the pool a full relist would build, and every parked
-// unit must still be pending (a sharePod that left while parked leaves no
-// entry behind).
+// VerifySnapshot implements core.Sched: the snapshot's persistent pool — the
+// one every cycle borrows — must be exactly the pool a full relist would
+// build, with its residual order intact, and every parked unit must still be
+// pending (a sharePod that left while parked leaves no entry behind).
 func (s *Scheduler) VerifySnapshot() error {
 	for name := range s.parked {
 		if !s.snap.IsPending(name) {
 			return fmt.Errorf("parked sharePod %s is not pending", name)
 		}
 	}
-	return core.DiffPools(s.snap.NewPool(nil), core.BuildPoolWithFactor(s.srv, nil, s.cfg.MemOvercommitFactor))
+	pool := s.snap.Pool(nil)
+	if err := pool.VerifyIndex(); err != nil {
+		return err
+	}
+	return core.DiffPools(pool, core.BuildPoolWithFactor(s.srv, nil, s.cfg.MemOvercommitFactor))
 }
 
 // Start launches the watch and scheduling loops.
@@ -361,7 +365,7 @@ type staged struct {
 	dec     core.Decision
 }
 
-// runCycle runs one scheduling cycle: drain the pending set, sort by age,
+// runCycle runs one scheduling cycle: take the pending set oldest first,
 // decide units against the cycle transaction until the batch is full, then
 // commit the staged decisions in bulk. It reports whether any unit
 // progressed (was staged); all-NoCapacity means wait for a cluster change.
@@ -379,12 +383,11 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 		s.parkedNow.Set(int64(len(s.parked)))
 		return false
 	}
-	core.SortByAge(pending)
 	cycleStart := s.env.Now()
 	p.Sleep(s.cfg.CycleLatency)
 	// The watch procs drained any deltas during the sleep; the snapshot is
-	// current as of now. One pool materialization serves the whole batch.
-	txn := fwk.NewTxn(s.snap.NewPool(s.newGPUID))
+	// current as of now. The batch stages on the snapshot's own pool.
+	txn := fwk.NewTxn(s.snap.Pool(s.newGPUID))
 	if gen := s.snap.ReleaseGen(); gen != s.parkedGen {
 		// Capacity was released since the parked verdicts: everyone is active.
 		clear(s.parked)
@@ -401,6 +404,9 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 			fmt.Sprintf("cycle/%d", len(pending)),
 			fmt.Sprintf("staged=%d journal=%d", len(out), txn.Len()), cycleStart)
 	}
+	// Hand the pool back as borrowed — gang holds included — before the first
+	// commit; each placement returns through snap.Placed as it lands.
+	txn.Rollback(0)
 	for _, st := range out {
 		s.commit(st, cycleStart)
 	}

@@ -26,11 +26,13 @@ const DefaultCycleLatency = 15 * time.Millisecond
 // SortByAge orders sharePods oldest-first (name as tie-break) for FIFO
 // fairness — the queue order every scheduler flavour shares.
 func SortByAge(sps []*SharePod) {
-	sort.Slice(sps, func(i, j int) bool {
-		a, b := sps[i], sps[j]
-		if a.CreationTime != b.CreationTime {
-			return a.CreationTime < b.CreationTime
-		}
-		return a.Name < b.Name
-	})
+	sort.Slice(sps, func(i, j int) bool { return ageLess(sps[i], sps[j]) })
+}
+
+// ageLess is SortByAge's order, which the snapshot's pending queue keeps.
+func ageLess(a, b *SharePod) bool {
+	if a.CreationTime != b.CreationTime {
+		return a.CreationTime < b.CreationTime
+	}
+	return a.Name < b.Name
 }

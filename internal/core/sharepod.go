@@ -294,24 +294,23 @@ func (e *ValidationError) Error() string {
 }
 
 // validateGPUFields checks the spec's GPU quantities, returning a typed
-// *ValidationError on the first violation.
+// *ValidationError on the first violation. Each range test is written to
+// accept, so that NaN — for which every comparison is false — is refused
+// with ±Inf and everything else out of range.
 func validateGPUFields(spec SharePodSpec) error {
-	if spec.GPURequest <= 0 {
-		return &ValidationError{Field: "GPURequest", Reason: "must be positive"}
-	}
-	if spec.GPURequest > 1 {
+	if !(spec.GPURequest > 0 && spec.GPURequest <= 1) {
 		return &ValidationError{Field: "GPURequest",
 			Reason: fmt.Sprintf("%v outside (0,1]", spec.GPURequest)}
+	}
+	if !(spec.GPULimit >= 0 && spec.GPULimit <= 1) {
+		return &ValidationError{Field: "GPULimit",
+			Reason: fmt.Sprintf("%v outside [0,1]", spec.GPULimit)}
 	}
 	if spec.GPULimit != 0 && spec.GPURequest > spec.GPULimit {
 		return &ValidationError{Field: "GPULimit",
 			Reason: fmt.Sprintf("%v below GPURequest %v", spec.GPULimit, spec.GPURequest)}
 	}
-	if spec.GPULimit < 0 || spec.GPULimit > 1 {
-		return &ValidationError{Field: "GPULimit",
-			Reason: fmt.Sprintf("%v outside [0,1]", spec.GPULimit)}
-	}
-	if spec.GPUMem < 0 || spec.GPUMem > 1 {
+	if !(spec.GPUMem >= 0 && spec.GPUMem <= 1) {
 		return &ValidationError{Field: "GPUMem",
 			Reason: fmt.Sprintf("%v outside [0,1]", spec.GPUMem)}
 	}

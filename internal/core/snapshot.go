@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store"
@@ -15,21 +18,34 @@ import (
 // bookkeeping, the per-node free-GPU counts and the pending set up to date,
 // so each decision reads cached state in O(devices touched).
 //
+// The view is one persistent Pool: a delta only marks the devices it touched,
+// and the next Pool call recomputes those and nothing else. A scheduling
+// cycle borrows that pool — stages placements on it through a journaled
+// transaction, rolls them back, and lets the committed ones return as
+// deltas — so no cycle copies the cluster.
+//
 // Pool equivalence with BuildPoolWithFactor is exact: per-device residuals
 // are recomputed from the device's tenant set in name order (matching the
-// List order BuildPool places in) and devices are emitted sorted by ID, so
+// List order BuildPool places in) and devices are kept sorted by ID, so
 // the two constructions are comparable field by field — the property the
 // snapshot-vs-rebuild tests pin down.
 type Snapshot struct {
 	memFactor float64
 
+	// pool is the persistent pool, current as of the last Pool call; dirty
+	// lists the gpuIDs whose tenant set or existence changed since
+	// (deviceEntry.dirty keeps a live entry to one mention).
+	pool  *Pool
+	dirty []string
 	// devices is the live vGPU view: gpuID → entry with its tenant set.
 	devices map[string]*deviceEntry
 	// tenants maps a placed, live sharePod to its device and request, so
 	// deltas can be diffed against what the snapshot already accounts for.
 	tenants map[string]tenantRef
-	// pending holds unplaced, non-terminated sharePods awaiting a decision.
+	// pending holds unplaced, non-terminated sharePods awaiting a decision;
+	// queue is the same set in SortByAge's order, kept on insert and delete.
 	pending map[string]*SharePod
+	queue   []*SharePod
 	// vgpuObj marks gpuIDs backed by a VGPU object (a device may also exist
 	// solely because live sharePods reference its ID before DevMgr
 	// materializes it).
@@ -67,8 +83,7 @@ type deviceEntry struct {
 	id      string
 	node    string
 	tenants map[string]Request // sharePod name → request
-	// cached is the DeviceState recomputed from tenants; nil when stale.
-	cached *DeviceState
+	dirty   bool               // id is in Snapshot.dirty
 }
 
 type tenantRef struct {
@@ -90,6 +105,7 @@ func NewSnapshot(memFactor float64) *Snapshot {
 	}
 	return &Snapshot{
 		memFactor:   memFactor,
+		pool:        &Pool{FreePhysical: map[string]int{}, MemFactor: memFactor},
 		devices:     make(map[string]*deviceEntry),
 		tenants:     make(map[string]tenantRef),
 		pending:     make(map[string]*SharePod),
@@ -132,15 +148,45 @@ func (s *Snapshot) applySharePod(sp *SharePod, deleted, foreign bool) {
 	name := sp.Name
 	live := !deleted && !sp.Terminated()
 	if live && !sp.Placed() {
-		s.pending[name] = sp
+		s.setPending(sp)
 	} else {
-		delete(s.pending, name)
+		s.clearPending(name)
 	}
 	if live && sp.Placed() {
 		s.setTenant(name, sp.Spec.GPUID, sp.Spec.NodeName, RequestOf(sp), foreign)
 	} else {
 		s.clearTenant(name)
 	}
+}
+
+func (s *Snapshot) setPending(sp *SharePod) {
+	s.clearPending(sp.Name)
+	s.pending[sp.Name] = sp
+	i := len(s.queue) // an arrival is mostly the youngest yet
+	if i > 0 && ageLess(sp, s.queue[i-1]) {
+		i = s.queueIndex(sp)
+	}
+	s.queue = slices.Insert(s.queue, i, sp)
+}
+
+func (s *Snapshot) clearPending(name string) {
+	if old := s.pending[name]; old != nil {
+		delete(s.pending, name)
+		// Placements leave from the old end of a backlog that can be 100k
+		// deep: close the gap from whichever side is shorter.
+		if i := s.queueIndex(old); i < len(s.queue)/2 {
+			copy(s.queue[1:i+1], s.queue[:i])
+			s.queue[0] = nil
+			s.queue = s.queue[1:]
+		} else {
+			s.queue = slices.Delete(s.queue, i, i+1)
+		}
+	}
+}
+
+// queueIndex is where sp sits, or would be inserted, in the queue.
+func (s *Snapshot) queueIndex(sp *SharePod) int {
+	return sort.Search(len(s.queue), func(i int) bool { return !ageLess(s.queue[i], sp) })
 }
 
 func (s *Snapshot) setTenant(name, gpuID, node string, req Request, foreign bool) {
@@ -155,7 +201,7 @@ func (s *Snapshot) setTenant(name, gpuID, node string, req Request, foreign bool
 	}
 	d := s.deviceOf(gpuID, node)
 	d.tenants[name] = req
-	d.cached = nil
+	s.markDirty(d)
 	s.tenants[name] = tenantRef{gpuID: gpuID, node: node, req: req}
 }
 
@@ -168,7 +214,7 @@ func (s *Snapshot) clearTenant(name string) {
 	s.releaseGen++
 	if d, ok := s.devices[prev.gpuID]; ok {
 		delete(d.tenants, name)
-		d.cached = nil
+		s.markDirty(d)
 		s.dropDeviceIfDangling(prev.gpuID)
 	}
 }
@@ -197,8 +243,18 @@ func (s *Snapshot) deviceOf(id, node string) *deviceEntry {
 		d = &deviceEntry{id: id, node: node, tenants: make(map[string]Request)}
 		s.devices[id] = d
 		s.vgpuPerNode[node]++
+		s.markDirty(d)
 	}
 	return d
+}
+
+// markDirty queues the device for the next Pool call — all a delta does to
+// the pool, so whoever has borrowed it sees nothing move.
+func (s *Snapshot) markDirty(d *deviceEntry) {
+	if !d.dirty {
+		d.dirty = true
+		s.dirty = append(s.dirty, d.id)
+	}
 }
 
 // dropDeviceIfDangling removes a device that has neither a VGPU object nor
@@ -210,6 +266,7 @@ func (s *Snapshot) dropDeviceIfDangling(id string) {
 		return
 	}
 	delete(s.devices, id)
+	s.markDirty(d)
 	if s.vgpuPerNode[d.node]--; s.vgpuPerNode[d.node] == 0 {
 		delete(s.vgpuPerNode, d.node)
 	}
@@ -255,27 +312,18 @@ func (s *Snapshot) applyNode(node *api.Node, deleted bool) {
 	s.nodeReady[node.Name] = node.Status.Ready
 }
 
-// Pending returns the unplaced, non-terminated sharePods (unsorted; callers
-// order by age).
-func (s *Snapshot) Pending() []*SharePod {
-	out := make([]*SharePod, 0, len(s.pending))
-	for _, sp := range s.pending {
-		out = append(out, sp)
-	}
-	return out
-}
+// Pending returns the unplaced, non-terminated sharePods oldest first, in a
+// slice of the caller's own.
+func (s *Snapshot) Pending() []*SharePod { return slices.Clone(s.queue) }
 
 // IsPending reports whether the named sharePod is in the pending set.
 func (s *Snapshot) IsPending(name string) bool { return s.pending[name] != nil }
 
-// deviceState returns the device's DeviceState, recomputing from the tenant
-// set only when stale. Tenants are placed in name order — the same order
-// BuildPool encounters them in SharePods().List() — so last-writer fields
+// deviceState computes the device's DeviceState from its tenant set. Tenants
+// are placed in name order — the same order BuildPool encounters them in
+// SharePods().List() — so the float residuals and the last-writer fields
 // (Excl) agree between the two constructions.
 func (d *deviceEntry) deviceState(memFactor float64) *DeviceState {
-	if d.cached != nil {
-		return d.cached
-	}
 	ds := NewDeviceState(d.id, d.node)
 	ds.MemCapacity = memFactor
 	ds.Mem = memFactor
@@ -287,33 +335,53 @@ func (d *deviceEntry) deviceState(memFactor float64) *DeviceState {
 	for _, n := range names {
 		ds.Place(d.tenants[n])
 	}
-	d.cached = ds
 	return ds
 }
 
-// NewPool materializes an Algorithm 1 pool from the snapshot, equivalent to
-// BuildPoolWithFactor against the same cluster state: devices sorted by ID
-// with residuals from cached per-device recomputation, plus the per-node
-// free physical GPU counts. The returned pool is private to the caller —
-// Algorithm 1 commits trial placements onto it without disturbing the
-// snapshot.
-func (s *Snapshot) NewPool(newID func() string) *Pool {
-	pool := &Pool{FreePhysical: map[string]int{}, NewID: newID, MemFactor: s.memFactor}
-	ids := make([]string, 0, len(s.devices))
-	for id := range s.devices {
-		ids = append(ids, id)
+// Pool returns the snapshot's persistent pool, equivalent to
+// BuildPoolWithFactor against the same cluster state, after folding in the
+// devices marked dirty since the last call (each recomputed from its
+// tenants, inserted at its ID's place, or removed) and recounting the free
+// physical GPUs. The pool is lent: the caller may stage placements on it but
+// hands it back as found before the next call; what it decided comes back
+// through Placed.
+func (s *Snapshot) Pool(newID func() string) *Pool {
+	p := s.pool
+	p.NewID = newID
+	for _, id := range s.dirty {
+		i, found := sort.Find(len(p.Devices), func(i int) int { return strings.Compare(id, p.Devices[i].ID) })
+		switch d := s.devices[id]; {
+		case d != nil && found:
+			d.dirty = false
+			p.Restore(p.Devices[i], d.deviceState(s.memFactor))
+		case d != nil:
+			d.dirty = false
+			p.Insert(i, d.deviceState(s.memFactor))
+		case found:
+			p.Remove(i)
+		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		pool.Devices = append(pool.Devices, s.devices[id].deviceState(s.memFactor).Clone())
-	}
+	s.dirty = s.dirty[:0]
+	clear(p.FreePhysical)
 	for node, alloc := range s.nodeAlloc {
 		if !s.nodeReady[node] {
 			continue
 		}
 		if free := alloc - s.nativeGPU[node] - s.vgpuPerNode[node]; free > 0 {
-			pool.FreePhysical[node] = free
+			p.FreePhysical[node] = free
 		}
+	}
+	return p
+}
+
+// NewPool returns a deep copy of the (folded) persistent pool for a caller
+// that keeps what it places: Fig 11's Algorithm 1 run, the exhaustive
+// reference driver. Not to be called while the pool is lent out.
+func (s *Snapshot) NewPool(newID func() string) *Pool {
+	live := s.Pool(nil)
+	pool := &Pool{FreePhysical: maps.Clone(live.FreePhysical), NewID: newID, MemFactor: s.memFactor}
+	for _, d := range live.Devices {
+		pool.Devices = append(pool.Devices, d.Clone())
 	}
 	return pool
 }

@@ -4,7 +4,7 @@
 // revision; every object carries the revision of its last write as its
 // ResourceVersion.
 //
-// Objects are kept in per-kind buckets with a lazily sorted name index and
+// Objects are kept in per-kind buckets with a sorted name index and
 // a label posting index (key → value → names), so lists, selector queries
 // and watch fan-out cost O(matching objects) instead of O(all keys).
 // Watches can be filtered server-side by kind, exact name and label
@@ -133,13 +133,10 @@ type watcher struct {
 // bucket holds one kind's objects plus its indexes.
 type bucket struct {
 	objs map[string]api.Object // name → published snapshot (immutable)
-	// sorted caches the names in order; rebuilt lazily after create/delete.
-	// dirty is atomic and the rebuild is guarded by sortMu so concurrent
-	// readers (RLock holders) can race to rebuild safely: writers only set
-	// dirty under the store's write lock, which excludes all readers.
+	// sorted is objs' names in order: Create and Delete insert and remove
+	// the one name in place (under the store's write lock, which excludes
+	// every reader), restore sorts once at its end.
 	sorted []string
-	sortMu sync.Mutex
-	dirty  atomic.Bool
 	// byLabel is the posting index: label key → value → set of names.
 	byLabel map[string]map[string]map[string]struct{}
 	// watchers subscribed to this kind, in registration order.
@@ -153,24 +150,14 @@ func newBucket() *bucket {
 	}
 }
 
-// names returns the bucket's object names sorted, rebuilding the cache if
-// stale. Safe under the store's read lock: the double-checked sortMu makes
-// concurrent rebuilds exclusive, and a false dirty load happens-after the
-// completed rebuild that cleared it.
-func (b *bucket) names() []string {
-	if b.dirty.Load() {
-		b.sortMu.Lock()
-		if b.dirty.Load() {
-			b.sorted = b.sorted[:0]
-			for n := range b.objs {
-				b.sorted = append(b.sorted, n)
-			}
-			sort.Strings(b.sorted)
-			b.dirty.Store(false)
-		}
-		b.sortMu.Unlock()
+// addName files a new object's name; one sorting last — serial names mostly
+// do — is an append.
+func (b *bucket) addName(name string) {
+	i := len(b.sorted)
+	if i > 0 && name < b.sorted[i-1] {
+		i, _ = slices.BinarySearch(b.sorted, name)
 	}
-	return b.sorted
+	b.sorted = slices.Insert(b.sorted, i, name)
 }
 
 func (b *bucket) indexLabels(name string, lbls map[string]string) {
@@ -341,7 +328,7 @@ func (s *Store) Create(obj api.Object) (api.Object, error) {
 	meta.UID = fmt.Sprintf("uid-%d", s.nextUID.Add(1))
 	meta.CreationTime = s.env.Now()
 	b.objs[name] = stored
-	b.dirty.Store(true)
+	b.addName(name)
 	b.indexLabels(name, meta.Labels)
 	s.notify(b, Event{Added, stored, rv})
 	return stored, nil
@@ -417,7 +404,9 @@ func (s *Store) Delete(kind, name string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, api.KeyOf(kind, name))
 	}
 	delete(b.objs, name)
-	b.dirty.Store(true)
+	if i, ok := slices.BinarySearch(b.sorted, name); ok {
+		b.sorted = slices.Delete(b.sorted, i, i+1)
+	}
 	b.unindexLabels(name, cur.GetMeta().Labels)
 	rv := s.rev.Add(1)
 	s.notify(b, Event{Deleted, cur, rv})
@@ -459,9 +448,8 @@ func (s *Store) List(kind string) []api.Object {
 
 // snapshots returns the bucket's shared snapshots in name order.
 func (b *bucket) snapshots() []api.Object {
-	names := b.names()
-	out := make([]api.Object, len(names))
-	for i, n := range names {
+	out := make([]api.Object, len(b.sorted))
+	for i, n := range b.sorted {
 		out[i] = b.objs[n]
 	}
 	return out
@@ -488,7 +476,7 @@ func (s *Store) ScanSelector(kind string, sel labels.Selector, fn func(api.Objec
 	}
 	if sel == nil || sel.Empty() {
 		// Samplers scan every tick: walk the index, build no slice.
-		for _, n := range b.names() {
+		for _, n := range b.sorted {
 			if !fn(b.objs[n]) {
 				return
 			}
@@ -526,7 +514,7 @@ func (b *bucket) selectSnapshots(sel labels.Selector) []api.Object {
 	if candidates == nil {
 		// No indexable requirement: full (sorted) scan.
 		var out []api.Object
-		for _, n := range b.names() {
+		for _, n := range b.sorted {
 			if sel.Matches(b.objs[n].GetMeta().Labels) {
 				out = append(out, b.objs[n])
 			}

@@ -42,6 +42,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -203,7 +205,7 @@ func (s *Store) Checkpoint() int {
 	for _, kind := range kinds {
 		b := s.kinds[kind]
 		img = api.AppendUvarint(api.AppendString(img, kind), uint64(len(b.objs)))
-		for _, name := range b.names() {
+		for _, name := range b.sorted {
 			at := len(img)
 			img = b.objs[name].AppendBinary(append(img, 0, 0, 0, 0))
 			binary.LittleEndian.PutUint32(img[at:], uint32(len(img)-at-4))
@@ -323,7 +325,6 @@ func (s *Store) restore() (RestoreStats, error) {
 			b.unindexLabels(rec.name, prev.GetMeta().Labels)
 			delete(b.objs, rec.name)
 		}
-		b.dirty.Store(true)
 		maxRev = max(maxRev, rec.rev)
 		st.Replayed++
 		off += n
@@ -333,6 +334,9 @@ func (s *Store) restore() (RestoreStats, error) {
 	st.WALBytes = off
 	d.wal = d.wal[:off]
 	d.records = int64(st.Replayed)
+	for _, b := range s.kinds { // puts and deletes above kept no name order
+		b.sorted = slices.Sorted(maps.Keys(b.objs))
+	}
 
 	// 3. Counters resume strictly above everything restored: the revision
 	// is the max over the checkpoint cut and every replayed record, so the
@@ -386,7 +390,6 @@ func (s *Store) loadCheckpoint(image []byte) (rev, nextUID int64, err error) {
 			}
 			b.put(obj)
 		}
-		b.dirty.Store(true)
 	}
 	if dec.Err() != nil || dec.Len() != 0 {
 		return 0, 0, fmt.Errorf("store: checkpoint corrupt: %d trailing bytes, %v", dec.Len(), dec.Err())
