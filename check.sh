@@ -72,9 +72,16 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # a plain-map model, with watchers opened, dropped and resumed along the
 # way), epoch-fenced relists, and the no-double-delivery goldens across
 # restart + drop. Each name lives in one of the two packages, so the pass
-# runs them one package at a time.
+# runs them one package at a time. The oracle's watcher mix includes the
+# node- and owner-scoped filters; the reflector pass names the node-scoped
+# relist (a 410 or a restart epoch synthesises events for matching objects
+# only), and the kubelet pass the two consumers' own properties: two kubelets
+# on one apiserver each receive and cache only their node's pods (a pod bound
+# after creation admitted once), and a node crash kills its containers in
+# pod-name order on every one of 64 fresh rigs.
 named 'TestRestore|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
-named 'TestReflector|TestResume|TestEventSinkRestart' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
+named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestEventSinkRestart' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
+named 'TestStopOrderDeterministic|TestKubeletWatchScopedToNode' env GOMAXPROCS=4 go test -race ./internal/kube/kubelet/
 # Native fuzz smokes over the durable medium's decoders, 5 s each from the
 # checked-in seed corpora (testdata/fuzz; TestFuzzSeedCorpusCurrent keeps
 # them in step with the format): arbitrary bytes as the log, as the

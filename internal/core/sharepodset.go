@@ -133,17 +133,14 @@ func (m *SharePodSetManager) Start() {
 			m.runner.Enqueue(ev.Object.GetMeta().Name)
 		}
 	})
-	spR := m.srv.NewNamedReflector("sharepodset", KindSharePod, apiserver.WatchOptions{Replay: true})
+	spR := m.srv.NewNamedReflector("sharepodset", KindSharePod, apiserver.WatchOptions{Replay: true, OwnerKind: KindSharePodSet})
 	m.env.Go("sharepodset-watch-sharepods", func(p *sim.Proc) {
 		for {
 			ev, ok := spR.Get(p)
 			if !ok {
 				return
 			}
-			if owner := ev.Object.GetMeta().OwnerName; len(owner) > len(setOwnerPrefix) &&
-				owner[:len(setOwnerPrefix)] == setOwnerPrefix {
-				m.runner.Enqueue(owner[len(setOwnerPrefix):])
-			}
+			m.runner.Enqueue(ev.Object.GetMeta().OwnerName[len(setOwnerPrefix):])
 		}
 	})
 	m.runner.Start()

@@ -149,6 +149,13 @@ type StatusCarrier interface {
 	WithStatusFrom(src Object) Object
 }
 
+// NodeBound is implemented by objects that run on a node once bound. The
+// store's node-scoped watches (store.WatchOptions.Node) ask it where.
+type NodeBound interface {
+	// BoundNode returns the node the object is bound to, "" while unbound.
+	BoundNode() string
+}
+
 // Key returns the store key of an object.
 func Key(o Object) string { return o.Kind() + "/" + o.GetMeta().Name }
 
@@ -316,6 +323,9 @@ func (p *Pod) WithStatusFrom(src Object) Object {
 	out.Status = src.(*Pod).Status
 	return &out
 }
+
+// BoundNode implements NodeBound.
+func (p *Pod) BoundNode() string { return p.Spec.NodeName }
 
 // Terminated reports whether the pod reached a terminal phase.
 func (p *Pod) Terminated() bool {

@@ -30,8 +30,9 @@ import (
 	"kubeshare/internal/sim"
 )
 
-// WatchOptions is the store's: exact object name, label selector, and
-// whether to replay the current state first.
+// WatchOptions is the store's: the server-side filters (exact name, bound
+// node, owner kind, label selector) and whether to replay the current state
+// first.
 type WatchOptions = store.WatchOptions
 
 // Server is the cluster's API frontend.

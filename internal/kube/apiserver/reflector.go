@@ -144,7 +144,8 @@ func (r *Reflector) relist() {
 	cur := make(map[string]api.Object)
 	var upserts []string // name order, as the scan yields them
 	r.srv.ScanSelector(r.kind, r.opts.Selector, func(obj api.Object) bool {
-		if name := obj.GetMeta().Name; r.opts.Name == "" || name == r.opts.Name {
+		if r.opts.Matches(obj) {
+			name := obj.GetMeta().Name
 			cur[name] = obj
 			upserts = append(upserts, name)
 		}

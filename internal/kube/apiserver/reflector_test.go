@@ -2,7 +2,9 @@ package apiserver
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -216,6 +218,95 @@ func TestReflectorRandomizedConvergence(t *testing.T) {
 			t.Fatalf("seed %d: cache diverged:\n got %v\nwant %v", seed, state, want)
 		}
 		r.Stop()
+	}
+}
+
+// TestReflectorNodeScopedRelist: a node-scoped reflector that loses its
+// stream for good — history compacted under it (410 Gone), or the server
+// restarted into a new epoch — relists through the same filter its watch
+// used: Added/Modified/Deleted are synthesized for this node's pods only, a
+// pod bound to the node during the outage arrives as Added, and the cache
+// the diff is taken against never holds another node's pod.
+func TestReflectorNodeScopedRelist(t *testing.T) {
+	onNode := func(name, node string) *api.Pod {
+		pod := mkPod(name)
+		pod.Spec.NodeName = node
+		return pod
+	}
+	for _, tc := range []struct {
+		name  string
+		sever func(s *Server, r *Reflector) error
+	}{
+		{"compacted", func(_ *Server, r *Reflector) error { r.Drop(); return nil }},
+		{"restart", func(s *Server, _ *Reflector) error { _, err := s.Restart(); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, s := newServer()
+			s.EnableDurability(DurabilityConfig{})
+			s.SetWatchHistoryCap(4)
+			r := s.NewNamedReflector("test", "Pod", WatchOptions{Replay: true, Node: "n1"})
+			trace := collectTrace(env, r)
+
+			pods := Pods(s)
+			mustCreate(t, pods, onNode("a1", "n1"))
+			mustCreate(t, pods, onNode("a2", "n1"))
+			mustCreate(t, pods, onNode("b", "n2"))
+			mustCreate(t, pods, onNode("c", "")) // unbound
+			env.Go("driver", func(p *sim.Proc) {
+				p.Sleep(time.Second)
+				if err := tc.sever(s, r); err != nil {
+					t.Errorf("sever: %v", err)
+					return
+				}
+				// During the outage: one of ours goes, one changes, an unbound
+				// pod is bound here, one is created here — and as much again
+				// happens on n2, which also flushes the 4-entry history.
+				if err := pods.Delete("a1"); err != nil {
+					t.Error(err)
+				}
+				touch := func(pod *api.Pod) error { pod.Status.Message = "touched"; return nil }
+				if _, err := pods.MutateStatus("a2", touch); err != nil {
+					t.Error(err)
+				}
+				if _, err := pods.Mutate("c", func(pod *api.Pod) error { pod.Spec.NodeName = "n1"; return nil }); err != nil {
+					t.Error(err)
+				}
+				mustCreate(t, pods, onNode("d", "n1"))
+				if err := pods.Delete("b"); err != nil {
+					t.Error(err)
+				}
+				for i := 0; i < 6; i++ {
+					mustCreate(t, pods, onNode(fmt.Sprintf("e%d", i), "n2"))
+				}
+				if _, err := pods.MutateStatus("e0", touch); err != nil {
+					t.Error(err)
+				}
+				p.Sleep(time.Second)
+				mustCreate(t, pods, onNode("f", "n1"))
+				mustCreate(t, pods, onNode("g", "n2"))
+			})
+			env.RunUntil(10 * time.Second)
+
+			want := []string{
+				"ADDED a1", "ADDED a2", // replay: n1's pods, not b or c
+				"MODIFIED a2", // relist: survivor
+				"ADDED c",     // relist: bound here during the outage
+				"ADDED d",     // relist: created here during the outage
+				"DELETED a1",  // relist: vanished during the outage
+				"ADDED f",     // live after the relist
+			}
+			if !reflect.DeepEqual(*trace, want) {
+				t.Fatalf("event sequence:\n got %q\nwant %q", *trace, want)
+			}
+			if resumes, relists := r.Stats(); resumes != 0 || relists != 1 {
+				t.Fatalf("resumes=%d relists=%d, want 0/1", resumes, relists)
+			}
+			known := slices.Sorted(maps.Keys(r.known))
+			if want := []string{"a2", "c", "d", "f"}; !reflect.DeepEqual(known, want) {
+				t.Fatalf("reflector cache holds %q, want %q", known, want)
+			}
+			r.Stop()
+		})
 	}
 }
 

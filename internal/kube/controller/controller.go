@@ -116,8 +116,12 @@ func (r *Runner) Stop() {
 	}
 }
 
-// rcOwnerPrefix qualifies OwnerName references held by RC-created pods.
-const rcOwnerPrefix = "ReplicationController/"
+// rcKind is the owner kind of RC-created pods; rcOwnerPrefix qualifies their
+// OwnerName references.
+const (
+	rcKind        = "ReplicationController"
+	rcOwnerPrefix = rcKind + "/"
+)
 
 // ReplicationManager reconciles ReplicationController objects: it keeps
 // Replicas pods matching each controller's selector alive, creating and
@@ -140,8 +144,11 @@ func NewReplicationManager(env *sim.Env, srv *apiserver.Server) *ReplicationMana
 // through named reflectors so an apiserver restart — which closes every raw
 // watch queue for good — only costs a relist, not the manager's liveness.
 func (m *ReplicationManager) Start() {
-	rcR := m.srv.NewNamedReflector("rc-manager", "ReplicationController", apiserver.WatchOptions{Replay: true})
-	podR := m.srv.NewNamedReflector("rc-manager", "Pod", apiserver.WatchOptions{Replay: true})
+	rcR := m.srv.NewNamedReflector("rc-manager", rcKind, apiserver.WatchOptions{Replay: true})
+	// Owner references are kind-qualified keys; the watch delivers only pods
+	// owned by ReplicationControllers — other controllers (e.g. KubeShare's
+	// DevMgr) own pods too.
+	podR := m.srv.NewNamedReflector("rc-manager", "Pod", apiserver.WatchOptions{Replay: true, OwnerKind: rcKind})
 	m.env.Go("rc-watch", func(p *sim.Proc) {
 		for {
 			ev, ok := rcR.Get(p)
@@ -157,12 +164,7 @@ func (m *ReplicationManager) Start() {
 			if !ok {
 				return
 			}
-			// Owner references are kind-qualified keys; only react to pods
-			// owned by ReplicationControllers — other controllers (e.g.
-			// KubeShare's DevMgr) own pods too.
-			if owner := ev.Object.GetMeta().OwnerName; strings.HasPrefix(owner, rcOwnerPrefix) {
-				m.runner.Enqueue(strings.TrimPrefix(owner, rcOwnerPrefix))
-			}
+			m.runner.Enqueue(strings.TrimPrefix(ev.Object.GetMeta().OwnerName, rcOwnerPrefix))
 		}
 	})
 	m.runner.Start()

@@ -7,6 +7,8 @@ package kubelet
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"kubeshare/internal/kube/api"
@@ -121,9 +123,12 @@ func (k *Kubelet) Start() error {
 	return nil
 }
 
-// startLoops launches the watch-driven sync loop and the heartbeat loop.
+// startLoops launches the watch-driven sync loop and the heartbeat loop. The
+// watch is scoped to this node at the store, as a real kubelet's is by
+// spec.nodeName: a pod reaches it once bound here (as Modified, when the
+// scheduler binds it after creation).
 func (k *Kubelet) startLoops() {
-	k.reflector = k.srv.NewNamedReflector("kubelet", "Pod", apiserver.WatchOptions{Replay: true})
+	k.reflector = k.srv.NewNamedReflector("kubelet", "Pod", apiserver.WatchOptions{Replay: true, Node: k.cfg.NodeName})
 	k.proc = k.env.Go("kubelet-"+k.cfg.NodeName, k.syncLoop)
 	k.hbProc = k.env.GoDaemon("kubelet-hb-"+k.cfg.NodeName, k.heartbeatLoop)
 }
@@ -145,7 +150,9 @@ func (k *Kubelet) heartbeatLoop(p *sim.Proc) {
 	}
 }
 
-// Stop terminates the sync loop and kills every container on the node.
+// Stop terminates the sync loop and kills every container on the node, in
+// pod-name order: each kill takes the next sequence id at this instant, so
+// the order of the walk is the order the containers die in.
 func (k *Kubelet) Stop() {
 	if k.proc != nil {
 		k.proc.Kill(nil)
@@ -156,8 +163,8 @@ func (k *Kubelet) Stop() {
 	if k.reflector != nil {
 		k.reflector.Stop()
 	}
-	for name, w := range k.workers {
-		k.teardown(name, w)
+	for _, name := range slices.Sorted(maps.Keys(k.workers)) {
+		k.teardown(name, k.workers[name])
 	}
 }
 
@@ -243,7 +250,7 @@ func (k *Kubelet) syncLoop(p *sim.Proc) {
 		}
 		switch ev.Type {
 		case store.Added, store.Modified:
-			if pod.Spec.NodeName != k.cfg.NodeName || pod.Terminated() {
+			if pod.Terminated() {
 				continue
 			}
 			if _, managed := k.workers[pod.Name]; managed {

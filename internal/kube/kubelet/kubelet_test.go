@@ -1,6 +1,9 @@
 package kubelet
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -19,9 +22,15 @@ func rig(t *testing.T, gpus int) (*sim.Env, *apiserver.Server, *Kubelet, *runtim
 	env := sim.NewEnv()
 	srv := apiserver.New(env)
 	images := runtime.NewImageRegistry()
+	return env, srv, startKubelet(t, env, srv, images, "n0", gpus), images
+}
+
+// startKubelet starts one more node's kubelet on srv.
+func startKubelet(t *testing.T, env *sim.Env, srv *apiserver.Server, images *runtime.ImageRegistry, node string, gpus int) *Kubelet {
+	t.Helper()
 	var devs []*gpusim.Device
 	for i := 0; i < gpus; i++ {
-		devs = append(devs, gpusim.NewDevice(env, gpusim.Config{Index: i, NodeName: "n0"}))
+		devs = append(devs, gpusim.NewDevice(env, gpusim.Config{Index: i, NodeName: node}))
 	}
 	rt := runtime.New(env, images, devs, runtime.Config{StartLatency: 50 * time.Millisecond})
 	devmgr := deviceplugin.NewManager()
@@ -31,14 +40,14 @@ func rig(t *testing.T, gpus int) (*sim.Env, *apiserver.Server, *Kubelet, *runtim
 		}
 	}
 	kl := New(env, srv, devmgr, rt, Config{
-		NodeName:         "n0",
+		NodeName:         node,
 		ImagePullLatency: 50 * time.Millisecond,
 		SyncLatency:      10 * time.Millisecond,
 	})
 	if err := kl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return env, srv, kl, images
+	return kl
 }
 
 func boundPod(name string, req api.ResourceList) *api.Pod {
@@ -361,5 +370,102 @@ func TestKubeletStopKillsEverything(t *testing.T) {
 	env.Run()
 	if env.Now() > 10*time.Second {
 		t.Fatalf("containers survived kubelet stop until %v", env.Now())
+	}
+}
+
+// TestStopOrderDeterministic: a node crash kills its containers in pod-name
+// order, every run — each kill takes the next sequence id at that instant, so
+// the order of the walk over the workers is the order containers die in
+// (library close, token release, device free, trace lines). 64 fresh rigs, one
+// order.
+func TestStopOrderDeterministic(t *testing.T) {
+	names := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
+	for run := 0; run < 64; run++ {
+		env, srv, kl, images := rig(t, 0)
+		var died []string
+		images.Register("app", func(ctx *runtime.Ctx) error {
+			defer func() { died = append(died, ctx.Pod.Name) }()
+			ctx.Proc.Hibernate()
+			return nil
+		})
+		env.Go("t", func(p *sim.Proc) {
+			for i := len(names) - 1; i >= 0; i-- {
+				apiserver.Pods(srv).Create(boundPod(names[i], nil))
+			}
+			p.Sleep(10 * time.Second)
+			kl.Crash()
+		})
+		env.RunUntil(time.Minute)
+		if !reflect.DeepEqual(died, names) {
+			t.Fatalf("run %d: containers died in order %v, want %v", run, died, names)
+		}
+	}
+}
+
+// knownNames reads a reflector's cache — the last snapshot per object it has
+// delivered, which relists diff against — through reflection: production code
+// has no use for it, so the reflector exports no accessor.
+func knownNames(r *apiserver.Reflector) []string {
+	var names []string
+	for _, k := range reflect.ValueOf(r).Elem().FieldByName("known").MapKeys() {
+		names = append(names, k.String())
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestKubeletWatchScopedToNode: two kubelets on one apiserver each receive,
+// cache and run only their own node's pods, and a pod bound after creation —
+// which reaches its kubelet as a Modified event, never an Added one — is
+// admitted exactly once however many more events follow.
+func TestKubeletWatchScopedToNode(t *testing.T) {
+	env, srv, k0, images := rig(t, 0)
+	k1 := startKubelet(t, env, srv, images, "n1", 0)
+	ran := map[string]int{}
+	images.Register("app", func(ctx *runtime.Ctx) error {
+		ran[ctx.Pod.Name+"@"+ctx.Pod.Spec.NodeName]++
+		ctx.Proc.Sleep(time.Minute)
+		return nil
+	})
+	pods := apiserver.Pods(srv)
+	env.Go("t", func(p *sim.Proc) {
+		pods.Create(boundPod("a0", nil))
+		late := boundPod("late", nil)
+		late.Spec.NodeName = ""
+		pods.Create(late)
+		for _, name := range []string{"b0", "b1"} {
+			pod := boundPod(name, nil)
+			pod.Spec.NodeName = "n1"
+			pods.Create(pod)
+		}
+		p.Sleep(time.Second)
+		if _, err := pods.Mutate("late", func(pod *api.Pod) error { pod.Spec.NodeName = "n1"; return nil }); err != nil {
+			t.Error(err)
+		}
+		// More events for the late pod while its admission is in flight.
+		for i := 0; i < 3; i++ {
+			if _, err := pods.Mutate("late", func(pod *api.Pod) error {
+				pod.Annotations = map[string]string{"touch": fmt.Sprint(i)}
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+			p.Sleep(20 * time.Millisecond)
+		}
+	})
+	env.RunUntil(10 * time.Second)
+	if want := map[string]int{"a0@n0": 1, "b0@n1": 1, "b1@n1": 1, "late@n1": 1}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("containers started: %v, want %v", ran, want)
+	}
+	if got, want := knownNames(k0.reflector), []string{"a0"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("n0's reflector caches %v, want %v", got, want)
+	}
+	if got, want := knownNames(k1.reflector), []string{"b0", "b1", "late"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("n1's reflector caches %v, want %v", got, want)
+	}
+	for _, name := range []string{"a0", "b0", "b1", "late"} {
+		if pod, err := pods.Get(name); err != nil || pod.Status.Phase != api.PodRunning {
+			t.Fatalf("pod %s: %+v, %v; want Running", name, pod, err)
+		}
 	}
 }

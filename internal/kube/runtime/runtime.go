@@ -123,7 +123,6 @@ type Handle struct {
 	proc    *sim.Proc
 	started *sim.Event
 	done    *sim.Event
-	cudaAPI cuda.API
 }
 
 // State returns the container's lifecycle state.
@@ -165,10 +164,14 @@ func (r *Runtime) Start(pod *api.Pod, c api.Container, extraEnv map[string]strin
 		done:    sim.NewEvent(r.env),
 	}
 	h.proc = r.env.Go(h.ID, func(p *sim.Proc) {
+		// The library handle lives in the proc body, not on the Handle: a
+		// kubelet keeps the Handle until the pod object is deleted, and the
+		// closed library (contexts, allocations) must not stay with it.
+		var capi cuda.API
 		defer func() {
 			h.state = StateExited
-			if h.cudaAPI != nil {
-				h.cudaAPI.Close(p)
+			if capi != nil {
+				capi.Close(p)
 			}
 			if p.Killed() && h.exitErr == nil {
 				h.exitErr = errContainerKilled
@@ -179,12 +182,11 @@ func (r *Runtime) Start(pod *api.Pod, c api.Container, extraEnv map[string]strin
 			h.done.Trigger(h.exitErr)
 		}()
 		p.Sleep(r.cfg.StartLatency)
-		capi, err := r.resolveCUDA(pod, c, env, h.ID)
-		if err != nil {
+		var err error
+		if capi, err = r.resolveCUDA(pod, c, env, h.ID); err != nil {
 			h.exitErr = err
 			return
 		}
-		h.cudaAPI = capi
 		h.state = StateRunning
 		h.started.Trigger(nil)
 		h.exitErr = entry(&Ctx{Proc: p, Pod: pod, Container: c, Env: env, CUDA: capi})

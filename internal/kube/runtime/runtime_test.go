@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"errors"
+	goruntime "runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,4 +251,42 @@ func TestCUDAClosedOnExit(t *testing.T) {
 	if devs[0].ActiveContexts() != 0 {
 		t.Fatal("context leaked after exit")
 	}
+}
+
+// TestExitedContainerReleasesLibrary: a Handle outlives its container (the
+// kubelet keeps it until the pod object is deleted) but must not keep the
+// CUDA library the container loaded — closed on exit, then garbage.
+func TestExitedContainerReleasesLibrary(t *testing.T) {
+	env := sim.NewEnv()
+	rt, devs := testRig(env, 1)
+	var freed atomic.Bool
+	type loaded struct{ cuda.API }
+	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) cuda.API {
+		lib := &loaded{base}
+		goruntime.SetFinalizer(lib, func(*loaded) { freed.Store(true) })
+		return lib
+	})
+	rt.images.Register("app", func(ctx *Ctx) error {
+		ctx.Proc.Sleep(time.Second)
+		return nil
+	})
+	h, err := rt.Start(pod("p"), api.Container{Name: "c", Image: "app"}, map[string]string{
+		"NVIDIA_VISIBLE_DEVICES": devs[0].UUID(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Run()
+	if h.State() != StateExited || h.ExitErr() != nil {
+		t.Fatalf("state=%v err=%v", h.State(), h.ExitErr())
+	}
+	for i := 0; i < 200 && !freed.Load(); i++ {
+		goruntime.GC() // finalizers run on their own goroutine, some time after
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("exited container's handle still pins its CUDA library")
+	}
+	goruntime.KeepAlive(h)
+	goruntime.KeepAlive(env)
 }

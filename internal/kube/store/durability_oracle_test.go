@@ -27,9 +27,9 @@ import (
 // the model takes from the implementation is each frame's byte length (from
 // DurableSizes), which it needs to know what a truncation by n bytes cuts.
 //
-// The same histories open watchers at random points — kind-wide, exact-name
-// and selector-filtered, with and without replay — drop some and resume them
-// from the last revision they saw. The model keeps, per watcher, the list of
+// The same histories open watchers at random points — kind-wide, exact-name,
+// selector-filtered, node-scoped, owner-scoped and node+selector, with and
+// without replay — drop some and resume them from the last revision they saw. The model keeps, per watcher, the list of
 // events a filter written out by hand lets through; after every step each
 // live queue must hold exactly that list (so a stream has no gap, no
 // duplicate and no event out of revision order), every event must carry the
@@ -73,7 +73,10 @@ type op struct {
 	kind  opKind
 	obj   string // object kind
 	name  string
-	val   int  // label and payload variation; watch: the filter's shape
+	val   int  // label and payload variation
+	node  int  // which of oracleNodes a pod is bound to
+	owner int  // which of oracleOwners the object carries
+	shape int  // watch: the filter's shape; see sees
 	stale bool // update with a stale ResourceVersion; watch: replay
 	n     int  // tear: bytes to cut; <= 0 flips the last byte
 	w     int  // drop, resume: which watcher
@@ -88,9 +91,9 @@ func (o op) String() string {
 	case opDrop, opResume:
 		return fmt.Sprintf("%s #%d", opNames[o.kind], o.w)
 	case opWatch:
-		return fmt.Sprintf("watch %s shape %d (name %s) replay=%v", o.obj, o.val, o.name, o.stale)
+		return fmt.Sprintf("watch %s shape %d (name %s) replay=%v", o.obj, o.shape, o.name, o.stale)
 	}
-	s := fmt.Sprintf("%s %s/%s v%d", opNames[o.kind], o.obj, o.name, o.val)
+	s := fmt.Sprintf("%s %s/%s v%d node=%q owner=%q", opNames[o.kind], o.obj, o.name, o.val, oracleNodes[o.node], oracleOwners[o.owner])
 	if o.stale {
 		s += " stale"
 	}
@@ -98,6 +101,18 @@ func (o op) String() string {
 }
 
 var oracleKinds = []string{"Pod", "Node", api.KindEvent, "ReplicationController", core.KindSharePod, core.KindVGPU, core.KindSharePodSet}
+
+// What the node and owner filters are tried on: a pod unbound and bound to
+// each of three nodes (so histories hold the unbound → bound update, and the
+// rebinding no scheduler does), and owners of three kinds, one a prefix of
+// another.
+var (
+	oracleNodes  = []string{"", "n0", "n1", "n2"}
+	oracleOwners = []string{"", "ReplicationController/a", "SharePodSet/a", "SharePod/a"}
+)
+
+// numShapes is how many filter shapes a watch op draws from.
+const numShapes = 9
 
 // sortedKinds is oracleKinds in name order, which is also the order of their
 // keys.
@@ -120,6 +135,7 @@ func randomHistory(rng *simrand.Source, n int) []op {
 		o.obj = oracleKinds[kinds[rng.Intn(len(kinds))]]
 		o.name = fmt.Sprintf("o%d", rng.Intn(5))
 		o.val = rng.Intn(4)
+		o.node, o.owner, o.shape = rng.Intn(len(oracleNodes)), rng.Intn(len(oracleOwners)), rng.Intn(numShapes)
 		o.stale = rng.Intn(6) == 0
 		o.n = rng.Intn(120) - 20
 		o.w = rng.Intn(8)
@@ -129,14 +145,15 @@ func randomHistory(rng *simrand.Source, n int) []op {
 }
 
 // build makes the object a write carries: labels (nil, empty, one or two
-// keys), a spec field and a status field that all vary with val.
-func build(kind, name string, val int) api.Object {
+// keys), a spec field and a status field that all vary with val, the owner,
+// and for a pod the node it is bound to.
+func build(kind, name string, val int, node, owner string) api.Object {
 	obj, err := api.NewObject(kind)
 	if err != nil {
 		panic(err)
 	}
 	meta := obj.GetMeta()
-	meta.Name = name
+	meta.Name, meta.OwnerName = name, owner
 	switch val {
 	case 1:
 		meta.Labels = map[string]string{}
@@ -148,7 +165,7 @@ func build(kind, name string, val int) api.Object {
 	tag := fmt.Sprintf("v%d", val)
 	switch o := obj.(type) {
 	case *api.Pod:
-		o.Spec.NodeName, o.Status.Message = tag, tag
+		o.Spec.NodeName, o.Status.Message = node, tag
 		o.Spec.Containers = []api.Container{{Name: "c", Env: map[string]string{"K": tag}, Requests: api.ResourceList{api.ResourceCPU: int64(val)}}}
 	case *api.Node:
 		o.Status.Capacity, o.Status.Ready = api.ResourceList{api.ResourceGPU: int64(val)}, val%2 == 0
@@ -244,16 +261,30 @@ func (w *watch) options() store.WatchOptions {
 		return store.WatchOptions{Name: w.name, Selector: labels.NewSelector(
 			labels.Requirement{Key: "tier", Op: labels.Exists},
 			labels.Requirement{Key: "app", Op: labels.NotEquals, Value: "o1"})}
+	case 4:
+		return store.WatchOptions{Node: "n1"}
+	case 5:
+		return store.WatchOptions{OwnerKind: "ReplicationController"}
+	case 6:
+		return store.WatchOptions{Node: "n0", Selector: labels.SelectorFromMap(map[string]string{"tier": "t2"})}
+	case 7:
+		return store.WatchOptions{OwnerKind: core.KindSharePodSet}
+	case 8:
+		return store.WatchOptions{OwnerKind: core.KindSharePod}
 	}
 	return store.WatchOptions{}
 }
 
 // sees is the same filter written out by hand: the model's own statement of
-// which objects a watcher is shown. A delete is judged by the labels the
-// object last had.
+// which objects a watcher is shown. A delete is judged by the labels, node and
+// owner the object last had; only a pod is ever on a node.
 func (w *watch) sees(obj api.Object) bool {
 	meta := obj.GetMeta()
 	tier, tiered := meta.Labels["tier"]
+	node := ""
+	if pod, ok := obj.(*api.Pod); ok {
+		node = pod.Spec.NodeName
+	}
 	switch {
 	case obj.Kind() != w.kind:
 		return false
@@ -263,6 +294,16 @@ func (w *watch) sees(obj api.Object) bool {
 		return tier == "t2"
 	case w.shape == 3:
 		return meta.Name == w.name && tiered && meta.Labels["app"] != "o1"
+	case w.shape == 4:
+		return node == "n1"
+	case w.shape == 5:
+		return strings.HasPrefix(meta.OwnerName, "ReplicationController/")
+	case w.shape == 6:
+		return node == "n0" && tier == "t2"
+	case w.shape == 7:
+		return strings.HasPrefix(meta.OwnerName, "SharePodSet/")
+	case w.shape == 8:
+		return strings.HasPrefix(meta.OwnerName, "SharePod/")
 	}
 	return true
 }
@@ -559,11 +600,11 @@ func drive(p *sim.Proc, h []op) error {
 		var result api.Object // what a write returned
 		switch o.kind {
 		case opCreate:
-			obj := build(o.obj, o.name, o.val)
+			obj := build(o.obj, o.name, o.val, oracleNodes[o.node], oracleOwners[o.owner])
 			result, got = s.Create(obj)
 			want = m.create(obj, env.Now())
 		case opUpdate, opUpdateStatus:
-			obj := build(o.obj, o.name, o.val)
+			obj := build(o.obj, o.name, o.val, oracleNodes[o.node], oracleOwners[o.owner])
 			if cur, ok := m.objs[key]; ok {
 				obj.GetMeta().ResourceVersion = cur.GetMeta().ResourceVersion
 			}
@@ -589,7 +630,7 @@ func drive(p *sim.Proc, h []op) error {
 				return err
 			}
 		case opWatch:
-			w := &watch{id: i, kind: o.obj, shape: o.val, name: o.name, last: m.rev}
+			w := &watch{id: i, kind: o.obj, shape: o.shape, name: o.name, last: m.rev}
 			opts := w.options()
 			opts.Replay = o.stale
 			w.q = s.WatchFiltered(o.obj, opts)
@@ -661,7 +702,7 @@ func drive(p *sim.Proc, h []op) error {
 	if err := crash("final crash"); err != nil {
 		return err
 	}
-	probe := build("Pod", "probe", 0)
+	probe := build("Pod", "probe", 0, "", "")
 	created, err := s.Create(probe)
 	if err != nil {
 		return fmt.Errorf("probe create after the final crash: %v", err)

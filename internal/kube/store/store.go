@@ -7,8 +7,9 @@
 // Objects are kept in per-kind buckets with a sorted name index and
 // a label posting index (key → value → names), so lists, selector queries
 // and watch fan-out cost O(matching objects) instead of O(all keys).
-// Watches can be filtered server-side by kind, exact name and label
-// selector — subscribers never receive events they would discard.
+// Watches can be filtered server-side by kind, exact name, bound node, owner
+// kind and label selector — subscribers never receive events they would
+// discard.
 //
 // # Concurrency
 //
@@ -98,12 +99,21 @@ type Event struct {
 }
 
 // WatchOptions says what a watch of a kind wants, filtered server-side. The
-// zero value subscribes to every later mutation of the kind.
+// zero value subscribes to every later mutation of the kind. Every filter is
+// evaluated on the event's own object — for Deleted events the last stored
+// one — so an object that comes to match by a later write (a pod bound to
+// the node) first reaches the watcher as Modified.
 type WatchOptions struct {
 	// Name restricts delivery to the object with this exact name.
 	Name string
-	// Selector restricts delivery to objects whose labels match. For
-	// Deleted events the last stored labels are consulted. Nil matches all.
+	// Node restricts delivery to objects bound to this node
+	// (api.NodeBound); kinds that are never bound match no node.
+	Node string
+	// OwnerKind restricts delivery to objects whose OwnerName is
+	// "<OwnerKind>/<name>" — what a controller of that kind created.
+	OwnerKind string
+	// Selector restricts delivery to objects whose labels match. Nil matches
+	// all.
 	Selector labels.Selector
 	// Replay delivers the currently matching objects first as Added events
 	// (list+watch semantics). A resume (WatchFilteredFrom) replays history
@@ -111,16 +121,25 @@ type WatchOptions struct {
 	Replay bool
 }
 
-// matches reports whether an object with the given name and labels passes
-// the filter.
-func (o WatchOptions) matches(name string, lbls map[string]string) bool {
-	if o.Name != "" && o.Name != name {
+// Matches reports whether obj passes every filter: the one place that
+// decides whether a watcher sees an object, for live delivery, replay,
+// resume and a reflector's relist alike.
+func (o WatchOptions) Matches(obj api.Object) bool {
+	meta := obj.GetMeta()
+	if o.Name != "" && o.Name != meta.Name {
 		return false
 	}
-	if o.Selector != nil && !o.Selector.Matches(lbls) {
-		return false
+	if o.Node != "" {
+		if nb, ok := obj.(api.NodeBound); !ok || nb.BoundNode() != o.Node {
+			return false
+		}
 	}
-	return true
+	if k := o.OwnerKind; k != "" {
+		if owner := meta.OwnerName; len(owner) <= len(k) || owner[len(k)] != '/' || owner[:len(k)] != k {
+			return false
+		}
+	}
+	return o.Selector == nil || o.Selector.Matches(meta.Labels)
 }
 
 // watcher fans events out to one subscriber. It lives in its kind's bucket
@@ -581,12 +600,13 @@ func (s *Store) Watch(kind string, replay bool) *sim.Queue[Event] {
 }
 
 // WatchFiltered is Watch narrowed by server-side filters: events are only
-// delivered for objects passing opts (exact name and/or label selector), and
-// opts.Replay delivers the currently matching objects as Added events. The
-// filters run in the store, so subscribers never pay for events they would
-// discard — the kube way of keeping watch fan-out O(interested parties).
-// Registration (replay + subscribe) is atomic under the write lock, so no
-// mutation is missed or duplicated across the boundary.
+// delivered for objects passing opts (WatchOptions.Matches: exact name, bound
+// node, owner kind and/or label selector), and opts.Replay delivers the
+// currently matching objects as Added events. The filters run in the store,
+// so subscribers never pay for events they would discard — the kube way of
+// keeping watch fan-out O(interested parties). Registration (replay +
+// subscribe) is atomic under the write lock, so no mutation is missed or
+// duplicated across the boundary.
 func (s *Store) WatchFiltered(kind string, opts WatchOptions) *sim.Queue[Event] {
 	w := &watcher{opts: opts, queue: sim.NewQueue[Event](s.env)}
 	s.mu.Lock()
@@ -626,8 +646,7 @@ func (s *Store) WatchFilteredFrom(kind string, opts WatchOptions, fromRev int64)
 		if ev.Rev <= fromRev {
 			continue
 		}
-		meta := ev.Object.GetMeta()
-		if ev.Object.Kind() != kind || !opts.matches(meta.Name, meta.Labels) {
+		if ev.Object.Kind() != kind || !opts.Matches(ev.Object) {
 			continue
 		}
 		w.queue.Put(ev)
@@ -638,18 +657,15 @@ func (s *Store) WatchFilteredFrom(kind string, opts WatchOptions, fromRev int64)
 }
 
 // replayBucket lists the snapshots a filtered watch replays from a held
-// bucket, using the indexes where possible.
+// bucket: the indexes narrow the candidates, Matches decides.
 func replayBucket(b *bucket, opts WatchOptions) []api.Object {
-	if opts.Name != "" {
-		// Exact-name watch: at most one object.
-		if obj, ok := b.objs[opts.Name]; ok {
-			if opts.Selector == nil || opts.Selector.Matches(obj.GetMeta().Labels) {
-				return []api.Object{obj}
-			}
-		}
-		return nil
+	var out []api.Object
+	if opts.Name == "" {
+		out = b.selectSnapshots(opts.Selector) // a fresh slice, filtered in place
+	} else if obj, ok := b.objs[opts.Name]; ok {
+		out = []api.Object{obj}
 	}
-	return b.selectSnapshots(opts.Selector)
+	return slices.DeleteFunc(out, func(obj api.Object) bool { return !opts.Matches(obj) })
 }
 
 // StopWatch cancels a subscription created by Watch and closes its queue.
@@ -679,9 +695,8 @@ func (s *Store) notify(b *bucket, ev Event) {
 	if s.onPublish != nil {
 		s.onPublish(ev)
 	}
-	meta := ev.Object.GetMeta()
 	for _, w := range b.watchers {
-		if w.opts.matches(meta.Name, meta.Labels) {
+		if w.opts.Matches(ev.Object) {
 			w.queue.Put(ev)
 		}
 	}

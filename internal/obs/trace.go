@@ -51,11 +51,20 @@ func (s Span) Duration() time.Duration {
 // trace memory.
 const DefaultSpanCap = 1 << 20
 
+// spanPage is the span buffer's unit of growth: a full page is never
+// copied again, so recording n spans allocates n spans' worth of pages, not
+// the geometric series a single growing slice re-copies.
+const (
+	spanPageBits = 10
+	spanPage     = 1 << spanPageBits
+)
+
 // Tracer records spans on the env's virtual clock. It is env-confined:
 // all writes happen on the simulation goroutine, reads after the run.
 type Tracer struct {
 	env     *sim.Env
-	spans   []Span
+	pages   [][]Span         // span id is pages[(id-1)>>spanPageBits][(id-1)&(spanPage-1)]
+	n       int              // spans recorded
 	heads   map[string]int64 // key -> last span ID on that chain
 	cap     int              // max retained spans; <= 0 means unbounded
 	dropped int64
@@ -87,15 +96,20 @@ func (t *Tracer) Dropped() int64 {
 // cap it drops the span and returns 0 — the zero SpanRef/parent ID, so
 // chains simply stop growing and End on a dropped span no-ops.
 func (t *Tracer) push(component, op, key, note string, start, end time.Duration) int64 {
-	if t.cap > 0 && len(t.spans) >= t.cap {
+	if t.cap > 0 && t.n >= t.cap {
 		t.dropped++
 		if t.onDrop != nil {
 			t.onDrop()
 		}
 		return 0
 	}
-	id := int64(len(t.spans)) + 1
-	t.spans = append(t.spans, Span{
+	if t.n&(spanPage-1) == 0 {
+		t.pages = append(t.pages, make([]Span, 0, spanPage))
+	}
+	t.n++
+	id := int64(t.n)
+	last := &t.pages[len(t.pages)-1]
+	*last = append(*last, Span{
 		ID: id, Parent: t.heads[key], Key: key,
 		Component: component, Op: op, Note: note,
 		Start: start, End: end,
@@ -139,8 +153,10 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
+	out := make([]Span, 0, t.n)
+	for _, page := range t.pages {
+		out = append(out, page...)
+	}
 	return out
 }
 
@@ -149,7 +165,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.spans)
+	return t.n
 }
 
 // SpanRef is a handle to an open span. The zero value (from a nil
@@ -171,7 +187,7 @@ func (r SpanRef) EndNote(format string, args ...any) {
 	if r.t == nil || r.id == 0 {
 		return
 	}
-	sp := &r.t.spans[r.id-1]
+	sp := &r.t.pages[(r.id-1)>>spanPageBits][(r.id-1)&(spanPage-1)]
 	sp.End = r.t.env.Now()
 	if format != "" {
 		sp.Note = fmt.Sprintf(format, args...)

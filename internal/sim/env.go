@@ -316,6 +316,9 @@ func (env *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 				}
 			}
 			p.finished = true
+			// Whoever still holds the *Proc must not pin the coroutine and
+			// everything its body captured (dispatch and Kill stop at finished).
+			p.next, p.yield = nil, nil
 			env.live--
 			env.tracef("proc %s finished", p.name)
 		}()

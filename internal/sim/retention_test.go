@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -81,5 +84,42 @@ func TestGetTimeoutPendingBounded(t *testing.T) {
 	// most; 200 iterations must not stack 200 dead timers.
 	if maxQueue > 8 {
 		t.Fatalf("event queue grew to %d pending events across timeouts", maxQueue)
+	}
+}
+
+// TestFinishedProcReleasesBody: a finished proc is a name and a flag. Whoever
+// still holds the *Proc (a kubelet's pod worker holds its container's until
+// the pod object is deleted) must not keep the coroutine, and through it
+// everything the body captured, alive — whether the body returned or was
+// killed.
+func TestFinishedProcReleasesBody(t *testing.T) {
+	for _, kill := range []bool{false, true} {
+		env := NewEnv()
+		var freed atomic.Bool
+		spawn := func() *Proc { // its own frame, so no stack slot keeps payload
+			payload := new([1 << 16]byte)
+			runtime.SetFinalizer(payload, func(*[1 << 16]byte) { freed.Store(true) })
+			return env.Go("body", func(p *Proc) {
+				p.Sleep(time.Second)
+				payload[0]++
+			})
+		}
+		p := spawn()
+		if kill {
+			env.After(time.Millisecond, func() { p.Kill(errors.New("stop")) })
+		}
+		env.Run()
+		if !p.Finished() {
+			t.Fatalf("kill=%v: proc not finished", kill)
+		}
+		for i := 0; i < 200 && !freed.Load(); i++ {
+			runtime.GC() // finalizers run on their own goroutine, some time after
+			time.Sleep(time.Millisecond)
+		}
+		if !freed.Load() {
+			t.Fatalf("kill=%v: finished proc still pins what its body captured", kill)
+		}
+		runtime.KeepAlive(p)
+		runtime.KeepAlive(env)
 	}
 }

@@ -66,8 +66,8 @@ type (
 	// watcher and every Get/List receives the same pointer — so never
 	// write to it.
 	Event = store.Event
-	// WatchOptions narrows a Sim.Watch subscription: exact name, label
-	// selector, and replay of the current state.
+	// WatchOptions narrows a Sim.Watch subscription: exact name, bound
+	// node, owner kind, label selector, and replay of the current state.
 	WatchOptions = store.WatchOptions
 	// Selector filters objects by labels (see SelectorFromMap / HasLabel).
 	Selector = labels.Selector
