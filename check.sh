@@ -51,6 +51,16 @@ go test -race ./internal/sim/... ./internal/devlib/...
 # (token/mps/replica) and the frontend refactor behind it must hold under
 # the race detector with parallel test workers.
 GOMAXPROCS=4 go test -race ./internal/devlib/... ./internal/gpusim/...
+# The Strategy contract by name, so it cannot silently vanish: the
+# conformance suite runs every case on token, mps and replica (1 and 2
+# logical GPUs) — registration and ErrDown, suspend failing every queued
+# admit, seq-fenced release, hand-off on the holder's Unregister, disjoint
+# turns per gate over seeded random interleavings that all terminate, a
+# Handoffs total that never decreases, and 0 allocations per steady-state
+# Admit+Release. Beside it, the facade's mixed-mode case: two co-placed
+# sharePods asking for different modes fail one container, not the run.
+named TestConformance env GOMAXPROCS=4 go test -race ./internal/devlib/sharing/
+named TestFacadeMixedSharingModesFailOneContainer go test -race .
 named 'TestRunIndexed|TestFig8DeterminismGolden|TestTraceDeterminismGolden' env GOMAXPROCS=4 go test -race ./internal/experiments/
 # Labeled-family interning and the TSDB under the race detector: family
 # lookup is the one obs path exercised off the simulation goroutine. This

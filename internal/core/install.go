@@ -88,36 +88,37 @@ func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
 	for _, node := range c.Nodes {
 		backend := devlib.NewBackend(c.Env, dcfg)
 		ks.Backends[node.Name] = backend
-		node.Runtime.AddLibraryHook(func(pod *api.Pod, ctn api.Container, base cuda.API) cuda.API {
+		node.Runtime.AddLibraryHook(func(pod *api.Pod, ctn api.Container, base cuda.API) (cuda.API, error) {
 			if pod.Labels[LabelSharePod] == "" || base == nil {
-				return nil // not ours: fall through to the raw driver
+				return nil, nil // not ours: fall through to the raw driver
 			}
 			share, err := shareFromAnnotations(pod.Annotations)
 			if err != nil {
-				panic(fmt.Sprintf("kubeshare: bound pod %s has bad annotations: %v", pod.Name, err))
+				return nil, fmt.Errorf("kubeshare: bound pod %s has bad annotations: %w", pod.Name, err)
 			}
 			// An absent mode annotation means "node default" (StrategyFor's
 			// ""), not "token" — only explicit per-pod modes override.
 			var mode sharing.Mode
 			if s := pod.Annotations[AnnSharingMode]; s != "" {
-				mode, err = sharing.ParseMode(s)
-				if err != nil {
-					panic(fmt.Sprintf("kubeshare: bound pod %s has bad annotations: %v", pod.Name, err))
+				if mode, err = sharing.ParseMode(s); err != nil {
+					return nil, fmt.Errorf("kubeshare: bound pod %s has bad annotations: %w", pod.Name, err)
 				}
 			}
+			// A device serves one mode: a pod co-placed with tenants of
+			// another fails here, its container only.
 			strat, err := backend.StrategyFor(base.Device().UUID, mode)
 			if err != nil {
-				panic(fmt.Sprintf("kubeshare: install frontend for %s: %v", pod.Name, err))
+				return nil, fmt.Errorf("kubeshare: install frontend for %s: %w", pod.Name, err)
 			}
 			f, err := devlib.NewFrontendWith(base, strat, pod.Name+"/"+ctn.Name, share, backend.Config())
 			if err != nil {
-				panic(fmt.Sprintf("kubeshare: install frontend for %s: %v", pod.Name, err))
+				return nil, fmt.Errorf("kubeshare: install frontend for %s: %w", pod.Name, err)
 			}
 			// Bound pods carry OwnerName "SharePod/<name>", so the
 			// frontend's token-grant / kernel-launch trace marks land on
 			// the owning sharePod's causal chain.
 			f.SetTraceKey(api.TraceKey(pod))
-			return f
+			return f, nil
 		})
 	}
 	// vGPU recovery needs to suspend/resume the dying pod's token manager.

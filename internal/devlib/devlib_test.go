@@ -450,6 +450,23 @@ func TestShareEffectiveLimitDefaults(t *testing.T) {
 	}
 }
 
+// TestShareValidateRejectsNonFinite: NaN and ±Inf in any fractional field
+// are refused — range checks written `x < 0 || x > 1` are false for NaN,
+// and a NaN gpu_mem would make the memory cap int64(NaN·total).
+func TestShareValidateRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, s := range map[string]Share{
+			"gpu_request": {Request: bad, Limit: 0.5, Memory: 0.5},
+			"gpu_limit":   {Request: 0.5, Limit: bad, Memory: 0.5},
+			"gpu_mem":     {Request: 0.5, Limit: 0.5, Memory: bad},
+		} {
+			if err := s.Validate(); err == nil {
+				t.Errorf("%s %v accepted", field, bad)
+			}
+		}
+	}
+}
+
 func TestAsyncStreamBatchesUnderOneToken(t *testing.T) {
 	r := newRig(Config{})
 	f := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.3})

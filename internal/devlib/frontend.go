@@ -45,15 +45,18 @@ type Share struct {
 // Validate checks the share against the paper's fractional-value rules
 // (extended with the absolute gpu_mem_bytes form: exactly one of the two
 // memory requests must be positive).
+//
+// The range checks are written `!(lo <= x && x <= hi)` so that NaN, for
+// which every comparison is false, fails them.
 func (s Share) Validate() error {
-	if s.Request < 0 || s.Request > 1 {
+	if !(s.Request >= 0 && s.Request <= 1) {
 		return fmt.Errorf("devlib: gpu_request %v outside [0,1]", s.Request)
 	}
 	limit := s.Limit
 	if limit == 0 {
 		limit = s.Request
 	}
-	if limit <= 0 || limit > 1 {
+	if !(limit > 0 && limit <= 1) {
 		return fmt.Errorf("devlib: gpu_limit %v outside (0,1]", s.Limit)
 	}
 	if limit < s.Request {
@@ -68,7 +71,7 @@ func (s Share) Validate() error {
 		}
 		return nil
 	}
-	if s.Memory <= 0 || s.Memory > 1 {
+	if !(s.Memory > 0 && s.Memory <= 1) {
 		return fmt.Errorf("devlib: gpu_mem %v outside (0,1]", s.Memory)
 	}
 	return nil
@@ -140,11 +143,10 @@ type Frontend struct {
 	devtimeVec  *obs.CounterVec
 	devtimeCtr  *obs.Counter
 
-	// Virtual-memory mode (Config.MemOvercommit, token strategy only):
-	// allocations are tracked here instead of on the physical device, and
-	// residency is managed by the strategy's swap broker.
-	swapper  sharing.Swapper
-	virtual  bool
+	// Virtual-memory mode (Config.MemOvercommit, token strategy only; on
+	// when swapper is set): allocations are tracked here instead of on the
+	// physical device, and residency is managed by the token's swap broker.
+	swapper  *sharing.Token
 	virtMem  int64
 	virtPtrs map[cuda.Ptr]int64
 	nextPtr  cuda.Ptr
@@ -214,10 +216,9 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 		}
 	}
 	if cfg.MemOvercommit {
-		if sw, ok := strat.(sharing.Swapper); ok {
-			sw.EnableSwap(total, cfg.SwapBandwidth)
-			f.swapper = sw
-			f.virtual = true
+		if tok, ok := strat.(*sharing.Token); ok {
+			tok.EnableSwap(total, cfg.SwapBandwidth)
+			f.swapper = tok
 			f.virtPtrs = make(map[cuda.Ptr]int64)
 			f.nextPtr = 0x1000
 		}
@@ -256,7 +257,7 @@ func (f *Frontend) MemAlloc(p *sim.Proc, n int64) (cuda.Ptr, error) {
 		return 0, fmt.Errorf("devlib: container %s exceeds gpu_mem share (%d of %d bytes): %w",
 			f.clientID, f.MemUsed()+n, f.memCap, cuda.ErrOutOfMemory)
 	}
-	if !f.virtual {
+	if f.swapper == nil {
 		return f.base.MemAlloc(p, n)
 	}
 	if n <= 0 {
@@ -279,7 +280,7 @@ func (f *Frontend) MemFree(p *sim.Proc, ptr cuda.Ptr) error {
 	if f.closed {
 		return cuda.ErrClosed
 	}
-	if !f.virtual {
+	if f.swapper == nil {
 		return f.base.MemFree(p, ptr)
 	}
 	n, ok := f.virtPtrs[ptr]
@@ -331,7 +332,7 @@ func (f *Frontend) acquireLease(p *sim.Proc) error {
 				// has no exchange to pay for.
 				p.Sleep(handoff)
 			}
-			if f.virtual {
+			if f.swapper != nil {
 				// Over-commit mode: bring the working set back onto the
 				// device (it may have been swapped out while another tenant
 				// held the token), paying the transfer time.
@@ -480,7 +481,7 @@ func (f *Frontend) Synchronize(p *sim.Proc) error {
 // MemUsed reports the container's allocated bytes (virtual bytes in
 // over-commit mode).
 func (f *Frontend) MemUsed() int64 {
-	if f.virtual {
+	if f.swapper != nil {
 		return f.virtMem
 	}
 	return f.base.MemUsed()

@@ -1,23 +1,29 @@
 // Package sharing defines the pluggable GPU-sharing policy layer of the
 // device library. A Strategy owns one physical device's admission control:
 // it registers the device's containers, admits kernel work (possibly
-// blocking the caller), accounts per-tenant usage, and survives the
-// suspend/resume cycle of the vGPU pod hosting it.
+// blocking the caller), and survives the suspend/resume cycle of the vGPU
+// pod hosting it. Per-tenant usage is reported through the obs counter
+// families, not through the interface.
 //
 // Three families of policies are provided:
 //
 //   - token (NewToken, the default and the paper's own policy, implemented
 //     here): Gemini-style token-gated time-slicing — exclusive holds,
 //     sliding-window usage accounting, gpu_request guarantees and gpu_limit
-//     caps, optional swap-based memory over-commitment (Swapper).
+//     caps, optional swap-based memory over-commitment (swap.go).
 //   - mps (NewMPS): MPS-style concurrent overlap — kernels from different
 //     tenants run simultaneously; gpusim's weighted processor sharing models
 //     the SM/compute-fraction split, and isolation is limited (a faulting
 //     context can poison co-resident tenants, see
 //     gpusim.Device.InjectContextFault).
 //   - replica (NewReplica): replica time-slicing — the device advertises N
-//     logical GPUs; clients are assigned to logical slots round-robin and
-//     each slot runs plain FIFO quota turns without token usage accounting.
+//     logical GPUs; clients are assigned to them round-robin and each runs
+//     plain FIFO quota turns without token usage accounting.
+//
+// The turn is written once (gate.go): a gate is one FIFO of pending admits
+// with at most one holder per quota, Token embeds one and picks among its
+// queue by the paper's three steps, Replica keeps one per logical GPU and
+// picks the oldest. The registration table all three share is the roster.
 //
 // Strategy implementations must stay below the control plane: they may not
 // import kube/apiserver or kube/store (enforced by tools/detvet) — a policy
@@ -27,7 +33,6 @@ package sharing
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"kubeshare/internal/sim"
@@ -111,45 +116,6 @@ type Stats struct {
 	SwappedBytes int64
 }
 
-// TenantUsage is one tenant's accounting entry, aggregated over the
-// tenant's clients. Strategies fill the fields they can measure.
-type TenantUsage struct {
-	Tenant string
-	// Share is the measured usage share where the strategy meters it
-	// (token: sliding-window hold share at the current instant).
-	Share float64
-	// Admits counts the tenant's lease grants.
-	Admits int64
-	// HoldNS is the tenant's accumulated gated-hold time in nanoseconds
-	// (replica slots; token holds are metered in the
-	// kubeshare_devlib_token_hold_ns_total family instead).
-	HoldNS int64
-}
-
-// tenantTally folds per-client figures into per-tenant entries for the
-// strategies' TenantStats.
-type tenantTally map[string]*TenantUsage
-
-// of returns tenant's entry, creating it on first use.
-func (t tenantTally) of(tenant string) *TenantUsage {
-	u, ok := t[tenant]
-	if !ok {
-		u = &TenantUsage{Tenant: tenant}
-		t[tenant] = u
-	}
-	return u
-}
-
-// sorted returns the entries ordered by tenant name.
-func (t tenantTally) sorted() []TenantUsage {
-	out := make([]TenantUsage, 0, len(t))
-	for _, u := range t {
-		out = append(out, *u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
 // Strategy is one device's sharing policy. All methods run on the
 // simulation goroutine; Admit may block the calling process.
 type Strategy interface {
@@ -193,6 +159,4 @@ type Strategy interface {
 	UsageRate(id string) float64
 	// Stats returns a point-in-time snapshot.
 	Stats() Stats
-	// TenantStats returns per-tenant accounting, sorted by tenant name.
-	TenantStats() []TenantUsage
 }

@@ -2,9 +2,11 @@ package sharing
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 )
 
@@ -154,110 +156,13 @@ func TestReplicaRoundRobinSlotAssignment(t *testing.T) {
 	}
 }
 
-func TestReplicaReleaseHandsOffWithinSlot(t *testing.T) {
+// TestReplicaDevtimePerTenant: a replica turn's hold time lands in
+// kubeshare_sharing_devtime_ns_total under the client's tenant, and each turn
+// counts once in kubeshare_sharing_admits_total.
+func TestReplicaDevtimePerTenant(t *testing.T) {
 	env := sim.NewEnv()
-	r := NewReplica(env, "gpu-0", 1, 100*time.Millisecond, nil)
-	for _, id := range []string{"a", "b"} {
-		if err := r.Register(id, Resources{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	env.Go("a", func(p *sim.Proc) {
-		l, err := r.Admit(p, "a")
-		if err != nil {
-			t.Errorf("admit a: %v", err)
-		}
-		p.Sleep(10 * time.Millisecond)
-		if r.Waiting("a") != 1 {
-			t.Errorf("Waiting(a) = %d, want 1 (b queued)", r.Waiting("a"))
-		}
-		r.Release("a", l)
-		// A stale release (old seq) must not steal b's new turn.
-		r.Release("a", l)
-	})
-	env.Go("b", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		if _, err := r.Admit(p, "b"); err != nil {
-			t.Errorf("admit b: %v", err)
-		}
-		if env.Now() != 10*time.Millisecond {
-			t.Errorf("b admitted at %v, want 10ms (a's voluntary release)", env.Now())
-		}
-	})
-	env.Run()
-	if s := r.Stats(); s.Handoffs != 2 {
-		t.Fatalf("handoffs = %d, want 2", s.Handoffs)
-	}
-}
-
-func TestReplicaUnregisterHolderReclaims(t *testing.T) {
-	env := sim.NewEnv()
-	r := NewReplica(env, "gpu-0", 1, time.Second, nil)
-	for _, id := range []string{"a", "b"} {
-		if err := r.Register(id, Resources{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	env.Go("a", func(p *sim.Proc) {
-		if _, err := r.Admit(p, "a"); err != nil {
-			t.Errorf("admit a: %v", err)
-		}
-		p.Sleep(5 * time.Millisecond)
-		r.Unregister("a")
-	})
-	env.Go("b", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		if _, err := r.Admit(p, "b"); err != nil {
-			t.Errorf("admit b: %v", err)
-		}
-		if env.Now() != 5*time.Millisecond {
-			t.Errorf("b admitted at %v, want 5ms (a unregistered)", env.Now())
-		}
-	})
-	env.Run()
-}
-
-func TestReplicaSuspendFailsQueuedAdmits(t *testing.T) {
-	env := sim.NewEnv()
-	r := NewReplica(env, "gpu-0", 1, time.Second, nil)
-	for _, id := range []string{"a", "b"} {
-		if err := r.Register(id, Resources{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var held Lease
-	env.Go("a", func(p *sim.Proc) {
-		var err error
-		if held, err = r.Admit(p, "a"); err != nil {
-			t.Errorf("admit a: %v", err)
-		}
-	})
-	env.Go("b", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		if _, err := r.Admit(p, "b"); !errors.Is(err, ErrDown) {
-			t.Errorf("queued admit during suspend: %v, want ErrDown", err)
-		}
-	})
-	env.Go("crash", func(p *sim.Proc) {
-		p.Sleep(2 * time.Millisecond)
-		r.Suspend()
-		// Pre-crash turns are fenced: releasing one is a no-op, and the
-		// registrations are gone until clients reconnect.
-		r.Release("a", held)
-		if r.Clients() != 0 || !r.Down() {
-			t.Error("suspend must drop registrations and report Down")
-		}
-		r.Resume()
-		if err := r.Register("a", Resources{}); err != nil {
-			t.Errorf("re-register after resume: %v", err)
-		}
-	})
-	env.Run()
-}
-
-func TestReplicaTenantStats(t *testing.T) {
-	env := sim.NewEnv()
-	r := NewReplica(env, "gpu-0", 2, 50*time.Millisecond, nil)
+	rt := obs.New(env)
+	r := NewReplica(env, "gpu-0", 2, 50*time.Millisecond, rt)
 	for _, id := range []string{"a", "b"} {
 		if err := r.Register(id, Resources{}); err != nil {
 			t.Fatal(err)
@@ -280,14 +185,36 @@ func TestReplicaTenantStats(t *testing.T) {
 		r.Release("b", lb)
 	})
 	env.Run()
-	ts := r.TenantStats()
-	if len(ts) != 2 || ts[0].Tenant != "pod-a" || ts[1].Tenant != "pod-b" {
-		t.Fatalf("tenant stats %+v, want sorted pod-a, pod-b", ts)
+	devtime := rt.CounterVec("kubeshare_sharing_devtime_ns_total", "gpu_uuid", "tenant")
+	a, b := devtime.With("gpu-0", "pod-a").Value(), devtime.With("gpu-0", "pod-b").Value()
+	if a != int64(10*time.Millisecond) || b != int64(15*time.Millisecond) {
+		t.Fatalf("device time pod-a/pod-b %d/%d ns, want 10ms/15ms", a, b)
 	}
-	if ts[0].HoldNS != int64(10*time.Millisecond) || ts[1].HoldNS != int64(15*time.Millisecond) {
-		t.Fatalf("hold ns %d/%d, want 10ms/15ms", ts[0].HoldNS, ts[1].HoldNS)
+	if n := rt.CounterVec("kubeshare_sharing_admits_total", "gpu_uuid", "strategy").With("gpu-0", "replica").Value(); n != 2 {
+		t.Fatalf("admits %d, want 2", n)
 	}
-	if ts[0].Admits != 1 || ts[1].Admits != 1 {
-		t.Fatalf("admits %d/%d, want 1/1", ts[0].Admits, ts[1].Admits)
+}
+
+// TestRegisterRejectsOutOfRangeShares: a share outside its range is refused,
+// NaN and ±Inf included — `x < 0 || x > 1` is false for NaN.
+func TestRegisterRejectsOutOfRangeShares(t *testing.T) {
+	env := sim.NewEnv()
+	token := NewToken(env, "gpu-0", 0, 0, LowestUsageFirst, nil)
+	mps := NewMPS(env, "gpu-0", nil)
+	for _, bad := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			field string
+			s     Strategy
+			res   Resources
+		}{
+			{"token request", token, Resources{Request: bad, Limit: 1}},
+			{"token limit", token, Resources{Request: 0.5, Limit: bad}},
+			{"mps request", mps, Resources{Request: bad, Limit: 1}},
+		} {
+			if err := c.s.Register("x", c.res); err == nil {
+				t.Errorf("%s %v accepted", c.field, bad)
+				c.s.Unregister("x")
+			}
+		}
 	}
 }

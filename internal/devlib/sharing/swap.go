@@ -15,25 +15,9 @@ import (
 // keeps track of which containers' working sets are resident, and swaps cold
 // sets out to host memory (paying PCIe transfer time) when the next token
 // holder's set must be brought in. This trades GPU memory capacity for
-// handoff latency — exactly the risk the paper calls out.
-
-// Swapper is the optional memory-over-commitment surface a strategy may
-// provide (today only Token does — swapping happens at token handoff, which
-// needs a gate). Frontends type-assert for it when devlib.Config.MemOvercommit
-// is set and fall back to plain fractional enforcement when the strategy
-// cannot swap.
-type Swapper interface {
-	// EnableSwap turns on the swap broker with the device capacity and
-	// host↔device bandwidth (idempotent).
-	EnableSwap(capacity, bw int64)
-	// SetVirtualUsage declares id's total virtual allocation.
-	SetVirtualUsage(id string, bytes int64) error
-	// EnsureResident blocks p until id's working set is on the device,
-	// paying transfer time for swap-ins (and evictions of others).
-	EnsureResident(p *sim.Proc, id string) error
-}
-
-var _ Swapper = (*Token)(nil)
+// handoff latency — exactly the risk the paper calls out. Only Token swaps:
+// swapping happens at token handoff, which needs a gate, and the frontend
+// asserts *Token when devlib.Config.MemOvercommit is set.
 
 // swapState is the per-device residency bookkeeping inside a Token.
 type swapState struct {

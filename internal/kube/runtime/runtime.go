@@ -65,8 +65,9 @@ func (r *ImageRegistry) Lookup(image string) (Entrypoint, bool) {
 
 // LibraryHook lets an agent substitute the CUDA library a container loads.
 // base is the raw driver for the container's first visible device (nil when
-// none). Returning nil falls through to base.
-type LibraryHook func(pod *api.Pod, c api.Container, base cuda.API) cuda.API
+// none). Returning nil, nil falls through to base; an error fails the
+// container (the library refused to load) and base is closed.
+type LibraryHook func(pod *api.Pod, c api.Container, base cuda.API) (cuda.API, error)
 
 // State is a container's lifecycle state.
 type State string
@@ -183,7 +184,7 @@ func (r *Runtime) Start(pod *api.Pod, c api.Container, extraEnv map[string]strin
 		}()
 		p.Sleep(r.cfg.StartLatency)
 		var err error
-		if capi, err = r.resolveCUDA(pod, c, env, h.ID); err != nil {
+		if capi, err = r.resolveCUDA(p, pod, c, env, h.ID); err != nil {
 			h.exitErr = err
 			return
 		}
@@ -196,7 +197,7 @@ func (r *Runtime) Start(pod *api.Pod, c api.Container, extraEnv map[string]strin
 
 // resolveCUDA builds the library handle a container loads: nil without
 // visible devices, the raw driver otherwise, possibly replaced by a hook.
-func (r *Runtime) resolveCUDA(pod *api.Pod, c api.Container, env map[string]string, owner string) (cuda.API, error) {
+func (r *Runtime) resolveCUDA(p *sim.Proc, pod *api.Pod, c api.Container, env map[string]string, owner string) (cuda.API, error) {
 	visible := env["NVIDIA_VISIBLE_DEVICES"]
 	var base cuda.API
 	if visible != "" && visible != "none" {
@@ -208,7 +209,14 @@ func (r *Runtime) resolveCUDA(pod *api.Pod, c api.Container, env map[string]stri
 		base = cuda.Open(dev, owner)
 	}
 	for i := len(r.hooks) - 1; i >= 0; i-- {
-		if api := r.hooks[i](pod, c, base); api != nil {
+		api, err := r.hooks[i](pod, c, base)
+		if err != nil {
+			if base != nil {
+				base.Close(p)
+			}
+			return nil, err
+		}
+		if api != nil {
 			return api, nil
 		}
 	}

@@ -143,12 +143,12 @@ func TestLibraryHookInterposes(t *testing.T) {
 	env := sim.NewEnv()
 	rt, devs := testRig(env, 1)
 	var wrapped *hookAPI
-	rt.AddLibraryHook(func(pod *api.Pod, c api.Container, base cuda.API) cuda.API {
+	rt.AddLibraryHook(func(pod *api.Pod, c api.Container, base cuda.API) (cuda.API, error) {
 		if base == nil {
-			return nil
+			return nil, nil
 		}
 		wrapped = &hookAPI{API: base}
-		return wrapped
+		return wrapped, nil
 	})
 	rt.images.Register("gpu", func(ctx *Ctx) error {
 		return ctx.CUDA.LaunchKernel(ctx.Proc, time.Millisecond)
@@ -165,13 +165,13 @@ func TestHookLastRegisteredWins(t *testing.T) {
 	env := sim.NewEnv()
 	rt, devs := testRig(env, 1)
 	order := ""
-	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) cuda.API {
+	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) (cuda.API, error) {
 		order += "first"
-		return base
+		return base, nil
 	})
-	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) cuda.API {
+	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) (cuda.API, error) {
 		order += "second"
-		return base // non-nil: wins, first hook never runs
+		return base, nil // non-nil: wins, first hook never runs
 	})
 	rt.images.Register("gpu", func(ctx *Ctx) error { return nil })
 	rt.Start(pod("p"), api.Container{Name: "c", Image: "gpu"},
@@ -179,6 +179,32 @@ func TestHookLastRegisteredWins(t *testing.T) {
 	env.Run()
 	if order != "second" {
 		t.Fatalf("hook order = %q", order)
+	}
+}
+
+// TestHookErrorFailsContainer: a library hook that refuses the container
+// fails it with the hook's error before the entrypoint runs, and the raw
+// driver the hook was handed is closed.
+func TestHookErrorFailsContainer(t *testing.T) {
+	env := sim.NewEnv()
+	rt, devs := testRig(env, 1)
+	refused := errors.New("device already shared in another mode")
+	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) (cuda.API, error) {
+		return nil, refused
+	})
+	ran := false
+	rt.images.Register("gpu", func(ctx *Ctx) error {
+		ran = true
+		return nil
+	})
+	h, _ := rt.Start(pod("p"), api.Container{Name: "c", Image: "gpu"},
+		map[string]string{"NVIDIA_VISIBLE_DEVICES": devs[0].UUID()})
+	env.Run()
+	if ran || h.State() != StateExited || !errors.Is(h.ExitErr(), refused) {
+		t.Fatalf("ran=%v state=%v err=%v, want the hook's error before the entrypoint", ran, h.State(), h.ExitErr())
+	}
+	if devs[0].ActiveContexts() != 0 {
+		t.Fatal("raw driver left open after the hook failed")
 	}
 }
 
@@ -261,10 +287,10 @@ func TestExitedContainerReleasesLibrary(t *testing.T) {
 	rt, devs := testRig(env, 1)
 	var freed atomic.Bool
 	type loaded struct{ cuda.API }
-	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) cuda.API {
+	rt.AddLibraryHook(func(_ *api.Pod, _ api.Container, base cuda.API) (cuda.API, error) {
 		lib := &loaded{base}
 		goruntime.SetFinalizer(lib, func(*loaded) { freed.Store(true) })
-		return lib
+		return lib, nil
 	})
 	rt.images.Register("app", func(ctx *Ctx) error {
 		ctx.Proc.Sleep(time.Second)

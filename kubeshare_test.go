@@ -1,6 +1,7 @@
 package kubeshare
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -226,6 +227,46 @@ func TestStatsIsReadOnly(t *testing.T) {
 	}
 	if strat := backend.StrategyOf(uuid); strat == nil || strat.Mode() != "mps" {
 		t.Fatalf("device strategy = %v, want mps", strat)
+	}
+}
+
+// TestFacadeMixedSharingModesFailOneContainer: the scheduler co-places two
+// sharePods asking for different sharing modes on one GPU (nothing keeps them
+// apart but exclusion labels). The device serves the first mode to reach it;
+// the second pod's library hook fails its container, not the simulation.
+func TestFacadeMixedSharingModesFailOneContainer(t *testing.T) {
+	s := newSim(t, WithNodes(1), WithGPUsPerNode(1))
+	s.RegisterImage("burst", func(ctx *ContainerCtx) error {
+		return ctx.CUDA.LaunchKernel(ctx.Proc, 100*time.Millisecond)
+	})
+	s.Go("main", func(p *sim.Proc) {
+		for _, sp := range []struct{ name, mode string }{{"a", "mps"}, {"b", "token"}} {
+			if _, err := s.CreateSharePod(&SharePod{
+				ObjectMeta: ObjectMeta{Name: sp.name},
+				Spec: SharePodSpec{
+					GPURequest: 0.3, GPULimit: 0.3, GPUMem: 0.3, SharingMode: sp.mode,
+					Pod: PodSpec{Containers: []Container{{Name: "c", Image: "burst"}}},
+				},
+			}); err != nil {
+				t.Errorf("create %s: %v", sp.name, err)
+			}
+		}
+	})
+	s.Run()
+	a, errA := s.SharePods().Get("a")
+	b, errB := s.SharePods().Get("b")
+	if errA != nil || errB != nil {
+		t.Fatalf("get: %v, %v", errA, errB)
+	}
+	if a.Spec.GPUID == "" || a.Spec.GPUID != b.Spec.GPUID {
+		t.Fatalf("placed on %q and %q, want one shared vGPU", a.Spec.GPUID, b.Spec.GPUID)
+	}
+	if a.Status.Phase != SharePodSucceeded {
+		t.Fatalf("a (mps) = %s %q, want Succeeded", a.Status.Phase, a.Status.Message)
+	}
+	want := `already shared in "mps" mode, cannot serve "token"`
+	if b.Status.Phase != SharePodFailed || !strings.Contains(b.Status.Message, want) {
+		t.Fatalf("b (token) = %s %q, want Failed with %q", b.Status.Phase, b.Status.Message, want)
 	}
 }
 
