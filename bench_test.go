@@ -229,7 +229,10 @@ func BenchmarkFig11SchedulingTime(b *testing.B) {
 	b.Run("full-rebuild", func(b *testing.B) {
 		for _, n := range counts {
 			b.Run("sharepods="+strconv.Itoa(n), func(b *testing.B) {
-				srv := experiments.PopulateSchedulingState(n)
+				srv, err := experiments.PopulateSchedulingState(n)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					experiments.ScheduleOnce(srv)
@@ -240,7 +243,10 @@ func BenchmarkFig11SchedulingTime(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		for _, n := range counts {
 			b.Run("sharepods="+strconv.Itoa(n), func(b *testing.B) {
-				srv := experiments.PopulateSchedulingState(n)
+				srv, err := experiments.PopulateSchedulingState(n)
+				if err != nil {
+					b.Fatal(err)
+				}
 				snap := experiments.PopulateSnapshot(srv)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

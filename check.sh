@@ -45,6 +45,18 @@ go test ./...
 # endpoint must answer over HTTP (httptest smoke in cmd/kubeshare-sim).
 named 'TestAlertDeterminismGolden|TestAuditDeterminismGolden' go test ./internal/experiments/
 named TestServeEndpoints go test ./cmd/kubeshare-sim/
+# Every paper figure runs from the command line: each experiment "all" names,
+# plus latency, goes through the command's own dispatch at quick scale and
+# must return a non-empty table, and trace, profile and audit must return nil
+# (`go test ./cmd/kubeshare-sim -run TestCLISweep -full` repeats the sweep at
+# full scale).
+named TestCLISweep go test ./cmd/kubeshare-sim/
+# The experiments and the chaos layer return errors, never panic: a panic in
+# one of runIndexed's worker goroutines would take the whole process down.
+if grep -n 'panic(' --exclude='*_test.go' internal/experiments/*.go internal/chaos/*.go; then
+	echo "check.sh: panic( in internal/experiments or internal/chaos; return an error instead" >&2
+	exit 1
+fi
 go test -race ./internal/kube/... ./internal/core/...
 go test -race ./internal/sim/... ./internal/devlib/...
 # Sharing-strategy suites on the multi-worker path: the strategy interface

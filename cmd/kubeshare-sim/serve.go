@@ -122,7 +122,9 @@ func runServe(args []string, seed int64, full bool) error {
 		if live.Done() {
 			break
 		}
-		live.Advance(step)
+		if err := live.Advance(step); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("workload complete at virtual %v; still serving (ctrl-c to exit)\n",
 		live.Now().Round(time.Millisecond))

@@ -49,7 +49,9 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	// Run half the workload so the scrape sees a cluster mid-flight, then
 	// drain the rest — both states must export cleanly.
-	live.Advance(15 * time.Second)
+	if err := live.Advance(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(newServeMux(live))
 	defer srv.Close()
 
@@ -133,7 +135,9 @@ func TestServeEndpoints(t *testing.T) {
 
 	// Drain the workload and confirm the exports still answer.
 	for i := 0; i < 200 && !live.Done(); i++ {
-		live.Advance(time.Second)
+		if err := live.Advance(time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !live.Done() {
 		t.Fatal("workload did not drain within 200 virtual seconds")

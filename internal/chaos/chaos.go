@@ -97,6 +97,9 @@ type Injector struct {
 	stats    Stats
 	start    time.Duration
 	recorder *obs.Recorder
+	// err is the first fault the injector could not undo (a node that would
+	// not restart, a failed apiserver restore); the loop that hit it stops.
+	err error
 }
 
 // New creates an injector for the cluster. Call Start to begin injecting.
@@ -172,7 +175,10 @@ func (in *Injector) nodeLoop(p *sim.Proc, rng *simrand.Source) {
 		}
 		p.Sleep(outage)
 		if err := node.Kubelet.Restart(); err != nil {
-			panic(fmt.Sprintf("chaos: restart %s: %v", node.Name, err))
+			if in.err == nil {
+				in.err = fmt.Errorf("chaos: restart %s: %w", node.Name, err)
+			}
+			return
 		}
 		in.recorder.Eventf("Node", node.Name, obs.EventNormal, "NodeRestarted",
 			"kubelet back after %v outage", outage)
@@ -263,7 +269,10 @@ func (in *Injector) apiLoop(p *sim.Proc, rng *simrand.Source) {
 		}
 		st, err := in.c.API.Restart()
 		if err != nil {
-			panic(fmt.Sprintf("chaos: apiserver restart: %v", err))
+			if in.err == nil {
+				in.err = fmt.Errorf("chaos: apiserver restart: %w", err)
+			}
+			return
 		}
 		in.stats.APIRestarts++
 		in.stats.Replayed += int64(st.Replayed)

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -20,11 +19,7 @@ import (
 // deliver every event's final state regardless of where the drops landed.
 func TestEventsSurviveWatchDrop(t *testing.T) {
 	env := sim.NewEnv()
-	kcfg := kube.Config{}
-	for i := 0; i < 2; i++ {
-		kcfg.Nodes = append(kcfg.Nodes, kube.NodeConfig{Name: fmt.Sprintf("node-%d", i), GPUs: 2})
-	}
-	c, err := kube.NewCluster(env, kcfg)
+	c, err := kube.NewCluster(env, kube.DefaultConfig(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +55,14 @@ func TestEventsSurviveWatchDrop(t *testing.T) {
 		DemandMean: 0.4, DemandVar: 1,
 		JobDuration: 8 * time.Second, Seed: 7,
 	})
-	env.Go("submitter", func(p *sim.Proc) {
-		for _, j := range jobs {
-			if wait := j.Arrival - env.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-			if _, err := core.SharePods(c.API).Create(workload.SharePodFor(j)); err != nil {
-				t.Errorf("submit %s: %v", j.Name, err)
-			}
-		}
-	})
+	var submitErr error
+	workload.Submit(env, c.API, len(jobs), func(i int) (time.Duration, api.Object) {
+		return jobs[i].Arrival, workload.SharePodFor(jobs[i])
+	}, &submitErr)
 	env.Run()
+	if submitErr != nil {
+		t.Fatal(submitErr)
+	}
 
 	resumes, relists := r.Stats()
 	if resumes+relists == 0 {

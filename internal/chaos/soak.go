@@ -9,6 +9,7 @@ import (
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
 	"kubeshare/internal/kube"
+	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/simrand"
@@ -129,14 +130,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) { return soak(cfg, nil) }
 func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 	cfg = cfg.WithDefaults()
 	env := sim.NewEnv()
-	kcfg := kube.Config{}
-	for i := 0; i < cfg.Nodes; i++ {
-		kcfg.Nodes = append(kcfg.Nodes, kube.NodeConfig{
-			Name: fmt.Sprintf("node-%d", i),
-			GPUs: cfg.GPUsPerNode,
-		})
-	}
-	c, err := kube.NewCluster(env, kcfg)
+	c, err := kube.NewCluster(env, kube.DefaultConfig(cfg.Nodes, cfg.GPUsPerNode))
 	if err != nil {
 		return SoakResult{}, err
 	}
@@ -162,20 +156,20 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 		JobDuration:      cfg.JobDuration,
 		Seed:             simrand.New(cfg.Seed).Fork("workload").Seed(),
 	})
-	env.Go("soak-submitter", func(p *sim.Proc) {
-		for _, j := range jobs {
-			if wait := j.Arrival - env.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-			if _, err := core.SharePods(c.API).Create(workload.SharePodFor(j)); err != nil {
-				panic(fmt.Sprintf("chaos soak: submit %s: %v", j.Name, err))
-			}
-		}
-	})
+	var submitErr error
+	workload.Submit(env, c.API, len(jobs), func(i int) (time.Duration, api.Object) {
+		return jobs[i].Arrival, workload.SharePodFor(jobs[i])
+	}, &submitErr)
 
 	inj := New(c, cfg.Faults)
 	inj.Start()
 	env.RunUntil(cfg.Bound)
+	if submitErr != nil {
+		return SoakResult{}, fmt.Errorf("chaos soak: %w", submitErr)
+	}
+	if inj.err != nil {
+		return SoakResult{}, inj.err
+	}
 
 	res := SoakResult{Faults: inj.Stats()}
 	for _, sp := range core.SharePods(c.API).List() {

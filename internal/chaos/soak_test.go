@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,5 +172,26 @@ func TestQuiescenceCoversEveryStrategy(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("violations %q, want %q", got, want)
+	}
+}
+
+// A fault the injector cannot undo is an error, not a panic that takes the
+// process down: an apiserver restart on a store with no durability to
+// restore from is kept as the injector's first error (which Soak returns),
+// and that fault loop stops.
+func TestInjectorKeepsRestartError(t *testing.T) {
+	env := sim.NewEnv()
+	c, err := kube.NewCluster(env, kube.DefaultConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := New(c, Config{Seed: 1, Horizon: time.Minute, APIRestartMean: 5 * time.Second})
+	inj.Start()
+	env.RunUntil(time.Minute)
+	if inj.err == nil || !strings.HasPrefix(inj.err.Error(), "chaos: apiserver restart: ") {
+		t.Fatalf("err = %v, want the failed apiserver restart", inj.err)
+	}
+	if n := inj.Stats().APIRestarts; n != 0 {
+		t.Fatalf("%d restarts counted after the first failed", n)
 	}
 }

@@ -28,7 +28,7 @@ type testStack struct {
 func newStack(t *testing.T, nodes int, cfg Config, opts ...schedfw.Option) *testStack {
 	t.Helper()
 	env := sim.NewEnv()
-	c, err := kube.NewCluster(env, kube.DefaultConfig(nodes))
+	c, err := kube.NewCluster(env, kube.DefaultConfig(nodes, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,7 @@ type stack struct {
 func newStack(t *testing.T, nodes int, gpus int, install func(*kube.Cluster) (*core.KubeShare, error)) *stack {
 	t.Helper()
 	env := sim.NewEnv()
-	cfg := kube.Config{}
-	for i := 0; i < nodes; i++ {
-		cfg.Nodes = append(cfg.Nodes, kube.NodeConfig{Name: fmt.Sprintf("node-%d", i), GPUs: gpus})
-	}
-	c, err := kube.NewCluster(env, cfg)
+	c, err := kube.NewCluster(env, kube.DefaultConfig(nodes, gpus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +339,7 @@ func TestGangRejectsWhole(t *testing.T) {
 // framework driver and populates the shared stats.
 func TestExtenderOnFramework(t *testing.T) {
 	env := sim.NewEnv()
-	c, err := kube.NewCluster(env, kube.DefaultConfig(2))
+	c, err := kube.NewCluster(env, kube.DefaultConfig(2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestAttributionSumExact(t *testing.T) {
 func TestAttributionRetry(t *testing.T) {
 	withCanary(t)
 	env := sim.NewEnv()
-	c, err := newCluster(env, 1, 2)
+	c, err := newCluster(env, 1, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,8 @@ func TestAttributionRetry(t *testing.T) {
 		Jobs: 4, MeanInterArrival: time.Second,
 		DemandMean: 0.3, JobDuration: 8 * time.Second, Seed: 5,
 	})
-	env.Go("submitter", func(p *sim.Proc) {
-		for _, j := range jobs {
-			if wait := j.Arrival - env.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-			if _, err := core.SharePods(c.API).Create(workload.SharePodFor(j)); err != nil {
-				panic(err)
-			}
-		}
-	})
+	var submitErr error
+	submitJobs(env, c, KubeShare, jobs, &submitErr)
 	victim := ""
 	env.Go("pod-killer", func(p *sim.Proc) {
 		// Wait until some sharePod is bound and running, then delete its
@@ -123,6 +115,9 @@ func TestAttributionRetry(t *testing.T) {
 		}
 	})
 	env.Run()
+	if submitErr != nil {
+		t.Fatal(submitErr)
+	}
 	if victim == "" {
 		t.Fatal("no bound sharePod ever appeared to evict")
 	}

@@ -44,18 +44,11 @@ func Fig10(cfg Fig10Config) (*metrics.Table, error) {
 	tb := metrics.NewTable("Figure 10: pod creation latency",
 		"concurrent", "native_s", "kubeshare_s", "kubeshare_with_vgpu_s",
 		"no_vgpu_overhead", "with_vgpu_overhead")
-	// Flatten the concurrency × {native, warm-pool, cold} grid; all three
-	// measurements of a level land at indices 3i, 3i+1, 3i+2.
-	lat, err := runIndexed(3*len(cfg.Concurrency), func(i int) (time.Duration, error) {
-		n := cfg.Concurrency[i/3]
-		switch i % 3 {
-		case 0:
-			return measureNativeCreation(cfg, n)
-		case 1:
-			return measureShareCreation(cfg, n, true)
-		default:
-			return measureShareCreation(cfg, n, false)
-		}
+	// Flatten the concurrency × arm grid; the three arms of a level land at
+	// indices 3i, 3i+1, 3i+2.
+	arms := []fig10Arm{fig10Native, fig10Warm, fig10Cold}
+	lat, err := runIndexed(len(arms)*len(cfg.Concurrency), func(i int) (time.Duration, error) {
+		return measureCreation(cfg, cfg.Concurrency[i/len(arms)], arms[i%len(arms)])
 	})
 	if err != nil {
 		return nil, err
@@ -68,61 +61,31 @@ func Fig10(cfg Fig10Config) (*metrics.Table, error) {
 	return tb, nil
 }
 
-// measureNativeCreation times native GPU pod creation at concurrency n.
-func measureNativeCreation(cfg Fig10Config, n int) (time.Duration, error) {
-	env := sim.NewEnv()
-	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode)
-	if err != nil {
-		return 0, err
-	}
-	env.Go("submit", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			pod := &api.Pod{
-				ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("p%02d", i)},
-				Spec: api.PodSpec{Containers: []api.Container{{
-					Name: "c", Image: workload.ServeImage,
-					Env:      map[string]string{workload.EnvRate: "0", workload.EnvDuration: "3600"},
-					Requests: api.ResourceList{api.ResourceGPU: 1},
-				}}},
-			}
-			if _, err := c.Pods().Create(pod); err != nil {
-				panic(err)
-			}
-		}
-	})
-	env.RunUntil(10 * time.Minute)
-	var sum time.Duration
-	count := 0
-	for _, pod := range c.Pods().List() {
-		if pod.Status.Phase == api.PodRunning {
-			sum += pod.Status.StartTime - pod.CreationTime
-			count++
-		}
-	}
-	if count != n {
-		return 0, fmt.Errorf("native: %d of %d pods running", count, n)
-	}
-	return sum / time.Duration(count), nil
-}
+// fig10Arm is one of Figure 10's three creation paths.
+type fig10Arm string
 
-// measureShareCreation times sharePod creation at concurrency n. With
-// warmPool, the vGPUs are pre-created (reservation policy) so creation
-// excludes GPU acquisition.
-func measureShareCreation(cfg Fig10Config, n int, warmPool bool) (time.Duration, error) {
+const (
+	fig10Native fig10Arm = "native"              // whole-GPU pods, no KubeShare
+	fig10Warm   fig10Arm = "kubeshare"           // sharePods onto pre-created vGPUs
+	fig10Cold   fig10Arm = "kubeshare_with_vgpu" // sharePods that first create their vGPU
+)
+
+// measureCreation returns the mean submission-to-running latency of n jobs
+// created at one instant on one arm. The warm arm first runs and deletes a
+// generation of sharePods so that, under the reservation policy, their vGPUs
+// stay idle in the pool and the measured generation skips GPU acquisition.
+func measureCreation(cfg Fig10Config, n int, arm fig10Arm) (time.Duration, error) {
 	env := sim.NewEnv()
-	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode)
+	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)
 	if err != nil {
 		return 0, err
 	}
-	policy := core.OnDemand
-	if warmPool {
-		policy = core.Reservation
+	sys := KubeShare
+	if arm == fig10Native {
+		sys = Kubernetes
 	}
-	if _, err := schedfw.Install(c, core.Config{DevMgr: core.DevMgrConfig{Policy: policy}}); err != nil {
-		return 0, err
-	}
-	mk := func(i int, gen string) *core.SharePod {
-		return &core.SharePod{
+	job := func(gen string, i int) api.Object {
+		sp := &core.SharePod{
 			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("%s%02d", gen, i)},
 			Spec: core.SharePodSpec{
 				GPURequest: 0.45, GPULimit: 0.5, GPUMem: workload.MemShareSmall,
@@ -132,45 +95,49 @@ func measureShareCreation(cfg Fig10Config, n int, warmPool bool) (time.Duration,
 				}}},
 			},
 		}
+		if sys == Kubernetes {
+			return wholeGPU(sp)
+		}
+		return sp
 	}
-	if warmPool {
-		// Warm the pool: run and delete a first generation of sharePods so
-		// their vGPUs stay idle in the pool (reservation policy), then
-		// measure the second generation.
-		env.Go("warm", func(p *sim.Proc) {
-			for i := 0; i < n; i++ {
-				if _, err := core.SharePods(c.API).Create(mk(i, "warm")); err != nil {
-					panic(err)
-				}
-			}
-			p.Sleep(2 * time.Minute)
-			for i := 0; i < n; i++ {
+	if sys != Kubernetes {
+		policy := core.OnDemand
+		if arm == fig10Warm {
+			policy = core.Reservation
+		}
+		if _, err := schedfw.Install(c, core.Config{DevMgr: core.DevMgrConfig{Policy: policy}}); err != nil {
+			return 0, err
+		}
+	}
+	var runErr error
+	if arm == fig10Warm {
+		workload.Submit(env, c.API, n, func(i int) (time.Duration, api.Object) { return 0, job("warm", i) }, &runErr)
+		env.At(2*time.Minute, func() {
+			for i := 0; i < n && runErr == nil; i++ {
 				if err := core.SharePods(c.API).Delete(fmt.Sprintf("warm%02d", i)); err != nil {
-					panic(err)
+					runErr = fmt.Errorf("delete warm%02d: %w", i, err)
 				}
 			}
 		})
 		env.RunUntil(5 * time.Minute)
 	}
 	start := env.Now()
-	env.Go("submit", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			if _, err := core.SharePods(c.API).Create(mk(i, "m")); err != nil {
-				panic(err)
-			}
-		}
-	})
+	workload.Submit(env, c.API, n, func(i int) (time.Duration, api.Object) { return start, job("m", i) }, &runErr)
 	env.RunUntil(start + 10*time.Minute)
+	if runErr != nil {
+		return 0, fmt.Errorf("%s: %w", arm, runErr)
+	}
 	var sum time.Duration
 	count := 0
-	for _, sp := range core.SharePods(c.API).List() {
-		if sp.Status.Phase == core.SharePodRunning && sp.CreationTime >= start {
-			sum += sp.Status.RunningTime - sp.CreationTime
+	scanJobs(c, sys, func(_ string, o outcome) {
+		// Running: started and not finished (the jobs serve for an hour).
+		if o.created >= start && o.start > 0 && !o.terminal {
+			sum += o.start - o.created
 			count++
 		}
-	}
+	})
 	if count != n {
-		return 0, fmt.Errorf("kubeshare(warm=%v): %d of %d sharePods running", warmPool, count, n)
+		return 0, fmt.Errorf("%s: %d of %d jobs running", arm, count, n)
 	}
 	return sum / time.Duration(count), nil
 }

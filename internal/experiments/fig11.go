@@ -43,40 +43,27 @@ func (c Fig11Config) withDefaults() Fig11Config {
 // PopulateSchedulingState fills an API server with n placed sharePods
 // spread over enough vGPUs, returning the server (shared with the
 // benchmark harness).
-func PopulateSchedulingState(n int) *apiserver.Server {
-	env := sim.NewEnv()
-	srv := instrumented(apiserver.New(env))
+func PopulateSchedulingState(n int) (*apiserver.Server, error) {
+	srv := instrumented(apiserver.New(sim.NewEnv()))
 	nodes := n/8 + 1
-	for i := 0; i < nodes; i++ {
-		node := &api.Node{
-			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("node-%d", i)},
-			Status: api.NodeStatus{
-				Capacity:    api.ResourceList{api.ResourceGPU: 4},
-				Allocatable: api.ResourceList{api.ResourceGPU: 4},
-				Ready:       true,
-			},
-		}
-		if _, err := apiserver.Nodes(srv).Create(node); err != nil {
-			panic(err)
-		}
+	if err := createNodes(srv, nodes, 4); err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		node := fmt.Sprintf("node-%d", i%nodes)
-		gpuID := fmt.Sprintf("vgpu-%03d", i%(nodes*4))
 		sp := &core.SharePod{
 			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("sp-%04d", i)},
 			Spec: core.SharePodSpec{
 				GPURequest: 0.2, GPULimit: 0.3, GPUMem: workload.MemShareSmall,
-				GPUID: gpuID, NodeName: node,
+				GPUID: fmt.Sprintf("vgpu-%03d", i%(nodes*4)), NodeName: fmt.Sprintf("node-%04d", i%nodes),
 				Pod: api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
 			},
 			Status: core.SharePodStatus{Phase: core.SharePodRunning},
 		}
 		if _, err := core.SharePods(srv).Create(sp); err != nil {
-			panic(err)
+			return nil, fmt.Errorf("create %s: %w", sp.Name, err)
 		}
 	}
-	return srv
+	return srv, nil
 }
 
 // ScheduleOnce performs one full scheduling decision (pool build +
@@ -128,7 +115,10 @@ func Fig11(cfg Fig11Config) (*metrics.Table, error) {
 	tb := metrics.NewTable("Figure 11: KubeShare-Sched decision time vs #SharePods",
 		"sharepods", "mean_decision_us")
 	for _, n := range cfg.Counts {
-		srv := PopulateSchedulingState(n)
+		srv, err := PopulateSchedulingState(n)
+		if err != nil {
+			return nil, err
+		}
 		start := cfg.Now()
 		for i := 0; i < cfg.Iterations; i++ {
 			ScheduleOnce(srv)

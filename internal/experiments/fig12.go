@@ -70,36 +70,18 @@ func (c Fig12Config) withDefaults() Fig12Config {
 // GPU through KubeShare.
 func runCombo(steps int, profs ...interferenceProfile) (map[string]time.Duration, error) {
 	env := sim.NewEnv()
-	c, err := newCluster(env, 1, 1)
+	c, err := newCluster(env, 1, 1, false)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := schedfw.Install(c, core.Config{}); err != nil {
 		return nil, err
 	}
-	names := make([]string, len(profs))
-	env.Go("submit", func(p *sim.Proc) {
-		for i, prof := range profs {
-			names[i] = fmt.Sprintf("job-%s-%d", prof.kind, i)
-			if _, err := core.SharePods(c.API).Create(
-				interferenceSharePod(names[i], prof, steps, "")); err != nil {
-				panic(err)
-			}
-		}
-	})
-	env.Run()
-	out := map[string]time.Duration{}
-	for _, name := range names {
-		sp, err := core.SharePods(c.API).Get(name)
-		if err != nil {
-			return nil, err
-		}
-		if sp.Status.Phase != core.SharePodSucceeded {
-			return nil, fmt.Errorf("%s: %s (%s)", name, sp.Status.Phase, sp.Status.Message)
-		}
-		out[name] = sp.Status.FinishTime - sp.Status.RunningTime
+	jobs := make([]api.Object, len(profs))
+	for i, prof := range profs {
+		jobs[i] = interferenceSharePod(fmt.Sprintf("job-%s-%d", prof.kind, i), prof, steps, "")
 	}
-	return out, nil
+	return runJobs(env, c, KubeShare, jobs...)
 }
 
 // Fig12 measures the slowdown of each job combination on a shared GPU

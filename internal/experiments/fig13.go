@@ -6,7 +6,6 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
-	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/metrics"
 	"kubeshare/internal/sim"
@@ -67,19 +66,13 @@ const (
 // returns jobs/min.
 func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (float64, error) {
 	env := sim.NewEnv()
-	clusterCfg := kube.Config{}
-	for i := 0; i < cfg.Nodes; i++ {
-		clusterCfg.Nodes = append(clusterCfg.Nodes, kube.NodeConfig{
-			Name: fmt.Sprintf("node-%d", i), GPUs: cfg.GPUsPerNode,
-		})
-	}
-	c, err := kube.NewCluster(env, clusterCfg)
+	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)
 	if err != nil {
 		return 0, err
 	}
-	instrumented(c.API)
-	workload.RegisterImages(c)
+	sys := Kubernetes
 	if setting != fig13Kubernetes {
+		sys = KubeShare
 		if _, err := schedfw.Install(c, core.Config{}); err != nil {
 			return 0, err
 		}
@@ -98,62 +91,33 @@ func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (flo
 		}
 	}
 	perm := kinds.Perm(cfg.Jobs)
-	env.Go("submit", func(p *sim.Proc) {
-		for i := 0; i < cfg.Jobs; i++ {
-			p.Sleep(arrivals.ExpDuration(cfg.MeanInterArrival))
-			prof := kindSeq[perm[i]]
-			name := fmt.Sprintf("job-%02d-%s", i, prof.kind)
-			if setting == fig13Kubernetes {
-				pod := &api.Pod{
-					ObjectMeta: api.ObjectMeta{Name: name},
-					Spec: api.PodSpec{Containers: []api.Container{{
-						Name:  "train",
-						Image: workload.TrainImage,
-						Env: map[string]string{
-							workload.EnvSteps:        fmt.Sprintf("%d", cfg.Steps),
-							workload.EnvStepKernelMS: fmt.Sprintf("%.2f", prof.kernelMS),
-							workload.EnvStepHostMS:   fmt.Sprintf("%.2f", prof.hostMS),
-						},
-						Requests: api.ResourceList{api.ResourceGPU: 1},
-					}}},
-				}
-				if _, err := c.Pods().Create(pod); err != nil {
-					panic(err)
-				}
-				continue
-			}
-			anti := ""
-			if setting == fig13AntiAff && prof.kind == "B" {
-				anti = "job-b-spread"
-			}
-			if _, err := core.SharePods(c.API).Create(
-				interferenceSharePod(name, prof, cfg.Steps, anti)); err != nil {
-				panic(err)
-			}
+	var at time.Duration
+	var runErr error
+	workload.Submit(env, c.API, cfg.Jobs, func(i int) (time.Duration, api.Object) {
+		at += arrivals.ExpDuration(cfg.MeanInterArrival)
+		prof := kindSeq[perm[i]]
+		anti := ""
+		if setting == fig13AntiAff && prof.kind == "B" {
+			anti = "job-b-spread"
 		}
-	})
+		job := interferenceSharePod(fmt.Sprintf("job-%02d-%s", i, prof.kind), prof, cfg.Steps, anti)
+		if sys == Kubernetes {
+			return at, wholeGPU(job)
+		}
+		return at, job
+	}, &runErr)
 	env.Run()
+	if runErr != nil {
+		return 0, runErr
+	}
 	var last time.Duration
 	completed := 0
-	if setting == fig13Kubernetes {
-		for _, pod := range c.Pods().List() {
-			if pod.Status.Phase == api.PodSucceeded {
-				completed++
-				if pod.Status.FinishTime > last {
-					last = pod.Status.FinishTime
-				}
-			}
+	scanJobs(c, sys, func(_ string, o outcome) {
+		if o.succeeded {
+			completed++
+			last = max(last, o.finish)
 		}
-	} else {
-		for _, sp := range core.SharePods(c.API).List() {
-			if sp.Status.Phase == core.SharePodSucceeded {
-				completed++
-				if sp.Status.FinishTime > last {
-					last = sp.Status.FinishTime
-				}
-			}
-		}
-	}
+	})
 	if completed != cfg.Jobs {
 		return 0, fmt.Errorf("%s ratio %.2f: %d of %d jobs completed", setting, ratio, completed, cfg.Jobs)
 	}

@@ -62,25 +62,14 @@ func (c Fig15Config) withDefaults() Fig15Config {
 
 // fig15Run schedules n pending sharePods to completion under one driver
 // mode and returns (virtual elapsed, real elapsed, decision count).
-func fig15Run(n, batch, gangSize int, now func() time.Time) (time.Duration, time.Duration, int64) {
+func fig15Run(n, batch, gangSize int, now func() time.Time) (time.Duration, time.Duration, int64, error) {
 	env := sim.NewEnv()
 	srv := instrumented(apiserver.New(env))
 	// Each sharePod asks for half a GPU, so two share a vGPU: n pods fill
 	// n/8 4-GPU nodes exactly, and every decision exercises the full
 	// filter→score path over a growing pool.
-	nodes := (n + 7) / 8
-	for i := 0; i < nodes; i++ {
-		node := &api.Node{
-			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("node-%04d", i)},
-			Status: api.NodeStatus{
-				Capacity:    api.ResourceList{api.ResourceGPU: 4},
-				Allocatable: api.ResourceList{api.ResourceGPU: 4},
-				Ready:       true,
-			},
-		}
-		if _, err := apiserver.Nodes(srv).Create(node); err != nil {
-			panic(err)
-		}
+	if err := createNodes(srv, (n+7)/8, 4); err != nil {
+		return 0, 0, 0, err
 	}
 	for i := 0; i < n; i++ {
 		sp := &core.SharePod{
@@ -95,7 +84,7 @@ func fig15Run(n, batch, gangSize int, now func() time.Time) (time.Duration, time
 			sp.Spec.GangSize = gangSize
 		}
 		if _, err := core.SharePods(srv).Create(sp); err != nil {
-			panic(err)
+			return 0, 0, 0, fmt.Errorf("create %s: %w", sp.Name, err)
 		}
 	}
 	sched := schedfw.New(env, srv, schedfw.WithBatchSize(batch))
@@ -112,9 +101,9 @@ func fig15Run(n, batch, gangSize int, now func() time.Time) (time.Duration, time
 		}
 	}
 	if placed != n {
-		panic(fmt.Sprintf("fig15: %d/%d sharePods placed (batch=%d gang=%d)", placed, n, batch, gangSize))
+		return 0, 0, 0, fmt.Errorf("%d/%d sharePods placed (batch=%d gang=%d)", placed, n, batch, gangSize)
 	}
-	return virtual, real, sched.Stats().Decisions
+	return virtual, real, sched.Stats().Decisions, nil
 }
 
 // Fig15 sweeps queue depth × driver mode and reports throughput. The
@@ -134,7 +123,10 @@ func Fig15(cfg Fig15Config) (*metrics.Table, error) {
 			{"batched", cfg.Batch, 0},
 			{"batched+gang", cfg.Batch, cfg.Gang},
 		} {
-			virtual, real, decisions := fig15Run(n, mode.batch, mode.gang, cfg.Now)
+			virtual, real, decisions, err := fig15Run(n, mode.batch, mode.gang, cfg.Now)
+			if err != nil {
+				return nil, fmt.Errorf("fig15: %w", err)
+			}
 			dps := float64(n) / virtual.Seconds()
 			usPer := float64(real.Microseconds()) / float64(decisions)
 			tb.AddRow(mode.name, n, fmt.Sprintf("%.1f", dps), fmt.Sprintf("%.2f", usPer))

@@ -79,18 +79,8 @@ type fig16Result struct {
 func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	env := sim.NewEnv()
 	srv := instrumented(apiserver.New(env))
-	for i := 0; i < cfg.Nodes; i++ {
-		node := &api.Node{
-			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("node-%04d", i)},
-			Status: api.NodeStatus{
-				Capacity:    api.ResourceList{api.ResourceGPU: int64(cfg.GPUsPerNode)},
-				Allocatable: api.ResourceList{api.ResourceGPU: int64(cfg.GPUsPerNode)},
-				Ready:       true,
-			},
-		}
-		if _, err := apiserver.Nodes(srv).Create(node); err != nil {
-			return fig16Result{}, fmt.Errorf("fig16: create %s: %w", node.Name, err)
-		}
+	if err := createNodes(srv, cfg.Nodes, cfg.GPUsPerNode); err != nil {
+		return fig16Result{}, fmt.Errorf("fig16: %w", err)
 	}
 
 	// Two tenants share a vGPU (0.45 + 0.45), so the pool retires
@@ -108,24 +98,15 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	// The first error inside either proc stops both; the run then drains and
 	// reports it.
 	var runErr error
-	env.Go("submitter", func(p *sim.Proc) {
-		for i := 0; i < n && runErr == nil; i++ {
-			sp := &core.SharePod{
-				ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("sp-%06d", i)},
-				Spec: core.SharePodSpec{
-					GPURequest: 0.45, GPULimit: 1.0, GPUMem: workload.MemShareChurn,
-					Pod: api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
-				},
-			}
-			if _, err := core.SharePods(srv).Create(sp); err != nil {
-				runErr = fmt.Errorf("fig16: create %s: %w", sp.Name, err)
-				return
-			}
-			if (i+1)%wave == 0 {
-				p.Sleep(waveGap)
-			}
+	workload.Submit(env, srv, n, func(i int) (time.Duration, api.Object) {
+		return time.Duration(i/wave) * waveGap, &core.SharePod{
+			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("sp-%06d", i)},
+			Spec: core.SharePodSpec{
+				GPURequest: 0.45, GPULimit: 1.0, GPUMem: workload.MemShareChurn,
+				Pod: api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
+			},
 		}
-	})
+	}, &runErr)
 
 	// Completion sweeper: retire placed sharePods Service after scheduling.
 	// The status write flows back to the scheduler through its SharePod
@@ -149,7 +130,7 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 					sp.Status.FinishTime = env.Now()
 					return nil
 				}); err != nil {
-					runErr = fmt.Errorf("fig16: complete %s: %w", name, err)
+					runErr = fmt.Errorf("complete %s: %w", name, err)
 					return
 				}
 				done++
@@ -165,7 +146,7 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	virtual := env.Now()
 	sched.Stop()
 	if runErr != nil {
-		return fig16Result{}, runErr
+		return fig16Result{}, fmt.Errorf("fig16: %w", runErr)
 	}
 
 	res := fig16Result{wall: wall, virtual: virtual, decisions: sched.Stats().Decisions}

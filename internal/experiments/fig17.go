@@ -7,7 +7,6 @@ import (
 	"kubeshare/internal/chaos"
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
-	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/metrics"
 	"kubeshare/internal/sim"
@@ -93,19 +92,10 @@ type fig17Result struct {
 // consumers had already acted on).
 func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Result, error) {
 	env := sim.NewEnv()
-	kcfg := kube.Config{}
-	for i := 0; i < cfg.Nodes; i++ {
-		kcfg.Nodes = append(kcfg.Nodes, kube.NodeConfig{
-			Name: fmt.Sprintf("node-%d", i),
-			GPUs: cfg.GPUsPerNode,
-		})
-	}
-	c, err := kube.NewCluster(env, kcfg)
+	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)
 	if err != nil {
 		return fig17Result{}, err
 	}
-	instrumented(c.API)
-	workload.RegisterImages(c)
 	c.API.EnableDurability(apiserver.DurabilityConfig{CheckpointInterval: ckptInterval})
 	ks, err := schedfw.Install(c, core.Config{})
 	if err != nil {
@@ -121,22 +111,15 @@ func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Re
 		JobDuration:      cfg.JobDuration,
 		Seed:             simrand.New(cfg.Seed).Fork("workload").Seed(),
 	})
-	env.Go("fig17-submitter", func(p *sim.Proc) {
-		for _, j := range jobs {
-			if wait := j.Arrival - env.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-			if _, err := core.SharePods(c.API).Create(workload.SharePodFor(j)); err != nil {
-				panic(fmt.Sprintf("fig17: submit %s: %v", j.Name, err))
-			}
-		}
-	})
+	// The first error inside either proc stops both; the cell then reports it.
+	var runErr error
+	submitJobs(env, c, KubeShare, jobs, &runErr)
 
 	horizon := submitWindow + cfg.JobDuration
 	var res fig17Result
 	rng := simrand.New(cfg.Seed).Fork("apiserver")
 	env.Go("fig17-restarter", func(p *sim.Proc) {
-		for {
+		for runErr == nil {
 			p.Sleep(rng.ExpDuration(restartMean))
 			if env.Now() >= horizon {
 				return
@@ -146,7 +129,8 @@ func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Re
 			}
 			st, err := c.API.Restart()
 			if err != nil {
-				panic(fmt.Sprintf("fig17: restart: %v", err))
+				runErr = fmt.Errorf("restart: %w", err)
+				return
 			}
 			res.restarts++
 			res.replayed += st.Replayed
@@ -167,14 +151,15 @@ func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Re
 	})
 
 	env.RunUntil(20 * time.Minute)
-	for _, sp := range core.SharePods(c.API).List() {
-		if sp.Status.FinishTime > res.makespan {
-			res.makespan = sp.Status.FinishTime
-		}
-		if sp.Status.Phase == core.SharePodSucceeded {
+	if runErr != nil {
+		return res, fmt.Errorf("fig17: mean=%v ckpt=%v: %w", restartMean, ckptInterval, runErr)
+	}
+	scanJobs(c, KubeShare, func(_ string, o outcome) {
+		res.makespan = max(res.makespan, o.finish)
+		if o.succeeded {
 			res.succeeded++
 		}
-	}
+	})
 	// A cell is only valid if the cluster fully recovered: every quiescence
 	// invariant holds (nothing wedged, nothing leaked, snapshot equivalent).
 	for _, v := range chaos.VerifyQuiescence(c, ks) {

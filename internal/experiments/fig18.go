@@ -195,16 +195,16 @@ func Fig18MemBytes(cfg Fig18Config) (*metrics.Table, error) {
 	// Admission: one byte over device capacity must be refused with the
 	// typed error before anything is stored.
 	env := sim.NewEnv()
-	c, err := newCluster(env, 1, 1)
+	c, err := newCluster(env, 1, 1, false)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := schedfw.Install(c, core.Config{}); err != nil {
 		return nil, err
 	}
-	rejectedTyped := 0
-	env.Go("oversubscriber", func(p *sim.Proc) {
-		_, err := core.SharePods(c.API).Create(&core.SharePod{
+	var refused error
+	workload.Submit(env, c.API, 1, func(int) (time.Duration, api.Object) {
+		return 0, &core.SharePod{
 			ObjectMeta: api.ObjectMeta{Name: "over-mem"},
 			Spec: core.SharePodSpec{
 				GPURequest:  0.5,
@@ -214,13 +214,14 @@ func Fig18MemBytes(cfg Fig18Config) (*metrics.Table, error) {
 					Name: "serve", Image: workload.ServeImage,
 				}}},
 			},
-		})
-		var ve *core.ValidationError
-		if errors.As(err, &ve) {
-			rejectedTyped = 1
 		}
-	})
+	}, &refused)
 	env.Run()
+	rejectedTyped := 0
+	var ve *core.ValidationError
+	if errors.As(refused, &ve) {
+		rejectedTyped = 1
+	}
 	tb.AddRow("oversubscribed-admission", 1, 0, 0, rejectedTyped)
 	if rejectedTyped == 0 {
 		return nil, fmt.Errorf("fig18: oversubscribed gpu_mem_bytes was not rejected with a typed ValidationError")

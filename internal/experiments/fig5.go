@@ -43,7 +43,7 @@ func Fig5(cfg Fig5Config) (*metrics.Table, error) {
 	utils, err := runIndexed(len(cfg.Rates), func(i int) (float64, error) {
 		rate := cfg.Rates[i]
 		env := sim.NewEnv()
-		c, err := newCluster(env, 1, 1)
+		c, err := newCluster(env, 1, 1, false)
 		if err != nil {
 			return 0, err
 		}
@@ -60,12 +60,9 @@ func Fig5(cfg Fig5Config) (*metrics.Table, error) {
 				Requests: api.ResourceList{api.ResourceGPU: 1},
 			}}},
 		}
-		env.Go("submit", func(p *sim.Proc) {
-			if _, err := c.Pods().Create(pod); err != nil {
-				panic(err)
-			}
-		})
-		env.Run()
+		if _, err := runJobs(env, c, Kubernetes, pod); err != nil {
+			return 0, err
+		}
 		dev := c.Nodes[0].GPUs[0]
 		util := dev.BusyTime().Seconds() / cfg.Duration.Seconds()
 		if util > 1 {

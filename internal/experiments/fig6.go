@@ -57,7 +57,7 @@ type Fig6Result struct {
 func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 	cfg = cfg.withDefaults()
 	env := sim.NewEnv()
-	c, err := newCluster(env, 1, 1)
+	c, err := newCluster(env, 1, 1, false)
 	if err != nil {
 		return nil, err
 	}
@@ -73,37 +73,34 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 		{"job-b", 0.4, 0.6, s, time.Duration(1.6 * float64(s))},
 		{"job-c", 0.3, 0.5, 2 * s, time.Duration(0.39 * float64(s))},
 	}
-	for _, j := range jobs {
-		j := j
-		env.At(j.arrival, func() {
-			steps := int(j.trainDuration / (10 * time.Millisecond))
-			sp := &core.SharePod{
-				ObjectMeta: api.ObjectMeta{Name: j.name},
-				Spec: core.SharePodSpec{
-					GPURequest: j.request,
-					GPULimit:   j.limit,
-					GPUMem:     workload.MemShareTraining,
-					Pod: api.PodSpec{Containers: []api.Container{{
-						Name:  "train",
-						Image: workload.TrainImage,
-						Env:   map[string]string{workload.EnvSteps: fmt.Sprintf("%d", steps)},
-					}}},
-				},
-			}
-			if _, err := core.SharePods(c.API).Create(sp); err != nil {
-				panic(err)
-			}
-		})
-	}
+	var runErr error
+	workload.Submit(env, c.API, len(jobs), func(i int) (time.Duration, api.Object) {
+		j := jobs[i]
+		steps := int(j.trainDuration / (10 * time.Millisecond))
+		return j.arrival, &core.SharePod{
+			ObjectMeta: api.ObjectMeta{Name: j.name},
+			Spec: core.SharePodSpec{
+				GPURequest: j.request,
+				GPULimit:   j.limit,
+				GPUMem:     workload.MemShareTraining,
+				Pod: api.PodSpec{Containers: []api.Container{{
+					Name:  "train",
+					Image: workload.TrainImage,
+					Env:   map[string]string{workload.EnvSteps: fmt.Sprintf("%d", steps)},
+				}}},
+			},
+		}
+	}, &runErr)
 
 	usage := map[string]*tsdb.Series{}
 	for _, j := range jobs {
 		usage[j.name] = &tsdb.Series{Name: j.name}
 	}
-	// Sample each job's usage rate from the node backend.
+	// Sample each job's usage rate from the node backend until every job is
+	// done, or a submission failed and never will be.
 	env.Go("usage-sampler", func(p *sim.Proc) {
 		backend := ks.Backends["node-0"]
-		for {
+		for runErr == nil {
 			p.Sleep(cfg.SampleEvery)
 			done := 0
 			for _, j := range jobs {
@@ -130,6 +127,9 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 		}
 	})
 	env.Run()
+	if runErr != nil {
+		return nil, runErr
+	}
 
 	tb := metrics.NewTable("Figure 6: GPU isolation timeline (usage share per job)",
 		"phase", "window", "job_a", "job_b", "job_c")

@@ -40,62 +40,33 @@ func (c Fig7Config) withDefaults() Fig7Config {
 func Fig7(cfg Fig7Config) (*metrics.Table, error) {
 	cfg = cfg.withDefaults()
 
+	// runTraining times one training job: a whole-GPU pod without the device
+	// library, or a full-GPU sharePod under the given token quota.
 	runTraining := func(quota time.Duration, useLib bool) (time.Duration, error) {
 		env := sim.NewEnv()
-		c, err := newCluster(env, 1, 1)
+		c, err := newCluster(env, 1, 1, false)
 		if err != nil {
 			return 0, err
 		}
-		envVars := map[string]string{workload.EnvSteps: fmt.Sprintf("%d", cfg.Steps)}
+		sp := &core.SharePod{
+			ObjectMeta: api.ObjectMeta{Name: "train"},
+			Spec: core.SharePodSpec{
+				GPURequest: 1.0, GPULimit: 1.0, GPUMem: workload.MemShareHalf,
+				Pod: api.PodSpec{Containers: []api.Container{{
+					Name: "c", Image: workload.TrainImage,
+					Env: map[string]string{workload.EnvSteps: fmt.Sprintf("%d", cfg.Steps)},
+				}}},
+			},
+		}
+		sys, job := Kubernetes, api.Object(wholeGPU(sp))
 		if useLib {
+			sys, job = KubeShare, sp
 			if _, err := schedfw.Install(c, core.Config{Devlib: devlib.Config{Quota: quota}}); err != nil {
 				return 0, err
 			}
-			sp := &core.SharePod{
-				ObjectMeta: api.ObjectMeta{Name: "train"},
-				Spec: core.SharePodSpec{
-					GPURequest: 1.0, GPULimit: 1.0, GPUMem: workload.MemShareHalf,
-					Pod: api.PodSpec{Containers: []api.Container{{
-						Name: "c", Image: workload.TrainImage, Env: envVars,
-					}}},
-				},
-			}
-			env.Go("s", func(p *sim.Proc) {
-				if _, err := core.SharePods(c.API).Create(sp); err != nil {
-					panic(err)
-				}
-			})
-			env.Run()
-			got, err := core.SharePods(c.API).Get("train")
-			if err != nil {
-				return 0, err
-			}
-			if got.Status.Phase != core.SharePodSucceeded {
-				return 0, fmt.Errorf("training failed: %s", got.Status.Message)
-			}
-			return got.Status.FinishTime - got.Status.RunningTime, nil
 		}
-		pod := &api.Pod{
-			ObjectMeta: api.ObjectMeta{Name: "train"},
-			Spec: api.PodSpec{Containers: []api.Container{{
-				Name: "c", Image: workload.TrainImage, Env: envVars,
-				Requests: api.ResourceList{api.ResourceGPU: 1},
-			}}},
-		}
-		env.Go("s", func(p *sim.Proc) {
-			if _, err := c.Pods().Create(pod); err != nil {
-				panic(err)
-			}
-		})
-		env.Run()
-		got, err := c.Pods().Get("train")
-		if err != nil {
-			return 0, err
-		}
-		if got.Status.Phase != api.PodSucceeded {
-			return 0, fmt.Errorf("baseline failed: %s", got.Status.Message)
-		}
-		return got.Status.FinishTime - got.Status.StartTime, nil
+		times, err := runJobs(env, c, sys, job)
+		return times["train"], err
 	}
 
 	// Index 0 is the no-library baseline; 1..len(Quotas) are the quota runs.

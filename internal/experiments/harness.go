@@ -46,21 +46,12 @@ func instrumented(srv *apiserver.Server) *apiserver.Server {
 	return srv
 }
 
-// newCluster builds a cluster with workload images registered.
-func newCluster(env *sim.Env, nodes, gpusPerNode int) (*kube.Cluster, error) {
-	return newClusterObs(env, nodes, gpusPerNode, false)
-}
-
-// newClusterObs is newCluster with an observability off-switch (the obs-off
-// arm of the instrumentation-overhead benchmark).
-func newClusterObs(env *sim.Env, nodes, gpusPerNode int, disableObs bool) (*kube.Cluster, error) {
-	cfg := kube.Config{DisableObs: disableObs}
-	for i := 0; i < nodes; i++ {
-		cfg.Nodes = append(cfg.Nodes, kube.NodeConfig{
-			Name: fmt.Sprintf("node-%d", i),
-			GPUs: gpusPerNode,
-		})
-	}
+// newCluster builds every experiment's cluster: nodes × gpusPerNode GPUs
+// with the workload images registered. disableObs turns telemetry off (the
+// obs-off arm of the instrumentation-overhead benchmark).
+func newCluster(env *sim.Env, nodes, gpusPerNode int, disableObs bool) (*kube.Cluster, error) {
+	cfg := kube.DefaultConfig(nodes, gpusPerNode)
+	cfg.DisableObs = disableObs
 	c, err := kube.NewCluster(env, cfg)
 	if err != nil {
 		return nil, err
@@ -68,6 +59,100 @@ func newClusterObs(env *sim.Env, nodes, gpusPerNode int, disableObs bool) (*kube
 	instrumented(c.API)
 	workload.RegisterImages(c)
 	return c, nil
+}
+
+// createNodes registers n Ready nodes of gpus whole GPUs each, named
+// node-0000…, on a bare API server — the scheduler-only experiments, which
+// run no kubelets.
+func createNodes(srv *apiserver.Server, n, gpus int) error {
+	for i := 0; i < n; i++ {
+		node := &api.Node{
+			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("node-%04d", i)},
+			Status: api.NodeStatus{
+				Capacity:    api.ResourceList{api.ResourceGPU: int64(gpus)},
+				Allocatable: api.ResourceList{api.ResourceGPU: int64(gpus)},
+				Ready:       true,
+			},
+		}
+		if _, err := apiserver.Nodes(srv).Create(node); err != nil {
+			return fmt.Errorf("create %s: %w", node.Name, err)
+		}
+	}
+	return nil
+}
+
+// submitJobs submits each job at its arrival: its sharePod, or under
+// Kubernetes that sharePod's whole-GPU pod.
+func submitJobs(env *sim.Env, c *kube.Cluster, sys System, jobs []workload.Job, errp *error) {
+	workload.Submit(env, c.API, len(jobs), func(i int) (time.Duration, api.Object) {
+		if sys == Kubernetes {
+			return jobs[i].Arrival, wholeGPU(workload.SharePodFor(jobs[i]))
+		}
+		return jobs[i].Arrival, workload.SharePodFor(jobs[i])
+	}, errp)
+}
+
+// wholeGPU is a job's native-baseline form: the sharePod's pod, with its
+// container asking for one whole GPU instead of a share.
+func wholeGPU(sp *core.SharePod) *api.Pod {
+	ctr := sp.Spec.Pod.Containers[0]
+	ctr.Requests = api.ResourceList{api.ResourceGPU: 1}
+	return &api.Pod{ObjectMeta: sp.ObjectMeta, Spec: api.PodSpec{Containers: []api.Container{ctr}}}
+}
+
+// outcome is one job as the store holds it: its pod under Kubernetes, its
+// sharePod under the sharing systems.
+type outcome struct {
+	created, start, finish time.Duration
+	terminal, succeeded    bool
+	// phase and message explain a job that did not succeed.
+	phase, message string
+}
+
+// scanJobs calls fn with every job's outcome, in name order, in one store
+// read — the one place an experiment reads its results back. The sharing
+// systems' jobs are their sharePods (their pods are bound and holder pods),
+// and a sharePod starts when it turns Running.
+func scanJobs(c *kube.Cluster, sys System, fn func(name string, o outcome)) {
+	if sys == Kubernetes {
+		c.Pods().Scan(func(pod *api.Pod) bool {
+			fn(pod.Name, outcome{
+				created: pod.CreationTime, start: pod.Status.StartTime, finish: pod.Status.FinishTime,
+				terminal: pod.Terminated(), succeeded: pod.Status.Phase == api.PodSucceeded,
+				phase: string(pod.Status.Phase), message: pod.Status.Message,
+			})
+			return true
+		})
+		return
+	}
+	core.SharePods(c.API).Scan(func(sp *core.SharePod) bool {
+		fn(sp.Name, outcome{
+			created: sp.CreationTime, start: sp.Status.RunningTime, finish: sp.Status.FinishTime,
+			terminal: sp.Terminated(), succeeded: sp.Status.Phase == core.SharePodSucceeded,
+			phase: string(sp.Status.Phase), message: sp.Status.Message,
+		})
+		return true
+	})
+}
+
+// runJobs creates objs at the current instant, runs the simulation until
+// nothing is left to do and returns every job's start-to-finish time — or
+// the refused create, or the first job (in name order) that did not succeed.
+func runJobs(env *sim.Env, c *kube.Cluster, sys System, objs ...api.Object) (map[string]time.Duration, error) {
+	var err error
+	workload.Submit(env, c.API, len(objs), func(i int) (time.Duration, api.Object) { return 0, objs[i] }, &err)
+	env.Run()
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]time.Duration{}
+	scanJobs(c, sys, func(name string, o outcome) {
+		if !o.succeeded && err == nil {
+			err = fmt.Errorf("%s: %s (%s)", name, o.phase, o.message)
+		}
+		out[name] = o.finish - o.start
+	})
+	return out, err
 }
 
 // SharingConfig drives one cluster-scale inference workload run (the
@@ -140,7 +225,7 @@ type SharingResult struct {
 // returns its throughput and utilization profile.
 func RunSharing(cfg SharingConfig) (SharingResult, error) {
 	env := sim.NewEnv()
-	c, err := newClusterObs(env, cfg.Nodes, cfg.GPUsPerNode, cfg.DisableObs)
+	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, cfg.DisableObs)
 	if err != nil {
 		return SharingResult{}, err
 	}
@@ -159,7 +244,7 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 		env.Go("apiserver-restarter", func(p *sim.Proc) {
 			p.Sleep(cfg.RestartAPIServerAt)
 			if _, err := c.API.Restart(); err != nil && runErr == nil {
-				runErr = fmt.Errorf("experiments: apiserver restart: %w", err)
+				runErr = fmt.Errorf("apiserver restart: %w", err)
 			}
 		})
 	}
@@ -174,27 +259,7 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 		}
 	}
 
-	// Submit jobs at their arrival times.
-	env.Go("submitter", func(p *sim.Proc) {
-		for _, j := range cfg.Jobs {
-			if wait := j.Arrival - env.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-			if runErr != nil {
-				return
-			}
-			var err error
-			if cfg.System == Kubernetes {
-				_, err = c.Pods().Create(workload.NativePodFor(j))
-			} else {
-				_, err = core.SharePods(c.API).Create(workload.SharePodFor(j))
-			}
-			if err != nil {
-				runErr = fmt.Errorf("experiments: submit %s: %w", j.Name, err)
-				return
-			}
-		}
-	})
+	submitJobs(env, c, cfg.System, cfg.Jobs, &runErr)
 
 	res := SharingResult{}
 	total := len(cfg.Jobs)
@@ -228,41 +293,21 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 	}
 	env.Run()
 	if runErr != nil {
-		return SharingResult{}, runErr
+		return SharingResult{}, fmt.Errorf("experiments: %w", runErr)
 	}
 
-	// Collect outcomes.
 	var last time.Duration
 	res.FinishTimes = make(map[string]time.Duration)
-	if cfg.System == Kubernetes {
-		for _, pod := range c.Pods().List() {
-			switch pod.Status.Phase {
-			case api.PodSucceeded:
-				res.Completed++
-				res.FinishTimes[pod.Name] = pod.Status.FinishTime
-				if pod.Status.FinishTime > last {
-					last = pod.Status.FinishTime
-				}
-			case api.PodFailed:
-				res.Failed++
-			}
+	scanJobs(c, cfg.System, func(name string, o outcome) {
+		switch {
+		case o.succeeded:
+			res.Completed++
+			res.FinishTimes[name] = o.finish
+			last = max(last, o.finish)
+		case o.terminal:
+			res.Failed++
 		}
-	} else {
-		for _, sp := range core.SharePods(c.API).List() {
-			switch sp.Status.Phase {
-			case core.SharePodSucceeded:
-				res.Completed++
-				res.FinishTimes[sp.Name] = sp.Status.FinishTime
-				if sp.Status.FinishTime > last {
-					last = sp.Status.FinishTime
-				}
-			default:
-				if sp.Terminated() {
-					res.Failed++
-				}
-			}
-		}
-	}
+	})
 	// Nothing is left to run: a job that is not terminal now never will be
 	// (a control loop died or deadlocked), and a short result with a nil
 	// error would hide it.
@@ -287,25 +332,13 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 	return res, nil
 }
 
-// terminatedCount counts workload jobs in a terminal phase. It runs once per
-// sample tick, so it scans the store in place instead of building the slice
-// List would.
+// terminatedCount counts workload jobs in a terminal phase.
 func terminatedCount(c *kube.Cluster, sys System) int {
 	n := 0
-	if sys == Kubernetes {
-		c.Pods().Scan(func(pod *api.Pod) bool {
-			if pod.Terminated() {
-				n++
-			}
-			return true
-		})
-		return n
-	}
-	core.SharePods(c.API).Scan(func(sp *core.SharePod) bool {
-		if sp.Terminated() {
+	scanJobs(c, sys, func(_ string, o outcome) {
+		if o.terminal {
 			n++
 		}
-		return true
 	})
 	return n
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/workload"
@@ -38,6 +39,28 @@ func TestRunSharingReturnsSubmitError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "submit "+jobs[0].Name) || !apiserver.IsExists(err) {
 			t.Fatalf("%s: err = %v, want the wrapped already-exists submit error", sys, err)
 		}
+	}
+	// A live run reports it from Advance.
+	live, err := StartLive(LiveConfig{Nodes: 1, GPUsPerNode: 2, Jobs: jobs, Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Advance(time.Minute); err == nil || !apiserver.IsExists(err) {
+		t.Fatalf("live: err = %v, want the wrapped already-exists submit error", err)
+	}
+}
+
+// A job's native-baseline pod is its sharePod's container on one whole GPU,
+// and building it leaves the sharePod as it was.
+func TestWholeGPU(t *testing.T) {
+	sp := workload.SharePodFor(workload.Job{Name: "j", Demand: 0.5, Duration: time.Second})
+	pod := wholeGPU(sp)
+	if pod.Name != "j" || pod.Spec.Containers[0].Image != workload.ServeImage ||
+		pod.Spec.Containers[0].Requests[api.ResourceGPU] != 1 {
+		t.Fatalf("pod = %+v, want j's serving container on one whole GPU", pod)
+	}
+	if sp.Spec.Pod.Containers[0].Requests != nil {
+		t.Fatalf("sharePod container now requests %v", sp.Spec.Pod.Containers[0].Requests)
 	}
 }
 

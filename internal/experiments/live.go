@@ -44,6 +44,7 @@ type Live struct {
 	cluster   *kube.Cluster
 	telemetry *TelemetrySet
 	total     int
+	err       error
 }
 
 // StartLive builds the cluster, installs KubeShare, attaches the telemetry
@@ -73,7 +74,7 @@ func StartLive(cfg LiveConfig) (*Live, error) {
 		cfg.Jobs = fig9Jobs(f9.withDefaults())
 	}
 	env := sim.NewEnv()
-	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode)
+	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)
 	if err != nil {
 		return nil, err
 	}
@@ -82,26 +83,20 @@ func StartLive(cfg LiveConfig) (*Live, error) {
 	}
 	l := &Live{env: env, cluster: c, total: len(cfg.Jobs)}
 	l.telemetry = attachTelemetry(env, c, cfg.Interval, func() bool {
-		return terminatedCount(c, KubeShare) >= l.total
+		return l.err != nil || terminatedCount(c, KubeShare) >= l.total
 	})
-	env.Go("submitter", func(p *sim.Proc) {
-		for _, j := range cfg.Jobs {
-			if wait := j.Arrival - env.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-			if _, err := core.SharePods(c.API).Create(workload.SharePodFor(j)); err != nil {
-				panic(fmt.Sprintf("experiments: submit %s: %v", j.Name, err))
-			}
-		}
-	})
+	submitJobs(env, c, KubeShare, cfg.Jobs, &l.err)
 	return l, nil
 }
 
-// Advance runs the simulation up to now+d on the virtual clock.
-func (l *Live) Advance(d time.Duration) {
+// Advance runs the simulation up to now+d on the virtual clock. It returns
+// the run's error — a submission the API server refused — once there is one;
+// the workload then never completes.
+func (l *Live) Advance(d time.Duration) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.env.RunUntil(l.env.Now() + d)
+	return l.err
 }
 
 // Now returns the virtual clock.

@@ -52,7 +52,7 @@ const (
 
 func runPlacement(cfg Table1Config, sys table1System) (placementStats, error) {
 	env := sim.NewEnv()
-	c, err := newCluster(env, 1, cfg.GPUs)
+	c, err := newCluster(env, 1, cfg.GPUs, false)
 	if err != nil {
 		return placementStats{}, err
 	}
@@ -68,30 +68,25 @@ func runPlacement(cfg Table1Config, sys table1System) (placementStats, error) {
 		}
 		ext.SetSingleDevice(sys == table1Deepomatic)
 	}
-	env.Go("submit", func(p *sim.Proc) {
-		for i, d := range cfg.Demands {
-			sp := &core.SharePod{
-				ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("ctr-%c", 'a'+i)},
-				Spec: core.SharePodSpec{
-					GPURequest: d, GPULimit: d, GPUMem: workload.MemShareInference,
-					Pod: api.PodSpec{Containers: []api.Container{{
-						Name:  "c",
-						Image: workload.ServeImage,
-						Env: map[string]string{
-							workload.EnvRate:     "0",
-							workload.EnvDuration: "3600",
-						},
-					}}},
-				},
-			}
-			if _, err := core.SharePods(c.API).Create(sp); err != nil {
-				panic(err)
-			}
-			// Sequential arrivals, as in Fig 3's scenario.
-			p.Sleep(100 * time.Millisecond)
+	// Sequential arrivals 100 ms apart, as in Fig 3's scenario.
+	var runErr error
+	workload.Submit(env, c.API, len(cfg.Demands), func(i int) (time.Duration, api.Object) {
+		d := cfg.Demands[i]
+		return time.Duration(i) * 100 * time.Millisecond, &core.SharePod{
+			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("ctr-%c", 'a'+i)},
+			Spec: core.SharePodSpec{
+				GPURequest: d, GPULimit: d, GPUMem: workload.MemShareInference,
+				Pod: api.PodSpec{Containers: []api.Container{{
+					Name: "c", Image: workload.ServeImage,
+					Env: map[string]string{workload.EnvRate: "0", workload.EnvDuration: "3600"},
+				}}},
+			},
 		}
-	})
+	}, &runErr)
 	env.RunUntil(2 * time.Minute)
+	if runErr != nil {
+		return placementStats{}, runErr
+	}
 	stats := placementStats{perDevice: map[string]float64{}}
 	for _, sp := range core.SharePods(c.API).List() {
 		if !sp.Placed() {

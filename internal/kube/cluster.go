@@ -37,11 +37,12 @@ type Config struct {
 	DisableObs bool
 }
 
-// DefaultConfig mirrors the paper's testbed: n nodes of 4 V100s each.
-func DefaultConfig(nodes int) Config {
+// DefaultConfig is a uniform cluster: nodes named node-0, node-1, … with
+// gpusPerNode GPUs each (the paper's testbed is 8 nodes of 4 V100s).
+func DefaultConfig(nodes, gpusPerNode int) Config {
 	cfg := Config{}
 	for i := 0; i < nodes; i++ {
-		cfg.Nodes = append(cfg.Nodes, NodeConfig{Name: fmt.Sprintf("node-%d", i), GPUs: 4})
+		cfg.Nodes = append(cfg.Nodes, NodeConfig{Name: fmt.Sprintf("node-%d", i), GPUs: gpusPerNode})
 	}
 	return cfg
 }

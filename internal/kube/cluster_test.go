@@ -43,7 +43,7 @@ func simplePod(name, image string, req api.ResourceList) *api.Pod {
 
 func TestPodLifecycleEndToEnd(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	sleepImage(c, "work", 2*time.Second)
 	var final *api.Pod
 	env.Go("test", func(p *sim.Proc) {
@@ -79,7 +79,7 @@ func TestPodLifecycleEndToEnd(t *testing.T) {
 
 func TestGPUPodGetsVisibleDevices(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	var visible string
 	var hadCUDA bool
 	c.Images.Register("gpu-app", func(ctx *runtime.Ctx) error {
@@ -112,7 +112,7 @@ func TestGPUPodGetsVisibleDevices(t *testing.T) {
 
 func TestSchedulerRespectsGPUCounts(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(1)) // 4 GPUs
+	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	sleepImage(c, "hog", time.Hour)
 	env.Go("test", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -136,7 +136,7 @@ func TestSchedulerRespectsGPUCounts(t *testing.T) {
 
 func TestPendingPodScheduledAfterRelease(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	sleepImage(c, "short", 5*time.Second)
 	env.Go("test", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -178,7 +178,7 @@ func TestNodeSelectorRespected(t *testing.T) {
 
 func TestPodSpreadAcrossNodesLeastAllocated(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(2))
+	c := newTestCluster(t, env, DefaultConfig(2, 4))
 	sleepImage(c, "w", time.Hour)
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("a", "w", api.ResourceList{api.ResourceCPU: 18000}))
@@ -195,7 +195,7 @@ func TestPodSpreadAcrossNodesLeastAllocated(t *testing.T) {
 
 func TestFailedContainerMarksPodFailed(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	c.Images.Register("crash", func(ctx *runtime.Ctx) error {
 		ctx.Proc.Sleep(time.Second)
 		return errors.New("segfault")
@@ -216,7 +216,7 @@ func TestFailedContainerMarksPodFailed(t *testing.T) {
 
 func TestUnknownImageFailsPod(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("noimg", "ghost-image", nil))
 		pod, _ := c.WaitPodPhase(p, "noimg", api.PodFailed)
@@ -229,7 +229,7 @@ func TestUnknownImageFailsPod(t *testing.T) {
 
 func TestDeletePodStopsContainersAndFreesGPU(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(1))
+	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	started := false
 	c.Images.Register("forever", func(ctx *runtime.Ctx) error {
 		started = true
@@ -267,7 +267,7 @@ func TestDeletePodStopsContainersAndFreesGPU(t *testing.T) {
 
 func TestReplicationControllerMaintainsReplicas(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(2))
+	c := newTestCluster(t, env, DefaultConfig(2, 4))
 	sleepImage(c, "svc", time.Hour)
 	rc := &api.ReplicationController{
 		ObjectMeta:     api.ObjectMeta{Name: "web"},
@@ -315,7 +315,7 @@ func TestReplicationControllerMaintainsReplicas(t *testing.T) {
 
 func TestConcurrentPodCreationAllScheduled(t *testing.T) {
 	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(4))
+	c := newTestCluster(t, env, DefaultConfig(4, 4))
 	sleepImage(c, "w", 10*time.Second)
 	const n = 16
 	env.Go("test", func(p *sim.Proc) {

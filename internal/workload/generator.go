@@ -7,6 +7,8 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/sim"
 	"kubeshare/internal/simrand"
 )
 
@@ -152,16 +154,27 @@ func SharePodFor(j Job) *core.SharePod {
 	}
 }
 
-// NativePodFor renders the job as a vanilla Kubernetes pod occupying one
-// whole GPU — the no-sharing baseline.
-func NativePodFor(j Job) *api.Pod {
-	return &api.Pod{
-		ObjectMeta: api.ObjectMeta{Name: j.Name},
-		Spec: api.PodSpec{Containers: []api.Container{{
-			Name:     "serve",
-			Image:    ServeImage,
-			Env:      serveEnv(j),
-			Requests: api.ResourceList{api.ResourceGPU: 1},
-		}}},
-	}
+// Submit spawns one proc that creates n objects through srv, in order: for
+// each i it takes an (arrival, object) pair from next(i), sleeps until the
+// arrival (a past arrival creates at once) and creates the object. next is
+// called once per i, in order, inside the proc, so it may draw arrivals from
+// a random stream as it goes. The first failed create is stored in *errp as
+// "submit <name>: <cause>" and ends the proc; an error another proc stored
+// in *errp first ends it too (checked before every create).
+func Submit(env *sim.Env, srv *apiserver.Server, n int, next func(i int) (time.Duration, api.Object), errp *error) {
+	env.Go("submitter", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			at, obj := next(i)
+			if wait := at - env.Now(); wait > 0 {
+				p.Sleep(wait)
+			}
+			if *errp != nil {
+				return
+			}
+			if _, err := srv.Create(obj); err != nil {
+				*errp = fmt.Errorf("submit %s: %w", obj.GetMeta().Name, err)
+				return
+			}
+		}
+	})
 }

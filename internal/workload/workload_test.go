@@ -1,21 +1,25 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"kubeshare/internal/gpusim"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/sim"
 )
 
 func newWorkloadCluster(t *testing.T, nodes int) (*sim.Env, *kube.Cluster) {
 	t.Helper()
 	env := sim.NewEnv()
-	c, err := kube.NewCluster(env, kube.DefaultConfig(nodes))
+	c, err := kube.NewCluster(env, kube.DefaultConfig(nodes, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +178,49 @@ func TestSpecBuilders(t *testing.T) {
 	if sp.Spec.Pod.Containers[0].Env[EnvRate] == "" {
 		t.Fatal("rate env missing")
 	}
-	pod := NativePodFor(j)
-	if pod.Spec.Containers[0].Requests[api.ResourceGPU] != 1 {
-		t.Fatal("native pod must request a whole GPU")
-	}
 	high := SharePodFor(Job{Name: "h", Demand: 0.95, Duration: time.Second})
 	if high.Spec.GPULimit != 1 {
 		t.Fatalf("limit %v, want clamped to 1", high.Spec.GPULimit)
+	}
+}
+
+// Submit creates each object at its arrival until one is refused: the
+// duplicate comes back as the wrapped already-exists error, nothing after it
+// is asked for or created, and the proc finishes rather than sleeping on to
+// the next arrival. An error another proc stored first stops it before its
+// first create.
+func TestSubmitStopsAtFirstError(t *testing.T) {
+	env := sim.NewEnv()
+	srv := apiserver.New(env)
+	names := []string{"a", "b", "a", "c"}
+	asked := 0
+	var err error
+	Submit(env, srv, len(names), func(i int) (time.Duration, api.Object) {
+		asked++
+		return time.Duration(i) * time.Second, &api.Pod{ObjectMeta: api.ObjectMeta{Name: names[i]}}
+	}, &err)
+	env.Run()
+	if err == nil || !apiserver.IsExists(err) || !strings.HasPrefix(err.Error(), "submit a: ") {
+		t.Fatalf("err = %v, want the wrapped already-exists error for a", err)
+	}
+	var got []string
+	for _, pod := range apiserver.Pods(srv).List() {
+		got = append(got, fmt.Sprintf("%s@%v", pod.Name, pod.CreationTime))
+	}
+	if want := "[a@0s b@1s]"; fmt.Sprint(got) != want {
+		t.Fatalf("created %v, want %s", got, want)
+	}
+	if asked != 3 || env.Live() != 0 || env.Now() != 2*time.Second {
+		t.Fatalf("asked %d objects, %d procs live at %v; want 3, 0 at 2s", asked, env.Live(), env.Now())
+	}
+
+	other := errors.New("other proc failed")
+	err = other
+	Submit(env, srv, 1, func(int) (time.Duration, api.Object) {
+		return 0, &api.Pod{ObjectMeta: api.ObjectMeta{Name: "d"}}
+	}, &err)
+	env.Run()
+	if err != other || apiserver.Pods(srv).Count() != 2 {
+		t.Fatalf("err = %v with %d pods, want the earlier error kept and nothing created", err, apiserver.Pods(srv).Count())
 	}
 }

@@ -17,7 +17,6 @@
 package kubeshare
 
 import (
-	"fmt"
 	"time"
 
 	"kubeshare/internal/core"
@@ -227,13 +226,10 @@ func New(opts ...Option) (*Sim, error) {
 		o(&cfg)
 	}
 	env := sim.NewEnv()
-	kc := kube.Config{DisableObs: cfg.noObs}
-	for i := 0; i < cfg.nodes; i++ {
-		kc.Nodes = append(kc.Nodes, kube.NodeConfig{
-			Name:   fmt.Sprintf("node-%d", i),
-			GPUs:   cfg.gpusPerNode,
-			GPUMem: cfg.gpuMem,
-		})
+	kc := kube.DefaultConfig(cfg.nodes, cfg.gpusPerNode)
+	kc.DisableObs = cfg.noObs
+	for i := range kc.Nodes {
+		kc.Nodes[i].GPUMem = cfg.gpuMem
 	}
 	cluster, err := kube.NewCluster(env, kc)
 	if err != nil {
