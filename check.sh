@@ -92,18 +92,20 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # replay composition (restore∘churn == live churn), torn-tail
 # truncate-and-recover, the durability oracle (300 random histories against
 # a plain-map model, with watchers opened, dropped and resumed along the
-# way), epoch-fenced relists, and the no-double-delivery goldens across
+# way, and every status write leaving the label index's posting sets the
+# same sets), epoch-fenced relists, and the no-double-delivery goldens across
 # restart + drop. Each name lives in one of the two packages, so the pass
 # runs them one package at a time. The oracle's watcher mix includes the
 # node- and owner-scoped filters; the reflector pass names the node-scoped
 # relist (a 410 or a restart epoch synthesises events for matching objects
 # only), and the kubelet pass the two consumers' own properties: two kubelets
 # on one apiserver each receive and cache only their node's pods (a pod bound
-# after creation admitted once), and a node crash kills its containers in
-# pod-name order on every one of 64 fresh rigs.
+# after creation admitted once); a node crash kills its containers in
+# pod-name order, and a pod whose two device plugins set one env key sees one
+# value, each on every one of 64 fresh rigs.
 named 'TestRestore|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
 named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestEventSinkRestart' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
-named 'TestStopOrderDeterministic|TestKubeletWatchScopedToNode' env GOMAXPROCS=4 go test -race ./internal/kube/kubelet/
+named 'TestStopOrderDeterministic|TestKubeletWatchScopedToNode|TestSharedEnvKeyDeterministic' env GOMAXPROCS=4 go test -race ./internal/kube/kubelet/
 # Native fuzz smokes over the durable medium's decoders, 5 s each from the
 # checked-in seed corpora (testdata/fuzz; TestFuzzSeedCorpusCurrent keeps
 # them in step with the format): arbitrary bytes as the log, as the
@@ -184,9 +186,15 @@ go test . -run xxx -bench 'BenchmarkFig19Attribution/quick' -benchtime 1x
 # Smoke the instrumentation-overhead benchmark (obs on vs off on the Fig 9
 # workload); ./bench.sh measures it properly into BENCH.json.
 go test . -run xxx -bench BenchmarkFig9Obs -benchtime 1x
-# The size numbers ROADMAP budgets, outside benchmark/ (print only, no
-# gate): non-test Go lines, non-test panic( sites, and settable config fields
-# (exported fields of the *Config structs).
+# The size numbers ROADMAP budgets, outside benchmark/: non-test Go lines
+# (printed only), and two ratchets that fail the check when they grow —
+# non-test panic( sites and settable config fields (exported fields of the
+# *Config structs). Lower a limit when a change lowers its count.
 echo "non-test Go lines: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l)"
-echo "non-test panic( sites: $(grep -rn 'panic(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . | wc -l)"
-echo "settable config fields: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec awk '/^type [A-Za-z0-9]*Config struct \{/ { on = 1; next } on && /^\}/ { on = 0 } on && /^\t[A-Z][A-Za-z0-9_]* / { n++ } END { print n + 0 }' {} +)"
+panics=$(grep -rn 'panic(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . | wc -l)
+echo "non-test panic( sites: $panics"
+fields=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + |
+	awk '/^type [A-Za-z0-9]*Config struct \{/ { on = 1; next } on && /^\}/ { on = 0 } on && /^\t[A-Z][A-Za-z0-9_]* / { n++ } END { print n + 0 }')
+echo "settable config fields: $fields"
+test "$panics" -le 34 || { echo "check.sh: $panics non-test panic( sites, limit 34" >&2; exit 1; }
+test "$fields" -le 128 || { echo "check.sh: $fields settable config fields, limit 128" >&2; exit 1; }

@@ -27,14 +27,10 @@ type SoakConfig struct {
 	// Jobs is the number of serving jobs; each runs JobDuration.
 	Jobs        int
 	JobDuration time.Duration
-	// SubmitWindow spreads the submissions over this span.
+	// SubmitWindow spreads the submissions over this span. Faults are
+	// injected for the submit window plus one job duration.
 	SubmitWindow time.Duration
 
-	// FaultHorizon is how long faults are injected; zero means the submit
-	// window plus one job duration.
-	FaultHorizon time.Duration
-	// Bound caps the simulation; the run must quiesce before it.
-	Bound time.Duration
 	// Faults overrides the fault schedule (zero value takes the defaults
 	// below; the Seed and Horizon fields are always filled in here).
 	Faults Config
@@ -60,12 +56,6 @@ func (c SoakConfig) WithDefaults() SoakConfig {
 	}
 	if c.SubmitWindow == 0 {
 		c.SubmitWindow = 40 * time.Second
-	}
-	if c.FaultHorizon == 0 {
-		c.FaultHorizon = c.SubmitWindow + c.JobDuration
-	}
-	if c.Bound == 0 {
-		c.Bound = 20 * time.Minute
 	}
 	f := &c.Faults
 	if c.NoFaults {
@@ -97,9 +87,12 @@ func (c SoakConfig) WithDefaults() SoakConfig {
 		}
 	}
 	f.Seed = c.Seed
-	f.Horizon = c.FaultHorizon
+	f.Horizon = c.SubmitWindow + c.JobDuration
 	return c
 }
+
+// soakBound caps a soak's simulation; the run must quiesce before it.
+const soakBound = 20 * time.Minute
 
 // SoakResult summarizes one soak run.
 type SoakResult struct {
@@ -163,7 +156,7 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 
 	inj := New(c, cfg.Faults)
 	inj.Start()
-	env.RunUntil(cfg.Bound)
+	env.RunUntil(soakBound)
 	if submitErr != nil {
 		return SoakResult{}, fmt.Errorf("chaos soak: %w", submitErr)
 	}
@@ -202,7 +195,7 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 		if _, err := c.API.Restart(); err != nil {
 			return res, fmt.Errorf("chaos soak: final restart audit: %w", err)
 		}
-		env.RunUntil(cfg.Bound + time.Minute)
+		env.RunUntil(soakBound + time.Minute)
 		for _, v := range VerifyQuiescence(c, ks) {
 			res.Violations = append(res.Violations, fmt.Errorf("post-restore: %w", v))
 		}

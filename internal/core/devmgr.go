@@ -3,7 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -25,24 +26,19 @@ var errVGPULost = errors.New("core: vGPU lost")
 // PoolPolicy controls what happens to a vGPU when its last tenant leaves
 // (§4.4): OnDemand releases the physical GPU back to Kubernetes
 // immediately; Reservation keeps the vGPU idle in the pool, eliminating
-// acquisition latency for the next request at the cost of holding the GPU;
-// Hybrid keeps up to IdleReserve idle vGPUs and releases the rest — the
-// "hybrid strategy" the paper sketches.
+// acquisition latency for the next request at the cost of holding the GPU.
 type PoolPolicy int
 
 // Pool policies.
 const (
 	OnDemand PoolPolicy = iota
 	Reservation
-	Hybrid
 )
 
 // DevMgrConfig parameterizes KubeShare-DevMgr.
 type DevMgrConfig struct {
 	// Policy is the idle-vGPU policy (paper default: on-demand).
 	Policy PoolPolicy
-	// IdleReserve is the idle-vGPU target kept under the Hybrid policy.
-	IdleReserve int
 }
 
 // opLatency models one DevMgr operation: the vGPU info query and bound-pod
@@ -81,9 +77,6 @@ type DevMgr struct {
 	// maintained from watch deltas so reconcileVGPU no longer lists every
 	// sharePod to decide whether a device went idle.
 	tenants map[string]map[string]bool
-	// idle caches the gpuIDs currently in VGPUIdle phase (DevMgr is the only
-	// phase writer), so the Hybrid policy's reserve check is O(1).
-	idle map[string]bool
 	// placedGPU remembers each live sharePod's last-seen placement, so a
 	// requeue (placement cleared under a live sharePod) releases the old
 	// device's tenant entry.
@@ -122,7 +115,6 @@ func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
 		uuidReports:   make(map[string]*sim.Event),
 		binding:       make(map[string]bool),
 		tenants:       make(map[string]map[string]bool),
-		idle:          make(map[string]bool),
 		placedGPU:     make(map[string]string),
 		holderGen:     make(map[string]int),
 		recovering:    make(map[string]bool),
@@ -157,12 +149,7 @@ func (m *DevMgr) Recoveries() (int64, int64) {
 func (m *DevMgr) TenantView() map[string][]string {
 	out := make(map[string][]string, len(m.tenants))
 	for gpuID, set := range m.tenants {
-		names := make([]string, 0, len(set))
-		for name := range set {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		out[gpuID] = names
+		out[gpuID] = slices.Sorted(maps.Keys(set))
 	}
 	return out
 }
@@ -171,12 +158,7 @@ func (m *DevMgr) TenantView() map[string][]string {
 // UUID it found in its environment — the stand-in for DevMgr reading the
 // environment variable inside the launched container.
 func (m *DevMgr) ReportUUID(holderPod, uuid string) {
-	ev, ok := m.uuidReports[holderPod]
-	if !ok {
-		ev = sim.NewEvent(m.env)
-		m.uuidReports[holderPod] = ev
-	}
-	ev.Trigger(uuid)
+	m.uuidReport(holderPod).Trigger(uuid)
 }
 
 func (m *DevMgr) uuidReport(holderPod string) *sim.Event {
@@ -397,7 +379,8 @@ func (m *DevMgr) recoverVGPU(p *sim.Proc, gpuID, deadHolder string, done *sim.Ev
 	}
 	m.failUUIDWaiters(deadHolder)
 	m.holderGen[gpuID]++
-	holder := holderPodName(gpuID, m.holderGen[gpuID])
+	replacement := holderPod(gpuID, v.Spec.NodeName, m.holderGen[gpuID])
+	holder := replacement.Name
 	_, _ = VGPUs(m.srv).MutateStatus(gpuID, func(cur *VGPU) error {
 		cur.Status.Phase = VGPUCreating
 		cur.Status.HolderPod = holder
@@ -408,21 +391,6 @@ func (m *DevMgr) recoverVGPU(p *sim.Proc, gpuID, deadHolder string, done *sim.Ev
 	// already deleted it) so the node's GPU is free for the replacement.
 	if err := apiserver.Pods(m.srv).Delete(deadHolder); err != nil && !apiserver.IsNotFound(err) {
 		panic(fmt.Sprintf("kubeshare-devmgr: delete dead holder: %v", err))
-	}
-	replacement := &api.Pod{
-		ObjectMeta: api.ObjectMeta{
-			Name:      holder,
-			Labels:    map[string]string{LabelVGPUHolder: gpuID},
-			OwnerName: KindVGPU + "/" + gpuID,
-		},
-		Spec: api.PodSpec{
-			NodeName: v.Spec.NodeName,
-			Containers: []api.Container{{
-				Name:     "holder",
-				Image:    HolderImage,
-				Requests: api.ResourceList{api.ResourceGPU: 1},
-			}},
-		},
 	}
 	uuid := ""
 	if _, err := apiserver.Pods(m.srv).Create(replacement); err == nil || apiserver.IsExists(err) {
@@ -474,7 +442,6 @@ func (m *DevMgr) dropVGPU(gpuID, holder string) {
 	if err := VGPUs(m.srv).Delete(gpuID); err != nil && !apiserver.IsNotFound(err) {
 		panic(fmt.Sprintf("kubeshare-devmgr: delete vGPU: %v", err))
 	}
-	delete(m.idle, gpuID)
 	m.failUUIDWaiters(holder)
 }
 
@@ -482,13 +449,8 @@ func (m *DevMgr) dropVGPU(gpuID, holder string) {
 // pod are requeued by deleting it (the scheduler's pod-deletion hook);
 // tenants still binding are requeued directly.
 func (m *DevMgr) evictTenants(gpuID string) {
-	names := make([]string, 0, len(m.tenants[gpuID]))
-	for name := range m.tenants[gpuID] {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	sps := SharePods(m.srv)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(m.tenants[gpuID])) {
 		sp, err := sps.Get(name)
 		if err != nil || sp.Terminated() {
 			continue
@@ -630,7 +592,8 @@ func (m *DevMgr) ensureVGPU(p *sim.Proc, gpuID, node string) (string, error) {
 // holder pod requesting one GPU on the target node, wait for it to run, and
 // read the UUID it reports from its environment.
 func (m *DevMgr) createVGPU(p *sim.Proc, gpuID, node string) (string, error) {
-	holder := holderPodName(gpuID, 0)
+	pod := holderPod(gpuID, node, 0)
+	holder := pod.Name
 	vgpu := &VGPU{
 		ObjectMeta: api.ObjectMeta{Name: gpuID},
 		Spec:       VGPUSpec{GPUID: gpuID, NodeName: node},
@@ -638,21 +601,6 @@ func (m *DevMgr) createVGPU(p *sim.Proc, gpuID, node string) (string, error) {
 	}
 	if _, err := VGPUs(m.srv).Create(vgpu); err != nil && !apiserver.IsExists(err) {
 		return "", err
-	}
-	pod := &api.Pod{
-		ObjectMeta: api.ObjectMeta{
-			Name:      holder,
-			Labels:    map[string]string{LabelVGPUHolder: gpuID},
-			OwnerName: KindVGPU + "/" + gpuID,
-		},
-		Spec: api.PodSpec{
-			NodeName: node,
-			Containers: []api.Container{{
-				Name:     "holder",
-				Image:    HolderImage,
-				Requests: api.ResourceList{api.ResourceGPU: 1},
-			}},
-		},
 	}
 	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
 		return "", err
@@ -679,6 +627,26 @@ func (m *DevMgr) createVGPU(p *sim.Proc, gpuID, node string) (string, error) {
 	m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Created",
 		"holder %s pinned %s on %s", holder, uuid, node)
 	return uuid, nil
+}
+
+// holderPod is incarnation gen of the native pod that pins gpuID's physical
+// GPU: one whole device on node, through the device plugin.
+func holderPod(gpuID, node string, gen int) *api.Pod {
+	return &api.Pod{
+		ObjectMeta: api.ObjectMeta{
+			Name:      holderPodName(gpuID, gen),
+			Labels:    map[string]string{LabelVGPUHolder: gpuID},
+			OwnerName: KindVGPU + "/" + gpuID,
+		},
+		Spec: api.PodSpec{
+			NodeName: node,
+			Containers: []api.Container{{
+				Name:     "holder",
+				Image:    HolderImage,
+				Requests: api.ResourceList{api.ResourceGPU: 1},
+			}},
+		},
+	}
 }
 
 // reflectPodStatus mirrors bound-pod phase changes onto the sharePod and
@@ -745,18 +713,9 @@ func (m *DevMgr) reconcileVGPU(gpuID string) {
 	if err != nil {
 		return
 	}
-	switch m.cfg.Policy {
-	case Reservation:
+	if m.cfg.Policy == Reservation {
 		m.markVGPU(gpuID, VGPUIdle)
 		return
-	case Hybrid:
-		// m.idle[gpuID]: this vGPU already counts toward the reserve —
-		// re-reconciling an idle device must be a no-op, not a release.
-		if m.idle[gpuID] || len(m.idle) < m.cfg.IdleReserve {
-			m.markVGPU(gpuID, VGPUIdle)
-			return
-		}
-		// Reserve full: fall through and release this one.
 	}
 	if err := apiserver.Pods(m.srv).Delete(v.Status.HolderPod); err != nil && !apiserver.IsNotFound(err) {
 		panic(fmt.Sprintf("kubeshare-devmgr: delete holder: %v", err))
@@ -764,7 +723,6 @@ func (m *DevMgr) reconcileVGPU(gpuID string) {
 	if err := VGPUs(m.srv).Delete(gpuID); err != nil && !apiserver.IsNotFound(err) {
 		panic(fmt.Sprintf("kubeshare-devmgr: delete vGPU: %v", err))
 	}
-	delete(m.idle, gpuID)
 	delete(m.uuidReports, v.Status.HolderPod)
 }
 
@@ -775,11 +733,6 @@ func (m *DevMgr) markVGPU(gpuID string, phase VGPUPhase) {
 	})
 	if err != nil && !apiserver.IsNotFound(err) {
 		panic(fmt.Sprintf("kubeshare-devmgr: mark vGPU %s: %v", gpuID, err))
-	}
-	if phase == VGPUIdle {
-		m.idle[gpuID] = true
-	} else {
-		delete(m.idle, gpuID)
 	}
 }
 

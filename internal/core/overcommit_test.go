@@ -45,7 +45,7 @@ func TestMemOvercommitEndToEnd(t *testing.T) {
 	// With over-commitment (factor 1.5): both land on one GPU and swap.
 	oc, names := mk(Config{
 		Scheduler: SchedulerConfig{MemOvercommitFactor: 1.5},
-		Devlib:    devlib.Config{MemOvercommit: true, SwapBandwidth: 64 << 30},
+		Devlib:    devlib.Config{MemOvercommit: true},
 	})
 	oc.env.Run()
 	uuids = map[string]bool{}
@@ -79,7 +79,7 @@ func TestMemOvercommitSlowerThanFitting(t *testing.T) {
 		cfg := Config{}
 		if factor > 1 {
 			cfg.Scheduler.MemOvercommitFactor = factor
-			cfg.Devlib = devlib.Config{MemOvercommit: true, SwapBandwidth: 12 << 30}
+			cfg.Devlib = devlib.Config{MemOvercommit: true}
 		}
 		s := newStack(t, 1, cfg)
 		s.env.Go("submit", func(p *sim.Proc) {

@@ -27,7 +27,6 @@ import (
 type Extender struct {
 	env *sim.Env
 	srv *apiserver.Server
-	cfg core.SchedulerConfig
 
 	batchSize int
 	rr        map[string]int // node → round-robin device cursor
@@ -53,9 +52,6 @@ func NewExtender(env *sim.Env, srv *apiserver.Server, opts ...Option) *Extender 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.cfg.CycleLatency == 0 {
-		o.cfg.CycleLatency = core.DefaultCycleLatency
-	}
 	if o.batchSize < 1 {
 		o.batchSize = 1
 	}
@@ -63,7 +59,6 @@ func NewExtender(env *sim.Env, srv *apiserver.Server, opts ...Option) *Extender 
 	return &Extender{
 		env:        env,
 		srv:        srv,
-		cfg:        o.cfg,
 		batchSize:  o.batchSize,
 		rr:         make(map[string]int),
 		wake:       sim.NewQueue[struct{}](env),
@@ -154,7 +149,7 @@ func (s *Extender) runCycle(p *sim.Proc) bool {
 		return false
 	}
 	core.SortByAge(pending)
-	p.Sleep(s.cfg.CycleLatency)
+	p.Sleep(core.CycleLatency)
 	committedUtil, committedMem := s.aggregates()
 	type binding struct {
 		name  string

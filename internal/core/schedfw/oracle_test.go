@@ -42,7 +42,7 @@ func (s *Scheduler) runCycleExhaustive(p *sim.Proc) bool {
 	}
 	core.SortByAge(pending)
 	cycleStart := s.env.Now()
-	p.Sleep(s.cfg.CycleLatency)
+	p.Sleep(core.CycleLatency)
 	txn := fwk.NewTxn(s.snap.NewPool(s.newGPUID))
 
 	var out []staged

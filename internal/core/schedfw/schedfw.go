@@ -163,9 +163,6 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.cfg.CycleLatency == 0 {
-		o.cfg.CycleLatency = core.DefaultCycleLatency
-	}
 	if o.batchSize < 1 {
 		o.batchSize = 1
 	}
@@ -384,7 +381,7 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 		return false
 	}
 	cycleStart := s.env.Now()
-	p.Sleep(s.cfg.CycleLatency)
+	p.Sleep(core.CycleLatency)
 	// The watch procs drained any deltas during the sleep; the snapshot is
 	// current as of now. The batch stages on the snapshot's own pool.
 	txn := fwk.NewTxn(s.snap.Pool(s.newGPUID))

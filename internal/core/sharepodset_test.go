@@ -142,26 +142,3 @@ func TestSharePodSetValidation(t *testing.T) {
 		t.Fatal("GPUID-pinned template accepted")
 	}
 }
-
-func TestHybridPoolKeepsReserve(t *testing.T) {
-	s := newStack(t, 1, Config{DevMgr: DevMgrConfig{Policy: Hybrid, IdleReserve: 1}})
-	s.env.Go("t", func(p *sim.Proc) {
-		// Two jobs on two different vGPUs (anti-affinity), both finish.
-		for _, n := range []string{"x", "y"} {
-			sp := sharePod(n, 0.6, 1, 0.2, 1)
-			sp.Spec.AntiAffinity = "spread"
-			s.create(t, sp)
-		}
-	})
-	s.env.RunUntil(time.Minute)
-	idle, total := 0, 0
-	for _, v := range VGPUs(s.c.API).List() {
-		total++
-		if v.Status.Phase == VGPUIdle {
-			idle++
-		}
-	}
-	if total != 1 || idle != 1 {
-		t.Fatalf("vGPUs total=%d idle=%d, want exactly the 1-device reserve", total, idle)
-	}
-}

@@ -101,10 +101,10 @@ func TestLaunchKernelBlocksForWork(t *testing.T) {
 
 func TestMemcpyTakesPCIeTime(t *testing.T) {
 	env := sim.NewEnv()
-	dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n", CopyBandwidth: 1000})
+	dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
 	d := Open(dev, "c1")
 	env.Go("app", func(p *sim.Proc) {
-		if err := d.MemcpyHtoD(p, 500); err != nil {
+		if err := d.MemcpyHtoD(p, gpusim.CopyBandwidth/2); err != nil {
 			t.Errorf("copy: %v", err)
 		}
 		if env.Now() != 500*time.Millisecond {

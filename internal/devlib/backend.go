@@ -27,13 +27,6 @@ type Config struct {
 	// Quota is the token validity period: how long a container may hold the
 	// GPU before re-acquiring (paper default 100 ms; ablated in Figure 7).
 	Quota time.Duration
-	// Window is the sliding window over which usage rates are measured.
-	Window time.Duration
-	// Grace is the frontend's inactivity grace: after a kernel completes,
-	// the token is voluntarily released if no further kernel is launched
-	// within Grace, so bursty (inference) workloads do not hog the device
-	// between requests.
-	Grace time.Duration
 	// Residual selects how step 3 of the token policy distributes spare
 	// capacity among clients that already met their gpu_request (ablation
 	// knob; the paper uses lowest-usage-first).
@@ -42,9 +35,6 @@ type Config struct {
 	// memory becomes virtual, and working sets are swapped host↔device at
 	// token handoff when they do not all fit (§6 of the paper).
 	MemOvercommit bool
-	// SwapBandwidth is the host↔device transfer rate used for swapping
-	// (defaults to PCIe gen3 x16).
-	SwapBandwidth int64
 	// Obs is the telemetry runtime strategies and frontends record against
 	// (token grants, wait-latency histogram, throttle events). Nil disables
 	// instrumentation.
@@ -54,20 +44,24 @@ type Config struct {
 	// exactly one strategy: the first client's mode wins and conflicting
 	// modes fail at library-hook time.
 	Mode sharing.Mode
-	// Replicas is the number of logical GPUs each physical device
-	// advertises under the replica strategy (default DefaultReplicas;
-	// ignored by the other modes).
-	Replicas int
 }
 
-// Defaults (see Config).
+// DefaultQuota is the token validity period when Config.Quota is zero.
+const DefaultQuota = 100 * time.Millisecond
+
 const (
-	DefaultQuota  = 100 * time.Millisecond
-	DefaultWindow = 10 * time.Second
-	DefaultGrace  = 2 * time.Millisecond
-	// DefaultReplicas is the replica strategy's logical-GPU count per
-	// physical device (the NVIDIA time-slicing plugin's common default).
-	DefaultReplicas = 2
+	// window is the sliding window over which the token policy measures
+	// usage rates.
+	window = 10 * time.Second
+	// grace is the frontend's inactivity grace: after a kernel completes,
+	// the token is voluntarily released if no further kernel is launched
+	// within grace, so bursty (inference) workloads do not hog the device
+	// between requests.
+	grace = 2 * time.Millisecond
+	// replicas is the number of logical GPUs each physical device advertises
+	// under the replica strategy (the NVIDIA time-slicing plugin's common
+	// default).
+	replicas = 2
 )
 
 // handoff is the cost of a token exchange (queue pop, IPC, pipeline warm-up);
@@ -81,20 +75,8 @@ func (c Config) withDefaults() Config {
 	if c.Quota <= 0 {
 		c.Quota = DefaultQuota
 	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.Grace <= 0 {
-		c.Grace = DefaultGrace
-	}
-	if c.SwapBandwidth <= 0 {
-		c.SwapBandwidth = 12 << 30
-	}
 	if c.Mode == "" {
 		c.Mode = sharing.ModeToken
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
 	}
 	return c
 }
@@ -147,9 +129,9 @@ func (b *Backend) StrategyFor(uuid string, mode sharing.Mode) (sharing.Strategy,
 	case sharing.ModeMPS:
 		s = sharing.NewMPS(b.env, uuid, b.cfg.Obs)
 	case sharing.ModeReplica:
-		s = sharing.NewReplica(b.env, uuid, b.cfg.Replicas, b.cfg.Quota, b.cfg.Obs)
+		s = sharing.NewReplica(b.env, uuid, replicas, b.cfg.Quota, b.cfg.Obs)
 	case sharing.ModeToken:
-		s = sharing.NewToken(b.env, uuid, b.cfg.Quota, b.cfg.Window, b.cfg.Residual, b.cfg.Obs)
+		s = sharing.NewToken(b.env, uuid, b.cfg.Quota, window, b.cfg.Residual, b.cfg.Obs)
 	default:
 		return nil, fmt.Errorf("devlib: unknown sharing mode %q", mode)
 	}

@@ -107,7 +107,6 @@ type Frontend struct {
 	clientID string
 	share    Share
 	memCap   int64
-	cfg      Config
 	// gated caches strat.Gated(): only time-slicing strategies pay handoff
 	// sleeps, arm grace timers and release leases work-conservingly.
 	gated bool
@@ -164,8 +163,8 @@ type deviceContexter interface {
 // NewFrontendWith wraps base for a container under the device's sharing
 // strategy and registers the container with it; the caller must ensure the
 // sum of Request over a device's containers stays ≤ 1 (KubeShare-Sched's
-// job). cfg supplies the frontend-side knobs (handoff, grace, memory
-// over-commitment, telemetry) — pass the owning Backend's Config.
+// job). cfg supplies the frontend-side knobs (memory over-commitment,
+// telemetry) — pass the owning Backend's Config.
 func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, share Share, cfg Config) (*Frontend, error) {
 	if err := share.Validate(); err != nil {
 		return nil, err
@@ -187,7 +186,6 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 		clientID: clientID,
 		share:    share,
 		memCap:   memCap,
-		cfg:      cfg,
 		gated:    strat.Gated(),
 		tracer:   cfg.Obs.Tracer(),
 	}
@@ -217,7 +215,7 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 	}
 	if cfg.MemOvercommit {
 		if tok, ok := strat.(*sharing.Token); ok {
-			tok.EnableSwap(total, cfg.SwapBandwidth)
+			tok.EnableSwap(total)
 			f.swapper = tok
 			f.virtPtrs = make(map[cuda.Ptr]int64)
 			f.nextPtr = 0x1000
@@ -393,7 +391,7 @@ func (f *Frontend) LaunchKernel(p *sim.Proc, work time.Duration) error {
 		f.lease = sharing.Lease{}
 		return nil
 	}
-	f.releaseTmr = p.Env().After(f.cfg.Grace, f.releaseFn)
+	f.releaseTmr = p.Env().After(grace, f.releaseFn)
 	return nil
 }
 
@@ -474,7 +472,7 @@ func (f *Frontend) Synchronize(p *sim.Proc) error {
 		f.lease = sharing.Lease{}
 		return nil
 	}
-	f.releaseTmr = p.Env().After(f.cfg.Grace, f.releaseFn)
+	f.releaseTmr = p.Env().After(grace, f.releaseFn)
 	return nil
 }
 

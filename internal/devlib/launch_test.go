@@ -28,7 +28,7 @@ const (
 	// launchWarmup outlasts the token manager's usage window, so the usage
 	// rings, the kernel's event slabs and every waiter list have reached
 	// their steady-state capacity before anything is measured.
-	launchWarmup = 2 * DefaultWindow
+	launchWarmup = 2 * window
 )
 
 // launchModes are the strategies the launch path is pinned under.

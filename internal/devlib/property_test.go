@@ -52,7 +52,7 @@ func TestPropertyGuaranteesUnderRandomShares(t *testing.T) {
 			})
 		}
 		r.env.RunUntil(40 * time.Second)
-		quotaShare := float64(DefaultQuota) / float64(DefaultWindow)
+		quotaShare := float64(DefaultQuota) / float64(window)
 		ok := true
 		for i, s := range shares {
 			u := r.strat.UsageRate(fmt.Sprint(i))

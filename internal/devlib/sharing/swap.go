@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"kubeshare/internal/gpusim"
 	"kubeshare/internal/sim"
 )
 
@@ -27,26 +28,25 @@ type swapState struct {
 	virtual  map[string]int64
 	resident map[string]int64
 	lastUse  map[string]time.Duration
-	bw       int64 // swap bandwidth, bytes/s
 	// swapped accumulates total swapped bytes (observability/ablation).
 	swapped int64
 }
 
-func newSwapState(capacity, bw int64) *swapState {
+func newSwapState(capacity int64) *swapState {
 	return &swapState{
 		capacity: capacity,
 		virtual:  make(map[string]int64),
 		resident: make(map[string]int64),
 		lastUse:  make(map[string]time.Duration),
-		bw:       bw,
 	}
 }
 
 // EnableSwap turns on the memory broker for this device. capacity is the
-// physical device memory; bw the host↔device transfer bandwidth.
-func (m *Token) EnableSwap(capacity, bw int64) {
+// physical device memory; swaps move at the device's host↔device copy
+// bandwidth, gpusim.CopyBandwidth.
+func (m *Token) EnableSwap(capacity int64) {
 	if m.swap == nil {
-		m.swap = newSwapState(capacity, bw)
+		m.swap = newSwapState(capacity)
 	}
 }
 
@@ -147,8 +147,8 @@ func (m *Token) EnsureResident(p *sim.Proc, id string) error {
 	moved += need // swap-in transfer
 	s.resident[id] = s.virtual[id]
 	s.swapped += moved
-	if s.bw > 0 && moved > 0 {
-		p.Sleep(time.Duration(float64(moved) / float64(s.bw) * float64(time.Second)))
+	if moved > 0 {
+		p.Sleep(time.Duration(float64(moved) / gpusim.CopyBandwidth * float64(time.Second)))
 	}
 	return nil
 }

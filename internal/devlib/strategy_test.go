@@ -39,7 +39,7 @@ func TestMPSFrontendsOverlap(t *testing.T) {
 // strategy: the pair sharing a slot time-slice it while the lone client on
 // the other slot runs unimpeded alongside them.
 func TestReplicaFrontendsRotate(t *testing.T) {
-	r := newRigOn(gpusim.Config{NodeName: "n"}, Config{Mode: sharing.ModeReplica, Replicas: 2}, sharing.ModeReplica)
+	r := newRigOn(gpusim.Config{NodeName: "n"}, Config{Mode: sharing.ModeReplica}, sharing.ModeReplica)
 	counts := [3]int{}
 	for i, id := range []string{"a", "b", "c"} {
 		f := r.addClient(t, id, Share{Request: 0.3, Limit: 1, Memory: 0.2})
@@ -65,7 +65,7 @@ func TestReplicaFrontendsRotate(t *testing.T) {
 // with the device, not the daemon's client table), and both tenants keep
 // making progress — and keep swapping — after the resume.
 func TestSwapInterleavedWithSuspendResume(t *testing.T) {
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	na, nb := 0, 0
@@ -105,7 +105,7 @@ func TestSwapInterleavedWithSuspendResume(t *testing.T) {
 // its residency is dropped without transfer cost and the survivor stops
 // paying swap traffic entirely — its set now fits alone.
 func TestSwapInterleavedWithUnregister(t *testing.T) {
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	nb := 0

@@ -12,9 +12,9 @@ import (
 )
 
 // swapRig builds a small-memory device with an over-commit-enabled backend.
-func swapRig(memBytes int64, bw int64) *rig {
+func swapRig(memBytes int64) *rig {
 	return newRigOn(gpusim.Config{NodeName: "n", MemoryBytes: memBytes},
-		Config{MemOvercommit: true, SwapBandwidth: bw}, sharing.ModeToken)
+		Config{MemOvercommit: true}, sharing.ModeToken)
 }
 
 // token is the rig's strategy as the concrete token policy, for the swap
@@ -24,7 +24,7 @@ func (r *rig) token() *sharing.Token { return r.strat.(*sharing.Token) }
 func TestOvercommitAllocBeyondPhysical(t *testing.T) {
 	// Two tenants, each allocating 70% of device memory: impossible
 	// physically, fine virtually.
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	r.env.Go("t", func(p *sim.Proc) {
@@ -46,7 +46,7 @@ func TestOvercommitAllocBeyondPhysical(t *testing.T) {
 }
 
 func TestSwapInOutOnHandoff(t *testing.T) {
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	r.env.Go("a", func(p *sim.Proc) {
@@ -79,7 +79,7 @@ func TestSwapInOutOnHandoff(t *testing.T) {
 }
 
 func TestNoSwapWhenSetsFit(t *testing.T) {
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.4})
 	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.4})
 	r.env.Go("a", func(p *sim.Proc) {
@@ -105,7 +105,7 @@ func TestSwapCostSlowsSharing(t *testing.T) {
 	// Same workload with fitting vs over-committed sets: the over-committed
 	// run must be slower by the transfer time.
 	run := func(allocBytes int64) time.Duration {
-		r := swapRig(1<<30, 1<<30) // 1 GiB device, 1 GiB/s swap
+		r := swapRig(gpusim.CopyBandwidth) // swapping the whole device takes 1s
 		fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.9})
 		fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.9})
 		for _, f := range []*Frontend{fa, fb} {
@@ -120,15 +120,15 @@ func TestSwapCostSlowsSharing(t *testing.T) {
 		r.env.Run()
 		return r.env.Now()
 	}
-	fit := run(256 << 20)    // 2×256 MiB fit in 1 GiB
-	thrash := run(768 << 20) // 2×768 MiB cannot co-reside
+	fit := run(gpusim.CopyBandwidth / 4)        // two quarter-device sets fit
+	thrash := run(3 * gpusim.CopyBandwidth / 4) // two 3/4-device sets cannot co-reside
 	if thrash < 2*fit {
 		t.Fatalf("over-commit run %v vs fitting %v; swap cost missing", thrash, fit)
 	}
 }
 
 func TestFreeReleasesVirtualBytes(t *testing.T) {
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	f := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.5})
 	r.env.Go("t", func(p *sim.Proc) {
 		ptr, err := f.MemAlloc(p, 500)
@@ -153,7 +153,7 @@ func TestFreeReleasesVirtualBytes(t *testing.T) {
 }
 
 func TestWorkingSetLargerThanDeviceRejected(t *testing.T) {
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	f := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 1})
 	r.env.Go("t", func(p *sim.Proc) {
 		// gpu_mem share allows it, but a single working set can never
@@ -169,7 +169,7 @@ func TestWorkingSetLargerThanDeviceRejected(t *testing.T) {
 }
 
 func TestUnregisterDropsResidency(t *testing.T) {
-	r := swapRig(1000, 1<<40)
+	r := swapRig(1000)
 	f := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
 	r.env.Go("t", func(p *sim.Proc) {
 		f.MemAlloc(p, 700)

@@ -23,8 +23,6 @@ type Fig11Config struct {
 	Counts []int
 	// Iterations per point (the decision is fast; average many).
 	Iterations int
-	// Now returns wall-clock time; injectable for tests.
-	Now func() time.Time
 }
 
 func (c Fig11Config) withDefaults() Fig11Config {
@@ -33,9 +31,6 @@ func (c Fig11Config) withDefaults() Fig11Config {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 200
-	}
-	if c.Now == nil {
-		c.Now = time.Now //det:allow — injectable; this micro-benchmark measures real CPU cost, not sim time
 	}
 	return c
 }
@@ -119,11 +114,11 @@ func Fig11(cfg Fig11Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := cfg.Now()
+		start := time.Now() //det:allow — this micro-benchmark measures real CPU cost, not sim time
 		for i := 0; i < cfg.Iterations; i++ {
 			ScheduleOnce(srv)
 		}
-		elapsed := cfg.Now().Sub(start)
+		elapsed := time.Now().Sub(start) //det:allow — as above
 		tb.AddRow(n, float64(elapsed.Microseconds())/float64(cfg.Iterations))
 	}
 	return tb, nil

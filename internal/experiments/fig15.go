@@ -40,8 +40,6 @@ type Fig15Config struct {
 	Batch int
 	// Gang is the gang size of the gang mode (Counts must divide by it).
 	Gang int
-	// Now returns wall-clock time; injectable for tests.
-	Now func() time.Time
 }
 
 func (c Fig15Config) withDefaults() Fig15Config {
@@ -54,15 +52,12 @@ func (c Fig15Config) withDefaults() Fig15Config {
 	if c.Gang == 0 {
 		c.Gang = 4
 	}
-	if c.Now == nil {
-		c.Now = time.Now //det:allow — injectable; the µs/decision column measures real CPU cost, not sim time
-	}
 	return c
 }
 
 // fig15Run schedules n pending sharePods to completion under one driver
 // mode and returns (virtual elapsed, real elapsed, decision count).
-func fig15Run(n, batch, gangSize int, now func() time.Time) (time.Duration, time.Duration, int64, error) {
+func fig15Run(n, batch, gangSize int) (time.Duration, time.Duration, int64, error) {
 	env := sim.NewEnv()
 	srv := instrumented(apiserver.New(env))
 	// Each sharePod asks for half a GPU, so two share a vGPU: n pods fill
@@ -88,10 +83,10 @@ func fig15Run(n, batch, gangSize int, now func() time.Time) (time.Duration, time
 		}
 	}
 	sched := schedfw.New(env, srv, schedfw.WithBatchSize(batch))
-	start := now()
+	start := time.Now() //det:allow — the µs/decision column measures real CPU cost, not sim time
 	sched.Start()
 	env.Run()
-	real := now().Sub(start)
+	real := time.Now().Sub(start) //det:allow — as above
 	virtual := env.Now()
 	sched.Stop()
 	placed := 0
@@ -123,7 +118,7 @@ func Fig15(cfg Fig15Config) (*metrics.Table, error) {
 			{"batched", cfg.Batch, 0},
 			{"batched+gang", cfg.Batch, cfg.Gang},
 		} {
-			virtual, real, decisions, err := fig15Run(n, mode.batch, mode.gang, cfg.Now)
+			virtual, real, decisions, err := fig15Run(n, mode.batch, mode.gang)
 			if err != nil {
 				return nil, fmt.Errorf("fig15: %w", err)
 			}

@@ -36,12 +36,11 @@ type Fig16Config struct {
 	// Nodes and GPUsPerNode bound the device pool.
 	Nodes       int
 	GPUsPerNode int
-	// Service is how long a placed sharePod holds its slice before the
-	// completion sweeper retires it.
-	Service time.Duration
-	// Now returns wall-clock time; injectable for tests.
-	Now func() time.Time
 }
+
+// fig16Service is how long a placed sharePod holds its slice before the
+// completion sweeper retires it.
+const fig16Service = 4 * time.Second
 
 func (c Fig16Config) withDefaults() Fig16Config {
 	if len(c.Sizes) == 0 {
@@ -55,12 +54,6 @@ func (c Fig16Config) withDefaults() Fig16Config {
 	}
 	if c.GPUsPerNode == 0 {
 		c.GPUsPerNode = 8
-	}
-	if c.Service == 0 {
-		c.Service = 4 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now //det:allow — injectable; wall columns measure real CPU cost, not sim time
 	}
 	return c
 }
@@ -84,12 +77,12 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	}
 
 	// Two tenants share a vGPU (0.45 + 0.45), so the pool retires
-	// capacity/Service sharePods per unit time at saturation; waves arrive
-	// at exactly that rate, keeping the pool saturated and the pending
+	// capacity/fig16Service sharePods per unit time at saturation; waves
+	// arrive at exactly that rate, keeping the pool saturated and the pending
 	// backlog bounded (an unbounded backlog would re-decide every waiting
 	// unit each cycle, measuring queue thrash instead of the hot path).
 	capacity := 2 * cfg.Nodes * cfg.GPUsPerNode
-	waveGap := cfg.Service / 8
+	waveGap := fig16Service / 8
 	wave := capacity / 8
 	if wave < 1 {
 		wave = 1
@@ -108,15 +101,15 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 		}
 	}, &runErr)
 
-	// Completion sweeper: retire placed sharePods Service after scheduling.
-	// The status write flows back to the scheduler through its SharePod
-	// watch, freeing the slice for the next wave — the churn that keeps the
-	// pool bounded.
+	// Completion sweeper: retire placed sharePods fig16Service after
+	// scheduling. The status write flows back to the scheduler through its
+	// SharePod watch, freeing the slice for the next wave — the churn that
+	// keeps the pool bounded.
 	done := 0
 	env.Go("completer", func(p *sim.Proc) {
 		for done < n && runErr == nil {
-			p.Sleep(cfg.Service / 4)
-			cutoff := env.Now() - cfg.Service
+			p.Sleep(fig16Service / 4)
+			cutoff := env.Now() - fig16Service
 			var expired []string
 			core.SharePods(srv).Scan(func(sp *core.SharePod) bool {
 				if sp.Placed() && !sp.Terminated() && sp.Status.ScheduledTime <= cutoff {
@@ -139,10 +132,10 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	})
 
 	sched := schedfw.New(env, srv, schedfw.WithBatchSize(cfg.Batch))
-	start := cfg.Now()
+	start := time.Now() //det:allow — the wall column measures real CPU cost, not sim time
 	sched.Start()
 	env.Run()
-	wall := cfg.Now().Sub(start)
+	wall := time.Now().Sub(start) //det:allow — as above
 	virtual := env.Now()
 	sched.Stop()
 	if runErr != nil {

@@ -38,10 +38,11 @@ type Fig17Config struct {
 	// whole WAL from the enable-time checkpoint, the degenerate point that
 	// bounds the sweep.
 	CheckpointIntervals []time.Duration
-	// TornTailEvery corrupts the WAL tail before every Nth restart, so the
-	// sweep also prices the truncate-and-recover path (default 3).
-	TornTailEvery int
 }
+
+// fig17TornTailEvery: the WAL tail is corrupted before every third restart,
+// so the sweep also prices the truncate-and-recover path.
+const fig17TornTailEvery = 3
 
 func (c Fig17Config) withDefaults() Fig17Config {
 	if c.Seed == 0 {
@@ -64,9 +65,6 @@ func (c Fig17Config) withDefaults() Fig17Config {
 	}
 	if len(c.CheckpointIntervals) == 0 {
 		c.CheckpointIntervals = []time.Duration{5 * time.Second, 30 * time.Second, -1}
-	}
-	if c.TornTailEvery == 0 {
-		c.TornTailEvery = 3
 	}
 	return c
 }
@@ -124,7 +122,7 @@ func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Re
 			if env.Now() >= horizon {
 				return
 			}
-			if (res.restarts+1)%cfg.TornTailEvery == 0 && c.API.TearWALTail(rng.Intn(5)) {
+			if (res.restarts+1)%fig17TornTailEvery == 0 && c.API.TearWALTail(rng.Intn(5)) {
 				res.tornTails++
 			}
 			st, err := c.API.Restart()

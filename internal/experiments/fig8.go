@@ -15,8 +15,6 @@ type Fig8Config struct {
 	Nodes       int
 	GPUsPerNode int
 	Jobs        int
-	// BaseInterArrival is the mean inter-arrival at frequency factor 1.
-	BaseInterArrival time.Duration
 	// JobDuration is each inference job's serving window.
 	JobDuration time.Duration
 	// DemandMean / DemandVar parameterize the demand distribution.
@@ -27,6 +25,10 @@ type Fig8Config struct {
 	Seed    int64
 }
 
+// fig8InterArrival is the mean job inter-arrival at frequency factor 1; the
+// demand sweeps run at 12× that rate, heavy load.
+const fig8InterArrival = 5 * time.Second
+
 func (c Fig8Config) withDefaults() Fig8Config {
 	if c.Nodes == 0 {
 		c.Nodes = 8
@@ -36,9 +38,6 @@ func (c Fig8Config) withDefaults() Fig8Config {
 	}
 	if c.Jobs == 0 {
 		c.Jobs = 200
-	}
-	if c.BaseInterArrival == 0 {
-		c.BaseInterArrival = 5 * time.Second
 	}
 	if c.JobDuration == 0 {
 		c.JobDuration = 40 * time.Second
@@ -56,6 +55,19 @@ func (c Fig8Config) withDefaults() Fig8Config {
 		c.Seed = 1
 	}
 	return c
+}
+
+// generator is the Figure 8 workload of an already-defaulted config with
+// arrivals sped up by factor.
+func (c Fig8Config) generator(factor float64) workload.GeneratorConfig {
+	return workload.GeneratorConfig{
+		Jobs:             c.Jobs,
+		MeanInterArrival: time.Duration(float64(fig8InterArrival) / factor),
+		DemandMean:       c.DemandMean,
+		DemandVar:        c.DemandVar,
+		JobDuration:      c.JobDuration,
+		Seed:             c.Seed,
+	}
 }
 
 // throughputAt runs both systems for one workload parameterization and
@@ -97,6 +109,28 @@ func throughputAt(cfg Fig8Config, gen workload.GeneratorConfig) (k8s, ks float64
 	return k8sSum / n, ksSum / n, nil
 }
 
+// fig8Sweep runs both systems on gen(x) at every point x, in parallel, and
+// adds one row per point to tb: x, the cells lead derives from the point's
+// workload (none when lead is nil), both throughputs and KubeShare's speedup.
+func fig8Sweep(cfg Fig8Config, tb *metrics.Table, points []float64, gen func(x float64) workload.GeneratorConfig, lead func(workload.GeneratorConfig) []any) (*metrics.Table, error) {
+	pts, err := runIndexed(len(points), func(i int) ([2]float64, error) {
+		k8s, ks, err := throughputAt(cfg, gen(points[i]))
+		return [2]float64{k8s, ks}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, x := range points {
+		row := []any{x}
+		if lead != nil {
+			row = append(row, lead(gen(x))...)
+		}
+		k8s, ks := pts[i][0], pts[i][1]
+		tb.AddRow(append(row, k8s, ks, ks/k8s)...)
+	}
+	return tb, nil
+}
+
 // Fig8a sweeps the job frequency factor: arrivals speed up until both
 // systems saturate. The paper's shape: Kubernetes flattens near 50
 // jobs/min, KubeShare climbs to ≈110 jobs/min (≈2× at heavy load).
@@ -107,27 +141,9 @@ func Fig8a(cfg Fig8Config, factors []float64) (*metrics.Table, error) {
 	}
 	tb := metrics.NewTable("Figure 8a: throughput vs job frequency",
 		"freq_factor", "offered_jobs_per_min", "kubernetes", "kubeshare", "speedup")
-	pts, err := runIndexed(len(factors), func(i int) ([2]float64, error) {
-		gen := workload.GeneratorConfig{
-			Jobs:             cfg.Jobs,
-			MeanInterArrival: time.Duration(float64(cfg.BaseInterArrival) / factors[i]),
-			DemandMean:       cfg.DemandMean,
-			DemandVar:        cfg.DemandVar,
-			JobDuration:      cfg.JobDuration,
-			Seed:             cfg.Seed,
-		}
-		k8s, ks, err := throughputAt(cfg, gen)
-		return [2]float64{k8s, ks}, err
+	return fig8Sweep(cfg, tb, factors, cfg.generator, func(g workload.GeneratorConfig) []any {
+		return []any{60.0 / g.MeanInterArrival.Seconds()}
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, f := range factors {
-		offered := 60.0 / time.Duration(float64(cfg.BaseInterArrival)/f).Seconds()
-		k8s, ks := pts[i][0], pts[i][1]
-		tb.AddRow(f, offered, k8s, ks, ks/k8s)
-	}
-	return tb, nil
 }
 
 // Fig8b sweeps the mean GPU demand at heavy load. The paper's shape:
@@ -140,27 +156,12 @@ func Fig8b(cfg Fig8Config, means []float64) (*metrics.Table, error) {
 	}
 	tb := metrics.NewTable("Figure 8b: throughput vs mean GPU demand",
 		"demand_mean", "kubernetes", "kubeshare", "speedup")
-	pts, err := runIndexed(len(means), func(i int) ([2]float64, error) {
-		gen := workload.GeneratorConfig{
-			Jobs: cfg.Jobs,
-			// Heavy load so sharing capacity is the bottleneck.
-			MeanInterArrival: cfg.BaseInterArrival / 12,
-			DemandMean:       means[i],
-			DemandVar:        cfg.DemandVar,
-			JobDuration:      cfg.JobDuration,
-			Seed:             cfg.Seed,
-		}
-		k8s, ks, err := throughputAt(cfg, gen)
-		return [2]float64{k8s, ks}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, mean := range means {
-		k8s, ks := pts[i][0], pts[i][1]
-		tb.AddRow(mean, k8s, ks, ks/k8s)
-	}
-	return tb, nil
+	return fig8Sweep(cfg, tb, means, func(mean float64) workload.GeneratorConfig {
+		// Heavy load so sharing capacity is the bottleneck.
+		g := cfg.generator(12)
+		g.DemandMean = mean
+		return g
+	}, nil)
 }
 
 // Fig8c sweeps the demand variance at heavy load. The paper's shape: flat
@@ -172,24 +173,9 @@ func Fig8c(cfg Fig8Config, variances []float64) (*metrics.Table, error) {
 	}
 	tb := metrics.NewTable("Figure 8c: throughput vs GPU demand variance",
 		"demand_var", "kubernetes", "kubeshare", "speedup")
-	pts, err := runIndexed(len(variances), func(i int) ([2]float64, error) {
-		gen := workload.GeneratorConfig{
-			Jobs:             cfg.Jobs,
-			MeanInterArrival: cfg.BaseInterArrival / 12,
-			DemandMean:       cfg.DemandMean,
-			DemandVar:        variances[i],
-			JobDuration:      cfg.JobDuration,
-			Seed:             cfg.Seed,
-		}
-		k8s, ks, err := throughputAt(cfg, gen)
-		return [2]float64{k8s, ks}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variances {
-		k8s, ks := pts[i][0], pts[i][1]
-		tb.AddRow(v, k8s, ks, ks/k8s)
-	}
-	return tb, nil
+	return fig8Sweep(cfg, tb, variances, func(v float64) workload.GeneratorConfig {
+		g := cfg.generator(12)
+		g.DemandVar = v
+		return g
+	}, nil)
 }

@@ -16,9 +16,10 @@ type Fig9Config struct {
 	FreqFactor float64
 	// Sample is the utilization sampling interval.
 	Sample time.Duration
-	// Buckets is the number of timeline rows in the output table.
-	Buckets int
 }
+
+// fig9Buckets is the number of timeline rows in the output table.
+const fig9Buckets = 12
 
 func (c Fig9Config) withDefaults() Fig9Config {
 	c.Fig8Config = c.Fig8Config.withDefaults()
@@ -28,22 +29,12 @@ func (c Fig9Config) withDefaults() Fig9Config {
 	if c.Sample == 0 {
 		c.Sample = 5 * time.Second
 	}
-	if c.Buckets == 0 {
-		c.Buckets = 12
-	}
 	return c
 }
 
 // fig9Jobs generates the Figure 9 workload for an already-defaulted config.
 func fig9Jobs(cfg Fig9Config) []workload.Job {
-	return workload.Generate(workload.GeneratorConfig{
-		Jobs:             cfg.Jobs,
-		MeanInterArrival: time.Duration(float64(cfg.BaseInterArrival) / cfg.FreqFactor),
-		DemandMean:       cfg.DemandMean,
-		DemandVar:        cfg.DemandVar,
-		JobDuration:      cfg.JobDuration,
-		Seed:             cfg.Seed,
-	})
+	return workload.Generate(cfg.generator(cfg.FreqFactor))
 }
 
 // Fig9Sharing runs only the KubeShare arm of the Figure 9 workload, with
@@ -106,10 +97,10 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 	if out.Makespan[KubeShare] > horizon {
 		horizon = out.Makespan[KubeShare]
 	}
-	bucket := horizon / time.Duration(cfg.Buckets)
+	bucket := horizon / fig9Buckets
 	tb := metrics.NewTable("Figure 9: average GPU utilization and active GPUs over time",
 		"t", "k8s_util", "k8s_active", "kubeshare_util", "kubeshare_active")
-	for i := 0; i < cfg.Buckets; i++ {
+	for i := 0; i < fig9Buckets; i++ {
 		from := time.Duration(i) * bucket
 		to := from + bucket
 		tb.AddRow(from.Round(time.Second).String(),

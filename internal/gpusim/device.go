@@ -35,8 +35,10 @@ var ErrDeviceFault = errors.New("gpusim: device fault (Xid)")
 // DefaultMemoryBytes matches the paper's 16 GB V100s.
 const DefaultMemoryBytes = 16 << 30
 
-// DefaultCopyBandwidth is the host-device copy bandwidth (PCIe gen3 x16).
-const DefaultCopyBandwidth = 12 << 30 // bytes per second
+// CopyBandwidth is the host↔device copy bandwidth in bytes per second (PCIe
+// gen3 x16): memcpy time on the device, and swap time in the device
+// library's memory over-commitment.
+const CopyBandwidth = 12 << 30
 
 // Device is one simulated GPU.
 type Device struct {
@@ -45,7 +47,6 @@ type Device struct {
 	node     string
 	memCap   int64
 	memUsed  int64
-	copyBW   int64
 	faulted  bool
 	contexts map[*Context]bool
 
@@ -76,10 +77,9 @@ type kernel struct {
 
 // Config parameterizes a device.
 type Config struct {
-	Index         int
-	NodeName      string // part of the UUID derivation for uniqueness
-	MemoryBytes   int64  // defaults to DefaultMemoryBytes
-	CopyBandwidth int64  // defaults to DefaultCopyBandwidth
+	Index       int
+	NodeName    string // part of the UUID derivation for uniqueness
+	MemoryBytes int64  // defaults to DefaultMemoryBytes
 	// Obs is the cluster telemetry runtime; nil disables device telemetry.
 	Obs *obs.Runtime
 }
@@ -89,9 +89,6 @@ type Config struct {
 func NewDevice(env *sim.Env, cfg Config) *Device {
 	if cfg.MemoryBytes <= 0 {
 		cfg.MemoryBytes = DefaultMemoryBytes
-	}
-	if cfg.CopyBandwidth <= 0 {
-		cfg.CopyBandwidth = DefaultCopyBandwidth
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d", cfg.NodeName, cfg.Index)
@@ -103,7 +100,6 @@ func NewDevice(env *sim.Env, cfg Config) *Device {
 		uuid:     uuid,
 		node:     cfg.NodeName,
 		memCap:   cfg.MemoryBytes,
-		copyBW:   cfg.CopyBandwidth,
 		contexts: make(map[*Context]bool),
 		recorder: cfg.Obs.EventSource("gpusim"),
 		launches: cfg.Obs.CounterVec("kubeshare_gpu_kernel_launches_total", "gpu_uuid", "node").With(uuid, cfg.NodeName),
@@ -349,7 +345,7 @@ func (d *Device) CopyDuration(n int64) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return time.Duration(float64(n) / float64(d.copyBW) * float64(time.Second))
+	return time.Duration(float64(n) / CopyBandwidth * float64(time.Second))
 }
 
 // OpenContext creates an execution context owned by the named principal

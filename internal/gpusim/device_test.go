@@ -199,8 +199,8 @@ func TestContextCloseReleasesMemory(t *testing.T) {
 
 func TestCopyDuration(t *testing.T) {
 	env := sim.NewEnv()
-	dev := NewDevice(env, Config{NodeName: "n", CopyBandwidth: 1 << 30})
-	if got := dev.CopyDuration(1 << 30); got != time.Second {
+	dev := NewDevice(env, Config{NodeName: "n"})
+	if got := dev.CopyDuration(CopyBandwidth); got != time.Second {
 		t.Fatalf("CopyDuration = %v, want 1s", got)
 	}
 	if dev.CopyDuration(0) != 0 || dev.CopyDuration(-5) != 0 {

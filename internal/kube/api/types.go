@@ -54,16 +54,6 @@ func (r ResourceList) Sub(other ResourceList) {
 	}
 }
 
-// Fits reports whether need fits within r for every named resource.
-func (r ResourceList) Fits(need ResourceList) bool {
-	for k, v := range need {
-		if v > r[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // ObjectMeta is metadata common to all API objects.
 type ObjectMeta struct {
 	Name            string

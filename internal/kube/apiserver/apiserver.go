@@ -208,8 +208,8 @@ func (s *Server) WatchFiltered(kind string, opts WatchOptions) *sim.Queue[store.
 
 // WatchResume re-subscribes to a kind after a watch drop, replaying every
 // matching event that committed after fromRev from the server's bounded
-// event history. Returns ErrGone (see IsGone) when fromRev has been
-// compacted — the caller must relist and watch fresh.
+// event history. Returns an error wrapping store.ErrGone when fromRev has
+// been compacted — the caller must relist and watch fresh.
 func (s *Server) WatchResume(kind string, opts WatchOptions, fromRev int64) (*sim.Queue[store.Event], error) {
 	s.reqWatches.Inc()
 	return s.store.WatchFilteredFrom(kind, opts, fromRev)
@@ -234,9 +234,6 @@ func IsConflict(err error) bool { return errors.Is(err, store.ErrConflict) }
 
 // IsExists reports whether err is an already-exists error.
 func IsExists(err error) bool { return errors.Is(err, store.ErrExists) }
-
-// IsGone reports whether err marks a compacted (unresumable) watch revision.
-func IsGone(err error) bool { return errors.Is(err, store.ErrGone) }
 
 // Client is a typed view of the server for one object kind. Everything it
 // returns is a read-only snapshot (see the package comment).

@@ -1,11 +1,13 @@
 package apiserver
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
 
@@ -135,7 +137,7 @@ func TestResumeFromPreRestartRevisionIsGone(t *testing.T) {
 	if _, err := s.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WatchResume("Pod", WatchOptions{}, preRev); !IsGone(err) {
+	if _, err := s.WatchResume("Pod", WatchOptions{}, preRev); !errors.Is(err, store.ErrGone) {
 		t.Fatalf("resume from pre-restart revision: got %v, want 410 Gone", err)
 	}
 	// Resuming from the restored head is fine — nothing was lost.

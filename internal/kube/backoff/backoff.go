@@ -72,13 +72,5 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// Attempts returns how many delays Next has produced since the last Reset.
+// Attempts returns how many delays Next has produced.
 func (b *Backoff) Attempts() int { return b.n }
-
-// Reset restarts the growth at base after a success. The random stream is
-// not rewound — the next failure burst draws fresh jitter, which is the
-// point of decorrelation.
-func (b *Backoff) Reset() {
-	b.prev = 0
-	b.n = 0
-}

@@ -58,33 +58,6 @@ func TestDeterministicPerName(t *testing.T) {
 	}
 }
 
-// TestResetRestartsGrowthWithFreshJitter: after Reset the first delay drops
-// back near base, but the stream does not replay the original jitter.
-func TestResetRestartsGrowthWithFreshJitter(t *testing.T) {
-	b := New("reset", 100*time.Millisecond, 10*time.Second)
-	first := make([]time.Duration, 8)
-	for i := range first {
-		first[i] = b.Next()
-	}
-	b.Reset()
-	if b.Attempts() != 0 {
-		t.Fatalf("Attempts() = %d after Reset, want 0", b.Attempts())
-	}
-	replayed := true
-	for i := range first {
-		d := b.Next()
-		if i == 0 && d > 300*time.Millisecond {
-			t.Fatalf("first post-Reset delay %v not restarted from base range [100ms, 300ms]", d)
-		}
-		if d != first[i] {
-			replayed = false
-		}
-	}
-	if replayed {
-		t.Fatal("post-Reset sequence replayed the original jitter — stream was rewound")
-	}
-}
-
 func TestDefaultsAndDegenerateCap(t *testing.T) {
 	b := NewSeeded(1, 0, 0)
 	if d := b.Next(); d < 100*time.Millisecond {

@@ -87,7 +87,7 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 	c.API.RegisterValidator("Pod", func(o api.Object) error {
 		return api.ValidatePodSpec(o.(*api.Pod).Spec)
 	})
-	c.Scheduler = scheduler.New(env, c.API, scheduler.Config{})
+	c.Scheduler = scheduler.New(env, c.API)
 	c.Scheduler.Start()
 	c.RCManager = controller.NewReplicationManager(env, c.API)
 	c.RCManager.Start()
@@ -103,7 +103,7 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 				Obs:         rt,
 			}))
 		}
-		rt := runtime.New(env, c.Images, gpus, runtime.Config{})
+		rt := runtime.New(env, c.Images, gpus)
 		devmgr := deviceplugin.NewManager()
 		if len(gpus) > 0 {
 			if err := devmgr.Register(deviceplugin.NewNvidiaPlugin(gpus)); err != nil {

@@ -132,17 +132,6 @@ func (m *Manager) Free(consumer string) {
 	}
 }
 
-// InUse returns the device IDs held by consumer for a resource (sorted).
-func (m *Manager) InUse(consumer, resource string) []string {
-	st, ok := m.plugins[resource]
-	if !ok {
-		return nil
-	}
-	ids := append([]string(nil), st.inUse[consumer]...)
-	sort.Strings(ids)
-	return ids
-}
-
 // EnvVisibleDevices is the environment variable the NVIDIA stack reads to
 // decide device visibility inside a container.
 const EnvVisibleDevices = "NVIDIA_VISIBLE_DEVICES"

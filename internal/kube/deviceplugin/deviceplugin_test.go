@@ -65,19 +65,20 @@ func TestAllocateAndFree(t *testing.T) {
 	if resp.Env["IDS"] != "a" {
 		t.Fatalf("allocated %q, want a", resp.Env["IDS"])
 	}
-	if got := m.InUse("pod1", "x/dev"); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("in use = %v", got)
+	// "a" stays pod1's: the next consumer gets "b", and then none is left.
+	if resp, err := m.Allocate("pod2", "x/dev", 1); err != nil || resp.Env["IDS"] != "b" {
+		t.Fatalf("second allocation = %q, %v; want b", resp.Env["IDS"], err)
 	}
 	// Capacity stays constant; free pool shrinks.
 	if m.Capacity()["x/dev"] != 2 {
 		t.Fatal("capacity changed by allocation")
 	}
-	if _, err := m.Allocate("pod2", "x/dev", 2); err == nil {
+	if _, err := m.Allocate("pod3", "x/dev", 1); err == nil {
 		t.Fatal("over-allocation succeeded")
 	}
 	m.Free("pod1")
-	if _, err := m.Allocate("pod2", "x/dev", 2); err != nil {
-		t.Fatalf("allocate after free: %v", err)
+	if resp, err := m.Allocate("pod3", "x/dev", 1); err != nil || resp.Env["IDS"] != "a" {
+		t.Fatalf("allocate after free = %q, %v; want pod1's a", resp.Env["IDS"], err)
 	}
 }
 

@@ -25,18 +25,16 @@ type Config struct {
 	NodeName string
 	// Labels are stamped onto the Node object.
 	Labels map[string]string
-	// ImagePullLatency models image pull time per pod (cached layers make
-	// this mostly constant in steady state).
-	ImagePullLatency time.Duration
-	// SyncLatency models the kubelet's reaction time to a newly bound pod.
-	SyncLatency time.Duration
 }
 
-// Default latencies, tuned so that whole-pod creation lands in the paper's
-// "less than a few seconds" regime (Figure 10 dashed line).
+// The kubelet's latencies, tuned so that whole-pod creation lands in the
+// paper's "less than a few seconds" regime (Figure 10 dashed line).
 const (
-	DefaultImagePullLatency = 250 * time.Millisecond
-	DefaultSyncLatency      = 50 * time.Millisecond
+	// imagePullLatency models image pull time per pod (cached layers make
+	// this mostly constant in steady state).
+	imagePullLatency = 250 * time.Millisecond
+	// syncLatency models the kubelet's reaction time to a newly bound pod.
+	syncLatency = 50 * time.Millisecond
 )
 
 // heartbeatInterval is the node-lease renewal period; the lifecycle
@@ -75,12 +73,6 @@ type podWorker struct {
 
 // New creates a kubelet. Call Start to register the node and begin syncing.
 func New(env *sim.Env, srv *apiserver.Server, devmgr *deviceplugin.Manager, rt *runtime.Runtime, cfg Config) *Kubelet {
-	if cfg.ImagePullLatency == 0 {
-		cfg.ImagePullLatency = DefaultImagePullLatency
-	}
-	if cfg.SyncLatency == 0 {
-		cfg.SyncLatency = DefaultSyncLatency
-	}
 	o := srv.Obs()
 	return &Kubelet{
 		env:        env,
@@ -282,12 +274,15 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		// KubeShare-managed pods).
 		span := k.tracer.Start("kubelet", "pod-sync", api.TraceKey(pod))
 		syncStart := k.env.Now()
-		p.Sleep(k.cfg.SyncLatency)
+		p.Sleep(syncLatency)
 		// Device plugin allocation phase: extended resources only; the
 		// kubelet picks instances, the plugin returns container settings.
+		// Resources go in name order, so when two plugins set one key the
+		// later name's value wins on every run.
 		extraEnv := map[string]string{}
 		for _, c := range pod.Spec.Containers {
-			for res, n := range c.Requests {
+			for _, res := range slices.Sorted(maps.Keys(c.Requests)) {
+				n := c.Requests[res]
 				if res == api.ResourceCPU || res == api.ResourceMemory || n == 0 {
 					continue
 				}
@@ -306,7 +301,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 				}
 			}
 		}
-		p.Sleep(k.cfg.ImagePullLatency)
+		p.Sleep(imagePullLatency)
 		for _, c := range pod.Spec.Containers {
 			h, err := k.runtime.Start(pod, c, extraEnv)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,18 +33,14 @@ func startKubelet(t *testing.T, env *sim.Env, srv *apiserver.Server, images *run
 	for i := 0; i < gpus; i++ {
 		devs = append(devs, gpusim.NewDevice(env, gpusim.Config{Index: i, NodeName: node}))
 	}
-	rt := runtime.New(env, images, devs, runtime.Config{StartLatency: 50 * time.Millisecond})
+	rt := runtime.New(env, images, devs)
 	devmgr := deviceplugin.NewManager()
 	if gpus > 0 {
 		if err := devmgr.Register(deviceplugin.NewNvidiaPlugin(devs)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	kl := New(env, srv, devmgr, rt, Config{
-		NodeName:         node,
-		ImagePullLatency: 50 * time.Millisecond,
-		SyncLatency:      10 * time.Millisecond,
-	})
+	kl := New(env, srv, devmgr, rt, Config{NodeName: node})
 	if err := kl.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +109,24 @@ func TestDeviceAllocationInjectsEnv(t *testing.T) {
 	env, srv, kl, images := rig(t, 2)
 	var visible string
 	images.Register("app", func(ctx *runtime.Ctx) error {
-		visible = ctx.Env[deviceplugin.EnvVisibleDevices]
+		if ctx.Pod.Name == "g" {
+			visible = ctx.Env[deviceplugin.EnvVisibleDevices]
+		}
 		ctx.Proc.Sleep(time.Second)
 		return nil
 	})
 	env.Go("t", func(p *sim.Proc) {
 		apiserver.Pods(srv).Create(boundPod("g", api.ResourceList{api.ResourceGPU: 2}))
-		p.Sleep(500 * time.Millisecond)
-		// While running, both devices are held.
-		if got := kl.DeviceManager().InUse("", api.ResourceGPU); len(got) != 0 {
-			t.Errorf("empty consumer has devices: %v", got)
-		}
+		p.Sleep(time.Second)
+		// While g runs it holds both devices: one more GPU pod fails admission.
+		apiserver.Pods(srv).Create(boundPod("late", api.ResourceList{api.ResourceGPU: 1}))
 	})
 	env.Run()
-	if visible == "" {
-		t.Fatal("NVIDIA_VISIBLE_DEVICES not injected")
+	if strings.Count(visible, ",") != 1 {
+		t.Fatalf("NVIDIA_VISIBLE_DEVICES = %q, want two devices", visible)
+	}
+	if late, _ := apiserver.Pods(srv).Get("late"); late.Status.Phase != api.PodFailed {
+		t.Fatalf("pod admitted while g held both devices: %s", late.Status.Phase)
 	}
 	// All devices returned after completion.
 	if got := kl.DeviceManager().Capacity()[api.ResourceGPU]; got != 2 {
@@ -188,7 +188,7 @@ func TestDeletionDuringAdmissionFreesDevices(t *testing.T) {
 		p.Sleep(time.Second)
 		// Devices must be free again for a fresh pod.
 		apiserver.Pods(srv).Create(boundPod("next", api.ResourceList{api.ResourceGPU: 2}))
-		p.Sleep(time.Second)
+		p.Sleep(2 * time.Second)
 		next, _ := apiserver.Pods(srv).Get("next")
 		if next.Status.Phase != api.PodRunning {
 			t.Errorf("next pod phase %s; devices leaked by deleted pod", next.Status.Phase)
@@ -301,7 +301,7 @@ func TestContainerStartFailureStopsStartedSiblings(t *testing.T) {
 		t.Fatalf("phase = %s, want Failed", pod.Status.Phase)
 	}
 	// The sibling was stopped inside its start window — its entrypoint must
-	// never have run (a leaked container would enter it 50ms later and hang).
+	// never have run (a leaked container would enter it once started, and hang).
 	if siblingRan {
 		t.Fatal("started sibling container kept running after start failure")
 	}
@@ -364,7 +364,7 @@ func TestKubeletStopKillsEverything(t *testing.T) {
 	})
 	env.Go("t", func(p *sim.Proc) {
 		apiserver.Pods(srv).Create(boundPod("p1", nil))
-		p.Sleep(time.Second)
+		p.Sleep(2 * time.Second)
 		kl.Stop()
 	})
 	env.Run()
@@ -398,6 +398,46 @@ func TestStopOrderDeterministic(t *testing.T) {
 		env.RunUntil(time.Minute)
 		if !reflect.DeepEqual(died, names) {
 			t.Fatalf("run %d: containers died in order %v, want %v", run, died, names)
+		}
+	}
+}
+
+// envPlugin is a one-device plugin whose allocation sets key to the
+// plugin's own resource name.
+type envPlugin struct{ name, key string }
+
+func (e envPlugin) ResourceName() string { return e.name }
+func (e envPlugin) ListDevices() []deviceplugin.Device {
+	return []deviceplugin.Device{{ID: e.name + "-0", Healthy: true}}
+}
+func (e envPlugin) Allocate([]string) (deviceplugin.AllocateResponse, error) {
+	return deviceplugin.AllocateResponse{Env: map[string]string{e.key: e.name}}, nil
+}
+
+// TestSharedEnvKeyDeterministic: a pod asking for two extended resources
+// whose plugins set the same environment key sees one value on every run —
+// the kubelet allocates in resource-name order, so the later name's value
+// wins. 64 fresh rigs, one outcome.
+func TestSharedEnvKeyDeterministic(t *testing.T) {
+	const key = "SHARED"
+	for run := 0; run < 64; run++ {
+		env, srv, kl, images := rig(t, 0)
+		for _, name := range []string{"b.example/dev", "a.example/dev"} {
+			if err := kl.DeviceManager().Register(envPlugin{name: name, key: key}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := ""
+		images.Register("app", func(ctx *runtime.Ctx) error {
+			got = ctx.Env[key]
+			return nil
+		})
+		env.Go("t", func(p *sim.Proc) {
+			apiserver.Pods(srv).Create(boundPod("two", api.ResourceList{"a.example/dev": 1, "b.example/dev": 1}))
+		})
+		env.Run()
+		if got != "b.example/dev" {
+			t.Fatalf("run %d: %s = %q, want b.example/dev's value", run, key, got)
 		}
 	}
 }

@@ -79,37 +79,27 @@ const (
 	StateExited   State = "Exited"
 )
 
-// Config parameterizes the runtime's latency model.
-type Config struct {
-	// StartLatency models container creation (filesystem, cgroups, runtime
-	// setup). The paper's Figure 10 dashed line puts whole-pod creation at
-	// roughly a second; container start is its dominant term.
-	StartLatency time.Duration
-}
-
-// DefaultStartLatency is used when Config.StartLatency is zero.
-const DefaultStartLatency = 800 * time.Millisecond
+// startLatency models container creation (filesystem, cgroups, runtime
+// setup). The paper's Figure 10 dashed line puts whole-pod creation at
+// roughly a second; container start is its dominant term.
+const startLatency = 800 * time.Millisecond
 
 // Runtime starts and stops containers on one node.
 type Runtime struct {
 	env     *sim.Env
 	images  *ImageRegistry
-	cfg     Config
 	devices map[string]*gpusim.Device // UUID → device
 	hooks   []LibraryHook
 	nextID  int
 }
 
 // New returns a runtime for a node holding the given GPUs.
-func New(env *sim.Env, images *ImageRegistry, devices []*gpusim.Device, cfg Config) *Runtime {
-	if cfg.StartLatency == 0 {
-		cfg.StartLatency = DefaultStartLatency
-	}
+func New(env *sim.Env, images *ImageRegistry, devices []*gpusim.Device) *Runtime {
 	byUUID := make(map[string]*gpusim.Device, len(devices))
 	for _, d := range devices {
 		byUUID[d.UUID()] = d
 	}
-	return &Runtime{env: env, images: images, cfg: cfg, devices: byUUID}
+	return &Runtime{env: env, images: images, devices: byUUID}
 }
 
 // AddLibraryHook installs a CUDA library interposition hook. Hooks are
@@ -182,7 +172,7 @@ func (r *Runtime) Start(pod *api.Pod, c api.Container, extraEnv map[string]strin
 			h.started.Trigger(h.exitErr)
 			h.done.Trigger(h.exitErr)
 		}()
-		p.Sleep(r.cfg.StartLatency)
+		p.Sleep(startLatency)
 		var err error
 		if capi, err = r.resolveCUDA(p, pod, c, env, h.ID); err != nil {
 			h.exitErr = err
@@ -231,6 +221,3 @@ func (r *Runtime) Stop(h *Handle) {
 	}
 	h.proc.Kill(errContainerKilled)
 }
-
-// IsKilled reports whether err marks an externally stopped container.
-func IsKilled(err error) bool { return errors.Is(err, errContainerKilled) }

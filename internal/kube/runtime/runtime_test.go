@@ -19,7 +19,7 @@ func testRig(env *sim.Env, gpus int) (*Runtime, []*gpusim.Device) {
 	for i := 0; i < gpus; i++ {
 		devs = append(devs, gpusim.NewDevice(env, gpusim.Config{Index: i, NodeName: "n"}))
 	}
-	return New(env, images, devs, Config{StartLatency: 100 * time.Millisecond}), devs
+	return New(env, images, devs), devs
 }
 
 func pod(name string) *api.Pod {
@@ -52,8 +52,8 @@ func TestStartRunsEntrypointAfterLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Run()
-	if startedAt != 100*time.Millisecond {
-		t.Fatalf("entrypoint at %v, want 100ms", startedAt)
+	if startedAt != startLatency {
+		t.Fatalf("entrypoint at %v, want %v", startedAt, startLatency)
 	}
 	if h.State() != StateExited || h.ExitErr() != nil {
 		t.Fatalf("state=%v err=%v", h.State(), h.ExitErr())
@@ -221,7 +221,7 @@ func TestStopKillsAndFiresDone(t *testing.T) {
 		rt.Stop(h)
 	})
 	env.Run()
-	if h.State() != StateExited || !IsKilled(h.ExitErr()) {
+	if h.State() != StateExited || !errors.Is(h.ExitErr(), errContainerKilled) {
 		t.Fatalf("state=%v err=%v", h.State(), h.ExitErr())
 	}
 }
@@ -237,14 +237,14 @@ func TestStopDuringCreationReleasesWaiters(t *testing.T) {
 		released = true
 	})
 	env.Go("stopper", func(p *sim.Proc) {
-		p.Sleep(10 * time.Millisecond) // during the 100ms start latency
+		p.Sleep(10 * time.Millisecond) // during the start latency
 		rt.Stop(h)
 	})
 	env.Run()
 	if !released {
 		t.Fatal("Started waiter stuck after stop-during-creation")
 	}
-	if !IsKilled(h.ExitErr()) {
+	if !errors.Is(h.ExitErr(), errContainerKilled) {
 		t.Fatalf("err = %v", h.ExitErr())
 	}
 }

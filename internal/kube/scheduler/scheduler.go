@@ -20,21 +20,14 @@ import (
 	"kubeshare/internal/sim"
 )
 
-// Config parameterizes the scheduler.
-type Config struct {
-	// BindLatency models the per-pod scheduling cycle (queue pop, filter,
-	// score, bind API call).
-	BindLatency time.Duration
-}
-
-// DefaultBindLatency approximates the default scheduler's per-pod cycle.
-const DefaultBindLatency = 10 * time.Millisecond
+// bindLatency models the per-pod scheduling cycle (queue pop, filter, score,
+// bind API call), approximating the default scheduler's.
+const bindLatency = 10 * time.Millisecond
 
 // Scheduler is the cluster's pod scheduler.
 type Scheduler struct {
 	env *sim.Env
 	srv *apiserver.Server
-	cfg Config
 
 	nodes map[string]*api.Node
 	pods  map[string]*api.Pod
@@ -57,15 +50,11 @@ type Scheduler struct {
 }
 
 // New creates a scheduler. Call Start to begin scheduling.
-func New(env *sim.Env, srv *apiserver.Server, cfg Config) *Scheduler {
-	if cfg.BindLatency == 0 {
-		cfg.BindLatency = DefaultBindLatency
-	}
+func New(env *sim.Env, srv *apiserver.Server) *Scheduler {
 	rt := srv.Obs()
 	return &Scheduler{
 		env:       env,
 		srv:       srv,
-		cfg:       cfg,
 		nodes:     make(map[string]*api.Node),
 		pods:      make(map[string]*api.Pod),
 		committed: make(map[string]api.ResourceList),
@@ -168,7 +157,7 @@ func (s *Scheduler) loop(p *sim.Proc) {
 			if pod == nil {
 				break
 			}
-			p.Sleep(s.cfg.BindLatency)
+			p.Sleep(bindLatency)
 			s.scheduleOne(pod)
 		}
 	}

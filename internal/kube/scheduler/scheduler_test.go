@@ -14,7 +14,7 @@ import (
 func rig() (*sim.Env, *apiserver.Server) {
 	env := sim.NewEnv()
 	srv := apiserver.New(env)
-	New(env, srv, Config{}).Start()
+	New(env, srv).Start()
 	return env, srv
 }
 
@@ -153,7 +153,7 @@ func TestLeastAllocatedSpreads(t *testing.T) {
 func TestNotReadyNodeSkipped(t *testing.T) {
 	env := sim.NewEnv()
 	srv := apiserver.New(env)
-	New(env, srv, Config{}).Start()
+	New(env, srv).Start()
 	node := &api.Node{
 		ObjectMeta: api.ObjectMeta{Name: "down"},
 		Status: api.NodeStatus{
@@ -192,12 +192,12 @@ func TestPreBoundPodLeftAlone(t *testing.T) {
 func TestBindLatencyApplied(t *testing.T) {
 	env := sim.NewEnv()
 	srv := apiserver.New(env)
-	New(env, srv, Config{BindLatency: 100 * time.Millisecond}).Start()
+	New(env, srv).Start()
 	addNode(srv, "n0", 1000, 0, nil)
 	env.Go("t", func(p *sim.Proc) { addPod(srv, "a", nil, nil) })
 	env.Run()
 	pod, _ := apiserver.Pods(srv).Get("a")
-	if pod.Status.ScheduledTime < 100*time.Millisecond {
-		t.Fatalf("scheduled at %v, want ≥100ms", pod.Status.ScheduledTime)
+	if pod.Status.ScheduledTime < bindLatency {
+		t.Fatalf("scheduled at %v, want ≥%v", pod.Status.ScheduledTime, bindLatency)
 	}
 }

@@ -3,6 +3,7 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"strconv"
@@ -36,6 +37,10 @@ import (
 // one object published at its revision (the same pointer on every queue and
 // as the write returned), and after a crash every queue is closed, in kind
 // name then registration order.
+//
+// A status write to a kind with a status subresource keeps the stored labels,
+// so it must leave the label index alone: after it, every posting set is the
+// same set as before, not a rebuilt equal one.
 
 type opKind int
 
@@ -596,6 +601,10 @@ func drive(p *sim.Proc, h []op) error {
 		key := api.KeyOf(o.obj, o.name)
 		_, before, _ := s.DurableSizes()
 		logged := len(m.log)
+		var postings map[string]uintptr
+		if _, carrier := build(o.obj, o.name, 0, "", "").(api.StatusCarrier); carrier && o.kind == opUpdateStatus {
+			postings = store.PostingSets(s)
+		}
 		var got, want error
 		var result api.Object // what a write returned
 		switch o.kind {
@@ -680,6 +689,9 @@ func drive(p *sim.Proc, h []op) error {
 		}
 		if errClass(got) != want {
 			return fmt.Errorf("%s: store returned %v, model %v", step, got, want)
+		}
+		if postings != nil && !maps.Equal(postings, store.PostingSets(s)) {
+			return fmt.Errorf("%s: the status write rebuilt the label index's posting sets", step)
 		}
 		if result != nil {
 			if err := publishedOnce(step, result); err != nil {

@@ -236,13 +236,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.n.Add(d)
-	}
-}
-
 // Value reads the gauge; 0 on a nil handle.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -311,9 +304,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveDuration records a virtual duration.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // ObserveExemplar records a value and, when the registry's exemplar
 // switch is on, keeps (traceKey, spanID) as the bucket's exemplar if the

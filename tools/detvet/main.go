@@ -26,8 +26,8 @@
 // Test files (_test.go) and testdata directories are skipped. The
 // internal/simrand package is exempt — it is the seeded wrapper the rule
 // funnels everyone else through. A line ending in a "//det:allow" comment
-// is exempt; use it for deliberately injectable wall-clock defaults that
-// only run off-simulation.
+// is exempt; use it for wall-clock reads that time the simulator itself
+// and never feed the simulation.
 package main
 
 import (
