@@ -59,6 +59,12 @@ if grep -n 'panic(' --exclude='*_test.go' internal/experiments/*.go internal/cha
 fi
 go test -race ./internal/kube/... ./internal/core/...
 go test -race ./internal/sim/... ./internal/devlib/...
+# The kernel's worker pool by name, so it cannot silently vanish: a reused
+# worker runs a proc killed before its first execution as a fresh coroutine
+# would, a real panic leaves Step and its worker is not pooled, an idle
+# worker pins nothing its last body captured, Run and RunUntil leave one
+# goroutine per parked proc, and a short proc's life costs ≤ 2 allocations.
+named 'TestWorker|TestSpawnAllocs|TestFinishedProcReleasesBody' go test -race ./internal/sim/
 # Sharing-strategy suites on the multi-worker path: the strategy interface
 # (token/mps/replica) and the frontend refactor behind it must hold under
 # the race detector with parallel test workers.

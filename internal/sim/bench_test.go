@@ -90,6 +90,20 @@ func BenchmarkSimKernelTimerStop(b *testing.B) {
 	}
 }
 
+// BenchmarkSimKernelSpawn measures a short proc's whole life — spawn, one
+// Sleep, finish — the shape of every container start's control path. After
+// the first iteration each spawn runs on the previous proc's idle worker.
+func BenchmarkSimKernelSpawn(b *testing.B) {
+	env := NewEnv()
+	body := func(p *Proc) { p.Sleep(time.Microsecond) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env.Go("spawn", body)
+		for env.Step() {
+		}
+	}
+}
+
 // BenchmarkSimKernelDeepHeap measures schedule+fire churn with 1000 timers
 // permanently outstanding: every fired timer reschedules itself at a spread
 // deadline, so each Step is one pop from and one push into a ~1000-deep

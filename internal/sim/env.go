@@ -96,10 +96,10 @@ type Env struct {
 	daemonPending int // the subset of pending that wakes daemon procs
 	seq           uint64
 	freeWaiters   []*waiter
-	current       *Proc // proc currently executing, nil when the scheduler runs
-	live          int   // procs that have started and not yet finished
+	idle          []*worker // coroutines whose proc finished, awaiting a spawn
+	current       *Proc     // proc currently executing, nil when the scheduler runs
+	live          int       // procs that have started and not yet finished
 	nextPID       int
-	running       bool
 	tracer        func(t time.Duration, format string, args ...any)
 }
 
@@ -284,7 +284,8 @@ func (env *Env) popFront(src int) {
 //
 // Procs are coroutines (iter.Pull), not plain goroutines: park/dispatch is a
 // direct coroutine switch with no Go-scheduler round trip, which is the
-// difference between ~100ns and ~650ns per virtual context switch.
+// difference between ~100ns and ~650ns per virtual context switch. A proc
+// starts on the coroutine of one that finished, when there is one.
 func (env *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return env.spawn(name, fn, false)
 }
@@ -307,28 +308,82 @@ func (env *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		daemon: daemon,
 	}
 	env.live++
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); !ok {
-					panic(r) // real panic in user code: propagate
-				}
-			}
-			p.finished = true
-			// Whoever still holds the *Proc must not pin the coroutine and
-			// everything its body captured (dispatch and Kill stop at finished).
-			p.next, p.yield = nil, nil
-			env.live--
-			env.tracef("proc %s finished", p.name)
-		}()
-		if p.killed { // killed before first execution
-			panic(killSignal{})
-		}
-		fn(p)
-	})
+	var w *worker
+	if n := len(env.idle); n > 0 {
+		w = env.idle[n-1]
+		env.idle[n-1] = nil
+		env.idle = env.idle[:n-1]
+	} else {
+		w = &worker{}
+		w.next, w.stop = iter.Pull(w.loop)
+	}
+	w.p, w.fn = p, fn
+	p.next = w.next
 	env.enqueue(env.now, p, nil)
 	return p
+}
+
+// worker owns one coroutine and runs proc bodies on it, one per pass. A
+// finished body leaves the worker on env.idle, and the next spawn resumes it
+// instead of creating a coroutine, so starting a proc costs no goroutine and
+// no fresh stack. Run and RunUntil end the idle workers before returning.
+type worker struct {
+	p    *Proc
+	fn   func(p *Proc)
+	next func() (struct{}, bool)
+	stop func()
+}
+
+// loop is the coroutine body: run the assigned proc, go idle, and wait for
+// the next spawn (yield returns true) or a drain (false).
+func (w *worker) loop(yield func(struct{}) bool) {
+	for {
+		env := w.p.env
+		w.run(yield)
+		// An idle worker must not pin the finished proc or what its body
+		// captured.
+		w.p, w.fn = nil, nil
+		env.idle = append(env.idle, w)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes one proc body. A real panic propagates out of the coroutine,
+// and so out of Step; the worker dies with it and is never pooled.
+func (w *worker) run(yield func(struct{}) bool) {
+	p, env := w.p, w.p.env
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killSignal); !ok {
+				panic(r) // real panic in user code: propagate
+			}
+		}
+		p.finished = true
+		// Whoever still holds the *Proc must not pin the worker (dispatch and
+		// Kill stop at finished).
+		p.next, p.yield = nil, nil
+		env.live--
+		if env.tracer != nil {
+			env.tracef("proc %s finished", p.name)
+		}
+	}()
+	if p.killed { // killed before first execution
+		panic(killSignal{})
+	}
+	w.fn(p)
+}
+
+// drain ends every idle worker's coroutine, so a quiescent Env holds no
+// goroutine beyond its parked procs.
+func (env *Env) drain() {
+	for i, w := range env.idle {
+		env.idle[i] = nil
+		w.stop()
+	}
+	env.idle = env.idle[:0]
 }
 
 // dispatch hands the CPU to p until it parks or finishes.
@@ -389,22 +444,20 @@ func (env *Env) Step() bool {
 // while real work is pending, but once only daemon wakeups remain the
 // simulation is quiescent and Run returns.
 func (env *Env) Run() {
-	env.running = true
 	for env.pending > env.daemonPending && env.Step() {
 	}
-	env.running = false
+	env.drain()
 }
 
 // RunUntil executes events with time ≤ t and then sets the clock to t.
 func (env *Env) RunUntil(t time.Duration) {
-	env.running = true
 	for env.peekTime() <= t {
 		env.Step()
 	}
 	if env.now < t {
 		env.now = t
 	}
-	env.running = false
+	env.drain()
 }
 
 // peekTime returns the time of the earliest live event, dropping cancelled

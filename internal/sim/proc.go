@@ -28,8 +28,9 @@ type Proc struct {
 	env  *Env
 	id   int
 	name string
-	// next resumes the coroutine until it parks or returns; yield (valid
-	// once the body has started) suspends it back to the scheduler.
+	// next resumes the proc's worker coroutine until the body parks or
+	// finishes; yield (valid once the body has started) suspends it back to
+	// the scheduler.
 	next     func() (struct{}, bool)
 	yield    func(struct{}) bool
 	finished bool
@@ -61,7 +62,9 @@ func (p *Proc) Killed() bool { return p.killed }
 // Tracef emits a trace line through the environment's tracer, prefixed with
 // the proc name.
 func (p *Proc) Tracef(format string, args ...any) {
-	p.env.tracef("[%s] "+format, append([]any{p.name}, args...)...)
+	if p.env.tracer != nil {
+		p.env.tracef("[%s] "+format, append([]any{p.name}, args...)...)
+	}
 }
 
 // park hands control back to the scheduler and blocks until resumed. On

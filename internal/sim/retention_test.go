@@ -91,9 +91,10 @@ func TestGetTimeoutPendingBounded(t *testing.T) {
 // still holds the *Proc (a kubelet's pod worker holds its container's until
 // the pod object is deleted) must not keep the coroutine, and through it
 // everything the body captured, alive — whether the body returned or was
-// killed.
+// killed. Driven by bare Steps, with no Run to drain the pool, the proc's
+// worker stays idle and must pin nothing either.
 func TestFinishedProcReleasesBody(t *testing.T) {
-	for _, kill := range []bool{false, true} {
+	for _, c := range []struct{ kill, step bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 		env := NewEnv()
 		var freed atomic.Bool
 		spawn := func() *Proc { // its own frame, so no stack slot keeps payload
@@ -105,19 +106,25 @@ func TestFinishedProcReleasesBody(t *testing.T) {
 			})
 		}
 		p := spawn()
-		if kill {
+		if c.kill {
 			env.After(time.Millisecond, func() { p.Kill(errors.New("stop")) })
 		}
-		env.Run()
-		if !p.Finished() {
-			t.Fatalf("kill=%v: proc not finished", kill)
+		idle := 0
+		if c.step {
+			stepAll(env)
+			idle = 1
+		} else {
+			env.Run()
+		}
+		if !p.Finished() || len(env.idle) != idle {
+			t.Fatalf("%+v: finished=%v idle=%d, want a finished proc and %d idle workers", c, p.Finished(), len(env.idle), idle)
 		}
 		for i := 0; i < 200 && !freed.Load(); i++ {
 			runtime.GC() // finalizers run on their own goroutine, some time after
 			time.Sleep(time.Millisecond)
 		}
 		if !freed.Load() {
-			t.Fatalf("kill=%v: finished proc still pins what its body captured", kill)
+			t.Fatalf("%+v: finished proc or its idle worker still pins what its body captured", c)
 		}
 		runtime.KeepAlive(p)
 		runtime.KeepAlive(env)
