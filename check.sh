@@ -108,8 +108,11 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # on one apiserver each receive and cache only their node's pods (a pod bound
 # after creation admitted once); a node crash kills its containers in
 # pod-name order, and a pod whose two device plugins set one env key sees one
-# value, each on every one of 64 fresh rigs.
-named 'TestRestore|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
+# value, each on every one of 64 fresh rigs. The store pass also names the
+# restore's decoding contract: restored objects share no bytes with the
+# medium the store rewrites in place, and a restored pod costs ≤ 12
+# allocations, from the checkpoint or the log, whatever its string count.
+named 'TestRestore|TestRestoredObjectsShareNoBytesWithMedium|TestRestoreAllocs|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
 named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestEventSinkRestart' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
 named 'TestStopOrderDeterministic|TestKubeletWatchScopedToNode|TestSharedEnvKeyDeterministic' env GOMAXPROCS=4 go test -race ./internal/kube/kubelet/
 # Native fuzz smokes over the durable medium's decoders, 5 s each from the

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 )
 
 // The binary object codec: what the store's durable medium (WAL records and
@@ -34,12 +35,22 @@ var (
 // sticks: every later read returns a zero value, so decoders read straight
 // through and check Err once at the end.
 type Dec struct {
-	b   []byte
-	err error
+	b     []byte
+	frame string // after ResetCopy: the private copy b is a suffix of
+	err   error
 }
 
-// Reset points the cursor at b and clears the error.
-func (d *Dec) Reset(b []byte) { d.b, d.err = b, nil }
+// Reset points the cursor at b and clears the error. b is not copied, so
+// String copies every string out of it.
+func (d *Dec) Reset(b []byte) { d.b, d.frame, d.err = b, "", nil }
+
+// ResetCopy is Reset over one private copy of b: every String is a substring
+// of that copy, so decoding an object costs one allocation for all its
+// strings, none of which alias b. The copy stays alive while any of them is.
+func (d *Dec) ResetCopy(b []byte) {
+	d.frame, d.err = string(b), nil
+	d.b = unsafe.Slice(unsafe.StringData(d.frame), len(d.frame)) // read only
+}
 
 // Err returns the first failure, or nil.
 func (d *Dec) Err() error { return d.err }
@@ -71,7 +82,8 @@ func (d *Dec) Int() int { return int(d.Varint()) }
 // Duration reads a signed varint as nanoseconds.
 func (d *Dec) Duration() time.Duration { return time.Duration(d.Varint()) }
 
-// Next reads n raw bytes; the result aliases the input.
+// Next reads n raw bytes; the result aliases the input and must not be
+// written.
 func (d *Dec) Next(n int) []byte {
 	if n < 0 || n > len(d.b) {
 		d.fail(errTruncated)
@@ -130,7 +142,15 @@ func (d *Dec) Count(elemMin int) int {
 }
 
 // String reads a length-prefixed string.
-func (d *Dec) String() string { return string(d.Next(d.Count(1))) }
+func (d *Dec) String() string {
+	n := d.Count(1)
+	if d.frame == "" {
+		return string(d.Next(n))
+	}
+	at := len(d.frame) - len(d.b)
+	d.Next(n)
+	return d.frame[at : at+n]
+}
 
 // decodeMap reads what appendMap wrote: a presence byte, a count, and the
 // entries, whose keys must ascend strictly (no duplicates, one canonical form).

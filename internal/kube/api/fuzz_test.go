@@ -45,17 +45,28 @@ func TestFuzzSeedCorpusCurrent(t *testing.T) {
 }
 
 // FuzzObjectCodec decodes arbitrary bytes as each registered kind (chosen by
-// the first argument). The outcome is an error, or an object whose encoding
-// decodes back to an object with the same encoding, consumed exactly — never
-// a panic.
+// the first argument), through ResetCopy as the store does. The outcome is an
+// error, or an object whose encoding decodes back to an object with the same
+// encoding, consumed exactly — never a panic. Decoding with Reset instead
+// ends the same way, and the ResetCopy object owns its bytes: scribbling over
+// its input afterwards changes nothing.
 func FuzzObjectCodec(f *testing.F) {
 	kinds := api.RegisteredKinds()
 	f.Fuzz(func(t *testing.T, k byte, data []byte) {
 		kind := kinds[int(k)%len(kinds)]
 		obj, _ := api.NewObject(kind)
+		in := bytes.Clone(data)
 		var d api.Dec
-		d.Reset(data)
+		d.ResetCopy(in)
 		obj.DecodeBinary(&d)
+		clear(in)
+		plain, _ := api.NewObject(kind)
+		var p api.Dec
+		p.Reset(data)
+		plain.DecodeBinary(&p)
+		if d.Err() != p.Err() || d.Len() != p.Len() {
+			t.Fatalf("%s: ResetCopy ended at err %v with %d left, Reset at err %v with %d left", kind, d.Err(), d.Len(), p.Err(), p.Len())
+		}
 		if d.Err() != nil {
 			if d.Len() != 0 {
 				t.Fatalf("%s: %d bytes still readable after %v", kind, d.Len(), d.Err())
@@ -63,8 +74,11 @@ func FuzzObjectCodec(f *testing.F) {
 			return
 		}
 		enc := obj.AppendBinary(nil)
+		if encPlain := plain.AppendBinary(nil); !bytes.Equal(enc, encPlain) {
+			t.Fatalf("%s: ResetCopy and Reset decode to different objects:\n%q\n%q", kind, enc, encPlain)
+		}
 		again, _ := api.NewObject(kind)
-		d.Reset(enc)
+		d.ResetCopy(enc)
 		again.DecodeBinary(&d)
 		if d.Err() != nil || d.Len() != 0 {
 			t.Fatalf("%s: re-decode of %d encoded bytes: err %v, %d left over", kind, len(enc), d.Err(), d.Len())

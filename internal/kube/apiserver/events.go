@@ -2,6 +2,8 @@ package apiserver
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/obs"
@@ -28,14 +30,16 @@ func newEventSink(s *Server) *eventSink {
 	// A sink recreated over a store that already holds events (an apiserver
 	// restart, or a chaos-recovered control plane) must keep deduplicating
 	// into the objects already there and must not reissue their names.
-	for _, e := range Events(s).List() {
+	Events(s).Scan(func(e *api.Event) bool {
 		key := e.InvolvedKind + "/" + e.InvolvedName + "/" + e.Reason + "/" + e.Source + "/" + e.Type
 		k.names[key] = e.Name
-		var n int
-		if _, err := fmt.Sscanf(e.Name, "evt-%d", &n); err == nil && n > k.seq {
-			k.seq = n
+		if num, ok := strings.CutPrefix(e.Name, "evt-"); ok {
+			if n, err := strconv.Atoi(num); err == nil && n > k.seq {
+				k.seq = n
+			}
 		}
-	}
+		return true
+	})
 	return k
 }
 

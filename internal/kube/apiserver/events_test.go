@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"kubeshare/internal/kube/api"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 )
@@ -77,5 +78,22 @@ func TestEventSinkRestartRecovery(t *testing.T) {
 	}
 	if byName["p3"] != 1 {
 		t.Fatalf("post-restart event missing: counts %v", byName)
+	}
+
+	// The sequence resumes above the highest number, not the last name:
+	// evt-100000 sorts before evt-99999. A name not of the evt-N form is
+	// ignored, even one that starts like it.
+	for _, name := range []string{"evt-99999", "evt-100000", "evt-200000-imported"} {
+		if _, err := Events(s).Create(&api.Event{ObjectMeta: api.ObjectMeta{Name: name}, InvolvedName: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Obs().SetEventSink(newEventSink(s))
+	env.Go("after-import", func(p *sim.Proc) {
+		rec.Eventf("Pod", "p4", obs.EventNormal, "Started", "ok")
+	})
+	env.Run()
+	if e, err := Events(s).Get("evt-100001"); err != nil || e.InvolvedName != "p4" {
+		t.Fatalf("next event after evt-100000: %v, %+v", err, e)
 	}
 }

@@ -1,7 +1,8 @@
 package apiserver
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store"
@@ -141,29 +142,28 @@ func (r *Reflector) relist() {
 	fresh.Replay = false // the diff below stands in for the replay
 	r.q = r.srv.WatchFiltered(r.kind, fresh)
 	r.lastRV = r.srv.Revision()
-	cur := make(map[string]api.Object)
-	var upserts []string // name order, as the scan yields them
+	var cur []api.Object // name order, as the scan yields them
 	r.srv.ScanSelector(r.kind, r.opts.Selector, func(obj api.Object) bool {
 		if r.opts.Matches(obj) {
-			name := obj.GetMeta().Name
-			cur[name] = obj
-			upserts = append(upserts, name)
+			cur = append(cur, obj)
 		}
 		return true
 	})
 	var gone []string
 	for name := range r.known {
-		if _, ok := cur[name]; !ok {
+		if _, ok := slices.BinarySearchFunc(cur, name, func(o api.Object, name string) int {
+			return strings.Compare(o.GetMeta().Name, name)
+		}); !ok {
 			gone = append(gone, name)
 		}
 	}
-	sort.Strings(gone)
-	for _, name := range upserts {
+	slices.Sort(gone)
+	for _, obj := range cur {
 		typ := store.Added
-		if _, seen := r.known[name]; seen {
+		if _, seen := r.known[obj.GetMeta().Name]; seen {
 			typ = store.Modified
 		}
-		r.backlog = append(r.backlog, store.Event{Type: typ, Object: cur[name], Rev: cur[name].GetMeta().ResourceVersion})
+		r.backlog = append(r.backlog, store.Event{Type: typ, Object: obj, Rev: obj.GetMeta().ResourceVersion})
 	}
 	for _, name := range gone {
 		// The last snapshot the consumer saw, shared like any other.

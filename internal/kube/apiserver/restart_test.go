@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
@@ -54,6 +55,49 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	}
 	if resumes, relists := r.Stats(); resumes != 0 || relists != 1 {
 		t.Fatalf("resumes=%d relists=%d, want 0/1 (epoch fence must forbid resume)", resumes, relists)
+	}
+	r.Stop()
+
+	// A label-selector reflector whose torn tail reverts names that sort
+	// between survivors: the relist deletes exactly those, in name order,
+	// re-syncs the survivors, and re-adds the one whose deletion was reverted.
+	// Reverted objects the selector never matched stay invisible.
+	env, s = newServer()
+	s.EnableDurability(DurabilityConfig{})
+	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
+	r = s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
+	trace = collectTrace(env, r)
+	pods = Pods(s)
+	for _, name := range []string{"a0", "a2", "a4", "a5"} {
+		mustCreate(t, pods, mkLabeledPod(name, "web"))
+	}
+	mustCreate(t, pods, mkLabeledPod("b0", "db"))
+	env.Go("driver", func(p *sim.Proc) {
+		p.Sleep(time.Second)
+		_, survives, _ := s.store.DurableSizes()
+		mustCreate(t, pods, mkLabeledPod("a3", "web"))
+		mustCreate(t, pods, mkLabeledPod("a1", "web"))
+		mustCreate(t, pods, mkLabeledPod("a1x", "db"))
+		if err := pods.Delete("a5"); err != nil {
+			t.Errorf("delete: %v", err)
+		}
+		p.Sleep(time.Second)
+		_, logged, _ := s.store.DurableSizes()
+		s.TearWALTail(logged - survives - 1) // the first reverted frame keeps one byte
+		if st, err := s.Restart(); err != nil || !st.TornTail {
+			t.Errorf("restart: %v, %+v", err, st)
+		}
+	})
+	env.RunUntil(10 * time.Second)
+
+	want = []string{
+		"ADDED a0", "ADDED a2", "ADDED a4", "ADDED a5", // replay
+		"ADDED a3", "ADDED a1", "DELETED a5", // live, then reverted by the torn tail
+		"MODIFIED a0", "MODIFIED a2", "MODIFIED a4", "ADDED a5", // relist: scan order
+		"DELETED a1", "DELETED a3", // relist: vanished, name order
+	}
+	if !reflect.DeepEqual(*trace, want) {
+		t.Fatalf("selector relist across a torn tail:\n got %q\nwant %q", *trace, want)
 	}
 	r.Stop()
 }

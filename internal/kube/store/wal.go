@@ -376,6 +376,8 @@ func (s *Store) loadCheckpoint(image []byte) (rev, nextUID int64, err error) {
 	if crc32.ChecksumIEEE(image[:body]) != binary.LittleEndian.Uint32(image[body:]) {
 		return 0, 0, errors.New("store: checkpoint corrupt: CRC mismatch")
 	}
+	// The image itself is not copied (a kind name would keep all of it
+	// alive); each object is decoded from its own copy (see decodeRecord).
 	var dec, one api.Dec // the image, and one object inside it
 	dec.Reset(image[len(checkpointMagic):body])
 	rev, nextUID = dec.Varint(), dec.Varint()
@@ -383,7 +385,7 @@ func (s *Store) loadCheckpoint(image []byte) (rev, nextUID int64, err error) {
 		kind := dec.String()
 		b := s.bucketOf(kind)
 		for objs := dec.Count(4); objs > 0 && dec.Err() == nil; objs-- {
-			one.Reset(dec.Next(int(dec.Uint32())))
+			one.ResetCopy(dec.Next(int(dec.Uint32())))
 			obj, err := decodeObject(&one, kind)
 			if err != nil {
 				return 0, 0, fmt.Errorf("store: checkpoint corrupt: %w", err)
@@ -422,9 +424,10 @@ var errRecord = errors.New("store: malformed wal record")
 
 // decodeRecord decodes one frame's payload completely — the put's object
 // included, with no byte left over — so a record that decodes is a record
-// replay can apply.
+// replay can apply. Its strings are cut from one copy of the payload: never
+// from the medium, which Checkpoint rewrites and TearWALTail flips in place.
 func decodeRecord(d *api.Dec, payload []byte) (rec walRecord, err error) {
-	d.Reset(payload)
+	d.ResetCopy(payload)
 	op := d.Byte()
 	rec.rev, rec.kind, rec.name = d.Varint(), d.String(), d.String()
 	switch {

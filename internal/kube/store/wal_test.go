@@ -192,6 +192,70 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoredObjectsShareNoBytesWithMedium: restored objects are decoded
+// from copies, never from the durable medium, whose buffers the store goes on
+// rewriting in place — Checkpoint rebuilds the image over the old one, writes
+// after it refill the log from its start, TearWALTail flips a byte. Every
+// object restored from the checkpoint and from the log must still encode to
+// the bytes it had right after the restore.
+func TestRestoredObjectsShareNoBytesWithMedium(t *testing.T) {
+	s := New(sim.NewEnv())
+	s.EnableDurability(nil, nil)
+	// Equal-length names keep every image the same size or smaller than the
+	// one restored from, so each Checkpoint reuses its buffer.
+	shaped := func(name string) api.Object {
+		obj := newTestObj("Pod", name, map[string]string{"app": "x-" + name, "tier": "t1"})
+		obj.GetMeta().Annotations = map[string]string{"note": "annotation of " + name}
+		obj.GetMeta().OwnerName = "SharePod/" + name
+		return obj
+	}
+	mustCreate := func(name string) {
+		if _, err := s.Create(shaped(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustDelete := func(name string) {
+		if err := s.Delete("Pod", name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		mustCreate(fmt.Sprintf("ck-%d", i))
+	}
+	s.Checkpoint()
+	for i := 0; i < 3; i++ {
+		mustCreate(fmt.Sprintf("lg-%d", i))
+		mustDelete(fmt.Sprintf("ck-%d", 5-i))
+	}
+	if st, err := s.Crash(); err != nil || st.Replayed != 6 {
+		t.Fatalf("restore: %v, %+v", err, st)
+	}
+	restored := s.List("Pod")
+	encoded := make([][]byte, len(restored))
+	for i, obj := range restored {
+		encoded[i] = obj.AppendBinary(nil)
+	}
+	image, log := &s.dur.checkpoint[0], &s.dur.wal[0]
+
+	s.Checkpoint()
+	mustDelete("ck-0") // every later object moves in the next image
+	if !s.TearWALTail(0) {
+		t.Fatal("nothing to tear")
+	}
+	s.Checkpoint()
+	for i := 0; i < 3; i++ {
+		mustCreate(fmt.Sprintf("af-%d", i))
+	}
+	if &s.dur.checkpoint[0] != image || &s.dur.wal[0] != log {
+		t.Fatal("a medium buffer was reallocated, not rewritten in place: the test proves nothing")
+	}
+	for i, obj := range restored {
+		if got := obj.AppendBinary(nil); !bytes.Equal(got, encoded[i]) {
+			t.Errorf("a restored object changed when the medium was rewritten:\nwas %q\nnow %q", encoded[i], got)
+		}
+	}
+}
+
 // TestTornTailTruncateAndRecover damages the log tail both ways — truncated
 // mid-frame and CRC-corrupted — and requires restore to cut the damage and
 // recover the longest valid prefix without wedging.
