@@ -98,8 +98,8 @@ func TestLaunchKernelAllocs(t *testing.T) {
 }
 
 // BenchmarkFrontendLaunchKernel measures one steady-state kernel launch
-// through the frontend, per strategy; allocs/op is gated at exactly 0 by
-// tools/benchgate.
+// through the frontend, per strategy; TestLaunchKernelAllocs pins its
+// allocations at exactly 0.
 func BenchmarkFrontendLaunchKernel(b *testing.B) {
 	for _, mode := range launchModes {
 		b.Run(string(mode), func(b *testing.B) {

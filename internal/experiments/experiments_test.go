@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -305,6 +307,27 @@ func TestFig14AvailabilitySurvivesFaults(t *testing.T) {
 	}
 }
 
+// TestFig15ThroughputPinned pins the quick-scale point (1000 pending
+// sharePods, batch 64, gangs of 4): virtual decisions per second of the
+// three drivers and the batched speedup. Both are virtual-clock outputs of
+// one seed, so they are held exactly (the acceptance bar is 3x at 10k).
+func TestFig15ThroughputPinned(t *testing.T) {
+	withCanary(t)
+	tb, err := Fig15(Fig15Config{Counts: []int{1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, row := range tb.Rows {
+		got = append(got, row[0]+" "+row[2])
+	}
+	got = append(got, fmt.Sprintf("speedup %.2f", cell(t, tb.Rows[1][2])/cell(t, tb.Rows[0][2])))
+	want := "single 66.7, batched 4166.7, batched+gang 4166.7, speedup 62.47"
+	if strings.Join(got, ", ") != want {
+		t.Fatalf("fig15 at 1000: %s, want %s", strings.Join(got, ", "), want)
+	}
+}
+
 func TestFig17RecoverySweep(t *testing.T) {
 	withCanary(t)
 	cfg := Fig17Config{Nodes: 2, Jobs: 12, JobDuration: 10 * time.Second,
@@ -337,12 +360,58 @@ func TestFig17RecoverySweep(t *testing.T) {
 			t.Fatalf("row %d: %s/%d jobs succeeded under restarts", i, row[8], cfg.Jobs)
 		}
 	}
+	// And the rows themselves, exactly: replayed records and the modeled
+	// outage follow the medium's real bytes, so a change to the codec or the
+	// restart path moves them.
+	var rows []string
+	for _, row := range tb.Rows {
+		rows = append(rows, strings.Join(row, " "))
+	}
+	if got, want := strings.Join(rows, "\n"), "10 5 6 2 94 0.251 0.00 0 12 56.0\n10 -1 6 2 916 2.039 0.00 0 12 56.0"; got != want {
+		t.Errorf("fig17 rows:\n%s\nwant:\n%s", got, want)
+	}
 	again, err := Fig17(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tb.String() != again.String() {
 		t.Fatalf("fig17 not deterministic:\n--- first ---\n%s\n--- second ---\n%s", tb, again)
+	}
+}
+
+// TestFig18StrategiesPinned pins the quick-scale strategy comparison (one
+// node of 4 GPUs, 16 jobs of 10 s): throughput and mean stretch per
+// strategy and kernel mix, and the memory-quantity witnesses (one typed
+// rejection; 8 of 8 byte-sized jobs completed, none failed). Figure 19's
+// attribution table over the same grid is pinned by fig19_table.golden
+// (TestFig19Determinism).
+func TestFig18StrategiesPinned(t *testing.T) {
+	withCanary(t)
+	cfg := Fig18Config{Nodes: 1, GPUsPerNode: 4, Jobs: 16, JobDuration: 10 * time.Second}
+	tb, err := Fig18(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := Fig18MemBytes(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, row := range tb.Rows {
+		got = append(got, strings.Join([]string{row[0], row[1], row[4], row[5]}, " "))
+	}
+	got = append(got, "membytes "+strings.Join([]string{mb.Rows[0][4], mb.Rows[1][2], mb.Rows[1][3]}, " "))
+	want := []string{
+		"token small-kernel 33.81 1.736",
+		"mps small-kernel 35.62 1.641",
+		"replica small-kernel 35.62 1.641",
+		"token large-kernel 35.36 1.684",
+		"mps large-kernel 35.39 1.682",
+		"replica large-kernel 35.37 1.682",
+		"membytes 1 8 0",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("fig18 quick:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // Fig11Config drives the scheduling-time experiment: how long one
 // KubeShare-Sched decision takes as a function of the number of SharePods
 // already in the system. Unlike every other experiment this measures *real*
-// CPU time of the actual implementation (the paper's O(N) claim); the
-// repository benchmark BenchmarkFig11SchedulingTime measures the same path
-// under testing.B.
+// CPU time (the paper's O(N) claim) of a pool rebuild plus core.Schedule, as
+// does BenchmarkFig11SchedulingTime's full-rebuild arm. KubeShare-Sched runs
+// neither: it decides through schedfw on its snapshot's persistent pool.
 type Fig11Config struct {
 	// Counts are the existing-SharePod counts to sweep.
 	Counts []int

@@ -1,8 +1,8 @@
 // Package controller provides the controller runtime of the simulated
 // cluster: a work-queue reconciliation loop in the style of Kubernetes
-// controllers, plus the ReplicationController built on it. KubeShare's two
-// custom controllers (KubeShare-Sched and KubeShare-DevMgr) reuse the same
-// Runner, which is the operator-pattern compatibility argument of §4.6.
+// controllers, plus the ReplicationController built on it and reused by the
+// SharePodSet manager. KubeShare-Sched (schedfw's cycle loop) and
+// KubeShare-DevMgr (edge-triggered reflector handlers) do not use it.
 package controller
 
 import (

@@ -8,7 +8,7 @@
 // The runtime is nil-tolerant end to end: a nil *Runtime hands out nil
 // handles, and every handle method no-ops on a nil receiver. Call sites
 // therefore instrument unconditionally; "observability off" is just a
-// nil runtime (the BENCH.json obs_overhead A/B lever).
+// nil runtime (the lever BenchmarkFig9Obs/on and /off compare).
 //
 // Counters and gauges are atomics so snapshot reads like
 // Sched.Stats() are safe from outside the env goroutine

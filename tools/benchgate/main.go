@@ -1,238 +1,210 @@
-// Command benchgate is the perf-regression gate over BENCH.json: for each
-// watched metric it compares the newest record carrying that section
-// against the previous one and fails (exit 1) when the value moved past
-// the rule's declared tolerance in the bad direction.
+// Command benchgate gates the work the repo benchmark does, not its time.
 //
-// Records accumulate oldest-first (bench.sh appends via tools/benchmerge),
-// so "newest vs previous" is the last two records that contain the
-// section — sections introduced by later sessions simply have a shorter
-// history, and a section seen fewer than twice is skipped, not failed.
+// With no flags it is the work ratchet: for each workload in work.json it
+// runs `bash benchmark/run.sh --workload W --seed 1 --seconds 1 --trace T`
+// with T=0 and T=1. The untraced mallocs_k and alloc_mb fail more than band
+// above work.json; more than band below, it prints the value to ratchet to.
+// Every other entry is a traced count-unit metric (all but profile.samples)
+// and must equal the file. A run reporting "correct": false fails.
 //
-// Tolerances are deliberately loose for wall-clock-derived ratios
-// (machines differ; bench.sh itself documents ±30% micro-benchmark noise)
-// and tight for virtual-clock quantities, which are deterministic modulo
-// intended behavior changes. An intended change that trips the gate is
-// acknowledged by the new BENCH.json record itself — the gate compares
-// the last two records, so the next run re-baselines.
+// Over ten ratchet runs of one unchanged tree (2 CPUs, go1.24) every count
+// repeated, mallocs_k spread at most 0.007 % and alloc_mb 0.04 %. Only
+// sched_churn's alloc_mb moved more: 59.22–59.72 MB (0.84 %) at equal
+// mallocs_k, in 0.125 MB steps, as a buffer grows or not with goroutine
+// timing. It has its own band.
 //
-// Usage:
+// With -base REF -workload W [-seed N] it runs pairs alternating pairs of
+// run.sh on a `git archive` of REF and on the working tree, and prints each
+// end-to-end metric's medians, quartiles, change and pairs won: the only
+// place wall-clock time is read.
 //
-//	go run ./tools/benchgate            # gate BENCH.json in the CWD
-//	go run ./tools/benchgate -f FILE
+//	go run ./tools/benchgate
+//	go run ./tools/benchgate -base HEAD~1 -workload cold_start -seed 5
 package main
 
 import (
+	_ "embed"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
+	"os/exec"
+	"slices"
 	"strings"
 )
 
-// rule watches one dotted path inside a record section.
-type rule struct {
-	// path is the dotted location of the value, rooted at the record
-	// ("fig15_scheduler_throughput.batched_speedup"). The first segment
-	// is the section whose presence selects comparable records.
-	path string
-	// higherBetter orients the comparison; ignored for absMax rules.
-	higherBetter bool
-	// relTol is the allowed fractional regression vs the previous record
-	// (0.10 = fail past 10% worse). Zero disables the relative check.
-	relTol float64
-	// absMax, when non-nil, bounds the newest value absolutely — used for
-	// budget metrics like the obs overhead, where "worse than last time
-	// but still within budget" is fine.
-	absMax *float64
-	// sameAs, when set, is another path in the same record that the newest
-	// value must equal exactly — for counts that may change over time but
-	// must not depend on a parameter (allocs/op across watcher counts).
-	sameAs string
+// band is how far mallocs_k or alloc_mb may move from work.json, over twice
+// the spread above; schedChurnAllocBand is sched_churn alloc_mb's own.
+const band, schedChurnAllocBand = 0.005, 0.02
+
+// pairs and pairSeconds are the paired mode's pair count and run length.
+const pairs, pairSeconds = 10, "3"
+
+//go:embed work.json
+var workJSON []byte
+
+// result is run.sh's last line of output (its keys match case-insensitively).
+type result struct {
+	Correct bool
+	Metrics map[string]metric
 }
 
-func f(v float64) *float64 { return &v }
-
-// rules is the watched-metric table. Virtual-clock ratios get tight
-// tolerances; wall-clock-derived ones get loose tolerances.
-var rules = []rule{
-	// Batched-cycle speedup is a virtual-clock ratio; history is constant.
-	{path: "fig15_scheduler_throughput.batched_speedup", higherBetter: true, relTol: 0.10},
-	// Host cost of the churn sweep from 10k sharePods up (the 1k point is
-	// tens of milliseconds: noise). Wall-clock, so loose.
-	{path: "fig16_scale_sweep.sharepods_10000.wall_ms", higherBetter: false, relTol: 0.25},
-	{path: "fig16_scale_sweep.sharepods_100000.wall_ms", higherBetter: false, relTol: 0.25},
-	// Scheduler decisions per sharePod on the churn sweep: a deterministic
-	// count with an absolute budget. Parked units keep it near 1; it read
-	// 5.4 at 10k and 61 at 100k while every pending unit was re-decided
-	// every cycle, and nothing watched it.
-	{path: "fig16_scale_sweep.sharepods_10000.decisions_per_sharepod", absMax: f(2.0)},
-	{path: "fig16_scale_sweep.sharepods_100000.decisions_per_sharepod", absMax: f(2.0)},
-	// Modeled outage is virtual-clock.
-	{path: "fig17_recovery_sweep.worst_nockpt_outage_ms", higherBetter: false, relTol: 0.10},
-	// Strategy throughputs are virtual-clock from identical seeds.
-	{path: "fig18_strategy_comparison.small_kernel.token_tput", higherBetter: true, relTol: 0.10},
-	{path: "fig18_strategy_comparison.small_kernel.mps_tput", higherBetter: true, relTol: 0.10},
-	{path: "fig18_strategy_comparison.mps_over_token_small", higherBetter: true, relTol: 0.10},
-	// Attribution budget: end-to-end latency per strategy is virtual-clock
-	// and the whole point of the fig19 experiment — a regression here is a
-	// real latency regression, not noise.
-	{path: "fig19_attribution.small_kernel.token_e2e_ms", higherBetter: false, relTol: 0.10},
-	{path: "fig19_attribution.small_kernel.mps_e2e_ms", higherBetter: false, relTol: 0.10},
-	{path: "fig19_attribution.large_kernel.token_e2e_ms", higherBetter: false, relTol: 0.10},
-	// Open chains on the fig19 workloads mean sharePods that never
-	// launched — zero by construction, any value is a bug.
-	{path: "fig19_attribution.open_chains", absMax: f(0)},
-	// Observability overhead carries an absolute budget (<= 5%), not a
-	// relative one: run-to-run wall noise exceeds any sane relative tol.
-	{path: "obs_overhead.overhead", absMax: f(0.05)},
-	// Host cost of the two figure benchmarks (min ns/op over bench.sh's
-	// rounds). Wall-clock, so loose — but the step this exists for was 4-5x:
-	// a backoff generator seeded per token lease sat in BENCH.json for three
-	// records while every virtual-clock rule above stayed green.
-	{path: "benchmarks.BenchmarkFig8aJobFrequency.ns_op", higherBetter: false, relTol: 0.25},
-	{path: "benchmarks.BenchmarkFig9Utilization.ns_op", higherBetter: false, relTol: 0.25},
-	// allocs/op of the micro-benchmarks is exact and machine-independent,
-	// so it is held with no tolerance at the value the history records
-	// (TimerChurn's one allocation is its own per-iteration closure).
-	{path: "benchmarks.BenchmarkTimerChurn.allocs_op", absMax: f(1)},
-	{path: "benchmarks.BenchmarkProcContextSwitch.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkQueueHandoff.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkManyProcs.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkSimKernelSameInstant.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkSimKernelTimerStop.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkSimKernelDeepHeap.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkFrontendLaunchKernel/token.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkFrontendLaunchKernel/replica.allocs_op", absMax: f(0)},
-	{path: "benchmarks.BenchmarkFrontendLaunchKernel/mps.allocs_op", absMax: f(0)},
-	// A store write costs the same however many controllers watch: the
-	// published snapshot is shared, not cloned per subscriber, so allocs/op
-	// of one status update is flat in the watcher count (it read 20 / 48 /
-	// 144 at 1 / 8 / 32 watchers while notify deep-copied per delivery).
-	{path: "benchmarks.BenchmarkStoreUpdateFanout/watchers=8.allocs_op", sameAs: "benchmarks.BenchmarkStoreUpdateFanout/watchers=1.allocs_op"},
-	{path: "benchmarks.BenchmarkStoreUpdateFanout/watchers=32.allocs_op", sameAs: "benchmarks.BenchmarkStoreUpdateFanout/watchers=1.allocs_op"},
-	// A status write costs one allocation — the new revision's struct; spec,
-	// metadata and the label index are shared, not rebuilt (it read 12) — and
-	// through Client.MutateStatus it costs the same however large the spec.
-	{path: "benchmarks.BenchmarkStoreUpdateFanout/watchers=1.allocs_op", absMax: f(1)},
-	{path: "benchmarks.BenchmarkClientMutateStatus/env=64.allocs_op", sameAs: "benchmarks.BenchmarkClientMutateStatus/env=0.allocs_op"},
-	// Logging a write costs no allocation: the WAL frame is encoded in place
-	// at the log's end, so a durable status write allocates what a volatile
-	// one does (it read 25 while every record went through encoding/json
-	// twice).
-	{path: "benchmarks.BenchmarkDurableWrite.allocs_op", sameAs: "benchmarks.BenchmarkStoreUpdateFanout/watchers=1.allocs_op"},
+type metric struct {
+	Value float64
+	Unit  string
 }
 
-// lookup resolves a dotted path inside a decoded record.
-func lookup(rec map[string]any, path string) (float64, bool) {
-	cur := any(rec)
-	for _, seg := range strings.Split(path, ".") {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return 0, false
-		}
-		if cur, ok = m[seg]; !ok {
-			return 0, false
-		}
-	}
-	v, ok := cur.(float64)
-	return v, ok
+func decode(out []byte) (r result, err error) {
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	err = json.Unmarshal([]byte(lines[len(lines)-1]), &r)
+	return r, err
 }
 
-// commit names a record for messages.
-func commit(rec map[string]any) string {
-	if c, ok := rec["commit"].(string); ok {
-		return c
+// run runs benchmark/run.sh in dir. A run whose checks fail exits non-zero
+// but still reports; one that does not report reads as failed checks.
+func run(dir string, args ...string) result {
+	cmd := exec.Command("bash", append([]string{"benchmark/run.sh"}, args...)...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	r, derr := decode(out)
+	if derr != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: run.sh %s in %s: %v (%v)\n", strings.Join(args, " "), dir, derr, err)
+		return result{}
 	}
-	return "?"
+	return r
 }
 
-// gate runs every rule against the decoded BENCH.json document and
-// returns the number of violations, reporting each to w.
-func gate(doc []byte, w io.Writer) (int, error) {
-	var bench struct {
-		Records []map[string]any `json:"records"`
-	}
-	if err := json.Unmarshal(doc, &bench); err != nil {
-		return 0, fmt.Errorf("benchgate: %w", err)
-	}
+// gate holds each workload's untraced and traced results to want, writes
+// one line per finding to w, and returns the number of failures.
+func gate(want map[string]map[string]float64, got map[string][2]result, w io.Writer) int {
 	bad := 0
-	for _, r := range rules {
-		section := strings.SplitN(r.path, ".", 2)[0]
-		// The last two records carrying this section, newest last.
-		var have []map[string]any
-		for _, rec := range bench.Records {
-			if _, ok := rec[section]; ok {
-				have = append(have, rec)
-			}
-		}
-		if len(have) == 0 {
-			continue
-		}
-		newest := have[len(have)-1]
-		nv, ok := lookup(newest, r.path)
+	fail := func(format string, args ...any) {
+		bad++
+		fmt.Fprintf(w, "benchgate: FAIL "+format+"\n", args...)
+	}
+	for _, wl := range slices.Sorted(maps.Keys(want)) {
+		rs, ok := got[wl]
 		if !ok {
-			fmt.Fprintf(w, "benchgate: %s: section present in %s but path missing\n", r.path, commit(newest))
-			bad++
+			fail("%s: no result from run.sh", wl)
 			continue
 		}
-		if r.sameAs != "" {
-			if ov, ok := lookup(newest, r.sameAs); !ok || nv != ov {
-				fmt.Fprintf(w, "benchgate: %s = %g in %s must equal %s (%g)\n",
-					r.path, nv, commit(newest), r.sameAs, ov)
-				bad++
+		for trace, r := range rs {
+			if !r.Correct {
+				fail("%s: the --trace %d run reported \"correct\": false", wl, trace)
 			}
-			continue
 		}
-		if r.absMax != nil {
-			if nv > *r.absMax {
-				fmt.Fprintf(w, "benchgate: %s = %g in %s exceeds the absolute budget %g\n",
-					r.path, nv, commit(newest), *r.absMax)
-				bad++
+		for _, name := range slices.Sorted(maps.Keys(want[wl])) {
+			file, r, b := want[wl][name], rs[1], 0.0
+			if name == "mallocs_k" || name == "alloc_mb" {
+				r, b = rs[0], band
+				if wl+" "+name == "sched_churn alloc_mb" {
+					b = schedChurnAllocBand
+				}
 			}
-			continue
-		}
-		if len(have) < 2 {
-			continue // first record with this section: nothing to compare
-		}
-		prev := have[len(have)-2]
-		pv, ok := lookup(prev, r.path)
-		if !ok || pv == 0 {
-			continue
-		}
-		change := nv/pv - 1
-		if !r.higherBetter {
-			change = -change
-		}
-		if change < -r.relTol {
-			dir := "dropped"
-			if !r.higherBetter {
-				dir = "rose"
+			m, ok := r.Metrics[name]
+			switch change := m.Value/file - 1; {
+			case !ok:
+				fail("%s %s: not reported by the run", wl, name)
+			case b == 0 && m.Value != file:
+				fail("%s %s = %g, work.json has %g", wl, name, m.Value, file)
+			case b > 0 && change > b:
+				fail("%s %s = %.3f, %+.2f %% above work.json's %g (band %g %%)", wl, name, m.Value, 100*change, file, 100*b)
+			case b > 0 && change < -b:
+				fmt.Fprintf(w, "benchgate: ratchet %s %s to %.3f, %+.2f %% from work.json's %g\n", wl, name, m.Value, 100*change, file)
 			}
-			fmt.Fprintf(w, "benchgate: %s %s %.1f%% (%g in %s -> %g in %s), tolerance %.0f%%\n",
-				r.path, dir, -change*100, pv, commit(prev), nv, commit(newest), r.relTol*100)
-			bad++
 		}
 	}
-	return bad, nil
+	return bad
+}
+
+func ratchet() error {
+	var want map[string]map[string]float64
+	if err := json.Unmarshal(workJSON, &want); err != nil {
+		return fmt.Errorf("work.json: %w", err)
+	}
+	got := map[string][2]result{}
+	for wl := range want {
+		args := []string{"--workload", wl, "--seed", "1", "--seconds", "1", "--trace"}
+		got[wl] = [2]result{run(".", append(args, "0")...), run(".", append(args, "1")...)}
+	}
+	if bad := gate(want, got, os.Stdout); bad > 0 {
+		return fmt.Errorf("%d finding(s) against tools/benchgate/work.json", bad)
+	}
+	fmt.Println("benchgate: every workload's work matches tools/benchgate/work.json")
+	return nil
+}
+
+// quartiles returns xs's quartiles, interpolated as benchmark/ does.
+func quartiles(xs []float64) (q [3]float64) {
+	slices.Sort(xs)
+	for i := range q {
+		pos := float64(i+1) / 4 * float64(len(xs)-1)
+		lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+		q[i] = xs[lo] + (xs[hi]-xs[lo])*(pos-float64(lo))
+	}
+	return q
+}
+
+// paired runs the pairs, the first side alternating so that drift charges
+// both alike. Every end-to-end metric is lower-is-better (BENCHMARK.json).
+func paired(ref, workload, seed string) error {
+	if ref == "" || workload == "" {
+		return fmt.Errorf("the paired mode needs -base and -workload")
+	}
+	dir, err := os.MkdirTemp("", "benchgate-base-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	archive := exec.Command("bash", "-c", `set -o pipefail; git archive "$1" | tar -x -C "$2"`, "bash", ref, dir)
+	archive.Stderr = os.Stderr
+	if err := archive.Run(); err != nil {
+		return fmt.Errorf("git archive %s: %w", ref, err)
+	}
+	trees := [2]string{dir, "."}
+	var runs [2][]result // the base's, then the working tree's
+	for i := 0; i < 2*pairs; i++ {
+		s := (i + i/2) % 2 // base, tree, tree, base, base, tree, ...
+		r := run(trees[s], "--workload", workload, "--seed", seed, "--seconds", pairSeconds, "--trace", "0")
+		if !r.Correct {
+			return fmt.Errorf("a run in %s reported \"correct\": false", trees[s])
+		}
+		runs[s] = append(runs[s], r)
+	}
+	fmt.Printf("%s, seed %s, %d pairs of --seconds %s runs: median [q1, q3] of %s -> the working tree, change, pairs won\n",
+		workload, seed, pairs, pairSeconds, ref)
+	for _, name := range slices.Sorted(maps.Keys(runs[0][0].Metrics)) {
+		var v [2][]float64
+		wins := 0
+		for i := 0; i < pairs; i++ {
+			b, t := runs[0][i].Metrics[name].Value, runs[1][i].Metrics[name].Value
+			v[0], v[1] = append(v[0], b), append(v[1], t)
+			if t < b {
+				wins++
+			}
+		}
+		bq, tq := quartiles(v[0]), quartiles(v[1])
+		fmt.Printf("%-18s %.6g [%.6g, %.6g] -> %.6g [%.6g, %.6g] %s  %+.2f %%  %d/%d\n", name,
+			bq[1], bq[0], bq[2], tq[1], tq[0], tq[2], runs[0][0].Metrics[name].Unit, 100*(tq[1]/bq[1]-1), wins, pairs)
+	}
+	return nil
 }
 
 func main() {
-	file := flag.String("f", "BENCH.json", "benchmark history to gate")
+	base := flag.String("base", "", "paired mode: the git ref to compare the working tree with")
+	workload := flag.String("workload", "", "paired mode: the workload to run")
+	seed := flag.String("seed", "1", "paired mode: the seed")
 	flag.Parse()
-	doc, err := os.ReadFile(*file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+	mode := ratchet
+	if flag.NFlag() > 0 {
+		mode = func() error { return paired(*base, *workload, *seed) }
 	}
-	bad, err := gate(doc, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d regression(s) beyond tolerance\n", bad)
+	if err := mode(); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
-	fmt.Println("benchgate: no regressions beyond tolerance")
 }

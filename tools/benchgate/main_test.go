@@ -1,297 +1,163 @@
 package main
 
 import (
-	"fmt"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
 )
 
-// TestInjectedRegressionFails: a >=10% drop in a watched higher-is-better
-// metric must trip the gate.
-func TestInjectedRegressionFails(t *testing.T) {
-	var out strings.Builder
-	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig15_scheduler_throughput": {"batched_speedup": 63.66}},
-		{"commit": "bbbbbbb", "fig15_scheduler_throughput": {"batched_speedup": 56.0}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 1 {
-		t.Fatalf("want 1 violation for a 12%% drop, got %d:\n%s", bad, out.String())
-	}
-	if !strings.Contains(out.String(), "fig15_scheduler_throughput.batched_speedup") {
-		t.Errorf("violation message missing the metric path:\n%s", out.String())
-	}
+// run.sh's last output line for cold_start at seed 1, untraced and traced,
+// cut down to a few of the metrics each reports.
+const (
+	untracedLine = `{"correct":true,"attempted":15000,"failed":0,"metrics":{"alloc_mb":{"value":98.085,"unit":"MB"},"mallocs_k":{"value":838.582,"unit":"k"},"wall_s":{"value":0.412,"unit":"s"}}}`
+	tracedLine   = `{"correct":true,"attempted":30000,"failed":0,"metrics":{"obs.overhead_frac":{"value":0.33,"unit":"frac"},"profile.samples":{"value":489,"unit":"count"},"schedfw.decisions":{"value":5000,"unit":"count"},"sim.steps":{"value":517422,"unit":"count"}}}`
+)
+
+func coldStart() map[string]map[string]float64 {
+	return map[string]map[string]float64{"cold_start": {
+		"alloc_mb": 98.085, "mallocs_k": 838.582, "schedfw.decisions": 5000, "sim.steps": 517422}}
 }
 
-// TestLowerIsBetterRegressionFails: a watched lower-is-better metric that
-// rises past tolerance must trip the gate, and one within tolerance must
-// not.
-func TestLowerIsBetterRegressionFails(t *testing.T) {
-	var out strings.Builder
-	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig17_recovery_sweep": {"worst_nockpt_outage_ms": 200}},
-		{"commit": "bbbbbbb", "fig17_recovery_sweep": {"worst_nockpt_outage_ms": 230}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 1 {
-		t.Fatalf("want 1 violation for a 15%% outage rise, got %d:\n%s", bad, out.String())
-	}
-	out.Reset()
-	bad, err = gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig17_recovery_sweep": {"worst_nockpt_outage_ms": 200}},
-		{"commit": "bbbbbbb", "fig17_recovery_sweep": {"worst_nockpt_outage_ms": 210}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 0 {
-		t.Fatalf("a 5%% rise is within the 10%% tolerance, got %d violations:\n%s", bad, out.String())
-	}
-}
-
-// TestFigureWallClockStepFails: the regression the wall-clock rules exist
-// for — Fig9's ns/op stepping 5x between two records (95 ms -> 475 ms, the
-// shape of the per-lease backoff seeding) — must trip the gate, while a
-// 10% wobble between runs must not.
-func TestFigureWallClockStepFails(t *testing.T) {
-	var out strings.Builder
-	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 95000000}}},
-		{"commit": "bbbbbbb", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 475000000}}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "benchmarks.BenchmarkFig9Utilization.ns_op rose") {
-		t.Fatalf("a 5x Fig9 ns/op step passed the gate (%d violations):\n%s", bad, out.String())
-	}
-	out.Reset()
-	if _, err = gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 95000000}}},
-		{"commit": "bbbbbbb", "benchmarks": {"BenchmarkFig9Utilization": {"ns_op": 104500000}}}
-	]}`), &out); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "BenchmarkFig9Utilization.ns_op rose") {
-		t.Fatalf("a 10%% Fig9 wobble is within the 25%% tolerance:\n%s", out.String())
-	}
-}
-
-// TestMicroBenchmarkAllocsHeldExactly: one allocation per launch appearing
-// on a zero-alloc micro-benchmark fails, with no tolerance.
-func TestMicroBenchmarkAllocsHeldExactly(t *testing.T) {
-	var out strings.Builder
-	if _, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "benchmarks": {"BenchmarkFrontendLaunchKernel/token": {"allocs_op": 1}}}
-	]}`), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "benchmarks.BenchmarkFrontendLaunchKernel/token.allocs_op = 1") {
-		t.Fatalf("1 alloc/op on the token launch path passed the gate:\n%s", out.String())
-	}
-}
-
-// TestFanoutAllocsMustNotDependOnWatchers: one store write allocates the same
-// at 1, 8 and 32 watchers. The shape the per-subscriber deep copy had (20 /
-// 48 / 144) fails on both wider points; a flat row passes at whatever count
-// it is flat at.
-func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
-	record := func(a1, a8, a32 int) []byte {
-		return []byte(fmt.Sprintf(`{"records": [{"commit": "aaaaaaa", "benchmarks": {
-			"BenchmarkStoreUpdateFanout/watchers=1": {"allocs_op": %d},
-			"BenchmarkStoreUpdateFanout/watchers=8": {"allocs_op": %d},
-			"BenchmarkStoreUpdateFanout/watchers=32": {"allocs_op": %d}}}]}`, a1, a8, a32))
-	}
-	const rule8 = "benchmarks.BenchmarkStoreUpdateFanout/watchers=8.allocs_op = 48"
-	const rule32 = "benchmarks.BenchmarkStoreUpdateFanout/watchers=32.allocs_op = 144"
-	var out strings.Builder
-	if _, err := gate(record(20, 48, 144), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), rule8) || !strings.Contains(out.String(), rule32) {
-		t.Fatalf("allocs/op growing with the watcher count passed the gate:\n%s", out.String())
-	}
-	// Flat is not enough: one allocation per status write is the budget.
-	out.Reset()
-	if _, err := gate(record(12, 12, 12), &out); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); !strings.Contains(got, "watchers=1.allocs_op = 12 in aaaaaaa exceeds the absolute budget 1") ||
-		strings.Contains(got, "must equal") {
-		t.Fatalf("a flat 12 allocs/op must fail the budget and only the budget:\n%s", got)
-	}
-	for _, flat := range []int{1, 0} {
-		out.Reset()
-		if _, err := gate(record(flat, flat, flat), &out); err != nil {
+// gateLines gates one cold_start run, given as run.sh's two output lines
+// (each with a line of progress output above it), against want.
+func gateLines(t *testing.T, want map[string]map[string]float64, untraced, traced string) (int, string) {
+	t.Helper()
+	var rs [2]result
+	for i, line := range []string{untraced, traced} {
+		var err error
+		if rs[i], err = decode([]byte("kubeshare benchmark: commit=abc seed=1\n" + line + "\n")); err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(out.String(), "BenchmarkStoreUpdateFanout") {
-			t.Fatalf("a flat %d allocs/op failed the gate:\n%s", flat, out.String())
+	}
+	var out strings.Builder
+	bad := gate(want, map[string][2]result{"cold_start": rs}, &out)
+	return bad, out.String()
+}
+
+// TestInjectedRegressionFails: mallocs_k 0.6 % above the file fails and
+// prints the measured value (an eager backoff.New per token lease read
+// +16 % on serving_mix).
+func TestInjectedRegressionFails(t *testing.T) {
+	bad, out := gateLines(t, coldStart(), strings.Replace(untracedLine, "838.582", "843.614", 1), tracedLine)
+	if bad != 1 || !strings.Contains(out, "cold_start mallocs_k = 843.614") {
+		t.Fatalf("%d failures, want 1 naming mallocs_k and its value:\n%s", bad, out)
+	}
+}
+
+// TestLowerIsBetterRegressionFails: alloc_mb is held to the same band.
+func TestLowerIsBetterRegressionFails(t *testing.T) {
+	bad, out := gateLines(t, coldStart(), strings.Replace(untracedLine, "98.085", "98.674", 1), tracedLine)
+	if bad != 1 || !strings.Contains(out, "cold_start alloc_mb = 98.674") {
+		t.Fatalf("%d failures, want 1 naming alloc_mb and its value:\n%s", bad, out)
+	}
+}
+
+// TestAbsoluteBudget: work.json is an absolute budget, not the last run. A
+// value 0.4 % above it passes silently, and so does a wall-clock or
+// overhead reading of any size.
+func TestAbsoluteBudget(t *testing.T) {
+	un := strings.Replace(strings.Replace(untracedLine, "838.582", "841.936", 1), "0.412", "4.12", 1)
+	if bad, out := gateLines(t, coldStart(), un, tracedLine); bad != 0 || out != "" {
+		t.Fatalf("%d failures, want a silent pass:\n%s", bad, out)
+	}
+}
+
+// TestImprovementPrintsRatchet: 0.6 % below the file passes and prints the
+// value to lower the file to.
+func TestImprovementPrintsRatchet(t *testing.T) {
+	bad, out := gateLines(t, coldStart(), strings.Replace(untracedLine, "838.582", "833.551", 1), tracedLine)
+	if bad != 0 || !strings.Contains(out, "ratchet cold_start mallocs_k to 833.551") {
+		t.Fatalf("%d failures, want 0 and a ratchet line:\n%s", bad, out)
+	}
+}
+
+// TestRequeueStormFails: counts are exact, in either direction. One more
+// scheduling decision (the requeue-storm witness) fails and names the
+// metric, and so do one fewer step and a count the run no longer reports.
+// profile.samples is never held.
+func TestRequeueStormFails(t *testing.T) {
+	for _, c := range []struct{ traced, want string }{
+		{strings.Replace(tracedLine, `5000,`, `5001,`, 1), "cold_start schedfw.decisions = 5001, work.json has 5000"},
+		{strings.Replace(tracedLine, `517422,`, `517421,`, 1), "cold_start sim.steps = 517421, work.json has 517422"},
+		{strings.Replace(tracedLine, `"sim.steps"`, `"sim.stepz"`, 1), "cold_start sim.steps: not reported by the run"},
+		{strings.Replace(tracedLine, `489`, `7`, 1), ""},
+	} {
+		bad, out := gateLines(t, coldStart(), untracedLine, c.traced)
+		if c.want == "" && bad != 0 || c.want != "" && !strings.Contains(out, c.want) {
+			t.Errorf("%d failures, want %q:\n%s", bad, c.want, out)
 		}
 	}
 }
 
-// TestStatusWriteCostMustNotDependOnSpec: Client.MutateStatus allocates the
-// same on a pod with 64 env vars as on one with none. The shape three deep
-// copies of the spec had fails; equal counts pass.
-func TestStatusWriteCostMustNotDependOnSpec(t *testing.T) {
-	record := func(env0, env64 int) []byte {
-		return []byte(fmt.Sprintf(`{"records": [{"commit": "aaaaaaa", "benchmarks": {
-			"BenchmarkClientMutateStatus/env=0": {"allocs_op": %d},
-			"BenchmarkClientMutateStatus/env=64": {"allocs_op": %d}}}]}`, env0, env64))
-	}
-	var out strings.Builder
-	if _, err := gate(record(24, 33), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "benchmarks.BenchmarkClientMutateStatus/env=64.allocs_op = 33") {
-		t.Fatalf("allocs/op growing with the spec passed the gate:\n%s", out.String())
-	}
-	out.Reset()
-	if _, err := gate(record(2, 2), &out); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "BenchmarkClientMutateStatus") {
-		t.Fatalf("equal allocs/op failed the gate:\n%s", out.String())
+// TestIncorrectRunFails: a run whose output checks failed fails the gate,
+// whichever stage it was.
+func TestIncorrectRunFails(t *testing.T) {
+	wrong := func(line string) string { return strings.Replace(line, `"correct":true`, `"correct":false`, 1) }
+	for trace, lines := range [][2]string{{wrong(untracedLine), tracedLine}, {untracedLine, wrong(tracedLine)}} {
+		if bad, out := gateLines(t, coldStart(), lines[0], lines[1]); bad != 1 || !strings.Contains(out, `"correct": false`) {
+			t.Errorf("--trace %d: %d failures, want 1:\n%s", trace, bad, out)
+		}
 	}
 }
 
-// TestLoggingAWriteAllocatesNothing: a durable status write allocates what a
-// volatile one does. The JSON codec's 25 fails; equal counts pass.
-func TestLoggingAWriteAllocatesNothing(t *testing.T) {
-	record := func(volatile, durable int) []byte {
-		return []byte(fmt.Sprintf(`{"records": [{"commit": "aaaaaaa", "benchmarks": {
-			"BenchmarkStoreUpdateFanout/watchers=1": {"allocs_op": %d},
-			"BenchmarkDurableWrite": {"allocs_op": %d}}}]}`, volatile, durable))
-	}
-	var out strings.Builder
-	if _, err := gate(record(1, 25), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "benchmarks.BenchmarkDurableWrite.allocs_op = 25") {
-		t.Fatalf("a logged write allocating 24 times more than a volatile one passed the gate:\n%s", out.String())
-	}
-	out.Reset()
-	if _, err := gate(record(1, 1), &out); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "BenchmarkDurableWrite") {
-		t.Fatalf("equal allocs/op failed the gate:\n%s", out.String())
+// TestMissingWorkloadFails: a workload in the file with no result from the
+// run fails.
+func TestMissingWorkloadFails(t *testing.T) {
+	want := coldStart()
+	want["sched_churn"] = map[string]float64{"mallocs_k": 328.5}
+	if bad, out := gateLines(t, want, untracedLine, tracedLine); bad != 1 || !strings.Contains(out, "sched_churn: no result") {
+		t.Fatalf("%d failures, want 1 naming sched_churn:\n%s", bad, out)
 	}
 }
 
-// TestAbsoluteBudget: absMax rules bound the newest record regardless of
-// history depth.
-func TestAbsoluteBudget(t *testing.T) {
-	var out strings.Builder
-	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "obs_overhead": {"overhead": 0.07}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 1 {
-		t.Fatalf("want 1 violation for 7%% obs overhead against the 5%% budget, got %d", bad)
-	}
-}
-
-// TestRequeueStormFails: decisions per sharePod on the fig16 sweep carry an
-// absolute budget of 2.0. The value the 10k point read while every pending
-// unit was re-decided every cycle (5.4) must trip it; the parked driver's
-// (1.0035) must not.
-func TestRequeueStormFails(t *testing.T) {
-	var out strings.Builder
-	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig16_scale_sweep": {
-			"sharepods_10000": {"wall_ms": 440, "decisions_per_sharepod": 5.4},
-			"sharepods_100000": {"wall_ms": 12500, "decisions_per_sharepod": 1.0042}}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 1 || !strings.Contains(out.String(), "fig16_scale_sweep.sharepods_10000.decisions_per_sharepod") {
-		t.Fatalf("5.4 decisions per sharePod at 10k must be the one violation, got %d:\n%s", bad, out.String())
-	}
-	out.Reset()
-	bad, err = gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig16_scale_sweep": {
-			"sharepods_10000": {"wall_ms": 440, "decisions_per_sharepod": 1.0035},
-			"sharepods_100000": {"wall_ms": 12500, "decisions_per_sharepod": 1.0042}}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 0 {
-		t.Fatalf("~1 decision per sharePod is within the budget, got %d violations:\n%s", bad, out.String())
-	}
-}
-
-// TestFig16WallClockStepFails: the churn sweep's wall time at 10k and 100k
-// sharePods is held within 25% of the previous record. The previous record
-// here has the shape bench.sh wrote while the sweep still had event lanes
-// (wall_ms beside lane keys the gate no longer reads); the newest has only
-// the keys it writes now.
-func TestFig16WallClockStepFails(t *testing.T) {
-	const prev = `{"commit": "aaaaaaa", "fig16_scale_sweep": {
-		"sharepods_10000": {"wall_ms": 796, "wall_ms_4lane": 737, "lane_speedup": 1.08, "decisions_per_sharepod": 1.0035},
-		"sharepods_100000": {"wall_ms": 24185, "wall_ms_4lane": 27070, "lane_speedup": 0.89, "decisions_per_sharepod": 1.0042},
-		"best_lane_speedup": 1.08, "meets_2_5x": false, "cpu_bound": true}}`
-	newest := func(wall10k, wall100k int) string {
-		return fmt.Sprintf(`{"commit": "bbbbbbb", "fig16_scale_sweep": {
-			"sharepods_10000": {"wall_ms": %d, "decisions_per_sharepod": 1.0035},
-			"sharepods_100000": {"wall_ms": %d, "decisions_per_sharepod": 1.0042}}}`, wall10k, wall100k)
-	}
-	var out strings.Builder
-	bad, err := gate([]byte(`{"records": [`+prev+`,`+newest(796, 36278)+`]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 1 || !strings.Contains(out.String(), "fig16_scale_sweep.sharepods_100000.wall_ms rose") {
-		t.Fatalf("a 1.5x wall step at 100k must be the one violation, got %d:\n%s", bad, out.String())
-	}
-	out.Reset()
-	bad, err = gate([]byte(`{"records": [`+prev+`,`+newest(440, 12500)+`]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 0 {
-		t.Fatalf("a record without the lane keys must pass, got %d violations:\n%s", bad, out.String())
-	}
-}
-
-// TestSingleRecordSkipped: a section seen once has no baseline — skipped,
-// not failed.
-func TestSingleRecordSkipped(t *testing.T) {
-	var out strings.Builder
-	bad, err := gate([]byte(`{"records": [
-		{"commit": "aaaaaaa", "fig15_scheduler_throughput": {"batched_speedup": 63.66}}
-	]}`), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 0 {
-		t.Fatalf("single-record section must be skipped, got %d violations:\n%s", bad, out.String())
-	}
-}
-
-// TestCommittedHistoryPasses: the repository's own BENCH.json must clear
-// the gate — the tolerances are calibrated against the real history.
+// TestCommittedHistoryPasses: the committed work.json holds every workload
+// of BENCHMARK.json with both banded metrics and every count metric its
+// traced stage reports (the gate holds only what the file lists), and passes
+// when a run reads exactly it.
 func TestCommittedHistoryPasses(t *testing.T) {
-	doc, err := os.ReadFile("../../BENCH.json")
-	if err != nil {
-		t.Skipf("no BENCH.json: %v", err)
+	var want map[string]map[string]float64
+	if err := json.Unmarshal(workJSON, &want); err != nil {
+		t.Fatal(err)
 	}
-	var out strings.Builder
-	bad, err := gate(doc, &out)
+	doc, err := os.ReadFile("../../BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad != 0 {
-		t.Fatalf("committed BENCH.json fails the gate:\n%s", out.String())
+	var manifest struct {
+		Workloads []struct{ Name string }
+		PerLayer  []struct{ Name, Unit string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(doc, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	held := map[string]int{"alloc_mb": 0, "mallocs_k": 0} // metric -> the --trace run reporting it
+	for _, m := range manifest.PerLayer {
+		if m.Unit == "count" && m.Name != "profile.samples" {
+			held[m.Name] = 1
+		}
+	}
+	got := map[string][2]result{}
+	for _, wl := range manifest.Workloads {
+		file, ok := want[wl.Name]
+		if !ok {
+			t.Fatalf("work.json has no %s", wl.Name)
+		}
+		rs := [2]result{{Correct: true, Metrics: map[string]metric{}}, {Correct: true, Metrics: map[string]metric{}}}
+		for name, trace := range held {
+			if _, ok := file[name]; !ok {
+				t.Errorf("work.json's %s has no %s", wl.Name, name)
+			}
+			rs[trace].Metrics[name] = metric{file[name], ""}
+		}
+		if len(file) != len(held) {
+			t.Errorf("work.json's %s holds %d metrics, want %d", wl.Name, len(file), len(held))
+		}
+		got[wl.Name] = rs
+	}
+	var out strings.Builder
+	if bad := gate(want, got, &out); bad != 0 || len(want) != len(manifest.Workloads) {
+		t.Fatalf("%d failures, %d workloads in work.json for %d in BENCHMARK.json:\n%s",
+			bad, len(want), len(manifest.Workloads), out.String())
 	}
 }
