@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"time"
@@ -12,16 +11,15 @@ import (
 	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/kube/controller"
 	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 )
 
-// errVGPULost marks a vGPU whose physical backing disappeared mid-bind
-// (holder pod death that recovery could not ride out). Binds seeing it
-// requeue the sharePod instead of failing it.
-var errVGPULost = errors.New("core: vGPU lost")
+// errUnchanged stops a status write that would change nothing.
+var errUnchanged = errors.New("core: status unchanged")
 
 // PoolPolicy controls what happens to a vGPU when its last tenant leaves
 // (§4.4): OnDemand releases the physical GPU back to Kubernetes
@@ -43,12 +41,13 @@ type DevMgrConfig struct {
 
 // opLatency models one DevMgr operation: the vGPU info query and bound-pod
 // construction. Together with the scheduling cycle it produces the paper's
-// ≈15% creation overhead when no vGPU must be created (Fig 10). Binds run
-// concurrently, so the overhead stays constant under concurrent requests.
+// ≈15% creation overhead when no vGPU must be created (Fig 10). Binds wait
+// it out on timers side by side, so the overhead stays constant under
+// concurrent requests.
 const opLatency = 150 * time.Millisecond
 
-// recoveryTimeout bounds how long a dead vGPU pod's replacement may take to
-// come up before the vGPU is written off and its tenants requeued.
+// recoveryTimeout bounds how long a dead holder's replacement may take to
+// report before the vGPU is written off and its tenants requeued.
 const recoveryTimeout = 30 * time.Second
 
 // HolderImage is the image of the native pods DevMgr launches to acquire
@@ -56,45 +55,28 @@ const recoveryTimeout = 30 * time.Second
 // report the device UUID from its environment (§4.4).
 const HolderImage = "kubeshare/vgpu-holder"
 
-// DevMgr is KubeShare-DevMgr: the custom controller that owns the vGPU
-// pool, converts GPUIDs to physical UUIDs, creates the bound pods with
-// explicit device binding, and reflects bound-pod status back onto
-// sharePods.
+// DevMgr is KubeShare-DevMgr: it owns the vGPU pool, converts GPUIDs to
+// physical UUIDs, creates the bound pods with explicit device binding, and
+// reflects bound-pod status back onto sharePods — two level-triggered
+// reconcilers on controller.Runner, one per GPUID (reconcileVGPU) and one
+// per sharePod (reconcileSharePod). Both compare before they write and read
+// the watches' caches where a stale answer is harmless; the watch loops
+// Sync them, and an API error requeues the key under the Runner's backoff.
 type DevMgr struct {
 	env *sim.Env
 	srv *apiserver.Server
 	cfg DevMgrConfig
 
-	// creating single-flights vGPU acquisition per GPUID; the event fires
-	// with the UUID (string) or an error.
-	creating map[string]*sim.Event
-	// uuidReports delivers NVIDIA_VISIBLE_DEVICES from holder pods, keyed
-	// by holder pod name.
-	uuidReports map[string]*sim.Event
-	// binding marks sharePods whose bind workflow is in flight.
-	binding map[string]bool
-	// tenants caches each vGPU's live tenant set (gpuID → sharePod names),
-	// maintained from watch deltas so reconcileVGPU no longer lists every
-	// sharePod to decide whether a device went idle.
-	tenants map[string]map[string]bool
-	// placedGPU remembers each live sharePod's last-seen placement, so a
-	// requeue (placement cleared under a live sharePod) releases the old
-	// device's tenant entry.
-	placedGPU map[string]string
-	// holderGen counts holder incarnations per gpuID (0 = original).
-	holderGen map[string]int
-	// recovering single-flights vGPU recovery per gpuID.
-	recovering map[string]bool
-	// backends resolves a node's device-library daemon, for suspending and
-	// resuming token managers across vGPU pod restarts (see SetBackends).
-	backends map[string]*devlib.Backend
+	vgpus, sharePods   *controller.Runner
+	spR, podR, holderR *apiserver.Reflector // sharePods, bound pods, holder pods
+	procs              []*sim.Proc
 
-	reflectors []*apiserver.Reflector
-	procs      []*sim.Proc
+	devices  map[string]*vgpuState      // what no object records about each vGPU
+	placed   map[string]string          // live placed sharePod → GPUID, to see it leave
+	binding  map[string]bindOp          // sharePod → bind, until the watch shows its pod
+	backends map[string]*devlib.Backend // node → device-library daemon (SetBackends)
 
-	// Telemetry. Recovery counts live on the obs registry (atomics), so
-	// Recoveries() is safe to read while the controller runs; the rest
-	// no-op when obs is off.
+	// Telemetry (no-op handles when obs is off).
 	tracer        *obs.Tracer
 	recorder      *obs.Recorder
 	vgpuCreates   *obs.Counter
@@ -104,20 +86,44 @@ type DevMgr struct {
 	bindHist      *obs.Histogram
 }
 
+// vgpuState is DevMgr's memory of one vGPU. tenants are its live placed
+// sharePods in arrival order, the order their binds proceed in.
+type vgpuState struct {
+	tenants      []string
+	holder, uuid string // the last holder pod that reported, and its UUID
+	gen          int    // holder incarnations (0 = original)
+	rec          *recovery
+}
+
+// recovery is a dead holder's replacement in progress.
+type recovery struct {
+	holder   string // the replacement
+	oldUUID  string
+	strat    sharing.Strategy // suspended until the recovery ends
+	span     obs.SpanRef
+	deadline time.Duration
+	timer    sim.Timer
+}
+
+// bindOp is a bind in progress: the vGPU's first UUID and whether it was
+// Active then, when the bound pod is due (0 before) and, once made, its name.
+type bindOp struct {
+	gpuID, uuid, pod string
+	span             obs.SpanRef
+	start, due       time.Duration
+	active           bool
+}
+
 // NewDevMgr creates KubeShare-DevMgr; Start launches it.
 func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
 	rt := srv.Obs()
-	return &DevMgr{
+	m := &DevMgr{
 		env:           env,
 		srv:           srv,
 		cfg:           cfg,
-		creating:      make(map[string]*sim.Event),
-		uuidReports:   make(map[string]*sim.Event),
-		binding:       make(map[string]bool),
-		tenants:       make(map[string]map[string]bool),
-		placedGPU:     make(map[string]string),
-		holderGen:     make(map[string]int),
-		recovering:    make(map[string]bool),
+		devices:       make(map[string]*vgpuState),
+		placed:        make(map[string]string),
+		binding:       make(map[string]bindOp),
 		backends:      make(map[string]*devlib.Backend),
 		tracer:        rt.Tracer(),
 		recorder:      rt.EventSource("kubeshare-devmgr"),
@@ -127,636 +133,533 @@ func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
 		binds:         rt.Counter("kubeshare_devmgr_binds_total"),
 		bindHist:      rt.Histogram("kubeshare_devmgr_bind_seconds"),
 	}
+	m.vgpus = controller.NewRunner(env, "kubeshare-devmgr-vgpu", 0, m.reconcileVGPU)
+	m.sharePods = controller.NewRunner(env, "kubeshare-devmgr-sharepod", 0, m.reconcileSharePod)
+	return m
 }
 
 // SetBackends wires the per-node device-library daemons in, so recovery can
-// suspend and resume the token manager of a dying vGPU pod. Call before
-// Start.
+// suspend and resume a dying holder's sharing strategy. Call before Start.
 func (m *DevMgr) SetBackends(backends map[string]*devlib.Backend) {
 	m.backends = backends
 }
 
-// Recoveries returns (attempted, failed) vGPU recovery counts. Both are
-// obs registry counters, safe to read concurrently with the controller
-// loops; they report zero when the cluster runs without observability.
+// Recoveries returns (attempted, failed) vGPU recovery counts: obs registry
+// counters, safe to read while the controller runs, zero without obs.
 func (m *DevMgr) Recoveries() (int64, int64) {
 	return m.recoveries.Value(), m.recoveryFails.Value()
 }
 
-// TenantView returns a copy of the tenant cache (gpuID → sorted sharePod
+// TenantView returns a copy of the tenant lists (gpuID → sorted sharePod
 // names). Chaos soaks check it against the live placed sharePods: a
 // divergence means a leaked or orphaned tenant entry.
 func (m *DevMgr) TenantView() map[string][]string {
-	out := make(map[string][]string, len(m.tenants))
-	for gpuID, set := range m.tenants {
-		out[gpuID] = slices.Sorted(maps.Keys(set))
+	out := make(map[string][]string)
+	for gpuID, d := range m.devices {
+		if len(d.tenants) > 0 {
+			out[gpuID] = slices.Sorted(slices.Values(d.tenants))
+		}
 	}
 	return out
 }
 
-// ReportUUID is called by the holder image entrypoint to deliver the device
-// UUID it found in its environment — the stand-in for DevMgr reading the
-// environment variable inside the launched container.
-func (m *DevMgr) ReportUUID(holderPod, uuid string) {
-	m.uuidReport(holderPod).Trigger(uuid)
+// ReportUUID is called by the holder image entrypoint with the device UUID
+// from its environment — the stand-in for DevMgr reading the variable in the
+// container — and is taken up in a step of its own, after the container's.
+func (m *DevMgr) ReportUUID(holder *api.Pod, uuid string) {
+	gpuID := holder.Labels[LabelVGPUHolder]
+	d := m.state(gpuID)
+	d.holder, d.uuid = holder.Name, uuid
+	m.env.After(0, func() { m.vgpus.Sync(nil, gpuID) })
 }
 
-func (m *DevMgr) uuidReport(holderPod string) *sim.Event {
-	ev, ok := m.uuidReports[holderPod]
-	if !ok {
-		ev = sim.NewEvent(m.env)
-		m.uuidReports[holderPod] = ev
+func (m *DevMgr) state(gpuID string) *vgpuState {
+	d := m.devices[gpuID]
+	if d == nil {
+		d = &vgpuState{}
+		m.devices[gpuID] = d
 	}
-	return ev
+	return d
 }
 
-// failUUIDWaiters forgets a holder's report channel, first waking anyone
-// still waiting on it with errVGPULost. A holder that died before reporting
-// will never trigger its event; silently deleting the map entry would strand
-// the waiting bind forever (holding its single-flight flags), which is
-// exactly the wedge the chaos soak caught. Trigger is idempotent, so holders
-// that already reported are unaffected.
-func (m *DevMgr) failUUIDWaiters(holderPod string) {
-	if ev, ok := m.uuidReports[holderPod]; ok {
-		ev.Trigger(fmt.Errorf("%w: holder %s died before reporting", errVGPULost, holderPod))
-		delete(m.uuidReports, holderPod)
-	}
-}
-
-// Start launches the sharePod, bound-pod and holder-pod watch loops. All
-// three ride reflectors, so dropped watches resume (or relist) without
-// losing deltas.
+// Start opens the sharePod, bound-pod and holder-pod watches (reflectors:
+// dropped watches resume or relist) and launches the reconcilers.
 func (m *DevMgr) Start() {
-	spR := m.srv.NewNamedReflector("kubeshare-devmgr", KindSharePod, apiserver.WatchOptions{Replay: true})
-	m.reflectors = append(m.reflectors, spR)
-	m.procs = append(m.procs, m.env.Go("kubeshare-devmgr", func(p *sim.Proc) {
-		for {
-			ev, ok := spR.Get(p)
-			if !ok {
-				return
-			}
-			sp := ev.Object.(*SharePod)
-			switch ev.Type {
-			case store.Deleted:
-				m.onSharePodGone(sp)
-				delete(m.placedGPU, sp.Name)
-			default:
-				// Maintain the tenant cache, including the requeue edge: a
-				// live sharePod whose placement was cleared (or moved) must
-				// release its old device.
-				cur := ""
-				if sp.Placed() && !sp.Terminated() {
-					cur = sp.Spec.GPUID
-				}
-				if old, ok := m.placedGPU[sp.Name]; ok && old != cur {
-					m.removeTenant(old, sp.Name)
-					m.reconcileVGPU(old)
-				}
-				if cur != "" {
-					m.placedGPU[sp.Name] = cur
-					m.addTenant(cur, sp.Name)
-				} else {
-					delete(m.placedGPU, sp.Name)
-					if sp.Placed() && sp.Terminated() {
-						m.removeTenant(sp.Spec.GPUID, sp.Name)
-					}
-				}
-				if sp.Placed() && !sp.Terminated() && sp.Status.BoundPod == "" && !m.binding[sp.Name] {
-					m.binding[sp.Name] = true
-					name := sp.Name
-					m.env.Go("devmgr-bind-"+name, func(bp *sim.Proc) {
-						defer delete(m.binding, name)
-						// Loop until the placement is stable: a sharePod
-						// requeued and re-placed while a bind was in flight
-						// would otherwise be swallowed — the watch event
-						// arrives while the binding flag is still set, and
-						// the stale bind exits on its placement-changed
-						// guard with nobody left to bind the new placement.
-						for {
-							cur, err := SharePods(m.srv).Get(name)
-							if err != nil || cur.Terminated() || !cur.Placed() || cur.Status.BoundPod != "" {
-								return
-							}
-							m.bind(bp, cur)
-						}
-					})
-				}
-			}
+	m.spR = m.watch("kubeshare-devmgr", KindSharePod, nil, m.onSharePod)
+	// Only bound pods reach this loop (the filter runs server-side), and
+	// only a running or finished one has a phase to mirror.
+	m.podR = m.watch("kubeshare-devmgr-pods", "Pod", labels.HasKey(LabelSharePod), func(p *sim.Proc, ev store.Event) {
+		if pod := ev.Object.(*api.Pod); ev.Type != store.Deleted && (pod.Status.Phase == api.PodRunning || pod.Terminated()) {
+			m.sharePods.Sync(p, pod.Labels[LabelSharePod])
 		}
-	}))
-	// Only bound pods (stamped with LabelSharePod) matter here; the filter
-	// runs server-side, so holder pods and unrelated cluster pods never
-	// reach this loop.
-	podR := m.srv.NewNamedReflector("kubeshare-devmgr", "Pod", apiserver.WatchOptions{
-		Selector: labels.HasKey(LabelSharePod),
-		Replay:   true,
 	})
-	m.reflectors = append(m.reflectors, podR)
-	m.procs = append(m.procs, m.env.Go("kubeshare-devmgr-pods", func(p *sim.Proc) {
-		for {
-			ev, ok := podR.Get(p)
-			if !ok {
-				return
-			}
-			if ev.Type == store.Deleted {
-				continue
-			}
-			pod := ev.Object.(*api.Pod)
-			m.reflectPodStatus(pod.Labels[LabelSharePod], pod)
+	// A holder that dies (killed container, evicted node) is replaced.
+	m.holderR = m.watch("kubeshare-devmgr-holders", "Pod", labels.HasKey(LabelVGPUHolder), func(p *sim.Proc, ev store.Event) {
+		if pod := ev.Object.(*api.Pod); ev.Type == store.Deleted || pod.Terminated() {
+			m.vgpus.Sync(p, pod.Labels[LabelVGPUHolder])
 		}
-	}))
-	// Holder-pod stream: a holder that dies (killed container, evicted node)
-	// while its vGPU still exists triggers recovery.
-	holderR := m.srv.NewNamedReflector("kubeshare-devmgr", "Pod", apiserver.WatchOptions{
-		Selector: labels.HasKey(LabelVGPUHolder),
-		Replay:   true,
 	})
-	m.reflectors = append(m.reflectors, holderR)
-	m.procs = append(m.procs, m.env.Go("kubeshare-devmgr-holders", func(p *sim.Proc) {
-		for {
-			ev, ok := holderR.Get(p)
-			if !ok {
-				return
-			}
-			pod := ev.Object.(*api.Pod)
-			if ev.Type == store.Deleted || pod.Terminated() {
-				m.onHolderDown(pod)
-			}
+	m.vgpus.Start()
+	m.sharePods.Start()
+}
+
+// watch opens a replayed reflector on kind and a loop handing it to fn.
+func (m *DevMgr) watch(loop, kind string, sel labels.Selector, fn func(*sim.Proc, store.Event)) *apiserver.Reflector {
+	r := m.srv.NewNamedReflector("kubeshare-devmgr", kind, apiserver.WatchOptions{Selector: sel, Replay: true})
+	m.procs = append(m.procs, m.env.Go(loop, func(p *sim.Proc) {
+		for ev, ok := r.Get(p); ok; ev, ok = r.Get(p) {
+			fn(p, ev)
 		}
 	}))
+	return r
 }
 
-// addTenant records a live placed sharePod on its vGPU (idempotent).
-func (m *DevMgr) addTenant(gpuID, spName string) {
-	set, ok := m.tenants[gpuID]
-	if !ok {
-		set = make(map[string]bool)
-		m.tenants[gpuID] = set
-	}
-	set[spName] = true
-}
-
-// removeTenant drops a sharePod from its vGPU's tenant set (idempotent).
-func (m *DevMgr) removeTenant(gpuID, spName string) {
-	if set, ok := m.tenants[gpuID]; ok {
-		delete(set, spName)
-		if len(set) == 0 {
-			delete(m.tenants, gpuID)
-		}
-	}
-}
-
-// Stop terminates the controller loops.
+// Stop terminates the reconcilers and their watch loops.
 func (m *DevMgr) Stop() {
+	m.vgpus.Stop()
+	m.sharePods.Stop()
 	for _, p := range m.procs {
 		p.Kill(nil)
 	}
-	for _, r := range m.reflectors {
-		r.Stop()
+	for _, r := range []*apiserver.Reflector{m.spR, m.podR, m.holderR} {
+		if r != nil {
+			r.Stop()
+		}
 	}
 }
 
-// onHolderDown reacts to a dead holder pod. Expected teardowns (the vGPU
-// object is gone, or the pod is a stale incarnation) are ignored; anything
-// else starts a recovery proc for the vGPU.
-func (m *DevMgr) onHolderDown(pod *api.Pod) {
-	gpuID := pod.Labels[LabelVGPUHolder]
-	if gpuID == "" || m.recovering[gpuID] {
-		return
+// onSharePod keeps the tenant lists in step with a sharePod event, syncs a
+// vGPU the sharePod left without tenants, then syncs the sharePod.
+func (m *DevMgr) onSharePod(p *sim.Proc, ev store.Event) {
+	sp := ev.Object.(*SharePod)
+	gpuID := ""
+	if ev.Type != store.Deleted && sp.Placed() && !sp.Terminated() {
+		gpuID = sp.Spec.GPUID
 	}
-	v, err := VGPUs(m.srv).Get(gpuID)
-	if err != nil || v.Status.HolderPod != pod.Name {
-		return
-	}
-	m.recovering[gpuID] = true
-	// Single-flight with binds: ensureVGPU waits on this event instead of
-	// racing a fresh acquisition against the recovery.
-	ev := sim.NewEvent(m.env)
-	m.creating[gpuID] = ev
-	deadHolder := pod.Name
-	m.procs = append(m.procs, m.env.Go("devmgr-recover-"+gpuID, func(p *sim.Proc) {
-		defer func() {
-			delete(m.recovering, gpuID)
-			if m.creating[gpuID] == ev {
-				delete(m.creating, gpuID)
-			}
-		}()
-		m.recoverVGPU(p, gpuID, deadHolder, ev)
-	}))
-}
-
-// recoverVGPU replaces a dead vGPU pod: the device's sharing strategy is
-// suspended (queued admits fail over to the frontends' reconnect loops),
-// a fresh holder incarnation is launched, and on success the strategy
-// resumes — surviving tenants re-register and continue. If the replacement
-// reports a different physical device, or never comes up, the vGPU is
-// written off and its tenants requeued.
-func (m *DevMgr) recoverVGPU(p *sim.Proc, gpuID, deadHolder string, done *sim.Event) {
-	m.recoveries.Inc()
-	span := m.tracer.Start("devmgr", "recover", KindVGPU+"/"+gpuID)
-	v, err := VGPUs(m.srv).Get(gpuID)
-	if err != nil {
-		span.EndNote("failed: vGPU gone")
-		done.Trigger(fmt.Errorf("%w: %s", errVGPULost, gpuID))
-		return
-	}
-	oldUUID := v.Status.UUID
-	var strat sharing.Strategy
-	if b := m.backends[v.Spec.NodeName]; b != nil && oldUUID != "" {
-		// Suspend whatever strategy serves the device. When no client has
-		// reached it yet, the node default is instantiated suspended, so a
-		// tenant whose container starts mid-recovery waits for the
-		// replacement instead of running against the dead holder.
-		strat = b.StrategyOf(oldUUID)
-		if strat == nil {
-			strat, _ = b.StrategyFor(oldUUID, "") // nil only on a misconfigured node default
-		}
-		if strat != nil {
-			strat.Suspend()
-			m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerSuspended",
-				"token manager %s suspended for recovery", oldUUID)
-		}
-	}
-	m.failUUIDWaiters(deadHolder)
-	m.holderGen[gpuID]++
-	replacement := holderPod(gpuID, v.Spec.NodeName, m.holderGen[gpuID])
-	holder := replacement.Name
-	_, _ = VGPUs(m.srv).MutateStatus(gpuID, func(cur *VGPU) error {
-		cur.Status.Phase = VGPUCreating
-		cur.Status.HolderPod = holder
-		cur.Status.UUID = "" // stale binds must wait for the new backing
-		return nil
-	})
-	// Remove the corpse (KillPod leaves a Failed pod object; eviction has
-	// already deleted it) so the node's GPU is free for the replacement.
-	if err := apiserver.Pods(m.srv).Delete(deadHolder); err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubeshare-devmgr: delete dead holder: %v", err))
-	}
-	uuid := ""
-	if _, err := apiserver.Pods(m.srv).Create(replacement); err == nil || apiserver.IsExists(err) {
-		if val, ok := p.WaitTimeout(m.uuidReport(holder), recoveryTimeout); ok {
-			uuid, _ = val.(string)
-		}
-	}
-	if strat != nil {
-		strat.Resume()
-		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerResumed",
-			"token manager %s resumed", oldUUID)
-	}
-	if uuid == "" {
-		// Node dead or no GPU free: write the vGPU off. Tenants requeue and
-		// Algorithm 1 re-places them wherever capacity lives now.
-		m.recoveryFails.Inc()
-		m.recorder.Eventf(KindVGPU, gpuID, obs.EventWarning, "RecoveryFailed",
-			"no replacement holder came up; vGPU written off")
-		span.EndNote("failed: written off")
-		m.dropVGPU(gpuID, holder)
-		done.Trigger(fmt.Errorf("%w: %s", errVGPULost, gpuID))
-		return
-	}
-	_, _ = VGPUs(m.srv).MutateStatus(gpuID, func(cur *VGPU) error {
-		cur.Status.Phase = VGPUActive
-		cur.Status.UUID = uuid
-		return nil
-	})
-	if uuid != oldUUID && oldUUID != "" {
-		// The replacement pinned a different physical device; the tenants'
-		// containers are wired to the old UUID. Requeue them — their
-		// replacements bind against the new backing.
-		m.evictTenants(gpuID)
-	}
-	m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Recovered",
-		"holder %s up on %s", holder, uuid)
-	span.EndNote("uuid=%s", uuid)
-	done.Trigger(uuid)
-}
-
-// dropVGPU writes a vGPU off: tenants are requeued (via bound-pod deletion
-// when one exists, directly otherwise), then the holder and the VGPU object
-// are removed.
-func (m *DevMgr) dropVGPU(gpuID, holder string) {
-	m.evictTenants(gpuID)
-	if err := apiserver.Pods(m.srv).Delete(holder); err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubeshare-devmgr: delete holder: %v", err))
-	}
-	if err := VGPUs(m.srv).Delete(gpuID); err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubeshare-devmgr: delete vGPU: %v", err))
-	}
-	m.failUUIDWaiters(holder)
-}
-
-// evictTenants requeues every live tenant of a vGPU. Tenants with a bound
-// pod are requeued by deleting it (the scheduler's pod-deletion hook);
-// tenants still binding are requeued directly.
-func (m *DevMgr) evictTenants(gpuID string) {
-	sps := SharePods(m.srv)
-	for _, name := range slices.Sorted(maps.Keys(m.tenants[gpuID])) {
-		sp, err := sps.Get(name)
-		if err != nil || sp.Terminated() {
-			continue
-		}
-		if sp.Status.BoundPod != "" {
-			if err := apiserver.Pods(m.srv).Delete(sp.Status.BoundPod); err != nil && !apiserver.IsNotFound(err) {
-				panic(fmt.Sprintf("kubeshare-devmgr: evict tenant %s: %v", name, err))
-			}
+	if old := m.placed[sp.Name]; old != gpuID {
+		if gpuID != "" {
+			m.placed[sp.Name] = gpuID
+			d := m.state(gpuID)
+			d.tenants = append(d.tenants, sp.Name)
 		} else {
-			RequeueSharePod(m.srv, name)
+			delete(m.placed, sp.Name)
 		}
-	}
-}
-
-// bind realizes one scheduled sharePod: ensure its vGPU exists, then create
-// the bound pod with the explicit device binding.
-func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) {
-	span := m.tracer.Start("devmgr", "bind", KindSharePod+"/"+sp.Name)
-	bindStart := m.env.Now()
-	uuid, err := m.ensureVGPU(p, sp.Spec.GPUID, sp.Spec.NodeName)
-	if err != nil {
-		span.EndNote("failed: %v", err)
-		if errors.Is(err, errVGPULost) {
-			// The backing died mid-bind; requeue rather than fail — the
-			// request is fine, the device was not. Guard against the
-			// sharePod having already been re-placed elsewhere while the
-			// doomed acquisition ran: only the still-current placement is
-			// cleared.
-			if cur, gerr := SharePods(m.srv).Get(sp.Name); gerr == nil && cur.Spec.GPUID == sp.Spec.GPUID {
-				RequeueSharePod(m.srv, sp.Name)
+		if d := m.devices[old]; d != nil {
+			if i := slices.Index(d.tenants, sp.Name); i >= 0 {
+				d.tenants = slices.Delete(d.tenants, i, i+1)
 			}
-		} else {
-			m.failSharePod(sp.Name, fmt.Sprintf("vGPU %s: %v", sp.Spec.GPUID, err))
+			if len(d.tenants) == 0 {
+				m.vgpus.Sync(p, old)
+			}
 		}
-		return
 	}
-	m.tracer.Mark("devmgr", "holder-ready", KindSharePod+"/"+sp.Name,
-		"gpuid="+sp.Spec.GPUID+" uuid="+uuid)
-	p.Sleep(opLatency)
-	// The sharePod may have been deleted, requeued elsewhere, or already
-	// bound while the vGPU was created.
-	cur, err := SharePods(m.srv).Get(sp.Name)
-	if err != nil || cur.Terminated() {
-		span.EndNote("abandoned: sharePod gone")
-		m.reconcileVGPU(sp.Spec.GPUID)
-		return
-	}
-	if cur.Spec.GPUID != sp.Spec.GPUID || cur.Status.BoundPod != "" {
-		span.EndNote("abandoned: stale placement")
-		return // a newer watch event drives the current placement
-	}
-	spec := sp.Spec.Pod.Clone()
-	spec.NodeName = sp.Spec.NodeName // explicit binding: no kube-scheduler involvement
-	for i := range spec.Containers {
-		c := &spec.Containers[i]
-		if c.Env == nil {
-			c.Env = map[string]string{}
-		}
-		// The paper's DevMgr converts GPUID to UUID and sets
-		// NVIDIA_VISIBLE_DEVICES itself (§4.4); admission guarantees the
-		// spec requests no device plugin resource, so the physical GPU
-		// stays pinned solely by the holder pod.
-		c.Env["NVIDIA_VISIBLE_DEVICES"] = uuid
-	}
-	ann := map[string]string{
-		AnnGPURequest: formatFloat(sp.Spec.GPURequest),
-		AnnGPULimit:   formatFloat(sp.Spec.Share().EffectiveLimit()),
-		AnnGPUMem:     formatFloat(sp.Spec.GPUMem),
-		AnnGPUID:      sp.Spec.GPUID,
-	}
-	// The byte-quantity and mode annotations are stamped only when used, so
-	// legacy bound pods keep their exact annotation set.
-	if sp.Spec.GPUMemBytes > 0 {
-		ann[AnnGPUMemBytes] = strconv.FormatInt(sp.Spec.GPUMemBytes, 10)
-	}
-	if sp.Spec.SharingMode != "" {
-		ann[AnnSharingMode] = sp.Spec.SharingMode
-	}
-	pod := &api.Pod{
-		ObjectMeta: api.ObjectMeta{
-			Name:        boundPodName(sp.Name, cur.Status.Restarts),
-			Labels:      map[string]string{LabelSharePod: sp.Name},
-			Annotations: ann,
-			OwnerName:   KindSharePod + "/" + sp.Name,
-		},
-		Spec: spec,
-	}
-	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
-		span.EndNote("failed: %v", err)
-		m.failSharePod(sp.Name, fmt.Sprintf("create bound pod: %v", err))
-		return
-	}
-	m.updateSharePod(sp.Name, func(cur *SharePod) {
-		cur.Status.BoundPod = pod.Name
-		cur.Status.UUID = uuid
-	})
-	m.markVGPU(sp.Spec.GPUID, VGPUActive)
-	m.binds.Inc()
-	m.bindHist.ObserveDurationExemplar(m.env.Now()-bindStart, KindSharePod+"/"+sp.Name, span.ID())
-	span.EndNote("pod=%s uuid=%s", pod.Name, uuid)
+	m.sharePods.Sync(p, sp.Name)
 }
 
-// ensureVGPU returns the physical UUID behind gpuID, acquiring a GPU from
-// Kubernetes (via a holder pod) when the vGPU does not exist yet. Creation
-// is single-flighted per GPUID.
-func (m *DevMgr) ensureVGPU(p *sim.Proc, gpuID, node string) (string, error) {
-	if v, err := VGPUs(m.srv).Get(gpuID); err == nil && v.Status.UUID != "" {
-		return v.Status.UUID, nil
+// reconcileVGPU makes one vGPU match its tenants: while it has any, the VGPU
+// object and a live holder pod exist and carry the UUID the holder reported,
+// a dead holder being replaced; with none the idle policy applies.
+func (m *DevMgr) reconcileVGPU(p *sim.Proc, gpuID string) error {
+	d := m.devices[gpuID]
+	live := d != nil && len(d.tenants) > 0
+	v, err := VGPUs(m.srv).Get(gpuID)
+	switch {
+	case apiserver.IsNotFound(err) && live:
+		return m.acquire(gpuID, d)
+	case apiserver.IsNotFound(err):
+		delete(m.devices, gpuID)
+		return nil
+	case err != nil:
+		return err
+	case d == nil:
+		d = m.state(gpuID)
 	}
-	if ev, inFlight := m.creating[gpuID]; inFlight {
-		switch v := p.Wait(ev).(type) {
-		case string:
-			return v, nil
-		case error:
-			return "", v
+	if !live && m.cfg.Policy == OnDemand { // release the GPU to Kubernetes
+		return m.drop(gpuID, v.Status.HolderPod, d, "abandoned: no tenants")
+	}
+	phase := VGPUActive
+	if !live {
+		phase = VGPUIdle
+	}
+	if d.rec != nil {
+		return m.recover(p, gpuID, v, d, phase)
+	}
+	if m.holderDead(v.Status.HolderPod) {
+		return m.replaceHolder(gpuID, v, d)
+	}
+	if d.holder == v.Status.HolderPod && d.uuid != v.Status.UUID {
+		if err := m.writeVGPU(gpuID, func(st *VGPUStatus) { st.Phase, st.UUID = phase, d.uuid }); err != nil {
+			return err
 		}
-		return "", fmt.Errorf("vGPU creation produced no UUID")
-	}
-	ev := sim.NewEvent(m.env)
-	m.creating[gpuID] = ev
-	// Delete only our own event: onHolderDown may have replaced it with a
-	// recovery's single-flight event while createVGPU was blocked, and
-	// deleting that would let a fresh acquisition race the recovery.
-	defer func() {
-		if m.creating[gpuID] == ev {
-			delete(m.creating, gpuID)
+		m.vgpuCreates.Inc()
+		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Created",
+			"holder %s pinned %s on %s", d.holder, d.uuid, v.Spec.NodeName)
+		for _, name := range d.tenants { // in arrival order
+			m.sharePods.Sync(p, name)
 		}
-	}()
-	uuid, err := m.createVGPU(p, gpuID, node)
-	if err != nil {
-		ev.Trigger(err)
-		return "", err
+		return nil
 	}
-	ev.Trigger(uuid)
-	return uuid, nil
+	if !live && v.Status.Phase == VGPUActive {
+		return m.writeVGPU(gpuID, func(st *VGPUStatus) { st.Phase = VGPUIdle })
+	}
+	return nil
 }
 
-// createVGPU converts a free physical GPU into a pool vGPU: launch a native
-// holder pod requesting one GPU on the target node, wait for it to run, and
-// read the UUID it reports from its environment.
-func (m *DevMgr) createVGPU(p *sim.Proc, gpuID, node string) (string, error) {
+// acquire converts a free physical GPU into a pool vGPU: the VGPU object and
+// a native holder pod requesting one whole device on the tenants' node.
+func (m *DevMgr) acquire(gpuID string, d *vgpuState) error {
+	obj, ok := m.spR.Cached(d.tenants[0])
+	if !ok {
+		return fmt.Errorf("core: vGPU %s: tenant %s not in the sharePod watch", gpuID, d.tenants[0])
+	}
+	node := obj.(*SharePod).Spec.NodeName
+	d.holder, d.uuid, d.gen = "", "", 0
 	pod := holderPod(gpuID, node, 0)
-	holder := pod.Name
 	vgpu := &VGPU{
 		ObjectMeta: api.ObjectMeta{Name: gpuID},
 		Spec:       VGPUSpec{GPUID: gpuID, NodeName: node},
-		Status:     VGPUStatus{Phase: VGPUCreating, HolderPod: holder},
+		Status:     VGPUStatus{Phase: VGPUCreating, HolderPod: pod.Name},
 	}
 	if _, err := VGPUs(m.srv).Create(vgpu); err != nil && !apiserver.IsExists(err) {
-		return "", err
+		return err
 	}
 	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
-		return "", err
+		return err
 	}
-	v := p.Wait(m.uuidReport(holder))
-	if err, ok := v.(error); ok {
-		// The holder died before reporting (killed, evicted, node crash) and
-		// recovery or teardown wrote it off under us.
-		return "", err
-	}
-	uuid, ok := v.(string)
-	if !ok || uuid == "" {
-		return "", fmt.Errorf("holder pod %s reported no device", holder)
-	}
-	_, err := VGPUs(m.srv).MutateStatus(gpuID, func(cur *VGPU) error {
-		cur.Status.Phase = VGPUActive
-		cur.Status.UUID = uuid
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	m.vgpuCreates.Inc()
-	m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Created",
-		"holder %s pinned %s on %s", holder, uuid, node)
-	return uuid, nil
+	return nil
 }
 
-// holderPod is incarnation gen of the native pod that pins gpuID's physical
-// GPU: one whole device on node, through the device plugin.
-func holderPod(gpuID, node string, gen int) *api.Pod {
-	return &api.Pod{
-		ObjectMeta: api.ObjectMeta{
-			Name:      holderPodName(gpuID, gen),
-			Labels:    map[string]string{LabelVGPUHolder: gpuID},
-			OwnerName: KindVGPU + "/" + gpuID,
-		},
-		Spec: api.PodSpec{
-			NodeName: node,
-			Containers: []api.Container{{
-				Name:     "holder",
-				Image:    HolderImage,
-				Requests: api.ResourceList{api.ResourceGPU: 1},
-			}},
-		},
-	}
+// holderDead reports whether the holder watch last saw the pod gone or ended.
+func (m *DevMgr) holderDead(name string) bool {
+	obj, ok := m.holderR.Cached(name)
+	return !ok || obj.(*api.Pod).Terminated()
 }
 
-// reflectPodStatus mirrors bound-pod phase changes onto the sharePod and
-// reconciles the vGPU when a tenant terminates.
-func (m *DevMgr) reflectPodStatus(spName string, pod *api.Pod) {
-	var gpuID string
-	switch pod.Status.Phase {
-	case api.PodRunning:
-		m.updateSharePod(spName, func(cur *SharePod) {
-			if cur.Status.Phase == SharePodScheduled {
-				cur.Status.Phase = SharePodRunning
-				cur.Status.RunningTime = m.env.Now()
-			}
-			gpuID = cur.Spec.GPUID
-		})
-	case api.PodSucceeded, api.PodFailed:
-		m.updateSharePod(spName, func(cur *SharePod) {
-			if !cur.Terminated() {
-				if pod.Status.Phase == api.PodSucceeded {
-					cur.Status.Phase = SharePodSucceeded
-				} else {
-					cur.Status.Phase = SharePodFailed
-					cur.Status.Message = pod.Status.Message
-				}
-				cur.Status.FinishTime = m.env.Now()
-			}
-			gpuID = cur.Spec.GPUID
-		})
-		if gpuID != "" {
-			// The sharePod watch event for the terminal status has not been
-			// processed yet; update the tenant cache here so the reconcile
-			// below sees the device without this tenant.
-			m.removeTenant(gpuID, spName)
-			m.reconcileVGPU(gpuID)
+// replaceHolder starts a dead holder's replacement: the device's strategy
+// suspends (queued admits fail over to the frontends' reconnect loops), the
+// vGPU points at the next holder incarnation with its UUID cleared so binds
+// wait, the corpse goes (KillPod leaves a Failed pod) to free the GPU, and
+// tenants still waiting on a holder that never reported are requeued. A
+// replacement that fails to launch never reports: the deadline writes it off.
+func (m *DevMgr) replaceHolder(gpuID string, v *VGPU, d *vgpuState) error {
+	m.recoveries.Inc()
+	d.gen++
+	rec := &recovery{
+		holder:   holderPodName(gpuID, d.gen),
+		oldUUID:  v.Status.UUID,
+		span:     m.tracer.Start("devmgr", "recover", KindVGPU+"/"+gpuID),
+		deadline: m.env.Now() + recoveryTimeout,
+		timer:    m.env.After(recoveryTimeout, func() { m.vgpus.Sync(nil, gpuID) }),
+	}
+	d.rec = rec
+	if b := m.backends[v.Spec.NodeName]; b != nil && rec.oldUUID != "" {
+		// With no client yet, the node default is instantiated suspended, so
+		// a container starting mid-recovery waits for the replacement.
+		if rec.strat = b.StrategyOf(rec.oldUUID); rec.strat == nil {
+			rec.strat, _ = b.StrategyFor(rec.oldUUID, "") // nil only on a misconfigured node default
+		}
+		if rec.strat != nil {
+			rec.strat.Suspend()
+			m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerSuspended",
+				"token manager %s suspended for recovery", rec.oldUUID)
 		}
 	}
-}
-
-// onSharePodGone handles sharePod deletion: remove its bound pod and
-// reconcile the vGPU.
-func (m *DevMgr) onSharePodGone(sp *SharePod) {
-	if sp.Status.BoundPod != "" {
-		if err := apiserver.Pods(m.srv).Delete(sp.Status.BoundPod); err != nil && !apiserver.IsNotFound(err) {
-			panic(fmt.Sprintf("kubeshare-devmgr: delete bound pod: %v", err))
-		}
-	}
-	if sp.Spec.GPUID != "" {
-		m.removeTenant(sp.Spec.GPUID, sp.Name)
-		m.reconcileVGPU(sp.Spec.GPUID)
-	}
-}
-
-// reconcileVGPU applies the idle policy: when a vGPU has no live tenants it
-// is either deleted (on-demand, releasing the GPU to Kubernetes) or marked
-// idle (reservation).
-func (m *DevMgr) reconcileVGPU(gpuID string) {
-	if len(m.tenants[gpuID]) > 0 {
-		return // still has tenants (cache maintained from watch deltas)
-	}
-	if _, inFlight := m.creating[gpuID]; inFlight {
-		return // acquisition still running; bind will re-reconcile
-	}
-	v, err := VGPUs(m.srv).Get(gpuID)
-	if err != nil {
-		return
-	}
-	if m.cfg.Policy == Reservation {
-		m.markVGPU(gpuID, VGPUIdle)
-		return
+	if err := m.writeVGPU(gpuID, func(st *VGPUStatus) {
+		st.Phase, st.HolderPod, st.UUID = VGPUCreating, rec.holder, ""
+	}); err != nil {
+		return err
 	}
 	if err := apiserver.Pods(m.srv).Delete(v.Status.HolderPod); err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubeshare-devmgr: delete holder: %v", err))
+		return err
+	}
+	if _, err := apiserver.Pods(m.srv).Create(holderPod(gpuID, v.Spec.NodeName, d.gen)); err != nil && !apiserver.IsExists(err) {
+		return err
+	}
+	if rec.oldUUID == "" {
+		return m.evict(d, false)
+	}
+	return nil
+}
+
+// recover ends a holder replacement when the replacement reports — tenants
+// wired to another device are requeued — or, at the deadline, writes the
+// vGPU off and requeues them all.
+func (m *DevMgr) recover(p *sim.Proc, gpuID string, v *VGPU, d *vgpuState, phase VGPUPhase) error {
+	rec, uuid := d.rec, ""
+	if d.holder == rec.holder {
+		uuid = d.uuid
+	}
+	if uuid == "" && m.env.Now() < rec.deadline {
+		return nil
+	}
+	if uuid == "" {
+		// Node dead or no GPU free: tenants requeue and Algorithm 1
+		// re-places them wherever capacity lives now.
+		if err := m.evict(d, true); err != nil {
+			return err
+		}
+		m.recoveryFails.Inc()
+		m.recorder.Eventf(KindVGPU, gpuID, obs.EventWarning, "RecoveryFailed",
+			"no replacement holder came up; vGPU written off")
+		return m.drop(gpuID, v.Status.HolderPod, d, "failed: written off")
+	}
+	m.resume(gpuID, rec)
+	if err := m.writeVGPU(gpuID, func(st *VGPUStatus) { st.Phase, st.UUID = phase, uuid }); err != nil {
+		return err
+	}
+	if uuid != rec.oldUUID && rec.oldUUID != "" {
+		if err := m.evict(d, true); err != nil {
+			return err
+		}
+	}
+	d.rec = nil
+	m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Recovered", "holder %s up on %s", rec.holder, uuid)
+	rec.span.EndNote("uuid=%s", uuid)
+	for _, name := range d.tenants {
+		m.sharePods.Sync(p, name)
+	}
+	return nil
+}
+
+// resume ends a replacement's strategy suspension and deadline.
+func (m *DevMgr) resume(gpuID string, rec *recovery) {
+	rec.timer.Stop()
+	if rec.strat != nil {
+		rec.strat.Resume()
+		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerResumed",
+			"token manager %s resumed", rec.oldUUID)
+		rec.strat = nil
+	}
+}
+
+// drop deletes a vGPU's holder pod, then the VGPU object, and forgets the
+// vGPU, ending a replacement in progress with note.
+func (m *DevMgr) drop(gpuID, holder string, d *vgpuState, note string) error {
+	if err := apiserver.Pods(m.srv).Delete(holder); err != nil && !apiserver.IsNotFound(err) {
+		return err
 	}
 	if err := VGPUs(m.srv).Delete(gpuID); err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubeshare-devmgr: delete vGPU: %v", err))
+		return err
 	}
-	delete(m.uuidReports, v.Status.HolderPod)
+	if d.rec != nil {
+		m.resume(gpuID, d.rec)
+		d.rec.span.EndNote("%s", note)
+	}
+	delete(m.devices, gpuID)
+	return nil
 }
 
-func (m *DevMgr) markVGPU(gpuID string, phase VGPUPhase) {
-	_, err := VGPUs(m.srv).MutateStatus(gpuID, func(cur *VGPU) error {
-		cur.Status.Phase = phase
-		return nil
-	})
-	if err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubeshare-devmgr: mark vGPU %s: %v", gpuID, err))
-	}
-}
-
-// updateSharePod writes sharePod status through the status subresource —
-// DevMgr never touches specs, so it cannot race with KubeShare-Sched's
-// placement writes.
-func (m *DevMgr) updateSharePod(name string, mutate func(*SharePod)) {
-	_, err := SharePods(m.srv).MutateStatus(name, func(cur *SharePod) error {
-		mutate(cur)
-		return nil
-	})
-	if err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubeshare-devmgr: update sharePod %s: %v", name, err))
-	}
-}
-
-func (m *DevMgr) failSharePod(name, msg string) {
-	m.updateSharePod(name, func(cur *SharePod) {
-		if !cur.Terminated() {
-			cur.Status.Phase = SharePodFailed
-			cur.Status.Message = msg
-			cur.Status.FinishTime = m.env.Now()
+// evict requeues a vGPU's live unbound tenants and, if all, deletes the bound
+// pods of the rest (KubeShare-Sched's pod-deletion hook requeues them).
+func (m *DevMgr) evict(d *vgpuState, all bool) error {
+	for _, name := range slices.Sorted(slices.Values(d.tenants)) {
+		sp, err := SharePods(m.srv).Get(name)
+		switch {
+		case apiserver.IsNotFound(err) || err == nil && sp.Terminated():
+		case err != nil:
+			return err
+		case sp.Status.BoundPod == "":
+			RequeueSharePod(m.srv, name)
+		case all:
+			if err := apiserver.Pods(m.srv).Delete(sp.Status.BoundPod); err != nil && !apiserver.IsNotFound(err) {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// reconcileSharePod makes one sharePod's bound pod match it: a placed
+// sharePod gets one, whose phase is mirrored back; a deleted one's goes.
+func (m *DevMgr) reconcileSharePod(p *sim.Proc, name string) error {
+	obj, ok := m.spR.Cached(name)
+	if !ok {
+		m.endBind(name, "abandoned: sharePod gone")
+		return m.deleteBoundPods(name)
+	}
+	switch sp := obj.(*SharePod); {
+	case sp.Terminated():
+		m.endBind(name, "abandoned: sharePod gone")
+	case !sp.Placed():
+		m.endBind(name, "abandoned: stale placement")
+	case sp.Status.BoundPod != "":
+		delete(m.binding, name)
+		return m.reflect(sp)
+	default:
+		return m.bind(p, sp)
+	}
+	return nil
+}
+
+// endBind forgets a bind, ending its span with note if it made no pod.
+func (m *DevMgr) endBind(name, note string) {
+	if b, ok := m.binding[name]; ok {
+		if b.pod == "" {
+			b.span.EndNote("%s", note)
+		}
+		delete(m.binding, name)
+	}
+}
+
+// bind advances a placed, unbound sharePod's bind: it waits for the vGPU to
+// have a UUID (syncing the vGPU reconciler when there is no vGPU), then
+// opLatency, then creates the bound pod.
+func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
+	b, ok := m.binding[sp.Name]
+	if ok && b.pod != "" {
+		// Bound, and the watch has not delivered the status write yet —
+		// unless a torn log tail lost it, and the bind starts over.
+		cur, err := SharePods(m.srv).Get(sp.Name)
+		if err != nil || cur.Status.BoundPod == b.pod {
+			return settled(err)
+		}
+		ok = false
+	} else if ok && b.gpuID != sp.Spec.GPUID {
+		b.span.EndNote("abandoned: stale placement")
+		ok = false
+	}
+	if !ok {
+		b = bindOp{gpuID: sp.Spec.GPUID, span: m.tracer.Start("devmgr", "bind", KindSharePod+"/"+sp.Name), start: m.env.Now()}
+		m.binding[sp.Name] = b
+	}
+	if b.due == 0 {
+		v, err := VGPUs(m.srv).Get(b.gpuID)
+		if apiserver.IsNotFound(err) {
+			m.vgpus.Sync(p, b.gpuID)
+			return nil
+		}
+		if err != nil || v.Status.UUID == "" {
+			return err // acquiring or recovering: the vGPU reconciler syncs its tenants on a UUID
+		}
+		b.uuid, b.active, b.due = v.Status.UUID, v.Status.Phase == VGPUActive, m.env.Now()+opLatency
+		m.binding[sp.Name] = b
+		m.tracer.Mark("devmgr", "holder-ready", KindSharePod+"/"+sp.Name, "gpuid="+b.gpuID+" uuid="+b.uuid)
+		name := sp.Name
+		m.env.After(opLatency, func() { m.sharePods.Sync(nil, name) })
+		return nil
+	}
+	if m.env.Now() < b.due {
+		return nil
+	}
+	// Due: the sharePod, read fresh, must be live, unbound and still there.
+	cur, err := SharePods(m.srv).Get(sp.Name)
+	switch {
+	case apiserver.IsNotFound(err) || err == nil && cur.Terminated():
+		m.endBind(sp.Name, "abandoned: sharePod gone")
+		return nil
+	case err != nil:
+		return err
+	case cur.Spec.GPUID != b.gpuID || cur.Status.BoundPod != "":
+		m.endBind(sp.Name, "abandoned: stale placement")
+		return nil
+	}
+	pod := boundPod(cur, b.uuid)
+	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
+		b.span.EndNote("failed: %v", err)
+		delete(m.binding, sp.Name)
+		return m.writeSharePod(sp.Name, func(st *SharePodStatus) {
+			if !terminal(st.Phase) {
+				st.Phase, st.Message, st.FinishTime = SharePodFailed, fmt.Sprintf("create bound pod: %v", err), m.env.Now()
+			}
+		})
+	}
+	if err := m.writeSharePod(sp.Name, func(st *SharePodStatus) { st.BoundPod, st.UUID = pod.Name, b.uuid }); err != nil {
+		return err
+	}
+	if !b.active {
+		if err := m.writeVGPU(b.gpuID, func(st *VGPUStatus) { st.Phase = VGPUActive }); err != nil {
+			return err
+		}
+	}
+	m.binds.Inc()
+	m.bindHist.ObserveDurationExemplar(m.env.Now()-b.start, KindSharePod+"/"+sp.Name, b.span.ID())
+	b.span.EndNote("pod=%s uuid=%s", pod.Name, b.uuid)
+	b.pod = pod.Name
+	m.binding[sp.Name] = b
+	return nil
+}
+
+// reflect mirrors the bound pod's phase, as last delivered, onto the
+// sharePod: Scheduled becomes Running, any live phase the pod's final one.
+func (m *DevMgr) reflect(sp *SharePod) error {
+	obj, ok := m.podR.Cached(sp.Status.BoundPod)
+	if !ok {
+		return nil
+	}
+	pod, now := obj.(*api.Pod), m.env.Now()
+	advance := func(st *SharePodStatus) {
+		switch pod.Status.Phase {
+		case api.PodRunning:
+			if st.Phase == SharePodScheduled {
+				st.Phase, st.RunningTime = SharePodRunning, now
+			}
+		case api.PodSucceeded, api.PodFailed:
+			if !terminal(st.Phase) {
+				st.Phase, st.FinishTime = SharePodSucceeded, now
+				if pod.Status.Phase == api.PodFailed {
+					st.Phase, st.Message = SharePodFailed, pod.Status.Message
+				}
+			}
+		}
+	}
+	if st := sp.Status; advanced(&st, advance) {
+		return m.writeSharePod(sp.Name, advance)
+	}
+	return nil
+}
+
+// deleteBoundPods removes a deleted sharePod's bound pods, once the API
+// server confirms the sharePod is gone rather than not yet delivered.
+func (m *DevMgr) deleteBoundPods(name string) error {
+	if _, err := SharePods(m.srv).Get(name); !apiserver.IsNotFound(err) {
+		return err
+	}
+	pods := apiserver.Pods(m.srv)
+	for _, pod := range pods.ListSelector(labels.Set{LabelSharePod: name}) {
+		if err := pods.Delete(pod.Name); err != nil && !apiserver.IsNotFound(err) {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeSharePod applies change to a sharePod's status (DevMgr never writes
+// specs, so it cannot race KubeShare-Sched's placements) and writes nothing
+// when change left it as it was.
+func (m *DevMgr) writeSharePod(name string, change func(*SharePodStatus)) error {
+	_, err := SharePods(m.srv).MutateStatus(name, func(cur *SharePod) error {
+		if !advanced(&cur.Status, change) {
+			return errUnchanged
+		}
+		return nil
 	})
+	return settled(err)
+}
+
+// writeVGPU is writeSharePod for a vGPU.
+func (m *DevMgr) writeVGPU(gpuID string, change func(*VGPUStatus)) error {
+	_, err := VGPUs(m.srv).MutateStatus(gpuID, func(cur *VGPU) error {
+		if !advanced(&cur.Status, change) {
+			return errUnchanged
+		}
+		return nil
+	})
+	return settled(err)
+}
+
+// advanced applies change to *st and reports whether it changed anything.
+func advanced[S comparable](st *S, change func(*S)) bool {
+	old := *st
+	change(st)
+	return *st != old
+}
+
+// settled clears the write outcomes that leave nothing to retry.
+func settled(err error) error {
+	if errors.Is(err, errUnchanged) || apiserver.IsNotFound(err) {
+		return nil
+	}
+	return err
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }

@@ -1,12 +1,18 @@
 package core_test
 
 import (
+	"fmt"
 	. "kubeshare/internal/core"
+	"reflect"
 	"testing"
 	"time"
 
+	"kubeshare/internal/core/schedfw"
+	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/runtime"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
 
@@ -99,5 +105,106 @@ func TestUserPinnedGPUID(t *testing.T) {
 	}
 	if pinned.Status.UUID != auto.Status.UUID {
 		t.Fatal("pin not honoured: different physical GPUs")
+	}
+}
+
+// TestDevMgrHolderDeletedBeforeReport: the holder pod is deleted while its
+// pod sync is in flight, before it reports a UUID. The tenant waiting on it
+// is requeued, rebound and succeeds, and neither a vGPU nor a holder pod is
+// left behind (the chaos soak once found binds stranded here forever).
+func TestDevMgrHolderDeletedBeforeReport(t *testing.T) {
+	s := newStack(t, 1, Config{})
+	s.env.Go("t", func(p *sim.Proc) {
+		s.create(t, sharePod("sp", 0.5, 1, 0.2, 2))
+		for {
+			p.Sleep(10 * time.Millisecond)
+			if vs := VGPUs(s.c.API).List(); len(vs) > 0 {
+				if vs[0].Status.UUID != "" {
+					t.Error("the holder reported before it could be deleted")
+				} else if err := s.c.Pods().Delete(vs[0].Status.HolderPod); err != nil {
+					t.Errorf("delete holder: %v", err)
+				}
+				return
+			}
+		}
+	})
+	s.env.Run()
+	if sp := s.get(t, "sp"); sp.Status.Phase != SharePodSucceeded || sp.Status.Restarts == 0 {
+		t.Fatalf("sharePod %s after %d requeues, want Succeeded after a requeue", sp.Status.Phase, sp.Status.Restarts)
+	}
+	if n := VGPUs(s.c.API).Count(); n != 0 {
+		t.Errorf("%d vGPU objects left", n)
+	}
+	for _, pod := range s.c.Pods().List() {
+		if pod.Labels[LabelVGPUHolder] != "" {
+			t.Errorf("holder pod %s left, %s", pod.Name, pod.Status.Phase)
+		}
+	}
+}
+
+// TestDevMgrRestartWritesNoUnchangedStatus: an apiserver restart while
+// tenants run makes every DevMgr watch relist and deliver again what it had
+// seen. Nothing has changed, so no sharePod or vGPU status write may leave
+// its object as it was.
+func TestDevMgrRestartWritesNoUnchangedStatus(t *testing.T) {
+	env := sim.NewEnv()
+	c, err := kube.NewCluster(env, kube.DefaultConfig(1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := schedfw.Install(c, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	registerTrainImage(c)
+	c.API.EnableDurability(apiserver.DurabilityConfig{})
+	last := map[string]api.Object{}
+	var unchanged []string
+	c.API.Store().OnPublish(func(ev store.Event) {
+		key := api.Key(ev.Object)
+		prev := last[key]
+		last[key] = ev.Object
+		if ev.Type != store.Modified || prev == nil {
+			return
+		}
+		switch cur := ev.Object.(type) {
+		case *SharePod:
+			was := prev.(*SharePod)
+			if was.Status == cur.Status && reflect.DeepEqual(was.Spec, cur.Spec) {
+				unchanged = append(unchanged, key)
+			}
+		case *VGPU:
+			if was := prev.(*VGPU); was.Status == cur.Status && was.Spec == cur.Spec {
+				unchanged = append(unchanged, key)
+			}
+		}
+	})
+	env.Go("t", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			if _, err := SharePods(c.API).Create(sharePod(fmt.Sprintf("sp-%d", i), 0.2, 0.5, 0.2, 5)); err != nil {
+				t.Errorf("create: %v", err)
+			}
+		}
+		p.Sleep(4 * time.Second)
+		running := 0
+		for _, sp := range SharePods(c.API).List() {
+			if sp.Status.Phase == SharePodRunning {
+				running++
+			}
+		}
+		if running == 0 {
+			t.Error("no tenant running at the restart")
+		}
+		if _, err := c.API.Restart(); err != nil {
+			t.Errorf("restart: %v", err)
+		}
+	})
+	env.Run()
+	if len(unchanged) != 0 {
+		t.Fatalf("%d status writes changed nothing: %v", len(unchanged), unchanged)
+	}
+	for _, sp := range SharePods(c.API).List() {
+		if sp.Status.Phase != SharePodSucceeded {
+			t.Errorf("%s ended %s", sp.Name, sp.Status.Phase)
+		}
 	}
 }

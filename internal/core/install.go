@@ -75,7 +75,7 @@ func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
 		if uuid == "" {
 			return fmt.Errorf("holder started without a GPU")
 		}
-		ks.DevMgr.ReportUUID(ctx.Pod.Name, uuid)
+		ks.DevMgr.ReportUUID(ctx.Pod, uuid)
 		ctx.Proc.Hibernate() // hold the GPU until the pod is deleted
 		return nil
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
@@ -138,4 +139,66 @@ func boundPodName(spName string, restarts int) string {
 		return fmt.Sprintf("sharepod-%s", spName)
 	}
 	return fmt.Sprintf("sharepod-%s-r%d", spName, restarts)
+}
+
+// boundPod is the pod realizing sp on device uuid: its pod spec pinned to
+// its node — explicit binding, no kube-scheduler involvement — with the
+// device in the environment and the shares in annotations.
+func boundPod(sp *SharePod, uuid string) *api.Pod {
+	spec := sp.Spec.Pod.Clone()
+	spec.NodeName = sp.Spec.NodeName
+	for i := range spec.Containers {
+		c := &spec.Containers[i]
+		if c.Env == nil {
+			c.Env = map[string]string{}
+		}
+		// The paper's DevMgr converts GPUID to UUID and sets
+		// NVIDIA_VISIBLE_DEVICES itself (§4.4); admission guarantees the
+		// spec requests no device plugin resource, so the physical GPU
+		// stays pinned solely by the holder pod.
+		c.Env["NVIDIA_VISIBLE_DEVICES"] = uuid
+	}
+	ann := map[string]string{
+		AnnGPURequest: formatFloat(sp.Spec.GPURequest),
+		AnnGPULimit:   formatFloat(sp.Spec.Share().EffectiveLimit()),
+		AnnGPUMem:     formatFloat(sp.Spec.GPUMem),
+		AnnGPUID:      sp.Spec.GPUID,
+	}
+	// The byte-quantity and mode annotations are stamped only when used, so
+	// legacy bound pods keep their exact annotation set.
+	if sp.Spec.GPUMemBytes > 0 {
+		ann[AnnGPUMemBytes] = strconv.FormatInt(sp.Spec.GPUMemBytes, 10)
+	}
+	if sp.Spec.SharingMode != "" {
+		ann[AnnSharingMode] = sp.Spec.SharingMode
+	}
+	return &api.Pod{
+		ObjectMeta: api.ObjectMeta{
+			Name:        boundPodName(sp.Name, sp.Status.Restarts),
+			Labels:      map[string]string{LabelSharePod: sp.Name},
+			Annotations: ann,
+			OwnerName:   KindSharePod + "/" + sp.Name,
+		},
+		Spec: spec,
+	}
+}
+
+// holderPod is incarnation gen of the native pod that pins gpuID's physical
+// GPU: one whole device on node, through the device plugin.
+func holderPod(gpuID, node string, gen int) *api.Pod {
+	return &api.Pod{
+		ObjectMeta: api.ObjectMeta{
+			Name:      holderPodName(gpuID, gen),
+			Labels:    map[string]string{LabelVGPUHolder: gpuID},
+			OwnerName: KindVGPU + "/" + gpuID,
+		},
+		Spec: api.PodSpec{
+			NodeName: node,
+			Containers: []api.Container{{
+				Name:     "holder",
+				Image:    HolderImage,
+				Requests: api.ResourceList{api.ResourceGPU: 1},
+			}},
+		},
+	}
 }

@@ -181,20 +181,20 @@ func (s *Extender) runCycle(p *sim.Proc) bool {
 		out = append(out, binding{name: sp.Name, gpuID: fmt.Sprintf("ext-%s-gpu%d", node, idx), node: node})
 	}
 	for _, b := range out {
+		// A refused spec write leaves the sharePod to a later cycle; a refused
+		// status write leaves it Pending, and DevMgr binds the placement.
 		if _, err := core.SharePods(s.srv).Mutate(b.name, func(cur *core.SharePod) error {
 			cur.Spec.GPUID = b.gpuID
 			cur.Spec.NodeName = b.node
 			return nil
-		}); err != nil && !apiserver.IsNotFound(err) {
-			panic(fmt.Sprintf("extender: assign %s: %v", b.name, err))
+		}); err != nil {
+			continue
 		}
-		if _, err := core.SharePods(s.srv).MutateStatus(b.name, func(cur *core.SharePod) error {
+		_, _ = core.SharePods(s.srv).MutateStatus(b.name, func(cur *core.SharePod) error {
 			cur.Status.Phase = core.SharePodScheduled
 			cur.Status.ScheduledTime = s.env.Now()
 			return nil
-		}); err != nil && !apiserver.IsNotFound(err) {
-			panic(fmt.Sprintf("extender: assign %s: %v", b.name, err))
-		}
+		})
 	}
 	if len(out) == 0 {
 		s.noCapacity.Inc()

@@ -523,10 +523,7 @@ func (s *Scheduler) applyPlacement(name string, dec core.Decision) {
 		cur.Spec.NodeName = dec.NodeName
 		return nil
 	}); err != nil {
-		if apiserver.IsNotFound(err) {
-			return
-		}
-		panic(fmt.Sprintf("kubeshare-sched: update %s: %v", name, err))
+		return // not written through: the sharePod stays pending for a later cycle
 	}
 	updated, err := sps.MutateStatus(name, func(cur *core.SharePod) error {
 		cur.Status.Phase = core.SharePodScheduled
@@ -534,10 +531,7 @@ func (s *Scheduler) applyPlacement(name string, dec core.Decision) {
 		return nil
 	})
 	if err != nil {
-		if apiserver.IsNotFound(err) {
-			return
-		}
-		panic(fmt.Sprintf("kubeshare-sched: update status %s: %v", name, err))
+		return
 	}
 	s.snap.Placed(updated)
 }
@@ -551,10 +545,7 @@ func (s *Scheduler) applyRejection(name, reason string) {
 		return nil
 	})
 	if err != nil {
-		if apiserver.IsNotFound(err) {
-			return
-		}
-		panic(fmt.Sprintf("kubeshare-sched: update status %s: %v", name, err))
+		return // the sharePod stays pending for a later cycle
 	}
 	s.apply(store.Event{Type: store.Modified, Object: updated})
 }

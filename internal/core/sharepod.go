@@ -207,8 +207,11 @@ func (s *SharePod) WithStatusFrom(src api.Object) api.Object {
 }
 
 // Terminated reports whether the sharePod reached a terminal phase.
-func (s *SharePod) Terminated() bool {
-	switch s.Status.Phase {
+func (s *SharePod) Terminated() bool { return terminal(s.Status.Phase) }
+
+// terminal reports whether phase is one a sharePod never leaves.
+func terminal(phase SharePodPhase) bool {
+	switch phase {
 	case SharePodSucceeded, SharePodFailed, SharePodRejected:
 		return true
 	}

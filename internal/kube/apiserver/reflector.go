@@ -71,6 +71,13 @@ func (s *Server) NewNamedReflector(consumer, kind string, opts WatchOptions) *Re
 // Kind returns the watched kind (chaos targets reflectors by kind).
 func (r *Reflector) Kind() string { return r.kind }
 
+// Cached returns the snapshot of name last delivered, unless a delivery said
+// it is gone: the consumer's view, shared and read-only like every event.
+func (r *Reflector) Cached(name string) (api.Object, bool) {
+	obj, ok := r.known[name]
+	return obj, ok
+}
+
 // Stats returns how many times the stream was resumed from history and how
 // many times a compacted gap forced a relist.
 func (r *Reflector) Stats() (resumes, relists int) { return r.resumes, r.relists }

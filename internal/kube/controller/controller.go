@@ -1,8 +1,8 @@
 // Package controller provides the controller runtime of the simulated
 // cluster: a work-queue reconciliation loop in the style of Kubernetes
-// controllers, plus the ReplicationController built on it and reused by the
-// SharePodSet manager. KubeShare-Sched (schedfw's cycle loop) and
-// KubeShare-DevMgr (edge-triggered reflector handlers) do not use it.
+// controllers, plus the ReplicationController built on it. The SharePodSet
+// manager and KubeShare-DevMgr's two reconcilers (vGPU and sharePod) run on
+// the same Runner; KubeShare-Sched (schedfw's cycle loop) does not.
 package controller
 
 import (
@@ -24,20 +24,26 @@ type Reconcile func(p *sim.Proc, key string) error
 // DefaultBackoffCap bounds the per-key retry delay.
 const DefaultBackoffCap = 5 * time.Second
 
-// Runner is a single-worker reconciliation loop over a deduplicated work
-// queue. Failing keys are retried under the shared backoff policy
-// (decorrelated jitter seeded from runner name + key, so identical runs
-// replay identically); a successful reconcile resets the key's backoff.
+// Runner is a reconciliation loop over a deduplicated work queue with
+// per-key concurrency: keys reconcile independently, a key never has two
+// reconciles in flight, and one enqueued during its reconcile runs once
+// more after it. The worker starts each queued key in a proc of its own, so
+// blocking reconciles overlap; Sync runs a non-blocking one in the caller.
+// Failing keys retry under the shared backoff policy (decorrelated jitter
+// seeded from runner name + key, so identical runs replay identically); a
+// success resets the key's backoff.
 type Runner struct {
 	name       string
 	env        *sim.Env
 	queue      *sim.Queue[string]
 	queued     map[string]bool
+	inFlight   map[string]bool // key → another run was asked for meanwhile
 	base       time.Duration
 	backoffCap time.Duration
 	failures   map[string]*backoff.Backoff
 	fn         Reconcile
 	proc       *sim.Proc
+	stopped    bool
 }
 
 // NewRunner creates a runner; keys enqueued while already pending are
@@ -56,6 +62,7 @@ func NewRunner(env *sim.Env, name string, base time.Duration, fn Reconcile) *Run
 		env:        env,
 		queue:      sim.NewQueue[string](env),
 		queued:     make(map[string]bool),
+		inFlight:   make(map[string]bool),
 		base:       base,
 		backoffCap: cap,
 		failures:   make(map[string]*backoff.Backoff),
@@ -90,27 +97,48 @@ func (r *Runner) retryDelay(key string) time.Duration {
 	return b.Next()
 }
 
+// Sync reconciles key now in the caller's p (nil from a timer), which the
+// reconcile must not block, or has the run in flight make one more pass.
+func (r *Runner) Sync(p *sim.Proc, key string) {
+	if _, busy := r.inFlight[key]; busy || r.stopped {
+		if busy {
+			r.inFlight[key] = true
+		}
+		return
+	}
+	r.inFlight[key] = false
+	for {
+		if err := r.fn(p, key); err != nil {
+			r.env.After(r.retryDelay(key), func() { r.Enqueue(key) })
+		} else if r.failures[key] != nil {
+			delete(r.failures, key)
+		}
+		if r.stopped || !r.inFlight[key] {
+			break
+		}
+		r.inFlight[key] = false
+	}
+	delete(r.inFlight, key)
+}
+
 // Start launches the worker loop.
 func (r *Runner) Start() {
-	r.proc = r.env.Go("controller-"+r.name, func(p *sim.Proc) {
+	name := "controller-" + r.name
+	r.proc = r.env.Go(name, func(p *sim.Proc) {
 		for {
 			key, ok := r.queue.Get(p)
 			if !ok {
 				return
 			}
 			delete(r.queued, key)
-			if err := r.fn(p, key); err != nil {
-				key := key
-				r.env.After(r.retryDelay(key), func() { r.Enqueue(key) })
-			} else if r.failures[key] != nil {
-				delete(r.failures, key)
-			}
+			r.env.Go(name, func(p *sim.Proc) { r.Sync(p, key) })
 		}
 	})
 }
 
-// Stop terminates the worker loop.
+// Stop terminates the worker loop; nothing starts after it.
 func (r *Runner) Stop() {
+	r.stopped = true
 	if r.proc != nil {
 		r.proc.Kill(nil)
 	}

@@ -127,18 +127,16 @@ func (k *Kubelet) startLoops() {
 
 // heartbeatLoop renews the node lease. A heartbeat also re-asserts Ready,
 // so a node the lifecycle controller declared dead recovers as soon as its
-// kubelet resumes renewing.
+// kubelet resumes renewing. A renewal the API server refuses is retried by
+// the next beat.
 func (k *Kubelet) heartbeatLoop(p *sim.Proc) {
 	for {
 		p.Sleep(heartbeatInterval)
-		_, err := apiserver.Nodes(k.srv).MutateStatus(k.cfg.NodeName, func(n *api.Node) error {
+		_, _ = apiserver.Nodes(k.srv).MutateStatus(k.cfg.NodeName, func(n *api.Node) error {
 			n.Status.HeartbeatTime = k.env.Now()
 			n.Status.Ready = true
 			return nil
 		})
-		if err != nil && !apiserver.IsNotFound(err) {
-			panic(fmt.Sprintf("kubelet %s: heartbeat: %v", k.cfg.NodeName, err))
-		}
 	}
 }
 
@@ -226,7 +224,7 @@ func (k *Kubelet) KillPod(name string) bool {
 		w.proc.Kill(nil)
 	}
 	k.release(w)
-	k.failPod(name, "killed")
+	k.failPod(nil, name, "killed")
 	return true
 }
 
@@ -291,7 +289,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 					k.allocFails.Inc()
 					k.recorder.Eventf("Pod", pod.Name, obs.EventWarning, "FailedAllocation",
 						"device allocation of %s: %v", res, err)
-					k.failPod(pod.Name, fmt.Sprintf("device allocation: %v", err))
+					k.failPod(p, pod.Name, fmt.Sprintf("device allocation: %v", err))
 					k.release(w)
 					span.EndNote("failed: device allocation")
 					return
@@ -307,7 +305,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 			if err != nil {
 				k.recorder.Eventf("Pod", pod.Name, obs.EventWarning, "FailedStart",
 					"start container %s: %v", c.Name, err)
-				k.failPod(pod.Name, fmt.Sprintf("start container %s: %v", c.Name, err))
+				k.failPod(p, pod.Name, fmt.Sprintf("start container %s: %v", c.Name, err))
 				for _, started := range w.handles {
 					k.runtime.Stop(started)
 				}
@@ -320,7 +318,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		for _, h := range w.handles {
 			p.Wait(h.Started())
 		}
-		k.setPhase(pod.Name, api.PodRunning, "", func(pp *api.Pod) {
+		k.setPhase(p, pod.Name, api.PodRunning, "", func(pp *api.Pod) {
 			pp.Status.StartTime = k.env.Now()
 		})
 		k.syncs.Inc()
@@ -342,9 +340,9 @@ func (k *Kubelet) admit(pod *api.Pod) {
 			return // pod object already deleted; no status to report
 		}
 		if firstErr != nil {
-			k.failPod(pod.Name, firstErr.Error())
+			k.failPod(p, pod.Name, firstErr.Error())
 		} else {
-			k.setPhase(pod.Name, api.PodSucceeded, "", func(pp *api.Pod) {
+			k.setPhase(p, pod.Name, api.PodSucceeded, "", func(pp *api.Pod) {
 				pp.Status.FinishTime = k.env.Now()
 			})
 		}
@@ -381,22 +379,27 @@ func (k *Kubelet) release(w *podWorker) {
 	k.devmgr.Free(w.pod.UID)
 }
 
-func (k *Kubelet) setPhase(name string, phase api.PodPhase, msg string, extra func(*api.Pod)) {
-	_, err := apiserver.Pods(k.srv).MutateStatus(name, func(p *api.Pod) error {
-		p.Status.Phase = phase
-		p.Status.Message = msg
-		if extra != nil {
-			extra(p)
+// setPhase writes a pod's phase, retrying a refused write every heartbeat
+// from the pod's worker; KillPod (p nil) runs in its caller and tries once.
+func (k *Kubelet) setPhase(p *sim.Proc, name string, phase api.PodPhase, msg string, extra func(*api.Pod)) {
+	for {
+		_, err := apiserver.Pods(k.srv).MutateStatus(name, func(pp *api.Pod) error {
+			pp.Status.Phase = phase
+			pp.Status.Message = msg
+			if extra != nil {
+				extra(pp)
+			}
+			return nil
+		})
+		if err == nil || apiserver.IsNotFound(err) || p == nil {
+			return
 		}
-		return nil
-	})
-	if err != nil && !apiserver.IsNotFound(err) {
-		panic(fmt.Sprintf("kubelet %s: update %s: %v", k.cfg.NodeName, name, err))
+		p.Sleep(heartbeatInterval)
 	}
 }
 
-func (k *Kubelet) failPod(name, msg string) {
-	k.setPhase(name, api.PodFailed, msg, func(pp *api.Pod) {
+func (k *Kubelet) failPod(p *sim.Proc, name, msg string) {
+	k.setPhase(p, name, api.PodFailed, msg, func(pp *api.Pod) {
 		pp.Status.FinishTime = k.env.Now()
 	})
 }
