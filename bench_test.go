@@ -4,9 +4,9 @@
 // testbed to keep iterations fast — cmd/kubeshare-sim runs full scale) and
 // reports the figure's headline quantity through b.ReportMetric, so
 // `go test -bench=.` reproduces the paper's qualitative results table by
-// table. BenchmarkFig11SchedulingTime measures real CPU time of the paper's
-// Algorithm 1 as written, which is what Figure 11 is about (the scheduler
-// that runs decides through schedfw instead; see its comment).
+// table. BenchmarkFig11SchedulingTime measures real CPU time of one
+// KubeShare-Sched decision, the one the running scheduler makes, which is
+// what Figure 11 is about.
 package kubeshare
 
 import (
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
+	"kubeshare/internal/core/coretest"
 	"kubeshare/internal/cuda"
 	"kubeshare/internal/devlib"
 	"kubeshare/internal/devlib/sharing"
@@ -214,48 +215,26 @@ func BenchmarkFig10PodCreation(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11SchedulingTime measures one full KubeShare-Sched decision
-// against real state with N existing SharePods — the real-CPU-time figure.
-// The paper's claim: linear in N, ≪400ms at 100. Both columns time the
-// paper's linear Algorithm 1 as written (core.Schedule); they differ in where
-// its pool comes from. "full-rebuild" relists: core.BuildPool lists everything
-// and re-places every tenant, the paper's per-decision cost. "incremental"
-// copies the pool out of the watch-fed snapshot (Snapshot.NewPool), so it
-// pays for the copy and the scan but not the relist. Neither is the
-// production path, by design: schedfw decides on the snapshot's own pool
-// without copying it and searches its residual order instead of scanning
-// (Figures 15 and 16 and the repo benchmark's sched_churn time that).
+// BenchmarkFig11SchedulingTime measures one KubeShare-Sched decision against
+// real state with N existing SharePods — the real-CPU-time figure, timing
+// the unit Fig 11 times (experiments.NewSchedulingDecision: the default
+// plugin set through the fwk engine on the snapshot's borrowed pool, in a
+// transaction rolled back after). The paper's claim: linear in N, ≪400ms at
+// 100.
 func BenchmarkFig11SchedulingTime(b *testing.B) {
-	counts := []int{10, 25, 50, 100, 200, 400, 1000, 10000}
-	b.Run("full-rebuild", func(b *testing.B) {
-		for _, n := range counts {
-			b.Run("sharepods="+strconv.Itoa(n), func(b *testing.B) {
-				srv, err := experiments.PopulateSchedulingState(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					experiments.ScheduleOnce(srv)
-				}
-			})
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		for _, n := range counts {
-			b.Run("sharepods="+strconv.Itoa(n), func(b *testing.B) {
-				srv, err := experiments.PopulateSchedulingState(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				snap := experiments.PopulateSnapshot(srv)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					experiments.ScheduleOnceIncremental(snap)
-				}
-			})
-		}
-	})
+	for _, n := range []int{10, 25, 50, 100, 200, 400, 1000, 10000} {
+		b.Run("sharepods="+strconv.Itoa(n), func(b *testing.B) {
+			decide, err := experiments.NewSchedulingDecision(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			decide() // the first borrow sorts the residual order, as a running scheduler has
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decide()
+			}
+		})
+	}
 }
 
 // BenchmarkFig12Interference regenerates Figure 12: per-combination
@@ -305,11 +284,11 @@ func BenchmarkFig13AntiAffinity(b *testing.B) {
 // (best fit + worst fit) against alternatives on a synthetic request mix,
 // reporting how many devices each policy ends up using.
 func BenchmarkAblationPlacement(b *testing.B) {
-	policies := map[string]core.PlacementPolicy{
-		"paper-best+worst": core.PaperPolicy,
-		"best+best":        core.BestBest,
-		"worst+worst":      core.WorstWorst,
-		"first-fit":        core.FirstFit,
+	policies := map[string]coretest.PlacementPolicy{
+		"paper-best+worst": coretest.PaperPolicy,
+		"best+best":        coretest.BestBest,
+		"worst+worst":      coretest.WorstWorst,
+		"first-fit":        coretest.FirstFit,
 	}
 	for name, policy := range policies {
 		b.Run(name, func(b *testing.B) {
@@ -328,7 +307,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 					case 4:
 						r.Anti = "spread"
 					}
-					core.ScheduleWithPolicy(r, pool, policy)
+					coretest.ScheduleWithPolicy(r, pool, policy)
 				}
 				devices = float64(len(pool.Devices))
 			}

@@ -80,9 +80,7 @@ func (d *DeviceState) Clone() *DeviceState {
 // Fits reports whether r's resource demand fits the residuals. Idle devices
 // may carry stale residual bookkeeping from the pool builder, so capacity is
 // taken as full for them.
-func (d *DeviceState) Fits(r Request) bool { return d.fits(r) }
-
-func (d *DeviceState) fits(r Request) bool {
+func (d *DeviceState) Fits(r Request) bool {
 	if !d.FitsMemBytes(r) {
 		return false
 	}
@@ -325,117 +323,16 @@ type Decision struct {
 	Reason   string
 }
 
-// PlacementPolicy selects the fit heuristics of Algorithm 1's step 3 — an
-// ablation knob. The paper's choice is best fit for unlabelled devices and
-// worst fit for affinity-labelled ones.
-type PlacementPolicy int
-
-// Placement policies.
-const (
-	// PaperPolicy: best fit on plain devices, worst fit on labelled ones.
-	PaperPolicy PlacementPolicy = iota
-	// BestBest: best fit on both groups.
-	BestBest
-	// WorstWorst: worst fit on both groups.
-	WorstWorst
-	// FirstFit: first fitting device in pool order for both groups.
-	FirstFit
-)
-
-// Schedule is Algorithm 1: locality- and resource-aware vGPU selection.
-// On Assigned/NewDevice it also commits the placement onto the pool state
-// (Place), so a sequence of calls sees consistent residuals.
-func Schedule(r Request, pool *Pool) Decision {
-	return ScheduleWithPolicy(r, pool, PaperPolicy)
-}
-
-// ScheduleWithPolicy is Schedule with an explicit step-3 placement policy.
-func ScheduleWithPolicy(r Request, pool *Pool, policy PlacementPolicy) Decision {
-	// Step 1: affinity-directed placement.
-	if r.Aff != "" {
-		if d := findAffinity(pool, r.Aff); d != nil {
-			if d.Excl != r.Excl {
-				return Decision{Outcome: Rejected, Reason: fmt.Sprintf(
-					"affinity device %s has exclusion %q, request has %q", d.ID, d.Excl, r.Excl)}
-			}
-			if r.Anti != "" && d.Anti[r.Anti] {
-				return Decision{Outcome: Rejected, Reason: fmt.Sprintf(
-					"affinity device %s already hosts anti-affinity label %q", d.ID, r.Anti)}
-			}
-			if !d.fits(r) {
-				return Decision{Outcome: Rejected, Reason: fmt.Sprintf(
-					"affinity device %s lacks capacity (util %.2f/%.2f, mem %.2f/%.2f)",
-					d.ID, r.Util, d.Util, r.Mem, d.Mem)}
-			}
-			d.Place(r)
-			return Decision{Outcome: Assigned, GPUID: d.ID, NodeName: d.NodeName}
-		}
-		// First container with this affinity label: prefer an idle device so
-		// the group has room to grow, else a new one.
-		if d := firstIdle(pool); d != nil {
-			d.Place(r)
-			return Decision{Outcome: Assigned, GPUID: d.ID, NodeName: d.NodeName}
-		}
-		return newDevice(r, pool)
-	}
-
-	// Step 2: filter by exclusion, anti-affinity and resources. Idle
-	// devices always qualify — their previous tenants are gone.
-	var candidates []*DeviceState
-	for _, d := range pool.Devices {
-		if !d.Idle {
-			if (r.Excl != "" || d.Excl != "") && r.Excl != d.Excl {
-				continue
-			}
-			if r.Anti != "" && d.Anti[r.Anti] {
-				continue
-			}
-			if !d.fits(r) {
-				continue
-			}
-		}
-		candidates = append(candidates, d)
-	}
-
-	// Step 3: placement. The paper uses best fit among devices without
-	// affinity labels and worst fit among affinity-labelled ones (keeping
-	// room for their future group members), then a new device.
-	var plain, labelled []*DeviceState
-	for _, d := range candidates {
-		if len(d.Aff) == 0 || d.Idle {
-			plain = append(plain, d)
-		} else {
-			labelled = append(labelled, d)
-		}
-	}
-	var plainFit, labelledFit func(Request, []*DeviceState) *DeviceState
-	switch policy {
-	case BestBest:
-		plainFit, labelledFit = bestFit, bestFit
-	case WorstWorst:
-		plainFit, labelledFit = worstFit, worstFit
-	case FirstFit:
-		plainFit, labelledFit = firstFit, firstFit
-	default:
-		plainFit, labelledFit = bestFit, worstFit
-	}
-	d := plainFit(r, plain)
-	if d == nil {
-		d = labelledFit(r, labelled)
-	}
-	if d == nil {
-		return newDevice(r, pool)
-	}
-	d.Place(r)
-	return Decision{Outcome: Assigned, GPUID: d.ID, NodeName: d.NodeName}
-}
+// Schedule is Algorithm 1 for one request: it decides r on pool and commits
+// an Assigned or NewDevice decision onto it, so a sequence of calls sees
+// consistent residuals. It is the decision KubeShare-Sched makes — the
+// default plugin set through the fwk engine, in a transaction of its own —
+// and package plugins, which core cannot import, installs it.
+var Schedule func(r Request, pool *Pool) Decision
 
 // FindAffinity returns the device carrying the affinity label (the pool
-// invariant keeps at most one, since affinity forces co-location). Exported
-// for the schedfw plugin set, which re-expresses Algorithm 1 in phases.
-func FindAffinity(pool *Pool, label string) *DeviceState { return findAffinity(pool, label) }
-
-func findAffinity(pool *Pool, label string) *DeviceState {
+// invariant keeps at most one, since affinity forces co-location).
+func FindAffinity(pool *Pool, label string) *DeviceState {
 	for _, d := range pool.Devices {
 		if !d.Idle && d.Aff[label] {
 			return d
@@ -445,9 +342,7 @@ func findAffinity(pool *Pool, label string) *DeviceState {
 }
 
 // FirstIdle returns an idle pool device, lowest ID first for determinism.
-func FirstIdle(pool *Pool) *DeviceState { return firstIdle(pool) }
-
-func firstIdle(pool *Pool) *DeviceState {
+func FirstIdle(pool *Pool) *DeviceState {
 	var first *DeviceState
 	for _, d := range pool.Devices {
 		if d.Idle && (first == nil || d.ID < first.ID) {
@@ -459,63 +354,17 @@ func firstIdle(pool *Pool) *DeviceState {
 
 // Residual is the fit metric: remaining compute capacity after placement
 // (idle devices count as full). Best fit minimizes it, worst fit maximizes.
-func Residual(d *DeviceState) float64 { return residual(d) }
-
-func residual(d *DeviceState) float64 {
+func Residual(d *DeviceState) float64 {
 	if d.Idle {
 		return 1
 	}
 	return d.Util
 }
 
-// bestFit picks the fitting device with the smallest residual — pack
-// existing devices tight (idle devices, with residual 1, come last).
-func bestFit(r Request, ds []*DeviceState) *DeviceState {
-	var best *DeviceState
-	for _, d := range ds {
-		if !d.fits(r) {
-			continue
-		}
-		if best == nil || residual(d) < residual(best) ||
-			(residual(d) == residual(best) && d.ID < best.ID) {
-			best = d
-		}
-	}
-	return best
-}
-
-// worstFit picks the fitting device with the largest residual — leave the
-// most room next to existing affinity groups.
-func worstFit(r Request, ds []*DeviceState) *DeviceState {
-	var best *DeviceState
-	for _, d := range ds {
-		if !d.fits(r) {
-			continue
-		}
-		if best == nil || residual(d) > residual(best) ||
-			(residual(d) == residual(best) && d.ID < best.ID) {
-			best = d
-		}
-	}
-	return best
-}
-
-// firstFit picks the first fitting device in pool order (ablation
-// baseline).
-func firstFit(r Request, ds []*DeviceState) *DeviceState {
-	for _, d := range ds {
-		if d.fits(r) {
-			return d
-		}
-	}
-	return nil
-}
-
 // PickNewDeviceNode decides where a fresh vGPU would go — the node with the
 // most free physical GPUs (spreading acquisition) — without committing
-// anything; "" means the cluster has none left. The schedfw allocator plugin
-// uses the decide half alone, deferring the device creation to the
-// framework's reserve phase so it can be rolled back.
+// anything; "" means the cluster has none left. The device itself is created
+// in the framework's reserve phase, so a rollback can return the GPU.
 func PickNewDeviceNode(pool *Pool) string {
 	bestNode, bestFree := "", 0
 	for n, free := range pool.FreePhysical {
@@ -530,22 +379,3 @@ func PickNewDeviceNode(pool *Pool) string {
 
 // NoFreeGPUReason is the NoCapacity reason when no physical GPU is free.
 const NoFreeGPUReason = "no free physical GPU in the cluster"
-
-// newDevice decides where a fresh vGPU goes and commits it onto the pool,
-// or NoCapacity when the cluster has no physical GPU left.
-func newDevice(r Request, pool *Pool) Decision {
-	bestNode := PickNewDeviceNode(pool)
-	if bestNode == "" {
-		return Decision{Outcome: NoCapacity, Reason: NoFreeGPUReason}
-	}
-	pool.FreePhysical[bestNode]--
-	id := pool.NewID()
-	d := NewDeviceState(id, bestNode)
-	if pool.MemFactor > 0 {
-		d.MemCapacity = pool.MemFactor
-		d.Mem = pool.MemFactor
-	}
-	d.Place(r)
-	pool.Devices = append(pool.Devices, d)
-	return Decision{Outcome: NewDevice, GPUID: id, NodeName: bestNode}
-}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,12 +7,15 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"kubeshare/internal/core"
+	_ "kubeshare/internal/core/schedfw/plugins" // installs core.Schedule
 )
 
 // testPool builds a pool with free physical GPUs and a serial id generator.
-func testPool(freePerNode map[string]int) *Pool {
+func testPool(freePerNode map[string]int) *core.Pool {
 	n := 0
-	return &Pool{
+	return &core.Pool{
 		FreePhysical: freePerNode,
 		NewID: func() string {
 			n++
@@ -21,20 +24,20 @@ func testPool(freePerNode map[string]int) *Pool {
 	}
 }
 
-func dev(id, node string, util, mem float64) *DeviceState {
-	d := NewDeviceState(id, node)
+func dev(id, node string, util, mem float64) *core.DeviceState {
+	d := core.NewDeviceState(id, node)
 	d.Util, d.Mem, d.Idle = util, mem, false
 	return d
 }
 
 func TestScheduleBestFitPacksTightest(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 1})
-	pool.Devices = []*DeviceState{
+	pool.Devices = []*core.DeviceState{
 		dev("d-loose", "n0", 0.9, 0.9),
 		dev("d-tight", "n0", 0.3, 0.3),
 	}
-	got := Schedule(Request{Util: 0.25, Mem: 0.25}, pool)
-	if got.Outcome != Assigned || got.GPUID != "d-tight" {
+	got := core.Schedule(core.Request{Util: 0.25, Mem: 0.25}, pool)
+	if got.Outcome != core.Assigned || got.GPUID != "d-tight" {
 		t.Fatalf("decision = %+v, want best-fit d-tight", got)
 	}
 	// Residuals must be committed.
@@ -45,18 +48,18 @@ func TestScheduleBestFitPacksTightest(t *testing.T) {
 
 func TestSchedulePrefersExistingOverNew(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 3})
-	pool.Devices = []*DeviceState{dev("d0", "n0", 0.5, 0.5)}
-	got := Schedule(Request{Util: 0.4, Mem: 0.4}, pool)
-	if got.Outcome != Assigned || got.GPUID != "d0" {
+	pool.Devices = []*core.DeviceState{dev("d0", "n0", 0.5, 0.5)}
+	got := core.Schedule(core.Request{Util: 0.4, Mem: 0.4}, pool)
+	if got.Outcome != core.Assigned || got.GPUID != "d0" {
 		t.Fatalf("decision = %+v, want existing d0", got)
 	}
 }
 
 func TestScheduleNewDeviceWhenNothingFits(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 2})
-	pool.Devices = []*DeviceState{dev("d0", "n0", 0.2, 0.9)}
-	got := Schedule(Request{Util: 0.5, Mem: 0.1}, pool)
-	if got.Outcome != NewDevice || got.NodeName != "n0" {
+	pool.Devices = []*core.DeviceState{dev("d0", "n0", 0.2, 0.9)}
+	got := core.Schedule(core.Request{Util: 0.5, Mem: 0.1}, pool)
+	if got.Outcome != core.NewDevice || got.NodeName != "n0" {
 		t.Fatalf("decision = %+v, want NewDevice on n0", got)
 	}
 	if pool.FreePhysical["n0"] != 1 {
@@ -69,19 +72,19 @@ func TestScheduleNewDeviceWhenNothingFits(t *testing.T) {
 
 func TestScheduleNoCapacity(t *testing.T) {
 	pool := testPool(map[string]int{})
-	pool.Devices = []*DeviceState{dev("d0", "n0", 0.2, 0.2)}
-	got := Schedule(Request{Util: 0.5, Mem: 0.1}, pool)
-	if got.Outcome != NoCapacity {
+	pool.Devices = []*core.DeviceState{dev("d0", "n0", 0.2, 0.2)}
+	got := core.Schedule(core.Request{Util: 0.5, Mem: 0.1}, pool)
+	if got.Outcome != core.NoCapacity {
 		t.Fatalf("decision = %+v, want NoCapacity", got)
 	}
 }
 
 func TestScheduleIdleDeviceUsedBeforeNew(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 5})
-	idle := NewDeviceState("d-idle", "n0")
-	pool.Devices = []*DeviceState{idle}
-	got := Schedule(Request{Util: 0.9, Mem: 0.9}, pool)
-	if got.Outcome != Assigned || got.GPUID != "d-idle" {
+	idle := core.NewDeviceState("d-idle", "n0")
+	pool.Devices = []*core.DeviceState{idle}
+	got := core.Schedule(core.Request{Util: 0.9, Mem: 0.9}, pool)
+	if got.Outcome != core.Assigned || got.GPUID != "d-idle" {
 		t.Fatalf("decision = %+v, want idle reuse", got)
 	}
 	if idle.Idle {
@@ -91,12 +94,12 @@ func TestScheduleIdleDeviceUsedBeforeNew(t *testing.T) {
 
 func TestScheduleIdleDeviceResetsStaleLabels(t *testing.T) {
 	pool := testPool(nil)
-	stale := NewDeviceState("d0", "n0")
+	stale := core.NewDeviceState("d0", "n0")
 	stale.Excl = "old-tenant"
 	stale.Anti["old"] = true
-	pool.Devices = []*DeviceState{stale}
-	got := Schedule(Request{Util: 0.5, Mem: 0.5, Anti: "old"}, pool)
-	if got.Outcome != Assigned {
+	pool.Devices = []*core.DeviceState{stale}
+	got := core.Schedule(core.Request{Util: 0.5, Mem: 0.5, Anti: "old"}, pool)
+	if got.Outcome != core.Assigned {
 		t.Fatalf("decision = %+v: stale labels on idle device must not filter it", got)
 	}
 	if stale.Excl != "" || stale.Anti["old-tenant"] {
@@ -106,60 +109,60 @@ func TestScheduleIdleDeviceResetsStaleLabels(t *testing.T) {
 
 func TestScheduleAffinityColocates(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	first := Schedule(Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
-	if first.Outcome != NewDevice {
+	first := core.Schedule(core.Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
+	if first.Outcome != core.NewDevice {
 		t.Fatalf("first = %+v", first)
 	}
-	second := Schedule(Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
-	if second.Outcome != Assigned || second.GPUID != first.GPUID {
+	second := core.Schedule(core.Request{Util: 0.3, Mem: 0.3, Aff: "grp"}, pool)
+	if second.Outcome != core.Assigned || second.GPUID != first.GPUID {
 		t.Fatalf("second = %+v, want same device %s", second, first.GPUID)
 	}
 }
 
 func TestScheduleAffinityPrefersIdleForNewGroup(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	pool.Devices = []*DeviceState{
+	pool.Devices = []*core.DeviceState{
 		dev("d-busy", "n0", 0.7, 0.7),
-		NewDeviceState("d-idle", "n0"),
+		core.NewDeviceState("d-idle", "n0"),
 	}
-	got := Schedule(Request{Util: 0.1, Mem: 0.1, Aff: "grp"}, pool)
-	if got.Outcome != Assigned || got.GPUID != "d-idle" {
+	got := core.Schedule(core.Request{Util: 0.1, Mem: 0.1, Aff: "grp"}, pool)
+	if got.Outcome != core.Assigned || got.GPUID != "d-idle" {
 		t.Fatalf("decision = %+v, want idle device for a fresh affinity group", got)
 	}
 }
 
 func TestScheduleAffinityRejectsOnExclusionMismatch(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-a"}, pool)
-	got := Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-b"}, pool)
-	if got.Outcome != Rejected {
+	core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-a"}, pool)
+	got := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Aff: "grp", Excl: "tenant-b"}, pool)
+	if got.Outcome != core.Rejected {
 		t.Fatalf("decision = %+v, want Rejected (exclusion mismatch on affinity device)", got)
 	}
 }
 
 func TestScheduleAffinityRejectsOnAntiAffinity(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
-	got := Schedule(Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
-	if got.Outcome != Rejected {
+	core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
+	got := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Aff: "grp", Anti: "solo"}, pool)
+	if got.Outcome != core.Rejected {
 		t.Fatalf("decision = %+v, want Rejected (anti-affinity conflict within affinity group)", got)
 	}
 }
 
 func TestScheduleAffinityRejectsOnCapacity(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	Schedule(Request{Util: 0.8, Mem: 0.2, Aff: "grp"}, pool)
-	got := Schedule(Request{Util: 0.5, Mem: 0.2, Aff: "grp"}, pool)
-	if got.Outcome != Rejected {
+	core.Schedule(core.Request{Util: 0.8, Mem: 0.2, Aff: "grp"}, pool)
+	got := core.Schedule(core.Request{Util: 0.5, Mem: 0.2, Aff: "grp"}, pool)
+	if got.Outcome != core.Rejected {
 		t.Fatalf("decision = %+v, want Rejected (affinity device full)", got)
 	}
 }
 
 func TestScheduleAntiAffinitySeparates(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	a := Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
-	b := Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
-	c := Schedule(Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
+	a := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
+	b := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
+	c := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Anti: "spread"}, pool)
 	ids := map[string]bool{a.GPUID: true, b.GPUID: true, c.GPUID: true}
 	if len(ids) != 3 {
 		t.Fatalf("anti-affinity containers share devices: %v %v %v", a.GPUID, b.GPUID, c.GPUID)
@@ -168,13 +171,13 @@ func TestScheduleAntiAffinitySeparates(t *testing.T) {
 
 func TestScheduleExclusionSeparatesTenants(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	a := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
-	b := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-b"}, pool)
+	a := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
+	b := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Excl: "tenant-b"}, pool)
 	if a.GPUID == b.GPUID {
 		t.Fatal("different exclusion labels share a device")
 	}
 	// Same label may share.
-	c := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
+	c := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
 	if c.GPUID != a.GPUID {
 		t.Fatalf("same exclusion label split: %v vs %v", c.GPUID, a.GPUID)
 	}
@@ -182,8 +185,8 @@ func TestScheduleExclusionSeparatesTenants(t *testing.T) {
 
 func TestScheduleExclusionVsUnlabelled(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 4})
-	a := Schedule(Request{Util: 0.2, Mem: 0.2}, pool)
-	b := Schedule(Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
+	a := core.Schedule(core.Request{Util: 0.2, Mem: 0.2}, pool)
+	b := core.Schedule(core.Request{Util: 0.2, Mem: 0.2, Excl: "tenant-a"}, pool)
 	if a.GPUID == b.GPUID {
 		t.Fatal("exclusion-labelled container shares with unlabelled one")
 	}
@@ -197,26 +200,26 @@ func TestScheduleWorstFitForAffinityDevices(t *testing.T) {
 	g1.Aff["g1"] = true
 	g2 := dev("d-g2", "n0", 0.6, 0.9)
 	g2.Aff["g2"] = true
-	pool.Devices = []*DeviceState{g1, g2}
-	got := Schedule(Request{Util: 0.2, Mem: 0.1}, pool)
-	if got.Outcome != Assigned || got.GPUID != "d-g2" {
+	pool.Devices = []*core.DeviceState{g1, g2}
+	got := core.Schedule(core.Request{Util: 0.2, Mem: 0.1}, pool)
+	if got.Outcome != core.Assigned || got.GPUID != "d-g2" {
 		t.Fatalf("decision = %+v, want worst-fit d-g2", got)
 	}
 }
 
 func TestScheduleMemoryConstraintFilters(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 1})
-	pool.Devices = []*DeviceState{dev("d0", "n0", 0.9, 0.05)}
-	got := Schedule(Request{Util: 0.1, Mem: 0.2}, pool)
-	if got.Outcome != NewDevice {
+	pool.Devices = []*core.DeviceState{dev("d0", "n0", 0.9, 0.05)}
+	got := core.Schedule(core.Request{Util: 0.1, Mem: 0.2}, pool)
+	if got.Outcome != core.NewDevice {
 		t.Fatalf("decision = %+v, want NewDevice (memory exhausted on d0)", got)
 	}
 }
 
 func TestScheduleNewDeviceSpreadsAcrossNodes(t *testing.T) {
 	pool := testPool(map[string]int{"n0": 1, "n1": 3})
-	got := Schedule(Request{Util: 0.5, Mem: 0.5}, pool)
-	if got.Outcome != NewDevice || got.NodeName != "n1" {
+	got := core.Schedule(core.Request{Util: 0.5, Mem: 0.5}, pool)
+	if got.Outcome != core.NewDevice || got.NodeName != "n1" {
 		t.Fatalf("decision = %+v, want new device on n1 (most free)", got)
 	}
 }
@@ -228,10 +231,10 @@ func TestScheduleNewDeviceSpreadsAcrossNodes(t *testing.T) {
 func TestPropertyAffinityOrderIndependent(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		count := int(n%12) + 4
-		reqs := make([]Request, count)
+		reqs := make([]core.Request, count)
 		rng := rand.New(rand.NewSource(seed))
 		for i := range reqs {
-			reqs[i] = Request{
+			reqs[i] = core.Request{
 				Util: 0.05,
 				Mem:  0.05,
 				Aff:  fmt.Sprintf("grp%d", rng.Intn(3)),
@@ -241,8 +244,8 @@ func TestPropertyAffinityOrderIndependent(t *testing.T) {
 			pool := testPool(map[string]int{"n0": 64})
 			groups := map[string]map[string]bool{}
 			for _, idx := range order {
-				dec := Schedule(reqs[idx], pool)
-				if dec.Outcome == Rejected || dec.Outcome == NoCapacity {
+				dec := core.Schedule(reqs[idx], pool)
+				if dec.Outcome == core.Rejected || dec.Outcome == core.NoCapacity {
 					return nil
 				}
 				g := reqs[idx].Aff
@@ -284,7 +287,7 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 		pool := testPool(map[string]int{"n0": 4, "n1": 4})
 		affDevice := map[string]string{}
 		for _, v := range raw {
-			r := Request{
+			r := core.Request{
 				Util: float64(v%9+1) / 10,
 				Mem:  float64(v%7+1) / 10,
 			}
@@ -296,8 +299,8 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 			case 3:
 				r.Excl = fmt.Sprintf("excl%d", v%2)
 			}
-			dec := Schedule(r, pool)
-			if dec.Outcome == Rejected || dec.Outcome == NoCapacity {
+			dec := core.Schedule(r, pool)
+			if dec.Outcome == core.Rejected || dec.Outcome == core.NoCapacity {
 				continue
 			}
 			if r.Aff != "" {
@@ -320,11 +323,11 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 }
 
 // sortedFirstIdle and sortedPickNode are the collect-and-sort forms
-// firstIdle and PickNewDeviceNode had before they became single passes,
+// FirstIdle and PickNewDeviceNode had before they became single passes,
 // kept as the reference for their tie-breaks (lowest ID; most free GPUs,
 // then lowest name).
-func sortedFirstIdle(pool *Pool) *DeviceState {
-	var idle []*DeviceState
+func sortedFirstIdle(pool *core.Pool) *core.DeviceState {
+	var idle []*core.DeviceState
 	for _, d := range pool.Devices {
 		if d.Idle {
 			idle = append(idle, d)
@@ -337,7 +340,7 @@ func sortedFirstIdle(pool *Pool) *DeviceState {
 	return idle[0]
 }
 
-func sortedPickNode(pool *Pool) string {
+func sortedPickNode(pool *core.Pool) string {
 	bestNode, bestFree := "", 0
 	var nodes []string
 	for n := range pool.FreePhysical {
@@ -366,13 +369,13 @@ func TestSinglePassPicksMatchSortedReference(t *testing.T) {
 	for _, tc := range tables {
 		pool := testPool(tc.free)
 		for _, id := range tc.idle {
-			pool.Devices = append(pool.Devices, NewDeviceState(id, "n0"))
+			pool.Devices = append(pool.Devices, core.NewDeviceState(id, "n0"))
 		}
-		if got, want := PickNewDeviceNode(pool), sortedPickNode(pool); got != want {
+		if got, want := core.PickNewDeviceNode(pool), sortedPickNode(pool); got != want {
 			t.Errorf("%s: PickNewDeviceNode = %q, want %q", tc.name, got, want)
 		}
-		if got, want := firstIdle(pool), sortedFirstIdle(pool); got != want {
-			t.Errorf("%s: firstIdle = %v, want %v", tc.name, got, want)
+		if got, want := core.FirstIdle(pool), sortedFirstIdle(pool); got != want {
+			t.Errorf("%s: FirstIdle = %v, want %v", tc.name, got, want)
 		}
 	}
 	for seed := int64(0); seed < 500; seed++ {
@@ -382,16 +385,16 @@ func TestSinglePassPicksMatchSortedReference(t *testing.T) {
 			pool.FreePhysical[fmt.Sprintf("node-%02d", rng.Intn(20))] = rng.Intn(4)
 		}
 		for n := rng.Intn(16); n > 0; n-- {
-			d := NewDeviceState(fmt.Sprintf("vgpu-%03d", rng.Intn(1000)), "node-00")
+			d := core.NewDeviceState(fmt.Sprintf("vgpu-%03d", rng.Intn(1000)), "node-00")
 			d.Idle = rng.Intn(3) == 0
 			pool.Devices = append(pool.Devices, d)
 		}
-		if got, want := PickNewDeviceNode(pool), sortedPickNode(pool); got != want {
+		if got, want := core.PickNewDeviceNode(pool), sortedPickNode(pool); got != want {
 			t.Fatalf("seed %d: PickNewDeviceNode = %q, want %q (free %v)", seed, got, want, pool.FreePhysical)
 		}
-		got, want := firstIdle(pool), sortedFirstIdle(pool)
+		got, want := core.FirstIdle(pool), sortedFirstIdle(pool)
 		if (got == nil) != (want == nil) || (got != nil && got.ID != want.ID) {
-			t.Fatalf("seed %d: firstIdle = %v, want %v", seed, got, want)
+			t.Fatalf("seed %d: FirstIdle = %v, want %v", seed, got, want)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/sim"
@@ -29,17 +30,17 @@ func benchPopulate(n int) *apiserver.Server {
 		}
 	}
 	for i := 0; i < n; i++ {
-		sp := &SharePod{
+		sp := &core.SharePod{
 			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("sp-%05d", i)},
-			Spec: SharePodSpec{
+			Spec: core.SharePodSpec{
 				GPURequest: 0.2, GPULimit: 0.3, GPUMem: 0.2,
 				GPUID:    fmt.Sprintf("vgpu-%04d", i%(nodes*4)),
 				NodeName: fmt.Sprintf("node-%d", i%nodes),
 				Pod:      api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
 			},
-			Status: SharePodStatus{Phase: SharePodRunning},
+			Status: core.SharePodStatus{Phase: core.SharePodRunning},
 		}
-		if _, err := SharePods(srv).Create(sp); err != nil {
+		if _, err := core.SharePods(srv).Create(sp); err != nil {
 			panic(err)
 		}
 	}
@@ -51,9 +52,9 @@ func benchPopulate(n int) *apiserver.Server {
 func BenchmarkAlgorithm1(b *testing.B) {
 	for _, devices := range []int{4, 32, 256} {
 		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			mk := func() *Pool {
+			mk := func() *core.Pool {
 				n := 0
-				pool := &Pool{
+				pool := &core.Pool{
 					FreePhysical: map[string]int{"n0": 4},
 					NewID: func() string {
 						n++
@@ -61,7 +62,7 @@ func BenchmarkAlgorithm1(b *testing.B) {
 					},
 				}
 				for i := 0; i < devices; i++ {
-					d := NewDeviceState(fmt.Sprintf("d%03d", i), "n0")
+					d := core.NewDeviceState(fmt.Sprintf("d%03d", i), "n0")
 					d.Idle = false
 					d.Util = float64(i%10) / 10
 					d.Mem = 0.5
@@ -72,7 +73,7 @@ func BenchmarkAlgorithm1(b *testing.B) {
 			pool := mk()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Schedule(Request{Util: 0.05, Mem: 0.01}, pool)
+				core.Schedule(core.Request{Util: 0.05, Mem: 0.01}, pool)
 				if i%512 == 511 {
 					b.StopTimer()
 					pool = mk() // residuals exhausted; rebuild
@@ -83,15 +84,15 @@ func BenchmarkAlgorithm1(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPool measures pool derivation from API state (the other
-// half of a scheduling cycle).
+// BenchmarkBuildPool measures pool derivation from API state by a full
+// relist, the reference VerifySnapshot holds the scheduler's snapshot to.
 func BenchmarkBuildPool(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("sharepods=%d", n), func(b *testing.B) {
 			srv := benchPopulate(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BuildPool(srv, func() string { return "x" })
+				core.BuildPool(srv, 1)
 			}
 		})
 	}

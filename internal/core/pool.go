@@ -40,22 +40,19 @@ func VGPUs(s *apiserver.Server) apiserver.Client[*VGPU] {
 	return apiserver.NewClient[*VGPU](s, KindVGPU)
 }
 
-// BuildPool derives Algorithm 1's pool state from the API server: one
-// DeviceState per vGPU (from VGPU objects and from GPUIDs referenced by
-// live sharePods that DevMgr has not yet materialized), with residuals and
-// labels accumulated from the live sharePods on each device, plus the
-// per-node count of physical GPUs still free for new vGPUs.
-func BuildPool(srv *apiserver.Server, newID func() string) *Pool {
-	return BuildPoolWithFactor(srv, newID, 1)
-}
-
-// BuildPoolWithFactor is BuildPool with a schedulable-memory factor per
-// device (>1 permits over-commitment backed by the device library's swap).
-func BuildPoolWithFactor(srv *apiserver.Server, newID func() string, memFactor float64) *Pool {
+// BuildPool derives Algorithm 1's pool state from the API server by a full
+// relist: one DeviceState per vGPU (from VGPU objects and from GPUIDs
+// referenced by live sharePods that DevMgr has not yet materialized), with
+// residuals and labels accumulated from the live sharePods on each device,
+// plus the per-node count of physical GPUs still free for new vGPUs. Each
+// device's schedulable memory is memFactor (>1 permits over-commitment backed
+// by the device library's swap; <=0 means 1). The scheduler never decides on
+// it: VerifySnapshot holds the snapshot's pool against it.
+func BuildPool(srv *apiserver.Server, memFactor float64) *Pool {
 	if memFactor <= 0 {
 		memFactor = 1
 	}
-	pool := &Pool{FreePhysical: map[string]int{}, NewID: newID, MemFactor: memFactor}
+	pool := &Pool{FreePhysical: map[string]int{}, MemFactor: memFactor}
 	byID := map[string]*DeviceState{}
 	vgpuPerNode := map[string]int{}
 

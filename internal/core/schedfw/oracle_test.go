@@ -43,7 +43,7 @@ func (s *Scheduler) runCycleExhaustive(p *sim.Proc) bool {
 	core.SortByAge(pending)
 	cycleStart := s.env.Now()
 	p.Sleep(core.CycleLatency)
-	txn := fwk.NewTxn(s.snap.NewPool(s.newGPUID))
+	txn := fwk.NewTxn(s.snap.Pool(s.newGPUID))
 
 	var out []staged
 	progressed := s.stageExhaustive(pending, txn, &out)
@@ -56,6 +56,7 @@ func (s *Scheduler) runCycleExhaustive(p *sim.Proc) bool {
 			fmt.Sprintf("cycle/%d", len(pending)),
 			fmt.Sprintf("staged=%d journal=%d", len(out), txn.Len()), cycleStart)
 	}
+	txn.Rollback(0)
 	for _, st := range out {
 		s.commit(st, cycleStart)
 	}

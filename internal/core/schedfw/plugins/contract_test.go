@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kubeshare/internal/core"
+	"kubeshare/internal/core/coretest"
 	"kubeshare/internal/core/schedfw/fwk"
 	"kubeshare/internal/core/schedfw/plugins"
 )
@@ -40,14 +41,8 @@ func TestPluginContract(t *testing.T) {
 		"default":  plugins.Default(),
 		"headroom": append([]fwk.Plugin{bigJobHeadroom{Floor: 0.5}}, plugins.Default()...),
 	}
-	for _, policy := range []core.PlacementPolicy{core.PaperPolicy, core.BestBest, core.WorstWorst, core.FirstFit} {
-		set := plugins.Default()
-		for i, p := range set {
-			if _, ok := p.(plugins.LocalityFit); ok {
-				set[i] = plugins.LocalityFit{Policy: policy}
-			}
-		}
-		sets[fmt.Sprintf("locality-fit-%d", policy)] = set
+	for _, policy := range []coretest.PlacementPolicy{coretest.PaperPolicy, coretest.BestBest, coretest.WorstWorst, coretest.FirstFit} {
+		sets[fmt.Sprintf("locality-fit-%d", policy)] = withPolicy(policy)
 	}
 	for name, set := range sets {
 		set := set

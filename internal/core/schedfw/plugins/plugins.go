@@ -1,10 +1,11 @@
-// Package plugins re-expresses Algorithm 1 as the scheduling framework's
-// default plugin set, placement-for-placement identical to core.Schedule:
+// Package plugins is Algorithm 1 as the scheduling framework's default
+// plugin set — the one implementation KubeShare-Sched runs, installed as
+// core.Schedule too:
 //
 //   - GPUAffinity (pre-filter): step 1's affinity-directed placement — pin
 //     the group's device (rejecting on exclusion/anti-affinity/capacity
-//     conflicts with the legacy reason strings), pin the lowest idle device
-//     for a group's first member, or skip straight to allocation.
+//     conflicts), pin the lowest idle device for a group's first member, or
+//     skip straight to allocation.
 //   - Exclusion, AntiAffinity, ResourceFit (filters): step 2's candidate
 //     filter; idle devices always qualify (their previous tenants are gone).
 //     ResourceFit is a pre-filter too: it narrows the walk to the devices
@@ -13,12 +14,15 @@
 //   - LocalityBand, LocalityFit (scores): step 3's placement policy as a
 //     lexicographic score — plain devices before affinity-labelled ones,
 //     best fit within plain (maximize -residual), worst fit within labelled
-//     (maximize residual). Negation keeps the float comparisons exactly the
-//     ones bestFit/worstFit make, so ties break identically.
+//     (maximize residual); full ties fall to the lowest device ID.
 //   - NodeSpread (alloc): the new-vGPU fallback on the node with the most
 //     free physical GPUs.
 //   - DeviceCommit (reserve): the only writer — commits Assigned/NewDevice
 //     decisions onto the cycle's pool transaction.
+//
+// The test-only reference, coretest.ScheduleWithPolicy, is Algorithm 1 as the
+// paper writes it, three walks of the pool; the engine must decide exactly
+// what it decides (TestEngineMatchesAlgorithm1).
 //
 // Plugins never touch the API server: tools/detvet rejects apiserver/store
 // imports in plugin packages, keeping all commits on the framework's
@@ -31,6 +35,12 @@ import (
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw/fwk"
 )
+
+func init() {
+	core.Schedule = func(r core.Request, pool *core.Pool) core.Decision {
+		return fwk.NewEngine(Default()).Schedule(&fwk.Unit{Req: r}, fwk.NewTxn(pool))
+	}
+}
 
 // Default returns the default plugin set — Algorithm 1 in phases, in the
 // paper's policy (best fit on plain devices, worst fit on labelled ones).
@@ -177,34 +187,18 @@ func (LocalityBand) Score(u *fwk.Unit, d *core.DeviceState) float64 {
 // ties: best fit (smallest residual) within the plain band, worst fit
 // (largest residual) within the labelled band — the fragmentation-vs-growth
 // trade the paper picks. Scores negate rather than subtract residuals, so
-// the comparison is bit-exact with bestFit/worstFit and ties fall to the
-// same lowest-ID device.
-type LocalityFit struct {
-	// Policy selects the ablation variant; the zero value is the paper's.
-	Policy core.PlacementPolicy
-}
+// equal residuals tie exactly and fall to the lowest device ID.
+type LocalityFit struct{}
 
 // Name implements fwk.Plugin.
-func (p LocalityFit) Name() string { return "locality-fit" }
+func (LocalityFit) Name() string { return "locality-fit" }
 
 // Score implements fwk.ScorePlugin.
-func (p LocalityFit) Score(u *fwk.Unit, d *core.DeviceState) float64 {
-	plain := len(d.Aff) == 0 || d.Idle
-	best := -core.Residual(d) // maximize -residual == best fit
-	worst := core.Residual(d) // maximize residual == worst fit
-	switch p.Policy {
-	case core.BestBest:
-		return best
-	case core.WorstWorst:
-		return worst
-	case core.FirstFit:
-		return 0 // full tie: lowest device ID wins — pool-order first fit
-	default: // PaperPolicy
-		if plain {
-			return best
-		}
-		return worst
+func (LocalityFit) Score(u *fwk.Unit, d *core.DeviceState) float64 {
+	if len(d.Aff) == 0 || d.Idle {
+		return -core.Residual(d) // maximize -residual == best fit
 	}
+	return core.Residual(d) // maximize residual == worst fit
 }
 
 // NodeSpread proposes a fresh vGPU on the node with the most free physical

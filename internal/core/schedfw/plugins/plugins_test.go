@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kubeshare/internal/core"
+	"kubeshare/internal/core/coretest"
 	"kubeshare/internal/core/schedfw/fwk"
 	"kubeshare/internal/core/schedfw/plugins"
 )
@@ -79,28 +80,22 @@ func randomPools(rng *rand.Rand, n int, memFactor float64) []*core.Pool {
 
 // TestEngineMatchesAlgorithm1 is the framework's equivalence property: the
 // default plugin set run through the engine must make the same decision —
-// outcome, device, node, reason — as core.Schedule on every request of a
-// random sequence, and leave the pool in the same state, for every policy
-// variant.
+// outcome, device, node, reason — as Algorithm 1 as the paper writes it
+// (coretest.ScheduleWithPolicy) on every request of a random sequence, and
+// leave the pool in the same state, for every policy variant.
 func TestEngineMatchesAlgorithm1(t *testing.T) {
-	policies := []core.PlacementPolicy{core.PaperPolicy, core.BestBest, core.WorstWorst, core.FirstFit}
+	policies := []coretest.PlacementPolicy{coretest.PaperPolicy, coretest.BestBest, coretest.WorstWorst, coretest.FirstFit}
 	for _, policy := range policies {
 		policy := policy
 		t.Run(fmt.Sprintf("policy-%d", policy), func(t *testing.T) {
-			set := plugins.Default()
-			for i, p := range set {
-				if _, ok := p.(plugins.LocalityFit); ok {
-					set[i] = plugins.LocalityFit{Policy: policy}
-				}
-			}
-			eng := fwk.NewEngine(set)
+			eng := fwk.NewEngine(withPolicy(policy))
 			for seed := int64(0); seed < 200; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				legacy, framework := randomPoolPair(rng)
 				txn := fwk.NewTxn(framework)
 				for step := 0; step < 30; step++ {
 					r := randomRequest(rng)
-					want := core.ScheduleWithPolicy(r, legacy, policy)
+					want := coretest.ScheduleWithPolicy(r, legacy, policy)
 					got := eng.Schedule(&fwk.Unit{Name: fmt.Sprintf("sp-%d", step), Req: r}, txn)
 					if got != want {
 						t.Fatalf("seed %d step %d req %+v: engine %+v, legacy %+v", seed, step, r, got, want)
@@ -114,12 +109,40 @@ func TestEngineMatchesAlgorithm1(t *testing.T) {
 	}
 }
 
-// withPolicy returns the default plugin set in the given step-3 policy.
-func withPolicy(policy core.PlacementPolicy) []fwk.Plugin {
+// localityFit is plugins.LocalityFit under any of coretest's policies. Scores
+// negate rather than subtract residuals, so the comparison is bit-exact with
+// Algorithm 1's and full ties fall to the lowest device ID.
+type localityFit struct{ policy coretest.PlacementPolicy }
+
+func (localityFit) Name() string { return plugins.LocalityFit{}.Name() }
+
+func (p localityFit) Score(u *fwk.Unit, d *core.DeviceState) float64 {
+	best := -core.Residual(d) // maximize -residual == best fit
+	worst := core.Residual(d) // maximize residual == worst fit
+	switch p.policy {
+	case coretest.BestBest:
+		return best
+	case coretest.WorstWorst:
+		return worst
+	case coretest.FirstFit:
+		return 0 // full tie: lowest device ID wins — pool-order first fit
+	}
+	if len(d.Aff) == 0 || d.Idle {
+		return best
+	}
+	return worst
+}
+
+// withPolicy returns the default plugin set in the given step-3 policy: the
+// paper's is the set itself, the others swap localityFit in.
+func withPolicy(policy coretest.PlacementPolicy) []fwk.Plugin {
 	set := plugins.Default()
+	if policy == coretest.PaperPolicy {
+		return set
+	}
 	for i, p := range set {
 		if _, ok := p.(plugins.LocalityFit); ok {
-			set[i] = plugins.LocalityFit{Policy: policy}
+			set[i] = localityFit{policy}
 		}
 	}
 	return set
@@ -144,7 +167,7 @@ func (fitFilterOnly) Filter(u *fwk.Unit, d *core.DeviceState) bool {
 // idle device's filters wave through (admission never lets one this far).
 func TestEngineNarrowingIsAnOptimisation(t *testing.T) {
 	const steps = 30
-	for _, policy := range []core.PlacementPolicy{core.PaperPolicy, core.BestBest, core.WorstWorst, core.FirstFit} {
+	for _, policy := range []coretest.PlacementPolicy{coretest.PaperPolicy, coretest.BestBest, coretest.WorstWorst, coretest.FirstFit} {
 		narrowing := fwk.NewEngine(withPolicy(policy))
 		set := withPolicy(policy)
 		for i, p := range set {
@@ -177,7 +200,7 @@ func TestEngineNarrowingIsAnOptimisation(t *testing.T) {
 				if step == steps-1 {
 					break // Algorithm 1 refuses what no device can hold; the pools part ways here
 				}
-				if alg := core.ScheduleWithPolicy(r, legacy, policy); got != alg {
+				if alg := coretest.ScheduleWithPolicy(r, legacy, policy); got != alg {
 					t.Fatalf("policy %d seed %d step %d req %+v: engine %+v, Algorithm 1 %+v", policy, seed, step, r, got, alg)
 				}
 			}

@@ -220,7 +220,7 @@ func (s *Scheduler) VerifySnapshot() error {
 	if err := pool.VerifyIndex(); err != nil {
 		return err
 	}
-	return core.DiffPools(pool, core.BuildPoolWithFactor(s.srv, nil, s.cfg.MemOvercommitFactor))
+	return core.DiffPools(pool, core.BuildPool(s.srv, s.cfg.MemOvercommitFactor))
 }
 
 // Start launches the watch and scheduling loops.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -24,7 +23,7 @@ import (
 // transaction, rolls them back, and lets the committed ones return as
 // deltas — so no cycle copies the cluster.
 //
-// Pool equivalence with BuildPoolWithFactor is exact: per-device residuals
+// Pool equivalence with BuildPool is exact: per-device residuals
 // are recomputed from the device's tenant set in name order (matching the
 // List order BuildPool places in) and devices are kept sorted by ID, so
 // the two constructions are comparable field by field — the property the
@@ -97,8 +96,8 @@ type podGPURef struct {
 	count int
 }
 
-// NewSnapshot returns an empty snapshot. memFactor follows
-// BuildPoolWithFactor semantics (<=0 means 1).
+// NewSnapshot returns an empty snapshot. memFactor follows BuildPool's
+// semantics (<=0 means 1).
 func NewSnapshot(memFactor float64) *Snapshot {
 	if memFactor <= 0 {
 		memFactor = 1
@@ -338,11 +337,11 @@ func (d *deviceEntry) deviceState(memFactor float64) *DeviceState {
 	return ds
 }
 
-// Pool returns the snapshot's persistent pool, equivalent to
-// BuildPoolWithFactor against the same cluster state, after folding in the
-// devices marked dirty since the last call (each recomputed from its
-// tenants, inserted at its ID's place, or removed) and recounting the free
-// physical GPUs. The pool is lent: the caller may stage placements on it but
+// Pool returns the snapshot's persistent pool, equivalent to BuildPool
+// against the same cluster state, after folding in the devices marked dirty
+// since the last call (each recomputed from its tenants, inserted at its
+// ID's place, or removed) and recounting the free physical GPUs. The pool
+// is lent: the caller may stage placements on it but
 // hands it back as found before the next call; what it decided comes back
 // through Placed.
 func (s *Snapshot) Pool(newID func() string) *Pool {
@@ -372,18 +371,6 @@ func (s *Snapshot) Pool(newID func() string) *Pool {
 		}
 	}
 	return p
-}
-
-// NewPool returns a deep copy of the (folded) persistent pool for a caller
-// that keeps what it places: Fig 11's Algorithm 1 run, the exhaustive
-// reference driver. Not to be called while the pool is lent out.
-func (s *Snapshot) NewPool(newID func() string) *Pool {
-	live := s.Pool(nil)
-	pool := &Pool{FreePhysical: maps.Clone(live.FreePhysical), NewID: newID, MemFactor: s.memFactor}
-	for _, d := range live.Devices {
-		pool.Devices = append(pool.Devices, d.Clone())
-	}
-	return pool
 }
 
 // DiffPools compares two Algorithm 1 pools and returns a description of the

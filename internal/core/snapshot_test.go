@@ -74,8 +74,8 @@ func clonePool(p *core.Pool) *core.Pool {
 
 // TestSnapshotMatchesRebuildRandomized runs a randomized sequence of
 // SharePod / VGPU / Pod / Node mutations and checks after every step that
-// the snapshot's persistent pool — and the one NewPool builds from scratch —
-// is identical to a full BuildPoolWithFactor rebuild, its residual order
+// the snapshot's persistent pool is identical to a full BuildPool rebuild,
+// its residual order
 // intact, and that Pending is the server's pending sharePods oldest first.
 // Every third step happens inside a borrow, as a scheduling cycle makes
 // one: the pool is taken, a batch is staged on it through the engine, the
@@ -204,13 +204,12 @@ func TestSnapshotMatchesRebuildRandomized(t *testing.T) {
 						t.Fatalf("step %d, handed back: %v", step, err)
 					}
 				}
-				want := core.BuildPoolWithFactor(srv, nil, memFactor)
+				want := core.BuildPool(srv, memFactor)
 				got := snap.Pool(nil)
 				requirePoolsEqual(t, got, want)
 				if err := got.VerifyIndex(); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				requirePoolsEqual(t, snap.NewPool(nil), want)
 				var pending []*core.SharePod
 				for _, sp := range sps.List() {
 					if !sp.Placed() && !sp.Terminated() {
@@ -247,8 +246,8 @@ func TestSnapshotApplyIdempotent(t *testing.T) {
 	// Write-through: apply the already-seen object again, twice.
 	snap.Apply(store.Event{Type: store.Modified, Object: stored})
 	snap.Apply(store.Event{Type: store.Modified, Object: stored})
-	got := snap.NewPool(nil)
-	want := core.BuildPool(srv, nil)
+	got := snap.Pool(nil)
+	want := core.BuildPool(srv, 1)
 	requirePoolsEqual(t, got, want)
 	if got.Devices[0].Util >= 1 {
 		t.Fatalf("tenant not accounted: util %v", got.Devices[0].Util)

@@ -54,6 +54,9 @@ var exemptDirs = []string{"internal/simrand"}
 var bannedImports = map[string]string{
 	"math/rand":    "use kubeshare/internal/simrand (seeded streams) instead",
 	"math/rand/v2": "use kubeshare/internal/simrand (seeded streams) instead",
+	// The paper-form Algorithm 1 is a test oracle; the scheduler that runs
+	// decides through schedfw's engine (core.Schedule).
+	"kubeshare/internal/core/coretest": "test-only reference Algorithm 1; only _test.go files import it",
 }
 
 // dirBannedImports bans imports only within package directories matching a

@@ -39,3 +39,17 @@ func stamp() time.Time { return time.Now() } //det:allow injectable wall-clock d
 		t.Fatalf("violations = %d, want 0", got)
 	}
 }
+
+// TestTestOracleImportFlagged: program code importing the test-only
+// Algorithm 1 reference is a violation.
+func TestTestOracleImportFlagged(t *testing.T) {
+	const src = `package p
+
+import "kubeshare/internal/core/coretest"
+
+var _ = coretest.PaperPolicy
+`
+	if got := vet(t, src); got != 1 {
+		t.Fatalf("violations = %d, want 1", got)
+	}
+}
