@@ -46,11 +46,14 @@ go run ./tools/benchgate
 # one closure, the rest nothing), a store status write (one allocation at 1,
 # 8 and 32 watchers), Client.MutateStatus (two, with 0 or 64 env vars), a
 # logged write (the volatile write's one), a kernel launch (nothing, under
-# every strategy); Figure 15's decisions per second, Figure 17's rows and
+# every strategy), a placement staged and rolled back on an unlabeled pool
+# device and the snapshot's refresh of a device it holds (nothing), Fig 11's
+# decision (two: the transaction and its journal); Figure 15's decisions per second, Figure 17's rows and
 # Figure 18's throughputs, stretches and memory witnesses at quick scale.
 # Figure 16's decisions and Figure 19's table are pinned by
 # TestFig16PlacementsPinned and fig19_table.golden.
 named TestMicroBenchmarkAllocsHeldExactly go test ./internal/sim/
+named TestPlacementAllocsHeldExactly go test ./internal/experiments/
 named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec' go test .
 named TestLoggingAWriteAllocatesNothing go test ./internal/kube/store/
 named TestLaunchKernelAllocs go test ./internal/devlib/
@@ -168,8 +171,9 @@ GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
 # the residual order survives every transaction step and rollback, and the
 # pool the cycles borrow equals a relist after every delta — with
 # borrowed-and-rolled-back transactions, and deltas landing inside them, in
-# between. Each name lives in one of the two packages.
-named 'TestEngineNarrowing|TestTxnRollback|TestSnapshotMatchesRebuildRandomized' env GOMAXPROCS=4 go test -race ./internal/core/ ./internal/core/schedfw/plugins/
+# between — and the journal copies a device's label sets rather than sharing
+# them. Each name lives in one of the three packages.
+named 'TestEngineNarrowing|TestTxnRollback|TestTxnJournalCopiesLabelSets|TestSnapshotMatchesRebuildRandomized' env GOMAXPROCS=4 go test -race ./internal/core/ ./internal/core/schedfw/fwk/ ./internal/core/schedfw/plugins/
 # The store's one lock under the race detector with goroutines actually
 # running concurrently: the churn-vs-watch equivalence property (live,
 # filtered and late-registered watches), goroutine readers (Scan/Get/List)

@@ -247,7 +247,7 @@ func get(s *kubeshare.Sim, kind string) {
 		for _, pod := range s.Pods().List() {
 			fmt.Printf("%-26s %-10s %-8s %d\n",
 				pod.Name, pod.Status.Phase, pod.Spec.NodeName,
-				pod.Spec.Requests()[kubeshare.ResourceGPU])
+				pod.Spec.Request(kubeshare.ResourceGPU))
 		}
 	case "usage":
 		usage := s.Stats().Usage

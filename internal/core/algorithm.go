@@ -43,10 +43,12 @@ type DeviceState struct {
 	// byte equivalent. Byte requests fit against memBytesCap() minus this,
 	// so the two denominations deduct from one shared capacity.
 	MemBytesUsed int64
-	Aff          map[string]bool
-	Anti         map[string]bool
-	Excl         string
-	Idle         bool // no container scheduled on the device
+	// Aff and Anti are the device's label sets, nil until Place puts a label
+	// on the device (a nil set reads as empty).
+	Aff  map[string]bool
+	Anti map[string]bool
+	Excl string
+	Idle bool // no container scheduled on the device
 }
 
 // NewDeviceState returns an empty (idle, full-capacity) device.
@@ -57,24 +59,8 @@ func NewDeviceState(id, node string) *DeviceState {
 		Util:        1,
 		Mem:         1,
 		MemCapacity: 1,
-		Aff:         map[string]bool{},
-		Anti:        map[string]bool{},
 		Idle:        true,
 	}
-}
-
-// Clone returns an independent copy of the device state.
-func (d *DeviceState) Clone() *DeviceState {
-	out := *d
-	out.Aff = make(map[string]bool, len(d.Aff))
-	for k, v := range d.Aff {
-		out.Aff[k] = v
-	}
-	out.Anti = make(map[string]bool, len(d.Anti))
-	for k, v := range d.Anti {
-		out.Anti[k] = v
-	}
-	return &out
 }
 
 // Fits reports whether r's resource demand fits the residuals. Idle devices
@@ -123,8 +109,7 @@ func (d *DeviceState) Place(r Request) {
 	if d.Idle {
 		d.Util, d.Mem = 1, d.memCapacity()
 		d.MemBytesUsed = 0
-		d.Aff = map[string]bool{}
-		d.Anti = map[string]bool{}
+		d.Aff, d.Anti = nil, nil
 		d.Excl = ""
 		d.Idle = false
 	}
@@ -145,12 +130,21 @@ func (d *DeviceState) Place(r Request) {
 	d.Mem -= mem
 	d.MemBytesUsed += bytes
 	if r.Aff != "" {
-		d.Aff[r.Aff] = true
+		d.Aff = withLabel(d.Aff, r.Aff)
 	}
 	if r.Anti != "" {
-		d.Anti[r.Anti] = true
+		d.Anti = withLabel(d.Anti, r.Anti)
 	}
 	d.Excl = r.Excl
+}
+
+// withLabel adds label to set, making the set on its first label.
+func withLabel(set map[string]bool, label string) map[string]bool {
+	if set == nil {
+		set = map[string]bool{}
+	}
+	set[label] = true
+	return set
 }
 
 // Pool is Algorithm 1's D plus the physical capacity needed to decide
@@ -245,7 +239,8 @@ func (p *Pool) Place(d *DeviceState, r Request) {
 }
 
 // Restore overwrites d, a device of the pool, with an earlier or recomputed
-// value of itself (a transaction's undo, the snapshot's refresh).
+// value of itself (a transaction's undo, the snapshot's refresh). d takes
+// over to's label sets.
 func (p *Pool) Restore(d, to *DeviceState) {
 	i := p.position(d)
 	*d = *to

@@ -96,7 +96,7 @@ func TestScheduleIdleDeviceResetsStaleLabels(t *testing.T) {
 	pool := testPool(nil)
 	stale := core.NewDeviceState("d0", "n0")
 	stale.Excl = "old-tenant"
-	stale.Anti["old"] = true
+	stale.Anti = map[string]bool{"old": true}
 	pool.Devices = []*core.DeviceState{stale}
 	got := core.Schedule(core.Request{Util: 0.5, Mem: 0.5, Anti: "old"}, pool)
 	if got.Outcome != core.Assigned {
@@ -197,9 +197,9 @@ func TestScheduleWorstFitForAffinityDevices(t *testing.T) {
 	// that fits no plain device must go to the *emptier* affinity device.
 	pool := testPool(map[string]int{})
 	g1 := dev("d-g1", "n0", 0.3, 0.9)
-	g1.Aff["g1"] = true
+	g1.Aff = map[string]bool{"g1": true}
 	g2 := dev("d-g2", "n0", 0.6, 0.9)
-	g2.Aff["g2"] = true
+	g2.Aff = map[string]bool{"g2": true}
 	pool.Devices = []*core.DeviceState{g1, g2}
 	got := core.Schedule(core.Request{Util: 0.2, Mem: 0.1}, pool)
 	if got.Outcome != core.Assigned || got.GPUID != "d-g2" {

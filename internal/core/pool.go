@@ -86,7 +86,7 @@ func BuildPool(srv *apiserver.Server, memFactor float64) *Pool {
 		if pod.Terminated() || pod.Labels[LabelVGPUHolder] != "" {
 			continue
 		}
-		if n := pod.Spec.Requests()[api.ResourceGPU]; n > 0 && pod.Spec.NodeName != "" {
+		if n := pod.Spec.Request(api.ResourceGPU); n > 0 && pod.Spec.NodeName != "" {
 			nativeGPU[pod.Spec.NodeName] += int(n)
 		}
 	}

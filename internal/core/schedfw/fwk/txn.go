@@ -1,6 +1,10 @@
 package fwk
 
-import "kubeshare/internal/core"
+import (
+	"maps"
+
+	"kubeshare/internal/core"
+)
 
 // Txn is the transactional view of one scheduling cycle's pool. Reserve
 // plugins mutate devices only through it; every mutation is journaled, so
@@ -10,7 +14,10 @@ import "kubeshare/internal/core"
 // The journal is an undo log, not a copy of the pool: rollback restores
 // exactly the devices touched since the checkpoint (saved-value restore for
 // placements, removal for created devices), so a batch over thousands of
-// devices pays only for what it reserved.
+// devices pays only for what it reserved. A placement journals the device's
+// value inline, copying only label sets the device has, so placing on and
+// rolling back an unlabeled device allocates nothing once the journal has
+// grown.
 type Txn struct {
 	pool    *core.Pool
 	journal []txnOp
@@ -29,8 +36,9 @@ const (
 type txnOp struct {
 	kind txnOpKind
 	dev  *core.DeviceState
-	// saved is the device's pre-mutation value (opPlace).
-	saved *core.DeviceState
+	// saved is the device's pre-mutation value (opPlace), its label sets
+	// copies of the device's.
+	saved core.DeviceState
 	// node regains its free physical GPU on rollback (opAddDevice).
 	node string
 }
@@ -49,7 +57,9 @@ func (t *Txn) Checkpoint() Mark { return Mark(len(t.journal)) }
 // Place commits a request onto an existing device, journaling the device's
 // prior value.
 func (t *Txn) Place(d *core.DeviceState, r core.Request) {
-	t.journal = append(t.journal, txnOp{kind: opPlace, dev: d, saved: d.Clone()})
+	saved := *d
+	saved.Aff, saved.Anti = maps.Clone(d.Aff), maps.Clone(d.Anti)
+	t.journal = append(t.journal, txnOp{kind: opPlace, dev: d, saved: saved})
 	t.pool.Place(d, r)
 }
 
@@ -75,10 +85,10 @@ func (t *Txn) AddDevice(node, id string, r core.Request) *core.DeviceState {
 // the journaled device).
 func (t *Txn) Rollback(m Mark) {
 	for i := len(t.journal) - 1; i >= int(m); i-- {
-		op := t.journal[i]
+		op := &t.journal[i]
 		switch op.kind {
 		case opPlace:
-			t.pool.Restore(op.dev, op.saved)
+			t.pool.Restore(op.dev, &op.saved)
 		case opAddDevice:
 			t.pool.Remove(len(t.pool.Devices) - 1)
 			t.pool.FreePhysical[op.node]++

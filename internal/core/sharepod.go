@@ -357,7 +357,7 @@ func ValidateSharePod(o api.Object) error {
 	if len(sp.Spec.Pod.Containers) != 1 {
 		return fmt.Errorf("core: sharePod must have exactly one container (got %d)", len(sp.Spec.Pod.Containers))
 	}
-	if gpus := sp.Spec.Pod.Requests()[api.ResourceGPU]; gpus != 0 {
+	if gpus := sp.Spec.Pod.Request(api.ResourceGPU); gpus != 0 {
 		return fmt.Errorf("core: sharePod container must not request %s (the share fields replace it)", api.ResourceGPU)
 	}
 	if err := validateGPUFields(sp.Spec); err != nil {

@@ -276,7 +276,7 @@ func (s *Snapshot) applyPod(pod *api.Pod, deleted bool) {
 	// are already accounted as vGPUs.
 	count := 0
 	if !deleted && !pod.Terminated() && pod.Labels[LabelVGPUHolder] == "" && pod.Spec.NodeName != "" {
-		count = int(pod.Spec.Requests()[api.ResourceGPU])
+		count = int(pod.Spec.Request(api.ResourceGPU))
 	}
 	prev, had := s.podGPU[pod.Name]
 	if had && prev.node == pod.Spec.NodeName && prev.count == count {
@@ -318,19 +318,20 @@ func (s *Snapshot) Pending() []*SharePod { return slices.Clone(s.queue) }
 // IsPending reports whether the named sharePod is in the pending set.
 func (s *Snapshot) IsPending(name string) bool { return s.pending[name] != nil }
 
-// deviceState computes the device's DeviceState from its tenant set. Tenants
-// are placed in name order — the same order BuildPool encounters them in
+// state computes the device's DeviceState from its tenant set. Tenants are
+// placed in name order — the same order BuildPool encounters them in
 // SharePods().List() — so the float residuals and the last-writer fields
-// (Excl) agree between the two constructions.
-func (d *deviceEntry) deviceState(memFactor float64) *DeviceState {
-	ds := NewDeviceState(d.id, d.node)
-	ds.MemCapacity = memFactor
-	ds.Mem = memFactor
-	names := make([]string, 0, len(d.tenants))
+// (Excl) agree between the two constructions. The names sort in a stack
+// buffer, so a device of up to eight tenants with no labels costs nothing.
+func (d *deviceEntry) state(memFactor float64) DeviceState {
+	ds := *NewDeviceState(d.id, d.node)
+	ds.MemCapacity, ds.Mem = memFactor, memFactor
+	var buf [8]string
+	names := buf[:0]
 	for n := range d.tenants {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		ds.Place(d.tenants[n])
 	}
@@ -339,11 +340,10 @@ func (d *deviceEntry) deviceState(memFactor float64) *DeviceState {
 
 // Pool returns the snapshot's persistent pool, equivalent to BuildPool
 // against the same cluster state, after folding in the devices marked dirty
-// since the last call (each recomputed from its tenants, inserted at its
-// ID's place, or removed) and recounting the free physical GPUs. The pool
-// is lent: the caller may stage placements on it but
-// hands it back as found before the next call; what it decided comes back
-// through Placed.
+// since the last call (each recomputed from its tenants in place, inserted
+// at its ID's place, or removed) and recounting the free physical GPUs. The
+// pool is lent: the caller may stage placements on it but hands it back as
+// found before the next call; what it decided comes back through Placed.
 func (s *Snapshot) Pool(newID func() string) *Pool {
 	p := s.pool
 	p.NewID = newID
@@ -352,10 +352,12 @@ func (s *Snapshot) Pool(newID func() string) *Pool {
 		switch d := s.devices[id]; {
 		case d != nil && found:
 			d.dirty = false
-			p.Restore(p.Devices[i], d.deviceState(s.memFactor))
+			ds := d.state(s.memFactor)
+			p.Restore(p.Devices[i], &ds)
 		case d != nil:
 			d.dirty = false
-			p.Insert(i, d.deviceState(s.memFactor))
+			ds := d.state(s.memFactor) // the one allocation: a device new to the pool
+			p.Insert(i, &ds)
 		case found:
 			p.Remove(i)
 		}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -64,7 +65,9 @@ func snapTestSP(name string, i int) *core.SharePod {
 func clonePool(p *core.Pool) *core.Pool {
 	out := &core.Pool{FreePhysical: map[string]int{}, MemFactor: p.MemFactor}
 	for _, d := range p.Devices {
-		out.Devices = append(out.Devices, d.Clone())
+		c := *d
+		c.Aff, c.Anti = maps.Clone(d.Aff), maps.Clone(d.Anti)
+		out.Devices = append(out.Devices, &c)
 	}
 	for n, free := range p.FreePhysical {
 		out.FreePhysical[n] = free
@@ -78,7 +81,8 @@ func clonePool(p *core.Pool) *core.Pool {
 // its residual order
 // intact, and that Pending is the server's pending sharePods oldest first.
 // Every third step happens inside a borrow, as a scheduling cycle makes
-// one: the pool is taken, a batch is staged on it through the engine, the
+// one: the pool is taken, a batch (some of it labeled) is staged on it
+// through the engine, the
 // step's delta lands in the snapshot, and the transaction is rolled back —
 // after which the pool must be, pointer for pointer and field for field,
 // what was borrowed: a delta only marks, and the next Pool call folds it in.
@@ -114,7 +118,9 @@ func TestSnapshotMatchesRebuildRandomized(t *testing.T) {
 					before, held = clonePool(lent), slices.Clone(lent.Devices)
 					txn = fwk.NewTxn(lent)
 					for i := 0; i < 4; i++ {
-						eng.Schedule(&fwk.Unit{Req: core.RequestOf(snapTestSP("staged", rng.Intn(20)))}, txn)
+						r := core.RequestOf(snapTestSP("staged", rng.Intn(20)))
+						r.Aff, r.Anti = affLabels[rng.Intn(len(affLabels))], affLabels[rng.Intn(len(affLabels))]
+						eng.Schedule(&fwk.Unit{Req: r}, txn)
 					}
 				}
 				switch rng.Intn(10) {

@@ -255,6 +255,16 @@ func (s PodSpec) Requests() ResourceList {
 	return total
 }
 
+// Request returns the pod-level request of one resource: Requests()[name],
+// without building the list.
+func (s PodSpec) Request(name string) int64 {
+	var n int64
+	for _, c := range s.Containers {
+		n += c.Requests[name]
+	}
+	return n
+}
+
 // PodStatus is the observed state of a pod.
 type PodStatus struct {
 	Phase   PodPhase

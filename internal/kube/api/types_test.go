@@ -61,6 +61,11 @@ func TestPodRequestsSumsContainers(t *testing.T) {
 	if total[ResourceCPU] != 300 || total[ResourceGPU] != 1 {
 		t.Fatalf("requests = %v", total)
 	}
+	for _, name := range []string{ResourceCPU, ResourceGPU, ResourceMemory} {
+		if got := spec.Request(name); got != total[name] {
+			t.Fatalf("Request(%s) = %d, want %d", name, got, total[name])
+		}
+	}
 }
 
 func TestPodTerminated(t *testing.T) {
