@@ -28,11 +28,11 @@ go vet ./...
 test -z "$(gofmt -l .)"
 # Determinism vet: simulation code must not read the wall clock, print to
 # stdout, or use the global RNG; metric names must be kubeshare_-prefixed
-# snake_case with label keys from the bounded vocabulary; every registered
-# kubeshare_ family must have a docs/METRICS.md row and vice versa (see
-# tools/detvet).
-go run ./tools/detvet -metricsdoc docs/METRICS.md ./internal
-# The metrics reference itself must be freshly generated, not hand-edited.
+# snake_case with label keys from the bounded vocabulary (see tools/detvet).
+go run ./tools/detvet ./internal
+# metricsdoc -check is what keeps docs/METRICS.md and the code in sync: every
+# family registered under ./internal or ./cmd must have a description and
+# every description a family, and the doc must equal the fresh render.
 go run ./tools/metricsdoc -check
 go test ./...
 # The work ratchet: each repo-benchmark workload at seed 1, untraced and
@@ -82,8 +82,9 @@ go test -race ./internal/kube/... ./internal/core/...
 # gives exactly one rerun, Sync runs in its caller, errors back off; a holder
 # deleted before it reports requeues its tenant and leaves nothing behind,
 # and an apiserver restart under running tenants writes no status that
-# changes nothing.
-named 'TestRunner|TestDevMgr' go test -race ./internal/kube/controller/ ./internal/core/
+# changes nothing. Beside them, the full stack watches only for the control
+# loops that have traffic (13 reflectors, each relisting once per restart).
+named 'TestRunner|TestDevMgr|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
 go test -race ./internal/sim/... ./internal/devlib/...
 # The kernel's worker pool by name, so it cannot silently vanish: a reused
 # worker runs a proc killed before its first execution as a fresh coroutine
@@ -130,7 +131,9 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # runs them one package at a time. The oracle's watcher mix includes the
 # node- and owner-scoped filters; the reflector pass names the node-scoped
 # relist (a 410 or a restart epoch synthesises events for matching objects
-# only), and the kubelet pass the two consumers' own properties: two kubelets
+# only), and Inform's loop contract (its handler runs in the loop, sees every
+# event across a drop and a restart's relist, and never runs after Stop); the
+# kubelet pass names the two consumers' own properties: two kubelets
 # on one apiserver each receive and cache only their node's pods (a pod bound
 # after creation admitted once); a node crash kills its containers in
 # pod-name order, and a pod whose two device plugins set one env key sees one
@@ -139,7 +142,7 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # medium the store rewrites in place, and a restored pod costs ≤ 12
 # allocations, from the checkpoint or the log, whatever its string count.
 named 'TestRestore|TestRestoredObjectsShareNoBytesWithMedium|TestRestoreAllocs|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
-named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestEventSinkRestart' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
+named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestEventSinkRestart|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
 named 'TestStopOrderDeterministic|TestKubeletWatchScopedToNode|TestSharedEnvKeyDeterministic' env GOMAXPROCS=4 go test -race ./internal/kube/kubelet/
 # Native fuzz smokes over the durable medium's decoders, 5 s each from the
 # checked-in seed corpora (testdata/fuzz; TestFuzzSeedCorpusCurrent keeps

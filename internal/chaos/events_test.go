@@ -9,6 +9,7 @@ import (
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
 )
@@ -30,16 +31,9 @@ func TestEventsSurviveWatchDrop(t *testing.T) {
 
 	// The consumer mirrors the Event store from the reflector stream.
 	seen := map[string]int{} // event name -> last Count delivered
-	r := c.API.NewNamedReflector("event-consumer", api.KindEvent, apiserver.WatchOptions{Replay: true})
-	env.Go("event-consumer", func(p *sim.Proc) {
-		for {
-			ev, ok := r.Get(p)
-			if !ok {
-				return
-			}
-			e := ev.Object.(*api.Event)
-			seen[e.Name] = e.Count
-		}
+	r := c.API.Inform("event-consumer", "event-consumer", api.KindEvent, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+		e := ev.Object.(*api.Event)
+		seen[e.Name] = e.Count
 	})
 
 	// Sever the stream every couple of seconds while the workload runs.

@@ -69,7 +69,6 @@ type DevMgr struct {
 
 	vgpus, sharePods   *controller.Runner
 	spR, podR, holderR *apiserver.Reflector // sharePods, bound pods, holder pods
-	procs              []*sim.Proc
 
 	devices  map[string]*vgpuState      // what no object records about each vGPU
 	placed   map[string]string          // live placed sharePod → GPUID, to see it leave
@@ -185,47 +184,25 @@ func (m *DevMgr) state(gpuID string) *vgpuState {
 // Start opens the sharePod, bound-pod and holder-pod watches (reflectors:
 // dropped watches resume or relist) and launches the reconcilers.
 func (m *DevMgr) Start() {
-	m.spR = m.watch("kubeshare-devmgr", KindSharePod, nil, m.onSharePod)
+	const consumer = "kubeshare-devmgr"
+	m.spR = m.srv.Inform(consumer, consumer, KindSharePod, apiserver.WatchOptions{Replay: true}, m.onSharePod)
 	// Only bound pods reach this loop (the filter runs server-side), and
 	// only a running or finished one has a phase to mirror.
-	m.podR = m.watch("kubeshare-devmgr-pods", "Pod", labels.HasKey(LabelSharePod), func(p *sim.Proc, ev store.Event) {
+	bound := apiserver.WatchOptions{Selector: labels.HasKey(LabelSharePod), Replay: true}
+	m.podR = m.srv.Inform(consumer, consumer+"-pods", "Pod", bound, func(p *sim.Proc, ev store.Event) {
 		if pod := ev.Object.(*api.Pod); ev.Type != store.Deleted && (pod.Status.Phase == api.PodRunning || pod.Terminated()) {
 			m.sharePods.Sync(p, pod.Labels[LabelSharePod])
 		}
 	})
 	// A holder that dies (killed container, evicted node) is replaced.
-	m.holderR = m.watch("kubeshare-devmgr-holders", "Pod", labels.HasKey(LabelVGPUHolder), func(p *sim.Proc, ev store.Event) {
+	holders := apiserver.WatchOptions{Selector: labels.HasKey(LabelVGPUHolder), Replay: true}
+	m.holderR = m.srv.Inform(consumer, consumer+"-holders", "Pod", holders, func(p *sim.Proc, ev store.Event) {
 		if pod := ev.Object.(*api.Pod); ev.Type == store.Deleted || pod.Terminated() {
 			m.vgpus.Sync(p, pod.Labels[LabelVGPUHolder])
 		}
 	})
 	m.vgpus.Start()
 	m.sharePods.Start()
-}
-
-// watch opens a replayed reflector on kind and a loop handing it to fn.
-func (m *DevMgr) watch(loop, kind string, sel labels.Selector, fn func(*sim.Proc, store.Event)) *apiserver.Reflector {
-	r := m.srv.NewNamedReflector("kubeshare-devmgr", kind, apiserver.WatchOptions{Selector: sel, Replay: true})
-	m.procs = append(m.procs, m.env.Go(loop, func(p *sim.Proc) {
-		for ev, ok := r.Get(p); ok; ev, ok = r.Get(p) {
-			fn(p, ev)
-		}
-	}))
-	return r
-}
-
-// Stop terminates the reconcilers and their watch loops.
-func (m *DevMgr) Stop() {
-	m.vgpus.Stop()
-	m.sharePods.Stop()
-	for _, p := range m.procs {
-		p.Kill(nil)
-	}
-	for _, r := range []*apiserver.Reflector{m.spR, m.podR, m.holderR} {
-		if r != nil {
-			r.Stop()
-		}
-	}
 }
 
 // onSharePod keeps the tenant lists in step with a sharePod event, syncs a

@@ -22,15 +22,11 @@ type Config struct {
 
 // Sched is the scheduler surface KubeShare needs from whichever driver is
 // installed — the schedfw batched driver or the extender baseline. Counters
-// live on the obs registry, so Stats is uniform across drivers.
+// live on the obs registry (KubeShare.Stats), uniform across drivers.
 type Sched interface {
-	Start()
-	Stop()
 	// VerifySnapshot cross-checks the driver's incremental cluster view
 	// against a full relist (nil for drivers that keep none).
 	VerifySnapshot() error
-	// Stats snapshots the scheduling counters.
-	Stats() SchedStats
 }
 
 // KubeShare is the installed framework: both controllers plus the per-node
@@ -125,15 +121,6 @@ func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
 	ks.DevMgr.SetBackends(ks.Backends)
 
 	return ks, nil
-}
-
-// Stop terminates the KubeShare controllers (backends are passive).
-func (ks *KubeShare) Stop() {
-	if ks.Sched != nil {
-		ks.Sched.Stop()
-	}
-	ks.SetManager.Stop()
-	ks.DevMgr.Stop()
 }
 
 // shareFromAnnotations parses the fractional shares DevMgr stamped onto a

@@ -7,23 +7,24 @@ import (
 	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 )
 
 // Extender is the scheduler-extender comparison baseline (Aliyun gpushare,
-// GaiaGPU, Deepomatic — §3.1/§6) running on the framework driver: the same
-// coalesced wake loop, batched cycles and staged bulk commits as the
-// KubeShare driver, with the extender's aggregate-capacity policy in place
-// of the plugin pipeline. Fractional demands count against each node's
-// aggregate GPU capacity and the in-node device binding is a round-robin
-// the scheduler neither sees nor controls — reproducing the Figure 3a
-// pathology the plugin set avoids.
+// GaiaGPU, Deepomatic — §3.1/§6). It shares InstallBase, DevMgr and the
+// device library with KubeShare-Sched but runs its own cycle loop — a
+// coalesced wake, batched cycles, bulk commits — with the extender's
+// aggregate-capacity policy in place of the plugin pipeline. Fractional
+// demands count against each node's aggregate GPU capacity and the in-node
+// device binding is a round-robin the scheduler neither sees nor controls —
+// reproducing the Figure 3a pathology the plugin set avoids.
 //
 // The policy keeps the legacy architecture's re-list-per-cycle accounting
 // (it has no incremental snapshot — that is part of the baseline's cost),
-// but the driver now populates the shared scheduling counters, so
-// Stats() is uniform across drivers.
+// but populates the shared scheduling counters, so KubeShare.Stats is
+// uniform across drivers.
 type Extender struct {
 	env *sim.Env
 	srv *apiserver.Server
@@ -34,19 +35,16 @@ type Extender struct {
 	// Deepomatic-style limitation (Table 1: no multi-GPU-per-node support).
 	singleDevice bool
 
-	wake       *sim.Queue[struct{}]
-	proc       *sim.Proc
-	watchProcs []*sim.Proc
-	reflectors []*apiserver.Reflector
+	wake *sim.Queue[struct{}]
 
 	decisions  *obs.Counter
 	noCapacity *obs.Counter
 	depth      *obs.Gauge
 }
 
-// NewExtender creates the baseline scheduler on the framework driver;
-// Start launches it. Plugin and gang options do not apply to the baseline
-// and are ignored.
+// NewExtender creates the baseline scheduler; Start launches it. It takes
+// the framework driver's options, but plugin and gang options do not apply
+// to the baseline and are ignored.
 func NewExtender(env *sim.Env, srv *apiserver.Server, opts ...Option) *Extender {
 	o := options{batchSize: DefaultBatchSize}
 	for _, opt := range opts {
@@ -76,26 +74,16 @@ func (s *Extender) SetSingleDevice(v bool) { s.singleDevice = v }
 // view (it re-lists per cycle), so there is nothing to cross-check.
 func (s *Extender) VerifySnapshot() error { return nil }
 
-// Stats implements core.Sched.
-func (s *Extender) Stats() core.SchedStats { return core.ReadSchedStats(s.srv.Obs()) }
-
 // Start launches the watch and scheduling loops. The watches ride
 // reflectors, like every other control loop, so an apiserver restart or a
 // dropped stream re-subscribes instead of leaving the cycle unkicked forever.
 func (s *Extender) Start() {
 	for _, kind := range []string{core.KindSharePod, "Pod"} {
-		r := s.srv.NewNamedReflector("extender", kind, apiserver.WatchOptions{Replay: kind == core.KindSharePod})
-		s.reflectors = append(s.reflectors, r)
-		s.watchProcs = append(s.watchProcs, s.env.Go("extender-watch-"+kind, func(p *sim.Proc) {
-			for {
-				if _, ok := r.Get(p); !ok {
-					return
-				}
-				s.kick()
-			}
-		}))
+		s.srv.Inform("extender", "extender-watch-"+kind, kind, apiserver.WatchOptions{Replay: kind == core.KindSharePod}, func(*sim.Proc, store.Event) {
+			s.kick()
+		})
 	}
-	s.proc = s.env.Go("extender-sched", func(p *sim.Proc) {
+	s.env.Go("extender-sched", func(p *sim.Proc) {
 		for {
 			if _, ok := s.wake.Get(p); !ok {
 				return
@@ -106,19 +94,6 @@ func (s *Extender) Start() {
 			}
 		}
 	})
-}
-
-// Stop terminates the scheduler.
-func (s *Extender) Stop() {
-	if s.proc != nil {
-		s.proc.Kill(nil)
-	}
-	for _, p := range s.watchProcs {
-		p.Kill(nil)
-	}
-	for _, r := range s.reflectors {
-		r.Stop()
-	}
 }
 
 func (s *Extender) kick() {

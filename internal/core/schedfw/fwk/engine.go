@@ -144,15 +144,6 @@ func (e *Engine) Schedule(u *Unit, t *Txn) core.Decision {
 	return dec
 }
 
-// Unreserve notifies every reserve plugin, newest-registered first, that a
-// previously reserved decision is being rolled back (gang all-or-nothing).
-// The caller rolls the transaction journal back separately.
-func (e *Engine) Unreserve(u *Unit, t *Txn, dec core.Decision) {
-	for i := len(e.reserves) - 1; i >= 0; i-- {
-		e.reserves[i].Unreserve(u, t, dec)
-	}
-}
-
 // filterAll runs every filter plugin for one (unit, device) pair.
 func (e *Engine) filterAll(u *Unit, d *core.DeviceState) bool {
 	for _, f := range e.filters {

@@ -71,7 +71,8 @@ type Unit struct {
 
 // Plugin is the common surface every phase plugin implements.
 type Plugin interface {
-	// Name identifies the plugin in phase counters and error messages.
+	// Name identifies the plugin to people reading code and tests; the
+	// framework itself never reads it.
 	Name() string
 }
 
@@ -129,13 +130,11 @@ type AllocPlugin interface {
 	Allocate(u *Unit, pool *core.Pool) core.Decision
 }
 
-// ReservePlugin commits a decision onto the transactional pool view
-// (Reserve) and releases plugin-internal bookkeeping when the framework
-// rolls a reservation back (Unreserve). Pool state itself is restored by
-// the transaction journal — Unreserve exists for state the plugin keeps
-// outside the pool.
+// ReservePlugin commits a decision onto the transactional pool view. It
+// writes only through the Txn, so rolling the journal back (a gang that
+// unwinds, a borrowed pool handed back) undoes everything it did; by the
+// contract above it keeps no state outside the pool that would need undoing.
 type ReservePlugin interface {
 	Plugin
 	Reserve(u *Unit, t *Txn, d *core.DeviceState, dec core.Decision)
-	Unreserve(u *Unit, t *Txn, dec core.Decision)
 }

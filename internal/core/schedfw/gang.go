@@ -66,7 +66,6 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	mark := txn.Checkpoint()
 	type decidedUnit struct {
 		sp  *core.SharePod
-		u   fwk.Unit
 		dec core.Decision
 	}
 	var decided []decidedUnit
@@ -85,25 +84,18 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 				s.conflicts.Inc()
 			}
 		default:
-			decided = append(decided, decidedUnit{sp: sp, u: u, dec: dec})
+			decided = append(decided, decidedUnit{sp: sp, dec: dec})
 			continue
 		}
 		break
 	}
 
-	// unwind releases the gang's reservations.
-	unwind := func() {
-		for i := len(decided) - 1; i >= 0; i-- {
-			s.engine.Unreserve(&decided[i].u, txn, decided[i].dec)
-		}
-		txn.Rollback(mark)
-	}
-
 	switch {
 	case rejectReason != "":
 		// A member's constraints are unsatisfiable — the gang can never be
-		// admitted whole, so every member is rejected with the shared reason.
-		unwind()
+		// admitted whole, so every member is rejected with the shared
+		// reason; the journal releases its reservations.
+		txn.Rollback(mark)
 		for _, sp := range members {
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime,
 				dec: core.Decision{Outcome: core.Rejected, Reason: rejectReason}})
@@ -135,7 +127,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 			s.gangTimeouts.Inc()
 		}
 		if st.expired {
-			unwind()
+			txn.Rollback(mark)
 			return 0, false
 		}
 		// Keep the partial reservations on the transaction so younger

@@ -23,9 +23,9 @@ func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare,
 	return ks, nil
 }
 
-// InstallExtender deploys the scheduler-extender baseline on the framework
-// driver in place of KubeShare-Sched, sharing the DevMgr and device-library
-// machinery so the comparison isolates the scheduling policy.
+// InstallExtender deploys the scheduler-extender baseline in place of
+// KubeShare-Sched, sharing the DevMgr and device-library machinery so the
+// comparison isolates the scheduling policy.
 func InstallExtender(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare, *Extender, error) {
 	ks, err := core.InstallBase(c, cfg)
 	if err != nil {

@@ -236,7 +236,3 @@ func (DeviceCommit) Reserve(u *fwk.Unit, t *fwk.Txn, d *core.DeviceState, dec co
 		t.AddDevice(dec.NodeName, dec.GPUID, u.Req)
 	}
 }
-
-// Unreserve implements fwk.ReservePlugin; pool restoration is the
-// transaction journal's job, and DeviceCommit keeps no other state.
-func (DeviceCommit) Unreserve(u *fwk.Unit, t *fwk.Txn, dec core.Decision) {}

@@ -1,10 +1,11 @@
 // Package schedfw is the scheduling framework: the batched, plugin-phased
-// KubeShare-Sched driver, plus the extender baseline (extender.go) on the
-// same wake loop. Each cycle drains the pending queue into a batch, runs every unit
-// through the fwk engine (pre-filter → filter → score → allocate → reserve)
-// against a transactional view of the incremental snapshot, resolves
-// intra-batch conflicts through the reservation journal, and commits the
-// staged placements in bulk through the API server.
+// KubeShare-Sched driver, plus the extender baseline (extender.go), which
+// runs a cycle loop of its own. Each cycle drains the pending queue into a
+// batch, runs every unit through the fwk engine (pre-filter → filter →
+// score → allocate → reserve) against a transactional view of the
+// incremental snapshot, resolves intra-batch conflicts through the
+// reservation journal, and commits the staged placements in bulk through
+// the API server.
 //
 // The default configuration — the Algorithm 1 plugin set, batch size 1 —
 // decides one sharePod per cycle exactly as the paper's scheduler does;
@@ -115,7 +116,6 @@ type Scheduler struct {
 	proc   *sim.Proc
 
 	reflectors []*apiserver.Reflector
-	watchProcs []*sim.Proc
 	timerProcs []*sim.Proc
 
 	gangs map[string]*gangState
@@ -234,40 +234,30 @@ func (s *Scheduler) Start() {
 func (s *Scheduler) startWatches() {
 	s.epoch = s.srv.Epoch()
 	for _, kind := range []string{core.KindSharePod, "Pod", core.KindVGPU, "Node"} {
-		r := s.srv.NewNamedReflector("kubeshare-sched", kind, apiserver.WatchOptions{Replay: true})
-		s.reflectors = append(s.reflectors, r)
 		isPod := kind == "Pod"
-		s.watchProcs = append(s.watchProcs, s.env.Go("kubeshare-sched-watch-"+kind, func(p *sim.Proc) {
-			for {
-				ev, ok := r.Get(p)
-				if !ok {
-					return
-				}
-				s.apply(ev)
-				if isPod && ev.Type == store.Deleted {
-					s.onPodDeleted(ev.Object.(*api.Pod))
-				}
-				s.kick()
+		s.reflectors = append(s.reflectors, s.srv.Inform("kubeshare-sched", "kubeshare-sched-watch-"+kind, kind, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+			s.apply(ev)
+			if isPod && ev.Type == store.Deleted {
+				s.onPodDeleted(ev.Object.(*api.Pod))
 			}
+			s.kick()
 		}))
 	}
 }
 
-// Stop terminates the scheduler.
+// Stop terminates the scheduler: its cycle loop, its watches (and their
+// loops) and its gang timers.
 func (s *Scheduler) Stop() {
 	if s.proc != nil {
 		s.proc.Kill(nil)
 	}
-	for _, p := range s.watchProcs {
-		p.Kill(nil)
+	for _, r := range s.reflectors {
+		r.Stop()
 	}
 	for _, p := range s.timerProcs {
 		if !p.Finished() {
 			p.Kill(nil)
 		}
-	}
-	for _, r := range s.reflectors {
-		r.Stop()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/backoff"
 	"kubeshare/internal/kube/controller"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
 
@@ -119,35 +120,18 @@ func NewSharePodSetManager(env *sim.Env, srv *apiserver.Server) *SharePodSetMana
 	return m
 }
 
-// Start begins watching sets and their sharePods. Named reflectors keep the
+// Start begins watching sets and their sharePods. Reflectors keep the
 // manager alive across apiserver restarts: the dead watch queue is replaced
 // by a relist-with-resync instead of silently ending the loop.
 func (m *SharePodSetManager) Start() {
-	setR := m.srv.NewNamedReflector("sharepodset", KindSharePodSet, apiserver.WatchOptions{Replay: true})
-	m.env.Go("sharepodset-watch", func(p *sim.Proc) {
-		for {
-			ev, ok := setR.Get(p)
-			if !ok {
-				return
-			}
-			m.runner.Enqueue(ev.Object.GetMeta().Name)
-		}
+	m.srv.Inform("sharepodset", "sharepodset-watch", KindSharePodSet, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+		m.runner.Enqueue(ev.Object.GetMeta().Name)
 	})
-	spR := m.srv.NewNamedReflector("sharepodset", KindSharePod, apiserver.WatchOptions{Replay: true, OwnerKind: KindSharePodSet})
-	m.env.Go("sharepodset-watch-sharepods", func(p *sim.Proc) {
-		for {
-			ev, ok := spR.Get(p)
-			if !ok {
-				return
-			}
-			m.runner.Enqueue(ev.Object.GetMeta().OwnerName[len(setOwnerPrefix):])
-		}
+	m.srv.Inform("sharepodset", "sharepodset-watch-sharepods", KindSharePod, apiserver.WatchOptions{Replay: true, OwnerKind: KindSharePodSet}, func(_ *sim.Proc, ev store.Event) {
+		m.runner.Enqueue(ev.Object.GetMeta().OwnerName[len(setOwnerPrefix):])
 	})
 	m.runner.Start()
 }
-
-// Stop terminates the reconcile loop.
-func (m *SharePodSetManager) Stop() { m.runner.Stop() }
 
 func (m *SharePodSetManager) reconcile(p *sim.Proc, name string) error {
 	sets := SharePodSets(m.srv)

@@ -367,7 +367,7 @@ func TestFig17RecoverySweep(t *testing.T) {
 	for _, row := range tb.Rows {
 		rows = append(rows, strings.Join(row, " "))
 	}
-	if got, want := strings.Join(rows, "\n"), "10 5 6 2 82 0.225 0.00 0 12 56.0\n10 -1 6 2 799 1.778 0.00 0 12 56.0"; got != want {
+	if got, want := strings.Join(rows, "\n"), "10 5 6 2 82 0.224 0.00 0 12 56.0\n10 -1 6 2 799 1.777 0.00 0 12 56.0"; got != want {
 		t.Errorf("fig17 rows:\n%s\nwant:\n%s", got, want)
 	}
 	again, err := Fig17(cfg)

@@ -46,5 +46,4 @@ func init() {
 	RegisterKind("Pod", func() Object { return &Pod{} })
 	RegisterKind("Node", func() Object { return &Node{} })
 	RegisterKind(KindEvent, func() Object { return &Event{} })
-	RegisterKind("ReplicationController", func() Object { return &ReplicationController{} })
 }

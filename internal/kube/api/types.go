@@ -469,68 +469,6 @@ func (e *Event) DecodeBinary(d *Dec) {
 	e.LastTime = d.Duration()
 }
 
-// --- ReplicationController ---
-
-// ReplicationController ensures Replicas copies of Template exist. It is the
-// higher-level controller used to demonstrate that KubeShare's sharePods
-// compose with ordinary Kubernetes controllers (§4.6).
-type ReplicationController struct {
-	ObjectMeta
-	Replicas int
-	Selector map[string]string
-	Template PodSpec
-	// TemplateLabels are stamped onto created pods (and matched by Selector).
-	TemplateLabels map[string]string
-	// ReadyReplicas is maintained by the controller.
-	ReadyReplicas int
-}
-
-// GetMeta implements Object.
-func (rc *ReplicationController) GetMeta() *ObjectMeta { return &rc.ObjectMeta }
-
-// Kind implements Object.
-func (rc *ReplicationController) Kind() string { return "ReplicationController" }
-
-// DeepCopyObject implements Object.
-func (rc *ReplicationController) DeepCopyObject() Object {
-	out := *rc
-	out.ObjectMeta = rc.CloneMeta()
-	out.Selector = cloneMap(rc.Selector)
-	out.TemplateLabels = cloneMap(rc.TemplateLabels)
-	out.Template = rc.Template.Clone()
-	return &out
-}
-
-// AppendBinary implements Object.
-func (rc *ReplicationController) AppendBinary(dst []byte) []byte {
-	dst = AppendVarint(rc.AppendMeta(dst), int64(rc.Replicas))
-	dst = rc.Template.AppendBinary(AppendStringMap(dst, rc.Selector))
-	return AppendVarint(AppendStringMap(dst, rc.TemplateLabels), int64(rc.ReadyReplicas))
-}
-
-// DecodeBinary implements Object.
-func (rc *ReplicationController) DecodeBinary(d *Dec) {
-	rc.DecodeMeta(d)
-	rc.Replicas = d.Int()
-	rc.Selector = d.StringMap()
-	rc.Template.DecodeBinary(d)
-	rc.TemplateLabels = d.StringMap()
-	rc.ReadyReplicas = d.Int()
-}
-
-// MatchesLabels reports whether labels satisfy the controller's selector.
-func (rc *ReplicationController) MatchesLabels(labels map[string]string) bool {
-	if len(rc.Selector) == 0 {
-		return false
-	}
-	for k, v := range rc.Selector {
-		if labels[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate performs basic admission checks shared by pod-carrying objects.
 func ValidatePodSpec(s PodSpec) error {
 	if len(s.Containers) == 0 {

@@ -109,20 +109,6 @@ func TestValidatePodSpec(t *testing.T) {
 	}
 }
 
-func TestRCMatchesLabels(t *testing.T) {
-	rc := &ReplicationController{Selector: map[string]string{"app": "x"}}
-	if !rc.MatchesLabels(map[string]string{"app": "x", "extra": "y"}) {
-		t.Fatal("should match")
-	}
-	if rc.MatchesLabels(map[string]string{"app": "y"}) {
-		t.Fatal("should not match")
-	}
-	empty := &ReplicationController{}
-	if empty.MatchesLabels(map[string]string{"app": "x"}) {
-		t.Fatal("empty selector must match nothing")
-	}
-}
-
 func TestKeyFormat(t *testing.T) {
 	pod := &Pod{ObjectMeta: ObjectMeta{Name: "p1"}}
 	if Key(pod) != "Pod/p1" || KeyOf("Pod", "p1") != "Pod/p1" {

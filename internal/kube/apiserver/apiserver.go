@@ -379,8 +379,3 @@ func Pods(s *Server) Client[*api.Pod] { return NewClient[*api.Pod](s, "Pod") }
 
 // Nodes returns the typed Node client.
 func Nodes(s *Server) Client[*api.Node] { return NewClient[*api.Node](s, "Node") }
-
-// ReplicationControllers returns the typed RC client.
-func ReplicationControllers(s *Server) Client[*api.ReplicationController] {
-	return NewClient[*api.ReplicationController](s, "ReplicationController")
-}

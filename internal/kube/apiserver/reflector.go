@@ -12,7 +12,7 @@ import (
 
 // Reflector is a watch subscription that survives stream drops. It wraps a
 // filtered watch and tracks the last revision the consumer observed; when
-// the underlying stream closes, the next Get transparently re-subscribes
+// the underlying stream closes, the next read transparently re-subscribes
 // with WatchResume so the consumer misses nothing. When the resume point
 // has been compacted out of the server's history (410 Gone), the reflector
 // relists the filtered state and synthesizes the difference against what
@@ -24,9 +24,8 @@ import (
 // read-only snapshot of that revision, and the reflector's own cache holds
 // the same pointers: never write to one.
 //
-// Consumers call Get in a loop exactly as with sim.Queue: it returns
-// (event, true), parking the proc while the stream is idle, and
-// (zero, false) only after Stop.
+// Consumers open one with Server.Inform, whose loop proc hands each event
+// to their handler.
 type Reflector struct {
 	srv      *Server
 	kind     string
@@ -38,6 +37,7 @@ type Reflector struct {
 	epoch   int64                 // server restart epoch at last (re)subscribe
 	known   map[string]api.Object // last snapshot delivered per name (shared)
 	backlog []store.Event         // synthesized relist events awaiting delivery
+	loop    *sim.Proc             // hands events to the handler; Stop ends it
 	stopped bool
 
 	resumes   int
@@ -45,13 +45,16 @@ type Reflector struct {
 	relistCtr *obs.Counter // per-consumer child of kubeshare_reflector_relist_total
 }
 
-// NewNamedReflector subscribes to a kind with server-side filtering and drop
-// resilience. With opts.Replay the current matching objects are delivered
-// first as Added events, exactly like WatchFiltered. consumer names the
-// consuming component, so relists attribute to it in the
+// Inform is how a control loop consumes a watch: it subscribes to kind with
+// server-side filtering and drop resilience and starts proc loop, which
+// passes each event to handle. With opts.Replay the current matching objects
+// are delivered first as Added events, exactly like WatchFiltered. consumer
+// names the consuming component, so relists attribute to it in the
 // kubeshare_reflector_relist_total{consumer} family — after an apiserver
-// restart, that family shows exactly which control loops re-synced.
-func (s *Server) NewNamedReflector(consumer, kind string, opts WatchOptions) *Reflector {
+// restart, that family shows exactly which control loops re-synced. The
+// returned reflector's Stop ends the loop too, so a loop never outlives its
+// watch; handle must not call it.
+func (s *Server) Inform(consumer, loop, kind string, opts WatchOptions, handle func(*sim.Proc, store.Event)) *Reflector {
 	r := &Reflector{
 		srv: s, kind: kind, consumer: consumer, opts: opts,
 		known:     make(map[string]api.Object),
@@ -65,6 +68,11 @@ func (s *Server) NewNamedReflector(consumer, kind string, opts WatchOptions) *Re
 	r.lastRV = s.Revision()
 	r.epoch = s.Epoch()
 	s.reflectors = append(s.reflectors, r)
+	r.loop = s.env.Go(loop, func(p *sim.Proc) {
+		for {
+			handle(p, r.get(p))
+		}
+	})
 	return r
 }
 
@@ -82,23 +90,21 @@ func (r *Reflector) Cached(name string) (api.Object, bool) {
 // many times a compacted gap forced a relist.
 func (r *Reflector) Stats() (resumes, relists int) { return r.resumes, r.relists }
 
-// Get returns the next event, reconnecting as needed. ok is false only
-// after Stop.
-func (r *Reflector) Get(p *sim.Proc) (store.Event, bool) {
+// get returns the next event, parking p while the stream is idle and
+// reconnecting as needed. Only the loop calls it, and Stop kills the loop,
+// so a stopped stream is never read.
+func (r *Reflector) get(p *sim.Proc) store.Event {
 	for {
 		if len(r.backlog) > 0 {
 			ev := r.backlog[0]
 			r.backlog[0] = store.Event{}
 			r.backlog = r.backlog[1:]
 			r.observe(ev)
-			return ev, true
+			return ev
 		}
 		if ev, ok := r.q.Get(p); ok {
 			r.observe(ev)
-			return ev, true
-		}
-		if r.stopped {
-			return store.Event{}, false
+			return ev
 		}
 		r.reconnect()
 	}
@@ -179,7 +185,7 @@ func (r *Reflector) relist() {
 }
 
 // Drop severs the current stream without stopping the reflector — the
-// fault chaos injects. Events already in flight drain; the next Get after
+// fault chaos injects. Events already in flight drain; the next read after
 // the drain reconnects.
 func (r *Reflector) Drop() {
 	if r.stopped {
@@ -188,12 +194,14 @@ func (r *Reflector) Drop() {
 	r.srv.StopWatch(r.q)
 }
 
-// Stop ends the subscription permanently; pending Gets return ok=false.
+// Stop ends the subscription permanently, and the loop with it: the loop is
+// killed before the watch closes, so closing wakes nothing.
 func (r *Reflector) Stop() {
 	if r.stopped {
 		return
 	}
 	r.stopped = true
+	r.loop.Kill(nil)
 	r.srv.StopWatch(r.q)
 	for i, other := range r.srv.reflectors {
 		if other == r {

@@ -22,19 +22,13 @@ func mkLabeledPod(name, app string) *api.Pod {
 	}
 }
 
-// collect drains reflector events into a printable "TYPE name" trace.
-func collectTrace(env *sim.Env, r *Reflector) *[]string {
+// informTrace informs a printable "TYPE name" trace of a Pod watch's events.
+func informTrace(s *Server, opts WatchOptions) (*Reflector, *[]string) {
 	trace := &[]string{}
-	env.Go("consumer", func(p *sim.Proc) {
-		for {
-			ev, ok := r.Get(p)
-			if !ok {
-				return
-			}
-			*trace = append(*trace, fmt.Sprintf("%s %s", ev.Type, ev.Object.GetMeta().Name))
-		}
+	r := s.Inform("test", "consumer", "Pod", opts, func(_ *sim.Proc, ev store.Event) {
+		*trace = append(*trace, fmt.Sprintf("%s %s", ev.Type, ev.Object.GetMeta().Name))
 	})
-	return trace
+	return r, trace
 }
 
 // TestReflectorResumeGoldenSequence is the watch-filter regression test: a
@@ -44,8 +38,7 @@ func collectTrace(env *sim.Env, r *Reflector) *[]string {
 func TestReflectorResumeGoldenSequence(t *testing.T) {
 	env, s := newServer()
 	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r := s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
-	trace := collectTrace(env, r)
+	r, trace := informTrace(s, WatchOptions{Selector: sel, Replay: true})
 
 	pods := Pods(s)
 	if _, err := pods.Create(mkLabeledPod("w0", "web")); err != nil {
@@ -98,8 +91,7 @@ func TestReflectorRelistOnCompactedGap(t *testing.T) {
 	env, s := newServer()
 	s.SetWatchHistoryCap(4)
 	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r := s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
-	trace := collectTrace(env, r)
+	r, trace := informTrace(s, WatchOptions{Selector: sel, Replay: true})
 
 	pods := Pods(s)
 	mustCreate(t, pods, mkLabeledPod("w0", "web"))
@@ -157,20 +149,13 @@ func TestReflectorRandomizedConvergence(t *testing.T) {
 		env, s := newServer()
 		s.SetWatchHistoryCap(8)
 		sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-		r := s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
 		state := map[string]int64{} // name → last seen RV
-		env.Go("consumer", func(p *sim.Proc) {
-			for {
-				ev, ok := r.Get(p)
-				if !ok {
-					return
-				}
-				name := ev.Object.GetMeta().Name
-				if ev.Type == store.Deleted {
-					delete(state, name)
-				} else {
-					state[name] = ev.Object.GetMeta().ResourceVersion
-				}
+		r := s.Inform("test", "consumer", "Pod", WatchOptions{Selector: sel, Replay: true}, func(_ *sim.Proc, ev store.Event) {
+			name := ev.Object.GetMeta().Name
+			if ev.Type == store.Deleted {
+				delete(state, name)
+			} else {
+				state[name] = ev.Object.GetMeta().ResourceVersion
 			}
 		})
 		rng := simrand.New(seed)
@@ -244,8 +229,7 @@ func TestReflectorNodeScopedRelist(t *testing.T) {
 			env, s := newServer()
 			s.EnableDurability(DurabilityConfig{})
 			s.SetWatchHistoryCap(4)
-			r := s.NewNamedReflector("test", "Pod", WatchOptions{Replay: true, Node: "n1"})
-			trace := collectTrace(env, r)
+			r, trace := informTrace(s, WatchOptions{Replay: true, Node: "n1"})
 
 			pods := Pods(s)
 			mustCreate(t, pods, onNode("a1", "n1"))

@@ -21,8 +21,7 @@ import (
 func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	env, s := newServer()
 	s.EnableDurability(DurabilityConfig{})
-	r := s.NewNamedReflector("test", "Pod", WatchOptions{Replay: true})
-	trace := collectTrace(env, r)
+	r, trace := informTrace(s, WatchOptions{Replay: true})
 
 	pods := Pods(s)
 	mustCreate(t, pods, mkPod("w0"))
@@ -65,8 +64,7 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	env, s = newServer()
 	s.EnableDurability(DurabilityConfig{})
 	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r = s.NewNamedReflector("test", "Pod", WatchOptions{Selector: sel, Replay: true})
-	trace = collectTrace(env, r)
+	r, trace = informTrace(s, WatchOptions{Selector: sel, Replay: true})
 	pods = Pods(s)
 	for _, name := range []string{"a0", "a2", "a4", "a5"} {
 		mustCreate(t, pods, mkLabeledPod(name, "web"))
@@ -111,17 +109,10 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 func TestReflectorDropDuringRelistBacklog(t *testing.T) {
 	env, s := newServer()
 	s.EnableDurability(DurabilityConfig{})
-	r := s.NewNamedReflector("test", "Pod", WatchOptions{Replay: true})
 	var trace []string
-	env.Go("slow-consumer", func(p *sim.Proc) {
-		for {
-			ev, ok := r.Get(p)
-			if !ok {
-				return
-			}
-			trace = append(trace, fmt.Sprintf("%s %s", ev.Type, ev.Object.GetMeta().Name))
-			p.Sleep(100 * time.Millisecond) // pace delivery so drops land mid-backlog
-		}
+	r := s.Inform("test", "slow-consumer", "Pod", WatchOptions{Replay: true}, func(p *sim.Proc, ev store.Event) {
+		trace = append(trace, fmt.Sprintf("%s %s", ev.Type, ev.Object.GetMeta().Name))
+		p.Sleep(100 * time.Millisecond) // pace delivery so drops land mid-backlog
 	})
 
 	pods := Pods(s)

@@ -63,7 +63,6 @@ type Cluster struct {
 	Obs           *obs.Runtime
 	API           *apiserver.Server
 	Scheduler     *scheduler.Scheduler
-	RCManager     *controller.ReplicationManager
 	NodeLifecycle *controller.NodeLifecycle
 	Images        *runtime.ImageRegistry
 	Nodes         []*Node
@@ -89,8 +88,6 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 	})
 	c.Scheduler = scheduler.New(env, c.API)
 	c.Scheduler.Start()
-	c.RCManager = controller.NewReplicationManager(env, c.API)
-	c.RCManager.Start()
 	c.NodeLifecycle = controller.NewNodeLifecycle(env, c.API)
 	c.NodeLifecycle.Start()
 	for _, nc := range cfg.Nodes {
@@ -153,11 +150,6 @@ func (c *Cluster) AllGPUs() []*gpusim.Device {
 
 // Pods returns the typed pod client.
 func (c *Cluster) Pods() apiserver.Client[*api.Pod] { return apiserver.Pods(c.API) }
-
-// RCs returns the typed ReplicationController client.
-func (c *Cluster) RCs() apiserver.Client[*api.ReplicationController] {
-	return apiserver.ReplicationControllers(c.API)
-}
 
 // Nodes lists registered Node objects.
 func (c *Cluster) NodeObjects() []*api.Node { return apiserver.Nodes(c.API).List() }

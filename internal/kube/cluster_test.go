@@ -265,54 +265,6 @@ func TestDeletePodStopsContainersAndFreesGPU(t *testing.T) {
 	}
 }
 
-func TestReplicationControllerMaintainsReplicas(t *testing.T) {
-	env := sim.NewEnv()
-	c := newTestCluster(t, env, DefaultConfig(2, 4))
-	sleepImage(c, "svc", time.Hour)
-	rc := &api.ReplicationController{
-		ObjectMeta:     api.ObjectMeta{Name: "web"},
-		Replicas:       3,
-		Selector:       map[string]string{"app": "web"},
-		TemplateLabels: map[string]string{"app": "web"},
-		Template: api.PodSpec{Containers: []api.Container{{
-			Name: "c", Image: "svc", Requests: api.ResourceList{api.ResourceCPU: 100},
-		}}},
-	}
-	env.Go("test", func(p *sim.Proc) {
-		if _, err := c.RCs().Create(rc); err != nil {
-			t.Errorf("create rc: %v", err)
-		}
-	})
-	env.RunUntil(10 * time.Second)
-	pods := c.Pods().List()
-	if len(pods) != 3 {
-		t.Fatalf("pods = %d, want 3", len(pods))
-	}
-	// Scale down.
-	env.Go("scale", func(p *sim.Proc) {
-		c.RCs().Mutate("web", func(cur *api.ReplicationController) error {
-			cur.Replicas = 1
-			return nil
-		})
-	})
-	env.RunUntil(20 * time.Second)
-	live := 0
-	for _, pod := range c.Pods().List() {
-		if !pod.Terminated() {
-			live++
-		}
-	}
-	if live != 1 {
-		t.Fatalf("live pods after scale-down = %d, want 1", live)
-	}
-	// Delete RC: pods garbage collected.
-	env.Go("del", func(p *sim.Proc) { c.RCs().Delete("web") })
-	env.RunUntil(30 * time.Second)
-	if n := len(c.Pods().List()); n != 0 {
-		t.Fatalf("orphan pods remain: %d", n)
-	}
-}
-
 func TestConcurrentPodCreationAllScheduled(t *testing.T) {
 	env := sim.NewEnv()
 	c := newTestCluster(t, env, DefaultConfig(4, 4))

@@ -1,19 +1,14 @@
 // Package controller provides the controller runtime of the simulated
-// cluster: a work-queue reconciliation loop in the style of Kubernetes
-// controllers, plus the ReplicationController built on it. The SharePodSet
-// manager and KubeShare-DevMgr's two reconcilers (vGPU and sharePod) run on
-// the same Runner; KubeShare-Sched (schedfw's cycle loop) does not.
+// cluster: Runner, a work-queue reconciliation loop in the style of
+// Kubernetes controllers, and NodeLifecycle. The SharePodSet manager and
+// KubeShare-DevMgr's two reconcilers (vGPU and sharePod) run on the Runner;
+// KubeShare-Sched (schedfw's cycle loop) does not.
 package controller
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
-	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/backoff"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/sim"
 )
 
@@ -42,8 +37,6 @@ type Runner struct {
 	backoffCap time.Duration
 	failures   map[string]*backoff.Backoff
 	fn         Reconcile
-	proc       *sim.Proc
-	stopped    bool
 }
 
 // NewRunner creates a runner; keys enqueued while already pending are
@@ -100,10 +93,8 @@ func (r *Runner) retryDelay(key string) time.Duration {
 // Sync reconciles key now in the caller's p (nil from a timer), which the
 // reconcile must not block, or has the run in flight make one more pass.
 func (r *Runner) Sync(p *sim.Proc, key string) {
-	if _, busy := r.inFlight[key]; busy || r.stopped {
-		if busy {
-			r.inFlight[key] = true
-		}
+	if _, busy := r.inFlight[key]; busy {
+		r.inFlight[key] = true
 		return
 	}
 	r.inFlight[key] = false
@@ -113,7 +104,7 @@ func (r *Runner) Sync(p *sim.Proc, key string) {
 		} else if r.failures[key] != nil {
 			delete(r.failures, key)
 		}
-		if r.stopped || !r.inFlight[key] {
+		if !r.inFlight[key] {
 			break
 		}
 		r.inFlight[key] = false
@@ -124,7 +115,7 @@ func (r *Runner) Sync(p *sim.Proc, key string) {
 // Start launches the worker loop.
 func (r *Runner) Start() {
 	name := "controller-" + r.name
-	r.proc = r.env.Go(name, func(p *sim.Proc) {
+	r.env.Go(name, func(p *sim.Proc) {
 		for {
 			key, ok := r.queue.Get(p)
 			if !ok {
@@ -134,144 +125,4 @@ func (r *Runner) Start() {
 			r.env.Go(name, func(p *sim.Proc) { r.Sync(p, key) })
 		}
 	})
-}
-
-// Stop terminates the worker loop; nothing starts after it.
-func (r *Runner) Stop() {
-	r.stopped = true
-	if r.proc != nil {
-		r.proc.Kill(nil)
-	}
-}
-
-// rcKind is the owner kind of RC-created pods; rcOwnerPrefix qualifies their
-// OwnerName references.
-const (
-	rcKind        = "ReplicationController"
-	rcOwnerPrefix = rcKind + "/"
-)
-
-// ReplicationManager reconciles ReplicationController objects: it keeps
-// Replicas pods matching each controller's selector alive, creating and
-// deleting pods as needed.
-type ReplicationManager struct {
-	env    *sim.Env
-	srv    *apiserver.Server
-	runner *Runner
-	serial int
-}
-
-// NewReplicationManager creates the manager; Start launches its watches.
-func NewReplicationManager(env *sim.Env, srv *apiserver.Server) *ReplicationManager {
-	m := &ReplicationManager{env: env, srv: srv}
-	m.runner = NewRunner(env, "replication", 0, m.reconcile)
-	return m
-}
-
-// Start begins watching RCs and pods and reconciling. The watches go
-// through named reflectors so an apiserver restart — which closes every raw
-// watch queue for good — only costs a relist, not the manager's liveness.
-func (m *ReplicationManager) Start() {
-	rcR := m.srv.NewNamedReflector("rc-manager", rcKind, apiserver.WatchOptions{Replay: true})
-	// Owner references are kind-qualified keys; the watch delivers only pods
-	// owned by ReplicationControllers — other controllers (e.g. KubeShare's
-	// DevMgr) own pods too.
-	podR := m.srv.NewNamedReflector("rc-manager", "Pod", apiserver.WatchOptions{Replay: true, OwnerKind: rcKind})
-	m.env.Go("rc-watch", func(p *sim.Proc) {
-		for {
-			ev, ok := rcR.Get(p)
-			if !ok {
-				return
-			}
-			m.runner.Enqueue(ev.Object.GetMeta().Name)
-		}
-	})
-	m.env.Go("rc-watch-pods", func(p *sim.Proc) {
-		for {
-			ev, ok := podR.Get(p)
-			if !ok {
-				return
-			}
-			m.runner.Enqueue(strings.TrimPrefix(ev.Object.GetMeta().OwnerName, rcOwnerPrefix))
-		}
-	})
-	m.runner.Start()
-}
-
-func (m *ReplicationManager) reconcile(p *sim.Proc, name string) error {
-	rcs := apiserver.ReplicationControllers(m.srv)
-	rc, err := rcs.Get(name)
-	if err != nil {
-		if apiserver.IsNotFound(err) {
-			m.cleanupOrphans(name)
-			return nil
-		}
-		return err
-	}
-	pods := apiserver.Pods(m.srv)
-	var owned []*api.Pod
-	live := 0
-	// The selector narrows the scan to label-matching pods via the store's
-	// index; the owner check still runs here (ownership is metadata, not a
-	// label).
-	for _, pod := range pods.ListSelector(labels.Set(rc.Selector)) {
-		if pod.OwnerName != rcOwnerPrefix+name || !rc.MatchesLabels(pod.Labels) {
-			continue
-		}
-		owned = append(owned, pod)
-		if !pod.Terminated() {
-			live++
-		}
-	}
-	for live < rc.Replicas {
-		m.serial++
-		pod := &api.Pod{
-			ObjectMeta: api.ObjectMeta{
-				Name:      fmt.Sprintf("%s-%d", rc.Name, m.serial),
-				Labels:    rc.TemplateLabels,
-				OwnerName: rcOwnerPrefix + rc.Name,
-			},
-			Spec: rc.Template.Clone(),
-		}
-		if _, err := pods.Create(pod); err != nil {
-			return fmt.Errorf("replication %s: create: %w", name, err)
-		}
-		live++
-	}
-	// Scale down newest-first for determinism.
-	for i := len(owned) - 1; i >= 0 && live > rc.Replicas; i-- {
-		if owned[i].Terminated() {
-			continue
-		}
-		if err := pods.Delete(owned[i].Name); err != nil && !apiserver.IsNotFound(err) {
-			return err
-		}
-		live--
-	}
-	ready := 0
-	for _, pod := range owned {
-		if pod.Status.Phase == api.PodRunning {
-			ready++
-		}
-	}
-	if rc.ReadyReplicas != ready {
-		_, err := rcs.Mutate(name, func(cur *api.ReplicationController) error {
-			cur.ReadyReplicas = ready
-			return nil
-		})
-		if err != nil && !apiserver.IsNotFound(err) {
-			return err
-		}
-	}
-	return nil
-}
-
-// cleanupOrphans deletes pods owned by a removed controller.
-func (m *ReplicationManager) cleanupOrphans(owner string) {
-	pods := apiserver.Pods(m.srv)
-	for _, pod := range pods.List() {
-		if pod.OwnerName == rcOwnerPrefix+owner {
-			_ = pods.Delete(pod.Name)
-		}
-	}
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/sim"
 )
 
@@ -84,66 +82,6 @@ func TestRunnerReEnqueueAfterProcessing(t *testing.T) {
 	env.Run()
 	if count != 2 {
 		t.Fatalf("count = %d, want 2", count)
-	}
-}
-
-func TestRunnerStop(t *testing.T) {
-	env := sim.NewEnv()
-	count := 0
-	r := NewRunner(env, "test", 0, func(p *sim.Proc, key string) error {
-		count++
-		return nil
-	})
-	r.Start()
-	env.Go("t", func(p *sim.Proc) {
-		r.Enqueue("a")
-		p.Sleep(time.Second)
-		r.Stop()
-		r.Enqueue("b") // after stop: queued but never processed
-	})
-	env.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
-	}
-}
-
-// The ReplicationManager end-to-end behaviour is covered by the cluster
-// integration tests; here we exercise its reconcile arithmetic directly.
-func TestReplicationReconcileCounts(t *testing.T) {
-	env := sim.NewEnv()
-	srv := apiserver.New(env)
-	m := NewReplicationManager(env, srv)
-	m.Start()
-	rc := &api.ReplicationController{
-		ObjectMeta:     api.ObjectMeta{Name: "web"},
-		Replicas:       2,
-		Selector:       map[string]string{"app": "web"},
-		TemplateLabels: map[string]string{"app": "web"},
-		Template:       api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
-	}
-	env.Go("t", func(p *sim.Proc) {
-		apiserver.ReplicationControllers(srv).Create(rc)
-	})
-	env.RunUntil(2 * time.Second)
-	pods := apiserver.Pods(srv).List()
-	if len(pods) != 2 {
-		t.Fatalf("pods = %d", len(pods))
-	}
-	for _, pod := range pods {
-		if pod.OwnerName != "ReplicationController/web" || pod.Labels["app"] != "web" {
-			t.Fatalf("pod metadata wrong: %+v", pod.ObjectMeta)
-		}
-	}
-	// A pod that matches the selector but has a different owner is ignored.
-	env.Go("intruder", func(p *sim.Proc) {
-		apiserver.Pods(srv).Create(&api.Pod{
-			ObjectMeta: api.ObjectMeta{Name: "stranger", Labels: map[string]string{"app": "web"}},
-			Spec:       api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
-		})
-	})
-	env.RunUntil(4 * time.Second)
-	if n := len(apiserver.Pods(srv).List()); n != 3 {
-		t.Fatalf("pods = %d, want 3 (stranger untouched)", n)
 	}
 }
 

@@ -49,8 +49,7 @@ type Kubelet struct {
 	devmgr    *deviceplugin.Manager
 	runtime   *runtime.Runtime
 	workers   map[string]*podWorker // pod name → worker
-	reflector *apiserver.Reflector
-	proc      *sim.Proc
+	reflector *apiserver.Reflector  // the sync loop's watch
 	hbProc    *sim.Proc
 	crashed   bool
 
@@ -120,8 +119,7 @@ func (k *Kubelet) Start() error {
 // spec.nodeName: a pod reaches it once bound here (as Modified, when the
 // scheduler binds it after creation).
 func (k *Kubelet) startLoops() {
-	k.reflector = k.srv.NewNamedReflector("kubelet", "Pod", apiserver.WatchOptions{Replay: true, Node: k.cfg.NodeName})
-	k.proc = k.env.Go("kubelet-"+k.cfg.NodeName, k.syncLoop)
+	k.reflector = k.srv.Inform("kubelet", "kubelet-"+k.cfg.NodeName, "Pod", apiserver.WatchOptions{Replay: true, Node: k.cfg.NodeName}, k.sync)
 	k.hbProc = k.env.GoDaemon("kubelet-hb-"+k.cfg.NodeName, k.heartbeatLoop)
 }
 
@@ -140,18 +138,16 @@ func (k *Kubelet) heartbeatLoop(p *sim.Proc) {
 	}
 }
 
-// Stop terminates the sync loop and kills every container on the node, in
-// pod-name order: each kill takes the next sequence id at this instant, so
-// the order of the walk is the order the containers die in.
+// Stop terminates the sync loop (with its watch) and the heartbeat, and
+// kills every container on the node, in pod-name order: each kill takes the
+// next sequence id at this instant, so the order of the walk is the order
+// the containers die in.
 func (k *Kubelet) Stop() {
-	if k.proc != nil {
-		k.proc.Kill(nil)
+	if k.reflector != nil {
+		k.reflector.Stop()
 	}
 	if k.hbProc != nil {
 		k.hbProc.Kill(nil)
-	}
-	if k.reflector != nil {
-		k.reflector.Stop()
 	}
 	for _, name := range slices.Sorted(maps.Keys(k.workers)) {
 		k.teardown(name, k.workers[name])
@@ -168,7 +164,7 @@ func (k *Kubelet) Crash() {
 	}
 	k.crashed = true
 	k.Stop()
-	k.proc, k.hbProc, k.reflector = nil, nil, nil
+	k.hbProc, k.reflector = nil, nil
 	k.workers = make(map[string]*podWorker)
 }
 
@@ -228,35 +224,27 @@ func (k *Kubelet) KillPod(name string) bool {
 	return true
 }
 
-func (k *Kubelet) syncLoop(p *sim.Proc) {
-	for {
-		ev, ok := k.reflector.Get(p)
-		if !ok {
+// sync admits a pod bound here or tears down one deleted.
+func (k *Kubelet) sync(_ *sim.Proc, ev store.Event) {
+	pod := ev.Object.(*api.Pod)
+	switch ev.Type {
+	case store.Added, store.Modified:
+		if pod.Terminated() {
 			return
 		}
-		pod, ok := ev.Object.(*api.Pod)
-		if !ok {
-			continue
+		if _, managed := k.workers[pod.Name]; managed {
+			return
 		}
-		switch ev.Type {
-		case store.Added, store.Modified:
-			if pod.Terminated() {
-				continue
-			}
-			if _, managed := k.workers[pod.Name]; managed {
-				continue
-			}
-			// The event carries a snapshot; re-read the live object so a
-			// stale "Running" event cannot re-admit a pod that has already
-			// reached a terminal phase (duplicate container starts).
-			if cur, err := apiserver.Pods(k.srv).Get(pod.Name); err != nil || cur.Terminated() || cur.UID != pod.UID {
-				continue
-			}
-			k.admit(pod)
-		case store.Deleted:
-			if w, managed := k.workers[pod.Name]; managed {
-				k.teardown(pod.Name, w)
-			}
+		// The event carries a snapshot; re-read the live object so a
+		// stale "Running" event cannot re-admit a pod that has already
+		// reached a terminal phase (duplicate container starts).
+		if cur, err := apiserver.Pods(k.srv).Get(pod.Name); err != nil || cur.Terminated() || cur.UID != pod.UID {
+			return
+		}
+		k.admit(pod)
+	case store.Deleted:
+		if w, managed := k.workers[pod.Name]; managed {
+			k.teardown(pod.Name, w)
 		}
 	}
 }

@@ -105,37 +105,23 @@ func (s *Scheduler) nodeCommitted(node string) api.ResourceList {
 // Start launches the watch and scheduling loops. The streams run through
 // reflectors, so the incremental caches stay exact across watch drops.
 func (s *Scheduler) Start() {
-	podR := s.srv.NewNamedReflector("kube-scheduler", "Pod", apiserver.WatchOptions{Replay: true})
-	nodeR := s.srv.NewNamedReflector("kube-scheduler", "Node", apiserver.WatchOptions{Replay: true})
-	s.env.Go("kube-scheduler-watch-pods", func(p *sim.Proc) {
-		for {
-			ev, ok := podR.Get(p)
-			if !ok {
-				return
-			}
-			pod := ev.Object.(*api.Pod)
-			if ev.Type == store.Deleted {
-				s.setPod(pod.Name, nil)
-			} else {
-				s.setPod(pod.Name, pod)
-			}
-			s.kick()
+	s.srv.Inform("kube-scheduler", "kube-scheduler-watch-pods", "Pod", apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+		pod := ev.Object.(*api.Pod)
+		if ev.Type == store.Deleted {
+			s.setPod(pod.Name, nil)
+		} else {
+			s.setPod(pod.Name, pod)
 		}
+		s.kick()
 	})
-	s.env.Go("kube-scheduler-watch-nodes", func(p *sim.Proc) {
-		for {
-			ev, ok := nodeR.Get(p)
-			if !ok {
-				return
-			}
-			node := ev.Object.(*api.Node)
-			if ev.Type == store.Deleted {
-				delete(s.nodes, node.Name)
-			} else {
-				s.nodes[node.Name] = node
-			}
-			s.kick()
+	s.srv.Inform("kube-scheduler", "kube-scheduler-watch-nodes", "Node", apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+		node := ev.Object.(*api.Node)
+		if ev.Type == store.Deleted {
+			delete(s.nodes, node.Name)
+		} else {
+			s.nodes[node.Name] = node
 		}
+		s.kick()
 	})
 	s.env.Go("kube-scheduler", s.loop)
 }

@@ -105,7 +105,7 @@ func (o op) String() string {
 	return s
 }
 
-var oracleKinds = []string{"Pod", "Node", api.KindEvent, "ReplicationController", core.KindSharePod, core.KindVGPU, core.KindSharePodSet}
+var oracleKinds = []string{"Pod", "Node", api.KindEvent, core.KindSharePod, core.KindVGPU, core.KindSharePodSet}
 
 // What the node and owner filters are tried on: a pod unbound and bound to
 // each of three nodes (so histories hold the unbound → bound update, and the
@@ -176,8 +176,6 @@ func build(kind, name string, val int, node, owner string) api.Object {
 		o.Status.Capacity, o.Status.Ready = api.ResourceList{api.ResourceGPU: int64(val)}, val%2 == 0
 	case *api.Event:
 		o.Reason, o.Count = tag, val
-	case *api.ReplicationController:
-		o.Replicas, o.Selector = val, map[string]string{"app": tag}
 	case *core.SharePod:
 		o.Spec.GPURequest, o.Spec.GPUID, o.Status.Message = float64(val)/4, tag, tag
 	case *core.VGPU:
@@ -771,9 +769,10 @@ func TestDurabilityOracle(t *testing.T) {
 }
 
 // TestDurabilityOracleShrinks pins the failure report: a history that fails
-// for a planted reason shrinks to the few steps that matter.
+// for a planted reason shrinks to the few steps that matter. The history is
+// the first from seed 7 on that holds the planted failure, so a change to
+// the generator's draws moves the seed instead of skipping the test.
 func TestDurabilityOracleShrinks(t *testing.T) {
-	h := randomHistory(simrand.New(7).Fork("durability-oracle"), 80)
 	failing := func(h []op) bool { // "fails" when a Pod create is followed by a crash
 		created := false
 		for _, o := range h {
@@ -784,8 +783,12 @@ func TestDurabilityOracleShrinks(t *testing.T) {
 		}
 		return false
 	}
-	if !failing(h) {
-		t.Skip("seed 7 no longer holds a Pod create before a crash")
+	var h []op
+	for seed := int64(7); !failing(h); seed++ {
+		if seed > 107 {
+			t.Fatal("no history from seeds 7–107 holds a Pod create before a crash")
+		}
+		h = randomHistory(simrand.New(seed).Fork("durability-oracle"), 80)
 	}
 	small := shrink(h, failing)
 	if len(small) != 2 || small[0].kind != opCreate || small[1].kind != opCrash {

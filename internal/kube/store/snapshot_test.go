@@ -38,7 +38,14 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	kindB := st.WatchFiltered("Pod", store.WatchOptions{Name: "a"})
 	var hooked api.Object // what OnPublish was last shown
 	st.OnPublish(func(ev store.Event) { hooked = ev.Object })
-	refl := srv.NewNamedReflector("test", "Pod", store.WatchOptions{})
+	// The reflector's handler reacts (react, below) once the snapshots it
+	// writes against exist; nothing runs until env.Run.
+	var viaReflector []store.Event
+	var react func()
+	refl := srv.Inform("test", "consumer", "Pod", store.WatchOptions{}, func(_ *sim.Proc, ev store.Event) {
+		viaReflector = append(viaReflector, ev)
+		react()
+	})
 	rev0 := st.Revision()
 
 	arg := &api.Pod{
@@ -130,34 +137,25 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	// The reflector: live events, a relist after a compacted gap, and the
 	// Deleted it synthesizes for a vanished object all carry the shared
 	// snapshots.
-	var viaReflector []store.Event
-	env.Go("consumer", func(p *sim.Proc) {
-		for len(viaReflector) < 4 {
-			ev, ok := refl.Get(p)
-			if !ok {
-				return
+	react = func() {
+		switch len(viaReflector) {
+		case 2:
+			// Sever the stream, write into the gap with history off:
+			// the next read cannot resume and relists.
+			refl.Drop()
+			srv.SetWatchHistoryCap(0)
+			again := snap2.DeepCopyObject().(*api.Pod)
+			again.Status.Phase = api.PodSucceeded
+			if _, err := st.UpdateStatus(again); err != nil {
+				t.Error(err)
 			}
-			viaReflector = append(viaReflector, ev)
-			switch len(viaReflector) {
-			case 2:
-				// Sever the stream, write into the gap with history off:
-				// the next Get cannot resume and relists.
-				refl.Drop()
-				srv.SetWatchHistoryCap(0)
-				again := snap2.DeepCopyObject().(*api.Pod)
-				again.Status.Phase = api.PodSucceeded
-				if _, err := st.UpdateStatus(again); err != nil {
-					t.Error(err)
-				}
-			case 3:
-				refl.Drop()
-				if err := st.Delete("Pod", "a"); err != nil {
-					t.Error(err)
-				}
+		case 3:
+			refl.Drop()
+			if err := st.Delete("Pod", "a"); err != nil {
+				t.Error(err)
 			}
 		}
-		refl.Stop()
-	})
+	}
 	env.Run()
 	if len(viaReflector) != 4 {
 		t.Fatalf("reflector delivered %d events, want 4", len(viaReflector))

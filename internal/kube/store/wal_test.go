@@ -14,7 +14,7 @@ import (
 )
 
 // testKinds are the registered kinds the durability tests churn over.
-var testKinds = []string{"Pod", "Node", api.KindEvent, "ReplicationController"}
+var testKinds = []string{"Pod", "Node", api.KindEvent}
 
 func newTestObj(kind, name string, labels map[string]string) api.Object {
 	obj, err := api.NewObject(kind)
@@ -367,8 +367,8 @@ func TestCrashClosesWatchQueues(t *testing.T) {
 // it must be the same on every run — kind-name order, whatever order the
 // watches were registered in.
 func TestCrashWakeOrderDeterministic(t *testing.T) {
-	kinds := []string{"VGPU", "Node", "SharePodSet", "ReplicationController"}
-	const want = "Node,ReplicationController,SharePodSet,VGPU"
+	kinds := []string{"VGPU", "Node", "SharePodSet", api.KindEvent}
+	const want = "Event,Node,SharePodSet,VGPU"
 	for run := 0; run < 64; run++ {
 		env := sim.NewEnv()
 		s := New(env)

@@ -13,15 +13,9 @@
 // free-form strings, and a bounded key set is what keeps cardinality
 // reviewable.
 //
-// A third rule keeps the metrics reference honest (-metricsdoc): every
-// kubeshare_ family registered in the scanned roots must have a row in
-// the generated docs/METRICS.md, and every static doc row must have a
-// registration site. Dynamic rows (a <placeholder> in the name) are
-// exempt from the code-side check.
-//
 // Usage:
 //
-//	go run ./tools/detvet -metricsdoc docs/METRICS.md ./internal
+//	go run ./tools/detvet ./internal
 //
 // Test files (_test.go) and testdata directories are skipped. The
 // internal/simrand package is exempt — it is the seeded wrapper the rule
@@ -42,8 +36,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-
-	"kubeshare/tools/metricscan"
 )
 
 // exemptDirs are package directories (slash-separated suffixes) the rules
@@ -120,17 +112,13 @@ var bannedSelectors = map[string]map[string]string{
 }
 
 func main() {
-	metricsDoc := flag.String("metricsdoc", "", "path to the generated METRICS.md; enables the doc/code sync rule")
 	flag.Parse()
 	roots := flag.Args()
 	if len(roots) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: detvet [-metricsdoc FILE] <dir> [dir ...]")
+		fmt.Fprintln(os.Stderr, "usage: detvet <dir> [dir ...]")
 		os.Exit(2)
 	}
 	bad := 0
-	if *metricsDoc != "" {
-		bad += checkMetricsDoc(*metricsDoc, roots)
-	}
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -163,45 +151,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "detvet: %d violation(s)\n", bad)
 		os.Exit(1)
 	}
-}
-
-// checkMetricsDoc enforces the registered-families ↔ docs/METRICS.md sync
-// in both directions: a registered kubeshare_ family without a doc row is
-// undocumented telemetry; a static doc row without a registration site is
-// a stale doc. Dynamic doc rows (a <placeholder> in the name) have no
-// statically-scannable registration and are skipped.
-func checkMetricsDoc(docPath string, roots []string) int {
-	doc, err := os.ReadFile(docPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detvet: -metricsdoc: %v (run `go run ./tools/metricsdoc` to generate it)\n", err)
-		return 1
-	}
-	metrics, err := metricscan.Scan(roots...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detvet: %v\n", err)
-		return 1
-	}
-	static, _ := metricscan.DocNames(string(doc))
-	documented := map[string]bool{}
-	for _, n := range static {
-		documented[n] = true
-	}
-	registered := map[string]bool{}
-	bad := 0
-	for _, m := range metrics {
-		registered[m.Name] = true
-		if !documented[m.Name] {
-			fmt.Fprintf(os.Stderr, "detvet: metric %s is registered but missing from %s; run `go run ./tools/metricsdoc`\n", m.Name, docPath)
-			bad++
-		}
-	}
-	for _, n := range static {
-		if !registered[n] {
-			fmt.Fprintf(os.Stderr, "detvet: %s documents %s but no registration site exists; run `go run ./tools/metricsdoc`\n", docPath, n)
-			bad++
-		}
-	}
-	return bad
 }
 
 // checkFile parses one file and reports its violations.

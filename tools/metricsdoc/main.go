@@ -1,6 +1,6 @@
 // Command metricsdoc generates docs/METRICS.md from the source tree: it
-// scans every metric family registered on the telemetry registry (via
-// tools/metricscan) and renders one reference table of name, type, label
+// scans every metric family registered on the telemetry registry under
+// ./internal and ./cmd and renders one reference table of name, type, label
 // keys and a curated description, plus a section for the dynamic families
 // whose names are built at runtime.
 //
@@ -9,11 +9,11 @@
 //	go run ./tools/metricsdoc            # rewrite docs/METRICS.md
 //	go run ./tools/metricsdoc -check     # exit 1 if the doc is stale
 //
-// detvet's -metricsdoc rule enforces the other direction at check time:
-// every registered kubeshare_ family must have a doc row and every static
-// doc row must have a registration site, so the doc cannot rot in either
-// direction. A scanned metric missing from the descriptions table below
-// fails the generator — add the description when you add the metric.
+// Either way a scanned family missing from the descriptions table below, or
+// a description whose family is no longer registered, fails the command —
+// add the description when you add the metric. With -check, a doc that
+// differs from the render fails too, so the doc cannot rot in either
+// direction.
 package main
 
 import (
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-
-	"kubeshare/tools/metricscan"
 )
 
 // descriptions is the curated per-family documentation. Keys must cover
@@ -78,7 +76,7 @@ var descriptions = map[string]string{
 
 // dynamic documents the families whose names are built at runtime — the
 // scanner cannot see them, so they are listed here and rendered in their
-// own section with a <placeholder> segment the sync rule skips.
+// own section with a <placeholder> segment.
 var dynamic = []struct{ name, typ, desc string }{
 	{"kubeshare_sched_phase_<phase>_runs_total", "Counter",
 		"Per-phase plugin executions in the scheduling framework (prefilter, filter, score, alloc, reserve); one counter per phase name. Pipeline runs only: a skipped unit runs no phase."},
@@ -89,7 +87,7 @@ func main() {
 	out := flag.String("o", "docs/METRICS.md", "output path")
 	flag.Parse()
 
-	metrics, err := metricscan.Scan("./internal", "./cmd")
+	metrics, err := scan("./internal", "./cmd")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -97,8 +95,8 @@ func main() {
 	var b strings.Builder
 	b.WriteString("# Metrics reference\n\n")
 	b.WriteString("Generated by `go run ./tools/metricsdoc` — do not edit by hand.\n")
-	b.WriteString("`detvet -metricsdoc` fails the build when this file and the registered\n")
-	b.WriteString("families diverge in either direction.\n\n")
+	b.WriteString("`go run ./tools/metricsdoc -check` fails when this file and the\n")
+	b.WriteString("registered families diverge in either direction.\n\n")
 	b.WriteString("Histograms marked as recording exemplars attach the max-latency\n")
 	b.WriteString("observation's trace key and span ID per bucket when a run enables\n")
 	b.WriteString("attribution (`SharingConfig.Attribution`, the latency/fig19\n")

@@ -1,16 +1,14 @@
-// Package metricscan is the shared AST scanner behind metricsdoc (which
-// generates docs/METRICS.md) and detvet's doc-sync rule (which fails the
-// build when the doc and the code disagree). It walks Go source trees and
-// collects every metric family registered on the telemetry registry:
-// calls to Counter/Gauge/FloatGauge/Histogram and their *Vec forms whose
-// name argument is a string literal or resolves through a package-level
-// string constant.
+package main
+
+// The scanner walks Go source trees and collects every metric family
+// registered on the telemetry registry: calls to
+// Counter/Gauge/FloatGauge/Histogram and their *Vec forms whose name
+// argument is a string literal or resolves through a package-level string
+// constant.
 //
 // Names built at runtime (schedfw's per-phase counters, for instance) are
 // invisible to the scan by design; the generated doc records them in a
-// dynamic-families section whose rows carry a <placeholder> segment, and
-// the sync rule skips those rows.
-package metricscan
+// dynamic-families section whose rows carry a <placeholder> segment.
 
 import (
 	"fmt"
@@ -25,8 +23,8 @@ import (
 	"strings"
 )
 
-// Metric is one registered metric family.
-type Metric struct {
+// metric is one registered metric family.
+type metric struct {
 	Name string
 	// Type is the registry method that created the family (Counter,
 	// CounterVec, ...).
@@ -46,12 +44,12 @@ var methods = map[string]bool{
 // enforced kubeshare_ namespace.
 var namePattern = regexp.MustCompile(`^kubeshare_[a-z0-9]+(_[a-z0-9]+)*$`)
 
-// Scan walks the given roots (skipping _test.go files and testdata
+// scan walks the given roots (skipping _test.go files and testdata
 // directories) and returns every registered metric family, sorted by
 // name. When the same name is registered at several sites — lookups and
 // registrations share the accessor methods — label keys from any *Vec
 // site win over the unlabeled form.
-func Scan(roots ...string) ([]Metric, error) {
+func scan(roots ...string) ([]metric, error) {
 	consts := map[string]string{}
 	var files []string
 	for _, root := range roots {
@@ -84,7 +82,7 @@ func Scan(roots ...string) ([]Metric, error) {
 	for _, path := range files {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
-			return nil, fmt.Errorf("metricscan: %w", err)
+			return nil, fmt.Errorf("metricsdoc: %w", err)
 		}
 		parsed = append(parsed, f)
 		for _, decl := range f.Decls {
@@ -112,7 +110,7 @@ func Scan(roots ...string) ([]Metric, error) {
 	}
 
 	// Pass 2: registration/lookup call sites.
-	byName := map[string]Metric{}
+	byName := map[string]metric{}
 	for _, f := range parsed {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -131,7 +129,7 @@ func Scan(roots ...string) ([]Metric, error) {
 			if !namePattern.MatchString(name) {
 				return true
 			}
-			m := Metric{Name: name, Type: sel.Sel.Name}
+			m := metric{Name: name, Type: sel.Sel.Name}
 			if isVec {
 				for _, arg := range call.Args[1:] {
 					kl, ok := arg.(*ast.BasicLit)
@@ -149,7 +147,7 @@ func Scan(roots ...string) ([]Metric, error) {
 			return true
 		})
 	}
-	out := make([]Metric, 0, len(byName))
+	out := make([]metric, 0, len(byName))
 	for _, m := range byName {
 		out = append(out, m)
 	}
@@ -175,24 +173,4 @@ func resolveName(arg ast.Expr, consts map[string]string) string {
 		return consts[a.Sel.Name]
 	}
 	return ""
-}
-
-// DocNames extracts the metric names recorded in a generated METRICS.md:
-// every `code`-quoted kubeshare_ token at the start of a table row. Rows
-// whose name carries a <placeholder> segment are dynamic families and are
-// returned separately.
-func DocNames(doc string) (static, dynamic []string) {
-	row := regexp.MustCompile("^\\| *`(kubeshare_[a-z0-9_<>]+)`")
-	for _, line := range strings.Split(doc, "\n") {
-		m := row.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		if strings.Contains(m[1], "<") {
-			dynamic = append(dynamic, m[1])
-		} else {
-			static = append(static, m[1])
-		}
-	}
-	return static, dynamic
 }
