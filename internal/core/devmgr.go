@@ -549,7 +549,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 		}
 	}
 	m.binds.Inc()
-	m.bindHist.ObserveDurationExemplar(m.env.Now()-b.start, KindSharePod+"/"+sp.Name, b.span.ID())
+	m.bindHist.Observe((m.env.Now() - b.start).Seconds())
 	b.span.EndNote("pod=%s uuid=%s", pod.Name, b.uuid)
 	b.pod = pod.Name
 	m.binding[sp.Name] = b

@@ -496,9 +496,9 @@ func (s *Scheduler) commit(st staged, cycleStart time.Duration) {
 		s.applyRejection(st.name, st.dec.Reason)
 		return
 	}
-	id := s.tracer.Record("kubeshare-sched", "schedule", st.key,
+	s.tracer.Record("kubeshare-sched", "schedule", st.key,
 		fmt.Sprintf("gpuid=%s node=%s", st.dec.GPUID, st.dec.NodeName), cycleStart)
-	s.schedHist.ObserveDurationExemplar(s.env.Now()-st.created, st.key, id)
+	s.schedHist.Observe((s.env.Now() - st.created).Seconds())
 	s.applyPlacement(st.name, st.dec)
 }
 

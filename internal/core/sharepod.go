@@ -221,31 +221,6 @@ func terminal(phase SharePodPhase) bool {
 // Placed reports whether a vGPU has been assigned.
 func (s *SharePod) Placed() bool { return s.Spec.GPUID != "" }
 
-// Placement is a typed placement: where a workload landed and whether its
-// GPU grant is fractional. Callers previously reassembled this from spec
-// fields and bound-pod annotation strings; the typed form is the API.
-type Placement struct {
-	// NodeName is the hosting node ("" when unplaced).
-	NodeName string
-	// GPUID is the assigned vGPU ("" when unplaced).
-	GPUID string
-	// Partial marks a fractional share — the workload co-tenants its device
-	// (gpu_request or gpu_mem below a whole GPU).
-	Partial bool
-}
-
-// Assigned reports whether the placement names a device.
-func (p Placement) Assigned() bool { return p.GPUID != "" }
-
-// Placement returns the sharePod's typed placement.
-func (s *SharePod) Placement() Placement {
-	return Placement{
-		NodeName: s.Spec.NodeName,
-		GPUID:    s.Spec.GPUID,
-		Partial:  s.Spec.GPURequest < 1 || s.Spec.GPUMem < 1,
-	}
-}
-
 // RequeueSharePod is the shared recovery edge: it clears a live, placed
 // sharePod's placement and resets it to Pending with Restarts incremented,
 // so Algorithm 1 re-places the work against current cluster state. Both

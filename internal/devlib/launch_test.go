@@ -14,7 +14,7 @@ import (
 
 // launchRig is the kernel-launch hot path in isolation: four tenants on one
 // device, each launching back-to-back kernels through its frontend, with
-// telemetry, trace keys and exemplars on (the most any experiment enables).
+// telemetry and trace keys on (the most any experiment enables).
 // It backs both the allocation pins and BenchmarkFrontendLaunchKernel.
 type launchRig struct {
 	env      *sim.Env
@@ -38,7 +38,6 @@ func newLaunchRig(tb testing.TB, mode sharing.Mode) *launchRig {
 	tb.Helper()
 	env := sim.NewEnv()
 	rt := obs.New(env)
-	rt.EnableExemplars()
 	dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n", Obs: rt})
 	b := NewBackend(env, Config{Obs: rt})
 	strat, err := b.StrategyFor(dev.UUID(), mode)

@@ -13,9 +13,8 @@ import (
 // roster. The gated strategies queue it on a gate; Token also reads its
 // demand and usage window.
 type client struct {
-	id       string
-	tenant   string // owning sharePod name; defaults to id until SetTenant
-	chainKey string // ChainKeyPrefix+tenant, the token-wait exemplar's trace key
+	id     string
+	tenant string // owning sharePod name; defaults to id until SetTenant
 
 	gate     *gate      // the gate Replica assigned the client to
 	queued   *sim.Event // pending admit, nil when none
@@ -54,7 +53,7 @@ func (r *roster) check(id string) error {
 
 // add registers a client under id, its tenant defaulting to id.
 func (r *roster) add(id string) *client {
-	c := &client{id: id, tenant: id, chainKey: ChainKeyPrefix + id}
+	c := &client{id: id, tenant: id}
 	r.clients[id] = c
 	return c
 }
@@ -101,7 +100,6 @@ func (r *roster) SetTenant(id, tenant string) {
 		return
 	}
 	c.tenant = tenant
-	c.chainKey = ChainKeyPrefix + tenant
 	c.hold = nil // re-fetched lazily under the new tenant label
 }
 

@@ -241,8 +241,6 @@ func (m *Token) trySchedule() {
 	}
 	c := m.queue[best]
 	m.grants.Inc()
-	// Token-wait exemplar: the chain key is the owning sharePod; no span
-	// anchors the grant itself (span 0), the chain's grant mark does.
-	m.waitHist.ObserveDurationExemplar(now-c.enqueued, c.chainKey, 0)
+	m.waitHist.Observe((now - c.enqueued).Seconds())
 	m.give(best)
 }

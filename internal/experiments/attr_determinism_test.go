@@ -87,7 +87,6 @@ func TestAttributionRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Obs.EnableExemplars()
 	if _, err := schedfw.Install(c, core.Config{}); err != nil {
 		t.Fatal(err)
 	}

@@ -183,9 +183,8 @@ type SharingConfig struct {
 	// virtual time — the mid-run control-plane restart whose markers and
 	// relist counters must land deterministically in the trace.
 	RestartAPIServerAt time.Duration
-	// Attribution turns on critical-path latency attribution: histogram
-	// exemplars are enabled on the run's registry, and after the run the
-	// span trace is analyzed into per-sharePod phase breakdowns (the
+	// Attribution turns on critical-path latency attribution: after the run
+	// the span trace is analyzed into per-sharePod phase breakdowns (the
 	// result's Attr field), with open (never-launched) chains counted in
 	// the kubeshare_obs_open_chains gauge before the snapshot is taken.
 	// Implies ExportTelemetry.
@@ -232,11 +231,6 @@ func RunSharing(cfg SharingConfig) (SharingResult, error) {
 	// The first error inside a proc stops the submitter and the samplers;
 	// what is already running drains and the run reports the error.
 	var runErr error
-	if cfg.Attribution {
-		// Exemplars go on before any observation, so the max-latency trace
-		// keys cover the whole run.
-		c.Obs.EnableExemplars()
-	}
 	if cfg.RestartAPIServerAt > 0 {
 		// Durability goes on before any consumer subscribes, so the whole
 		// run is covered by the enable-time checkpoint plus the WAL.

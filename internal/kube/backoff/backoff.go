@@ -27,7 +27,6 @@ type Backoff struct {
 	cap  time.Duration
 	rng  *simrand.Source
 	prev time.Duration
-	n    int
 }
 
 // New returns a backoff seeded from name. base is the first delay's lower
@@ -68,9 +67,5 @@ func (b *Backoff) Next() time.Duration {
 		d = b.base + time.Duration(b.rng.Float64()*float64(hi-b.base))
 	}
 	b.prev = d
-	b.n++
 	return d
 }
-
-// Attempts returns how many delays Next has produced.
-func (b *Backoff) Attempts() int { return b.n }

@@ -15,7 +15,6 @@ import (
 	"kubeshare/internal/kube/kubelet"
 	"kubeshare/internal/kube/runtime"
 	"kubeshare/internal/kube/scheduler"
-	"kubeshare/internal/kube/store"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 )
@@ -24,7 +23,6 @@ import (
 type NodeConfig struct {
 	Name   string
 	GPUs   int
-	GPUMem int64 // defaults to gpusim.DefaultMemoryBytes
 	Labels map[string]string
 }
 
@@ -94,10 +92,9 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 		var gpus []*gpusim.Device
 		for i := 0; i < nc.GPUs; i++ {
 			gpus = append(gpus, gpusim.NewDevice(env, gpusim.Config{
-				Index:       i,
-				NodeName:    nc.Name,
-				MemoryBytes: nc.GPUMem,
-				Obs:         rt,
+				Index:    i,
+				NodeName: nc.Name,
+				Obs:      rt,
 			}))
 		}
 		rt := runtime.New(env, c.Images, gpus)
@@ -153,32 +150,3 @@ func (c *Cluster) Pods() apiserver.Client[*api.Pod] { return apiserver.Pods(c.AP
 
 // Nodes lists registered Node objects.
 func (c *Cluster) NodeObjects() []*api.Node { return apiserver.Nodes(c.API).List() }
-
-// WaitPodPhase parks p until the named pod reaches one of the phases (or is
-// deleted, returning an error). It polls via watch events.
-func (c *Cluster) WaitPodPhase(p *sim.Proc, name string, phases ...api.PodPhase) (*api.Pod, error) {
-	match := func(pod *api.Pod) bool {
-		for _, ph := range phases {
-			if pod.Status.Phase == ph {
-				return true
-			}
-		}
-		return false
-	}
-	// Name-filtered subscription: unrelated pod churn never wakes the waiter.
-	q := c.API.WatchFiltered("Pod", apiserver.WatchOptions{Name: name, Replay: true})
-	defer c.API.StopWatch(q)
-	for {
-		ev, ok := q.Get(p)
-		if !ok {
-			return nil, fmt.Errorf("kube: watch closed waiting for %s", name)
-		}
-		pod := ev.Object.(*api.Pod)
-		if ev.Type == store.Deleted {
-			return nil, fmt.Errorf("kube: pod %s deleted while waiting", name)
-		}
-		if match(pod) {
-			return pod, nil
-		}
-	}
-}

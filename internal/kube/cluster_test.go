@@ -2,11 +2,14 @@ package kube
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/runtime"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
@@ -51,7 +54,7 @@ func TestPodLifecycleEndToEnd(t *testing.T) {
 			t.Errorf("create: %v", err)
 			return
 		}
-		pod, err := c.WaitPodPhase(p, "p1", api.PodSucceeded, api.PodFailed)
+		pod, err := c.waitPodPhase(p, "p1", api.PodSucceeded, api.PodFailed)
 		if err != nil {
 			t.Errorf("wait: %v", err)
 			return
@@ -92,7 +95,7 @@ func TestGPUPodGetsVisibleDevices(t *testing.T) {
 	})
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("g1", "gpu-app", api.ResourceList{api.ResourceGPU: 1}))
-		if _, err := c.WaitPodPhase(p, "g1", api.PodSucceeded, api.PodFailed); err != nil {
+		if _, err := c.waitPodPhase(p, "g1", api.PodSucceeded, api.PodFailed); err != nil {
 			t.Errorf("wait: %v", err)
 		}
 	})
@@ -164,7 +167,7 @@ func TestNodeSelectorRespected(t *testing.T) {
 	pod.Spec.NodeSelector = map[string]string{"accel": "v100"}
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(pod)
-		got, err := c.WaitPodPhase(p, "sel", api.PodSucceeded)
+		got, err := c.waitPodPhase(p, "sel", api.PodSucceeded)
 		if err != nil {
 			t.Errorf("wait: %v", err)
 			return
@@ -202,7 +205,7 @@ func TestFailedContainerMarksPodFailed(t *testing.T) {
 	})
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("boom", "crash", nil))
-		pod, err := c.WaitPodPhase(p, "boom", api.PodSucceeded, api.PodFailed)
+		pod, err := c.waitPodPhase(p, "boom", api.PodSucceeded, api.PodFailed)
 		if err != nil {
 			t.Errorf("wait: %v", err)
 			return
@@ -219,7 +222,7 @@ func TestUnknownImageFailsPod(t *testing.T) {
 	c := newTestCluster(t, env, DefaultConfig(1, 4))
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("noimg", "ghost-image", nil))
-		pod, _ := c.WaitPodPhase(p, "noimg", api.PodFailed)
+		pod, _ := c.waitPodPhase(p, "noimg", api.PodFailed)
 		if pod == nil {
 			t.Error("pod never failed")
 		}
@@ -238,7 +241,7 @@ func TestDeletePodStopsContainersAndFreesGPU(t *testing.T) {
 	})
 	env.Go("test", func(p *sim.Proc) {
 		c.Pods().Create(simplePod("d1", "forever", api.ResourceList{api.ResourceGPU: 4}))
-		if _, err := c.WaitPodPhase(p, "d1", api.PodRunning); err != nil {
+		if _, err := c.waitPodPhase(p, "d1", api.PodRunning); err != nil {
 			t.Errorf("wait running: %v", err)
 			return
 		}
@@ -247,7 +250,7 @@ func TestDeletePodStopsContainersAndFreesGPU(t *testing.T) {
 		}
 		// The GPUs must be reusable by a fresh pod.
 		c.Pods().Create(simplePod("d2", "forever", api.ResourceList{api.ResourceGPU: 4}))
-		if _, err := c.WaitPodPhase(p, "d2", api.PodRunning); err != nil {
+		if _, err := c.waitPodPhase(p, "d2", api.PodRunning); err != nil {
 			t.Errorf("d2 never ran: %v", err)
 		}
 		c.Pods().Delete("d2")
@@ -289,4 +292,33 @@ func TestConcurrentPodCreationAllScheduled(t *testing.T) {
 
 func name(prefix string, i int) string {
 	return prefix + "-" + string(rune('a'+i/26)) + string(rune('a'+i%26))
+}
+
+// waitPodPhase parks p until the named pod reaches one of the phases (or is
+// deleted, returning an error). It polls via watch events.
+func (c *Cluster) waitPodPhase(p *sim.Proc, name string, phases ...api.PodPhase) (*api.Pod, error) {
+	match := func(pod *api.Pod) bool {
+		for _, ph := range phases {
+			if pod.Status.Phase == ph {
+				return true
+			}
+		}
+		return false
+	}
+	// Name-filtered subscription: unrelated pod churn never wakes the waiter.
+	q := c.API.WatchFiltered("Pod", apiserver.WatchOptions{Name: name, Replay: true})
+	defer c.API.StopWatch(q)
+	for {
+		ev, ok := q.Get(p)
+		if !ok {
+			return nil, fmt.Errorf("kube: watch closed waiting for %s", name)
+		}
+		pod := ev.Object.(*api.Pod)
+		if ev.Type == store.Deleted {
+			return nil, fmt.Errorf("kube: pod %s deleted while waiting", name)
+		}
+		if match(pod) {
+			return pod, nil
+		}
+	}
 }

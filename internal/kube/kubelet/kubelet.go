@@ -310,7 +310,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 			pp.Status.StartTime = k.env.Now()
 		})
 		k.syncs.Inc()
-		k.syncHist.ObserveDurationExemplar(k.env.Now()-syncStart, api.TraceKey(pod), span.ID())
+		k.syncHist.Observe((k.env.Now() - syncStart).Seconds())
 		k.recorder.Eventf("Pod", pod.Name, obs.EventNormal, "Started",
 			"pod running on %s", k.cfg.NodeName)
 		span.EndNote("pod=%s", pod.Name)

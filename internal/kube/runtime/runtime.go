@@ -116,13 +116,6 @@ type Handle struct {
 	done    *sim.Event
 }
 
-// State returns the container's lifecycle state.
-func (h *Handle) State() State { return h.state }
-
-// ExitErr returns the entrypoint's error (nil on success); meaningful once
-// Done has fired.
-func (h *Handle) ExitErr() error { return h.exitErr }
-
 // Started fires when the entrypoint begins executing.
 func (h *Handle) Started() *sim.Event { return h.started }
 

@@ -55,8 +55,8 @@ func TestStartRunsEntrypointAfterLatency(t *testing.T) {
 	if startedAt != startLatency {
 		t.Fatalf("entrypoint at %v, want %v", startedAt, startLatency)
 	}
-	if h.State() != StateExited || h.ExitErr() != nil {
-		t.Fatalf("state=%v err=%v", h.State(), h.ExitErr())
+	if h.state != StateExited || h.exitErr != nil {
+		t.Fatalf("state=%v err=%v", h.state, h.exitErr)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestUnknownUUIDFailsContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Run()
-	if h.ExitErr() == nil {
+	if h.exitErr == nil {
 		t.Fatal("bogus UUID did not fail the container")
 	}
 }
@@ -200,8 +200,8 @@ func TestHookErrorFailsContainer(t *testing.T) {
 	h, _ := rt.Start(pod("p"), api.Container{Name: "c", Image: "gpu"},
 		map[string]string{"NVIDIA_VISIBLE_DEVICES": devs[0].UUID()})
 	env.Run()
-	if ran || h.State() != StateExited || !errors.Is(h.ExitErr(), refused) {
-		t.Fatalf("ran=%v state=%v err=%v, want the hook's error before the entrypoint", ran, h.State(), h.ExitErr())
+	if ran || h.state != StateExited || !errors.Is(h.exitErr, refused) {
+		t.Fatalf("ran=%v state=%v err=%v, want the hook's error before the entrypoint", ran, h.state, h.exitErr)
 	}
 	if devs[0].ActiveContexts() != 0 {
 		t.Fatal("raw driver left open after the hook failed")
@@ -221,8 +221,8 @@ func TestStopKillsAndFiresDone(t *testing.T) {
 		rt.Stop(h)
 	})
 	env.Run()
-	if h.State() != StateExited || !errors.Is(h.ExitErr(), errContainerKilled) {
-		t.Fatalf("state=%v err=%v", h.State(), h.ExitErr())
+	if h.state != StateExited || !errors.Is(h.exitErr, errContainerKilled) {
+		t.Fatalf("state=%v err=%v", h.state, h.exitErr)
 	}
 }
 
@@ -244,8 +244,8 @@ func TestStopDuringCreationReleasesWaiters(t *testing.T) {
 	if !released {
 		t.Fatal("Started waiter stuck after stop-during-creation")
 	}
-	if !errors.Is(h.ExitErr(), errContainerKilled) {
-		t.Fatalf("err = %v", h.ExitErr())
+	if !errors.Is(h.exitErr, errContainerKilled) {
+		t.Fatalf("err = %v", h.exitErr)
 	}
 }
 
@@ -256,8 +256,8 @@ func TestStopExitedIsNoop(t *testing.T) {
 	h, _ := rt.Start(pod("p"), api.Container{Name: "c", Image: "app"}, nil)
 	env.Run()
 	rt.Stop(h) // must not panic
-	if h.ExitErr() != nil {
-		t.Fatalf("err = %v", h.ExitErr())
+	if h.exitErr != nil {
+		t.Fatalf("err = %v", h.exitErr)
 	}
 }
 
@@ -303,8 +303,8 @@ func TestExitedContainerReleasesLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Run()
-	if h.State() != StateExited || h.ExitErr() != nil {
-		t.Fatalf("state=%v err=%v", h.State(), h.ExitErr())
+	if h.state != StateExited || h.exitErr != nil {
+		t.Fatalf("state=%v err=%v", h.state, h.exitErr)
 	}
 	for i := 0; i < 200 && !freed.Load(); i++ {
 		goruntime.GC() // finalizers run on their own goroutine, some time after

@@ -281,6 +281,6 @@ func (s *Scheduler) scheduleOne(pod *api.Pod) {
 	// Bind latency is submit-to-bind; the span lands on the pod's causal
 	// chain (its owner's chain for controller-created pods, so sharePod
 	// holder/bound pods trace under their sharePod).
-	id := s.tracer.Record("kube-scheduler", "bind", api.TraceKey(updated), "node="+node, pod.CreationTime)
-	s.bindHist.ObserveDurationExemplar(s.env.Now()-pod.CreationTime, api.TraceKey(updated), id)
+	s.tracer.Record("kube-scheduler", "bind", api.TraceKey(updated), "node="+node, pod.CreationTime)
+	s.bindHist.Observe((s.env.Now() - pod.CreationTime).Seconds())
 }

@@ -14,8 +14,8 @@ func TestSeriesAddAndStats(t *testing.T) {
 	s.Add(0, 1)
 	s.Add(time.Second, 3)
 	s.Add(2*time.Second, 5)
-	if s.Len() != 3 || s.Last() != 5 || s.Mean() != 3 || s.Max() != 5 {
-		t.Fatalf("len=%d last=%v mean=%v max=%v", s.Len(), s.Last(), s.Mean(), s.Max())
+	if s.Len() != 3 || s.Max() != 5 {
+		t.Fatalf("len=%d max=%v", s.Len(), s.Max())
 	}
 }
 
@@ -32,7 +32,7 @@ func TestSeriesOutOfOrderPanics(t *testing.T) {
 
 func TestEmptySeriesStats(t *testing.T) {
 	var s tsdb.Series
-	if s.Last() != 0 || s.Mean() != 0 || s.Max() != 0 {
+	if s.Max() != 0 {
 		t.Fatal("empty series stats must be zero")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Label is one metric dimension: a key (fixed per family: gpu_uuid, tenant,
@@ -148,24 +147,15 @@ func (v *FloatGaugeVec) With(values ...string) *FloatGauge {
 	return v.f.lookup(values, func() any { return &FloatGauge{} }).(*FloatGauge)
 }
 
-// HistogramVec is a family of duration histograms. exOn is the owning
-// registry's exemplar switch, threaded into every child so labeled
-// histograms record exemplars exactly like flat ones.
-type HistogramVec struct {
-	f    *family
-	exOn *atomic.Bool
-}
+// HistogramVec is a family of duration histograms.
+type HistogramVec struct{ f *family }
 
 // With fetches or creates the child histogram for the label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	return v.f.lookup(values, func() any {
-		h := newHistogram(defaultBounds())
-		h.exOn = v.exOn
-		return h
-	}).(*Histogram)
+	return v.f.lookup(values, func() any { return newHistogram(defaultBounds()) }).(*Histogram)
 }
 
 // vecRegistry interns the *Vec families themselves, one per metric name.
@@ -210,7 +200,7 @@ func (g *Registry) HistogramVec(name string, labelKeys ...string) *HistogramVec 
 	if g == nil {
 		return nil
 	}
-	return g.histVecs.get(name, labelKeys, func(f *family) any { return &HistogramVec{f: f, exOn: &g.exemplars} }).(*HistogramVec)
+	return g.histVecs.get(name, labelKeys, func(f *family) any { return &HistogramVec{f: f} }).(*HistogramVec)
 }
 
 // CounterVec fetches or registers a labeled counter family on the runtime.

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kubeshare/internal/sim"
 )
@@ -54,14 +53,6 @@ func New(env *sim.Env) *Runtime {
 		r.reg.Counter("kubeshare_obs_spans_dropped_total").Inc()
 	}
 	return r
-}
-
-// EnableExemplars turns on exemplar recording for every histogram of
-// this runtime's registry; no-op on a disabled runtime.
-func (r *Runtime) EnableExemplars() {
-	if r != nil {
-		r.reg.EnableExemplars()
-	}
 }
 
 // Registry returns the metric registry, or nil on a disabled runtime.
@@ -111,20 +102,6 @@ type Registry struct {
 	ctrVecs   vecRegistry
 	floatVecs vecRegistry
 	histVecs  vecRegistry
-
-	// exemplars is the registry-wide exemplar switch: every histogram
-	// (flat or vec child, created before or after the flip) shares this
-	// flag, so attribution-enabled runs record exemplars and everything
-	// else pays a single atomic load per ObserveExemplar.
-	exemplars atomic.Bool
-}
-
-// EnableExemplars turns on exemplar recording for every histogram in
-// the registry.
-func (g *Registry) EnableExemplars() {
-	if g != nil {
-		g.exemplars.Store(true)
-	}
 }
 
 func newRegistry() *Registry {
@@ -176,7 +153,6 @@ func (g *Registry) Histogram(name string) *Histogram {
 	h := g.hists[name]
 	if h == nil {
 		h = newHistogram(defaultBounds())
-		h.exOn = &g.exemplars
 		g.hists[name] = h
 	}
 	return h
@@ -252,23 +228,6 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1, last = overflow
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
-
-	// Exemplar state: exOn is the owning registry's switch (nil on
-	// hand-built histograms); ex holds the max-latency exemplar per
-	// bucket, allocated on first recording so disabled runs pay nothing.
-	exOn *atomic.Bool
-	exMu sync.Mutex
-	ex   []Exemplar
-}
-
-// Exemplar links one histogram bucket to the trace behind its largest
-// observation: the span chain key (e.g. "SharePod/job-003"), the ID of
-// the span that closed with that latency (0 when the observation has no
-// span, like devlib token waits), and the observed value in seconds.
-type Exemplar struct {
-	TraceKey string
-	SpanID   int64
-	Value    float64
 }
 
 // defaultBounds covers 1ms .. ~524s doubling per bucket — wide enough
@@ -305,35 +264,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records a value and, when the registry's exemplar
-// switch is on, keeps (traceKey, spanID) as the bucket's exemplar if the
-// value is the largest seen there — so a p99 bucket links straight to
-// the trace of its worst observation. Ties prefer the latest
-// observation, which is deterministic under the single-threaded env.
-func (h *Histogram) ObserveExemplar(v float64, traceKey string, spanID int64) {
-	if h == nil {
-		return
-	}
-	h.Observe(v)
-	if h.exOn == nil || !h.exOn.Load() || traceKey == "" {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.exMu.Lock()
-	if h.ex == nil {
-		h.ex = make([]Exemplar, len(h.counts))
-	}
-	if e := &h.ex[i]; e.TraceKey == "" || v >= e.Value {
-		*e = Exemplar{TraceKey: traceKey, SpanID: spanID, Value: v}
-	}
-	h.exMu.Unlock()
-}
-
-// ObserveDurationExemplar is ObserveExemplar for a virtual duration.
-func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceKey string, spanID int64) {
-	h.ObserveExemplar(d.Seconds(), traceKey, spanID)
-}
-
 // snapshot captures the histogram state.
 func (h *Histogram) snapshot(name string) HistogramSnapshot {
 	s := HistogramSnapshot{
@@ -346,11 +276,6 @@ func (h *Histogram) snapshot(name string) HistogramSnapshot {
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
-	h.exMu.Lock()
-	if h.ex != nil {
-		s.Exemplars = append([]Exemplar(nil), h.ex...)
-	}
-	h.exMu.Unlock()
 	return s
 }
 
@@ -376,17 +301,14 @@ type FloatGaugeValue struct {
 }
 
 // HistogramSnapshot is one histogram in a snapshot. Counts has one entry
-// per bound plus a final overflow bucket. Exemplars, when non-nil, is
-// parallel to Counts: the max-latency exemplar captured per bucket
-// (zero-valued entries mean the bucket has none).
+// per bound plus a final overflow bucket.
 type HistogramSnapshot struct {
-	Name      string
-	Labels    []Label
-	Count     int64
-	Sum       float64
-	Bounds    []float64
-	Counts    []int64
-	Exemplars []Exemplar
+	Name   string
+	Labels []Label
+	Count  int64
+	Sum    float64
+	Bounds []float64
+	Counts []int64
 }
 
 // Mean returns the exact mean of all observations in seconds.
@@ -584,26 +506,5 @@ func (s MetricsSnapshot) Format(w io.Writer) {
 	for _, h := range s.Histograms {
 		fmt.Fprintf(w, "histogram %s%s count=%d sum=%.6fs p50=%.6fs p99=%.6fs\n",
 			h.Name, FormatLabels(h.Labels), h.Count, h.Sum, h.Quantile(0.50), h.Quantile(0.99))
-	}
-}
-
-// FormatExemplars writes every recorded exemplar as stable text, one
-// line per populated bucket in metric order — the link from a latency
-// bucket to the exact trace (chain key + span ID) behind its worst
-// observation. Histograms without exemplars contribute nothing, so the
-// plain Format output is unchanged by exemplar recording.
-func (s MetricsSnapshot) FormatExemplars(w io.Writer) {
-	for _, h := range s.Histograms {
-		for i, e := range h.Exemplars {
-			if e.TraceKey == "" {
-				continue
-			}
-			le := "+inf"
-			if i < len(h.Bounds) {
-				le = fmt.Sprintf("%g", h.Bounds[i])
-			}
-			fmt.Fprintf(w, "exemplar %s%s le=%s value=%.6fs key=%s span=#%d\n",
-				h.Name, FormatLabels(h.Labels), le, e.Value, e.TraceKey, e.SpanID)
-		}
 	}
 }

@@ -138,14 +138,11 @@ func (t *Tracer) Mark(component, op, key, note string) {
 
 // Record appends an already-finished span that started at start and
 // ends now — for callers that only know the outcome after the fact
-// (e.g. a scheduling cycle that spans many candidates). It returns the
-// span's ID (0 if the span was dropped at the cap) so the caller can
-// attach it to a histogram exemplar.
-func (t *Tracer) Record(component, op, key, note string, start time.Duration) int64 {
-	if t == nil {
-		return 0
+// (e.g. a scheduling cycle that spans many candidates).
+func (t *Tracer) Record(component, op, key, note string, start time.Duration) {
+	if t != nil {
+		t.push(component, op, key, note, start, t.env.Now())
 	}
-	return t.push(component, op, key, note, start, t.env.Now())
 }
 
 // Spans returns a copy of every recorded span in ID order.
@@ -174,10 +171,6 @@ type SpanRef struct {
 	t  *Tracer
 	id int64
 }
-
-// ID returns the referenced span's ID, or 0 for a no-op handle — the
-// value exemplars carry to link a histogram bucket back to its span.
-func (r SpanRef) ID() int64 { return r.id }
 
 // End closes the span at the current virtual time.
 func (r SpanRef) End() { r.EndNote("") }

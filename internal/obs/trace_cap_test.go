@@ -29,8 +29,8 @@ func TestSpanCap(t *testing.T) {
 	if tr.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", tr.Dropped())
 	}
-	if dropped.ID() != 0 {
-		t.Fatalf("dropped span ref has ID %d, want 0", dropped.ID())
+	if dropped.id != 0 {
+		t.Fatalf("dropped span ref has ID %d, want 0", dropped.id)
 	}
 	dropped.End() // must not panic or touch the buffer
 	kept.End()
@@ -112,9 +112,9 @@ func TestSpanPages(t *testing.T) {
 	}
 	over := tr.Start("a", "op", "K/3")
 	over.End()
-	if tr.Len() != 3*spanPage || tr.Dropped() != 1 || over.ID() != 0 || len(tr.pages) != 3 {
+	if tr.Len() != 3*spanPage || tr.Dropped() != 1 || over.id != 0 || len(tr.pages) != 3 {
 		t.Fatalf("at a cap of three pages: Len=%d Dropped=%d ref=%d pages=%d, want %d/1/0/3",
-			tr.Len(), tr.Dropped(), over.ID(), len(tr.pages), 3*spanPage)
+			tr.Len(), tr.Dropped(), over.id, len(tr.pages), 3*spanPage)
 	}
 	if last := tr.Spans()[3*spanPage-1]; last.ID != 3*spanPage || last.Key != "K/2" {
 		t.Fatalf("last span %+v", last)

@@ -56,17 +56,6 @@ func NewSeries(name string, labels []obs.Label, capacity int) *Series {
 	return &Series{Name: name, Labels: labels, capacity: capacity}
 }
 
-// Capacity returns the point bound (0 = unbounded).
-func (s *Series) Capacity() int { return s.capacity }
-
-// Weight returns the number of raw samples behind Points[i].
-func (s *Series) Weight(i int) int64 {
-	if s.weights == nil {
-		return 1
-	}
-	return s.weights[i]
-}
-
 // Add appends a sample. It panics when t is before the last sample, which
 // would indicate a harness bug.
 func (s *Series) Add(t time.Duration, v float64) {
@@ -115,29 +104,6 @@ func (s *Series) compact() {
 
 // Len returns the number of retained points.
 func (s *Series) Len() int { return len(s.Points) }
-
-// Last returns the most recent sample value, or 0 for an empty series.
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
-// Mean returns the mean of the raw sample values (weight-aware, so it is
-// exact even after compaction).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum, n := 0.0, int64(0)
-	for i, p := range s.Points {
-		w := s.Weight(i)
-		sum += p.V * float64(w)
-		n += w
-	}
-	return sum / float64(n)
-}
 
 // Max returns the maximum retained value, or 0 for an empty series.
 func (s *Series) Max() float64 {

@@ -5,11 +5,11 @@
 // entrypoints, token managers, workload generators) runs as a Proc: a
 // coroutine whose execution is strictly interleaved by the Env scheduler so
 // that exactly one proc runs at any instant. Blocking operations (Sleep,
-// Event.Wait, Queue.Get, Resource.Acquire) hand control back to the
-// scheduler, which advances virtual time to the next pending event. The
-// result is a concurrent programming model with fully deterministic,
-// seed-reproducible executions — hours of simulated cluster time complete in
-// milliseconds of real time.
+// Proc.Wait on an Event, Queue.Get) hand control back to the scheduler,
+// which advances virtual time to the next pending event. The result is a
+// concurrent programming model with fully deterministic, seed-reproducible
+// executions — hours of simulated cluster time complete in milliseconds of
+// real time.
 //
 // The kernel is intentionally free of wall-clock dependencies; virtual time
 // is a time.Duration offset from the simulation epoch.
@@ -35,9 +35,7 @@
 package sim
 
 import (
-	"fmt"
 	"iter"
-	"sort"
 	"time"
 )
 
@@ -110,12 +108,6 @@ func NewEnv() *Env {
 
 // Now returns the current virtual time as an offset from the simulation epoch.
 func (env *Env) Now() time.Duration { return env.now }
-
-// SetTracer installs a trace sink invoked by Proc.Tracef and internal
-// lifecycle points. A nil tracer (the default) disables tracing.
-func (env *Env) SetTracer(fn func(t time.Duration, format string, args ...any)) {
-	env.tracer = fn
-}
 
 func (env *Env) tracef(format string, args ...any) {
 	if env.tracer != nil {
@@ -481,31 +473,5 @@ func (env *Env) peekTime() time.Duration {
 	}
 }
 
-// Pending returns the number of live (non-cancelled) events in the queue.
-func (env *Env) Pending() int { return env.pending }
-
 // Live returns the number of procs that have started and not yet finished.
 func (env *Env) Live() int { return env.live }
-
-// Snapshot returns a sorted description of pending events, for debugging
-// stuck simulations.
-func (env *Env) Snapshot() []string {
-	var out []string
-	add := func(e *entry) {
-		if env.items[e.slot].cancelled {
-			return
-		}
-		out = append(out, fmt.Sprintf("t=%v seq=%d", e.t, e.seq))
-	}
-	for i := 0; i < env.ring.n; i++ {
-		add(env.ring.at(i))
-	}
-	if env.headValid {
-		add(&env.head)
-	}
-	for i := range env.heap {
-		add(&env.heap[i])
-	}
-	sort.Strings(out)
-	return out
-}

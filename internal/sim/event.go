@@ -1,17 +1,12 @@
 package sim
 
-import "time"
-
-// waiter is one parked proc waiting on a synchronization object. The woken
-// flag guards against double-wake (e.g. a Trigger racing a timeout or Kill).
-// Waiters are pooled on the Env; the generation counter invalidates stale
-// references left behind in waiter lists after the proc resumed elsewhere.
+// waiter is one parked proc waiting on an Event. Waiters are pooled on the
+// Env; the generation counter invalidates stale references left behind in
+// waiter lists after the proc resumed elsewhere.
 type waiter struct {
-	p     *Proc
-	gen   uint32
-	woken bool
-	val   any
-	ok    bool
+	p   *Proc
+	gen uint32
+	val any
 }
 
 // waiterRef is a generation-stamped reference held in a waiter list. The
@@ -23,10 +18,10 @@ type waiterRef struct {
 }
 
 // stale reports whether this entry must be skipped by producers: the waiter
-// was recycled, already woken by another path, or its proc died while parked.
+// was recycled or its proc died while parked.
 func (r waiterRef) stale() bool {
 	w := r.w
-	return w.gen != r.gen || w.woken || w.p.killed || w.p.finished
+	return w.gen != r.gen || w.p.killed || w.p.finished
 }
 
 // waiter pool -------------------------------------------------------------
@@ -48,9 +43,7 @@ func (env *Env) newWaiter(p *Proc) *waiter {
 func (env *Env) recycleWaiter(w *waiter) {
 	w.gen++
 	w.p = nil
-	w.woken = false
 	w.val = nil
-	w.ok = false
 	env.freeWaiters = append(env.freeWaiters, w)
 }
 
@@ -67,9 +60,6 @@ type Event struct {
 
 // NewEvent returns an untriggered event bound to env.
 func NewEvent(env *Env) *Event { return &Event{env: env} }
-
-// Value returns the value the event was triggered with (nil before firing).
-func (e *Event) Value() any { return e.val }
 
 // Reset returns a fired event to the untriggered state so its owner can
 // reuse it as a fresh one-shot instead of allocating a new Event. The caller
@@ -94,9 +84,9 @@ func (e *Event) Reset() {
 	e.val = nil
 }
 
-// register appends a waiter reference, sweeping stale refs (from timeouts
-// and kills) once they could dominate the list, so an event waited on with
-// timeouts forever does not grow without bound.
+// register appends a waiter reference, sweeping stale refs (from kills) once
+// they could dominate the list, so an event whose waiters keep being killed
+// does not grow without bound.
 func (e *Event) register(w *waiter) {
 	if len(e.waiters) >= 8 && len(e.waiters) >= e.pruneAt {
 		live := e.waiters[:0]
@@ -124,11 +114,8 @@ func (e *Event) Trigger(val any) {
 	e.val = val
 	for i, r := range e.waiters {
 		if !r.stale() {
-			w := r.w
-			w.woken = true
-			w.val = val
-			w.ok = true
-			e.env.enqueue(e.env.now, w.p, nil)
+			r.w.val = val
+			e.env.enqueue(e.env.now, r.w.p, nil)
 		}
 		e.waiters[i] = waiterRef{}
 	}
@@ -148,30 +135,4 @@ func (p *Proc) Wait(e *Event) any {
 	v := w.val
 	p.env.recycleWaiter(w)
 	return v
-}
-
-// WaitTimeout parks p until the event fires or d elapses. The second result
-// reports whether the event fired (true) or the wait timed out (false).
-func (p *Proc) WaitTimeout(e *Event, d time.Duration) (any, bool) {
-	p.checkRunning()
-	if e.fired {
-		return e.val, true
-	}
-	w := p.env.newWaiter(p)
-	e.register(w)
-	ref := waiterRef{w: w, gen: w.gen}
-	tm := p.env.After(d, func() {
-		if ref.stale() {
-			return
-		}
-		w.woken = true
-		w.ok = false
-		p.env.dispatch(p)
-	})
-	p.pending = append(p.pending, procTimer{slot: tm.slot, gen: tm.gen})
-	p.park()
-	tm.Stop()
-	v, ok := w.val, w.ok
-	p.env.recycleWaiter(w)
-	return v, ok
 }

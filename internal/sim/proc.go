@@ -14,13 +14,6 @@ var ErrKilled = errors.New("sim: proc killed")
 // runner recovers it. User code must not recover it (re-panic if it does).
 type killSignal struct{}
 
-// procTimer is a generation-stamped reference to a pooled item slot; a gen
-// mismatch means the event already fired and the slot was recycled.
-type procTimer struct {
-	slot uint32
-	gen  uint32
-}
-
 // Proc is a simulation process: a coroutine whose execution is interleaved
 // by the Env scheduler. All blocking methods must be called from the proc's
 // own body (they park the calling proc).
@@ -37,18 +30,17 @@ type Proc struct {
 	killed   bool
 	daemon   bool
 	killErr  error
-	// pending tracks scheduled items that would wake this proc from its
-	// current park (sleep wakes, timeout timers); Kill cancels them so a
-	// dead proc cannot drag the virtual clock forward. The list is cleared
-	// on every resume, so it never grows past one park's worth of handles.
-	pending []procTimer
+	// sleeping marks a park in Sleep, whose wake is the item at wakeSlot
+	// with generation wakeGen (a mismatch means it fired and the slot was
+	// recycled); Kill cancels it so a dead proc cannot drag the virtual
+	// clock forward. Every resume clears the mark.
+	sleeping bool
+	wakeSlot uint32
+	wakeGen  uint32
 }
 
 // Env returns the environment the proc runs in.
 func (p *Proc) Env() *Env { return p.env }
-
-// ID returns the proc's unique id within its Env.
-func (p *Proc) ID() int { return p.id }
 
 func (p *Proc) String() string { return fmt.Sprintf("proc#%d(%s)", p.id, p.name) }
 
@@ -59,14 +51,6 @@ func (p *Proc) Finished() bool { return p.finished }
 // loop without blocking should poll this and return voluntarily.
 func (p *Proc) Killed() bool { return p.killed }
 
-// Tracef emits a trace line through the environment's tracer, prefixed with
-// the proc name.
-func (p *Proc) Tracef(format string, args ...any) {
-	if p.env.tracer != nil {
-		p.env.tracef("[%s] "+format, append([]any{p.name}, args...)...)
-	}
-}
-
 // park hands control back to the scheduler and blocks until resumed. On
 // resume it honours a pending kill by unwinding the stack.
 func (p *Proc) park() {
@@ -74,19 +58,10 @@ func (p *Proc) park() {
 		// The coroutine's consumer was stopped; unwind like a kill.
 		panic(killSignal{})
 	}
-	p.clearPending()
+	p.sleeping = false
 	if p.killed {
 		panic(killSignal{})
 	}
-}
-
-// clearPending drops wake handles from the park that just ended, zeroing the
-// slots so the slice does not pin pooled items.
-func (p *Proc) clearPending() {
-	for i := range p.pending {
-		p.pending[i] = procTimer{}
-	}
-	p.pending = p.pending[:0]
 }
 
 // checkRunning panics when a blocking primitive is invoked from outside the
@@ -107,8 +82,8 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	slot, gen := p.env.enqueue(p.env.now+d, p, nil)
-	p.pending = append(p.pending, procTimer{slot: slot, gen: gen})
+	p.wakeSlot, p.wakeGen = p.env.enqueue(p.env.now+d, p, nil)
+	p.sleeping = true
 	p.park()
 }
 
@@ -136,14 +111,13 @@ func (p *Proc) Kill(reason error) {
 	if p.env.current == p {
 		panic("sim: proc cannot Kill itself; return from its body instead")
 	}
-	for _, pt := range p.pending {
-		it := &p.env.items[pt.slot]
-		if it.gen == pt.gen && !it.cancelled {
-			p.env.cancelItem(pt.slot)
+	if p.sleeping {
+		if it := &p.env.items[p.wakeSlot]; it.gen == p.wakeGen && !it.cancelled {
+			p.env.cancelItem(p.wakeSlot)
 		}
+		p.sleeping = false
 	}
-	p.clearPending()
 	// Wake it so the unwind happens promptly even if it was parked on a
-	// queue or event; stale waiter entries are skipped via their woken flag.
+	// queue or event, where producers now skip its entry as stale.
 	p.env.enqueue(p.env.now, p, nil)
 }

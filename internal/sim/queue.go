@@ -1,16 +1,13 @@
 package sim
 
-import "time"
-
 // qwaiter is a parked getter. It plays the role of waiter but stores the
 // delivered value with its static type, so handing an item to a getter never
 // boxes it into an interface. Instances are pooled per queue.
 type qwaiter[T any] struct {
-	p     *Proc
-	gen   uint32
-	woken bool
-	ok    bool
-	val   T
+	p   *Proc
+	gen uint32
+	ok  bool
+	val T
 }
 
 // qref is a generation-stamped reference to a pooled qwaiter, held in the
@@ -22,7 +19,7 @@ type qref[T any] struct {
 
 func (r qref[T]) stale() bool {
 	qw := r.qw
-	return qw.gen != r.gen || qw.woken || qw.p.killed || qw.p.finished
+	return qw.gen != r.gen || qw.p.killed || qw.p.finished
 }
 
 // Queue is an unbounded FIFO channel between procs. Put never blocks; Get
@@ -65,14 +62,13 @@ func (q *Queue[T]) recycleWaiter(qw *qwaiter[T]) {
 	var zero T
 	qw.gen++
 	qw.p = nil
-	qw.woken = false
 	qw.ok = false
 	qw.val = zero
 	q.free = append(q.free, qw)
 }
 
 // registerGetter parks bookkeeping for a getter, sweeping stale refs (from
-// timeouts and kills) once they could dominate the ring.
+// kills) once they could dominate the ring.
 func (q *Queue[T]) registerGetter(qw *qwaiter[T]) {
 	if q.getters.len() >= 8 && q.getters.len() >= q.pruneAt {
 		q.getters.compact(func(r *qref[T]) bool { return !r.stale() })
@@ -90,10 +86,9 @@ func (q *Queue[T]) Put(v T) {
 	for q.getters.len() > 0 {
 		r := q.getters.pop()
 		if r.stale() {
-			continue // entry from a timeout or a killed proc
+			continue // entry from a killed proc
 		}
 		qw := r.qw
-		qw.woken = true
 		qw.val = v
 		qw.ok = true
 		q.env.enqueue(q.env.now, qw.p, nil)
@@ -115,7 +110,6 @@ func (q *Queue[T]) Close() {
 			continue
 		}
 		qw := r.qw
-		qw.woken = true
 		qw.ok = false
 		q.env.enqueue(q.env.now, qw.p, nil)
 	}
@@ -144,36 +138,6 @@ func (q *Queue[T]) Get(p *Proc) (T, bool) {
 	qw := q.newWaiter(p)
 	q.registerGetter(qw)
 	p.park()
-	v, ok := qw.val, qw.ok
-	q.recycleWaiter(qw)
-	return v, ok
-}
-
-// GetTimeout is Get with a deadline; the second result is false on timeout
-// or close.
-func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
-	p.checkRunning()
-	if v, ok := q.TryGet(); ok {
-		return v, true
-	}
-	if q.closed {
-		var zero T
-		return zero, false
-	}
-	qw := q.newWaiter(p)
-	q.registerGetter(qw)
-	ref := qref[T]{qw: qw, gen: qw.gen}
-	tm := p.env.After(d, func() {
-		if ref.stale() {
-			return
-		}
-		qw.woken = true
-		qw.ok = false
-		p.env.dispatch(p)
-	})
-	p.pending = append(p.pending, procTimer{slot: tm.slot, gen: tm.gen})
-	p.park()
-	tm.Stop()
 	v, ok := qw.val, qw.ok
 	q.recycleWaiter(qw)
 	return v, ok

@@ -52,41 +52,6 @@ func TestDrainedQueueReleasesReferences(t *testing.T) {
 	}
 }
 
-// TestGetTimeoutPendingBounded is the regression test for the timeout timer
-// leak: a proc looping on GetTimeout must not accumulate wake handles in
-// p.pending or dead timers in the event queue. Pre-fix, every timed-out Get
-// left its timer slot live until the deadline and its handle in p.pending
-// forever, so a poll loop grew both without bound.
-func TestGetTimeoutPendingBounded(t *testing.T) {
-	env := NewEnv()
-	q := NewQueue[int](env)
-	var maxPending, maxQueue int
-	env.Go("poller", func(p *Proc) {
-		for i := 0; i < 200; i++ {
-			if _, ok := q.GetTimeout(p, time.Millisecond); ok {
-				t.Error("unexpected item")
-			}
-			if n := len(p.pending); n > maxPending {
-				maxPending = n
-			}
-			if n := env.Pending(); n > maxQueue {
-				maxQueue = n
-			}
-		}
-	})
-	env.Run()
-	// pending is cleared on every resume; a handful of entries from the
-	// current park is fine, monotonic growth is not.
-	if maxPending > 4 {
-		t.Fatalf("p.pending grew to %d entries across timeouts", maxPending)
-	}
-	// The event queue holds this park's timer plus a stopped timer's slot at
-	// most; 200 iterations must not stack 200 dead timers.
-	if maxQueue > 8 {
-		t.Fatalf("event queue grew to %d pending events across timeouts", maxQueue)
-	}
-}
-
 // TestFinishedProcReleasesBody: a finished proc is a name and a flag. Whoever
 // still holds the *Proc (a kubelet's pod worker holds its container's until
 // the pod object is deleted) must not keep the coroutine, and through it

@@ -1,7 +1,7 @@
 package sim
 
 // fifo is a growable circular buffer used for every FIFO in the kernel: the
-// same-instant event ring, queue items, queue getters and resource waiters.
+// same-instant event ring, queue items and queue getters.
 // Unlike the `s = s[1:]` slice idiom it replaces, popping zeroes the vacated
 // slot, so a drained fifo pins no delivered values, and the backing array is
 // reused instead of crawling forward and re-allocating.
@@ -50,9 +50,6 @@ func (f *fifo[T]) popRaw() T {
 // peek returns a pointer to the head element without removing it. The fifo
 // must be non-empty.
 func (f *fifo[T]) peek() *T { return &f.buf[f.head] }
-
-// at returns a pointer to the i-th element from the head (0 = head).
-func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
 
 // compact drops elements for which keep returns false, preserving order.
 // It cycles each element through pop/push once, so vacated slots are zeroed.

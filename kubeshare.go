@@ -76,12 +76,6 @@ type (
 	EventRecord = obs.EventRecord
 	// MetricsSnapshot is a point-in-time registry dump (see Sim.Metrics).
 	MetricsSnapshot = obs.MetricsSnapshot
-	// SchedStats is the one-call scheduling/recovery counter snapshot,
-	// read from the telemetry registry (see Sim.SchedStats).
-	SchedStats = core.SchedStats
-	// Placement is a typed placement: node, vGPU and whether the share is
-	// fractional (see SharePod.Placement).
-	Placement = core.Placement
 )
 
 // Trace helpers re-exported from the telemetry runtime.
@@ -132,9 +126,8 @@ const (
 type config struct {
 	nodes       int
 	gpusPerNode int
-	gpuMem      int64
 	ks          core.Config
-	sched       []schedfw.Option
+	gangTimeout time.Duration
 	extender    bool
 	noKubeShare bool
 	noObs       bool
@@ -149,9 +142,6 @@ func WithNodes(n int) Option { return func(c *config) { c.nodes = n } }
 // WithGPUsPerNode sets the GPUs per node (default 4, the paper's
 // p3.8xlarge).
 func WithGPUsPerNode(n int) Option { return func(c *config) { c.gpusPerNode = n } }
-
-// WithGPUMemory sets per-GPU memory in bytes (default 16 GiB).
-func WithGPUMemory(bytes int64) Option { return func(c *config) { c.gpuMem = bytes } }
 
 // WithPoolPolicy selects the idle-vGPU policy (default OnDemand).
 func WithPoolPolicy(p core.PoolPolicy) Option {
@@ -178,24 +168,9 @@ func WithMemOvercommit(factor float64) Option {
 // KubeShare-Sched (for comparisons).
 func WithExtenderScheduler() Option { return func(c *config) { c.extender = true } }
 
-// WithSchedulerBatch sets how many placements one scheduling cycle may
-// stage (default 1 — the legacy pace). Larger batches amortize the cycle
-// latency and pool materialization across many decisions.
-func WithSchedulerBatch(n int) Option {
-	return func(c *config) { c.sched = append(c.sched, schedfw.WithBatchSize(n)) }
-}
-
 // WithGangTimeout bounds how long an incomplete gang (SharePodSet with Gang
-// enabled) may hold reserved capacity against younger work.
-func WithGangTimeout(d time.Duration) Option {
-	return func(c *config) { c.sched = append(c.sched, schedfw.WithGangTimeout(d)) }
-}
-
-// WithSchedulerOptions passes framework driver options through verbatim
-// (plugin sets, batch sizes — see the schedfw package).
-func WithSchedulerOptions(opts ...schedfw.Option) Option {
-	return func(c *config) { c.sched = append(c.sched, opts...) }
-}
+// enabled) may hold reserved capacity against younger work (default 30s).
+func WithGangTimeout(d time.Duration) Option { return func(c *config) { c.gangTimeout = d } }
 
 // WithoutKubeShare builds a vanilla cluster with no KubeShare installed
 // (the native baseline).
@@ -221,16 +196,13 @@ type Sim struct {
 // New builds a cluster, registers the workload images, and installs
 // KubeShare (unless configured otherwise).
 func New(opts ...Option) (*Sim, error) {
-	cfg := config{nodes: 1, gpusPerNode: 4}
+	cfg := config{nodes: 1, gpusPerNode: 4, gangTimeout: schedfw.DefaultGangTimeout}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	env := sim.NewEnv()
 	kc := kube.DefaultConfig(cfg.nodes, cfg.gpusPerNode)
 	kc.DisableObs = cfg.noObs
-	for i := range kc.Nodes {
-		kc.Nodes[i].GPUMem = cfg.gpuMem
-	}
 	cluster, err := kube.NewCluster(env, kc)
 	if err != nil {
 		return nil, err
@@ -240,13 +212,13 @@ func New(opts ...Option) (*Sim, error) {
 	switch {
 	case cfg.noKubeShare:
 	case cfg.extender:
-		ks, _, err := schedfw.InstallExtender(cluster, cfg.ks, cfg.sched...)
+		ks, _, err := schedfw.InstallExtender(cluster, cfg.ks, schedfw.WithGangTimeout(cfg.gangTimeout))
 		if err != nil {
 			return nil, err
 		}
 		s.KS = ks
 	default:
-		ks, err := schedfw.Install(cluster, cfg.ks, cfg.sched...)
+		ks, err := schedfw.Install(cluster, cfg.ks, schedfw.WithGangTimeout(cfg.gangTimeout))
 		if err != nil {
 			return nil, err
 		}
@@ -400,18 +372,6 @@ func (s *Sim) usageRate(sp *SharePod) float64 {
 		total += strat.UsageRate(sp.Status.BoundPod + "/" + c.Name)
 	}
 	return total
-}
-
-// SchedStats snapshots the scheduling and recovery counters off the
-// telemetry registry: decisions, requeues, no-capacity cycles, pending
-// depth, and DevMgr vGPU recoveries — the single struct replacing the old
-// per-counter accessors. Zero-valued when the Sim was built
-// WithoutKubeShare or WithoutObservability.
-func (s *Sim) SchedStats() SchedStats {
-	if s.KS == nil {
-		return SchedStats{}
-	}
-	return s.KS.Stats()
 }
 
 // Metrics returns a point-in-time snapshot of every counter, gauge and

@@ -35,8 +35,8 @@ var descriptions = map[string]string{
 	"kubeshare_devlib_throttle_retries_total":     "Device-library token requests deferred by the throttle window.",
 	"kubeshare_devlib_token_grants_total":         "Tokens granted by the device library's sharing arbiter.",
 	"kubeshare_devlib_token_hold_ns_total":        "Virtual nanoseconds of token hold time, per device and tenant.",
-	"kubeshare_devlib_token_wait_seconds":         "Token-wait latency distribution per device — the sharing-pressure signal the paper's guarantees bound. Records exemplars when attribution is on.",
-	"kubeshare_devmgr_bind_seconds":               "DevMgr bind latency: vGPU ensure (holder pod start included) plus bound-pod creation. Records exemplars when attribution is on.",
+	"kubeshare_devlib_token_wait_seconds":         "Token-wait latency distribution per device — the sharing-pressure signal the paper's guarantees bound.",
+	"kubeshare_devmgr_bind_seconds":               "DevMgr bind latency: vGPU ensure (holder pod start included) plus bound-pod creation.",
 	"kubeshare_devmgr_binds_total":                "SharePod bind operations completed by DevMgr.",
 	"kubeshare_devmgr_vgpu_creates_total":         "vGPUs created (holder pod acquired a physical GPU).",
 	"kubeshare_devmgr_vgpu_recoveries_total":      "vGPUs recovered onto a replacement GPU after device loss.",
@@ -46,7 +46,7 @@ var descriptions = map[string]string{
 	"kubeshare_gpu_kernel_launches_total":         "Kernel launches executed on the simulated GPU, per device and node.",
 	"kubeshare_gpu_utilization_ratio":             "Sampled busy fraction of each simulated GPU.",
 	"kubeshare_kubelet_allocation_failures_total": "Device-plugin allocations the kubelet failed, per node.",
-	"kubeshare_kubelet_pod_sync_seconds":          "Kubelet pod-sync latency (device allocation, image pull, container starts), per node. Records exemplars when attribution is on.",
+	"kubeshare_kubelet_pod_sync_seconds":          "Kubelet pod-sync latency (device allocation, image pull, container starts), per node.",
 	"kubeshare_kubelet_pod_syncs_total":           "Pod syncs completed by the kubelet, per node.",
 	"kubeshare_obs_open_chains":                   "SharePod causal chains that never reached a kernel launch — excluded from latency percentiles, counted here instead. Set on attribution-enabled runs.",
 	"kubeshare_obs_spans_dropped_total":           "Spans dropped at the tracer's retention cap. Registered lazily on the first drop.",
@@ -55,13 +55,13 @@ var descriptions = map[string]string{
 	"kubeshare_sched_decisions_total":             "Pipeline runs of the KubeShare scheduler, one per unit decided; units passed over (kubeshare_sched_skipped_total) are not counted.",
 	"kubeshare_sched_gang_admissions_total":       "Gangs admitted atomically (all members placed in one cycle).",
 	"kubeshare_sched_gang_timeouts_total":         "Gangs rejected after the co-scheduling timeout expired.",
-	"kubeshare_sched_latency_seconds":             "Submit-to-scheduled latency per sharePod. Records exemplars when attribution is on.",
+	"kubeshare_sched_latency_seconds":             "Submit-to-scheduled latency per sharePod.",
 	"kubeshare_sched_nocapacity_cycles_total":     "Scheduler cycles that found no feasible capacity.",
 	"kubeshare_sched_pending_sharepods":           "SharePods currently waiting in the scheduling queue.",
 	"kubeshare_sched_requeues_total":              "SharePods requeued after losing their bound pod or device.",
 	"kubeshare_sched_skipped_total":               "Units a scheduling cycle passed over without a pipeline run: parked since an earlier cycle, or carrying a request identical to one that found no capacity in this cycle. High next to a low decisions count is why a saturated run was cheap.",
 	"kubeshare_sched_unschedulable_sharepods":     "Pending sharePods parked right now: known to find no capacity, not re-decided until capacity is released. A sharePod that stays pending while this is non-zero is waiting for a release, not for the scheduler.",
-	"kubeshare_scheduler_bind_latency_seconds":    "Native kube-scheduler submit-to-bind latency. Records exemplars when attribution is on.",
+	"kubeshare_scheduler_bind_latency_seconds":    "Native kube-scheduler submit-to-bind latency.",
 	"kubeshare_scheduler_binds_total":             "Pods bound by the native kube-scheduler.",
 	"kubeshare_scheduler_pending_pods":            "Pods currently pending in the native scheduler's queue.",
 	"kubeshare_sharing_admits_total":              "Client admissions per device and sharing strategy.",
@@ -97,10 +97,6 @@ func main() {
 	b.WriteString("Generated by `go run ./tools/metricsdoc` — do not edit by hand.\n")
 	b.WriteString("`go run ./tools/metricsdoc -check` fails when this file and the\n")
 	b.WriteString("registered families diverge in either direction.\n\n")
-	b.WriteString("Histograms marked as recording exemplars attach the max-latency\n")
-	b.WriteString("observation's trace key and span ID per bucket when a run enables\n")
-	b.WriteString("attribution (`SharingConfig.Attribution`, the latency/fig19\n")
-	b.WriteString("experiments, or `kubeshare-sim profile`).\n\n")
 	b.WriteString("| Name | Type | Labels | Description |\n")
 	b.WriteString("|---|---|---|---|\n")
 	missing := 0
