@@ -1,12 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation.
 // Each benchmark runs the corresponding experiment from
-// internal/experiments (at a scale reduced from the paper's 8×4-GPU
-// testbed to keep iterations fast — cmd/kubeshare-sim runs full scale) and
-// reports the figure's headline quantity through b.ReportMetric, so
-// `go test -bench=.` reproduces the paper's qualitative results table by
-// table. BenchmarkFig11SchedulingTime measures real CPU time of one
-// KubeShare-Sched decision, the one the running scheduler makes, which is
-// what Figure 11 is about.
+// internal/experiments — its quick run, and its full run too where the
+// benchmark has quick and full variants — and reports the figure's headline
+// quantity through b.ReportMetric, so `go test -bench=.` reproduces the
+// paper's qualitative results table by table. BenchmarkFig11SchedulingTime
+// measures real CPU time of one KubeShare-Sched decision, the one the
+// running scheduler makes, which is what Figure 11 is about.
 package kubeshare
 
 import (
@@ -43,7 +42,7 @@ func cellF(b *testing.B, s string) float64 {
 // scheduler-extender baseline vs KubeShare.
 func BenchmarkTable1Fragmentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table1(experiments.Table1Config{})
+		t, err := experiments.Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,14 +58,12 @@ func BenchmarkTable1Fragmentation(b *testing.B) {
 // under increasing client request rates.
 func BenchmarkFig5InferenceUsage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig5(experiments.Fig5Config{
-			Rates: []float64{4, 12, 24}, Duration: 30 * time.Second,
-		})
+		t, err := experiments.Fig5(1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(cellF(b, t.Rows[1][1]), "util-at-12rps")
+			b.ReportMetric(cellF(b, t.Rows[3][1]), "util-at-12rps") // rates 2, 4, 8, 12, …
 		}
 	}
 }
@@ -75,7 +72,7 @@ func BenchmarkFig5InferenceUsage(b *testing.B) {
 // timeline on one shared GPU.
 func BenchmarkFig6Isolation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(experiments.Fig6Config{Stagger: 100 * time.Second})
+		res, err := experiments.Fig6(experiments.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,37 +87,30 @@ func BenchmarkFig6Isolation(b *testing.B) {
 // throughput across token quotas.
 func BenchmarkFig7QuotaOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig7(experiments.Fig7Config{
-			Quotas: []time.Duration{30 * time.Millisecond, 100 * time.Millisecond},
-			Steps:  2000,
-		})
+		t, err := experiments.Fig7(experiments.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			b.ReportMetric(cellF(b, t.Rows[0][2]), "normalized-tput-30ms")
-			b.ReportMetric(cellF(b, t.Rows[1][2]), "normalized-tput-100ms")
+			b.ReportMetric(cellF(b, t.Rows[3][2]), "normalized-tput-100ms")
 		}
 	}
-}
-
-// fig8Scale is the reduced-scale configuration shared by the Fig 8 benches.
-var fig8Scale = experiments.Fig8Config{
-	Jobs: 60, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second,
 }
 
 // BenchmarkFig8aJobFrequency regenerates Figure 8a: throughput vs job
 // frequency for Kubernetes and KubeShare.
 func BenchmarkFig8aJobFrequency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig8a(fig8Scale, []float64{1, 6})
+		t, err := experiments.Fig8a(experiments.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(cellF(b, t.Rows[1][2]), "k8s-jobs-per-min")
-			b.ReportMetric(cellF(b, t.Rows[1][3]), "kubeshare-jobs-per-min")
-			b.ReportMetric(cellF(b, t.Rows[1][4]), "saturated-speedup")
+			saturated := t.Rows[len(t.Rows)-1]
+			b.ReportMetric(cellF(b, saturated[2]), "k8s-jobs-per-min")
+			b.ReportMetric(cellF(b, saturated[3]), "kubeshare-jobs-per-min")
+			b.ReportMetric(cellF(b, saturated[4]), "saturated-speedup")
 		}
 	}
 }
@@ -129,13 +119,13 @@ func BenchmarkFig8aJobFrequency(b *testing.B) {
 // demand.
 func BenchmarkFig8bMeanDemand(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig8b(fig8Scale, []float64{0.2, 0.6})
+		t, err := experiments.Fig8b(experiments.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(cellF(b, t.Rows[0][3]), "speedup-at-20pct")
-			b.ReportMetric(cellF(b, t.Rows[1][3]), "speedup-at-60pct")
+			b.ReportMetric(cellF(b, t.Rows[1][3]), "speedup-at-20pct")
+			b.ReportMetric(cellF(b, t.Rows[5][3]), "speedup-at-60pct")
 		}
 	}
 }
@@ -144,13 +134,13 @@ func BenchmarkFig8bMeanDemand(b *testing.B) {
 // variance (flat).
 func BenchmarkFig8cDemandVariance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig8c(fig8Scale, []float64{0.5, 4})
+		t, err := experiments.Fig8c(experiments.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			b.ReportMetric(cellF(b, t.Rows[0][2]), "kubeshare-at-var0.5")
-			b.ReportMetric(cellF(b, t.Rows[1][2]), "kubeshare-at-var4")
+			b.ReportMetric(cellF(b, t.Rows[4][2]), "kubeshare-at-var4")
 		}
 	}
 }
@@ -159,10 +149,7 @@ func BenchmarkFig8cDemandVariance(b *testing.B) {
 // GPUs over time for both systems.
 func BenchmarkFig9Utilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(experiments.Fig9Config{
-			Fig8Config: fig8Scale,
-			FreqFactor: 2.5,
-		})
+		res, err := experiments.Fig9(experiments.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,20 +160,19 @@ func BenchmarkFig9Utilization(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9Obs runs the KubeShare arm of the Figure 9 workload with the
+// BenchmarkFig9Obs runs the KubeShare arm of the quick Figure 9 run with the
 // observability spine on and off — the instrumentation-overhead check. Both
 // sub-benchmarks run identical simulations; the only difference is whether
 // every layer's spans, events and metrics are being recorded. The overhead
 // is advisory: DESIGN.md gives its measured median over alternating runs.
 func BenchmarkFig9Obs(b *testing.B) {
-	cfg := experiments.Fig9Config{Fig8Config: fig8Scale, FreqFactor: 2.5}
 	for _, arm := range []struct {
 		name    string
 		disable bool
 	}{{"on", false}, {"off", true}} {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Fig9Sharing(cfg, arm.disable)
+				res, err := experiments.Fig9Sharing(arm.disable)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -202,9 +188,7 @@ func BenchmarkFig9Obs(b *testing.B) {
 // native pods, sharePods without vGPU creation, and with vGPU creation.
 func BenchmarkFig10PodCreation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig10(experiments.Fig10Config{
-			Concurrency: []int{1, 8}, Nodes: 2, GPUsPerNode: 4,
-		})
+		t, err := experiments.Fig10(experiments.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +225,7 @@ func BenchmarkFig11SchedulingTime(b *testing.B) {
 // slowdowns on a shared GPU.
 func BenchmarkFig12Interference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig12(experiments.Fig12Config{Steps: 2000})
+		t, err := experiments.Fig12(experiments.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,16 +248,14 @@ func BenchmarkFig12Interference(b *testing.B) {
 // settings across the Job-A ratio.
 func BenchmarkFig13AntiAffinity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig13(experiments.Fig13Config{
-			Jobs: 24, Steps: 800, Nodes: 1, GPUsPerNode: 4, Ratios: []float64{0, 1},
-		})
+		t, err := experiments.Fig13(experiments.Quick, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			b.ReportMetric(cellF(b, t.Rows[0][2]), "ratio0-kubeshare")
 			b.ReportMetric(cellF(b, t.Rows[0][1]), "ratio0-kubernetes")
-			b.ReportMetric(cellF(b, t.Rows[1][3]), "ratio1-antiaffinity")
+			b.ReportMetric(cellF(b, t.Rows[4][3]), "ratio1-antiaffinity")
 		}
 	}
 }
@@ -313,43 +295,6 @@ func BenchmarkAblationPlacement(b *testing.B) {
 			}
 			b.ReportMetric(devices, "devices-used")
 		})
-	}
-}
-
-// BenchmarkAblationQuota sweeps the token quota and reports the effective
-// training throughput ratio (the Figure 7 knob as an ablation).
-func BenchmarkAblationQuota(b *testing.B) {
-	for _, quota := range []time.Duration{10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond} {
-		b.Run(quota.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.Fig7(experiments.Fig7Config{
-					Quotas: []time.Duration{quota}, Steps: 1000,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(cellF(b, t.Rows[0][2]), "normalized-tput")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPoolPolicy compares on-demand vs reservation vGPU pools
-// on repeat-submission latency (the §4.4 trade-off).
-func BenchmarkAblationPoolPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig10(experiments.Fig10Config{
-			Concurrency: []int{4}, Nodes: 1, GPUsPerNode: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(cellF(b, t.Rows[0][2]), "reservation-create-s")
-			b.ReportMetric(cellF(b, t.Rows[0][3]), "ondemand-create-s")
-		}
 	}
 }
 
@@ -454,28 +399,32 @@ func newIDGen() func() string {
 	}
 }
 
+// scales are the sub-benchmarks of an experiment benchmarked at both of
+// its runs.
+var scales = []experiments.Scale{experiments.Quick, experiments.Full}
+
 // BenchmarkFig15SchedulerThroughput regenerates Figure 15: sustained
 // scheduling decisions per second of the plugin-phase framework at depth,
 // comparing the single-decision cycle against batched and batched+gang
 // driving. The headline metric is the batched/single virtual-throughput
-// ratio (the cycle-latency amortization; acceptance bar 3x at the 10k
-// point, reached by ~60x in practice). The quick variant is the check.sh
-// smoke, and TestFig15ThroughputPinned holds its numbers exactly.
+// ratio at the deepest queue (the cycle-latency amortization; acceptance
+// bar 3x at the full run's 10k point, reached by ~60x in practice). The
+// quick variant is the check.sh smoke, and TestFig15ThroughputPinned holds
+// its numbers exactly.
 func BenchmarkFig15SchedulerThroughput(b *testing.B) {
-	for _, scale := range []struct {
-		name  string
-		count int
-	}{{"quick", 1000}, {"full", 10000}} {
-		b.Run(scale.name, func(b *testing.B) {
+	for _, s := range scales {
+		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				t, err := experiments.Fig15(experiments.Fig15Config{Counts: []int{scale.count}})
+				t, err := experiments.Fig15(s)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					single := cellF(b, t.Rows[0][2])
-					batched := cellF(b, t.Rows[1][2])
-					gang := cellF(b, t.Rows[2][2])
+					// The deepest queue's three rows come last.
+					deep := t.Rows[len(t.Rows)-3:]
+					single := cellF(b, deep[0][2])
+					batched := cellF(b, deep[1][2])
+					gang := cellF(b, deep[2][2])
 					b.ReportMetric(single, "single-dps")
 					b.ReportMetric(batched, "batched-dps")
 					b.ReportMetric(gang, "gang-dps")
@@ -494,16 +443,10 @@ func BenchmarkFig15SchedulerThroughput(b *testing.B) {
 // when every pending unit is re-decided every cycle. The quick variant is
 // the check.sh smoke.
 func BenchmarkFig16ScaleSweep(b *testing.B) {
-	for _, scale := range []struct {
-		name string
-		cfg  experiments.Fig16Config
-	}{
-		{"quick", experiments.Fig16Config{Sizes: []int{500}, Nodes: 16}},
-		{"full", experiments.Fig16Config{}},
-	} {
-		b.Run(scale.name, func(b *testing.B) {
+	for _, s := range scales {
+		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				t, err := experiments.Fig16(scale.cfg)
+				t, err := experiments.Fig16(s)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -530,18 +473,10 @@ func BenchmarkFig16ScaleSweep(b *testing.B) {
 // and jobs-all-succeed are enforced inside Fig17 per cell, so a passing run
 // is also the warm-recovery witness. The quick variant is the check.sh smoke.
 func BenchmarkFig17RecoverySweep(b *testing.B) {
-	for _, scale := range []struct {
-		name string
-		cfg  experiments.Fig17Config
-	}{
-		{"quick", experiments.Fig17Config{Nodes: 2, Jobs: 12, JobDuration: 10 * time.Second,
-			RestartMeans:        []time.Duration{10 * time.Second},
-			CheckpointIntervals: []time.Duration{5 * time.Second, -1}}},
-		{"full", experiments.Fig17Config{}},
-	} {
-		b.Run(scale.name, func(b *testing.B) {
+	for _, s := range scales {
+		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				t, err := experiments.Fig17(scale.cfg)
+				t, err := experiments.Fig17(s, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -551,13 +486,13 @@ func BenchmarkFig17RecoverySweep(b *testing.B) {
 				// Rows group by restart mean, one row per checkpoint interval;
 				// contrast the first (tightest cadence) and last (disabled)
 				// rows of each group.
-				per := len(scale.cfg.CheckpointIntervals)
-				if per == 0 {
-					per = 3 // withDefaults sweep
-				}
-				for r := 0; r+per-1 < len(t.Rows); r += per {
-					mean := t.Rows[r][0]
-					ckpt, never := t.Rows[r], t.Rows[r+per-1]
+				for r := 0; r < len(t.Rows); {
+					mean, end := t.Rows[r][0], r+1
+					for end < len(t.Rows) && t.Rows[end][0] == mean {
+						end++
+					}
+					ckpt, never := t.Rows[r], t.Rows[end-1]
+					r = end
 					b.ReportMetric(cellF(b, ckpt[4]), "mean"+mean+"s-ckpt-replayed")
 					b.ReportMetric(cellF(b, never[4]), "mean"+mean+"s-nockpt-replayed")
 					b.ReportMetric(cellF(b, ckpt[5]), "mean"+mean+"s-ckpt-outage-ms")
@@ -577,21 +512,14 @@ func BenchmarkFig17RecoverySweep(b *testing.B) {
 // on large kernels the gap amortizes away. The quick variant is the
 // check.sh smoke.
 func BenchmarkFig18StrategyComparison(b *testing.B) {
-	for _, scale := range []struct {
-		name string
-		cfg  experiments.Fig18Config
-	}{
-		{"quick", experiments.Fig18Config{Nodes: 1, GPUsPerNode: 4, Jobs: 16,
-			JobDuration: 10 * time.Second}},
-		{"full", experiments.Fig18Config{}},
-	} {
-		b.Run(scale.name, func(b *testing.B) {
+	for _, s := range scales {
+		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				t, err := experiments.Fig18(scale.cfg)
+				t, err := experiments.Fig18(s, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mb, err := experiments.Fig18MemBytes(scale.cfg)
+				mb, err := experiments.Fig18MemBytes(s, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -626,17 +554,10 @@ func BenchmarkFig18StrategyComparison(b *testing.B) {
 // per arm, plus the open-chain count, which is zero by construction on
 // these workloads). The quick variant is the check.sh smoke.
 func BenchmarkFig19Attribution(b *testing.B) {
-	for _, scale := range []struct {
-		name string
-		cfg  experiments.Fig18Config
-	}{
-		{"quick", experiments.Fig18Config{
-			Nodes: 1, GPUsPerNode: 4, Jobs: 16, JobDuration: 10 * time.Second}},
-		{"full", experiments.Fig18Config{}},
-	} {
-		b.Run(scale.name, func(b *testing.B) {
+	for _, s := range scales {
+		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				t, err := experiments.Fig19(scale.cfg)
+				t, err := experiments.Fig19(s, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"kubeshare/internal/experiments"
 )
 
 // TestHostProfilesWritten: the -cpuprofile/-memprofile wrapper leaves a
@@ -16,7 +18,7 @@ func TestHostProfilesWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run("fig6", false, 1); err != nil {
+	if _, err := experiments.Fig6(experiments.Quick); err != nil {
 		t.Fatal(err)
 	}
 	stop()

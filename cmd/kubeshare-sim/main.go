@@ -12,8 +12,9 @@
 //
 // Experiments: table1 fig5 fig6 fig7 fig8a fig8b fig8c fig9 fig10 fig11
 // fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 latency, or "all" (the
-// default). Full scale matches the paper's 8-node × 4-GPU testbed and 5-run
-// averages; quick scale shrinks the cluster and workloads for fast iteration.
+// default), as listed by experiments.Registry. Full scale matches the
+// paper's 8-node × 4-GPU testbed and 5-run averages; quick scale shrinks the
+// cluster and workloads for fast iteration, and is what the tests assert on.
 //
 // The -strategy flag selects the GPU-sharing strategy (token, mps or
 // replica) for the trace and -replay runs, e.g.
@@ -64,7 +65,6 @@ import (
 	"kubeshare/internal/devlib"
 	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/experiments"
-	"kubeshare/internal/metrics"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/obs/attr"
 	"kubeshare/internal/workload"
@@ -262,13 +262,9 @@ func realMain() int {
 		return 0
 	}
 
-	full := false
-	switch *scale {
-	case "quick":
-	case "full":
-		full = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -296,13 +292,13 @@ func realMain() int {
 			}
 			return 0
 		case "serve":
-			if err := runServe(args[1:], *seed, full); err != nil {
+			if err := runServe(args[1:], *seed, sc); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
 			return 0
 		case "audit":
-			if err := runAudit(*seed, full, *csv); err != nil {
+			if err := runAudit(*seed, sc, *csv); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
@@ -312,10 +308,20 @@ func realMain() int {
 
 	names := flag.Args()
 	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = allExperiments
+		names = nil
+		for _, e := range experiments.Registry {
+			if !e.NotInAll {
+				names = append(names, e.Name)
+			}
+		}
 	}
 	for _, name := range names {
-		tb, err := run(name, full, *seed)
+		e, ok := experiments.Lookup(name)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "%s: unknown experiment (want table1, fig5..fig19, latency)\n", name)
+			return 1
+		}
+		tb, err := e.Run(os.Stdout, sc, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			return 1
@@ -332,163 +338,4 @@ func realMain() int {
 		fmt.Println()
 	}
 	return 0
-}
-
-// allExperiments is what "all" (and no name at all) runs.
-var allExperiments = []string{"table1", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig8c",
-	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"fig17", "fig18", "fig19"}
-
-// run executes one named experiment at the requested scale.
-func run(name string, full bool, seed int64) (*metrics.Table, error) {
-	// Quick scale shrinks the cluster to 2×4 GPUs and the workloads to
-	// roughly a quarter of the paper's; full scale is the paper's testbed.
-	fig8 := experiments.Fig8Config{Seed: seed}
-	if full {
-		fig8.Repeats = 5
-	} else {
-		fig8.Nodes, fig8.GPUsPerNode = 2, 4
-		fig8.Jobs = 60
-		fig8.JobDuration = 30 * time.Second
-	}
-	switch name {
-	case "table1":
-		return experiments.Table1(experiments.Table1Config{})
-	case "fig5":
-		return experiments.Fig5(experiments.Fig5Config{Seed: seed})
-	case "fig6":
-		cfg := experiments.Fig6Config{}
-		if !full {
-			cfg.Stagger = 100 * time.Second
-		}
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			return nil, err
-		}
-		chart := metrics.NewChart("Figure 6 timeline: per-job GPU usage share")
-		chart.YMax = 1
-		for _, name := range []string{"job-a", "job-b", "job-c"} {
-			chart.Add(res.Usage[name])
-		}
-		chart.Render(os.Stdout)
-		return res.Table, nil
-	case "fig7":
-		cfg := experiments.Fig7Config{}
-		if !full {
-			cfg.Steps = 2000
-		}
-		return experiments.Fig7(cfg)
-	case "fig8a":
-		return experiments.Fig8a(fig8, nil)
-	case "fig8b":
-		return experiments.Fig8b(fig8, nil)
-	case "fig8c":
-		return experiments.Fig8c(fig8, nil)
-	case "fig9":
-		cfg := experiments.Fig9Config{Fig8Config: fig8}
-		if !full {
-			cfg.FreqFactor = 2.5
-		}
-		res, err := experiments.Fig9(cfg)
-		if err != nil {
-			return nil, err
-		}
-		util := metrics.NewChart("Figure 9 timeline: average GPU utilization")
-		util.YMax = 1
-		res.Util[experiments.Kubernetes].Name = "kubernetes"
-		res.Util[experiments.KubeShare].Name = "kubeshare"
-		util.Add(res.Util[experiments.Kubernetes]).Add(res.Util[experiments.KubeShare])
-		util.Render(os.Stdout)
-		active := metrics.NewChart("Figure 9 timeline: allocated GPUs")
-		res.Active[experiments.Kubernetes].Name = "kubernetes"
-		res.Active[experiments.KubeShare].Name = "kubeshare"
-		active.Add(res.Active[experiments.Kubernetes]).Add(res.Active[experiments.KubeShare])
-		active.Render(os.Stdout)
-		return res.Table, nil
-	case "fig10":
-		cfg := experiments.Fig10Config{}
-		if !full {
-			// The native arm holds one whole GPU per pod, so the grid stops
-			// at the 2×4 cluster's 8 GPUs.
-			cfg.Concurrency = []int{1, 4, 8}
-			cfg.Nodes = 2
-		}
-		return experiments.Fig10(cfg)
-	case "fig11":
-		return experiments.Fig11(experiments.Fig11Config{})
-	case "fig12":
-		cfg := experiments.Fig12Config{}
-		if !full {
-			cfg.Steps = 2000
-		}
-		return experiments.Fig12(cfg)
-	case "fig13":
-		cfg := experiments.Fig13Config{Seed: seed}
-		if !full {
-			cfg.Jobs, cfg.Steps = 24, 1000
-			cfg.Nodes, cfg.GPUsPerNode = 1, 4
-		}
-		return experiments.Fig13(cfg)
-	case "latency":
-		cfg := experiments.LatencyConfig{Fig9Config: experiments.Fig9Config{Fig8Config: fig8}}
-		if !full {
-			cfg.FreqFactor = 2.5
-		}
-		res, err := experiments.Latency(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return res.Table, nil
-	case "fig14":
-		cfg := experiments.Fig14Config{Seed: seed}
-		if !full {
-			cfg.Nodes, cfg.Jobs = 2, 12
-			cfg.JobDuration = 10 * time.Second
-			cfg.Intensities = []float64{0, 1, 2}
-		}
-		return experiments.Fig14(cfg)
-	case "fig15":
-		cfg := experiments.Fig15Config{}
-		if !full {
-			cfg.Counts = []int{200, 1000}
-			cfg.Batch = 32
-		}
-		return experiments.Fig15(cfg)
-	case "fig16":
-		cfg := experiments.Fig16Config{}
-		if !full {
-			cfg.Sizes = []int{500, 2000}
-			cfg.Nodes = 16
-		}
-		return experiments.Fig16(cfg)
-	case "fig17":
-		cfg := experiments.Fig17Config{Seed: seed}
-		if !full {
-			cfg.Nodes, cfg.Jobs = 2, 12
-			cfg.JobDuration = 10 * time.Second
-			cfg.RestartMeans = []time.Duration{20 * time.Second, 10 * time.Second}
-			cfg.CheckpointIntervals = []time.Duration{5 * time.Second, -1}
-		}
-		return experiments.Fig17(cfg)
-	case "fig18":
-		cfg := experiments.Fig18Config{Seed: seed}
-		if !full {
-			cfg.Nodes, cfg.GPUsPerNode, cfg.Jobs = 1, 4, 16
-			cfg.JobDuration = 10 * time.Second
-		}
-		mem, err := experiments.Fig18MemBytes(cfg)
-		if err != nil {
-			return nil, err
-		}
-		mem.Render(os.Stdout)
-		return experiments.Fig18(cfg)
-	case "fig19":
-		cfg := experiments.Fig18Config{Seed: seed}
-		if !full {
-			cfg.Nodes, cfg.GPUsPerNode, cfg.Jobs = 1, 4, 16
-			cfg.JobDuration = 10 * time.Second
-		}
-		return experiments.Fig19(cfg)
-	}
-	return nil, fmt.Errorf("unknown experiment (want table1, fig5..fig19, latency)")
 }

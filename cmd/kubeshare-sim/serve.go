@@ -90,7 +90,7 @@ func newServeMux(live *experiments.Live) *http.ServeMux {
 
 // runServe replays the seeded Fig 9 sharing workload paced against the wall
 // clock while exporting its telemetry over HTTP.
-func runServe(args []string, seed int64, full bool) error {
+func runServe(args []string, seed int64, scale experiments.Scale) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9090", "listen address")
 	speed := fs.Float64("speed", 1.0, "virtual seconds advanced per wall-clock second")
@@ -100,7 +100,7 @@ func runServe(args []string, seed int64, full bool) error {
 	if *speed <= 0 {
 		return fmt.Errorf("-speed must be positive, got %v", *speed)
 	}
-	live, err := experiments.StartLive(experiments.LiveConfig{Seed: seed, Full: full})
+	live, err := experiments.StartLive(experiments.LiveConfig{Seed: seed, Scale: scale})
 	if err != nil {
 		return err
 	}
@@ -134,17 +134,8 @@ func runServe(args []string, seed int64, full bool) error {
 // runAudit runs the fairness audit and prints the per-tenant accounting and
 // per-GPU Jain tables plus the run's SLO alert count — byte-identical
 // across runs at the same seed.
-func runAudit(seed int64, full bool, csv bool) error {
-	cfg := experiments.AuditConfig{Fig9Config: experiments.Fig9Config{
-		Fig8Config: experiments.Fig8Config{Seed: seed},
-	}}
-	if !full {
-		cfg.Nodes, cfg.GPUsPerNode = 2, 4
-		cfg.Fig8Config.Jobs = 60
-		cfg.JobDuration = 30 * time.Second
-		cfg.FreqFactor = 2.5
-	}
-	res, err := experiments.Audit(cfg)
+func runAudit(seed int64, scale experiments.Scale, csv bool) error {
+	res, err := experiments.Audit(scale, seed)
 	if err != nil {
 		return err
 	}

@@ -2,18 +2,36 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"testing"
+
+	"kubeshare/internal/experiments"
 )
 
 var fullSweep = flag.Bool("full", false, "TestCLISweep: also run every experiment at -scale full")
 
-// TestCLISweep runs every experiment "all" names, plus latency, through the
-// command's own dispatch at quick scale (and again at full scale with
-// -full): each must return a nil error and a non-empty table. The trace,
-// profile and audit subcommands run through their functions and must
-// return nil. What the commands print goes to /dev/null.
+// TestCLISweep runs every registry entry — what "all" names, plus latency —
+// at quick scale (and again at full scale with -full): each must return a
+// nil error and a non-empty table. The audit, trace and profile subcommands
+// run through their functions and must return nil. What they print is
+// discarded.
 func TestCLISweep(t *testing.T) {
+	scales := []experiments.Scale{experiments.Quick}
+	if *fullSweep {
+		scales = append(scales, experiments.Full)
+	}
+	for _, s := range scales {
+		for _, e := range experiments.Registry {
+			tb, err := e.Run(io.Discard, s, 1)
+			if err != nil {
+				t.Errorf("%s (%v): %v", e.Name, s, err)
+			} else if len(tb.Rows) == 0 {
+				t.Errorf("%s (%v): empty table", e.Name, s)
+			}
+		}
+	}
+	// The subcommands print to standard output.
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -24,21 +42,9 @@ func TestCLISweep(t *testing.T) {
 		os.Stdout = stdout
 		devnull.Close()
 	})
-	scales := []bool{false}
-	if *fullSweep {
-		scales = append(scales, true)
-	}
-	for _, full := range scales {
-		for _, name := range append(allExperiments, "latency") {
-			tb, err := run(name, full, 1)
-			if err != nil {
-				t.Errorf("%s (full=%v): %v", name, full, err)
-			} else if len(tb.Rows) == 0 {
-				t.Errorf("%s (full=%v): empty table", name, full)
-			}
-		}
-		if err := runAudit(1, full, false); err != nil {
-			t.Errorf("audit (full=%v): %v", full, err)
+	for _, s := range scales {
+		if err := runAudit(1, s, false); err != nil {
+			t.Errorf("audit (%v): %v", s, err)
 		}
 	}
 	if err := runTrace("SharePod/job-000", 1, ""); err != nil {

@@ -12,26 +12,18 @@ import (
 	"time"
 
 	"kubeshare/internal/experiments"
-	"kubeshare/internal/metrics"
 )
 
 func main() {
-	res, err := experiments.Fig6(experiments.Fig6Config{
-		Stagger:     100 * time.Second, // paper used 200s; same shape
-		SampleEvery: 5 * time.Second,
-	})
+	// The quick run staggers arrivals 100 s apart (the paper used 200 s;
+	// same shape).
+	res, err := experiments.Fig6(experiments.Quick)
 	if err != nil {
 		log.Fatal(err)
 	}
 	res.Table.Render(os.Stdout)
-
-	chart := metrics.NewChart("per-job usage share over time")
-	chart.YMax = 1
-	for _, name := range []string{"job-a", "job-b", "job-c"} {
-		chart.Add(res.Usage[name])
-	}
 	fmt.Println()
-	chart.Render(os.Stdout)
+	res.Chart().Render(os.Stdout)
 
 	// Print the raw timeline, downsampled to 20s buckets: the usage steps
 	// 0.6 → 0.5/0.5 → 0.3/0.4/0.3 → redistribution are clearly visible.

@@ -75,9 +75,12 @@ type DevMgr struct {
 	binding  map[string]bindOp          // sharePod → bind, until the watch shows its pod
 	backends map[string]*devlib.Backend // node → device-library daemon (SetBackends)
 
-	// Telemetry (no-op handles when obs is off).
+	// Telemetry (no-op handles when obs is off). A requeue is reported as a
+	// scheduling event: on the scheduler's counter and event source.
 	tracer        *obs.Tracer
 	recorder      *obs.Recorder
+	schedEvents   *obs.Recorder
+	requeues      *obs.Counter
 	vgpuCreates   *obs.Counter
 	recoveries    *obs.Counter
 	recoveryFails *obs.Counter
@@ -126,6 +129,8 @@ func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
 		backends:      make(map[string]*devlib.Backend),
 		tracer:        rt.Tracer(),
 		recorder:      rt.EventSource("kubeshare-devmgr"),
+		schedEvents:   rt.EventSource("kubeshare-sched"),
+		requeues:      rt.Counter(MetricSchedRequeues),
 		vgpuCreates:   rt.Counter("kubeshare_devmgr_vgpu_creates_total"),
 		recoveries:    rt.Counter("kubeshare_devmgr_vgpu_recoveries_total"),
 		recoveryFails: rt.Counter("kubeshare_devmgr_vgpu_recovery_fails_total"),
@@ -186,11 +191,12 @@ func (m *DevMgr) state(gpuID string) *vgpuState {
 func (m *DevMgr) Start() {
 	const consumer = "kubeshare-devmgr"
 	m.spR = m.srv.Inform(consumer, consumer, KindSharePod, apiserver.WatchOptions{Replay: true}, m.onSharePod)
-	// Only bound pods reach this loop (the filter runs server-side), and
-	// only a running or finished one has a phase to mirror.
+	// Only bound pods reach this loop (the filter runs server-side). A
+	// running or finished one has a phase to mirror; a deleted one may leave
+	// its sharePod to requeue.
 	bound := apiserver.WatchOptions{Selector: labels.HasKey(LabelSharePod), Replay: true}
 	m.podR = m.srv.Inform(consumer, consumer+"-pods", "Pod", bound, func(p *sim.Proc, ev store.Event) {
-		if pod := ev.Object.(*api.Pod); ev.Type != store.Deleted && (pod.Status.Phase == api.PodRunning || pod.Terminated()) {
+		if pod := ev.Object.(*api.Pod); ev.Type == store.Deleted || pod.Status.Phase == api.PodRunning || pod.Terminated() {
 			m.sharePods.Sync(p, pod.Labels[LabelSharePod])
 		}
 	})
@@ -427,7 +433,7 @@ func (m *DevMgr) drop(gpuID, holder string, d *vgpuState, note string) error {
 }
 
 // evict requeues a vGPU's live unbound tenants and, if all, deletes the bound
-// pods of the rest (KubeShare-Sched's pod-deletion hook requeues them).
+// pods of the rest (reconcileSharePod requeues them once the deletes land).
 func (m *DevMgr) evict(d *vgpuState, all bool) error {
 	for _, name := range slices.Sorted(slices.Values(d.tenants)) {
 		sp, err := SharePods(m.srv).Get(name)
@@ -436,7 +442,7 @@ func (m *DevMgr) evict(d *vgpuState, all bool) error {
 		case err != nil:
 			return err
 		case sp.Status.BoundPod == "":
-			RequeueSharePod(m.srv, name)
+			RequeueSharePod(m.srv, name, "")
 		case all:
 			if err := apiserver.Pods(m.srv).Delete(sp.Status.BoundPod); err != nil && !apiserver.IsNotFound(err) {
 				return err
@@ -447,7 +453,8 @@ func (m *DevMgr) evict(d *vgpuState, all bool) error {
 }
 
 // reconcileSharePod makes one sharePod's bound pod match it: a placed
-// sharePod gets one, whose phase is mirrored back; a deleted one's goes.
+// sharePod gets one, whose phase is mirrored back, and is requeued if it
+// loses it; a deleted one's goes.
 func (m *DevMgr) reconcileSharePod(p *sim.Proc, name string) error {
 	obj, ok := m.spR.Cached(name)
 	if !ok {
@@ -558,10 +565,18 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 
 // reflect mirrors the bound pod's phase, as last delivered, onto the
 // sharePod: Scheduled becomes Running, any live phase the pod's final one.
+// A bound pod the watch has not got is read from the API server, and one
+// the server does not have either (node eviction, a lost vGPU, a user
+// delete) requeues the live sharePod, so the scheduler re-places it.
 func (m *DevMgr) reflect(sp *SharePod) error {
 	obj, ok := m.podR.Cached(sp.Status.BoundPod)
 	if !ok {
-		return nil
+		_, err := apiserver.Pods(m.srv).Get(sp.Status.BoundPod)
+		if apiserver.IsNotFound(err) {
+			m.requeue(sp.Name, sp.Status.BoundPod)
+			return nil
+		}
+		return err
 	}
 	pod, now := obj.(*api.Pod), m.env.Now()
 	advance := func(st *SharePodStatus) {
@@ -583,6 +598,18 @@ func (m *DevMgr) reflect(sp *SharePod) error {
 		return m.writeSharePod(sp.Name, advance)
 	}
 	return nil
+}
+
+// requeue sends a sharePod whose bound pod was lost back to the scheduler.
+func (m *DevMgr) requeue(name, lost string) {
+	updated := RequeueSharePod(m.srv, name, lost)
+	if updated == nil {
+		return // gone, terminal, or already requeued
+	}
+	m.requeues.Inc()
+	m.tracer.Mark("kubeshare-sched", "requeue", api.Key(updated), "lost pod "+lost)
+	m.schedEvents.Eventf(KindSharePod, name, obs.EventWarning, "Requeued",
+		"bound pod %s lost; rescheduling", lost)
 }
 
 // deleteBoundPods removes a deleted sharePod's bound pods, once the API

@@ -208,3 +208,57 @@ func TestDevMgrRestartWritesNoUnchangedStatus(t *testing.T) {
 		}
 	}
 }
+
+// TestDevMgrRequeuesLostBoundPod: a running sharePod's bound pod is deleted
+// (a node eviction does the same). Under both scheduling drivers — KubeShare
+// and the extender baseline — DevMgr requeues the sharePod, which is
+// re-placed, rebound and runs to completion after one restart.
+func TestDevMgrRequeuesLostBoundPod(t *testing.T) {
+	for _, driver := range []struct {
+		name    string
+		install func(*kube.Cluster) error
+	}{
+		{"kubeshare", func(c *kube.Cluster) error { _, err := schedfw.Install(c, Config{}); return err }},
+		{"extender", func(c *kube.Cluster) error { _, _, err := schedfw.InstallExtender(c, Config{}); return err }},
+	} {
+		t.Run(driver.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			c, err := kube.NewCluster(env, kube.DefaultConfig(1, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := driver.install(c); err != nil {
+				t.Fatal(err)
+			}
+			registerTrainImage(c)
+			lost := ""
+			env.Go("t", func(p *sim.Proc) {
+				if _, err := SharePods(c.API).Create(sharePod("sp", 0.5, 1, 0.2, 5)); err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				for lost == "" {
+					p.Sleep(500 * time.Millisecond)
+					if sp, err := SharePods(c.API).Get("sp"); err == nil && sp.Status.Phase == SharePodRunning {
+						lost = sp.Status.BoundPod
+						if err := c.Pods().Delete(lost); err != nil {
+							t.Errorf("delete %s: %v", lost, err)
+						}
+					}
+				}
+			})
+			env.RunUntil(10 * time.Minute)
+			if lost == "" {
+				t.Fatal("the sharePod never ran")
+			}
+			sp, err := SharePods(c.API).Get("sp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.Status.Phase != SharePodSucceeded || sp.Status.Restarts != 1 || sp.Status.BoundPod == lost {
+				t.Fatalf("sharePod %s, %d restarts, bound pod %q after %s was deleted; want Succeeded after one requeue",
+					sp.Status.Phase, sp.Status.Restarts, sp.Status.BoundPod, lost)
+			}
+		})
+	}
+}

@@ -15,7 +15,7 @@ import (
 // Extender is the scheduler-extender comparison baseline (Aliyun gpushare,
 // GaiaGPU, Deepomatic — §3.1/§6). It shares InstallBase, DevMgr and the
 // device library with KubeShare-Sched but runs its own cycle loop — a
-// coalesced wake, batched cycles, bulk commits — with the extender's
+// coalesced wake, one placement per cycle — with the extender's
 // aggregate-capacity policy in place of the plugin pipeline. Fractional
 // demands count against each node's aggregate GPU capacity and the in-node
 // device binding is a round-robin the scheduler neither sees nor controls —
@@ -29,8 +29,7 @@ type Extender struct {
 	env *sim.Env
 	srv *apiserver.Server
 
-	batchSize int
-	rr        map[string]int // node → round-robin device cursor
+	rr map[string]int // node → round-robin device cursor
 	// singleDevice restricts binding to device 0 of each node — the
 	// Deepomatic-style limitation (Table 1: no multi-GPU-per-node support).
 	singleDevice bool
@@ -42,22 +41,12 @@ type Extender struct {
 	depth      *obs.Gauge
 }
 
-// NewExtender creates the baseline scheduler; Start launches it. It takes
-// the framework driver's options, but plugin and gang options do not apply
-// to the baseline and are ignored.
-func NewExtender(env *sim.Env, srv *apiserver.Server, opts ...Option) *Extender {
-	o := options{batchSize: DefaultBatchSize}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.batchSize < 1 {
-		o.batchSize = 1
-	}
+// NewExtender creates the baseline scheduler; Start launches it.
+func NewExtender(env *sim.Env, srv *apiserver.Server) *Extender {
 	rt := srv.Obs()
 	return &Extender{
 		env:        env,
 		srv:        srv,
-		batchSize:  o.batchSize,
 		rr:         make(map[string]int),
 		wake:       sim.NewQueue[struct{}](env),
 		decisions:  rt.Counter(core.MetricSchedDecisions),
@@ -110,8 +99,9 @@ func (s *Extender) drainWake() {
 	}
 }
 
-// runCycle stages up to batchSize aggregate-capacity placements against a
-// re-listed view, then commits them in bulk.
+// runCycle places the oldest pending sharePod that fits a re-listed view's
+// aggregate capacity, one placement per cycle, and reports whether it
+// placed one.
 func (s *Extender) runCycle(p *sim.Proc) bool {
 	var pending []*core.SharePod
 	for _, sp := range core.SharePods(s.srv).List() {
@@ -126,16 +116,7 @@ func (s *Extender) runCycle(p *sim.Proc) bool {
 	core.SortByAge(pending)
 	p.Sleep(core.CycleLatency)
 	committedUtil, committedMem := s.aggregates()
-	type binding struct {
-		name  string
-		gpuID string
-		node  string
-	}
-	var out []binding
 	for _, cand := range pending {
-		if len(out) >= s.batchSize {
-			break
-		}
 		sp, err := core.SharePods(s.srv).Get(cand.Name)
 		if err != nil || sp.Placed() || sp.Terminated() {
 			continue
@@ -153,29 +134,29 @@ func (s *Extender) runCycle(p *sim.Proc) bool {
 			idx = s.rr[node] % gpus
 			s.rr[node]++
 		}
-		out = append(out, binding{name: sp.Name, gpuID: fmt.Sprintf("ext-%s-gpu%d", node, idx), node: node})
+		s.commit(sp.Name, fmt.Sprintf("ext-%s-gpu%d", node, idx), node)
+		return true
 	}
-	for _, b := range out {
-		// A refused spec write leaves the sharePod to a later cycle; a refused
-		// status write leaves it Pending, and DevMgr binds the placement.
-		if _, err := core.SharePods(s.srv).Mutate(b.name, func(cur *core.SharePod) error {
-			cur.Spec.GPUID = b.gpuID
-			cur.Spec.NodeName = b.node
-			return nil
-		}); err != nil {
-			continue
-		}
-		_, _ = core.SharePods(s.srv).MutateStatus(b.name, func(cur *core.SharePod) error {
-			cur.Status.Phase = core.SharePodScheduled
-			cur.Status.ScheduledTime = s.env.Now()
-			return nil
-		})
+	s.noCapacity.Inc()
+	return false
+}
+
+// commit writes a placement. A refused spec write leaves the sharePod to a
+// later cycle; a refused status write leaves it Pending, and DevMgr binds
+// the placement.
+func (s *Extender) commit(name, gpuID, node string) {
+	if _, err := core.SharePods(s.srv).Mutate(name, func(cur *core.SharePod) error {
+		cur.Spec.GPUID = gpuID
+		cur.Spec.NodeName = node
+		return nil
+	}); err != nil {
+		return
 	}
-	if len(out) == 0 {
-		s.noCapacity.Inc()
-		return false
-	}
-	return true
+	_, _ = core.SharePods(s.srv).MutateStatus(name, func(cur *core.SharePod) error {
+		cur.Status.Phase = core.SharePodScheduled
+		cur.Status.ScheduledTime = s.env.Now()
+		return nil
+	})
 }
 
 // aggregates sums live fractional commitments per node.
@@ -192,8 +173,7 @@ func (s *Extender) aggregates() (util, mem map[string]float64) {
 }
 
 // pickNode selects the node with the most free aggregate capacity that fits
-// the request, mutating the aggregates so later units in the batch see the
-// commitment. It returns the node name and its GPU count.
+// the request. It returns the node name and its GPU count.
 func (s *Extender) pickNode(sp *core.SharePod, util, mem map[string]float64) (string, int) {
 	type cand struct {
 		name string
@@ -224,7 +204,5 @@ func (s *Extender) pickNode(sp *core.SharePod, util, mem map[string]float64) (st
 		}
 		return fits[i].name < fits[j].name
 	})
-	util[fits[0].name] += sp.Spec.GPURequest
-	mem[fits[0].name] += sp.Spec.GPUMem
 	return fits[0].name, fits[0].gpus
 }

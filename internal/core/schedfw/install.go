@@ -26,12 +26,12 @@ func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare,
 // InstallExtender deploys the scheduler-extender baseline in place of
 // KubeShare-Sched, sharing the DevMgr and device-library machinery so the
 // comparison isolates the scheduling policy.
-func InstallExtender(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare, *Extender, error) {
+func InstallExtender(c *kube.Cluster, cfg core.Config) (*core.KubeShare, *Extender, error) {
 	ks, err := core.InstallBase(c, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	ext := NewExtender(c.Env, c.API, append([]Option{WithConfig(cfg.Scheduler)}, opts...)...)
+	ext := NewExtender(c.Env, c.API)
 	ks.Sched = ext
 	ks.DevMgr.Start()
 	ext.Start()

@@ -202,7 +202,7 @@ func (c *churnScript) step() {
 	case r < 80: // a placed sharePod loses its pod
 		if sp := c.pick(running); sp != nil {
 			c.logf("requeue %s from %s", sp.Name, sp.Spec.GPUID)
-			core.RequeueSharePod(srv, sp.Name)
+			core.RequeueSharePod(srv, sp.Name, sp.Status.BoundPod)
 		}
 	case r < 86: // node NotReady → Ready
 		nodes := apiserver.Nodes(srv).List()

@@ -143,7 +143,6 @@ type Scheduler struct {
 	tracer       *obs.Tracer
 	recorder     *obs.Recorder
 	decisions    *obs.Counter
-	requeues     *obs.Counter
 	noCapacity   *obs.Counter
 	depth        *obs.Gauge
 	schedHist    *obs.Histogram
@@ -185,7 +184,6 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		tracer:       rt.Tracer(),
 		recorder:     rt.EventSource("kubeshare-sched"),
 		decisions:    rt.Counter(core.MetricSchedDecisions),
-		requeues:     rt.Counter(core.MetricSchedRequeues),
 		noCapacity:   rt.Counter(core.MetricSchedNoCapacity),
 		depth:        rt.Gauge(core.MetricSchedPending),
 		schedHist:    rt.Histogram(core.MetricSchedLatency),
@@ -234,12 +232,8 @@ func (s *Scheduler) Start() {
 func (s *Scheduler) startWatches() {
 	s.epoch = s.srv.Epoch()
 	for _, kind := range []string{core.KindSharePod, "Pod", core.KindVGPU, "Node"} {
-		isPod := kind == "Pod"
 		s.reflectors = append(s.reflectors, s.srv.Inform("kubeshare-sched", "kubeshare-sched-watch-"+kind, kind, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
 			s.apply(ev)
-			if isPod && ev.Type == store.Deleted {
-				s.onPodDeleted(ev.Object.(*api.Pod))
-			}
 			s.kick()
 		}))
 	}
@@ -259,29 +253,6 @@ func (s *Scheduler) Stop() {
 			p.Kill(nil)
 		}
 	}
-}
-
-// onPodDeleted requeues a sharePod whose bound pod vanished while the
-// sharePod itself is still live (node eviction, kubelet restart, vGPU
-// loss) — identical to the legacy recovery edge.
-func (s *Scheduler) onPodDeleted(pod *api.Pod) {
-	spName := pod.Labels[core.LabelSharePod]
-	if spName == "" {
-		return
-	}
-	sp, err := core.SharePods(s.srv).Get(spName)
-	if err != nil || sp.Status.BoundPod != pod.Name {
-		return // gone, or the deletion is a stale predecessor's
-	}
-	updated := core.RequeueSharePod(s.srv, spName)
-	if updated == nil {
-		return
-	}
-	s.requeues.Inc()
-	s.tracer.Mark("kubeshare-sched", "requeue", api.Key(updated), "lost pod "+pod.Name)
-	s.recorder.Eventf(core.KindSharePod, spName, obs.EventWarning, "Requeued",
-		"bound pod %s lost; rescheduling", pod.Name)
-	s.apply(store.Event{Type: store.Modified, Object: updated})
 }
 
 // apply folds an event into the snapshot. Any event of a sharePod's own

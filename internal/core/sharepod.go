@@ -223,17 +223,20 @@ func (s *SharePod) Placed() bool { return s.Spec.GPUID != "" }
 
 // RequeueSharePod is the shared recovery edge: it clears a live, placed
 // sharePod's placement and resets it to Pending with Restarts incremented,
-// so Algorithm 1 re-places the work against current cluster state. Both
-// KubeShare-Sched (bound pod deleted under a live sharePod) and DevMgr
-// (vGPU lost with no bound pod to delete) funnel through it. The writes
-// cannot race with a placement in flight — every writer runs in the same
-// cooperative scheduler and performs its read-decide-write without
-// yielding. Returns the updated object, or nil when the sharePod is gone,
-// terminal, or already unplaced.
-func RequeueSharePod(srv *apiserver.Server, name string) *SharePod {
+// so Algorithm 1 re-places the work against current cluster state. DevMgr
+// funnels both of its losses through it — a bound pod deleted under a live
+// sharePod, and a vGPU lost with no bound pod to delete — under either
+// scheduling driver. It requeues only while the sharePod's bound pod is
+// still boundPod ("" for one never bound), so a stale report of a
+// predecessor's loss changes nothing. The writes cannot race with a
+// placement in flight — every writer runs in the same cooperative
+// scheduler and performs its read-decide-write without yielding. Returns
+// the updated object, or nil when the sharePod is gone, terminal, already
+// unplaced, or bound elsewhere.
+func RequeueSharePod(srv *apiserver.Server, name, boundPod string) *SharePod {
 	sps := SharePods(srv)
 	sp, err := sps.Get(name)
-	if err != nil || sp.Terminated() || !sp.Placed() {
+	if err != nil || sp.Terminated() || !sp.Placed() || sp.Status.BoundPod != boundPod {
 		return nil
 	}
 	if _, err := sps.Mutate(name, func(cur *SharePod) error {

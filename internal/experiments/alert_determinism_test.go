@@ -13,13 +13,13 @@ import (
 // to the recorded golden.
 func TestAlertDeterminismGolden(t *testing.T) {
 	withCanary(t)
-	cfg := Fig9Config{}.withDefaults()
+	p := fig9Runs[Full]
 	res, err := RunSharing(SharingConfig{
 		System:          KubeShare,
-		Nodes:           cfg.Nodes,
-		GPUsPerNode:     cfg.GPUsPerNode,
-		Jobs:            fig9Jobs(cfg),
-		Telemetry:       cfg.Sample,
+		Nodes:           p.nodes,
+		GPUsPerNode:     p.gpusPerNode,
+		Jobs:            p.workload(1),
+		Telemetry:       fig9Sample,
 		ExportTelemetry: true,
 	})
 	if err != nil {

@@ -16,13 +16,13 @@ import (
 // trajectory — transitions plus final states — is pinned by a golden.
 func TestAlertEngineAcrossAPIServerRestart(t *testing.T) {
 	withCanary(t)
-	cfg := Fig9Config{}.withDefaults()
+	p := fig9Runs[Full]
 	res, err := RunSharing(SharingConfig{
 		System:          KubeShare,
-		Nodes:           cfg.Nodes,
-		GPUsPerNode:     cfg.GPUsPerNode,
-		Jobs:            fig9Jobs(cfg),
-		Telemetry:       cfg.Sample,
+		Nodes:           p.nodes,
+		GPUsPerNode:     p.gpusPerNode,
+		Jobs:            p.workload(1),
+		Telemetry:       fig9Sample,
 		ExportTelemetry: true,
 		// Restart while the sharing pressure is up — mid-workload, when
 		// rules are pending or firing.

@@ -139,15 +139,13 @@ func TestAttributionRetry(t *testing.T) {
 	}
 }
 
-// TestFig19Determinism renders the attribution table twice, concurrently:
+// TestFig19Determinism renders the quick attribution table twice,
+// concurrently:
 // the renderings must be byte-identical and match the recorded golden.
 func TestFig19Determinism(t *testing.T) {
 	withCanary(t)
 	dumps, err := runIndexed(2, func(int) (string, error) {
-		tb, err := Fig19(Fig18Config{
-			Nodes: 1, GPUsPerNode: 4, Jobs: 16,
-			JobDuration: 10 * time.Second,
-		})
+		tb, err := Fig19(Quick, 1)
 		if err != nil {
 			return "", err
 		}

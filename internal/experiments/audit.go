@@ -1,18 +1,6 @@
 package experiments
 
-import (
-	"time"
-
-	"kubeshare/internal/metrics"
-)
-
-// AuditConfig drives the fairness audit: the Fig 9 sharing workload under
-// KubeShare with the telemetry consumption layer attached.
-type AuditConfig struct {
-	Fig9Config
-	// Interval is the audit sampling window (defaults to Fig9's Sample).
-	Interval time.Duration
-}
+import "kubeshare/internal/metrics"
 
 // AuditResult carries the auditor's deterministic report tables plus the
 // run's alert outcome.
@@ -27,20 +15,17 @@ type AuditResult struct {
 }
 
 // Audit runs the Fig 9 workload under KubeShare with the fairness auditor
-// sampling every Interval and returns the per-tenant accounting and
+// sampling at Fig 9's cadence and returns the per-tenant accounting and
 // per-GPU Jain tables. The output is byte-identical across runs at the
 // same seed (golden-tested).
-func Audit(cfg AuditConfig) (*AuditResult, error) {
-	c := cfg.Fig9Config.withDefaults()
-	if cfg.Interval == 0 {
-		cfg.Interval = c.Sample
-	}
+func Audit(s Scale, seed int64) (*AuditResult, error) {
+	p := fig9Runs[s]
 	res, err := RunSharing(SharingConfig{
 		System:          KubeShare,
-		Nodes:           c.Nodes,
-		GPUsPerNode:     c.GPUsPerNode,
-		Jobs:            fig9Jobs(c),
-		Telemetry:       cfg.Interval,
+		Nodes:           p.nodes,
+		GPUsPerNode:     p.gpusPerNode,
+		Jobs:            p.workload(seed),
+		Telemetry:       fig9Sample,
 		ExportTelemetry: true,
 	})
 	if err != nil {

@@ -17,16 +17,17 @@ func renderAudit(res *AuditResult) string {
 	return b.String()
 }
 
-// TestAuditDeterminismGolden runs the fairness audit twice at the same seed
+// TestAuditDeterminismGolden runs the full-scale fairness audit twice at the
+// same seed
 // and asserts the report is byte-identical both across runs and against the
 // recorded golden — the `audit` acceptance criterion.
 func TestAuditDeterminismGolden(t *testing.T) {
 	withCanary(t)
-	first, err := Audit(AuditConfig{})
+	first, err := Audit(Full, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Audit(AuditConfig{})
+	second, err := Audit(Full, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

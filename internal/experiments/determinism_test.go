@@ -4,20 +4,21 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current kernel")
 
-// The two scenarios the determinism suite locks down: Fig 6 exercises the
-// devlib token policy end to end on one GPU, Fig 8a exercises the whole
+// The two quick runs the determinism suite pins to goldens: Fig 6 exercises
+// the devlib token policy end to end on one GPU, Fig 8a exercises the whole
 // cluster stack (scheduler, kubelets, devlib, workload generator) under both
 // systems. Both must be byte-identical run-to-run AND identical to the
-// tables recorded from the pre-optimization kernel.
+// recorded tables.
 func fig6Golden(t *testing.T) string {
 	t.Helper()
-	res, err := Fig6(Fig6Config{Stagger: 60 * time.Second, SampleEvery: 5 * time.Second})
+	res, err := Fig6(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +27,7 @@ func fig6Golden(t *testing.T) string {
 
 func fig8Golden(t *testing.T) string {
 	t.Helper()
-	tb, err := Fig8a(Fig8Config{
-		Jobs: 30, Nodes: 2, GPUsPerNode: 4, JobDuration: 20 * time.Second,
-	}, []float64{1, 4})
+	tb, err := Fig8a(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,4 +75,40 @@ func TestFig8DeterminismGolden(t *testing.T) {
 		t.Fatalf("Fig8a not deterministic across runs:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 	checkGolden(t, "fig8a_table.golden", first)
+}
+
+// TestQuickRunsDeterministic makes every registry entry's quick run twice
+// and requires byte-identical output: what the entry writes beside its table
+// and the table itself, but for the host-clock columns the entry declares.
+func TestQuickRunsDeterministic(t *testing.T) {
+	for _, e := range Registry {
+		t.Run(e.Name, func(t *testing.T) {
+			withCanary(t)
+			if first, second := quickRun(t, e), quickRun(t, e); first != second {
+				t.Fatalf("%s quick run not deterministic:\n--- first ---\n%s\n--- second ---\n%s", e.Name, first, second)
+			}
+		})
+	}
+}
+
+// quickRun renders an entry's quick run at seed 1 with its host-clock
+// columns blanked.
+func quickRun(t *testing.T, e Experiment) string {
+	t.Helper()
+	var b strings.Builder
+	tb, err := e.Run(&b, Quick, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range e.HostTime {
+		i := slices.Index(tb.Headers, col)
+		if i < 0 {
+			t.Fatalf("%s has no column %s", e.Name, col)
+		}
+		for _, row := range tb.Rows {
+			row[i] = ""
+		}
+	}
+	tb.Render(&b)
+	return b.String()
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"kubeshare/internal/metrics"
 )
 
 // cell parses a table cell as float.
@@ -19,9 +21,21 @@ func cell(t *testing.T, s string) float64 {
 	return v
 }
 
+// rowAt returns the row whose first cell is key.
+func rowAt(t *testing.T, tb *metrics.Table, key string) []string {
+	t.Helper()
+	for _, row := range tb.Rows {
+		if row[0] == key {
+			return row
+		}
+	}
+	t.Fatalf("%s: no row %s", tb.Title, key)
+	return nil
+}
+
 func TestFig5UsageProportionalToRate(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig5(Fig5Config{Rates: []float64{4, 12, 24, 40}, Duration: 30 * time.Second})
+	tb, err := Fig5(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,17 +49,17 @@ func TestFig5UsageProportionalToRate(t *testing.T) {
 		}
 	}
 	// 25ms kernels: rate 12 → ≈0.3, rate 40 → saturated ≈1.0.
-	if math.Abs(utils[1]-0.3) > 0.05 {
-		t.Fatalf("rate 12 utilization %.3f, want ≈0.3", utils[1])
+	if u := cell(t, rowAt(t, tb, "12")[1]); math.Abs(u-0.3) > 0.05 {
+		t.Fatalf("rate 12 utilization %.3f, want ≈0.3", u)
 	}
-	if utils[3] < 0.9 {
-		t.Fatalf("rate 40 utilization %.3f, want ≈saturated", utils[3])
+	if u := cell(t, rowAt(t, tb, "40")[1]); u < 0.9 {
+		t.Fatalf("rate 40 utilization %.3f, want ≈saturated", u)
 	}
 }
 
 func TestFig6IsolationPhases(t *testing.T) {
 	withCanary(t)
-	res, err := Fig6(Fig6Config{Stagger: 100 * time.Second, SampleEvery: 5 * time.Second})
+	res, err := Fig6(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +84,7 @@ func TestFig6IsolationPhases(t *testing.T) {
 
 func TestFig7OverheadUnderFivePercent(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig7(Fig7Config{Quotas: []time.Duration{30 * time.Millisecond, 100 * time.Millisecond, 160 * time.Millisecond}, Steps: 2000})
+	tb, err := Fig7(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +103,13 @@ func TestFig7OverheadUnderFivePercent(t *testing.T) {
 
 func TestFig8aSharingDoublesSaturatedThroughput(t *testing.T) {
 	withCanary(t)
-	cfg := Fig8Config{Jobs: 60, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second}
-	tb, err := Fig8a(cfg, []float64{1, 6})
+	tb, err := Fig8a(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Light load: similar throughput. Heavy load: KubeShare ≈2× Kubernetes.
 	light := tb.Rows[0]
-	heavy := tb.Rows[1]
+	heavy := tb.Rows[len(tb.Rows)-1]
 	if s := cell(t, light[4]); s < 0.9 || s > 1.6 {
 		t.Fatalf("light-load speedup %.2f, want ≈1", s)
 	}
@@ -107,13 +120,13 @@ func TestFig8aSharingDoublesSaturatedThroughput(t *testing.T) {
 
 func TestFig8bGainShrinksWithDemand(t *testing.T) {
 	withCanary(t)
-	cfg := Fig8Config{Jobs: 50, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second}
-	tb, err := Fig8b(cfg, []float64{0.2, 0.6})
+	tb, err := Fig8b(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low := cell(t, tb.Rows[0][3])
-	high := cell(t, tb.Rows[1][3])
+	low20, high60 := rowAt(t, tb, "0.2"), rowAt(t, tb, "0.6")
+	low := cell(t, low20[3])
+	high := cell(t, high60[3])
 	if low < 1.8 {
 		t.Fatalf("speedup at 20%% demand %.2f, want ≳2", low)
 	}
@@ -121,7 +134,7 @@ func TestFig8bGainShrinksWithDemand(t *testing.T) {
 		t.Fatalf("speedup did not shrink with demand: %.2f → %.2f", low, high)
 	}
 	// Kubernetes is demand-agnostic.
-	k8sLow, k8sHigh := cell(t, tb.Rows[0][1]), cell(t, tb.Rows[1][1])
+	k8sLow, k8sHigh := cell(t, low20[1]), cell(t, high60[1])
 	if math.Abs(k8sLow-k8sHigh)/k8sLow > 0.2 {
 		t.Fatalf("kubernetes throughput should be demand-agnostic: %.2f vs %.2f", k8sLow, k8sHigh)
 	}
@@ -129,12 +142,11 @@ func TestFig8bGainShrinksWithDemand(t *testing.T) {
 
 func TestFig8cVarianceFlat(t *testing.T) {
 	withCanary(t)
-	cfg := Fig8Config{Jobs: 50, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second}
-	tb, err := Fig8c(cfg, []float64{0.5, 4})
+	tb, err := Fig8c(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := cell(t, tb.Rows[0][2]), cell(t, tb.Rows[1][2])
+	lo, hi := cell(t, rowAt(t, tb, "0.5")[2]), cell(t, rowAt(t, tb, "4")[2])
 	if math.Abs(lo-hi)/lo > 0.25 {
 		t.Fatalf("KubeShare throughput varies with demand variance: %.2f vs %.2f", lo, hi)
 	}
@@ -142,14 +154,9 @@ func TestFig8cVarianceFlat(t *testing.T) {
 
 func TestFig9KubeShareFinishesSoonerWithFewerGPUs(t *testing.T) {
 	withCanary(t)
-	// Factor 2.5 puts the 8-GPU cluster past Kubernetes' saturation point
-	// (6×2.5=15 concurrent whole-GPU jobs) but below KubeShare's
-	// (15×≈0.36 ≈ 5.4 GPUs of fractional demand) — the Figure 9 regime
-	// where KubeShare holds fewer, busier GPUs.
-	res, err := Fig9(Fig9Config{
-		Fig8Config: Fig8Config{Jobs: 60, Nodes: 2, GPUsPerNode: 4, JobDuration: 30 * time.Second},
-		FreqFactor: 2.5,
-	})
+	// The quick run is the Figure 9 regime where KubeShare holds fewer,
+	// busier GPUs (see fig9Runs).
+	res, err := Fig9(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +185,7 @@ func TestFig9KubeShareFinishesSoonerWithFewerGPUs(t *testing.T) {
 
 func TestFig10OverheadShape(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig10(Fig10Config{Concurrency: []int{1, 8}, Nodes: 2, GPUsPerNode: 4})
+	tb, err := Fig10(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +203,12 @@ func TestFig10OverheadShape(t *testing.T) {
 
 func TestFig11LinearAndFast(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig11(Fig11Config{Counts: []int{10, 100}, Iterations: 50})
+	tb, err := Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := cell(t, tb.Rows[0][1])
-	large := cell(t, tb.Rows[1][1])
+	small := cell(t, rowAt(t, tb, "10")[1])
+	large := cell(t, rowAt(t, tb, "100")[1])
 	if large < small {
 		t.Fatalf("decision time shrank with more sharePods: %v vs %v", small, large)
 	}
@@ -214,7 +221,7 @@ func TestFig11LinearAndFast(t *testing.T) {
 
 func TestFig12InterferenceShape(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig12(Fig12Config{Steps: 2000})
+	tb, err := Fig12(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +252,13 @@ func TestFig12InterferenceShape(t *testing.T) {
 
 func TestFig13Crossover(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig13(Fig13Config{Jobs: 24, Steps: 800, Nodes: 1, GPUsPerNode: 4, Ratios: []float64{0, 1}})
+	tb, err := Fig13(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Ratio 0 (all B): anti-affinity behaves like Kubernetes; no-label
 	// KubeShare wins by sharing despite interference.
-	r0 := tb.Rows[0]
+	r0 := rowAt(t, tb, "0")
 	k8s0, ks0, anti0 := cell(t, r0[1]), cell(t, r0[2]), cell(t, r0[3])
 	if ks0 <= k8s0 {
 		t.Fatalf("ratio 0: kubeshare %.2f should beat kubernetes %.2f", ks0, k8s0)
@@ -260,7 +267,7 @@ func TestFig13Crossover(t *testing.T) {
 		t.Fatalf("ratio 0: anti-affinity %.2f should be near kubernetes %.2f", anti0, k8s0)
 	}
 	// Ratio 1 (all A): both KubeShare settings coincide and beat Kubernetes.
-	r1 := tb.Rows[1]
+	r1 := rowAt(t, tb, "1")
 	k8s1, ks1, anti1 := cell(t, r1[1]), cell(t, r1[2]), cell(t, r1[3])
 	if ks1 <= 1.3*k8s1 || anti1 <= 1.3*k8s1 {
 		t.Fatalf("ratio 1: kubeshare %.2f/%.2f should clearly beat kubernetes %.2f", ks1, anti1, k8s1)
@@ -271,13 +278,11 @@ func TestFig13Crossover(t *testing.T) {
 }
 
 func TestFig14AvailabilitySurvivesFaults(t *testing.T) {
-	cfg := Fig14Config{Nodes: 2, Jobs: 12, JobDuration: 10 * time.Second,
-		Intensities: []float64{0, 1}}
-	tb, err := Fig14(cfg)
+	tb, err := Fig14(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	control, faulted := tb.Rows[0], tb.Rows[1]
+	control, faulted := rowAt(t, tb, "0"), rowAt(t, tb, "1")
 	if cell(t, control[1]) != 0 {
 		t.Fatalf("control row delivered faults: %s", control[1])
 	}
@@ -297,32 +302,26 @@ func TestFig14AvailabilitySurvivesFaults(t *testing.T) {
 	if cell(t, faulted[9]) < cell(t, control[9]) {
 		t.Fatalf("faulted makespan %s shorter than control %s", faulted[9], control[9])
 	}
-	// Determinism: the same config reproduces the table byte for byte.
-	again, err := Fig14(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.String() != again.String() {
-		t.Fatalf("fig14 not deterministic:\n--- first ---\n%s\n--- second ---\n%s", tb, again)
-	}
 }
 
-// TestFig15ThroughputPinned pins the quick-scale point (1000 pending
-// sharePods, batch 64, gangs of 4): virtual decisions per second of the
-// three drivers and the batched speedup. Both are virtual-clock outputs of
-// one seed, so they are held exactly (the acceptance bar is 3x at 10k).
+// TestFig15ThroughputPinned pins the quick run (200 and 1000 pending
+// sharePods, batch 32, gangs of 4): virtual decisions per second of the
+// three drivers at each depth and the batched speedup at 1000. Both are
+// virtual-clock outputs, so they are held exactly (the acceptance bar is 3x
+// at the full run's 10k).
 func TestFig15ThroughputPinned(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig15(Fig15Config{Counts: []int{1000}})
+	tb, err := Fig15(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	for _, row := range tb.Rows {
-		got = append(got, row[0]+" "+row[2])
+		got = append(got, row[0]+" "+row[1]+" "+row[2])
 	}
-	got = append(got, fmt.Sprintf("speedup %.2f", cell(t, tb.Rows[1][2])/cell(t, tb.Rows[0][2])))
-	want := "single 66.7, batched 4166.7, batched+gang 4166.7, speedup 62.47"
+	got = append(got, fmt.Sprintf("speedup %.2f", cell(t, tb.Rows[4][2])/cell(t, tb.Rows[3][2])))
+	want := "single 200 66.7, batched 200 1904.8, batched+gang 200 1904.8, " +
+		"single 1000 66.7, batched 1000 2083.3, batched+gang 1000 2083.3, speedup 31.23"
 	if strings.Join(got, ", ") != want {
 		t.Fatalf("fig15 at 1000: %s, want %s", strings.Join(got, ", "), want)
 	}
@@ -330,34 +329,36 @@ func TestFig15ThroughputPinned(t *testing.T) {
 
 func TestFig17RecoverySweep(t *testing.T) {
 	withCanary(t)
-	cfg := Fig17Config{Nodes: 2, Jobs: 12, JobDuration: 10 * time.Second,
-		RestartMeans:        []time.Duration{10 * time.Second},
-		CheckpointIntervals: []time.Duration{5 * time.Second, -1}}
-	tb, err := Fig17(cfg)
+	tb, err := Fig17(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, never := tb.Rows[0], tb.Rows[1]
-	if cell(t, ckpt[2]) == 0 {
-		t.Fatal("sweep delivered no restarts")
-	}
-	// Same restart schedule either way — only recovery cost may differ.
-	if cell(t, ckpt[2]) != cell(t, never[2]) || cell(t, ckpt[3]) != cell(t, never[3]) {
-		t.Fatalf("restart schedules diverged across checkpoint intervals: %v vs %v", ckpt, never)
-	}
-	// Without periodic checkpoints every restart replays the whole WAL, so
-	// both the replayed-record count and the modeled unavailability window
-	// must strictly dominate the checkpointed row.
-	if cell(t, never[4]) <= cell(t, ckpt[4]) {
-		t.Fatalf("replayed: never=%s should exceed ckpt=%s", never[4], ckpt[4])
-	}
-	if cell(t, never[5]) <= cell(t, ckpt[5]) {
-		t.Fatalf("outage_ms: never=%s should exceed ckpt=%s", never[5], ckpt[5])
+	// Each restart mean has a checkpointed row, then one without periodic
+	// checkpoints.
+	p := fig17Runs[Quick]
+	for i := 0; i < len(tb.Rows); i += 2 {
+		ckpt, never := tb.Rows[i], tb.Rows[i+1]
+		if cell(t, ckpt[2]) == 0 {
+			t.Fatalf("restart mean %s delivered no restarts", ckpt[0])
+		}
+		// Same restart schedule either way — only recovery cost may differ.
+		if cell(t, ckpt[2]) != cell(t, never[2]) || cell(t, ckpt[3]) != cell(t, never[3]) {
+			t.Fatalf("restart schedules diverged across checkpoint intervals: %v vs %v", ckpt, never)
+		}
+		// Without periodic checkpoints every restart replays the whole WAL,
+		// so both the replayed-record count and the modeled unavailability
+		// window must strictly dominate the checkpointed row.
+		if cell(t, never[4]) <= cell(t, ckpt[4]) {
+			t.Fatalf("replayed: never=%s should exceed ckpt=%s", never[4], ckpt[4])
+		}
+		if cell(t, never[5]) <= cell(t, ckpt[5]) {
+			t.Fatalf("outage_ms: never=%s should exceed ckpt=%s", never[5], ckpt[5])
+		}
 	}
 	// Warm recovery: every job still completes in every cell.
 	for i, row := range tb.Rows {
-		if int(cell(t, row[8])) != cfg.Jobs {
-			t.Fatalf("row %d: %s/%d jobs succeeded under restarts", i, row[8], cfg.Jobs)
+		if int(cell(t, row[8])) != p.jobs {
+			t.Fatalf("row %d: %s/%d jobs succeeded under restarts", i, row[8], p.jobs)
 		}
 	}
 	// And the rows themselves, exactly: replayed records and the modeled
@@ -367,32 +368,26 @@ func TestFig17RecoverySweep(t *testing.T) {
 	for _, row := range tb.Rows {
 		rows = append(rows, strings.Join(row, " "))
 	}
-	if got, want := strings.Join(rows, "\n"), "10 5 6 2 82 0.224 0.00 0 12 56.0\n10 -1 6 2 799 1.777 0.00 0 12 56.0"; got != want {
+	want := "20 5 2 0 42 0.102 0.00 0 12 56.0\n20 -1 2 0 209 0.465 0.00 0 12 56.0\n" +
+		"10 5 6 2 82 0.224 0.00 0 12 56.0\n10 -1 6 2 799 1.777 0.00 0 12 56.0"
+	if got := strings.Join(rows, "\n"); got != want {
 		t.Errorf("fig17 rows:\n%s\nwant:\n%s", got, want)
-	}
-	again, err := Fig17(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.String() != again.String() {
-		t.Fatalf("fig17 not deterministic:\n--- first ---\n%s\n--- second ---\n%s", tb, again)
 	}
 }
 
-// TestFig18StrategiesPinned pins the quick-scale strategy comparison (one
-// node of 4 GPUs, 16 jobs of 10 s): throughput and mean stretch per
+// TestFig18StrategiesPinned pins the quick strategy comparison (one node of
+// 4 GPUs, 16 jobs of 10 s): throughput and mean stretch per
 // strategy and kernel mix, and the memory-quantity witnesses (one typed
 // rejection; 8 of 8 byte-sized jobs completed, none failed). Figure 19's
 // attribution table over the same grid is pinned by fig19_table.golden
 // (TestFig19Determinism).
 func TestFig18StrategiesPinned(t *testing.T) {
 	withCanary(t)
-	cfg := Fig18Config{Nodes: 1, GPUsPerNode: 4, Jobs: 16, JobDuration: 10 * time.Second}
-	tb, err := Fig18(cfg)
+	tb, err := Fig18(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := Fig18MemBytes(cfg)
+	mb, err := Fig18MemBytes(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +412,7 @@ func TestFig18StrategiesPinned(t *testing.T) {
 
 func TestTable1FragmentationContrast(t *testing.T) {
 	withCanary(t)
-	tb, err := Table1(Table1Config{})
+	tb, err := Table1()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,26 +12,21 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig10Config drives the pod-creation overhead experiment.
-type Fig10Config struct {
-	// Concurrency levels: how many pods are created simultaneously.
-	Concurrency []int
-	Nodes       int
-	GPUsPerNode int
+// fig10Params sizes Figure 10: how many pods are created at one instant at
+// each level, on nodes × fig10GPUsPerNode GPUs.
+type fig10Params struct {
+	concurrency []int
+	nodes       int
 }
 
-func (c Fig10Config) withDefaults() Fig10Config {
-	if len(c.Concurrency) == 0 {
-		c.Concurrency = []int{1, 2, 4, 8, 16, 32}
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 8
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 4
-	}
-	return c
+// The native arm holds one whole GPU per pod, so the quick run's levels stop
+// at its 2×4 cluster's 8 GPUs.
+var fig10Runs = [...]fig10Params{
+	Quick: {concurrency: []int{1, 4, 8}, nodes: 2},
+	Full:  {concurrency: []int{1, 2, 4, 8, 16, 32}, nodes: 8},
 }
+
+const fig10GPUsPerNode = 4
 
 // Fig10 measures end-to-end pod creation latency (submission → running)
 // under increasing concurrency for three paths: native Kubernetes pods,
@@ -39,21 +34,21 @@ func (c Fig10Config) withDefaults() Fig10Config {
 // KubeShare sharePods that must first acquire the GPU (with vGPU
 // creation). The paper's shape: ≈+15% without creation, ≈2× with, and the
 // KubeShare overhead stays constant as concurrency grows.
-func Fig10(cfg Fig10Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig10(s Scale) (*metrics.Table, error) {
+	p := fig10Runs[s]
 	tb := metrics.NewTable("Figure 10: pod creation latency",
 		"concurrent", "native_s", "kubeshare_s", "kubeshare_with_vgpu_s",
 		"no_vgpu_overhead", "with_vgpu_overhead")
 	// Flatten the concurrency × arm grid; the three arms of a level land at
 	// indices 3i, 3i+1, 3i+2.
 	arms := []fig10Arm{fig10Native, fig10Warm, fig10Cold}
-	lat, err := runIndexed(len(arms)*len(cfg.Concurrency), func(i int) (time.Duration, error) {
-		return measureCreation(cfg, cfg.Concurrency[i/len(arms)], arms[i%len(arms)])
+	lat, err := runIndexed(len(arms)*len(p.concurrency), func(i int) (time.Duration, error) {
+		return measureCreation(p.nodes, p.concurrency[i/len(arms)], arms[i%len(arms)])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, n := range cfg.Concurrency {
+	for i, n := range p.concurrency {
 		native, warm, cold := lat[3*i], lat[3*i+1], lat[3*i+2]
 		tb.AddRow(n, native.Seconds(), warm.Seconds(), cold.Seconds(),
 			warm.Seconds()/native.Seconds(), cold.Seconds()/native.Seconds())
@@ -71,12 +66,12 @@ const (
 )
 
 // measureCreation returns the mean submission-to-running latency of n jobs
-// created at one instant on one arm. The warm arm first runs and deletes a
+// created at one instant on one arm, on nodes nodes. The warm arm first runs and deletes a
 // generation of sharePods so that, under the reservation policy, their vGPUs
 // stay idle in the pool and the measured generation skips GPU acquisition.
-func measureCreation(cfg Fig10Config, n int, arm fig10Arm) (time.Duration, error) {
+func measureCreation(nodes, n int, arm fig10Arm) (time.Duration, error) {
 	env := sim.NewEnv()
-	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)
+	c, err := newCluster(env, nodes, fig10GPUsPerNode, false)
 	if err != nil {
 		return 0, err
 	}

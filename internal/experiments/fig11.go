@@ -14,29 +14,17 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig11Config drives the scheduling-time experiment: how long one
-// KubeShare-Sched decision takes as a function of the number of SharePods
-// already in the system. Unlike every other experiment this measures *real*
-// CPU time (the paper's O(N) claim) of the decision the scheduler makes, as
-// BenchmarkFig11SchedulingTime does (see NewSchedulingDecision).
-type Fig11Config struct {
-	// Counts are the existing-SharePod counts to sweep.
-	Counts []int
-	// Iterations per point (the decision is fast; average many).
-	Iterations int
-}
+// Figure 11 times one KubeShare-Sched decision against each of these
+// existing-SharePod counts, fig11Iterations decisions per round (the
+// decision is fast; average many). Unlike every other experiment this
+// measures *real* CPU time (the paper's O(N) claim) of the decision the
+// scheduler makes, as BenchmarkFig11SchedulingTime does (see
+// NewSchedulingDecision). Its quick and full runs are the same run.
+var fig11Counts = []int{10, 25, 50, 75, 100, 200}
 
-func (c Fig11Config) withDefaults() Fig11Config {
-	if len(c.Counts) == 0 {
-		c.Counts = []int{10, 25, 50, 75, 100, 200}
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 200
-	}
-	return c
-}
+const fig11Iterations = 200
 
-// fig11Rounds is how many times each point times its Iterations; the
+// fig11Rounds is how many times each point times its iterations; the
 // fastest round is reported, so a preemption of the host process does not
 // land in the figure.
 const fig11Rounds = 3
@@ -89,11 +77,10 @@ func NewSchedulingDecision(n int) (func() core.Decision, error) {
 
 // Fig11 sweeps the SharePod count and reports mean decision time. The
 // paper's shape: linear in N and comfortably under 400 ms at N=100.
-func Fig11(cfg Fig11Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig11() (*metrics.Table, error) {
 	tb := metrics.NewTable("Figure 11: KubeShare-Sched decision time vs #SharePods",
 		"sharepods", "mean_decision_us")
-	for _, n := range cfg.Counts {
+	for _, n := range fig11Counts {
 		decide, err := NewSchedulingDecision(n)
 		if err != nil {
 			return nil, err
@@ -102,14 +89,14 @@ func Fig11(cfg Fig11Config) (*metrics.Table, error) {
 		var best time.Duration
 		for round := 0; round < fig11Rounds; round++ {
 			start := time.Now() //det:allow — this micro-benchmark measures real CPU cost, not sim time
-			for i := 0; i < cfg.Iterations; i++ {
+			for i := 0; i < fig11Iterations; i++ {
 				decide()
 			}
 			if elapsed := time.Now().Sub(start); round == 0 || elapsed < best { //det:allow — as above
 				best = elapsed
 			}
 		}
-		tb.AddRow(n, float64(best.Nanoseconds())/1e3/float64(cfg.Iterations))
+		tb.AddRow(n, float64(best.Nanoseconds())/1e3/fig11Iterations)
 	}
 	return tb, nil
 }

@@ -53,18 +53,8 @@ func interferenceSharePod(name string, prof interferenceProfile, steps int, anti
 	}
 }
 
-// Fig12Config drives the job-interference experiment.
-type Fig12Config struct {
-	// Steps is the training length per job.
-	Steps int
-}
-
-func (c Fig12Config) withDefaults() Fig12Config {
-	if c.Steps == 0 {
-		c.Steps = 3000
-	}
-	return c
-}
+// fig12Steps is the training length per job.
+var fig12Steps = [...]int{Quick: 2000, Full: 3000}
 
 // runCombo measures each job's wall time when the listed jobs share one
 // GPU through KubeShare.
@@ -87,8 +77,7 @@ func runCombo(steps int, profs ...interferenceProfile) (map[string]time.Duration
 // Fig12 measures the slowdown of each job combination on a shared GPU
 // relative to running alone. The paper's shape: B+B ≈1.5×, all
 // combinations involving A ≲1.1×.
-func Fig12(cfg Fig12Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig12(s Scale) (*metrics.Table, error) {
 	// Indices 0–1 are the solo baselines, 2–4 the shared combinations; each
 	// combo is an independent single-GPU cluster, so all five fan out.
 	combos := [][]interferenceProfile{
@@ -96,7 +85,7 @@ func Fig12(cfg Fig12Config) (*metrics.Table, error) {
 		{jobA, jobA}, {jobB, jobB}, {jobA, jobB},
 	}
 	walls, err := runIndexed(len(combos), func(i int) (map[string]time.Duration, error) {
-		return runCombo(cfg.Steps, combos[i]...)
+		return runCombo(fig12Steps[s], combos[i]...)
 	})
 	if err != nil {
 		return nil, err

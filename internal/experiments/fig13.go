@@ -13,45 +13,25 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig13Config drives the interference-workload throughput comparison.
-type Fig13Config struct {
-	Nodes       int
-	GPUsPerNode int
-	// Jobs is the total job count per workload.
-	Jobs int
-	// Steps is each job's training length.
-	Steps int
-	// Ratios are the Job-A fractions to sweep.
-	Ratios []float64
-	// MeanInterArrival of the Poisson submission process.
-	MeanInterArrival time.Duration
-	Seed             int64
+// fig13Params sizes Figure 13: the cluster (fig13GPUsPerNode GPUs a node),
+// the job count per workload and each job's training length.
+type fig13Params struct {
+	nodes, jobs, steps int
 }
 
-func (c Fig13Config) withDefaults() Fig13Config {
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 4
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 40
-	}
-	if c.Steps == 0 {
-		c.Steps = 1500
-	}
-	if len(c.Ratios) == 0 {
-		c.Ratios = []float64{0, 0.25, 0.5, 0.75, 1}
-	}
-	if c.MeanInterArrival == 0 {
-		c.MeanInterArrival = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var fig13Runs = [...]fig13Params{
+	Quick: {nodes: 1, jobs: 24, steps: 1000},
+	Full:  {nodes: 2, jobs: 40, steps: 1500},
 }
+
+// Figure 13 sweeps these Job-A fractions, submitting jobs as a Poisson
+// process of mean inter-arrival fig13InterArrival.
+var fig13Ratios = []float64{0, 0.25, 0.5, 0.75, 1}
+
+const (
+	fig13GPUsPerNode  = 4
+	fig13InterArrival = 2 * time.Second
+)
 
 // fig13Setting selects one of the three compared configurations.
 type fig13Setting string
@@ -64,9 +44,9 @@ const (
 
 // runFig13Workload runs one mixed A/B workload under one setting and
 // returns jobs/min.
-func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (float64, error) {
+func runFig13Workload(p fig13Params, seed int64, ratio float64, setting fig13Setting) (float64, error) {
 	env := sim.NewEnv()
-	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)
+	c, err := newCluster(env, p.nodes, fig13GPUsPerNode, false)
 	if err != nil {
 		return 0, err
 	}
@@ -77,12 +57,12 @@ func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (flo
 			return 0, err
 		}
 	}
-	rng := simrand.New(cfg.Seed)
+	rng := simrand.New(seed)
 	arrivals := rng.Fork("arrivals")
 	kinds := rng.Fork("kinds")
-	nA := int(ratio*float64(cfg.Jobs) + 0.5)
+	nA := int(ratio*float64(p.jobs) + 0.5)
 	// Deterministic kind sequence: exactly nA Job As, shuffled.
-	kindSeq := make([]interferenceProfile, cfg.Jobs)
+	kindSeq := make([]interferenceProfile, p.jobs)
 	for i := range kindSeq {
 		if i < nA {
 			kindSeq[i] = jobA
@@ -90,17 +70,17 @@ func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (flo
 			kindSeq[i] = jobB
 		}
 	}
-	perm := kinds.Perm(cfg.Jobs)
+	perm := kinds.Perm(p.jobs)
 	var at time.Duration
 	var runErr error
-	workload.Submit(env, c.API, cfg.Jobs, func(i int) (time.Duration, api.Object) {
-		at += arrivals.ExpDuration(cfg.MeanInterArrival)
+	workload.Submit(env, c.API, p.jobs, func(i int) (time.Duration, api.Object) {
+		at += arrivals.ExpDuration(fig13InterArrival)
 		prof := kindSeq[perm[i]]
 		anti := ""
 		if setting == fig13AntiAff && prof.kind == "B" {
 			anti = "job-b-spread"
 		}
-		job := interferenceSharePod(fmt.Sprintf("job-%02d-%s", i, prof.kind), prof, cfg.Steps, anti)
+		job := interferenceSharePod(fmt.Sprintf("job-%02d-%s", i, prof.kind), prof, p.steps, anti)
 		if sys == Kubernetes {
 			return at, wholeGPU(job)
 		}
@@ -118,8 +98,8 @@ func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (flo
 			last = max(last, o.finish)
 		}
 	})
-	if completed != cfg.Jobs {
-		return 0, fmt.Errorf("%s ratio %.2f: %d of %d jobs completed", setting, ratio, completed, cfg.Jobs)
+	if completed != p.jobs {
+		return 0, fmt.Errorf("%s ratio %.2f: %d of %d jobs completed", setting, ratio, completed, p.jobs)
 	}
 	return float64(completed) / last.Minutes(), nil
 }
@@ -128,18 +108,18 @@ func runFig13Workload(cfg Fig13Config, ratio float64, setting fig13Setting) (flo
 // paper's crossovers: at ratio 0 KubeShare-without-labels wins despite
 // interference; past ratio ≈0.5 the anti-affinity setting is best; at
 // ratio 1 both KubeShare settings coincide and beat Kubernetes.
-func Fig13(cfg Fig13Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig13(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig13Runs[s]
 	tb := metrics.NewTable("Figure 13: throughput under interference workloads (jobs/min)",
 		"jobA_ratio", "kubernetes", "kubeshare", "kubeshare_anti_affinity")
 	settings := []fig13Setting{fig13Kubernetes, fig13NoLabel, fig13AntiAff}
-	tputs, err := runIndexed(len(cfg.Ratios)*len(settings), func(i int) (float64, error) {
-		return runFig13Workload(cfg, cfg.Ratios[i/len(settings)], settings[i%len(settings)])
+	tputs, err := runIndexed(len(fig13Ratios)*len(settings), func(i int) (float64, error) {
+		return runFig13Workload(p, seed, fig13Ratios[i/len(settings)], settings[i%len(settings)])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, ratio := range cfg.Ratios {
+	for i, ratio := range fig13Ratios {
 		row := tputs[i*len(settings) : (i+1)*len(settings)]
 		tb.AddRow(ratio, row[0], row[1], row[2])
 	}

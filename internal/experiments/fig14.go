@@ -8,38 +8,24 @@ import (
 	"kubeshare/internal/metrics"
 )
 
-// Fig14Config drives the availability-under-faults experiment (an extension
-// beyond the paper: the original evaluation assumes a healthy cluster).
-type Fig14Config struct {
-	Seed        int64
-	Nodes       int
-	GPUsPerNode int
-	Jobs        int
-	JobDuration time.Duration
-	// Intensities are fault-rate multipliers over the chaos soak's baseline
-	// schedule; 0 is the fault-free control row. The workload is identical
-	// across rows (same seed), so the rows isolate the effect of faults.
-	Intensities []float64
+// fig14Params sizes Figure 14 (an extension beyond the paper: the original
+// evaluation assumes a healthy cluster): the cluster (fig14GPUsPerNode GPUs
+// a node), the serving workload, and the fault-rate multipliers over the
+// chaos soak's baseline schedule. Intensity 0 is the fault-free control
+// row; the workload is identical across rows (same seed), so the rows
+// isolate the effect of faults.
+type fig14Params struct {
+	nodes, jobs int
+	jobDuration time.Duration
+	intensities []float64
 }
 
-func (c Fig14Config) withDefaults() Fig14Config {
-	if c.Nodes == 0 {
-		c.Nodes = 4
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 2
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 32
-	}
-	if c.JobDuration == 0 {
-		c.JobDuration = 20 * time.Second
-	}
-	if len(c.Intensities) == 0 {
-		c.Intensities = []float64{0, 0.5, 1, 2}
-	}
-	return c
+var fig14Runs = [...]fig14Params{
+	Quick: {nodes: 2, jobs: 12, jobDuration: 10 * time.Second, intensities: []float64{0, 1, 2}},
+	Full:  {nodes: 4, jobs: 32, jobDuration: 20 * time.Second, intensities: []float64{0, 0.5, 1, 2}},
 }
+
+const fig14GPUsPerNode = 2
 
 // Fig14 measures service availability as fault intensity rises: each row
 // runs the same seeded serving workload under a scaled chaos schedule (node
@@ -48,19 +34,19 @@ func (c Fig14Config) withDefaults() Fig14Config {
 // cluster took to converge. Every row must also pass the full quiescence
 // invariants — a leaked device share or wedged sharePod fails the
 // experiment, not just a table cell.
-func Fig14(cfg Fig14Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig14(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig14Runs[s]
 	tb := metrics.NewTable("Figure 14: availability under injected faults",
 		"intensity", "faults", "succeeded", "failed", "availability",
 		"restarts", "requeues", "vgpu_recoveries", "watch_resumes", "quiesce_s")
-	results, err := runIndexed(len(cfg.Intensities), func(i int) (chaos.SoakResult, error) {
-		intensity := cfg.Intensities[i]
+	results, err := runIndexed(len(p.intensities), func(i int) (chaos.SoakResult, error) {
+		intensity := p.intensities[i]
 		scfg := chaos.SoakConfig{
-			Seed:        cfg.Seed,
-			Nodes:       cfg.Nodes,
-			GPUsPerNode: cfg.GPUsPerNode,
-			Jobs:        cfg.Jobs,
-			JobDuration: cfg.JobDuration,
+			Seed:        seed,
+			Nodes:       p.nodes,
+			GPUsPerNode: fig14GPUsPerNode,
+			Jobs:        p.jobs,
+			JobDuration: p.jobDuration,
 		}
 		if intensity == 0 {
 			scfg.NoFaults = true
@@ -96,7 +82,7 @@ func Fig14(cfg Fig14Config) (*metrics.Table, error) {
 		if total > 0 {
 			availability = float64(res.Succeeded) / float64(total)
 		}
-		tb.AddRow(cfg.Intensities[i], res.Faults.Total(), res.Succeeded, res.Failed,
+		tb.AddRow(p.intensities[i], res.Faults.Total(), res.Succeeded, res.Failed,
 			availability, res.Restarts, int(res.Requeues), int(res.Recoveries),
 			res.Resumes, res.Elapsed.Seconds())
 	}

@@ -13,47 +13,40 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig15Config drives the scheduler-throughput experiment (a framework
+// fig15Params sizes the scheduler-throughput experiment (a framework
 // extension with no paper counterpart): sustained scheduling decisions per
 // second of KubeShare-Sched on the plugin-phase framework, swept over the
 // pending-queue depth for three driver modes:
 //
 //   - single  — batch size 1, the legacy one-decision-per-cycle loop;
-//   - batched — one cycle drains up to Batch decisions against the cycle
+//   - batched — one cycle drains up to batch decisions against the cycle
 //     transaction and commits them in bulk, amortizing the per-cycle
 //     latency (and, in real time, the snapshot materialization and the
 //     age sort) over the whole batch;
 //   - gang    — the batched driver with the workload arranged into
-//     all-or-nothing gangs of Gang members, measuring the overhead of
+//     all-or-nothing gangs of fig15Gang members, measuring the overhead of
 //     gang gathering and checkpoint/rollback on the same cycle budget.
 //
 // Two quantities per point: virtual decisions/sec (simulated time — the
 // quantity the cycle-latency model bounds at 1/CycleLatency for the single
-// driver and Batch/CycleLatency for the batched ones) and real CPU
+// driver and batch/CycleLatency for the batched ones) and real CPU
 // microseconds per decision (wall time of the whole run divided by
 // placements, the implementation cost that Figure 11 measures for one
 // decision in isolation).
-type Fig15Config struct {
-	// Counts are the pending-SharePod queue depths to sweep.
-	Counts []int
-	// Batch is the cycle budget of the batched and gang modes.
-	Batch int
-	// Gang is the gang size of the gang mode (Counts must divide by it).
-	Gang int
+type fig15Params struct {
+	// counts are the pending-SharePod queue depths to sweep.
+	counts []int
+	// batch is the cycle budget of the batched and gang modes.
+	batch int
 }
 
-func (c Fig15Config) withDefaults() Fig15Config {
-	if len(c.Counts) == 0 {
-		c.Counts = []int{1000, 10000}
-	}
-	if c.Batch == 0 {
-		c.Batch = 64
-	}
-	if c.Gang == 0 {
-		c.Gang = 4
-	}
-	return c
+var fig15Runs = [...]fig15Params{
+	Quick: {counts: []int{200, 1000}, batch: 32},
+	Full:  {counts: []int{1000, 10000}, batch: 64},
 }
+
+// fig15Gang is the gang size of the gang mode (every count divides by it).
+const fig15Gang = 4
 
 // fig15Run schedules n pending sharePods to completion under one driver
 // mode and returns (virtual elapsed, real elapsed, decision count).
@@ -104,19 +97,19 @@ func fig15Run(n, batch, gangSize int) (time.Duration, time.Duration, int64, erro
 // Fig15 sweeps queue depth × driver mode and reports throughput. The
 // batched driver's virtual decisions/sec exceeds the single driver's by
 // roughly the batch factor (the acceptance bar is 3x at the 10k point).
-func Fig15(cfg Fig15Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig15(s Scale) (*metrics.Table, error) {
+	p := fig15Runs[s]
 	tb := metrics.NewTable("Figure 15: scheduler throughput vs pending-queue depth",
 		"mode", "sharepods", "virtual_decisions_per_sec", "real_us_per_decision")
-	for _, n := range cfg.Counts {
+	for _, n := range p.counts {
 		for _, mode := range []struct {
 			name  string
 			batch int
 			gang  int
 		}{
 			{"single", 1, 0},
-			{"batched", cfg.Batch, 0},
-			{"batched+gang", cfg.Batch, cfg.Gang},
+			{"batched", p.batch, 0},
+			{"batched+gang", p.batch, fig15Gang},
 		} {
 			virtual, real, decisions, err := fig15Run(n, mode.batch, mode.gang)
 			if err != nil {

@@ -13,7 +13,7 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig16Config drives the scheduler scale sweep (a framework extension with
+// fig16Params sizes the scheduler scale sweep (a framework extension with
 // no paper counterpart): the batched cycle working through 1k → 10k → 100k
 // sharePods on a bounded device pool.
 //
@@ -27,36 +27,28 @@ import (
 //
 // Each size reports wall-clock time beside the virtual-side quantities —
 // decisions, makespan, and a hash over every placement tuple — which are a
-// pure function of the configuration and pinned by TestFig16PlacementsPinned.
-type Fig16Config struct {
-	// Sizes are the sharePod counts swept (defaults 1k, 10k, 100k).
-	Sizes []int
-	// Batch is the cycle budget of the batched driver.
-	Batch int
-	// Nodes and GPUsPerNode bound the device pool.
-	Nodes       int
-	GPUsPerNode int
+// pure function of the scale and pinned by TestFig16PlacementsPinned.
+type fig16Params struct {
+	// sizes are the sharePod counts swept.
+	sizes []int
+	// nodes × fig16GPUsPerNode GPUs bound the device pool.
+	nodes int
 }
+
+var fig16Runs = [...]fig16Params{
+	Quick: {sizes: []int{500, 2000}, nodes: 16},
+	Full:  {sizes: []int{1000, 10000, 100000}, nodes: 128},
+}
+
+// The batched driver's cycle budget, and each node's GPUs.
+const (
+	fig16Batch       = 256
+	fig16GPUsPerNode = 8
+)
 
 // fig16Service is how long a placed sharePod holds its slice before the
 // completion sweeper retires it.
 const fig16Service = 4 * time.Second
-
-func (c Fig16Config) withDefaults() Fig16Config {
-	if len(c.Sizes) == 0 {
-		c.Sizes = []int{1000, 10000, 100000}
-	}
-	if c.Batch == 0 {
-		c.Batch = 256
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 128
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 8
-	}
-	return c
-}
 
 // fig16Result is one run's outcome: the wall-side measurement plus the
 // virtual-side quantities.
@@ -69,10 +61,10 @@ type fig16Result struct {
 }
 
 // fig16Run schedules n sharePods to completion.
-func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
+func fig16Run(n, nodes int) (fig16Result, error) {
 	env := sim.NewEnv()
 	srv := instrumented(apiserver.New(env))
-	if err := createNodes(srv, cfg.Nodes, cfg.GPUsPerNode); err != nil {
+	if err := createNodes(srv, nodes, fig16GPUsPerNode); err != nil {
 		return fig16Result{}, fmt.Errorf("fig16: %w", err)
 	}
 
@@ -81,7 +73,7 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 	// arrive at exactly that rate, keeping the pool saturated and the pending
 	// backlog bounded (an unbounded backlog would re-decide every waiting
 	// unit each cycle, measuring queue thrash instead of the hot path).
-	capacity := 2 * cfg.Nodes * cfg.GPUsPerNode
+	capacity := 2 * nodes * fig16GPUsPerNode
 	waveGap := fig16Service / 8
 	wave := capacity / 8
 	if wave < 1 {
@@ -131,7 +123,7 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 		}
 	})
 
-	sched := schedfw.New(env, srv, schedfw.WithBatchSize(cfg.Batch))
+	sched := schedfw.New(env, srv, schedfw.WithBatchSize(fig16Batch))
 	start := time.Now() //det:allow — the wall column measures real CPU cost, not sim time
 	sched.Start()
 	env.Run()
@@ -170,12 +162,12 @@ func fig16Run(n int, cfg Fig16Config) (fig16Result, error) {
 
 // Fig16 sweeps the sharePod count and reports the scheduler's wall-clock
 // cost, decisions per sharePod and placement hash at each size.
-func Fig16(cfg Fig16Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig16(s Scale) (*metrics.Table, error) {
+	p := fig16Runs[s]
 	tb := metrics.NewTable("Figure 16: scheduler hot-path scaling vs sharePod count",
 		"sharepods", "wall_ms", "virtual_makespan_s", "decisions", "decisions_per_sharepod", "conflicts", "placements_hash")
-	for _, n := range cfg.Sizes {
-		r, err := fig16Run(n, cfg)
+	for _, n := range p.sizes {
+		r, err := fig16Run(n, p.nodes)
 		if err != nil {
 			return nil, err
 		}

@@ -2,15 +2,15 @@ package experiments
 
 import "testing"
 
-// TestFig16PlacementsPinned pins the quick-scale sweep (sizes 500 and 2000
-// on 16 nodes × 8 GPUs, batch 256) to the placements, decisions and makespan
+// TestFig16PlacementsPinned pins the quick run (sizes 500 and 2000 on 16
+// nodes × 8 GPUs, batch 256) to the placements, decisions and makespan
 // that `kubeshare-sim fig16` printed at commit 8faef4f — recorded there on
 // the parallel-phase cycle at one event lane, before that cycle and the
 // lanes were deleted. The sequential batched cycle that remains must
 // reproduce them exactly; the full-scale counterparts are in EXPERIMENTS.md.
 func TestFig16PlacementsPinned(t *testing.T) {
 	withCanary(t)
-	tb, err := Fig16(Fig16Config{Sizes: []int{500, 2000}, Nodes: 16})
+	tb, err := Fig16(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig17Config drives the control-plane recovery sweep (an extension beyond
+// fig17Params sizes the control-plane recovery sweep (an extension beyond
 // the paper: the original evaluation assumes the apiserver never dies).
 // Each cell runs the same seeded serving workload while the apiserver is
 // crash/restarted on a Poisson schedule, sweeping restart intensity against
@@ -23,51 +23,34 @@ import (
 // warm-recovery time (how long consumers take to re-converge on the
 // restored state), and the replayed-record count the checkpoint interval
 // trades against.
-type Fig17Config struct {
-	Seed        int64
-	Nodes       int
-	GPUsPerNode int
-	Jobs        int
-	JobDuration time.Duration
-
-	// RestartMeans sweeps restart intensity: the mean interval between
+type fig17Params struct {
+	nodes, jobs int
+	jobDuration time.Duration
+	// restartMeans sweeps restart intensity: the mean interval between
 	// apiserver crash/restarts.
-	RestartMeans []time.Duration
-	// CheckpointIntervals sweeps the checkpointer cadence. A negative entry
+	restartMeans []time.Duration
+	// checkpointIntervals sweeps the checkpointer cadence. A negative entry
 	// disables periodic checkpoints entirely — recovery then replays the
 	// whole WAL from the enable-time checkpoint, the degenerate point that
 	// bounds the sweep.
-	CheckpointIntervals []time.Duration
+	checkpointIntervals []time.Duration
 }
+
+var fig17Runs = [...]fig17Params{
+	Quick: {nodes: 2, jobs: 12, jobDuration: 10 * time.Second,
+		restartMeans:        []time.Duration{20 * time.Second, 10 * time.Second},
+		checkpointIntervals: []time.Duration{5 * time.Second, -1}},
+	Full: {nodes: 3, jobs: 24, jobDuration: 20 * time.Second,
+		restartMeans:        []time.Duration{40 * time.Second, 20 * time.Second, 10 * time.Second},
+		checkpointIntervals: []time.Duration{5 * time.Second, 30 * time.Second, -1}},
+}
+
+// fig17GPUsPerNode is each node's GPU count.
+const fig17GPUsPerNode = 2
 
 // fig17TornTailEvery: the WAL tail is corrupted before every third restart,
 // so the sweep also prices the truncate-and-recover path.
 const fig17TornTailEvery = 3
-
-func (c Fig17Config) withDefaults() Fig17Config {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 3
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 2
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 24
-	}
-	if c.JobDuration == 0 {
-		c.JobDuration = 20 * time.Second
-	}
-	if len(c.RestartMeans) == 0 {
-		c.RestartMeans = []time.Duration{40 * time.Second, 20 * time.Second, 10 * time.Second}
-	}
-	if len(c.CheckpointIntervals) == 0 {
-		c.CheckpointIntervals = []time.Duration{5 * time.Second, 30 * time.Second, -1}
-	}
-	return c
-}
 
 // fig17Result is one (restart mean, checkpoint interval) cell.
 type fig17Result struct {
@@ -88,9 +71,9 @@ type fig17Result struct {
 // (zero when the restore was exact and the relist diff empty — the warm
 // path working as designed; nonzero when a torn tail reverted state the
 // consumers had already acted on).
-func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Result, error) {
+func fig17Run(p fig17Params, seed int64, restartMean, ckptInterval time.Duration) (fig17Result, error) {
 	env := sim.NewEnv()
-	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)
+	c, err := newCluster(env, p.nodes, fig17GPUsPerNode, false)
 	if err != nil {
 		return fig17Result{}, err
 	}
@@ -102,20 +85,20 @@ func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Re
 
 	submitWindow := 40 * time.Second
 	jobs := workload.Generate(workload.GeneratorConfig{
-		Jobs:             cfg.Jobs,
-		MeanInterArrival: submitWindow / time.Duration(cfg.Jobs),
+		Jobs:             p.jobs,
+		MeanInterArrival: submitWindow / time.Duration(p.jobs),
 		DemandMean:       0.35,
 		DemandVar:        1,
-		JobDuration:      cfg.JobDuration,
-		Seed:             simrand.New(cfg.Seed).Fork("workload").Seed(),
+		JobDuration:      p.jobDuration,
+		Seed:             simrand.New(seed).Fork("workload").Seed(),
 	})
 	// The first error inside either proc stops both; the cell then reports it.
 	var runErr error
 	submitJobs(env, c, KubeShare, jobs, &runErr)
 
-	horizon := submitWindow + cfg.JobDuration
+	horizon := submitWindow + p.jobDuration
 	var res fig17Result
-	rng := simrand.New(cfg.Seed).Fork("apiserver")
+	rng := simrand.New(seed).Fork("apiserver")
 	env.Go("fig17-restarter", func(p *sim.Proc) {
 		for runErr == nil {
 			p.Sleep(rng.ExpDuration(restartMean))
@@ -173,20 +156,20 @@ func fig17Run(cfg Fig17Config, restartMean, ckptInterval time.Duration) (fig17Re
 // replay. Measured recovery time stays near zero throughout — the
 // warm-recovery contract — except where torn tails force consumers to
 // re-converge on reverted state.
-func Fig17(cfg Fig17Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig17(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig17Runs[s]
 	tb := metrics.NewTable("Figure 17: control-plane crash/restart recovery sweep",
 		"restart_mean_s", "ckpt_interval_s", "restarts", "torn_tails", "replayed",
 		"outage_ms", "recovery_ms_mean", "recovery_ms_max", "succeeded", "makespan_s")
 	type cell struct{ mean, ckpt time.Duration }
 	var cells []cell
-	for _, mean := range cfg.RestartMeans {
-		for _, ckpt := range cfg.CheckpointIntervals {
+	for _, mean := range p.restartMeans {
+		for _, ckpt := range p.checkpointIntervals {
 			cells = append(cells, cell{mean, ckpt})
 		}
 	}
 	results, err := runIndexed(len(cells), func(i int) (fig17Result, error) {
-		return fig17Run(cfg, cells[i].mean, cells[i].ckpt)
+		return fig17Run(p, seed, cells[i].mean, cells[i].ckpt)
 	})
 	if err != nil {
 		return nil, err

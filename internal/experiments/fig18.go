@@ -15,50 +15,31 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig18Config sizes the sharing-strategy comparison: the same seeded serving
+// fig18Params sizes the sharing-strategy comparison: the same seeded serving
 // workload is replayed under each strategy (token time-slicing, MPS overlap,
 // replica time-slicing) at two kernel granularities. The demand is chosen so
 // two tenants pack a device near capacity — there the token path's per-grant
 // handoff is pure overhead on small kernels (≈10% at 5 ms) while the overlap
 // strategies run the same mix without it.
-type Fig18Config struct {
-	Nodes       int
-	GPUsPerNode int
-	Jobs        int
-	// MeanInterArrival paces the Poisson arrivals.
-	MeanInterArrival time.Duration
-	// JobDuration is each job's serving time.
-	JobDuration time.Duration
-	// DemandMean is each job's GPU busy fraction (variance 0: packing is
-	// deterministic, so the strategy is the only variable across arms).
-	DemandMean float64
-	Seed       int64
+type fig18Params struct {
+	nodes, jobs int
+	// jobDuration is each job's serving time.
+	jobDuration time.Duration
 }
 
-func (c Fig18Config) withDefaults() Fig18Config {
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 4
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 32
-	}
-	if c.MeanInterArrival == 0 {
-		c.MeanInterArrival = 500 * time.Millisecond
-	}
-	if c.JobDuration == 0 {
-		c.JobDuration = 20 * time.Second
-	}
-	if c.DemandMean == 0 {
-		c.DemandMean = 0.48
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var fig18Runs = [...]fig18Params{
+	Quick: {nodes: 1, jobs: 16, jobDuration: 10 * time.Second},
+	Full:  {nodes: 2, jobs: 32, jobDuration: 20 * time.Second},
 }
+
+const (
+	fig18GPUsPerNode = 4
+	// fig18InterArrival paces the Poisson arrivals.
+	fig18InterArrival = 500 * time.Millisecond
+	// fig18DemandMean is each job's GPU busy fraction (variance 0: packing
+	// is deterministic, so the strategy is the only variable across arms).
+	fig18DemandMean = 0.48
+)
 
 // fig18Arm is one strategy × kernel-mix cell.
 type fig18Arm struct {
@@ -83,14 +64,28 @@ func fig18Arms() []fig18Arm {
 	return arms
 }
 
+// workload generates the serving workload one arm replays at seed.
+func (p fig18Params) workload(arm fig18Arm, seed int64) []workload.Job {
+	return workload.Generate(workload.GeneratorConfig{
+		Jobs:             p.jobs,
+		MeanInterArrival: fig18InterArrival,
+		DemandMean:       fig18DemandMean,
+		JobDuration:      p.jobDuration,
+		Mode:             string(arm.mode),
+		MemShare:         workload.MemShareSmall,
+		ReqKernelMS:      arm.kernelMS,
+		Seed:             seed,
+	})
+}
+
 // Fig18 runs the strategy comparison and reports per-arm throughput, mean
 // stretch ((finish − arrival) / serving time — the tenant-visible slowdown)
 // and the mean per-GPU Jain fairness index from the auditor windows. Every
 // arm replays the identical job list (same seed, same arrivals, same
 // demands); only the sharing strategy and kernel granularity differ, so the
 // columns isolate the strategy's own cost.
-func Fig18(cfg Fig18Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig18(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig18Runs[s]
 	arms := fig18Arms()
 	type armOut struct {
 		completed int
@@ -100,18 +95,9 @@ func Fig18(cfg Fig18Config) (*metrics.Table, error) {
 	}
 	outs, err := runIndexed(len(arms), func(i int) (armOut, error) {
 		arm := arms[i]
-		jobs := workload.Generate(workload.GeneratorConfig{
-			Jobs:             cfg.Jobs,
-			MeanInterArrival: cfg.MeanInterArrival,
-			DemandMean:       cfg.DemandMean,
-			JobDuration:      cfg.JobDuration,
-			Mode:             string(arm.mode),
-			MemShare:         workload.MemShareSmall,
-			ReqKernelMS:      arm.kernelMS,
-			Seed:             cfg.Seed,
-		})
+		jobs := p.workload(arm, seed)
 		res, err := RunSharing(SharingConfig{
-			System: KubeShare, Nodes: cfg.Nodes, GPUsPerNode: cfg.GPUsPerNode,
+			System: KubeShare, Nodes: p.nodes, GPUsPerNode: fig18GPUsPerNode,
 			Jobs: jobs,
 			// The node default matches the per-pod annotation, so both the
 			// annotation path and the backend default are exercised.
@@ -187,8 +173,8 @@ func meanJain(a *core.Auditor) float64 {
 // a typed *core.ValidationError, while a byte-denominated workload sized so
 // two tenants fill a device runs to completion with the MemoryFit filter
 // packing by bytes (no over-placement, no OOM kills).
-func Fig18MemBytes(cfg Fig18Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig18MemBytes(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig18Runs[s]
 	tb := metrics.NewTable("Figure 18 (memory-quantity mode): byte requests at admission and placement",
 		"case", "jobs", "completed", "failed", "rejected_typed")
 
@@ -231,16 +217,16 @@ func Fig18MemBytes(cfg Fig18Config) (*metrics.Table, error) {
 	// so MemoryFit must spill the overflow to other devices and every job
 	// still completes.
 	jobs := workload.Generate(workload.GeneratorConfig{
-		Jobs:             cfg.Jobs / 2,
-		MeanInterArrival: cfg.MeanInterArrival,
+		Jobs:             p.jobs / 2,
+		MeanInterArrival: fig18InterArrival,
 		DemandMean:       0.3,
-		JobDuration:      cfg.JobDuration,
+		JobDuration:      p.jobDuration,
 		MemBytes:         6 << 30,
 		ReqKernelMS:      5,
-		Seed:             cfg.Seed,
+		Seed:             seed,
 	})
 	res, err := RunSharing(SharingConfig{
-		System: KubeShare, Nodes: cfg.Nodes, GPUsPerNode: cfg.GPUsPerNode,
+		System: KubeShare, Nodes: p.nodes, GPUsPerNode: fig18GPUsPerNode,
 		Jobs: jobs,
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"kubeshare/internal/devlib"
 	"kubeshare/internal/metrics"
 	"kubeshare/internal/obs/attr"
-	"kubeshare/internal/workload"
 )
 
 // Fig19 is the latency-attribution experiment: the Fig 18 strategy ×
@@ -21,8 +20,8 @@ import (
 // where the overlap strategies show it amortized away — the same contrast
 // Fig 18 shows in throughput, here attributed to the exact layer that
 // causes it.
-func Fig19(cfg Fig18Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Fig19(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig18Runs[s]
 	arms := fig18Arms()
 	type armOut struct {
 		chains int
@@ -32,19 +31,9 @@ func Fig19(cfg Fig18Config) (*metrics.Table, error) {
 	}
 	outs, err := runIndexed(len(arms), func(i int) (armOut, error) {
 		arm := arms[i]
-		jobs := workload.Generate(workload.GeneratorConfig{
-			Jobs:             cfg.Jobs,
-			MeanInterArrival: cfg.MeanInterArrival,
-			DemandMean:       cfg.DemandMean,
-			JobDuration:      cfg.JobDuration,
-			Mode:             string(arm.mode),
-			MemShare:         workload.MemShareSmall,
-			ReqKernelMS:      arm.kernelMS,
-			Seed:             cfg.Seed,
-		})
 		res, err := RunSharing(SharingConfig{
-			System: KubeShare, Nodes: cfg.Nodes, GPUsPerNode: cfg.GPUsPerNode,
-			Jobs:        jobs,
+			System: KubeShare, Nodes: p.nodes, GPUsPerNode: fig18GPUsPerNode,
+			Jobs:        p.workload(arm, seed),
 			Devlib:      core.Config{Devlib: devlib.Config{Mode: arm.mode}},
 			Attribution: true,
 		})

@@ -13,24 +13,12 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig6Config drives the Figure 6 isolation experiment: three training jobs
-// with staggered arrivals on a single shared GPU.
-type Fig6Config struct {
-	// Stagger is the arrival gap between jobs (paper: 200 s).
-	Stagger time.Duration
-	// SampleEvery is the usage sampling interval.
-	SampleEvery time.Duration
-}
+// Figure 6's three training jobs arrive one stagger apart on a single
+// shared GPU (the paper's stagger is 200 s); each job's usage is sampled
+// every fig6Sample.
+var fig6Stagger = [...]time.Duration{Quick: 100 * time.Second, Full: 200 * time.Second}
 
-func (c Fig6Config) withDefaults() Fig6Config {
-	if c.Stagger == 0 {
-		c.Stagger = 200 * time.Second
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 10 * time.Second
-	}
-	return c
-}
+const fig6Sample = 10 * time.Second
 
 // fig6Job describes one of the paper's three jobs.
 type fig6Job struct {
@@ -49,13 +37,22 @@ type Fig6Result struct {
 	Usage map[string]*tsdb.Series
 }
 
+// Chart plots the usage timelines, the series Figure 6 draws.
+func (r *Fig6Result) Chart() *metrics.Chart {
+	chart := metrics.NewChart("Figure 6 timeline: per-job GPU usage share")
+	chart.YMax = 1
+	for _, name := range []string{"job-a", "job-b", "job-c"} {
+		chart.Add(r.Usage[name])
+	}
+	return chart
+}
+
 // Fig6 reproduces the isolation timeline: Job A (req .3, lim .6) at 0,
 // Job B (req .4, lim .6) at +stagger, Job C (req .3, lim .5) at +2×stagger.
 // The paper's observable phases: A alone throttled at 0.6; A+B split 0.5
 // each; A+B+C at their guaranteed requests; after C finishes, the residual
 // is redistributed.
-func Fig6(cfg Fig6Config) (*Fig6Result, error) {
-	cfg = cfg.withDefaults()
+func Fig6(scale Scale) (*Fig6Result, error) {
 	env := sim.NewEnv()
 	c, err := newCluster(env, 1, 1, false)
 	if err != nil {
@@ -65,7 +62,7 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := cfg.Stagger
+	s := fig6Stagger[scale]
 	jobs := []fig6Job{
 		// Durations chosen so C finishes at ≈3.3×stagger (the paper's 660 s
 		// with stagger 200 s) and A and B continue past it.
@@ -101,7 +98,7 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 	env.Go("usage-sampler", func(p *sim.Proc) {
 		backend := ks.Backends["node-0"]
 		for runErr == nil {
-			p.Sleep(cfg.SampleEvery)
+			p.Sleep(fig6Sample)
 			done := 0
 			for _, j := range jobs {
 				sp, err := core.SharePods(c.API).Get(j.name)

@@ -8,65 +8,43 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig8Config drives the GPU-sharing throughput sweeps of Figure 8. The
-// defaults mirror the paper's testbed: 8 nodes × 4 GPUs and inference
-// workloads with Poisson arrivals and normally distributed demands.
-type Fig8Config struct {
-	Nodes       int
-	GPUsPerNode int
-	Jobs        int
-	// JobDuration is each inference job's serving window.
-	JobDuration time.Duration
-	// DemandMean / DemandVar parameterize the demand distribution.
-	DemandMean float64
-	DemandVar  float64
-	// Repeats averages each point over this many seeded runs (paper: 5).
-	Repeats int
-	Seed    int64
+// fig8Params sizes the Figure 8 sweeps: the cluster, the inference
+// workload (Poisson arrivals, normally distributed demands) and how many
+// seeded runs each point averages.
+type fig8Params struct {
+	nodes, gpusPerNode, jobs int
+	// jobDuration is each inference job's serving window.
+	jobDuration time.Duration
+	repeats     int
 }
 
-// fig8InterArrival is the mean job inter-arrival at frequency factor 1; the
-// demand sweeps run at 12× that rate, heavy load.
-const fig8InterArrival = 5 * time.Second
-
-func (c Fig8Config) withDefaults() Fig8Config {
-	if c.Nodes == 0 {
-		c.Nodes = 8
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 4
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 200
-	}
-	if c.JobDuration == 0 {
-		c.JobDuration = 40 * time.Second
-	}
-	if c.DemandMean == 0 {
-		c.DemandMean = 0.3
-	}
-	if c.DemandVar == 0 {
-		c.DemandVar = 2
-	}
-	if c.Repeats == 0 {
-		c.Repeats = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// The quick run shrinks the cluster to 2×4 GPUs and the workload to roughly
+// a quarter of the paper's; the full run is the paper's testbed and its
+// 5-run averages.
+var fig8Runs = [...]fig8Params{
+	Quick: {nodes: 2, gpusPerNode: 4, jobs: 60, jobDuration: 30 * time.Second, repeats: 1},
+	Full:  {nodes: 8, gpusPerNode: 4, jobs: 200, jobDuration: 40 * time.Second, repeats: 5},
 }
 
-// generator is the Figure 8 workload of an already-defaulted config with
-// arrivals sped up by factor.
-func (c Fig8Config) generator(factor float64) workload.GeneratorConfig {
+// The Figure 8 workload's demand distribution, and its mean job
+// inter-arrival at frequency factor 1; the demand sweeps run at 12× that
+// rate, heavy load.
+const (
+	fig8DemandMean   = 0.3
+	fig8DemandVar    = 2
+	fig8InterArrival = 5 * time.Second
+)
+
+// generator is the Figure 8 workload at seed with arrivals sped up by
+// factor.
+func (p fig8Params) generator(factor float64, seed int64) workload.GeneratorConfig {
 	return workload.GeneratorConfig{
-		Jobs:             c.Jobs,
+		Jobs:             p.jobs,
 		MeanInterArrival: time.Duration(float64(fig8InterArrival) / factor),
-		DemandMean:       c.DemandMean,
-		DemandVar:        c.DemandVar,
-		JobDuration:      c.JobDuration,
-		Seed:             c.Seed,
+		DemandMean:       fig8DemandMean,
+		DemandVar:        fig8DemandVar,
+		JobDuration:      p.jobDuration,
+		Seed:             seed,
 	}
 }
 
@@ -74,16 +52,16 @@ func (c Fig8Config) generator(factor float64) workload.GeneratorConfig {
 // returns their mean throughputs (jobs/min) across repeats. The
 // repeats × systems grid fans out in parallel; each run regenerates its job
 // list from the per-repeat seed, so runs share nothing.
-func throughputAt(cfg Fig8Config, gen workload.GeneratorConfig) (k8s, ks float64, err error) {
+func throughputAt(p fig8Params, gen workload.GeneratorConfig) (k8s, ks float64, err error) {
 	systems := []System{Kubernetes, KubeShare}
-	tputs, err := runIndexed(cfg.Repeats*len(systems), func(i int) (float64, error) {
+	tputs, err := runIndexed(p.repeats*len(systems), func(i int) (float64, error) {
 		g := gen
 		g.Seed = gen.Seed + int64(i/len(systems))*9973
 		sys := systems[i%len(systems)]
 		res, err := RunSharing(SharingConfig{
 			System:      sys,
-			Nodes:       cfg.Nodes,
-			GPUsPerNode: cfg.GPUsPerNode,
+			Nodes:       p.nodes,
+			GPUsPerNode: p.gpusPerNode,
 			Jobs:        workload.Generate(g),
 		})
 		if err != nil {
@@ -105,16 +83,16 @@ func throughputAt(cfg Fig8Config, gen workload.GeneratorConfig) (k8s, ks float64
 			ksSum += t
 		}
 	}
-	n := float64(cfg.Repeats)
+	n := float64(p.repeats)
 	return k8sSum / n, ksSum / n, nil
 }
 
 // fig8Sweep runs both systems on gen(x) at every point x, in parallel, and
 // adds one row per point to tb: x, the cells lead derives from the point's
 // workload (none when lead is nil), both throughputs and KubeShare's speedup.
-func fig8Sweep(cfg Fig8Config, tb *metrics.Table, points []float64, gen func(x float64) workload.GeneratorConfig, lead func(workload.GeneratorConfig) []any) (*metrics.Table, error) {
+func fig8Sweep(p fig8Params, tb *metrics.Table, points []float64, gen func(x float64) workload.GeneratorConfig, lead func(workload.GeneratorConfig) []any) (*metrics.Table, error) {
 	pts, err := runIndexed(len(points), func(i int) ([2]float64, error) {
-		k8s, ks, err := throughputAt(cfg, gen(points[i]))
+		k8s, ks, err := throughputAt(p, gen(points[i]))
 		return [2]float64{k8s, ks}, err
 	})
 	if err != nil {
@@ -134,14 +112,12 @@ func fig8Sweep(cfg Fig8Config, tb *metrics.Table, points []float64, gen func(x f
 // Fig8a sweeps the job frequency factor: arrivals speed up until both
 // systems saturate. The paper's shape: Kubernetes flattens near 50
 // jobs/min, KubeShare climbs to ≈110 jobs/min (≈2× at heavy load).
-func Fig8a(cfg Fig8Config, factors []float64) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
-	if len(factors) == 0 {
-		factors = []float64{1, 2, 3, 5, 7, 9, 12, 16}
-	}
+func Fig8a(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig8Runs[s]
 	tb := metrics.NewTable("Figure 8a: throughput vs job frequency",
 		"freq_factor", "offered_jobs_per_min", "kubernetes", "kubeshare", "speedup")
-	return fig8Sweep(cfg, tb, factors, cfg.generator, func(g workload.GeneratorConfig) []any {
+	gen := func(factor float64) workload.GeneratorConfig { return p.generator(factor, seed) }
+	return fig8Sweep(p, tb, []float64{1, 2, 3, 5, 7, 9, 12, 16}, gen, func(g workload.GeneratorConfig) []any {
 		return []any{60.0 / g.MeanInterArrival.Seconds()}
 	})
 }
@@ -149,16 +125,13 @@ func Fig8a(cfg Fig8Config, factors []float64) (*metrics.Table, error) {
 // Fig8b sweeps the mean GPU demand at heavy load. The paper's shape:
 // Kubernetes is flat (demand-agnostic), KubeShare's gain shrinks from
 // ≈2.5× at ≤20% demand toward parity at ≥60%.
-func Fig8b(cfg Fig8Config, means []float64) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
-	if len(means) == 0 {
-		means = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
-	}
+func Fig8b(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig8Runs[s]
 	tb := metrics.NewTable("Figure 8b: throughput vs mean GPU demand",
 		"demand_mean", "kubernetes", "kubeshare", "speedup")
-	return fig8Sweep(cfg, tb, means, func(mean float64) workload.GeneratorConfig {
+	return fig8Sweep(p, tb, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, func(mean float64) workload.GeneratorConfig {
 		// Heavy load so sharing capacity is the bottleneck.
-		g := cfg.generator(12)
+		g := p.generator(12, seed)
 		g.DemandMean = mean
 		return g
 	}, nil)
@@ -166,15 +139,12 @@ func Fig8b(cfg Fig8Config, means []float64) (*metrics.Table, error) {
 
 // Fig8c sweeps the demand variance at heavy load. The paper's shape: flat
 // for both systems.
-func Fig8c(cfg Fig8Config, variances []float64) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
-	if len(variances) == 0 {
-		variances = []float64{0.5, 1, 2, 3, 4}
-	}
+func Fig8c(s Scale, seed int64) (*metrics.Table, error) {
+	p := fig8Runs[s]
 	tb := metrics.NewTable("Figure 8c: throughput vs GPU demand variance",
 		"demand_var", "kubernetes", "kubeshare", "speedup")
-	return fig8Sweep(cfg, tb, variances, func(v float64) workload.GeneratorConfig {
-		g := cfg.generator(12)
+	return fig8Sweep(p, tb, []float64{0.5, 1, 2, 3, 4}, func(v float64) workload.GeneratorConfig {
+		g := p.generator(12, seed)
 		g.DemandVar = v
 		return g
 	}, nil)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"time"
 
 	"kubeshare/internal/metrics"
@@ -8,45 +9,46 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Fig9Config drives the utilization-timeline experiment (mean demand 30%,
-// variance 2 — the paper's example workload).
-type Fig9Config struct {
-	Fig8Config
-	// FreqFactor is the arrival speed-up applied to the base inter-arrival.
-	FreqFactor float64
-	// Sample is the utilization sampling interval.
-	Sample time.Duration
+// fig9Params sizes Figure 9: the Figure 8 cluster and workload (mean
+// demand 30%, variance 2 — the paper's example) at one arrival speed-up.
+type fig9Params struct {
+	fig8Params
+	freqFactor float64
 }
 
-// fig9Buckets is the number of timeline rows in the output table.
-const fig9Buckets = 12
-
-func (c Fig9Config) withDefaults() Fig9Config {
-	c.Fig8Config = c.Fig8Config.withDefaults()
-	if c.FreqFactor == 0 {
-		c.FreqFactor = 6
-	}
-	if c.Sample == 0 {
-		c.Sample = 5 * time.Second
-	}
-	return c
+// fig9Runs are Figure 9's two runs. The same workload drives the latency
+// percentiles, the fairness audit and `kubeshare-sim serve`, so each of
+// those is sized here too. The quick run's factor 2.5 puts the 8-GPU
+// cluster past Kubernetes' saturation point (6×2.5=15 concurrent whole-GPU
+// jobs) but below KubeShare's (15×≈0.36 ≈ 5.4 GPUs of fractional demand) —
+// the regime where KubeShare holds fewer, busier GPUs.
+var fig9Runs = [...]fig9Params{
+	Quick: {fig8Runs[Quick], 2.5},
+	Full:  {fig8Runs[Full], 6},
 }
 
-// fig9Jobs generates the Figure 9 workload for an already-defaulted config.
-func fig9Jobs(cfg Fig9Config) []workload.Job {
-	return workload.Generate(cfg.generator(cfg.FreqFactor))
+const (
+	// fig9Sample is the utilization sampling interval.
+	fig9Sample = 5 * time.Second
+	// fig9Buckets is the number of timeline rows in the output table.
+	fig9Buckets = 12
+)
+
+// workload generates the Figure 9 workload at seed.
+func (p fig9Params) workload(seed int64) []workload.Job {
+	return workload.Generate(p.generator(p.freqFactor, seed))
 }
 
-// Fig9Sharing runs only the KubeShare arm of the Figure 9 workload, with
-// the observability spine on or off — the two arms of the
+// Fig9Sharing runs only the KubeShare arm of the quick Figure 9 run at seed
+// 1, with the observability spine on or off — the two arms of the
 // instrumentation-overhead benchmark.
-func Fig9Sharing(cfg Fig9Config, disableObs bool) (SharingResult, error) {
-	cfg = cfg.withDefaults()
+func Fig9Sharing(disableObs bool) (SharingResult, error) {
+	p := fig9Runs[Quick]
 	return RunSharing(SharingConfig{
 		System:      KubeShare,
-		Nodes:       cfg.Nodes,
-		GPUsPerNode: cfg.GPUsPerNode,
-		Jobs:        fig9Jobs(cfg),
+		Nodes:       p.nodes,
+		GPUsPerNode: p.gpusPerNode,
+		Jobs:        p.workload(1),
 		DisableObs:  disableObs,
 	})
 }
@@ -66,9 +68,9 @@ type Fig9Result struct {
 // utilization and the number of allocated GPUs over time. The paper's
 // shape: KubeShare drives active GPUs to higher utilization, holds fewer
 // GPUs, and finishes the workload sooner.
-func Fig9(cfg Fig9Config) (*Fig9Result, error) {
-	cfg = cfg.withDefaults()
-	jobs := fig9Jobs(cfg)
+func Fig9(s Scale, seed int64) (*Fig9Result, error) {
+	p := fig9Runs[s]
+	jobs := p.workload(seed)
 	out := &Fig9Result{
 		Util:     map[System]*tsdb.Series{},
 		Active:   map[System]*tsdb.Series{},
@@ -78,10 +80,10 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 	results, err := runIndexed(len(systems), func(i int) (SharingResult, error) {
 		return RunSharing(SharingConfig{
 			System:      systems[i],
-			Nodes:       cfg.Nodes,
-			GPUsPerNode: cfg.GPUsPerNode,
+			Nodes:       p.nodes,
+			GPUsPerNode: p.gpusPerNode,
 			Jobs:        jobs,
-			Sample:      cfg.Sample,
+			Sample:      fig9Sample,
 		})
 	})
 	if err != nil {
@@ -114,4 +116,19 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 		out.Makespan[KubeShare].Round(time.Second).String(), "")
 	out.Table = tb
 	return out, nil
+}
+
+// renderCharts draws the two timelines Figure 9 plots: average GPU
+// utilization and allocated GPUs, per system.
+func (r *Fig9Result) renderCharts(w io.Writer) {
+	util := metrics.NewChart("Figure 9 timeline: average GPU utilization")
+	util.YMax = 1
+	active := metrics.NewChart("Figure 9 timeline: allocated GPUs")
+	for _, sys := range []System{Kubernetes, KubeShare} {
+		r.Util[sys].Name, r.Active[sys].Name = string(sys), string(sys)
+		util.Add(r.Util[sys])
+		active.Add(r.Active[sys])
+	}
+	util.Render(w)
+	active.Render(w)
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated cluster. Each experiment is a pure
-// function from a config (with paper-scale defaults) to a metrics.Table
-// holding the rows/series the paper reports; the cmd/kubeshare-sim binary
-// and the repository benchmarks are thin wrappers around these functions.
+// function of its scale (quick or full, both runs defined once in the
+// figure's file) and, if seeded, a seed, to a metrics.Table holding the
+// rows/series the paper reports; Registry lists them for the
+// cmd/kubeshare-sim binary, and the repository benchmarks and tests call
+// the same functions.
 package experiments
 
 import (

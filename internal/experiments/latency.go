@@ -9,14 +9,6 @@ import (
 	"kubeshare/internal/obs/attr"
 )
 
-// LatencyConfig drives the end-to-end latency experiment: the Fig 9
-// workload run under KubeShare with telemetry on, reporting percentiles
-// of the control-plane and device-library latency distributions the
-// observability spine records.
-type LatencyConfig struct {
-	Fig9Config
-}
-
 // LatencyResult carries the percentile table plus the raw histogram
 // snapshots for further analysis.
 type LatencyResult struct {
@@ -44,19 +36,19 @@ var latencyMetrics = []struct{ name, label string }{
 	{"kubeshare_devlib_token_wait_seconds", "token_wait"},
 }
 
-// Latency runs the Fig 9 workload under KubeShare and tabulates p50/p90/p99
+// Latency runs the Fig 9 workload under KubeShare with telemetry on and
+// tabulates p50/p90/p99
 // and the mean of each recorded latency distribution (seconds). The
 // scheduling-latency histogram measures submit-to-scheduled per sharePod;
 // the token-wait histogram measures every token acquire across all devices
 // — the grant-latency signal behind the paper's sharing guarantees.
-func Latency(cfg LatencyConfig) (*LatencyResult, error) {
-	c := cfg.Fig9Config.withDefaults()
-	jobs := fig9Jobs(c)
+func Latency(s Scale, seed int64) (*LatencyResult, error) {
+	p := fig9Runs[s]
 	res, err := RunSharing(SharingConfig{
 		System:      KubeShare,
-		Nodes:       c.Nodes,
-		GPUsPerNode: c.GPUsPerNode,
-		Jobs:        jobs,
+		Nodes:       p.nodes,
+		GPUsPerNode: p.gpusPerNode,
+		Jobs:        p.workload(seed),
 		Attribution: true,
 	})
 	if err != nil {

@@ -27,9 +27,9 @@ type LiveConfig struct {
 	Jobs []workload.Job
 	// Seed generates the default workload when Jobs is empty.
 	Seed int64
-	// Full uses the paper-scale Fig 9 workload for the default mix instead
-	// of the quick-scale one.
-	Full bool
+	// Scale picks the Fig 9 run whose cluster and workload are the
+	// defaults.
+	Scale Scale
 	// Interval is the telemetry sampling cadence (default 1s).
 	Interval time.Duration
 }
@@ -51,27 +51,18 @@ type Live struct {
 // consumption layer and submits the workload — without running anything;
 // the caller paces the clock with Advance.
 func StartLive(cfg LiveConfig) (*Live, error) {
+	p := fig9Runs[cfg.Scale]
 	if cfg.Nodes == 0 {
-		if cfg.Full {
-			cfg.Nodes = 8
-		} else {
-			cfg.Nodes = 2
-		}
+		cfg.Nodes = p.nodes
 	}
 	if cfg.GPUsPerNode == 0 {
-		cfg.GPUsPerNode = 4
+		cfg.GPUsPerNode = p.gpusPerNode
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Second
 	}
 	if cfg.Jobs == nil {
-		f9 := Fig9Config{Fig8Config: Fig8Config{Seed: cfg.Seed, Nodes: cfg.Nodes, GPUsPerNode: cfg.GPUsPerNode}}
-		if !cfg.Full {
-			f9.Fig8Config.Jobs = 60
-			f9.JobDuration = 30 * time.Second
-			f9.FreqFactor = 2.5
-		}
-		cfg.Jobs = fig9Jobs(f9.withDefaults())
+		cfg.Jobs = p.workload(cfg.Seed)
 	}
 	env := sim.NewEnv()
 	c, err := newCluster(env, cfg.Nodes, cfg.GPUsPerNode, false)

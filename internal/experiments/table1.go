@@ -12,26 +12,12 @@ import (
 	"kubeshare/internal/workload"
 )
 
-// Table1Config drives the fragmentation comparison that quantifies Table 1
-// and Figure 3: the first-class, locality-aware scheduler (KubeShare)
-// versus the aggregate-count scheduler-extender baseline with round-robin
-// in-node device binding.
-type Table1Config struct {
-	GPUs int
-	// Demands are the container gpu_requests submitted in order (Fig 3's
-	// containers A–F by default).
-	Demands []float64
-}
+// Table 1's placement scenarios run on one node of table1GPUs GPUs; the
+// first submits Fig 3's containers A–F with these gpu_requests, in order.
+// Its quick and full runs are the same run.
+var table1Demands = []float64{0.5, 0.5, 0.5, 0.4, 0.3, 0.3}
 
-func (c Table1Config) withDefaults() Table1Config {
-	if c.GPUs == 0 {
-		c.GPUs = 4
-	}
-	if len(c.Demands) == 0 {
-		c.Demands = []float64{0.5, 0.5, 0.5, 0.4, 0.3, 0.3}
-	}
-	return c
-}
+const table1GPUs = 4
 
 // placementStats summarizes one scheduler's placement.
 type placementStats struct {
@@ -50,9 +36,9 @@ const (
 	table1Deepomatic
 )
 
-func runPlacement(cfg Table1Config, sys table1System) (placementStats, error) {
+func runPlacement(demands []float64, sys table1System) (placementStats, error) {
 	env := sim.NewEnv()
-	c, err := newCluster(env, 1, cfg.GPUs, false)
+	c, err := newCluster(env, 1, table1GPUs, false)
 	if err != nil {
 		return placementStats{}, err
 	}
@@ -70,8 +56,8 @@ func runPlacement(cfg Table1Config, sys table1System) (placementStats, error) {
 	}
 	// Sequential arrivals 100 ms apart, as in Fig 3's scenario.
 	var runErr error
-	workload.Submit(env, c.API, len(cfg.Demands), func(i int) (time.Duration, api.Object) {
-		d := cfg.Demands[i]
+	workload.Submit(env, c.API, len(demands), func(i int) (time.Duration, api.Object) {
+		d := demands[i]
 		return time.Duration(i) * 100 * time.Millisecond, &core.SharePod{
 			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("ctr-%c", 'a'+i)},
 			Spec: core.SharePodSpec{
@@ -109,22 +95,19 @@ func runPlacement(cfg Table1Config, sys table1System) (placementStats, error) {
 // never over-commits a device and activates the minimum number of GPUs
 // (queueing the overflow instead); the extender baseline spreads jobs
 // round-robin, activating every GPU and over-committing under contention.
-func Table1(cfg Table1Config) (*metrics.Table, error) {
-	cfg = cfg.withDefaults()
+func Table1() (*metrics.Table, error) {
 	tb := metrics.NewTable("Table 1 / Figure 3: fragmentation under single-device, round-robin and locality-aware scheduling",
 		"scenario", "metric", "deepomatic", "extender_rr", "kubeshare")
 	scenarios := []struct {
 		name    string
 		demands []float64
 	}{
-		{"mixed demands (Fig 3)", cfg.Demands},
+		{"mixed demands (Fig 3)", table1Demands},
 		{"contending 0.6s", []float64{0.6, 0.6, 0.6, 0.6, 0.6, 0.6}},
 	}
 	systems := []table1System{table1Deepomatic, table1Extender, table1KubeShare}
 	stats, err := runIndexed(len(scenarios)*len(systems), func(i int) (placementStats, error) {
-		scCfg := cfg
-		scCfg.Demands = scenarios[i/len(systems)].demands
-		return runPlacement(scCfg, systems[i%len(systems)])
+		return runPlacement(scenarios[i/len(systems)].demands, systems[i%len(systems)])
 	})
 	if err != nil {
 		return nil, err

@@ -88,8 +88,7 @@ func (nl *NodeLifecycle) sweep() {
 
 // evict deletes every non-terminated pod bound to the dead node. Deletion —
 // not a Failed status — is deliberate: it is the one signal every owner
-// already handles (the replication manager replaces deleted replicas,
-// KubeShare-Sched requeues sharePods whose bound pod vanished, DevMgr
+// already handles (DevMgr requeues sharePods whose bound pod vanished and
 // recovers vGPUs whose holder disappeared).
 func (nl *NodeLifecycle) evict(nodeName string) {
 	pods := apiserver.Pods(nl.srv)

@@ -170,6 +170,7 @@ func WithExtenderScheduler() Option { return func(c *config) { c.extender = true
 
 // WithGangTimeout bounds how long an incomplete gang (SharePodSet with Gang
 // enabled) may hold reserved capacity against younger work (default 30s).
+// Only KubeShare-Sched holds gangs; the extender baseline ignores it.
 func WithGangTimeout(d time.Duration) Option { return func(c *config) { c.gangTimeout = d } }
 
 // WithoutKubeShare builds a vanilla cluster with no KubeShare installed
@@ -212,7 +213,7 @@ func New(opts ...Option) (*Sim, error) {
 	switch {
 	case cfg.noKubeShare:
 	case cfg.extender:
-		ks, _, err := schedfw.InstallExtender(cluster, cfg.ks, schedfw.WithGangTimeout(cfg.gangTimeout))
+		ks, _, err := schedfw.InstallExtender(cluster, cfg.ks)
 		if err != nil {
 			return nil, err
 		}
