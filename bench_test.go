@@ -201,9 +201,9 @@ func BenchmarkFig10PodCreation(b *testing.B) {
 
 // BenchmarkFig11SchedulingTime measures one KubeShare-Sched decision against
 // real state with N existing SharePods — the real-CPU-time figure, timing
-// the unit Fig 11 times (experiments.NewSchedulingDecision: the default
-// plugin set through the fwk engine on the snapshot's borrowed pool, in a
-// transaction rolled back after). The paper's claim: linear in N, ≪400ms at
+// the unit Fig 11 times (experiments.NewSchedulingDecision: core.Decide on
+// the snapshot's borrowed pool, committed in a transaction rolled back
+// after). The paper's claim: linear in N, ≪400ms at
 // 100.
 func BenchmarkFig11SchedulingTime(b *testing.B) {
 	for _, n := range []int{10, 25, 50, 100, 200, 400, 1000, 10000} {

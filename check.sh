@@ -47,8 +47,9 @@ go run ./tools/benchgate
 # 8 and 32 watchers), Client.MutateStatus (two, with 0 or 64 env vars), a
 # logged write (the volatile write's one), a kernel launch (nothing, under
 # every strategy), a placement staged and rolled back on an unlabeled pool
-# device and the snapshot's refresh of a device it holds (nothing), Fig 11's
-# decision (two: the transaction and its journal); Figure 15's decisions per second, Figure 17's rows and
+# device, the snapshot's refresh of a device it holds and core.Schedule on a
+# pool of loaded unlabeled devices (nothing), Fig 11's decision (one: its
+# journal); Figure 15's decisions per second, Figure 17's rows and
 # Figure 18's throughputs, stretches and memory witnesses at quick scale.
 # Figure 16's decisions and Figure 19's table are pinned by
 # TestFig16PlacementsPinned and fig19_table.golden. Beside them, every
@@ -167,19 +168,19 @@ go test ./internal/workload/ -run xxx -fuzz 'FuzzReadTrace$' -fuzztime 5s
 # device's residuals NaN, which would also break the pool's residual order.
 go test ./internal/core/ -run xxx -fuzz 'FuzzValidateSharePodSpec$' -fuzztime 5s
 # Scheduling-framework suite under the race detector on the multi-worker
-# path: engine/Algorithm-1 equivalence properties, transaction rollback,
-# batched-vs-sequential, conflict retry, gang all-or-nothing, and the
-# parking reference model.
+# path: transaction rollback, batched-vs-sequential, conflict retry, gang
+# all-or-nothing, and the parking reference model. (Algorithm 1's own
+# properties live in internal/core, which the race pass above covers.)
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
 # The persistent pool's own properties, by name so they cannot silently
 # vanish: narrowing a decision to Pool.Fitting's candidates never changes it
-# (against the same plugin set walking every device, and against Algorithm 1),
-# the residual order survives every transaction step and rollback, and the
-# pool the cycles borrow equals a relist after every delta — with
-# borrowed-and-rolled-back transactions, and deltas landing inside them, in
-# between — and the journal copies a device's label sets rather than sharing
-# them. Each name lives in one of the three packages.
-named 'TestEngineNarrowing|TestTxnRollback|TestTxnJournalCopiesLabelSets|TestSnapshotMatchesRebuildRandomized' env GOMAXPROCS=4 go test -race ./internal/core/ ./internal/core/schedfw/fwk/ ./internal/core/schedfw/plugins/
+# (against core.Decide walking every device, and against Algorithm 1 as the
+# paper writes it), the residual order survives every transaction step and
+# rollback, and the pool the cycles borrow equals a relist after every delta
+# — with borrowed-and-rolled-back transactions, and deltas landing inside
+# them, in between — and the journal copies a device's label sets rather
+# than sharing them. Each name lives in one of the two packages.
+named 'TestDecideNarrowing|TestTxnRollback|TestTxnJournalCopiesLabelSets|TestSnapshotMatchesRebuildRandomized' env GOMAXPROCS=4 go test -race ./internal/core/ ./internal/core/schedfw/fwk/
 # The store's one lock under the race detector with goroutines actually
 # running concurrently: the churn-vs-watch equivalence property (live,
 # filtered and late-registered watches), goroutine readers (Scan/Get/List)

@@ -78,7 +78,6 @@ func (d *DeviceState) Fits(r Request) bool {
 
 // FitsMemBytes reports whether the request's byte-denominated memory demand
 // alone fits the device — vacuously true for purely fractional requests.
-// Exported for the schedfw MemoryFit filter plugin.
 func (d *DeviceState) FitsMemBytes(r Request) bool {
 	if r.MemBytes <= 0 {
 		return true
@@ -264,6 +263,20 @@ func (p *Pool) Remove(i int) {
 	p.Devices = slices.Delete(p.Devices, i, i+1)
 }
 
+// AddDevice creates a vGPU on node, consuming one of its free physical GPUs,
+// places r on it and appends it to the pool.
+func (p *Pool) AddDevice(node, id string, r Request) *DeviceState {
+	p.FreePhysical[node]--
+	d := NewDeviceState(id, node)
+	if p.MemFactor > 0 {
+		d.MemCapacity = p.MemFactor
+		d.Mem = p.MemFactor
+	}
+	d.Place(r)
+	p.Insert(len(p.Devices), d)
+	return d
+}
+
 // VerifyIndex checks the residual order's invariant: exactly the pool's
 // devices, sorted.
 func (p *Pool) VerifyIndex() error {
@@ -318,12 +331,136 @@ type Decision struct {
 	Reason   string
 }
 
-// Schedule is Algorithm 1 for one request: it decides r on pool and commits
-// an Assigned or NewDevice decision onto it, so a sequence of calls sees
-// consistent residuals. It is the decision KubeShare-Sched makes — the
-// default plugin set through the fwk engine, in a transaction of its own —
-// and package plugins, which core cannot import, installs it.
-var Schedule func(r Request, pool *Pool) Decision
+// Decide is Algorithm 1 for one request: where r goes on pool. It changes
+// nothing there (pool.NewID aside, which a NewDevice decision draws on);
+// Schedule, or a transaction, commits what it returns — the chosen device
+// for Assigned, nil otherwise.
+//
+//  1. A request with an affinity label joins the device hosting its group
+//     (rejected if exclusion, anti-affinity or capacity forbid it), else
+//     opens the group on the lowest idle device, else goes straight to a
+//     new device.
+//  2. Otherwise the candidates are the devices whose exclusion label
+//     matches, that do not host the request's anti-affinity label and that
+//     it fits; idle devices pass those three (their tenants are gone) but
+//     must still hold a byte-quantity memory request.
+//  3. Plain devices (idle, or without affinity labels) come before labelled
+//     ones; best fit (least residual) among plain ones, worst fit among
+//     labelled ones, equal residuals to the lowest ID. With no candidate a
+//     new vGPU goes on the node with the most free physical GPUs, or the
+//     request finds NoCapacity.
+//
+// The scheduler's parking and its per-cycle memo rest on two properties of
+// this function. It is pure: the decision depends on (r, pool) alone, so
+// equal requests get equal decisions against equal pools. And it is
+// capacity-monotone: committing more of its own decisions onto a pool never
+// turns NoCapacity into a placement; only a release can (a tenant leaving, a
+// device or node appearing, or a tenant bound to a user-chosen GPUID, which
+// the scheduler counts as a release). Both speak of identical requests: a
+// smaller request failing says nothing about a larger one.
+func Decide(r Request, pool *Pool) (Decision, *DeviceState) {
+	return decide(r, pool, pool.Fitting(r))
+}
+
+// decide is Decide with step 2 walking candidates (nil = every device):
+// Pool.Fitting's superset of the devices r fits, or the whole pool in tests.
+// Their order does not matter, since full ties fall to the lowest ID.
+func decide(r Request, pool *Pool, candidates []*DeviceState) (Decision, *DeviceState) {
+	if r.Aff != "" {
+		if d := FindAffinity(pool, r.Aff); d != nil {
+			if d.Excl != r.Excl {
+				return Decision{Outcome: Rejected, Reason: fmt.Sprintf(
+					"affinity device %s has exclusion %q, request has %q", d.ID, d.Excl, r.Excl)}, nil
+			}
+			if r.Anti != "" && d.Anti[r.Anti] {
+				return Decision{Outcome: Rejected, Reason: fmt.Sprintf(
+					"affinity device %s already hosts anti-affinity label %q", d.ID, r.Anti)}, nil
+			}
+			if !d.Fits(r) {
+				return Decision{Outcome: Rejected, Reason: fmt.Sprintf(
+					"affinity device %s lacks capacity (util %.2f/%.2f, mem %.2f/%.2f)",
+					d.ID, r.Util, d.Util, r.Mem, d.Mem)}, nil
+			}
+			return assigned(d), d
+		}
+		// First container with this affinity label: prefer an idle device so
+		// the group has room to grow, else a new one.
+		if d := FirstIdle(pool); d != nil {
+			return assigned(d), d
+		}
+		return newDevice(pool), nil
+	}
+
+	if candidates == nil {
+		candidates = pool.Devices
+	}
+	var best *DeviceState
+	var bestLabelled bool
+	var bestScore float64
+	for _, d := range candidates {
+		if d.Idle {
+			if !d.FitsMemBytes(r) {
+				continue
+			}
+		} else if r.Excl != d.Excl || (r.Anti != "" && d.Anti[r.Anti]) || !d.Fits(r) {
+			continue
+		}
+		// Maximize -residual on plain devices (best fit), +residual on
+		// labelled ones (worst fit); negating rather than subtracting keeps
+		// equal residuals exactly equal.
+		labelled := len(d.Aff) > 0 && !d.Idle
+		score := -Residual(d)
+		if labelled {
+			score = Residual(d)
+		}
+		if best != nil {
+			if labelled != bestLabelled {
+				if labelled {
+					continue
+				}
+			} else if score != bestScore {
+				if score < bestScore {
+					continue
+				}
+			} else if d.ID > best.ID {
+				continue
+			}
+		}
+		best, bestLabelled, bestScore = d, labelled, score
+	}
+	if best == nil {
+		return newDevice(pool), nil
+	}
+	return assigned(best), best
+}
+
+func assigned(d *DeviceState) Decision {
+	return Decision{Outcome: Assigned, GPUID: d.ID, NodeName: d.NodeName}
+}
+
+// newDevice proposes a fresh vGPU on the node with the most free physical
+// GPUs, or NoCapacity when the cluster has none left.
+func newDevice(pool *Pool) Decision {
+	node := PickNewDeviceNode(pool)
+	if node == "" {
+		return Decision{Outcome: NoCapacity, Reason: NoFreeGPUReason}
+	}
+	return Decision{Outcome: NewDevice, GPUID: pool.NewID(), NodeName: node}
+}
+
+// Schedule is Algorithm 1 for one request, committed: it decides r on pool
+// and places an Assigned or NewDevice decision onto it, so a sequence of
+// calls sees consistent residuals.
+func Schedule(r Request, pool *Pool) Decision {
+	dec, d := Decide(r, pool)
+	switch dec.Outcome {
+	case Assigned:
+		pool.Place(d, r)
+	case NewDevice:
+		pool.AddDevice(dec.NodeName, dec.GPUID, r)
+	}
+	return dec
+}
 
 // FindAffinity returns the device carrying the affinity label (the pool
 // invariant keeps at most one, since affinity forces co-location).
@@ -358,8 +495,7 @@ func Residual(d *DeviceState) float64 {
 
 // PickNewDeviceNode decides where a fresh vGPU would go — the node with the
 // most free physical GPUs (spreading acquisition) — without committing
-// anything; "" means the cluster has none left. The device itself is created
-// in the framework's reserve phase, so a rollback can return the GPU.
+// anything; "" means the cluster has none left.
 func PickNewDeviceNode(pool *Pool) string {
 	bestNode, bestFree := "", 0
 	for n, free := range pool.FreePhysical {

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"kubeshare/internal/core"
-	_ "kubeshare/internal/core/schedfw/plugins" // installs core.Schedule
 )
 
 // testPool builds a pool with free physical GPUs and a serial id generator.

@@ -1,10 +1,10 @@
 // Package coretest holds Algorithm 1 as the paper writes it — three walks of
-// the pool, with the step-3 fit policy as a knob — for tests and benchmarks
-// only; no program code imports it. KubeShare-Sched decides through the
-// schedfw engine over the default plugin set (core.Schedule is that engine),
-// and the equivalence tests in schedfw/plugins hold the engine to this
-// reference decision for decision. The policy variants other than the
-// paper's survive only here, as the placement ablation's baselines.
+// the pool, with the step-3 fit policy as a knob — and the random pools and
+// requests the tests drive it with, for tests and benchmarks only; no
+// program code imports it. KubeShare-Sched decides through core.Decide, and
+// core's equivalence tests hold that function to this reference decision
+// for decision. The policy variants other than the paper's survive only
+// here, as the placement ablation's baselines.
 package coretest
 
 import (
@@ -151,4 +151,66 @@ func newDevice(r core.Request, pool *core.Pool) core.Decision {
 	d.Place(r)
 	pool.Devices = append(pool.Devices, d)
 	return core.Decision{Outcome: core.NewDevice, GPUID: id, NodeName: node}
+}
+
+var (
+	affLabels  = []string{"", "g1", "g2", "g3"}
+	antiLabels = []string{"", "t1", "t2"}
+	exclLabels = []string{"", "x1", "x2"}
+)
+
+// Rand is the part of a *math/rand.Rand the generators below draw from.
+type Rand interface{ Intn(n int) int }
+
+// RandomRequest draws a fractional request with shares in {0.05, …, 1} and
+// each label from a small vocabulary (or none), so labels collide often.
+func RandomRequest(rng Rand) core.Request {
+	return core.Request{
+		Util: float64(rng.Intn(20)+1) / 20,
+		Mem:  float64(rng.Intn(20)+1) / 20,
+		Aff:  affLabels[rng.Intn(len(affLabels))],
+		Anti: antiLabels[rng.Intn(len(antiLabels))],
+		Excl: exclLabels[rng.Intn(len(exclLabels))],
+	}
+}
+
+// RandomPools builds n structurally identical pools by replaying one random
+// construction onto each: devices carved on random nodes, each loaded with a
+// few placed requests (or left idle), plus free physical headroom. Each pool
+// draws fresh GPUIDs from its own serial counter, so all see one sequence.
+func RandomPools(rng Rand, n int, memFactor float64) []*core.Pool {
+	pools := make([]*core.Pool, n)
+	for i := range pools {
+		serial := 0
+		pools[i] = &core.Pool{FreePhysical: map[string]int{}, MemFactor: memFactor,
+			NewID: func() string { serial++; return fmt.Sprintf("vgpu-%04d", serial) }}
+	}
+	nodes := rng.Intn(4) + 1
+	for n := 0; n < nodes; n++ {
+		node := fmt.Sprintf("node%d", n)
+		free := rng.Intn(4)
+		for g := 0; g < rng.Intn(4); g++ {
+			id := fmt.Sprintf("gpu-%s-%d", node, g)
+			var reqs []core.Request
+			for t := 0; t < rng.Intn(3); t++ {
+				reqs = append(reqs, RandomRequest(rng))
+			}
+			for _, p := range pools {
+				d := core.NewDeviceState(id, node)
+				d.MemCapacity, d.Mem = memFactor, memFactor
+				for _, r := range reqs {
+					if d.Fits(r) {
+						d.Place(r)
+					}
+				}
+				p.Devices = append(p.Devices, d)
+			}
+		}
+		for _, p := range pools {
+			if free > 0 {
+				p.FreePhysical[node] = free
+			}
+		}
+	}
+	return pools
 }

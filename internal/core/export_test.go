@@ -1,0 +1,5 @@
+package core
+
+// DecideOver is Decide with step 2 walking candidates (nil = every device)
+// instead of Pool.Fitting's.
+var DecideOver = decide

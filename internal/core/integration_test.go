@@ -4,8 +4,6 @@ import (
 	"fmt"
 	. "kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
-	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/core/schedfw/plugins"
 	"math"
 	"testing"
 	"time"
@@ -405,34 +403,6 @@ func SharePodsGetWall(t *testing.T, c *kube.Cluster, name string) time.Duration 
 		t.Fatalf("%s: %s (%s)", name, sp.Status.Phase, sp.Status.Message)
 	}
 	return sp.Status.FinishTime - sp.Status.RunningTime
-}
-
-// freshDevice is a user-written placement policy — never share: it votes
-// every existing device out, so each unit falls through to the allocation
-// phase, where the embedded NodeSpread opens a new vGPU.
-type freshDevice struct{ plugins.NodeSpread }
-
-func (freshDevice) Name() string                        { return "fresh-device" }
-func (freshDevice) Filter(*fwk.Unit, *DeviceState) bool { return false }
-
-// TestCustomSchedulingPolicy swaps Algorithm 1 for a spread-everything
-// plugin profile (every request on a fresh device) and verifies the DevMgr
-// machinery serves it unchanged — the §4.6 decoupling claim, through the
-// mechanism that honours the reservation journal.
-func TestCustomSchedulingPolicy(t *testing.T) {
-	s := newStack(t, 1, Config{}, schedfw.WithPlugins(freshDevice{}, plugins.DeviceCommit{}))
-	s.env.Go("submit", func(p *sim.Proc) {
-		s.create(t, sharePod("a", 0.2, 0.4, 0.1, 1))
-		s.create(t, sharePod("b", 0.2, 0.4, 0.1, 1))
-	})
-	s.env.Run()
-	a, b := s.get(t, "a"), s.get(t, "b")
-	if a.Status.Phase != SharePodSucceeded || b.Status.Phase != SharePodSucceeded {
-		t.Fatalf("phases %s/%s", a.Status.Phase, b.Status.Phase)
-	}
-	if a.Status.UUID == b.Status.UUID {
-		t.Fatal("custom spread policy ignored: tenants share a device")
-	}
 }
 
 func TestValidateSharePodRejectsBadSpecs(t *testing.T) {

@@ -16,10 +16,10 @@ import (
 // GaiaGPU, Deepomatic — §3.1/§6). It shares InstallBase, DevMgr and the
 // device library with KubeShare-Sched but runs its own cycle loop — a
 // coalesced wake, one placement per cycle — with the extender's
-// aggregate-capacity policy in place of the plugin pipeline. Fractional
+// aggregate-capacity policy in place of Algorithm 1. Fractional
 // demands count against each node's aggregate GPU capacity and the in-node
 // device binding is a round-robin the scheduler neither sees nor controls —
-// reproducing the Figure 3a pathology the plugin set avoids.
+// reproducing the Figure 3a pathology Algorithm 1 avoids.
 //
 // The policy keeps the legacy architecture's re-list-per-cycle accounting
 // (it has no incremental snapshot — that is part of the baseline's cost),

@@ -6,9 +6,9 @@ import (
 	"kubeshare/internal/core"
 )
 
-// Txn is the transactional view of one scheduling cycle's pool. Reserve
-// plugins mutate devices only through it; every mutation is journaled, so
-// the driver can checkpoint before a gang's first member and roll the whole
+// Txn is the transactional view of one scheduling cycle's pool. The driver
+// commits decisions only through it; every mutation is journaled, so the
+// driver can checkpoint before a gang's first member and roll the whole
 // group back when a later member fails — the all-or-nothing reserve.
 //
 // The journal is an undo log, not a copy of the pool: rollback restores
@@ -47,10 +47,6 @@ type txnOp struct {
 // Rollback(0) hands it back exactly as it was borrowed.
 func NewTxn(pool *core.Pool) *Txn { return &Txn{pool: pool} }
 
-// Pool exposes the pool for reading (filters, scorers, allocators).
-// Mutations must go through Place / AddDevice.
-func (t *Txn) Pool() *core.Pool { return t.pool }
-
 // Checkpoint marks the current journal position for a later Rollback.
 func (t *Txn) Checkpoint() Mark { return Mark(len(t.journal)) }
 
@@ -63,20 +59,24 @@ func (t *Txn) Place(d *core.DeviceState, r core.Request) {
 	t.pool.Place(d, r)
 }
 
-// AddDevice creates a fresh vGPU on node (consuming one free physical GPU),
-// places the request on it, and appends it to the pool — the reserve half
-// of a NewDevice decision.
-func (t *Txn) AddDevice(node, id string, r core.Request) *core.DeviceState {
-	t.pool.FreePhysical[node]--
-	d := core.NewDeviceState(id, node)
-	if t.pool.MemFactor > 0 {
-		d.MemCapacity = t.pool.MemFactor
-		d.Mem = t.pool.MemFactor
-	}
-	d.Place(r)
-	t.pool.Insert(len(t.pool.Devices), d)
+// AddDevice creates a fresh vGPU on node (consuming one free physical GPU)
+// and places the request on it — the commit of a NewDevice decision.
+func (t *Txn) AddDevice(node, id string, r core.Request) {
+	d := t.pool.AddDevice(node, id, r)
 	t.journal = append(t.journal, txnOp{kind: opAddDevice, dev: d, node: node})
-	return d
+}
+
+// Schedule is core.Schedule on the transaction: Algorithm 1's decision for
+// r, an Assigned or NewDevice one committed through Place or AddDevice.
+func (t *Txn) Schedule(r core.Request) core.Decision {
+	dec, d := core.Decide(r, t.pool)
+	switch dec.Outcome {
+	case core.Assigned:
+		t.Place(d, r)
+	case core.NewDevice:
+		t.AddDevice(dec.NodeName, dec.GPUID, r)
+	}
+	return dec
 }
 
 // Rollback undoes every mutation after the mark, newest first. Created

@@ -1,11 +1,14 @@
 package fwk
 
 import (
+	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"kubeshare/internal/core"
+	"kubeshare/internal/core/coretest"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/sim"
@@ -69,5 +72,79 @@ func TestTxnJournalCopiesLabelSets(t *testing.T) {
 	}
 	if err := core.DiffPools(snap.Pool(nil), core.BuildPool(srv, 1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// requireIndex fails the test unless the pool's residual order is a
+// permutation of its devices sorted by (residual key, ID).
+func requireIndex(t *testing.T, pool *core.Pool, when string) {
+	t.Helper()
+	if err := pool.VerifyIndex(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// TestTxnRollback pins the undo log: placements and device creations after a
+// checkpoint roll back to exactly the checkpointed pool, and the residual
+// order follows every step there and back.
+func TestTxnRollback(t *testing.T) {
+	created := 0
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed + 1000))
+		pools := coretest.RandomPools(rng, 2, 1)
+		want, pool := pools[0], pools[1] // want stays untouched as the reference
+		pool.Fitting(core.Request{})     // index the literal pool before its first step
+		txn := NewTxn(pool)
+		mark := txn.Checkpoint()
+		for step := 0; step < 20; step++ {
+			if txn.Schedule(coretest.RandomRequest(rng)).Outcome == core.NewDevice {
+				created++
+			}
+			requireIndex(t, pool, fmt.Sprintf("seed %d step %d", seed, step))
+		}
+		txn.Rollback(mark)
+		if txn.Len() != 0 {
+			t.Fatalf("seed %d: journal length %d after full rollback", seed, txn.Len())
+		}
+		if err := core.DiffPools(pool, want); err != nil {
+			t.Fatalf("seed %d: rollback did not restore pool: %v", seed, err)
+		}
+		requireIndex(t, pool, fmt.Sprintf("seed %d after rollback", seed))
+	}
+	if created == 0 {
+		t.Fatal("no sequence created a device: AddDevice's rollback went untested")
+	}
+}
+
+// TestTxnPartialRollback checks that rolling back to a mid-sequence mark
+// keeps the prefix: replaying the prefix onto a fresh pool matches.
+func TestTxnPartialRollback(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	pools := coretest.RandomPools(rng, 2, 1)
+	reference, pool := pools[0], pools[1]
+	var reqs []core.Request
+	for i := 0; i < 12; i++ {
+		reqs = append(reqs, coretest.RandomRequest(rng))
+	}
+
+	pool.Fitting(core.Request{})
+	txn := NewTxn(pool)
+	for _, r := range reqs[:6] {
+		txn.Schedule(r)
+		requireIndex(t, pool, "before the mark")
+	}
+	mark := txn.Checkpoint()
+	for _, r := range reqs[6:] {
+		txn.Schedule(r)
+		requireIndex(t, pool, "past the mark")
+	}
+	txn.Rollback(mark)
+	requireIndex(t, pool, "after partial rollback")
+
+	for _, r := range reqs[:6] {
+		core.Schedule(r, reference)
+	}
+	if err := core.DiffPools(pool, reference); err != nil {
+		t.Fatalf("partial rollback diverged from prefix replay: %v", err)
 	}
 }

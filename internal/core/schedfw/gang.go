@@ -72,9 +72,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	rejectReason := ""
 	short := false
 	for _, sp := range members {
-		u := unitOf(sp)
-		dec := s.engine.Schedule(&u, txn)
-		s.decisions.Inc()
+		dec := s.decide(core.RequestOf(sp), txn)
 		switch dec.Outcome {
 		case core.Rejected:
 			rejectReason = fmt.Sprintf("gang %s: member %s unschedulable: %s", gang, sp.Name, dec.Reason)

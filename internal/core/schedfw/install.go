@@ -7,10 +7,9 @@ import (
 
 // Install deploys KubeShare onto a cluster with the framework driver — the
 // standard composition: the shared base wiring (validators, holder image,
-// per-node device-library backends, DevMgr) plus the batched plugin-phased
-// scheduler. With no options the sequential compat cycle runs (single-unit
-// batches, Algorithm 1 phases in order); pass WithBatchSize /
-// WithGangTimeout / WithPlugins to opt into the framework extensions.
+// per-node device-library backends, DevMgr) plus the batched scheduler.
+// With no options the sequential compat cycle runs (single-unit batches);
+// pass WithBatchSize / WithGangTimeout to opt into the framework extensions.
 func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare, error) {
 	ks, err := core.InstallBase(c, cfg)
 	if err != nil {

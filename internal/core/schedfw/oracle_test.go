@@ -87,9 +87,7 @@ func (s *Scheduler) stageExhaustive(pending []*core.SharePod, txn *fwk.Txn, out 
 			progressed += n
 			continue
 		}
-		u := unitOf(sp)
-		dec := s.engine.Schedule(&u, txn)
-		s.decisions.Inc()
+		dec := s.decide(core.RequestOf(sp), txn)
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})

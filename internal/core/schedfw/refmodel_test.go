@@ -401,7 +401,7 @@ func at(log []string, i int) string {
 
 // TestParkingBoundsDecisions pins what parking buys on the requeue-storm
 // shape — a backlog of a few request classes several times the pool, drained
-// by steady completions: at most two pipeline runs per sharePod, where the
+// by steady completions: at most two decisions per sharePod, where the
 // exhaustive driver re-decides the whole backlog on every cycle.
 func TestParkingBoundsDecisions(t *testing.T) {
 	const pods = 400

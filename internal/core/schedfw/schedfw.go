@@ -1,15 +1,14 @@
-// Package schedfw is the scheduling framework: the batched, plugin-phased
-// KubeShare-Sched driver, plus the extender baseline (extender.go), which
-// runs a cycle loop of its own. Each cycle drains the pending queue into a
-// batch, runs every unit through the fwk engine (pre-filter → filter →
-// score → allocate → reserve) against a transactional view of the
-// incremental snapshot, resolves intra-batch conflicts through the
+// Package schedfw is the scheduling framework: the batched KubeShare-Sched
+// driver, plus the extender baseline (extender.go), which runs a cycle loop
+// of its own. Each cycle drains the pending queue into a batch, decides
+// every unit by Algorithm 1 (core.Decide) against a transactional view of
+// the incremental snapshot, resolves intra-batch conflicts through the
 // reservation journal, and commits the staged placements in bulk through
 // the API server.
 //
-// The default configuration — the Algorithm 1 plugin set, batch size 1 —
-// decides one sharePod per cycle exactly as the paper's scheduler does;
-// batching and gang scheduling are opt-in extensions on the same pipeline.
+// The default configuration — batch size 1 — decides one sharePod per cycle
+// exactly as the paper's scheduler does; batching and gang scheduling are
+// opt-in extensions on the same cycle.
 package schedfw
 
 import (
@@ -18,7 +17,6 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/core/schedfw/plugins"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
@@ -30,29 +28,30 @@ import (
 // package core).
 const (
 	// MetricSchedConflicts counts intra-batch reservation conflicts: a unit
-	// whose pipeline run found no capacity in a cycle where an earlier unit
-	// of the same batch had already reserved some. Units passed over without
-	// a pipeline run (MetricSchedSkipped) are not counted.
+	// whose decision found no capacity in a cycle where an earlier unit of
+	// the same batch had already reserved some. Units passed over without a
+	// decision (MetricSchedSkipped) are not counted.
 	MetricSchedConflicts = "kubeshare_sched_batch_conflicts_total"
 	// MetricSchedUnschedulable is the number of sharePods parked right now:
 	// pending, known to find no capacity, and not re-decided until a release
 	// moves the snapshot's generation.
 	MetricSchedUnschedulable = "kubeshare_sched_unschedulable_sharepods"
-	// MetricSchedSkipped counts units a cycle passed over without running
-	// the pipeline — parked since an earlier cycle, or carrying a request
-	// identical to one that already found no capacity in this cycle.
+	// MetricSchedSkipped counts units a cycle passed over without deciding
+	// them — parked since an earlier cycle, or carrying a request identical
+	// to one that already found no capacity in this cycle.
 	MetricSchedSkipped = "kubeshare_sched_skipped_total"
 	// MetricSchedGangAdmissions counts gangs admitted all-or-nothing.
 	MetricSchedGangAdmissions = "kubeshare_sched_gang_admissions_total"
 	// MetricSchedGangTimeouts counts gangs whose capacity hold expired.
 	MetricSchedGangTimeouts = "kubeshare_sched_gang_timeouts_total"
 	// metricPhasePrefix prefixes the per-phase run counters
-	// (kubeshare_sched_phase_<phase>_runs_total). They count pipeline runs
+	// (kubeshare_sched_phase_<phase>_runs_total). They count decisions
 	// only: a skipped unit runs no phase.
 	metricPhasePrefix = "kubeshare_sched_phase_"
 )
 
-// PhaseMetric returns the run-counter name for a fwk phase.
+// PhaseMetric returns the run-counter name for an Algorithm 1 step (a fwk
+// phase).
 func PhaseMetric(phase string) string { return metricPhasePrefix + phase + "_runs_total" }
 
 // Defaults for the framework knobs.
@@ -69,7 +68,6 @@ type options struct {
 	cfg         core.SchedulerConfig
 	batchSize   int
 	gangTimeout time.Duration
-	plugins     []fwk.Plugin
 }
 
 // Option configures the framework driver.
@@ -93,19 +91,13 @@ func WithGangTimeout(d time.Duration) Option {
 	return func(o *options) { o.gangTimeout = d }
 }
 
-// WithPlugins replaces the default Algorithm 1 plugin set.
-func WithPlugins(ps ...fwk.Plugin) Option {
-	return func(o *options) { o.plugins = ps }
-}
-
-// Scheduler is the framework driver. It owns everything the plugins must
-// not: the watch streams and incremental snapshot, the cycle clock, the
-// batch transaction, gang holds, and the bulk commit path to the API server.
+// Scheduler is the framework driver. Around Algorithm 1 it owns the watch
+// streams and incremental snapshot, the cycle clock, the batch transaction,
+// gang holds, and the bulk commit path to the API server.
 type Scheduler struct {
-	env    *sim.Env
-	srv    *apiserver.Server
-	cfg    core.SchedulerConfig
-	engine *fwk.Engine
+	env *sim.Env
+	srv *apiserver.Server
+	cfg core.SchedulerConfig
 
 	batchSize   int
 	gangTimeout time.Duration
@@ -134,11 +126,9 @@ type Scheduler struct {
 	parkedGen uint64
 	// failed is the cycle's memo of request values that found NoCapacity
 	// against the cycle transaction: a later unit with an identical request
-	// is parked without a pipeline run. Reset every cycle and after every
-	// gang attempt (a rollback may hand capacity back to the transaction).
+	// is parked without a decision. Reset every cycle and after every gang
+	// attempt (a rollback may hand capacity back to the transaction).
 	failed map[core.Request]struct{}
-	// scratch is the staging loop's one unit, reused sharePod to sharePod.
-	scratch fwk.Unit
 
 	tracer       *obs.Tracer
 	recorder     *obs.Recorder
@@ -155,8 +145,8 @@ type Scheduler struct {
 }
 
 // New creates the framework driver; Start launches it. With no options it
-// is the legacy scheduler, re-expressed: Algorithm 1 as the default plugin
-// set, batch size 1, identical watch wiring, counters, spans and events.
+// is the legacy scheduler: Algorithm 1 one sharePod per cycle, with
+// identical watch wiring, counters, spans and events.
 func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	o := options{batchSize: DefaultBatchSize, gangTimeout: DefaultGangTimeout}
 	for _, opt := range opts {
@@ -165,15 +155,11 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	if o.batchSize < 1 {
 		o.batchSize = 1
 	}
-	if o.plugins == nil {
-		o.plugins = plugins.Default()
-	}
 	rt := srv.Obs()
 	s := &Scheduler{
 		env:          env,
 		srv:          srv,
 		cfg:          o.cfg,
-		engine:       fwk.NewEngine(o.plugins),
 		batchSize:    o.batchSize,
 		gangTimeout:  o.gangTimeout,
 		snap:         core.NewSnapshot(o.cfg.MemOvercommitFactor),
@@ -197,8 +183,30 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	for _, ph := range fwk.Phases {
 		s.phaseRuns[ph] = rt.Counter(PhaseMetric(ph))
 	}
-	s.engine.SetPhaseHook(func(ph string) { s.phaseRuns[ph].Inc() })
 	return s
+}
+
+// decide runs Algorithm 1 for r against the cycle transaction, committing
+// an Assigned or NewDevice decision onto it, and counts the decision and
+// the steps it ran: every decision starts with the affinity check, only
+// one without an affinity label walks the pool (filter and score), the
+// new-vGPU fallback runs when no device was chosen, and a placement is
+// reserved.
+func (s *Scheduler) decide(r core.Request, txn *fwk.Txn) core.Decision {
+	dec := txn.Schedule(r)
+	s.decisions.Inc()
+	s.phaseRuns[fwk.PhasePreFilter].Inc()
+	if r.Aff == "" {
+		s.phaseRuns[fwk.PhaseFilter].Inc()
+		s.phaseRuns[fwk.PhaseScore].Inc()
+	}
+	if dec.Outcome == core.NewDevice || dec.Outcome == core.NoCapacity {
+		s.phaseRuns[fwk.PhaseAlloc].Inc()
+	}
+	if dec.Outcome == core.Assigned || dec.Outcome == core.NewDevice {
+		s.phaseRuns[fwk.PhaseReserve].Inc()
+	}
+	return dec
 }
 
 // Stats implements core.Sched.
@@ -328,12 +336,12 @@ type staged struct {
 // commit the staged decisions in bulk. It reports whether any unit
 // progressed (was staged); all-NoCapacity means wait for a cluster change.
 //
-// A pending unit is in one of three states. Active units run the pipeline.
+// A pending unit is in one of three states. Active units are decided.
 // Parked units — solo units that found NoCapacity and have seen no release
 // since — are passed over, so a cycle costs what its placeable units cost
 // rather than what the backlog weighs. Held gangs are re-attempted every
 // cycle (see scheduleGang). Parking changes no cycle, sleep or placement: a
-// parked unit is one whose pipeline run is known to end in NoCapacity.
+// parked unit is one whose decision is known to end in NoCapacity.
 func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	pending := s.snap.Pending()
 	s.depth.Set(int64(len(pending)))
@@ -402,8 +410,8 @@ func (s *Scheduler) live(name string) *core.SharePod {
 // at a time against the live transaction. Each unit is read from the API
 // server as the loop reaches it, exactly the legacy pace.
 //
-// A solo unit whose pipeline run ends in NoCapacity is parked and its
-// request recorded in the cycle memo; a later unit with an identical request
+// A solo unit whose decision ends in NoCapacity is parked and its request
+// recorded in the cycle memo; a later unit with an identical request
 // is parked on that evidence alone. Neither happens while the transaction
 // carries an uncommitted gang hold: the hold vanishes with the transaction
 // (or at gangTimeout) without any release delta, so a verdict reached
@@ -431,15 +439,13 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 			clear(s.failed)
 			continue
 		}
-		s.scratch = unitOf(sp)
-		u := &s.scratch
-		if _, ok := s.failed[u.Req]; ok {
-			s.parked[u.Name] = struct{}{}
+		req := core.RequestOf(sp)
+		if _, ok := s.failed[req]; ok {
+			s.parked[sp.Name] = struct{}{}
 			s.skipped.Inc()
 			continue
 		}
-		dec := s.engine.Schedule(u, txn)
-		s.decisions.Inc()
+		dec := s.decide(req, txn)
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
 			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
@@ -449,8 +455,8 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 				s.conflicts.Inc()
 			}
 			if !held {
-				s.parked[u.Name] = struct{}{}
-				s.failed[u.Req] = struct{}{}
+				s.parked[sp.Name] = struct{}{}
+				s.failed[req] = struct{}{}
 			}
 		}
 	}
@@ -509,17 +515,6 @@ func (s *Scheduler) applyRejection(name, reason string) {
 		return // the sharePod stays pending for a later cycle
 	}
 	s.apply(store.Event{Type: store.Modified, Object: updated})
-}
-
-// unitOf converts a sharePod into its framework scheduling view.
-func unitOf(sp *core.SharePod) fwk.Unit {
-	return fwk.Unit{
-		Name:     sp.Name,
-		Created:  sp.CreationTime,
-		Req:      core.RequestOf(sp),
-		Gang:     sp.Spec.Gang,
-		GangSize: sp.Spec.GangSize,
-	}
 }
 
 // gangOf returns the sharePod's active gang. Gang semantics gate initial

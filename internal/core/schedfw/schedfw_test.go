@@ -7,6 +7,7 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
+	"kubeshare/internal/core/schedfw/fwk"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store/storetest"
@@ -332,6 +333,63 @@ func TestGangRejectsWhole(t *testing.T) {
 		if sp.Status.Phase != core.SharePodRejected {
 			t.Errorf("%s phase = %s, want Rejected (%s)", name, sp.Status.Phase, sp.Status.Message)
 		}
+	}
+}
+
+// TestPhaseCountersFollowAlgorithm1 pins how the driver counts Algorithm 1's
+// steps, one sharePod a second on one node with two GPUs: a plain request
+// opens a device (every step); an affinity group's first member opens
+// another without walking the pool, its second joins it (prefilter and
+// reserve), a member with a conflicting exclusion label is rejected
+// (prefilter only); a plain request joins the plain device, and one that
+// fits nowhere finds no GPU left (every step but reserve).
+func TestPhaseCountersFollowAlgorithm1(t *testing.T) {
+	s := newStack(t, 1, 2, func(c *kube.Cluster) (*core.KubeShare, error) {
+		return schedfw.Install(c, core.Config{})
+	})
+	with := func(sp *core.SharePod, aff, excl string) *core.SharePod {
+		sp.Spec.Affinity, sp.Spec.Exclusion = aff, excl
+		return sp
+	}
+	pods := []*core.SharePod{
+		trainPod("plain", 0.5, 0.2, 2000),
+		with(trainPod("grp-0", 0.2, 0.2, 2000), "g", ""),
+		with(trainPod("grp-1", 0.2, 0.2, 2000), "g", ""),
+		with(trainPod("grp-excl", 0.2, 0.2, 2000), "g", "x"),
+		trainPod("small", 0.3, 0.2, 2000),
+		trainPod("big", 0.9, 0.2, 2000),
+	}
+	s.env.Go("submit", func(p *sim.Proc) {
+		for _, sp := range pods {
+			s.create(t, sp)
+			p.Sleep(time.Second)
+		}
+	})
+	s.env.RunUntil(time.Duration(len(pods)) * time.Second)
+	want := map[string]int64{
+		fwk.PhasePreFilter: 6,
+		fwk.PhaseFilter:    3,
+		fwk.PhaseScore:     3,
+		fwk.PhaseAlloc:     3,
+		fwk.PhaseReserve:   4,
+	}
+	rt := s.c.API.Obs()
+	for _, ph := range fwk.Phases {
+		if got := rt.Counter(schedfw.PhaseMetric(ph)).Value(); got != want[ph] {
+			t.Errorf("%s runs = %d, want %d", ph, got, want[ph])
+		}
+	}
+	if got := s.ks.Stats().Decisions; got != 6 {
+		t.Errorf("decisions = %d, want 6", got)
+	}
+	if sp := s.get(t, "grp-excl"); sp.Status.Phase != core.SharePodRejected {
+		t.Errorf("grp-excl phase = %s, want Rejected", sp.Status.Phase)
+	}
+	if small, plain := s.get(t, "small"), s.get(t, "plain"); small.Spec.GPUID != plain.Spec.GPUID {
+		t.Errorf("small on %s, want the plain device %s", small.Spec.GPUID, plain.Spec.GPUID)
+	}
+	if big := s.get(t, "big"); big.Placed() {
+		t.Errorf("big placed on %s, want pending", big.Spec.GPUID)
 	}
 }
 

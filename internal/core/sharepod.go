@@ -62,8 +62,7 @@ type SharePodSpec struct {
 	// GPUMemBytes is the absolute device-memory request in bytes (the
 	// KAI-style quantity form). Exactly one of GPUMem / GPUMemBytes may be
 	// positive; the byte form is enforced both at placement (byte residuals
-	// in Algorithm 1 and the MemoryFit plugin) and inside the device's
-	// memory model.
+	// in Algorithm 1) and inside the device's memory model.
 	GPUMemBytes int64
 	// SharingMode selects the GPU-sharing strategy for the device this pod
 	// lands on: "" or "token" (the paper's token time-slicing), "mps"

@@ -66,11 +66,11 @@ type Snapshot struct {
 	// vanishing, a native GPU pod's contribution dropping, a node's
 	// allocatable rising or the node turning Ready — and a tenant the
 	// scheduler did not place itself (a user-assigned GPUID may open an
-	// affinity group on a device the pipeline would never have picked). A new
+	// affinity group on a device Algorithm 1 would never have picked). A new
 	// pending sharePod and the scheduler's own placements (Placed) leave it
-	// alone: the first touches no capacity, the second came through the
-	// pipeline, whose plugins promise that reserving more never turns
-	// NoCapacity into a placement (fwk's contract). The scheduler parks
+	// alone: the first touches no capacity, the second is a decision of
+	// Decide, which promises that committing more never turns NoCapacity
+	// into a placement. The scheduler parks
 	// unschedulable units against the generation. Bumping without a real
 	// release merely costs a re-decision; missing a real one would strand
 	// pending work, so every doubtful delta bumps.

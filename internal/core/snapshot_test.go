@@ -9,7 +9,6 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/core/schedfw/plugins"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
@@ -82,7 +81,7 @@ func clonePool(p *core.Pool) *core.Pool {
 // intact, and that Pending is the server's pending sharePods oldest first.
 // Every third step happens inside a borrow, as a scheduling cycle makes
 // one: the pool is taken, a batch (some of it labeled) is staged on it
-// through the engine, the
+// through a transaction, the
 // step's delta lands in the snapshot, and the transaction is rolled back —
 // after which the pool must be, pointer for pointer and field for field,
 // what was borrowed: a delta only marks, and the next Pool call folds it in.
@@ -108,7 +107,6 @@ func TestSnapshotMatchesRebuildRandomized(t *testing.T) {
 			pods := apiserver.Pods(srv)
 			serial, fresh := 0, 0
 			newID := func() string { fresh++; return fmt.Sprintf("g-new-%03d", fresh) }
-			eng := fwk.NewEngine(plugins.Default())
 			for step := 0; step < 1200; step++ {
 				var lent, before *core.Pool
 				var held []*core.DeviceState
@@ -120,7 +118,7 @@ func TestSnapshotMatchesRebuildRandomized(t *testing.T) {
 					for i := 0; i < 4; i++ {
 						r := core.RequestOf(snapTestSP("staged", rng.Intn(20)))
 						r.Aff, r.Anti = affLabels[rng.Intn(len(affLabels))], affLabels[rng.Intn(len(affLabels))]
-						eng.Schedule(&fwk.Unit{Req: r}, txn)
+						txn.Schedule(r)
 					}
 				}
 				switch rng.Intn(10) {

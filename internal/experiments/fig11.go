@@ -6,7 +6,6 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/core/schedfw/plugins"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/metrics"
@@ -32,9 +31,9 @@ const fig11Rounds = 3
 // NewSchedulingDecision fills an API server with n placed sharePods spread
 // over enough vGPUs, folds it into a scheduler snapshot by draining replayed
 // watches, and returns Fig 11's unit of work: one decision made as a
-// KubeShare-Sched cycle makes it — borrow the snapshot's pool, run the
-// default plugin set through the fwk engine in a transaction, roll the
-// transaction back — so every call decides against the same state.
+// KubeShare-Sched cycle makes it — borrow the snapshot's pool, decide and
+// commit in a transaction, roll the transaction back — so every call
+// decides against the same state.
 func NewSchedulingDecision(n int) (func() core.Decision, error) {
 	srv := instrumented(apiserver.New(sim.NewEnv()))
 	nodes := n/8 + 1
@@ -65,11 +64,10 @@ func NewSchedulingDecision(n int) (func() core.Decision, error) {
 	}
 	serial := 0
 	newID := func() string { serial++; return fmt.Sprintf("fresh-%d", serial) }
-	eng := fwk.NewEngine(plugins.Default())
-	u := fwk.Unit{Name: "fig11", Req: core.Request{Util: 0.3, Mem: 0.2}}
+	req := core.Request{Util: 0.3, Mem: 0.2}
 	return func() core.Decision {
 		txn := fwk.NewTxn(snap.Pool(newID))
-		dec := eng.Schedule(&u, txn)
+		dec := txn.Schedule(req)
 		txn.Rollback(0)
 		return dec
 	}, nil

@@ -14,9 +14,10 @@ import (
 // placement on devices without labels: staging a placement on a pool device
 // and rolling it back allocates nothing once the journal has grown, the
 // snapshot refreshes a device it already holds after a tenant delta without
-// allocating, and Fig 11's decision (BenchmarkFig11SchedulingTime's
-// allocs/op) allocates two things at every N — the cycle's transaction and
-// its journal's first entry.
+// allocating, Algorithm 1 deciding and placing straight onto a pool
+// (core.Schedule) allocates nothing, and Fig 11's decision
+// (BenchmarkFig11SchedulingTime's allocs/op) allocates one thing at every N —
+// its journal's first entry (the transaction itself stays on the stack).
 func TestPlacementAllocsHeldExactly(t *testing.T) {
 	snap := core.NewSnapshot(1)
 	snap.Apply(store.Event{Type: store.Added, Object: &api.Node{
@@ -63,6 +64,24 @@ func TestPlacementAllocsHeldExactly(t *testing.T) {
 		}
 	})
 
+	t.Run("CoreSchedule", func(t *testing.T) {
+		pool := &core.Pool{FreePhysical: map[string]int{}}
+		for i := 0; i < 64; i++ {
+			d := core.NewDeviceState(fmt.Sprintf("g-%02d", i), "n-0")
+			d.Place(core.Request{Util: 0.2 + float64(i%8)/10, Mem: 0.3})
+			pool.Devices = append(pool.Devices, d)
+		}
+		r := core.Request{Util: 0.001, Mem: 0.001}
+		core.Schedule(r, pool) // the first call sorts the residual order
+		if allocs := testing.AllocsPerRun(100, func() {
+			if dec := core.Schedule(r, pool); dec.Outcome != core.Assigned {
+				t.Fatalf("core.Schedule: %v %s, want Assigned", dec.Outcome, dec.Reason)
+			}
+		}); allocs != 0 {
+			t.Errorf("core.Schedule: %v allocations, want 0", allocs)
+		}
+	})
+
 	for _, n := range []int{10, 200} {
 		t.Run(fmt.Sprintf("Fig11Decision/sharepods=%d", n), func(t *testing.T) {
 			decide, err := NewSchedulingDecision(n)
@@ -70,8 +89,8 @@ func TestPlacementAllocsHeldExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 			decide() // the first borrow sorts the residual order
-			if allocs := testing.AllocsPerRun(100, func() { decide() }); allocs != 2 {
-				t.Errorf("Fig 11 decision: %v allocations, want 2", allocs)
+			if allocs := testing.AllocsPerRun(100, func() { decide() }); allocs != 1 {
+				t.Errorf("Fig 11 decision: %v allocations, want 1", allocs)
 			}
 		})
 	}

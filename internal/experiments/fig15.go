@@ -15,7 +15,7 @@ import (
 
 // fig15Params sizes the scheduler-throughput experiment (a framework
 // extension with no paper counterpart): sustained scheduling decisions per
-// second of KubeShare-Sched on the plugin-phase framework, swept over the
+// second of KubeShare-Sched's framework driver, swept over the
 // pending-queue depth for three driver modes:
 //
 //   - single  — batch size 1, the legacy one-decision-per-cycle loop;

@@ -174,72 +174,31 @@ func (s *Scheduler) nextPending() *api.Pod {
 	return nil
 }
 
-// candidate is the per-node view the phase functions operate on: the node
-// object, its live committed resources and the pod's materialized requests.
-type candidate struct {
-	node *api.Node
-	com  api.ResourceList
-	need api.ResourceList
-}
-
-// nodeFilter reports whether the candidate node may host the pod; nodeScore
-// ranks the survivors (higher is better). The slices below mirror the plugin
-// phases of the core scheduling framework (internal/core/schedfw), kept as
-// plain function tables here: this scheduler deliberately predates the
-// framework architecturally — it sees only aggregate node capacity — and
-// importing schedfw would invert the layering.
-type nodeFilter func(pod *api.Pod, c candidate) bool
-type nodeScore func(pod *api.Pod, c candidate) float64
-
-var defaultFilters = []nodeFilter{
-	// node readiness
-	func(pod *api.Pod, c candidate) bool { return c.node.Status.Ready },
-	// node selector
-	func(pod *api.Pod, c candidate) bool { return c.node.MatchesSelector(pod.Spec.NodeSelector) },
-	// aggregate resource fit (extended resources as opaque counts)
-	func(pod *api.Pod, c candidate) bool {
-		alloc := c.node.Status.Allocatable
-		for k, v := range c.need {
-			if v > alloc[k]-c.com[k] {
-				return false
-			}
-		}
-		return true
-	},
-}
-
-var defaultScores = []nodeScore{
-	// Least-allocated: prefer the node with the most residual CPU fraction
-	// after placement.
-	func(pod *api.Pod, c candidate) float64 {
-		if a := c.node.Status.Allocatable[api.ResourceCPU]; a > 0 {
-			return float64(a-c.com[api.ResourceCPU]-c.need[api.ResourceCPU]) / float64(a)
-		}
-		return 0
-	},
-}
-
-// pickNode runs the filter phase then a score argmax and returns the chosen
-// node name ("" when no node survives filtering). The filters read the
-// per-node committed cache directly — no intermediate ResourceList is
-// materialized — and (score, name) is a strict total order over candidates,
-// so the argmax is deterministic over the unordered node map (ties broken by
-// lowest name).
+// pickNode returns the node the pod goes on, "" when none can host it: of
+// the Ready nodes matching its selector with room for its requests
+// (extended resources as opaque aggregate counts), the least allocated — the
+// most residual CPU fraction after placement. (score, name) is a strict
+// total order, so the argmax is deterministic over the unordered node map
+// (ties to the lowest name). The fit check reads the per-node committed
+// cache directly; no intermediate ResourceList is materialized.
 func (s *Scheduler) pickNode(pod *api.Pod) string {
 	need := pod.Spec.Requests()
 	best := ""
 	bestScore := 0.0
-candidates:
+nodes:
 	for name, node := range s.nodes {
-		c := candidate{node: node, com: s.committed[name], need: need}
-		for _, f := range defaultFilters {
-			if !f(pod, c) {
-				continue candidates
+		if !node.Status.Ready || !node.MatchesSelector(pod.Spec.NodeSelector) {
+			continue
+		}
+		alloc, com := node.Status.Allocatable, s.committed[name]
+		for k, v := range need {
+			if v > alloc[k]-com[k] {
+				continue nodes
 			}
 		}
 		score := 0.0
-		for _, sc := range defaultScores {
-			score += sc(pod, c)
+		if a := alloc[api.ResourceCPU]; a > 0 {
+			score = float64(a-com[api.ResourceCPU]-need[api.ResourceCPU]) / float64(a)
 		}
 		if best == "" || score > bestScore || (score == bestScore && name < best) {
 			best, bestScore = name, score

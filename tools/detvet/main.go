@@ -47,20 +47,13 @@ var bannedImports = map[string]string{
 	"math/rand":    "use kubeshare/internal/simrand (seeded streams) instead",
 	"math/rand/v2": "use kubeshare/internal/simrand (seeded streams) instead",
 	// The paper-form Algorithm 1 is a test oracle; the scheduler that runs
-	// decides through schedfw's engine (core.Schedule).
+	// decides through core.Decide.
 	"kubeshare/internal/core/coretest": "test-only reference Algorithm 1; only _test.go files import it",
 }
 
 // dirBannedImports bans imports only within package directories matching a
-// slash-separated suffix. Scheduler plugins read cluster state exclusively
-// through the framework's Pool/Txn view and write through Reserve — a
-// plugin holding an apiserver or store handle could bypass the cycle
-// transaction, breaking batched conflict resolution and gang rollback.
+// slash-separated suffix.
 var dirBannedImports = map[string]map[string]string{
-	"schedfw/plugins": {
-		"kubeshare/internal/kube/apiserver": "plugins must not reach the API server; read the Pool, write via Txn/Reserve",
-		"kubeshare/internal/kube/store":     "plugins must not reach the store; read the Pool, write via Txn/Reserve",
-	},
 	// Sharing-strategy implementations arbitrate device time below the
 	// control plane: they see clients only through the Strategy interface
 	// (Register/Admit/Release), so a strategy holding an apiserver or store

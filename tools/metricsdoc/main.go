@@ -51,15 +51,15 @@ var descriptions = map[string]string{
 	"kubeshare_obs_open_chains":                   "SharePod causal chains that never reached a kernel launch — excluded from latency percentiles, counted here instead. Set on attribution-enabled runs.",
 	"kubeshare_obs_spans_dropped_total":           "Spans dropped at the tracer's retention cap. Registered lazily on the first drop.",
 	"kubeshare_reflector_relist_total":            "Full relists per consumer after apiserver restarts invalidate a watch.",
-	"kubeshare_sched_batch_conflicts_total":       "Pipeline runs that found no capacity after an earlier unit of the same batch had reserved some. Skipped units are not counted.",
-	"kubeshare_sched_decisions_total":             "Pipeline runs of the KubeShare scheduler, one per unit decided; units passed over (kubeshare_sched_skipped_total) are not counted.",
+	"kubeshare_sched_batch_conflicts_total":       "Decisions that found no capacity after an earlier unit of the same batch had reserved some. Skipped units are not counted.",
+	"kubeshare_sched_decisions_total":             "Algorithm 1 runs of the KubeShare scheduler, one per unit decided; units passed over (kubeshare_sched_skipped_total) are not counted.",
 	"kubeshare_sched_gang_admissions_total":       "Gangs admitted atomically (all members placed in one cycle).",
 	"kubeshare_sched_gang_timeouts_total":         "Gangs rejected after the co-scheduling timeout expired.",
 	"kubeshare_sched_latency_seconds":             "Submit-to-scheduled latency per sharePod.",
 	"kubeshare_sched_nocapacity_cycles_total":     "Scheduler cycles that found no feasible capacity.",
 	"kubeshare_sched_pending_sharepods":           "SharePods currently waiting in the scheduling queue.",
 	"kubeshare_sched_requeues_total":              "SharePods requeued after losing their bound pod or device.",
-	"kubeshare_sched_skipped_total":               "Units a scheduling cycle passed over without a pipeline run: parked since an earlier cycle, or carrying a request identical to one that found no capacity in this cycle. High next to a low decisions count is why a saturated run was cheap.",
+	"kubeshare_sched_skipped_total":               "Units a scheduling cycle passed over without deciding them: parked since an earlier cycle, or carrying a request identical to one that found no capacity in this cycle. High next to a low decisions count is why a saturated run was cheap.",
 	"kubeshare_sched_unschedulable_sharepods":     "Pending sharePods parked right now: known to find no capacity, not re-decided until capacity is released. A sharePod that stays pending while this is non-zero is waiting for a release, not for the scheduler.",
 	"kubeshare_scheduler_bind_latency_seconds":    "Native kube-scheduler submit-to-bind latency.",
 	"kubeshare_scheduler_binds_total":             "Pods bound by the native kube-scheduler.",
@@ -79,7 +79,7 @@ var descriptions = map[string]string{
 // own section with a <placeholder> segment.
 var dynamic = []struct{ name, typ, desc string }{
 	{"kubeshare_sched_phase_<phase>_runs_total", "Counter",
-		"Per-phase plugin executions in the scheduling framework (prefilter, filter, score, alloc, reserve); one counter per phase name. Pipeline runs only: a skipped unit runs no phase."},
+		"Runs of each step of Algorithm 1 in KubeShare-Sched's decisions: prefilter (every decision; the affinity check), filter and score (a decision without an affinity label, which walks the pool), alloc (the new-vGPU fallback: NewDevice or NoCapacity), reserve (a placement committed: Assigned or NewDevice). A skipped unit runs no step."},
 }
 
 func main() {
