@@ -85,10 +85,12 @@ go test -race ./internal/kube/... ./internal/core/...
 # gives exactly one rerun, Sync runs in its caller, errors back off; a holder
 # deleted before it reports requeues its tenant and leaves nothing behind,
 # a deleted bound pod requeues its sharePod under KubeShare-Sched and the
-# extender baseline alike, and an apiserver restart under running tenants
-# writes no status that changes nothing. Beside them, the full stack watches only for the control
-# loops that have traffic (13 reflectors, each relisting once per restart).
-named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
+# extender baseline alike, an apiserver restart under running tenants
+# writes no status that changes nothing, and a VGPU object a torn log tail
+# restores (deleted, or without its holder's UUID) is reconciled like any
+# other. Beside them, the full stack watches only for the control loops that
+# have traffic (14 reflectors, each relisting once per restart).
+named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestDevMgrReconcilesRestoredVGPU|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
 go test -race ./internal/sim/... ./internal/devlib/...
 # The kernel's worker pool by name, so it cannot silently vanish: a reused
 # worker runs a proc killed before its first execution as a fresh coroutine
@@ -110,6 +112,10 @@ GOMAXPROCS=4 go test -race ./internal/devlib/... ./internal/gpusim/...
 # sharePods asking for different modes fail one container, not the run.
 named TestConformance env GOMAXPROCS=4 go test -race ./internal/devlib/sharing/
 named TestFacadeMixedSharingModesFailOneContainer go test -race .
+# Telemetry observes the cluster and never writes into it: one seeded
+# workload run with obs on and off ends at the same store revision, every
+# sharePod on the same vGPU in the same phase at the same instant.
+named TestObsOffMatchesObsOn go test .
 named 'TestRunIndexed|TestFig8DeterminismGolden|TestTraceDeterminismGolden' env GOMAXPROCS=4 go test -race ./internal/experiments/
 # Labeled-family interning and the TSDB under the race detector: family
 # lookup is the one obs path exercised off the simulation goroutine. This
@@ -146,7 +152,7 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # medium the store rewrites in place, and a restored pod costs ≤ 12
 # allocations, from the checkpoint or the log, whatever its string count.
 named 'TestRestore|TestRestoredObjectsShareNoBytesWithMedium|TestRestoreAllocs|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
-named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestEventSinkRestart|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
+named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
 named 'TestStopOrderDeterministic|TestKubeletWatchScopedToNode|TestSharedEnvKeyDeterministic' env GOMAXPROCS=4 go test -race ./internal/kube/kubelet/
 # Native fuzz smokes over the durable medium's decoders, 5 s each from the
 # checked-in seed corpora (testdata/fuzz; TestFuzzSeedCorpusCurrent keeps

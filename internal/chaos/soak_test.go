@@ -65,7 +65,7 @@ func TestSoakSeeds(t *testing.T) {
 	var restarts int
 	var requeues, recoveries int64
 	var resumes, relists int
-	for _, seed := range []int64{1, 2, 3, 4} {
+	for _, seed := range []int64{1, 2, 3, 4, 45} {
 		res := requireClean(t, SoakConfig{Seed: seed})
 		total.NodeCrashes += res.Faults.NodeCrashes
 		total.HolderKills += res.Faults.HolderKills

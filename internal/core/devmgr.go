@@ -95,6 +95,7 @@ type vgpuState struct {
 	holder, uuid string // the last holder pod that reported, and its UUID
 	gen          int    // holder incarnations (0 = original)
 	rec          *recovery
+	known        bool // the VGPU object was created or reconciled since this state began
 }
 
 // recovery is a dead holder's replacement in progress.
@@ -186,8 +187,9 @@ func (m *DevMgr) state(gpuID string) *vgpuState {
 	return d
 }
 
-// Start opens the sharePod, bound-pod and holder-pod watches (reflectors:
-// dropped watches resume or relist) and launches the reconcilers.
+// Start opens the sharePod, bound-pod, holder-pod and VGPU watches
+// (reflectors: dropped watches resume or relist) and launches the
+// reconcilers.
 func (m *DevMgr) Start() {
 	const consumer = "kubeshare-devmgr"
 	m.spR = m.srv.Inform(consumer, consumer, KindSharePod, apiserver.WatchOptions{Replay: true}, m.onSharePod)
@@ -207,8 +209,25 @@ func (m *DevMgr) Start() {
 			m.vgpus.Sync(p, pod.Labels[LabelVGPUHolder])
 		}
 	})
+	// A torn log tail can restore a VGPU object DevMgr deleted, or one
+	// without the UUID its holder reported. Either reconciles like any
+	// other: dropped with no tenants, its holder replaced or its UUID
+	// rewritten with some.
+	m.srv.Inform(consumer, consumer+"-vgpus", KindVGPU, apiserver.WatchOptions{Replay: true}, func(p *sim.Proc, ev store.Event) {
+		if v := ev.Object.(*VGPU); ev.Type != store.Deleted && m.stale(v) {
+			m.vgpus.Sync(p, v.Name)
+		}
+	})
 	m.vgpus.Start()
 	m.sharePods.Start()
+}
+
+// stale reports whether v is a VGPU object DevMgr would not have left as it
+// is: one it has not reconciled since it last forgot the vGPU, or one that
+// lacks the UUID the holder it names reported.
+func (m *DevMgr) stale(v *VGPU) bool {
+	d := m.devices[v.Name]
+	return d == nil || !d.known || d.holder == v.Status.HolderPod && d.uuid != v.Status.UUID
 }
 
 // onSharePod keeps the tenant lists in step with a sharePod event, syncs a
@@ -257,6 +276,7 @@ func (m *DevMgr) reconcileVGPU(p *sim.Proc, gpuID string) error {
 	case d == nil:
 		d = m.state(gpuID)
 	}
+	d.known = true
 	if !live && m.cfg.Policy == OnDemand { // release the GPU to Kubernetes
 		return m.drop(gpuID, v.Status.HolderPod, d, "abandoned: no tenants")
 	}
@@ -306,6 +326,7 @@ func (m *DevMgr) acquire(gpuID string, d *vgpuState) error {
 	if _, err := VGPUs(m.srv).Create(vgpu); err != nil && !apiserver.IsExists(err) {
 		return err
 	}
+	d.known = true
 	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
 		return err
 	}

@@ -262,3 +262,127 @@ func TestDevMgrRequeuesLostBoundPod(t *testing.T) {
 		})
 	}
 }
+
+// TestDevMgrReconcilesRestoredVGPU: an apiserver restart finds a VGPU write
+// torn off the log tail, so the restored object is not what DevMgr left.
+// When the lost write is the delete that ends DevMgr's drop (holder pod,
+// then VGPU object), the vGPU comes back with no DevMgr state behind it:
+// Active with its holder gone, or Creating with no UUID when its tenant left
+// before the holder reported. When it is the write that records the
+// holder's UUID, the vGPU comes back Creating while its holder runs on.
+// DevMgr must reconcile each like any vGPU it owns: at quiescence no VGPU
+// object is left, and the next sharePod runs to completion — created after
+// quiescence, or at the restart, placed by the scheduler or pinned to the
+// restored vGPU before DevMgr sees the object. Telemetry is off, so no
+// event write lands behind the control plane's own.
+func TestDevMgrReconcilesRestoredVGPU(t *testing.T) {
+	vgpuDelete := func(ev store.Event) bool { return ev.Type == store.Deleted && ev.Object.Kind() == KindVGPU }
+	uuidWrite := func(ev store.Event) bool {
+		v, ok := ev.Object.(*VGPU)
+		return ok && ev.Type == store.Modified && v.Status.UUID != ""
+	}
+	for _, tc := range []struct {
+		name string
+		tear func(store.Event) bool // the logged write the restart loses
+		// leave makes the first tenant leave its vGPU, ending with the drop.
+		leave func(t *testing.T, c *kube.Cluster, p *sim.Proc)
+		// atRestart creates the next sharePod at the restart, pinned to the
+		// restored vGPU if pin is set; otherwise it comes after quiescence.
+		atRestart, pin bool
+	}{
+		{"deleted-active", vgpuDelete, leaveByFinishing, false, false},
+		{"deleted-creating", vgpuDelete, leaveBeforeReport, false, false},
+		{"deleted-creating-pinned", vgpuDelete, leaveBeforeReport, true, true},
+		{"uuid-lost", uuidWrite, leaveByFinishing, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			cfg := kube.DefaultConfig(1, 4)
+			cfg.DisableObs = true
+			c, err := kube.NewCluster(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.API.EnableDurability(apiserver.DurabilityConfig{})
+			if _, err := schedfw.Install(c, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			registerTrainImage(c)
+			next := sharePod("next", 0.5, 1, 0.2, 2)
+			if tc.pin {
+				next.Spec.GPUID, next.Spec.NodeName, next.Status.Phase = "vgpu-0001", "node-0", SharePodScheduled
+			}
+			// A millisecond after the write to tear is logged — every control
+			// loop parked again — the apiserver restarts without it.
+			var last store.Event
+			torn := false
+			c.API.Store().OnPublish(func(ev store.Event) {
+				last = ev
+				if torn || !tc.tear(ev) {
+					return
+				}
+				torn = true
+				env.After(time.Millisecond, func() {
+					if last != ev {
+						t.Errorf("%s %s was logged after the write to tear", last.Type, api.Key(last.Object))
+					}
+					c.API.TearWALTail(1)
+					if _, err := c.API.Restart(); err != nil {
+						t.Errorf("restart: %v", err)
+					}
+					if tc.atRestart {
+						if _, err := SharePods(c.API).Create(next); err != nil {
+							t.Errorf("create: %v", err)
+						}
+					}
+				})
+			})
+			env.Go("t", func(p *sim.Proc) {
+				if _, err := SharePods(c.API).Create(sharePod("first", 0.5, 1, 0.2, 2)); err != nil {
+					t.Errorf("create: %v", err)
+				}
+				tc.leave(t, c, p)
+			})
+			env.Run()
+			if !torn {
+				t.Fatal("no write to tear was logged")
+			}
+			if vs := VGPUs(c.API).List(); len(vs) != 0 {
+				t.Errorf("restored %s left at quiescence: %s, holder %s, uuid %q",
+					vs[0].Name, vs[0].Status.Phase, vs[0].Status.HolderPod, vs[0].Status.UUID)
+			}
+			if !tc.atRestart {
+				if _, err := SharePods(c.API).Create(next); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				env.Run()
+			}
+			if sp, err := SharePods(c.API).Get("next"); err != nil || sp.Status.Phase != SharePodSucceeded {
+				t.Fatalf("next sharePod: %v, %+v; want Succeeded", err, sp.Status)
+			}
+			if n := VGPUs(c.API).Count(); n != 0 {
+				t.Errorf("%d vGPU objects left", n)
+			}
+		})
+	}
+}
+
+// leaveByFinishing lets the first tenant run to completion.
+func leaveByFinishing(*testing.T, *kube.Cluster, *sim.Proc) {}
+
+// leaveBeforeReport deletes the first tenant once its vGPU exists, before
+// the holder reports a UUID.
+func leaveBeforeReport(t *testing.T, c *kube.Cluster, p *sim.Proc) {
+	for {
+		p.Sleep(10 * time.Millisecond)
+		if vs := VGPUs(c.API).List(); len(vs) > 0 {
+			if vs[0].Status.UUID != "" {
+				t.Error("the holder reported before the tenant left")
+			}
+			if err := SharePods(c.API).Delete("first"); err != nil {
+				t.Errorf("delete first: %v", err)
+			}
+			return
+		}
+	}
+}

@@ -38,11 +38,11 @@ func TestClusterWatchesOnlyControllersWithTraffic(t *testing.T) {
 	c.Obs.CounterVec("kubeshare_reflector_relist_total", "consumer").Each(func(labels []obs.Label, n int64) {
 		got[labels[0].Value] = n
 	})
-	want := map[string]int64{"kube-scheduler": 2, "kubelet": 2, "sharepodset": 2, "kubeshare-sched": 4, "kubeshare-devmgr": 3}
+	want := map[string]int64{"kube-scheduler": 2, "kubelet": 2, "sharepodset": 2, "kubeshare-sched": 4, "kubeshare-devmgr": 4}
 	if !maps.Equal(got, want) {
 		t.Fatalf("relists per consumer = %v, want %v", got, want)
 	}
-	if n := len(c.API.Reflectors("")); n != 13 {
-		t.Fatalf("%d live reflectors, want 13", n)
+	if n := len(c.API.Reflectors("")); n != 14 {
+		t.Fatalf("%d live reflectors, want 14", n)
 	}
 }

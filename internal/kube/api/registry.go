@@ -45,5 +45,4 @@ func NewObject(kind string) (Object, error) {
 func init() {
 	RegisterKind("Pod", func() Object { return &Pod{} })
 	RegisterKind("Node", func() Object { return &Node{} })
-	RegisterKind(KindEvent, func() Object { return &Event{} })
 }

@@ -405,70 +405,6 @@ func (n *Node) MatchesSelector(sel map[string]string) bool {
 	return true
 }
 
-// --- Event ---
-
-// KindEvent is the store kind of Event objects.
-const KindEvent = "Event"
-
-// Event records something notable happening to an object — the
-// Kubernetes Event resource. Events are persisted by the apiserver's
-// telemetry sink (one per distinct (involved object, reason, source,
-// type), deduplicated by bumping Count) and get the usual list/watch
-// semantics, so controllers and tests can observe them like any other
-// resource.
-type Event struct {
-	ObjectMeta
-	// InvolvedKind/InvolvedName identify the object the event is about.
-	InvolvedKind string
-	InvolvedName string
-	// Type is "Normal" or "Warning".
-	Type   string
-	Reason string
-	// Source is the reporting component, e.g. "kubelet/node-1".
-	Source  string
-	Message string
-	// Count is how many times this event occurred; FirstTime/LastTime
-	// bracket the occurrences in virtual time.
-	Count     int
-	FirstTime time.Duration
-	LastTime  time.Duration
-}
-
-// GetMeta implements Object.
-func (e *Event) GetMeta() *ObjectMeta { return &e.ObjectMeta }
-
-// Kind implements Object.
-func (e *Event) Kind() string { return KindEvent }
-
-// DeepCopyObject implements Object.
-func (e *Event) DeepCopyObject() Object {
-	out := *e
-	out.ObjectMeta = e.CloneMeta()
-	return &out
-}
-
-// AppendBinary implements Object.
-func (e *Event) AppendBinary(dst []byte) []byte {
-	dst = e.AppendMeta(dst)
-	for _, s := range [...]string{e.InvolvedKind, e.InvolvedName, e.Type, e.Reason, e.Source, e.Message} {
-		dst = AppendString(dst, s)
-	}
-	dst = AppendVarint(dst, int64(e.Count))
-	dst = AppendVarint(dst, int64(e.FirstTime))
-	return AppendVarint(dst, int64(e.LastTime))
-}
-
-// DecodeBinary implements Object.
-func (e *Event) DecodeBinary(d *Dec) {
-	e.DecodeMeta(d)
-	for _, s := range [...]*string{&e.InvolvedKind, &e.InvolvedName, &e.Type, &e.Reason, &e.Source, &e.Message} {
-		*s = d.String()
-	}
-	e.Count = d.Int()
-	e.FirstTime = d.Duration()
-	e.LastTime = d.Duration()
-}
-
 // Validate performs basic admission checks shared by pod-carrying objects.
 func ValidatePodSpec(s PodSpec) error {
 	if len(s.Containers) == 0 {

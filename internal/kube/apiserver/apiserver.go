@@ -60,9 +60,9 @@ func New(env *sim.Env) *Server { return NewWithObs(env, obs.New(env)) }
 
 // NewWithObs returns a server instrumented against rt. A nil rt disables
 // observability: every telemetry call site degrades to a no-op, which is
-// the obs-off arm of the instrumentation-overhead benchmark. A non-nil
-// rt gets the server installed as its event sink, persisting every
-// recorded event as an api.Event object with list/watch semantics.
+// the obs-off arm of the instrumentation-overhead benchmark. Telemetry
+// only reads the server: rt's events stay in its own log, so a run makes
+// the same API traffic with rt nil or not.
 func NewWithObs(env *sim.Env, rt *obs.Runtime) *Server {
 	s := &Server{
 		env:        env,
@@ -76,9 +76,6 @@ func NewWithObs(env *sim.Env, rt *obs.Runtime) *Server {
 		refRelists: rt.Counter("kubeshare_apiserver_reflector_relists_total"),
 		relistVec:  rt.CounterVec("kubeshare_reflector_relist_total", "consumer"),
 		restarts:   rt.Counter("kubeshare_apiserver_restarts_total"),
-	}
-	if rt != nil {
-		rt.SetEventSink(newEventSink(s))
 	}
 	return s
 }
@@ -111,9 +108,9 @@ func (s *Server) validate(obj api.Object) error {
 	return nil
 }
 
-// Create validates and stores a copy of obj. Every admitted create (other
-// than Events themselves) roots or extends the object's causal trace chain,
-// so a sharePod's life is traceable from the submit instant.
+// Create validates and stores a copy of obj. Every admitted create roots or
+// extends the object's causal trace chain, so a sharePod's life is
+// traceable from the submit instant.
 func (s *Server) Create(obj api.Object) (api.Object, error) {
 	if err := s.validate(obj); err != nil {
 		return nil, err
@@ -121,9 +118,7 @@ func (s *Server) Create(obj api.Object) (api.Object, error) {
 	out, err := s.store.Create(obj)
 	if err == nil {
 		s.reqWrites.Inc()
-		if out.Kind() != api.KindEvent {
-			s.rt.Tracer().Mark("apiserver", "create", api.Key(out), "")
-		}
+		s.rt.Tracer().Mark("apiserver", "create", api.Key(out), "")
 	}
 	return out, err
 }

@@ -61,22 +61,17 @@ func (s *Server) TearWALTail(n int) bool { return s.store.TearWALTail(n) }
 
 // Restart simulates the apiserver process dying and recovering from its
 // durable medium: every in-memory structure — objects, indexes, watch
-// registrations, resumable history, the event sink's dedup index — is
-// discarded and rebuilt by checkpoint load + WAL replay (torn tails
-// truncated, never wedging). Watch queues close, so every reflector
-// reconnects into the new epoch and relists; the event sink is recreated
-// over the restored Events so deduplication and naming continue seamlessly.
-// The restart is marked with first-class api.Events ("APIServerRestarted",
-// plus "WALTornTail" when damage was cut), giving the restart a place in
-// the deterministic event log. Requires EnableDurability; a medium that
+// registrations, resumable history — is discarded and rebuilt by checkpoint
+// load + WAL replay (torn tails truncated, never wedging). Watch queues
+// close, so every reflector reconnects into the new epoch and relists.
+// The restart is marked in the telemetry event log ("APIServerRestarted",
+// plus "WALTornTail" when damage was cut), giving it a place in the
+// deterministic event order. Requires EnableDurability; a medium that
 // cannot be read back (see store.Crash) is returned as its error.
 func (s *Server) Restart() (store.RestoreStats, error) {
 	st, err := s.store.Crash()
 	if err != nil {
 		return st, err
-	}
-	if s.rt != nil {
-		s.rt.SetEventSink(newEventSink(s))
 	}
 	s.restarts.Inc()
 	rec := s.rt.EventSource("apiserver")

@@ -105,7 +105,7 @@ func (o op) String() string {
 	return s
 }
 
-var oracleKinds = []string{"Pod", "Node", api.KindEvent, core.KindSharePod, core.KindVGPU, core.KindSharePodSet}
+var oracleKinds = []string{"Pod", "Node", core.KindSharePod, core.KindVGPU, core.KindSharePodSet}
 
 // What the node and owner filters are tried on: a pod unbound and bound to
 // each of three nodes (so histories hold the unbound → bound update, and the
@@ -174,8 +174,6 @@ func build(kind, name string, val int, node, owner string) api.Object {
 		o.Spec.Containers = []api.Container{{Name: "c", Env: map[string]string{"K": tag}, Requests: api.ResourceList{api.ResourceCPU: int64(val)}}}
 	case *api.Node:
 		o.Status.Capacity, o.Status.Ready = api.ResourceList{api.ResourceGPU: int64(val)}, val%2 == 0
-	case *api.Event:
-		o.Reason, o.Count = tag, val
 	case *core.SharePod:
 		o.Spec.GPURequest, o.Spec.GPUID, o.Status.Message = float64(val)/4, tag, tag
 	case *core.VGPU:

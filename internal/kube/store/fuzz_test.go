@@ -39,7 +39,7 @@ func fixtureMedium(t testing.TB) (checkpoint, wal []byte) {
 	if _, err := s.Update(cur); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(api.KindEvent, "ck-2"); err != nil {
+	if err := s.Delete("SharePodSet", "ck-2"); err != nil {
 		t.Fatal(err)
 	}
 	return bytes.Clone(s.dur.checkpoint), bytes.Clone(s.dur.wal)

@@ -13,8 +13,10 @@ import (
 	"kubeshare/internal/simrand"
 )
 
-// testKinds are the registered kinds the durability tests churn over.
-var testKinds = []string{"Pod", "Node", api.KindEvent}
+// testKinds are the registered kinds the durability tests churn over: two
+// with a status subresource and one without. SharePodSet is core's, which
+// this package's external tests link in.
+var testKinds = []string{"Pod", "Node", "SharePodSet"}
 
 func newTestObj(kind, name string, labels map[string]string) api.Object {
 	obj, err := api.NewObject(kind)
@@ -367,8 +369,8 @@ func TestCrashClosesWatchQueues(t *testing.T) {
 // it must be the same on every run — kind-name order, whatever order the
 // watches were registered in.
 func TestCrashWakeOrderDeterministic(t *testing.T) {
-	kinds := []string{"VGPU", "Node", "SharePodSet", api.KindEvent}
-	const want = "Event,Node,SharePodSet,VGPU"
+	kinds := []string{"VGPU", "Node", "SharePodSet", "SharePod"}
+	const want = "Node,SharePod,SharePodSet,VGPU"
 	for run := 0; run < 64; run++ {
 		env := sim.NewEnv()
 		s := New(env)

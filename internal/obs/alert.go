@@ -63,8 +63,7 @@ type alertState struct {
 // AlertEngine evaluates a rule set against the registry on the virtual
 // clock and emits deduplicated events on state transitions only: one
 // Warning when a rule starts firing, one Normal when it resolves. Repeated
-// evaluations of a firing rule stay silent (the apiserver event sink
-// additionally collapses repeats by count, k8s-style).
+// evaluations of a firing rule stay silent.
 type AlertEngine struct {
 	reg      *Registry
 	rules    []AlertRule

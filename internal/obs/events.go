@@ -14,9 +14,9 @@ const (
 
 // EventRecord is one emitted event: what happened (Reason/Message), to
 // which object (Kind/Name), reported by whom (Source), at what virtual
-// time. The runtime keeps an ordered in-memory log of every record; a
-// Sink (the apiserver, in a full cluster) additionally persists events
-// as first-class API objects with dedup counting.
+// time. The runtime keeps an ordered in-memory log of every record, and
+// that log is the only place events live: recording one writes nothing to
+// the cluster it describes.
 type EventRecord struct {
 	Time    time.Duration `json:"time_ns"`
 	Kind    string        `json:"kind"`   // involved object kind, e.g. "SharePod", "Node", "GPU"
@@ -25,20 +25,6 @@ type EventRecord struct {
 	Reason  string        `json:"reason"` // short CamelCase machine-readable cause
 	Source  string        `json:"source"` // emitting component, e.g. "kubelet/node-1"
 	Message string        `json:"message"`
-}
-
-// Sink receives every event as it is recorded. Implementations persist
-// them (the apiserver sink creates/updates api.Event objects).
-type Sink interface {
-	RecordEvent(EventRecord)
-}
-
-// SetEventSink installs the persistence sink. The in-memory log is kept
-// regardless, so telemetry consumers see events even without a cluster.
-func (r *Runtime) SetEventSink(s Sink) {
-	if r != nil {
-		r.sink = s
-	}
 }
 
 // Events returns a copy of the ordered event log.
@@ -77,9 +63,6 @@ func (rec *Recorder) Eventf(kind, name, etype, reason, format string, args ...an
 		Message: fmt.Sprintf(format, args...),
 	}
 	rec.rt.events = append(rec.rt.events, e)
-	if rec.rt.sink != nil {
-		rec.rt.sink.RecordEvent(e)
-	}
 }
 
 // FormatEvents writes the event log as stable text, one line per event.

@@ -36,7 +36,6 @@ type Runtime struct {
 	tracer *Tracer
 
 	events []EventRecord
-	sink   Sink
 }
 
 // New creates an enabled runtime on env's virtual clock.

@@ -387,12 +387,6 @@ func (s *Sim) Trace() []Span { return s.Cluster.Obs.Tracer().Spans() }
 
 // Events returns the ordered log of every cluster event recorded so far
 // (scheduling rejections, vGPU lifecycle, device faults, chaos, ...). The
-// same events are persisted as deduplicated api.Event objects, watchable
-// via Watch("Event", ...).
+// log lives in the telemetry runtime, not the API server, so recording an
+// event changes no cluster state; it is empty WithoutObservability.
 func (s *Sim) Events() []EventRecord { return s.Cluster.Obs.Events() }
-
-// EventObjects returns the persisted api.Event objects (deduplicated by
-// involved object + reason, with occurrence counts), sorted by name.
-func (s *Sim) EventObjects() []*api.Event {
-	return apiserver.Events(s.Cluster.API).List()
-}

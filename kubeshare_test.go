@@ -1,12 +1,16 @@
 package kubeshare
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
 
+	"kubeshare/internal/core"
+	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
+	"kubeshare/internal/workload"
 )
 
 // newSim is New with the store's mutation canary installed: the facade's
@@ -425,10 +429,6 @@ func TestFacadeTraceCausalChain(t *testing.T) {
 	if !found {
 		t.Fatalf("no kubelet Started event in %d events", len(s.Events()))
 	}
-	// Events are also persisted as first-class objects.
-	if len(s.EventObjects()) == 0 {
-		t.Fatal("no api.Event objects persisted")
-	}
 }
 
 func TestFacadeWithoutObservability(t *testing.T) {
@@ -459,5 +459,48 @@ func TestFacadeWithoutObservability(t *testing.T) {
 	m := s.Metrics()
 	if len(m.Counters)+len(m.Gauges)+len(m.Histograms) != 0 {
 		t.Fatalf("obs-off run registered metrics: %+v", m)
+	}
+}
+
+// TestObsOffMatchesObsOn: telemetry observes the cluster and never writes
+// into it. One seeded workload, run with obs on and WithoutObservability,
+// leaves the store at the same revision — the same API writes — with every
+// sharePod placed on the same vGPU and ending in the same phase at the same
+// virtual instant.
+func TestObsOffMatchesObsOn(t *testing.T) {
+	type outcome struct {
+		gpuID  string
+		phase  core.SharePodPhase
+		finish time.Duration
+	}
+	run := func(opts ...Option) (int64, map[string]outcome) {
+		s := newSim(t, append([]Option{WithNodes(2)}, opts...)...)
+		workload.RegisterImages(s.Cluster)
+		jobs := workload.Generate(workload.GeneratorConfig{
+			Jobs: 12, MeanInterArrival: time.Second,
+			DemandMean: 0.4, DemandVar: 1,
+			JobDuration: 8 * time.Second, Seed: 7,
+		})
+		var submitErr error
+		workload.Submit(s.Env, s.Cluster.API, len(jobs), func(i int) (time.Duration, api.Object) {
+			return jobs[i].Arrival, workload.SharePodFor(jobs[i])
+		}, &submitErr)
+		s.Run()
+		if submitErr != nil {
+			t.Fatal(submitErr)
+		}
+		out := map[string]outcome{}
+		for _, sp := range s.SharePods().List() {
+			out[sp.Name] = outcome{sp.Spec.GPUID, sp.Status.Phase, sp.Status.FinishTime}
+		}
+		return s.Cluster.API.Revision(), out
+	}
+	onRev, on := run()
+	offRev, off := run(WithoutObservability())
+	if onRev != offRev {
+		t.Errorf("final store revision %d with obs on, %d with obs off", onRev, offRev)
+	}
+	if len(on) != 12 || !maps.Equal(on, off) {
+		t.Errorf("sharePod outcomes differ:\n  obs on:  %v\n  obs off: %v", on, off)
 	}
 }
