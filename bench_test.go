@@ -686,10 +686,13 @@ func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
 	}
 }
 
-// mutateStatusRig is one Client.MutateStatus — the read-modify-write every
-// kubelet phase report and DevMgr status write goes through — on a Pod whose
-// container carries the given number of env vars, with three live watchers.
-func mutateStatusRig(tb testing.TB, envVars int) ([]*sim.Queue[store.Event], func() error) {
+// mutateRig is one Client.MutateStatus (statusOnly) — the read-modify-write
+// every kubelet phase report and DevMgr status write goes through — or one
+// Client.Mutate spec write, like a bind, on a Pod whose container carries the
+// given number of env vars, with three live watchers. A second pod carries
+// the same label, as in any cluster, so a spec write's re-index never empties
+// the label's posting set. It also returns the pod as created.
+func mutateRig(tb testing.TB, envVars int, statusOnly bool) ([]*sim.Queue[store.Event], func() error, *api.Pod) {
 	srv := apiserver.New(sim.NewEnv())
 	srv.SetWatchHistoryCap(drainEvery)
 	pods := apiserver.Pods(srv)
@@ -701,13 +704,29 @@ func mutateStatusRig(tb testing.TB, envVars int) ([]*sim.Queue[store.Event], fun
 	for i := 0; i < envVars; i++ {
 		env[fmt.Sprintf("VAR_%02d", i)] = "value"
 	}
-	if _, err := pods.Create(&api.Pod{
+	created, err := pods.Create(&api.Pod{
 		ObjectMeta: api.ObjectMeta{Name: "p", Labels: map[string]string{"app": "bench"}},
 		Spec:       api.PodSpec{NodeName: "node-0", Containers: []api.Container{{Name: "main", Image: "train", Env: env}}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := pods.Create(&api.Pod{
+		ObjectMeta: api.ObjectMeta{Name: "q", Labels: map[string]string{"app": "bench"}},
+		Spec:       api.PodSpec{Containers: []api.Container{{Name: "main", Image: "train"}}},
 	}); err != nil {
 		tb.Fatal(err)
 	}
 	n := 0
+	if !statusOnly {
+		return queues, func() error {
+			_, err := pods.Mutate("p", func(p *api.Pod) error {
+				p.Spec.NodeName = "node-1"
+				return nil
+			})
+			return err
+		}, created
+	}
 	return queues, func() error {
 		n++
 		_, err := pods.MutateStatus("p", func(p *api.Pod) error {
@@ -715,7 +734,7 @@ func mutateStatusRig(tb testing.TB, envVars int) ([]*sim.Queue[store.Event], fun
 			return nil
 		})
 		return err
-	}
+	}, created
 }
 
 // BenchmarkClientMutateStatus measures one Client.MutateStatus on a Pod
@@ -723,21 +742,36 @@ func mutateStatusRig(tb testing.TB, envVars int) ([]*sim.Queue[store.Event], fun
 func BenchmarkClientMutateStatus(b *testing.B) {
 	for _, envVars := range []int{0, 64} {
 		b.Run("env="+strconv.Itoa(envVars), func(b *testing.B) {
-			queues, write := mutateStatusRig(b, envVars)
+			queues, write, _ := mutateRig(b, envVars, true)
 			timeWrites(b, queues, write)
 		})
 	}
 }
 
-// TestStatusWriteCostMustNotDependOnSpec: the closure's object and the
-// published revision both share the stored spec, so a status write through
-// Client.MutateStatus costs two allocations whether the pod carries 0 or 64
-// env vars (19 / 28 while the spec was copied).
+// TestStatusWriteCostMustNotDependOnSpec: the closure's object shares the
+// stored spec, and the store publishes that object itself, so a status write
+// through Client.MutateStatus costs one allocation whether the pod carries 0
+// or 64 env vars (19 / 28 while the spec was copied, 2 while the store
+// copied the closure's object again).
 func TestStatusWriteCostMustNotDependOnSpec(t *testing.T) {
 	for _, envVars := range []int{0, 64} {
-		queues, write := mutateStatusRig(t, envVars)
-		if got := writeAllocs(t, queues, write); got != 2 {
-			t.Errorf("env=%d: %v allocations per MutateStatus, want 2", envVars, got)
+		queues, write, _ := mutateRig(t, envVars, true)
+		if got := writeAllocs(t, queues, write); got != 1 {
+			t.Errorf("env=%d: %v allocations per MutateStatus, want 1", envVars, got)
+		}
+	}
+}
+
+// TestSpecWriteCopiesOnce: a spec write through Client.Mutate costs exactly
+// one DeepCopyObject of the pod — the closure's private object, which the
+// store publishes — at 0 and at 64 env vars (a second deep copy and a status
+// struct more while the store copied it again).
+func TestSpecWriteCopiesOnce(t *testing.T) {
+	for _, c := range []struct{ envVars, want int }{{0, 5}, {64, 8}} {
+		queues, write, created := mutateRig(t, c.envVars, false)
+		copyAllocs := testing.AllocsPerRun(100, func() { created.DeepCopyObject() })
+		if got := writeAllocs(t, queues, write); got != float64(c.want) || got != copyAllocs {
+			t.Errorf("env=%d: %v allocations per Mutate, want %d, one DeepCopyObject (%v)", c.envVars, got, c.want, copyAllocs)
 		}
 	}
 }

@@ -205,6 +205,13 @@ func (s *SharePod) WithStatusFrom(src api.Object) api.Object {
 	return &out
 }
 
+// Overlay implements api.StatusCarrier.
+func (s *SharePod) Overlay(spec, status api.Object) {
+	st := status.(*SharePod).Status
+	*s = *spec.(*SharePod)
+	s.Status = st
+}
+
 // Terminated reports whether the sharePod reached a terminal phase.
 func (s *SharePod) Terminated() bool { return terminal(s.Status.Phase) }
 
@@ -426,4 +433,11 @@ func (v *VGPU) WithStatusFrom(src api.Object) api.Object {
 	out := *v
 	out.Status = src.(*VGPU).Status
 	return &out
+}
+
+// Overlay implements api.StatusCarrier.
+func (v *VGPU) Overlay(spec, status api.Object) {
+	st := status.(*VGPU).Status
+	*v = *spec.(*VGPU)
+	v.Status = st
 }

@@ -3,6 +3,7 @@ package api_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	_ "kubeshare/internal/core" // registers SharePod, SharePodSet and VGPU
@@ -139,14 +140,94 @@ func statusAliases(newObj func() api.StatusCarrier) ([]string, error) {
 	return leaks, nil
 }
 
+// keepOnlyStatus zeroes everything of o but its status, keeping the status's
+// maps.
+func keepOnlyStatus(o api.StatusCarrier) {
+	st := reflect.New(statusOf(o).Type()).Elem()
+	st.Set(statusOf(o))
+	reflect.ValueOf(o).Elem().SetZero()
+	statusOf(o).Set(st)
+}
+
+// overlayGaps checks Overlay's contract: a zero receiver overlaid with a spec
+// source populated outside its status and a status source populated only in
+// its status becomes a fully populated object, sharing every map, slice and
+// pointer with the argument it came from — and so holding none of its own —
+// and so does a receiver that is itself one of the two arguments. It returns
+// the paths at which the receiver shares nothing with its argument.
+func overlayGaps(newObj func() api.StatusCarrier) ([]string, error) {
+	recv, spec, status, want := newObj(), newObj(), newObj(), newObj()
+	for _, o := range []api.StatusCarrier{spec, status, want} {
+		if err := fill(reflect.ValueOf(o).Elem()); err != nil {
+			return nil, err
+		}
+	}
+	statusOf(spec).SetZero()
+	keepOnlyStatus(status)
+	recv.Overlay(spec, status)
+	kind := want.Kind()
+	recvV, wantV := reflect.ValueOf(recv).Elem(), reflect.ValueOf(want).Elem()
+	shared := append(aliased(kind, recvV, reflect.ValueOf(spec).Elem()), aliased(kind, recvV, reflect.ValueOf(status).Elem())...)
+	var gaps []string
+	for _, path := range aliased(kind, wantV, wantV) {
+		if !slices.Contains(shared, path) {
+			gaps = append(gaps, path)
+		}
+	}
+	if len(gaps) > 0 {
+		return gaps, nil
+	}
+	if !reflect.DeepEqual(recv, want) {
+		return nil, fmt.Errorf("Overlay did not take every field from its arguments")
+	}
+	// The store's two calls: obj.Overlay(stored, obj) and obj.Overlay(obj, stored).
+	self := newObj()
+	self.Overlay(spec, status)
+	self.Overlay(self, status)
+	self.Overlay(spec, self)
+	if !reflect.DeepEqual(self, want) {
+		return nil, fmt.Errorf("Overlay with the receiver as an argument lost a field")
+	}
+	return nil, nil
+}
+
+// TestOverlayTakesEveryField guards the in-place half of the store's write:
+// the store publishes the caller's working object after Overlay puts the
+// stored status (spec write) or the stored spec and metadata (status write)
+// on it. A field Overlay forgot would keep the caller's value in a status
+// write, and a map it cloned would cost the allocation Overlay exists to
+// save.
+func TestOverlayTakesEveryField(t *testing.T) {
+	for _, kind := range api.RegisteredKinds() {
+		obj, err := api.NewObject(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := obj.(api.StatusCarrier); !ok {
+			continue
+		}
+		gaps, err := overlayGaps(func() api.StatusCarrier {
+			o, _ := api.NewObject(kind)
+			return o.(api.StatusCarrier)
+		})
+		if err != nil {
+			t.Errorf("%s: %v", kind, err)
+		}
+		for _, path := range gaps {
+			t.Errorf("%s.Overlay does not take %s from its argument", kind, path)
+		}
+	}
+}
+
 // TestWithStatusFromSharesNoMemory guards the store's ownership rule at the
-// one place it is a field away from breaking: a status write publishes
-// stored.WithStatusFrom(caller's object), and Pod, SharePod and VGPU
-// implement that as a struct assignment — safe only while their status holds
-// no map, slice or pointer. A status type that gains one (say Conditions
-// []Condition) without cloning it there would make an immutable shared
-// snapshot alias the caller's argument, or MutateStatus's closure alias the
-// snapshot; this fails first. The other half of the contract is the saving:
+// one place it is a field away from breaking: a status write publishes the
+// status of x.WithStatusFrom(x) (store.UpdateStatus's copy of its argument,
+// MutateStatus's closure object), and Pod, SharePod and VGPU implement that
+// as a struct assignment — safe only while their status holds no map, slice
+// or pointer. A status type that gains one (say Conditions []Condition)
+// without cloning it there would make an immutable shared snapshot alias the
+// caller's argument, or MutateStatus's closure alias the snapshot; this
+// fails first. The other half of the contract is the saving:
 // the result shares the receiver's spec and metadata instead of copying them.
 func TestWithStatusFromSharesNoMemory(t *testing.T) {
 	carriers := 0
@@ -195,6 +276,23 @@ func (l *leaky) WithStatusFrom(src api.Object) api.Object {
 	out := *l
 	out.Status = src.(*leaky).Status
 	return &out
+}
+
+// Overlay written field by field, and not revisited when Seen was added.
+func (l *leaky) Overlay(spec, status api.Object) {
+	st := status.(*leaky).Status
+	l.ObjectMeta = spec.(*leaky).ObjectMeta
+	l.Status.Phase, l.Status.Conditions = st.Phase, st.Conditions
+}
+
+func TestOverlayGuardBites(t *testing.T) {
+	gaps, err := overlayGaps(func() api.StatusCarrier { return &leaky{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"Leaky.Status.Seen"}; !reflect.DeepEqual(gaps, want) {
+		t.Fatalf("gaps = %v, want %v", gaps, want)
+	}
 }
 
 func TestWithStatusFromGuardBites(t *testing.T) {

@@ -127,8 +127,8 @@ type Object interface {
 
 // StatusCarrier is implemented by objects with a status subresource. The
 // store uses it to keep spec and status writes from clobbering each other:
-// Update preserves the stored status (ignoring the caller's status fields)
-// and UpdateStatus preserves the stored spec and metadata. Objects that do
+// a spec write keeps the stored status (ignoring the caller's status fields)
+// and a status write keeps the stored spec and metadata. Objects that do
 // not implement it keep whole-object write semantics.
 type StatusCarrier interface {
 	Object
@@ -137,6 +137,11 @@ type StatusCarrier interface {
 	// and carrying a copy of src's status that shares no memory with src.
 	// src is of the same concrete type and may be the receiver itself.
 	WithStatusFrom(src Object) Object
+	// Overlay sets the receiver, in place, to spec's spec and metadata and
+	// status's status, sharing their maps and slices and keeping none of its
+	// own. Both are of the receiver's concrete type; either may be the
+	// receiver itself.
+	Overlay(spec, status Object)
 }
 
 // NodeBound is implemented by objects that run on a node once bound. The
@@ -324,6 +329,13 @@ func (p *Pod) WithStatusFrom(src Object) Object {
 	return &out
 }
 
+// Overlay implements StatusCarrier.
+func (p *Pod) Overlay(spec, status Object) {
+	st := status.(*Pod).Status
+	*p = *spec.(*Pod)
+	p.Status = st
+}
+
 // BoundNode implements NodeBound.
 func (p *Pod) BoundNode() string { return p.Spec.NodeName }
 
@@ -393,6 +405,13 @@ func (n *Node) WithStatusFrom(src Object) Object {
 	out.Status.Capacity = out.Status.Capacity.Clone()
 	out.Status.Allocatable = out.Status.Allocatable.Clone()
 	return &out
+}
+
+// Overlay implements StatusCarrier.
+func (n *Node) Overlay(spec, status Object) {
+	st := status.(*Node).Status
+	*n = *spec.(*Node)
+	n.Status = st
 }
 
 // MatchesSelector reports whether the node's labels satisfy sel.

@@ -3,11 +3,12 @@
 // optimistic-concurrency semantics. All cluster components — and KubeShare's
 // custom controllers — interact exclusively through it.
 //
-// The client API distinguishes spec writes (Update/Mutate) from status
-// writes (UpdateStatus/MutateStatus), mirroring the status subresource:
-// a controller updating an object's status can never clobber a concurrent
-// spec write and vice versa. Lists and watches are per kind, as the store
-// is keyed, and can be narrowed server-side by exact name and label selector
+// The client API distinguishes spec writes (Mutate) from status writes
+// (MutateStatus), mirroring the status subresource: a controller updating
+// an object's status can never clobber a concurrent spec write and vice
+// versa. These two read-modify-write loops are the one way to change an
+// object that exists. Lists and watches are per kind, as the store is keyed,
+// and can be narrowed server-side by exact name and label selector
 // (ListSelector, WatchFiltered), answered from the store's indexes; what a
 // watch wants is said one way, in the store's WatchOptions.
 //
@@ -16,7 +17,8 @@
 // events and Scan/ScanSelector callbacks carry — is the shared read-only
 // snapshot of a revision. The only objects a caller may write to are ones it
 // built itself and the one Mutate/MutateStatus passes its closure — and in
-// MutateStatus only its Status.
+// MutateStatus only its Status. The store publishes that object itself, so
+// the closure must not keep it.
 package apiserver
 
 import (
@@ -90,8 +92,9 @@ func (s *Server) Store() *store.Store { return s.store }
 func (s *Server) Obs() *obs.Runtime { return s.rt }
 
 // RegisterValidator adds an admission validator for a kind, run on Create
-// and Update. Registering custom-resource validators is how KubeShare
-// installs its SharePod CRD checks.
+// and on each write a Mutate or MutateStatus makes. Registering
+// custom-resource validators is how KubeShare installs its SharePod CRD
+// checks.
 func (s *Server) RegisterValidator(kind string, fn func(api.Object) error) {
 	s.validators[kind] = append(s.validators[kind], fn)
 }
@@ -123,25 +126,15 @@ func (s *Server) Create(obj api.Object) (api.Object, error) {
 	return out, err
 }
 
-// Update validates and replaces obj (ErrConflict on stale version). For
-// kinds with a status subresource the stored status is preserved — use
-// UpdateStatus for status writes.
-func (s *Server) Update(obj api.Object) (api.Object, error) {
+// commit validates obj, a working object the caller gives up, and has the
+// store publish it as the next revision (store.Commit): a status write when
+// statusOnly, a spec write otherwise. ErrConflict on a stale version.
+func (s *Server) commit(obj api.Object, statusOnly bool) (api.Object, error) {
 	if err := s.validate(obj); err != nil {
 		return nil, err
 	}
 	s.reqWrites.Inc()
-	return s.store.Update(obj)
-}
-
-// UpdateStatus validates and replaces only obj's status, preserving the
-// stored spec and metadata (the status subresource write).
-func (s *Server) UpdateStatus(obj api.Object) (api.Object, error) {
-	if err := s.validate(obj); err != nil {
-		return nil, err
-	}
-	s.reqWrites.Inc()
-	return s.store.UpdateStatus(obj)
+	return s.store.Commit(obj, statusOnly)
 }
 
 // Get fetches one object's current snapshot.
@@ -262,30 +255,6 @@ func (c Client[T]) Get(name string) (T, error) {
 	return out.(T), nil
 }
 
-// Update replaces the stored object's spec and metadata. For kinds with a
-// status subresource the stored status is preserved; use UpdateStatus to
-// write status.
-func (c Client[T]) Update(obj T) (T, error) {
-	var zero T
-	out, err := c.s.Update(obj)
-	if err != nil {
-		return zero, err
-	}
-	return out.(T), nil
-}
-
-// UpdateStatus replaces only the stored object's status (the status
-// subresource write): the stored spec and metadata are kept whatever obj
-// carries, so a controller reporting status can never clobber a spec write.
-func (c Client[T]) UpdateStatus(obj T) (T, error) {
-	var zero T
-	out, err := c.s.UpdateStatus(obj)
-	if err != nil {
-		return zero, err
-	}
-	return out.(T), nil
-}
-
 // Delete removes by name.
 func (c Client[T]) Delete(name string) error { return c.s.Delete(c.kind, name) }
 
@@ -323,9 +292,12 @@ func (c Client[T]) Watch(replay bool) *sim.Queue[store.Event] {
 }
 
 // Mutate runs a read-modify-write loop against the spec: it fetches name,
-// hands mutate a private deep copy to change and updates, retrying on
-// version conflicts. mutate must be idempotent. Status changes made by mutate
-// are discarded for kinds with a status subresource — use MutateStatus.
+// hands mutate a private deep copy to change and writes it, retrying on
+// version conflicts with a fresh copy. mutate must be idempotent. Status
+// changes made by mutate are discarded for kinds with a status subresource —
+// use MutateStatus. The store publishes the object mutate changed as the new
+// revision, without copying it again: mutate must not keep it, nor any map
+// or slice it put into it, past its return.
 func (c Client[T]) Mutate(name string, mutate func(T) error) (T, error) {
 	return c.mutate(name, mutate, false)
 }
@@ -333,17 +305,14 @@ func (c Client[T]) Mutate(name string, mutate func(T) error) (T, error) {
 // MutateStatus is Mutate against the status subresource: only status
 // changes made by mutate are persisted, and the object mutate receives owns
 // only its Status — its spec and metadata (maps and slices included) are the
-// stored snapshot's: read them, write only Status.
+// stored snapshot's: read them, write only Status. As in Mutate, that object
+// becomes the published revision: mutate must not keep it.
 func (c Client[T]) MutateStatus(name string, mutate func(T) error) (T, error) {
 	return c.mutate(name, mutate, true)
 }
 
 func (c Client[T]) mutate(name string, mutate func(T) error, statusOnly bool) (T, error) {
 	var zero T
-	write := c.Update
-	if statusOnly {
-		write = c.UpdateStatus
-	}
 	for {
 		cur, err := c.Get(name)
 		if err != nil {
@@ -359,9 +328,9 @@ func (c Client[T]) mutate(name string, mutate func(T) error, statusOnly bool) (T
 		if err := mutate(work); err != nil {
 			return zero, err
 		}
-		out, err := write(work)
+		out, err := c.s.commit(work, statusOnly)
 		if err == nil {
-			return out, nil
+			return out.(T), nil
 		}
 		if !IsConflict(err) {
 			return zero, err

@@ -56,25 +56,28 @@ func TestValidatorRunsOnCreateAndUpdate(t *testing.T) {
 	_, s := newServer()
 	boom := errors.New("rejected")
 	s.RegisterValidator("Pod", func(o api.Object) error {
-		if o.(*api.Pod).Status.Message == "bad" {
+		if o.(*api.Pod).Spec.NodeName == "bad" {
 			return boom
 		}
 		return nil
 	})
 	pods := Pods(s)
 	bad := mkPod("a")
-	bad.Status.Message = "bad"
+	bad.Spec.NodeName = "bad"
 	if _, err := pods.Create(bad); !errors.Is(err, boom) {
 		t.Fatalf("create err = %v", err)
 	}
-	stored, err := pods.Create(mkPod("a"))
-	if err != nil {
+	if _, err := pods.Create(mkPod("a")); err != nil {
 		t.Fatal(err)
 	}
-	good := stored.DeepCopyObject().(*api.Pod)
-	good.Status.Message = "bad"
-	if _, err := pods.Update(good); !errors.Is(err, boom) {
+	if _, err := pods.Mutate("a", func(p *api.Pod) error {
+		p.Spec.NodeName = "bad"
+		return nil
+	}); !errors.Is(err, boom) {
 		t.Fatalf("update err = %v", err)
+	}
+	if got, _ := pods.Get("a"); got.Spec.NodeName != "" || got.ResourceVersion != 1 {
+		t.Fatalf("rejected write stored: %+v", got)
 	}
 }
 
@@ -109,38 +112,6 @@ func TestMutateStatusWritesStatus(t *testing.T) {
 	})
 	if err != nil || out.Status.Phase != api.PodRunning {
 		t.Fatalf("out=%+v err=%v", out.Status, err)
-	}
-}
-
-func TestStatusSubresourceIsolation(t *testing.T) {
-	_, s := newServer()
-	pods := Pods(s)
-	pods.Create(mkPod("a"))
-
-	// A spec write carrying a (stale or garbage) status must not persist it.
-	if _, err := pods.Mutate("a", func(p *api.Pod) error {
-		p.Spec.NodeName = "n1"
-		p.Status.Phase = api.PodFailed // discarded by subresource semantics
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := pods.Get("a")
-	if got.Status.Phase == api.PodFailed {
-		t.Fatal("spec write persisted a status field")
-	}
-
-	// A status write must not clobber spec or labels.
-	if _, err := pods.MutateStatus("a", func(p *api.Pod) error {
-		p.Spec.NodeName = "bogus" // discarded
-		p.Status.Phase = api.PodRunning
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = pods.Get("a")
-	if got.Spec.NodeName != "n1" || got.Status.Phase != api.PodRunning {
-		t.Fatalf("spec=%q phase=%q, want n1/Running", got.Spec.NodeName, got.Status.Phase)
 	}
 }
 

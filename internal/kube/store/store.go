@@ -29,18 +29,20 @@
 // published, and there is exactly one of it: what the bucket holds, what the
 // history keeps, and what everything the store hands out carries — every
 // watcher queue (live, replayed or resumed), Scan and ScanSelector
-// callbacks, Get, List, ListSelector, and the return value of Create, Update
-// and UpdateStatus. A later write to the same key publishes a new object and
-// never touches the old one, so a write costs the same however many
-// subscribers watch, a snapshot stays a faithful record of its revision for
-// as long as anyone keeps it, and goroutine readers holding one need no lock.
+// callbacks, Get, List, ListSelector, and the return value of every write.
+// A later write to the same key publishes a new object and never touches the
+// old one, so a write costs the same however many subscribers watch, a
+// snapshot stays a faithful record of its revision for as long as anyone
+// keeps it, and goroutine readers holding one need no lock.
 //
 // The store copies on the way in, never on the way out: Create and Update
-// deep-copy their argument, and a status write copies only the status — the
-// new revision shares its spec and metadata with the one before
-// (api.StatusCarrier.WithStatusFrom). Results are therefore read-only: to
-// change an object, write back a changed DeepCopyObject of it
-// (apiserver.Client.Mutate does).
+// deep-copy their argument, and UpdateStatus copies only the status. The one
+// exception is Commit, which publishes the object it is handed:
+// apiserver.Client.Mutate hands over the private working object it built,
+// so that write copies once. A status write shares the stored spec and
+// metadata, and a spec write the stored status, with the revision before
+// (api.StatusCarrier.Overlay). Results are therefore read-only: to change an
+// object, write back a changed DeepCopyObject of it (Client.Mutate does).
 package store
 
 import (
@@ -48,6 +50,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -344,7 +347,7 @@ func (s *Store) Create(obj api.Object) (api.Object, error) {
 	meta := stored.GetMeta()
 	rv := s.rev.Add(1)
 	meta.ResourceVersion = rv
-	meta.UID = fmt.Sprintf("uid-%d", s.nextUID.Add(1))
+	meta.UID = "uid-" + strconv.FormatInt(s.nextUID.Add(1), 10)
 	meta.CreationTime = s.env.Now()
 	b.objs[name] = stored
 	b.addName(name)
@@ -360,7 +363,7 @@ func (s *Store) Create(obj api.Object) (api.Object, error) {
 // (api.StatusCarrier) the stored status is preserved too — status writes go
 // through UpdateStatus.
 func (s *Store) Update(obj api.Object) (api.Object, error) {
-	return s.update(obj, false)
+	return s.Commit(obj.DeepCopyObject(), false)
 }
 
 // UpdateStatus publishes a new revision carrying a copy of obj's status over
@@ -368,12 +371,22 @@ func (s *Store) Update(obj api.Object) (api.Object, error) {
 // previous revision — the status-subresource write; the rest of obj is
 // ignored. Objects that are no api.StatusCarrier get a whole-object Update.
 func (s *Store) UpdateStatus(obj api.Object) (api.Object, error) {
-	return s.update(obj, true)
+	if sc, carries := obj.(api.StatusCarrier); carries {
+		return s.Commit(sc.WithStatusFrom(sc), true)
+	}
+	return s.Commit(obj.DeepCopyObject(), true)
 }
 
-func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
+// Commit is Update (statusOnly false) or UpdateStatus (true) for an object
+// the caller owns and gives up: it publishes obj itself, overlaid in place
+// with the stored status or the stored spec and metadata, and returns it.
+// obj may share memory with published snapshots but with nothing the caller
+// still holds, and after the call the caller must not write to it. On an
+// error obj is untouched.
+func (s *Store) Commit(obj api.Object, statusOnly bool) (api.Object, error) {
 	kind := obj.Kind()
-	name := obj.GetMeta().Name
+	meta := obj.GetMeta()
+	name := meta.Name
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.bucketOf(kind)
@@ -382,35 +395,30 @@ func (s *Store) update(obj api.Object, statusOnly bool) (api.Object, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, api.Key(obj))
 	}
 	curMeta := cur.GetMeta()
-	if obj.GetMeta().ResourceVersion != curMeta.ResourceVersion {
+	if meta.ResourceVersion != curMeta.ResourceVersion {
 		return nil, fmt.Errorf("%w: %s (have %d, stored %d)", ErrConflict,
-			api.Key(obj), obj.GetMeta().ResourceVersion, curMeta.ResourceVersion)
+			api.Key(obj), meta.ResourceVersion, curMeta.ResourceVersion)
 	}
-	var stored api.Object
-	sc, carries := cur.(api.StatusCarrier)
+	sc, carries := obj.(api.StatusCarrier)
 	statusOnly = statusOnly && carries
 	if statusOnly {
 		// Stored spec + metadata (shared, labels included), caller's status.
-		stored = sc.WithStatusFrom(obj)
-	} else {
-		stored = obj.DeepCopyObject()
-		if carries {
-			// Caller's spec + metadata, stored status.
-			stored = stored.(api.StatusCarrier).WithStatusFrom(cur)
-		}
+		sc.Overlay(cur, obj)
+	} else if carries {
+		// Caller's spec + metadata, stored status.
+		sc.Overlay(obj, cur)
 	}
-	meta := stored.GetMeta()
 	rv := s.rev.Add(1)
 	meta.ResourceVersion = rv
 	meta.UID = curMeta.UID
 	meta.CreationTime = curMeta.CreationTime
-	b.objs[name] = stored
+	b.objs[name] = obj
 	if !statusOnly {
 		b.unindexLabels(name, curMeta.Labels)
 		b.indexLabels(name, meta.Labels)
 	}
-	s.notify(b, Event{Modified, stored, rv})
-	return stored, nil
+	s.notify(b, Event{Modified, obj, rv})
+	return obj, nil
 }
 
 // Delete removes the object by key.

@@ -176,6 +176,39 @@ func TestCanaryCatchesMutateStatusSpecMapWrite(t *testing.T) {
 	}
 }
 
+// The rule the store's one-copy write adds: the object a Mutate or
+// MutateStatus closure receives becomes the published revision, so a closure
+// that keeps it and writes to it after the call returns writes into a shared
+// snapshot. The canary names it.
+func TestCanaryCatchesRetainedWorkingObject(t *testing.T) {
+	env := sim.NewEnv()
+	srv := apiserver.New(env)
+	rec := &recorder{TB: t}
+	c := Install(rec, srv.Store())
+	pods := apiserver.Pods(srv)
+	if _, err := pods.Create(pod("a")); err != nil {
+		t.Fatal(err)
+	}
+	var kept *api.Pod
+	if _, err := pods.MutateStatus("a", func(cur *api.Pod) error {
+		cur.Status.Phase = api.PodRunning
+		kept = cur
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	kept.Status.Phase = api.PodFailed
+	c.Check()
+	if len(rec.errs) != 1 {
+		t.Fatalf("canary errors = %q, want exactly one", rec.errs)
+	}
+	for _, want := range []string{"Pod/a", "rev 2 (MODIFIED)", "Status.Phase: have Failed, published Running"} {
+		if !strings.Contains(rec.errs[0], want) {
+			t.Errorf("report %q lacks %q", rec.errs[0], want)
+		}
+	}
+}
+
 // One object per revision: the store may not hold a different pointer than
 // the one it published.
 func TestCanaryChecksStoreHoldsWhatItPublished(t *testing.T) {
