@@ -775,3 +775,48 @@ func TestSpecWriteCopiesOnce(t *testing.T) {
 		}
 	}
 }
+
+// createRig is one Client.Create of a Pod whose container carries the given
+// number of env vars, with three live watchers — the create every submitted
+// job and every DevMgr holder and bound pod goes through. The pods are built
+// before the first call, so a call costs only what Create allocates.
+func createRig(envVars int) ([]*sim.Queue[store.Event], func() error) {
+	srv := apiserver.New(sim.NewEnv())
+	srv.SetWatchHistoryCap(drainEvery)
+	pods := apiserver.Pods(srv)
+	var queues []*sim.Queue[store.Event]
+	for i := 0; i < 3; i++ {
+		queues = append(queues, pods.Watch(false))
+	}
+	// writeAllocs' warm-up and measured calls, plus AllocsPerRun's own one.
+	built := make([]*api.Pod, 12*drainEvery+1)
+	for i := range built {
+		env := make(map[string]string, envVars)
+		for j := 0; j < envVars; j++ {
+			env[fmt.Sprintf("VAR_%02d", j)] = "value"
+		}
+		built[i] = &api.Pod{
+			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("p-%05d", i), Labels: map[string]string{"app": "bench"}},
+			Spec:       api.PodSpec{Containers: []api.Container{{Name: "main", Image: "train", Env: env}}},
+		}
+	}
+	n := 0
+	return queues, func() error {
+		_, err := pods.Create(built[n])
+		n++
+		return err
+	}
+}
+
+// TestCreateCopiesNothing: the store publishes the object Client.Create is
+// handed, so a create costs the same at 0 and at 64 env vars — three
+// allocations, none of them a copy of the pod (8 / 11 while the store
+// deep-copied it).
+func TestCreateCopiesNothing(t *testing.T) {
+	for _, envVars := range []int{0, 64} {
+		queues, write := createRig(envVars)
+		if got := writeAllocs(t, queues, write); got != 3 {
+			t.Errorf("env=%d: %v allocations per Create, want 3", envVars, got)
+		}
+	}
+}

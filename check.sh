@@ -45,7 +45,8 @@ go run ./tools/benchgate
 # name so none can silently vanish: the kernel micro-benchmarks (TimerChurn's
 # one closure, the rest nothing), a store status write (one allocation at 1,
 # 8 and 32 watchers), Client.MutateStatus (one, with 0 or 64 env vars),
-# Client.Mutate (one DeepCopyObject of the pod, likewise), a logged write (the volatile write's one), a kernel launch (nothing, under
+# Client.Mutate (one DeepCopyObject of the pod, likewise), Client.Create (no
+# copy: three, with 0 or 64 env vars), a logged write (the volatile write's one), a kernel launch (nothing, under
 # every strategy), a placement staged and rolled back on an unlabeled pool
 # device, the snapshot's refresh of a device it holds and core.Schedule on a
 # pool of loaded unlabeled devices (nothing), Fig 11's decision (one: its
@@ -57,7 +58,7 @@ go run ./tools/benchgate
 # the host-clock columns its registry entry declares.
 named TestMicroBenchmarkAllocsHeldExactly go test ./internal/sim/
 named TestPlacementAllocsHeldExactly go test ./internal/experiments/
-named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce' go test .
+named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce|TestCreateCopiesNothing' go test .
 named TestLoggingAWriteAllocatesNothing go test ./internal/kube/store/
 named TestLaunchKernelAllocs go test ./internal/devlib/
 named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic' go test ./internal/experiments/

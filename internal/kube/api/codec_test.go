@@ -167,6 +167,27 @@ func TestCodecCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestDeepCopyIsFaithful: for every registered kind, with full, empty and nil
+// maps and slices, DeepCopyObject equals its original field for field. The
+// store publishes the object a create is handed, and storetest's canary
+// compares each published object against a DeepCopyObject of it, so a copy
+// that turned a nil slice into an empty one would read as a mutation.
+func TestDeepCopyIsFaithful(t *testing.T) {
+	for _, kind := range api.RegisteredKinds() {
+		for _, sh := range []shape{shapeFull, shapeEmpty, shapeNil} {
+			obj, _ := api.NewObject(kind)
+			n := 0
+			if err := populate(reflect.ValueOf(obj).Elem(), sh, false, &n); err != nil {
+				t.Fatal(err)
+			}
+			cp := obj.DeepCopyObject()
+			for _, path := range differing(kind, reflect.ValueOf(obj).Elem(), reflect.ValueOf(cp).Elem()) {
+				t.Errorf("shape %d: DeepCopyObject changed %s", sh, path)
+			}
+		}
+	}
+}
+
 // TestCodecBytesAreDeterministic: equal objects encode to equal bytes whatever
 // order their maps were built in (and whatever order Go iterates them in).
 func TestCodecBytesAreDeterministic(t *testing.T) {

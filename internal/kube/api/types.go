@@ -213,8 +213,8 @@ type PodSpec struct {
 func (s PodSpec) Clone() PodSpec {
 	out := s
 	out.NodeSelector = cloneMap(s.NodeSelector)
-	out.Containers = make([]Container, len(s.Containers))
-	for i, c := range s.Containers {
+	out.Containers = append(s.Containers[:0:0], s.Containers...) // nil stays nil
+	for i, c := range out.Containers {
 		out.Containers[i] = c.Clone()
 	}
 	return out

@@ -17,8 +17,10 @@
 // events and Scan/ScanSelector callbacks carry — is the shared read-only
 // snapshot of a revision. The only objects a caller may write to are ones it
 // built itself and the one Mutate/MutateStatus passes its closure — and in
-// MutateStatus only its Status. The store publishes that object itself, so
-// the closure must not keep it.
+// MutateStatus only its Status. A write publishes the object it is handed,
+// uncopied — what a caller passes to Create, what a closure changed — so
+// that object must not be written to afterwards, nor share a map or slice
+// with anything that is.
 package apiserver
 
 import (
@@ -111,14 +113,15 @@ func (s *Server) validate(obj api.Object) error {
 	return nil
 }
 
-// Create validates and stores a copy of obj. Every admitted create roots or
-// extends the object's causal trace chain, so a sharePod's life is
-// traceable from the submit instant.
+// Create validates obj, which the caller gives up, and has the store publish
+// it itself (store.Insert); on an error obj is untouched. Every admitted
+// create roots or extends the object's causal trace chain, so a sharePod's
+// life is traceable from the submit instant.
 func (s *Server) Create(obj api.Object) (api.Object, error) {
 	if err := s.validate(obj); err != nil {
 		return nil, err
 	}
-	out, err := s.store.Create(obj)
+	out, err := s.store.Insert(obj)
 	if err == nil {
 		s.reqWrites.Inc()
 		s.rt.Tracer().Mark("apiserver", "create", api.Key(out), "")
@@ -235,7 +238,8 @@ func NewClient[T api.Object](s *Server, kind string) Client[T] {
 	return Client[T]{s: s, kind: kind}
 }
 
-// Create stores a copy of obj and returns the published snapshot.
+// Create publishes obj itself and returns it (Server.Create): the caller must
+// not write to obj, nor to a map or slice in it, once Create has succeeded.
 func (c Client[T]) Create(obj T) (T, error) {
 	var zero T
 	out, err := c.s.Create(obj)

@@ -3,6 +3,7 @@ package apiserver
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"kubeshare/internal/kube/api"
@@ -52,6 +53,9 @@ func TestEmptyNameRejected(t *testing.T) {
 	}
 }
 
+// TestValidatorRunsOnCreateAndUpdate also holds Create's error contract:
+// Create publishes the object it is handed, but a create that is refused — by
+// a validator or with ErrExists — leaves the caller's object untouched.
 func TestValidatorRunsOnCreateAndUpdate(t *testing.T) {
 	_, s := newServer()
 	boom := errors.New("rejected")
@@ -62,13 +66,31 @@ func TestValidatorRunsOnCreateAndUpdate(t *testing.T) {
 		return nil
 	})
 	pods := Pods(s)
+	untouched := func(what string, p *api.Pod, nodeName string) {
+		t.Helper()
+		want := mkPod("a")
+		want.Spec.NodeName = nodeName
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("%s create changed the caller's object: %+v", what, p)
+		}
+	}
 	bad := mkPod("a")
 	bad.Spec.NodeName = "bad"
 	if _, err := pods.Create(bad); !errors.Is(err, boom) {
 		t.Fatalf("create err = %v", err)
 	}
-	if _, err := pods.Create(mkPod("a")); err != nil {
+	untouched("rejected", bad, "bad")
+	created, err := pods.Create(mkPod("a"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	dup := mkPod("a")
+	if _, err := pods.Create(dup); !IsExists(err) {
+		t.Fatalf("duplicate create err = %v", err)
+	}
+	untouched("duplicate", dup, "")
+	if got, _ := pods.Get("a"); got != created {
+		t.Fatalf("duplicate create replaced the stored object: %+v", got)
 	}
 	if _, err := pods.Mutate("a", func(p *api.Pod) error {
 		p.Spec.NodeName = "bad"

@@ -14,11 +14,12 @@ import (
 )
 
 // carrier is one status-subresource kind as TestStatusSubresourceIsolation
-// drives it: obj is an object named "a" labelled app=x, spec changes its spec
-// (a Node's is its metadata) and status its status.
+// drives it: obj builds a fresh object named "a" labelled app=x (Create
+// publishes what it is passed, so each write creates its own), spec changes
+// its spec (a Node's is its metadata) and status its status.
 type carrier[T api.StatusCarrier] struct {
 	client func(*apiserver.Server) apiserver.Client[T]
-	obj    T
+	obj    func() T
 	spec   func(T)
 	status func(T)
 }
@@ -30,28 +31,34 @@ type carrier[T api.StatusCarrier] struct {
 // and a write that conflicts retries on a fresh working object until it
 // lands. The canary checks that no shared snapshot was written on the way.
 func TestStatusSubresourceIsolation(t *testing.T) {
-	meta := api.ObjectMeta{Name: "a", Labels: map[string]string{"app": "x"}}
+	meta := func() api.ObjectMeta { return api.ObjectMeta{Name: "a", Labels: map[string]string{"app": "x"}} }
 	t.Run("Pod", carrier[*api.Pod]{
 		client: apiserver.Pods,
-		obj:    &api.Pod{ObjectMeta: meta, Spec: api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}}},
+		obj: func() *api.Pod {
+			return &api.Pod{ObjectMeta: meta(), Spec: api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}}}
+		},
 		spec:   func(p *api.Pod) { p.Spec.NodeName = "n1" },
 		status: func(p *api.Pod) { p.Status.Phase = api.PodRunning },
 	}.run)
 	t.Run("Node", carrier[*api.Node]{
 		client: apiserver.Nodes,
-		obj:    &api.Node{ObjectMeta: meta, Status: api.NodeStatus{Capacity: api.ResourceList{"cpu": 4}}},
+		obj: func() *api.Node {
+			return &api.Node{ObjectMeta: meta(), Status: api.NodeStatus{Capacity: api.ResourceList{"cpu": 4}}}
+		},
 		spec:   func(n *api.Node) { n.Annotations = map[string]string{"zone": "b"} },
 		status: func(n *api.Node) { n.Status.Ready, n.Status.Allocatable = true, api.ResourceList{"cpu": 2} },
 	}.run)
 	t.Run("SharePod", carrier[*core.SharePod]{
 		client: core.SharePods,
-		obj:    &core.SharePod{ObjectMeta: meta, Spec: core.SharePodSpec{GPURequest: 0.5, GPUMem: 0.5}},
+		obj: func() *core.SharePod {
+			return &core.SharePod{ObjectMeta: meta(), Spec: core.SharePodSpec{GPURequest: 0.5, GPUMem: 0.5}}
+		},
 		spec:   func(s *core.SharePod) { s.Spec.GPUID, s.Spec.NodeName = "g1", "n1" },
 		status: func(s *core.SharePod) { s.Status.Phase = core.SharePodRunning },
 	}.run)
 	t.Run("VGPU", carrier[*core.VGPU]{
 		client: core.VGPUs,
-		obj:    &core.VGPU{ObjectMeta: meta, Spec: core.VGPUSpec{GPUID: "a"}},
+		obj:    func() *core.VGPU { return &core.VGPU{ObjectMeta: meta(), Spec: core.VGPUSpec{GPUID: "a"}} },
 		spec:   func(v *core.VGPU) { v.Spec.NodeName = "n1" },
 		status: func(v *core.VGPU) { v.Status.UUID = "GPU-1" },
 	}.run)
@@ -69,7 +76,7 @@ func (c carrier[T]) write(t *testing.T, statusOnly bool) {
 	srv := apiserver.New(sim.NewEnv())
 	storetest.Install(t, srv.Store())
 	cl := c.client(srv)
-	created, err := cl.Create(c.obj)
+	created, err := cl.Create(c.obj())
 	if err != nil {
 		t.Fatal(err)
 	}

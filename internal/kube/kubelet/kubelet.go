@@ -98,8 +98,9 @@ func (k *Kubelet) Start() error {
 	// the extended resources.
 	capacity := api.ResourceList{api.ResourceCPU: 36000, api.ResourceMemory: 244 << 30}
 	capacity.Add(k.devmgr.Capacity())
+	// The store publishes node itself, so it must not share the config's map.
 	node := &api.Node{
-		ObjectMeta: api.ObjectMeta{Name: k.cfg.NodeName, Labels: k.cfg.Labels},
+		ObjectMeta: api.ObjectMeta{Name: k.cfg.NodeName, Labels: maps.Clone(k.cfg.Labels)},
 		Status: api.NodeStatus{
 			Capacity:      capacity,
 			Allocatable:   capacity.Clone(),

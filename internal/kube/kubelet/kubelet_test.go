@@ -12,7 +12,9 @@ import (
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/deviceplugin"
+	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/runtime"
+	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
 
@@ -69,6 +71,34 @@ func TestNodeRegistrationIncludesPluginCapacity(t *testing.T) {
 	if !node.Status.Ready {
 		t.Fatal("node not ready")
 	}
+}
+
+// TestNodeLabelsAreTheNodesOwn: the store publishes the Node the kubelet
+// registers without copying it, so the kubelet must not hand it the config's
+// label map — a later write to that map would change the published Node
+// behind the store's label index.
+func TestNodeLabelsAreTheNodesOwn(t *testing.T) {
+	env := sim.NewEnv()
+	srv := apiserver.New(env)
+	storetest.Install(t, srv.Store())
+	lbls := map[string]string{"zone": "a"}
+	kl := New(env, srv, deviceplugin.NewManager(), runtime.New(env, runtime.NewImageRegistry(), nil), Config{NodeName: "n0", Labels: lbls})
+	if err := kl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lbls["zone"] = "b"
+	lbls["extra"] = "x"
+	node, err := apiserver.Nodes(srv).Get("n0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(node.Labels, map[string]string{"zone": "a"}) {
+		t.Fatalf("published node labels = %v, want the config's at Start", node.Labels)
+	}
+	if got := apiserver.Nodes(srv).ListSelector(labels.SelectorFromMap(map[string]string{"zone": "a"})); len(got) != 1 {
+		t.Fatalf("zone=a selects %d nodes, want 1", len(got))
+	}
+	kl.Stop()
 }
 
 func TestPodRunsAndSucceeds(t *testing.T) {

@@ -36,10 +36,11 @@
 // keeps it, and goroutine readers holding one need no lock.
 //
 // The store copies on the way in, never on the way out: Create and Update
-// deep-copy their argument, and UpdateStatus copies only the status. The one
-// exception is Commit, which publishes the object it is handed:
-// apiserver.Client.Mutate hands over the private working object it built,
-// so that write copies once. A status write shares the stored spec and
+// deep-copy their argument, and UpdateStatus copies only the status. The
+// exceptions are the owning writes apiserver uses, Insert (Create's) and
+// Commit (Update's), which publish the object they are handed — the one
+// Client.Create's caller built, or the working object Client.Mutate built —
+// so a create copies nothing and a write copies once. A status write shares the stored spec and
 // metadata, and a spec write the stored status, with the revision before
 // (api.StatusCarrier.Overlay). Results are therefore read-only: to change an
 // object, write back a changed DeepCopyObject of it (Client.Mutate does).
@@ -335,25 +336,33 @@ func (s *Store) kindNames() []string {
 // Create inserts a copy of obj, assigning UID, CreationTime and
 // ResourceVersion, and returns the published snapshot (read-only).
 func (s *Store) Create(obj api.Object) (api.Object, error) {
+	return s.Insert(obj.DeepCopyObject())
+}
+
+// Insert is Create for an object the caller owns and gives up: it publishes
+// obj itself, with UID, CreationTime and ResourceVersion set in place, and
+// returns it. obj may share memory with published snapshots but with nothing
+// the caller still holds, and after the call the caller must not write to
+// it. On an error obj is untouched.
+func (s *Store) Insert(obj api.Object) (api.Object, error) {
 	kind := obj.Kind()
-	name := obj.GetMeta().Name
+	meta := obj.GetMeta()
+	name := meta.Name
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.bucketOf(kind)
 	if _, ok := b.objs[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExists, api.Key(obj))
 	}
-	stored := obj.DeepCopyObject()
-	meta := stored.GetMeta()
 	rv := s.rev.Add(1)
 	meta.ResourceVersion = rv
 	meta.UID = "uid-" + strconv.FormatInt(s.nextUID.Add(1), 10)
 	meta.CreationTime = s.env.Now()
-	b.objs[name] = stored
+	b.objs[name] = obj
 	b.addName(name)
 	b.indexLabels(name, meta.Labels)
-	s.notify(b, Event{Added, stored, rv})
-	return stored, nil
+	s.notify(b, Event{Added, obj, rv})
+	return obj, nil
 }
 
 // Update publishes a new revision built from a copy of obj and returns it

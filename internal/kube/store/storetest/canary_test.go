@@ -209,6 +209,31 @@ func TestCanaryCatchesRetainedWorkingObject(t *testing.T) {
 	}
 }
 
+// The rule the owning create adds: Client.Create publishes the object its
+// caller built, so a caller that keeps it and writes to it after the call
+// returns writes into a shared snapshot. The canary names it.
+func TestCanaryCatchesRetainedCreatedObject(t *testing.T) {
+	env := sim.NewEnv()
+	srv := apiserver.New(env)
+	rec := &recorder{TB: t}
+	c := Install(rec, srv.Store())
+	pods := apiserver.Pods(srv)
+	kept := pod("a")
+	if _, err := pods.Create(kept); err != nil {
+		t.Fatal(err)
+	}
+	kept.Status.Phase = api.PodFailed
+	c.Check()
+	if len(rec.errs) != 1 {
+		t.Fatalf("canary errors = %q, want exactly one", rec.errs)
+	}
+	for _, want := range []string{"Pod/a", "rev 1 (ADDED)", "Status.Phase: have Failed, published "} {
+		if !strings.Contains(rec.errs[0], want) {
+			t.Errorf("report %q lacks %q", rec.errs[0], want)
+		}
+	}
+}
+
 // One object per revision: the store may not hold a different pointer than
 // the one it published.
 func TestCanaryChecksStoreHoldsWhatItPublished(t *testing.T) {

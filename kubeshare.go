@@ -244,7 +244,8 @@ func (s *Sim) RunFor(d time.Duration) { s.Env.RunUntil(s.Env.Now() + d) }
 func (s *Sim) Now() time.Duration { return s.Env.Now() }
 
 // SharePods returns the typed SharePod client. What a client returns is the
-// API server's read-only snapshot: change objects only in a Mutate closure.
+// API server's read-only snapshot: change objects only in a Mutate closure,
+// and give up what you pass to Create, which publishes it uncopied.
 func (s *Sim) SharePods() apiserver.Client[*core.SharePod] {
 	return core.SharePods(s.Cluster.API)
 }
@@ -254,17 +255,20 @@ func (s *Sim) VGPUs() apiserver.Client[*core.VGPU] {
 	return core.VGPUs(s.Cluster.API)
 }
 
-// Pods returns the typed native-pod client.
+// Pods returns the typed native-pod client. As with SharePods, a caller
+// gives up what it passes to Create and reads only snapshots.
 func (s *Sim) Pods() apiserver.Client[*api.Pod] { return s.Cluster.Pods() }
 
-// SharePodSets returns the typed SharePodSet client.
+// SharePodSets returns the typed SharePodSet client. As with SharePods, a
+// caller gives up what it passes to Create and reads only snapshots.
 func (s *Sim) SharePodSets() apiserver.Client[*core.SharePodSet] {
 	return core.SharePodSets(s.Cluster.API)
 }
 
-// CreateSharePod submits a copy of sp and returns the stored snapshot.
+// CreateSharePod submits a copy of sp, which stays the caller's, and returns
+// the stored snapshot.
 func (s *Sim) CreateSharePod(sp *SharePod) (*SharePod, error) {
-	return s.SharePods().Create(sp)
+	return s.SharePods().Create(sp.DeepCopyObject().(*SharePod))
 }
 
 // RegisterImage binds an image name to an entrypoint for containers

@@ -234,6 +234,32 @@ func TestStatsIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestFacadeCreateSharePodKeepsArgument: Client.Create publishes the object
+// it is handed, but CreateSharePod submits a copy, so the caller's sharePod
+// stays its own — unversioned, without a UID, and free to change and reuse.
+func TestFacadeCreateSharePodKeepsArgument(t *testing.T) {
+	s := newSim(t, WithNodes(1))
+	sp := &SharePod{
+		ObjectMeta: ObjectMeta{Name: "mine", Labels: map[string]string{"app": "x"}},
+		Spec: SharePodSpec{
+			GPURequest: 0.5, GPULimit: 1, GPUMem: 0.25,
+			Pod: PodSpec{Containers: []Container{{Name: "c", Image: "i"}}},
+		},
+	}
+	stored, err := s.CreateSharePod(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.ResourceVersion != 0 || sp.UID != "" || stored == sp || stored.ResourceVersion == 0 {
+		t.Fatalf("caller's sharePod rv %d uid %q, stored %p rv %d: want the caller's untouched and a copy stored",
+			sp.ResourceVersion, sp.UID, stored, stored.ResourceVersion)
+	}
+	sp.Name, sp.Labels["app"] = "again", "y" // the canary checks the stored one is unmoved
+	if _, err := s.CreateSharePod(sp); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFacadeMixedSharingModesFailOneContainer: the scheduler co-places two
 // sharePods asking for different sharing modes on one GPU (nothing keeps them
 // apart but exclusion labels). The device serves the first mode to reach it;
