@@ -322,7 +322,7 @@ func BenchmarkAblationMemOvercommit(b *testing.B) {
 			}
 			return nil
 		})
-		s.Go("submit", func(p *Proc) {
+		s.Go("submit", func(p *sim.Proc) {
 			for _, n := range []string{"a", "b"} {
 				s.CreateSharePod(&SharePod{
 					ObjectMeta: ObjectMeta{Name: n},

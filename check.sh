@@ -28,12 +28,22 @@ go vet ./...
 test -z "$(gofmt -l .)"
 # Determinism vet: simulation code must not read the wall clock, print to
 # stdout, or use the global RNG; metric names must be kubeshare_-prefixed
-# snake_case with label keys from the bounded vocabulary (see tools/detvet).
+# snake_case with label keys from the bounded vocabulary; and the census: an
+# exported name of the facade or of a package under internal/ that nothing
+# but its own package's tests names fails, unless detvet's censusAllow lists
+# it with a reason (see tools/detvet).
 go run ./tools/detvet ./internal
 # metricsdoc -check is what keeps docs/METRICS.md and the code in sync: every
 # family registered under ./internal or ./cmd must have a description and
 # every description a family, and the doc must equal the fresh render.
 go run ./tools/metricsdoc -check
+# Both tools' tests by name, so none can silently vanish: each detvet rule
+# fires on a re-introduced violation (a renamed time import, a metric name
+# held in a constant of this or another package, a test-only export
+# included) and not on an exempt look-alike; metricsdoc resolves a constant
+# name in the package that declares it.
+named 'TestDetAllowExemptsLine|TestTestOracleImportFlagged|TestRulesFire' go test ./tools/detvet/
+named TestScanResolvesConstantsPerPackage go test ./tools/metricsdoc/
 go test ./...
 # The work ratchet: each repo-benchmark workload at seed 1, untraced and
 # traced, against tools/benchgate/work.json — mallocs_k and alloc_mb within a

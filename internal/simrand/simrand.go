@@ -7,7 +7,7 @@ package simrand
 import (
 	"hash/fnv"
 	"math"
-	"math/rand"
+	"math/rand" //det:allow the seeded wrapper every other package draws through
 	"time"
 )
 

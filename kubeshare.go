@@ -21,14 +21,11 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
-	"kubeshare/internal/devlib"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/runtime"
 	"kubeshare/internal/kube/store"
-	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
 )
@@ -42,8 +39,6 @@ type (
 	// SharePodSpec is its specification (gpu_request / gpu_limit / gpu_mem,
 	// GPUID, locality labels).
 	SharePodSpec = core.SharePodSpec
-	// VGPU is the pool-device custom resource.
-	VGPU = core.VGPU
 	// SharePodSet is the replica controller over sharePods.
 	SharePodSet = core.SharePodSet
 	// Pod and PodSpec are the native Kubernetes objects.
@@ -56,10 +51,6 @@ type (
 	ObjectMeta = api.ObjectMeta
 	// ResourceList maps resource names to quantities.
 	ResourceList = api.ResourceList
-	// Share is the device library's view of a fractional GPU allocation.
-	Share = devlib.Share
-	// Proc is a simulation process handle (the argument of Go callbacks).
-	Proc = sim.Proc
 	// Event is one watch notification delivered by Sim.Watch. Its Object is
 	// the store's shared read-only snapshot of that revision — every
 	// watcher and every Get/List receives the same pointer — so never
@@ -68,31 +59,6 @@ type (
 	// WatchOptions narrows a Sim.Watch subscription: exact name, bound
 	// node, owner kind, label selector, and replay of the current state.
 	WatchOptions = store.WatchOptions
-	// Selector filters objects by labels (see SelectorFromMap / HasLabel).
-	Selector = labels.Selector
-	// Span is one operation in the causal trace (see Sim.Trace).
-	Span = obs.Span
-	// EventRecord is one recorded cluster event (see Sim.Events).
-	EventRecord = obs.EventRecord
-	// MetricsSnapshot is a point-in-time registry dump (see Sim.Metrics).
-	MetricsSnapshot = obs.MetricsSnapshot
-)
-
-// Trace helpers re-exported from the telemetry runtime.
-var (
-	// TraceChain filters spans down to one chain (e.g. "SharePod/hello").
-	TraceChain = obs.Chain
-	// FormatSpans and FormatEvents render deterministic text dumps.
-	FormatSpans  = obs.FormatSpans
-	FormatEvents = obs.FormatEvents
-)
-
-// Selector constructors for Sim.Watch / ListSelector filters.
-var (
-	// SelectorFromMap builds an equality selector from key=value pairs.
-	SelectorFromMap = labels.SelectorFromMap
-	// HasLabel builds a selector matching objects carrying the label key.
-	HasLabel = labels.HasKey
 )
 
 // Re-exported phases and policies.
@@ -115,11 +81,6 @@ const (
 	// Sim.Watch subscriptions.
 	KindSharePod = core.KindSharePod
 	KindVGPU     = core.KindVGPU
-
-	// EventAdded, EventModified and EventDeleted classify watch events.
-	EventAdded    = store.Added
-	EventModified = store.Modified
-	EventDeleted  = store.Deleted
 )
 
 // config collects the options.
@@ -378,19 +339,3 @@ func (s *Sim) usageRate(sp *SharePod) float64 {
 	}
 	return total
 }
-
-// Metrics returns a point-in-time snapshot of every counter, gauge and
-// histogram in the cluster's telemetry registry, sorted by name. The
-// snapshot is empty when the Sim was built WithoutObservability.
-func (s *Sim) Metrics() MetricsSnapshot { return s.Cluster.Obs.Snapshot() }
-
-// Trace returns a copy of every span recorded so far, in creation order.
-// Spans carry causal parent links within their chain key; filter one
-// object's chain with TraceChain(s.Trace(), "SharePod/<name>").
-func (s *Sim) Trace() []Span { return s.Cluster.Obs.Tracer().Spans() }
-
-// Events returns the ordered log of every cluster event recorded so far
-// (scheduling rejections, vGPU lifecycle, device faults, chaos, ...). The
-// log lives in the telemetry runtime, not the API server, so recording an
-// event changes no cluster state; it is empty WithoutObservability.
-func (s *Sim) Events() []EventRecord { return s.Cluster.Obs.Events() }

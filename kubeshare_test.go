@@ -9,6 +9,7 @@ import (
 	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store/storetest"
+	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
 )
@@ -379,8 +380,8 @@ func TestFacadeStats(t *testing.T) {
 }
 
 // TestFacadeTraceCausalChain drives one sharePod to completion and checks
-// that its life is reconstructable from Sim.Trace() as a single causally
-// linked chain crossing all six instrumented layers.
+// that its life is reconstructable from the cluster's trace as a single
+// causally linked chain crossing all six instrumented layers.
 func TestFacadeTraceCausalChain(t *testing.T) {
 	s := newSim(t, WithNodes(1))
 	s.RegisterImage("traced", func(ctx *ContainerCtx) error {
@@ -397,7 +398,7 @@ func TestFacadeTraceCausalChain(t *testing.T) {
 	})
 	s.Run()
 
-	chain := TraceChain(s.Trace(), "SharePod/traced")
+	chain := obs.Chain(s.Cluster.Obs.Tracer().Spans(), "SharePod/traced")
 	want := []struct{ component, op string }{
 		{"apiserver", "create"},
 		{"kubeshare-sched", "schedule"},
@@ -436,7 +437,7 @@ func TestFacadeTraceCausalChain(t *testing.T) {
 	}
 
 	// Metrics and events from the same run.
-	m := s.Metrics()
+	m := s.Cluster.Obs.Snapshot()
 	if m.Counter("kubeshare_sched_decisions_total") == 0 {
 		t.Fatal("no decisions counted")
 	}
@@ -447,13 +448,13 @@ func TestFacadeTraceCausalChain(t *testing.T) {
 		t.Fatal("scheduling-latency histogram empty")
 	}
 	found := false
-	for _, ev := range s.Events() {
+	for _, ev := range s.Cluster.Obs.Events() {
 		if ev.Source == "kubelet/node-0" && ev.Reason == "Started" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no kubelet Started event in %d events", len(s.Events()))
+		t.Fatalf("no kubelet Started event in %d events", len(s.Cluster.Obs.Events()))
 	}
 }
 
@@ -476,13 +477,13 @@ func TestFacadeWithoutObservability(t *testing.T) {
 	if err != nil || sp.Status.Phase != SharePodSucceeded {
 		t.Fatalf("sharePod = %+v err=%v", sp, err)
 	}
-	if n := len(s.Trace()); n != 0 {
+	if n := len(s.Cluster.Obs.Tracer().Spans()); n != 0 {
 		t.Fatalf("obs-off run recorded %d spans", n)
 	}
-	if n := len(s.Events()); n != 0 {
+	if n := len(s.Cluster.Obs.Events()); n != 0 {
 		t.Fatalf("obs-off run recorded %d events", n)
 	}
-	m := s.Metrics()
+	m := s.Cluster.Obs.Snapshot()
 	if len(m.Counters)+len(m.Gauges)+len(m.Histograms) != 0 {
 		t.Fatalf("obs-off run registered metrics: %+v", m)
 	}

@@ -1,161 +1,130 @@
 // Command detvet enforces the repository's determinism rules on simulation
-// code: files under the given roots must not read the wall clock
-// (time.Now), print to stdout (fmt.Print*), or import the global random
-// number generator (math/rand). Every source of time and randomness must
-// flow through sim.Env and simrand so a seeded run is bit-reproducible.
+// code: non-test files under the given roots must not read the wall clock
+// (time.Now), print to stdout (fmt.Print*) or import the global random
+// number generator (math/rand), so a seeded run is bit-reproducible. A
+// line ending in "//det:allow <why>" is exempt: internal/simrand's import
+// of math/rand, and wall-clock reads that time the simulator itself and
+// never feed it. A constant metric name passed to a registry method must
+// be kubeshare_-prefixed snake_case, and *Vec label keys must come from a
+// bounded vocabulary, which keeps cardinality reviewable.
 //
-// It also enforces metric-name hygiene on the telemetry registry: every
-// literal name passed to Counter/Gauge/FloatGauge/Histogram (and their
-// *Vec forms) must be kubeshare_-prefixed snake_case, and *Vec label KEYS
-// must come from the bounded vocabulary (gpu_uuid, tenant, node, pool,
-// consumer, strategy) —
-// label values may only be object names/UUIDs or closed enums, never
-// free-form strings, and a bounded key set is what keeps cardinality
-// reviewable.
+// The census runs over the whole module: an exported identifier of the
+// root package or of a package under internal/ fails when nothing but its
+// own package's tests names it. The rest of the module (benchmark/, cmd/,
+// examples/, tools/) and other packages' tests count as callers; methods
+// that implement an interface, and what censusAllow lists, are exempt.
+//
+// Names resolve through go/types (tools/internal/source), so a renamed
+// import cannot hide a time.Now, nor a constant a metric name.
 //
 // Usage:
 //
 //	go run ./tools/detvet ./internal
-//
-// Test files (_test.go) and testdata directories are skipped. The
-// internal/simrand package is exempt — it is the seeded wrapper the rule
-// funnels everyone else through. A line ending in a "//det:allow" comment
-// is exempt; use it for wall-clock reads that time the simulator itself
-// and never feed the simulation.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
+
+	"kubeshare/tools/internal/source"
 )
 
-// exemptDirs are package directories (slash-separated suffixes) the rules
-// do not apply to.
-var exemptDirs = []string{"internal/simrand"}
-
-// bannedImports are import paths simulation code must not use.
-var bannedImports = map[string]string{
-	"math/rand":    "use kubeshare/internal/simrand (seeded streams) instead",
-	"math/rand/v2": "use kubeshare/internal/simrand (seeded streams) instead",
-	// The paper-form Algorithm 1 is a test oracle; the scheduler that runs
-	// decides through core.Decide.
-	"kubeshare/internal/core/coretest": "test-only reference Algorithm 1; only _test.go files import it",
-}
-
-// dirBannedImports bans imports only within package directories matching a
-// slash-separated suffix.
-var dirBannedImports = map[string]map[string]string{
-	// Sharing-strategy implementations arbitrate device time below the
-	// control plane: they see clients only through the Strategy interface
-	// (Register/Admit/Release), so a strategy holding an apiserver or store
-	// handle could condition grants on cluster state the device layer must
-	// not know about.
+// bannedImports maps a package-directory suffix ("" for every package) to
+// the imports its code must not use, each with the reason.
+var bannedImports = map[string]map[string]string{
+	"": {
+		"math/rand":                        "use kubeshare/internal/simrand (seeded streams) instead",
+		"math/rand/v2":                     "use kubeshare/internal/simrand (seeded streams) instead",
+		"kubeshare/internal/core/coretest": "test-only reference Algorithm 1; the scheduler decides through core.Decide",
+	},
+	// A strategy sees clients only through the Strategy interface; with an
+	// apiserver or store handle it could condition grants on cluster state.
 	"devlib/sharing": {
 		"kubeshare/internal/kube/apiserver": "sharing strategies arbitrate device time; cluster state stays above the Strategy interface",
 		"kubeshare/internal/kube/store":     "sharing strategies arbitrate device time; cluster state stays above the Strategy interface",
 	},
-	// The WAL/checkpoint layer must stay deterministic and replayable: the
-	// log is modeled in memory with virtual-clock I/O costs, never real
-	// files, and record ordering comes from store revisions, never wall
-	// timestamps — so neither os nor time may creep into the package.
+	// The WAL/checkpoint layer must stay deterministic and replayable.
 	"kube/store": {
 		"os":   "the WAL is modeled in memory with virtual I/O costs; no real files",
 		"time": "durability ordering comes from store revisions and sim.Env's virtual clock; no wall time",
 	},
 }
 
-// metricMethods are registry methods whose first argument is a metric
-// name; "true" marks the labeled (*Vec) forms whose remaining string
-// arguments are label keys.
-var metricMethods = map[string]bool{
-	"Counter": false, "Gauge": false, "FloatGauge": false, "Histogram": false,
-	"CounterVec": true, "FloatGaugeVec": true, "HistogramVec": true,
+// bannedFuncs maps "<import path>.<func>" to the reason it is banned.
+var bannedFuncs = map[string]string{
+	"time.Now":    "use sim.Env.Now (virtual clock) instead",
+	"fmt.Print":   "simulation code must not write to stdout; return data or use obs",
+	"fmt.Printf":  "simulation code must not write to stdout; return data or use obs",
+	"fmt.Println": "simulation code must not write to stdout; return data or use obs",
 }
 
 // allowedLabelKeys is the bounded label vocabulary. Values for these keys
 // are object names and UUIDs, so per-family cardinality stays proportional
 // to cluster size; strategy values come from the closed sharing.Mode enum.
-var allowedLabelKeys = map[string]bool{
-	"gpu_uuid": true, "tenant": true, "node": true, "pool": true, "consumer": true,
-	"strategy": true,
-}
+var allowedLabelKeys = map[string]bool{"gpu_uuid": true, "tenant": true, "node": true, "pool": true, "consumer": true, "strategy": true}
 
-// metricName matches kubeshare_-prefixed snake_case.
-var metricName = regexp.MustCompile(`^kubeshare_[a-z0-9]+(_[a-z0-9]+)*$`)
-
-// bannedSelectors maps package import path -> selector -> reason.
-var bannedSelectors = map[string]map[string]string{
-	"time": {
-		"Now": "use sim.Env.Now (virtual clock) instead",
-	},
-	"fmt": {
-		"Print":   "simulation code must not write to stdout; return data or use obs",
-		"Printf":  "simulation code must not write to stdout; return data or use obs",
-		"Println": "simulation code must not write to stdout; return data or use obs",
-	},
+// censusAllow lists, by reason, the exported identifiers the census keeps
+// although nothing outside their package's tests names them, as
+// "<import path>.<name>" or "<import path>.<type>.<method>".
+var censusAllow = map[string][]string{
+	"facade options documented in README.md": {"kubeshare.WithPoolPolicy", "kubeshare.WithTokenQuota",
+		"kubeshare.WithMemOvercommit", "kubeshare.WithExtenderScheduler", "kubeshare.WithGangTimeout",
+		"kubeshare.WithoutKubeShare", "kubeshare.WithoutObservability"},
+	"WithPoolPolicy's arguments, documented in README.md": {"kubeshare.OnDemand", "kubeshare.Reservation"},
+	"an enum is kept whole, and SharePodSucceeded and KindSharePod are used": {"kubeshare.SharePodPending",
+		"kubeshare.SharePodScheduled", "kubeshare.SharePodRunning", "kubeshare.SharePodFailed",
+		"kubeshare.SharePodRejected", "kubeshare.KindVGPU"},
+	"the context-fault model Fig 18's isolation arm is to fire": {"kubeshare/internal/gpusim.Device.InjectContextFault",
+		"kubeshare/internal/gpusim.Context.Faulted", "kubeshare/internal/gpusim.Context.Owner"},
 }
 
 func main() {
-	flag.Parse()
-	roots := flag.Args()
-	if len(roots) == 0 {
+	if len(os.Args) < 2 {
 		fmt.Fprintln(os.Stderr, "usage: detvet <dir> [dir ...]")
 		os.Exit(2)
 	}
-	bad := 0
-	for _, root := range roots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				dir := filepath.ToSlash(path)
-				for _, ex := range exemptDirs {
-					if strings.HasSuffix(dir, ex) {
-						return filepath.SkipDir
-					}
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			bad += checkFile(path)
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detvet: %v\n", err)
-			os.Exit(2)
-		}
+	bad, err := vet(os.Args[1:]...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detvet: %v\n", err)
+		os.Exit(2)
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "detvet: %d violation(s)\n", bad)
+	for _, v := range bad {
+		fmt.Fprintln(os.Stderr, v)
+	}
+	if len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "detvet: %d violation(s)\n", len(bad))
 		os.Exit(1)
 	}
 }
 
-// checkFile parses one file and reports its violations.
-func checkFile(path string) int {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+// vet loads the module holding roots[0] and returns its violations, each
+// as "file:line:col: message".
+func vet(roots ...string) ([]string, error) {
+	prog, err := source.Load(roots[0])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "detvet: %v\n", err)
-		return 1
+		return nil, err
 	}
+	var bad []string
+	report := func(pos token.Pos, format string, args ...any) {
+		bad = append(bad, prog.Fset.Position(pos).String()+": "+fmt.Sprintf(format, args...))
+	}
+	for _, p := range prog.Under(roots...) {
+		for _, f := range p.Files {
+			vetFile(prog.Fset, p, f, report)
+		}
+	}
+	census(prog, report)
+	return bad, nil
+}
 
-	// Lines carrying a //det:allow comment are exempt.
+// vetFile applies the per-file rules to one non-test file.
+func vetFile(fset *token.FileSet, p *source.Package, f *ast.File, report func(token.Pos, string, ...any)) {
 	allowed := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -164,110 +133,126 @@ func checkFile(path string) int {
 			}
 		}
 	}
-
-	bad := 0
-	report := func(pos token.Pos, msg string) {
-		p := fset.Position(pos)
-		if allowed[p.Line] {
-			return
+	flag := func(pos token.Pos, format string, args ...any) {
+		if !allowed[fset.Position(pos).Line] {
+			report(pos, format, args...)
 		}
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s\n", p.Filename, p.Line, p.Column, msg)
-		bad++
 	}
-
-	// localName maps the in-file identifier of each watched import to its
-	// import path ("time", "fmt"), honouring renamed imports.
-	dir := filepath.ToSlash(filepath.Dir(path))
-	localName := map[string]string{}
 	for _, imp := range f.Imports {
 		ip, _ := strconv.Unquote(imp.Path.Value)
-		if reason, banned := bannedImports[ip]; banned {
-			report(imp.Pos(), fmt.Sprintf("import %q forbidden: %s", ip, reason))
-		}
-		for suffix, rules := range dirBannedImports {
-			if !strings.HasSuffix(dir, suffix) {
-				continue
-			}
-			if reason, banned := rules[ip]; banned {
-				report(imp.Pos(), fmt.Sprintf("import %q forbidden in %s: %s", ip, suffix, reason))
-			}
-		}
-		if _, watched := bannedSelectors[ip]; watched {
-			name := filepath.Base(ip)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			if name != "_" && name != "." {
-				localName[name] = ip
+		for suffix, rules := range bannedImports {
+			if reason, banned := rules[ip]; banned && strings.HasSuffix(filepath.ToSlash(p.Dir), suffix) {
+				flag(imp.Pos(), "import %q forbidden%s: %s", ip, strings.TrimSuffix(" in "+suffix, " in "), reason)
 			}
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			checkMetricCall(call, report)
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		ident, ok := sel.X.(*ast.Ident)
-		if !ok || ident.Obj != nil { // Obj != nil means a local shadows the package name
-			return true
-		}
-		ip, watched := localName[ident.Name]
-		if !watched {
-			return true
-		}
-		if reason, banned := bannedSelectors[ip][sel.Sel.Name]; banned {
-			report(sel.Pos(), fmt.Sprintf("%s.%s forbidden: %s", ident.Name, sel.Sel.Name, reason))
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := p.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+				if reason, banned := bannedFuncs[fn.Pkg().Path()+"."+fn.Name()]; banned {
+					flag(id.Pos(), "%s.%s forbidden: %s", fn.Pkg().Path(), fn.Name(), reason)
+				}
+			}
 		}
 		return true
 	})
-	return bad
+	for _, m := range source.MetricCalls(f, p.Info) {
+		if !source.MetricName.MatchString(m.Name) {
+			flag(m.Call.Args[0].Pos(), "metric name %q must be kubeshare_-prefixed snake_case", m.Name)
+		}
+		switch {
+		case m.Vec && len(m.Call.Args) == 1:
+			flag(m.Call.Pos(), "labeled family %q declares no label keys; use the unlabeled form", m.Name)
+		case m.Vec && len(m.Keys) < len(m.Call.Args)-1:
+			flag(m.Call.Pos(), "label keys of %q must be string constants from the bounded vocabulary", m.Name)
+		}
+		for _, key := range m.Keys {
+			if !allowedLabelKeys[key] {
+				flag(m.Call.Pos(), "label key %q on %q is outside the bounded vocabulary (gpu_uuid, tenant, node, pool, consumer, strategy)", key, m.Name)
+			}
+		}
+	}
 }
 
-// checkMetricCall enforces the metric-name hygiene rules on one call
-// expression, if it is a registry method with a literal metric name.
-// Non-literal names are not flagged: the registry is only reached through
-// these helpers, and every production call site uses a literal.
-func checkMetricCall(call *ast.CallExpr, report func(token.Pos, string)) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) == 0 {
-		return
+// census reports the exported identifiers of the root package and of the
+// packages under internal/ that nothing names outside their own package's
+// tests. Objects are keyed by declaration position, so a reference through
+// a test variant or a generic instantiation finds the declaration it names.
+func census(prog *source.Program, report func(token.Pos, string, ...any)) {
+	type subject struct {
+		obj  types.Object
+		key  string
+		used bool
 	}
-	isVec, watched := metricMethods[sel.Sel.Name]
-	if !watched {
-		return
+	subjects, order := map[token.Pos]*subject{}, []*subject{}
+	add := func(obj types.Object, key string) {
+		order = append(order, &subject{obj: obj, key: key})
+		subjects[obj.Pos()] = order[len(order)-1]
 	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return
-	}
-	name, err := strconv.Unquote(lit.Value)
-	if err != nil {
-		return
-	}
-	if !metricName.MatchString(name) {
-		report(lit.Pos(), fmt.Sprintf("metric name %q must be kubeshare_-prefixed snake_case", name))
-	}
-	if !isVec {
-		return
-	}
-	if len(call.Args) == 1 {
-		report(call.Pos(), fmt.Sprintf("labeled family %q declares no label keys; use the unlabeled form", name))
-	}
-	for _, arg := range call.Args[1:] {
-		kl, ok := arg.(*ast.BasicLit)
-		if !ok || kl.Kind != token.STRING {
-			report(arg.Pos(), fmt.Sprintf("label keys of %q must be string literals from the bounded vocabulary", name))
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	for _, p := range prog.Under(prog.Root) {
+		for _, pkg := range append([]*types.Package{p.Types}, p.Types.Imports()...) {
+			if seen[pkg] {
+				continue
+			}
+			seen[pkg] = true
+			for _, name := range pkg.Scope().Names() {
+				if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+					ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
+				}
+			}
+		}
+		if rel, _ := filepath.Rel(prog.Root, p.Dir); rel != "." && rel != "internal" && !strings.HasPrefix(rel, "internal"+string(filepath.Separator)) {
 			continue
 		}
-		key, err := strconv.Unquote(kl.Value)
-		if err != nil {
-			continue
-		}
-		if !allowedLabelKeys[key] {
-			report(kl.Pos(), fmt.Sprintf("label key %q on %q is outside the bounded vocabulary (gpu_uuid, tenant, node, pool, consumer, strategy)", key, name))
+		for _, name := range p.Types.Scope().Names() {
+			if obj := p.Types.Scope().Lookup(name); obj.Exported() {
+				add(obj, p.Path+"."+name)
+				if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+					for named, i := tn.Type().(*types.Named), 0; i < named.NumMethods(); i++ {
+						add(named.Method(i), p.Path+"."+name+"."+named.Method(i).Name())
+					}
+				}
+			}
 		}
 	}
+	for _, p := range prog.Pkgs {
+		for id, obj := range p.Info.Uses {
+			if s := subjects[obj.Pos()]; s != nil && !s.used {
+				file := prog.Fset.File(id.Pos()).Name()
+				s.used = !strings.HasSuffix(file, "_test.go") || filepath.Dir(file) != filepath.Dir(prog.Fset.File(s.obj.Pos()).Name())
+			}
+		}
+	}
+	allowed := map[string]bool{}
+	for _, keys := range censusAllow {
+		for _, k := range keys {
+			allowed[k] = true
+		}
+	}
+	for _, s := range order {
+		if s.obj.Exported() && !s.used && !allowed[s.key] && !implements(s.obj, ifaces) {
+			report(s.obj.Pos(), "exported %s is named only by its package's tests, or nowhere: use, unexport or delete it, or add it to censusAllow", s.key)
+		}
+	}
+}
+
+// implements reports whether obj is a method that an interface in ifaces
+// requires of its receiver type.
+func implements(obj types.Object, ifaces []*types.Interface) bool {
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if _, ok := recv.(*types.Pointer); !ok {
+		recv = types.NewPointer(recv) // *T has every method of T
+	}
+	for _, iface := range ifaces {
+		if m, _, _ := types.LookupFieldOrMethod(iface, false, nil, obj.Name()); m != nil && types.Implements(recv, iface) {
+			return true
+		}
+	}
+	return false
 }

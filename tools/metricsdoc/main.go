@@ -1,8 +1,8 @@
 // Command metricsdoc generates docs/METRICS.md from the source tree: it
-// scans every metric family registered on the telemetry registry under
-// ./internal and ./cmd and renders one reference table of name, type, label
-// keys and a curated description, plus a section for the dynamic families
-// whose names are built at runtime.
+// scans every metric family registered with a constant name under
+// ./internal and ./cmd (tools/internal/source) and renders one reference
+// table of name, type, label keys and a curated description, plus a
+// section for the dynamic families whose names are built at runtime.
 //
 // Usage:
 //
@@ -19,8 +19,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
+
+	"kubeshare/tools/internal/source"
 )
 
 // descriptions is the curated per-family documentation. Keys must cover
@@ -82,6 +86,8 @@ var dynamic = []struct{ name, typ, desc string }{
 		"Runs of each step of Algorithm 1 in KubeShare-Sched's decisions: prefilter (every decision; the affinity check), filter and score (a decision without an affinity label, which walks the pool), alloc (the new-vGPU fallback: NewDevice or NoCapacity), reserve (a placement committed: Assigned or NewDevice). A skipped unit runs no step."},
 }
 
+const tableHead = "| Name | Type | Labels | Description |\n|---|---|---|---|\n"
+
 func main() {
 	check := flag.Bool("check", false, "verify docs/METRICS.md is current instead of rewriting it")
 	out := flag.String("o", "docs/METRICS.md", "output path")
@@ -96,44 +102,32 @@ func main() {
 	b.WriteString("# Metrics reference\n\n")
 	b.WriteString("Generated by `go run ./tools/metricsdoc` — do not edit by hand.\n")
 	b.WriteString("`go run ./tools/metricsdoc -check` fails when this file and the\n")
-	b.WriteString("registered families diverge in either direction.\n\n")
-	b.WriteString("| Name | Type | Labels | Description |\n")
-	b.WriteString("|---|---|---|---|\n")
-	missing := 0
+	b.WriteString("registered families diverge in either direction.\n\n" + tableHead)
+	missing, unregistered := 0, maps.Clone(descriptions)
 	for _, m := range metrics {
+		delete(unregistered, m.Name)
 		desc, ok := descriptions[m.Name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "metricsdoc: %s has no description — add it to tools/metricsdoc\n", m.Name)
 			missing++
 			continue
 		}
-		labels := strings.Join(m.Labels, ", ")
+		labels := strings.Join(m.Keys, ", ")
 		if labels == "" {
 			labels = "—"
 		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", m.Name, kind(m.Type), labels, desc)
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", m.Name, m.Kind, labels, desc)
 	}
-	for name := range descriptions {
-		found := false
-		for _, m := range metrics {
-			if m.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "metricsdoc: %s is described but no longer registered — remove it\n", name)
-			missing++
-		}
+	for name := range unregistered {
+		fmt.Fprintf(os.Stderr, "metricsdoc: %s is described but no longer registered — remove it\n", name)
+		missing++
 	}
 	if missing > 0 {
 		os.Exit(1)
 	}
 	b.WriteString("\n## Dynamic families\n\n")
 	b.WriteString("Names built at runtime; the `<placeholder>` segment enumerates a\n")
-	b.WriteString("closed set.\n\n")
-	b.WriteString("| Name | Type | Labels | Description |\n")
-	b.WriteString("|---|---|---|---|\n")
+	b.WriteString("closed set.\n\n" + tableHead)
 	for _, d := range dynamic {
 		fmt.Fprintf(&b, "| `%s` | %s | — | %s |\n", d.name, d.typ, d.desc)
 	}
@@ -152,18 +146,25 @@ func main() {
 	}
 }
 
-// kind renders the registry method as the metric's kind.
-func kind(method string) string {
-	if strings.HasSuffix(method, "Vec") {
-		method = strings.TrimSuffix(method, "Vec")
+// scan returns every family registered with a constant name in the
+// non-test code under roots, sorted by name. When the same name is
+// registered at several sites — lookups and registrations share the
+// accessor methods — label keys from any *Vec site win over the unlabeled
+// form.
+func scan(roots ...string) ([]source.MetricCall, error) {
+	prog, err := source.Load(roots[0])
+	if err != nil {
+		return nil, err
 	}
-	switch method {
-	case "Counter":
-		return "counter"
-	case "Gauge", "FloatGauge":
-		return "gauge"
-	case "Histogram":
-		return "histogram"
+	byName := map[string]source.MetricCall{}
+	for _, p := range prog.Under(roots...) {
+		for _, f := range p.Files {
+			for _, c := range source.MetricCalls(f, p.Info) {
+				if prev, seen := byName[c.Name]; source.MetricName.MatchString(c.Name) && (!seen || len(prev.Keys) == 0 && c.Vec) {
+					byName[c.Name] = c
+				}
+			}
+		}
 	}
-	return strings.ToLower(method)
+	return slices.SortedFunc(maps.Values(byName), func(a, b source.MetricCall) int { return strings.Compare(a.Name, b.Name) }), nil
 }
