@@ -99,9 +99,11 @@ go test -race ./internal/kube/... ./internal/core/...
 # extender baseline alike, an apiserver restart under running tenants
 # writes no status that changes nothing, and a VGPU object a torn log tail
 # restores (deleted, or without its holder's UUID) is reconciled like any
-# other. Beside them, the full stack watches only for the control loops that
-# have traffic (14 reflectors, each relisting once per restart).
-named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestDevMgrReconcilesRestoredVGPU|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
+# other, and a bind that misses in its cache a vGPU just created waits for
+# the VGPU watch to deliver it instead of requeueing its tenant. Beside them,
+# the full stack watches only for the control loops that have traffic (14
+# reflectors, each relisting once per restart).
+named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestDevMgrReconcilesRestoredVGPU|TestDevMgrBindWaitsForUndeliveredVGPU|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
 go test -race ./internal/sim/... ./internal/devlib/...
 # The kernel's worker pool by name, so it cannot silently vanish: a reused
 # worker runs a proc killed before its first execution as a fresh coroutine
@@ -125,8 +127,11 @@ named TestConformance env GOMAXPROCS=4 go test -race ./internal/devlib/sharing/
 named TestFacadeMixedSharingModesFailOneContainer go test -race .
 # Telemetry observes the cluster and never writes into it: one seeded
 # workload run with obs on and off ends at the same store revision, every
-# sharePod on the same vGPU in the same phase at the same instant.
-named TestObsOffMatchesObsOn go test .
+# sharePod on the same vGPU in the same phase at the same instant. And one
+# sharePod's life costs the API server exactly the reads and writes its
+# workflow steps name: each read a mutate's Get or the vGPU reconciler's one
+# read per pass, none a re-read of what a component's own watch holds.
+named 'TestObsOffMatchesObsOn|TestSharePodRequestBudget' go test .
 named 'TestRunIndexed|TestFig8DeterminismGolden|TestTraceDeterminismGolden' env GOMAXPROCS=4 go test -race ./internal/experiments/
 # Labeled-family interning and the TSDB under the race detector: family
 # lookup is the one obs path exercised off the simulation goroutine. This

@@ -18,8 +18,9 @@ import (
 	"kubeshare/internal/sim"
 )
 
-// errUnchanged stops a status write that would change nothing.
-var errUnchanged = errors.New("core: status unchanged")
+// errUnchanged stops a write that would change nothing; errStale one whose
+// object has moved on from what the writer read in its watch cache.
+var errUnchanged, errStale = errors.New("core: unchanged"), errors.New("core: object moved on")
 
 // PoolPolicy controls what happens to a vGPU when its last tenant leaves
 // (§4.4): OnDemand releases the physical GPU back to Kubernetes
@@ -60,15 +61,16 @@ const HolderImage = "kubeshare/vgpu-holder"
 // reflects bound-pod status back onto sharePods — two level-triggered
 // reconcilers on controller.Runner, one per GPUID (reconcileVGPU) and one
 // per sharePod (reconcileSharePod). Both compare before they write and read
-// the watches' caches where a stale answer is harmless; the watch loops
-// Sync them, and an API error requeues the key under the Runner's backoff.
+// what DevMgr watches from its watches' caches; the watch loops Sync them
+// (a VGPU delivered with a UUID syncs its tenants), and an API error
+// requeues the key under the Runner's backoff.
 type DevMgr struct {
 	env *sim.Env
 	srv *apiserver.Server
 	cfg DevMgrConfig
 
-	vgpus, sharePods   *controller.Runner
-	spR, podR, holderR *apiserver.Reflector // sharePods, bound pods, holder pods
+	vgpus, sharePods          *controller.Runner
+	spR, podR, holderR, vgpuR *apiserver.Reflector // sharePods, bound pods, holder pods, VGPUs
 
 	devices  map[string]*vgpuState      // what no object records about each vGPU
 	placed   map[string]string          // live placed sharePod → GPUID, to see it leave
@@ -209,13 +211,19 @@ func (m *DevMgr) Start() {
 			m.vgpus.Sync(p, pod.Labels[LabelVGPUHolder])
 		}
 	})
-	// A torn log tail can restore a VGPU object DevMgr deleted, or one
-	// without the UUID its holder reported. Either reconciles like any
-	// other: dropped with no tenants, its holder replaced or its UUID
-	// rewritten with some.
-	m.srv.Inform(consumer, consumer+"-vgpus", KindVGPU, apiserver.WatchOptions{Replay: true}, func(p *sim.Proc, ev store.Event) {
-		if v := ev.Object.(*VGPU); ev.Type != store.Deleted && m.stale(v) {
+	// A vGPU that has a UUID lets its tenants' binds proceed. A torn log
+	// tail can restore a VGPU object DevMgr deleted, or one without the
+	// UUID its holder reported. Either reconciles like any other: dropped
+	// with no tenants, its holder replaced or its UUID rewritten with some.
+	m.vgpuR = m.srv.Inform(consumer, consumer+"-vgpus", KindVGPU, apiserver.WatchOptions{Replay: true}, func(p *sim.Proc, ev store.Event) {
+		v, live := ev.Object.(*VGPU), ev.Type != store.Deleted
+		if live && m.stale(v) {
 			m.vgpus.Sync(p, v.Name)
+		}
+		if d := m.devices[v.Name]; live && d != nil && v.Status.UUID != "" {
+			for _, name := range d.tenants { // in arrival order
+				m.sharePods.Sync(p, name)
+			}
 		}
 	})
 	m.vgpus.Start()
@@ -264,6 +272,7 @@ func (m *DevMgr) onSharePod(p *sim.Proc, ev store.Event) {
 func (m *DevMgr) reconcileVGPU(p *sim.Proc, gpuID string) error {
 	d := m.devices[gpuID]
 	live := d != nil && len(d.tenants) > 0
+	// From the server: the VGPU watch may not yet have delivered the object acquire created.
 	v, err := VGPUs(m.srv).Get(gpuID)
 	switch {
 	case apiserver.IsNotFound(err) && live:
@@ -285,7 +294,7 @@ func (m *DevMgr) reconcileVGPU(p *sim.Proc, gpuID string) error {
 		phase = VGPUIdle
 	}
 	if d.rec != nil {
-		return m.recover(p, gpuID, v, d, phase)
+		return m.recover(gpuID, v, d, phase)
 	}
 	if m.holderDead(v.Status.HolderPod) {
 		return m.replaceHolder(gpuID, v, d)
@@ -297,9 +306,6 @@ func (m *DevMgr) reconcileVGPU(p *sim.Proc, gpuID string) error {
 		m.vgpuCreates.Inc()
 		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Created",
 			"holder %s pinned %s on %s", d.holder, d.uuid, v.Spec.NodeName)
-		for _, name := range d.tenants { // in arrival order
-			m.sharePods.Sync(p, name)
-		}
 		return nil
 	}
 	if !live && v.Status.Phase == VGPUActive {
@@ -388,7 +394,7 @@ func (m *DevMgr) replaceHolder(gpuID string, v *VGPU, d *vgpuState) error {
 // recover ends a holder replacement when the replacement reports — tenants
 // wired to another device are requeued — or, at the deadline, writes the
 // vGPU off and requeues them all.
-func (m *DevMgr) recover(p *sim.Proc, gpuID string, v *VGPU, d *vgpuState, phase VGPUPhase) error {
+func (m *DevMgr) recover(gpuID string, v *VGPU, d *vgpuState, phase VGPUPhase) error {
 	rec, uuid := d.rec, ""
 	if d.holder == rec.holder {
 		uuid = d.uuid
@@ -419,9 +425,6 @@ func (m *DevMgr) recover(p *sim.Proc, gpuID string, v *VGPU, d *vgpuState, phase
 	d.rec = nil
 	m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Recovered", "holder %s up on %s", rec.holder, uuid)
 	rec.span.EndNote("uuid=%s", uuid)
-	for _, name := range d.tenants {
-		m.sharePods.Sync(p, name)
-	}
 	return nil
 }
 
@@ -457,6 +460,7 @@ func (m *DevMgr) drop(gpuID, holder string, d *vgpuState, note string) error {
 // pods of the rest (reconcileSharePod requeues them once the deletes land).
 func (m *DevMgr) evict(d *vgpuState, all bool) error {
 	for _, name := range slices.Sorted(slices.Values(d.tenants)) {
+		// From the server: a bound pod written in this instant may not be delivered yet.
 		sp, err := SharePods(m.srv).Get(name)
 		switch {
 		case apiserver.IsNotFound(err) || err == nil && sp.Terminated():
@@ -507,13 +511,14 @@ func (m *DevMgr) endBind(name, note string) {
 }
 
 // bind advances a placed, unbound sharePod's bind: it waits for the vGPU to
-// have a UUID (syncing the vGPU reconciler when there is no vGPU), then
-// opLatency, then creates the bound pod.
+// have a UUID (syncing the vGPU reconciler when DevMgr knows no vGPU by that
+// GPUID), then opLatency, then creates the bound pod.
 func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 	b, ok := m.binding[sp.Name]
 	if ok && b.pod != "" {
 		// Bound, and the watch has not delivered the status write yet —
 		// unless a torn log tail lost it, and the bind starts over.
+		// From the server: only it can tell the two apart.
 		cur, err := SharePods(m.srv).Get(sp.Name)
 		if err != nil || cur.Status.BoundPod == b.pod {
 			return settled(err)
@@ -528,14 +533,16 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 		m.binding[sp.Name] = b
 	}
 	if b.due == 0 {
-		v, err := VGPUs(m.srv).Get(b.gpuID)
-		if apiserver.IsNotFound(err) {
+		// A known vGPU's cache miss is acquire's create, not yet delivered: reconciling
+		// now would read its undelivered holder as dead and requeue the tenant.
+		if d := m.devices[b.gpuID]; d == nil || !d.known {
 			m.vgpus.Sync(p, b.gpuID)
-			return nil
 		}
-		if err != nil || v.Status.UUID == "" {
-			return err // acquiring or recovering: the vGPU reconciler syncs its tenants on a UUID
+		obj, ok := m.vgpuR.Cached(b.gpuID)
+		if !ok || obj.(*VGPU).Status.UUID == "" {
+			return nil // acquiring or recovering: the VGPU watch syncs the tenants on a UUID
 		}
+		v := obj.(*VGPU)
 		b.uuid, b.active, b.due = v.Status.UUID, v.Status.Phase == VGPUActive, m.env.Now()+opLatency
 		m.binding[sp.Name] = b
 		m.tracer.Mark("devmgr", "holder-ready", KindSharePod+"/"+sp.Name, "gpuid="+b.gpuID+" uuid="+b.uuid)
@@ -546,19 +553,9 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 	if m.env.Now() < b.due {
 		return nil
 	}
-	// Due: the sharePod, read fresh, must be live, unbound and still there.
-	cur, err := SharePods(m.srv).Get(sp.Name)
-	switch {
-	case apiserver.IsNotFound(err) || err == nil && cur.Terminated():
-		m.endBind(sp.Name, "abandoned: sharePod gone")
-		return nil
-	case err != nil:
-		return err
-	case cur.Spec.GPUID != b.gpuID || cur.Status.BoundPod != "":
-		m.endBind(sp.Name, "abandoned: stale placement")
-		return nil
-	}
-	pod := boundPod(cur, b.uuid)
+	// Due: sp, as last delivered, is live, unbound and on b.gpuID; the
+	// status write checks the stored one, which may have moved on since.
+	pod := boundPod(sp, b.uuid)
 	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
 		b.span.EndNote("failed: %v", err)
 		delete(m.binding, sp.Name)
@@ -568,7 +565,18 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 			}
 		})
 	}
-	if err := m.writeSharePod(sp.Name, func(st *SharePodStatus) { st.BoundPod, st.UUID = pod.Name, b.uuid }); err != nil {
+	_, err := SharePods(m.srv).MutateStatus(sp.Name, func(cur *SharePod) error {
+		if cur.Terminated() || cur.Spec.GPUID != b.gpuID || cur.Status.BoundPod != "" {
+			return errStale
+		}
+		cur.Status.BoundPod, cur.Status.UUID = pod.Name, b.uuid
+		return nil
+	})
+	if errors.Is(err, errStale) || apiserver.IsNotFound(err) {
+		m.endBind(sp.Name, "abandoned: stale placement")
+		return settled(apiserver.Pods(m.srv).Delete(pod.Name))
+	}
+	if err != nil {
 		return err
 	}
 	if !b.active {
@@ -592,6 +600,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 func (m *DevMgr) reflect(sp *SharePod) error {
 	obj, ok := m.podR.Cached(sp.Status.BoundPod)
 	if !ok {
+		// From the server: a miss is a pod not yet delivered or one gone.
 		_, err := apiserver.Pods(m.srv).Get(sp.Status.BoundPod)
 		if apiserver.IsNotFound(err) {
 			m.requeue(sp.Name, sp.Status.BoundPod)
@@ -636,6 +645,7 @@ func (m *DevMgr) requeue(name, lost string) {
 // deleteBoundPods removes a deleted sharePod's bound pods, once the API
 // server confirms the sharePod is gone rather than not yet delivered.
 func (m *DevMgr) deleteBoundPods(name string) error {
+	// From the server: a miss is a sharePod not yet delivered or one gone.
 	if _, err := SharePods(m.srv).Get(name); !apiserver.IsNotFound(err) {
 		return err
 	}

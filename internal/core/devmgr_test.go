@@ -142,6 +142,39 @@ func TestDevMgrHolderDeletedBeforeReport(t *testing.T) {
 	}
 }
 
+// TestDevMgrBindWaitsForUndeliveredVGPU: two sharePods pinned to one new
+// vGPU arrive in the same instant. The first one's bind has the vGPU
+// acquired; the second's runs before the VGPU watch delivers what acquire
+// created, so its cache misses a vGPU DevMgr knows. It must wait for that
+// delivery: reconciling the vGPU then would find the holder undelivered,
+// read it as dead and requeue both tenants. Each binds once, on the one
+// holder's UUID, with no requeue and no recovery.
+func TestDevMgrBindWaitsForUndeliveredVGPU(t *testing.T) {
+	s := newStack(t, 1, Config{})
+	s.env.Go("t", func(p *sim.Proc) {
+		for _, name := range []string{"a", "b"} {
+			sp := sharePod(name, 0.4, 0.5, 0.2, 2)
+			sp.Spec.GPUID, sp.Spec.NodeName = "vgpu-pinned", "node-0"
+			sp.Status.Phase = SharePodScheduled
+			s.create(t, sp)
+		}
+	})
+	s.env.RunUntil(10 * time.Minute)
+	a, b := s.get(t, "a"), s.get(t, "b")
+	for _, sp := range []*SharePod{a, b} {
+		if sp.Status.Phase != SharePodSucceeded || sp.Status.Restarts != 0 {
+			t.Errorf("%s: %s after %d requeues (%s), want Succeeded after none", sp.Name, sp.Status.Phase, sp.Status.Restarts, sp.Status.Message)
+		}
+	}
+	if a.Status.UUID == "" || a.Status.UUID != b.Status.UUID {
+		t.Errorf("tenants bound on %q and %q, want one holder's UUID", a.Status.UUID, b.Status.UUID)
+	}
+	st := s.ks.Stats()
+	if binds := s.c.Obs.Counter("kubeshare_devmgr_binds_total").Value(); binds != 2 || st.Requeues != 0 || st.Recoveries != 0 {
+		t.Errorf("%d binds, %d requeues, %d recoveries; want 2, 0, 0", binds, st.Requeues, st.Recoveries)
+	}
+}
+
 // TestDevMgrRestartWritesNoUnchangedStatus: an apiserver restart while
 // tenants run makes every DevMgr watch relist and deliver again what it had
 // seen. Nothing has changed, so no sharePod or vGPU status write may leave

@@ -21,7 +21,7 @@ import (
 // device binding is a round-robin the scheduler neither sees nor controls —
 // reproducing the Figure 3a pathology Algorithm 1 avoids.
 //
-// The policy keeps the legacy architecture's re-list-per-cycle accounting
+// The policy keeps the extender architecture's re-list-per-cycle accounting
 // (it has no incremental snapshot — that is part of the baseline's cost),
 // but populates the shared scheduling counters, so KubeShare.Stats is
 // uniform across drivers.
@@ -117,6 +117,7 @@ func (s *Extender) runCycle(p *sim.Proc) bool {
 	p.Sleep(core.CycleLatency)
 	committedUtil, committedMem := s.aggregates()
 	for _, cand := range pending {
+		// From the server, not a cache: the baseline pays the extender's re-read per candidate.
 		sp, err := core.SharePods(s.srv).Get(cand.Name)
 		if err != nil || sp.Placed() || sp.Terminated() {
 			continue

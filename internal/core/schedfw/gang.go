@@ -47,13 +47,13 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	// Gather the gang's live members from the whole pending set (not just
 	// the batch window), oldest first — pending is already age-sorted.
 	// Parked units are solo by construction and stay so until an event of
-	// their own unparks them, so they are passed over unread.
+	// their own unparks them, so they are passed over.
 	var members []*core.SharePod
 	for _, cand := range pending {
 		if _, ok := s.parked[cand.Name]; ok {
 			continue
 		}
-		if sp := s.live(cand.Name); sp != nil && gangOf(sp) == gang {
+		if sp := s.snap.PendingEntry(cand.Name); sp != nil && gangOf(sp) == gang {
 			members = append(members, sp)
 		}
 	}

@@ -8,8 +8,8 @@ import (
 // Install deploys KubeShare onto a cluster with the framework driver — the
 // standard composition: the shared base wiring (validators, holder image,
 // per-node device-library backends, DevMgr) plus the batched scheduler.
-// With no options the sequential compat cycle runs (single-unit batches);
-// pass WithBatchSize / WithGangTimeout to opt into the framework extensions.
+// With no options each cycle decides one sharePod; pass WithBatchSize /
+// WithGangTimeout to opt into the framework extensions.
 func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare, error) {
 	ks, err := core.InstallBase(c, cfg)
 	if err != nil {

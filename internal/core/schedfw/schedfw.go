@@ -56,8 +56,8 @@ func PhaseMetric(phase string) string { return metricPhasePrefix + phase + "_run
 
 // Defaults for the framework knobs.
 const (
-	// DefaultBatchSize keeps the driver in compat mode: one placement per
-	// cycle, exactly the legacy loop's pace.
+	// DefaultBatchSize stages one placement per cycle: the paper's
+	// scheduler, deciding one sharePod at a time.
 	DefaultBatchSize = 1
 	// DefaultGangTimeout bounds how long an incomplete gang may hold
 	// reserved capacity against younger work.
@@ -79,8 +79,8 @@ func WithConfig(cfg core.SchedulerConfig) Option {
 	return func(o *options) { o.cfg = cfg }
 }
 
-// WithBatchSize sets how many placements one cycle may stage. n <= 1 is
-// compat mode; larger batches amortize the cycle latency across n
+// WithBatchSize sets how many placements one cycle may stage. n <= 1 stages
+// one per cycle; larger batches amortize the cycle latency across n
 // decisions.
 func WithBatchSize(n int) Option {
 	return func(o *options) { o.batchSize = n }
@@ -145,8 +145,7 @@ type Scheduler struct {
 }
 
 // New creates the framework driver; Start launches it. With no options it
-// is the legacy scheduler: Algorithm 1 one sharePod per cycle, with
-// identical watch wiring, counters, spans and events.
+// runs Algorithm 1 on one sharePod per cycle.
 func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	o := options{batchSize: DefaultBatchSize, gangTimeout: DefaultGangTimeout}
 	for _, opt := range opts {
@@ -218,7 +217,7 @@ func (s *Scheduler) Stats() core.SchedStats { return core.ReadSchedStats(s.srv.O
 // pending (a sharePod that left while parked leaves no entry behind).
 func (s *Scheduler) VerifySnapshot() error {
 	for name := range s.parked {
-		if !s.snap.IsPending(name) {
+		if s.snap.PendingEntry(name) == nil {
 			return fmt.Errorf("parked sharePod %s is not pending", name)
 		}
 	}
@@ -383,32 +382,21 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	return true
 }
 
-// resolve reads a pending unit's current copy from the API server. It
-// returns nil for a parked unit — before paying for the read — and for one
-// the server no longer has pending (the snapshot may trail the server by the
-// deliveries of this instant).
+// resolve returns a pending unit's current entry in the snapshot: nil for a
+// parked unit and for one the watch deltas since the cycle took its pending
+// list have placed, terminated or deleted.
 func (s *Scheduler) resolve(name string) *core.SharePod {
 	if _, ok := s.parked[name]; ok {
 		s.skipped.Inc()
 		return nil
 	}
-	return s.live(name)
-}
-
-// live reads a sharePod from the API server, or nil when it is gone, placed
-// or terminated there.
-func (s *Scheduler) live(name string) *core.SharePod {
-	sp, err := core.SharePods(s.srv).Get(name)
-	if err != nil || sp.Placed() || sp.Terminated() {
-		return nil
-	}
-	return sp
+	return s.snap.PendingEntry(name)
 }
 
 // stage is the cycle's staging loop: walk the pending units in age order
 // until the batch is full, admitting gangs whole and deciding solo units one
-// at a time against the live transaction. Each unit is read from the API
-// server as the loop reaches it, exactly the legacy pace.
+// at a time against the live transaction. Each unit is resolved as the loop
+// reaches it, so it is decided as the snapshot holds it then.
 //
 // A solo unit whose decision ends in NoCapacity is parked and its request
 // recorded in the cycle memo; a later unit with an identical request
@@ -463,9 +451,9 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 	return progressed
 }
 
-// commit applies one staged decision through the API server, emitting the
-// same span / event / histogram telemetry the legacy loop did, and writes
-// the result through into the snapshot.
+// commit applies one staged decision through the API server, records its
+// span, event and latency observation, and writes the result through into
+// the snapshot.
 func (s *Scheduler) commit(st staged, cycleStart time.Duration) {
 	if st.dec.Outcome == core.Rejected {
 		s.tracer.Record("kubeshare-sched", "reject", st.key, st.dec.Reason, cycleStart)
@@ -527,8 +515,8 @@ func gangOf(sp *core.SharePod) string {
 	return sp.Spec.Gang
 }
 
-// newGPUID generates a fresh vGPU identifier — same series as the legacy
-// scheduler, so placements and logs stay comparable.
+// newGPUID generates a fresh vGPU identifier: vgpu-0001, vgpu-0002, … in
+// the order the scheduler opens devices.
 func (s *Scheduler) newGPUID() string {
 	s.nextID++
 	return fmt.Sprintf("vgpu-%04d", s.nextID)

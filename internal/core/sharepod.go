@@ -241,11 +241,10 @@ func (s *SharePod) Placed() bool { return s.Spec.GPUID != "" }
 // unplaced, or bound elsewhere.
 func RequeueSharePod(srv *apiserver.Server, name, boundPod string) *SharePod {
 	sps := SharePods(srv)
-	sp, err := sps.Get(name)
-	if err != nil || sp.Terminated() || !sp.Placed() || sp.Status.BoundPod != boundPod {
-		return nil
-	}
 	if _, err := sps.Mutate(name, func(cur *SharePod) error {
+		if cur.Terminated() || !cur.Placed() || cur.Status.BoundPod != boundPod {
+			return errUnchanged
+		}
 		cur.Spec.GPUID = ""
 		cur.Spec.NodeName = ""
 		return nil

@@ -90,6 +90,7 @@ type SharePodSetManager struct {
 	env    *sim.Env
 	srv    *apiserver.Server
 	runner *controller.Runner
+	sets   *apiserver.Reflector
 	serial int
 	// replaceFails holds each set's replacement-backoff sequence across
 	// consecutive failed-replica rounds.
@@ -124,7 +125,7 @@ func NewSharePodSetManager(env *sim.Env, srv *apiserver.Server) *SharePodSetMana
 // manager alive across apiserver restarts: the dead watch queue is replaced
 // by a relist-with-resync instead of silently ending the loop.
 func (m *SharePodSetManager) Start() {
-	m.srv.Inform("sharepodset", "sharepodset-watch", KindSharePodSet, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+	m.sets = m.srv.Inform("sharepodset", "sharepodset-watch", KindSharePodSet, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
 		m.runner.Enqueue(ev.Object.GetMeta().Name)
 	})
 	m.srv.Inform("sharepodset", "sharepodset-watch-sharepods", KindSharePod, apiserver.WatchOptions{Replay: true, OwnerKind: KindSharePodSet}, func(_ *sim.Proc, ev store.Event) {
@@ -134,15 +135,12 @@ func (m *SharePodSetManager) Start() {
 }
 
 func (m *SharePodSetManager) reconcile(p *sim.Proc, name string) error {
-	sets := SharePodSets(m.srv)
-	set, err := sets.Get(name)
-	if err != nil {
-		if apiserver.IsNotFound(err) {
-			m.cleanupOrphans(name)
-			return nil
-		}
-		return err
+	obj, ok := m.sets.Cached(name)
+	if !ok {
+		m.cleanupOrphans(name)
+		return nil
 	}
+	set := obj.(*SharePodSet)
 	sps := SharePods(m.srv)
 	var owned []*SharePod
 	var failed []*SharePod
@@ -205,10 +203,13 @@ func (m *SharePodSetManager) reconcile(p *sim.Proc, name string) error {
 		live--
 	}
 	if set.ReadyReplicas != ready {
-		if _, err := sets.Mutate(name, func(cur *SharePodSet) error {
+		if _, err := SharePodSets(m.srv).Mutate(name, func(cur *SharePodSet) error {
+			if cur.ReadyReplicas == ready {
+				return errUnchanged // the cache trailed this manager's own write
+			}
 			cur.ReadyReplicas = ready
 			return nil
-		}); err != nil && !apiserver.IsNotFound(err) {
+		}); settled(err) != nil {
 			return err
 		}
 	}

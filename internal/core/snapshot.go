@@ -315,8 +315,10 @@ func (s *Snapshot) applyNode(node *api.Node, deleted bool) {
 // slice of the caller's own.
 func (s *Snapshot) Pending() []*SharePod { return slices.Clone(s.queue) }
 
-// IsPending reports whether the named sharePod is in the pending set.
-func (s *Snapshot) IsPending(name string) bool { return s.pending[name] != nil }
+// PendingEntry returns the named sharePod's current pending entry, or nil
+// when it is not pending: gone, placed or terminated as far as the watch
+// deltas applied so far say.
+func (s *Snapshot) PendingEntry(name string) *SharePod { return s.pending[name] }
 
 // state computes the device's DeviceState from its tenant set. Tenants are
 // placed in name order — the same order BuildPool encounters them in

@@ -18,7 +18,7 @@ import (
 // second of KubeShare-Sched's framework driver, swept over the
 // pending-queue depth for three driver modes:
 //
-//   - single  — batch size 1, the legacy one-decision-per-cycle loop;
+//   - single  — batch size 1, one decision per cycle (the default);
 //   - batched — one cycle drains up to batch decisions against the cycle
 //     transaction and commits them in bulk, amortizing the per-cycle
 //     latency (and, in real time, the snapshot materialization and the

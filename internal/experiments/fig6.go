@@ -101,6 +101,7 @@ func Fig6(scale Scale) (*Fig6Result, error) {
 			p.Sleep(fig6Sample)
 			done := 0
 			for _, j := range jobs {
+				// The sampler is the experiment, not a component: it informs on nothing.
 				sp, err := core.SharePods(c.API).Get(j.name)
 				if err != nil {
 					continue

@@ -12,6 +12,11 @@
 // (ListSelector, WatchFiltered), answered from the store's indexes; what a
 // watch wants is said one way, in the store's WatchOptions.
 //
+// Reads follow one rule: a component reads a kind it informs on from its own
+// Reflector (Cached). Only Mutate/MutateStatus must Get, since optimistic
+// concurrency needs the stored version; any other Get says in a comment why
+// the cache cannot answer (a miss may be an object undelivered or gone).
+//
 // Ownership follows the store's one rule (see package store): every result —
 // what Get, List, ListSelector and a write return, what watch and reflector
 // events and Scan/ScanSelector callbacks carry — is the shared read-only

@@ -225,21 +225,13 @@ func (k *Kubelet) KillPod(name string) bool {
 	return true
 }
 
-// sync admits a pod bound here or tears down one deleted.
+// sync admits a live pod bound here, once: its worker entry stays until the
+// pod object is deleted, which tears it down.
 func (k *Kubelet) sync(_ *sim.Proc, ev store.Event) {
 	pod := ev.Object.(*api.Pod)
 	switch ev.Type {
 	case store.Added, store.Modified:
-		if pod.Terminated() {
-			return
-		}
-		if _, managed := k.workers[pod.Name]; managed {
-			return
-		}
-		// The event carries a snapshot; re-read the live object so a
-		// stale "Running" event cannot re-admit a pod that has already
-		// reached a terminal phase (duplicate container starts).
-		if cur, err := apiserver.Pods(k.srv).Get(pod.Name); err != nil || cur.Terminated() || cur.UID != pod.UID {
+		if _, managed := k.workers[pod.Name]; managed || pod.Terminated() {
 			return
 		}
 		k.admit(pod)
