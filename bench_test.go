@@ -673,10 +673,10 @@ func BenchmarkStoreUpdateFanout(b *testing.B) {
 // TestFanoutAllocsMustNotDependOnWatchers: the store publishes one
 // immutable snapshot per revision and every watcher queue carries that
 // pointer, so a status write allocates the same at every width — one, the
-// new revision's struct, which shares the stored spec and metadata and
-// leaves the label index alone (it read 20 / 48 / 144 at 1 / 8 / 32
-// watchers while notify deep-copied per delivery, and 12 while a status
-// write re-made the spec and the posting set).
+// new revision's struct, which shares the stored spec and metadata (it read
+// 20 / 48 / 144 at 1 / 8 / 32 watchers while notify deep-copied per
+// delivery, and 12 while a status write re-made the spec and a label
+// index's posting set).
 func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
 	for _, watchers := range []int{1, 8, 32} {
 		queues, write := fanoutRig(t, watchers)
@@ -689,9 +689,8 @@ func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
 // mutateRig is one Client.MutateStatus (statusOnly) — the read-modify-write
 // every kubelet phase report and DevMgr status write goes through — or one
 // Client.Mutate spec write, like a bind, on a Pod whose container carries the
-// given number of env vars, with three live watchers. A second pod carries
-// the same label, as in any cluster, so a spec write's re-index never empties
-// the label's posting set. It also returns the pod as created.
+// given number of env vars, with three live watchers. It also returns the pod
+// as created.
 func mutateRig(tb testing.TB, envVars int, statusOnly bool) ([]*sim.Queue[store.Event], func() error, *api.Pod) {
 	srv := apiserver.New(sim.NewEnv())
 	srv.SetWatchHistoryCap(drainEvery)
@@ -709,12 +708,6 @@ func mutateRig(tb testing.TB, envVars int, statusOnly bool) ([]*sim.Queue[store.
 		Spec:       api.PodSpec{NodeName: "node-0", Containers: []api.Container{{Name: "main", Image: "train", Env: env}}},
 	})
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := pods.Create(&api.Pod{
-		ObjectMeta: api.ObjectMeta{Name: "q", Labels: map[string]string{"app": "bench"}},
-		Spec:       api.PodSpec{Containers: []api.Container{{Name: "main", Image: "train"}}},
-	}); err != nil {
 		tb.Fatal(err)
 	}
 	n := 0
@@ -778,9 +771,12 @@ func TestSpecWriteCopiesOnce(t *testing.T) {
 
 // createRig is one Client.Create of a Pod whose container carries the given
 // number of env vars, with three live watchers — the create every submitted
-// job and every DevMgr holder and bound pod goes through. The pods are built
-// before the first call, so a call costs only what Create allocates.
-func createRig(envVars int) ([]*sim.Queue[store.Event], func() error) {
+// job and every DevMgr holder and bound pod goes through. Every pod is
+// labeled app=bench, or, with ownLabel, carries a label value of its own, as
+// each bound pod's LabelSharePod and each holder's LabelVGPUHolder does. The
+// pods are built before the first call, so a call costs only what Create
+// allocates.
+func createRig(envVars int, ownLabel bool) ([]*sim.Queue[store.Event], func() error) {
 	srv := apiserver.New(sim.NewEnv())
 	srv.SetWatchHistoryCap(drainEvery)
 	pods := apiserver.Pods(srv)
@@ -795,8 +791,12 @@ func createRig(envVars int) ([]*sim.Queue[store.Event], func() error) {
 		for j := 0; j < envVars; j++ {
 			env[fmt.Sprintf("VAR_%02d", j)] = "value"
 		}
+		lbls := map[string]string{"app": "bench"}
+		if ownLabel {
+			lbls = map[string]string{core.LabelSharePod: fmt.Sprintf("sp-%05d", i)}
+		}
 		built[i] = &api.Pod{
-			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("p-%05d", i), Labels: map[string]string{"app": "bench"}},
+			ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("p-%05d", i), Labels: lbls},
 			Spec:       api.PodSpec{Containers: []api.Container{{Name: "main", Image: "train", Env: env}}},
 		}
 	}
@@ -811,12 +811,17 @@ func createRig(envVars int) ([]*sim.Queue[store.Event], func() error) {
 // TestCreateCopiesNothing: the store publishes the object Client.Create is
 // handed, so a create costs the same at 0 and at 64 env vars — three
 // allocations, none of them a copy of the pod (8 / 11 while the store
-// deep-copied it).
+// deep-copied it) — and the same whether its label value is shared or its
+// own, since the store keeps no label index (5 while a posting set per value
+// was built).
 func TestCreateCopiesNothing(t *testing.T) {
-	for _, envVars := range []int{0, 64} {
-		queues, write := createRig(envVars)
+	for _, c := range []struct {
+		envVars  int
+		ownLabel bool
+	}{{0, false}, {64, false}, {0, true}} {
+		queues, write := createRig(c.envVars, c.ownLabel)
 		if got := writeAllocs(t, queues, write); got != 3 {
-			t.Errorf("env=%d: %v allocations per Create, want 3", envVars, got)
+			t.Errorf("env=%d own label=%v: %v allocations per Create, want 3", c.envVars, c.ownLabel, got)
 		}
 	}
 }

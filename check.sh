@@ -151,9 +151,8 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # replay composition (restore∘churn == live churn), torn-tail
 # truncate-and-recover, the durability oracle (300 random histories against
 # a plain-map model, with watchers opened, dropped and resumed along the
-# way, and every status write leaving the label index's posting sets the
-# same sets), epoch-fenced relists, and the no-double-delivery goldens across
-# restart + drop. Each name lives in one of the two packages, so the pass
+# way, label-key watchers among them), epoch-fenced relists, and the
+# no-double-delivery goldens across restart + drop. Each name lives in one of the two packages, so the pass
 # runs them one package at a time. The oracle's watcher mix includes the
 # node- and owner-scoped filters; the reflector pass names the node-scoped
 # relist (a 410 or a restart epoch synthesises events for matching objects
@@ -209,9 +208,10 @@ named 'TestDecideNarrowing|TestTxnRollback|TestTxnJournalCopiesLabelSets|TestSna
 # holding shared snapshots while a writer publishes new ones to live
 # watchers, the restart wake order (kind-name order, every run), the
 # ownership rule's own tests (reads and write results are the published
-# snapshot; a status write shares the stored spec and leaves the index be),
+# snapshot; a status write publishes the stored spec and labels, and label
+# watchers see those),
 # and the keying rule's (a kind is not a key prefix).
-named 'TestConcurrent|TestIndex|TestSharedSnapshot|TestCrashWakeOrder|TestGetReturnsSnapshot|TestWatchSharesOneSnapshot|TestStatusUpdatePreservesLabelIndex|TestKindIsNotAKeyPrefix' env GOMAXPROCS=4 go test -race ./internal/kube/store/
+named 'TestConcurrent|TestIndex|TestSharedSnapshot|TestCrashWakeOrder|TestGetReturnsSnapshot|TestWatchSharesOneSnapshot|TestStatusWritePublishesStoredLabels|TestKindIsNotAKeyPrefix' env GOMAXPROCS=4 go test -race ./internal/kube/store/
 # Smoke the kernel micro-benchmarks so a regression that only breaks bench
 # setup (not the unit tests) is caught here.
 go test ./internal/sim/ -run xxx -bench BenchmarkSimKernel -benchtime 1x

@@ -12,7 +12,6 @@ import (
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/controller"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
@@ -198,14 +197,14 @@ func (m *DevMgr) Start() {
 	// Only bound pods reach this loop (the filter runs server-side). A
 	// running or finished one has a phase to mirror; a deleted one may leave
 	// its sharePod to requeue.
-	bound := apiserver.WatchOptions{Selector: labels.HasKey(LabelSharePod), Replay: true}
+	bound := apiserver.WatchOptions{Label: LabelSharePod, Replay: true}
 	m.podR = m.srv.Inform(consumer, consumer+"-pods", "Pod", bound, func(p *sim.Proc, ev store.Event) {
 		if pod := ev.Object.(*api.Pod); ev.Type == store.Deleted || pod.Status.Phase == api.PodRunning || pod.Terminated() {
 			m.sharePods.Sync(p, pod.Labels[LabelSharePod])
 		}
 	})
 	// A holder that dies (killed container, evicted node) is replaced.
-	holders := apiserver.WatchOptions{Selector: labels.HasKey(LabelVGPUHolder), Replay: true}
+	holders := apiserver.WatchOptions{Label: LabelVGPUHolder, Replay: true}
 	m.holderR = m.srv.Inform(consumer, consumer+"-holders", "Pod", holders, func(p *sim.Proc, ev store.Event) {
 		if pod := ev.Object.(*api.Pod); ev.Type == store.Deleted || pod.Terminated() {
 			m.vgpus.Sync(p, pod.Labels[LabelVGPUHolder])
@@ -650,8 +649,15 @@ func (m *DevMgr) deleteBoundPods(name string) error {
 		return err
 	}
 	pods := apiserver.Pods(m.srv)
-	for _, pod := range pods.ListSelector(labels.Set{LabelSharePod: name}) {
-		if err := pods.Delete(pod.Name); err != nil && !apiserver.IsNotFound(err) {
+	var bound []string
+	pods.Scan(func(pod *api.Pod) bool {
+		if pod.Labels[LabelSharePod] == name {
+			bound = append(bound, pod.Name)
+		}
+		return true
+	})
+	for _, pod := range bound {
+		if err := pods.Delete(pod); err != nil && !apiserver.IsNotFound(err) {
 			return err
 		}
 	}

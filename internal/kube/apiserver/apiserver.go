@@ -7,10 +7,9 @@
 // (MutateStatus), mirroring the status subresource: a controller updating
 // an object's status can never clobber a concurrent spec write and vice
 // versa. These two read-modify-write loops are the one way to change an
-// object that exists. Lists and watches are per kind, as the store is keyed,
-// and can be narrowed server-side by exact name and label selector
-// (ListSelector, WatchFiltered), answered from the store's indexes; what a
-// watch wants is said one way, in the store's WatchOptions.
+// object that exists. Lists and watches are per kind, as the store is keyed;
+// a watch can be narrowed server-side (WatchFiltered), and what it wants is
+// said one way, in the store's WatchOptions.
 //
 // Reads follow one rule: a component reads a kind it informs on from its own
 // Reflector (Cached). Only Mutate/MutateStatus must Get, since optimistic
@@ -18,11 +17,11 @@
 // the cache cannot answer (a miss may be an object undelivered or gone).
 //
 // Ownership follows the store's one rule (see package store): every result —
-// what Get, List, ListSelector and a write return, what watch and reflector
-// events and Scan/ScanSelector callbacks carry — is the shared read-only
-// snapshot of a revision. The only objects a caller may write to are ones it
-// built itself and the one Mutate/MutateStatus passes its closure — and in
-// MutateStatus only its Status. A write publishes the object it is handed,
+// what Get, List and a write return, what watch and reflector events and
+// Scan callbacks carry — is the shared read-only snapshot of a revision. The
+// only objects a caller may write to are ones it built itself and the one
+// Mutate/MutateStatus passes its closure — and in MutateStatus only its
+// Status. A write publishes the object it is handed,
 // uncopied — what a caller passes to Create, what a closure changed — so
 // that object must not be written to afterwards, nor share a map or slice
 // with anything that is.
@@ -33,14 +32,13 @@ import (
 	"fmt"
 
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 )
 
 // WatchOptions is the store's: the server-side filters (exact name, bound
-// node, owner kind, label selector) and whether to replay the current state
+// node, owner kind, label key) and whether to replay the current state
 // first.
 type WatchOptions = store.WatchOptions
 
@@ -163,13 +161,6 @@ func (s *Server) List(kind string) []api.Object {
 	return s.store.List(kind)
 }
 
-// ListSelector returns the kind's objects whose labels match sel, answered
-// from the store's label index.
-func (s *Server) ListSelector(kind string, sel labels.Selector) []api.Object {
-	s.reqReads.Inc()
-	return s.store.ListSelector(kind, sel)
-}
-
 // Count returns the number of objects of a kind without listing them.
 func (s *Server) Count(kind string) int {
 	s.reqReads.Inc()
@@ -178,14 +169,8 @@ func (s *Server) Count(kind string) int {
 
 // Scan iterates a kind's snapshots in name order (see store.Scan).
 func (s *Server) Scan(kind string, fn func(api.Object) bool) {
-	s.ScanSelector(kind, nil, fn)
-}
-
-// ScanSelector is Scan narrowed by label selector, answered from the
-// store's label index. One read request, like ListSelector.
-func (s *Server) ScanSelector(kind string, sel labels.Selector, fn func(api.Object) bool) {
 	s.reqReads.Inc()
-	s.store.ScanSelector(kind, sel, fn)
+	s.store.Scan(kind, fn)
 }
 
 // Watch subscribes to a kind (list+watch when replay is true).
@@ -194,9 +179,9 @@ func (s *Server) Watch(kind string, replay bool) *sim.Queue[store.Event] {
 	return s.store.Watch(kind, replay)
 }
 
-// WatchFiltered subscribes to a kind with server-side filtering by exact
-// name and/or label selector; events the filter rejects are never
-// delivered to the subscriber.
+// WatchFiltered subscribes to a kind with server-side filtering (see
+// WatchOptions); events the filter rejects are never delivered to the
+// subscriber.
 func (s *Server) WatchFiltered(kind string, opts WatchOptions) *sim.Queue[store.Event] {
 	s.reqWatches.Inc()
 	return s.store.WatchFiltered(kind, opts)
@@ -270,12 +255,6 @@ func (c Client[T]) Delete(name string) error { return c.s.Delete(c.kind, name) }
 // List returns the kind's snapshots, sorted by name.
 func (c Client[T]) List() []T {
 	return toTyped[T](c.s.List(c.kind))
-}
-
-// ListSelector returns the snapshots whose labels match sel, sorted by name.
-// The query is answered from the store's label index in O(matching).
-func (c Client[T]) ListSelector(sel labels.Selector) []T {
-	return toTyped[T](c.s.ListSelector(c.kind, sel))
 }
 
 // Count returns the number of stored objects of the kind.

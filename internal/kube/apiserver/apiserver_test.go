@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
@@ -137,25 +137,6 @@ func TestMutateStatusWritesStatus(t *testing.T) {
 	}
 }
 
-func TestListSelectorThroughClient(t *testing.T) {
-	_, s := newServer()
-	pods := Pods(s)
-	for i, lbls := range []map[string]string{
-		{"app": "web"}, {"app": "db"}, {"app": "web", "tier": "front"},
-	} {
-		p := mkPod(string(rune('a' + i)))
-		p.Labels = lbls
-		pods.Create(p)
-	}
-	got := pods.ListSelector(labels.SelectorFromMap(map[string]string{"app": "web"}))
-	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "c" {
-		t.Fatalf("ListSelector = %v", got)
-	}
-	if n := len(pods.ListSelector(labels.HasKey("tier"))); n != 1 {
-		t.Fatalf("HasKey(tier) matched %d", n)
-	}
-}
-
 func TestWatchFilteredByNameDoesNotWakeOnOthers(t *testing.T) {
 	env, s := newServer()
 	pods := Pods(s)
@@ -190,24 +171,29 @@ func TestWatchFilteredByNameDoesNotWakeOnOthers(t *testing.T) {
 	}
 }
 
-func TestWatchFilteredBySelector(t *testing.T) {
+// TestWatchFilteredByLabel: a Label watch delivers the objects carrying the
+// key, whatever its value (the empty one included), and nothing else.
+func TestWatchFilteredByLabel(t *testing.T) {
 	env, s := newServer()
 	pods := Pods(s)
-	q := s.WatchFiltered("Pod", WatchOptions{Selector: labels.HasKey("managed"), Replay: false})
+	q := s.WatchFiltered("Pod", WatchOptions{Label: "managed", Replay: false})
 	env.Go("churn", func(p *sim.Proc) {
-		plain := mkPod("plain")
-		pods.Create(plain)
-		tagged := mkPod("tagged")
-		tagged.Labels = map[string]string{"managed": "yes"}
-		pods.Create(tagged)
+		for name, lbls := range map[string]map[string]string{
+			"plain": nil, "tagged": {"managed": "yes"}, "other": {"other": "yes"}, "empty": {"managed": ""},
+		} {
+			pod := mkPod(name)
+			pod.Labels = lbls
+			pods.Create(pod)
+		}
 	})
 	env.Run()
-	ev, ok := q.TryGet()
-	if !ok || ev.Object.GetMeta().Name != "tagged" {
-		t.Fatalf("ev=%v ok=%v", ev, ok)
+	var got []string
+	for ev, ok := q.TryGet(); ok; ev, ok = q.TryGet() {
+		got = append(got, ev.Object.GetMeta().Name)
 	}
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("unfiltered event delivered")
+	slices.Sort(got)
+	if !slices.Equal(got, []string{"empty", "tagged"}) {
+		t.Fatalf("delivered %v, want the two pods carrying managed", got)
 	}
 }
 

@@ -156,7 +156,7 @@ func (r *Reflector) relist() {
 	r.q = r.srv.WatchFiltered(r.kind, fresh)
 	r.lastRV = r.srv.Revision()
 	var cur []api.Object // name order, as the scan yields them
-	r.srv.ScanSelector(r.kind, r.opts.Selector, func(obj api.Object) bool {
+	r.srv.Scan(r.kind, func(obj api.Object) bool {
 		if r.opts.Matches(obj) {
 			cur = append(cur, obj)
 		}

@@ -9,15 +9,15 @@ import (
 	"time"
 
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/simrand"
 )
 
-func mkLabeledPod(name, app string) *api.Pod {
+// mkLabeledPod makes a pod carrying the label key key.
+func mkLabeledPod(name, key string) *api.Pod {
 	return &api.Pod{
-		ObjectMeta: api.ObjectMeta{Name: name, Labels: map[string]string{"app": app}},
+		ObjectMeta: api.ObjectMeta{Name: name, Labels: map[string]string{key: "yes"}},
 		Spec:       api.PodSpec{Containers: []api.Container{{Name: "c", Image: "i"}}},
 	}
 }
@@ -37,8 +37,7 @@ func informTrace(s *Server, opts WatchOptions) (*Reflector, *[]string) {
 // gaps — as a golden event sequence.
 func TestReflectorResumeGoldenSequence(t *testing.T) {
 	env, s := newServer()
-	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r, trace := informTrace(s, WatchOptions{Selector: sel, Replay: true})
+	r, trace := informTrace(s, WatchOptions{Label: "web", Replay: true})
 
 	pods := Pods(s)
 	if _, err := pods.Create(mkLabeledPod("w0", "web")); err != nil {
@@ -90,8 +89,7 @@ func TestReflectorResumeGoldenSequence(t *testing.T) {
 func TestReflectorRelistOnCompactedGap(t *testing.T) {
 	env, s := newServer()
 	s.SetWatchHistoryCap(4)
-	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r, trace := informTrace(s, WatchOptions{Selector: sel, Replay: true})
+	r, trace := informTrace(s, WatchOptions{Label: "web", Replay: true})
 
 	pods := Pods(s)
 	mustCreate(t, pods, mkLabeledPod("w0", "web"))
@@ -148,9 +146,9 @@ func TestReflectorRandomizedConvergence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		env, s := newServer()
 		s.SetWatchHistoryCap(8)
-		sel := labels.SelectorFromMap(map[string]string{"app": "web"})
+		opts := WatchOptions{Label: "web", Replay: true}
 		state := map[string]int64{} // name → last seen RV
-		r := s.Inform("test", "consumer", "Pod", WatchOptions{Selector: sel, Replay: true}, func(_ *sim.Proc, ev store.Event) {
+		r := s.Inform("test", "consumer", "Pod", opts, func(_ *sim.Proc, ev store.Event) {
 			name := ev.Object.GetMeta().Name
 			if ev.Type == store.Deleted {
 				delete(state, name)
@@ -163,14 +161,14 @@ func TestReflectorRandomizedConvergence(t *testing.T) {
 		env.Go("driver", func(p *sim.Proc) {
 			live := []string{}
 			for i := 0; i < 400; i++ {
-				app := "web"
+				key := "web"
 				if rng.Intn(3) == 0 {
-					app = "db"
+					key = "db"
 				}
 				switch op := rng.Intn(10); {
 				case op < 5 || len(live) == 0:
 					name := fmt.Sprintf("p%d", i)
-					mustCreate(t, pods, mkLabeledPod(name, app))
+					mustCreate(t, pods, mkLabeledPod(name, key))
 					live = append(live, name)
 				case op < 8:
 					if err := pods.Delete(live[rng.Intn(len(live))]); err != nil && !IsNotFound(err) {
@@ -196,9 +194,12 @@ func TestReflectorRandomizedConvergence(t *testing.T) {
 		})
 		env.RunUntil(time.Hour)
 		want := map[string]int64{}
-		for _, pod := range pods.ListSelector(sel) {
-			want[pod.Name] = pod.ResourceVersion
-		}
+		pods.Scan(func(pod *api.Pod) bool {
+			if opts.Matches(pod) {
+				want[pod.Name] = pod.ResourceVersion
+			}
+			return true
+		})
 		if !reflect.DeepEqual(state, want) {
 			t.Fatalf("seed %d: cache diverged:\n got %v\nwant %v", seed, state, want)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
@@ -57,14 +56,13 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	}
 	r.Stop()
 
-	// A label-selector reflector whose torn tail reverts names that sort
+	// A label-filtered reflector whose torn tail reverts names that sort
 	// between survivors: the relist deletes exactly those, in name order,
 	// re-syncs the survivors, and re-adds the one whose deletion was reverted.
-	// Reverted objects the selector never matched stay invisible.
+	// Reverted objects the filter never matched stay invisible.
 	env, s = newServer()
 	s.EnableDurability(DurabilityConfig{})
-	sel := labels.SelectorFromMap(map[string]string{"app": "web"})
-	r, trace = informTrace(s, WatchOptions{Selector: sel, Replay: true})
+	r, trace = informTrace(s, WatchOptions{Label: "web", Replay: true})
 	pods = Pods(s)
 	for _, name := range []string{"a0", "a2", "a4", "a5"} {
 		mustCreate(t, pods, mkLabeledPod(name, "web"))
@@ -95,7 +93,7 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 		"DELETED a1", "DELETED a3", // relist: vanished, name order
 	}
 	if !reflect.DeepEqual(*trace, want) {
-		t.Fatalf("selector relist across a torn tail:\n got %q\nwant %q", *trace, want)
+		t.Fatalf("label relist across a torn tail:\n got %q\nwant %q", *trace, want)
 	}
 	r.Stop()
 }

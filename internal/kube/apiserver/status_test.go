@@ -1,14 +1,12 @@
 package apiserver_test
 
 import (
-	"maps"
 	"reflect"
 	"testing"
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
@@ -27,7 +25,7 @@ type carrier[T api.StatusCarrier] struct {
 // TestStatusSubresourceIsolation holds the status subresource's contract on
 // every kind that has one, through both writes: a spec write (Mutate) drops
 // the status its closure wrote, a status write (MutateStatus) drops the spec
-// and the labels its closure wrote — which leaves the label index alone —
+// and the labels its closure wrote — so label watches see the stored ones —
 // and a write that conflicts retries on a fresh working object until it
 // lands. The canary checks that no shared snapshot was written on the way.
 func TestStatusSubresourceIsolation(t *testing.T) {
@@ -125,15 +123,13 @@ func (c carrier[T]) write(t *testing.T, statusOnly bool) {
 	if stored, err := cl.Get("a"); err != nil || api.Object(stored) != api.Object(got) {
 		t.Fatalf("Get = %v, %v; want the published revision", stored, err)
 	}
-	// The index holds the closure's labels after a spec write, the stored
-	// ones after a status write.
-	for _, lbls := range []map[string]string{{"app": "x"}, {"app": "y"}, {"extra": "y"}} {
-		wantFound := maps.Equal(lbls, map[string]string{"app": "y"})
-		if statusOnly {
-			wantFound = !wantFound
+	// A label watch is shown the closure's labels after a spec write, the
+	// stored ones after a status write.
+	for key, wantFound := range map[string]bool{"app": true, "extra": statusOnly} {
+		q := srv.WatchFiltered(got.Kind(), apiserver.WatchOptions{Label: key, Replay: true})
+		if found := q.Len() == 1; found != wantFound {
+			t.Errorf("a watch on label %s replayed it: %v, want %v", key, found, wantFound)
 		}
-		if found := len(cl.ListSelector(labels.SelectorFromMap(lbls))) == 1; found != wantFound {
-			t.Errorf("ListSelector(%v) found it: %v, want %v", lbls, found, wantFound)
-		}
+		srv.StopWatch(q)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/deviceplugin"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/runtime"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
@@ -76,7 +75,7 @@ func TestNodeRegistrationIncludesPluginCapacity(t *testing.T) {
 // TestNodeLabelsAreTheNodesOwn: the store publishes the Node the kubelet
 // registers without copying it, so the kubelet must not hand it the config's
 // label map — a later write to that map would change the published Node
-// behind the store's label index.
+// behind every reader's and label watch's back.
 func TestNodeLabelsAreTheNodesOwn(t *testing.T) {
 	env := sim.NewEnv()
 	srv := apiserver.New(env)
@@ -95,8 +94,8 @@ func TestNodeLabelsAreTheNodesOwn(t *testing.T) {
 	if !reflect.DeepEqual(node.Labels, map[string]string{"zone": "a"}) {
 		t.Fatalf("published node labels = %v, want the config's at Start", node.Labels)
 	}
-	if got := apiserver.Nodes(srv).ListSelector(labels.SelectorFromMap(map[string]string{"zone": "a"})); len(got) != 1 {
-		t.Fatalf("zone=a selects %d nodes, want 1", len(got))
+	if got := srv.WatchFiltered("Node", apiserver.WatchOptions{Label: "extra", Replay: true}).Len(); got != 0 {
+		t.Fatalf("a watch on label extra replays %d nodes, want 0", got)
 	}
 	kl.Stop()
 }

@@ -100,8 +100,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // restorePod is shaped like the pods the benchmark's workloads restore: two
 // labels, two annotations, an owner, one container with two env entries and
-// one request. The label values are shared by every pod, so the label
-// index's per-value posting sets stay out of a per-pod count.
+// one request.
 func restorePod(i int) *api.Pod {
 	sp := fmt.Sprintf("sp-%04d", i)
 	return &api.Pod{

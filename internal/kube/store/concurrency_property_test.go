@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/sim"
 )
 
@@ -18,7 +17,7 @@ import (
 type expectedEv struct {
 	typ      EventType
 	objRV    int64
-	selMatch bool // labels matched app=a at delivery time
+	selMatch bool // labels carried the watched key at delivery time
 }
 
 // TestConcurrentChurnWatchEquivalence is the store's concurrency property
@@ -26,7 +25,7 @@ type expectedEv struct {
 // filtered watches are live, under -race. Because each key has exactly one
 // writer, the per-key event sequence a single-lock store would deliver is
 // fully determined by that writer's op log — so every watcher (per-kind and
-// selector-filtered) and the OnPublish observer must see exactly that
+// label-filtered) and the OnPublish observer must see exactly that
 // sequence per key, with store-wide revisions strictly increasing along it,
 // however the writers interleave. A list+watch registered from a goroutine
 // while the churn runs must join every key's sequence at one consistent cut:
@@ -39,17 +38,16 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 		workers    = 8
 		keysPer    = 12
 		opsPer     = 400
-		watchedSel = "a"
+		watchedKey = "app"
 	)
+	carries := func(lbls map[string]string) bool { _, ok := lbls[watchedKey]; return ok }
 
 	// Live watches registered before the churn: per-kind and
-	// selector-filtered (Pod app=a), plus the publish hook, which sees both
-	// kinds (it runs inside the write, so it needs no lock of its own).
+	// label-filtered (Pods carrying app), plus the publish hook, which sees
+	// both kinds (it runs inside the write, so it needs no lock of its own).
 	podQ := s.Watch("Pod", false)
 	nodeQ := s.Watch("Node", false)
-	selQ := s.WatchFiltered("Pod", WatchOptions{
-		Selector: labels.SelectorFromMap(map[string]string{"app": watchedSel}),
-	})
+	selQ := s.WatchFiltered("Pod", WatchOptions{Label: watchedKey})
 	allEvs := map[string][]Event{}
 	s.OnPublish(func(ev Event) {
 		key := api.Key(ev.Object)
@@ -116,7 +114,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 					}
 					curLabels[name] = lbls
 					logs[w][key] = append(logs[w][key], expectedEv{
-						Added, stored.GetMeta().ResourceVersion, lbls["app"] == watchedSel})
+						Added, stored.GetMeta().ResourceVersion, carries(lbls)})
 				case (op == 1 || op == 2) && exists: // label update
 					cur, err := edit(s, kind, name)
 					if err != nil {
@@ -132,7 +130,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 					}
 					curLabels[name] = lbls
 					logs[w][key] = append(logs[w][key], expectedEv{
-						Modified, stored.GetMeta().ResourceVersion, lbls["app"] == watchedSel})
+						Modified, stored.GetMeta().ResourceVersion, carries(lbls)})
 				case op == 3 && exists: // status update (labels preserved)
 					cur, err := edit(s, kind, name)
 					if err != nil {
@@ -151,7 +149,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 					}
 					logs[w][key] = append(logs[w][key], expectedEv{
 						Modified, stored.GetMeta().ResourceVersion,
-						curLabels[name]["app"] == watchedSel})
+						carries(curLabels[name])})
 				case op == 4 && exists: // delete
 					prior := logs[w][key][len(logs[w][key])-1]
 					if err := s.Delete(kind, name); err != nil {
@@ -159,7 +157,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 						return
 					}
 					logs[w][key] = append(logs[w][key], expectedEv{
-						Deleted, prior.objRV, curLabels[name]["app"] == watchedSel})
+						Deleted, prior.objRV, carries(curLabels[name])})
 					delete(curLabels, name)
 				}
 			}
@@ -284,7 +282,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 			lateTotal, len(lateEvs), podTotal, len(podEvs))
 	}
 
-	// Selector watch: exactly the matching subsequence of each Pod key.
+	// Label watch: exactly the matching subsequence of each Pod key.
 	selEvs := drain(selQ)
 	for key, seq := range want {
 		if key[:3] != "Pod" {
@@ -296,7 +294,7 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 				filtered = append(filtered, e)
 			}
 		}
-		checkSeq("selector", key, selEvs[key], filtered)
+		checkSeq("label", key, selEvs[key], filtered)
 	}
 
 	// Folding the per-kind streams reproduces the final store state.
@@ -332,8 +330,8 @@ func TestConcurrentChurnWatchEquivalence(t *testing.T) {
 }
 
 // TestConcurrentReaders checks readers on one kind run against writers on
-// another without torn results: list/scan/selector answers on the read
-// side always reflect a committed prefix of the writer's op sequence.
+// another without torn results: count/list/scan answers on the read side
+// always reflect a committed prefix of the writer's op sequence.
 func TestConcurrentReaders(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
@@ -362,13 +360,12 @@ func TestConcurrentReaders(t *testing.T) {
 			}
 		}
 	}()
-	sel := labels.SelectorFromMap(map[string]string{"app": "a"})
 	for r := 0; r < 2000; r++ {
 		if got := s.Count("Pod"); got != 64 {
 			t.Fatalf("count=%d, want 64", got)
 		}
-		if got := len(s.ListSelector("Pod", sel)); got != 64 {
-			t.Fatalf("selector matched %d, want 64", got)
+		if got := len(s.List("Pod")); got != 64 {
+			t.Fatalf("list has %d, want 64", got)
 		}
 		seen := 0
 		s.Scan("Pod", func(api.Object) bool { seen++; return true })

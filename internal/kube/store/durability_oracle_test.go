@@ -3,7 +3,6 @@ package store_test
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"reflect"
 	"sort"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/simrand"
@@ -29,8 +27,9 @@ import (
 // DurableSizes), which it needs to know what a truncation by n bytes cuts.
 //
 // The same histories open watchers at random points — kind-wide, exact-name,
-// selector-filtered, node-scoped, owner-scoped and node+selector, with and
-// without replay — drop some and resume them from the last revision they saw. The model keeps, per watcher, the list of
+// label-key, exact-name+label-key, node-scoped, owner-scoped and
+// node+label-key, with and without replay — drop some and resume them from
+// the last revision they saw. The model keeps, per watcher, the list of
 // events a filter written out by hand lets through; after every step each
 // live queue must hold exactly that list (so a stream has no gap, no
 // duplicate and no event out of revision order), every event must carry the
@@ -39,8 +38,8 @@ import (
 // name then registration order.
 //
 // A status write to a kind with a status subresource keeps the stored labels,
-// so it must leave the label index alone: after it, every posting set is the
-// same set as before, not a rebuilt equal one.
+// so a label-key watcher is shown it exactly when the stored object carries
+// the key, whatever labels the write's argument had.
 
 type opKind int
 
@@ -257,17 +256,15 @@ func (w *watch) options() store.WatchOptions {
 	case 1:
 		return store.WatchOptions{Name: w.name}
 	case 2:
-		return store.WatchOptions{Selector: labels.SelectorFromMap(map[string]string{"tier": "t2"})}
+		return store.WatchOptions{Label: "tier"}
 	case 3:
-		return store.WatchOptions{Name: w.name, Selector: labels.NewSelector(
-			labels.Requirement{Key: "tier", Op: labels.Exists},
-			labels.Requirement{Key: "app", Op: labels.NotEquals, Value: "o1"})}
+		return store.WatchOptions{Name: w.name, Label: "app"}
 	case 4:
 		return store.WatchOptions{Node: "n1"}
 	case 5:
 		return store.WatchOptions{OwnerKind: "ReplicationController"}
 	case 6:
-		return store.WatchOptions{Node: "n0", Selector: labels.SelectorFromMap(map[string]string{"tier": "t2"})}
+		return store.WatchOptions{Node: "n0", Label: "tier"}
 	case 7:
 		return store.WatchOptions{OwnerKind: core.KindSharePodSet}
 	case 8:
@@ -281,7 +278,8 @@ func (w *watch) options() store.WatchOptions {
 // owner the object last had; only a pod is ever on a node.
 func (w *watch) sees(obj api.Object) bool {
 	meta := obj.GetMeta()
-	tier, tiered := meta.Labels["tier"]
+	_, tiered := meta.Labels["tier"]
+	_, app := meta.Labels["app"]
 	node := ""
 	if pod, ok := obj.(*api.Pod); ok {
 		node = pod.Spec.NodeName
@@ -292,15 +290,15 @@ func (w *watch) sees(obj api.Object) bool {
 	case w.shape == 1:
 		return meta.Name == w.name
 	case w.shape == 2:
-		return tier == "t2"
+		return tiered
 	case w.shape == 3:
-		return meta.Name == w.name && tiered && meta.Labels["app"] != "o1"
+		return meta.Name == w.name && app
 	case w.shape == 4:
 		return node == "n1"
 	case w.shape == 5:
 		return strings.HasPrefix(meta.OwnerName, "ReplicationController/")
 	case w.shape == 6:
-		return node == "n0" && tier == "t2"
+		return node == "n0" && tiered
 	case w.shape == 7:
 		return strings.HasPrefix(meta.OwnerName, "SharePodSet/")
 	case w.shape == 8:
@@ -555,25 +553,6 @@ func drive(p *sim.Proc, h []op) error {
 				return fmt.Errorf("%s: object %d is %s %+v, model says %s %+v", step, i, api.Key(obj), obj, keys[i], m.objs[keys[i]])
 			}
 		}
-		// The label index was rebuilt, not carried over: every selector
-		// answer comes from it.
-		for _, kind := range oracleKinds {
-			for _, sel := range []map[string]string{{"tier": "t2"}, {"tier": "t3"}, {"app": "o1", "tier": "t3"}} {
-				var want []string
-				for _, k := range keys {
-					if o := m.objs[k]; o.Kind() == kind && labels.SelectorFromMap(sel).Matches(o.GetMeta().Labels) {
-						want = append(want, k)
-					}
-				}
-				var got []string
-				for _, o := range s.ListSelector(kind, labels.SelectorFromMap(sel)) {
-					got = append(got, api.Key(o))
-				}
-				if !reflect.DeepEqual(got, want) {
-					return fmt.Errorf("%s: ListSelector(%s, %v) = %v, model says %v", step, kind, sel, got, want)
-				}
-			}
-		}
 		// A consumer resuming from a revision it saw before the crash is
 		// fenced unless that revision is exactly where the store came back.
 		for _, from := range []int64{preRev, preRev - 1} {
@@ -597,10 +576,6 @@ func drive(p *sim.Proc, h []op) error {
 		key := api.KeyOf(o.obj, o.name)
 		_, before, _ := s.DurableSizes()
 		logged := len(m.log)
-		var postings map[string]uintptr
-		if _, carrier := build(o.obj, o.name, 0, "", "").(api.StatusCarrier); carrier && o.kind == opUpdateStatus {
-			postings = store.PostingSets(s)
-		}
 		var got, want error
 		var result api.Object // what a write returned
 		switch o.kind {
@@ -685,9 +660,6 @@ func drive(p *sim.Proc, h []op) error {
 		}
 		if errClass(got) != want {
 			return fmt.Errorf("%s: store returned %v, model %v", step, got, want)
-		}
-		if postings != nil && !maps.Equal(postings, store.PostingSets(s)) {
-			return fmt.Errorf("%s: the status write rebuilt the label index's posting sets", step)
 		}
 		if result != nil {
 			if err := publishedOnce(step, result); err != nil {

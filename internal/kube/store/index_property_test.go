@@ -2,20 +2,22 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/sim"
 )
 
 // TestIndexConsistencyUnderChurn drives a long randomized create / update /
 // update-status / delete sequence and checks, against a brute-force model,
-// that the indexed paths stay exact: sorted lists, selector queries answered
-// from the posting index, revision monotonicity, and watch-replay
-// equivalence for subscriptions registered mid-churn.
+// that the indexed paths stay exact: sorted lists, label-filtered replays,
+// revision monotonicity, and watch-replay equivalence for subscriptions
+// registered mid-churn.
 func TestIndexConsistencyUnderChurn(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
@@ -98,35 +100,27 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 		}
 	}
 
-	// Selector queries answered from the posting index equal brute force.
-	sels := []labels.Selector{
-		labels.SelectorFromMap(map[string]string{"app": "a"}),
-		labels.SelectorFromMap(map[string]string{"app": "b", "tier": "c"}),
-		labels.HasKey("zone"),
-		labels.NewSelector(labels.Requirement{Key: "app", Op: labels.NotEquals, Value: "a"}),
-		labels.NewSelector(
-			labels.Requirement{Key: "tier", Op: labels.Exists},
-			labels.Requirement{Key: "zone", Op: labels.DoesNotExist},
-		),
-	}
-	for _, sel := range sels {
-		got := map[string]bool{}
-		for _, obj := range s.ListSelector("Pod", sel) {
-			got[obj.GetMeta().Name] = true
-		}
-		want := map[string]bool{}
+	// A label-filtered replay delivers exactly the model's objects carrying
+	// the key, whatever its value, as Added events in name order.
+	for _, key := range lblKeys {
+		var want []string
 		for name, lbls := range model {
-			if sel.Matches(lbls) {
-				want[name] = true
+			if _, ok := lbls[key]; ok {
+				want = append(want, name)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("selector %q: got %d, want %d", sel, len(got), len(want))
-		}
-		for name := range want {
-			if !got[name] {
-				t.Fatalf("selector %q: missing %s", sel, name)
+		sort.Strings(want)
+		q := s.WatchFiltered("Pod", WatchOptions{Label: key, Replay: true})
+		var got []string
+		for ev, ok := q.TryGet(); ok; ev, ok = q.TryGet() {
+			if ev.Type != Added {
+				t.Fatalf("label %q replay delivered %s", key, ev.Type)
 			}
+			got = append(got, ev.Object.GetMeta().Name)
+		}
+		s.StopWatch(q)
+		if !slices.Equal(got, want) {
+			t.Fatalf("label %q replayed %v, model says %v", key, got, want)
 		}
 	}
 
@@ -196,14 +190,14 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 	}
 }
 
-// TestStatusUpdatePreservesLabelIndex pins the interaction between the
-// status subresource and the label index: UpdateStatus publishes the stored
-// spec and metadata whatever its argument carries, so a caller passing
-// different labels and scribbled spec fields changes neither the object nor
-// the index — a status write does not touch the index at all (the posting
-// set is the same map afterwards, not a rebuilt one) — and the previous
-// snapshot is left exactly as it was.
-func TestStatusUpdatePreservesLabelIndex(t *testing.T) {
+// TestStatusWritePublishesStoredLabels pins the status subresource's
+// metadata rule: UpdateStatus publishes the stored spec and metadata whatever
+// its argument carries, so a caller passing different labels and scribbled
+// spec fields changes neither the published object nor what label watchers
+// see — the write reaches a watcher filtered on the stored key and not one
+// filtered on the scribbled key — and the previous snapshot is left exactly
+// as it was.
+func TestStatusWritePublishesStoredLabels(t *testing.T) {
 	env := sim.NewEnv()
 	s := New(env)
 	p := pod("a")
@@ -213,11 +207,12 @@ func TestStatusUpdatePreservesLabelIndex(t *testing.T) {
 	}
 	prev, _ := s.Get("Pod", "a")
 	want := prev.DeepCopyObject()
-	posting := reflect.ValueOf(s.kinds["Pod"].byLabel["app"]["web"]).Pointer()
+	storedQ := s.WatchFiltered("Pod", WatchOptions{Label: "app"})
+	scribbledQ := s.WatchFiltered("Pod", WatchOptions{Label: "tier"})
 
 	cp := prev.DeepCopyObject().(*api.Pod)
-	cp.Labels = map[string]string{"app": "db"} // ignored by UpdateStatus
-	cp.Spec.NodeName = "scribbled"             // so is every spec field
+	cp.Labels = map[string]string{"tier": "db"} // ignored by UpdateStatus
+	cp.Spec.NodeName = "scribbled"              // so is every spec field
 	cp.Spec.Containers[0].Image = "scribbled"
 	cp.OwnerName = "scribbled"
 	cp.Status.Phase = api.PodRunning
@@ -226,20 +221,20 @@ func TestStatusUpdatePreservesLabelIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := updated.(*api.Pod)
-	if got.Status.Phase != api.PodRunning || got.Labels["app"] != "web" || got.OwnerName != "" ||
-		got.Spec.NodeName != "" || got.Spec.Containers[0].Image != "i" {
+	if got.Status.Phase != api.PodRunning || !maps.Equal(got.Labels, map[string]string{"app": "web"}) ||
+		got.OwnerName != "" || got.Spec.NodeName != "" || got.Spec.Containers[0].Image != "i" {
 		t.Fatalf("status write published %+v", got)
 	}
 	if !reflect.DeepEqual(prev, want) {
 		t.Fatalf("status write touched the previous snapshot: %+v", prev)
 	}
-	if got := s.ListSelector("Pod", labels.SelectorFromMap(map[string]string{"app": "web"})); len(got) != 1 || got[0] != updated {
-		t.Fatalf("app=web matched %v, want the new snapshot", got)
+	if ev, ok := storedQ.TryGet(); !ok || ev.Type != Modified || ev.Object != updated {
+		t.Fatalf("watcher on the stored key got %+v (%v), want the new snapshot", ev, ok)
 	}
-	if got := s.ListSelector("Pod", labels.SelectorFromMap(map[string]string{"app": "db"})); len(got) != 0 {
-		t.Fatalf("app=db matched %d, want 0", len(got))
+	if ev, ok := storedQ.TryGet(); ok {
+		t.Fatalf("watcher on the stored key got a second event %+v", ev)
 	}
-	if reflect.ValueOf(s.kinds["Pod"].byLabel["app"]["web"]).Pointer() != posting {
-		t.Fatal("a status write rebuilt the label's posting set")
+	if ev, ok := scribbledQ.TryGet(); ok {
+		t.Fatalf("watcher on the scribbled key got %+v", ev)
 	}
 }

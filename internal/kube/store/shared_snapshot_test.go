@@ -8,12 +8,11 @@ import (
 	"testing"
 
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/sim"
 )
 
 // TestSharedSnapshotConcurrentReaders runs goroutine readers — Scan, Get,
-// List, ListSelector — against a writer that is publishing shared snapshots
+// List — against a writer that is publishing shared snapshots
 // to live watchers, under -race (check.sh runs it at GOMAXPROCS=4). Readers
 // keep the snapshots every read showed them past the store's lock and read
 // every field again later: a published object must never change — not even
@@ -28,9 +27,8 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 		ops     = 1500
 		readers = 4
 	)
-	sel := labels.SelectorFromMap(map[string]string{"app": "a"})
 	kindQ := s.Watch("Pod", false)
-	selQ := s.WatchFiltered("Pod", WatchOptions{Selector: sel})
+	labelQ := s.WatchFiltered("Pod", WatchOptions{Label: "app"})
 	var published []Event
 	s.OnPublish(func(ev Event) { published = append(published, ev) })
 
@@ -49,14 +47,11 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 				return true
 			}
 			for !done.Load() {
-				s.ScanSelector("Pod", []labels.Selector{nil, sel}[r%2], keep)
+				s.Scan("Pod", keep)
 				if got, err := s.Get("Pod", fmt.Sprintf("p%02d", r)); err == nil {
 					keep(got)
 				}
 				for _, o := range s.List("Pod") {
-					keep(o)
-				}
-				for _, o := range s.ListSelector("Pod", sel) {
 					keep(o)
 				}
 				for _, k := range held {
@@ -77,12 +72,12 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 		switch {
 		case err != nil:
 			p := pod(name)
-			p.Labels = map[string]string{"app": []string{"a", "b"}[i%2]}
+			p.Labels = map[string]string{[]string{"app", "tier"}[i%2]: "a"}
 			_, err = s.Create(p)
 		case i%7 == 0:
 			err = s.Delete("Pod", name)
 		case i%3 == 0:
-			cur.GetMeta().Labels["app"] = []string{"a", "b"}[(i/3)%2]
+			cur.GetMeta().Labels = map[string]string{[]string{"app", "tier"}[(i/3)%2]: "b"}
 			_, err = s.Update(cur)
 		default:
 			cur.(*api.Pod).Status.Phase = []api.PodPhase{api.PodPending, api.PodRunning}[i%2]
@@ -101,18 +96,18 @@ func TestSharedSnapshotConcurrentReaders(t *testing.T) {
 	if kindQ.Len() != writes || len(published) != writes {
 		t.Fatalf("kind watcher got %d, the publish hook %d, want %d", kindQ.Len(), len(published), writes)
 	}
-	bySel := map[int64]api.Object{}
-	for selQ.Len() > 0 {
-		ev, _ := selQ.TryGet()
-		bySel[ev.Rev] = ev.Object
+	byLabel := map[int64]api.Object{}
+	for labelQ.Len() > 0 {
+		ev, _ := labelQ.TryGet()
+		byLabel[ev.Rev] = ev.Object
 	}
 	for _, b := range published {
 		a, _ := kindQ.TryGet()
 		if a != b {
 			t.Fatalf("rev %d: the kind watcher got a different object than was published", a.Rev)
 		}
-		if o, ok := bySel[a.Rev]; ok && o != a.Object {
-			t.Fatalf("rev %d: selector watcher got a different object", a.Rev)
+		if o, ok := byLabel[a.Rev]; ok && o != a.Object {
+			t.Fatalf("rev %d: label watcher got a different object", a.Rev)
 		}
 		if a.Type != Deleted && a.Object.GetMeta().ResourceVersion != a.Rev {
 			t.Fatalf("rev %d carries an object at version %d", a.Rev, a.Object.GetMeta().ResourceVersion)

@@ -25,8 +25,9 @@ func next(t *testing.T, what string, q *sim.Queue[store.Event]) store.Event {
 }
 
 // TestWatchSharesOneSnapshot pins the ownership rule: every path that hands
-// out a revision — watches, replays, resumes, the publish hook, Scan, Get,
-// List, ListSelector, the write's own return value, the reflector — hands out
+// out a revision — watches, replays (kind-wide and label-filtered), resumes,
+// the publish hook, Scan, Get, List, the write's own return value, the
+// reflector — hands out
 // the same pointer;
 // a later write publishes a different object and leaves the earlier one
 // alone; and the store aliases nothing that came in.
@@ -75,6 +76,8 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	}
 	same("history resume", snap1, next(t, "resume", resumed).Object)
 	same("kind replay", snap1, next(t, "replay", st.Watch("Pod", true)).Object)
+	labelReplay := st.WatchFiltered("Pod", store.WatchOptions{Label: "app", Replay: true})
+	same("label replay", snap1, next(t, "label replay", labelReplay).Object)
 	st.Scan("Pod", func(o api.Object) bool { same("Scan", snap1, o); return true })
 
 	// Reads and the write's own result are that same snapshot; only the
@@ -86,7 +89,6 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	}
 	same("Get", snap1, got)
 	same("List", snap1, st.List("Pod")[0])
-	same("ListSelector", snap1, st.ListSelector("Pod", nil)[0])
 	if snap1 == api.Object(arg) {
 		t.Fatal("Create published the caller's argument")
 	}

@@ -4,12 +4,11 @@
 // revision; every object carries the revision of its last write as its
 // ResourceVersion.
 //
-// Objects are kept in per-kind buckets with a sorted name index and
-// a label posting index (key → value → names), so lists, selector queries
-// and watch fan-out cost O(matching objects) instead of O(all keys).
-// Watches can be filtered server-side by kind, exact name, bound node, owner
-// kind and label selector — subscribers never receive events they would
-// discard.
+// Objects are kept in per-kind buckets with a sorted name index, so a list
+// or scan walks one kind in name order and watch fan-out visits only that
+// kind's watchers. Watches can be filtered server-side by kind, exact name,
+// bound node, owner kind and label key — subscribers never receive events
+// they would discard.
 //
 // # Concurrency
 //
@@ -28,8 +27,8 @@
 // The object committed at a revision is immutable from the moment it is
 // published, and there is exactly one of it: what the bucket holds, what the
 // history keeps, and what everything the store hands out carries — every
-// watcher queue (live, replayed or resumed), Scan and ScanSelector
-// callbacks, Get, List, ListSelector, and the return value of every write.
+// watcher queue (live, replayed or resumed), Scan callbacks, Get, List, and
+// the return value of every write.
 // A later write to the same key publishes a new object and never touches the
 // old one, so a write costs the same however many subscribers watch, a
 // snapshot stays a faithful record of its revision for as long as anyone
@@ -56,7 +55,6 @@ import (
 	"sync/atomic"
 
 	"kubeshare/internal/kube/api"
-	"kubeshare/internal/kube/labels"
 	"kubeshare/internal/sim"
 )
 
@@ -116,9 +114,9 @@ type WatchOptions struct {
 	// OwnerKind restricts delivery to objects whose OwnerName is
 	// "<OwnerKind>/<name>" — what a controller of that kind created.
 	OwnerKind string
-	// Selector restricts delivery to objects whose labels match. Nil matches
-	// all.
-	Selector labels.Selector
+	// Label restricts delivery to objects carrying this label key, whatever
+	// its value.
+	Label string
 	// Replay delivers the currently matching objects first as Added events
 	// (list+watch semantics). A resume (WatchFilteredFrom) replays history
 	// instead and ignores it.
@@ -143,7 +141,11 @@ func (o WatchOptions) Matches(obj api.Object) bool {
 			return false
 		}
 	}
-	return o.Selector == nil || o.Selector.Matches(meta.Labels)
+	if o.Label == "" {
+		return true
+	}
+	_, ok := meta.Labels[o.Label]
+	return ok
 }
 
 // watcher fans events out to one subscriber. It lives in its kind's bucket
@@ -153,24 +155,19 @@ type watcher struct {
 	queue *sim.Queue[Event]
 }
 
-// bucket holds one kind's objects plus its indexes.
+// bucket holds one kind's objects plus its name index.
 type bucket struct {
 	objs map[string]api.Object // name → published snapshot (immutable)
 	// sorted is objs' names in order: Create and Delete insert and remove
 	// the one name in place (under the store's write lock, which excludes
 	// every reader), restore sorts once at its end.
 	sorted []string
-	// byLabel is the posting index: label key → value → set of names.
-	byLabel map[string]map[string]map[string]struct{}
 	// watchers subscribed to this kind, in registration order.
 	watchers []*watcher
 }
 
 func newBucket() *bucket {
-	return &bucket{
-		objs:    make(map[string]api.Object),
-		byLabel: make(map[string]map[string]map[string]struct{}),
-	}
+	return &bucket{objs: make(map[string]api.Object)}
 }
 
 // addName files a new object's name; one sorting last — serial names mostly
@@ -181,38 +178,6 @@ func (b *bucket) addName(name string) {
 		i, _ = slices.BinarySearch(b.sorted, name)
 	}
 	b.sorted = slices.Insert(b.sorted, i, name)
-}
-
-func (b *bucket) indexLabels(name string, lbls map[string]string) {
-	for k, v := range lbls {
-		vals, ok := b.byLabel[k]
-		if !ok {
-			vals = make(map[string]map[string]struct{})
-			b.byLabel[k] = vals
-		}
-		set, ok := vals[v]
-		if !ok {
-			set = make(map[string]struct{})
-			vals[v] = set
-		}
-		set[name] = struct{}{}
-	}
-}
-
-func (b *bucket) unindexLabels(name string, lbls map[string]string) {
-	for k, v := range lbls {
-		if vals, ok := b.byLabel[k]; ok {
-			if set, ok := vals[v]; ok {
-				delete(set, name)
-				if len(set) == 0 {
-					delete(vals, v)
-				}
-			}
-			if len(vals) == 0 {
-				delete(b.byLabel, k)
-			}
-		}
-	}
 }
 
 // Store is the versioned object store.
@@ -360,7 +325,6 @@ func (s *Store) Insert(obj api.Object) (api.Object, error) {
 	meta.CreationTime = s.env.Now()
 	b.objs[name] = obj
 	b.addName(name)
-	b.indexLabels(name, meta.Labels)
 	s.notify(b, Event{Added, obj, rv})
 	return obj, nil
 }
@@ -422,10 +386,6 @@ func (s *Store) Commit(obj api.Object, statusOnly bool) (api.Object, error) {
 	meta.UID = curMeta.UID
 	meta.CreationTime = curMeta.CreationTime
 	b.objs[name] = obj
-	if !statusOnly {
-		b.unindexLabels(name, curMeta.Labels)
-		b.indexLabels(name, meta.Labels)
-	}
 	s.notify(b, Event{Modified, obj, rv})
 	return obj, nil
 }
@@ -443,7 +403,6 @@ func (s *Store) Delete(kind, name string) error {
 	if i, ok := slices.BinarySearch(b.sorted, name); ok {
 		b.sorted = slices.Delete(b.sorted, i, i+1)
 	}
-	b.unindexLabels(name, cur.GetMeta().Labels)
 	rv := s.rev.Add(1)
 	s.notify(b, Event{Deleted, cur, rv})
 	return nil
@@ -476,14 +435,10 @@ func (s *Store) Count(kind string) int {
 func (s *Store) List(kind string) []api.Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if b := s.kinds[kind]; b != nil {
-		return b.snapshots()
+	b := s.kinds[kind]
+	if b == nil {
+		return nil
 	}
-	return nil
-}
-
-// snapshots returns the bucket's shared snapshots in name order.
-func (b *bucket) snapshots() []api.Object {
 	out := make([]api.Object, len(b.sorted))
 	for i, n := range b.sorted {
 		out[i] = b.objs[n]
@@ -497,116 +452,15 @@ func (b *bucket) snapshots() []api.Object {
 // comment's Ownership section); fn may keep what it is shown. Scan holds the
 // read lock while fn runs, so fn must not write the store.
 func (s *Store) Scan(kind string, fn func(api.Object) bool) {
-	s.ScanSelector(kind, nil, fn)
-}
-
-// ScanSelector is Scan narrowed to the objects whose labels match sel (nil
-// or empty matches all), answered from the label posting index like
-// ListSelector. Same contract: shared read-only snapshots, name order.
-func (s *Store) ScanSelector(kind string, sel labels.Selector, fn func(api.Object) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	b := s.kinds[kind]
-	if b == nil {
-		return
-	}
-	if sel == nil || sel.Empty() {
-		// Samplers scan every tick: walk the index, build no slice.
+	if b := s.kinds[kind]; b != nil {
 		for _, n := range b.sorted {
 			if !fn(b.objs[n]) {
 				return
 			}
 		}
-		return
 	}
-	for _, obj := range b.selectSnapshots(sel) {
-		if !fn(obj) {
-			return
-		}
-	}
-}
-
-// ListSelector returns the snapshots (read-only) of the kind's objects whose
-// labels match sel, sorted by name. Equality and existence requirements are
-// answered from the label posting index; the smallest posting set drives the
-// scan.
-func (s *Store) ListSelector(kind string, sel labels.Selector) []api.Object {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b := s.kinds[kind]
-	if b == nil {
-		return nil
-	}
-	return b.selectSnapshots(sel)
-}
-
-// selectSnapshots returns the held bucket's shared snapshots matching sel,
-// in name order.
-func (b *bucket) selectSnapshots(sel labels.Selector) []api.Object {
-	if sel == nil || sel.Empty() {
-		return b.snapshots()
-	}
-	candidates := b.candidateNames(sel)
-	if candidates == nil {
-		// No indexable requirement: full (sorted) scan.
-		var out []api.Object
-		for _, n := range b.sorted {
-			if sel.Matches(b.objs[n].GetMeta().Labels) {
-				out = append(out, b.objs[n])
-			}
-		}
-		return out
-	}
-	sort.Strings(candidates)
-	var out []api.Object
-	for _, n := range candidates {
-		obj, ok := b.objs[n]
-		if ok && sel.Matches(obj.GetMeta().Labels) {
-			out = append(out, obj)
-		}
-	}
-	return out
-}
-
-// candidateNames returns the smallest posting set usable for sel, or nil
-// when no requirement is indexable (caller falls back to a full scan). The
-// result may contain false positives; callers must re-check Matches.
-func (b *bucket) candidateNames(sel labels.Selector) []string {
-	bestSize := -1
-	var best []string
-	for _, r := range sel.Requirements() {
-		var size int
-		switch r.Op {
-		case labels.Equals:
-			size = len(b.byLabel[r.Key][r.Value])
-		case labels.Exists:
-			for _, set := range b.byLabel[r.Key] {
-				size += len(set)
-			}
-		default:
-			continue // not indexable; filter-only
-		}
-		if bestSize == -1 || size < bestSize {
-			bestSize = size
-			best = nil
-			switch r.Op {
-			case labels.Equals:
-				for n := range b.byLabel[r.Key][r.Value] {
-					best = append(best, n)
-				}
-			case labels.Exists:
-				for _, set := range b.byLabel[r.Key] {
-					for n := range set {
-						best = append(best, n)
-					}
-				}
-			}
-			if size == 0 {
-				return []string{}
-			}
-		}
-	}
-	return best
 }
 
 // Watch subscribes to mutations of a kind. When replay is true, the kind's
@@ -618,7 +472,7 @@ func (s *Store) Watch(kind string, replay bool) *sim.Queue[Event] {
 
 // WatchFiltered is Watch narrowed by server-side filters: events are only
 // delivered for objects passing opts (WatchOptions.Matches: exact name, bound
-// node, owner kind and/or label selector), and opts.Replay delivers the
+// node, owner kind and/or label key), and opts.Replay delivers the
 // currently matching objects as Added events. The filters run in the store,
 // so subscribers never pay for events they would discard — the kube way of
 // keeping watch fan-out O(interested parties). Registration (replay +
@@ -630,8 +484,19 @@ func (s *Store) WatchFiltered(kind string, opts WatchOptions) *sim.Queue[Event] 
 	defer s.mu.Unlock()
 	b := s.bucketOf(kind)
 	if opts.Replay {
-		for _, obj := range replayBucket(b, opts) {
-			w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
+		replay := func(obj api.Object) {
+			if opts.Matches(obj) {
+				w.queue.Put(Event{Added, obj, obj.GetMeta().ResourceVersion})
+			}
+		}
+		if opts.Name != "" {
+			if obj, ok := b.objs[opts.Name]; ok {
+				replay(obj)
+			}
+		} else {
+			for _, n := range b.sorted {
+				replay(b.objs[n])
+			}
 		}
 	}
 	b.watchers = append(b.watchers, w)
@@ -671,18 +536,6 @@ func (s *Store) WatchFilteredFrom(kind string, opts WatchOptions, fromRev int64)
 	b := s.bucketOf(kind)
 	b.watchers = append(b.watchers, w)
 	return w.queue, nil
-}
-
-// replayBucket lists the snapshots a filtered watch replays from a held
-// bucket: the indexes narrow the candidates, Matches decides.
-func replayBucket(b *bucket, opts WatchOptions) []api.Object {
-	var out []api.Object
-	if opts.Name == "" {
-		out = b.selectSnapshots(opts.Selector) // a fresh slice, filtered in place
-	} else if obj, ok := b.objs[opts.Name]; ok {
-		out = []api.Object{obj}
-	}
-	return slices.DeleteFunc(out, func(obj api.Object) bool { return !opts.Matches(obj) })
 }
 
 // StopWatch cancels a subscription created by Watch and closes its queue.

@@ -319,10 +319,9 @@ func (s *Store) restore() (RestoreStats, error) {
 		}
 		b := s.bucketOf(rec.kind)
 		if rec.obj != nil {
-			b.put(rec.obj)
+			b.objs[rec.obj.GetMeta().Name] = rec.obj
 			nextUID = max(nextUID, parseUID(rec.obj.GetMeta().UID))
-		} else if prev, ok := b.objs[rec.name]; ok {
-			b.unindexLabels(rec.name, prev.GetMeta().Labels)
+		} else {
 			delete(b.objs, rec.name)
 		}
 		maxRev = max(maxRev, rec.rev)
@@ -348,17 +347,6 @@ func (s *Store) restore() (RestoreStats, error) {
 	st.ModeledOutageNS = int64(st.CheckpointBytes+st.WALBytes)*DurableIONSPerByte +
 		int64(st.Replayed)*ReplayNSPerRecord
 	return st, nil
-}
-
-// put installs a decoded object in the bucket and its label index, replacing
-// any earlier revision of the same name.
-func (b *bucket) put(obj api.Object) {
-	meta := obj.GetMeta()
-	if prev, ok := b.objs[meta.Name]; ok {
-		b.unindexLabels(meta.Name, prev.GetMeta().Labels)
-	}
-	b.objs[meta.Name] = obj
-	b.indexLabels(meta.Name, meta.Labels)
 }
 
 // loadCheckpoint decodes a checkpoint image into the (empty) store and
@@ -390,7 +378,7 @@ func (s *Store) loadCheckpoint(image []byte) (rev, nextUID int64, err error) {
 			if err != nil {
 				return 0, 0, fmt.Errorf("store: checkpoint corrupt: %w", err)
 			}
-			b.put(obj)
+			b.objs[obj.GetMeta().Name] = obj
 		}
 	}
 	if dec.Err() != nil || dec.Len() != 0 {

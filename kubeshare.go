@@ -57,7 +57,7 @@ type (
 	// write to it.
 	Event = store.Event
 	// WatchOptions narrows a Sim.Watch subscription: exact name, bound
-	// node, owner kind, label selector, and replay of the current state.
+	// node, owner kind, label key, and replay of the current state.
 	WatchOptions = store.WatchOptions
 )
 
@@ -247,9 +247,9 @@ type ImageEntrypoint = runtime.Entrypoint
 type ContainerCtx = runtime.Ctx
 
 // Watch subscribes to a kind ("SharePod", "VGPU", "Pod", "Node", ...) with
-// optional server-side filtering by exact name and label selector. Events
-// the filter rejects are never delivered — the subscription costs
-// O(matching events), not O(cluster churn). Each event carries a shared
+// optional server-side filtering (WatchOptions: exact name, bound node,
+// owner kind, label key). Events the filter rejects are never delivered —
+// the subscription costs O(matching events), not O(cluster churn). Each event carries a shared
 // read-only snapshot: read it freely, keep it as long as you like, never
 // write to it. Cancel with StopWatch.
 func (s *Sim) Watch(kind string, opts WatchOptions) *sim.Queue[Event] {

@@ -335,7 +335,7 @@ func TestFacadeWatchNameFilteredNoWake(t *testing.T) {
 	if ev, ok := q.TryGet(); ok {
 		t.Fatalf("name-filtered watch woke on unrelated event: %+v", ev)
 	}
-	// A selector-filtered watch over the same churn does deliver events.
+	// An unfiltered watch over the same churn does deliver events.
 	q2 := s.Watch(KindSharePod, WatchOptions{Replay: true})
 	defer s.StopWatch(q2)
 	if _, ok := q2.TryGet(); !ok {
