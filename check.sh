@@ -65,13 +65,18 @@ go run ./tools/benchgate
 # Figure 16's decisions and Figure 19's table are pinned by
 # TestFig16PlacementsPinned and fig19_table.golden. Beside them, every
 # experiment's quick run, made twice, prints byte-identical tables but for
-# the host-clock columns its registry entry declares.
+# the host-clock columns its registry entry declares. And EXPERIMENTS.md's
+# quick tables and verdicts are checked here: TestClaims holds every paper
+# claim (Table 1, Figures 5-14) to its bound on the quick run and fails when
+# the file's generated blocks differ from a fresh render of those runs;
+# TestClaimsCoverRegistry requires a claim per paper figure, rows and
+# columns that exist, and no verdict outside a generated block.
 named TestMicroBenchmarkAllocsHeldExactly go test ./internal/sim/
 named TestPlacementAllocsHeldExactly go test ./internal/experiments/
 named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce|TestCreateCopiesNothing' go test .
 named TestLoggingAWriteAllocatesNothing go test ./internal/kube/store/
 named TestLaunchKernelAllocs go test ./internal/devlib/
-named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic' go test ./internal/experiments/
+named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic|TestClaims|TestClaimsCoverRegistry' go test ./internal/experiments/
 # Telemetry export surface: the SLO alert engine and fairness auditor must
 # replay byte-identically at a fixed seed, and every `kubeshare-sim serve`
 # endpoint must answer over HTTP (httptest smoke in cmd/kubeshare-sim).

@@ -34,7 +34,7 @@ type Extender struct {
 	// Deepomatic-style limitation (Table 1: no multi-GPU-per-node support).
 	singleDevice bool
 
-	wake *sim.Queue[struct{}]
+	wake waker
 
 	decisions  *obs.Counter
 	noCapacity *obs.Counter
@@ -48,7 +48,7 @@ func NewExtender(env *sim.Env, srv *apiserver.Server) *Extender {
 		env:        env,
 		srv:        srv,
 		rr:         make(map[string]int),
-		wake:       sim.NewQueue[struct{}](env),
+		wake:       newWaker(env),
 		decisions:  rt.Counter(core.MetricSchedDecisions),
 		noCapacity: rt.Counter(core.MetricSchedNoCapacity),
 		depth:      rt.Gauge(core.MetricSchedPending),
@@ -69,34 +69,15 @@ func (s *Extender) VerifySnapshot() error { return nil }
 func (s *Extender) Start() {
 	for _, kind := range []string{core.KindSharePod, "Pod"} {
 		s.srv.Inform("extender", "extender-watch-"+kind, kind, apiserver.WatchOptions{Replay: kind == core.KindSharePod}, func(*sim.Proc, store.Event) {
-			s.kick()
+			s.wake.kick()
 		})
 	}
 	s.env.Go("extender-sched", func(p *sim.Proc) {
-		for {
-			if _, ok := s.wake.Get(p); !ok {
-				return
-			}
-			p.Yield()
-			s.drainWake()
+		for s.wake.wait(p) {
 			for s.runCycle(p) {
 			}
 		}
 	})
-}
-
-func (s *Extender) kick() {
-	if s.wake.Len() == 0 {
-		s.wake.Put(struct{}{})
-	}
-}
-
-func (s *Extender) drainWake() {
-	for {
-		if _, ok := s.wake.TryGet(); !ok {
-			return
-		}
-	}
 }
 
 // runCycle places the oldest pending sharePod that fits a re-listed view's

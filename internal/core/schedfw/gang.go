@@ -151,6 +151,6 @@ func (s *Scheduler) armGangTimer(deadline time.Duration) {
 		if s.timerDeadline == deadline {
 			s.timerDeadline = 0
 		}
-		s.kick()
+		s.wake.kick()
 	}))
 }

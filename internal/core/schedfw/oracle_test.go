@@ -21,12 +21,7 @@ import (
 func (s *Scheduler) startExhaustive() {
 	s.startWatches()
 	s.proc = s.env.Go("kubeshare-sched", func(p *sim.Proc) {
-		for {
-			if _, ok := s.wake.Get(p); !ok {
-				return
-			}
-			p.Yield()
-			s.drainWake()
+		for s.wake.wait(p) {
 			s.checkEpoch()
 			for s.runCycleExhaustive(p) {
 			}

@@ -103,7 +103,7 @@ type Scheduler struct {
 	gangTimeout time.Duration
 
 	snap   *core.Snapshot
-	wake   *sim.Queue[struct{}]
+	wake   waker
 	nextID int
 	proc   *sim.Proc
 
@@ -162,7 +162,7 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		batchSize:    o.batchSize,
 		gangTimeout:  o.gangTimeout,
 		snap:         core.NewSnapshot(o.cfg.MemOvercommitFactor),
-		wake:         sim.NewQueue[struct{}](env),
+		wake:         newWaker(env),
 		gangs:        make(map[string]*gangState),
 		parked:       make(map[string]struct{}),
 		failed:       make(map[core.Request]struct{}),
@@ -241,7 +241,7 @@ func (s *Scheduler) startWatches() {
 	for _, kind := range []string{core.KindSharePod, "Pod", core.KindVGPU, "Node"} {
 		s.reflectors = append(s.reflectors, s.srv.Inform("kubeshare-sched", "kubeshare-sched-watch-"+kind, kind, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
 			s.apply(ev)
-			s.kick()
+			s.wake.kick()
 		}))
 	}
 }
@@ -273,23 +273,37 @@ func (s *Scheduler) apply(ev store.Event) {
 	}
 }
 
-func (s *Scheduler) kick() {
-	if s.wake.Len() == 0 {
-		s.wake.Put(struct{}{})
+// waker coalesces a cycle loop's wakeups: a burst of watch deliveries in
+// one sim instant triggers one cycle, not one per delivery.
+type waker struct{ q *sim.Queue[struct{}] }
+
+func newWaker(env *sim.Env) waker { return waker{sim.NewQueue[struct{}](env)} }
+
+// kick asks for a cycle; a kick already queued covers it.
+func (w waker) kick() {
+	if w.q.Len() == 0 {
+		w.q.Put(struct{}{})
 	}
 }
 
-// loop coalesces wakeups: a burst of watch deliveries in one sim instant
-// triggers one cycle, not one per delivery. After the first kick the loop
-// yields so every same-instant watch proc lands its delta in the snapshot,
-// then drains the redundant kicks those deliveries queued.
-func (s *Scheduler) loop(p *sim.Proc) {
+// wait blocks p until the first kick, yields so every same-instant watch
+// proc lands its delta, then drains the redundant kicks those deliveries
+// queued. It reports false once the queue is closed.
+func (w waker) wait(p *sim.Proc) bool {
+	if _, ok := w.q.Get(p); !ok {
+		return false
+	}
+	p.Yield()
 	for {
-		if _, ok := s.wake.Get(p); !ok {
-			return
+		if _, ok := w.q.TryGet(); !ok {
+			return true
 		}
-		p.Yield()
-		s.drainWake()
+	}
+}
+
+// loop runs the cycles each coalesced wakeup asks for.
+func (s *Scheduler) loop(p *sim.Proc) {
+	for s.wake.wait(p) {
 		s.checkEpoch()
 		for s.runCycle(p) {
 		}
@@ -312,14 +326,6 @@ func (s *Scheduler) checkEpoch() {
 	s.epoch = e
 	clear(s.gangs)
 	clear(s.parked)
-}
-
-func (s *Scheduler) drainWake() {
-	for {
-		if _, ok := s.wake.TryGet(); !ok {
-			return
-		}
-	}
 }
 
 // staged is one decision awaiting the cycle's bulk commit.

@@ -7,7 +7,8 @@ import "testing"
 // that `kubeshare-sim fig16` printed at commit 8faef4f — recorded there on
 // the parallel-phase cycle at one event lane, before that cycle and the
 // lanes were deleted. The sequential batched cycle that remains must
-// reproduce them exactly; the full-scale counterparts are in EXPERIMENTS.md.
+// reproduce them exactly. EXPERIMENTS.md's Figure 16 prose records the
+// full-scale placement hashes.
 func TestFig16PlacementsPinned(t *testing.T) {
 	withCanary(t)
 	tb, err := Fig16(Quick)
