@@ -31,7 +31,10 @@ test -z "$(gofmt -l .)"
 # snake_case with label keys from the bounded vocabulary; and the census: an
 # exported name of the facade or of a package under internal/ that nothing
 # but its own package's tests names fails, unless detvet's censusAllow lists
-# it with a reason (see tools/detvet).
+# it with a reason (see tools/detvet). A root-package Example with an
+# `// Output:` block counts as a caller, not as a test: go test runs it and
+# compares what it prints, so a facade option stays only while an Example
+# shows its effect.
 go run ./tools/detvet ./internal
 # metricsdoc -check is what keeps docs/METRICS.md and the code in sync: every
 # family registered under ./internal or ./cmd must have a description and
@@ -44,6 +47,15 @@ go run ./tools/metricsdoc -check
 # name in the package that declares it.
 named 'TestDetAllowExemptsLine|TestTestOracleImportFlagged|TestRulesFire' go test ./tools/detvet/
 named TestScanResolvesConstantsPerPackage go test ./tools/metricsdoc/
+# The README's promises run, by name so none can silently vanish: each
+# facade Example prints what its `// Output:` block holds — the paper's
+# workflow step by step (pod1's fresh GPUID, the vGPU holder, the UUID in
+# NVIDIA_VISIBLE_DEVICES, pod2 best-fit onto the same GPU), the five
+# scenarios, and each surviving option's effect beside the run without it —
+# and sharepodctl replays a scripted session, malformed line included, to a
+# golden transcript.
+named 'Example_workflow|Example_quickstart|Example_inferenceServing|Example_interference|Example_trainingIsolation|Example_replicatedServing|ExampleWithPoolPolicy|ExampleWithMemOvercommit|ExampleWithExtenderScheduler|ExampleWithGangTimeout|ExampleWithoutKubeShare|ExampleWithoutObservability' go test .
+named TestScriptGolden go test ./cmd/sharepodctl/
 go test ./...
 # The work ratchet: each repo-benchmark workload at seed 1, untraced and
 # traced, against tools/benchgate/work.json — mallocs_k and alloc_mb within a

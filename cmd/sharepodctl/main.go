@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -34,20 +35,32 @@ func main() {
 	nodes := flag.Int("nodes", 2, "worker node count")
 	gpus := flag.Int("gpus", 4, "GPUs per node")
 	flag.Parse()
-
-	s, err := kubeshare.New(kubeshare.WithNodes(*nodes), kubeshare.WithGPUsPerNode(*gpus))
-	if err != nil {
+	if err := run(os.Stdin, os.Stdout, *nodes, *gpus); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("cluster up: %d nodes × %d GPUs, KubeShare installed. Type 'help'.\n", *nodes, *gpus)
+}
 
-	sc := bufio.NewScanner(os.Stdin)
+// run builds a cluster of nodes × gpus and executes the commands read from
+// in, writing prompts and results to out, until quit or the end of in. A
+// command's own error is printed and the shell goes on; run returns only
+// what stops it (the cluster cannot be built, or in fails).
+func run(in io.Reader, out io.Writer, nodes, gpus int) error {
+	s, err := kubeshare.New(kubeshare.WithNodes(nodes), kubeshare.WithGPUsPerNode(gpus))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "cluster up: %d nodes × %d GPUs, KubeShare installed. Type 'help'.\n", nodes, gpus)
+
+	sc := bufio.NewScanner(in)
 	for {
-		fmt.Printf("[t=%v] > ", s.Now().Round(time.Millisecond))
+		fmt.Fprintf(out, "[t=%v] > ", s.Now().Round(time.Millisecond))
 		if !sc.Scan() {
-			fmt.Println()
-			return
+			fmt.Fprintln(out)
+			if err := sc.Err(); err != nil {
+				return fmt.Errorf("reading commands: %w", err)
+			}
+			return nil
 		}
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -56,48 +69,48 @@ func main() {
 		args := strings.Fields(line)
 		switch args[0] {
 		case "quit", "exit":
-			return
+			return nil
 		case "help":
-			printHelp()
+			fmt.Fprint(out, help)
 		case "run":
 			if len(args) != 2 {
-				fmt.Println("usage: run DURATION")
+				fmt.Fprintln(out, "usage: run DURATION")
 				continue
 			}
 			d, err := time.ParseDuration(args[1])
 			if err != nil {
-				fmt.Println(err)
+				fmt.Fprintln(out, err)
 				continue
 			}
 			s.RunFor(d)
 		case "wait":
 			if len(args) != 2 {
-				fmt.Println("usage: wait NAME")
+				fmt.Fprintln(out, "usage: wait NAME")
 				continue
 			}
-			waitSharePod(s, args[1])
+			waitSharePod(s, out, args[1])
 		case "create":
-			if err := create(s, args[1:]); err != nil {
-				fmt.Println(err)
+			if err := create(s, out, args[1:]); err != nil {
+				fmt.Fprintln(out, err)
 			}
 		case "delete":
-			if err := del(s, args[1:]); err != nil {
-				fmt.Println(err)
+			if err := del(s, out, args[1:]); err != nil {
+				fmt.Fprintln(out, err)
 			}
 		case "get":
 			if len(args) != 2 {
-				fmt.Println("usage: get sharepods|pods|vgpus|nodes|usage")
+				fmt.Fprintln(out, "usage: get sharepods|pods|vgpus|nodes|usage")
 				continue
 			}
-			get(s, args[1])
+			get(s, out, args[1])
 		default:
-			fmt.Printf("unknown command %q (try 'help')\n", args[0])
+			fmt.Fprintf(out, "unknown command %q (try 'help')\n", args[0])
 		}
 	}
 }
 
-func printHelp() {
-	fmt.Print(`commands:
+// help is what the help command prints.
+const help = `commands:
   create sharepod NAME -request R -limit L -mem M [-image IMG] [-steps N]
                        [-affinity LBL] [-anti-affinity LBL] [-exclusion LBL]
   create pod NAME [-gpus N] [-image IMG] [-steps N]
@@ -106,10 +119,9 @@ func printHelp() {
   run DURATION   advance virtual time (e.g. run 30s)
   wait NAME      advance time until sharePod NAME terminates
   quit
-`)
-}
+`
 
-// flags parses "-key value" pairs from args.
+// parseFlags parses "-key value" pairs from args.
 func parseFlags(args []string) (map[string]string, error) {
 	out := map[string]string{}
 	for i := 0; i < len(args); i++ {
@@ -133,7 +145,7 @@ func parseF(flags map[string]string, key string, def float64) (float64, error) {
 	return strconv.ParseFloat(v, 64)
 }
 
-func create(s *kubeshare.Sim, args []string) error {
+func create(s *kubeshare.Sim, out io.Writer, args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("usage: create sharepod|pod NAME ...")
 	}
@@ -184,7 +196,7 @@ func create(s *kubeshare.Sim, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("sharepod/%s created\n", name)
+		fmt.Fprintf(out, "sharepod/%s created\n", name)
 	case "pod":
 		n := int64(1)
 		if v, ok := flags["gpus"]; ok {
@@ -203,7 +215,7 @@ func create(s *kubeshare.Sim, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("pod/%s created\n", name)
+		fmt.Fprintf(out, "pod/%s created\n", name)
 	default:
 		return fmt.Errorf("unknown kind %q", kind)
 	}
@@ -212,7 +224,7 @@ func create(s *kubeshare.Sim, args []string) error {
 	return nil
 }
 
-func del(s *kubeshare.Sim, args []string) error {
+func del(s *kubeshare.Sim, out io.Writer, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: delete sharepod|pod NAME")
 	}
@@ -228,64 +240,64 @@ func del(s *kubeshare.Sim, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s/%s deleted\n", args[0], args[1])
+	fmt.Fprintf(out, "%s/%s deleted\n", args[0], args[1])
 	s.RunFor(time.Millisecond)
 	return nil
 }
 
-func get(s *kubeshare.Sim, kind string) {
+func get(s *kubeshare.Sim, out io.Writer, kind string) {
 	switch kind {
 	case "sharepods":
-		fmt.Printf("%-16s %-10s %-10s %-9s %-9s %s\n", "NAME", "PHASE", "GPUID", "REQUEST", "LIMIT", "NODE")
+		fmt.Fprintf(out, "%-16s %-10s %-10s %-9s %-9s %s\n", "NAME", "PHASE", "GPUID", "REQUEST", "LIMIT", "NODE")
 		for _, sp := range s.SharePods().List() {
-			fmt.Printf("%-16s %-10s %-10s %-9.2f %-9.2f %s\n",
+			fmt.Fprintf(out, "%-16s %-10s %-10s %-9.2f %-9.2f %s\n",
 				sp.Name, sp.Status.Phase, sp.Spec.GPUID, sp.Spec.GPURequest,
 				sp.Spec.GPULimit, sp.Spec.NodeName)
 		}
 	case "pods":
-		fmt.Printf("%-26s %-10s %-8s %s\n", "NAME", "PHASE", "NODE", "GPU")
+		fmt.Fprintf(out, "%-26s %-10s %-8s %s\n", "NAME", "PHASE", "NODE", "GPU")
 		for _, pod := range s.Pods().List() {
-			fmt.Printf("%-26s %-10s %-8s %d\n",
+			fmt.Fprintf(out, "%-26s %-10s %-8s %d\n",
 				pod.Name, pod.Status.Phase, pod.Spec.NodeName,
 				pod.Spec.Request(kubeshare.ResourceGPU))
 		}
 	case "usage":
 		usage := s.Stats().Usage
-		fmt.Printf("%-16s %-10s %-10s %s\n", "NAME", "PHASE", "GPUID", "USAGE")
+		fmt.Fprintf(out, "%-16s %-10s %-10s %s\n", "NAME", "PHASE", "GPUID", "USAGE")
 		for _, sp := range s.SharePods().List() {
-			fmt.Printf("%-16s %-10s %-10s %.3f\n",
+			fmt.Fprintf(out, "%-16s %-10s %-10s %.3f\n",
 				sp.Name, sp.Status.Phase, sp.Spec.GPUID, usage[sp.Name])
 		}
 	case "vgpus":
-		fmt.Printf("%-12s %-9s %-8s %s\n", "GPUID", "PHASE", "NODE", "UUID")
+		fmt.Fprintf(out, "%-12s %-9s %-8s %s\n", "GPUID", "PHASE", "NODE", "UUID")
 		for _, v := range s.VGPUs().List() {
-			fmt.Printf("%-12s %-9s %-8s %s\n",
+			fmt.Fprintf(out, "%-12s %-9s %-8s %s\n",
 				v.Spec.GPUID, v.Status.Phase, v.Spec.NodeName, v.Status.UUID)
 		}
 	case "nodes":
-		fmt.Printf("%-10s %-6s %s\n", "NAME", "GPUS", "READY")
+		fmt.Fprintf(out, "%-10s %-6s %s\n", "NAME", "GPUS", "READY")
 		for _, n := range s.Cluster.NodeObjects() {
-			fmt.Printf("%-10s %-6d %v\n",
+			fmt.Fprintf(out, "%-10s %-6d %v\n",
 				n.Name, n.Status.Allocatable[kubeshare.ResourceGPU], n.Status.Ready)
 		}
 	default:
-		fmt.Printf("unknown resource %q\n", kind)
+		fmt.Fprintf(out, "unknown resource %q\n", kind)
 	}
 }
 
-func waitSharePod(s *kubeshare.Sim, name string) {
+func waitSharePod(s *kubeshare.Sim, out io.Writer, name string) {
 	// Poll in coarse steps of virtual time; terminate on terminal phase.
 	for i := 0; i < 10000; i++ {
 		sp, err := s.SharePods().Get(name)
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			return
 		}
 		if sp.Terminated() {
-			fmt.Printf("sharepod/%s %s at t=%v\n", name, sp.Status.Phase, s.Now().Round(time.Millisecond))
+			fmt.Fprintf(out, "sharepod/%s %s at t=%v\n", name, sp.Status.Phase, s.Now().Round(time.Millisecond))
 			return
 		}
 		s.RunFor(time.Second)
 	}
-	fmt.Printf("sharepod/%s still not terminal\n", name)
+	fmt.Fprintf(out, "sharepod/%s still not terminal\n", name)
 }

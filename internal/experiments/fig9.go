@@ -104,12 +104,17 @@ func Fig9(s Scale, seed int64) (*Fig9Result, error) {
 		"t", "k8s_util", "k8s_active", "kubeshare_util", "kubeshare_active")
 	for i := 0; i < fig9Buckets; i++ {
 		from := time.Duration(i) * bucket
-		to := from + bucket
-		tb.AddRow(from.Round(time.Second).String(),
-			out.Util[Kubernetes].TimeWeightedMean(from, to),
-			out.Active[Kubernetes].TimeWeightedMean(from, to),
-			out.Util[KubeShare].TimeWeightedMean(from, to),
-			out.Active[KubeShare].TimeWeightedMean(from, to))
+		row := []any{from.Round(time.Second).String()}
+		for _, sys := range systems {
+			// A system's cells end at its own makespan: past it a series
+			// only holds its last sample, which measures nothing.
+			if to := min(from+bucket, out.Makespan[sys]); from < to {
+				row = append(row, out.Util[sys].TimeWeightedMean(from, to), out.Active[sys].TimeWeightedMean(from, to))
+			} else {
+				row = append(row, "", "")
+			}
+		}
+		tb.AddRow(row...)
 	}
 	tb.AddRow("makespan",
 		out.Makespan[Kubernetes].Round(time.Second).String(), "",

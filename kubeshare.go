@@ -109,11 +109,6 @@ func WithPoolPolicy(p core.PoolPolicy) Option {
 	return func(c *config) { c.ks.DevMgr.Policy = p }
 }
 
-// WithTokenQuota sets the device library token quota (default 100ms).
-func WithTokenQuota(d time.Duration) Option {
-	return func(c *config) { c.ks.Devlib.Quota = d }
-}
-
 // WithMemOvercommit enables GPUswap-style memory over-commitment: the
 // scheduler may place containers whose gpu_mem shares sum to factor (>1)
 // on a device, and the device library swaps working sets host↔device at

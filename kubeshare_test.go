@@ -301,13 +301,6 @@ func TestFacadeMixedSharingModesFailOneContainer(t *testing.T) {
 	}
 }
 
-func TestFacadeTokenQuotaOption(t *testing.T) {
-	s := newSim(t, WithTokenQuota(30*time.Millisecond))
-	if s.KS.Backends["node-0"].Config().Quota != 30*time.Millisecond {
-		t.Fatalf("quota = %v", s.KS.Backends["node-0"].Config().Quota)
-	}
-}
-
 func TestFacadeWatchNameFilteredNoWake(t *testing.T) {
 	s := newSim(t, WithNodes(1))
 	s.RegisterImage("noop-gpu", func(ctx *ContainerCtx) error {

@@ -11,8 +11,10 @@
 // The census runs over the whole module: an exported identifier of the
 // root package or of a package under internal/ fails when nothing but its
 // own package's tests names it. The rest of the module (benchmark/, cmd/,
-// examples/, tools/) and other packages' tests count as callers; methods
-// that implement an interface, and what censusAllow lists, are exempt.
+// tools/), other packages' tests and the root package's checked Example
+// functions (those with an output comment, which go test runs and compares)
+// count as callers; methods that implement an interface, and what
+// censusAllow lists, are exempt.
 //
 // Names resolve through go/types (tools/internal/source), so a renamed
 // import cannot hide a time.Now, nor a constant a metric name.
@@ -25,10 +27,12 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/doc"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -73,10 +77,6 @@ var allowedLabelKeys = map[string]bool{"gpu_uuid": true, "tenant": true, "node":
 // although nothing outside their package's tests names them, as
 // "<import path>.<name>" or "<import path>.<type>.<method>".
 var censusAllow = map[string][]string{
-	"facade options documented in README.md": {"kubeshare.WithPoolPolicy", "kubeshare.WithTokenQuota",
-		"kubeshare.WithMemOvercommit", "kubeshare.WithExtenderScheduler", "kubeshare.WithGangTimeout",
-		"kubeshare.WithoutKubeShare", "kubeshare.WithoutObservability"},
-	"WithPoolPolicy's arguments, documented in README.md": {"kubeshare.OnDemand", "kubeshare.Reservation"},
 	"an enum is kept whole, and SharePodSucceeded and KindSharePod are used": {"kubeshare.SharePodPending",
 		"kubeshare.SharePodScheduled", "kubeshare.SharePodRunning", "kubeshare.SharePodFailed",
 		"kubeshare.SharePodRejected", "kubeshare.KindVGPU"},
@@ -176,8 +176,9 @@ func vetFile(fset *token.FileSet, p *source.Package, f *ast.File, report func(to
 
 // census reports the exported identifiers of the root package and of the
 // packages under internal/ that nothing names outside their own package's
-// tests. Objects are keyed by declaration position, so a reference through
-// a test variant or a generic instantiation finds the declaration it names.
+// tests, a checked Example of the root package excepted. Objects are keyed
+// by declaration position, so a reference through a test variant or a
+// generic instantiation finds the declaration it names.
 func census(prog *source.Program, report func(token.Pos, string, ...any)) {
 	type subject struct {
 		obj  types.Object
@@ -217,11 +218,26 @@ func census(prog *source.Program, report func(token.Pos, string, ...any)) {
 			}
 		}
 	}
+	// The bodies of the root package's checked Examples: what they name is
+	// shown to a reader and its effect compared on every go test run.
+	var examples []ast.Node
+	for _, p := range prog.Pkgs {
+		if p.Dir == prog.Root {
+			for _, ex := range doc.Examples(p.Files...) {
+				if ex.Output != "" || ex.EmptyOutput {
+					examples = append(examples, ex.Code)
+				}
+			}
+		}
+	}
+	inExample := func(pos token.Pos) bool {
+		return slices.ContainsFunc(examples, func(n ast.Node) bool { return n.Pos() <= pos && pos < n.End() })
+	}
 	for _, p := range prog.Pkgs {
 		for id, obj := range p.Info.Uses {
 			if s := subjects[obj.Pos()]; s != nil && !s.used {
 				file := prog.Fset.File(id.Pos()).Name()
-				s.used = !strings.HasSuffix(file, "_test.go") || filepath.Dir(file) != filepath.Dir(prog.Fset.File(s.obj.Pos()).Name())
+				s.used = !strings.HasSuffix(file, "_test.go") || filepath.Dir(file) != filepath.Dir(prog.Fset.File(s.obj.Pos()).Name()) || inExample(id.Pos())
 			}
 		}
 	}

@@ -119,6 +119,12 @@ func TestRulesFire(t *testing.T) {
 		{"internal/census/census.go", "package census\n\nfunc Helper() {}\n\nfunc Used() {}\n\ntype Shape interface{ Area() int }\n\ntype Square struct{}\n\nfunc (Square) Area() int { return 1 }\n\nfunc (Square) Side() int { return 1 }\n",
 			[]string{"exported kubeshare/internal/census.Helper is named only by its package's tests", "exported kubeshare/internal/census.Square.Side"}},
 		{"internal/seam/seam.go", "package seam\n\nfunc Fixture() {}\n", nil},
+		// The root package: Shown is named only by a checked Example, a
+		// caller; Tested only by a test and Unchecked only by an Example
+		// without an output comment, which go test compiles but never runs.
+		{"shown.go", "package kubeshare\n\nfunc Shown() {}\n", nil},
+		{"tested.go", "package kubeshare\n\nfunc Tested() {}\n\nfunc Unchecked() {}\n",
+			[]string{"exported kubeshare.Tested is named only by its package's tests", "exported kubeshare.Unchecked is named only"}},
 	}
 	files := map[string]string{
 		"internal/core/coretest/coretest.go":   "package coretest\n\nvar PaperPolicy int\n",
@@ -126,6 +132,10 @@ func TestRulesFire(t *testing.T) {
 		"internal/metricnames/names.go":        "package metricnames\n\nconst Bad = \"Sched-Bad-Name\"\n",
 		"internal/census/census_test.go":       "package census\n\nimport (\n\t\"testing\"\n\n\t\"kubeshare/internal/seam\"\n)\n\nfunc TestHelper(t *testing.T) {\n\tHelper()\n\tseam.Fixture()\n}\n",
 		"cmd/caller/main.go":                   "package main\n\nimport \"kubeshare/internal/census\"\n\nvar _ census.Shape = census.Square{}\n\nfunc main() { census.Used() }\n",
+		"example_test.go": "package kubeshare_test\n\nimport (\n\t\"testing\"\n\n\t\"kubeshare\"\n)\n\n" +
+			"func ExampleShown() {\n\tkubeshare.Shown()\n\t// Output:\n}\n\n" +
+			"func ExampleUnchecked() { kubeshare.Unchecked() }\n\n" +
+			"func TestTested(t *testing.T) { kubeshare.Tested() }\n",
 	}
 	for _, c := range cases {
 		files[c.path] = c.src
