@@ -173,7 +173,9 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # runs them one package at a time. The oracle's watcher mix includes the
 # node- and owner-scoped filters; the reflector pass names the node-scoped
 # relist (a 410 or a restart epoch synthesises events for matching objects
-# only), and Inform's loop contract (its handler runs in the loop, sees every
+# only), the relist's revision floor (a survivor at the revision the consumer
+# saw is re-sent when a torn tail freed that revision and a later write reused
+# it), and Inform's loop contract (its handler runs in the loop, sees every
 # event across a drop and a restart's relist, and never runs after Stop); the
 # kubelet pass names the two consumers' own properties: two kubelets
 # on one apiserver each receive and cache only their node's pods (a pod bound
@@ -184,7 +186,16 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # medium the store rewrites in place, and a restored pod costs ≤ 12
 # allocations, from the checkpoint or the log, whatever its string count.
 named 'TestRestore|TestRestoredObjectsShareNoBytesWithMedium|TestRestoreAllocs|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
-named 'TestReflector|TestReflectorNodeScopedRelist|TestResume|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
+named 'TestReflector|TestReflectorNodeScopedRelist|TestReflectorRelistFloorReusedRevision|TestResume|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
+# The reflectors' stream check by name, so it cannot silently vanish: it
+# flags a revision that does not rise unless a restore reverted the one
+# before, and a view that missed a write or kept a deleted object; every
+# chaos soak carries it, TestSoakSeeds over its seeds; and a durable_restart-
+# shaped run, checked by it, synthesizes at most 400 relist events (it prints
+# the count).
+named 'TestStreamCheckFlagsFallingRevision|TestStreamCheckFlagsStaleView' go test ./internal/kube/apiserver/apitest/
+named TestSoakSeeds go test ./internal/chaos/
+named TestRestartRelistsSendTheDiff go test -v ./internal/experiments/
 named 'TestStopOrderDeterministic|TestKubeletWatchScopedToNode|TestSharedEnvKeyDeterministic' env GOMAXPROCS=4 go test -race ./internal/kube/kubelet/
 # Native fuzz smokes over the durable medium's decoders, 5 s each from the
 # checked-in seed corpora (testdata/fuzz; TestFuzzSeedCorpusCurrent keeps

@@ -182,7 +182,7 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 	res.Requeues = ks.Stats().Requeues
 	res.Recoveries, res.RecoveryFails = ks.DevMgr.Recoveries()
 	for _, r := range c.API.Reflectors("") {
-		resumes, relists := r.Stats()
+		resumes, relists, _ := r.Stats()
 		res.Resumes += resumes
 		res.Relists += relists
 	}

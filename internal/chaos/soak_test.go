@@ -10,22 +10,31 @@ import (
 	"kubeshare/internal/core/schedfw"
 	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/kube"
+	"kubeshare/internal/kube/apiserver/apitest"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
 
 // requireClean runs one soak and fails with the seed printed so a breakage
 // reproduces from the log line alone. Every run carries the store's mutation
-// canary: through crashes, relists and requeues no component may write
-// through a shared snapshot.
+// canary (through crashes, relists and requeues no component may write
+// through a shared snapshot) and the reflectors' stream check (each stream's
+// revisions rise but where a torn tail reverted them, and at quiescence every
+// consumer's view is the store's state, content for content).
 func requireClean(t *testing.T, cfg SoakConfig) SoakResult {
 	t.Helper()
 	var canary *storetest.Canary
-	res, err := soak(cfg, func(c *kube.Cluster) { canary = storetest.Install(t, c.API.Store()) })
+	var streams *apitest.StreamCheck
+	res, err := soak(cfg, func(c *kube.Cluster) {
+		canary = storetest.Install(t, c.API.Store())
+		streams = apitest.Install(t, c.API)
+	})
 	if err != nil {
 		t.Fatalf("seed %d: soak: %v", cfg.Seed, err)
 	}
-	canary.Check() // now, so a report lands beside its seed below
+	// Now, so a report lands beside its seed below.
+	canary.Check()
+	streams.Check()
 	for _, v := range res.Violations {
 		t.Errorf("seed %d: invariant violated: %v", cfg.Seed, v)
 	}

@@ -58,7 +58,7 @@ func TestSharePodStatusSurvivesWatchDrop(t *testing.T) {
 		t.Fatal(submitErr)
 	}
 
-	resumes, relists := r.Stats()
+	resumes, relists, _ := r.Stats()
 	if resumes+relists == 0 {
 		t.Fatal("reflector never reconnected — the drops did not exercise recovery")
 	}

@@ -123,7 +123,7 @@ func NewSharePodSetManager(env *sim.Env, srv *apiserver.Server) *SharePodSetMana
 
 // Start begins watching sets and their sharePods. Reflectors keep the
 // manager alive across apiserver restarts: the dead watch queue is replaced
-// by a relist-with-resync instead of silently ending the loop.
+// by a relist and its diff instead of silently ending the loop.
 func (m *SharePodSetManager) Start() {
 	m.sets = m.srv.Inform("sharepodset", "sharepodset-watch", KindSharePodSet, apiserver.WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
 		m.runner.Enqueue(ev.Object.GetMeta().Name)

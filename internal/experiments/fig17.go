@@ -118,7 +118,7 @@ func fig17Run(p fig17Params, seed int64, restartMean, ckptInterval time.Duration
 			res.outage += time.Duration(st.ModeledOutageNS)
 			// Recovery probe: the restart is recovered once the scheduler's
 			// incremental snapshot again materializes exactly the pool a full
-			// relist builds — every reflector has re-synced into the new epoch.
+			// relist builds — every reflector has relisted into the new epoch.
 			t0 := env.Now()
 			for ks.Sched.VerifySnapshot() != nil {
 				p.Sleep(10 * time.Millisecond)

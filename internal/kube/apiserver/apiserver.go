@@ -48,6 +48,7 @@ type Server struct {
 	store      *store.Store
 	validators map[string][]func(api.Object) error
 	reflectors []*Reflector
+	onDeliver  func(*Reflector, store.Event) // see OnDeliver; nil outside tests
 
 	// Telemetry: the cluster-wide obs runtime plus cached request
 	// counters. rt may be nil (observability off); the handles no-op.

@@ -52,7 +52,9 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) {
 // Epoch counts the server's crash/restore cycles. Reflectors compare it
 // across reconnects: a changed epoch forces a relist instead of a resume,
 // because in-memory watch state (and possibly torn-tail-reverted
-// mutations) did not survive the restart.
+// mutations) did not survive the restart. The relist trusts a revision the
+// consumer saw only up to the lowest revision the epochs it skipped were
+// restored to (store.RestoredFloor).
 func (s *Server) Epoch() int64 { return s.store.Epoch() }
 
 // TearWALTail damages the durable log's tail — the chaos hook simulating a
@@ -63,7 +65,10 @@ func (s *Server) TearWALTail(n int) bool { return s.store.TearWALTail(n) }
 // durable medium: every in-memory structure — objects, indexes, watch
 // registrations, resumable history — is discarded and rebuilt by checkpoint
 // load + WAL replay (torn tails truncated, never wedging). Watch queues
-// close, so every reflector reconnects into the new epoch and relists.
+// close, so every reflector reconnects into the new epoch and relists. A
+// relist hands its consumer only the diff: what the restore reverted and
+// what was written before the reflector reconnected. An object the restore
+// left at the revision the consumer saw gets no event.
 // The restart is marked in the telemetry event log ("APIServerRestarted",
 // plus "WALTornTail" when damage was cut), giving it a place in the
 // deterministic event order. Requires EnableDurability; a medium that

@@ -13,9 +13,10 @@ import (
 // TestInformHandlesEveryEventInItsLoop: Inform's handler runs in the loop
 // proc it started, and sees every event of the watch — the replay, live
 // events, the ones a Drop resumes from history, and the ones an apiserver
-// restart's relist synthesizes (Modified for survivors, Added and Deleted
-// for what changed while the stream was down). After Stop no handler runs,
-// not even for an event already handed to the loop, and the loop finishes.
+// restart's relist synthesizes (Added and Deleted for what changed while the
+// stream was down; the unchanged survivors get nothing). After Stop no
+// handler runs, not even for an event already handed to the loop, and the
+// loop finishes.
 func TestInformHandlesEveryEventInItsLoop(t *testing.T) {
 	env, s := newServer()
 	s.EnableDurability(DurabilityConfig{})
@@ -60,9 +61,7 @@ func TestInformHandlesEveryEventInItsLoop(t *testing.T) {
 		"ADDED w0", // replay
 		"ADDED w1", // live
 		"ADDED w2", // resumed after the drop
-		// The restart's relist: survivors, then what changed meanwhile.
-		"MODIFIED w0",
-		"MODIFIED w2",
+		// The restart's relist: only what changed meanwhile.
 		"ADDED w3",
 		"DELETED w1",
 		"DELETED w0", // live again
@@ -70,7 +69,7 @@ func TestInformHandlesEveryEventInItsLoop(t *testing.T) {
 	if !reflect.DeepEqual(trace, want) {
 		t.Fatalf("events handled:\n got %q\nwant %q", trace, want)
 	}
-	if resumes, relists := r.Stats(); resumes != 1 || relists != 1 {
+	if resumes, relists, _ := r.Stats(); resumes != 1 || relists != 1 {
 		t.Fatalf("resumes=%d relists=%d, want 1/1", resumes, relists)
 	}
 	if !r.loop.Finished() {

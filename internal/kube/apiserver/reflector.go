@@ -2,7 +2,6 @@ package apiserver
 
 import (
 	"slices"
-	"strings"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store"
@@ -14,11 +13,14 @@ import (
 // filtered watch and tracks the last revision the consumer observed; when
 // the underlying stream closes, the next read transparently re-subscribes
 // with WatchResume so the consumer misses nothing. When the resume point
-// has been compacted out of the server's history (410 Gone), the reflector
-// relists the filtered state and synthesizes the difference against what
-// the consumer has already seen — Added for new objects, Modified for
-// survivors, Deleted for vanished ones — so consumer caches built purely
-// from events stay correct across arbitrarily long disconnects.
+// has been compacted out of the server's history (410 Gone), or the server
+// restarted into a new epoch, the reflector relists the filtered state and
+// synthesizes the difference against what the consumer has already seen:
+// Added for new objects, Modified for survivors whose revision changed,
+// Deleted for vanished ones. A survivor still at the revision last delivered
+// gets no event, so consumer caches built purely from events stay correct
+// across arbitrarily long disconnects and restarts, at the cost of the diff
+// only.
 //
 // Every event — live, resumed or synthesized — carries the store's shared
 // read-only snapshot of that revision, and the reflector's own cache holds
@@ -40,9 +42,10 @@ type Reflector struct {
 	loop    *sim.Proc             // hands events to the handler; Stop ends it
 	stopped bool
 
-	resumes   int
-	relists   int
-	relistCtr *obs.Counter // per-consumer child of kubeshare_reflector_relist_total
+	resumes     int
+	relists     int
+	synthesized int          // events relists put in the backlog
+	relistCtr   *obs.Counter // per-consumer child of kubeshare_reflector_relist_total
 }
 
 // Inform is how a control loop consumes a watch: it subscribes to kind with
@@ -51,7 +54,7 @@ type Reflector struct {
 // are delivered first as Added events, exactly like WatchFiltered. consumer
 // names the consuming component, so relists attribute to it in the
 // kubeshare_reflector_relist_total{consumer} family — after an apiserver
-// restart, that family shows exactly which control loops re-synced. The
+// restart, that family shows exactly which control loops relisted. The
 // returned reflector's Stop ends the loop too, so a loop never outlives its
 // watch; handle must not call it.
 func (s *Server) Inform(consumer, loop, kind string, opts WatchOptions, handle func(*sim.Proc, store.Event)) *Reflector {
@@ -70,25 +73,53 @@ func (s *Server) Inform(consumer, loop, kind string, opts WatchOptions, handle f
 	s.reflectors = append(s.reflectors, r)
 	r.loop = s.env.Go(loop, func(p *sim.Proc) {
 		for {
-			handle(p, r.get(p))
+			ev := r.get(p)
+			if s.onDeliver != nil {
+				s.onDeliver(r, ev)
+			}
+			handle(p, ev)
 		}
 	})
 	return r
 }
 
+// OnDeliver registers fn to observe every event a reflector hands its
+// handler, just before the handler runs, in the reflector's loop proc. It
+// adds no proc and no wake-up to the simulation. It exists for apitest's
+// stream checker; fn gets the shared snapshot like the handler and must not
+// write it. Register before the first Inform.
+func (s *Server) OnDeliver(fn func(*Reflector, store.Event)) { s.onDeliver = fn }
+
 // Kind returns the watched kind (chaos targets reflectors by kind).
 func (r *Reflector) Kind() string { return r.kind }
 
+// Options returns the filter the reflector watches and relists through.
+func (r *Reflector) Options() WatchOptions { return r.opts }
+
+// Epoch returns the server restart epoch of the current subscription. Every
+// event the reflector delivers belongs to that epoch's history: a live event
+// was committed in it, and a relisted object survived into it.
+func (r *Reflector) Epoch() int64 { return r.epoch }
+
+// String names the reflector as consumer/kind.
+func (r *Reflector) String() string { return r.consumer + "/" + r.kind }
+
 // Cached returns the snapshot of name last delivered, unless a delivery said
 // it is gone: the consumer's view, shared and read-only like every event.
+// After a relist that found name unchanged it is the relisted snapshot: the
+// same revision and content as the one delivered, but after a restart not
+// the same object.
 func (r *Reflector) Cached(name string) (api.Object, bool) {
 	obj, ok := r.known[name]
 	return obj, ok
 }
 
-// Stats returns how many times the stream was resumed from history and how
-// many times a compacted gap forced a relist.
-func (r *Reflector) Stats() (resumes, relists int) { return r.resumes, r.relists }
+// Stats returns how many times the stream was resumed from history, how
+// many times a compacted gap or a restart forced a relist, and how many
+// events those relists synthesized.
+func (r *Reflector) Stats() (resumes, relists, synthesized int) {
+	return r.resumes, r.relists, r.synthesized
+}
 
 // get returns the next event, parking p while the stream is idle and
 // reconnecting as needed. Only the loop calls it, and Stop kills the loop,
@@ -126,9 +157,9 @@ func (r *Reflector) observe(ev store.Event) {
 // reconnect re-establishes the subscription after a drop: resume from the
 // last observed revision when the history still covers it, else relist and
 // synthesize the diff into the backlog. Resume is never attempted across a
-// restart epoch — the server's in-memory watch state died with the old
-// process, and a torn-tail restore may have reverted mutations this
-// consumer already observed, so only a relist-with-resync is sound.
+// restart epoch: the server's in-memory watch history died with the old
+// process, so a restart always relists. The relist's diff is what the
+// restore changed for this consumer, plus what was written since.
 func (r *Reflector) reconnect() {
 	if e := r.srv.Epoch(); e == r.epoch {
 		q, err := r.srv.WatchResume(r.kind, r.opts, r.lastRV)
@@ -146,42 +177,67 @@ func (r *Reflector) reconnect() {
 // epoch): subscribe fresh, snapshot the revision, and diff the filtered
 // list against the consumer's view. Registration, revision and list happen
 // without a yield, so the diff is atomic with the new subscription.
+//
+// A listed object still at the revision last delivered is the write the
+// consumer saw, provided no restart since the last subscribe restored below
+// that revision (the floor): it gets no event, and the cache takes the
+// listed snapshot. Above the floor a torn tail may have reverted that write
+// and a later one reused its revision, so an equal revision proves nothing
+// and the object is re-sent as Modified. Within one epoch there is no floor.
+//
+// Deletions are found by one pass over the cache, taken only when the list
+// yielded fewer known names than the cache holds. The pass looks each name
+// up in the store: the same state in the same instant as the list, so part
+// of that one read rather than another.
 func (r *Reflector) relist() {
 	r.relists++
 	r.srv.refRelists.Inc()
 	r.relistCtr.Inc()
+	floor := r.srv.store.RestoredFloor(r.epoch, r.srv.Epoch())
 	r.epoch = r.srv.Epoch()
 	fresh := r.opts
 	fresh.Replay = false // the diff below stands in for the replay
 	r.q = r.srv.WatchFiltered(r.kind, fresh)
 	r.lastRV = r.srv.Revision()
-	var cur []api.Object // name order, as the scan yields them
-	r.srv.Scan(r.kind, func(obj api.Object) bool {
-		if r.opts.Matches(obj) {
-			cur = append(cur, obj)
+	listed := 0
+	r.srv.Scan(r.kind, func(obj api.Object) bool { // name order
+		if !r.opts.Matches(obj) {
+			return true
 		}
+		meta := obj.GetMeta()
+		seen, ok := r.known[meta.Name]
+		switch {
+		case !ok:
+			r.synthesize(store.Added, obj, meta.ResourceVersion)
+			return true
+		case seen.GetMeta().ResourceVersion == meta.ResourceVersion && meta.ResourceVersion <= floor:
+			r.known[meta.Name] = obj
+		default:
+			r.synthesize(store.Modified, obj, meta.ResourceVersion)
+		}
+		listed++
 		return true
 	})
+	if listed == len(r.known) {
+		return
+	}
 	var gone []string
 	for name := range r.known {
-		if _, ok := slices.BinarySearchFunc(cur, name, func(o api.Object, name string) int {
-			return strings.Compare(o.GetMeta().Name, name)
-		}); !ok {
+		if obj, err := r.srv.store.Get(r.kind, name); err != nil || !r.opts.Matches(obj) {
 			gone = append(gone, name)
 		}
 	}
 	slices.Sort(gone)
-	for _, obj := range cur {
-		typ := store.Added
-		if _, seen := r.known[obj.GetMeta().Name]; seen {
-			typ = store.Modified
-		}
-		r.backlog = append(r.backlog, store.Event{Type: typ, Object: obj, Rev: obj.GetMeta().ResourceVersion})
-	}
 	for _, name := range gone {
 		// The last snapshot the consumer saw, shared like any other.
-		r.backlog = append(r.backlog, store.Event{Type: store.Deleted, Object: r.known[name], Rev: r.lastRV})
+		r.synthesize(store.Deleted, r.known[name], r.lastRV)
 	}
+}
+
+// synthesize appends one relist event to the backlog.
+func (r *Reflector) synthesize(typ store.EventType, obj api.Object, rev int64) {
+	r.backlog = append(r.backlog, store.Event{Type: typ, Object: obj, Rev: rev})
+	r.synthesized++
 }
 
 // Drop severs the current stream without stopping the reflector — the

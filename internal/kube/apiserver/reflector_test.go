@@ -76,7 +76,7 @@ func TestReflectorResumeGoldenSequence(t *testing.T) {
 	if !reflect.DeepEqual(*trace, want) {
 		t.Fatalf("event sequence:\n got %q\nwant %q", *trace, want)
 	}
-	if resumes, relists := r.Stats(); resumes != 1 || relists != 0 {
+	if resumes, relists, _ := r.Stats(); resumes != 1 || relists != 0 {
 		t.Fatalf("resumes=%d relists=%d, want 1/0", resumes, relists)
 	}
 	r.Stop()
@@ -128,7 +128,7 @@ func TestReflectorRelistOnCompactedGap(t *testing.T) {
 	if !reflect.DeepEqual(*trace, want) {
 		t.Fatalf("event sequence:\n got %q\nwant %q", *trace, want)
 	}
-	if resumes, relists := r.Stats(); resumes != 0 || relists != 1 {
+	if resumes, relists, _ := r.Stats(); resumes != 0 || relists != 1 {
 		t.Fatalf("resumes=%d relists=%d, want 0/1", resumes, relists)
 	}
 	// The relisted survivor must carry the post-outage state.
@@ -283,7 +283,7 @@ func TestReflectorNodeScopedRelist(t *testing.T) {
 			if !reflect.DeepEqual(*trace, want) {
 				t.Fatalf("event sequence:\n got %q\nwant %q", *trace, want)
 			}
-			if resumes, relists := r.Stats(); resumes != 0 || relists != 1 {
+			if resumes, relists, _ := r.Stats(); resumes != 0 || relists != 1 {
 				t.Fatalf("resumes=%d relists=%d, want 0/1", resumes, relists)
 			}
 			known := slices.Sorted(maps.Keys(r.known))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/sim"
 )
@@ -16,7 +17,8 @@ import (
 // revision resume, the epoch fence must force a relist — the old process's
 // watch bookkeeping is gone and a resume would trust state that no longer
 // exists. The sequence across the restart is a golden: no event lost, no
-// event duplicated, survivors re-synced exactly once.
+// event duplicated, and no event for a survivor the restore left at the
+// revision the consumer saw.
 func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	env, s := newServer()
 	s.EnableDurability(DurabilityConfig{})
@@ -41,25 +43,25 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	env.RunUntil(10 * time.Second)
 
 	want := []string{
-		"ADDED w0",    // replay
-		"ADDED w1",    // live
-		"MODIFIED w0", // relist after restart: survivors re-synced
-		"MODIFIED w1",
+		"ADDED w0", // replay
+		"ADDED w1", // live
+		// The relist after the restart finds w0 and w1 as delivered: nothing.
 		"ADDED w2",   // post-restart mutation through the new epoch
 		"DELETED w0", // live after relist
 	}
 	if !reflect.DeepEqual(*trace, want) {
 		t.Fatalf("event sequence:\n got %q\nwant %q", *trace, want)
 	}
-	if resumes, relists := r.Stats(); resumes != 0 || relists != 1 {
+	if resumes, relists, _ := r.Stats(); resumes != 0 || relists != 1 {
 		t.Fatalf("resumes=%d relists=%d, want 0/1 (epoch fence must forbid resume)", resumes, relists)
 	}
 	r.Stop()
 
 	// A label-filtered reflector whose torn tail reverts names that sort
 	// between survivors: the relist deletes exactly those, in name order,
-	// re-syncs the survivors, and re-adds the one whose deletion was reverted.
-	// Reverted objects the filter never matched stay invisible.
+	// re-adds the one whose deletion was reverted, and leaves the survivors
+	// the tear did not touch alone. Reverted objects the filter never matched
+	// stay invisible.
 	env, s = newServer()
 	s.EnableDurability(DurabilityConfig{})
 	r, trace = informTrace(s, WatchOptions{Label: "web", Replay: true})
@@ -89,7 +91,7 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	want = []string{
 		"ADDED a0", "ADDED a2", "ADDED a4", "ADDED a5", // replay
 		"ADDED a3", "ADDED a1", "DELETED a5", // live, then reverted by the torn tail
-		"MODIFIED a0", "MODIFIED a2", "MODIFIED a4", "ADDED a5", // relist: scan order
+		"ADDED a5",                 // relist: the reverted deletion
 		"DELETED a1", "DELETED a3", // relist: vanished, name order
 	}
 	if !reflect.DeepEqual(*trace, want) {
@@ -98,12 +100,66 @@ func TestReflectorRelistAcrossRestartEpoch(t *testing.T) {
 	r.Stop()
 }
 
+// TestReflectorRelistFloorReusedRevision: a reflector has seen x at
+// revision R, a torn tail reverts R, and a write to x after the restart
+// commits at the reused revision R before the reflector reconnects. The
+// relist finds x at the revision it delivered, but R lies above what the
+// restore kept, so an equal revision does not name the write the consumer
+// saw: x must arrive again as MODIFIED, with the new content.
+func TestReflectorRelistFloorReusedRevision(t *testing.T) {
+	env, s := newServer()
+	s.EnableDurability(DurabilityConfig{})
+	var trace []string
+	r := s.Inform("test", "consumer", "Pod", WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+		pod := ev.Object.(*api.Pod)
+		trace = append(trace, fmt.Sprintf("%s %s@%d %q", ev.Type, pod.Name, ev.Rev, pod.Status.Message))
+	})
+	pods := Pods(s)
+	mustCreate(t, pods, mkPod("x"))
+	message := func(m string) func(*api.Pod) error {
+		return func(pod *api.Pod) error { pod.Status.Message = m; return nil }
+	}
+	env.Go("driver", func(p *sim.Proc) {
+		p.Sleep(time.Second)
+		_, before, _ := s.store.DurableSizes()
+		if _, err := pods.MutateStatus("x", message("seen")); err != nil {
+			t.Errorf("status write: %v", err)
+			return
+		}
+		p.Sleep(time.Second) // delivered: the consumer holds x@2 "seen"
+		_, logged, _ := s.store.DurableSizes()
+		s.TearWALTail(logged - before - 1) // the write's frame keeps one byte
+		if st, err := s.Restart(); err != nil || !st.TornTail || st.RestoredRev != 1 {
+			t.Errorf("restart: %v, %+v", err, st)
+			return
+		}
+		if pod, err := pods.MutateStatus("x", message("rewritten")); err != nil || pod.ResourceVersion != 2 {
+			t.Errorf("post-restart write: %v at rev %d, want rev 2", err, pod.ResourceVersion)
+		}
+	})
+	env.RunUntil(10 * time.Second)
+
+	want := []string{
+		`ADDED x@1 ""`,             // replay
+		`MODIFIED x@2 "seen"`,      // live, then reverted by the torn tail
+		`MODIFIED x@2 "rewritten"`, // relist: the same revision, another write
+	}
+	if !reflect.DeepEqual(trace, want) {
+		t.Fatalf("event sequence:\n got %q\nwant %q", trace, want)
+	}
+	if obj, _ := r.Cached("x"); obj.(*api.Pod).Status.Message != "rewritten" {
+		t.Fatalf("cached x says %q, want the rewrite", obj.(*api.Pod).Status.Message)
+	}
+	r.Stop()
+}
+
 // TestReflectorDropDuringRelistBacklog injects a watch drop while the
 // restart-triggered relist backlog is still draining (the consumer paces
 // one event per 100ms, so the second relist's diff races the first's
-// delivery). The double-recovery must not double-deliver: every ADDED
-// appears exactly once per object lifetime, and the final trace is a
-// golden count per event.
+// delivery). The backlog is four MODIFIED events: each pod is written after
+// the restart and before the consumer reconnects. The double-recovery must
+// not double-deliver: every ADDED appears exactly once per object lifetime,
+// and the final trace is a golden count per event.
 func TestReflectorDropDuringRelistBacklog(t *testing.T) {
 	env, s := newServer()
 	s.EnableDurability(DurabilityConfig{})
@@ -123,7 +179,15 @@ func TestReflectorDropDuringRelistBacklog(t *testing.T) {
 			t.Errorf("restart: %v", err)
 			return
 		}
-		// The relist synthesized 4 MODIFIED events; the consumer drains one
+		for i := 0; i < 4; i++ {
+			if _, err := pods.MutateStatus(fmt.Sprintf("w%d", i), func(pod *api.Pod) error {
+				pod.Status.Message = "after the restart"
+				return nil
+			}); err != nil {
+				t.Errorf("status write: %v", err)
+			}
+		}
+		// The relist synthesizes 4 MODIFIED events; the consumer drains one
 		// every 100ms. Sever the stream while that backlog is mid-flight.
 		p.Sleep(150 * time.Millisecond)
 		r.Drop()
@@ -137,7 +201,7 @@ func TestReflectorDropDuringRelistBacklog(t *testing.T) {
 		counts[ev]++
 	}
 	// Golden counts: one ADDED per object ever, and the restart's relist
-	// re-syncs each survivor exactly once. The drop that landed mid-backlog
+	// sends each pod written since exactly once. The drop that landed mid-backlog
 	// does NOT double-deliver: the backlog drains first, by which point the
 	// consumer's cursor sits at the restored head inside the new epoch, so
 	// the reconnect is a clean resume — not a second relist re-sending the
@@ -150,7 +214,7 @@ func TestReflectorDropDuringRelistBacklog(t *testing.T) {
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("event counts diverged (double delivery or loss):\n got %v\nwant %v\ntrace: %q", counts, want, trace)
 	}
-	if resumes, relists := r.Stats(); resumes != 1 || relists != 1 {
+	if resumes, relists, _ := r.Stats(); resumes != 1 || relists != 1 {
 		t.Fatalf("resumes=%d relists=%d, want 1/1 (restart relists, drop resumes)", resumes, relists)
 	}
 	r.Stop()

@@ -30,12 +30,17 @@ type Scheduler struct {
 	srv *apiserver.Server
 
 	nodes map[string]*api.Node
-	pods  map[string]*api.Pod
-	// Incrementally maintained views of s.pods, updated from watch deltas so
-	// the scheduling loop never rescans the full pod set:
-	//   committed — per-node sum of requests of bound, non-terminated pods;
+	// Incrementally maintained views of the pods, updated from watch deltas
+	// so the scheduling loop never rescans the full pod set:
+	//   bound     — bound, non-terminated pods, whose requests an update
+	//               or deletion takes back from committed;
+	//   committed — per-node sum of bound's requests;
 	//   pending   — unbound, non-terminated pods awaiting placement;
 	//   order     — pending sorted by (CreationTime, Name), rebuilt lazily.
+	// A terminated pod is in no view, so no snapshot kept here outlives the
+	// pod's part in scheduling; a relist that leaves a pod alone after a
+	// restart does not refresh it.
+	bound     map[string]*api.Pod
 	committed map[string]api.ResourceList
 	pending   map[string]*api.Pod
 	order     []*api.Pod
@@ -56,7 +61,7 @@ func New(env *sim.Env, srv *apiserver.Server) *Scheduler {
 		env:       env,
 		srv:       srv,
 		nodes:     make(map[string]*api.Node),
-		pods:      make(map[string]*api.Pod),
+		bound:     make(map[string]*api.Pod),
 		committed: make(map[string]api.ResourceList),
 		pending:   make(map[string]*api.Pod),
 		wake:      sim.NewQueue[struct{}](env),
@@ -67,25 +72,23 @@ func New(env *sim.Env, srv *apiserver.Server) *Scheduler {
 	}
 }
 
-// setPod is the single mutation point for s.pods; nil removes. It keeps the
-// committed and pending views consistent by applying the old pod's
-// contribution in reverse and then the new pod's forward.
+// setPod is the single mutation point for the pod views; nil removes. It
+// keeps them consistent by taking back the pod's old contribution and then
+// applying the new pod's.
 func (s *Scheduler) setPod(name string, pod *api.Pod) {
-	if old, ok := s.pods[name]; ok {
-		if old.Spec.NodeName != "" && !old.Terminated() {
-			s.nodeCommitted(old.Spec.NodeName).Sub(old.Spec.Requests())
-		} else if _, p := s.pending[name]; p {
-			delete(s.pending, name)
-			s.dirty = true
-		}
+	if old, ok := s.bound[name]; ok {
+		s.nodeCommitted(old.Spec.NodeName).Sub(old.Spec.Requests())
+		delete(s.bound, name)
+	} else if _, p := s.pending[name]; p {
+		delete(s.pending, name)
+		s.dirty = true
 	}
 	if pod == nil {
-		delete(s.pods, name)
 		return
 	}
-	s.pods[name] = pod
 	if pod.Spec.NodeName != "" && !pod.Terminated() {
 		s.nodeCommitted(pod.Spec.NodeName).Add(pod.Spec.Requests())
+		s.bound[name] = pod
 	} else if !pod.Terminated() {
 		s.pending[name] = pod
 		s.dirty = true

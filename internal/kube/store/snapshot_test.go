@@ -162,7 +162,7 @@ func TestWatchSharesOneSnapshot(t *testing.T) {
 	if len(viaReflector) != 4 {
 		t.Fatalf("reflector delivered %d events, want 4", len(viaReflector))
 	}
-	if _, relists := refl.Stats(); relists != 2 {
+	if _, relists, _ := refl.Stats(); relists != 2 {
 		t.Fatalf("relists = %d, want 2", relists)
 	}
 	third, _ := kindA.TryGet()

@@ -203,11 +203,13 @@ type Store struct {
 
 	// Durability (see wal.go): dur is the simulated durable medium — nil
 	// until EnableDurability, leaving the WAL append path a single nil
-	// check. epoch counts crash/restore cycles; the hooks surface WAL and
-	// checkpoint activity to the telemetry layer without the store
+	// check. epoch counts crash/restore cycles, and restored[e-1] is the
+	// revision the restore that began epoch e restored to; the hooks surface
+	// WAL and checkpoint activity to the telemetry layer without the store
 	// importing obs.
 	dur          *Durable
 	epoch        atomic.Int64
+	restored     []int64
 	onWALAppend  func(records int)
 	onCheckpoint func(bytes int)
 

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -156,6 +157,22 @@ func (s *Store) DurabilityEnabled() bool {
 // mutations — did not survive, and they must relist rather than resume.
 func (s *Store) Epoch() int64 { return s.epoch.Load() }
 
+// RestoredFloor returns the lowest revision restored to
+// (RestoreStats.RestoredRev) by the restores that began the epochs after
+// `after`, up to and including `through`, or math.MaxInt64 when there were
+// none. A revision at or below it names the same write in every one of
+// those epochs. Above it, a torn tail may have reverted the write, and the
+// writes after the restore reuse its revision for other content.
+func (s *Store) RestoredFloor(after, through int64) int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	floor := int64(math.MaxInt64)
+	for e := max(after, 0); e < min(through, int64(len(s.restored))); e++ {
+		floor = min(floor, s.restored[e])
+	}
+	return floor
+}
+
 // logMutation appends one frame for ev, encoding in place at the log's end:
 // reserve the header, append the payload, back-patch length and CRC. Callers
 // hold the write lock, so frame order is commit order.
@@ -248,14 +265,20 @@ func (s *Store) TearWALTail(n int) bool {
 // Crash discards every piece of in-memory state — objects, indexes, watch
 // registrations, resumable history — as an apiserver process death would,
 // then restores from the durable medium: checkpoint load plus WAL replay
-// with torn-tail truncation. All watch queues close — in kind-name order,
-// and within a kind in registration order, so subscribers see EOF (and
-// reconnect) in the same order every run — the restart epoch increments, and
-// the compaction horizon moves to the restored revision so every
-// resume-from-before-the-crash gets ErrGone and relists. It returns an error when durability was never enabled, and
-// when the medium cannot be read back — a damaged checkpoint image, or a
-// kind no package registered — which leaves the store empty: a control plane
-// that cannot read its data dir does not come up.
+// with torn-tail truncation.
+//
+// All watch queues close, in kind-name order and within a kind in
+// registration order, so subscribers see EOF (and reconnect) in the same
+// order every run. The restart epoch increments, and the store records the
+// new epoch's restored revision (see RestoredFloor). The compaction horizon
+// moves to the restored revision, so every resume from before the crash gets
+// ErrGone and relists.
+//
+// Crash returns an error when durability was never enabled. It also returns
+// one when the medium cannot be read back (a damaged checkpoint image, or a
+// kind no package registered); that leaves the store empty, with a restored
+// revision of 0, because a control plane that cannot read its data dir does
+// not come up.
 func (s *Store) Crash() (RestoreStats, error) {
 	s.mu.Lock()
 	if s.dur == nil {
@@ -276,6 +299,7 @@ func (s *Store) Crash() (RestoreStats, error) {
 	if err != nil {
 		s.kinds = make(map[string]*bucket)
 	}
+	s.restored = append(s.restored, st.RestoredRev)
 	s.epoch.Add(1)
 	s.mu.Unlock()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -305,6 +306,47 @@ func TestTornTailTruncateAndRecover(t *testing.T) {
 		}
 		if st2.TornTail {
 			t.Fatalf("tear=%d: second restore reports torn tail again", tearBytes)
+		}
+	}
+}
+
+// TestCrashRecordsRestoredFloor: each crash records the revision its
+// restore restored to, and RestoredFloor takes the lowest over a range of
+// epochs: a clean restart restores everything, a torn tail restores below
+// the revision the store had reached, and the floor over the epochs after a
+// tear stays at the tear's restored revision even once writes climb past it.
+func TestCrashRecordsRestoredFloor(t *testing.T) {
+	s := New(sim.NewEnv())
+	s.EnableDurability(nil, nil)
+	create := func(names ...string) {
+		for _, name := range names {
+			if _, err := s.Create(newTestObj("Pod", name, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	crash := func(wantRestored int64) {
+		t.Helper()
+		if st, err := s.Crash(); err != nil || st.RestoredRev != wantRestored {
+			t.Fatalf("crash: %v, restored rev %d, want %d", err, st.RestoredRev, wantRestored)
+		}
+	}
+	if got := s.RestoredFloor(0, 0); got != math.MaxInt64 {
+		t.Fatalf("floor before any restore: %d", got)
+	}
+	create("a", "b")
+	crash(2) // epoch 1: clean
+	create("c", "d")
+	s.TearWALTail(3) // d's create is cut off
+	crash(3)         // epoch 2: torn below rev 4
+	create("e", "f", "g")
+	crash(6) // epoch 3: clean
+	for _, tc := range []struct{ after, through, want int64 }{
+		{0, 1, 2}, {1, 2, 3}, {2, 3, 6}, {0, 3, 2}, {1, 3, 3},
+		{3, 3, math.MaxInt64}, // within one epoch there is no floor
+	} {
+		if got := s.RestoredFloor(tc.after, tc.through); got != tc.want {
+			t.Errorf("RestoredFloor(%d, %d) = %d, want %d", tc.after, tc.through, got, tc.want)
 		}
 	}
 }
