@@ -88,6 +88,15 @@ named TestPlacementAllocsHeldExactly go test ./internal/experiments/
 named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce|TestCreateCopiesNothing' go test .
 named TestLoggingAWriteAllocatesNothing go test ./internal/kube/store/
 named TestLaunchKernelAllocs go test ./internal/devlib/
+# State recycled inside the program that uses it, by name: a reseeded
+# source draws New(seed)'s stream for every distribution and Fork after any
+# earlier draws; a token's recycled usage window starts empty (usage rate 0,
+# the grant order of a fresh token), and a Register after a grown client's
+# Unregister costs the client entry alone; a cluster's serve free list hands
+# sources on, a deleted job's included, and is gone with its last serve job.
+named TestReseedIsNew go test ./internal/simrand/
+named 'TestTokenRecycledWindowStartsEmpty|TestTokenRegisterReusesGrownWindow' go test ./internal/devlib/sharing/
+named TestServeSourcesDroppedWithLastJob go test ./internal/workload/
 named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic|TestClaims|TestClaimsCoverRegistry' go test ./internal/experiments/
 # Telemetry export surface: the SLO alert engine and fairness auditor must
 # replay byte-identically at a fixed seed, and every `kubeshare-sim serve`
@@ -175,7 +184,9 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # relist (a 410 or a restart epoch synthesises events for matching objects
 # only), the relist's revision floor (a survivor at the revision the consumer
 # saw is re-sent when a torn tail freed that revision and a later write reused
-# it), and Inform's loop contract (its handler runs in the loop, sees every
+# it; every survivor is re-sent when a torn tail reverted a write the stream
+# never delivered, such as the consumer's own delete while it was down), and
+# Inform's loop contract (its handler runs in the loop, sees every
 # event across a drop and a restart's relist, and never runs after Stop); the
 # kubelet pass names the two consumers' own properties: two kubelets
 # on one apiserver each receive and cache only their node's pods (a pod bound
@@ -186,11 +197,13 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # medium the store rewrites in place, and a restored pod costs ≤ 12
 # allocations, from the checkpoint or the log, whatever its string count.
 named 'TestRestore|TestRestoredObjectsShareNoBytesWithMedium|TestRestoreAllocs|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
-named 'TestReflector|TestReflectorNodeScopedRelist|TestReflectorRelistFloorReusedRevision|TestResume|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
+named 'TestReflector|TestReflectorNodeScopedRelist|TestReflectorRelistFloorReusedRevision|TestReflectorRelistAfterUnseenRevert|TestResume|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
 # The reflectors' stream check by name, so it cannot silently vanish: it
 # flags a revision that does not rise unless a restore reverted the one
-# before, and a view that missed a write or kept a deleted object; every
-# chaos soak carries it, TestSoakSeeds over its seeds; and a durable_restart-
+# before or a relist re-sent it, and a view that missed a write or kept a
+# deleted object; every chaos soak carries it, TestSoakSeeds over its seeds
+# (one subtest each; on seed 3 the watch drops are partitions that come back
+# to a 410 and a relist); and a durable_restart-
 # shaped run, checked by it, synthesizes at most 400 relist events (it prints
 # the count).
 named 'TestStreamCheckFlagsFallingRevision|TestStreamCheckFlagsStaleView' go test ./internal/kube/apiserver/apitest/

@@ -90,13 +90,16 @@ func (s Stats) String() string {
 
 // Injector drives one fault schedule against a cluster.
 type Injector struct {
-	env      *sim.Env
-	c        *kube.Cluster
-	cfg      Config
-	rng      *simrand.Source
-	stats    Stats
-	start    time.Duration
-	recorder *obs.Recorder
+	env *sim.Env
+	c   *kube.Cluster
+	cfg Config
+	rng *simrand.Source
+	// partitions, when set, draws how long each dropped watch stays down
+	// (see watchPartitions); nil drops reconnect at once.
+	partitions *simrand.Source
+	stats      Stats
+	start      time.Duration
+	recorder   *obs.Recorder
 	// err is the first fault the injector could not undo (a node that would
 	// not restart, a failed apiserver restore); the loop that hit it stops.
 	err error
@@ -300,7 +303,11 @@ func (in *Injector) watchLoop(p *sim.Proc, rng *simrand.Source) {
 			continue
 		}
 		r := rs[rng.Intn(len(rs))]
-		r.Drop()
+		if in.partitions != nil {
+			r.DropFor(in.partitions.ExpDuration(partitionMean))
+		} else {
+			r.Drop()
+		}
 		in.stats.WatchDrops++
 		in.recorder.Eventf("Watch", r.Kind(), obs.EventWarning, "WatchDropped",
 			"reflector stream severed")

@@ -91,6 +91,29 @@ func (c SoakConfig) WithDefaults() SoakConfig {
 	return c
 }
 
+// partitionMean is the mean time a partitioned watch stays down.
+const partitionMean = 3 * time.Second
+
+// watchPartitions picks, from the seed, whether a soak's watch drops are
+// partitions, and if so the watch-history cap they run under (0: no
+// partitions, the store's default cap). A quarter of the seeds with watch
+// drops hold each dropped stream down for an exponential time of mean
+// partitionMean and compact the history hard, as etcd does, to 8, 16 or 32
+// events. A stream that comes back then mostly finds its resume point
+// compacted and relists (410 Gone), and the relist diff meets survivors
+// written while it was down. The draws come from forks of their own, so
+// they perturb no other stream; the returned source draws the down times.
+func watchPartitions(cfg SoakConfig) (histCap int, down *simrand.Source) {
+	if cfg.Faults.WatchDropMean <= 0 {
+		return 0, nil
+	}
+	rng := simrand.New(cfg.Seed).Fork("watch-history")
+	if rng.Intn(4) != 0 {
+		return 0, nil
+	}
+	return 8 << rng.Intn(3), simrand.New(cfg.Seed).Fork("watch-partition")
+}
+
 // soakBound caps a soak's simulation; the run must quiesce before it.
 const soakBound = 20 * time.Minute
 
@@ -131,6 +154,10 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 	if instrument != nil {
 		instrument(c)
 	}
+	histCap, partitions := watchPartitions(cfg)
+	if histCap > 0 {
+		c.API.SetWatchHistoryCap(histCap)
+	}
 	// Durability goes on before any consumer starts, so the enable-time
 	// checkpoint covers the empty store and every later mutation is logged.
 	if cfg.Faults.APIRestartMean > 0 {
@@ -155,6 +182,7 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 	}, &submitErr)
 
 	inj := New(c, cfg.Faults)
+	inj.partitions = partitions
 	inj.Start()
 	env.RunUntil(soakBound)
 	if submitErr != nil {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -74,8 +75,14 @@ func TestSoakSeeds(t *testing.T) {
 	var restarts int
 	var requeues, recoveries int64
 	var resumes, relists int
+	partitioned := 0
 	for _, seed := range []int64{1, 2, 3, 4, 45} {
-		res := requireClean(t, SoakConfig{Seed: seed})
+		if _, down := watchPartitions(SoakConfig{Seed: seed}.WithDefaults()); down != nil {
+			partitioned++
+		}
+		var res SoakResult
+		// One subtest per seed, so every failing seed is reported.
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { res = requireClean(t, SoakConfig{Seed: seed}) })
 		total.NodeCrashes += res.Faults.NodeCrashes
 		total.HolderKills += res.Faults.HolderKills
 		total.DeviceFaults += res.Faults.DeviceFaults
@@ -89,6 +96,9 @@ func TestSoakSeeds(t *testing.T) {
 		resumes += res.Resumes
 		relists += res.Relists
 	}
+	if t.Failed() {
+		t.FailNow()
+	}
 	if total.NodeCrashes == 0 || total.HolderKills == 0 || total.DeviceFaults == 0 ||
 		total.WatchDrops == 0 || total.APIRestarts == 0 {
 		t.Fatalf("some fault class never fired across seeds: %v", total)
@@ -98,6 +108,9 @@ func TestSoakSeeds(t *testing.T) {
 	}
 	if total.Replayed == 0 {
 		t.Fatal("every restart recovered from a fresh checkpoint — WAL replay went untested")
+	}
+	if partitioned == 0 {
+		t.Fatal("no seed partitioned its watch drops — the relist diff never met a survivor written while its stream was down")
 	}
 	if relists == 0 {
 		t.Fatal("no reflector ever relisted — restart epochs went unnoticed by consumers")

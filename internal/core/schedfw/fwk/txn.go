@@ -47,6 +47,15 @@ type txnOp struct {
 // Rollback(0) hands it back exactly as it was borrowed.
 func NewTxn(pool *core.Pool) *Txn { return &Txn{pool: pool} }
 
+// Reset points the transaction at another cycle's pool with an empty
+// journal, keeping the journal's storage: a driver that resets one Txn per
+// cycle journals without allocating once the journal has grown. Mutations
+// still journaled are dropped, not undone; the driver rolls back first.
+func (t *Txn) Reset(pool *core.Pool) {
+	clear(t.journal)
+	t.pool, t.journal = pool, t.journal[:0]
+}
+
 // Checkpoint marks the current journal position for a later Rollback.
 func (t *Txn) Checkpoint() Mark { return Mark(len(t.journal)) }
 
@@ -94,6 +103,8 @@ func (t *Txn) Rollback(m Mark) {
 			t.pool.FreePhysical[op.node]++
 		}
 	}
+	// Cleared, so the journal's storage pins no device or label set.
+	clear(t.journal[m:])
 	t.journal = t.journal[:m]
 }
 

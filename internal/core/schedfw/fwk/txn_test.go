@@ -23,7 +23,8 @@ func sameMap(a, b map[string]bool) bool {
 // device that already holds other labels, twice, rolling back each time.
 // The journal must hold copies of the device's label sets, never the sets
 // themselves — Place adds to them — so each rollback restores exactly the
-// prior sets, and the snapshot's pool is still a relist's afterwards.
+// prior sets, and the snapshot's pool is still a relist's afterwards. The
+// rolled-back journal keeps its storage but pins nothing.
 func TestTxnJournalCopiesLabelSets(t *testing.T) {
 	srv := apiserver.New(sim.NewEnv())
 	gpus := api.ResourceList{api.ResourceGPU: 4}
@@ -69,6 +70,18 @@ func TestTxnJournalCopiesLabelSets(t *testing.T) {
 		if !maps.Equal(d.Aff, wantAff) || !maps.Equal(d.Anti, wantAnti) {
 			t.Fatalf("round %d: rolled back to aff %v anti %v, want %v %v", round, d.Aff, d.Anti, wantAff, wantAnti)
 		}
+	}
+	// Rolled back, the journal's storage pins no device and no label set;
+	// Reset keeps that storage for the next cycle's pool.
+	for i, op := range txn.journal[:cap(txn.journal)] {
+		if op.dev != nil || op.saved.Aff != nil || op.saved.Anti != nil {
+			t.Fatalf("journal slot %d still holds a device or its label sets after Rollback(0)", i)
+		}
+	}
+	grown := cap(txn.journal)
+	txn.Reset(snap.Pool(nil))
+	if grown == 0 || cap(txn.journal) != grown || txn.Len() != 0 {
+		t.Fatalf("Reset left the journal at len %d cap %d, want 0 and %d", txn.Len(), cap(txn.journal), grown)
 	}
 	if err := core.DiffPools(snap.Pool(nil), core.BuildPool(srv, 1)); err != nil {
 		t.Fatal(err)

@@ -129,6 +129,14 @@ type Scheduler struct {
 	// is parked without a decision. Reset every cycle and after every gang
 	// attempt (a rollback may hand capacity back to the transaction).
 	failed map[core.Request]struct{}
+	// txn and out are the cycle transaction and its staged decisions,
+	// reused across cycles: runCycle points txn at each cycle's borrowed
+	// pool and hands both back empty.
+	txn *fwk.Txn
+	out []staged
+	// newID is newGPUID, bound once: a method value made per cycle would
+	// allocate its closure every cycle.
+	newID func() string
 
 	tracer       *obs.Tracer
 	recorder     *obs.Recorder
@@ -166,6 +174,7 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 		gangs:        make(map[string]*gangState),
 		parked:       make(map[string]struct{}),
 		failed:       make(map[core.Request]struct{}),
+		txn:          fwk.NewTxn(nil),
 		tracer:       rt.Tracer(),
 		recorder:     rt.EventSource("kubeshare-sched"),
 		decisions:    rt.Counter(core.MetricSchedDecisions),
@@ -182,6 +191,7 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	for _, ph := range fwk.Phases {
 		s.phaseRuns[ph] = rt.Counter(PhaseMetric(ph))
 	}
+	s.newID = s.newGPUID
 	return s
 }
 
@@ -358,7 +368,8 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	p.Sleep(core.CycleLatency)
 	// The watch procs drained any deltas during the sleep; the snapshot is
 	// current as of now. The batch stages on the snapshot's own pool.
-	txn := fwk.NewTxn(s.snap.Pool(s.newGPUID))
+	txn := s.txn
+	txn.Reset(s.snap.Pool(s.newID))
 	if gen := s.snap.ReleaseGen(); gen != s.parkedGen {
 		// Capacity was released since the parked verdicts: everyone is active.
 		clear(s.parked)
@@ -366,7 +377,7 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	}
 	clear(s.failed)
 
-	var out []staged
+	out := s.out[:0]
 	progressed := s.stage(pending, txn, &out)
 	s.parkedNow.Set(int64(len(s.parked)))
 
@@ -381,6 +392,8 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	for _, st := range out {
 		s.commit(st, cycleStart)
 	}
+	clear(out)
+	s.out = out[:0]
 	if progressed == 0 {
 		s.noCapacity.Inc()
 		return false

@@ -34,7 +34,10 @@ const ChainKeyPrefix = "SharePod/"
 type Token struct {
 	roster
 	*gate
-	window   time.Duration // sliding usage window
+	window time.Duration // sliding usage window
+	// spare is the emptied window of a departed client, kept for the next
+	// Register: the largest ring seen since it was last taken.
+	spare    *usageWindow
 	residual ResidualPolicy
 	retry    sim.Timer // throttle retry; fires the gate's bound schedule (trySchedule)
 	// swap is the optional memory over-commitment broker (see swap.go).
@@ -98,16 +101,26 @@ func (m *Token) Register(id string, res Resources) error {
 	}
 	c := m.add(id)
 	c.request, c.limit = res.Request, max(res.Limit, res.Request)
-	c.window = newUsageWindow(m.window)
+	c.window, m.spare = m.spare, nil
+	if c.window == nil {
+		c.window = newUsageWindow(m.window)
+	}
 	return nil
 }
 
 // Unregister removes a container: a pending admit is abandoned and a held
-// token is reclaimed immediately. Safe to call for unknown ids.
+// token is reclaimed immediately. Safe to call for unknown ids. The
+// client's window, emptied once drop has recorded its last span, becomes
+// the spare if its ring is larger than the spare's.
 func (m *Token) Unregister(id string) {
 	if c := m.remove(id); c != nil {
 		m.dropResidency(id)
 		m.drop(c)
+		if w := c.window; m.spare == nil || len(w.spans) > len(m.spare.spans) {
+			w.reset()
+			m.spare = w
+		}
+		c.window = nil
 	}
 }
 

@@ -30,6 +30,12 @@ func newUsageWindow(window time.Duration) *usageWindow {
 	return &usageWindow{window: window}
 }
 
+// reset empties the window, keeping its ring.
+func (u *usageWindow) reset() {
+	clear(u.spans)
+	u.head, u.n, u.busy, u.maxEnd = 0, 0, 0, 0
+}
+
 func (u *usageWindow) at(i int) *span { return &u.spans[(u.head+i)&(len(u.spans)-1)] }
 
 // AddSpan records a busy interval [start, end). Spans must be appended in

@@ -7,7 +7,8 @@
 // the simulation, and installing it cannot change event order, a counter or
 // a golden. It checks two things. Per reflector and object, the delivered
 // revisions rise, except where a torn-tail restore reverted the revision last
-// delivered (then the next may be lower, or equal and another write). At
+// delivered (then the next may be lower, or equal and another write) or a
+// relist re-sent the write last delivered. At
 // quiescence, each live reflector's last-delivered view equals the store's
 // filtered state by content (the objects' binary encoding), and so does what
 // the reflector's Cached returns.
@@ -66,11 +67,19 @@ func (c *StreamCheck) deliver(r *apiserver.Reflector, ev store.Event) {
 	if ev.Type != store.Deleted && ev.Rev != ev.Object.GetMeta().ResourceVersion {
 		c.errorf("%s delivered %s %s at rev %d carrying rev %d", r, ev.Type, name, ev.Rev, ev.Object.GetMeta().ResourceVersion)
 	}
-	if last, ok := view[name]; ok && ev.Rev <= last.ev.Rev && !c.reverted(last, now) {
+	if last, ok := view[name]; ok && ev.Rev <= last.ev.Rev && !c.reverted(last, now) && !resent(last, now) {
 		c.errorf("%s delivered %s %s at rev %d after %s at rev %d, and no restore since reverted that",
 			r, ev.Type, name, ev.Rev, last.ev.Type, last.ev.Rev)
 	}
 	view[name] = now
+}
+
+// resent reports whether now is last again, sent by a relist in a later
+// epoch: a restart that reverted writes the stream never delivered makes
+// the relist re-send every survivor.
+func resent(last, now delivered) bool {
+	return last.epoch < now.epoch && now.ev.Type == store.Modified &&
+		now.ev.Rev == last.ev.Rev && sameContent(last.ev.Object, now.ev.Object)
 }
 
 // reverted reports whether a restore between last's subscription and now's

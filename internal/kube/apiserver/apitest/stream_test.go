@@ -49,7 +49,8 @@ func rig(t *testing.T) (*sim.Env, *apiserver.Server, *apiserver.Reflector, *Stre
 }
 
 // A revision that does not rise is flagged unless a restore since reverted
-// the one delivered before it.
+// the one delivered before it, or a relist in a later epoch re-sent the same
+// write.
 func TestStreamCheckFlagsFallingRevision(t *testing.T) {
 	env, srv, r, c, rec := rig(t)
 	a, _ := r.Cached("a")
@@ -71,6 +72,20 @@ func TestStreamCheckFlagsFallingRevision(t *testing.T) {
 	}
 	if errs := rec.take(); len(errs) != 0 {
 		t.Fatalf("the relist after the torn tail: findings %q", errs)
+	}
+
+	// In the new epoch, a relist re-sending a's write unchanged is no
+	// finding; the same revision again with other content is.
+	c.deliver(r, store.Event{Type: store.Modified, Object: a, Rev: 1})
+	if errs := rec.take(); len(errs) != 0 {
+		t.Fatalf("a re-sent write: findings %q", errs)
+	}
+	other := mkPod("a")
+	other.ResourceVersion = 1
+	other.Status.Message = "other"
+	c.deliver(r, store.Event{Type: store.Modified, Object: other, Rev: 1})
+	if errs := rec.take(); len(errs) != 1 || !strings.Contains(errs[0], "MODIFIED a at rev 1 after MODIFIED at rev 1") {
+		t.Fatalf("other content at a repeated revision: findings %q", errs)
 	}
 }
 

@@ -2,6 +2,7 @@ package apiserver
 
 import (
 	"slices"
+	"time"
 
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/store"
@@ -20,7 +21,9 @@ import (
 // Deleted for vanished ones. A survivor still at the revision last delivered
 // gets no event, so consumer caches built purely from events stay correct
 // across arbitrarily long disconnects and restarts, at the cost of the diff
-// only.
+// only. The exception is a restart whose torn tail reverted writes the
+// stream never delivered: the consumer may hold one of them from its own
+// writes or reads, so every survivor is sent again.
 //
 // Every event — live, resumed or synthesized — carries the store's shared
 // read-only snapshot of that revision, and the reflector's own cache holds
@@ -41,6 +44,9 @@ type Reflector struct {
 	backlog []store.Event         // synthesized relist events awaiting delivery
 	loop    *sim.Proc             // hands events to the handler; Stop ends it
 	stopped bool
+	// downUntil holds a dropped stream down: the reconnect waits for it
+	// (DropFor).
+	downUntil time.Duration
 
 	resumes     int
 	relists     int
@@ -137,6 +143,9 @@ func (r *Reflector) get(p *sim.Proc) store.Event {
 			r.observe(ev)
 			return ev
 		}
+		if wait := r.downUntil - p.Env().Now(); wait > 0 {
+			p.Sleep(wait)
+		}
 		r.reconnect()
 	}
 }
@@ -184,6 +193,9 @@ func (r *Reflector) reconnect() {
 // listed snapshot. Above the floor a torn tail may have reverted that write
 // and a later one reused its revision, so an equal revision proves nothing
 // and the object is re-sent as Modified. Within one epoch there is no floor.
+// And when a restart since reverted a write the stream never delivered (it
+// was down when the write was made), no survivor is skipped: a consumer that deleted an object the torn tail then restored
+// holds the delete, and only an event tells it the object is back.
 //
 // Deletions are found by one pass over the cache, taken only when the list
 // yielded fewer known names than the cache holds. The pass looks each name
@@ -194,6 +206,9 @@ func (r *Reflector) relist() {
 	r.srv.refRelists.Inc()
 	r.relistCtr.Inc()
 	floor := r.srv.store.RestoredFloor(r.epoch, r.srv.Epoch())
+	if r.srv.store.RevertedUnseen(r.epoch, r.srv.Epoch(), r.lastRV) {
+		floor = 0 // no survivor is skipped
+	}
 	r.epoch = r.srv.Epoch()
 	fresh := r.opts
 	fresh.Replay = false // the diff below stands in for the replay
@@ -243,10 +258,16 @@ func (r *Reflector) synthesize(typ store.EventType, obj api.Object, rev int64) {
 // Drop severs the current stream without stopping the reflector — the
 // fault chaos injects. Events already in flight drain; the next read after
 // the drain reconnects.
-func (r *Reflector) Drop() {
+func (r *Reflector) Drop() { r.DropFor(0) }
+
+// DropFor is Drop with the stream held down for d, a partitioned watch:
+// after the drain the reconnect waits until d has passed, and what was
+// written meanwhile arrives through the resume or the relist.
+func (r *Reflector) DropFor(d time.Duration) {
 	if r.stopped {
 		return
 	}
+	r.downUntil = r.srv.env.Now() + d
 	r.srv.StopWatch(r.q)
 }
 

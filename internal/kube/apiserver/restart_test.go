@@ -153,6 +153,46 @@ func TestReflectorRelistFloorReusedRevision(t *testing.T) {
 	r.Stop()
 }
 
+// TestReflectorRelistAfterUnseenRevert: a consumer deletes x through the
+// server while its stream is down, and a torn tail reverts the delete. The
+// relist finds x at the revision the stream delivered, below the restored
+// revision, but the consumer holds the delete it made: x must arrive again,
+// or the consumer never learns x is back.
+func TestReflectorRelistAfterUnseenRevert(t *testing.T) {
+	env, s := newServer()
+	s.EnableDurability(DurabilityConfig{})
+	var trace []string
+	r := s.Inform("test", "consumer", "Pod", WatchOptions{Replay: true}, func(_ *sim.Proc, ev store.Event) {
+		trace = append(trace, fmt.Sprintf("%s %s@%d", ev.Type, ev.Object.GetMeta().Name, ev.Rev))
+	})
+	pods := Pods(s)
+	mustCreate(t, pods, mkPod("x"))
+	env.Go("driver", func(p *sim.Proc) {
+		p.Sleep(time.Second) // delivered: the consumer holds x@1
+		r.DropFor(5 * time.Second)
+		p.Sleep(time.Second)
+		_, before, _ := s.store.DurableSizes()
+		if err := pods.Delete("x"); err != nil {
+			t.Errorf("delete: %v", err)
+			return
+		}
+		_, logged, _ := s.store.DurableSizes()
+		s.TearWALTail(logged - before - 1) // the delete's frame keeps one byte
+		if st, err := s.Restart(); err != nil || !st.TornTail || st.RestoredRev != 1 {
+			t.Errorf("restart: %v, %+v", err, st)
+		}
+	})
+	env.RunUntil(10 * time.Second)
+	want := []string{
+		"ADDED x@1",    // live
+		"MODIFIED x@1", // relist: the delete the consumer made was reverted
+	}
+	if !reflect.DeepEqual(trace, want) {
+		t.Fatalf("event sequence:\n got %q\nwant %q", trace, want)
+	}
+	r.Stop()
+}
+
 // TestReflectorDropDuringRelistBacklog injects a watch drop while the
 // restart-triggered relist backlog is still draining (the consumer paces
 // one event per 100ms, so the second relist's diff races the first's

@@ -203,13 +203,15 @@ type Store struct {
 
 	// Durability (see wal.go): dur is the simulated durable medium — nil
 	// until EnableDurability, leaving the WAL append path a single nil
-	// check. epoch counts crash/restore cycles, and restored[e-1] is the
-	// revision the restore that began epoch e restored to; the hooks surface
+	// check. epoch counts crash/restore cycles, restored[e-1] is the
+	// revision the restore that began epoch e restored to, and crashed[e-1]
+	// the revision epoch e-1 had reached when it crashed; the hooks surface
 	// WAL and checkpoint activity to the telemetry layer without the store
 	// importing obs.
 	dur          *Durable
 	epoch        atomic.Int64
 	restored     []int64
+	crashed      []int64
 	onWALAppend  func(records int)
 	onCheckpoint func(bytes int)
 

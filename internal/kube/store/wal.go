@@ -173,6 +173,23 @@ func (s *Store) RestoredFloor(after, through int64) int64 {
 	return floor
 }
 
+// RevertedUnseen reports whether a restore that began one of the epochs
+// after `after`, up to and including `through`, reverted a write that a
+// reader who had seen epoch `after` through revision seen never saw: a torn
+// tail cut off a write above seen in epoch `after`, or any write of a later
+// epoch. Whoever made or read such a write outside the reader's stream may
+// still hold it.
+func (s *Store) RevertedUnseen(after, through, seen int64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for e := max(after, 0); e < min(through, int64(len(s.restored))); e++ {
+		if s.crashed[e] > s.restored[e] && (e > after || s.crashed[e] > seen) {
+			return true
+		}
+	}
+	return false
+}
+
 // logMutation appends one frame for ev, encoding in place at the log's end:
 // reserve the header, append the payload, back-patch length and CRC. Callers
 // hold the write lock, so frame order is commit order.
@@ -270,7 +287,8 @@ func (s *Store) TearWALTail(n int) bool {
 // All watch queues close, in kind-name order and within a kind in
 // registration order, so subscribers see EOF (and reconnect) in the same
 // order every run. The restart epoch increments, and the store records the
-// new epoch's restored revision (see RestoredFloor). The compaction horizon
+// revision the old epoch reached and the new epoch's restored revision (see
+// RestoredFloor and RevertedUnseen). The compaction horizon
 // moves to the restored revision, so every resume from before the crash gets
 // ErrGone and relists.
 //
@@ -294,6 +312,7 @@ func (s *Store) Crash() (RestoreStats, error) {
 	}
 	s.history = nil
 	s.histHead = 0
+	s.crashed = append(s.crashed, s.rev.Load())
 
 	st, err := s.restore()
 	if err != nil {

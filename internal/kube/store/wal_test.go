@@ -315,6 +315,9 @@ func TestTornTailTruncateAndRecover(t *testing.T) {
 // epochs: a clean restart restores everything, a torn tail restores below
 // the revision the store had reached, and the floor over the epochs after a
 // tear stays at the tear's restored revision even once writes climb past it.
+// Each crash also records the revision the store had reached, and
+// RevertedUnseen names the readers a tear cut a write from that they never
+// saw.
 func TestCrashRecordsRestoredFloor(t *testing.T) {
 	s := New(sim.NewEnv())
 	s.EnableDurability(nil, nil)
@@ -347,6 +350,19 @@ func TestCrashRecordsRestoredFloor(t *testing.T) {
 	} {
 		if got := s.RestoredFloor(tc.after, tc.through); got != tc.want {
 			t.Errorf("RestoredFloor(%d, %d) = %d, want %d", tc.after, tc.through, got, tc.want)
+		}
+	}
+	// The tear reverted d (rev 4): unseen by a reader that saw epoch 1 only
+	// through c (rev 3), or that was still in epoch 0 then.
+	for _, tc := range []struct {
+		after, through, seen int64
+		want                 bool
+	}{
+		{0, 1, 2, false}, {1, 2, 4, false}, {1, 2, 3, true}, {0, 2, 2, true},
+		{1, 3, 4, false}, {2, 3, 4, false}, {3, 3, 0, false},
+	} {
+		if got := s.RevertedUnseen(tc.after, tc.through, tc.seen); got != tc.want {
+			t.Errorf("RevertedUnseen(%d, %d, %d) = %v, want %v", tc.after, tc.through, tc.seen, got, tc.want)
 		}
 	}
 }

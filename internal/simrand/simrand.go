@@ -22,7 +22,15 @@ func New(seed int64) *Source {
 	return &Source{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
-// Seed returns the seed the stream was created with.
+// Reseed restarts the stream in place on seed: every later draw, and every
+// Fork, is the one New(seed) would give, without a new generator's
+// allocation.
+func (s *Source) Reseed(seed int64) {
+	s.rng.Seed(seed)
+	s.seed = seed
+}
+
+// Seed returns the seed the stream was created (or last reseeded) with.
 func (s *Source) Seed() int64 { return s.seed }
 
 // Fork derives an independent substream identified by name. Forking is a

@@ -2,6 +2,7 @@ package simrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -137,5 +138,38 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("invalid permutation %v", p)
 		}
 		seen[v] = true
+	}
+}
+
+// draws takes one draw of every distribution, in turn, rounds times over,
+// plus the first draw of a fork.
+func draws(s *Source, rounds int) []float64 {
+	var out []float64
+	for range rounds {
+		out = append(out, s.Float64(), float64(s.Intn(1000)), s.Exp(2),
+			float64(s.ExpDuration(time.Second)), s.Normal(10, 2),
+			s.TruncNormal(0.3, 2, 0.05, 1))
+		for _, v := range s.Perm(8) {
+			out = append(out, float64(v))
+		}
+	}
+	return append(out, s.Fork("x").Float64())
+}
+
+// TestReseedIsNew pins what a recycled source relies on: after any number of
+// earlier draws on any seed, Reseed(seed) continues exactly as New(seed)
+// starts, for every distribution and for Fork.
+func TestReseedIsNew(t *testing.T) {
+	f := func(first, seed int64, earlier uint8) bool {
+		s := New(first)
+		draws(s, int(earlier%16))
+		s.Reseed(seed)
+		if s.Seed() != seed {
+			return false
+		}
+		return slices.Equal(draws(s, 8), draws(New(seed), 8))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

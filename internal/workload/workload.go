@@ -89,9 +89,51 @@ func envInt(env map[string]string, key string, def int) int {
 }
 
 // RegisterImages registers both workload images on a cluster.
-func RegisterImages(c *kube.Cluster) {
+func RegisterImages(c *kube.Cluster) { registerImages(c) }
+
+// registerImages is RegisterImages, returning the serve image's sources for
+// the package's tests.
+func registerImages(c *kube.Cluster) *serveSources {
+	src := &serveSources{}
 	c.Images.Register(TrainImage, trainMain)
-	c.Images.Register(ServeImage, serveMain)
+	c.Images.Register(ServeImage, func(ctx *runtime.Ctx) error { return serveMain(ctx, src) })
+	return src
+}
+
+// serveSources recycles one cluster's arrival RNGs: a serve job reseeds a
+// source an earlier job on the cluster returned instead of allocating a new
+// generator (4.9 KB each). The list lives only while a serve job runs, so a
+// quiescent cluster pins none. Each cluster has its own: clusters run in
+// parallel goroutines, and every job of one cluster runs on its one
+// simulation goroutine.
+type serveSources struct {
+	free    []*simrand.Source
+	running int // serve jobs started and not yet exited
+}
+
+// take returns a source on seed's stream.
+func (s *serveSources) take(seed int64) *simrand.Source {
+	n := len(s.free)
+	if n == 0 {
+		return simrand.New(seed)
+	}
+	rng := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	rng.Reseed(seed)
+	return rng
+}
+
+// exit ends a serve job, returning its source (nil if it took none); the
+// cluster's last running serve job drops the list.
+func (s *serveSources) exit(rng *simrand.Source) {
+	if rng != nil {
+		s.free = append(s.free, rng)
+	}
+	s.running--
+	if s.running == 0 {
+		s.free = nil
+	}
 }
 
 // trainMain is the training entrypoint: allocate model + activations, then
@@ -125,7 +167,10 @@ func trainMain(ctx *runtime.Ctx) error {
 // Poisson stream of client requests for the configured duration, draining
 // the backlog before exiting. Its GPU usage is the request rate times the
 // per-request kernel time.
-func serveMain(ctx *runtime.Ctx) error {
+func serveMain(ctx *runtime.Ctx, src *serveSources) error {
+	src.running++
+	var rng *simrand.Source
+	defer func() { src.exit(rng) }() // a killed or failed container's too
 	if ctx.CUDA == nil {
 		return fmt.Errorf("serve: no GPU visible")
 	}
@@ -140,7 +185,7 @@ func serveMain(ctx *runtime.Ctx) error {
 	if err := ctx.CUDA.MemcpyHtoD(ctx.Proc, modelBytes); err != nil {
 		return err
 	}
-	rng := simrand.New(seed)
+	rng = src.take(seed)
 	p := ctx.Proc
 	deadline := p.Env().Now() + duration
 	if rate <= 0 {

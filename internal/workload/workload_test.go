@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -222,5 +223,63 @@ func TestSubmitStopsAtFirstError(t *testing.T) {
 	env.Run()
 	if err != other || apiserver.Pods(srv).Count() != 2 {
 		t.Fatalf("err = %v with %d pods, want the earlier error kept and nothing created", err, apiserver.Pods(srv).Count())
+	}
+}
+
+// TestServeSourcesDroppedWithLastJob: serve jobs on one cluster hand their
+// arrival RNGs to each other, a deleted job's included, and the cluster's
+// free list is gone once its last serve job exits. The probe records each
+// change of (free sources, running serve jobs): a exits and returns its
+// source, c starts and takes it, b is deleted and its killed container
+// returns its own, and c, the last, drops the list.
+func TestServeSourcesDroppedWithLastJob(t *testing.T) {
+	env := sim.NewEnv()
+	c, err := kube.NewCluster(env, kube.DefaultConfig(1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := registerImages(c)
+	serve := func(name, duration string) *api.Pod {
+		return &api.Pod{
+			ObjectMeta: api.ObjectMeta{Name: name},
+			Spec: api.PodSpec{Containers: []api.Container{{
+				Name: "c", Image: ServeImage,
+				Env:      map[string]string{EnvRate: "10", EnvDuration: duration, EnvSeed: name},
+				Requests: api.ResourceList{api.ResourceGPU: 1},
+			}}},
+		}
+	}
+	env.Go("submit", func(p *sim.Proc) {
+		c.Pods().Create(serve("1", "1"))
+		c.Pods().Create(serve("2", "30"))
+		p.Sleep(2500 * time.Millisecond)
+		c.Pods().Create(serve("3", "4"))
+		p.Sleep(1500 * time.Millisecond)
+		c.Pods().Delete("2")
+	})
+	type state struct{ free, running int }
+	seen := []state{{0, 0}}
+	probe := env.Go("probe", func(p *sim.Proc) {
+		for {
+			if s := (state{len(src.free), src.running}); s != seen[len(seen)-1] {
+				seen = append(seen, s)
+			}
+			p.Sleep(10 * time.Millisecond)
+		}
+	})
+	env.RunUntil(time.Minute)
+	probe.Kill(nil)
+	env.Run()
+	want := []state{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {0, 2}, {1, 1}, {0, 0}}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("(free, running) went %v, want %v", seen, want)
+	}
+	if src.free != nil {
+		t.Fatal("the free list outlived the cluster's last serve job")
+	}
+	for _, name := range []string{"1", "3"} {
+		if pod, _ := c.Pods().Get(name); pod.Status.Phase != api.PodSucceeded {
+			t.Errorf("pod %s ended %s (%s)", name, pod.Status.Phase, pod.Status.Message)
+		}
 	}
 }
