@@ -117,13 +117,13 @@ func Example_workflow() {
 	}
 	// Output:
 	// pod1 asks 0.4: node node-0, GPUID vgpu-0001
-	//   vGPU holder vgpu-vgpu-0001-holder on node-0 holds 1 GPU, UUID GPU-01636fd2f66970a7
+	//   vGPU holder vgpu-0001-holder on node-0 holds 1 GPU, UUID GPU-01636fd2f66970a7
 	//   bound pod sharepod-pod1: NVIDIA_VISIBLE_DEVICES=GPU-01636fd2f66970a7
 	// neighbour asks 0.2: node node-1, GPUID vgpu-0002
-	//   vGPU holder vgpu-vgpu-0002-holder on node-1 holds 1 GPU, UUID GPU-09f886d2fb401c5c
+	//   vGPU holder vgpu-0002-holder on node-1 holds 1 GPU, UUID GPU-09f886d2fb401c5c
 	//   bound pod sharepod-neighbour: NVIDIA_VISIBLE_DEVICES=GPU-09f886d2fb401c5c
 	// pod2 asks 0.6: node node-0, GPUID vgpu-0001
-	//   vGPU holder vgpu-vgpu-0001-holder on node-0 holds 1 GPU, UUID GPU-01636fd2f66970a7
+	//   vGPU holder vgpu-0001-holder on node-0 holds 1 GPU, UUID GPU-01636fd2f66970a7
 	//   bound pod sharepod-pod2: NVIDIA_VISIBLE_DEVICES=GPU-01636fd2f66970a7
 	// pod1 Succeeded on GPU-01636fd2f66970a7
 	// neighbour Succeeded on GPU-09f886d2fb401c5c

@@ -118,15 +118,16 @@ func RequestOf(sp *SharePod) Request {
 	}
 }
 
-// holderPodName names the native pod pinning a vGPU's physical GPU. gen is
-// the holder incarnation: 0 for the original, >0 for replacements created by
-// vGPU recovery (the old name may still exist while the corpse is cleaned
-// up, so each incarnation gets a fresh name).
+// holderPodName names the native pod pinning a vGPU's physical GPU after the
+// vGPU (vgpu-0001-holder). gen is the holder incarnation: 0 for the
+// original, >0 for replacements created by vGPU recovery (the old name may
+// still exist while the corpse is cleaned up, so each incarnation gets a
+// fresh name).
 func holderPodName(gpuID string, gen int) string {
 	if gen == 0 {
-		return fmt.Sprintf("vgpu-%s-holder", gpuID)
+		return gpuID + "-holder"
 	}
-	return fmt.Sprintf("vgpu-%s-holder-r%d", gpuID, gen)
+	return fmt.Sprintf("%s-holder-r%d", gpuID, gen)
 }
 
 // boundPodName names the pod realizing a sharePod, versioned by the
