@@ -686,12 +686,14 @@ func TestFanoutAllocsMustNotDependOnWatchers(t *testing.T) {
 	}
 }
 
-// mutateRig is one Client.MutateStatus (statusOnly) — the read-modify-write
-// every kubelet phase report and DevMgr status write goes through — or one
-// Client.Mutate spec write, like a bind, on a Pod whose container carries the
-// given number of env vars, with three live watchers. It also returns the pod
+// mutateRig is one write to a Pod whose container carries the given number
+// of env vars, with three live watchers: a Client.MutateStatus
+// (store.VerbStatus) — the read-modify-write every kubelet phase report and
+// DevMgr status write goes through —, a Client.Mutate spec write
+// (store.VerbSpec), or a Client.Bind (store.VerbBind), a node name and a
+// status field in one write, as a placement makes. It also returns the pod
 // as created.
-func mutateRig(tb testing.TB, envVars int, statusOnly bool) ([]*sim.Queue[store.Event], func() error, *api.Pod) {
+func mutateRig(tb testing.TB, envVars int, verb store.Verb) ([]*sim.Queue[store.Event], func() error, *api.Pod) {
 	srv := apiserver.New(sim.NewEnv())
 	srv.SetWatchHistoryCap(drainEvery)
 	pods := apiserver.Pods(srv)
@@ -711,10 +713,21 @@ func mutateRig(tb testing.TB, envVars int, statusOnly bool) ([]*sim.Queue[store.
 		tb.Fatal(err)
 	}
 	n := 0
-	if !statusOnly {
+	switch verb {
+	case store.VerbSpec:
 		return queues, func() error {
 			_, err := pods.Mutate("p", func(p *api.Pod) error {
 				p.Spec.NodeName = "node-1"
+				return nil
+			})
+			return err
+		}, created
+	case store.VerbBind:
+		return queues, func() error {
+			n++
+			_, err := pods.Bind("p", func(p *api.Pod) error {
+				p.Spec.NodeName = "node-1"
+				p.Status.StartTime = time.Duration(n)
 				return nil
 			})
 			return err
@@ -735,7 +748,7 @@ func mutateRig(tb testing.TB, envVars int, statusOnly bool) ([]*sim.Queue[store.
 func BenchmarkClientMutateStatus(b *testing.B) {
 	for _, envVars := range []int{0, 64} {
 		b.Run("env="+strconv.Itoa(envVars), func(b *testing.B) {
-			queues, write, _ := mutateRig(b, envVars, true)
+			queues, write, _ := mutateRig(b, envVars, store.VerbStatus)
 			timeWrites(b, queues, write)
 		})
 	}
@@ -748,7 +761,7 @@ func BenchmarkClientMutateStatus(b *testing.B) {
 // copied the closure's object again).
 func TestStatusWriteCostMustNotDependOnSpec(t *testing.T) {
 	for _, envVars := range []int{0, 64} {
-		queues, write, _ := mutateRig(t, envVars, true)
+		queues, write, _ := mutateRig(t, envVars, store.VerbStatus)
 		if got := writeAllocs(t, queues, write); got != 1 {
 			t.Errorf("env=%d: %v allocations per MutateStatus, want 1", envVars, got)
 		}
@@ -761,10 +774,23 @@ func TestStatusWriteCostMustNotDependOnSpec(t *testing.T) {
 // struct more while the store copied it again).
 func TestSpecWriteCopiesOnce(t *testing.T) {
 	for _, c := range []struct{ envVars, want int }{{0, 5}, {64, 8}} {
-		queues, write, created := mutateRig(t, c.envVars, false)
+		queues, write, created := mutateRig(t, c.envVars, store.VerbSpec)
 		copyAllocs := testing.AllocsPerRun(100, func() { created.DeepCopyObject() })
 		if got := writeAllocs(t, queues, write); got != float64(c.want) || got != copyAllocs {
 			t.Errorf("env=%d: %v allocations per Mutate, want %d, one DeepCopyObject (%v)", c.envVars, got, c.want, copyAllocs)
+		}
+	}
+}
+
+// TestBindCopiesOnce: a placement through Client.Bind costs one allocation
+// whether the pod carries 0 or 64 env vars — the closure's object, which
+// shares the stored spec and which the store publishes whole — where the
+// Mutate and MutateStatus it replaces cost a DeepCopyObject and a struct.
+func TestBindCopiesOnce(t *testing.T) {
+	for _, envVars := range []int{0, 64} {
+		queues, write, _ := mutateRig(t, envVars, store.VerbBind)
+		if got := writeAllocs(t, queues, write); got != 1 {
+			t.Errorf("env=%d: %v allocations per Bind, want 1", envVars, got)
 		}
 	}
 }

@@ -20,8 +20,7 @@ func TestSharePodRequestBudget(t *testing.T) {
 		reads, writes int64
 	}{
 		{"the user creates the sharePod", 0, 1},
-		{"KubeShare-Sched writes nodeName and GPUID (Mutate)", 1, 1},
-		{"KubeShare-Sched sets it Scheduled (MutateStatus)", 1, 1},
+		{"KubeShare-Sched binds nodeName, GPUID and Scheduled (Bind)", 1, 1},
 		{"DevMgr's vGPU pass finds no VGPU, creates it and its holder pod", 1, 2},
 		{"the kubelet reports the holder Running (MutateStatus)", 1, 1},
 		{"DevMgr's vGPU pass on the holder's report writes the UUID (MutateStatus)", 2, 1},

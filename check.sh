@@ -67,8 +67,8 @@ go run ./tools/benchgate
 # name so none can silently vanish: the kernel micro-benchmarks (TimerChurn's
 # one closure, the rest nothing), a store status write (one allocation at 1,
 # 8 and 32 watchers), Client.MutateStatus (one, with 0 or 64 env vars),
-# Client.Mutate (one DeepCopyObject of the pod, likewise), Client.Create (no
-# copy: three, with 0 or 64 env vars), a logged write (the volatile write's one), a kernel launch (nothing, under
+# Client.Mutate (one DeepCopyObject of the pod, likewise), Client.Bind (one,
+# likewise), Client.Create (no copy: three, with 0 or 64 env vars), a logged write (the volatile write's one), a kernel launch (nothing, under
 # every strategy), a placement staged and rolled back on an unlabeled pool
 # device, the snapshot's refresh of a device it holds and core.Schedule on a
 # pool of loaded unlabeled devices (nothing), Fig 11's decision (one: its
@@ -85,7 +85,7 @@ go run ./tools/benchgate
 # columns that exist, and no verdict outside a generated block.
 named TestMicroBenchmarkAllocsHeldExactly go test ./internal/sim/
 named TestPlacementAllocsHeldExactly go test ./internal/experiments/
-named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce|TestCreateCopiesNothing' go test .
+named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce|TestBindCopiesOnce|TestCreateCopiesNothing' go test .
 named TestLoggingAWriteAllocatesNothing go test ./internal/kube/store/
 named TestLaunchKernelAllocs go test ./internal/devlib/
 # State recycled inside the program that uses it, by name: a reseeded
@@ -234,6 +234,12 @@ go test ./internal/core/ -run xxx -fuzz 'FuzzValidateSharePodSpec$' -fuzztime 5s
 # all-or-nothing, and the parking reference model. (Algorithm 1's own
 # properties live in internal/core, which the race pass above covers.)
 GOMAXPROCS=4 go test -race ./internal/core/schedfw/...
+# A placement is one write, by name so it cannot silently vanish: a SharePod
+# watcher sees GPUID, NodeName, Scheduled and ScheduledTime arrive in one
+# event under the framework driver (batch 1 and 256) and the extender, a
+# requeue clear the placement, set Pending and count the restart in one, and
+# kube-scheduler's bind set NodeName and ScheduledTime in one.
+named TestPlacementIsOneEvent go test ./internal/core/schedfw/
 # The persistent pool's own properties, by name so they cannot silently
 # vanish: narrowing a decision to Pool.Fitting's candidates never changes it
 # (against core.Decide walking every device, and against Algorithm 1 as the

@@ -123,18 +123,12 @@ func (s *Extender) runCycle(p *sim.Proc) bool {
 	return false
 }
 
-// commit writes a placement. A refused spec write leaves the sharePod to a
-// later cycle; a refused status write leaves it Pending, and DevMgr binds
-// the placement.
+// commit writes a placement and the Scheduled phase in one Bind. A refused
+// write leaves the sharePod to a later cycle.
 func (s *Extender) commit(name, gpuID, node string) {
-	if _, err := core.SharePods(s.srv).Mutate(name, func(cur *core.SharePod) error {
+	_, _ = core.SharePods(s.srv).Bind(name, func(cur *core.SharePod) error {
 		cur.Spec.GPUID = gpuID
 		cur.Spec.NodeName = node
-		return nil
-	}); err != nil {
-		return
-	}
-	_, _ = core.SharePods(s.srv).MutateStatus(name, func(cur *core.SharePod) error {
 		cur.Status.Phase = core.SharePodScheduled
 		cur.Status.ScheduledTime = s.env.Now()
 		return nil

@@ -486,26 +486,19 @@ func (s *Scheduler) commit(st staged, cycleStart time.Duration) {
 	s.applyPlacement(st.name, st.dec)
 }
 
-// applyPlacement commits a placement: the GPUID/NodeName assignment through
-// the spec, the phase transition through the status subresource, written
-// through into the snapshot immediately so back-to-back cycles cannot
-// double-book residuals.
+// applyPlacement commits a placement: the GPUID/NodeName assignment and the
+// phase transition in one Bind, written through into the snapshot
+// immediately so back-to-back cycles cannot double-book residuals.
 func (s *Scheduler) applyPlacement(name string, dec core.Decision) {
-	sps := core.SharePods(s.srv)
-	if _, err := sps.Mutate(name, func(cur *core.SharePod) error {
+	updated, err := core.SharePods(s.srv).Bind(name, func(cur *core.SharePod) error {
 		cur.Spec.GPUID = dec.GPUID
 		cur.Spec.NodeName = dec.NodeName
-		return nil
-	}); err != nil {
-		return // not written through: the sharePod stays pending for a later cycle
-	}
-	updated, err := sps.MutateStatus(name, func(cur *core.SharePod) error {
 		cur.Status.Phase = core.SharePodScheduled
 		cur.Status.ScheduledTime = s.env.Now()
 		return nil
 	})
 	if err != nil {
-		return
+		return // not written through: the sharePod stays pending for a later cycle
 	}
 	s.snap.Placed(updated)
 }

@@ -10,6 +10,8 @@ import (
 	"kubeshare/internal/core/schedfw/fwk"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
+	"kubeshare/internal/kube/runtime"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
@@ -421,4 +423,121 @@ func TestExtenderOnFramework(t *testing.T) {
 	if st := ks.Stats(); st.Decisions < 2 {
 		t.Errorf("extender decisions = %d, want >= 2", st.Decisions)
 	}
+}
+
+// TestPlacementIsOneEvent: a placement is one revision, so a SharePod
+// watcher never sees half of one. Under the framework driver (batch 1 and
+// 256) and the extender, each placement reaches the watcher as one Modified
+// event carrying GPUID, NodeName, Scheduled and a fresh ScheduledTime, and
+// no event shows a placed sharePod still Pending. The requeue after a lost
+// bound pod is one event too — GPUID and NodeName cleared, Pending,
+// Restarts+1 — so none shows an unplaced sharePod still Running; the
+// re-placement follows as one more. And kube-scheduler's bind of a native
+// pod sets NodeName and ScheduledTime in one event.
+func TestPlacementIsOneEvent(t *testing.T) {
+	for _, driver := range []struct {
+		name    string
+		install func(*kube.Cluster) (*core.KubeShare, error)
+	}{
+		{"framework/batch=1", func(c *kube.Cluster) (*core.KubeShare, error) {
+			return schedfw.Install(c, core.Config{}, schedfw.WithBatchSize(1))
+		}},
+		{"framework/batch=256", func(c *kube.Cluster) (*core.KubeShare, error) {
+			return schedfw.Install(c, core.Config{}, schedfw.WithBatchSize(256))
+		}},
+		{"extender", func(c *kube.Cluster) (*core.KubeShare, error) {
+			ks, _, err := schedfw.InstallExtender(c, core.Config{})
+			return ks, err
+		}},
+	} {
+		t.Run(driver.name, func(t *testing.T) {
+			s := newStack(t, 2, 2, driver.install)
+			q := s.c.API.Watch(core.KindSharePod, false)
+			const n = 6
+			lost := ""
+			s.env.Go("submit", func(p *sim.Proc) {
+				p.Sleep(time.Second)
+				for i := 0; i < n; i++ {
+					s.create(t, trainPod(fmt.Sprintf("sp-%d", i), 0.5, 0.25, 200))
+				}
+				for lost == "" {
+					p.Sleep(500 * time.Millisecond)
+					if sp := s.get(t, "sp-0"); sp.Status.Phase == core.SharePodRunning {
+						lost = sp.Status.BoundPod
+						if err := s.c.Pods().Delete(lost); err != nil {
+							t.Errorf("delete %s: %v", lost, err)
+						}
+					}
+				}
+			})
+			s.env.Run()
+			last := map[string]*core.SharePod{}
+			placements, requeues := map[string]int{}, 0
+			for ev, ok := q.TryGet(); ok; ev, ok = q.TryGet() {
+				sp, was := ev.Object.(*core.SharePod), last[ev.Object.GetMeta().Name]
+				last[sp.Name] = sp
+				if ev.Type != store.Modified {
+					continue
+				}
+				pending := sp.Status.Phase == "" || sp.Status.Phase == core.SharePodPending
+				if !sp.Terminated() && sp.Placed() == pending {
+					t.Errorf("rev %d: %s on %q/%q is %s: a watcher saw half a write",
+						ev.Rev, sp.Name, sp.Spec.NodeName, sp.Spec.GPUID, sp.Status.Phase)
+				}
+				switch {
+				case sp.Placed() && !was.Placed():
+					placements[sp.Name]++
+					if sp.Spec.NodeName == "" || sp.Status.Phase != core.SharePodScheduled ||
+						sp.Status.ScheduledTime <= was.Status.ScheduledTime {
+						t.Errorf("rev %d: %s placed on %q as %s at %v (before: %v), want a node, Scheduled and a new ScheduledTime",
+							ev.Rev, sp.Name, sp.Spec.NodeName, sp.Status.Phase, sp.Status.ScheduledTime, was.Status.ScheduledTime)
+					}
+				case !sp.Placed() && was.Placed():
+					requeues++
+					if sp.Spec.NodeName != "" || sp.Status.Phase != core.SharePodPending ||
+						sp.Status.Restarts != was.Status.Restarts+1 {
+						t.Errorf("rev %d: %s requeued to %q as %s with %d restarts (before: %d), want no node, Pending and one more restart",
+							ev.Rev, sp.Name, sp.Spec.NodeName, sp.Status.Phase, sp.Status.Restarts, was.Status.Restarts)
+					}
+				}
+			}
+			if lost == "" || requeues != 1 {
+				t.Fatalf("lost bound pod %q gave %d requeues, want one", lost, requeues)
+			}
+			for i := 0; i < n; i++ {
+				name := fmt.Sprintf("sp-%d", i)
+				if sp := last[name]; sp == nil || sp.Status.Phase != core.SharePodSucceeded || placements[name] != 1+sp.Status.Restarts {
+					t.Errorf("%s: last seen %v after %d placements, want Succeeded, placed once per run", name, sp, placements[name])
+				}
+			}
+		})
+	}
+	t.Run("kube-scheduler", func(t *testing.T) {
+		s := newStack(t, 1, 0, func(*kube.Cluster) (*core.KubeShare, error) { return nil, nil })
+		s.c.Images.Register("sleep", func(ctx *runtime.Ctx) error {
+			ctx.Proc.Sleep(time.Second)
+			return nil
+		})
+		q := s.c.API.WatchFiltered("Pod", store.WatchOptions{Name: "native"})
+		s.env.Go("submit", func(p *sim.Proc) {
+			p.Sleep(time.Second)
+			if _, err := s.c.Pods().Create(&api.Pod{
+				ObjectMeta: api.ObjectMeta{Name: "native"},
+				Spec:       api.PodSpec{Containers: []api.Container{{Name: "main", Image: "sleep"}}},
+			}); err != nil {
+				t.Error(err)
+			}
+		})
+		s.env.Run()
+		var binds []*api.Pod
+		for ev, ok := q.TryGet(); ok; ev, ok = q.TryGet() {
+			if pod := ev.Object.(*api.Pod); ev.Type == store.Modified && (pod.Spec.NodeName != "" || pod.Status.ScheduledTime != 0) {
+				binds = append(binds, pod)
+				break
+			}
+		}
+		if len(binds) != 1 || binds[0].Spec.NodeName == "" || binds[0].Status.ScheduledTime == 0 {
+			t.Fatalf("first bind event %v, want NodeName and ScheduledTime together", binds)
+		}
+	})
 }

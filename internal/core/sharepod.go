@@ -196,9 +196,9 @@ func (s *SharePod) DecodeBinary(d *api.Dec) {
 	st.ScheduledTime, st.RunningTime, st.FinishTime = d.Duration(), d.Duration(), d.Duration()
 }
 
-// WithStatusFrom implements api.StatusCarrier: KubeShare-Sched owns the
-// spec's placement fields while DevMgr reports status, so the two write
-// through separate subresources and never race.
+// WithStatusFrom implements api.StatusCarrier: DevMgr reports status
+// through the status subresource, and a placement (Client.Bind) writes the
+// spec's scalar placement fields beside it, so neither copies the pod spec.
 func (s *SharePod) WithStatusFrom(src api.Object) api.Object {
 	out := *s
 	out.Status = src.(*SharePod).Status
@@ -234,24 +234,17 @@ func (s *SharePod) Placed() bool { return s.Spec.GPUID != "" }
 // sharePod, and a vGPU lost with no bound pod to delete — under either
 // scheduling driver. It requeues only while the sharePod's bound pod is
 // still boundPod ("" for one never bound), so a stale report of a
-// predecessor's loss changes nothing. The writes cannot race with a
-// placement in flight — every writer runs in the same cooperative
-// scheduler and performs its read-decide-write without yielding. Returns
-// the updated object, or nil when the sharePod is gone, terminal, already
+// predecessor's loss changes nothing. Placement and phase change in one
+// Bind, so no watcher sees an unplaced sharePod still Running. Returns the
+// updated object, or nil when the sharePod is gone, terminal, already
 // unplaced, or bound elsewhere.
 func RequeueSharePod(srv *apiserver.Server, name, boundPod string) *SharePod {
-	sps := SharePods(srv)
-	if _, err := sps.Mutate(name, func(cur *SharePod) error {
+	updated, err := SharePods(srv).Bind(name, func(cur *SharePod) error {
 		if cur.Terminated() || !cur.Placed() || cur.Status.BoundPod != boundPod {
 			return errUnchanged
 		}
 		cur.Spec.GPUID = ""
 		cur.Spec.NodeName = ""
-		return nil
-	}); err != nil {
-		return nil
-	}
-	updated, err := sps.MutateStatus(name, func(cur *SharePod) error {
 		cur.Status.Phase = SharePodPending
 		cur.Status.BoundPod = ""
 		cur.Status.UUID = ""

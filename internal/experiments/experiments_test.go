@@ -81,8 +81,8 @@ func TestFig17RecoverySweep(t *testing.T) {
 	for _, row := range tb.Rows {
 		rows = append(rows, strings.Join(row, " "))
 	}
-	want := "20 5 2 0 38 0.092 0.00 0 12 56.0\n20 -1 2 0 191 0.426 0.00 0 12 56.0\n" +
-		"10 5 6 2 73 0.196 0.00 0 12 56.0\n10 -1 6 2 714 1.594 0.00 0 12 56.0"
+	want := "20 5 2 0 36 0.087 0.00 0 12 56.0\n20 -1 2 0 180 0.401 0.00 0 12 56.0\n" +
+		"10 5 6 2 69 0.187 0.00 0 12 56.0\n10 -1 6 2 669 1.493 0.00 0 12 56.0"
 	if got := strings.Join(rows, "\n"); got != want {
 		t.Errorf("fig17 rows:\n%s\nwant:\n%s", got, want)
 	}

@@ -6,13 +6,14 @@
 // The client API distinguishes spec writes (Mutate) from status writes
 // (MutateStatus), mirroring the status subresource: a controller updating
 // an object's status can never clobber a concurrent spec write and vice
-// versa. These two read-modify-write loops are the one way to change an
-// object that exists. Lists and watches are per kind, as the store is keyed;
+// versa. A placement writes both in one revision (Bind), as Kubernetes'
+// pods/binding does. These three read-modify-write loops are the one way to
+// change an object that exists. Lists and watches are per kind, as the store is keyed;
 // a watch can be narrowed server-side (WatchFiltered), and what it wants is
 // said one way, in the store's WatchOptions.
 //
 // Reads follow one rule: a component reads a kind it informs on from its own
-// Reflector (Cached). Only Mutate/MutateStatus must Get, since optimistic
+// Reflector (Cached). Only the writes (Mutate, MutateStatus, Bind) must Get, since optimistic
 // concurrency needs the stored version; any other Get says in a comment why
 // the cache cannot answer (a miss may be an object undelivered or gone).
 //
@@ -20,8 +21,8 @@
 // what Get, List and a write return, what watch and reflector events and
 // Scan callbacks carry — is the shared read-only snapshot of a revision. The
 // only objects a caller may write to are ones it built itself and the one
-// Mutate/MutateStatus passes its closure — and in MutateStatus only its
-// Status. A write publishes the object it is handed,
+// a write passes its closure — in MutateStatus only its Status, in Bind its
+// Status and scalar spec fields. A write publishes the object it is handed,
 // uncopied — what a caller passes to Create, what a closure changed — so
 // that object must not be written to afterwards, nor share a map or slice
 // with anything that is.
@@ -98,7 +99,7 @@ func (s *Server) Store() *store.Store { return s.store }
 func (s *Server) Obs() *obs.Runtime { return s.rt }
 
 // RegisterValidator adds an admission validator for a kind, run on Create
-// and on each write a Mutate or MutateStatus makes. Registering
+// and on each write a Mutate, MutateStatus or Bind makes. Registering
 // custom-resource validators is how KubeShare installs its SharePod CRD
 // checks.
 func (s *Server) RegisterValidator(kind string, fn func(api.Object) error) {
@@ -134,14 +135,14 @@ func (s *Server) Create(obj api.Object) (api.Object, error) {
 }
 
 // commit validates obj, a working object the caller gives up, and has the
-// store publish it as the next revision (store.Commit): a status write when
-// statusOnly, a spec write otherwise. ErrConflict on a stale version.
-func (s *Server) commit(obj api.Object, statusOnly bool) (api.Object, error) {
+// store publish it as the next revision (store.Commit) under verb.
+// ErrConflict on a stale version.
+func (s *Server) commit(obj api.Object, verb store.Verb) (api.Object, error) {
 	if err := s.validate(obj); err != nil {
 		return nil, err
 	}
 	s.reqWrites.Inc()
-	return s.store.Commit(obj, statusOnly)
+	return s.store.Commit(obj, verb)
 }
 
 // Get fetches one object's current snapshot.
@@ -284,11 +285,11 @@ func (c Client[T]) Watch(replay bool) *sim.Queue[store.Event] {
 // hands mutate a private deep copy to change and writes it, retrying on
 // version conflicts with a fresh copy. mutate must be idempotent. Status
 // changes made by mutate are discarded for kinds with a status subresource —
-// use MutateStatus. The store publishes the object mutate changed as the new
-// revision, without copying it again: mutate must not keep it, nor any map
-// or slice it put into it, past its return.
+// use MutateStatus, or Bind to write both. The store publishes the object
+// mutate changed as the new revision, without copying it again: mutate must
+// not keep it, nor any map or slice it put into it, past its return.
 func (c Client[T]) Mutate(name string, mutate func(T) error) (T, error) {
-	return c.mutate(name, mutate, false)
+	return c.mutate(name, mutate, store.VerbSpec)
 }
 
 // MutateStatus is Mutate against the status subresource: only status
@@ -297,10 +298,19 @@ func (c Client[T]) Mutate(name string, mutate func(T) error) (T, error) {
 // stored snapshot's: read them, write only Status. As in Mutate, that object
 // becomes the published revision: mutate must not keep it.
 func (c Client[T]) MutateStatus(name string, mutate func(T) error) (T, error) {
-	return c.mutate(name, mutate, true)
+	return c.mutate(name, mutate, store.VerbStatus)
 }
 
-func (c Client[T]) mutate(name string, mutate func(T) error, statusOnly bool) (T, error) {
+// Bind is MutateStatus widened to the spec's scalar fields, the placement
+// write: mutate receives the same object (the stored spec and metadata, its
+// own Status) and may write Status and scalar spec fields such as a node
+// name, never a map or slice, which are the stored snapshot's. The store
+// publishes that object whole, so spec and status change in one revision.
+func (c Client[T]) Bind(name string, mutate func(T) error) (T, error) {
+	return c.mutate(name, mutate, store.VerbBind)
+}
+
+func (c Client[T]) mutate(name string, mutate func(T) error, verb store.Verb) (T, error) {
 	var zero T
 	for {
 		cur, err := c.Get(name)
@@ -309,7 +319,7 @@ func (c Client[T]) mutate(name string, mutate func(T) error, statusOnly bool) (T
 		}
 		// cur is the shared snapshot; the closure gets a working object.
 		var work T
-		if sc, carries := api.Object(cur).(api.StatusCarrier); carries && statusOnly {
+		if sc, carries := api.Object(cur).(api.StatusCarrier); carries && verb != store.VerbSpec {
 			work = sc.WithStatusFrom(sc).(T)
 		} else {
 			work = cur.DeepCopyObject().(T)
@@ -317,7 +327,7 @@ func (c Client[T]) mutate(name string, mutate func(T) error, statusOnly bool) (T
 		if err := mutate(work); err != nil {
 			return zero, err
 		}
-		out, err := c.s.commit(work, statusOnly)
+		out, err := c.s.commit(work, verb)
 		if err == nil {
 			return out.(T), nil
 		}

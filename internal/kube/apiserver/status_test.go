@@ -7,6 +7,7 @@ import (
 	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/kube/store/storetest"
 	"kubeshare/internal/sim"
 )
@@ -23,11 +24,11 @@ type carrier[T api.StatusCarrier] struct {
 }
 
 // TestStatusSubresourceIsolation holds the status subresource's contract on
-// every kind that has one, through both writes: a spec write (Mutate) drops
-// the status its closure wrote, a status write (MutateStatus) drops the spec
-// and the labels its closure wrote — so label watches see the stored ones —
-// and a write that conflicts retries on a fresh working object until it
-// lands. The canary checks that no shared snapshot was written on the way.
+// every kind that has one, through all three writes: a spec write (Mutate)
+// drops the status its closure wrote, a status write (MutateStatus) drops the
+// spec and the labels its closure wrote — so label watches see the stored
+// ones —, a bind (Bind) keeps all of them, and a write that conflicts
+// retries on a fresh working object until it lands. The canary checks that no shared snapshot was written on the way.
 func TestStatusSubresourceIsolation(t *testing.T) {
 	meta := func() api.ObjectMeta { return api.ObjectMeta{Name: "a", Labels: map[string]string{"app": "x"}} }
 	t.Run("Pod", carrier[*api.Pod]{
@@ -63,14 +64,16 @@ func TestStatusSubresourceIsolation(t *testing.T) {
 }
 
 func (c carrier[T]) run(t *testing.T) {
-	t.Run("Mutate", func(t *testing.T) { c.write(t, false) })
-	t.Run("MutateStatus", func(t *testing.T) { c.write(t, true) })
+	t.Run("Mutate", func(t *testing.T) { c.write(t, store.VerbSpec) })
+	t.Run("MutateStatus", func(t *testing.T) { c.write(t, store.VerbStatus) })
+	t.Run("Bind", func(t *testing.T) { c.write(t, store.VerbBind) })
 }
 
-// write makes one spec or status write whose closure writes both halves,
-// and, on its first call, has a concurrent spec write add the label
-// extra=y, so that the write conflicts once.
-func (c carrier[T]) write(t *testing.T, statusOnly bool) {
+// write makes one spec, status or bind write whose closure writes both
+// halves and replaces the labels with a fresh map, and, on its first call,
+// has a concurrent spec write add the label extra=y, so that the write
+// conflicts once.
+func (c carrier[T]) write(t *testing.T, verb store.Verb) {
 	srv := apiserver.New(sim.NewEnv())
 	storetest.Install(t, srv.Store())
 	cl := c.client(srv)
@@ -98,8 +101,11 @@ func (c carrier[T]) write(t *testing.T, statusOnly bool) {
 		return nil
 	}
 	write, kept := cl.Mutate, c.spec
-	if statusOnly {
+	switch verb {
+	case store.VerbStatus:
 		write, kept = cl.MutateStatus, c.status
+	case store.VerbBind:
+		write, kept = cl.Bind, func(o T) { c.spec(o); c.status(o) }
 	}
 	got, err := write("a", closure)
 	if err != nil {
@@ -113,7 +119,7 @@ func (c carrier[T]) write(t *testing.T, statusOnly bool) {
 	want := created.DeepCopyObject().(T)
 	want.GetMeta().Labels["extra"] = "y"
 	kept(want)
-	if !statusOnly {
+	if verb != store.VerbStatus {
 		want.GetMeta().Labels = map[string]string{"app": "y"}
 	}
 	want.GetMeta().ResourceVersion = got.GetMeta().ResourceVersion
@@ -123,9 +129,9 @@ func (c carrier[T]) write(t *testing.T, statusOnly bool) {
 	if stored, err := cl.Get("a"); err != nil || api.Object(stored) != api.Object(got) {
 		t.Fatalf("Get = %v, %v; want the published revision", stored, err)
 	}
-	// A label watch is shown the closure's labels after a spec write, the
-	// stored ones after a status write.
-	for key, wantFound := range map[string]bool{"app": true, "extra": statusOnly} {
+	// A label watch is shown the closure's labels after a spec write or a
+	// bind, the stored ones after a status write.
+	for key, wantFound := range map[string]bool{"app": true, "extra": verb == store.VerbStatus} {
 		q := srv.WatchFiltered(got.Kind(), apiserver.WatchOptions{Label: key, Replay: true})
 		if found := q.Len() == 1; found != wantFound {
 			t.Errorf("a watch on label %s replayed it: %v, want %v", key, found, wantFound)

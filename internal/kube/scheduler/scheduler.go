@@ -216,26 +216,20 @@ func (s *Scheduler) scheduleOne(pod *api.Pod) {
 	if node == "" {
 		return
 	}
-	pods := apiserver.Pods(s.srv)
-	updated, err := pods.Mutate(pod.Name, func(p *api.Pod) error {
+	// NodeName and ScheduledTime land in one revision, as the pods/binding
+	// subresource writes them; a kubelet phase report in between makes the
+	// Bind conflict and retry on it, never lose it.
+	updated, err := apiserver.Pods(s.srv).Bind(pod.Name, func(p *api.Pod) error {
 		if p.Spec.NodeName == "" {
 			p.Spec.NodeName = node
+		}
+		if p.Status.ScheduledTime == 0 {
+			p.Status.ScheduledTime = s.env.Now()
 		}
 		return nil
 	})
 	if err != nil {
 		s.setPod(pod.Name, nil) // deleted while in queue
-		return
-	}
-	// ScheduledTime is status; written through the status subresource so the
-	// bind above never races with kubelet phase reports.
-	if updated, err = pods.MutateStatus(pod.Name, func(p *api.Pod) error {
-		if p.Status.ScheduledTime == 0 {
-			p.Status.ScheduledTime = s.env.Now()
-		}
-		return nil
-	}); err != nil {
-		s.setPod(pod.Name, nil)
 		return
 	}
 	s.setPod(pod.Name, updated)

@@ -37,11 +37,12 @@
 // The store copies on the way in, never on the way out: Create and Update
 // deep-copy their argument, and UpdateStatus copies only the status. The
 // exceptions are the owning writes apiserver uses, Insert (Create's) and
-// Commit (Update's), which publish the object they are handed — the one
-// Client.Create's caller built, or the working object Client.Mutate built —
-// so a create copies nothing and a write copies once. A status write shares the stored spec and
-// metadata, and a spec write the stored status, with the revision before
-// (api.StatusCarrier.Overlay). Results are therefore read-only: to change an
+// Commit (every write's), which publish the object they are handed — the one
+// Client.Create's caller built, or the working object a Client write built —
+// so a create copies nothing and a write copies once. A status write shares
+// the stored spec and metadata, and a spec write the stored status, with the
+// revision before (api.StatusCarrier.Overlay); a bind publishes its object
+// whole. Results are therefore read-only: to change an
 // object, write back a changed DeepCopyObject of it (Client.Mutate does).
 package store
 
@@ -333,6 +334,22 @@ func (s *Store) Insert(obj api.Object) (api.Object, error) {
 	return obj, nil
 }
 
+// Verb names what a Commit takes from the caller's object of a kind with a
+// status subresource (api.StatusCarrier); other kinds are written whole
+// whatever the verb.
+type Verb uint8
+
+const (
+	// VerbSpec takes the caller's spec and metadata, keeping the stored status.
+	VerbSpec Verb = iota
+	// VerbStatus takes the caller's status, keeping the stored spec and
+	// metadata.
+	VerbStatus
+	// VerbBind takes the caller's object whole: spec and status in one
+	// revision, as a placement writes them.
+	VerbBind
+)
+
 // Update publishes a new revision built from a copy of obj and returns it
 // (the read-only snapshot). obj must carry the ResourceVersion the caller
 // read; a stale version yields ErrConflict. UID and CreationTime are
@@ -340,7 +357,7 @@ func (s *Store) Insert(obj api.Object) (api.Object, error) {
 // (api.StatusCarrier) the stored status is preserved too — status writes go
 // through UpdateStatus.
 func (s *Store) Update(obj api.Object) (api.Object, error) {
-	return s.Commit(obj.DeepCopyObject(), false)
+	return s.Commit(obj.DeepCopyObject(), VerbSpec)
 }
 
 // UpdateStatus publishes a new revision carrying a copy of obj's status over
@@ -349,18 +366,19 @@ func (s *Store) Update(obj api.Object) (api.Object, error) {
 // ignored. Objects that are no api.StatusCarrier get a whole-object Update.
 func (s *Store) UpdateStatus(obj api.Object) (api.Object, error) {
 	if sc, carries := obj.(api.StatusCarrier); carries {
-		return s.Commit(sc.WithStatusFrom(sc), true)
+		return s.Commit(sc.WithStatusFrom(sc), VerbStatus)
 	}
-	return s.Commit(obj.DeepCopyObject(), true)
+	return s.Commit(obj.DeepCopyObject(), VerbStatus)
 }
 
-// Commit is Update (statusOnly false) or UpdateStatus (true) for an object
-// the caller owns and gives up: it publishes obj itself, overlaid in place
-// with the stored status or the stored spec and metadata, and returns it.
-// obj may share memory with published snapshots but with nothing the caller
-// still holds, and after the call the caller must not write to it. On an
-// error obj is untouched.
-func (s *Store) Commit(obj api.Object, statusOnly bool) (api.Object, error) {
+// Commit is Update (VerbSpec), UpdateStatus (VerbStatus) or a bind
+// (VerbBind) for an object the caller owns and gives up: it publishes obj
+// itself — overlaid in place with the stored status, or the stored spec and
+// metadata, or as it is for a bind — and returns it. obj may share memory
+// with published snapshots but with nothing the caller still holds, and
+// after the call the caller must not write to it. On an error obj is
+// untouched.
+func (s *Store) Commit(obj api.Object, verb Verb) (api.Object, error) {
 	kind := obj.Kind()
 	meta := obj.GetMeta()
 	name := meta.Name
@@ -376,14 +394,13 @@ func (s *Store) Commit(obj api.Object, statusOnly bool) (api.Object, error) {
 		return nil, fmt.Errorf("%w: %s (have %d, stored %d)", ErrConflict,
 			api.Key(obj), meta.ResourceVersion, curMeta.ResourceVersion)
 	}
-	sc, carries := obj.(api.StatusCarrier)
-	statusOnly = statusOnly && carries
-	if statusOnly {
-		// Stored spec + metadata (shared, labels included), caller's status.
-		sc.Overlay(cur, obj)
-	} else if carries {
-		// Caller's spec + metadata, stored status.
-		sc.Overlay(obj, cur)
+	if sc, carries := obj.(api.StatusCarrier); carries {
+		switch verb {
+		case VerbSpec: // caller's spec + metadata, stored status
+			sc.Overlay(obj, cur)
+		case VerbStatus: // stored spec + metadata (shared, labels included), caller's status
+			sc.Overlay(cur, obj)
+		}
 	}
 	rv := s.rev.Add(1)
 	meta.ResourceVersion = rv
