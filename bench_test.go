@@ -784,8 +784,9 @@ func TestSpecWriteCopiesOnce(t *testing.T) {
 
 // TestBindCopiesOnce: a placement through Client.Bind costs one allocation
 // whether the pod carries 0 or 64 env vars — the closure's object, which
-// shares the stored spec and which the store publishes whole — where the
-// Mutate and MutateStatus it replaces cost a DeepCopyObject and a struct.
+// shares the stored spec and which the store publishes whole — where a
+// Mutate and a MutateStatus writing the same fields cost a DeepCopyObject
+// and a struct.
 func TestBindCopiesOnce(t *testing.T) {
 	for _, envVars := range []int{0, 64} {
 		queues, write, _ := mutateRig(t, envVars, store.VerbBind)

@@ -8,12 +8,12 @@
 // an object's status can never clobber a concurrent spec write and vice
 // versa. A placement writes both in one revision (Bind), as Kubernetes'
 // pods/binding does. These three read-modify-write loops are the one way to
-// change an object that exists. Lists and watches are per kind, as the store is keyed;
-// a watch can be narrowed server-side (WatchFiltered), and what it wants is
-// said one way, in the store's WatchOptions.
+// change an object that exists. Lists and watches are per kind, as the store
+// is keyed; a watch can be narrowed server-side (WatchFiltered), and what it
+// wants is said one way, in the store's WatchOptions.
 //
 // Reads follow one rule: a component reads a kind it informs on from its own
-// Reflector (Cached). Only the writes (Mutate, MutateStatus, Bind) must Get, since optimistic
+// Reflector (Cached). Only the three writes must Get, since optimistic
 // concurrency needs the stored version; any other Get says in a comment why
 // the cache cannot answer (a miss may be an object undelivered or gone).
 //

@@ -42,8 +42,8 @@
 // so a create copies nothing and a write copies once. A status write shares
 // the stored spec and metadata, and a spec write the stored status, with the
 // revision before (api.StatusCarrier.Overlay); a bind publishes its object
-// whole. Results are therefore read-only: to change an
-// object, write back a changed DeepCopyObject of it (Client.Mutate does).
+// whole. Results are therefore read-only: to change an object, write back a
+// changed DeepCopyObject of it (Client.Mutate does).
 package store
 
 import (
