@@ -298,56 +298,6 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMemOvercommit contrasts fitting working sets with
-// over-committed swapped ones (the §6 trade-off): same jobs, the swap
-// traffic stretches the makespan.
-func BenchmarkAblationMemOvercommit(b *testing.B) {
-	run := func(b *testing.B, mem float64, factor float64) float64 {
-		opts := []Option{WithGPUsPerNode(1)}
-		if factor > 1 {
-			opts = append(opts, WithMemOvercommit(factor))
-		}
-		s, err := New(opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.RegisterImage("burn", func(ctx *ContainerCtx) error {
-			if _, err := ctx.CUDA.MemAlloc(ctx.Proc, int64(mem*0.95*float64(16<<30))); err != nil {
-				return err
-			}
-			for i := 0; i < 100; i++ {
-				if err := ctx.CUDA.LaunchKernel(ctx.Proc, 10*time.Millisecond); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		s.Go("submit", func(p *sim.Proc) {
-			for _, n := range []string{"a", "b"} {
-				s.CreateSharePod(&SharePod{
-					ObjectMeta: ObjectMeta{Name: n},
-					Spec: SharePodSpec{
-						GPURequest: 0.5, GPULimit: 1, GPUMem: mem,
-						Pod: PodSpec{Containers: []Container{{Name: "c", Image: "burn"}}},
-					},
-				})
-			}
-		})
-		s.Run()
-		return s.Now().Seconds()
-	}
-	b.Run("fitting-0.4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.ReportMetric(run(b, 0.4, 1), "makespan-s")
-		}
-	})
-	b.Run("overcommit-0.7x1.5", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.ReportMetric(run(b, 0.7, 1.5), "makespan-s")
-		}
-	})
-}
-
 // BenchmarkAblationResidualPolicy contrasts the paper's lowest-usage-first
 // residual distribution with plain FIFO: one big-kernel tenant against two
 // small-kernel ones, reporting the big tenant's share (≈0.33 fair vs ≈0.67

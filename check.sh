@@ -54,7 +54,7 @@ named TestScanResolvesConstantsPerPackage go test ./tools/metricsdoc/
 # scenarios, and each surviving option's effect beside the run without it —
 # and sharepodctl replays a scripted session, malformed line included, to a
 # golden transcript.
-named 'Example_workflow|Example_quickstart|Example_inferenceServing|Example_interference|Example_trainingIsolation|Example_replicatedServing|ExampleWithPoolPolicy|ExampleWithMemOvercommit|ExampleWithExtenderScheduler|ExampleWithGangTimeout|ExampleWithoutKubeShare|ExampleWithoutObservability' go test .
+named 'Example_workflow|Example_quickstart|Example_inferenceServing|Example_interference|Example_trainingIsolation|Example_replicatedServing|ExampleWithPoolPolicy|ExampleWithExtenderScheduler|ExampleWithGangTimeout|ExampleWithoutKubeShare|ExampleWithoutObservability' go test .
 named TestScriptGolden go test ./cmd/sharepodctl/
 go test ./...
 # The work ratchet: each repo-benchmark workload at seed 1, untraced and
@@ -299,4 +299,4 @@ fields=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec c
 	awk '/^type [A-Za-z0-9]*Config struct \{/ { on = 1; next } on && /^\}/ { on = 0 } on && /^\t[A-Z][A-Za-z0-9_]* / { n++ } END { print n + 0 }')
 echo "settable config fields: $fields"
 test "$panics" -le 13 || { echo "check.sh: $panics non-test panic( sites, limit 13" >&2; exit 1; }
-test "$fields" -le 67 || { echo "check.sh: $fields settable config fields, limit 67" >&2; exit 1; }
+test "$fields" -le 64 || { echo "check.sh: $fields settable config fields, limit 64" >&2; exit 1; }

@@ -487,59 +487,6 @@ func ExampleWithPoolPolicy() {
 	// Reservation finished=1 vGPUs=1 idle=1
 }
 
-// ExampleWithMemOvercommit places two sharePods whose gpu_mem shares sum to
-// 1.2 on a one-GPU node, each holding a 9 GiB working set. Without
-// over-commitment the second waits for the first to finish. With factor 1.5
-// both start at once on the one device, and the device library pays for it
-// GPUswap-style (§6): the two working sets do not fit the 16 GiB together,
-// so each token handoff swaps one out and the other in, and 0.2 s of
-// kernels each take half a minute.
-func ExampleWithMemOvercommit() {
-	for _, arm := range []struct {
-		name string
-		opts []kubeshare.Option
-	}{{"no over-commit", nil}, {"factor 1.5", []kubeshare.Option{kubeshare.WithMemOvercommit(1.5)}}} {
-		s, err := kubeshare.New(append(arm.opts, kubeshare.WithGPUsPerNode(1))...)
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		// Each job's working set is its whole gpu_mem share of the 16 GiB
-		// device.
-		s.RegisterImage("demo/big", func(ctx *kubeshare.ContainerCtx) error {
-			if _, err := ctx.CUDA.MemAlloc(ctx.Proc, 9<<30); err != nil {
-				return err
-			}
-			return train(20)(ctx)
-		})
-		s.Go("client", func(p *sim.Proc) {
-			for _, name := range []string{"big-a", "big-b"} {
-				if _, err := s.CreateSharePod(sharePod(name, "demo/big", 0.3, 0.5, 0.6)); err != nil {
-					fmt.Println(err)
-				}
-			}
-		})
-		s.Run()
-		fmt.Println(arm.name)
-		for _, name := range []string{"big-a", "big-b"} {
-			sp, err := s.SharePods().Get(name)
-			if err != nil {
-				fmt.Println(err)
-				return
-			}
-			fmt.Printf("  %s %s on %s, ran %v to %v\n", name, sp.Status.Phase, sp.Spec.GPUID,
-				sp.Status.RunningTime.Round(time.Millisecond), sp.Status.FinishTime.Round(time.Millisecond))
-		}
-	}
-	// Output:
-	// no over-commit
-	//   big-a Succeeded on vgpu-0001, ran 2.365s to 2.566s
-	//   big-b Succeeded on vgpu-0002, ran 4.931s to 5.132s
-	// factor 1.5
-	//   big-a Succeeded on vgpu-0001, ran 2.365s to 31.825s
-	//   big-b Succeeded on vgpu-0001, ran 2.365s to 32.675s
-}
-
 // ExampleWithExtenderScheduler submits three contending 0.6 requests to a
 // node of two GPUs, under KubeShare-Sched and under the scheduler-extender
 // baseline of Table 1. KubeShare-Sched never over-commits a device: the

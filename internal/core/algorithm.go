@@ -35,12 +35,9 @@ type DeviceState struct {
 	NodeName string
 	Util     float64 // residual computing capacity
 	Mem      float64 // residual memory space
-	// MemCapacity is the device's total schedulable memory fraction — 1.0
-	// normally, >1.0 when GPUswap-style over-commitment is enabled.
-	MemCapacity float64
 	// MemBytesUsed is the byte-denominated view of the committed memory:
 	// byte-quantity requests add their exact size, fractional requests their
-	// byte equivalent. Byte requests fit against memBytesCap() minus this,
+	// byte equivalent. Byte requests fit against DeviceMemBytes minus this,
 	// so the two denominations deduct from one shared capacity.
 	MemBytesUsed int64
 	// Aff and Anti are the device's label sets, nil until Place puts a label
@@ -54,12 +51,11 @@ type DeviceState struct {
 // NewDeviceState returns an empty (idle, full-capacity) device.
 func NewDeviceState(id, node string) *DeviceState {
 	return &DeviceState{
-		ID:          id,
-		NodeName:    node,
-		Util:        1,
-		Mem:         1,
-		MemCapacity: 1,
-		Idle:        true,
+		ID:       id,
+		NodeName: node,
+		Util:     1,
+		Mem:      1,
+		Idle:     true,
 	}
 }
 
@@ -71,7 +67,7 @@ func (d *DeviceState) Fits(r Request) bool {
 		return false
 	}
 	if d.Idle {
-		return r.Util <= 1 && r.Mem <= d.memCapacity()
+		return r.Util <= 1 && r.Mem <= 1
 	}
 	return r.Util <= d.Util+1e-9 && r.Mem <= d.Mem+1e-9
 }
@@ -83,22 +79,9 @@ func (d *DeviceState) FitsMemBytes(r Request) bool {
 		return true
 	}
 	if d.Idle {
-		return r.MemBytes <= d.memBytesCap()
+		return r.MemBytes <= DeviceMemBytes
 	}
-	return d.MemBytesUsed+r.MemBytes <= d.memBytesCap()
-}
-
-func (d *DeviceState) memCapacity() float64 {
-	if d.MemCapacity <= 0 {
-		return 1
-	}
-	return d.MemCapacity
-}
-
-// memBytesCap is the byte-denominated schedulable memory: the physical
-// device scaled by the over-commitment factor.
-func (d *DeviceState) memBytesCap() int64 {
-	return int64(d.memCapacity() * float64(DeviceMemBytes))
+	return d.MemBytesUsed+r.MemBytes <= DeviceMemBytes
 }
 
 // Place commits r onto the device, updating residuals and labels. Placing
@@ -106,7 +89,7 @@ func (d *DeviceState) memBytesCap() int64 {
 // starts fresh, §4.4).
 func (d *DeviceState) Place(r Request) {
 	if d.Idle {
-		d.Util, d.Mem = 1, d.memCapacity()
+		d.Util, d.Mem = 1, 1
 		d.MemBytesUsed = 0
 		d.Aff, d.Anti = nil, nil
 		d.Excl = ""
@@ -155,9 +138,6 @@ type Pool struct {
 	FreePhysical map[string]int
 	// nextID serializes fresh GPUIDs for new_dev.
 	NewID func() string
-	// MemFactor scales each device's schedulable memory (1.0 default;
-	// >1.0 permits over-commitment backed by the device library's swap).
-	MemFactor float64
 	// order is Devices by residual (see residualCmp), the index Fitting
 	// searches. Fitting builds it for a pool assembled as a literal; from
 	// then on the pool's devices change only through Place, Restore, Insert
@@ -268,10 +248,6 @@ func (p *Pool) Remove(i int) {
 func (p *Pool) AddDevice(node, id string, r Request) *DeviceState {
 	p.FreePhysical[node]--
 	d := NewDeviceState(id, node)
-	if p.MemFactor > 0 {
-		d.MemCapacity = p.MemFactor
-		d.Mem = p.MemFactor
-	}
 	d.Place(r)
 	p.Insert(len(p.Devices), d)
 	return d

@@ -92,7 +92,7 @@ func BenchmarkBuildPool(b *testing.B) {
 			srv := benchPopulate(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.BuildPool(srv, 1)
+				core.BuildPool(srv)
 			}
 		})
 	}

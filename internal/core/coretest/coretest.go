@@ -144,10 +144,6 @@ func newDevice(r core.Request, pool *core.Pool) core.Decision {
 	pool.FreePhysical[node]--
 	id := pool.NewID()
 	d := core.NewDeviceState(id, node)
-	if pool.MemFactor > 0 {
-		d.MemCapacity = pool.MemFactor
-		d.Mem = pool.MemFactor
-	}
 	d.Place(r)
 	pool.Devices = append(pool.Devices, d)
 	return core.Decision{Outcome: core.NewDevice, GPUID: id, NodeName: node}
@@ -178,11 +174,11 @@ func RandomRequest(rng Rand) core.Request {
 // construction onto each: devices carved on random nodes, each loaded with a
 // few placed requests (or left idle), plus free physical headroom. Each pool
 // draws fresh GPUIDs from its own serial counter, so all see one sequence.
-func RandomPools(rng Rand, n int, memFactor float64) []*core.Pool {
+func RandomPools(rng Rand, n int) []*core.Pool {
 	pools := make([]*core.Pool, n)
 	for i := range pools {
 		serial := 0
-		pools[i] = &core.Pool{FreePhysical: map[string]int{}, MemFactor: memFactor,
+		pools[i] = &core.Pool{FreePhysical: map[string]int{},
 			NewID: func() string { serial++; return fmt.Sprintf("vgpu-%04d", serial) }}
 	}
 	nodes := rng.Intn(4) + 1
@@ -197,7 +193,6 @@ func RandomPools(rng Rand, n int, memFactor float64) []*core.Pool {
 			}
 			for _, p := range pools {
 				d := core.NewDeviceState(id, node)
-				d.MemCapacity, d.Mem = memFactor, memFactor
 				for _, r := range reqs {
 					if d.Fits(r) {
 						d.Place(r)

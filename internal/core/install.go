@@ -15,9 +15,8 @@ import (
 
 // Config bundles the KubeShare component configurations.
 type Config struct {
-	Scheduler SchedulerConfig
-	DevMgr    DevMgrConfig
-	Devlib    devlib.Config
+	DevMgr DevMgrConfig
+	Devlib devlib.Config
 }
 
 // Sched is the scheduler surface KubeShare needs from whichever driver is

@@ -44,15 +44,11 @@ func VGPUs(s *apiserver.Server) apiserver.Client[*VGPU] {
 // relist: one DeviceState per vGPU (from VGPU objects and from GPUIDs
 // referenced by live sharePods that DevMgr has not yet materialized), with
 // residuals and labels accumulated from the live sharePods on each device,
-// plus the per-node count of physical GPUs still free for new vGPUs. Each
-// device's schedulable memory is memFactor (>1 permits over-commitment backed
-// by the device library's swap; <=0 means 1). The scheduler never decides on
-// it: VerifySnapshot holds the snapshot's pool against it.
-func BuildPool(srv *apiserver.Server, memFactor float64) *Pool {
-	if memFactor <= 0 {
-		memFactor = 1
-	}
-	pool := &Pool{FreePhysical: map[string]int{}, MemFactor: memFactor}
+// plus the per-node count of physical GPUs still free for new vGPUs. The
+// scheduler never decides on it: VerifySnapshot holds the snapshot's pool
+// against it.
+func BuildPool(srv *apiserver.Server) *Pool {
+	pool := &Pool{FreePhysical: map[string]int{}}
 	byID := map[string]*DeviceState{}
 	vgpuPerNode := map[string]int{}
 
@@ -61,8 +57,6 @@ func BuildPool(srv *apiserver.Server, memFactor float64) *Pool {
 			return d
 		}
 		d := NewDeviceState(id, node)
-		d.MemCapacity = memFactor
-		d.Mem = memFactor
 		byID[id] = d
 		pool.Devices = append(pool.Devices, d)
 		vgpuPerNode[node]++

@@ -44,7 +44,7 @@ func TestTxnJournalCopiesLabelSets(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	snap := core.NewSnapshot(1)
+	snap := core.NewSnapshot()
 	for _, kind := range []string{core.KindSharePod, core.KindVGPU, "Pod", "Node"} {
 		q := srv.Watch(kind, true)
 		for ev, ok := q.TryGet(); ok; ev, ok = q.TryGet() {
@@ -83,7 +83,7 @@ func TestTxnJournalCopiesLabelSets(t *testing.T) {
 	if grown == 0 || cap(txn.journal) != grown || txn.Len() != 0 {
 		t.Fatalf("Reset left the journal at len %d cap %d, want 0 and %d", txn.Len(), cap(txn.journal), grown)
 	}
-	if err := core.DiffPools(snap.Pool(nil), core.BuildPool(srv, 1)); err != nil {
+	if err := core.DiffPools(snap.Pool(nil), core.BuildPool(srv)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,7 +104,7 @@ func TestTxnRollback(t *testing.T) {
 	created := 0
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
-		pools := coretest.RandomPools(rng, 2, 1)
+		pools := coretest.RandomPools(rng, 2)
 		want, pool := pools[0], pools[1] // want stays untouched as the reference
 		pool.Fitting(core.Request{})     // index the literal pool before its first step
 		txn := NewTxn(pool)
@@ -133,7 +133,7 @@ func TestTxnRollback(t *testing.T) {
 // keeps the prefix: replaying the prefix onto a fresh pool matches.
 func TestTxnPartialRollback(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	pools := coretest.RandomPools(rng, 2, 1)
+	pools := coretest.RandomPools(rng, 2)
 	reference, pool := pools[0], pools[1]
 	var reqs []core.Request
 	for i := 0; i < 12; i++ {

@@ -15,7 +15,7 @@ func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare,
 	if err != nil {
 		return nil, err
 	}
-	sched := New(c.Env, c.API, append([]Option{WithConfig(cfg.Scheduler)}, opts...)...)
+	sched := New(c.Env, c.API, opts...)
 	ks.Sched = sched
 	ks.DevMgr.Start()
 	sched.Start()

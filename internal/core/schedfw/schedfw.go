@@ -65,19 +65,12 @@ const (
 )
 
 type options struct {
-	cfg         core.SchedulerConfig
 	batchSize   int
 	gangTimeout time.Duration
 }
 
 // Option configures the framework driver.
 type Option func(*options)
-
-// WithConfig seeds every knob a core.SchedulerConfig carries (cycle
-// latency, overcommit factor) in one option.
-func WithConfig(cfg core.SchedulerConfig) Option {
-	return func(o *options) { o.cfg = cfg }
-}
 
 // WithBatchSize sets how many placements one cycle may stage. n <= 1 stages
 // one per cycle; larger batches amortize the cycle latency across n
@@ -97,7 +90,6 @@ func WithGangTimeout(d time.Duration) Option {
 type Scheduler struct {
 	env *sim.Env
 	srv *apiserver.Server
-	cfg core.SchedulerConfig
 
 	batchSize   int
 	gangTimeout time.Duration
@@ -166,10 +158,9 @@ func New(env *sim.Env, srv *apiserver.Server, opts ...Option) *Scheduler {
 	s := &Scheduler{
 		env:          env,
 		srv:          srv,
-		cfg:          o.cfg,
 		batchSize:    o.batchSize,
 		gangTimeout:  o.gangTimeout,
-		snap:         core.NewSnapshot(o.cfg.MemOvercommitFactor),
+		snap:         core.NewSnapshot(),
 		wake:         newWaker(env),
 		gangs:        make(map[string]*gangState),
 		parked:       make(map[string]struct{}),
@@ -235,7 +226,7 @@ func (s *Scheduler) VerifySnapshot() error {
 	if err := pool.VerifyIndex(); err != nil {
 		return err
 	}
-	return core.DiffPools(pool, core.BuildPool(s.srv, s.cfg.MemOvercommitFactor))
+	return core.DiffPools(pool, core.BuildPool(s.srv))
 }
 
 // Start launches the watch and scheduling loops.

@@ -5,15 +5,6 @@ import (
 	"time"
 )
 
-// SchedulerConfig parameterizes the scheduler driver (schedfw constructs
-// drivers from it via schedfw.WithConfig).
-type SchedulerConfig struct {
-	// MemOvercommitFactor scales each device's schedulable gpu_mem capacity
-	// (default 1.0 = no over-commitment). Values >1 must be paired with
-	// devlib.Config.MemOvercommit so the device library swaps working sets.
-	MemOvercommitFactor float64
-}
-
 // CycleLatency models one scheduling decision (pool query + Algorithm 1 +
 // API updates): the dominant part of KubeShare's extra pod-creation latency
 // when no vGPU must be created (Fig 10's ≈15%). Algorithm 1 itself is O(N)

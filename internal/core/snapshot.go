@@ -29,8 +29,6 @@ import (
 // the two constructions are comparable field by field — the property the
 // snapshot-vs-rebuild tests pin down.
 type Snapshot struct {
-	memFactor float64
-
 	// pool is the persistent pool, current as of the last Pool call; dirty
 	// lists the gpuIDs whose tenant set or existence changed since
 	// (deviceEntry.dirty keeps a live entry to one mention).
@@ -96,15 +94,10 @@ type podGPURef struct {
 	count int
 }
 
-// NewSnapshot returns an empty snapshot. memFactor follows BuildPool's
-// semantics (<=0 means 1).
-func NewSnapshot(memFactor float64) *Snapshot {
-	if memFactor <= 0 {
-		memFactor = 1
-	}
+// NewSnapshot returns an empty snapshot.
+func NewSnapshot() *Snapshot {
 	return &Snapshot{
-		memFactor:   memFactor,
-		pool:        &Pool{FreePhysical: map[string]int{}, MemFactor: memFactor},
+		pool:        &Pool{FreePhysical: map[string]int{}},
 		devices:     make(map[string]*deviceEntry),
 		tenants:     make(map[string]tenantRef),
 		pending:     make(map[string]*SharePod),
@@ -325,9 +318,8 @@ func (s *Snapshot) PendingEntry(name string) *SharePod { return s.pending[name] 
 // SharePods().List() — so the float residuals and the last-writer fields
 // (Excl) agree between the two constructions. The names sort in a stack
 // buffer, so a device of up to eight tenants with no labels costs nothing.
-func (d *deviceEntry) state(memFactor float64) DeviceState {
+func (d *deviceEntry) state() DeviceState {
 	ds := *NewDeviceState(d.id, d.node)
-	ds.MemCapacity, ds.Mem = memFactor, memFactor
 	var buf [8]string
 	names := buf[:0]
 	for n := range d.tenants {
@@ -354,11 +346,11 @@ func (s *Snapshot) Pool(newID func() string) *Pool {
 		switch d := s.devices[id]; {
 		case d != nil && found:
 			d.dirty = false
-			ds := d.state(s.memFactor)
+			ds := d.state()
 			p.Restore(p.Devices[i], &ds)
 		case d != nil:
 			d.dirty = false
-			ds := d.state(s.memFactor) // the one allocation: a device new to the pool
+			ds := d.state() // the one allocation: a device new to the pool
 			p.Insert(i, &ds)
 		case found:
 			p.Remove(i)
@@ -400,9 +392,6 @@ func DiffPools(got, want *Pool) error {
 		}
 		if diff := g.Mem - w.Mem; diff > eps || diff < -eps {
 			return fmt.Errorf("device %s: mem %v, want %v", g.ID, g.Mem, w.Mem)
-		}
-		if g.MemCapacity != w.MemCapacity {
-			return fmt.Errorf("device %s: memCapacity %v, want %v", g.ID, g.MemCapacity, w.MemCapacity)
 		}
 		if g.MemBytesUsed != w.MemBytesUsed {
 			return fmt.Errorf("device %s: memBytesUsed %d, want %d", g.ID, g.MemBytesUsed, w.MemBytesUsed)

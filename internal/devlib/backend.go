@@ -31,10 +31,6 @@ type Config struct {
 	// capacity among clients that already met their gpu_request (ablation
 	// knob; the paper uses lowest-usage-first).
 	Residual sharing.ResidualPolicy
-	// MemOvercommit enables GPUswap-style memory over-commitment: container
-	// memory becomes virtual, and working sets are swapped host↔device at
-	// token handoff when they do not all fit (§6 of the paper).
-	MemOvercommit bool
 	// Obs is the telemetry runtime strategies and frontends record against
 	// (token grants, wait-latency histogram, throttle events). Nil disables
 	// instrumentation.

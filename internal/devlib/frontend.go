@@ -141,14 +141,6 @@ type Frontend struct {
 	lastDevTime time.Duration
 	devtimeVec  *obs.CounterVec
 	devtimeCtr  *obs.Counter
-
-	// Virtual-memory mode (Config.MemOvercommit, token strategy only; on
-	// when swapper is set): allocations are tracked here instead of on the
-	// physical device, and residency is managed by the token's swap broker.
-	swapper  *sharing.Token
-	virtMem  int64
-	virtPtrs map[cuda.Ptr]int64
-	nextPtr  cuda.Ptr
 }
 
 var _ cuda.API = (*Frontend)(nil)
@@ -163,8 +155,8 @@ type deviceContexter interface {
 // NewFrontendWith wraps base for a container under the device's sharing
 // strategy and registers the container with it; the caller must ensure the
 // sum of Request over a device's containers stays ≤ 1 (KubeShare-Sched's
-// job). cfg supplies the frontend-side knobs (memory over-commitment,
-// telemetry) — pass the owning Backend's Config.
+// job). cfg supplies the frontend's telemetry runtime — pass the owning
+// Backend's Config.
 func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, share Share, cfg Config) (*Frontend, error) {
 	if err := share.Validate(); err != nil {
 		return nil, err
@@ -175,8 +167,7 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 	if err := strat.Register(clientID, share.resources()); err != nil && !errors.Is(err, sharing.ErrDown) {
 		return nil, err
 	}
-	total := base.Device().MemoryBytes
-	memCap := int64(share.Memory * float64(total))
+	memCap := int64(share.Memory * float64(base.Device().MemoryBytes))
 	if share.MemoryBytes > 0 {
 		memCap = share.MemoryBytes
 	}
@@ -213,14 +204,6 @@ func NewFrontendWith(base cuda.API, strat sharing.Strategy, clientID string, sha
 			}
 		}
 	}
-	if cfg.MemOvercommit {
-		if tok, ok := strat.(*sharing.Token); ok {
-			tok.EnableSwap(total)
-			f.swapper = tok
-			f.virtPtrs = make(map[cuda.Ptr]int64)
-			f.nextPtr = 0x1000
-		}
-	}
 	return f, nil
 }
 
@@ -255,39 +238,15 @@ func (f *Frontend) MemAlloc(p *sim.Proc, n int64) (cuda.Ptr, error) {
 		return 0, fmt.Errorf("devlib: container %s exceeds gpu_mem share (%d of %d bytes): %w",
 			f.clientID, f.MemUsed()+n, f.memCap, cuda.ErrOutOfMemory)
 	}
-	if f.swapper == nil {
-		return f.base.MemAlloc(p, n)
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("devlib: MemAlloc(%d): non-positive size", n)
-	}
-	// Virtual allocation: no physical reservation; residency is arranged
-	// at the next admission.
-	if err := f.swapper.SetVirtualUsage(f.clientID, f.virtMem+n); err != nil {
-		return 0, fmt.Errorf("%v: %w", err, cuda.ErrOutOfMemory)
-	}
-	f.virtMem += n
-	ptr := f.nextPtr
-	f.nextPtr += cuda.Ptr(n)
-	f.virtPtrs[ptr] = n
-	return ptr, nil
+	return f.base.MemAlloc(p, n)
 }
 
-// MemFree passes through (or releases virtual bytes in over-commit mode).
+// MemFree passes through.
 func (f *Frontend) MemFree(p *sim.Proc, ptr cuda.Ptr) error {
 	if f.closed {
 		return cuda.ErrClosed
 	}
-	if f.swapper == nil {
-		return f.base.MemFree(p, ptr)
-	}
-	n, ok := f.virtPtrs[ptr]
-	if !ok {
-		return fmt.Errorf("devlib: MemFree(%#x): unknown pointer", uint64(ptr))
-	}
-	delete(f.virtPtrs, ptr)
-	f.virtMem -= n
-	return f.swapper.SetVirtualUsage(f.clientID, f.virtMem)
+	return f.base.MemFree(p, ptr)
 }
 
 // MemcpyHtoD passes through (copies are not throttled; only kernel
@@ -329,12 +288,6 @@ func (f *Frontend) acquireLease(p *sim.Proc) error {
 				// kernel of this hold can start. Ungated (overlap) admission
 				// has no exchange to pay for.
 				p.Sleep(handoff)
-			}
-			if f.swapper != nil {
-				// Over-commit mode: bring the working set back onto the
-				// device (it may have been swapped out while another tenant
-				// held the token), paying the transfer time.
-				return f.swapper.EnsureResident(p, f.clientID)
 			}
 			return nil
 		}
@@ -476,12 +429,8 @@ func (f *Frontend) Synchronize(p *sim.Proc) error {
 	return nil
 }
 
-// MemUsed reports the container's allocated bytes (virtual bytes in
-// over-commit mode).
+// MemUsed reports the container's allocated bytes.
 func (f *Frontend) MemUsed() int64 {
-	if f.swapper != nil {
-		return f.virtMem
-	}
 	return f.base.MemUsed()
 }
 

@@ -10,7 +10,7 @@
 //   - token (NewToken, the default and the paper's own policy, implemented
 //     here): Gemini-style token-gated time-slicing — exclusive holds,
 //     sliding-window usage accounting, gpu_request guarantees and gpu_limit
-//     caps, optional swap-based memory over-commitment (swap.go).
+//     caps.
 //   - mps (NewMPS): MPS-style concurrent overlap — kernels from different
 //     tenants run simultaneously; gpusim's weighted processor sharing models
 //     the SM/compute-fraction split, and isolation is limited (a faulting
@@ -111,9 +111,6 @@ type Stats struct {
 	Clients int
 	// Handoffs is the total lease grants so far.
 	Handoffs int64
-	// SwappedBytes is the total memory-over-commitment swap traffic
-	// (token strategy only).
-	SwappedBytes int64
 }
 
 // Strategy is one device's sharing policy. All methods run on the

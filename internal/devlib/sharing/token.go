@@ -40,8 +40,6 @@ type Token struct {
 	spare    *usageWindow
 	residual ResidualPolicy
 	retry    sim.Timer // throttle retry; fires the gate's bound schedule (trySchedule)
-	// swap is the optional memory over-commitment broker (see swap.go).
-	swap *swapState
 
 	// Telemetry handles (no-ops when the runtime is nil): this device's
 	// children of the gpu_uuid-labeled families.
@@ -114,7 +112,6 @@ func (m *Token) Register(id string, res Resources) error {
 // the spare if its ring is larger than the spare's.
 func (m *Token) Unregister(id string) {
 	if c := m.remove(id); c != nil {
-		m.dropResidency(id)
 		m.drop(c)
 		if w := c.window; m.spare == nil || len(w.spans) > len(m.spare.spans) {
 			w.reset()
@@ -151,9 +148,6 @@ func (m *Token) Stats() Stats {
 	}
 	if m.holder != nil {
 		s.Holder = m.holder.id
-	}
-	if m.swap != nil {
-		s.SwappedBytes = m.swap.swapped
 	}
 	return s
 }

@@ -59,85 +59,40 @@ func TestReplicaFrontendsRotate(t *testing.T) {
 	}
 }
 
-// TestSwapInterleavedWithSuspendResume crashes the token daemon mid-run
-// under memory over-commitment: queued acquires fail over to the reconnect
-// path, the broker's residency bookkeeping survives the outage (it lives
-// with the device, not the daemon's client table), and both tenants keep
-// making progress — and keep swapping — after the resume.
-func TestSwapInterleavedWithSuspendResume(t *testing.T) {
-	r := swapRig(1000)
-	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
-	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
+// TestTokenTenantsProgressAcrossSuspendResume crashes the token daemon
+// mid-run under two tenants whose memory shares fit the device together:
+// queued acquires fail over to the reconnect path, and both tenants keep
+// making progress after the resume.
+func TestTokenTenantsProgressAcrossSuspendResume(t *testing.T) {
+	r := newRigOn(gpusim.Config{NodeName: "n", MemoryBytes: 1000}, Config{}, sharing.ModeToken)
+	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.4})
+	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.4})
 	na, nb := 0, 0
 	r.env.Go("a", func(p *sim.Proc) {
-		fa.MemAlloc(p, 700)
+		if _, err := fa.MemAlloc(p, 400); err != nil {
+			t.Errorf("a: %v", err)
+		}
 		trainLoop(fa, 5*time.Millisecond, time.Millisecond, &na)(p)
 	})
 	r.env.Go("b", func(p *sim.Proc) {
-		fb.MemAlloc(p, 700)
+		if _, err := fb.MemAlloc(p, 400); err != nil {
+			t.Errorf("b: %v", err)
+		}
 		trainLoop(fb, 5*time.Millisecond, time.Millisecond, &nb)(p)
 	})
-	var atCrash, swappedAtCrash = [2]int{}, int64(0)
+	var atCrash [2]int
 	r.env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(time.Second)
 		r.strat.Suspend()
 		atCrash = [2]int{na, nb}
-		swappedAtCrash = r.strat.Stats().SwappedBytes
 		p.Sleep(50 * time.Millisecond)
 		r.strat.Resume()
 	})
 	r.env.RunUntil(3 * time.Second)
+	if atCrash[0] == 0 || atCrash[1] == 0 {
+		t.Fatalf("a tenant made no progress before the crash: %v", atCrash)
+	}
 	if na <= atCrash[0] || nb <= atCrash[1] {
 		t.Fatalf("progress stalled after resume: %v then %d/%d", atCrash, na, nb)
-	}
-	if r.strat.Stats().SwappedBytes <= swappedAtCrash {
-		t.Fatalf("swap traffic stalled after resume: %d then %d",
-			swappedAtCrash, r.strat.Stats().SwappedBytes)
-	}
-	// Both working sets stayed intact across the crash: each EnsureResident
-	// still moves the full 700-byte set, never a partial one.
-	if r.strat.Stats().SwappedBytes%700 != 0 {
-		t.Fatalf("swapped %d bytes, want a multiple of the 700-byte sets", r.strat.Stats().SwappedBytes)
-	}
-}
-
-// TestSwapInterleavedWithUnregister closes one over-committed tenant mid-run:
-// its residency is dropped without transfer cost and the survivor stops
-// paying swap traffic entirely — its set now fits alone.
-func TestSwapInterleavedWithUnregister(t *testing.T) {
-	r := swapRig(1000)
-	fa := r.addClient(t, "a", Share{Request: 0.5, Limit: 1, Memory: 0.7})
-	fb := r.addClient(t, "b", Share{Request: 0.5, Limit: 1, Memory: 0.7})
-	nb := 0
-	r.env.Go("a", func(p *sim.Proc) {
-		fa.MemAlloc(p, 700)
-		for i := 0; i < 50; i++ {
-			if err := fa.LaunchKernel(p, 5*time.Millisecond); err != nil {
-				t.Errorf("a: %v", err)
-				return
-			}
-		}
-		fa.Close(p)
-	})
-	r.env.Go("b", func(p *sim.Proc) {
-		fb.MemAlloc(p, 700)
-		trainLoop(fb, 5*time.Millisecond, time.Millisecond, &nb)(p)
-	})
-	var swappedAfterClose int64
-	r.env.Go("probe", func(p *sim.Proc) {
-		p.Sleep(2 * time.Second) // well past a's 50 kernels
-		if r.token().ResidentBytes("a") != 0 {
-			t.Errorf("a still resident after Close: %d bytes", r.token().ResidentBytes("a"))
-		}
-		swappedAfterClose = r.strat.Stats().SwappedBytes
-		p.Sleep(time.Second)
-		if got := r.strat.Stats().SwappedBytes; got != swappedAfterClose {
-			t.Errorf("swap traffic continued after sole tenant fits: %d then %d",
-				swappedAfterClose, got)
-		}
-	})
-	r.env.RunUntil(4 * time.Second)
-	if nb == 0 {
-		t.Fatal("survivor made no progress")
 	}
 }

@@ -54,7 +54,7 @@ func NewSchedulingDecision(n int) (func() core.Decision, error) {
 			return nil, fmt.Errorf("create %s: %w", sp.Name, err)
 		}
 	}
-	snap := core.NewSnapshot(1)
+	snap := core.NewSnapshot()
 	for _, kind := range []string{core.KindSharePod, core.KindVGPU, "Pod", "Node"} {
 		q := srv.Watch(kind, true)
 		for ev, ok := q.TryGet(); ok; ev, ok = q.TryGet() {

@@ -19,7 +19,7 @@ import (
 // (BenchmarkFig11SchedulingTime's allocs/op) allocates one thing at every N —
 // its journal's first entry (the transaction itself stays on the stack).
 func TestPlacementAllocsHeldExactly(t *testing.T) {
-	snap := core.NewSnapshot(1)
+	snap := core.NewSnapshot()
 	snap.Apply(store.Event{Type: store.Added, Object: &api.Node{
 		ObjectMeta: api.ObjectMeta{Name: "n-0"},
 		Status:     api.NodeStatus{Allocatable: api.ResourceList{api.ResourceGPU: 4}, Ready: true},

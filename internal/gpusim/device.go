@@ -36,8 +36,7 @@ var ErrDeviceFault = errors.New("gpusim: device fault (Xid)")
 const DefaultMemoryBytes = 16 << 30
 
 // CopyBandwidth is the host↔device copy bandwidth in bytes per second (PCIe
-// gen3 x16): memcpy time on the device, and swap time in the device
-// library's memory over-commitment.
+// gen3 x16): the time a memcpy takes on the device.
 const CopyBandwidth = 12 << 30
 
 // Device is one simulated GPU.

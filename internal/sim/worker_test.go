@@ -100,11 +100,28 @@ func TestWorkerPanicNotPooled(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns runtime.NumGoroutine once goroutines that were
+// already on their way out have gone — a finished test's runner can exit
+// after the next test starts: the count must hold still across ten polls a
+// millisecond apart (up to two seconds in all).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, polls := 0, 0; still < 10 && polls < 2000; polls++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 // TestWorkerDrainGoroutines: Run and RunUntil end every idle worker, so
 // afterwards the process holds one goroutine per parked proc and no more.
 func TestWorkerDrainGoroutines(t *testing.T) {
 	for _, until := range []bool{false, true} {
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		env := NewEnv()
 		const parked = 3
 		gate := NewEvent(env)

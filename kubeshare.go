@@ -109,17 +109,6 @@ func WithPoolPolicy(p core.PoolPolicy) Option {
 	return func(c *config) { c.ks.DevMgr.Policy = p }
 }
 
-// WithMemOvercommit enables GPUswap-style memory over-commitment: the
-// scheduler may place containers whose gpu_mem shares sum to factor (>1)
-// on a device, and the device library swaps working sets host↔device at
-// token handoff.
-func WithMemOvercommit(factor float64) Option {
-	return func(c *config) {
-		c.ks.Scheduler.MemOvercommitFactor = factor
-		c.ks.Devlib.MemOvercommit = true
-	}
-}
-
 // WithExtenderScheduler installs the scheduler-extender baseline instead of
 // KubeShare-Sched (for comparisons).
 func WithExtenderScheduler() Option { return func(c *config) { c.extender = true } }
