@@ -23,21 +23,24 @@ func commit(pool *core.Pool, r core.Request, dec core.Decision, d *core.DeviceSt
 // (coretest.ScheduleWithPolicy) on every request of a random sequence, and
 // leave the pool in the same state.
 func TestDecideMatchesAlgorithm1(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		pools := coretest.RandomPools(rng, 2)
-		legacy, pool := pools[0], pools[1]
-		for step := 0; step < 30; step++ {
-			r := coretest.RandomRequest(rng)
-			want := coretest.ScheduleWithPolicy(r, legacy, coretest.PaperPolicy)
-			if got := core.Schedule(r, pool); got != want {
-				t.Fatalf("seed %d step %d req %+v: Schedule %+v, Algorithm 1 %+v", seed, step, r, got, want)
+	// gpu_mem is a hard share, so the memory capacity factor is always 1.
+	t.Run("mem-factor-1", func(t *testing.T) {
+		for seed := int64(0); seed < 200; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pools := coretest.RandomPools(rng, 2)
+			legacy, pool := pools[0], pools[1]
+			for step := 0; step < 30; step++ {
+				r := coretest.RandomRequest(rng)
+				want := coretest.ScheduleWithPolicy(r, legacy, coretest.PaperPolicy)
+				if got := core.Schedule(r, pool); got != want {
+					t.Fatalf("seed %d step %d req %+v: Schedule %+v, Algorithm 1 %+v", seed, step, r, got, want)
+				}
+			}
+			if err := core.DiffPools(pool, legacy); err != nil {
+				t.Fatalf("seed %d: pools diverged after sequence: %v", seed, err)
 			}
 		}
-		if err := core.DiffPools(pool, legacy); err != nil {
-			t.Fatalf("seed %d: pools diverged after sequence: %v", seed, err)
-		}
-	}
+	})
 }
 
 // TestDecideNarrowingIsAnOptimisation: the candidates Pool.Fitting offers
@@ -98,45 +101,48 @@ func TestDecideNarrowingIsAnOptimisation(t *testing.T) {
 //   - Capacity-monotone: once a request has found NoCapacity, no sequence of
 //     further committed decisions lets an identical request place.
 func TestDecideContract(t *testing.T) {
-	exhausted := 0
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		pools := coretest.RandomPools(rng, 3)
-		a, b, looked := pools[0], pools[1], pools[2]
-		var failed []core.Request
-		for step := 0; step < 40; step++ {
-			r := coretest.RandomRequest(rng)
-			dec, d := core.Decide(r, looked)
-			if err := core.DiffPools(looked, b); err != nil {
-				t.Fatalf("seed %d step %d req %+v: Decide changed the pool: %v", seed, step, r, err)
-			}
-			commit(looked, r, dec, d)
-			got, again := core.Schedule(r, a), core.Schedule(r, b)
-			if got != dec || again != dec {
-				t.Fatalf("seed %d step %d req %+v: equal pools, unequal decisions: %+v, %+v, %+v", seed, step, r, dec, got, again)
-			}
-			if got.Outcome == core.NoCapacity {
-				failed = append(failed, r)
-			}
-			// Every request that has found NoCapacity must still find
-			// it after whatever this step committed.
-			for _, fr := range failed {
-				if dec, _ := core.Decide(fr, a); dec.Outcome != core.NoCapacity {
-					t.Fatalf("seed %d step %d: req %+v found NoCapacity, then %s after more placements (last: %+v → %+v)",
-						seed, step, fr, dec.Outcome, r, got)
+	// gpu_mem is a hard share, so the memory capacity factor is always 1.
+	t.Run("mem-factor-1", func(t *testing.T) {
+		exhausted := 0
+		for seed := int64(0); seed < 200; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pools := coretest.RandomPools(rng, 3)
+			a, b, looked := pools[0], pools[1], pools[2]
+			var failed []core.Request
+			for step := 0; step < 40; step++ {
+				r := coretest.RandomRequest(rng)
+				dec, d := core.Decide(r, looked)
+				if err := core.DiffPools(looked, b); err != nil {
+					t.Fatalf("seed %d step %d req %+v: Decide changed the pool: %v", seed, step, r, err)
+				}
+				commit(looked, r, dec, d)
+				got, again := core.Schedule(r, a), core.Schedule(r, b)
+				if got != dec || again != dec {
+					t.Fatalf("seed %d step %d req %+v: equal pools, unequal decisions: %+v, %+v, %+v", seed, step, r, dec, got, again)
+				}
+				if got.Outcome == core.NoCapacity {
+					failed = append(failed, r)
+				}
+				// Every request that has found NoCapacity must still find
+				// it after whatever this step committed.
+				for _, fr := range failed {
+					if dec, _ := core.Decide(fr, a); dec.Outcome != core.NoCapacity {
+						t.Fatalf("seed %d step %d: req %+v found NoCapacity, then %s after more placements (last: %+v → %+v)",
+							seed, step, fr, dec.Outcome, r, got)
+					}
 				}
 			}
-		}
-		for _, p := range []*core.Pool{b, looked} {
-			if err := core.DiffPools(a, p); err != nil {
-				t.Fatalf("seed %d: equal requests left unequal pools: %v", seed, err)
+			for _, p := range []*core.Pool{b, looked} {
+				if err := core.DiffPools(a, p); err != nil {
+					t.Fatalf("seed %d: equal requests left unequal pools: %v", seed, err)
+				}
+			}
+			if len(failed) > 0 {
+				exhausted++
 			}
 		}
-		if len(failed) > 0 {
-			exhausted++
+		if exhausted < 50 {
+			t.Errorf("only %d of 200 pools ever ran out of capacity: the monotone half is barely exercised", exhausted)
 		}
-	}
-	if exhausted < 50 {
-		t.Errorf("only %d of 200 pools ever ran out of capacity: the monotone half is barely exercised", exhausted)
-	}
+	})
 }

@@ -86,143 +86,146 @@ func clonePool(p *core.Pool) *core.Pool {
 // after which the pool must be, pointer for pointer and field for field,
 // what was borrowed: a delta only marks, and the next Pool call folds it in.
 func TestSnapshotMatchesRebuildRandomized(t *testing.T) {
-	srv, snap, drain := newSnapRig()
-	rng := rand.New(rand.NewSource(11))
-	affLabels := []string{"", "train-a", "train-b"}
-	gpuIDs := []string{"g-00", "g-01", "g-02", "g-03", "g-04", "g-05"}
-	nodes := []string{"n-0", "n-1", "n-2"}
+	// gpu_mem is a hard share, so the memory capacity factor is always 1.
+	t.Run("memFactor=1", func(t *testing.T) {
+		srv, snap, drain := newSnapRig()
+		rng := rand.New(rand.NewSource(11))
+		affLabels := []string{"", "train-a", "train-b"}
+		gpuIDs := []string{"g-00", "g-01", "g-02", "g-03", "g-04", "g-05"}
+		nodes := []string{"n-0", "n-1", "n-2"}
 
-	for _, n := range nodes {
-		capacity := api.ResourceList{api.ResourceCPU: 32000, api.ResourceGPU: 4}
-		apiserver.Nodes(srv).Create(&api.Node{
-			ObjectMeta: api.ObjectMeta{Name: n},
-			Status:     api.NodeStatus{Capacity: capacity, Allocatable: capacity.Clone(), Ready: true},
-		})
-	}
-
-	sps := core.SharePods(srv)
-	vgpus := core.VGPUs(srv)
-	pods := apiserver.Pods(srv)
-	serial, fresh := 0, 0
-	newID := func() string { fresh++; return fmt.Sprintf("g-new-%03d", fresh) }
-	for step := 0; step < 1200; step++ {
-		var lent, before *core.Pool
-		var held []*core.DeviceState
-		var txn *fwk.Txn
-		if step%3 == 0 {
-			lent = snap.Pool(newID)
-			before, held = clonePool(lent), slices.Clone(lent.Devices)
-			txn = fwk.NewTxn(lent)
-			for i := 0; i < 4; i++ {
-				r := core.RequestOf(snapTestSP("staged", rng.Intn(20)))
-				r.Aff, r.Anti = affLabels[rng.Intn(len(affLabels))], affLabels[rng.Intn(len(affLabels))]
-				txn.Schedule(r)
-			}
+		for _, n := range nodes {
+			capacity := api.ResourceList{api.ResourceCPU: 32000, api.ResourceGPU: 4}
+			apiserver.Nodes(srv).Create(&api.Node{
+				ObjectMeta: api.ObjectMeta{Name: n},
+				Status:     api.NodeStatus{Capacity: capacity, Allocatable: capacity.Clone(), Ready: true},
+			})
 		}
-		switch rng.Intn(10) {
-		case 0, 1: // create a pending or pre-placed sharePod
-			serial++
-			sp := snapTestSP(fmt.Sprintf("sp-%03d", serial), serial)
-			if rng.Intn(2) == 0 {
-				i := rng.Intn(len(gpuIDs))
-				sp.Spec.GPUID = gpuIDs[i]
-				sp.Spec.NodeName = nodes[i%len(nodes)]
-				sp.Spec.Affinity = affLabels[rng.Intn(len(affLabels))]
-				sp.Spec.AntiAffinity = affLabels[rng.Intn(len(affLabels))]
-				if rng.Intn(4) == 0 {
-					sp.Spec.Exclusion = "solo"
+
+		sps := core.SharePods(srv)
+		vgpus := core.VGPUs(srv)
+		pods := apiserver.Pods(srv)
+		serial, fresh := 0, 0
+		newID := func() string { fresh++; return fmt.Sprintf("g-new-%03d", fresh) }
+		for step := 0; step < 1200; step++ {
+			var lent, before *core.Pool
+			var held []*core.DeviceState
+			var txn *fwk.Txn
+			if step%3 == 0 {
+				lent = snap.Pool(newID)
+				before, held = clonePool(lent), slices.Clone(lent.Devices)
+				txn = fwk.NewTxn(lent)
+				for i := 0; i < 4; i++ {
+					r := core.RequestOf(snapTestSP("staged", rng.Intn(20)))
+					r.Aff, r.Anti = affLabels[rng.Intn(len(affLabels))], affLabels[rng.Intn(len(affLabels))]
+					txn.Schedule(r)
 				}
 			}
-			sps.Create(sp)
-		case 2, 3: // place a pending sharePod (spec write)
+			switch rng.Intn(10) {
+			case 0, 1: // create a pending or pre-placed sharePod
+				serial++
+				sp := snapTestSP(fmt.Sprintf("sp-%03d", serial), serial)
+				if rng.Intn(2) == 0 {
+					i := rng.Intn(len(gpuIDs))
+					sp.Spec.GPUID = gpuIDs[i]
+					sp.Spec.NodeName = nodes[i%len(nodes)]
+					sp.Spec.Affinity = affLabels[rng.Intn(len(affLabels))]
+					sp.Spec.AntiAffinity = affLabels[rng.Intn(len(affLabels))]
+					if rng.Intn(4) == 0 {
+						sp.Spec.Exclusion = "solo"
+					}
+				}
+				sps.Create(sp)
+			case 2, 3: // place a pending sharePod (spec write)
+				for _, sp := range sps.List() {
+					if !sp.Placed() && !sp.Terminated() {
+						i := rng.Intn(len(gpuIDs))
+						sps.Mutate(sp.Name, func(cur *core.SharePod) error {
+							cur.Spec.GPUID = gpuIDs[i]
+							cur.Spec.NodeName = nodes[i%len(nodes)]
+							cur.Spec.Affinity = affLabels[rng.Intn(len(affLabels))]
+							return nil
+						})
+						break
+					}
+				}
+			case 4: // terminate a placed sharePod (status write)
+				if list := sps.List(); len(list) > 0 {
+					sp := list[rng.Intn(len(list))]
+					sps.MutateStatus(sp.Name, func(cur *core.SharePod) error {
+						cur.Status.Phase = core.SharePodSucceeded
+						return nil
+					})
+				}
+			case 5: // delete a sharePod
+				if list := sps.List(); len(list) > 0 {
+					sps.Delete(list[rng.Intn(len(list))].Name)
+				}
+			case 6: // materialize a VGPU object
+				i := rng.Intn(len(gpuIDs))
+				vgpus.Create(&core.VGPU{
+					ObjectMeta: api.ObjectMeta{Name: gpuIDs[i]},
+					Spec:       core.VGPUSpec{GPUID: gpuIDs[i], NodeName: nodes[i%len(nodes)]},
+					Status:     core.VGPUStatus{Phase: core.VGPUActive},
+				})
+			case 7: // delete a VGPU object
+				if list := vgpus.List(); len(list) > 0 {
+					vgpus.Delete(list[rng.Intn(len(list))].Name)
+				}
+			case 8: // create a native GPU pod (consumes physical capacity)
+				serial++
+				pods.Create(&api.Pod{
+					ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("native-%03d", serial)},
+					Spec: api.PodSpec{
+						NodeName: nodes[rng.Intn(len(nodes))],
+						Containers: []api.Container{{
+							Name: "c", Image: "i",
+							Requests: api.ResourceList{api.ResourceGPU: 1},
+						}},
+					},
+				})
+			case 9: // terminate or delete a native pod
+				if list := pods.List(); len(list) > 0 {
+					pod := list[rng.Intn(len(list))]
+					if rng.Intn(2) == 0 {
+						pods.MutateStatus(pod.Name, func(cur *api.Pod) error {
+							cur.Status.Phase = api.PodSucceeded
+							return nil
+						})
+					} else {
+						pods.Delete(pod.Name)
+					}
+				}
+			}
+			drain()
+			if lent != nil {
+				txn.Rollback(0)
+				requirePoolsEqual(t, lent, before)
+				if !slices.Equal(lent.Devices, held) {
+					t.Fatalf("step %d: the borrowed pool's devices changed hands under a delta", step)
+				}
+				if err := lent.VerifyIndex(); err != nil {
+					t.Fatalf("step %d, handed back: %v", step, err)
+				}
+			}
+			want := core.BuildPool(srv)
+			got := snap.Pool(nil)
+			requirePoolsEqual(t, got, want)
+			if err := got.VerifyIndex(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			var pending []*core.SharePod
 			for _, sp := range sps.List() {
 				if !sp.Placed() && !sp.Terminated() {
-					i := rng.Intn(len(gpuIDs))
-					sps.Mutate(sp.Name, func(cur *core.SharePod) error {
-						cur.Spec.GPUID = gpuIDs[i]
-						cur.Spec.NodeName = nodes[i%len(nodes)]
-						cur.Spec.Affinity = affLabels[rng.Intn(len(affLabels))]
-						return nil
-					})
-					break
+					pending = append(pending, sp)
 				}
 			}
-		case 4: // terminate a placed sharePod (status write)
-			if list := sps.List(); len(list) > 0 {
-				sp := list[rng.Intn(len(list))]
-				sps.MutateStatus(sp.Name, func(cur *core.SharePod) error {
-					cur.Status.Phase = core.SharePodSucceeded
-					return nil
-				})
-			}
-		case 5: // delete a sharePod
-			if list := sps.List(); len(list) > 0 {
-				sps.Delete(list[rng.Intn(len(list))].Name)
-			}
-		case 6: // materialize a VGPU object
-			i := rng.Intn(len(gpuIDs))
-			vgpus.Create(&core.VGPU{
-				ObjectMeta: api.ObjectMeta{Name: gpuIDs[i]},
-				Spec:       core.VGPUSpec{GPUID: gpuIDs[i], NodeName: nodes[i%len(nodes)]},
-				Status:     core.VGPUStatus{Phase: core.VGPUActive},
-			})
-		case 7: // delete a VGPU object
-			if list := vgpus.List(); len(list) > 0 {
-				vgpus.Delete(list[rng.Intn(len(list))].Name)
-			}
-		case 8: // create a native GPU pod (consumes physical capacity)
-			serial++
-			pods.Create(&api.Pod{
-				ObjectMeta: api.ObjectMeta{Name: fmt.Sprintf("native-%03d", serial)},
-				Spec: api.PodSpec{
-					NodeName: nodes[rng.Intn(len(nodes))],
-					Containers: []api.Container{{
-						Name: "c", Image: "i",
-						Requests: api.ResourceList{api.ResourceGPU: 1},
-					}},
-				},
-			})
-		case 9: // terminate or delete a native pod
-			if list := pods.List(); len(list) > 0 {
-				pod := list[rng.Intn(len(list))]
-				if rng.Intn(2) == 0 {
-					pods.MutateStatus(pod.Name, func(cur *api.Pod) error {
-						cur.Status.Phase = api.PodSucceeded
-						return nil
-					})
-				} else {
-					pods.Delete(pod.Name)
-				}
+			core.SortByAge(pending)
+			if !slices.Equal(snap.Pending(), pending) {
+				t.Fatalf("step %d: Pending is not the server's pending sharePods oldest first", step)
 			}
 		}
-		drain()
-		if lent != nil {
-			txn.Rollback(0)
-			requirePoolsEqual(t, lent, before)
-			if !slices.Equal(lent.Devices, held) {
-				t.Fatalf("step %d: the borrowed pool's devices changed hands under a delta", step)
-			}
-			if err := lent.VerifyIndex(); err != nil {
-				t.Fatalf("step %d, handed back: %v", step, err)
-			}
-		}
-		want := core.BuildPool(srv)
-		got := snap.Pool(nil)
-		requirePoolsEqual(t, got, want)
-		if err := got.VerifyIndex(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		var pending []*core.SharePod
-		for _, sp := range sps.List() {
-			if !sp.Placed() && !sp.Terminated() {
-				pending = append(pending, sp)
-			}
-		}
-		core.SortByAge(pending)
-		if !slices.Equal(snap.Pending(), pending) {
-			t.Fatalf("step %d: Pending is not the server's pending sharePods oldest first", step)
-		}
-	}
+	})
 }
 
 // TestSnapshotApplyIdempotent pins the write-through contract: the
