@@ -170,7 +170,7 @@ func (in *Injector) nodeLoop(p *sim.Proc, rng *simrand.Source) {
 		node := up[rng.Intn(len(up))]
 		node.Kubelet.Crash()
 		in.stats.NodeCrashes++
-		in.recorder.Eventf("Node", node.Name, obs.EventWarning, "NodeCrashed",
+		in.recorder.Event("Node", node.Name, obs.EventWarning, "NodeCrashed",
 			"kubelet and all containers killed")
 		outage := rng.ExpDuration(in.cfg.NodeOutageMean)
 		if outage < time.Second {
@@ -183,8 +183,8 @@ func (in *Injector) nodeLoop(p *sim.Proc, rng *simrand.Source) {
 			}
 			return
 		}
-		in.recorder.Eventf("Node", node.Name, obs.EventNormal, "NodeRestarted",
-			"kubelet back after %v outage", outage)
+		in.recorder.Event("Node", node.Name, obs.EventNormal, "NodeRestarted",
+			"kubelet back after ", outage.String(), " outage")
 	}
 }
 
@@ -219,8 +219,8 @@ func (in *Injector) holderLoop(p *sim.Proc, rng *simrand.Source) {
 		pick := candidates[rng.Intn(len(candidates))]
 		if pick.node.Kubelet.KillPod(pick.pod) {
 			in.stats.HolderKills++
-			in.recorder.Eventf("Pod", pick.pod, obs.EventWarning, "HolderKilled",
-				"vGPU holder containers killed on %s", pick.node.Name)
+			in.recorder.Event("Pod", pick.pod, obs.EventWarning, "HolderKilled",
+				"vGPU holder containers killed on ", pick.node.Name)
 		}
 	}
 }
@@ -283,8 +283,8 @@ func (in *Injector) apiLoop(p *sim.Proc, rng *simrand.Source) {
 		if torn {
 			in.stats.TornTails++
 		}
-		in.recorder.Eventf("APIServer", "control-plane", obs.EventWarning, "APIServerCrashed",
-			"store dropped; recovered rev %d (%d replayed, torn=%v)", st.RestoredRev, st.Replayed, st.TornTail)
+		in.recorder.Event("APIServer", "control-plane", obs.EventWarning, "APIServerCrashed",
+			fmt.Sprintf("store dropped; recovered rev %d (%d replayed, torn=%v)", st.RestoredRev, st.Replayed, st.TornTail))
 	}
 }
 
@@ -309,7 +309,7 @@ func (in *Injector) watchLoop(p *sim.Proc, rng *simrand.Source) {
 			r.Drop()
 		}
 		in.stats.WatchDrops++
-		in.recorder.Eventf("Watch", r.Kind(), obs.EventWarning, "WatchDropped",
+		in.recorder.Event("Watch", r.Kind(), obs.EventWarning, "WatchDropped",
 			"reflector stream severed")
 	}
 }

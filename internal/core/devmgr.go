@@ -303,8 +303,8 @@ func (m *DevMgr) reconcileVGPU(p *sim.Proc, gpuID string) error {
 			return err
 		}
 		m.vgpuCreates.Inc()
-		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Created",
-			"holder %s pinned %s on %s", d.holder, d.uuid, v.Spec.NodeName)
+		m.recorder.Event(KindVGPU, gpuID, obs.EventNormal, "Created",
+			"holder ", d.holder, " pinned ", d.uuid, " on ", v.Spec.NodeName)
 		return nil
 	}
 	if !live && v.Status.Phase == VGPUActive {
@@ -369,8 +369,8 @@ func (m *DevMgr) replaceHolder(gpuID string, v *VGPU, d *vgpuState) error {
 		}
 		if rec.strat != nil {
 			rec.strat.Suspend()
-			m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerSuspended",
-				"token manager %s suspended for recovery", rec.oldUUID)
+			m.recorder.Event(KindVGPU, gpuID, obs.EventNormal, "TokenManagerSuspended",
+				"token manager ", rec.oldUUID, " suspended for recovery")
 		}
 	}
 	if err := m.writeVGPU(gpuID, func(st *VGPUStatus) {
@@ -408,7 +408,7 @@ func (m *DevMgr) recover(gpuID string, v *VGPU, d *vgpuState, phase VGPUPhase) e
 			return err
 		}
 		m.recoveryFails.Inc()
-		m.recorder.Eventf(KindVGPU, gpuID, obs.EventWarning, "RecoveryFailed",
+		m.recorder.Event(KindVGPU, gpuID, obs.EventWarning, "RecoveryFailed",
 			"no replacement holder came up; vGPU written off")
 		return m.drop(gpuID, v.Status.HolderPod, d, "failed: written off")
 	}
@@ -422,8 +422,8 @@ func (m *DevMgr) recover(gpuID string, v *VGPU, d *vgpuState, phase VGPUPhase) e
 		}
 	}
 	d.rec = nil
-	m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "Recovered", "holder %s up on %s", rec.holder, uuid)
-	rec.span.EndNote("uuid=%s", uuid)
+	m.recorder.Event(KindVGPU, gpuID, obs.EventNormal, "Recovered", "holder ", rec.holder, " up on ", uuid)
+	rec.span.End("uuid=", uuid)
 	return nil
 }
 
@@ -432,8 +432,8 @@ func (m *DevMgr) resume(gpuID string, rec *recovery) {
 	rec.timer.Stop()
 	if rec.strat != nil {
 		rec.strat.Resume()
-		m.recorder.Eventf(KindVGPU, gpuID, obs.EventNormal, "TokenManagerResumed",
-			"token manager %s resumed", rec.oldUUID)
+		m.recorder.Event(KindVGPU, gpuID, obs.EventNormal, "TokenManagerResumed",
+			"token manager ", rec.oldUUID, " resumed")
 		rec.strat = nil
 	}
 }
@@ -449,7 +449,7 @@ func (m *DevMgr) drop(gpuID, holder string, d *vgpuState, note string) error {
 	}
 	if d.rec != nil {
 		m.resume(gpuID, d.rec)
-		d.rec.span.EndNote("%s", note)
+		d.rec.span.End(note)
 	}
 	delete(m.devices, gpuID)
 	return nil
@@ -503,7 +503,7 @@ func (m *DevMgr) reconcileSharePod(p *sim.Proc, name string) error {
 func (m *DevMgr) endBind(name, note string) {
 	if b, ok := m.binding[name]; ok {
 		if b.pod == "" {
-			b.span.EndNote("%s", note)
+			b.span.End(note)
 		}
 		delete(m.binding, name)
 	}
@@ -524,7 +524,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 		}
 		ok = false
 	} else if ok && b.gpuID != sp.Spec.GPUID {
-		b.span.EndNote("abandoned: stale placement")
+		b.span.End("abandoned: stale placement")
 		ok = false
 	}
 	if !ok {
@@ -544,7 +544,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 		v := obj.(*VGPU)
 		b.uuid, b.active, b.due = v.Status.UUID, v.Status.Phase == VGPUActive, m.env.Now()+opLatency
 		m.binding[sp.Name] = b
-		m.tracer.Mark("devmgr", "holder-ready", KindSharePod+"/"+sp.Name, "gpuid="+b.gpuID+" uuid="+b.uuid)
+		m.tracer.Mark("devmgr", "holder-ready", KindSharePod+"/"+sp.Name, "gpuid=", b.gpuID, " uuid=", b.uuid)
 		name := sp.Name
 		m.env.After(opLatency, func() { m.sharePods.Sync(nil, name) })
 		return nil
@@ -556,7 +556,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 	// status write checks the stored one, which may have moved on since.
 	pod := boundPod(sp, b.uuid)
 	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
-		b.span.EndNote("failed: %v", err)
+		b.span.End("failed: ", err.Error())
 		delete(m.binding, sp.Name)
 		return m.writeSharePod(sp.Name, func(st *SharePodStatus) {
 			if !terminal(st.Phase) {
@@ -585,7 +585,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 	}
 	m.binds.Inc()
 	m.bindHist.Observe((m.env.Now() - b.start).Seconds())
-	b.span.EndNote("pod=%s uuid=%s", pod.Name, b.uuid)
+	b.span.End("pod=", pod.Name, " uuid=", b.uuid)
 	b.pod = pod.Name
 	m.binding[sp.Name] = b
 	return nil
@@ -636,9 +636,9 @@ func (m *DevMgr) requeue(name, lost string) {
 		return // gone, terminal, or already requeued
 	}
 	m.requeues.Inc()
-	m.tracer.Mark("kubeshare-sched", "requeue", api.Key(updated), "lost pod "+lost)
-	m.schedEvents.Eventf(KindSharePod, name, obs.EventWarning, "Requeued",
-		"bound pod %s lost; rescheduling", lost)
+	m.tracer.Mark("kubeshare-sched", "requeue", KindSharePod+"/"+updated.Name, "lost pod ", lost)
+	m.schedEvents.Event(KindSharePod, name, obs.EventWarning, "Requeued",
+		"bound pod ", lost, " lost; rescheduling")
 }
 
 // deleteBoundPods removes a deleted sharePod's bound pods, once the API

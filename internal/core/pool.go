@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -121,16 +120,16 @@ func holderPodName(gpuID string, gen int) string {
 	if gen == 0 {
 		return gpuID + "-holder"
 	}
-	return fmt.Sprintf("%s-holder-r%d", gpuID, gen)
+	return gpuID + "-holder-r" + strconv.Itoa(gen)
 }
 
 // boundPodName names the pod realizing a sharePod, versioned by the
 // sharePod's restart count for the same reason as holder incarnations.
 func boundPodName(spName string, restarts int) string {
 	if restarts == 0 {
-		return fmt.Sprintf("sharepod-%s", spName)
+		return "sharepod-" + spName
 	}
-	return fmt.Sprintf("sharepod-%s-r%d", spName, restarts)
+	return "sharepod-" + spName + "-r" + strconv.Itoa(restarts)
 }
 
 // boundPod is the pod realizing sp on device uuid: its pod spec pinned to

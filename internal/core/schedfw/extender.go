@@ -1,8 +1,8 @@
 package schedfw
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/kube/api"
@@ -116,7 +116,7 @@ func (s *Extender) runCycle(p *sim.Proc) bool {
 			idx = s.rr[node] % gpus
 			s.rr[node]++
 		}
-		s.commit(sp.Name, fmt.Sprintf("ext-%s-gpu%d", node, idx), node)
+		s.commit(sp.Name, "ext-"+node+"-gpu"+strconv.Itoa(idx), node)
 		return true
 	}
 	s.noCapacity.Inc()

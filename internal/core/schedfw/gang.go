@@ -6,7 +6,6 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/kube/api"
 	"kubeshare/internal/sim"
 )
 
@@ -95,7 +94,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 		// reason; the journal releases its reservations.
 		txn.Rollback(mark)
 		for _, sp := range members {
-			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime,
+			*out = append(*out, staged{name: sp.Name, created: sp.CreationTime,
 				dec: core.Decision{Outcome: core.Rejected, Reason: rejectReason}})
 		}
 		delete(s.gangs, gang)
@@ -104,7 +103,7 @@ func (s *Scheduler) scheduleGang(gang string, pending []*core.SharePod, txn *fwk
 	case complete && !short:
 		// All-or-nothing satisfied: stage every member.
 		for _, d := range decided {
-			*out = append(*out, staged{name: d.sp.Name, key: api.Key(d.sp), created: d.sp.CreationTime, dec: d.dec})
+			*out = append(*out, staged{name: d.sp.Name, created: d.sp.CreationTime, dec: d.dec})
 		}
 		delete(s.gangs, gang)
 		s.gangAdmitted.Inc()

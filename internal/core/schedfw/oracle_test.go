@@ -1,11 +1,8 @@
 package schedfw
 
 import (
-	"fmt"
-
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/kube/api"
 	"kubeshare/internal/sim"
 )
 
@@ -46,11 +43,7 @@ func (s *Scheduler) runCycleExhaustive(p *sim.Proc) bool {
 		panic("exhaustive driver parked a unit")
 	}
 
-	if s.batchSize > 1 {
-		s.tracer.Record("kubeshare-sched", "batch",
-			fmt.Sprintf("cycle/%d", len(pending)),
-			fmt.Sprintf("staged=%d journal=%d", len(out), txn.Len()), cycleStart)
-	}
+	s.recordBatch(len(pending), len(out), txn.Len(), cycleStart)
 	txn.Rollback(0)
 	for _, st := range out {
 		s.commit(st, cycleStart)
@@ -85,7 +78,7 @@ func (s *Scheduler) stageExhaustive(pending []*core.SharePod, txn *fwk.Txn, out 
 		dec := s.decide(core.RequestOf(sp), txn)
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
-			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
+			*out = append(*out, staged{name: sp.Name, created: sp.CreationTime, dec: dec})
 			progressed++
 		default:
 			if txn.Len() > 0 {

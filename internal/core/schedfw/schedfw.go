@@ -13,11 +13,11 @@ package schedfw
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw/fwk"
-	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
 	"kubeshare/internal/obs"
@@ -332,7 +332,6 @@ func (s *Scheduler) checkEpoch() {
 // staged is one decision awaiting the cycle's bulk commit.
 type staged struct {
 	name    string
-	key     string
 	created time.Duration
 	dec     core.Decision
 }
@@ -372,11 +371,7 @@ func (s *Scheduler) runCycle(p *sim.Proc) bool {
 	progressed := s.stage(pending, txn, &out)
 	s.parkedNow.Set(int64(len(s.parked)))
 
-	if s.batchSize > 1 {
-		s.tracer.Record("kubeshare-sched", "batch",
-			fmt.Sprintf("cycle/%d", len(pending)),
-			fmt.Sprintf("staged=%d journal=%d", len(out), txn.Len()), cycleStart)
-	}
+	s.recordBatch(len(pending), len(out), txn.Len(), cycleStart)
 	// Hand the pool back as borrowed — gang holds included — before the first
 	// commit; each placement returns through snap.Placed as it lands.
 	txn.Rollback(0)
@@ -446,7 +441,7 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 		dec := s.decide(req, txn)
 		switch dec.Outcome {
 		case core.Assigned, core.NewDevice, core.Rejected:
-			*out = append(*out, staged{name: sp.Name, key: api.Key(sp), created: sp.CreationTime, dec: dec})
+			*out = append(*out, staged{name: sp.Name, created: sp.CreationTime, dec: dec})
 			progressed++
 		default: // NoCapacity: the unit stays pending.
 			if txn.Len() > 0 {
@@ -461,18 +456,31 @@ func (s *Scheduler) stage(pending []*core.SharePod, txn *fwk.Txn, out *[]staged)
 	return progressed
 }
 
+// recordBatch records a batched cycle's span: the pending units it took
+// name its key, and its note counts the staged decisions and the journal.
+func (s *Scheduler) recordBatch(pending, staged, journal int, cycleStart time.Duration) {
+	if s.batchSize <= 1 {
+		return
+	}
+	var p, st, j [20]byte
+	s.tracer.Record("kubeshare-sched", "batch", "cycle/"+string(strconv.AppendInt(p[:0], int64(pending), 10)), cycleStart,
+		"staged=", string(strconv.AppendInt(st[:0], int64(staged), 10)),
+		" journal=", string(strconv.AppendInt(j[:0], int64(journal), 10)))
+}
+
 // commit applies one staged decision through the API server, records its
 // span, event and latency observation, and writes the result through into
 // the snapshot.
 func (s *Scheduler) commit(st staged, cycleStart time.Duration) {
+	key := core.KindSharePod + "/" + st.name
 	if st.dec.Outcome == core.Rejected {
-		s.tracer.Record("kubeshare-sched", "reject", st.key, st.dec.Reason, cycleStart)
-		s.recorder.Eventf(core.KindSharePod, st.name, obs.EventWarning, "Unschedulable", "%s", st.dec.Reason)
+		s.tracer.Record("kubeshare-sched", "reject", key, cycleStart, st.dec.Reason)
+		s.recorder.Event(core.KindSharePod, st.name, obs.EventWarning, "Unschedulable", st.dec.Reason)
 		s.applyRejection(st.name, st.dec.Reason)
 		return
 	}
-	s.tracer.Record("kubeshare-sched", "schedule", st.key,
-		fmt.Sprintf("gpuid=%s node=%s", st.dec.GPUID, st.dec.NodeName), cycleStart)
+	s.tracer.Record("kubeshare-sched", "schedule", key, cycleStart,
+		"gpuid=", st.dec.GPUID, " node=", st.dec.NodeName)
 	s.schedHist.Observe((s.env.Now() - st.created).Seconds())
 	s.applyPlacement(st.name, st.dec)
 }
@@ -522,5 +530,8 @@ func gangOf(sp *core.SharePod) string {
 // the order the scheduler opens devices.
 func (s *Scheduler) newGPUID() string {
 	s.nextID++
-	return fmt.Sprintf("vgpu-%04d", s.nextID)
+	var b [20]byte
+	n := strconv.AppendInt(b[:0], int64(s.nextID), 10)
+	// vgpu-%04d: the number zero-padded to four digits.
+	return "vgpu-" + "000"[min(len(n)-1, 3):] + string(n)
 }

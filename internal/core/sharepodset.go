@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"kubeshare/internal/kube/api"
@@ -179,7 +180,7 @@ func (m *SharePodSetManager) reconcile(p *sim.Proc, name string) error {
 		m.serial++
 		sp := &SharePod{
 			ObjectMeta: api.ObjectMeta{
-				Name:      fmt.Sprintf("%s-%d", set.Name, m.serial),
+				Name:      set.Name + "-" + strconv.Itoa(m.serial),
 				OwnerName: setOwnerPrefix + set.Name,
 			},
 			Spec: set.Template.Clone(),

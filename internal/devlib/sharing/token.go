@@ -2,6 +2,7 @@ package sharing
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"kubeshare/internal/obs"
@@ -241,8 +242,8 @@ func (m *Token) trySchedule() {
 		if !m.retry.Active() {
 			m.retry = m.env.After(m.quota, m.schedule)
 			m.throttles.Inc()
-			m.recorder.Eventf("GPU", m.uuid, obs.EventWarning, "Throttled",
-				"%d queued clients all at gpu_limit", len(m.queue))
+			m.recorder.Event("GPU", m.uuid, obs.EventWarning, "Throttled",
+				strconv.Itoa(len(m.queue)), " queued clients all at gpu_limit")
 		}
 		return
 	}

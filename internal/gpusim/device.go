@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"time"
 
 	"kubeshare/internal/obs"
@@ -265,8 +266,8 @@ func (d *Device) InjectFault() {
 		ctx.faulted = true
 	}
 	d.faults.Inc()
-	d.recorder.Eventf("GPU", d.uuid, obs.EventWarning, "DeviceFault",
-		"Xid fault: %d contexts poisoned", poisoned)
+	d.recorder.Event("GPU", d.uuid, obs.EventWarning, "DeviceFault",
+		"Xid fault: ", strconv.Itoa(poisoned), " contexts poisoned")
 }
 
 // InjectContextFault raises an Xid-style fault scoped to one context — the
@@ -315,8 +316,8 @@ func (d *Device) InjectContextFault(victim *Context) {
 		ctx.faulted = true
 	}
 	d.faults.Inc()
-	d.recorder.Eventf("GPU", d.uuid, obs.EventWarning, "ContextFault",
-		"Xid fault in context %s: %d contexts poisoned", victim.owner, len(poison))
+	d.recorder.Event("GPU", d.uuid, obs.EventWarning, "ContextFault",
+		"Xid fault in context ", victim.owner, ": ", strconv.Itoa(len(poison)), " contexts poisoned")
 	d.reschedule()
 }
 
@@ -324,7 +325,7 @@ func (d *Device) InjectContextFault(victim *Context) {
 // fault stay poisoned — their owners must close them and open fresh ones.
 func (d *Device) ClearFault() {
 	if d.faulted {
-		d.recorder.Eventf("GPU", d.uuid, obs.EventNormal, "DeviceFaultCleared", "device reset")
+		d.recorder.Event("GPU", d.uuid, obs.EventNormal, "DeviceFaultCleared", "device reset")
 	}
 	d.faulted = false
 }

@@ -129,7 +129,7 @@ func (s *Server) Create(obj api.Object) (api.Object, error) {
 	out, err := s.store.Insert(obj)
 	if err == nil {
 		s.reqWrites.Inc()
-		s.rt.Tracer().Mark("apiserver", "create", api.Key(out), "")
+		s.rt.Tracer().Mark("apiserver", "create", api.KeyOf(out.Kind(), out.GetMeta().Name))
 	}
 	return out, err
 }

@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"fmt"
 	"time"
 
 	"kubeshare/internal/kube/store"
@@ -81,11 +82,11 @@ func (s *Server) Restart() (store.RestoreStats, error) {
 	s.restarts.Inc()
 	rec := s.rt.EventSource("apiserver")
 	if st.TornTail {
-		rec.Eventf("APIServer", "control-plane", obs.EventWarning, "WALTornTail",
+		rec.Event("APIServer", "control-plane", obs.EventWarning, "WALTornTail",
 			"corrupt log tail truncated during restore")
 	}
-	rec.Eventf("APIServer", "control-plane", obs.EventWarning, "APIServerRestarted",
-		"epoch %d: restored rev %d (checkpoint rev %d + %d replayed records)",
-		s.store.Epoch(), st.RestoredRev, st.CheckpointRev, st.Replayed)
+	rec.Event("APIServer", "control-plane", obs.EventWarning, "APIServerRestarted",
+		fmt.Sprintf("epoch %d: restored rev %d (checkpoint rev %d + %d replayed records)",
+			s.store.Epoch(), st.RestoredRev, st.CheckpointRev, st.Replayed))
 	return st, nil
 }

@@ -268,11 +268,11 @@ func (k *Kubelet) admit(pod *api.Pod) {
 				resp, err := k.devmgr.Allocate(pod.UID, res, n)
 				if err != nil {
 					k.allocFails.Inc()
-					k.recorder.Eventf("Pod", pod.Name, obs.EventWarning, "FailedAllocation",
-						"device allocation of %s: %v", res, err)
+					k.recorder.Event("Pod", pod.Name, obs.EventWarning, "FailedAllocation",
+						"device allocation of ", string(res), ": ", err.Error())
 					k.failPod(p, pod.Name, fmt.Sprintf("device allocation: %v", err))
 					k.release(w)
-					span.EndNote("failed: device allocation")
+					span.End("failed: device allocation")
 					return
 				}
 				for key, v := range resp.Env {
@@ -284,14 +284,14 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		for _, c := range pod.Spec.Containers {
 			h, err := k.runtime.Start(pod, c, extraEnv)
 			if err != nil {
-				k.recorder.Eventf("Pod", pod.Name, obs.EventWarning, "FailedStart",
-					"start container %s: %v", c.Name, err)
+				k.recorder.Event("Pod", pod.Name, obs.EventWarning, "FailedStart",
+					"start container ", c.Name, ": ", err.Error())
 				k.failPod(p, pod.Name, fmt.Sprintf("start container %s: %v", c.Name, err))
 				for _, started := range w.handles {
 					k.runtime.Stop(started)
 				}
 				k.release(w)
-				span.EndNote("failed: container start")
+				span.End("failed: container start")
 				return
 			}
 			w.handles = append(w.handles, h)
@@ -304,9 +304,9 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		})
 		k.syncs.Inc()
 		k.syncHist.Observe((k.env.Now() - syncStart).Seconds())
-		k.recorder.Eventf("Pod", pod.Name, obs.EventNormal, "Started",
-			"pod running on %s", k.cfg.NodeName)
-		span.EndNote("pod=%s", pod.Name)
+		k.recorder.Event("Pod", pod.Name, obs.EventNormal, "Started",
+			"pod running on ", k.cfg.NodeName)
+		span.End("pod=", pod.Name)
 		// Wait for all containers; first error decides the pod outcome.
 		// The worker entry stays in k.workers until the pod object is
 		// deleted, so stale watch snapshots can never re-admit the pod.

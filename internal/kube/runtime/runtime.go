@@ -11,6 +11,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -141,8 +142,9 @@ func (r *Runtime) Start(pod *api.Pod, c api.Container, extraEnv map[string]strin
 		env[k] = v
 	}
 	r.nextID++
+	var id [20]byte
 	h := &Handle{
-		ID:      fmt.Sprintf("ctr-%s-%s-%d", pod.Name, c.Name, r.nextID),
+		ID:      "ctr-" + pod.Name + "-" + c.Name + "-" + string(strconv.AppendInt(id[:0], int64(r.nextID), 10)),
 		state:   StateCreating,
 		started: sim.NewEvent(r.env),
 		done:    sim.NewEvent(r.env),

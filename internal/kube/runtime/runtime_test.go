@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	goruntime "runtime"
 	"sync/atomic"
 	"testing"
@@ -315,4 +316,23 @@ func TestExitedContainerReleasesLibrary(t *testing.T) {
 	}
 	goruntime.KeepAlive(h)
 	goruntime.KeepAlive(env)
+}
+
+// TestContainerIDMatchesPrintf: a container's ID is ctr-<pod>-<container>-<n>,
+// as fmt's "ctr-%s-%s-%d" rendered it, past every digit count.
+func TestContainerIDMatchesPrintf(t *testing.T) {
+	env := sim.NewEnv()
+	rt, _ := testRig(env, 0)
+	rt.images.Register("app", func(*Ctx) error { return nil })
+	for _, n := range []int{0, 8, 98, 998, 99998} {
+		rt.nextID = n
+		h, err := rt.Start(pod("train-3-pod"), api.Container{Name: "main", Image: "app"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("ctr-%s-%s-%d", "train-3-pod", "main", n+1); h.ID != want {
+			t.Fatalf("ID %q, want %q", h.ID, want)
+		}
+	}
+	env.Run()
 }

@@ -237,6 +237,6 @@ func (s *Scheduler) scheduleOne(pod *api.Pod) {
 	// Bind latency is submit-to-bind; the span lands on the pod's causal
 	// chain (its owner's chain for controller-created pods, so sharePod
 	// holder/bound pods trace under their sharePod).
-	s.tracer.Record("kube-scheduler", "bind", api.TraceKey(updated), "node="+node, pod.CreationTime)
+	s.tracer.Record("kube-scheduler", "bind", api.TraceKey(updated), pod.CreationTime, "node=", node)
 	s.bindHist.Observe((s.env.Now() - pod.CreationTime).Seconds())
 }

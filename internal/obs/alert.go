@@ -204,15 +204,15 @@ func (e *AlertEngine) apply(r AlertRule, sig signal, now time.Duration) {
 		}
 		if now-st.pendingSince >= r.For {
 			st.firing = true
-			e.recorder.Eventf("SLO", key, EventWarning, r.Name,
-				"%s%s = %.6g, SLO %s %.6g for %v", r.Metric, FormatLabels(sig.labels),
-				sig.value, r.Op, r.Threshold, r.For)
+			e.recorder.Event("SLO", key, EventWarning, r.Name,
+				fmt.Sprintf("%s%s = %.6g, SLO %s %.6g for %v", r.Metric, FormatLabels(sig.labels),
+					sig.value, r.Op, r.Threshold, r.For))
 		}
 	case !breach && st.firing:
 		st.firing, st.pending = false, false
-		e.recorder.Eventf("SLO", key, EventNormal, r.Name+"Resolved",
-			"%s%s = %.6g back within SLO %s %.6g", r.Metric, FormatLabels(sig.labels),
-			sig.value, r.Op, r.Threshold)
+		e.recorder.Event("SLO", key, EventNormal, r.Name+"Resolved",
+			fmt.Sprintf("%s%s = %.6g back within SLO %s %.6g", r.Metric, FormatLabels(sig.labels),
+				sig.value, r.Op, r.Threshold))
 	case !breach:
 		st.pending = false
 	}

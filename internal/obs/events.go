@@ -32,8 +32,10 @@ func (r *Runtime) Events() []EventRecord {
 	if r == nil {
 		return nil
 	}
-	out := make([]EventRecord, len(r.events))
-	copy(out, r.events)
+	out := make([]EventRecord, 0, r.events.n)
+	for _, page := range r.events.pages {
+		out = append(out, page...)
+	}
 	return out
 }
 
@@ -51,18 +53,19 @@ func (r *Runtime) EventSource(source string) *Recorder {
 	return &Recorder{rt: r, source: source}
 }
 
-// Eventf records an event about the object (kind, name).
-func (rec *Recorder) Eventf(kind, name, etype, reason, format string, args ...any) {
+// Event records an event about the object (kind, name); its message is the
+// concatenation of the fragments, copied into the runtime's message pages.
+func (rec *Recorder) Event(kind, name, etype, reason string, msg ...string) {
 	if rec == nil {
 		return
 	}
-	e := EventRecord{
-		Time: rec.rt.env.Now(),
+	rt := rec.rt
+	rt.events.add(EventRecord{
+		Time: rt.env.Now(),
 		Kind: kind, Name: name,
 		Type: etype, Reason: reason, Source: rec.source,
-		Message: fmt.Sprintf(format, args...),
-	}
-	rec.rt.events = append(rec.rt.events, e)
+		Message: rt.msgs.join(msg),
+	})
 }
 
 // FormatEvents writes the event log as stable text, one line per event.

@@ -35,7 +35,8 @@ type Runtime struct {
 	reg    *Registry
 	tracer *Tracer
 
-	events []EventRecord
+	events paged[EventRecord]
+	msgs   texts
 }
 
 // New creates an enabled runtime on env's virtual clock.

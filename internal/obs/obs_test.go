@@ -17,12 +17,12 @@ func TestNilRuntimeNoOps(t *testing.T) {
 	rt.Counter("c").Add(3)
 	rt.Gauge("g").Set(7)
 	rt.Histogram("h").Observe(0.5)
-	rt.Tracer().Mark("x", "y", "k", "")
-	rt.Tracer().Record("x", "y", "k", "", 0)
+	rt.Tracer().Mark("x", "y", "k", "note")
+	rt.Tracer().Record("x", "y", "k", 0, "note")
 	ref := rt.Tracer().Start("x", "y", "k")
 	ref.End()
-	ref.EndNote("note %d", 1)
-	rt.EventSource("src").Eventf("Kind", "name", EventNormal, "Reason", "msg")
+	ref.End("note ", "1")
+	rt.EventSource("src").Event("Kind", "name", EventNormal, "Reason", "msg")
 	if rt.Counter("c").Value() != 0 || rt.Gauge("g").Value() != 0 {
 		t.Fatal("nil handles returned nonzero values")
 	}
@@ -111,14 +111,14 @@ func TestTracerCausalChains(t *testing.T) {
 	rt := New(env)
 	tr := rt.Tracer()
 
-	tr.Mark("apiserver", "create", "SharePod/x", "")
+	tr.Mark("apiserver", "create", "SharePod/x")
 	var ref SpanRef
 	env.Go("worker", func(p *sim.Proc) {
 		ref = tr.Start("devmgr", "bind", "SharePod/x")
-		tr.Mark("apiserver", "create", "Pod/other", "") // unrelated chain
+		tr.Mark("apiserver", "create", "Pod/other") // unrelated chain
 		p.Sleep(100 * time.Millisecond)
-		ref.EndNote("pod=%s", "x-pod-0")
-		tr.Mark("kubelet", "pod-sync", "SharePod/x", "")
+		ref.End("pod=", "x-pod-0")
+		tr.Mark("kubelet", "pod-sync", "SharePod/x")
 	})
 	env.Run()
 
@@ -172,7 +172,7 @@ func TestEventsLogAndSink(t *testing.T) {
 	rt := New(env)
 	env.Go("emitter", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		rt.EventSource("kubelet/node-0").Eventf("Pod", "p1", EventWarning, "FailedStart", "exit %d", 3)
+		rt.EventSource("kubelet/node-0").Event("Pod", "p1", EventWarning, "FailedStart", "exit ", "3")
 	})
 	env.Run()
 	evs := rt.Events()

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"kubeshare/internal/sim"
@@ -51,28 +52,43 @@ func (s Span) Duration() time.Duration {
 // trace memory.
 const DefaultSpanCap = 1 << 20
 
-// spanPage is the span buffer's unit of growth: a full page is never
-// copied again, so recording n spans allocates n spans' worth of pages, not
-// the geometric series a single growing slice re-copies.
-const (
-	spanPageBits = 10
-	spanPage     = 1 << spanPageBits
-)
+// spanRec is a span as the tracer stores it: fixed-size, its key a chain
+// index and its note a substring of the tracer's note pages. Its ID is its
+// position. IDs fit in 32 bits: 2^31 records would fill over 100 GB.
+type spanRec struct {
+	start, end    time.Duration
+	parent, chain int32
+	component, op string
+	note          string
+}
+
+// chain is one causal chain: its key, copied once, and its last span.
+type chain struct {
+	key  string
+	head int32
+}
 
 // Tracer records spans on the env's virtual clock. It is env-confined:
 // all writes happen on the simulation goroutine, reads after the run.
+//
+// Recording a span on a known chain allocates nothing: neither the key nor
+// the note fragments escape, the key is looked up in chainOf, and the
+// fragments are copied into the note pages. Only a new chain's key is
+// copied (one allocation), so a key the caller builds inline lives in the
+// caller's frame when it is short.
 type Tracer struct {
 	env     *sim.Env
-	pages   [][]Span         // span id is pages[(id-1)>>spanPageBits][(id-1)&(spanPage-1)]
-	n       int              // spans recorded
-	heads   map[string]int64 // key -> last span ID on that chain
-	cap     int              // max retained spans; <= 0 means unbounded
+	spans   paged[spanRec]   // span id is spans' index + 1
+	chainOf map[string]int32 // key -> index in chains
+	chains  paged[chain]
+	notes   texts
+	cap     int // max retained spans; <= 0 means unbounded
 	dropped int64
 	onDrop  func() // bumps the drop counter; registered lazily by Runtime
 }
 
 func newTracer(env *sim.Env) *Tracer {
-	return &Tracer{env: env, heads: map[string]int64{}, cap: DefaultSpanCap}
+	return &Tracer{env: env, chainOf: map[string]int32{}, cap: DefaultSpanCap}
 }
 
 // SetSpanCap bounds the span buffer to n spans; once full, further spans
@@ -92,30 +108,31 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// push appends a span, linking it under the key's current head. At the
-// cap it drops the span and returns 0 — the zero SpanRef/parent ID, so
-// chains simply stop growing and End on a dropped span no-ops.
-func (t *Tracer) push(component, op, key, note string, start, end time.Duration) int64 {
-	if t.cap > 0 && t.n >= t.cap {
+// push appends a span, linking it under the key's current head, with the
+// concatenated note. At the cap it drops the span and returns 0 — the zero
+// SpanRef/parent ID, so chains simply stop growing and End on a dropped
+// span no-ops.
+func (t *Tracer) push(component, op, key string, start, end time.Duration, note []string) int64 {
+	if t.cap > 0 && t.spans.n >= t.cap {
 		t.dropped++
 		if t.onDrop != nil {
 			t.onDrop()
 		}
 		return 0
 	}
-	if t.n&(spanPage-1) == 0 {
-		t.pages = append(t.pages, make([]Span, 0, spanPage))
+	c, ok := t.chainOf[key]
+	if !ok {
+		owned := strings.Clone(key)
+		c = int32(t.chains.add(chain{key: owned}) - 1)
+		t.chainOf[owned] = c
 	}
-	t.n++
-	id := int64(t.n)
-	last := &t.pages[len(t.pages)-1]
-	*last = append(*last, Span{
-		ID: id, Parent: t.heads[key], Key: key,
-		Component: component, Op: op, Note: note,
-		Start: start, End: end,
-	})
-	t.heads[key] = id
-	return id
+	ch := t.chains.at(int(c))
+	id := int32(t.spans.add(spanRec{
+		start: start, end: end, parent: ch.head, chain: c,
+		component: component, op: op, note: t.notes.join(note),
+	}))
+	ch.head = id
+	return int64(id)
 }
 
 // Start opens a span on key's chain and returns a handle to close it.
@@ -124,24 +141,25 @@ func (t *Tracer) Start(component, op, key string) SpanRef {
 		return SpanRef{}
 	}
 	now := t.env.Now()
-	return SpanRef{t: t, id: t.push(component, op, key, "", now, openEnd)}
+	return SpanRef{t: t, id: t.push(component, op, key, now, openEnd, nil)}
 }
 
-// Mark records an instantaneous span (a milestone) on key's chain.
-func (t *Tracer) Mark(component, op, key, note string) {
+// Mark records an instantaneous span (a milestone) on key's chain; its
+// note is the concatenation of the fragments.
+func (t *Tracer) Mark(component, op, key string, note ...string) {
 	if t == nil {
 		return
 	}
 	now := t.env.Now()
-	t.push(component, op, key, note, now, now)
+	t.push(component, op, key, now, now, note)
 }
 
 // Record appends an already-finished span that started at start and
 // ends now — for callers that only know the outcome after the fact
 // (e.g. a scheduling cycle that spans many candidates).
-func (t *Tracer) Record(component, op, key, note string, start time.Duration) {
+func (t *Tracer) Record(component, op, key string, start time.Duration, note ...string) {
 	if t != nil {
-		t.push(component, op, key, note, start, t.env.Now())
+		t.push(component, op, key, start, t.env.Now(), note)
 	}
 }
 
@@ -150,9 +168,16 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, t.n)
-	for _, page := range t.pages {
-		out = append(out, page...)
+	out := make([]Span, 0, t.spans.n)
+	for _, page := range t.spans.pages {
+		for i := range page {
+			r := &page[i]
+			out = append(out, Span{
+				ID: int64(len(out) + 1), Parent: int64(r.parent), Key: t.chains.at(int(r.chain)).key,
+				Component: r.component, Op: r.op, Note: r.note,
+				Start: r.start, End: r.end,
+			})
+		}
 	}
 	return out
 }
@@ -162,7 +187,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return t.n
+	return t.spans.n
 }
 
 // SpanRef is a handle to an open span. The zero value (from a nil
@@ -172,18 +197,16 @@ type SpanRef struct {
 	id int64
 }
 
-// End closes the span at the current virtual time.
-func (r SpanRef) End() { r.EndNote("") }
-
-// EndNote closes the span and attaches a note.
-func (r SpanRef) EndNote(format string, args ...any) {
+// End closes the span at the current virtual time; its note, if any
+// fragments are given, is their concatenation.
+func (r SpanRef) End(note ...string) {
 	if r.t == nil || r.id == 0 {
 		return
 	}
-	sp := &r.t.pages[(r.id-1)>>spanPageBits][(r.id-1)&(spanPage-1)]
-	sp.End = r.t.env.Now()
-	if format != "" {
-		sp.Note = fmt.Sprintf(format, args...)
+	sp := r.t.spans.at(int(r.id - 1))
+	sp.end = r.t.env.Now()
+	if len(note) > 0 {
+		sp.note = r.t.notes.join(note)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"kubeshare/internal/sim"
@@ -17,11 +18,11 @@ func TestSpanCap(t *testing.T) {
 	tr := rt.Tracer()
 	tr.SetSpanCap(3)
 
-	tr.Mark("a", "op", "K/1", "")
-	tr.Record("a", "op", "K/2", "", 0)
+	tr.Mark("a", "op", "K/1")
+	tr.Record("a", "op", "K/2", 0)
 	kept := tr.Start("a", "op", "K/3")
 	dropped := tr.Start("a", "op", "K/4")
-	tr.Mark("a", "op", "K/5", "")
+	tr.Mark("a", "op", "K/5")
 
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (cap)", tr.Len())
@@ -48,7 +49,7 @@ func TestSpanCap(t *testing.T) {
 func TestSpanCapLazyCounter(t *testing.T) {
 	env := sim.NewEnv()
 	rt := New(env)
-	rt.Tracer().Mark("a", "op", "K/1", "")
+	rt.Tracer().Mark("a", "op", "K/1")
 	for _, c := range rt.Snapshot().Counters {
 		if c.Name == "kubeshare_obs_spans_dropped_total" {
 			t.Fatal("drop counter registered without any drop")
@@ -62,10 +63,10 @@ func TestSpanCapOff(t *testing.T) {
 	rt := New(env)
 	tr := rt.Tracer()
 	tr.SetSpanCap(2)
-	tr.Mark("a", "op", "K/1", "")
-	tr.Mark("a", "op", "K/2", "")
+	tr.Mark("a", "op", "K/1")
+	tr.Mark("a", "op", "K/2")
 	tr.SetSpanCap(0)
-	tr.Mark("a", "op", "K/3", "")
+	tr.Mark("a", "op", "K/3")
 	if tr.Len() != 3 || tr.Dropped() != 0 {
 		t.Fatalf("Len=%d Dropped=%d, want 3/0 with the cap off", tr.Len(), tr.Dropped())
 	}
@@ -79,17 +80,17 @@ func TestSpanCapOff(t *testing.T) {
 func TestSpanPages(t *testing.T) {
 	env := sim.NewEnv()
 	tr := New(env).Tracer()
-	tr.SetSpanCap(3 * spanPage)
+	tr.SetSpanCap(3 * pageLen)
 	var refs []SpanRef
-	for i := 0; i < 2*spanPage+7; i++ {
+	for i := 0; i < 2*pageLen+7; i++ {
 		refs = append(refs, tr.Start("a", "op", "K/1"))
 	}
-	for _, i := range []int{0, spanPage - 1, spanPage, 2*spanPage - 1, 2 * spanPage, 2*spanPage + 6} {
-		refs[i].EndNote("closed %d", i)
+	for _, i := range []int{0, pageLen - 1, pageLen, 2*pageLen - 1, 2 * pageLen, 2*pageLen + 6} {
+		refs[i].End("closed ", strconv.Itoa(i))
 	}
 	spans := tr.Spans()
-	if len(spans) != 2*spanPage+7 || tr.Len() != len(spans) {
-		t.Fatalf("Spans() holds %d, Len() %d, want %d", len(spans), tr.Len(), 2*spanPage+7)
+	if len(spans) != 2*pageLen+7 || tr.Len() != len(spans) {
+		t.Fatalf("Spans() holds %d, Len() %d, want %d", len(spans), tr.Len(), 2*pageLen+7)
 	}
 	closed := 0
 	for i, s := range spans {
@@ -107,16 +108,16 @@ func TestSpanPages(t *testing.T) {
 		t.Fatalf("%d spans closed, want 6", closed)
 	}
 
-	for i := tr.Len(); i < 3*spanPage; i++ {
-		tr.Mark("a", "op", "K/2", "")
+	for i := tr.Len(); i < 3*pageLen; i++ {
+		tr.Mark("a", "op", "K/2")
 	}
 	over := tr.Start("a", "op", "K/3")
 	over.End()
-	if tr.Len() != 3*spanPage || tr.Dropped() != 1 || over.id != 0 || len(tr.pages) != 3 {
+	if tr.Len() != 3*pageLen || tr.Dropped() != 1 || over.id != 0 || len(tr.spans.pages) != 3 {
 		t.Fatalf("at a cap of three pages: Len=%d Dropped=%d ref=%d pages=%d, want %d/1/0/3",
-			tr.Len(), tr.Dropped(), over.id, len(tr.pages), 3*spanPage)
+			tr.Len(), tr.Dropped(), over.id, len(tr.spans.pages), 3*pageLen)
 	}
-	if last := tr.Spans()[3*spanPage-1]; last.ID != 3*spanPage || last.Key != "K/2" {
+	if last := tr.Spans()[3*pageLen-1]; last.ID != 3*pageLen || last.Key != "K/2" {
 		t.Fatalf("last span %+v", last)
 	}
 }
