@@ -71,13 +71,12 @@ go run ./tools/benchgate
 # Client.Create (no copy: three, with 0 or 64 env vars), a logged write (the
 # volatile write's one), a kernel launch (nothing, under every strategy), a
 # span on a known chain and an event with a fragmented message (nothing; a
-# new chain one, its key's copy) beside each converted telemetry call site's
-# fragments against the fmt.Sprintf they replace, a placement staged and
-# rolled back on an unlabeled pool device, the snapshot's refresh of a
-# device it holds and core.Schedule on a
-# pool of loaded unlabeled devices (nothing), Fig 11's decision (one: its
-# journal); Figure 15's decisions per second, Figure 17's rows and
-# Figure 18's throughputs, stretches and memory witnesses at quick scale.
+# new chain one, its key's copy), a placement staged and rolled back on an
+# unlabeled pool device, the snapshot's refresh of a device it holds and
+# core.Schedule on a pool of loaded unlabeled devices (nothing), Fig 11's
+# decision (one: its journal); Figure 15's decisions per second, Figure 17's
+# rows and Figure 18's throughputs, stretches and memory witnesses at quick
+# scale.
 # Figure 16's decisions and Figure 19's table are pinned by
 # TestFig16PlacementsPinned and fig19_table.golden. Beside them, every
 # experiment's quick run, made twice, prints byte-identical tables but for
@@ -92,7 +91,7 @@ named TestPlacementAllocsHeldExactly go test ./internal/experiments/
 named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce|TestBindCopiesOnce|TestCreateCopiesNothing' go test .
 named TestLoggingAWriteAllocatesNothing go test ./internal/kube/store/
 named TestLaunchKernelAllocs go test ./internal/devlib/
-named 'TestTraceWriteAllocs|TestEventWriteAllocs|TestCallSiteFragments' go test ./internal/obs/
+named 'TestTraceWriteAllocs|TestEventWriteAllocs' go test ./internal/obs/
 # State recycled inside the program that uses it, by name: a reseeded
 # source draws New(seed)'s stream for every distribution and Fork after any
 # earlier draws; a token's recycled usage window starts empty (usage rate 0,
@@ -248,14 +247,12 @@ named TestPlacementIsOneEvent go test ./internal/core/schedfw/
 # The persistent pool's own properties, by name so they cannot silently
 # vanish: narrowing a decision to Pool.Fitting's candidates never changes it
 # (against core.Decide walking every device, and against Algorithm 1 as the
-# paper writes it), nor does stopping the walk of that residual order past
-# a plain best (ties at Util 1 and all-labelled pools walk on), the residual
-# order survives every transaction step and rollback, and the pool the
-# cycles borrow equals a relist after every delta
+# paper writes it), the residual order survives every transaction step and
+# rollback, and the pool the cycles borrow equals a relist after every delta
 # — with borrowed-and-rolled-back transactions, and deltas landing inside
 # them, in between — and the journal copies a device's label sets rather
 # than sharing them. Each name lives in one of the two packages.
-named 'TestDecideNarrowing|TestDecideStopsOnlyPastTheBest|TestTxnRollback|TestTxnJournalCopiesLabelSets|TestSnapshotMatchesRebuildRandomized' env GOMAXPROCS=4 go test -race ./internal/core/ ./internal/core/schedfw/fwk/
+named 'TestDecideNarrowing|TestTxnRollback|TestTxnJournalCopiesLabelSets|TestSnapshotMatchesRebuildRandomized' env GOMAXPROCS=4 go test -race ./internal/core/ ./internal/core/schedfw/fwk/
 # The store's one lock under the race detector with goroutines actually
 # running concurrently: the churn-vs-watch equivalence property (live,
 # filtered and late-registered watches), goroutine readers (Scan/Get/List)

@@ -162,9 +162,8 @@ func residualCmp(a, b *DeviceState) int {
 // Fitting returns the devices with compute room for r — every idle device
 // and every occupied one whose Util passes fits' own test — as the tail of
 // the residual order, found by binary search. Memory and labels are not
-// looked at: the result is a superset of the devices r fits, in residual
-// order (Util ascending, then ID, idle devices last), which lets Decide stop
-// early. nil means every device.
+// looked at: the result is a superset of the devices r fits, in no order a
+// caller may rely on. nil means every device.
 func (p *Pool) Fitting(r Request) []*DeviceState {
 	if len(p.order) != len(p.Devices) {
 		p.order = append(p.order[:0], p.Devices...)
@@ -339,10 +338,9 @@ func Decide(r Request, pool *Pool) (Decision, *DeviceState) {
 	return decide(r, pool, pool.Fitting(r))
 }
 
-// decide is Decide with step 2 walking candidates (nil = every device, in
-// any order: the tests' full walk). Candidates from Pool.Fitting are in
-// residual order, so the walk stops at the first device that leaves more
-// residual than a plain best; full ties still fall to the lowest ID.
+// decide is Decide with step 2 walking candidates (nil = every device):
+// Pool.Fitting's superset of the devices r fits, or the whole pool in tests.
+// Their order does not matter, since full ties fall to the lowest ID.
 func decide(r Request, pool *Pool, candidates []*DeviceState) (Decision, *DeviceState) {
 	if r.Aff != "" {
 		if d := FindAffinity(pool, r.Aff); d != nil {
@@ -369,20 +367,13 @@ func decide(r Request, pool *Pool, candidates []*DeviceState) (Decision, *Device
 		return newDevice(pool), nil
 	}
 
-	ordered := candidates != nil
-	if !ordered {
+	if candidates == nil {
 		candidates = pool.Devices
 	}
 	var best *DeviceState
 	var bestLabelled bool
 	var bestScore float64
 	for _, d := range candidates {
-		// Residual never falls along the residual order (occupied devices
-		// hold Util <= 1, idle ones count 1 and come last), and a plain best
-		// scores -Residual: no later device can beat it.
-		if ordered && best != nil && !bestLabelled && Residual(d) > -bestScore {
-			break
-		}
 		if d.Idle {
 			if !d.FitsMemBytes(r) {
 				continue

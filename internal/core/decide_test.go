@@ -69,7 +69,7 @@ func TestDecideNarrowingIsAnOptimisation(t *testing.T) {
 				narrowed++
 			}
 			got := core.Schedule(r, fitting)
-			want, d := core.DecideOver(r, every, nil)
+			want, d := core.DecideOver(r, every, every.Devices)
 			if got != want {
 				t.Fatalf("seed %d step %d req %+v: narrowed %+v, every device %+v", seed, step, r, got, want)
 			}
@@ -145,49 +145,4 @@ func TestDecideContract(t *testing.T) {
 			t.Errorf("only %d of 200 pools ever ran out of capacity: the monotone half is barely exercised", exhausted)
 		}
 	})
-}
-
-// TestDecideStopsOnlyPastTheBest: Decide stops walking Pool.Fitting's
-// residual order at the first device that leaves more than a plain best, so
-// it must walk on through ties and when no plain device fits. An occupied
-// device at Util 1 ties the idle devices and loses to the lowest ID among
-// them; a pool whose fitting devices are all labelled is walked to its end,
-// where worst fit finds the largest residual. Each decision equals the walk
-// over every device.
-func TestDecideStopsOnlyPastTheBest(t *testing.T) {
-	labelled := func(id string, util float64) *core.DeviceState {
-		d := dev(id, "n0", util, 1)
-		d.Aff = map[string]bool{"group": true}
-		return d
-	}
-	cases := []struct {
-		name    string
-		devices func() []*core.DeviceState
-		want    string
-	}{
-		{"tie-at-util-1", func() []*core.DeviceState {
-			return []*core.DeviceState{dev("d9", "n0", 1, 1), dev("d4", "n0", 0.2, 1),
-				core.NewDeviceState("d7", "n0"), core.NewDeviceState("d3", "n0")}
-		}, "d3"},
-		{"labelled-only", func() []*core.DeviceState {
-			return []*core.DeviceState{labelled("d0", 0.9), labelled("d1", 0.6),
-				labelled("d2", 0.7), dev("d3", "n0", 0.1, 1)}
-		}, "d0"},
-		{"plain-before-labelled", func() []*core.DeviceState {
-			return []*core.DeviceState{labelled("d0", 0.55), dev("d1", "n0", 0.8, 1),
-				dev("d2", "n0", 0.6, 1), labelled("d3", 0.9)}
-		}, "d2"},
-	}
-	r := core.Request{Util: 0.5, Mem: 0.1}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pool, every := testPool(map[string]int{"n0": 1}), testPool(map[string]int{"n0": 1})
-			pool.Devices, every.Devices = tc.devices(), tc.devices()
-			got, _ := core.Decide(r, pool)
-			want, _ := core.DecideOver(r, every, nil)
-			if got != want || got.GPUID != tc.want {
-				t.Fatalf("Decide %+v, every device %+v, want %s", got, want, tc.want)
-			}
-		})
-	}
 }

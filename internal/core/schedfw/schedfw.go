@@ -462,10 +462,8 @@ func (s *Scheduler) recordBatch(pending, staged, journal int, cycleStart time.Du
 	if s.batchSize <= 1 {
 		return
 	}
-	var p, st, j [20]byte
-	s.tracer.Record("kubeshare-sched", "batch", "cycle/"+string(strconv.AppendInt(p[:0], int64(pending), 10)), cycleStart,
-		"staged=", string(strconv.AppendInt(st[:0], int64(staged), 10)),
-		" journal=", string(strconv.AppendInt(j[:0], int64(journal), 10)))
+	s.tracer.Record("kubeshare-sched", "batch", "cycle/"+strconv.Itoa(pending), cycleStart,
+		"staged=", strconv.Itoa(staged), " journal=", strconv.Itoa(journal))
 }
 
 // commit applies one staged decision through the API server, records its

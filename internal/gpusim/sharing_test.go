@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
 )
 
@@ -73,7 +74,8 @@ func TestContextMemLimitOOM(t *testing.T) {
 
 func TestContextFaultPoisonsCoResident(t *testing.T) {
 	env := sim.NewEnv()
-	dev := newDev(env)
+	rt := obs.New(env)
+	dev := NewDevice(env, Config{Index: 0, NodeName: "n0", Obs: rt})
 	victim := dev.OpenContext("victim")
 	neighbor := dev.OpenContext("neighbor")
 	idle := dev.OpenContext("idle")
@@ -97,6 +99,11 @@ func TestContextFaultPoisonsCoResident(t *testing.T) {
 	}
 	if idle.Faulted() || dev.Faulted() {
 		t.Fatal("idle context and device must be spared")
+	}
+	events := rt.Events()
+	if len(events) != 1 || events[0].Reason != "ContextFault" ||
+		events[0].Message != "Xid fault in context victim: 2 contexts poisoned" {
+		t.Fatalf("events %+v, want one ContextFault naming the victim and 2 poisoned contexts", events)
 	}
 	var after error
 	env.Go("idle", func(p *sim.Proc) { after = idle.Launch(p, 5*time.Millisecond) })

@@ -174,6 +174,15 @@ func TestDeviceAllocationFailureFailsPod(t *testing.T) {
 	if pod.Status.Phase != api.PodFailed {
 		t.Fatalf("phase = %s, want Failed (only 1 GPU on node)", pod.Status.Phase)
 	}
+	var msgs []string
+	for _, e := range srv.Obs().Events() {
+		if e.Reason == "FailedAllocation" {
+			msgs = append(msgs, e.Message)
+		}
+	}
+	if want := `device allocation of nvidia.com/gpu: deviceplugin: "nvidia.com/gpu": want 3 devices, 1 free`; len(msgs) != 1 || msgs[0] != want {
+		t.Fatalf("FailedAllocation messages %q, want [%q]", msgs, want)
+	}
 }
 
 func TestInstantFailureDoesNotReadmit(t *testing.T) {

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"errors"
-	"fmt"
 	"strconv"
 	"testing"
-	"time"
 
 	"kubeshare/internal/sim"
 )
@@ -77,64 +74,5 @@ func TestNotesLongerThanAPage(t *testing.T) {
 	spans := tr.Spans()
 	if spans[0].Note != "before" || spans[1].Note != long || spans[2].Note != "after" {
 		t.Fatalf("notes %q, %d bytes, %q", spans[0].Note, len(spans[1].Note), spans[2].Note)
-	}
-}
-
-// TestCallSiteFragments: each converted call site's fragments render what
-// the fmt.Sprintf they replace rendered, byte for byte — through a span's
-// note and an event's message alike.
-func TestCallSiteFragments(t *testing.T) {
-	gpu, node, uuid, pod, holder := "vgpu-0007", "node-3", "GPU-5f3a", "sharepod-train-3", "vgpu-0007-holder-r2"
-	err := fmt.Errorf("apiserver: create: %w", errors.New("exists"))
-	outage := 2500 * time.Millisecond
-	var p, st, j [20]byte
-	cases := []struct {
-		site   string
-		sprint string
-		frags  []string
-	}{
-		{"schedfw batch", fmt.Sprintf("staged=%d journal=%d", 128, 4096),
-			[]string{"staged=", string(strconv.AppendInt(st[:0], 128, 10)), " journal=", string(strconv.AppendInt(j[:0], 4096, 10))}},
-		{"schedfw batch key", fmt.Sprintf("cycle/%d", 10000),
-			[]string{"cycle/" + string(strconv.AppendInt(p[:0], 10000, 10))}},
-		{"schedfw schedule", fmt.Sprintf("gpuid=%s node=%s", gpu, node), []string{"gpuid=", gpu, " node=", node}},
-		{"schedfw reject", fmt.Sprintf("%s", "no node has a free GPU"), []string{"no node has a free GPU"}},
-		{"kube-scheduler bind", "node=" + node, []string{"node=", node}},
-		{"devmgr holder-ready", "gpuid=" + gpu + " uuid=" + uuid, []string{"gpuid=", gpu, " uuid=", uuid}},
-		{"devmgr bind", fmt.Sprintf("pod=%s uuid=%s", pod, uuid), []string{"pod=", pod, " uuid=", uuid}},
-		{"devmgr bind failed", fmt.Sprintf("failed: %v", err), []string{"failed: ", err.Error()}},
-		{"devmgr recover", fmt.Sprintf("uuid=%s", uuid), []string{"uuid=", uuid}},
-		{"devmgr drop", fmt.Sprintf("%s", "failed: written off"), []string{"failed: written off"}},
-		{"devmgr requeue", "lost pod " + pod, []string{"lost pod ", pod}},
-		{"devmgr Created", fmt.Sprintf("holder %s pinned %s on %s", holder, uuid, node),
-			[]string{"holder ", holder, " pinned ", uuid, " on ", node}},
-		{"devmgr TokenManagerSuspended", fmt.Sprintf("token manager %s suspended for recovery", uuid),
-			[]string{"token manager ", uuid, " suspended for recovery"}},
-		{"devmgr Recovered", fmt.Sprintf("holder %s up on %s", holder, uuid), []string{"holder ", holder, " up on ", uuid}},
-		{"devmgr TokenManagerResumed", fmt.Sprintf("token manager %s resumed", uuid), []string{"token manager ", uuid, " resumed"}},
-		{"devmgr Requeued", fmt.Sprintf("bound pod %s lost; rescheduling", pod), []string{"bound pod ", pod, " lost; rescheduling"}},
-		{"kubelet pod-sync", fmt.Sprintf("pod=%s", pod), []string{"pod=", pod}},
-		{"kubelet FailedAllocation", fmt.Sprintf("device allocation of %s: %v", "kubeshare/gpu", err),
-			[]string{"device allocation of ", "kubeshare/gpu", ": ", err.Error()}},
-		{"kubelet FailedStart", fmt.Sprintf("start container %s: %v", "main", err), []string{"start container ", "main", ": ", err.Error()}},
-		{"kubelet Started", fmt.Sprintf("pod running on %s", node), []string{"pod running on ", node}},
-		{"token Throttled", fmt.Sprintf("%d queued clients all at gpu_limit", 12), []string{strconv.Itoa(12), " queued clients all at gpu_limit"}},
-		{"gpusim DeviceFault", fmt.Sprintf("Xid fault: %d contexts poisoned", 3), []string{"Xid fault: ", strconv.Itoa(3), " contexts poisoned"}},
-		{"gpusim ContextFault", fmt.Sprintf("Xid fault in context %s: %d contexts poisoned", pod, 2),
-			[]string{"Xid fault in context ", pod, ": ", strconv.Itoa(2), " contexts poisoned"}},
-		{"chaos NodeRestarted", fmt.Sprintf("kubelet back after %v outage", outage), []string{"kubelet back after ", outage.String(), " outage"}},
-		{"chaos HolderKilled", fmt.Sprintf("vGPU holder containers killed on %s", node), []string{"vGPU holder containers killed on ", node}},
-	}
-	rt := New(sim.NewEnv())
-	tr, rec := rt.Tracer(), rt.EventSource("test")
-	for _, c := range cases {
-		tr.Mark("test", "op", "K/1", c.frags...)
-		rec.Event("Test", "t", EventNormal, "Reason", c.frags...)
-	}
-	spans, events := tr.Spans(), rt.Events()
-	for i, c := range cases {
-		if spans[i].Note != c.sprint || events[i].Message != c.sprint {
-			t.Errorf("%s: note %q, message %q, fmt.Sprintf %q", c.site, spans[i].Note, events[i].Message, c.sprint)
-		}
 	}
 }
