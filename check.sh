@@ -198,9 +198,12 @@ GOMAXPROCS=4 go test -race ./internal/chaos/
 # pod-name order, and a pod whose two device plugins set one env key sees one
 # value, each on every one of 64 fresh rigs. The store pass also names the
 # restore's decoding contract: restored objects share no bytes with the
-# medium the store rewrites in place, and a restored pod costs ≤ 12
-# allocations, from the checkpoint or the log, whatever its string count.
-named 'TestRestore|TestRestoredObjectsShareNoBytesWithMedium|TestRestoreAllocs|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
+# medium the store rewrites in place, and a decoded pod costs ≤ 12
+# allocations, from the checkpoint or the log, whatever its string count;
+# and its reuse contract: a restore that refiles pre-crash objects restores
+# what a fresh store makes of the same medium, and one with no write since
+# the last costs under one allocation per pod.
+named 'TestRestore|TestRestoredObjectsShareNoBytesWithMedium|TestRestoreAllocs|TestRestoreReuseAllocs|TestRestoreReuseMatchesFreshDecode|TestCheckpoint|TestTornTail|TestDurabilityOracle|TestWatchFencing|TestCrash' env GOMAXPROCS=4 go test -race ./internal/kube/store/
 named 'TestReflector|TestReflectorNodeScopedRelist|TestReflectorRelistFloorReusedRevision|TestReflectorRelistAfterUnseenRevert|TestResume|TestInform' env GOMAXPROCS=4 go test -race ./internal/kube/apiserver/
 # The reflectors' stream check by name, so it cannot silently vanish: it
 # flags a revision that does not rise unless a restore reverted the one

@@ -98,66 +98,6 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
-// restorePod is shaped like the pods the benchmark's workloads restore: two
-// labels, two annotations, an owner, one container with two env entries and
-// one request.
-func restorePod(i int) *api.Pod {
-	sp := fmt.Sprintf("sp-%04d", i)
-	return &api.Pod{
-		ObjectMeta: api.ObjectMeta{
-			Name:        fmt.Sprintf("pod-%04d", i),
-			Labels:      map[string]string{"app": "train", "tier": "t1"},
-			Annotations: map[string]string{"kubeshare/gpu-request": "0.4", "kubeshare/vgpu": "vgpu-0003"},
-			OwnerName:   "SharePod/" + sp,
-		},
-		Spec: api.PodSpec{
-			NodeName: "node-3",
-			Containers: []api.Container{{
-				Name: "main", Image: "train:latest",
-				Env:      map[string]string{"NVIDIA_VISIBLE_DEVICES": "GPU-00000000-0000-0000-0000-000000000003", "KUBESHARE_GPU_REQUEST": "0.4"},
-				Requests: api.ResourceList{api.ResourceCPU: 500},
-			}},
-		},
-		Status: api.PodStatus{Phase: api.PodRunning},
-	}
-}
-
-// TestRestoreAllocs pins what a restart allocates per pod, from a checkpoint
-// and from the log: each object is decoded from one copy of its frame and
-// every string in it is a substring of that copy, so a pod's allocations do
-// not grow with its string count (about 11 now; 30 when every string was its
-// own allocation).
-func TestRestoreAllocs(t *testing.T) {
-	const pods, perPod = 500, 12
-	for _, checkpointed := range []bool{true, false} {
-		s := store.New(sim.NewEnv())
-		if !checkpointed {
-			s.EnableDurability(nil, nil) // the empty checkpoint; the pods go to the log
-		}
-		for i := 0; i < pods; i++ {
-			if _, err := s.Create(restorePod(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if checkpointed {
-			s.EnableDurability(nil, nil)
-		}
-		var st store.RestoreStats
-		allocs := testing.AllocsPerRun(5, func() {
-			var err error
-			if st, err = s.Crash(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if wantReplayed := map[bool]int{true: 0, false: pods}[checkpointed]; st.Replayed != wantReplayed {
-			t.Fatalf("checkpointed=%v: replayed %d records, want %d", checkpointed, st.Replayed, wantReplayed)
-		}
-		if got := allocs / pods; got > perPod {
-			t.Errorf("checkpointed=%v: %.1f allocations per restored pod, limit %d", checkpointed, got, perPod)
-		}
-	}
-}
-
 // BenchmarkRestore: one crash/restore from a 1000-pod image and a
 // 1000-record log.
 func BenchmarkRestore(b *testing.B) {

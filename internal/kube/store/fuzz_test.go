@@ -134,8 +134,9 @@ func reseal(image []byte) []byte {
 // FuzzWALRestore feeds arbitrary bytes to restore as the log, as given and
 // with the frame CRCs made good. It must never panic; it fails only on a kind
 // nobody registered; what it keeps is a prefix of the input that restores
-// again to the same state with no torn tail; and it allocates in proportion
-// to the input, whatever lengths the input claims.
+// again to the same state with no torn tail, in an empty store and in the
+// restored store itself, where every object it holds is there to reuse; and
+// it allocates in proportion to the input, whatever lengths the input claims.
 func FuzzWALRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, wal := range [][]byte{data, resealWAL(data)} {
@@ -165,6 +166,9 @@ func FuzzWALRestore(f *testing.F) {
 				!bytes.Equal(again.dur.wal, kept) || fingerprint(again) != state {
 				t.Fatalf("the kept prefix did not restore to itself: err %v, stats %+v then %+v", err, st, st2)
 			}
+			if st3, err := s.Crash(); err != nil || st3 != st2 || encodedState(s) != encodedState(again) {
+				t.Fatalf("restoring over the restored store: err %v, stats %+v, fresh %+v", err, st3, st2)
+			}
 			// The store must be usable: the next write commits above everything restored.
 			obj, err := s.Create(pod("after-restore"))
 			if err == nil && obj.GetMeta().ResourceVersion <= st.RestoredRev {
@@ -177,7 +181,9 @@ func FuzzWALRestore(f *testing.F) {
 // FuzzCheckpointImage feeds arbitrary bytes to restore as the checkpoint
 // image, as given and with the trailing CRC made good. The outcome is an
 // error and an empty store, or a state whose own checkpoint restores to the
-// same state — never a panic, never an allocation the input did not pay for.
+// same state, in an empty store and in the restored store itself, where
+// every object it holds is there to reuse — never a panic, never an
+// allocation the input did not pay for.
 func FuzzCheckpointImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, image := range [][]byte{data, reseal(bytes.Clone(data))} {
@@ -199,6 +205,9 @@ func FuzzCheckpointImage(f *testing.F) {
 			again, st2, err := restoreFrom(s.dur.checkpoint, nil)
 			if err != nil || st2.CheckpointRev != st.CheckpointRev || fingerprint(again) != state {
 				t.Fatalf("the restored state's own checkpoint did not restore to it: err %v, %+v then %+v", err, st, st2)
+			}
+			if st3, err := s.Crash(); err != nil || st3 != st2 || encodedState(s) != encodedState(again) {
+				t.Fatalf("restoring over the restored store: err %v, stats %+v, fresh %+v", err, st3, st2)
 			}
 			if again.Checkpoint(); !bytes.Equal(again.dur.checkpoint, s.dur.checkpoint) {
 				t.Fatal("the same state checkpointed to different bytes")

@@ -21,7 +21,10 @@
 //	per object (name order): [len u32][object bytes]
 //	[crc32 u32] of everything before it
 //
-// Restore loads the checkpoint, then replays the log in frame order. A torn
+// Restore loads the checkpoint, then replays the log in frame order. It
+// decodes only what changed since the crash: a checkpoint object or logged
+// put whose bytes the pre-crash object of its kind and name encodes to
+// exactly is that object, filed again undecoded (see reuse). A torn
 // tail — a truncated or corrupt final region, the crash-mid-write case — is
 // detected by the frame length/CRC/decode checks (a frame counts only once
 // its whole payload, object included, decoded with no byte left over),
@@ -38,12 +41,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -330,22 +335,24 @@ func (s *Store) Crash() (RestoreStats, error) {
 	return st, err
 }
 
-// restore rebuilds the object state from the medium. Caller holds the write
-// lock.
+// restore rebuilds the object state from the medium, refiling the pre-crash
+// objects it can (see reuse). Caller holds the write lock.
 func (s *Store) restore() (RestoreStats, error) {
+	r := newReuse(s.kinds)
 	s.kinds = make(map[string]*bucket)
 	d := s.dur
 	st := RestoreStats{CheckpointBytes: len(d.checkpoint)}
 
 	// 1. Checkpoint load.
-	maxRev, nextUID, err := s.loadCheckpoint(d.checkpoint)
+	maxRev, nextUID, err := s.loadCheckpoint(d.checkpoint, r)
 	if err != nil {
 		return st, err
 	}
 	st.CheckpointRev = maxRev
 
-	// 2. WAL replay. Each frame is checked and decoded once and applied as
-	// soon as it proves whole; the first one that does not ends the log.
+	// 2. WAL replay. Each frame is checked once, decoded unless a pre-crash
+	// object takes it, and applied as soon as it proves whole; the first one
+	// that does not ends the log.
 	var dec api.Dec
 	off := 0
 	for off < len(d.wal) {
@@ -353,7 +360,11 @@ func (s *Store) restore() (RestoreStats, error) {
 		if !ok {
 			break
 		}
-		rec, err := decodeRecord(&dec, d.wal[off+frameHeader:off+n])
+		payload := d.wal[off+frameHeader : off+n]
+		rec, reused := r.put(payload)
+		if !reused {
+			rec, err = decodeRecord(&dec, payload)
+		}
 		if errors.Is(err, api.ErrUnregisteredKind) {
 			return st, fmt.Errorf("store: wal record %d: %w", st.Replayed, err)
 		}
@@ -396,7 +407,7 @@ func (s *Store) restore() (RestoreStats, error) {
 // returns the revision it was taken at and its UID counter. A nil image is
 // an empty medium; anything else must check out whole: magic and version,
 // CRC, every object to its last byte, nothing left over.
-func (s *Store) loadCheckpoint(image []byte) (rev, nextUID int64, err error) {
+func (s *Store) loadCheckpoint(image []byte, r *reuse) (rev, nextUID int64, err error) {
 	if image == nil {
 		return 0, 0, nil
 	}
@@ -414,12 +425,16 @@ func (s *Store) loadCheckpoint(image []byte) (rev, nextUID int64, err error) {
 	rev, nextUID = dec.Varint(), dec.Varint()
 	for kinds := dec.Count(2); kinds > 0 && dec.Err() == nil; kinds-- {
 		kind := dec.String()
-		b := s.bucketOf(kind)
+		b, was := s.bucketOf(kind), r.prev[kind]
 		for objs := dec.Count(4); objs > 0 && dec.Err() == nil; objs-- {
-			one.ResetCopy(dec.Next(int(dec.Uint32())))
-			obj, err := decodeObject(&one, kind)
-			if err != nil {
-				return 0, 0, fmt.Errorf("store: checkpoint corrupt: %w", err)
+			raw := dec.Next(int(dec.Uint32()))
+			name, _ := metaHead(raw)
+			obj := r.match(was, name, raw)
+			if obj == nil {
+				one.ResetCopy(raw)
+				if obj, err = decodeObject(&one, kind); err != nil {
+					return 0, 0, fmt.Errorf("store: checkpoint corrupt: %w", err)
+				}
 			}
 			b.objs[obj.GetMeta().Name] = obj
 		}
@@ -457,6 +472,10 @@ var errRecord = errors.New("store: malformed wal record")
 // included, with no byte left over — so a record that decodes is a record
 // replay can apply. Its strings are cut from one copy of the payload: never
 // from the medium, which Checkpoint rewrites and TearWALTail flips in place.
+// Replay calls it only for the records reuse.put does not take: deletes,
+// and puts no pre-crash object encodes to. For the puts reuse takes, the
+// decode would yield an equal object (see reuse), so skipping it changes
+// nothing but the cost.
 func decodeRecord(d *api.Dec, payload []byte) (rec walRecord, err error) {
 	d.ResetCopy(payload)
 	op := d.Byte()
@@ -473,6 +492,93 @@ func decodeRecord(d *api.Dec, payload []byte) (rec walRecord, err error) {
 		err = errRecord
 	}
 	return rec, err
+}
+
+// reuse is one restore's view of the objects the store held when it
+// crashed, by kind: a medium object one of them encodes to byte for byte is
+// filed again instead of decoded. Most are: a published object is immutable
+// and its encoding deterministic (api/binary.go: equal objects encode to
+// equal bytes), so an object unchanged since it was logged or checkpointed
+// encodes to exactly the bytes written for it. The skipped decode would
+// have rebuilt an equal object — decoding what an object encodes to gives
+// it back field for field (api's TestCodecCoversEveryField) — so the
+// restored store stays a function of the medium alone, given three guards.
+// A log record's candidate is looked up under the record's own header name,
+// so a frame whose name disagrees with its object never matches and still
+// ends replay. A candidate must be of the Go type the kind registry decodes
+// to, so a kind no package registered still fails the restore. And only
+// equal bytes accept: an equal ResourceVersion is no match, since a torn
+// tail frees revisions that later writes reuse with other content
+// (RestoredFloor); a different one is a cheap reject.
+type reuse struct {
+	prev map[string]*reusable
+	buf  []byte // the candidate's encoding, one buffer for the whole restore
+}
+
+// reusable is one kind's pre-crash bucket and the type its objects decode to.
+type reusable struct {
+	kind string
+	b    *bucket
+	typ  reflect.Type
+}
+
+// newReuse keeps the pre-crash buckets of every registered kind.
+func newReuse(kinds map[string]*bucket) *reuse {
+	r := &reuse{prev: make(map[string]*reusable, len(kinds))}
+	for kind, b := range kinds {
+		if zero, err := api.NewObject(kind); err == nil {
+			r.prev[kind] = &reusable{kind: kind, b: b, typ: reflect.TypeOf(zero)}
+		}
+	}
+	return r
+}
+
+// match returns the pre-crash object filed under name in was when it
+// encodes to exactly enc, else nil (was may be nil).
+func (r *reuse) match(was *reusable, name, enc []byte) api.Object {
+	if was == nil {
+		return nil
+	}
+	obj := was.b.objs[string(name)]
+	if _, rev := metaHead(enc); obj == nil || reflect.TypeOf(obj) != was.typ || obj.GetMeta().ResourceVersion != rev {
+		return nil
+	}
+	r.buf = obj.AppendBinary(r.buf[:0])
+	if !bytes.Equal(r.buf, enc) {
+		return nil
+	}
+	return obj
+}
+
+// put reads a frame's payload without copying it and, when it is a put
+// that match takes under the record's own kind and name, returns the record
+// decodeRecord would have made of it with the pre-crash object in it.
+func (r *reuse) put(payload []byte) (rec walRecord, ok bool) {
+	var d api.Dec
+	d.Reset(payload)
+	op, rev := d.Byte(), d.Varint()
+	was := r.prev[string(d.Next(d.Count(1)))]
+	name := d.Next(d.Count(1))
+	if op != walPut || d.Err() != nil {
+		return rec, false
+	}
+	obj := r.match(was, name, d.Next(d.Len()))
+	if obj == nil {
+		return rec, false
+	}
+	return walRecord{rev: rev, kind: was.kind, name: obj.GetMeta().Name, obj: obj}, true
+}
+
+// metaHead reads the name and ResourceVersion an object's encoding opens
+// with (every kind's starts with its ObjectMeta: name, UID, revision),
+// aliasing enc. A malformed head reads as zero values, which no candidate
+// then encodes to.
+func metaHead(enc []byte) (name []byte, rev int64) {
+	var d api.Dec
+	d.Reset(enc)
+	name = d.Next(d.Count(1))
+	d.Next(d.Count(1))
+	return name, d.Varint()
 }
 
 // decodeObject rebuilds a typed object of the given kind (via the kind

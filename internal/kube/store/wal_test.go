@@ -228,6 +228,10 @@ func TestRestoredObjectsShareNoBytesWithMedium(t *testing.T) {
 		mustCreate(fmt.Sprintf("lg-%d", i))
 		mustDelete(fmt.Sprintf("ck-%d", 5-i))
 	}
+	// Restart over the same medium with nothing in memory, so no object is
+	// reused and every one is decoded from it.
+	fresh := New(sim.NewEnv())
+	fresh.dur, s = s.dur, fresh
 	if st, err := s.Crash(); err != nil || st.Replayed != 6 {
 		t.Fatalf("restore: %v, %+v", err, st)
 	}
