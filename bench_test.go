@@ -16,11 +16,7 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/coretest"
-	"kubeshare/internal/cuda"
-	"kubeshare/internal/devlib"
-	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/experiments"
-	"kubeshare/internal/gpusim"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
 	"kubeshare/internal/kube/store"
@@ -164,7 +160,7 @@ func BenchmarkFig9Utilization(b *testing.B) {
 // observability spine on and off — the instrumentation-overhead check. Both
 // sub-benchmarks run identical simulations; the only difference is whether
 // every layer's spans, events and metrics are being recorded. The overhead
-// is advisory: DESIGN.md gives its measured median over alternating runs.
+// is advisory: EXPERIMENTS.md gives its measured median over alternating runs.
 func BenchmarkFig9Obs(b *testing.B) {
 	for _, arm := range []struct {
 		name    string
@@ -260,7 +256,7 @@ func BenchmarkFig13AntiAffinity(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md §4) ---
+// --- Ablation bench (Algorithm 1's placement step, DESIGN.md §5) ---
 
 // BenchmarkAblationPlacement compares Algorithm 1's paper placement policy
 // (best fit + worst fit) against alternatives on a synthetic request mix,
@@ -295,49 +291,6 @@ func BenchmarkAblationPlacement(b *testing.B) {
 			}
 			b.ReportMetric(devices, "devices-used")
 		})
-	}
-}
-
-// BenchmarkAblationResidualPolicy contrasts the paper's lowest-usage-first
-// residual distribution with plain FIFO: one big-kernel tenant against two
-// small-kernel ones, reporting the big tenant's share (≈0.33 fair vs ≈0.67
-// under FIFO turn rotation).
-func BenchmarkAblationResidualPolicy(b *testing.B) {
-	run := func(policy sharing.ResidualPolicy) float64 {
-		env := sim.NewEnv()
-		dev := gpusim.NewDevice(env, gpusim.Config{NodeName: "n"})
-		backend := devlib.NewBackend(env, devlib.Config{Residual: policy})
-		strat, err := backend.StrategyFor(dev.UUID(), sharing.ModeToken)
-		if err != nil {
-			b.Fatal(err)
-		}
-		launch := func(id string, kernel time.Duration) {
-			f, err := devlib.NewFrontendWith(cuda.Open(dev, id), strat, id,
-				devlib.Share{Request: 0.05, Limit: 1, Memory: 0.2}, backend.Config())
-			if err != nil {
-				b.Fatal(err)
-			}
-			env.Go(id, func(p *sim.Proc) {
-				for !p.Killed() {
-					if err := f.LaunchKernel(p, kernel); err != nil {
-						return
-					}
-				}
-			})
-		}
-		launch("big", 20*time.Millisecond)
-		launch("small1", 5*time.Millisecond)
-		launch("small2", 5*time.Millisecond)
-		env.RunUntil(20 * time.Second)
-		return strat.UsageRate("big")
-	}
-	for i := 0; i < b.N; i++ {
-		if i == 0 {
-			b.ReportMetric(run(sharing.LowestUsageFirst), "big-share-lowest-usage")
-			b.ReportMetric(run(sharing.FIFOResidual), "big-share-fifo")
-		} else {
-			run(sharing.LowestUsageFirst)
-		}
 	}
 }
 

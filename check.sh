@@ -85,7 +85,12 @@ go run ./tools/benchgate
 # claim (Table 1, Figures 5-14) to its bound on the quick run and fails when
 # the file's generated blocks differ from a fresh render of those runs;
 # TestClaimsCoverRegistry requires a claim per paper figure, rows and
-# columns that exist, and no verdict outside a generated block.
+# columns that exist, and no verdict outside a generated block. DESIGN.md is
+# checked the same way: TestDesignDoc fails when its package inventory,
+# facade options or this file's named tests differ from a fresh render, when
+# DESIGN.md, README.md or the verify skill names a test that does not exist,
+# when a DESIGN.md section reference names no heading, and above 25 000
+# bytes.
 named TestMicroBenchmarkAllocsHeldExactly go test ./internal/sim/
 named TestPlacementAllocsHeldExactly go test ./internal/experiments/
 named 'TestFanoutAllocsMustNotDependOnWatchers|TestStatusWriteCostMustNotDependOnSpec|TestSpecWriteCopiesOnce|TestBindCopiesOnce|TestCreateCopiesNothing' go test .
@@ -101,7 +106,7 @@ named 'TestTraceWriteAllocs|TestEventWriteAllocs' go test ./internal/obs/
 named TestReseedIsNew go test ./internal/simrand/
 named 'TestTokenRecycledWindowStartsEmpty|TestTokenRegisterReusesGrownWindow' go test ./internal/devlib/sharing/
 named TestServeSourcesDroppedWithLastJob go test ./internal/workload/
-named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic|TestClaims|TestClaimsCoverRegistry' go test ./internal/experiments/
+named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic|TestClaims|TestClaimsCoverRegistry|TestDesignDoc' go test ./internal/experiments/
 # Telemetry export surface: the SLO alert engine and fairness auditor must
 # replay byte-identically at a fixed seed, and every `kubeshare-sim serve`
 # endpoint must answer over HTTP (httptest smoke in cmd/kubeshare-sim).
@@ -293,7 +298,7 @@ go test . -run xxx -bench 'BenchmarkFig18StrategyComparison/quick' -benchtime 1x
 # phase-sum invariant per chain and zero open chains.
 go test . -run xxx -bench 'BenchmarkFig19Attribution/quick' -benchtime 1x
 # Smoke the instrumentation-overhead benchmark (obs on vs off on the Fig 9
-# workload); its overhead is advisory (DESIGN.md).
+# workload); its overhead is advisory (EXPERIMENTS.md gives its paired median).
 go test . -run xxx -bench BenchmarkFig9Obs -benchtime 1x
 # The size numbers ROADMAP budgets, outside benchmark/: non-test Go lines
 # (printed only), and two ratchets that fail the check when they grow —
@@ -306,4 +311,4 @@ fields=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec c
 	awk '/^type [A-Za-z0-9]*Config struct \{/ { on = 1; next } on && /^\}/ { on = 0 } on && /^\t[A-Z][A-Za-z0-9_]* / { n++ } END { print n + 0 }')
 echo "settable config fields: $fields"
 test "$panics" -le 13 || { echo "check.sh: $panics non-test panic( sites, limit 13" >&2; exit 1; }
-test "$fields" -le 64 || { echo "check.sh: $fields settable config fields, limit 64" >&2; exit 1; }
+test "$fields" -le 63 || { echo "check.sh: $fields settable config fields, limit 63" >&2; exit 1; }

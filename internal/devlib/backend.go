@@ -27,10 +27,6 @@ type Config struct {
 	// Quota is the token validity period: how long a container may hold the
 	// GPU before re-acquiring (paper default 100 ms; ablated in Figure 7).
 	Quota time.Duration
-	// Residual selects how step 3 of the token policy distributes spare
-	// capacity among clients that already met their gpu_request (ablation
-	// knob; the paper uses lowest-usage-first).
-	Residual sharing.ResidualPolicy
 	// Obs is the telemetry runtime strategies and frontends record against
 	// (token grants, wait-latency histogram, throttle events). Nil disables
 	// instrumentation.
@@ -127,7 +123,7 @@ func (b *Backend) StrategyFor(uuid string, mode sharing.Mode) (sharing.Strategy,
 	case sharing.ModeReplica:
 		s = sharing.NewReplica(b.env, uuid, replicas, b.cfg.Quota, b.cfg.Obs)
 	case sharing.ModeToken:
-		s = sharing.NewToken(b.env, uuid, b.cfg.Quota, window, b.cfg.Residual, b.cfg.Obs)
+		s = sharing.NewToken(b.env, uuid, b.cfg.Quota, window, b.cfg.Obs)
 	default:
 		return nil, fmt.Errorf("devlib: unknown sharing mode %q", mode)
 	}

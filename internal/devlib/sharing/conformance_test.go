@@ -31,7 +31,7 @@ type confCase struct {
 
 var confCases = []confCase{
 	{"token", 1, func(env *sim.Env, rt *obs.Runtime) Strategy {
-		return NewToken(env, "gpu-0", confQuota, time.Second, LowestUsageFirst, rt)
+		return NewToken(env, "gpu-0", confQuota, time.Second, rt)
 	}},
 	{"mps", 0, func(env *sim.Env, rt *obs.Runtime) Strategy { return NewMPS(env, "gpu-0", rt) }},
 	{"replica1", 1, func(env *sim.Env, rt *obs.Runtime) Strategy { return NewReplica(env, "gpu-0", 1, confQuota, rt) }},

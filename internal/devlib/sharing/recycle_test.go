@@ -52,7 +52,7 @@ func contend(t *testing.T, env *sim.Env, m *Token) []string {
 // grants it contends for come in the order a fresh Token gives.
 func TestTokenRecycledWindowStartsEmpty(t *testing.T) {
 	env := sim.NewEnv()
-	used := NewToken(env, "gpu-0", 10*time.Millisecond, time.Second, LowestUsageFirst, nil)
+	used := NewToken(env, "gpu-0", 10*time.Millisecond, time.Second, nil)
 	if err := used.Register("old", Resources{Request: 1, Limit: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTokenRecycledWindowStartsEmpty(t *testing.T) {
 
 	freshEnv := sim.NewEnv()
 	freshEnv.RunUntil(env.Now())
-	fresh := NewToken(freshEnv, "gpu-0", 10*time.Millisecond, time.Second, LowestUsageFirst, nil)
+	fresh := NewToken(freshEnv, "gpu-0", 10*time.Millisecond, time.Second, nil)
 	want := contend(t, freshEnv, fresh)
 	got := contend(t, env, used)
 	if used.clients["x"].window != grown {
@@ -94,7 +94,7 @@ func TestTokenRecycledWindowStartsEmpty(t *testing.T) {
 // without the spare: the window, then rings of 16, 32, 64 and 128).
 func TestTokenRegisterReusesGrownWindow(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewToken(env, "gpu-0", 0, 0, LowestUsageFirst, nil)
+	m := NewToken(env, "gpu-0", 0, 0, nil)
 	res := Resources{Request: 0.5, Limit: 1}
 	cycle := func() {
 		if err := m.Register("a", res); err != nil {

@@ -42,9 +42,8 @@ import (
 // (token).
 type Mode string
 
-// Sharing modes. ModeMemQuant is not a distinct admission policy: it is
-// token gating combined with absolute gpu_mem_bytes requests, named so
-// experiments can label the arm.
+// Sharing modes. Figure 18's memory-quantity arm is not a mode of its own:
+// it is token gating under sharePods that ask for gpu_mem_bytes.
 const (
 	ModeToken   Mode = "token"
 	ModeMPS     Mode = "mps"

@@ -199,7 +199,7 @@ func TestReplicaDevtimePerTenant(t *testing.T) {
 // NaN and ±Inf included — `x < 0 || x > 1` is false for NaN.
 func TestRegisterRejectsOutOfRangeShares(t *testing.T) {
 	env := sim.NewEnv()
-	token := NewToken(env, "gpu-0", 0, 0, LowestUsageFirst, nil)
+	token := NewToken(env, "gpu-0", 0, 0, nil)
 	mps := NewMPS(env, "gpu-0", nil)
 	for _, bad := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, c := range []struct {

@@ -9,19 +9,6 @@ import (
 	"kubeshare/internal/sim"
 )
 
-// ResidualPolicy selects step 3 of the token scheduling policy.
-type ResidualPolicy int
-
-// Residual distribution policies.
-const (
-	// LowestUsageFirst is the paper's choice: the spare capacity goes to
-	// the client with the lowest sliding-window usage, equalizing shares.
-	LowestUsageFirst ResidualPolicy = iota
-	// FIFOResidual grants the longest-waiting request instead — simpler,
-	// but lets a fast re-requester starve slower tenants of the residual.
-	FIFOResidual
-)
-
 // ChainKeyPrefix turns a tenant (sharePod name) into its causal-trace chain
 // key, the form devlib.Frontend.SetTraceKey receives.
 const ChainKeyPrefix = "SharePod/"
@@ -38,9 +25,8 @@ type Token struct {
 	window time.Duration // sliding usage window
 	// spare is the emptied window of a departed client, kept for the next
 	// Register: the largest ring seen since it was last taken.
-	spare    *usageWindow
-	residual ResidualPolicy
-	retry    sim.Timer // throttle retry; fires the gate's bound schedule (trySchedule)
+	spare *usageWindow
+	retry sim.Timer // throttle retry; fires the gate's bound schedule (trySchedule)
 
 	// Telemetry handles (no-ops when the runtime is nil): this device's
 	// children of the gpu_uuid-labeled families.
@@ -55,7 +41,7 @@ var _ Strategy = (*Token)(nil)
 // NewToken creates the token strategy for one device: quota is the token
 // validity period, window the sliding usage window (non-positive values
 // take the paper's 100 ms and 10 s). rt may be nil (telemetry disabled).
-func NewToken(env *sim.Env, uuid string, quota, window time.Duration, residual ResidualPolicy, rt *obs.Runtime) *Token {
+func NewToken(env *sim.Env, uuid string, quota, window time.Duration, rt *obs.Runtime) *Token {
 	if quota <= 0 {
 		quota = 100 * time.Millisecond
 	}
@@ -68,7 +54,6 @@ func NewToken(env *sim.Env, uuid string, quota, window time.Duration, residual R
 			rt.CounterVec("kubeshare_sharing_admits_total", "gpu_uuid", "strategy").With(uuid, string(ModeToken)),
 			rt.CounterVec("kubeshare_devlib_token_hold_ns_total", "gpu_uuid", "tenant")),
 		window:    window,
-		residual:  residual,
 		recorder:  rt.EventSource("devlib"),
 		grants:    rt.CounterVec("kubeshare_devlib_token_grants_total", "gpu_uuid").With(uuid),
 		throttles: rt.CounterVec("kubeshare_devlib_throttle_retries_total", "gpu_uuid").With(uuid),
@@ -219,14 +204,9 @@ func (m *Token) trySchedule() {
 			continue
 		}
 		below := usage < c.request
-		var key float64
-		switch {
-		case below:
+		key := usage // Step 3: lowest usage wins
+		if below {
 			key = c.request - usage // Step 2: farthest below request wins
-		case m.residual == FIFOResidual:
-			key = float64(c.enqueued) // Step 3 (ablation): oldest request wins
-		default:
-			key = usage // Step 3 (paper): lowest usage wins
 		}
 		better := best < 0 ||
 			(below && !bestBelow) ||

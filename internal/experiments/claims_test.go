@@ -396,9 +396,9 @@ func TestClaims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := renderDoc(string(doc), func(name string) string { return generated(t, name) })
+		got, err := renderDoc(string(doc), registryNames(), func(name string) string { return generated(t, name) })
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("EXPERIMENTS.md: %v", err)
 		}
 		if *updateGolden {
 			if err := os.WriteFile(experimentsDoc, []byte(got), 0o644); err != nil {
@@ -445,18 +445,28 @@ func block(doc, name string) string {
 	return b
 }
 
-// renderDoc replaces every Registry entry's generated block in doc with
-// gen's rendering of it.
-func renderDoc(doc string, gen func(name string) string) (string, error) {
-	for _, e := range Registry {
-		i := strings.Index(doc, beginMarker(e.Name))
-		j := strings.Index(doc, endMarker(e.Name))
+// renderDoc replaces each named generated block in doc with gen's
+// rendering of it.
+func renderDoc(doc string, names []string, gen func(name string) string) (string, error) {
+	for _, name := range names {
+		i := strings.Index(doc, beginMarker(name))
+		j := strings.Index(doc, endMarker(name))
 		if i < 0 || j < i {
-			return "", fmt.Errorf("EXPERIMENTS.md has no generated block for %s", e.Name)
+			return "", fmt.Errorf("no generated block for %s", name)
 		}
-		doc = doc[:i+len(beginMarker(e.Name))] + gen(e.Name) + doc[j:]
+		doc = doc[:i+len(beginMarker(name))] + gen(name) + doc[j:]
 	}
 	return doc, nil
+}
+
+// registryNames names EXPERIMENTS.md's generated blocks: one per Registry
+// entry.
+func registryNames() []string {
+	var out []string
+	for _, e := range Registry {
+		out = append(out, e.Name)
+	}
+	return out
 }
 
 // generated renders entry name's block: its quick run as quickRun prints
@@ -533,9 +543,9 @@ func TestClaimsCoverRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prose, err := renderDoc(string(doc), func(string) string { return "" })
+	prose, err := renderDoc(string(doc), registryNames(), func(string) string { return "" })
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("EXPERIMENTS.md: %v", err)
 	}
 	for _, mark := range []string{"✅", "⚠"} {
 		if strings.Contains(prose, mark) {

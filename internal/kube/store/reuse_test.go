@@ -15,13 +15,17 @@ import (
 	"kubeshare/internal/simrand"
 )
 
+// counters are the store's revision, UID counter and compaction floor.
+func counters(s *Store) string {
+	return fmt.Sprintf("rev=%d uid=%d compact=%d", s.rev.Load(), s.nextUID.Load(), s.compactRev)
+}
+
 // encodedState is everything a restore decides, byte for byte: the
 // counters, the log it keeps, and per kind, in bucket order, every name
 // with its object's encoding.
 func encodedState(s *Store) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "rev=%d uid=%d compact=%d records=%d wal=%x\n",
-		s.rev.Load(), s.nextUID.Load(), s.compactRev, s.dur.records, s.dur.wal)
+	fmt.Fprintf(&b, "%s records=%d wal=%x\n", counters(s), s.dur.records, s.dur.wal)
 	for _, kind := range s.kindNames() {
 		bk := s.kinds[kind]
 		fmt.Fprintf(&b, "%s: %d objects\n", kind, len(bk.objs))
@@ -60,10 +64,11 @@ func crashAgainstFresh(t *testing.T, s *Store) (st RestoreStats, err error, reus
 		t.Fatalf("restore over the pre-crash store: %v, %+v\nfresh restore: %v, %+v", err, st, wantErr, want)
 	}
 	if err != nil {
-		// A failed restore leaves no objects; the counters it leaves are
-		// whatever the store had before, which a fresh store never had.
-		if stored(s) != 0 || stored(fresh) != 0 {
-			t.Fatalf("a failed restore left %d objects, a fresh one %d", stored(s), stored(fresh))
+		// A failed restore leaves no objects and the counters of a fresh
+		// store, whatever the store held before.
+		if stored(s) != 0 || stored(fresh) != 0 || counters(s) != counters(fresh) {
+			t.Fatalf("a failed restore left %d objects, %s; a fresh one %d, %s",
+				stored(s), counters(s), stored(fresh), counters(fresh))
 		}
 	} else if got, want := encodedState(s), encodedState(fresh); got != want {
 		t.Fatalf("restore over the pre-crash store differs from a fresh one\n--- reused\n%s--- fresh\n%s", got, want)

@@ -299,8 +299,8 @@ func (s *Store) TearWALTail(n int) bool {
 //
 // Crash returns an error when durability was never enabled. It also returns
 // one when the medium cannot be read back (a damaged checkpoint image, or a
-// kind no package registered); that leaves the store empty, with a restored
-// revision of 0, because a control plane that cannot read its data dir does
+// kind no package registered); that leaves the store empty, its revision,
+// UID counter and compaction floor at 0, because a control plane that cannot read its data dir does
 // not come up.
 func (s *Store) Crash() (RestoreStats, error) {
 	s.mu.Lock()
@@ -320,8 +320,11 @@ func (s *Store) Crash() (RestoreStats, error) {
 	s.crashed = append(s.crashed, s.rev.Load())
 
 	st, err := s.restore()
-	if err != nil {
+	if err != nil { // as a fresh store failing on this medium would be
 		s.kinds = make(map[string]*bucket)
+		s.rev.Store(0)
+		s.nextUID.Store(0)
+		s.compactRev = 0
 	}
 	s.restored = append(s.restored, st.RestoredRev)
 	s.epoch.Add(1)

@@ -455,6 +455,43 @@ func TestCrashWakeOrderDeterministic(t *testing.T) {
 	}
 }
 
+// TestCrashOntoUnreadableMediumResetsCounters: a store with writes and a
+// restart behind it that crashes onto a medium it cannot read comes up as a
+// fresh store would, at revision 0, UID 0 and compaction floor 0, so its
+// next write commits at revision 1 rather than above a history nothing
+// restored.
+func TestCrashOntoUnreadableMediumResetsCounters(t *testing.T) {
+	s := New(sim.NewEnv())
+	s.EnableDurability(nil, nil)
+	for _, name := range []string{"a", "b"} {
+		if _, err := s.Create(pod(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create(&stray{*pod("c")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := counters(s); got != "rev=3 uid=3 compact=2" {
+		t.Fatalf("before the failed restore: %s", got)
+	}
+	if _, err := s.Crash(); !errors.Is(err, api.ErrUnregisteredKind) {
+		t.Fatalf("Crash onto a stray kind: %v", err)
+	}
+	if got := counters(s); got != "rev=0 uid=0 compact=0" || stored(s) != 0 {
+		t.Fatalf("after the failed restore: %s, %d objects", got, stored(s))
+	}
+	obj, err := s.Create(pod("d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rv := obj.GetMeta().ResourceVersion; rv != 1 {
+		t.Fatalf("the next write committed at revision %d, want 1", rv)
+	}
+}
+
 // TestCrashReportsUnreadableMedium: a checkpoint image is written whole, so
 // damage to it is no crash artifact to cut around — Crash returns it, with
 // the store left empty, its watchers closed and the epoch advanced. So is a
