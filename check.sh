@@ -64,8 +64,8 @@ go test ./...
 # time in alternating pairs, and only by hand.
 go run ./tools/benchgate
 # The exact allocation and figure pins, by name so none can silently
-# vanish: the kernel micro-benchmarks (TimerChurn's one closure, the rest
-# nothing), a store status write (one allocation at 1, 8 and 32 watchers),
+# vanish: the kernel micro-benchmarks (TimerChurn's one closure, EventWait's
+# one Event, the rest nothing), a store status write (one allocation at 1, 8 and 32 watchers),
 # Client.MutateStatus (one, with 0 or 64 env vars), Client.Mutate (one
 # DeepCopyObject of the pod, likewise), Client.Bind (one, likewise),
 # Client.Create (no copy: three, with 0 or 64 env vars), a logged write (the
@@ -135,10 +135,14 @@ go test -race ./internal/kube/... ./internal/core/...
 # writes no status that changes nothing, and a VGPU object a torn log tail
 # restores (deleted, or without its holder's UUID) is reconciled like any
 # other, and a bind that misses in its cache a vGPU just created waits for
-# the VGPU watch to deliver it instead of requeueing its tenant. Beside them,
-# the full stack watches only for the control loops that have traffic (14
-# reflectors, each relisting once per restart).
-named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestDevMgrReconcilesRestoredVGPU|TestDevMgrBindWaitsForUndeliveredVGPU|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
+# the VGPU watch to deliver it instead of requeueing its tenant. The node
+# backend's container list: a bound pod DevMgr never filed fails its
+# container and the run goes on, and the list is empty at quiescence after a
+# torn tail reverts a Create the bound-pod watch never showed, and after a
+# node crash whose pods are evicted. Beside them, the full stack watches only
+# for the control loops that have traffic (14 reflectors, each relisting once
+# per restart).
+named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestDevMgrReconcilesRestoredVGPU|TestDevMgrBindWaitsForUndeliveredVGPU|TestContainerListUnlistedPodFailsItsContainer|TestContainerListEmptyAfterTornCreate|TestContainerListEmptyAfterNodeEviction|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
 go test -race ./internal/sim/... ./internal/devlib/...
 # The kernel's worker pool by name, so it cannot silently vanish: a reused
 # worker runs a proc killed before its first execution as a fresh coroutine

@@ -240,9 +240,9 @@ func soak(cfg SoakConfig, instrument func(*kube.Cluster)) (SoakResult, error) {
 //  3. No vGPU objects remain (on-demand policy releases every device), and
 //     DevMgr's tenant cache is empty — no leaked device shares or orphaned
 //     tenant entries.
-//  4. Every instantiated sharing strategy (token, mps or replica) is
-//     resumed and empty: no registered clients, no waiters — a leaked
-//     client would pin quota on a device forever.
+//  4. Every container list and instantiated sharing strategy (token, mps or
+//     replica) is empty and resumed: no filed pods, clients or waiters — a
+//     leaked client would pin quota on a device forever.
 //  5. No device is left faulted, and every node is back to Ready.
 //  6. KubeShare-Sched's incremental snapshot still matches a full relist
 //     (pool equivalence survived every watch drop, resume and relist).
@@ -268,6 +268,9 @@ func VerifyQuiescence(c *kube.Cluster, ks *core.KubeShare) []error {
 	}
 	for _, nodeName := range slices.Sorted(maps.Keys(ks.Backends)) {
 		backend := ks.Backends[nodeName]
+		if pods := backend.ContainerList(); len(pods) > 0 {
+			bad = append(bad, fmt.Errorf("node %s container list holds %v after quiescence", nodeName, pods))
+		}
 		for _, uuid := range backend.Devices() {
 			strat := backend.StrategyOf(uuid)
 			if strat.Down() {

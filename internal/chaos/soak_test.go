@@ -9,6 +9,7 @@ import (
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
+	"kubeshare/internal/devlib"
 	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/apiserver/apitest"
@@ -152,9 +153,10 @@ func TestSoakDeterministic(t *testing.T) {
 }
 
 // TestQuiescenceCoversEveryStrategy leaks one client on an mps device and
-// one on a replica device (registered, never unregistered). Invariant 4 must
-// report each — a check that only walked token devices would pass this
-// cluster — and report them in sorted-UUID order.
+// one on a replica device (registered, never unregistered), and one pod on
+// the node's container list. Invariant 4 must report each — a check that
+// only walked token devices would pass this cluster — the list first, then
+// the clients in sorted-UUID order.
 func TestQuiescenceCoversEveryStrategy(t *testing.T) {
 	env := sim.NewEnv()
 	c, err := kube.NewCluster(env, kube.Config{Nodes: []kube.NodeConfig{{Name: "node-0", GPUs: 3}}})
@@ -184,11 +186,13 @@ func TestQuiescenceCoversEveryStrategy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	backend.File("leaked-pod", devlib.Share{Request: 0.5, Memory: 0.5}, "")
 	var got []string
 	for _, v := range VerifyQuiescence(c, ks) {
 		got = append(got, v.Error())
 	}
 	want := []string{
+		"node node-0 container list holds [leaked-pod] after quiescence",
 		"replica strategy GPU-a@node-0 leaked 1 clients",
 		"mps strategy GPU-c@node-0 leaked 1 clients",
 	}

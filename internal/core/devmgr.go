@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"kubeshare/internal/devlib"
@@ -74,7 +73,7 @@ type DevMgr struct {
 	devices  map[string]*vgpuState      // what no object records about each vGPU
 	placed   map[string]string          // live placed sharePod → GPUID, to see it leave
 	binding  map[string]bindOp          // sharePod → bind, until the watch shows its pod
-	backends map[string]*devlib.Backend // node → device-library daemon (SetBackends)
+	backends map[string]*devlib.Backend // node → device-library daemon
 
 	// Telemetry (no-op handles when obs is off). A requeue is reported as a
 	// scheduling event: on the scheduler's counter and event source.
@@ -118,8 +117,9 @@ type bindOp struct {
 	active           bool
 }
 
-// NewDevMgr creates KubeShare-DevMgr; Start launches it.
-func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
+// NewDevMgr creates KubeShare-DevMgr over the per-node device-library
+// daemons, keyed by node name and filled before Start, which launches it.
+func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig, backends map[string]*devlib.Backend) *DevMgr {
 	rt := srv.Obs()
 	m := &DevMgr{
 		env:           env,
@@ -128,7 +128,7 @@ func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
 		devices:       make(map[string]*vgpuState),
 		placed:        make(map[string]string),
 		binding:       make(map[string]bindOp),
-		backends:      make(map[string]*devlib.Backend),
+		backends:      backends,
 		tracer:        rt.Tracer(),
 		recorder:      rt.EventSource("kubeshare-devmgr"),
 		schedEvents:   rt.EventSource("kubeshare-sched"),
@@ -142,12 +142,6 @@ func NewDevMgr(env *sim.Env, srv *apiserver.Server, cfg DevMgrConfig) *DevMgr {
 	m.vgpus = controller.NewRunner(env, "kubeshare-devmgr-vgpu", 0, m.reconcileVGPU)
 	m.sharePods = controller.NewRunner(env, "kubeshare-devmgr-sharepod", 0, m.reconcileSharePod)
 	return m
-}
-
-// SetBackends wires the per-node device-library daemons in, so recovery can
-// suspend and resume a dying holder's sharing strategy. Call before Start.
-func (m *DevMgr) SetBackends(backends map[string]*devlib.Backend) {
-	m.backends = backends
 }
 
 // Recoveries returns (attempted, failed) vGPU recovery counts: obs registry
@@ -196,11 +190,25 @@ func (m *DevMgr) Start() {
 	m.spR = m.srv.Inform(consumer, consumer, KindSharePod, apiserver.WatchOptions{Replay: true}, m.onSharePod)
 	// Only bound pods reach this loop (the filter runs server-side). A
 	// running or finished one has a phase to mirror; a deleted one may leave
-	// its sharePod to requeue.
+	// its sharePod to requeue. A finished or deleted one leaves its node's
+	// container list. At a relist, so does every filed pod it did not find:
+	// the diff has no event for a pod this loop never saw.
 	bound := apiserver.WatchOptions{Label: LabelSharePod, Replay: true}
 	m.podR = m.srv.Inform(consumer, consumer+"-pods", "Pod", bound, func(p *sim.Proc, ev store.Event) {
-		if pod := ev.Object.(*api.Pod); ev.Type == store.Deleted || pod.Status.Phase == api.PodRunning || pod.Terminated() {
+		if pod := ev.Object.(*api.Pod); ev.Type == store.Deleted || pod.Terminated() {
+			m.unfile(pod.Spec.NodeName, pod.Name)
 			m.sharePods.Sync(p, pod.Labels[LabelSharePod])
+		} else if pod.Status.Phase == api.PodRunning {
+			m.sharePods.Sync(p, pod.Labels[LabelSharePod])
+		}
+	})
+	m.podR.OnRelist(func(listed func(string) bool) {
+		for _, b := range m.backends {
+			for _, name := range b.ContainerList() {
+				if !listed(name) {
+					b.Unfile(name)
+				}
+			}
 		}
 	})
 	// A holder that dies (killed container, evicted node) is replaced.
@@ -555,7 +563,11 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 	// Due: sp, as last delivered, is live, unbound and on b.gpuID; the
 	// status write checks the stored one, which may have moved on since.
 	pod := boundPod(sp, b.uuid)
+	if backend := m.backends[sp.Spec.NodeName]; backend != nil {
+		backend.File(pod.Name, sp.Spec.Share(), sharing.Mode(sp.Spec.SharingMode))
+	}
 	if _, err := apiserver.Pods(m.srv).Create(pod); err != nil && !apiserver.IsExists(err) {
+		m.unfile(sp.Spec.NodeName, pod.Name)
 		b.span.End("failed: ", err.Error())
 		delete(m.binding, sp.Name)
 		return m.writeSharePod(sp.Name, func(st *SharePodStatus) {
@@ -572,6 +584,7 @@ func (m *DevMgr) bind(p *sim.Proc, sp *SharePod) error {
 		return nil
 	})
 	if errors.Is(err, errStale) || apiserver.IsNotFound(err) {
+		m.unfile(sp.Spec.NodeName, pod.Name)
 		m.endBind(sp.Name, "abandoned: stale placement")
 		return settled(apiserver.Pods(m.srv).Delete(pod.Name))
 	}
@@ -627,6 +640,13 @@ func (m *DevMgr) reflect(sp *SharePod) error {
 		return m.writeSharePod(sp.Name, advance)
 	}
 	return nil
+}
+
+// unfile takes a bound pod off its node's container list.
+func (m *DevMgr) unfile(node, pod string) {
+	if b := m.backends[node]; b != nil {
+		b.Unfile(pod)
+	}
 }
 
 // requeue sends a sharePod whose bound pod was lost back to the scheduler.
@@ -702,5 +722,3 @@ func settled(err error) error {
 	}
 	return err
 }
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"kubeshare/internal/cuda"
 	"kubeshare/internal/devlib"
-	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/kube"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/runtime"
@@ -52,13 +50,13 @@ func (k *KubeShare) Stats() SchedStats {
 // (unstarted) DevMgr. The caller supplies and starts the scheduler driver
 // (and should set KubeShare.Sched to it) — schedfw.Install is the standard
 // composition.
-func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
+func InstallBase(c *kube.Cluster, cfg Config) *KubeShare {
 	ks := &KubeShare{
 		Cluster:  c,
 		Backends: make(map[string]*devlib.Backend),
 	}
 	c.API.RegisterValidator(KindSharePod, ValidateSharePod)
-	ks.DevMgr = NewDevMgr(c.Env, c.API, cfg.DevMgr)
+	ks.DevMgr = NewDevMgr(c.Env, c.API, cfg.DevMgr, ks.Backends)
 	ks.SetManager = NewSharePodSetManager(c.Env, c.API)
 	ks.SetManager.Start()
 
@@ -87,25 +85,7 @@ func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
 			if pod.Labels[LabelSharePod] == "" || base == nil {
 				return nil, nil // not ours: fall through to the raw driver
 			}
-			share, err := shareFromAnnotations(pod.Annotations)
-			if err != nil {
-				return nil, fmt.Errorf("kubeshare: bound pod %s has bad annotations: %w", pod.Name, err)
-			}
-			// An absent mode annotation means "node default" (StrategyFor's
-			// ""), not "token" — only explicit per-pod modes override.
-			var mode sharing.Mode
-			if s := pod.Annotations[AnnSharingMode]; s != "" {
-				if mode, err = sharing.ParseMode(s); err != nil {
-					return nil, fmt.Errorf("kubeshare: bound pod %s has bad annotations: %w", pod.Name, err)
-				}
-			}
-			// A device serves one mode: a pod co-placed with tenants of
-			// another fails here, its container only.
-			strat, err := backend.StrategyFor(base.Device().UUID, mode)
-			if err != nil {
-				return nil, fmt.Errorf("kubeshare: install frontend for %s: %w", pod.Name, err)
-			}
-			f, err := devlib.NewFrontendWith(base, strat, pod.Name+"/"+ctn.Name, share, backend.Config())
+			f, err := backend.Frontend(base, pod.Name, pod.Name+"/"+ctn.Name)
 			if err != nil {
 				return nil, fmt.Errorf("kubeshare: install frontend for %s: %w", pod.Name, err)
 			}
@@ -116,41 +96,5 @@ func InstallBase(c *kube.Cluster, cfg Config) (*KubeShare, error) {
 			return f, nil
 		})
 	}
-	// vGPU recovery needs to suspend/resume the dying pod's token manager.
-	ks.DevMgr.SetBackends(ks.Backends)
-
-	return ks, nil
-}
-
-// shareFromAnnotations parses the fractional shares DevMgr stamped onto a
-// bound pod.
-func shareFromAnnotations(ann map[string]string) (devlib.Share, error) {
-	parse := func(key string) (float64, error) {
-		v, ok := ann[key]
-		if !ok {
-			return 0, fmt.Errorf("missing annotation %s", key)
-		}
-		return strconv.ParseFloat(v, 64)
-	}
-	req, err := parse(AnnGPURequest)
-	if err != nil {
-		return devlib.Share{}, err
-	}
-	lim, err := parse(AnnGPULimit)
-	if err != nil {
-		return devlib.Share{}, err
-	}
-	mem, err := parse(AnnGPUMem)
-	if err != nil {
-		return devlib.Share{}, err
-	}
-	share := devlib.Share{Request: req, Limit: lim, Memory: mem}
-	if v, ok := ann[AnnGPUMemBytes]; ok {
-		bytes, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return devlib.Share{}, fmt.Errorf("bad annotation %s: %v", AnnGPUMemBytes, err)
-		}
-		share.MemoryBytes = bytes
-	}
-	return share, nil
+	return ks
 }

@@ -8,25 +8,13 @@ import (
 	"kubeshare/internal/kube/apiserver"
 )
 
-// Labels and annotations KubeShare stamps on the native objects it creates.
+// Labels KubeShare stamps on the native objects it creates.
 const (
 	// LabelSharePod marks a bound pod with the sharePod it realizes.
 	LabelSharePod = "kubeshare.io/sharepod"
 	// LabelVGPUHolder marks the native pods that pin physical GPUs for the
 	// vGPU pool.
 	LabelVGPUHolder = "kubeshare.io/vgpu-holder"
-	// Annotations carrying the fractional shares into the bound pod, read
-	// by the node's library hook when installing the vGPU frontend.
-	AnnGPURequest = "kubeshare.io/gpu_request"
-	AnnGPULimit   = "kubeshare.io/gpu_limit"
-	AnnGPUMem     = "kubeshare.io/gpu_mem"
-	AnnGPUID      = "kubeshare.io/gpuid"
-	// AnnGPUMemBytes carries the absolute memory request (stamped only when
-	// the sharePod used the byte-quantity form).
-	AnnGPUMemBytes = "kubeshare.io/gpu_mem_bytes"
-	// AnnSharingMode carries the sharing strategy (stamped only when the
-	// sharePod overrides the node default).
-	AnnSharingMode = "kubeshare.io/sharing_mode"
 )
 
 // SharePods returns the typed SharePod client.
@@ -134,7 +122,8 @@ func boundPodName(spName string, restarts int) string {
 
 // boundPod is the pod realizing sp on device uuid: its pod spec pinned to
 // its node — explicit binding, no kube-scheduler involvement — with the
-// device in the environment and the shares in annotations.
+// device in the environment. Its share and mode go on the node's container
+// list (DevMgr.bind), not on the pod.
 func boundPod(sp *SharePod, uuid string) *api.Pod {
 	spec := sp.Spec.Pod.Clone()
 	spec.NodeName = sp.Spec.NodeName
@@ -149,26 +138,11 @@ func boundPod(sp *SharePod, uuid string) *api.Pod {
 		// stays pinned solely by the holder pod.
 		c.Env["NVIDIA_VISIBLE_DEVICES"] = uuid
 	}
-	ann := map[string]string{
-		AnnGPURequest: formatFloat(sp.Spec.GPURequest),
-		AnnGPULimit:   formatFloat(sp.Spec.Share().EffectiveLimit()),
-		AnnGPUMem:     formatFloat(sp.Spec.GPUMem),
-		AnnGPUID:      sp.Spec.GPUID,
-	}
-	// The byte-quantity and mode annotations are stamped only when used, so
-	// legacy bound pods keep their exact annotation set.
-	if sp.Spec.GPUMemBytes > 0 {
-		ann[AnnGPUMemBytes] = strconv.FormatInt(sp.Spec.GPUMemBytes, 10)
-	}
-	if sp.Spec.SharingMode != "" {
-		ann[AnnSharingMode] = sp.Spec.SharingMode
-	}
 	return &api.Pod{
 		ObjectMeta: api.ObjectMeta{
-			Name:        boundPodName(sp.Name, sp.Status.Restarts),
-			Labels:      map[string]string{LabelSharePod: sp.Name},
-			Annotations: ann,
-			OwnerName:   KindSharePod + "/" + sp.Name,
+			Name:      boundPodName(sp.Name, sp.Status.Restarts),
+			Labels:    map[string]string{LabelSharePod: sp.Name},
+			OwnerName: KindSharePod + "/" + sp.Name,
 		},
 		Spec: spec,
 	}

@@ -11,10 +11,7 @@ import (
 // With no options each cycle decides one sharePod; pass WithBatchSize /
 // WithGangTimeout to opt into the framework extensions.
 func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare, error) {
-	ks, err := core.InstallBase(c, cfg)
-	if err != nil {
-		return nil, err
-	}
+	ks := core.InstallBase(c, cfg)
 	sched := New(c.Env, c.API, opts...)
 	ks.Sched = sched
 	ks.DevMgr.Start()
@@ -26,10 +23,7 @@ func Install(c *kube.Cluster, cfg core.Config, opts ...Option) (*core.KubeShare,
 // KubeShare-Sched, sharing the DevMgr and device-library machinery so the
 // comparison isolates the scheduling policy.
 func InstallExtender(c *kube.Cluster, cfg core.Config) (*core.KubeShare, *Extender, error) {
-	ks, err := core.InstallBase(c, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	ks := core.InstallBase(c, cfg)
 	ext := NewExtender(c.Env, c.API)
 	ks.Sched = ext
 	ks.DevMgr.Start()

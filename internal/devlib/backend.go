@@ -1,7 +1,8 @@
 // Package devlib implements the paper's vGPU device library (§4.5): the
-// per-node backend daemon, which keeps one sharing.Strategy per device, and
-// the per-container frontend that intercepts CUDA calls and blocks kernel
-// launches until the strategy grants a valid lease.
+// per-node backend daemon, which keeps the node's container list and one
+// sharing.Strategy per device, and the per-container frontend that intercepts
+// CUDA calls and blocks kernel launches until the strategy grants a valid
+// lease.
 //
 // Under the default strategy (sharing.Token, the paper's policy) the device
 // guarantees each container's gpu_request (minimum usage share), caps it at
@@ -17,6 +18,7 @@ import (
 	"slices"
 	"time"
 
+	"kubeshare/internal/cuda"
 	"kubeshare/internal/devlib/sharing"
 	"kubeshare/internal/obs"
 	"kubeshare/internal/sim"
@@ -74,11 +76,19 @@ func (c Config) withDefaults() Config {
 }
 
 // Backend is the per-node daemon: one sharing strategy per device UUID
-// (one token per device in the default mode, §4.5).
+// (one token per device in the default mode, §4.5), and the container list
+// DevMgr files each bound pod's share and mode on before creating the pod.
 type Backend struct {
 	env        *sim.Env
 	cfg        Config
 	strategies map[string]sharing.Strategy
+	containers map[string]entry // bound pod name → what DevMgr filed
+}
+
+// entry is one pod on the container list.
+type entry struct {
+	share Share
+	mode  sharing.Mode
 }
 
 // NewBackend creates a node backend.
@@ -87,8 +97,36 @@ func NewBackend(env *sim.Env, cfg Config) *Backend {
 		env:        env,
 		cfg:        cfg.withDefaults(),
 		strategies: make(map[string]sharing.Strategy),
+		containers: make(map[string]entry),
 	}
 }
+
+// File puts pod on the container list with its share and mode ("" = the
+// node default), replacing an earlier entry.
+func (b *Backend) File(pod string, share Share, mode sharing.Mode) {
+	b.containers[pod] = entry{share, mode}
+}
+
+// Unfile takes pod off the container list.
+func (b *Backend) Unfile(pod string) { delete(b.containers, pod) }
+
+// Frontend starts client, a container of pod, on base's device with pod's
+// share and mode from the container list. A device serves one mode: a pod
+// co-placed with tenants of another fails, its container only.
+func (b *Backend) Frontend(base cuda.API, pod, client string) (*Frontend, error) {
+	e, ok := b.containers[pod]
+	if !ok {
+		return nil, fmt.Errorf("devlib: pod %s is not on the node's container list", pod)
+	}
+	strat, err := b.StrategyFor(base.Device().UUID, e.mode)
+	if err != nil {
+		return nil, err
+	}
+	return NewFrontendWith(base, strat, client, e.share, b.cfg)
+}
+
+// ContainerList returns the pods on the container list, sorted.
+func (b *Backend) ContainerList() []string { return slices.Sorted(maps.Keys(b.containers)) }
 
 // StrategyOf returns the device's already-instantiated strategy, or nil
 // when no client has reached the device yet. Read paths (usage sampling,

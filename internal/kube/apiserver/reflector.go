@@ -52,6 +52,7 @@ type Reflector struct {
 	relists     int
 	synthesized int          // events relists put in the backlog
 	relistCtr   *obs.Counter // per-consumer child of kubeshare_reflector_relist_total
+	onRelist    func(listed func(name string) bool)
 }
 
 // Inform is how a control loop consumes a watch: it subscribes to kind with
@@ -205,6 +206,9 @@ func (r *Reflector) relist() {
 	r.relists++
 	r.srv.refRelists.Inc()
 	r.relistCtr.Inc()
+	if r.onRelist != nil {
+		defer r.onRelist(r.listed)
+	}
 	floor := r.srv.store.RestoredFloor(r.epoch, r.srv.Epoch())
 	if r.srv.store.RevertedUnseen(r.epoch, r.srv.Epoch(), r.lastRV) {
 		floor = 0 // no survivor is skipped
@@ -238,7 +242,7 @@ func (r *Reflector) relist() {
 	}
 	var gone []string
 	for name := range r.known {
-		if obj, err := r.srv.store.Get(r.kind, name); err != nil || !r.opts.Matches(obj) {
+		if !r.listed(name) {
 			gone = append(gone, name)
 		}
 	}
@@ -247,6 +251,21 @@ func (r *Reflector) relist() {
 		// The last snapshot the consumer saw, shared like any other.
 		r.synthesize(store.Deleted, r.known[name], r.lastRV)
 	}
+}
+
+// listed reports whether the relist in this instant found name.
+func (r *Reflector) listed(name string) bool {
+	obj, err := r.srv.store.Get(r.kind, name)
+	return err == nil && r.opts.Matches(obj)
+}
+
+// OnRelist registers fn to run, without yielding, at the end of each relist;
+// listed reports whether that relist found a name. An object made and gone
+// while the stream was down, or one a torn tail reverted before the stream
+// delivered it, is in neither the list nor the diff: listed is how a
+// consumer keeping state under its name learns it is gone.
+func (r *Reflector) OnRelist(fn func(listed func(name string) bool)) {
+	r.onRelist = fn
 }
 
 // synthesize appends one relist event to the backlog.

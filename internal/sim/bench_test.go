@@ -139,6 +139,25 @@ func manyProcs(tb testing.TB) func() {
 	return func() { env.Step() }
 }
 
+// eventWait is a one-shot event's life: made, waited on by one proc,
+// triggered. The Event is its one allocation; the waiter rides inline.
+func eventWait(tb testing.TB) func() {
+	env := NewEnv()
+	var ev *Event
+	waiter := env.Go("waiter", func(p *Proc) {
+		for {
+			ev = NewEvent(env)
+			p.Wait(ev)
+		}
+	})
+	killAtEnd(tb, env, waiter)
+	env.Step() // the waiter parks on its first event
+	return func() {
+		ev.Trigger(nil)
+		env.Step() // it wakes, makes the next event and parks on it
+	}
+}
+
 func BenchmarkTimerChurn(b *testing.B)           { benchOps(b, timerChurn) }
 func BenchmarkProcContextSwitch(b *testing.B)    { benchOps(b, procContextSwitch) }
 func BenchmarkQueueHandoff(b *testing.B)         { benchOps(b, queueHandoff) }
@@ -146,12 +165,13 @@ func BenchmarkSimKernelSameInstant(b *testing.B) { benchOps(b, sameInstant) }
 func BenchmarkSimKernelTimerStop(b *testing.B)   { benchOps(b, timerStop) }
 func BenchmarkSimKernelDeepHeap(b *testing.B)    { benchOps(b, deepHeap) }
 func BenchmarkManyProcs(b *testing.B)            { benchOps(b, manyProcs) }
+func BenchmarkEventWait(b *testing.B)            { benchOps(b, eventWait) }
 
 // TestMicroBenchmarkAllocsHeldExactly pins what one iteration of each
 // micro-benchmark above allocates, as the benchmark counts allocs/op (the
 // mean over 4096 iterations after a warm-up, truncated): nothing, except
 // TimerChurn's one, which is the benchmark's own escaping closure, not the
-// kernel's.
+// kernel's, and EventWait's one, the Event (its first waiter is inline).
 func TestMicroBenchmarkAllocsHeldExactly(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -165,6 +185,7 @@ func TestMicroBenchmarkAllocsHeldExactly(t *testing.T) {
 		{"SimKernelTimerStop", timerStop, 0},
 		{"SimKernelDeepHeap", deepHeap, 0},
 		{"ManyProcs", manyProcs, 0},
+		{"EventWait", eventWait, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			op := c.rig(t)

@@ -55,11 +55,16 @@ type Event struct {
 	fired   bool
 	val     any
 	waiters []waiterRef
-	pruneAt int // amortized sweep threshold for stale refs
+	pruneAt int          // amortized sweep threshold for stale refs
+	one     [1]waiterRef // waiters' first backing array: most events have one waiter
 }
 
 // NewEvent returns an untriggered event bound to env.
-func NewEvent(env *Env) *Event { return &Event{env: env} }
+func NewEvent(env *Env) *Event {
+	e := &Event{env: env}
+	e.waiters = e.one[:0]
+	return e
+}
 
 // Reset returns a fired event to the untriggered state so its owner can
 // reuse it as a fresh one-shot instead of allocating a new Event. The caller
