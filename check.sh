@@ -78,7 +78,10 @@ go run ./tools/benchgate
 # rows and Figure 18's throughputs, stretches and memory witnesses at quick
 # scale.
 # Figure 16's decisions and Figure 19's table are pinned by
-# TestFig16PlacementsPinned and fig19_table.golden. Beside them, every
+# TestFig16PlacementsPinned and fig19_table.golden, and Figure 16's driver
+# at 1k, 4k and 16k sharePods must cost each of decisions, decided plus
+# skipped units, apiserver reads and writes per sharePod within 1.25× of
+# its 1k value (TestWorkPerSharePodFlatInN). Beside them, every
 # experiment's quick run, made twice, prints byte-identical tables but for
 # the host-clock columns its registry entry declares. And EXPERIMENTS.md's
 # quick tables and verdicts are checked here: TestClaims holds every paper
@@ -106,7 +109,7 @@ named 'TestTraceWriteAllocs|TestEventWriteAllocs' go test ./internal/obs/
 named TestReseedIsNew go test ./internal/simrand/
 named 'TestTokenRecycledWindowStartsEmpty|TestTokenRegisterReusesGrownWindow' go test ./internal/devlib/sharing/
 named TestServeSourcesDroppedWithLastJob go test ./internal/workload/
-named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic|TestClaims|TestClaimsCoverRegistry|TestDesignDoc' go test ./internal/experiments/
+named 'TestFig15ThroughputPinned|TestFig16PlacementsPinned|TestWorkPerSharePodFlatInN|TestFig17RecoverySweep|TestFig18StrategiesPinned|TestFig19Determinism|TestQuickRunsDeterministic|TestClaims|TestClaimsCoverRegistry|TestDesignDoc' go test ./internal/experiments/
 # Telemetry export surface: the SLO alert engine and fairness auditor must
 # replay byte-identically at a fixed seed, and every `kubeshare-sim serve`
 # endpoint must answer over HTTP (httptest smoke in cmd/kubeshare-sim).
@@ -135,14 +138,18 @@ go test -race ./internal/kube/... ./internal/core/...
 # writes no status that changes nothing, and a VGPU object a torn log tail
 # restores (deleted, or without its holder's UUID) is reconciled like any
 # other, and a bind that misses in its cache a vGPU just created waits for
-# the VGPU watch to deliver it instead of requeueing its tenant. The node
+# the VGPU watch to deliver it instead of requeueing its tenant. A
+# SharePodSet keeps its live count whether its replicas finish or fail, a
+# failed replica's replacement waits out the set's backoff though the
+# corpse's Deleted event reconciles the set at once, and a re-created set
+# starts a fresh backoff sequence. The node
 # backend's container list: a bound pod DevMgr never filed fails its
 # container and the run goes on, and the list is empty at quiescence after a
 # torn tail reverts a Create the bound-pod watch never showed, and after a
 # node crash whose pods are evicted. Beside them, the full stack watches only
 # for the control loops that have traffic (14 reflectors, each relisting once
 # per restart).
-named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestDevMgrReconcilesRestoredVGPU|TestDevMgrBindWaitsForUndeliveredVGPU|TestContainerListUnlistedPodFailsItsContainer|TestContainerListEmptyAfterTornCreate|TestContainerListEmptyAfterNodeEviction|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
+named 'TestRunner|TestDevMgr|TestDevMgrRequeuesLostBoundPod|TestSharePodSetReplacesFailedReplica|TestSharePodSetReplacementBackoff|TestDevMgrReconcilesRestoredVGPU|TestDevMgrBindWaitsForUndeliveredVGPU|TestContainerListUnlistedPodFailsItsContainer|TestContainerListEmptyAfterTornCreate|TestContainerListEmptyAfterNodeEviction|TestClusterWatchesOnlyControllersWithTraffic' go test -race ./internal/kube/controller/ ./internal/core/
 go test -race ./internal/sim/... ./internal/devlib/...
 # The kernel's worker pool by name, so it cannot silently vanish: a reused
 # worker runs a proc killed before its first execution as a fresh coroutine
@@ -287,7 +294,7 @@ go test ./internal/kube/store/ -run xxx -bench 'BenchmarkDurableWrite|BenchmarkC
 # Smoke the scheduler-throughput bench (Figure 15) at quick scale.
 go test . -run xxx -bench 'BenchmarkFig15SchedulerThroughput/quick' -benchtime 1x
 # Smoke the scale sweep (Figure 16) at quick scale (the run
-# TestFig16PlacementsPinned pins: 508 and 2060 decisions, exactly).
+# TestFig16PlacementsPinned pins: 500 and 2000 decisions, exactly).
 go test . -run xxx -bench 'BenchmarkFig16ScaleSweep/quick' -benchtime 1x
 # Smoke the control-plane recovery sweep (Figure 17) at quick scale: two
 # restart means, checkpointed vs checkpoint-free recovery, quiescence

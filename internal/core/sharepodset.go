@@ -93,14 +93,19 @@ type SharePodSetManager struct {
 	runner *controller.Runner
 	sets   *apiserver.Reflector
 	serial int
-	// replaceFails holds each set's replacement-backoff sequence across
-	// consecutive failed-replica rounds.
-	replaceFails map[string]*backoff.Backoff
+	// replaceFails holds each set's replacement backoff across consecutive
+	// failed-replica rounds, and when the latest round's replacements are due.
+	replaceFails map[string]*replaceRound
+}
+
+type replaceRound struct {
+	seq *backoff.Backoff
+	due time.Duration
 }
 
 // NewSharePodSetManager creates the manager; Start launches its watches.
 func NewSharePodSetManager(env *sim.Env, srv *apiserver.Server) *SharePodSetManager {
-	m := &SharePodSetManager{env: env, srv: srv, replaceFails: make(map[string]*backoff.Backoff)}
+	m := &SharePodSetManager{env: env, srv: srv, replaceFails: make(map[string]*replaceRound)}
 	m.runner = controller.NewRunner(env, "sharepodset", 0, m.reconcile)
 	srv.RegisterValidator(KindSharePodSet, func(o api.Object) error {
 		set := o.(*SharePodSet)
@@ -138,6 +143,8 @@ func (m *SharePodSetManager) Start() {
 func (m *SharePodSetManager) reconcile(p *sim.Proc, name string) error {
 	obj, ok := m.sets.Cached(name)
 	if !ok {
+		// A set re-created under this name starts a fresh sequence.
+		delete(m.replaceFails, name)
 		m.cleanupOrphans(name)
 		return nil
 	}
@@ -176,7 +183,10 @@ func (m *SharePodSetManager) reconcile(p *sim.Proc, name string) error {
 	if ready >= set.Replicas {
 		delete(m.replaceFails, name)
 	}
-	for live < set.Replicas {
+	// The corpses' Deleted events reconcile the set within the backoff; its
+	// replacements wait for the EnqueueAfter that ends it.
+	r := m.replaceFails[name]
+	for live < set.Replicas && (r == nil || m.env.Now() >= r.due) {
 		m.serial++
 		sp := &SharePod{
 			ObjectMeta: api.ObjectMeta{
@@ -218,14 +228,16 @@ func (m *SharePodSetManager) reconcile(p *sim.Proc, name string) error {
 }
 
 // replaceDelay advances the set's replacement-backoff sequence, creating
-// it on the first failed round.
+// it on the first failed round, and holds replacements until it expires.
 func (m *SharePodSetManager) replaceDelay(name string) time.Duration {
-	b := m.replaceFails[name]
-	if b == nil {
-		b = backoff.New("sharepodset/"+name, replaceBackoffBase, replaceBackoffCap)
-		m.replaceFails[name] = b
+	r := m.replaceFails[name]
+	if r == nil {
+		r = &replaceRound{seq: backoff.New("sharepodset/"+name, replaceBackoffBase, replaceBackoffCap)}
+		m.replaceFails[name] = r
 	}
-	return b.Next()
+	d := r.seq.Next()
+	r.due = m.env.Now() + d
+	return d
 }
 
 func (m *SharePodSetManager) cleanupOrphans(owner string) {

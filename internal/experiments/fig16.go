@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"kubeshare/internal/core"
 	"kubeshare/internal/core/schedfw"
 	"kubeshare/internal/kube/api"
 	"kubeshare/internal/kube/apiserver"
+	"kubeshare/internal/kube/store"
 	"kubeshare/internal/metrics"
 	"kubeshare/internal/sim"
 	"kubeshare/internal/workload"
@@ -18,12 +20,12 @@ import (
 // sharePods on a bounded device pool.
 //
 // Unlike Figure 15's one-shot backlog, the workload here churns: arrivals
-// are paced in waves matched to the pool's drain rate, and a completion
-// sweeper retires placed sharePods after a fixed service time, so the
-// device pool stays at cluster scale while the sharePod count grows by two
-// orders of magnitude — the sweep measures the hot path (the device scan
-// over the live pool, store traffic, watch fan-out), not an ever-growing
-// pool.
+// are paced in waves just under the pool's drain rate, and each sharePod is
+// retired a fixed service time after its placement, so the device pool and
+// the pending backlog stay at cluster scale while the sharePod count grows
+// by two orders of magnitude — the sweep measures the hot path (the device
+// scan over the live pool, store traffic, watch fan-out), not an
+// ever-growing pool or queue.
 //
 // Each size reports wall-clock time beside the virtual-side quantities —
 // decisions, makespan, and a hash over every placement tuple — which are a
@@ -46,8 +48,8 @@ const (
 	fig16GPUsPerNode = 8
 )
 
-// fig16Service is how long a placed sharePod holds its slice before the
-// completion sweeper retires it.
+// fig16Service is how long a placed sharePod holds its slice before it is
+// retired.
 const fig16Service = 4 * time.Second
 
 // fig16Result is one run's outcome: the wall-side measurement plus the
@@ -68,20 +70,18 @@ func fig16Run(n, nodes int) (fig16Result, error) {
 		return fig16Result{}, fmt.Errorf("fig16: %w", err)
 	}
 
-	// Two tenants share a vGPU (0.45 + 0.45), so the pool retires
-	// capacity/fig16Service sharePods per unit time at saturation; waves
-	// arrive at exactly that rate, keeping the pool saturated and the pending
-	// backlog bounded (an unbounded backlog would re-decide every waiting
-	// unit each cycle, measuring queue thrash instead of the hot path).
+	// Two tenants share a vGPU (0.45 + 0.45): capacity slots, each held
+	// exactly fig16Service and placed again no sooner than one cycle's
+	// core.CycleLatency later. Waves of capacity/8 every fig16Service/8 +
+	// CycleLatency arrive strictly slower than that drain, so the backlog
+	// stays within one wave at every size; at fig16Service/8 the lag would
+	// compound every generation and the backlog grow with N.
 	capacity := 2 * nodes * fig16GPUsPerNode
-	waveGap := fig16Service / 8
+	waveGap := fig16Service/8 + core.CycleLatency
 	wave := capacity / 8
-	if wave < 1 {
-		wave = 1
-	}
 
-	// The first error inside either proc stops both; the run then drains and
-	// reports it.
+	// The first error inside the submitter or a retirement stops the run;
+	// it then drains and reports it.
 	var runErr error
 	workload.Submit(env, srv, n, func(i int) (time.Duration, api.Object) {
 		return time.Duration(i/wave) * waveGap, &core.SharePod{
@@ -93,34 +93,24 @@ func fig16Run(n, nodes int) (fig16Result, error) {
 		}
 	}, &runErr)
 
-	// Completion sweeper: retire placed sharePods fig16Service after
-	// scheduling. The status write flows back to the scheduler through its
-	// SharePod watch, freeing the slice for the next wave — the churn that
-	// keeps the pool bounded.
-	done := 0
-	env.Go("completer", func(p *sim.Proc) {
-		for done < n && runErr == nil {
-			p.Sleep(fig16Service / 4)
-			cutoff := env.Now() - fig16Service
-			var expired []string
-			core.SharePods(srv).Scan(func(sp *core.SharePod) bool {
-				if sp.Placed() && !sp.Terminated() && sp.Status.ScheduledTime <= cutoff {
-					expired = append(expired, sp.Name)
-				}
-				return true
-			})
-			for _, name := range expired {
-				if _, err := core.SharePods(srv).MutateStatus(name, func(sp *core.SharePod) error {
-					sp.Status.Phase = core.SharePodSucceeded
-					sp.Status.FinishTime = env.Now()
-					return nil
-				}); err != nil {
-					runErr = fmt.Errorf("complete %s: %w", name, err)
-					return
-				}
-				done++
-			}
+	// Retirement: the event that shows a sharePod placed arms a timer that
+	// writes it Succeeded fig16Service after scheduling. The status write
+	// flows back to the scheduler through its SharePod watch, freeing the
+	// slice for the next wave — the churn that keeps the pool bounded.
+	retirer := srv.Inform("fig16", "retirer", core.KindSharePod, apiserver.WatchOptions{}, func(_ *sim.Proc, ev store.Event) {
+		sp := ev.Object.(*core.SharePod)
+		if !sp.Placed() || sp.Terminated() {
+			return
 		}
+		env.At(sp.Status.ScheduledTime+fig16Service, func() {
+			if _, err := core.SharePods(srv).MutateStatus(sp.Name, func(cur *core.SharePod) error {
+				cur.Status.Phase = core.SharePodSucceeded
+				cur.Status.FinishTime = env.Now()
+				return nil
+			}); err != nil && runErr == nil {
+				runErr = fmt.Errorf("complete %s: %w", sp.Name, err)
+			}
+		})
 	})
 
 	sched := schedfw.New(env, srv, schedfw.WithBatchSize(fig16Batch))
@@ -130,6 +120,7 @@ func fig16Run(n, nodes int) (fig16Result, error) {
 	wall := time.Now().Sub(start) //det:allow — as above
 	virtual := env.Now()
 	sched.Stop()
+	retirer.Stop()
 	if runErr != nil {
 		return fig16Result{}, fmt.Errorf("fig16: %w", runErr)
 	}
@@ -138,22 +129,16 @@ func fig16Run(n, nodes int) (fig16Result, error) {
 	res.conflicts = srv.Obs().Counter(schedfw.MetricSchedConflicts).Value()
 	// Placement hash: FNV-1a over every (name, gpuid, node, scheduled)
 	// tuple in name order.
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
+	h := fnv.New64a()
 	placed := 0
 	core.SharePods(srv).Scan(func(sp *core.SharePod) bool {
 		if sp.Placed() {
 			placed++
-			mix(fmt.Sprintf("%s|%s|%s|%d", sp.Name, sp.Spec.GPUID, sp.Spec.NodeName, sp.Status.ScheduledTime))
+			fmt.Fprintf(h, "%s|%s|%s|%d", sp.Name, sp.Spec.GPUID, sp.Spec.NodeName, sp.Status.ScheduledTime)
 		}
 		return true
 	})
-	res.hash = h
+	res.hash = h.Sum64()
 	if placed != n {
 		return fig16Result{}, fmt.Errorf("fig16: %d/%d sharePods placed", placed, n)
 	}
